@@ -8,7 +8,6 @@
 package delta_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -16,7 +15,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -169,114 +167,6 @@ func BenchmarkWarmup(b *testing.B) {
 		if _, err := experiments.Warmup(experiments.Options{Scale: benchScale}, []int64{1, 2}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkConcurrentClients measures end-to-end query throughput
-// against a live loopback deployment (repository + middleware over real
-// TCP) with concurrent clients. The "serialized" variant restores the
-// seed's handling — one global lock around each query including its
-// repository round trip (cache.Config.Serialized) — while "mux" is the
-// protocol-v2 multiplexed path. Every query ships to the repository
-// (NoCache policy), so the benchmark isolates the wire path the
-// redesign parallelized; mux with 16 clients should beat serialized by
-// well over 3×.
-func BenchmarkConcurrentClients(b *testing.B) {
-	const nClients = 16
-	for _, mode := range []struct {
-		name       string
-		serialized bool
-		repoPool   int
-	}{
-		{name: "serialized", serialized: true, repoPool: 1},
-		{name: "mux", serialized: false, repoPool: 2},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			scfg := catalog.DefaultConfig()
-			scfg.NumObjects = 16
-			scfg.TotalSize = 16 * cost.GB
-			scfg.MinObjectSize = 100 * cost.MB
-			scfg.MaxObjectSize = 4 * cost.GB
-			survey, err := catalog.NewSurvey(scfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Metadata-only payloads (the benchmark times the protocol
-			// path, not payload generation) and a 2ms simulated
-			// repository execution per query, standing in for the
-			// paper's multi-second scans: the serialized path holds
-			// its global lock across that delay, the mux path overlaps
-			// it across clients.
-			repo, err := server.New(server.Config{
-				Survey:    survey,
-				Scale:     netproto.PayloadScale{},
-				ExecDelay: 2 * time.Millisecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := repo.Start(); err != nil {
-				b.Fatal(err)
-			}
-			defer repo.Close()
-			mw, err := cache.New(cache.Config{
-				RepoAddr:   repo.Addr(),
-				RepoPool:   mode.repoPool,
-				Policy:     core.NewNoCache(),
-				Objects:    survey.Objects(),
-				Capacity:   8 * cost.GB,
-				Scale:      netproto.PayloadScale{},
-				Serialized: mode.serialized,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := mw.Start(); err != nil {
-				b.Fatal(err)
-			}
-			defer mw.Close()
-
-			ctx := context.Background()
-			clients := make([]*client.Client, nClients)
-			for i := range clients {
-				cl, err := client.Dial(mw.Addr())
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cl.Close()
-				clients[i] = cl
-			}
-
-			var next atomic.Int64
-			start := time.Now()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for c := 0; c < nClients; c++ {
-				wg.Add(1)
-				go func(cl *client.Client) {
-					defer wg.Done()
-					for {
-						i := next.Add(1)
-						if i > int64(b.N) {
-							return
-						}
-						if _, err := cl.Query(ctx, model.Query{
-							ID:        model.QueryID(i),
-							Objects:   []model.ObjectID{model.ObjectID(i%16 + 1)},
-							Cost:      cost.MB,
-							Tolerance: model.AnyStaleness,
-							Time:      time.Duration(i) * time.Millisecond,
-						}); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(clients[c])
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "queries/s")
-		})
 	}
 }
 
@@ -856,15 +746,15 @@ func runGrowthScenario(b *testing.B, name string, grow bool) (res growthModeResu
 	return res
 }
 
-// BenchmarkObsOverhead prices the observability layer on the same
-// topology as BenchmarkConcurrentClients/mux (16 clients, NoCache
-// policy, 2ms repository execution): the "off" mode runs with
+// BenchmarkObsOverhead prices the observability layer on a loopback
+// repository + cache with 16 clients, the NoCache policy and 2ms
+// repository execution: the "off" mode runs with
 // DisableObs (nil registry, nil trace ring — every instrument call is
 // a nil-receiver no-op), the "on" mode runs fully instrumented with a
 // live debug endpoint and every query traced, the worst case a real
 // deployment can configure. The modes are measured back to back in
-// one process, so the on/off q/s ratio is stable on shared runners
-// the way the codec ratio is; the issue's acceptance bar is ≤5%
+// one process, so the on/off q/s ratio is stable on shared runners;
+// the issue's acceptance bar is ≤5%
 // overhead (ratio ≥ 0.95), and CI's strict benchdiff gate watches the
 // qpsRatioOnOverOff key in BENCH_obs.json with -max-regress 0.05.
 func BenchmarkObsOverhead(b *testing.B) {
@@ -1440,152 +1330,6 @@ func writeRouterJSON(b *testing.B, dir string) {
 	}
 	b.Logf("wrote %s (on/off qps ratio %.2f, hit rate %.2f, coalesced %.2f)",
 		path, out.QPSRatioOnOverOff, out.CacheHitRateOn, out.CoalescedShareOn)
-}
-
-// codecBenchConn returns a Conn whose writes and reads share one
-// buffer, so one goroutine can send a frame and immediately receive it
-// — the harness for codec round-trip measurement.
-func codecBenchConn(version int) *netproto.Conn {
-	// bytes.Buffer resets its storage whenever it drains, so the
-	// send→recv cycle stays memory-bounded across b.N iterations.
-	c := netproto.NewConn(&bytes.Buffer{})
-	if version >= netproto.ProtoV3 {
-		c.SetVersion(version)
-	}
-	return c
-}
-
-// codecBenchFrame is the representative hot-path frame: a query result
-// with a scaled payload (4 KiB at the default scale) and a row sample.
-func codecBenchFrame() netproto.Frame {
-	scale := netproto.DefaultScale()
-	return netproto.Frame{Type: netproto.MsgQueryResult, RequestID: 99, Body: netproto.QueryResultMsg{
-		QueryID: 7,
-		Logical: cost.GB,
-		Rows: []netproto.ResultRow{
-			{ObjID: 1, RA: 10.5, Dec: -5.25, R: 17.1},
-			{ObjID: 2, RA: 11.5, Dec: -6.25, R: 18.2},
-			{ObjID: 3, RA: 12.5, Dec: -7.25, R: 19.3},
-			{ObjID: 4, RA: 13.5, Dec: -8.25, R: 20.4},
-		},
-		Payload: netproto.MakePayload(scale, cost.GB, 7),
-		Source:  "repository",
-		Elapsed: 3 * time.Millisecond,
-	}}
-}
-
-// BenchmarkCodec compares the gob v2 codec against the v3 binary codec
-// on one QueryResultMsg encode+decode round trip — the hot wire-path
-// unit every client→router→shard→repo hop pays. Expect v3 to cut
-// allocs/op by well over 3× and ns/op by over 2× (the tier-1 alloc
-// gate lives in netproto's TestV3AllocAdvantage; the ns trajectory is
-// CI's strict benchdiff check on BENCH_codec.json). When BENCH_JSON_DIR
-// is set the run measures both codecs via testing.Benchmark and writes
-// BENCH_codec.json with higher-is-better ratio metrics.
-func BenchmarkCodec(b *testing.B) {
-	for _, codec := range []struct {
-		name    string
-		version int
-	}{
-		{name: "gob", version: 0},
-		{name: "v3", version: netproto.ProtoV3},
-	} {
-		b.Run(codec.name, func(b *testing.B) {
-			c := codecBenchConn(codec.version)
-			frame := codecBenchFrame()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Send(frame); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := c.Recv(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	if dir := os.Getenv("BENCH_JSON_DIR"); dir != "" {
-		writeCodecJSON(b, dir)
-	}
-}
-
-// writeCodecJSON measures both codecs with a fixed-iteration loop
-// (testing.Benchmark would deadlock on the benchmark framework's
-// global lock when invoked from inside a running benchmark) and
-// records the comparison for the CI perf trajectory. The ratio metrics
-// are higher-is-better — a shrinking ratio means the v3 advantage
-// eroded — which is what the strict benchdiff gate on main checks.
-func writeCodecJSON(b *testing.B, dir string) {
-	b.Helper()
-	measure := func(version int) (nsPerOp, allocsPerOp float64) {
-		c := codecBenchConn(version)
-		frame := codecBenchFrame()
-		roundTrip := func() {
-			if err := c.Send(frame); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := c.Recv(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for i := 0; i < 200; i++ { // warm descriptor/pool state
-			roundTrip()
-		}
-		const iters = 50_000
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			roundTrip()
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		return float64(elapsed.Nanoseconds()) / iters,
-			float64(after.Mallocs-before.Mallocs) / iters
-	}
-	gobNs, gobAllocs := measure(0)
-	v3Ns, v3Allocs := measure(netproto.ProtoV3)
-	type codecRow struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"nsPerOp"`
-		AllocsPerOp float64 `json:"allocsPerOp"`
-		OpsPerSec   float64 `json:"opsPerSec"`
-	}
-	out := struct {
-		Benchmark string     `json:"benchmark"`
-		Frame     string     `json:"frame"`
-		Timestamp time.Time  `json:"timestamp"`
-		Codecs    []codecRow `json:"codecs"`
-		// Higher is better; the strict CI gate watches these.
-		NsRatioGobOverV3    float64 `json:"nsRatioGobOverV3"`
-		AllocRatioGobOverV3 float64 `json:"allocRatioGobOverV3"`
-	}{
-		Benchmark: "BenchmarkCodec",
-		Frame:     "QueryResultMsg encode+decode (4KiB payload, 4 rows)",
-		Timestamp: time.Now().UTC(),
-		Codecs: []codecRow{
-			{Name: "gob", NsPerOp: gobNs, AllocsPerOp: gobAllocs, OpsPerSec: 1e9 / gobNs},
-			{Name: "v3", NsPerOp: v3Ns, AllocsPerOp: v3Allocs, OpsPerSec: 1e9 / v3Ns},
-		},
-	}
-	if v3Ns > 0 {
-		out.NsRatioGobOverV3 = gobNs / v3Ns
-	}
-	if v3Allocs > 0 {
-		out.AllocRatioGobOverV3 = gobAllocs / v3Allocs
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(dir, "BENCH_codec.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("wrote %s (gob/v3: %.2fx ns, %.2fx allocs)",
-		path, out.NsRatioGobOverV3, out.AllocRatioGobOverV3)
 }
 
 // --- ablations for the design choices DESIGN.md calls out ---

@@ -38,13 +38,11 @@ func run() error {
 		cacheFrac   = flag.Float64("cache-frac", 0.3, "cache size as a fraction of the server total")
 		bytesPerGB  = flag.Int64("bytes-per-gb", 4096, "physical payload bytes per logical GB")
 		repoPool    = flag.Int("repo-pool", 2, "connections in the repository session pool")
-		serialized  = flag.Bool("serialized", false, "legacy fully-serialized query handling (benchmark baseline)")
 		execDelay   = flag.Duration("exec-delay", 0, "simulated node-local scan time per cache-answered query")
 		shardIdx    = flag.Int("shard-index", -1, "run as shard i of a cluster (-1: standalone)")
 		shardCount  = flag.Int("shard-count", 0, "total shards in the cluster (with -shard-index)")
 		shardMode   = flag.String("shard-mode", "htm", "cluster ownership mode: htm|rendezvous (must match the router)")
 		replicas    = flag.Int("replicas", 1, "cluster replication factor K: how many shards hold each object (with -shard-index; must match the router)")
-		wireVer     = flag.Int("wire-version", 0, "cap the negotiated wire version, both toward the repository and toward clients (0 = newest/v3 binary codec; 2 pins gob v2)")
 		dataDir     = flag.String("data-dir", "", "directory for warm-state snapshots and the decision journal; restarts rejoin warm from it (empty = no persistence)")
 		snapEvery   = flag.Duration("snapshot-interval", 0, "periodic snapshot interval with -data-dir (0 = 30s default)")
 		metricsAddr = flag.String("metrics-addr", "", "debug HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof (empty = off)")
@@ -135,11 +133,9 @@ func run() error {
 		ReshardCapacity:  cache.FractionalCapacity(*cacheFrac),
 		Replicas:         *replicas,
 		Scale:            netproto.PayloadScale{BytesPerGB: *bytesPerGB},
-		Serialized:       *serialized,
 		ExecDelay:        *execDelay,
 		Resolver:         resolver,
 		ResolverGrow:     resolverGrow,
-		WireVersion:      *wireVer,
 		DataDir:          *dataDir,
 		SnapshotInterval: *snapEvery,
 		MetricsAddr:      *metricsAddr,

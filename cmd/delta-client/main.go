@@ -53,7 +53,6 @@ func run() error {
 		growSeed  = flag.Int64("grow-seed", 1, "seed for -grow object generation")
 		objects   = flag.Int("objects", 68, "objects (must match deployment)")
 		seed      = flag.Int64("seed", 2, "survey seed (must match deployment)")
-		wireVer   = flag.Int("wire-version", 0, "cap the negotiated wire version (0 = newest/v3 binary codec; 2 forces gob v2)")
 		region    = flag.String("region", "", "query a sky region \"ra,dec,radiusDeg\" resolved server-side (no local universe needed)")
 		expectK   = flag.Int("replicas", 0, "expected replication factor K; with -stats/-cluster-stats, fail if the deployment reports a different K (0 = don't check)")
 		trace     = flag.Bool("trace", false, "stamp queries with a trace ID and print the per-hop fan-out tree (router scatter, shard fragments, repository work)")
@@ -83,7 +82,6 @@ func run() error {
 	opts := []client.Option{
 		client.WithPoolSize(*pool),
 		client.WithRequestTimeout(*timeout),
-		client.WithWireVersion(*wireVer),
 	}
 	if *trace {
 		opts = append(opts, client.WithTrace())
@@ -171,8 +169,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("connection: negotiated wire version v%d (%s)\n",
-			cl.WireVersion(), wireName(cl.WireVersion()))
 		printStats(st)
 		if err := checkReplicas(*expectK, st.Replicas); err != nil {
 			return err
@@ -258,18 +254,6 @@ func printRebalance(st *netproto.RebalanceStatusMsg) {
 		st.Phase, st.Epoch, st.From, st.To, st.MovedObjects, st.MovedBytes, st.Completed)
 	if st.LastError != "" {
 		fmt.Printf("  last error: %s\n", st.LastError)
-	}
-}
-
-// wireName renders a negotiated wire version for humans.
-func wireName(v int) string {
-	switch v {
-	case netproto.ProtoV3:
-		return "binary codec"
-	case netproto.ProtoV2:
-		return "gob, multiplexed"
-	default:
-		return "gob, lockstep"
 	}
 }
 

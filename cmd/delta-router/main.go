@@ -60,7 +60,6 @@ func run() error {
 		seed      = flag.Int64("seed", 2, "survey seed (must match the deployment)")
 		pool      = flag.Int("shard-pool", 2, "connections in each shard session pool")
 		dialRetry = flag.Duration("dial-retry", 5*time.Second, "how long to retry refused shard dials (startup race)")
-		wireVer   = flag.Int("wire-version", 0, "cap the negotiated wire version, toward shards, the repository and clients (0 = newest/v3 binary codec; 2 pins gob v2)")
 		metrics   = flag.String("metrics-addr", "", "debug HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof (empty = off)")
 		replicas  = flag.Int("replicas", 1, "replication factor K: how many shards hold each object (must match the shards' -replicas)")
 		hedge     = flag.Bool("hedge", false, "enable hedged reads: re-scatter a slow fragment to the next replicas after the hedge delay (needs -replicas >= 2)")
@@ -117,7 +116,6 @@ func run() error {
 			}
 			return nil
 		},
-		WireVersion: *wireVer,
 		Hedge:       *hedge,
 		HedgeDelay:  *hedgeGap,
 		MetricsAddr: *metrics,

@@ -34,7 +34,6 @@ func run() error {
 		seed         = flag.Int64("seed", 2, "survey seed")
 		pipelineRate = flag.Duration("pipeline-rate", 0, "feed one synthetic update per interval (0 = off)")
 		bytesPerGB   = flag.Int64("bytes-per-gb", 4096, "physical payload bytes per logical GB")
-		wireVer      = flag.Int("wire-version", 0, "cap the negotiated wire version (0 = newest/v3 binary codec; 2 pins gob v2)")
 		dataDir      = flag.String("data-dir", "", "directory for grown-universe snapshots and the birth journal; restarts recover births from it (empty = no persistence)")
 		snapEvery    = flag.Duration("snapshot-interval", 0, "periodic snapshot interval with -data-dir (0 = 30s default)")
 		metricsAddr  = flag.String("metrics-addr", "", "debug HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof (empty = off)")
@@ -53,7 +52,6 @@ func run() error {
 		Addr:             *addr,
 		Survey:           survey,
 		Scale:            netproto.PayloadScale{BytesPerGB: *bytesPerGB},
-		WireVersion:      *wireVer,
 		Replicas:         *replicas,
 		DataDir:          *dataDir,
 		SnapshotInterval: *snapEvery,

@@ -91,11 +91,6 @@ type Config struct {
 	// SampleRows optionally provides catalog rows so locally answered
 	// queries can return result samples like the repository does.
 	SampleRows []catalog.Row
-	// Serialized restores the seed's fully serialized handling — one
-	// global lock around each query including its repository I/O. It
-	// exists as the baseline for the concurrency benchmarks and as a
-	// debugging aid; leave it false in deployments.
-	Serialized bool
 	// ExecDelay simulates the node-local scan time of a query answered
 	// at the cache (the paper's cache runs real database scans; a
 	// loopback deployment answers in microseconds). The delay holds a
@@ -123,11 +118,6 @@ type Config struct {
 	// would silently exclude newborns from every region forever.
 	// Required when Resolver is set on a node that can grow.
 	ResolverGrow func([]model.Birth) error
-	// WireVersion caps the protocol version this node negotiates, on
-	// both sides: the version announced to the repository and the
-	// version granted to clients (0 = newest, i.e. the v3 binary
-	// codec; 2 pins gob v2) — the -wire-version escape hatch.
-	WireVersion int
 	// DataDir, when set, enables the durability layer (internal/persist):
 	// the node journals births and admission/eviction decisions, writes
 	// periodic snapshots of its warm state, and on startup replays
@@ -174,9 +164,6 @@ type Middleware struct {
 	// resize) are rejected instead of clobbering newer state.
 	reshardEpoch int
 
-	// serialMu implements Config.Serialized (benchmark baseline).
-	serialMu sync.Mutex
-
 	// execMu implements Config.ExecDelay: one serial execution
 	// resource per node.
 	execMu sync.Mutex
@@ -222,8 +209,8 @@ type Middleware struct {
 	loadLat  *obs.Histogram
 	fsyncLat *obs.Histogram
 
-	invRaw net.Conn
-	wg     sync.WaitGroup
+	inv *netproto.Conn // invalidation subscription
+	wg  sync.WaitGroup
 
 	// connMu guards the accepted-connection set so Close can sever
 	// live clients (a dead shard must not linger because a router
@@ -404,34 +391,25 @@ func New(cfg Config) (*Middleware, error) {
 	if retry == 0 {
 		retry = 5 * time.Second
 	}
-	sess, err := netproto.DialSession(cfg.RepoAddr, "cache", netproto.SessionConfig{
-		PoolSize:    cfg.RepoPool,
-		DialRetry:   max(retry, 0),
-		WireVersion: cfg.WireVersion,
-	})
+	dial := netproto.SessionConfig{PoolSize: cfg.RepoPool, DialRetry: max(retry, 0)}
+	sess, err := netproto.DialSession(cfg.RepoAddr, "cache", dial)
 	if err != nil {
 		m.closeStore()
 		return nil, fmt.Errorf("cache: dial repository: %w", err)
 	}
 	m.repo = sess
 
-	// Invalidation subscription (a one-way v1 stream).
-	ic, err := net.Dial("tcp", cfg.RepoAddr)
+	// Invalidation subscription (a one-way stream). The repository acks
+	// the handshake only after registering the subscriber, so every
+	// update applied once New returns is delivered here.
+	m.inv, err = netproto.DialConn(cfg.RepoAddr, "invalidations", dial)
 	if err != nil {
 		sess.Close()
 		m.closeStore()
-		return nil, fmt.Errorf("cache: dial invalidations: %w", err)
-	}
-	m.invRaw = ic
-	invConn := netproto.NewConn(ic)
-	if err := invConn.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "invalidations"}}); err != nil {
-		sess.Close()
-		ic.Close()
-		m.closeStore()
-		return nil, fmt.Errorf("cache: subscribe: %w", err)
+		return nil, fmt.Errorf("cache: subscribe invalidations: %w", err)
 	}
 	m.wg.Add(1)
-	go m.invalidationLoop(invConn)
+	go m.invalidationLoop(m.inv)
 
 	// Apply any preload the policy requests (Replica/SOptimal).
 	if pre, ok := m.policy.(core.Preloader); ok {
@@ -692,7 +670,7 @@ func (m *Middleware) Close() error {
 		m.debug.Close()
 	}
 	m.repo.Close()
-	m.invRaw.Close()
+	m.inv.Close()
 	m.wg.Wait()
 	if m.store != nil && !already {
 		m.snapshotNow()
@@ -805,51 +783,34 @@ func (m *Middleware) acceptLoop() {
 }
 
 func (m *Middleware) serveClient(c *netproto.Conn) error {
-	first, err := c.Recv()
+	hello, err := netproto.ReadHello(c)
 	if err != nil {
 		return netproto.IgnoreClosed(err)
 	}
-	hello, ok := first.Body.(netproto.Hello)
-	if !ok || first.Type != netproto.MsgHello {
-		return fmt.Errorf("cache: expected hello, got %s", first.Type)
-	}
-	version, err := netproto.ServeHandshake(c, hello, m.cfg.WireVersion)
-	if err != nil {
+	if _, err := netproto.ServeHandshake(c, hello, 0); err != nil {
 		return netproto.IgnoreClosed(err)
 	}
-	if version >= netproto.ProtoV2 {
-		return netproto.ServeMux(c, 0, func(f netproto.Frame) netproto.Frame {
-			reply, err := m.handleClientFrame(f)
-			if err != nil {
-				return netproto.ErrorFrame("%v", err)
-			}
-			return reply
-		}, m.cfg.Logf)
-	}
-	// v1 lockstep compatibility path: replies in request order.
-	for {
-		f, err := c.Recv()
-		if err != nil {
-			return netproto.IgnoreClosed(err)
-		}
-		reply, err := m.handleClientFrame(f)
-		if err != nil {
-			return err
-		}
-		if err := c.Send(reply); err != nil {
-			return netproto.IgnoreClosed(err)
-		}
-	}
+	return netproto.ServeMux(c, 0, m.handleClientFrame, m.cfg.Logf)
 }
 
-func (m *Middleware) handleClientFrame(f netproto.Frame) (netproto.Frame, error) {
+// orError turns a handler's failure into the MsgError reply its peer
+// sees.
+func orError(f netproto.Frame, err error) netproto.Frame {
+	if err != nil {
+		return netproto.ErrorFrame("%v", err)
+	}
+	return f
+}
+
+func (m *Middleware) handleClientFrame(f netproto.Frame) netproto.Frame {
+	ctx := context.Background()
 	switch body := f.Body.(type) {
 	case netproto.QueryMsg:
 		meta := queryMeta{traceID: body.TraceID, shard: -1}
 		if len(body.Query.Objects) == 0 && !body.Region.Empty() {
 			objs, hit, err := m.resolveRegion(body.Region)
 			if err != nil {
-				return netproto.Frame{}, err
+				return netproto.ErrorFrame("%v", err)
 			}
 			body.Query.Objects = objs
 			if hit {
@@ -858,28 +819,28 @@ func (m *Middleware) handleClientFrame(f netproto.Frame) (netproto.Frame, error)
 				meta.detail = "cover-cache=miss"
 			}
 		}
-		return m.handleQuery(context.Background(), &body.Query, meta), nil
+		return m.handleQuery(ctx, &body.Query, meta)
 	case netproto.ShardQueryMsg:
 		// A router-scattered fragment; objects are already restricted
 		// to this shard's owned set (handleQuery verifies).
 		meta := queryMeta{traceID: body.TraceID, shard: body.Shard, fragments: body.Fragments}
-		return m.handleQuery(context.Background(), &body.Query, meta), nil
+		return m.handleQuery(ctx, &body.Query, meta)
 	case netproto.ObjectBirthMsg:
-		return m.handleBirths(context.Background(), body)
+		return orError(m.handleBirths(ctx, body))
 	case netproto.BirthGrantMsg:
-		return m.handleBirthGrant(context.Background(), body)
+		return orError(m.handleBirthGrant(ctx, body))
 	case netproto.StatsMsg:
-		return netproto.Frame{Type: netproto.MsgStats, Body: m.Stats()}, nil
+		return netproto.Frame{Type: netproto.MsgStats, Body: m.Stats()}
 	case netproto.ReshardMsg:
-		return m.handleReshard(body)
+		return orError(m.handleReshard(body))
 	case netproto.MigrateBeginMsg:
-		return m.handleMigrateOut(context.Background(), body)
+		return orError(m.handleMigrateOut(ctx, body))
 	case netproto.MigrateChunkMsg:
-		return m.handleMigrateChunk(body)
+		return orError(m.handleMigrateChunk(body))
 	case netproto.MigrateDoneMsg:
 		// The source sums the per-chunk ack counts into Imported; the
 		// destination just acknowledges the totals.
-		return netproto.Frame{Type: netproto.MsgMigrateDone, Body: body}, nil
+		return netproto.Frame{Type: netproto.MsgMigrateDone, Body: body}
 	case netproto.ClusterStatsMsg:
 		// A cluster-aware client talking to a single cache: answer as
 		// a one-shard cluster so DialCluster is transparent both ways.
@@ -887,9 +848,9 @@ func (m *Middleware) handleClientFrame(f netproto.Frame) (netproto.Frame, error)
 		return netproto.Frame{Type: netproto.MsgClusterStats, Body: netproto.ClusterStatsMsg{
 			Shards:    []netproto.ShardStats{{Shard: 0, Addr: m.Addr(), Alive: true, Stats: stats}},
 			Aggregate: stats,
-		}}, nil
+		}}
 	default:
-		return netproto.Frame{}, fmt.Errorf("cache: client sent %s", f.Type)
+		return netproto.ErrorFrame("cache: client sent %s", f.Type)
 	}
 }
 
@@ -941,10 +902,6 @@ func (meta *queryMeta) span(node string, objects int, source string, elapsed tim
 }
 
 func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta queryMeta) netproto.Frame {
-	if m.cfg.Serialized {
-		m.serialMu.Lock()
-		defer m.serialMu.Unlock()
-	}
 	start := time.Now()
 	m.queries.Add(1)
 

@@ -2,9 +2,11 @@ package cache_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,6 +33,17 @@ type deployment struct {
 
 func startDeployment(t *testing.T, policy core.Policy) *deployment {
 	t.Helper()
+	d := startRepo(t)
+	d.mw = newCache(t, d, policy)
+	if err := d.mw.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// startRepo starts the repository half of a deployment.
+func startRepo(t *testing.T) *deployment {
+	t.Helper()
 	scfg := catalog.DefaultConfig()
 	scfg.NumObjects = 16
 	scfg.TotalSize = 16 * cost.GB
@@ -48,22 +61,24 @@ func startDeployment(t *testing.T, policy core.Policy) *deployment {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { repo.Close() })
+	return &deployment{survey: survey, repo: repo}
+}
 
+// newCache constructs (but does not Start) the cache half.
+func newCache(t *testing.T, d *deployment, policy core.Policy) *cache.Middleware {
+	t.Helper()
 	mw, err := cache.New(cache.Config{
-		RepoAddr: repo.Addr(),
+		RepoAddr: d.repo.Addr(),
 		Policy:   policy,
-		Objects:  survey.Objects(),
+		Objects:  d.survey.Objects(),
 		Capacity: 8 * cost.GB,
 		Scale:    netproto.DefaultScale(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mw.Start(); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() { mw.Close() })
-	return &deployment{survey: survey, repo: repo, mw: mw}
+	return mw
 }
 
 func TestEndToEndQueryThroughCache(t *testing.T) {
@@ -260,35 +275,53 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// recordingPolicy counts the update notices that reach the policy.
+type recordingPolicy struct {
+	core.Policy
+	updates atomic.Int64
+}
+
+func (p *recordingPolicy) OnUpdate(u *model.Update) (core.Decision, error) {
+	p.updates.Add(1)
+	return p.Policy.OnUpdate(u)
+}
+
+// TestUpdateRightAfterNewIsDelivered applies an update on the line
+// after cache.New returns — no sleep, no poll on Subscribers. The
+// repository registers an invalidation subscriber before it acks the
+// subscription and New waits for that ack, so the notice must be
+// queued to this cache (not broadcast to nobody) and reach its policy.
+func TestUpdateRightAfterNewIsDelivered(t *testing.T) {
+	policy := &recordingPolicy{Policy: core.NewVCover(core.DefaultVCoverConfig())}
+	d := startRepo(t)
+	newCache(t, d, policy)
+	d.repo.ApplyUpdate(model.Update{ID: 1, Object: d.survey.Objects()[0].ID, Cost: cost.MB, Time: time.Second})
+	if got := d.repo.Subscribers(); got != 1 {
+		t.Fatalf("subscribers = %d right after New, want 1", got)
+	}
+	waitFor(t, func() bool { return policy.updates.Load() == 1 })
+	if got := d.repo.DroppedInvalidations(); got != 0 {
+		t.Errorf("repository dropped %d notices", got)
+	}
+}
+
 func TestServerRejectsUnknownRole(t *testing.T) {
 	d := startDeployment(t, core.NewVCover(core.DefaultVCoverConfig()))
-	nc, err := net.Dial("tcp", d.repo.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	c := netproto.NewConn(nc)
-	if err := c.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "intruder"}}); err != nil {
-		t.Fatal(err)
-	}
-	// The server closes the connection; the next receive fails.
-	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := c.Recv(); err == nil {
-		t.Error("expected connection close for unknown role")
+	_, err := netproto.DialConn(d.repo.Addr(), "intruder", netproto.SessionConfig{DialTimeout: 2 * time.Second})
+	// The server names the problem and closes the connection.
+	var remote *netproto.RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(remote.Message, "intruder") {
+		t.Errorf("dial with an unknown role: err = %v, want the server's refusal naming the role", err)
 	}
 }
 
 func TestPipelineOverNetwork(t *testing.T) {
 	d := startDeployment(t, core.NewReplica())
-	nc, err := net.Dial("tcp", d.repo.Addr())
+	c, err := netproto.DialConn(d.repo.Addr(), "pipeline", netproto.SessionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
-	c := netproto.NewConn(nc)
-	if err := c.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "pipeline"}}); err != nil {
-		t.Fatal(err)
-	}
+	defer c.Close()
 	if err := c.Send(netproto.Frame{Type: netproto.MsgUpdateFeed, Body: netproto.UpdateFeedMsg{
 		Update: model.Update{ID: 42, Object: 2, Cost: 7 * cost.MB, Time: time.Second},
 	}}); err != nil {

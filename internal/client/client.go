@@ -4,13 +4,11 @@
 // where they were answered (cache or repository).
 //
 // The client is safe for concurrent use by any number of goroutines.
-// It speaks protocol v2: requests are multiplexed over a small
-// connection pool and correlated by RequestID, so many queries can be
-// in flight at once. Every call takes a context for cancellation and
-// deadlines; QueryAsync and QueryBatch issue queries concurrently
-// without the caller managing goroutines. Dial options configure the
-// pool size and timeouts, and WithLockstep falls back to the v1
-// one-request-at-a-time protocol for pre-v2 servers.
+// Requests are multiplexed over a small connection pool and correlated
+// by RequestID, so many queries can be in flight at once. Every call
+// takes a context for cancellation and deadlines; QueryAsync and
+// QueryBatch issue queries concurrently without the caller managing
+// goroutines. Dial options configure the pool size and timeouts.
 package client
 
 import (
@@ -31,8 +29,6 @@ type options struct {
 	dialTimeout    time.Duration
 	requestTimeout time.Duration
 	dialRetry      time.Duration
-	lockstep       bool
-	wireVersion    int
 	trace          bool
 	observer       func(time.Duration)
 }
@@ -56,19 +52,9 @@ func WithDialRetry(d time.Duration) Option { return func(o *options) { o.dialRet
 // caller's context has none (default: no deadline).
 func WithRequestTimeout(d time.Duration) Option { return func(o *options) { o.requestTimeout = d } }
 
-// WithLockstep speaks protocol v1 (one request in flight per
-// connection) for servers that predate the v2 handshake.
-func WithLockstep() Option { return func(o *options) { o.lockstep = true } }
-
-// WithWireVersion caps the protocol version announced in the
-// handshake: 0 (the default) negotiates the newest — v3, the binary
-// codec — while 2 forces the gob v2 codec for peers pinned there.
-func WithWireVersion(v int) Option { return func(o *options) { o.wireVersion = v } }
-
 // WithTrace stamps every query with a fresh trace ID, so each hop
 // (router, shard cache, repository) records its span and the Result
-// carries the assembled fan-out tree. Peers that predate tracing
-// simply ignore the ID and return no spans.
+// carries the assembled fan-out tree.
 func WithTrace() Option { return func(o *options) { o.trace = true } }
 
 // WithQueryObserver calls fn with the client-observed wall-clock
@@ -104,8 +90,6 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		PoolSize:    o.poolSize,
 		DialTimeout: o.dialTimeout,
 		DialRetry:   max(o.dialRetry, 0),
-		Lockstep:    o.lockstep,
-		WireVersion: o.wireVersion,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
@@ -120,10 +104,6 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		observer:  o.observer,
 	}, nil
 }
-
-// WireVersion reports the protocol version the connection negotiated
-// (3 = binary codec, 2 = gob multiplexing, 1 = lockstep).
-func (c *Client) WireVersion() int { return c.sess.WireVersion() }
 
 // DialCluster connects to a cluster router's client endpoint. The
 // router speaks exactly the single-cache protocol, so this is Dial

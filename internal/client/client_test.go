@@ -45,7 +45,7 @@ func TestDialRetriesRefusedConnection(t *testing.T) {
 		if _, err := c.Recv(); err != nil {
 			return
 		}
-		_ = c.Send(netproto.Frame{Type: netproto.MsgHelloAck, Body: netproto.HelloAck{Version: netproto.ProtoV2}})
+		_ = c.Send(netproto.Frame{Type: netproto.MsgHelloAck, Body: netproto.HelloAck{Version: netproto.ProtoV3}})
 	}()
 	cl, err := Dial(addr) // default retry window covers the 250ms gap
 	if err != nil {
@@ -54,9 +54,9 @@ func TestDialRetriesRefusedConnection(t *testing.T) {
 	cl.Close()
 }
 
-// fakeCache runs a minimal v2 cache endpoint: it acknowledges the
-// handshake and answers each query via handle (concurrently, echoing
-// RequestIDs), until the connection closes.
+// fakeCache runs a minimal cache endpoint: the accept half of the
+// handshake every node performs, then each request answered via handle
+// (concurrently, echoing RequestIDs) until the connection closes.
 func fakeCache(t *testing.T, handle func(f netproto.Frame) netproto.Frame) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -73,26 +73,14 @@ func fakeCache(t *testing.T, handle func(f netproto.Frame) netproto.Frame) strin
 			go func() {
 				defer conn.Close()
 				c := netproto.NewConn(conn)
-				if _, err := c.Recv(); err != nil { // hello
+				hello, err := netproto.ReadHello(c)
+				if err != nil {
 					return
 				}
-				if err := c.Send(netproto.Frame{
-					Type: netproto.MsgHelloAck,
-					Body: netproto.HelloAck{Version: netproto.ProtoV2},
-				}); err != nil {
+				if _, err := netproto.ServeHandshake(c, hello, 0); err != nil {
 					return
 				}
-				for {
-					f, err := c.Recv()
-					if err != nil {
-						return
-					}
-					go func(f netproto.Frame) {
-						reply := handle(f)
-						reply.RequestID = f.RequestID
-						_ = c.Send(reply)
-					}(f)
-				}
+				_ = netproto.ServeMux(c, 0, handle, nil)
 			}()
 		}
 	}()

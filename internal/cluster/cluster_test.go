@@ -22,6 +22,25 @@ var ctx = context.Background()
 // loopback.
 func startCluster(t *testing.T, shards int, policy func(int) core.Policy) (*catalog.Survey, *server.Repository, *cluster.LocalCluster) {
 	t.Helper()
+	survey, repo := startRepository(t)
+	lc, err := cluster.SpawnLocal(cluster.LocalConfig{
+		RepoAddr: repo.Addr(),
+		Objects:  survey.Objects(),
+		Shards:   shards,
+		Mode:     cluster.HTMAware,
+		Policy:   policy,
+		Scale:    netproto.DefaultScale(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	return survey, repo, lc
+}
+
+// startRepository starts a 16-object repository on loopback.
+func startRepository(t *testing.T) (*catalog.Survey, *server.Repository) {
+	t.Helper()
 	scfg := catalog.DefaultConfig()
 	scfg.NumObjects = 16
 	scfg.TotalSize = 16 * cost.GB
@@ -39,20 +58,7 @@ func startCluster(t *testing.T, shards int, policy func(int) core.Policy) (*cata
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { repo.Close() })
-
-	lc, err := cluster.SpawnLocal(cluster.LocalConfig{
-		RepoAddr: repo.Addr(),
-		Objects:  survey.Objects(),
-		Shards:   shards,
-		Mode:     cluster.HTMAware,
-		Policy:   policy,
-		Scale:    netproto.DefaultScale(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lc.Close() })
-	return survey, repo, lc
+	return survey, repo
 }
 
 // spanningObjects picks one owned object per shard, so a query over

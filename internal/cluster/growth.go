@@ -24,7 +24,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net"
 	"slices"
 	"sync"
 
@@ -37,18 +36,18 @@ import (
 // freshness is still the shards' business; the router consumes update
 // notices only to evict its own result cache (a cached merged result
 // containing the updated object must never be served after the notice
-// lands). Called from NewRouter when Config.RepoAddr is set.
+// lands). The repository acks the handshake only after registering the
+// subscriber, so nothing applied after this returns is missed. Called
+// from NewRouter when Config.RepoAddr is set.
 func (r *Router) subscribeInvalidations() error {
-	nc, err := net.Dial("tcp", r.cfg.RepoAddr)
+	c, err := netproto.DialConn(r.cfg.RepoAddr, "invalidations", netproto.SessionConfig{
+		DialTimeout: r.cfg.DialTimeout,
+		DialRetry:   max(r.cfg.DialRetry, 0),
+	})
 	if err != nil {
-		return fmt.Errorf("cluster: dial invalidations: %w", err)
-	}
-	c := netproto.NewConn(nc)
-	if err := c.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "invalidations"}}); err != nil {
-		nc.Close()
 		return fmt.Errorf("cluster: subscribe invalidations: %w", err)
 	}
-	r.invRaw = nc
+	r.inv = c
 	r.wg.Add(1)
 	go r.invalidationLoop(c)
 	return nil

@@ -70,10 +70,6 @@ type Config struct {
 	// backing Resolver), so region covers include live-born objects.
 	// Required when Resolver is set and RepoAddr enables growth.
 	ResolverGrow func([]model.Birth) error
-	// WireVersion caps the protocol version the router negotiates, on
-	// both sides: announced to shards and the repository, granted to
-	// clients (0 = newest, i.e. the v3 binary codec; 2 pins gob v2).
-	WireVersion int
 	// Hedge enables hedged reads: when a fragment's primary shard has
 	// not answered within the hedge delay, the fragment is re-scattered
 	// to the objects' next replicas and the first complete answer wins
@@ -143,10 +139,10 @@ type Router struct {
 	statusMu sync.Mutex
 	status   netproto.RebalanceStatusMsg
 
-	// repo and invRaw are the repository session and invalidation
-	// subscription backing live growth; nil/absent without RepoAddr.
-	repo   *netproto.Session
-	invRaw net.Conn
+	// repo and inv are the repository session and invalidation
+	// subscription backing live growth; nil without RepoAddr.
+	repo *netproto.Session
+	inv  *netproto.Conn
 
 	// covers memoizes Resolver lookups for region queries (nil when no
 	// Resolver is configured).
@@ -331,7 +327,6 @@ func NewRouter(cfg Config) (*Router, error) {
 			PoolSize:    max(cfg.RepoPool, 1),
 			DialTimeout: cfg.DialTimeout,
 			DialRetry:   max(cfg.DialRetry, 0),
-			WireVersion: cfg.WireVersion,
 		})
 		if err != nil {
 			r.closeLinks()
@@ -372,7 +367,6 @@ func (r *Router) dialLink(addr string, index int) (*shardLink, error) {
 		PoolSize:    r.cfg.ShardPool,
 		DialTimeout: r.cfg.DialTimeout,
 		DialRetry:   max(r.cfg.DialRetry, 0),
-		WireVersion: r.cfg.WireVersion,
 	})
 	if err != nil {
 		return nil, err
@@ -484,8 +478,8 @@ func (r *Router) Close() error {
 	if r.repo != nil {
 		r.repo.Close()
 	}
-	if r.invRaw != nil {
-		r.invRaw.Close()
+	if r.inv != nil {
+		r.inv.Close()
 	}
 	if r.birthQuit != nil && !again {
 		close(r.birthQuit)
@@ -539,33 +533,17 @@ func (r *Router) acceptLoop() {
 	}
 }
 
-// serveClient mirrors the cache's client lifecycle: Hello (→ HelloAck
-// for v2 peers, then multiplexed dispatch), lockstep for v1 peers.
+// serveClient mirrors the cache's client lifecycle: Hello → HelloAck,
+// then multiplexed dispatch.
 func (r *Router) serveClient(c *netproto.Conn) error {
-	first, err := c.Recv()
+	hello, err := netproto.ReadHello(c)
 	if err != nil {
 		return netproto.IgnoreClosed(err)
 	}
-	hello, ok := first.Body.(netproto.Hello)
-	if !ok || first.Type != netproto.MsgHello {
-		return fmt.Errorf("cluster: expected hello, got %s", first.Type)
-	}
-	version, err := netproto.ServeHandshake(c, hello, r.cfg.WireVersion)
-	if err != nil {
+	if _, err := netproto.ServeHandshake(c, hello, 0); err != nil {
 		return netproto.IgnoreClosed(err)
 	}
-	if version >= netproto.ProtoV2 {
-		return netproto.ServeMux(c, 0, r.handleClientFrame, r.cfg.Logf)
-	}
-	for {
-		f, err := c.Recv()
-		if err != nil {
-			return netproto.IgnoreClosed(err)
-		}
-		if err := c.Send(r.handleClientFrame(f)); err != nil {
-			return netproto.IgnoreClosed(err)
-		}
-	}
+	return netproto.ServeMux(c, 0, r.handleClientFrame, r.cfg.Logf)
 }
 
 func (r *Router) handleClientFrame(f netproto.Frame) netproto.Frame {

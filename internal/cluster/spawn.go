@@ -67,14 +67,6 @@ type LocalConfig struct {
 	// ResolverGrow extends the resolver's universe with adopted births
 	// (see cluster.Config.ResolverGrow).
 	ResolverGrow func([]model.Birth) error
-	// WireVersion caps the whole topology's negotiated protocol
-	// version (0 = newest; 2 pins gob v2).
-	WireVersion int
-	// ShardWireVersion, when non-nil, overrides WireVersion per shard
-	// index — how tests stand up mixed-version topologies (e.g. one
-	// shard pinned at gob v2 inside an otherwise-v3 cluster). Return 0
-	// for "no override".
-	ShardWireVersion func(shard int) int
 	// ShardDataDir, when non-nil, gives each shard a persistence
 	// directory (cache.Config.DataDir), enabling durable warm restarts:
 	// RestartShard respawns a shard from its directory and the recovered
@@ -135,7 +127,6 @@ func SpawnLocal(cfg LocalConfig) (*LocalCluster, error) {
 		ResultCacheSize: cfg.ResultCacheSize,
 		Resolver:        cfg.Resolver,
 		ResolverGrow:    cfg.ResolverGrow,
-		WireVersion:     cfg.WireVersion,
 		Hedge:           cfg.Hedge,
 		HedgeDelay:      cfg.HedgeDelay,
 		DisableObs:      cfg.DisableObs,
@@ -174,12 +165,6 @@ func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, er
 			capacity += o.Size
 		}
 	}
-	wire := cfg.WireVersion
-	if cfg.ShardWireVersion != nil {
-		if v := cfg.ShardWireVersion(s); v > 0 {
-			wire = v
-		}
-	}
 	var dataDir string
 	if cfg.ShardDataDir != nil {
 		dataDir = cfg.ShardDataDir(s)
@@ -202,7 +187,6 @@ func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, er
 		ExecDelay:        execDelay,
 		Clock:            cfg.Clock,
 		Replicas:         max(cfg.Replicas, 1),
-		WireVersion:      wire,
 		DataDir:          dataDir,
 		SnapshotInterval: cfg.SnapshotInterval,
 		DisableObs:       cfg.DisableObs,

@@ -6,14 +6,9 @@ import (
 	"time"
 
 	"github.com/deltacache/delta/internal/client"
-	"github.com/deltacache/delta/internal/cluster"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
-	"github.com/deltacache/delta/internal/netproto"
 	"github.com/deltacache/delta/internal/obs"
-	"github.com/deltacache/delta/internal/server"
-
-	"github.com/deltacache/delta/internal/catalog"
 )
 
 // checkSpanTree validates a scattered query's fan-out trace: one
@@ -147,64 +142,4 @@ func TestTracedQuerySpanTree(t *testing.T) {
 	if res3.TraceID != 0 || len(res3.Spans) != 0 {
 		t.Errorf("untraced query returned trace %#x with %d spans", res3.TraceID, len(res3.Spans))
 	}
-}
-
-// TestTracedQueryGobPinnedShard pins trace interop across the codec
-// split: a shard negotiated down to the gob v2 codec still receives
-// the TraceID (gob carries it as a named field rather than a v3 frame
-// tail) and its fragment span still joins the assembled tree.
-func TestTracedQueryGobPinnedShard(t *testing.T) {
-	const pinnedShard = 1
-	survey, err := catalog.NewSurvey(growthSurveyConfig(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, err := server.New(server.Config{Survey: survey, Scale: netproto.PayloadScale{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer repo.Close()
-	lc, err := cluster.SpawnLocal(cluster.LocalConfig{
-		RepoAddr: repo.Addr(),
-		Objects:  survey.Objects(),
-		Shards:   3,
-		Mode:     cluster.HTMAware,
-		Scale:    netproto.PayloadScale{},
-		ShardWireVersion: func(shard int) int {
-			if shard == pinnedShard {
-				return netproto.ProtoV2
-			}
-			return 0
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-
-	cl, err := client.DialCluster(lc.Router.Addr(), client.WithTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	res, err := cl.Query(ctx, model.Query{
-		Objects:   spanningObjects(t, lc),
-		Cost:      9 * cost.MB,
-		Tolerance: model.AnyStaleness,
-		Time:      time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSpanTree(t, res, 3)
-	for _, s := range res.Spans {
-		if s.Name == "fragment" && s.Shard == pinnedShard {
-			return // the gob-pinned shard's span made it into the tree
-		}
-	}
-	t.Fatalf("gob-pinned shard %d recorded no fragment span: %+v", pinnedShard, res.Spans)
 }

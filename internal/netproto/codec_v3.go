@@ -1,13 +1,7 @@
-// Wire codec v3: hand-rolled binary framing for every frame type.
-//
-// Protocol v3 keeps the v2 request semantics (RequestID multiplexing,
-// Hello/HelloAck negotiation) but replaces gob on the post-handshake
-// stream with explicit little-endian field encoding: one length-prefixed
-// frame per message, varint-encoded integers and slice lengths, payload
-// bytes appended without intermediate copies. The handshake itself
-// (Hello → HelloAck) always rides gob so v1/v2 peers negotiate down
-// transparently; both sides switch codecs at the same stream position,
-// immediately after the HelloAck.
+// Wire codec v3: hand-rolled binary framing for every frame type, the
+// handshake included. Explicit little-endian field encoding: one
+// length-prefixed frame per message, varint-encoded integers and slice
+// lengths, payload bytes appended without intermediate copies.
 //
 // Frame layout:
 //
@@ -21,9 +15,8 @@
 // (including time.Duration and cost.Bytes) are zigzag varints, float64s
 // are 8 raw LE bytes, bools are one byte (0/1), strings and byte slices
 // are uvarint length + bytes, element slices are uvarint count +
-// elements. Zero-length slices decode as nil, matching gob, so the two
-// codecs are interchangeable value-for-value (pinned by the round-trip
-// property test).
+// elements. Zero-length slices decode as nil (nil and empty are one
+// value on the wire).
 //
 // Buffer ownership: encoding stages frames in pooled scratch buffers
 // (returned to the pool after the bytes reach the connection's write
@@ -48,7 +41,7 @@ import (
 // timeDuration narrows a decoded varint back to a virtual-clock time.
 func timeDuration(v int64) time.Duration { return time.Duration(v) }
 
-// encPool recycles v3 encode scratch buffers across connections: a
+// encPool recycles encode scratch buffers across connections: a
 // frame is staged here, copied to the connection's write buffer, and
 // the scratch goes back to the pool, so steady-state sends allocate
 // nothing.
@@ -186,7 +179,7 @@ func (d *decBuf) str() string {
 }
 
 // bytes copies a byte slice out of the scratch buffer. Zero-length
-// slices decode as nil to match gob.
+// slices decode as nil.
 func (d *decBuf) bytes() []byte {
 	n := d.length(1)
 	if d.err != nil || n == 0 {
@@ -381,8 +374,7 @@ func decSpan(d *decBuf) TraceSpan {
 
 // encodeBodyV3 appends the body's binary layout, dispatching on the
 // concrete type. A body whose type does not belong to the vocabulary is
-// an error (and poisons the connection for sending, like a gob encode
-// failure would).
+// an error.
 func encodeBodyV3(e *encBuf, t MsgType, body any) error {
 	switch b := body.(type) {
 	case Hello:
@@ -404,10 +396,8 @@ func encodeBodyV3(e *encBuf, t MsgType, body any) error {
 		e.f64(b.Region.Dec)
 		e.f64(b.Region.RadiusDeg)
 		// Frame tail, written only when meaningful: decoders treat an
-		// absent tail as an untraced query, and untraced frames stay
-		// byte-identical to pre-trace builds — whose decoders reject
-		// trailing bytes — so mixed-build v3 peers interop for
-		// everything except tracing itself.
+		// absent tail as an untraced query, so untraced frames pay no
+		// bytes for tracing.
 		if b.TraceID != 0 {
 			e.uvarint(b.TraceID)
 		}
@@ -509,9 +499,7 @@ func encodeBodyV3(e *encBuf, t MsgType, body any) error {
 		}
 		e.varint(int64(b.Resident))
 		e.varint(int64(b.Dropped))
-		// Replicas rides the forward-compatible tail: encoded only when
-		// non-zero so replica-free frames stay byte-identical to v3
-		// peers that predate the field.
+		// Replicas rides the frame tail: encoded only when non-zero.
 		if b.Replicas != 0 {
 			e.varint(int64(b.Replicas))
 		}
@@ -546,9 +534,7 @@ func encodeBodyV3(e *encBuf, t MsgType, body any) error {
 			encBirth(e, &b.Births[i])
 		}
 		e.varint(int64(b.Accepted))
-		// Epoch rides the forward-compatible tail: encoded only when
-		// non-zero, like ReshardMsg.Replicas, so epoch-free grants stay
-		// byte-identical to v3 peers that predate the field.
+		// Epoch rides the frame tail, like ReshardMsg.Replicas.
 		if b.Epoch != 0 {
 			e.varint(int64(b.Epoch))
 		}
@@ -590,8 +576,7 @@ func decodeBodyV3(d *decBuf, t MsgType) (any, error) {
 		b.Region.RA = d.f64()
 		b.Region.Dec = d.f64()
 		b.Region.RadiusDeg = d.f64()
-		// Forward-compatible tail: absent on frames from older
-		// encoders, which decodes as an untraced query.
+		// Frame tail: absent decodes as an untraced query.
 		if d.err == nil && len(d.b) > 0 {
 			b.TraceID = d.uvarint()
 		}
@@ -617,7 +602,7 @@ func decodeBodyV3(d *decBuf, t MsgType) (any, error) {
 				b.MissingShards[i] = int(d.varint())
 			}
 		}
-		// Forward-compatible tail: trace ID + spans. A present tail
+		// Frame tail: trace ID + spans. A present tail
 		// always carries both fields.
 		if d.err == nil && len(d.b) > 0 {
 			b.TraceID = d.uvarint()
@@ -671,7 +656,7 @@ func decodeBodyV3(d *decBuf, t MsgType) (any, error) {
 		b.Query = decQuery(d)
 		b.Shard = int(d.varint())
 		b.Fragments = int(d.varint())
-		// Forward-compatible tail, as on MsgQuery.
+		// Frame tail, as on MsgQuery.
 		if d.err == nil && len(d.b) > 0 {
 			b.TraceID = d.uvarint()
 		}
@@ -775,7 +760,7 @@ func decodeBodyV3(d *decBuf, t MsgType) (any, error) {
 			}
 		}
 		b.Accepted = int(d.varint())
-		// Forward-compatible tail, as on MsgReshard's Replicas.
+		// Frame tail, as on MsgReshard's Replicas.
 		if d.err == nil && len(d.b) > 0 {
 			b.Epoch = int(d.varint())
 		}

@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -13,30 +14,12 @@ import (
 	"github.com/deltacache/delta/internal/model"
 )
 
-// encodeFrames renders frames onto a persistent gob stream exactly as
-// Conn.Send does, giving the fuzzer structurally valid prefixes to
-// mutate.
+// encodeFrames renders frames exactly as Conn.Send does, giving the
+// fuzzer structurally valid prefixes to mutate.
 func encodeFrames(t testing.TB, frames ...Frame) []byte {
 	t.Helper()
-	return encodeFramesVersion(t, 0, frames...)
-}
-
-// encodeFramesV3 renders frames with the v3 binary codec.
-func encodeFramesV3(t testing.TB, frames ...Frame) []byte {
-	t.Helper()
-	return encodeFramesVersion(t, ProtoV3, frames...)
-}
-
-func encodeFramesVersion(t testing.TB, version int, frames ...Frame) []byte {
-	t.Helper()
 	var buf bytes.Buffer
-	c := NewConn(struct {
-		io.Reader
-		io.Writer
-	}{Reader: bytes.NewReader(nil), Writer: &buf})
-	if version >= ProtoV3 {
-		c.SetVersion(version)
-	}
+	c := NewConn(&buf)
 	for _, f := range frames {
 		if err := c.Send(f); err != nil {
 			t.Fatalf("encode seed frame %s: %v", f.Type, err)
@@ -50,8 +33,8 @@ func encodeFramesVersion(t testing.TB, version int, frames ...Frame) []byte {
 // invalidation stream).
 func seedFrames() []Frame {
 	return []Frame{
-		{Type: MsgHello, Body: Hello{Role: "cache", Version: ProtoV2}},
-		{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV2}},
+		{Type: MsgHello, Body: Hello{Role: "cache", Version: ProtoV3}},
+		{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV3}},
 		{Type: MsgQuery, RequestID: 7, Body: QueryMsg{Query: model.Query{
 			ID: 1, Objects: []model.ObjectID{1, 2}, Cost: cost.MB,
 			Tolerance: model.AnyStaleness, Time: time.Second,
@@ -76,7 +59,7 @@ func seedFrames() []Frame {
 		}},
 		{Type: MsgStats, Body: StatsMsg{Queries: 12, ObjectsBorn: 3}},
 		{Type: MsgError, Body: ErrorMsg{Message: "boom"}},
-		// Trace-bearing shapes: the forward-compatible v3 frame tails
+		// Trace-bearing shapes: the frame tails
 		// carrying TraceID (queries) and TraceID+Spans (results), so the
 		// fuzzer mutates tail bytes too. Appended last — earlier indices
 		// are referenced by the corpus writer.
@@ -98,7 +81,7 @@ func seedFrames() []Frame {
 			},
 		}},
 		// Replica-bearing shapes: the ReshardMsg Replicas field rides a
-		// forward-compatible v3 frame tail (like the trace tails above),
+		// frame tail (like the trace tails above),
 		// and StatsMsg.Replicas sits mid-frame — seed both so the fuzzer
 		// mutates the replicated encodings too.
 		{Type: MsgReshard, Body: ReshardMsg{
@@ -108,7 +91,7 @@ func seedFrames() []Frame {
 		}},
 		{Type: MsgStats, Body: StatsMsg{Queries: 12, ObjectsBorn: 3, Replicas: 2}},
 		// Batched birth-grant shapes: the multi-birth grant frame with
-		// its forward-compatible Epoch tail, and one with the tail
+		// its Epoch tail, and one with the tail
 		// elided (Epoch 0), so the fuzzer mutates both encodings.
 		{Type: MsgBirthGrant, RequestID: 10, Body: BirthGrantMsg{Births: []model.Birth{
 			{Object: model.Object{ID: 70, Size: cost.GB, Trixel: 321}, RA: 10.5, Dec: 42.0, Time: time.Hour},
@@ -123,103 +106,111 @@ func seedFrames() []Frame {
 			Queries: 12, ResultCacheHits: 5, ResultCacheMisses: 2,
 			CoalescedQueries: 3, GrantBatches: 1,
 		}},
+		// Handshake shapes beyond the bare ones that lead the list: the
+		// handshake is the first thing an unauthenticated peer controls,
+		// so seed every role, a stale version, and the reserved Features
+		// list on both halves.
+		{Type: MsgHello, Body: Hello{Role: "invalidations", Version: ProtoV3, Features: []string{"a", "bc"}}},
+		{Type: MsgHello, Body: Hello{Role: "pipeline", Version: 2}},
+		{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV3, Features: []string{"a"}}},
 	}
 }
 
-// drainStream feeds data to Conn.Recv under one codec until the first
-// error: every frame either decodes or errors, never panics, and the
-// input is finite so EOF terminates the loop.
-func drainStream(version int, data []byte) {
-	c := NewConn(struct {
-		io.Reader
-		io.Writer
-	}{Reader: bytes.NewReader(data), Writer: io.Discard})
-	if version >= ProtoV3 {
-		c.SetVersion(version)
+// oversizedFeaturesHello is a well-framed Hello whose Features count
+// claims far more strings than the frame has bytes: decoding must fail
+// on the count, before allocating for it.
+func oversizedFeaturesHello() []byte {
+	body := []byte{byte(MsgHello), 0} // type, RequestID 0
+	body = append(body, 6)
+	body = append(body, "client"...)
+	body = binary.AppendVarint(body, ProtoV3)
+	body = binary.AppendUvarint(body, 1<<40) // Features count
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// streamSeeds are the whole-stream cases both the fuzz target and the
+// tier-1 replay start from.
+func streamSeeds(t testing.TB) [][]byte {
+	valid := encodeFrames(t, seedFrames()...)
+	return [][]byte{
+		valid,
+		valid[:len(valid)/2], // truncated mid-stream
+		valid[:3],            // truncated inside the length prefix
+		{},                   // empty stream
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, // absurd length prefix
+		oversizedFeaturesHello(),
 	}
+}
+
+// drainStream feeds data to Conn.Recv until the first error, which it
+// returns: every frame either decodes or errors, never panics, and the
+// input is finite so EOF terminates the loop.
+func drainStream(data []byte) error {
+	c := NewConn(readWriter{bytes.NewReader(data)})
 	for {
 		if _, err := c.Recv(); err != nil {
-			return
+			return err
 		}
 	}
 }
 
-// FuzzDecodeFrame feeds arbitrary bytes to Conn.Recv under BOTH codecs
-// (gob and v3 binary): malformed, truncated, or bit-flipped streams —
-// including the growth frames — must surface as errors, never as
-// panics or unbounded allocations, whichever codec the connection
-// negotiated. The checked-in seed corpus under
-// testdata/fuzz/FuzzDecodeFrame holds hand-written malformed streams
-// in both encodings; the programmatic seeds below add every valid
-// frame shape in both encodings plus systematic truncations and flips.
+// FuzzDecodeFrame feeds arbitrary bytes to Conn.Recv: malformed,
+// truncated, or bit-flipped streams — handshake and growth frames
+// included — must surface as errors, never as panics or unbounded
+// allocations. The checked-in seed corpus under
+// testdata/fuzz/FuzzDecodeFrame holds hand-written malformed streams;
+// the ones without "v3" in their name are gob-encoded, which is what a
+// binary built before v3 became the only protocol sends, so to this
+// decoder they are garbage that must be refused cleanly. The
+// programmatic seeds below add every valid frame shape plus systematic
+// truncations and flips.
 func FuzzDecodeFrame(f *testing.F) {
-	valid := encodeFrames(f, seedFrames()...)
-	validV3 := encodeFramesV3(f, seedFrames()...)
-	f.Add(valid)
-	f.Add(validV3)
-	f.Add(valid[:len(valid)/2])                                         // truncated mid-stream
-	f.Add(validV3[:len(validV3)/2])                                     // truncated mid-stream (v3 framing)
-	f.Add(valid[:1])                                                    // truncated inside the first length
-	f.Add(validV3[:3])                                                  // truncated inside the v3 length prefix
-	f.Add([]byte{})                                                     // empty stream
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // absurd length prefix
+	for _, seed := range streamSeeds(f) {
+		f.Add(seed)
+	}
 	for _, fr := range seedFrames() {
-		for _, enc := range []func(testing.TB, ...Frame) []byte{encodeFrames, encodeFramesV3} {
-			one := enc(f, fr)
-			f.Add(one)
-			if len(one) > 4 {
-				flipped := bytes.Clone(one)
-				flipped[len(flipped)/2] ^= 0x55
-				f.Add(flipped)
-			}
+		one := encodeFrames(f, fr)
+		f.Add(one)
+		f.Add(one[:len(one)*2/3])                              // truncated inside the body
+		for _, at := range []int{len(one) / 2, len(one) - 1} { // mid-frame, and the tail byte
+			flipped := bytes.Clone(one)
+			flipped[at] ^= 0x55
+			f.Add(flipped)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		drainStream(0, data)
-		drainStream(ProtoV3, data)
+		drainStream(data)
 	})
 }
 
 // TestDecodeFrameSeedCorpus replays the programmatic seeds through the
 // fuzz body on ordinary `go test` runs (the fuzz engine only replays
 // testdata seeds), so the malformed-input contract is exercised in
-// tier-1 CI too — under both codecs.
+// tier-1 CI too.
 func TestDecodeFrameSeedCorpus(t *testing.T) {
-	valid := encodeFrames(t, seedFrames()...)
-	validV3 := encodeFramesV3(t, seedFrames()...)
-	cases := [][]byte{
-		valid,
-		validV3,
-		valid[:len(valid)/2],
-		validV3[:len(validV3)/2],
-		valid[:1],
-		validV3[:3],
-		{},
-		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
-	}
+	cases := streamSeeds(t)
 	for _, fr := range seedFrames() {
-		for _, enc := range []func(testing.TB, ...Frame) []byte{encodeFrames, encodeFramesV3} {
-			one := enc(t, fr)
-			cases = append(cases, one)
-			for cut := 1; cut < len(one); cut += 7 {
-				cases = append(cases, one[:cut])
-			}
-			flipped := bytes.Clone(one)
-			flipped[len(flipped)/2] ^= 0x55
-			cases = append(cases, flipped)
+		one := encodeFrames(t, fr)
+		cases = append(cases, one)
+		for cut := 1; cut < len(one); cut += 7 {
+			cases = append(cases, one[:cut])
 		}
+		flipped := bytes.Clone(one)
+		flipped[len(flipped)/2] ^= 0x55
+		cases = append(cases, flipped)
 	}
 	for i, data := range cases {
-		for _, version := range []int{0, ProtoV3} {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("case %d (codec v%d): Recv panicked: %v", i, version, r)
-					}
-				}()
-				drainStream(version, data)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("case %d: Recv panicked: %v", i, r)
+				}
 			}()
-		}
+			drainStream(data)
+		}()
+	}
+	if err := drainStream(oversizedFeaturesHello()); err == nil || err == io.EOF {
+		t.Errorf("a Hello claiming 2^40 features decoded (err = %v), want a slice-length error", err)
 	}
 }
 
@@ -237,17 +228,17 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	valid := encodeFramesV3(t, seedFrames()...)
-	oneBirth := encodeFramesV3(t, seedFrames()[5]) // MsgObjectBirth
+	valid := encodeFrames(t, seedFrames()...)
+	oneBirth := encodeFrames(t, seedFrames()[5]) // MsgObjectBirth
 	flipped := bytes.Clone(oneBirth)
 	flipped[len(flipped)/2] ^= 0x55
-	traced := encodeFramesV3(t, seedFrames()[12]) // QueryResultMsg with TraceID+Spans tail
+	traced := encodeFrames(t, seedFrames()[12]) // QueryResultMsg with TraceID+Spans tail
 	tracedFlip := bytes.Clone(traced)
-	tracedFlip[len(tracedFlip)-2] ^= 0x55           // corrupt inside the trace tail
-	reshardK := encodeFramesV3(t, seedFrames()[13]) // ReshardMsg with the Replicas tail
+	tracedFlip[len(tracedFlip)-2] ^= 0x55         // corrupt inside the trace tail
+	reshardK := encodeFrames(t, seedFrames()[13]) // ReshardMsg with the Replicas tail
 	reshardKFlip := bytes.Clone(reshardK)
-	reshardKFlip[len(reshardKFlip)-1] ^= 0x55    // corrupt the Replicas tail byte
-	grant := encodeFramesV3(t, seedFrames()[15]) // BirthGrantMsg with the Epoch tail
+	reshardKFlip[len(reshardKFlip)-1] ^= 0x55  // corrupt the Replicas tail byte
+	grant := encodeFrames(t, seedFrames()[15]) // BirthGrantMsg with the Epoch tail
 	grantFlip := bytes.Clone(grant)
 	grantFlip[len(grantFlip)/2] ^= 0x55 // corrupt mid-batch
 	entries := map[string][]byte{

@@ -6,9 +6,9 @@ import "sync"
 // misbehaving peer cannot spawn unbounded goroutines.
 const DefaultMuxWorkers = 64
 
-// ServeMux is the server half of protocol v2: it reads request frames
-// until the stream closes, dispatches each to handle on a bounded
-// worker pool, and sends the reply stamped with the request's
+// ServeMux is the server half of a request connection: it reads
+// request frames until the stream closes, dispatches each to handle on
+// a bounded worker pool, and sends the reply stamped with the request's
 // correlation ID (Conn.Send serializes concurrent replies onto the
 // socket). It returns nil on orderly shutdown. workers <= 0 means
 // DefaultMuxWorkers; logf may be nil.
@@ -38,12 +38,12 @@ func ServeMux(c *Conn, workers int, handle func(Frame) Frame, logf func(format s
 			reply := handle(f)
 			reply.RequestID = f.RequestID
 			if err := c.Send(reply); err != nil && !IsClosed(err) {
-				// The send side is broken (poisoned encoder or I/O
-				// failure): abort the stream so the Recv loop exits
+				// The reply could not be sent (unencodable or I/O
+				// failure): close the stream so the Recv loop exits
 				// instead of leaving a zombie connection that reads
 				// requests it can never answer.
-				logf("netproto: reply %d: %v (aborting connection)", f.RequestID, err)
-				c.Abort()
+				logf("netproto: reply %d: %v (closing connection)", f.RequestID, err)
+				c.Close()
 			}
 		}(f)
 	}

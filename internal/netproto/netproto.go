@@ -1,19 +1,17 @@
-// Package netproto defines Delta's wire protocol: length-prefixed,
-// gob-encoded frames carrying the three data-communication mechanisms of
-// the paper (query shipping, update shipping, object loading) plus the
-// control-plane messages (invalidation notices, statistics).
+// Package netproto defines Delta's wire protocol: length-prefixed binary
+// frames (codec_v3.go) carrying the three data-communication mechanisms
+// of the paper (query shipping, update shipping, object loading) plus
+// the control-plane messages (invalidation notices, statistics).
 //
-// Protocol versions: v1 is lockstep — one request in flight per
-// connection, replies in order, no handshake ack. v2 adds a RequestID
-// correlation field to every frame and a version/feature handshake
-// (Hello → HelloAck), so any number of requests can be in flight per
-// connection and replies may arrive out of order. Servers negotiate
-// down to the peer's version, so lockstep dialers keep working. Note
-// that versioning governs request semantics, not stream encoding: v2
-// also switched the wire to persistent gob streams, so binaries built
-// from the pre-v2 tree (length-prefixed standalone gob messages) are
-// not byte-compatible and must be rebuilt. See docs/PROTOCOL.md for
-// the full frame format and role lifecycle.
+// There is one protocol, v3, spoken from the first byte. Every
+// connection opens with Hello{Version: 3} → HelloAck whatever its role;
+// after that, request connections multiplex (every frame carries a
+// RequestID, any number of requests may be in flight, replies may arrive
+// out of order) and the pipeline and invalidation streams are one-way.
+// A peer that announces an older version, or whose first bytes are not
+// a v3 frame, is refused with a MsgError and a closed connection: all
+// nodes of a deployment are rebuilt and restarted together. See
+// docs/PROTOCOL.md for the frame format and role lifecycle.
 //
 // Payload scaling: the paper's traffic costs are logical data sizes; a
 // laptop deployment cannot move hundreds of gigabytes, so messages carry
@@ -24,9 +22,7 @@ package netproto
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -42,61 +38,54 @@ import (
 // scaled payload, small enough to catch stream corruption early.
 const MaxFrame = 16 << 20
 
-// Protocol versions negotiated in the Hello/HelloAck handshake.
-const (
-	// ProtoV1 is the original lockstep protocol: one outstanding
-	// request per connection, replies strictly in order, no HelloAck.
-	ProtoV1 = 1
-	// ProtoV2 multiplexes: frames carry a RequestID, replies may be
-	// reordered, and the server acknowledges the handshake.
-	ProtoV2 = 2
-	// ProtoV3 keeps v2's request semantics but switches the
-	// post-handshake stream to the hand-rolled binary codec (see
-	// codec_v3.go): length-prefixed frames, varint fields, pooled
-	// buffers, no gob on the hot path. The handshake itself always
-	// rides gob so every version negotiates over one vocabulary.
-	ProtoV3 = 3
-)
+// ProtoV3 is the protocol version: the one value Hello.Version and
+// HelloAck.Version carry.
+const ProtoV3 = 3
 
-// NegotiateVersion returns the effective protocol version for a peer
-// that announced the given version. Zero (a v1 peer's gob-decoded
-// Hello has no Version field) negotiates to v1.
-func NegotiateVersion(peer int) int {
-	switch {
-	case peer >= ProtoV3:
-		return ProtoV3
-	case peer == ProtoV2:
-		return ProtoV2
-	default:
-		return ProtoV1
+// ReadHello receives the Hello that must open every accepted
+// connection. Anything else — including bytes that are not a v3 frame
+// at all, which is what a binary built before v3 became the only
+// protocol sends — is answered with a MsgError naming the supported
+// version and returned as an error, so the caller closes the
+// connection.
+func ReadHello(c *Conn) (Hello, error) {
+	first, err := c.Recv()
+	if IsClosed(err) {
+		return Hello{}, err
 	}
+	if err != nil {
+		return Hello{}, refuse(c, fmt.Errorf("netproto: expected a v%d hello: %w", ProtoV3, err))
+	}
+	hello, ok := first.Body.(Hello)
+	if !ok {
+		return Hello{}, refuse(c, fmt.Errorf("netproto: expected a v%d hello, got %s", ProtoV3, first.Type))
+	}
+	return hello, nil
 }
 
-// ServeHandshake completes the server half of a request-connection
-// handshake after the Hello has been received: it negotiates against
-// the peer's announced version (capped at maxVersion when positive —
-// the -wire-version escape hatch), sends the HelloAck v2+ peers wait
-// for, and switches the stream to the binary codec for v3 peers.
-// Returns the negotiated version; the caller serves lockstep below v2.
+// ServeHandshake completes the accept half of the handshake once the
+// Hello is in hand: a peer announcing ProtoV3 or newer gets
+// HelloAck{Version: ProtoV3}; an older one gets a MsgError naming the
+// supported version and a non-nil error, on which the caller closes the
+// connection without serving it. The returned version is always
+// ProtoV3.
 //
-// The cap clamps to v2, mirroring the dial side: it selects the stream
-// codec, never the request semantics, and capping a v2+ peer below v2
-// would suppress the HelloAck it is blocked waiting for. v1 is only
-// ever negotiated when the peer itself announced it.
-func ServeHandshake(c *Conn, hello Hello, maxVersion int) (int, error) {
-	v := NegotiateVersion(hello.Version)
-	if maxVersion > 0 && v > max(maxVersion, ProtoV2) {
-		v = max(maxVersion, ProtoV2)
+// The unnamed third parameter (once a version cap) is ignored; it and
+// the version result survive only because the frozen bench/ module
+// calls ServeHandshake(c, hello, 0). Delete both with that call.
+func ServeHandshake(c *Conn, hello Hello, _ int) (int, error) {
+	if hello.Version < ProtoV3 {
+		return 0, refuse(c, fmt.Errorf("netproto: peer speaks protocol v%d, this node speaks only v%d (rebuild and restart the peer)", hello.Version, ProtoV3))
 	}
-	if v >= ProtoV2 {
-		if err := c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: v}}); err != nil {
-			return 0, err
-		}
-	}
-	if v >= ProtoV3 {
-		c.SetVersion(v)
-	}
-	return v, nil
+	return ProtoV3, c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV3}})
+}
+
+// refuse tells a peer why its connection is about to be closed and
+// returns err for the caller to close it on. Best effort: the close
+// happens whether or not the MsgError lands.
+func refuse(c *Conn, err error) error {
+	_ = c.Send(ErrorFrame("%v", err))
+	return err
 }
 
 // IsClosed reports whether err indicates an orderly or forced
@@ -182,8 +171,7 @@ const (
 	MsgClientQuery
 	// MsgHello introduces a connection and its role.
 	MsgHello
-	// MsgHelloAck acknowledges a v2 Hello with the negotiated
-	// version (never sent to v1 peers).
+	// MsgHelloAck acknowledges a Hello; every role waits for it.
 	MsgHelloAck
 	// MsgShardQuery ships one fragment of a scattered query from a
 	// cluster router to the shard that owns the fragment's objects.
@@ -225,33 +213,35 @@ const (
 	MsgBirthGrant
 )
 
+// msgNames is indexed by MsgType.
+var msgNames = [...]string{
+	MsgQuery: "query", MsgQueryResult: "query-result",
+	MsgUpdateFeed: "update-feed", MsgShipUpdates: "ship-updates",
+	MsgUpdates: "updates", MsgLoadObject: "load-object",
+	MsgObjectData: "object-data", MsgInvalidate: "invalidate",
+	MsgStats: "stats", MsgError: "error", MsgClientQuery: "client-query",
+	MsgHello: "hello", MsgHelloAck: "hello-ack",
+	MsgShardQuery: "shard-query", MsgClusterStats: "cluster-stats",
+	MsgAdminResize: "admin-resize", MsgRebalanceStatus: "rebalance-status",
+	MsgReshard: "reshard", MsgMigrateBegin: "migrate-begin",
+	MsgMigrateChunk: "migrate-chunk", MsgMigrateDone: "migrate-done",
+	MsgObjectBirth: "object-birth", MsgBirthGrant: "birth-grant",
+}
+
 // String implements fmt.Stringer.
 func (t MsgType) String() string {
-	names := map[MsgType]string{
-		MsgQuery: "query", MsgQueryResult: "query-result",
-		MsgUpdateFeed: "update-feed", MsgShipUpdates: "ship-updates",
-		MsgUpdates: "updates", MsgLoadObject: "load-object",
-		MsgObjectData: "object-data", MsgInvalidate: "invalidate",
-		MsgStats: "stats", MsgError: "error", MsgClientQuery: "client-query",
-		MsgHello: "hello", MsgHelloAck: "hello-ack",
-		MsgShardQuery: "shard-query", MsgClusterStats: "cluster-stats",
-		MsgAdminResize: "admin-resize", MsgRebalanceStatus: "rebalance-status",
-		MsgReshard: "reshard", MsgMigrateBegin: "migrate-begin",
-		MsgMigrateChunk: "migrate-chunk", MsgMigrateDone: "migrate-done",
-		MsgObjectBirth: "object-birth", MsgBirthGrant: "birth-grant",
-	}
-	if s, ok := names[t]; ok {
-		return s
+	if int(t) < len(msgNames) && msgNames[t] != "" {
+		return msgNames[t]
 	}
 	return fmt.Sprintf("msg(%d)", uint8(t))
 }
 
-// Hello introduces a connection. v1 peers send only Role; v2 peers set
-// Version (and optionally Features) and wait for a HelloAck.
+// Hello opens every connection: the dialer announces its role and
+// protocol version, then waits for a HelloAck.
 type Hello struct {
 	Role string // "cache", "client", "pipeline", "invalidations"
-	// Version is the highest protocol version the peer speaks.
-	// Zero means a v1 peer (the field predates versioning).
+	// Version is the protocol version the peer speaks (ProtoV3).
+	// Anything lower is refused.
 	Version int
 	// Features lists optional capabilities the peer supports.
 	// Reserved: no optional capability exists yet, so it is always
@@ -260,8 +250,8 @@ type Hello struct {
 	Features []string
 }
 
-// HelloAck completes a v2 handshake with the negotiated version.
-// Features mirrors Hello's reserved field.
+// HelloAck completes the handshake; Version is always ProtoV3. Features
+// mirrors Hello's reserved field.
 type HelloAck struct {
 	Version  int
 	Features []string
@@ -291,9 +281,8 @@ type QueryMsg struct {
 	Region SkyRegion
 	// TraceID, when nonzero, asks every node on the query's path to
 	// record TraceSpans for this query (see QueryResultMsg.Spans and
-	// the obs package's trace ring). It rides the v3 frame tail —
-	// absent on older frames, which decode it as zero (untraced) — and
-	// gob simply ignores it on v2 streams.
+	// the obs package's trace ring). It rides the frame tail, written
+	// only when nonzero; an absent tail decodes as zero (untraced).
 	TraceID uint64
 }
 
@@ -322,8 +311,7 @@ type QueryResultMsg struct {
 	// TraceID echoes the request's trace ID when the query was traced
 	// (zero otherwise); Spans carries every span the answering node
 	// (and, through a router, every shard it scattered to) recorded
-	// for the query. Both ride the v3 frame tail: older peers neither
-	// send nor expect them.
+	// for the query. Both ride the frame tail, elided when empty.
 	TraceID uint64
 	Spans   []TraceSpan
 }
@@ -485,7 +473,7 @@ type ShardQueryMsg struct {
 	// into (1 for a query wholly owned by one shard).
 	Fragments int
 	// TraceID propagates the client query's trace ID to the shard (see
-	// QueryMsg.TraceID); rides the v3 frame tail.
+	// QueryMsg.TraceID); rides the frame tail.
 	TraceID uint64
 }
 
@@ -560,8 +548,7 @@ type ReshardMsg struct {
 	Dropped  int
 	// Replicas is the replication factor K of the epoch's ownership
 	// (Owned spans every replica rank, not just primaries). Rides the
-	// v3 frame tail; 0 means unspecified and leaves the shard's K
-	// unchanged.
+	// frame tail; 0 means unspecified and leaves the shard's K unchanged.
 	Replicas int
 }
 
@@ -632,7 +619,7 @@ type BirthGrantMsg struct {
 	Accepted int
 	// Epoch is the routing epoch the grant extends, advisory logging
 	// context only (births extend an epoch in place; they never flip
-	// it). Rides the v3 frame tail; 0 means unspecified.
+	// it). Rides the frame tail; 0 means unspecified.
 	Epoch int
 }
 
@@ -641,8 +628,8 @@ type ErrorMsg struct {
 	Message string
 }
 
-// Frame is the unit of transmission. RequestID correlates a v2+ reply
-// with its request; it is zero on v1 connections and one-way streams.
+// Frame is the unit of transmission. RequestID correlates a reply with
+// its request; it is zero on handshake frames and one-way streams.
 type Frame struct {
 	Type      MsgType
 	RequestID uint64
@@ -655,56 +642,18 @@ type Frame struct {
 	Release func()
 }
 
-func init() {
-	// gob needs concrete types registered for the Frame.Body interface.
-	gob.Register(Hello{})
-	gob.Register(HelloAck{})
-	gob.Register(QueryMsg{})
-	gob.Register(QueryResultMsg{})
-	gob.Register(UpdateFeedMsg{})
-	gob.Register(ShipUpdatesMsg{})
-	gob.Register(UpdatesMsg{})
-	gob.Register(LoadObjectMsg{})
-	gob.Register(ObjectDataMsg{})
-	gob.Register(InvalidateMsg{})
-	gob.Register(StatsMsg{})
-	gob.Register(ErrorMsg{})
-	gob.Register(ShardQueryMsg{})
-	gob.Register(ClusterStatsMsg{})
-	gob.Register(AdminResizeMsg{})
-	gob.Register(RebalanceStatusMsg{})
-	gob.Register(ReshardMsg{})
-	gob.Register(MigrateBeginMsg{})
-	gob.Register(MigrateChunkMsg{})
-	gob.Register(MigrateDoneMsg{})
-	gob.Register(ObjectBirthMsg{})
-	gob.Register(BirthGrantMsg{})
-}
-
-// Conn wraps a stream with framed messages. Connections start on the
-// gob codec (shared by v1 and v2: persistent encoder/decoder streams,
-// type descriptors once per connection); a v3 handshake switches both
-// directions to the binary codec (codec_v3.go) via SetVersion. Send is
+// Conn frames a stream with the binary codec (codec_v3.go). Send is
 // safe for any number of concurrent writer goroutines (frames are
-// serialized internally — this is what lets v2+ servers reply from
+// serialized internally — this is what lets servers reply from
 // per-request workers over one socket); Recv must be called from a
 // single reader goroutine.
 type Conn struct {
-	sendMu  sync.Mutex // serializes whole frames onto bw
-	bw      *bufio.Writer
-	sendBuf bytes.Buffer // staging area so oversized frames die here, not at the peer
-	enc     *gob.Encoder // writes into sendBuf
-	sendErr error        // sticky: a discarded encode desyncs the gob stream
+	sendMu sync.Mutex // serializes whole frames onto bw
+	bw     *bufio.Writer
+	br     *bufio.Reader
+	closer io.Closer // underlying stream, when closable (see Close)
 
-	lim    *limitReader
-	dec    *gob.Decoder
-	closer io.Closer // underlying stream, when closable (see Abort)
-
-	// version is the stream codec: 0 means the gob framing v1/v2
-	// share, ProtoV3 means binary frames. Written only by SetVersion at
-	// a handshake boundary (see its contract).
-	version int
-	// recvBuf is the v3 receive scratch, reused across Recvs; decoded
+	// recvBuf is the receive scratch, reused across Recvs; decoded
 	// frames never alias it (codec_v3.go's ownership rule).
 	recvBuf []byte
 }
@@ -712,87 +661,42 @@ type Conn struct {
 // NewConn wraps a stream.
 func NewConn(rw io.ReadWriter) *Conn {
 	c := &Conn{
-		bw:  bufio.NewWriterSize(rw, 64<<10),
-		lim: &limitReader{r: bufio.NewReaderSize(rw, 64<<10)},
+		bw: bufio.NewWriterSize(rw, 64<<10),
+		br: bufio.NewReaderSize(rw, 64<<10),
 	}
 	if cl, ok := rw.(io.Closer); ok {
 		c.closer = cl
 	}
-	c.enc = gob.NewEncoder(&c.sendBuf)
-	c.dec = gob.NewDecoder(c.lim)
 	return c
 }
 
-// Abort force-closes the underlying stream (when it is closable),
-// unblocking a concurrent Recv. Used when the send side is poisoned
-// and the connection must not linger as a zombie that reads requests
-// it can never answer.
-func (c *Conn) Abort() {
-	if c.closer != nil {
-		c.closer.Close()
+// Close closes the underlying stream (when it is closable), unblocking
+// a concurrent Recv.
+func (c *Conn) Close() error {
+	if c.closer == nil {
+		return nil
 	}
+	return c.closer.Close()
 }
 
-// SetVersion switches the connection's stream codec: ProtoV3 selects
-// the binary framing, anything lower the gob framing v1/v2 share. It
-// must be called at a frame boundary with no Send or Recv in flight —
-// in practice only the handshake owner calls it (ServeHandshake on the
-// accept side, DialSession on the dial side), immediately after the
-// HelloAck crosses, so both ends switch at the same stream position.
-func (c *Conn) SetVersion(v int) { c.version = v }
+// SetVersion does nothing: every Conn speaks v3 from its first byte.
+//
+// Deprecated: kept only because the frozen bench/ module calls
+// conn.SetVersion(netproto.ProtoV3). Delete it with that call.
+func (c *Conn) SetVersion(int) {}
 
-// Version reports the stream codec version: ProtoV3 after a v3
-// handshake upgraded the connection, 0 for the gob framing v1 and v2
-// share.
-func (c *Conn) Version() int { return c.version }
-
-// Send writes one frame. Frames over MaxFrame are rejected here, at
-// the sender, before any bytes hit the wire — shipping one would
-// force the receiver to tear down the whole multiplexed connection.
-// On the gob codec a rejected or failed encode poisons the connection
-// for sending (the persistent encoder's type-descriptor state can no
-// longer be trusted); the v3 codec stages frames fully before writing,
-// so a failed encode leaves the stream clean. Receiving is unaffected
-// either way. A non-nil f.Release is invoked exactly once before Send
-// returns.
+// Send writes one frame, staged in a pooled scratch buffer (encoding
+// happens outside the send lock, so concurrent writers only serialize
+// on the actual socket write) and flushed. Frames over MaxFrame are
+// rejected here, at the sender, before any bytes hit the wire —
+// shipping one would force the receiver to tear down the whole
+// multiplexed connection — and a rejected or failed encode leaves the
+// stream clean for the next frame. A non-nil f.Release is invoked
+// exactly once before Send returns.
 func (c *Conn) Send(f Frame) error {
 	if f.Release != nil {
 		defer f.Release()
 	}
-	if c.version >= ProtoV3 {
-		return c.sendV3(f)
-	}
-	var body frameBody
-	body.Type = f.Type
-	body.RequestID = f.RequestID
-	body.Body = f.Body
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	if c.sendErr != nil {
-		return c.sendErr
-	}
-	c.sendBuf.Reset()
-	if err := c.enc.Encode(&body); err != nil {
-		c.sendErr = fmt.Errorf("netproto: encode %s: %w", f.Type, err)
-		return c.sendErr
-	}
-	if c.sendBuf.Len() > MaxFrame {
-		c.sendErr = fmt.Errorf("netproto: frame %s too large (%d bytes)", f.Type, c.sendBuf.Len())
-		return c.sendErr
-	}
-	if _, err := c.bw.Write(c.sendBuf.Bytes()); err != nil {
-		return fmt.Errorf("netproto: write %s: %w", f.Type, err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fmt.Errorf("netproto: flush %s: %w", f.Type, err)
-	}
-	return nil
-}
-
-// sendV3 stages one binary frame in a pooled scratch buffer (encoding
-// happens outside the send lock, so concurrent writers only serialize
-// on the actual socket write) and flushes it.
-func (c *Conn) sendV3(f Frame) error {
 	bufp := encPool.Get().(*[]byte)
 	e := encBuf{b: (*bufp)[:0]}
 	e.b = append(e.b, 0, 0, 0, 0) // length prefix, patched below
@@ -806,13 +710,9 @@ func (c *Conn) sendV3(f Frame) error {
 	if err == nil {
 		binary.LittleEndian.PutUint32(e.b[:4], uint32(len(e.b)-4))
 		c.sendMu.Lock()
-		if c.sendErr != nil {
-			err = c.sendErr
-		} else {
-			_, werr = c.bw.Write(e.b)
-			if werr == nil {
-				ferr = c.bw.Flush()
-			}
+		_, werr = c.bw.Write(e.b)
+		if werr == nil {
+			ferr = c.bw.Flush()
 		}
 		c.sendMu.Unlock()
 	}
@@ -829,29 +729,13 @@ func (c *Conn) sendV3(f Frame) error {
 	return nil
 }
 
-// Recv reads one frame. A frame whose wire size exceeds MaxFrame
-// aborts the stream.
+// Recv reads one frame into the per-connection scratch buffer and
+// decodes it; the decoded frame owns all of its memory, so callers may
+// hold it across later Recvs. A length prefix of zero or over MaxFrame
+// aborts the stream before anything is allocated for it.
 func (c *Conn) Recv() (Frame, error) {
-	if c.version >= ProtoV3 {
-		return c.recvV3()
-	}
-	c.lim.n = 0
-	var fb frameBody
-	if err := c.dec.Decode(&fb); err != nil {
-		if err == io.EOF {
-			return Frame{}, err // passes through for clean shutdown
-		}
-		return Frame{}, fmt.Errorf("netproto: decode frame: %w", err)
-	}
-	return Frame{Type: fb.Type, RequestID: fb.RequestID, Body: fb.Body}, nil
-}
-
-// recvV3 reads one binary frame into the per-connection scratch buffer
-// and decodes it; the decoded frame owns all of its memory, so callers
-// may hold it across later Recvs.
-func (c *Conn) recvV3() (Frame, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(c.lim.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
 		if err == io.EOF {
 			return Frame{}, err // clean shutdown between frames
 		}
@@ -865,7 +749,7 @@ func (c *Conn) recvV3() (Frame, error) {
 		c.recvBuf = make([]byte, n)
 	}
 	buf := c.recvBuf[:n]
-	if _, err := io.ReadFull(c.lim.r, buf); err != nil {
+	if _, err := io.ReadFull(c.br, buf); err != nil {
 		return Frame{}, fmt.Errorf("netproto: read frame body: %w", err)
 	}
 	d := decBuf{b: buf}
@@ -879,50 +763,6 @@ func (c *Conn) recvV3() (Frame, error) {
 		return Frame{}, err
 	}
 	return Frame{Type: t, RequestID: reqID, Body: body}, nil
-}
-
-// frameBody is the gob-encoded frame content. gob tolerates the
-// RequestID field being absent on the wire (v1 peers), decoding it as
-// zero, so the two versions share one frame format.
-type frameBody struct {
-	Type      MsgType
-	RequestID uint64
-	Body      any
-}
-
-// limitReader bounds how many bytes a single Recv may consume,
-// catching stream corruption (a garbage length would otherwise make
-// gob allocate without limit) before it allocates. It implements
-// io.ByteReader so gob uses it directly — otherwise gob wraps it in
-// its own bufio.Reader whose read-ahead past the message boundary
-// would be mischarged to the current frame.
-type limitReader struct {
-	r *bufio.Reader
-	n int
-}
-
-func (l *limitReader) Read(p []byte) (int, error) {
-	remaining := MaxFrame - l.n
-	if remaining <= 0 {
-		return 0, fmt.Errorf("netproto: oversized frame (>%d bytes)", MaxFrame)
-	}
-	if len(p) > remaining {
-		p = p[:remaining]
-	}
-	n, err := l.r.Read(p)
-	l.n += n
-	return n, err
-}
-
-func (l *limitReader) ReadByte() (byte, error) {
-	if l.n >= MaxFrame {
-		return 0, fmt.Errorf("netproto: oversized frame (>%d bytes)", MaxFrame)
-	}
-	b, err := l.r.ReadByte()
-	if err == nil {
-		l.n++
-	}
-	return b, err
 }
 
 // MakePayload builds a deterministic pseudo-payload of the scaled size

@@ -2,7 +2,7 @@ package netproto
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"io"
 	"net"
 	"testing"
@@ -22,7 +22,7 @@ func pipePair(t *testing.T) (*Conn, *Conn) {
 func TestRoundTripFrames(t *testing.T) {
 	client, server := pipePair(t)
 	frames := []Frame{
-		{Type: MsgHello, Body: Hello{Role: "cache"}},
+		{Type: MsgHello, Body: Hello{Role: "cache", Version: ProtoV3}},
 		{Type: MsgQuery, Body: QueryMsg{Query: model.Query{
 			ID: 7, Objects: []model.ObjectID{1, 2}, Cost: 5 * cost.MB,
 			Tolerance: time.Minute, Time: 3 * time.Second,
@@ -125,24 +125,17 @@ func TestMakePayloadDeterministic(t *testing.T) {
 }
 
 func TestRecvRejectsOversizedFrame(t *testing.T) {
-	// Build a legitimate gob stream whose single frame exceeds
-	// MaxFrame; Recv must abort rather than buffer it all.
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	type frameBody struct { // mirrors the wire struct
-		Type      MsgType
-		RequestID uint64
-		Body      any
-	}
-	huge := frameBody{Type: MsgObjectData, Body: ObjectDataMsg{
-		Payload: make([]byte, MaxFrame+1),
-	}}
-	if err := enc.Encode(&huge); err != nil {
-		t.Fatal(err)
-	}
-	conn := NewConn(readWriter{&buf})
+	// A length prefix one past MaxFrame, then the start of a body: Recv
+	// must refuse at the prefix rather than buffer the frame.
+	stream := binary.LittleEndian.AppendUint32(nil, MaxFrame+1)
+	stream = append(stream, byte(MsgObjectData), 0)
+	rest := bytes.NewReader(stream)
+	conn := NewConn(readWriter{rest})
 	if _, err := conn.Recv(); err == nil {
 		t.Error("oversized frame accepted")
+	}
+	if cap(conn.recvBuf) != 0 {
+		t.Errorf("Recv sized its scratch buffer (%d bytes) for a frame it had to refuse", cap(conn.recvBuf))
 	}
 }
 

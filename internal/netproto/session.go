@@ -20,7 +20,8 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string { return e.Message }
 
-// SessionConfig parameterizes DialSession.
+// SessionConfig parameterizes DialSession and DialConn (which ignores
+// PoolSize).
 type SessionConfig struct {
 	// PoolSize is how many TCP connections back the session. Each
 	// connection multiplexes any number of in-flight requests, so the
@@ -29,10 +30,6 @@ type SessionConfig struct {
 	PoolSize int
 	// DialTimeout bounds each connection attempt. Defaults to 5s.
 	DialTimeout time.Duration
-	// Lockstep forces protocol v1: one outstanding request per
-	// connection, replies in order, no handshake ack. Use it to talk
-	// to pre-v2 servers.
-	Lockstep bool
 	// DialRetry, when positive, keeps retrying a refused connection
 	// for up to this total elapsed time with capped exponential
 	// backoff and jitter. Connection-refused is the transient race of
@@ -41,23 +38,14 @@ type SessionConfig struct {
 	// (no route, timeout, DNS) still fail immediately. Zero disables
 	// retrying.
 	DialRetry time.Duration
-	// WireVersion caps the protocol version the session announces in
-	// its handshake, and therefore the stream codec it ends up on: 0
-	// means the newest (v3, binary framing), ProtoV2 forces the gob v2
-	// codec — the escape hatch for talking to peers pinned at v2.
-	// Lockstep overrides this entirely (v1 semantics, gob framing).
-	WireVersion int
 }
 
 // Session is a concurrency-safe request/response channel to a Delta
-// node. In v2 mode (the default) it multiplexes: every request gets a
-// fresh RequestID, requests round-robin across a small connection
-// pool, a per-connection reader goroutine demultiplexes replies by
-// RequestID, and any number of goroutines may call RoundTrip
-// concurrently. In lockstep mode it serializes round trips per
-// connection for v1 peers.
+// node. It multiplexes: every request gets a fresh RequestID, requests
+// round-robin across a small connection pool, a per-connection reader
+// goroutine demultiplexes replies by RequestID, and any number of
+// goroutines may call RoundTrip concurrently.
 type Session struct {
-	cfg   SessionConfig
 	conns []*sessionConn
 	reqID atomic.Uint64
 	next  atomic.Uint64
@@ -68,11 +56,7 @@ type Session struct {
 
 // sessionConn is one pooled connection with its demux state.
 type sessionConn struct {
-	nc      net.Conn
-	c       *Conn
-	version int // negotiated protocol version (set during the handshake)
-
-	lockMu sync.Mutex // lockstep mode: serializes send+recv pairs
+	c *Conn
 
 	mu      sync.Mutex
 	pending map[uint64]chan roundTripResult
@@ -86,26 +70,22 @@ type roundTripResult struct {
 }
 
 // DialSession connects a multiplexed session to addr, announcing the
-// given role ("cache" or "client"). In v2 mode every pooled connection
-// performs the Hello/HelloAck handshake before the session is usable.
+// given role ("cache" or "client"). Every pooled connection completes
+// the handshake (DialConn) before the session is usable.
 func DialSession(addr, role string, cfg SessionConfig) (*Session, error) {
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = 1
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	s := &Session{cfg: cfg}
+	s := &Session{}
 	for i := 0; i < cfg.PoolSize; i++ {
-		sc, err := dialSessionConn(addr, role, cfg)
+		c, err := DialConn(addr, role, cfg)
 		if err != nil {
 			s.Close()
 			return nil, err
 		}
+		sc := &sessionConn{c: c, pending: make(map[uint64]chan roundTripResult)}
 		s.conns = append(s.conns, sc)
-		if !cfg.Lockstep {
-			go sc.readLoop()
-		}
+		go sc.readLoop()
 	}
 	return s, nil
 }
@@ -137,61 +117,52 @@ func dialRetry(addr string, cfg SessionConfig) (net.Conn, error) {
 	}
 }
 
-func dialSessionConn(addr, role string, cfg SessionConfig) (*sessionConn, error) {
+// DialConn dials addr (honoring cfg.DialTimeout and cfg.DialRetry) and
+// completes the dial half of the handshake every role shares: send
+// Hello{role, ProtoV3}, then wait up to DialTimeout for the HelloAck.
+// A node acks only once it is ready to serve the role — the repository
+// acks an "invalidations" Hello after registering the subscriber — so
+// when DialConn returns, the connection is live on the far side. A
+// MsgError reply (the peer refused the role or the version) comes back
+// as a *RemoteError.
+func DialConn(addr, role string, cfg SessionConfig) (*Conn, error) {
+	if cfg.DialTimeout <= 0 {
+		cfg.DialTimeout = 5 * time.Second
+	}
 	nc, err := dialRetry(addr, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("netproto: dial %s: %w", addr, err)
 	}
-	sc := &sessionConn{
-		nc:      nc,
-		c:       NewConn(nc),
-		version: ProtoV1,
-		pending: make(map[uint64]chan roundTripResult),
-	}
-	hello := Hello{Role: role}
-	if !cfg.Lockstep {
-		hello.Version = ProtoV3
-		if cfg.WireVersion > 0 && cfg.WireVersion < hello.Version {
-			hello.Version = max(cfg.WireVersion, ProtoV2)
-		}
-	}
-	if err := sc.c.Send(Frame{Type: MsgHello, Body: hello}); err != nil {
+	c := NewConn(nc)
+	if err := handshake(nc, c, role, cfg.DialTimeout); err != nil {
 		nc.Close()
-		return nil, fmt.Errorf("netproto: hello: %w", err)
+		return nil, fmt.Errorf("netproto: handshake with %s: %w", addr, err)
 	}
-	if !cfg.Lockstep {
-		// v2+ servers acknowledge before any request flows; a v1 server
-		// would stay silent here, so pre-v2 peers need Lockstep.
-		if err := nc.SetReadDeadline(time.Now().Add(cfg.DialTimeout)); err != nil {
-			nc.Close()
-			return nil, err
-		}
-		ack, err := sc.c.Recv()
-		if err != nil {
-			nc.Close()
-			return nil, fmt.Errorf("netproto: handshake (is the server pre-v2? use Lockstep): %w", err)
-		}
-		body, ok := ack.Body.(HelloAck)
-		if !ok || ack.Type != MsgHelloAck {
-			nc.Close()
-			return nil, fmt.Errorf("netproto: expected hello-ack, got %s", ack.Type)
-		}
-		if body.Version < ProtoV2 {
-			nc.Close()
-			return nil, fmt.Errorf("netproto: server negotiated v%d, need v%d", body.Version, ProtoV2)
-		}
-		sc.version = body.Version
-		if body.Version >= ProtoV3 {
-			// Both ends switch codecs at the same stream position:
-			// immediately after the HelloAck.
-			sc.c.SetVersion(ProtoV3)
-		}
-		if err := nc.SetReadDeadline(time.Time{}); err != nil {
-			nc.Close()
-			return nil, err
-		}
+	return c, nil
+}
+
+func handshake(nc net.Conn, c *Conn, role string, timeout time.Duration) error {
+	if err := c.Send(Frame{Type: MsgHello, Body: Hello{Role: role, Version: ProtoV3}}); err != nil {
+		return err
 	}
-	return sc, nil
+	if err := nc.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+		return err
+	}
+	reply, err := c.Recv()
+	if err != nil {
+		return err
+	}
+	if reply, err = checkError(reply); err != nil {
+		return err
+	}
+	ack, ok := reply.Body.(HelloAck)
+	if !ok {
+		return fmt.Errorf("expected hello-ack, got %s", reply.Type)
+	}
+	if ack.Version != ProtoV3 {
+		return fmt.Errorf("peer acknowledged protocol v%d, need v%d", ack.Version, ProtoV3)
+	}
+	return nc.SetReadDeadline(time.Time{})
 }
 
 // readLoop demultiplexes replies by RequestID. Replies with no waiter
@@ -233,9 +204,6 @@ func (s *Session) RoundTrip(ctx context.Context, f Frame) (Frame, error) {
 	if s.closed.Load() {
 		return Frame{}, net.ErrClosed
 	}
-	if s.cfg.Lockstep {
-		return s.roundTripLockstep(ctx, f)
-	}
 	sc := s.pick()
 	if sc == nil {
 		return Frame{}, fmt.Errorf("netproto: session has no live connections")
@@ -252,8 +220,8 @@ func (s *Session) RoundTrip(ctx context.Context, f Frame) (Frame, error) {
 	sc.pending[id] = ch
 	sc.mu.Unlock()
 	if err := sc.c.Send(f); err != nil {
-		// A send failure means the write side is broken (I/O error or
-		// a poisoned encoder); stop routing new requests here. The
+		// A send failure means the frame cannot be encoded or the
+		// write side is broken; stop routing new requests here. The
 		// read side keeps draining replies for requests already in
 		// flight until it fails on its own.
 		sc.mu.Lock()
@@ -277,50 +245,6 @@ func (s *Session) RoundTrip(ctx context.Context, f Frame) (Frame, error) {
 		sc.mu.Unlock()
 		return Frame{}, ctx.Err()
 	}
-}
-
-// roundTripLockstep performs a v1 send+recv pair under the per-conn
-// lock. A context deadline is enforced via the socket deadline — a v1
-// stream cannot abandon a reply without desynchronizing, so expiry
-// retires the connection rather than just the request.
-func (s *Session) roundTripLockstep(ctx context.Context, f Frame) (Frame, error) {
-	if err := ctx.Err(); err != nil {
-		return Frame{}, err
-	}
-	sc := s.pick()
-	if sc == nil {
-		return Frame{}, fmt.Errorf("netproto: session has no live connections")
-	}
-	sc.lockMu.Lock()
-	defer sc.lockMu.Unlock()
-	if dl, ok := ctx.Deadline(); ok {
-		if err := sc.nc.SetDeadline(dl); err != nil {
-			return Frame{}, err
-		}
-		defer sc.nc.SetDeadline(time.Time{})
-	}
-	f.RequestID = 0
-	if err := sc.c.Send(f); err != nil {
-		sc.markDead(err)
-		return Frame{}, err
-	}
-	reply, err := sc.c.Recv()
-	if err != nil {
-		// Any transport error (including deadline expiry)
-		// desynchronizes a lockstep stream; retire the connection.
-		sc.markDead(err)
-		return Frame{}, err
-	}
-	return checkError(reply)
-}
-
-func (sc *sessionConn) markDead(err error) {
-	sc.mu.Lock()
-	sc.dead = true
-	if sc.err == nil {
-		sc.err = err
-	}
-	sc.mu.Unlock()
 }
 
 func checkError(f Frame) (Frame, error) {
@@ -349,17 +273,6 @@ func (s *Session) pick() *sessionConn {
 	return nil
 }
 
-// WireVersion reports the protocol version the session negotiated:
-// ProtoV3 on the binary codec, ProtoV2 on gob multiplexing, ProtoV1
-// for lockstep sessions. Every pooled connection negotiates against
-// the same server, so the first connection's answer stands for all.
-func (s *Session) WireVersion() int {
-	if len(s.conns) == 0 {
-		return 0
-	}
-	return s.conns[0].version
-}
-
 // Live reports whether the session still has at least one usable
 // connection (routers use it to snapshot shard liveness without
 // issuing a probe request).
@@ -384,7 +297,7 @@ func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		s.closed.Store(true)
 		for _, sc := range s.conns {
-			if e := sc.nc.Close(); e != nil && err == nil {
+			if e := sc.c.Close(); e != nil && err == nil {
 				err = e
 			}
 		}

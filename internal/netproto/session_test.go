@@ -13,10 +13,38 @@ import (
 	"github.com/deltacache/delta/internal/model"
 )
 
-// startV2Server runs a minimal v2 request server: it acknowledges
-// hellos and answers each QueryMsg via reply (possibly out of order),
-// echoing RequestIDs.
-func startV2Server(t *testing.T, reply func(f Frame, c *Conn)) string {
+// startServer runs a minimal request server: it answers each QueryMsg
+// via reply (possibly out of order), echoing RequestIDs.
+func startServer(t *testing.T, reply func(f Frame, c *Conn)) string {
+	t.Helper()
+	return listen(t, func(c *Conn) {
+		if !accept(c) {
+			return
+		}
+		for {
+			f, err := c.Recv()
+			if err != nil {
+				return
+			}
+			reply(f, c)
+		}
+	})
+}
+
+// accept completes the accept half of the handshake the way every node
+// does, reporting whether the connection is now open for requests.
+func accept(c *Conn) bool {
+	hello, err := ReadHello(c)
+	if err != nil {
+		return false
+	}
+	_, err = ServeHandshake(c, hello, 0)
+	return err == nil
+}
+
+// listen accepts connections on a loopback port until the test ends,
+// running serve on each and closing it when serve returns.
+func listen(t *testing.T, serve func(c *Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -31,28 +59,7 @@ func startV2Server(t *testing.T, reply func(f Frame, c *Conn)) string {
 			}
 			go func() {
 				defer conn.Close()
-				c := NewConn(conn)
-				first, err := c.Recv()
-				if err != nil {
-					return
-				}
-				hello, ok := first.Body.(Hello)
-				if !ok {
-					return
-				}
-				v2 := NegotiateVersion(hello.Version) >= ProtoV2
-				if v2 {
-					if err := c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV2}}); err != nil {
-						return
-					}
-				}
-				for {
-					f, err := c.Recv()
-					if err != nil {
-						return
-					}
-					reply(f, c)
-				}
+				serve(NewConn(conn))
 			}()
 		}
 	}()
@@ -69,7 +76,7 @@ func echoQuery(f Frame, c *Conn) {
 }
 
 func TestSessionRoundTrip(t *testing.T) {
-	addr := startV2Server(t, echoQuery)
+	addr := startServer(t, echoQuery)
 	s, err := DialSession(addr, "client", SessionConfig{PoolSize: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +104,7 @@ func TestSessionDemuxOutOfOrder(t *testing.T) {
 		mu       sync.Mutex
 		deferred []Frame
 	)
-	addr := startV2Server(t, func(f Frame, c *Conn) {
+	addr := startServer(t, func(f Frame, c *Conn) {
 		q := f.Body.(QueryMsg).Query
 		out := Frame{
 			Type:      MsgQueryResult,
@@ -150,118 +157,70 @@ func TestSessionDemuxOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestHandshakeV1V2Compat covers the version matrix: a v2 session
-// against a v2 server negotiates and multiplexes; a lockstep (v1)
-// session against the same server is served in order with no ack; and
-// a v1 server (never acks) is usable through a lockstep session.
-func TestHandshakeV1V2Compat(t *testing.T) {
-	addr := startV2Server(t, echoQuery)
-
-	t.Run("v2-client-v2-server", func(t *testing.T) {
-		s, err := DialSession(addr, "client", SessionConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if _, err := s.RoundTrip(context.Background(), Frame{Type: MsgQuery, Body: QueryMsg{
-			Query: model.Query{ID: 5, Objects: []model.ObjectID{1}, Cost: 5},
-		}}); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("v1-client-v2-server", func(t *testing.T) {
-		s, err := DialSession(addr, "client", SessionConfig{Lockstep: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		reply, err := s.RoundTrip(context.Background(), Frame{Type: MsgQuery, Body: QueryMsg{
-			Query: model.Query{ID: 6, Objects: []model.ObjectID{1}, Cost: 6},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reply.RequestID != 0 {
-			t.Errorf("v1 reply carries RequestID %d, want 0", reply.RequestID)
-		}
-	})
-
-	t.Run("v1-server-lockstep-client", func(t *testing.T) {
-		// A v1 server: reads hellos and serves queries lockstep,
-		// never sending an ack and ignoring RequestIDs.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
+// TestDialConnHandshake pins the dial half of the handshake against
+// every answer a peer can give to the Hello: only HelloAck{ProtoV3}
+// yields a connection; any other version, a refusal, a frame of the
+// wrong type, an early close and plain silence all fail the dial
+// within DialTimeout — never a hang, never a
+// connection the caller would go on to use.
+func TestDialConnHandshake(t *testing.T) {
+	answer := func(frames ...Frame) func(c *Conn) {
+		return func(c *Conn) {
+			hello, err := ReadHello(c)
+			if err != nil || hello.Version != ProtoV3 {
 				return
 			}
-			defer conn.Close()
-			c := NewConn(conn)
-			if _, err := c.Recv(); err != nil { // hello, unacked
-				return
+			for _, f := range frames {
+				_ = c.Send(f)
 			}
-			for {
-				f, err := c.Recv()
+			_, _ = c.Recv() // hold the connection until the dialer lets go
+		}
+	}
+	cases := []struct {
+		name  string
+		serve func(c *Conn)
+		ok    bool
+	}{
+		{"ack-v3", answer(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV3}}), true},
+		{"ack-v2", answer(Frame{Type: MsgHelloAck, Body: HelloAck{Version: 2}}), false},
+		{"ack-v4", answer(Frame{Type: MsgHelloAck, Body: HelloAck{Version: 4}}), false},
+		{"ack-v0", answer(Frame{Type: MsgHelloAck, Body: HelloAck{}}), false},
+		{"refused", answer(ErrorFrame("go away")), false},
+		{"wrong-frame", answer(Frame{Type: MsgStats, Body: StatsMsg{}}), false},
+		{"closed", func(c *Conn) { _, _ = ReadHello(c) }, false},
+		{"silent", func(c *Conn) { _, _ = c.Recv(); _, _ = c.Recv() }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := listen(t, tc.serve)
+			start := time.Now()
+			c, err := DialConn(addr, "invalidations", SessionConfig{DialTimeout: 200 * time.Millisecond})
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Errorf("dial took %v, want it bounded by DialTimeout", elapsed)
+			}
+			if tc.ok {
 				if err != nil {
-					return
+					t.Fatal(err)
 				}
-				q := f.Body.(QueryMsg).Query
-				_ = c.Send(Frame{Type: MsgQueryResult, Body: QueryResultMsg{
-					QueryID: q.ID, Logical: q.Cost, Source: "v1",
-				}})
-			}
-		}()
-		s, err := DialSession(ln.Addr().String(), "client", SessionConfig{Lockstep: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		reply, err := s.RoundTrip(context.Background(), Frame{Type: MsgQuery, Body: QueryMsg{
-			Query: model.Query{ID: 7, Objects: []model.ObjectID{1}, Cost: 7},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := reply.Body.(QueryResultMsg); res.Source != "v1" || res.QueryID != 7 {
-			t.Fatalf("reply = %+v", res)
-		}
-	})
-
-	t.Run("v2-client-v1-server-fails-fast", func(t *testing.T) {
-		// A silent v1 server must produce a handshake error, not a
-		// hang.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
+				c.Close()
 				return
 			}
-			defer conn.Close()
-			c := NewConn(conn)
-			_, _ = c.Recv() // swallow the hello, never ack
-			select {}
-		}()
-		if _, err := DialSession(ln.Addr().String(), "client", SessionConfig{
-			DialTimeout: 200 * time.Millisecond,
-		}); err == nil {
-			t.Fatal("v2 dial against a silent v1 server should fail the handshake")
-		}
-	})
+			if err == nil {
+				c.Close()
+				t.Fatal("dial succeeded")
+			}
+			var remote *RemoteError
+			if tc.name == "refused" && !errors.As(err, &remote) {
+				t.Errorf("refusal surfaced as %v, want a *RemoteError", err)
+			}
+		})
+	}
 }
 
 // TestSessionConcurrentRoundTrips hammers one session from many
 // goroutines; every reply must match its request.
 func TestSessionConcurrentRoundTrips(t *testing.T) {
-	addr := startV2Server(t, echoQuery)
+	addr := startServer(t, echoQuery)
 	s, err := DialSession(addr, "client", SessionConfig{PoolSize: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -300,28 +259,17 @@ func TestSessionConcurrentRoundTrips(t *testing.T) {
 }
 
 func TestSessionFailsPendingOnDisconnect(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
+	addr := listen(t, func(c *Conn) {
+		if !accept(c) {
 			return
 		}
-		c := NewConn(conn)
-		_, _ = c.Recv()
-		_ = c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV2}})
-		accepted <- conn
-	}()
-	s, err := DialSession(ln.Addr().String(), "client", SessionConfig{})
+		_, _ = c.Recv() // take the request, then die with it in flight
+	})
+	s, err := DialSession(addr, "client", SessionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	conn := <-accepted
 	done := make(chan error, 1)
 	go func() {
 		_, err := s.RoundTrip(context.Background(), Frame{Type: MsgQuery, Body: QueryMsg{
@@ -329,8 +277,6 @@ func TestSessionFailsPendingOnDisconnect(t *testing.T) {
 		}})
 		done <- err
 	}()
-	time.Sleep(50 * time.Millisecond)
-	conn.Close() // server dies with the request in flight
 	select {
 	case err := <-done:
 		if err == nil {
@@ -348,40 +294,25 @@ func TestSessionFailsPendingOnDisconnect(t *testing.T) {
 // dead the session must fail new requests immediately instead of
 // hanging.
 func TestSessionPoolExhaustedUnderCancellation(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
 	var (
 		connMu   sync.Mutex
-		accepted []net.Conn
+		accepted []*Conn
 	)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
+	addr := listen(t, func(c *Conn) {
+		if !accept(c) {
+			return
+		}
+		connMu.Lock()
+		accepted = append(accepted, c)
+		connMu.Unlock()
+		for { // swallow requests, never reply
+			if _, err := c.Recv(); err != nil {
 				return
 			}
-			connMu.Lock()
-			accepted = append(accepted, conn)
-			connMu.Unlock()
-			go func() {
-				c := NewConn(conn)
-				if _, err := c.Recv(); err != nil { // hello
-					return
-				}
-				_ = c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV2}})
-				for { // swallow requests, never reply
-					if _, err := c.Recv(); err != nil {
-						return
-					}
-				}
-			}()
 		}
-	}()
+	})
 
-	s, err := DialSession(ln.Addr().String(), "client", SessionConfig{PoolSize: 2})
+	s, err := DialSession(addr, "client", SessionConfig{PoolSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +424,7 @@ func TestDialRetryRidesOutStartupRace(t *testing.T) {
 		if _, err := c.Recv(); err != nil {
 			return
 		}
-		_ = c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV2}})
+		_ = c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV3}})
 	}()
 	s, err := DialSession(addr, "client", SessionConfig{DialRetry: 5 * time.Second})
 	if err != nil {

@@ -6,12 +6,11 @@
 // carries update notices (control plane, not charged as traffic, per
 // Section 3's invalidation model).
 //
-// Request connections negotiate a protocol version: v2 peers get a
-// HelloAck and every request is dispatched to its own worker goroutine
-// (replies carry the request's correlation ID and are serialized onto
-// the socket by netproto.Conn), so a slow object load no longer
-// head-of-line-blocks cheap queries. v1 peers are served lockstep for
-// compatibility.
+// Every connection opens with the same Hello → HelloAck handshake.
+// Request connections then multiplex: every request is dispatched to its
+// own worker goroutine (replies carry the request's correlation ID and
+// are serialized onto the socket by netproto.Conn), so a slow object
+// load does not head-of-line-block cheap queries.
 package server
 
 import (
@@ -48,10 +47,6 @@ type Config struct {
 	// Clock paces ExecDelay; nil means the wall clock. Tests inject a
 	// fake clock so simulated execution time costs no real time.
 	Clock clock.Clock
-	// WireVersion caps the protocol version negotiated with request
-	// peers (0 = newest, i.e. the v3 binary codec; 2 pins gob v2) —
-	// the -wire-version escape hatch for mixed-version deployments.
-	WireVersion int
 	// Replicas advertises the deployment's cache replication factor K
 	// in the repository's StatsMsg, so clients and operators can audit
 	// the intended K against what the cache tier reports. 0 is treated
@@ -273,8 +268,8 @@ func (r *Repository) Addr() string {
 func (r *Repository) Ledger() cost.Snapshot { return r.ledger.Snapshot() }
 
 // Subscribers reports how many invalidation subscribers are currently
-// registered (observability; tests also use it to sync with a
-// subscription completing its handshake).
+// registered. A subscriber counts from before its HelloAck is sent, so
+// it is already included when the subscribing constructor returns.
 func (r *Repository) Subscribers() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -436,24 +431,26 @@ func (r *Repository) acceptLoop() {
 
 func (r *Repository) serveConn(nc net.Conn) error {
 	c := netproto.NewConn(nc)
-	first, err := c.Recv()
+	hello, err := netproto.ReadHello(c)
 	if err != nil {
 		return err
 	}
-	hello, ok := first.Body.(netproto.Hello)
-	if !ok || first.Type != netproto.MsgHello {
-		return fmt.Errorf("server: expected hello, got %s", first.Type)
-	}
 	switch hello.Role {
-	case "pipeline":
-		return r.servePipeline(c)
 	case "invalidations":
-		return r.serveInvalidations(nc, c)
-	case "cache", "client":
-		return r.serveRequests(c, hello)
+		return r.serveInvalidations(c, hello)
+	case "pipeline", "cache", "client":
 	default:
-		return fmt.Errorf("server: unknown role %q", hello.Role)
+		err := fmt.Errorf("server: unknown role %q", hello.Role)
+		_ = c.Send(netproto.ErrorFrame("%v", err)) // best effort: the connection closes either way
+		return err
 	}
+	if _, err := netproto.ServeHandshake(c, hello, 0); err != nil {
+		return err
+	}
+	if hello.Role == "pipeline" {
+		return r.servePipeline(c)
+	}
+	return netproto.ServeMux(c, 0, r.handleRequest, r.cfg.Logf)
 }
 
 func (r *Repository) servePipeline(c *netproto.Conn) error {
@@ -478,7 +475,11 @@ func (r *Repository) servePipeline(c *netproto.Conn) error {
 	}
 }
 
-func (r *Repository) serveInvalidations(nc net.Conn, c *netproto.Conn) error {
+// serveInvalidations registers the subscriber before acknowledging its
+// Hello: the dialer returns from its handshake only after the ack, so
+// every update applied after a subscribing constructor returns reaches
+// that subscriber. The stream is then one-way until either side closes.
+func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) error {
 	ch := make(chan netproto.Frame, 1024)
 	r.mu.Lock()
 	if r.closed {
@@ -497,36 +498,15 @@ func (r *Repository) serveInvalidations(nc net.Conn, c *netproto.Conn) error {
 		}
 		r.mu.Unlock()
 	}()
+	if _, err := netproto.ServeHandshake(c, hello, 0); err != nil {
+		return err
+	}
 	for f := range ch {
 		if err := c.Send(f); err != nil {
 			return netproto.IgnoreClosed(err)
 		}
 	}
-	_ = nc // held open until server close
 	return nil
-}
-
-// serveRequests handles a cache or client request connection. v2+
-// peers get per-request worker goroutines (v3 peers additionally
-// switch to the binary codec inside ServeHandshake); v1 peers are
-// served lockstep so replies stay in order.
-func (r *Repository) serveRequests(c *netproto.Conn, hello netproto.Hello) error {
-	version, err := netproto.ServeHandshake(c, hello, r.cfg.WireVersion)
-	if err != nil {
-		return err
-	}
-	if version >= netproto.ProtoV2 {
-		return netproto.ServeMux(c, 0, r.handleRequest, r.cfg.Logf)
-	}
-	for {
-		f, err := c.Recv()
-		if err != nil {
-			return netproto.IgnoreClosed(err)
-		}
-		if err := c.Send(r.handleRequest(f)); err != nil {
-			return netproto.IgnoreClosed(err)
-		}
-	}
 }
 
 // handleRequest executes one request frame and builds its reply (the

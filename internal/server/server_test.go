@@ -62,6 +62,25 @@ func TestOutstandingSince(t *testing.T) {
 	}
 }
 
+// handshake opens a raw connection the way every dialer must: Hello
+// announcing v3, then the ack. For "invalidations" the ack means the
+// repository has registered the subscriber.
+func handshake(t *testing.T, nc net.Conn, role string) *netproto.Conn {
+	t.Helper()
+	c := netproto.NewConn(nc)
+	if err := c.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: role, Version: netproto.ProtoV3}}); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body, ok := ack.Body.(netproto.HelloAck); !ok || body.Version != netproto.ProtoV3 {
+		t.Fatalf("handshake reply = %s %+v, want hello-ack v3", ack.Type, ack.Body)
+	}
+	return c
+}
+
 func TestRequestResponsesDirect(t *testing.T) {
 	repo := testRepo(t)
 	if err := repo.Start(); err != nil {
@@ -74,10 +93,7 @@ func TestRequestResponsesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	c := netproto.NewConn(nc)
-	if err := c.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "cache"}}); err != nil {
-		t.Fatal(err)
-	}
+	c := handshake(t, nc, "cache")
 
 	// Query execution.
 	if err := c.Send(netproto.Frame{Type: netproto.MsgQuery, Body: netproto.QueryMsg{
@@ -196,20 +212,7 @@ func TestInvalidationBroadcastNonBlocking(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := netproto.NewConn(nc)
-	if err := c.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "invalidations"}}); err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the server to register the subscription: the push below
-	// finishes in milliseconds, so racing the handshake would broadcast
-	// to nobody and count no drops.
-	regDeadline := time.Now().Add(5 * time.Second)
-	for repo.Subscribers() == 0 {
-		if time.Now().After(regDeadline) {
-			t.Fatal("subscription never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	handshake(t, nc, "invalidations") // and then never read: a stalled subscriber
 	// Push enough notices to overwhelm the subscriber buffer plus
 	// whatever the kernel's socket buffers absorb: the stalled reader
 	// guarantees drops at this volume.
@@ -241,10 +244,7 @@ func TestInvalidationBroadcastNonBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	cc := netproto.NewConn(sc)
-	if err := cc.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "cache"}}); err != nil {
-		t.Fatal(err)
-	}
+	cc := handshake(t, sc, "cache")
 	if err := cc.Send(netproto.Frame{Type: netproto.MsgStats, Body: netproto.StatsMsg{}}); err != nil {
 		t.Fatal(err)
 	}
@@ -275,17 +275,7 @@ func TestAddObjectsIngestAndAnnounce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	c := netproto.NewConn(nc)
-	if err := c.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "invalidations"}}); err != nil {
-		t.Fatal(err)
-	}
-	regDeadline := time.Now().Add(5 * time.Second)
-	for repo.Subscribers() == 0 {
-		if time.Now().After(regDeadline) {
-			t.Fatal("subscription never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	c := handshake(t, nc, "invalidations")
 
 	base := repo.cfg.Survey.NumObjects()
 	births := []model.Birth{
