@@ -21,7 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/deltacache/delta/internal/cache"
 	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/client"
 	"github.com/deltacache/delta/internal/cluster"
@@ -744,172 +743,6 @@ func runGrowthScenario(b *testing.B, name string, grow bool) (res growthModeResu
 	}
 	res.ObjectsBorn = cs.Aggregate.ObjectsBorn
 	return res
-}
-
-// BenchmarkObsOverhead prices the observability layer on a loopback
-// repository + cache with 16 clients, the NoCache policy and 2ms
-// repository execution: the "off" mode runs with
-// DisableObs (nil registry, nil trace ring — every instrument call is
-// a nil-receiver no-op), the "on" mode runs fully instrumented with a
-// live debug endpoint and every query traced, the worst case a real
-// deployment can configure. The modes are measured back to back in
-// one process, so the on/off q/s ratio is stable on shared runners;
-// the issue's acceptance bar is ≤5%
-// overhead (ratio ≥ 0.95), and CI's strict benchdiff gate watches the
-// qpsRatioOnOverOff key in BENCH_obs.json with -max-regress 0.05.
-func BenchmarkObsOverhead(b *testing.B) {
-	for _, mode := range []struct {
-		name       string
-		disableObs bool
-		traced     bool
-	}{
-		{name: "off", disableObs: true, traced: false},
-		{name: "on", disableObs: false, traced: true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			rate := runObsScenario(b, mode.disableObs, mode.traced, b.N)
-			b.ReportMetric(rate, "queries/s")
-		})
-	}
-	if dir := os.Getenv("BENCH_JSON_DIR"); dir != "" {
-		writeObsJSON(b, dir)
-	}
-}
-
-// runObsScenario boots the overhead topology (repository + one
-// middleware over loopback TCP), drives n queries from 16 concurrent
-// clients, tears it down, and returns the measured q/s.
-func runObsScenario(b *testing.B, disableObs, traced bool, n int) float64 {
-	b.Helper()
-	const nClients = 16
-	scfg := catalog.DefaultConfig()
-	scfg.NumObjects = 16
-	scfg.TotalSize = 16 * cost.GB
-	scfg.MinObjectSize = 100 * cost.MB
-	scfg.MaxObjectSize = 4 * cost.GB
-	survey, err := catalog.NewSurvey(scfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	repo, err := server.New(server.Config{
-		Survey:     survey,
-		Scale:      netproto.PayloadScale{},
-		ExecDelay:  2 * time.Millisecond,
-		DisableObs: disableObs,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := repo.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer repo.Close()
-	mcfg := cache.Config{
-		RepoAddr:   repo.Addr(),
-		RepoPool:   2,
-		Policy:     core.NewNoCache(),
-		Objects:    survey.Objects(),
-		Capacity:   8 * cost.GB,
-		Scale:      netproto.PayloadScale{},
-		DisableObs: disableObs,
-	}
-	if !disableObs {
-		// The instrumented mode also binds the debug mux, so the
-		// measurement includes everything `-metrics-addr` costs a node
-		// that nobody is currently scraping.
-		mcfg.MetricsAddr = "127.0.0.1:0"
-	}
-	mw, err := cache.New(mcfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := mw.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer mw.Close()
-
-	ctx := context.Background()
-	var opts []client.Option
-	if traced {
-		opts = append(opts, client.WithTrace())
-	}
-	clients := make([]*client.Client, nClients)
-	for i := range clients {
-		cl, err := client.Dial(mw.Addr(), opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cl.Close()
-		clients[i] = cl
-	}
-
-	var next atomic.Int64
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < nClients; c++ {
-		wg.Add(1)
-		go func(cl *client.Client) {
-			defer wg.Done()
-			for {
-				i := next.Add(1)
-				if i > int64(n) {
-					return
-				}
-				if _, err := cl.Query(ctx, model.Query{
-					ID:        model.QueryID(i),
-					Objects:   []model.ObjectID{model.ObjectID(i%16 + 1)},
-					Cost:      cost.MB,
-					Tolerance: model.AnyStaleness,
-					Time:      time.Duration(i) * time.Millisecond,
-				}); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(clients[c])
-	}
-	wg.Wait()
-	return float64(n) / time.Since(start).Seconds()
-}
-
-// writeObsJSON measures both modes back to back at a fixed iteration
-// count — independent of b.N, so CI's -benchtime=1x trajectory run
-// still produces a stable ratio — and records the comparison for the
-// perf trajectory. qpsRatioOnOverOff is higher-is-better (1.0 = free,
-// 0.95 = the acceptance bar) and is what the strict benchdiff gate on
-// main checks.
-func writeObsJSON(b *testing.B, dir string) {
-	b.Helper()
-	const iters = 3000
-	qpsOff := runObsScenario(b, true, false, iters)
-	qpsOn := runObsScenario(b, false, true, iters)
-	out := struct {
-		Benchmark         string    `json:"benchmark"`
-		Timestamp         time.Time `json:"timestamp"`
-		QPSOff            float64   `json:"qpsObsOff"`
-		QPSOn             float64   `json:"qpsObsOn"`
-		QPSRatioOnOverOff float64   `json:"qpsRatioOnOverOff"`
-		OverheadFraction  float64   `json:"overheadFraction"`
-	}{
-		Benchmark: "BenchmarkObsOverhead",
-		Timestamp: time.Now().UTC(),
-		QPSOff:    qpsOff,
-		QPSOn:     qpsOn,
-	}
-	if qpsOff > 0 {
-		out.QPSRatioOnOverOff = qpsOn / qpsOff
-		out.OverheadFraction = 1 - out.QPSRatioOnOverOff
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(dir, "BENCH_obs.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("wrote %s (on/off ratio %.3f, overhead %.1f%%)",
-		path, out.QPSRatioOnOverOff, out.OverheadFraction*100)
 }
 
 // BenchmarkReplicaHedging prices K-way replication and the hedged-read

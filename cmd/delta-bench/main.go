@@ -1,7 +1,6 @@
 // Command delta-bench regenerates every table and figure of the paper's
 // evaluation (Section 6). Each experiment writes a CSV under -outdir and
-// prints a markdown summary to stdout; EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// prints a markdown summary to stdout.
 //
 //	delta-bench -exp all -scale 0.2 -outdir results/
 //	delta-bench -exp fig7b -scale 1            # the full 500k-event run

@@ -22,20 +22,19 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/deltacache/delta/internal/catalog"
-	"github.com/deltacache/delta/internal/clock"
 	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/geom"
 	"github.com/deltacache/delta/internal/htm"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
+	"github.com/deltacache/delta/internal/node"
 	"github.com/deltacache/delta/internal/obs"
 	"github.com/deltacache/delta/internal/persist"
 )
@@ -98,9 +97,6 @@ type Config struct {
 	// resource per cache node — which is what makes sharded-cluster
 	// scaling measurable on one machine. Zero disables.
 	ExecDelay time.Duration
-	// Clock paces ExecDelay; nil means the wall clock. Tests inject a
-	// fake clock so simulated scan time costs no real time.
-	Clock clock.Clock
 	// Resolver maps a sky cap to the object IDs whose partitions may
 	// intersect it (typically catalog.Survey.CoverCap). When set,
 	// queries arriving with a SkyRegion instead of an object list are
@@ -135,20 +131,17 @@ type Config struct {
 	// MetricsAddr, when set, binds the node's debug HTTP endpoint
 	// (/metrics, /healthz, /debug/traces, /debug/pprof) on Start — the
 	// -metrics-addr flag. Empty disables the listener; metrics and
-	// traces are still collected unless DisableObs is set.
+	// traces are still collected.
 	MetricsAddr string
-	// DisableObs turns off all metric and trace collection (nil
-	// registry, nil ring): the baseline BenchmarkObsOverhead compares
-	// against.
-	DisableObs bool
 	// Logf logs events; nil silences.
 	Logf func(format string, args ...any)
 }
 
-// Middleware is a running cache node.
+// Middleware is a running cache node. The embedded runtime provides
+// Start, Addr, DebugAddr and Close.
 type Middleware struct {
+	*node.Node
 	cfg    Config
-	ln     net.Listener
 	ledger cost.Ledger
 	repo   *netproto.Session
 
@@ -186,8 +179,6 @@ type Middleware struct {
 	// mu) so snapshots carry full-fidelity growth for the next restart.
 	store  *persist.Store
 	births []model.Birth
-	// stop ends the snapshot loop on Close.
-	stop chan struct{}
 
 	queries       atomic.Int64
 	atCache       atomic.Int64
@@ -200,24 +191,11 @@ type Middleware struct {
 	recoveredWarm atomic.Int64
 	replicas      atomic.Int64 // deployed replication factor K (≥ 1)
 
-	// Observability (all nil under Config.DisableObs; every use is
-	// nil-safe).
-	reg      *obs.Registry
-	traces   *obs.TraceRing
-	debug    *obs.DebugServer
 	queryLat *obs.Histogram
 	loadLat  *obs.Histogram
 	fsyncLat *obs.Histogram
 
 	inv *netproto.Conn // invalidation subscription
-	wg  sync.WaitGroup
-
-	// connMu guards the accepted-connection set so Close can sever
-	// live clients (a dead shard must not linger because a router
-	// still holds a session to it).
-	connMu  sync.Mutex
-	conns   map[net.Conn]struct{}
-	closing bool
 }
 
 // plan lists the repository I/O a committed decision still owes, plus
@@ -247,17 +225,11 @@ func New(cfg Config) (*Middleware, error) {
 	if len(cfg.Objects) == 0 {
 		return nil, fmt.Errorf("cache: object universe required")
 	}
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
-	}
 	if cfg.RepoPool <= 0 {
 		cfg.RepoPool = 2
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.Wall{}
 	}
 	if cfg.Policy == nil {
 		if cfg.PolicyFactory != nil {
@@ -271,25 +243,20 @@ func New(cfg Config) (*Middleware, error) {
 		cfg:      cfg,
 		policy:   cfg.Policy,
 		resident: make(map[model.ObjectID]struct{}),
-		conns:    make(map[net.Conn]struct{}),
 		byID:     newObjectTable(len(cfg.Objects)),
-		stop:     make(chan struct{}),
 	}
+	m.Node = node.New("cache", cfg.Addr, cfg.MetricsAddr, cfg.Logf, m.handleClientFrame)
 	m.replicas.Store(int64(max(cfg.Replicas, 1)))
 	if cfg.Resolver != nil {
 		m.covers = htm.NewCoverCache(256)
 	}
-	if !cfg.DisableObs {
-		m.reg = obs.NewRegistry()
-		m.traces = obs.NewTraceRing(0)
-		m.queryLat = m.reg.NewHistogram("delta_query_seconds",
-			"End-to-end query handling latency at this cache node (fragment or whole query).", nil)
-		m.loadLat = m.reg.NewHistogram("delta_load_seconds",
-			"Repository object-load round-trip latency.", nil)
-		m.fsyncLat = m.reg.NewHistogram("delta_journal_fsync_seconds",
-			"Durability journal fsync latency.", nil)
-		obs.RegisterStats(m.reg, func() (netproto.StatsMsg, error) { return m.Stats(), nil })
-	}
+	m.queryLat = m.Reg.NewHistogram("delta_query_seconds",
+		"End-to-end query handling latency at this cache node (fragment or whole query).", nil)
+	m.loadLat = m.Reg.NewHistogram("delta_load_seconds",
+		"Repository object-load round-trip latency.", nil)
+	m.fsyncLat = m.Reg.NewHistogram("delta_journal_fsync_seconds",
+		"Durability journal fsync latency.", nil)
+	obs.RegisterStats(m.Reg, func() (netproto.StatsMsg, error) { return m.Stats(), nil })
 	for _, o := range cfg.Objects {
 		m.byID.put(o)
 	}
@@ -408,8 +375,24 @@ func New(cfg Config) (*Middleware, error) {
 		m.closeStore()
 		return nil, fmt.Errorf("cache: subscribe invalidations: %w", err)
 	}
-	m.wg.Add(1)
-	go m.invalidationLoop(m.inv)
+	// Closing the session and the stream fails every handler's pending
+	// repository round trip and ends the invalidation loop.
+	m.Unblock = func() {
+		m.repo.Close()
+		m.inv.Close()
+	}
+	m.Go(func() { m.invalidationLoop(m.inv) })
+	if m.store != nil {
+		// The interval only bounds journal replay length: reshards
+		// snapshot on their own, and Close lands a final one, so a clean
+		// shutdown (SIGTERM included) never loses warmth to the journal
+		// window.
+		m.Every(cfg.SnapshotInterval, m.snapshotNow)
+		m.Final = func() error {
+			m.snapshotNow()
+			return m.store.Close()
+		}
+	}
 
 	// Apply any preload the policy requests (Replica/SOptimal).
 	if pre, ok := m.policy.(core.Preloader); ok {
@@ -423,10 +406,6 @@ func New(cfg Config) (*Middleware, error) {
 			m.resident[id] = struct{}{}
 			m.mu.Unlock()
 		}
-	}
-	if m.store != nil {
-		m.wg.Add(1)
-		go m.snapshotLoop()
 	}
 	return m, nil
 }
@@ -525,27 +504,6 @@ func (m *Middleware) snapshotNow() {
 	}
 }
 
-// snapshotLoop writes periodic snapshots until Close. The interval only
-// bounds journal replay length: reshards and Close snapshot on their
-// own.
-func (m *Middleware) snapshotLoop() {
-	defer m.wg.Done()
-	interval := m.cfg.SnapshotInterval
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-t.C:
-			m.snapshotNow()
-		}
-	}
-}
-
 // journalPlan records a committed decision's residency changes in the
 // durability journal. Admissions are journaled optimistically alongside
 // the optimistic residency commit: a load that later fails leaves a
@@ -572,41 +530,6 @@ func (m *Middleware) journalPlan(p plan) {
 			return
 		}
 	}
-}
-
-// Start begins serving clients.
-func (m *Middleware) Start() error {
-	ln, err := net.Listen("tcp", m.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("cache: listen: %w", err)
-	}
-	m.ln = ln
-	if m.cfg.MetricsAddr != "" {
-		dbg, err := obs.ServeDebug(m.cfg.MetricsAddr, m.reg, m.traces)
-		if err != nil {
-			ln.Close()
-			m.ln = nil
-			return fmt.Errorf("cache: metrics listen: %w", err)
-		}
-		m.debug = dbg
-		m.cfg.Logf("cache debug endpoint on %s", dbg.Addr())
-	}
-	m.wg.Add(1)
-	go m.acceptLoop()
-	m.cfg.Logf("cache listening on %s (policy %s)", ln.Addr(), m.policy.Name())
-	return nil
-}
-
-// DebugAddr reports the bound debug (metrics) address, or "" when no
-// debug endpoint is serving.
-func (m *Middleware) DebugAddr() string { return m.debug.Addr() }
-
-// Addr returns the client-facing address, or "" before Start.
-func (m *Middleware) Addr() string {
-	if m.ln == nil {
-		return ""
-	}
-	return m.ln.Addr().String()
 }
 
 // Ledger returns a snapshot of the cache's traffic accounting.
@@ -647,61 +570,7 @@ func (m *Middleware) Stats() netproto.StatsMsg {
 	return stats
 }
 
-// Close shuts the middleware down, severing live client connections.
-// When persistence is enabled, a final snapshot lands before the store
-// closes — a clean shutdown (SIGTERM included) never loses warmth to
-// the journal window.
-func (m *Middleware) Close() error {
-	var err error
-	if m.ln != nil {
-		err = m.ln.Close()
-	}
-	m.connMu.Lock()
-	already := m.closing
-	m.closing = true
-	for c := range m.conns {
-		c.Close()
-	}
-	m.connMu.Unlock()
-	if !already {
-		close(m.stop)
-	}
-	if m.debug != nil {
-		m.debug.Close()
-	}
-	m.repo.Close()
-	m.inv.Close()
-	m.wg.Wait()
-	if m.store != nil && !already {
-		m.snapshotNow()
-		if cerr := m.store.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// track registers an accepted connection for Close; it reports false
-// (and closes the connection) when the middleware is already closing.
-func (m *Middleware) track(c net.Conn) bool {
-	m.connMu.Lock()
-	defer m.connMu.Unlock()
-	if m.closing {
-		c.Close()
-		return false
-	}
-	m.conns[c] = struct{}{}
-	return true
-}
-
-func (m *Middleware) untrack(c net.Conn) {
-	m.connMu.Lock()
-	delete(m.conns, c)
-	m.connMu.Unlock()
-}
-
 func (m *Middleware) invalidationLoop(c *netproto.Conn) {
-	defer m.wg.Done()
 	ctx := context.Background()
 	for {
 		f, err := c.Recv()
@@ -758,39 +627,6 @@ func (m *Middleware) invalidationLoop(c *netproto.Conn) {
 			m.cfg.Logf("apply update decision: %v", err)
 		}
 	}
-}
-
-func (m *Middleware) acceptLoop() {
-	defer m.wg.Done()
-	for {
-		conn, err := m.ln.Accept()
-		if err != nil {
-			return
-		}
-		if !m.track(conn) {
-			return
-		}
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			defer m.untrack(conn)
-			defer conn.Close()
-			if err := m.serveClient(netproto.NewConn(conn)); err != nil {
-				m.cfg.Logf("client %s: %v", conn.RemoteAddr(), err)
-			}
-		}()
-	}
-}
-
-func (m *Middleware) serveClient(c *netproto.Conn) error {
-	hello, err := netproto.ReadHello(c)
-	if err != nil {
-		return netproto.IgnoreClosed(err)
-	}
-	if _, err := netproto.ServeHandshake(c, hello, 0); err != nil {
-		return netproto.IgnoreClosed(err)
-	}
-	return netproto.ServeMux(c, 0, m.handleClientFrame, m.cfg.Logf)
 }
 
 // orError turns a handler's failure into the MsgError reply its peer
@@ -956,7 +792,7 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 				meta.span(m.Addr(), len(q.Objects), res.Source, res.Elapsed),
 			}, res.Spans...)
 			res.Spans = spans
-			m.traces.Add(meta.traceID, spans)
+			m.Traces.Add(meta.traceID, spans)
 		}
 		return netproto.Frame{Type: netproto.MsgQueryResult, Body: res}
 	}
@@ -969,7 +805,7 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 	}
 	if m.cfg.ExecDelay > 0 {
 		m.execMu.Lock()
-		m.cfg.Clock.Sleep(m.cfg.ExecDelay)
+		time.Sleep(m.cfg.ExecDelay)
 		m.execMu.Unlock()
 	}
 	var result netproto.QueryResultMsg
@@ -986,7 +822,7 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 		result.Spans = []netproto.TraceSpan{
 			meta.span(m.Addr(), len(q.Objects), result.Source, result.Elapsed),
 		}
-		m.traces.Add(meta.traceID, result.Spans)
+		m.Traces.Add(meta.traceID, result.Spans)
 	}
 	return netproto.Frame{Type: netproto.MsgQueryResult, Body: result, Release: release}
 }

@@ -77,7 +77,7 @@ func TestChaosProcessKill(t *testing.T) {
 		return cmd
 	}
 
-	spawn("repo", "delta-server",
+	repoProc := spawn("repo", "delta-server",
 		"-addr", repoAddr,
 		"-objects", fmt.Sprint(objects), "-seed", fmt.Sprint(seed))
 	waitListening(t, repoAddr)
@@ -165,6 +165,22 @@ func TestChaosProcessKill(t *testing.T) {
 	}
 	if cs.Aggregate.Replicas != replicas {
 		t.Errorf("aggregate reports K=%d, want %d", cs.Aggregate.Replicas, replicas)
+	}
+
+	// A node severs its peers on shutdown: the repository exits on
+	// SIGTERM with two shards and the router still connected to it.
+	if err := repoProc.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatalf("SIGTERM repository: %v", err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- repoProc.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Errorf("repository exited uncleanly on SIGTERM: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("repository still running 5s after SIGTERM with peers connected")
 	}
 }
 

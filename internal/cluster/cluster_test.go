@@ -38,8 +38,8 @@ func startCluster(t *testing.T, shards int, policy func(int) core.Policy) (*cata
 	return survey, repo, lc
 }
 
-// startRepository starts a 16-object repository on loopback.
-func startRepository(t *testing.T) (*catalog.Survey, *server.Repository) {
+// testSurvey builds the 16-object survey most tests here run on.
+func testSurvey(t *testing.T) *catalog.Survey {
 	t.Helper()
 	scfg := catalog.DefaultConfig()
 	scfg.NumObjects = 16
@@ -50,6 +50,13 @@ func startRepository(t *testing.T) (*catalog.Survey, *server.Repository) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return survey
+}
+
+// startRepository starts a 16-object repository on loopback.
+func startRepository(t *testing.T) (*catalog.Survey, *server.Repository) {
+	t.Helper()
+	survey := testSurvey(t)
 	repo, err := server.New(server.Config{Survey: survey, Scale: netproto.DefaultScale()})
 	if err != nil {
 		t.Fatal(err)

@@ -48,13 +48,11 @@ func (r *Router) subscribeInvalidations() error {
 		return fmt.Errorf("cluster: subscribe invalidations: %w", err)
 	}
 	r.inv = c
-	r.wg.Add(1)
-	go r.invalidationLoop(c)
+	r.Go(func() { r.invalidationLoop(c) })
 	return nil
 }
 
 func (r *Router) invalidationLoop(c *netproto.Conn) {
-	defer r.wg.Done()
 	for {
 		f, err := c.Recv()
 		if err != nil {
@@ -90,7 +88,7 @@ func (r *Router) enqueueBirths(births []model.Birth, done chan error) bool {
 	select {
 	case r.birthCh <- birthReq{births: births, done: done}:
 		return true
-	case <-r.birthQuit:
+	case <-r.Done():
 		return false
 	}
 }
@@ -104,11 +102,10 @@ func (r *Router) enqueueBirths(births []model.Birth, done chan error) bool {
 // immediately), preserving the adopt-within-one-notification-round-trip
 // behavior single births have always had.
 func (r *Router) birthWorker() {
-	defer r.wg.Done()
 	for {
 		var reqs []birthReq
 		select {
-		case <-r.birthQuit:
+		case <-r.Done():
 			return
 		case req := <-r.birthCh:
 			reqs = append(reqs, req)
@@ -299,7 +296,7 @@ func (r *Router) handleBirths(ctx context.Context, body netproto.ObjectBirthMsg)
 		if err != nil {
 			return netproto.ErrorFrame("cluster: births published but adoption incomplete: %v", err)
 		}
-	case <-r.birthQuit:
+	case <-r.Done():
 		return netproto.ErrorFrame("cluster: router is closing")
 	}
 	return netproto.Frame{Type: netproto.MsgObjectBirth, Body: netproto.ObjectBirthMsg{

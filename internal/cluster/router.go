@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -15,6 +14,7 @@ import (
 	"github.com/deltacache/delta/internal/htm"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
+	"github.com/deltacache/delta/internal/node"
 	"github.com/deltacache/delta/internal/obs"
 )
 
@@ -95,9 +95,6 @@ type Config struct {
 	// router's /metrics is the cluster view: the aggregate StatsMsg
 	// across shards plus router-local scatter/gather counters.
 	MetricsAddr string
-	// DisableObs skips metric registration and trace recording
-	// entirely (benchmark baselines measuring instrumentation cost).
-	DisableObs bool
 	// Logf logs events; nil silences.
 	Logf func(format string, args ...any)
 }
@@ -112,9 +109,14 @@ type Config struct {
 // queries never observe a half-updated topology: a resize publishes
 // transition snapshots (with double-routing for moving objects) and
 // then the final one.
+//
+// The embedded runtime provides Start, Addr, DebugAddr and Close. Close
+// severs live client connections but leaves the shards running (they
+// are not the router's to stop); in-flight scatters fail promptly,
+// because closing the shard sessions fails their pending round trips.
 type Router struct {
+	*node.Node
 	cfg Config
-	ln  net.Listener
 
 	// routing is the current epoch snapshot; queries load it once and
 	// route entirely against that view.
@@ -155,10 +157,9 @@ type Router struct {
 
 	// birthCh feeds the birth adoption worker, which drains whatever
 	// announcements and publications have queued and adopts them as one
-	// batch — one ownership extension, one grant frame per shard.
-	// birthQuit stops the worker; both are nil without RepoAddr.
-	birthCh   chan birthReq
-	birthQuit chan struct{}
+	// batch — one ownership extension, one grant frame per shard. Nil
+	// without RepoAddr.
+	birthCh chan birthReq
 
 	queries      atomic.Int64
 	scattered    atomic.Int64 // queries split across ≥2 shards
@@ -169,21 +170,8 @@ type Router struct {
 	births       atomic.Int64 // born objects adopted into routing
 	grantBatches atomic.Int64 // batched birth-grant frames shipped to shards
 
-	// reg/traces/debug are the router's observability surface; all nil
-	// under Config.DisableObs (every use is nil-safe).
-	reg       *obs.Registry
-	traces    *obs.TraceRing
-	debug     *obs.DebugServer
 	routerLat *obs.Histogram // end-to-end scatter/gather latency
 	fragLat   *obs.Histogram // per-fragment shard round-trip latency
-
-	wg sync.WaitGroup
-
-	// connMu guards the accepted-connection set so Close can sever
-	// live clients instead of waiting for them to hang up.
-	connMu  sync.Mutex
-	conns   map[net.Conn]struct{}
-	closing bool
 }
 
 // routing is one immutable routing epoch: the ownership map, the shard
@@ -221,9 +209,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: ownership spans %d shards, router fronts %d",
 			cfg.Ownership.Shards(), len(cfg.Shards))
 	}
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
-	}
 	if cfg.ShardPool <= 0 {
 		cfg.ShardPool = 2
 	}
@@ -244,73 +229,70 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:   cfg,
-		conns: make(map[net.Conn]struct{}),
 		links: make(map[string]*shardLink),
 	}
+	r.Node = node.New("cluster router", cfg.Addr, cfg.MetricsAddr, cfg.Logf, r.handleClientFrame)
+	r.Unblock = r.release
 	if cfg.Resolver != nil {
 		r.covers = htm.NewCoverCache(256)
 	}
-	if !cfg.DisableObs {
-		r.reg = obs.NewRegistry()
-		r.traces = obs.NewTraceRing(obs.DefaultTraceRing)
-		r.routerLat = r.reg.NewHistogram("delta_router_query_seconds",
-			"End-to-end scatter/gather latency of routed queries.", nil)
-		r.fragLat = r.reg.NewHistogram("delta_router_fragment_seconds",
-			"Per-fragment shard round-trip latency (successful attempts); its p99 derives the hedge delay.", nil)
-		r.reg.NewCounterFunc("delta_router_queries_total",
-			"Client queries routed by this router.",
-			func() float64 { return float64(r.queries.Load()) })
-		r.reg.NewCounterFunc("delta_router_scattered_total",
-			"Routed queries split across two or more shards.",
-			func() float64 { return float64(r.scattered.Load()) })
-		r.reg.NewCounterFunc("delta_router_degraded_total",
-			"Routed queries answered without every fragment.",
-			func() float64 { return float64(r.degraded.Load()) })
-		r.reg.NewCounterFunc("delta_router_rerouted_total",
-			"Failed fragments fully recovered via an alternate owner.",
-			func() float64 { return float64(r.rerouted.Load()) })
-		r.reg.NewCounterFunc("delta_router_failover_total",
-			"Failed fragments fully recovered via a non-primary replica.",
-			func() float64 { return float64(r.failover.Load()) })
-		r.reg.NewCounterFunc("delta_router_hedged_total",
-			"Hedged replica attempts fired for slow primaries.",
-			func() float64 { return float64(r.hedged.Load()) })
-		r.reg.NewCounterFunc("delta_router_births_total",
-			"Born objects adopted into the routing universe.",
-			func() float64 { return float64(r.births.Load()) })
-		r.reg.NewCounterFunc("delta_router_grant_batches_total",
-			"Batched birth-grant frames shipped to shards (each may carry many births).",
-			func() float64 { return float64(r.grantBatches.Load()) })
-		r.reg.NewCounterFunc("delta_router_result_cache_hits_total",
-			"Routed queries answered from the router's invalidation-aware result cache.",
-			func() float64 { return float64(r.results.Hits()) })
-		r.reg.NewCounterFunc("delta_router_result_cache_misses_total",
-			"Routed queries that missed the result cache and scattered (or coalesced).",
-			func() float64 { return float64(r.results.Misses()) })
-		r.reg.NewCounterFunc("delta_router_result_cache_invalidations_total",
-			"Cached results evicted by the invalidation stream, birth adoptions, or epoch flips.",
-			func() float64 { return float64(r.results.Invalidations()) })
-		r.reg.NewCounterFunc("delta_router_coalesced_total",
-			"Queries that joined an identical in-flight query's scatter instead of scattering.",
-			func() float64 { return float64(r.results.Coalesced()) })
-		r.reg.NewGaugeFunc("delta_router_shards",
-			"Shards in the current routing epoch.",
-			func() float64 { return float64(len(r.routing.Load().links)) })
-		r.reg.NewGaugeFunc("delta_router_epoch",
-			"Current routing epoch (completed resizes).",
-			func() float64 { return float64(r.routing.Load().epoch) })
-		// The StatsMsg families on a router expose the cluster
-		// aggregate. A degraded probe (a shard down) reports an error so
-		// the scrape serves the last complete snapshot instead of a view
-		// with a shard's counters missing.
-		obs.RegisterStats(r.reg, func() (netproto.StatsMsg, error) {
-			cs := r.clusterStats(context.Background())
-			if cs.Degraded {
-				return cs.Aggregate, fmt.Errorf("cluster: stats probe degraded")
-			}
-			return cs.Aggregate, nil
-		})
-	}
+	r.routerLat = r.Reg.NewHistogram("delta_router_query_seconds",
+		"End-to-end scatter/gather latency of routed queries.", nil)
+	r.fragLat = r.Reg.NewHistogram("delta_router_fragment_seconds",
+		"Per-fragment shard round-trip latency (successful attempts); its p99 derives the hedge delay.", nil)
+	r.Reg.NewCounterFunc("delta_router_queries_total",
+		"Client queries routed by this router.",
+		func() float64 { return float64(r.queries.Load()) })
+	r.Reg.NewCounterFunc("delta_router_scattered_total",
+		"Routed queries split across two or more shards.",
+		func() float64 { return float64(r.scattered.Load()) })
+	r.Reg.NewCounterFunc("delta_router_degraded_total",
+		"Routed queries answered without every fragment.",
+		func() float64 { return float64(r.degraded.Load()) })
+	r.Reg.NewCounterFunc("delta_router_rerouted_total",
+		"Failed fragments fully recovered via an alternate owner.",
+		func() float64 { return float64(r.rerouted.Load()) })
+	r.Reg.NewCounterFunc("delta_router_failover_total",
+		"Failed fragments fully recovered via a non-primary replica.",
+		func() float64 { return float64(r.failover.Load()) })
+	r.Reg.NewCounterFunc("delta_router_hedged_total",
+		"Hedged replica attempts fired for slow primaries.",
+		func() float64 { return float64(r.hedged.Load()) })
+	r.Reg.NewCounterFunc("delta_router_births_total",
+		"Born objects adopted into the routing universe.",
+		func() float64 { return float64(r.births.Load()) })
+	r.Reg.NewCounterFunc("delta_router_grant_batches_total",
+		"Batched birth-grant frames shipped to shards (each may carry many births).",
+		func() float64 { return float64(r.grantBatches.Load()) })
+	r.Reg.NewCounterFunc("delta_router_result_cache_hits_total",
+		"Routed queries answered from the router's invalidation-aware result cache.",
+		func() float64 { return float64(r.results.Hits()) })
+	r.Reg.NewCounterFunc("delta_router_result_cache_misses_total",
+		"Routed queries that missed the result cache and scattered (or coalesced).",
+		func() float64 { return float64(r.results.Misses()) })
+	r.Reg.NewCounterFunc("delta_router_result_cache_invalidations_total",
+		"Cached results evicted by the invalidation stream, birth adoptions, or epoch flips.",
+		func() float64 { return float64(r.results.Invalidations()) })
+	r.Reg.NewCounterFunc("delta_router_coalesced_total",
+		"Queries that joined an identical in-flight query's scatter instead of scattering.",
+		func() float64 { return float64(r.results.Coalesced()) })
+	r.Reg.NewGaugeFunc("delta_router_shards",
+		"Shards in the current routing epoch.",
+		func() float64 { return float64(len(r.routing.Load().links)) })
+	r.Reg.NewGaugeFunc("delta_router_epoch",
+		"Current routing epoch (completed resizes).",
+		func() float64 { return float64(r.routing.Load().epoch) })
+	// The StatsMsg families on a router expose the cluster
+	// aggregate. A degraded probe (a shard down) reports an error so
+	// the scrape serves the last complete snapshot instead of a view
+	// with a shard's counters missing.
+	obs.RegisterStats(r.Reg, func() (netproto.StatsMsg, error) {
+		cs := r.clusterStats(context.Background())
+		if cs.Degraded {
+			return cs.Aggregate, fmt.Errorf("cluster: stats probe degraded")
+		}
+		return cs.Aggregate, nil
+	})
 	rt := &routing{own: cfg.Ownership}
 	for i, addr := range cfg.Shards {
 		link, err := r.dialLink(addr, i)
@@ -346,9 +328,7 @@ func NewRouter(cfg Config) (*Router, error) {
 			return nil, err
 		}
 		r.birthCh = make(chan birthReq, 64)
-		r.birthQuit = make(chan struct{})
-		r.wg.Add(1)
-		go r.birthWorker()
+		r.Go(r.birthWorker)
 	}
 	return r, nil
 }
@@ -421,72 +401,15 @@ func (r *Router) dropLink(addr string) {
 	}
 }
 
-// Start begins serving clients.
-func (r *Router) Start() error {
-	ln, err := net.Listen("tcp", r.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("cluster: listen: %w", err)
-	}
-	r.ln = ln
-	if r.cfg.MetricsAddr != "" {
-		debug, err := obs.ServeDebug(r.cfg.MetricsAddr, r.reg, r.traces)
-		if err != nil {
-			ln.Close()
-			r.ln = nil
-			return fmt.Errorf("cluster: metrics listen: %w", err)
-		}
-		r.debug = debug
-		r.cfg.Logf("cluster router metrics on http://%s/metrics", debug.Addr())
-	}
-	r.wg.Add(1)
-	go r.acceptLoop()
-	rt := r.routing.Load()
-	r.cfg.Logf("cluster router listening on %s (%d shards, %s ownership)",
-		ln.Addr(), len(rt.links), rt.own.Mode())
-	return nil
-}
-
-// DebugAddr returns the debug HTTP server's address, or "" when no
-// MetricsAddr was configured or Start has not run.
-func (r *Router) DebugAddr() string { return r.debug.Addr() }
-
-// Addr returns the client-facing address, or "" before Start.
-func (r *Router) Addr() string {
-	if r.ln == nil {
-		return ""
-	}
-	return r.ln.Addr().String()
-}
-
-// Close shuts the router down, severing live client connections (the
-// shards keep running; they are not the router's to stop). In-flight
-// scatters fail promptly: closing the shard sessions fails their
-// pending round trips, so no handler goroutine lingers past wg.Wait.
-func (r *Router) Close() error {
-	var err error
-	if r.ln != nil {
-		err = r.ln.Close()
-	}
-	r.debug.Close()
-	r.connMu.Lock()
-	again := r.closing
-	r.closing = true
-	for c := range r.conns {
-		c.Close()
-	}
-	r.connMu.Unlock()
+// release is the runtime's Unblock hook: closing the repository session,
+// the invalidation stream and every shard session fails the round trips
+// handlers wait on and ends the invalidation loop.
+func (r *Router) release() {
 	if r.repo != nil {
 		r.repo.Close()
-	}
-	if r.inv != nil {
 		r.inv.Close()
 	}
-	if r.birthQuit != nil && !again {
-		close(r.birthQuit)
-	}
 	r.closeLinks()
-	r.wg.Wait()
-	return err
 }
 
 func (r *Router) closeLinks() {
@@ -500,50 +423,6 @@ func (r *Router) closeLinks() {
 	for _, l := range links {
 		l.sess.Close()
 	}
-}
-
-func (r *Router) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			return
-		}
-		r.connMu.Lock()
-		if r.closing {
-			r.connMu.Unlock()
-			conn.Close()
-			return
-		}
-		r.conns[conn] = struct{}{}
-		r.connMu.Unlock()
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer func() {
-				r.connMu.Lock()
-				delete(r.conns, conn)
-				r.connMu.Unlock()
-				conn.Close()
-			}()
-			if err := r.serveClient(netproto.NewConn(conn)); err != nil {
-				r.cfg.Logf("client %s: %v", conn.RemoteAddr(), err)
-			}
-		}()
-	}
-}
-
-// serveClient mirrors the cache's client lifecycle: Hello → HelloAck,
-// then multiplexed dispatch.
-func (r *Router) serveClient(c *netproto.Conn) error {
-	hello, err := netproto.ReadHello(c)
-	if err != nil {
-		return netproto.IgnoreClosed(err)
-	}
-	if _, err := netproto.ServeHandshake(c, hello, 0); err != nil {
-		return netproto.IgnoreClosed(err)
-	}
-	return netproto.ServeMux(c, 0, r.handleClientFrame, r.cfg.Logf)
 }
 
 func (r *Router) handleClientFrame(f netproto.Frame) netproto.Frame {
@@ -695,7 +574,7 @@ func (r *Router) serveShared(q *model.Query, res *netproto.QueryResultMsg, trace
 			Detail:  detail,
 			Elapsed: elapsed,
 		}}
-		r.traces.Add(traceID, out.Spans)
+		r.Traces.Add(traceID, out.Spans)
 	}
 	return netproto.Frame{Type: netproto.MsgQueryResult, Body: out}
 }
@@ -827,7 +706,7 @@ func (r *Router) scatterQuery(ctx context.Context, q *model.Query, traceID uint6
 			Detail:    detail,
 			Elapsed:   elapsed,
 		}}, merged.Spans...)
-		r.traces.Add(traceID, merged.Spans)
+		r.Traces.Add(traceID, merged.Spans)
 	}
 	return netproto.Frame{Type: netproto.MsgQueryResult, Body: merged}
 }
@@ -859,9 +738,9 @@ func (r *Router) shardRoundTrip(ctx context.Context, fr fragment) (netproto.Quer
 	return res, nil
 }
 
-// minimum hedge delay while the fragment-latency histogram is cold (or
-// observability is disabled): high enough that a healthy same-host
-// round trip never hedges, low enough to cut a straggler's tail.
+// minimum hedge delay while the fragment-latency histogram is cold:
+// high enough that a healthy same-host round trip never hedges, low
+// enough to cut a straggler's tail.
 const defaultHedgeDelay = 2 * time.Millisecond
 
 // hedgeDelaySamples is how many fragment latencies must be observed
@@ -875,7 +754,7 @@ func (r *Router) hedgeDelay() time.Duration {
 	if r.cfg.HedgeDelay > 0 {
 		return r.cfg.HedgeDelay
 	}
-	if r.fragLat != nil && r.fragLat.Count() >= hedgeDelaySamples {
+	if r.fragLat.Count() >= hedgeDelaySamples {
 		if p99 := r.fragLat.Quantile(0.99); p99 > 0 {
 			return max(time.Duration(p99*float64(time.Second)), defaultHedgeDelay)
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/deltacache/delta/internal/cache"
-	"github.com/deltacache/delta/internal/clock"
 	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/geom"
@@ -51,8 +50,6 @@ type LocalConfig struct {
 	// — how tests and BenchmarkReplicaHedging make one shard a
 	// straggler. Return a negative duration for "no override".
 	ShardExecDelay func(shard int) time.Duration
-	// Clock paces each shard's ExecDelay; nil means the wall clock.
-	Clock clock.Clock
 	// RepoPool is each shard's repository session pool size.
 	RepoPool int
 	// RouterPool is the router's per-shard session pool size.
@@ -75,9 +72,6 @@ type LocalConfig struct {
 	// SnapshotInterval paces each persistent shard's snapshot loop
 	// (cache.Config.SnapshotInterval).
 	SnapshotInterval time.Duration
-	// DisableObs spawns every node without metrics registries or trace
-	// rings — the baseline side of BenchmarkObsOverhead.
-	DisableObs bool
 	// Logf logs events; nil silences.
 	Logf func(format string, args ...any)
 }
@@ -129,7 +123,6 @@ func SpawnLocal(cfg LocalConfig) (*LocalCluster, error) {
 		ResolverGrow:    cfg.ResolverGrow,
 		Hedge:           cfg.Hedge,
 		HedgeDelay:      cfg.HedgeDelay,
-		DisableObs:      cfg.DisableObs,
 		Logf:            cfg.Logf,
 	})
 	if err != nil {
@@ -185,11 +178,9 @@ func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, er
 		ReshardCapacity:  reshardCapacity,
 		Scale:            cfg.Scale,
 		ExecDelay:        execDelay,
-		Clock:            cfg.Clock,
 		Replicas:         max(cfg.Replicas, 1),
 		DataDir:          dataDir,
 		SnapshotInterval: cfg.SnapshotInterval,
-		DisableObs:       cfg.DisableObs,
 		Logf:             cfg.Logf,
 	})
 	if err != nil {

@@ -54,11 +54,11 @@ func ReadHello(c *Conn) (Hello, error) {
 		return Hello{}, err
 	}
 	if err != nil {
-		return Hello{}, refuse(c, fmt.Errorf("netproto: expected a v%d hello: %w", ProtoV3, err))
+		return Hello{}, Refuse(c, fmt.Errorf("netproto: expected a v%d hello: %w", ProtoV3, err))
 	}
 	hello, ok := first.Body.(Hello)
 	if !ok {
-		return Hello{}, refuse(c, fmt.Errorf("netproto: expected a v%d hello, got %s", ProtoV3, first.Type))
+		return Hello{}, Refuse(c, fmt.Errorf("netproto: expected a v%d hello, got %s", ProtoV3, first.Type))
 	}
 	return hello, nil
 }
@@ -75,15 +75,15 @@ func ReadHello(c *Conn) (Hello, error) {
 // calls ServeHandshake(c, hello, 0). Delete both with that call.
 func ServeHandshake(c *Conn, hello Hello, _ int) (int, error) {
 	if hello.Version < ProtoV3 {
-		return 0, refuse(c, fmt.Errorf("netproto: peer speaks protocol v%d, this node speaks only v%d (rebuild and restart the peer)", hello.Version, ProtoV3))
+		return 0, Refuse(c, fmt.Errorf("netproto: peer speaks protocol v%d, this node speaks only v%d (rebuild and restart the peer)", hello.Version, ProtoV3))
 	}
 	return ProtoV3, c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV3}})
 }
 
-// refuse tells a peer why its connection is about to be closed and
+// Refuse tells a peer why its connection is about to be closed and
 // returns err for the caller to close it on. Best effort: the close
 // happens whether or not the MsgError lands.
-func refuse(c *Conn, err error) error {
+func Refuse(c *Conn, err error) error {
 	_ = c.Send(ErrorFrame("%v", err))
 	return err
 }

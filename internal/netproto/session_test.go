@@ -295,16 +295,16 @@ func TestSessionFailsPendingOnDisconnect(t *testing.T) {
 // hanging.
 func TestSessionPoolExhaustedUnderCancellation(t *testing.T) {
 	var (
-		connMu   sync.Mutex
-		accepted []*Conn
+		acceptedMu sync.Mutex
+		accepted   []*Conn
 	)
 	addr := listen(t, func(c *Conn) {
 		if !accept(c) {
 			return
 		}
-		connMu.Lock()
+		acceptedMu.Lock()
 		accepted = append(accepted, c)
-		connMu.Unlock()
+		acceptedMu.Unlock()
 		for { // swallow requests, never reply
 			if _, err := c.Recv(); err != nil {
 				return
@@ -357,11 +357,11 @@ func TestSessionPoolExhaustedUnderCancellation(t *testing.T) {
 
 	// Kill every pooled connection: the session is exhausted and must
 	// fail fast, not hang waiting for a reply that cannot come.
-	connMu.Lock()
+	acceptedMu.Lock()
 	for _, c := range accepted {
 		c.Close()
 	}
-	connMu.Unlock()
+	acceptedMu.Unlock()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		done := make(chan error, 1)

@@ -15,16 +15,15 @@ package server
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/deltacache/delta/internal/catalog"
-	"github.com/deltacache/delta/internal/clock"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
+	"github.com/deltacache/delta/internal/node"
 	"github.com/deltacache/delta/internal/obs"
 	"github.com/deltacache/delta/internal/persist"
 )
@@ -44,9 +43,6 @@ type Config struct {
 	// tables; a loopback deployment answers in microseconds, which
 	// hides every concurrency effect). Zero disables.
 	ExecDelay time.Duration
-	// Clock paces ExecDelay; nil means the wall clock. Tests inject a
-	// fake clock so simulated execution time costs no real time.
-	Clock clock.Clock
 	// Replicas advertises the deployment's cache replication factor K
 	// in the repository's StatsMsg, so clients and operators can audit
 	// the intended K against what the cache tier reports. 0 is treated
@@ -63,20 +59,17 @@ type Config struct {
 	// MetricsAddr, when set, binds the node's debug HTTP endpoint
 	// (/metrics, /healthz, /debug/traces, /debug/pprof) on Start —
 	// the -metrics-addr flag. Empty disables the listener; metrics and
-	// traces are still collected unless DisableObs is set.
+	// traces are still collected.
 	MetricsAddr string
-	// DisableObs turns off all metric and trace collection (nil
-	// registry, nil ring): the baseline BenchmarkObsOverhead compares
-	// against.
-	DisableObs bool
 	// Logf logs server events; nil silences.
 	Logf func(format string, args ...any)
 }
 
-// Repository is a running repository node.
+// Repository is a running repository node. The embedded runtime
+// provides Start, Addr, DebugAddr and Close.
 type Repository struct {
+	*node.Node
 	cfg    Config
-	ln     net.Listener
 	ledger cost.Ledger
 	rows   []catalog.Row
 
@@ -85,32 +78,25 @@ type Repository struct {
 	perObject map[model.ObjectID][]model.UpdateID
 	freshAsOf map[model.ObjectID]time.Duration
 	// subscribers carry invalidation-stream frames: update notices
-	// (MsgInvalidate) and new-object announcements (MsgObjectBirth).
+	// (MsgInvalidate) and new-object announcements (MsgObjectBirth). Nil
+	// once Close has closed the channels: no subscriber registers after.
 	subscribers map[int]chan netproto.Frame
 	nextSub     int
-	closed      bool
 
 	droppedInvalidations atomic.Int64
 	objectsBorn          atomic.Int64
 	recoveredBirths      atomic.Int64
 
 	// store is the durability layer for the grown universe (nil when
-	// Config.DataDir is empty); stop ends its snapshot loop on Close.
+	// Config.DataDir is empty).
 	store *persist.Store
-	stop  chan struct{}
 
-	// Observability (all nil under Config.DisableObs; every use is
-	// nil-safe). queriesTotal mirrors StatsMsg.Queries, which the
-	// repository otherwise does not track.
-	reg          *obs.Registry
-	traces       *obs.TraceRing
-	debug        *obs.DebugServer
+	// queriesTotal mirrors StatsMsg.Queries, which the repository
+	// otherwise does not track.
 	queriesTotal atomic.Int64
 	execLat      *obs.Histogram
 	loadLat      *obs.Histogram
 	fsyncLat     *obs.Histogram
-
-	wg sync.WaitGroup
 }
 
 // New validates the config and creates a repository (not yet listening).
@@ -118,17 +104,11 @@ func New(cfg Config) (*Repository, error) {
 	if cfg.Survey == nil {
 		return nil, fmt.Errorf("server: nil survey")
 	}
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	if cfg.SampleRows <= 0 {
 		cfg.SampleRows = 8
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.Wall{}
 	}
 	r := &Repository{
 		cfg:         cfg,
@@ -137,19 +117,22 @@ func New(cfg Config) (*Repository, error) {
 		perObject:   make(map[model.ObjectID][]model.UpdateID),
 		freshAsOf:   make(map[model.ObjectID]time.Duration),
 		subscribers: make(map[int]chan netproto.Frame),
-		stop:        make(chan struct{}),
 	}
-	if !cfg.DisableObs {
-		r.reg = obs.NewRegistry()
-		r.traces = obs.NewTraceRing(0)
-		r.execLat = r.reg.NewHistogram("delta_repo_query_seconds",
-			"Repository query execution latency.", nil)
-		r.loadLat = r.reg.NewHistogram("delta_repo_load_seconds",
-			"Repository object-load latency.", nil)
-		r.fsyncLat = r.reg.NewHistogram("delta_journal_fsync_seconds",
-			"Durability journal fsync latency.", nil)
-		obs.RegisterStats(r.reg, func() (netproto.StatsMsg, error) { return r.Stats(), nil })
+	r.Node = node.New("repository", cfg.Addr, cfg.MetricsAddr, cfg.Logf, r.handleRequest)
+	r.Roles = map[string]node.Serve{
+		"invalidations": r.serveInvalidations,
+		"pipeline":      r.servePipeline,
+		"cache":         nil, // request/reply over handleRequest
+		"client":        nil,
 	}
+	r.Unblock = r.closeSubscribers
+	r.execLat = r.Reg.NewHistogram("delta_repo_query_seconds",
+		"Repository query execution latency.", nil)
+	r.loadLat = r.Reg.NewHistogram("delta_repo_load_seconds",
+		"Repository object-load latency.", nil)
+	r.fsyncLat = r.Reg.NewHistogram("delta_journal_fsync_seconds",
+		"Durability journal fsync latency.", nil)
+	obs.RegisterStats(r.Reg, func() (netproto.StatsMsg, error) { return r.Stats(), nil })
 	if cfg.DataDir != "" {
 		store, err := persist.Open(persist.Options{
 			Dir:         cfg.DataDir,
@@ -193,8 +176,11 @@ func New(cfg Config) (*Repository, error) {
 			store.Close()
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		r.wg.Add(1)
-		go r.snapshotLoop()
+		r.Every(cfg.SnapshotInterval, r.snapshot)
+		r.Final = func() error {
+			r.snapshot()
+			return store.Close()
+		}
 	}
 	return r, nil
 }
@@ -207,61 +193,13 @@ func (r *Repository) persistState() *persist.State {
 	return &persist.State{Births: r.cfg.Survey.BornObjects()}
 }
 
-// snapshotLoop periodically compacts the birth journal into a snapshot
-// until Close.
-func (r *Repository) snapshotLoop() {
-	defer r.wg.Done()
-	interval := r.cfg.SnapshotInterval
-	if interval <= 0 {
-		interval = 30 * time.Second
+// snapshot compacts the birth journal into a snapshot: periodically,
+// and once more when Close has drained every handler, so a clean
+// shutdown leaves nothing to replay.
+func (r *Repository) snapshot() {
+	if err := r.store.WriteSnapshot(r.persistState()); err != nil {
+		r.cfg.Logf("snapshot: %v", err)
 	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-			if err := r.store.WriteSnapshot(r.persistState()); err != nil {
-				r.cfg.Logf("snapshot: %v", err)
-			}
-		}
-	}
-}
-
-// Start begins listening and serving.
-func (r *Repository) Start() error {
-	ln, err := net.Listen("tcp", r.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("server: listen: %w", err)
-	}
-	r.ln = ln
-	if r.cfg.MetricsAddr != "" {
-		dbg, err := obs.ServeDebug(r.cfg.MetricsAddr, r.reg, r.traces)
-		if err != nil {
-			ln.Close()
-			r.ln = nil
-			return fmt.Errorf("server: metrics listen: %w", err)
-		}
-		r.debug = dbg
-		r.cfg.Logf("repository debug endpoint on %s", dbg.Addr())
-	}
-	r.wg.Add(1)
-	go r.acceptLoop()
-	r.cfg.Logf("repository listening on %s", ln.Addr())
-	return nil
-}
-
-// DebugAddr reports the bound debug (metrics) address, or "" when no
-// debug endpoint is serving.
-func (r *Repository) DebugAddr() string { return r.debug.Addr() }
-
-// Addr returns the bound address, or "" before Start.
-func (r *Repository) Addr() string {
-	if r.ln == nil {
-		return ""
-	}
-	return r.ln.Addr().String()
 }
 
 // Ledger returns a snapshot of the server-side traffic accounting.
@@ -282,38 +220,15 @@ func (r *Repository) DroppedInvalidations() int64 {
 	return r.droppedInvalidations.Load()
 }
 
-// Close stops the server and waits for connection handlers. With
-// persistence enabled, a final snapshot of the grown universe lands
-// before the store closes.
-func (r *Repository) Close() error {
+// closeSubscribers is the runtime's Unblock hook: closing every
+// subscriber channel ends its serveInvalidations loop.
+func (r *Repository) closeSubscribers() {
 	r.mu.Lock()
-	already := r.closed
-	r.closed = true
-	for id, ch := range r.subscribers {
+	defer r.mu.Unlock()
+	for _, ch := range r.subscribers {
 		close(ch)
-		delete(r.subscribers, id)
 	}
-	r.mu.Unlock()
-	if !already {
-		close(r.stop)
-	}
-	var err error
-	if r.ln != nil {
-		err = r.ln.Close()
-	}
-	if r.debug != nil {
-		r.debug.Close()
-	}
-	r.wg.Wait()
-	if r.store != nil && !already {
-		if serr := r.store.WriteSnapshot(r.persistState()); serr != nil {
-			r.cfg.Logf("final snapshot: %v", serr)
-		}
-		if cerr := r.store.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return err
+	r.subscribers = nil
 }
 
 // ApplyUpdate ingests one pipeline update directly (the in-process
@@ -411,49 +326,10 @@ func (r *Repository) OutstandingSince(obj model.ObjectID, since time.Duration) [
 	return out
 }
 
-func (r *Repository) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer conn.Close()
-			if err := r.serveConn(conn); err != nil && !netproto.IsClosed(err) {
-				r.cfg.Logf("connection from %s: %v", conn.RemoteAddr(), err)
-			}
-		}()
-	}
-}
-
-func (r *Repository) serveConn(nc net.Conn) error {
-	c := netproto.NewConn(nc)
-	hello, err := netproto.ReadHello(c)
-	if err != nil {
-		return err
-	}
-	switch hello.Role {
-	case "invalidations":
-		return r.serveInvalidations(c, hello)
-	case "pipeline", "cache", "client":
-	default:
-		err := fmt.Errorf("server: unknown role %q", hello.Role)
-		_ = c.Send(netproto.ErrorFrame("%v", err)) // best effort: the connection closes either way
-		return err
-	}
+func (r *Repository) servePipeline(c *netproto.Conn, hello netproto.Hello) error {
 	if _, err := netproto.ServeHandshake(c, hello, 0); err != nil {
 		return err
 	}
-	if hello.Role == "pipeline" {
-		return r.servePipeline(c)
-	}
-	return netproto.ServeMux(c, 0, r.handleRequest, r.cfg.Logf)
-}
-
-func (r *Repository) servePipeline(c *netproto.Conn) error {
 	for {
 		f, err := c.Recv()
 		if err != nil {
@@ -482,7 +358,7 @@ func (r *Repository) servePipeline(c *netproto.Conn) error {
 func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) error {
 	ch := make(chan netproto.Frame, 1024)
 	r.mu.Lock()
-	if r.closed {
+	if r.subscribers == nil {
 		r.mu.Unlock()
 		return nil
 	}
@@ -573,7 +449,7 @@ func (r *Repository) execQuery(q *model.Query, traceID uint64) netproto.Frame {
 		return netproto.ErrorFrame("query %d accesses no objects", q.ID)
 	}
 	if r.cfg.ExecDelay > 0 {
-		r.cfg.Clock.Sleep(r.cfg.ExecDelay)
+		time.Sleep(r.cfg.ExecDelay)
 	}
 	for _, id := range q.Objects {
 		if _, err := r.cfg.Survey.Object(id); err != nil {
@@ -603,7 +479,7 @@ func (r *Repository) execQuery(q *model.Query, traceID uint64) netproto.Frame {
 			Source:  "repository",
 			Elapsed: elapsed,
 		}}
-		r.traces.Add(traceID, res.Spans)
+		r.Traces.Add(traceID, res.Spans)
 	}
 	return netproto.Frame{Type: netproto.MsgQueryResult, Body: res, Release: release}
 }

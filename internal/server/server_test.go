@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/deltacache/delta/internal/catalog"
-	"github.com/deltacache/delta/internal/clock"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
@@ -348,75 +347,5 @@ func TestAddObjectsIngestAndAnnounce(t *testing.T) {
 	}
 	if data, ok := reply.Body.(netproto.ObjectDataMsg); !ok || data.Object.Size != 100*cost.MB {
 		t.Fatalf("load of born object replied %s (%+v)", reply.Type, reply.Body)
-	}
-}
-
-// TestExecDelayFakeClock pins the injected-clock satellite: a huge
-// simulated execution delay costs no wall time when a fake clock paces
-// it, so tier-1 runs that exercise ExecDelay are timing-independent.
-func TestExecDelayFakeClock(t *testing.T) {
-	scfg := catalog.DefaultConfig()
-	scfg.NumObjects = 12
-	scfg.TotalSize = 4 * cost.GB
-	scfg.MinObjectSize = 50 * cost.MB
-	scfg.MaxObjectSize = cost.GB
-	survey, err := catalog.NewSurvey(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fake := clock.NewFake(time.Unix(0, 0))
-	repo, err := New(Config{
-		Survey:    survey,
-		Scale:     netproto.PayloadScale{},
-		ExecDelay: time.Hour, // would hang any wall-clock test
-		Clock:     fake,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer repo.Close()
-	sess, err := netproto.DialSession(repo.Addr(), "client", netproto.SessionConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	start := time.Now()
-	type outcome struct {
-		frame netproto.Frame
-		err   error
-	}
-	got := make(chan outcome, 1)
-	go func() {
-		reply, err := sess.RoundTrip(context.Background(), netproto.Frame{
-			Type: netproto.MsgQuery,
-			Body: netproto.QueryMsg{Query: model.Query{
-				ID: 1, Objects: []model.ObjectID{1}, Cost: cost.MB,
-				Tolerance: model.AnyStaleness, Time: time.Minute,
-			}},
-		})
-		got <- outcome{frame: reply, err: err}
-	}()
-	// Wait for the handler to park on the fake clock, then advance
-	// past the simulated hour.
-	for fake.Sleepers() == 0 {
-		if time.Since(start) > 10*time.Second {
-			t.Fatal("query never reached the simulated execution delay")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	fake.Advance(time.Hour)
-	out := <-got
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	if out.frame.Type != netproto.MsgQueryResult {
-		t.Fatalf("reply %s", out.frame.Type)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("simulated hour took %v of wall time", elapsed)
 	}
 }
