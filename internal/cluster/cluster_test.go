@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,6 +128,16 @@ func TestClusterScatterGather(t *testing.T) {
 	}
 	if cs.Aggregate.Queries != 3 {
 		t.Errorf("aggregate queries = %d, want 3 (one fragment per shard)", cs.Aggregate.Queries)
+	}
+	// An object outside the universe means client and cluster disagree
+	// about the survey: the query is refused, not partially answered.
+	if _, err := cl.Query(ctx, model.Query{
+		Objects:   append([]model.ObjectID{9999}, objs...),
+		Cost:      cost.MB,
+		Tolerance: model.AnyStaleness,
+		Time:      time.Second,
+	}); err == nil || !strings.Contains(err.Error(), "outside the cluster's universe") {
+		t.Errorf("query over an unknown object: err = %v, want the outside-the-universe refusal", err)
 	}
 }
 

@@ -307,4 +307,4 @@ func (r *Router) handleBirths(ctx context.Context, body netproto.ObjectBirthMsg)
 
 // Births reports how many born objects the router has adopted into its
 // routing universe since start.
-func (r *Router) Births() int64 { return r.births.Load() }
+func (r *Router) Births() int64 { return r.births.Value() }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -197,10 +198,63 @@ func TestQuickExtendNeverMovesExisting(t *testing.T) {
 	}
 }
 
+// testRouting fronts own with one session-less link per shard, which is
+// all the pure planner reads.
+func testRouting(own *Ownership) *routing {
+	links := make([]*shardLink, own.Shards())
+	for i := range links {
+		links[i] = &shardLink{index: i, addr: fmt.Sprintf("shard-%d", i)}
+	}
+	return &routing{own: own, links: links}
+}
+
+// pickObjects maps quick's random picks to a deduplicated, non-empty
+// object list of at most 12 universe members.
+func pickObjects(own *Ownership, picks []uint16) []model.ObjectID {
+	if len(picks) == 0 {
+		picks = []uint16{0}
+	}
+	if len(picks) > 12 {
+		picks = picks[:12]
+	}
+	seen := make(map[model.ObjectID]struct{})
+	var ids []model.ObjectID
+	for _, p := range picks {
+		id := own.universe[int(p)%len(own.universe)].ID
+		if _, dup := seen[id]; dup {
+			continue
+		}
+		seen[id] = struct{}{}
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// checkShares verifies one plan's cost split: the fragments' shares sum
+// exactly to ν, and the remainder folded into the first fragment is the
+// truncation loss of the proportional split — in [0, len(frags)), not a
+// sign the shares drifted.
+func checkShares(frags []fragment, q *model.Query) error {
+	var sum cost.Bytes
+	for _, fr := range frags {
+		sum += fr.query.Cost
+	}
+	if sum != q.Cost {
+		return fmt.Errorf("shares sum %d, ν %d", sum, q.Cost)
+	}
+	floor := q.Cost * cost.Bytes(len(frags[0].query.Objects)) / cost.Bytes(len(q.Objects))
+	if rem := frags[0].query.Cost - floor; rem < 0 || rem >= cost.Bytes(len(frags)) {
+		return fmt.Errorf("remainder %d out of range for %d fragments", rem, len(frags))
+	}
+	return nil
+}
+
 // TestQuickFragmentSharesSumToNu is the other satellite property:
 // however a query's objects spread across shards — through any grown,
-// resized ownership — the fragment cost shares the router assigns sum
-// exactly to ν(q), so cluster-wide traffic accounting stays exact.
+// resized ownership — the planner sends every object to its primary
+// owner exactly once, in shard order, and the fragment cost shares it
+// assigns sum exactly to ν(q), so cluster-wide traffic accounting stays
+// exact.
 func TestQuickFragmentSharesSumToNu(t *testing.T) {
 	base := testObjects(t, 16)
 	for _, mode := range []Mode{Rendezvous, HTMAware} {
@@ -221,49 +275,34 @@ func TestQuickFragmentSharesSumToNu(t *testing.T) {
 			if own, err = own.Extend(objs); err != nil {
 				return false
 			}
-			universe := own.Universe()
-			if len(picks) == 0 {
-				picks = []uint16{0}
-			}
-			if len(picks) > 12 {
-				picks = picks[:12]
-			}
-			seen := make(map[model.ObjectID]struct{})
-			var ids []model.ObjectID
-			for _, p := range picks {
-				id := universe[int(p)%len(universe)].ID
-				if _, dup := seen[id]; dup {
-					continue
-				}
-				seen[id] = struct{}{}
-				ids = append(ids, id)
-			}
+			ids := pickObjects(own, picks)
 			q := &model.Query{ID: 1, Objects: ids, Cost: cost.Bytes(nu)}
-			parts, err := own.Split(ids)
-			if err != nil {
-				t.Logf("split: %v", err)
+			frags, stranded, viaReplica := plan(testRouting(own), fragment{query: *q}, nil, false)
+			if len(stranded) > 0 || viaReplica {
+				t.Logf("plan stranded %v (via replica: %v) with nothing struck", stranded, viaReplica)
 				return false
 			}
-			links := make([]*shardLink, own.Shards())
-			for i := range links {
-				links[i] = &shardLink{index: i}
+			if err := checkShares(frags, q); err != nil {
+				t.Log(err)
+				return false
 			}
-			frags := fragmentsFor(&routing{own: own, links: links}, q, parts)
-			var sum cost.Bytes
 			covered := make(map[model.ObjectID]struct{})
-			for _, fr := range frags {
-				sum += fr.query.Cost
+			for i, fr := range frags {
+				if i > 0 && frags[i-1].link.index >= fr.link.index {
+					t.Logf("fragments out of shard order: %d before %d", frags[i-1].link.index, fr.link.index)
+					return false
+				}
 				for _, id := range fr.query.Objects {
+					if owner, _ := own.Owner(id); owner != fr.link.index {
+						t.Logf("object %d planned onto shard %d, primary is %d", id, fr.link.index, owner)
+						return false
+					}
 					if _, dup := covered[id]; dup {
 						t.Logf("object %d in two fragments", id)
 						return false
 					}
 					covered[id] = struct{}{}
 				}
-			}
-			if sum != q.Cost {
-				t.Logf("shares sum %d, ν(q) %d", sum, q.Cost)
-				return false
 			}
 			if len(covered) != len(ids) {
 				t.Logf("fragments cover %d of %d objects", len(covered), len(ids))
@@ -348,110 +387,76 @@ func TestQuickReplicatedGrowthResize(t *testing.T) {
 }
 
 // TestQuickFailoverSharesSumToNu extends the cost-share property to
-// shard failure under replication: kill any one shard, re-route its
-// fragments through the ranked replica sets exactly as the router does
-// (rerouteTargets + the proportional split scatterGroups applies), and
-// the cost shares across surviving fragments and failover sub-fragments
-// still sum exactly to ν(q), with every object answered exactly once.
+// shard failure under replication: at K ∈ {2, 3}, kill any 1..K−1
+// shards and walk each fragment the way the attempt loop does — strike
+// the dead link, re-plan, walk the groups — with the router's own
+// planner. No group may target a struck link, every plan's shares sum
+// exactly to its input's, and so the shares across surviving fragments
+// and failover groups still sum to ν(q) with every object answered
+// exactly once.
 func TestQuickFailoverSharesSumToNu(t *testing.T) {
 	base := testObjects(t, 16)
 	for _, mode := range []Mode{Rendezvous, HTMAware} {
-		prop := func(shards, dead uint8, nu uint32, picks []uint16) bool {
-			n := int(shards)%5 + 2 // ≥ 2 so a replica survives the kill
-			own, err := NewOwnershipReplicated(base, n, 2, mode)
+		prop := func(shards, k, dead, nDead uint8, nu uint32, picks []uint16) bool {
+			kk := int(k)%2 + 2
+			n := int(shards)%4 + kk // ≥ K, so K−1 deaths leave every object a holder
+			own, err := NewOwnershipReplicated(base, n, kk, mode)
 			if err != nil {
 				return false
 			}
-			links := make([]*shardLink, n)
-			for i := range links {
-				links[i] = &shardLink{index: i, addr: fmt.Sprintf("shard-%d", i)}
+			rt := testRouting(own)
+			isDead := make(map[int]bool)
+			for j := 0; j < int(nDead)%(kk-1)+1; j++ {
+				isDead[(int(dead)+j)%n] = true
 			}
-			rt := &routing{own: own, links: links}
-			universe := own.Universe()
-			if len(picks) == 0 {
-				picks = []uint16{0}
-			}
-			if len(picks) > 12 {
-				picks = picks[:12]
-			}
-			seen := make(map[model.ObjectID]struct{})
-			var ids []model.ObjectID
-			for _, p := range picks {
-				id := universe[int(p)%len(universe)].ID
-				if _, dup := seen[id]; dup {
-					continue
-				}
-				seen[id] = struct{}{}
-				ids = append(ids, id)
-			}
+			ids := pickObjects(own, picks)
 			q := &model.Query{ID: 1, Objects: ids, Cost: cost.Bytes(nu)}
-			parts, err := own.Split(ids)
-			if err != nil {
-				return false
-			}
-			deadShard := int(dead) % n
 			var (
 				sum     cost.Bytes
 				covered = make(map[model.ObjectID]struct{})
 			)
-			answer := func(ids []model.ObjectID) bool {
-				for _, id := range ids {
-					if _, dup := covered[id]; dup {
-						t.Logf("object %d answered twice", id)
-						return false
-					}
-					covered[id] = struct{}{}
-				}
-				return true
-			}
-			for _, fr := range fragmentsFor(rt, q, parts) {
-				if fr.link.index != deadShard {
-					sum += fr.query.Cost
-					if !answer(fr.query.Objects) {
-						return false
-					}
-					continue
-				}
-				// The dead shard's fragment fails over: group objects by
-				// their surviving replica and split ν proportionally, the
-				// rounding remainder charged to the first group — the exact
-				// arithmetic scatterGroups performs.
-				groups, stranded, viaReplica := rerouteTargets(rt, fr)
-				if len(stranded) > 0 {
-					t.Logf("K=2 stranded %d objects on single-shard death", len(stranded))
+			var walk func(fr fragment, struck []string) bool
+			walk = func(fr fragment, struck []string) bool {
+				if slices.Contains(struck, fr.link.addr) {
+					t.Logf("group re-targeted struck shard %d", fr.link.index)
 					return false
+				}
+				if !isDead[fr.link.index] {
+					sum += fr.query.Cost
+					for _, id := range fr.query.Objects {
+						if _, dup := covered[id]; dup {
+							t.Logf("object %d answered twice", id)
+							return false
+						}
+						covered[id] = struct{}{}
+					}
+					return true
+				}
+				struck = append(slices.Clip(struck), fr.link.addr)
+				groups, stranded, viaReplica := plan(rt, fr, struck, false)
+				if len(stranded) > 0 {
+					t.Logf("K=%d stranded %v with %d shards dead", kk, stranded, len(isDead))
+					return false
+				}
+				if err := checkShares(groups, &fr.query); err != nil {
+					t.Logf("failover of shard %d: %v", fr.link.index, err)
+					return false
+				}
+				for _, g := range groups {
+					if !walk(g, struck) {
+						return false
+					}
 				}
 				if !viaReplica {
-					t.Logf("failover of shard %d's fragment touched no replica", deadShard)
+					t.Logf("failover of shard %d's fragment touched no replica", fr.link.index)
+				}
+				return viaReplica
+			}
+			frags, _, _ := plan(rt, fragment{query: *q}, nil, false)
+			for _, fr := range frags {
+				if !walk(fr, nil) {
 					return false
 				}
-				targets := make([]*shardLink, 0, len(groups))
-				var groupSum cost.Bytes
-				for l, objs := range groups {
-					if l.index == deadShard {
-						t.Logf("failover re-targeted the dead shard %d", deadShard)
-						return false
-					}
-					targets = append(targets, l)
-					share := fr.query.Cost * cost.Bytes(len(objs)) / cost.Bytes(len(fr.query.Objects))
-					groupSum += share
-					if !answer(objs) {
-						return false
-					}
-				}
-				if len(targets) == 0 {
-					return false
-				}
-				// The remainder scatterGroups charges to the first group is
-				// the truncation loss of the proportional splits: it must be
-				// a small non-negative correction (< one unit per group), not
-				// a sign the shares drifted.
-				remainder := fr.query.Cost - groupSum
-				if remainder < 0 || remainder >= cost.Bytes(len(targets)) {
-					t.Logf("failover remainder %d out of range for %d groups", remainder, len(targets))
-					return false
-				}
-				sum += groupSum + remainder
 			}
 			if sum != q.Cost {
 				t.Logf("shares sum %d under failover, ν(q) %d", sum, q.Cost)
@@ -463,7 +468,7 @@ func TestQuickFailoverSharesSumToNu(t *testing.T) {
 			}
 			return true
 		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 			t.Errorf("%s: %v", mode, err)
 		}
 	}

@@ -1,6 +1,8 @@
 package cluster_test
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -173,6 +175,71 @@ func TestReplicatedShardKillSoak(t *testing.T) {
 	}
 	if lc.Router.Degraded() != 0 {
 		t.Errorf("router degraded counter = %d, want 0", lc.Router.Degraded())
+	}
+}
+
+// TestReplicatedDoubleKill pins that the replica walk goes as deep as
+// the replica set: at K=3, killing two of an object's three holders
+// still costs the clients nothing — undegraded, exact shares — because
+// a fragment whose rank-1 holder is dead too walks on to rank 2. Killing
+// the third holder leaves nothing to walk to, and the query must fail
+// promptly rather than hang.
+func TestReplicatedDoubleKill(t *testing.T) {
+	_, lc := startReplicated(t, 4, 3, func(cfg *cluster.LocalConfig) {
+		cfg.ResultCacheSize = -1 // every query must reach the shards
+	})
+	cl, err := client.DialCluster(lc.Router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	// The object set: one shard's primaries, which (HTM-aware) share
+	// their whole ranked holder list.
+	var objs []model.ObjectID
+	for _, id := range lc.Ownership.ShardObjects(0) {
+		if p, _ := lc.Ownership.Owner(id); p == 0 {
+			objs = append(objs, id)
+		}
+	}
+	if len(objs) == 0 {
+		t.Fatal("shard 0 has no primary objects")
+	}
+	holders, _ := lc.Ownership.Owners(objs[0])
+	if len(holders) != 3 {
+		t.Fatalf("object %d has holders %v, want 3", objs[0], holders)
+	}
+	nu := cost.Bytes(len(objs))*cost.MB + 1
+	query := func() (*client.Result, error) {
+		qctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		defer cancel()
+		return cl.Query(qctx, model.Query{Objects: objs, Cost: nu, Tolerance: model.AnyStaleness, Time: time.Second})
+	}
+
+	lc.Shards[holders[0]].Close()
+	lc.Shards[holders[1]].Close()
+	for i := 0; i < 8; i++ {
+		res, err := query()
+		if err != nil {
+			t.Fatalf("query %d with one live holder of three: %v", i, err)
+		}
+		if res.Degraded || res.Logical != int64(nu) {
+			t.Errorf("query %d degraded=%v (missing %v) logical=%d, want undegraded with ν(q)=%d",
+				i, res.Degraded, res.MissingShards, res.Logical, nu)
+		}
+	}
+	if lc.Router.Failover() == 0 {
+		t.Error("router failover counter never incremented — the kills were never exercised")
+	}
+	if lc.Router.Degraded() != 0 {
+		t.Errorf("router degraded counter = %d, want 0 (K=3 must mask two deaths)", lc.Router.Degraded())
+	}
+
+	lc.Shards[holders[2]].Close()
+	if res, err := query(); err == nil {
+		t.Errorf("query with every holder dead answered %+v", res)
+	} else if errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("query with every holder dead hung: %v", err)
 	}
 }
 

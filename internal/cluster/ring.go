@@ -633,19 +633,3 @@ func (o *Ownership) Filter(s int) func(model.ObjectID) bool {
 		return false
 	}
 }
-
-// Split partitions a query's object set by owning shard (shard indices
-// map to sorted object subsets, preserving the input's order within
-// each subset). An object outside the universe is an error: it means
-// the client and the cluster disagree about the survey.
-func (o *Ownership) Split(objs []model.ObjectID) (map[int][]model.ObjectID, error) {
-	parts := make(map[int][]model.ObjectID)
-	for _, id := range objs {
-		p, ok := o.pos(id)
-		if !ok {
-			return nil, fmt.Errorf("cluster: object %d is outside the cluster's universe", id)
-		}
-		parts[int(o.owner[p])] = append(parts[int(o.owner[p])], id)
-	}
-	return parts, nil
-}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/deltacache/delta/internal/catalog"
@@ -136,11 +137,11 @@ func TestHTMAwareLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	touched := func(own *Ownership, ids []model.ObjectID) int {
-		parts, err := own.Split(ids)
-		if err != nil {
-			t.Fatal(err)
+		frags, stranded, _ := plan(testRouting(own), fragment{query: model.Query{Objects: ids}}, nil, false)
+		if len(stranded) > 0 {
+			t.Fatalf("objects %v outside the universe", stranded)
 		}
-		return len(parts)
+		return len(frags)
 	}
 	var htmTotal, rdvTotal int
 	caps := 0
@@ -200,8 +201,9 @@ func TestSplitRejectsUnknownObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := own.Split([]model.ObjectID{1, 999}); err == nil {
-		t.Error("Split accepted an object outside the universe")
+	_, stranded, _ := plan(testRouting(own), fragment{query: model.Query{Objects: []model.ObjectID{1, 999}}}, nil, false)
+	if !slices.Equal(stranded, []model.ObjectID{999}) {
+		t.Errorf("plan stranded %v, want the object outside the universe (999)", stranded)
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -74,8 +75,8 @@ type Config struct {
 	// not answered within the hedge delay, the fragment is re-scattered
 	// to the objects' next replicas and the first complete answer wins
 	// (the loser is cancelled). Only effective with a replicated
-	// ownership (K ≥ 2); fragments without full replica coverage fall
-	// back to the plain single-attempt path.
+	// ownership (K ≥ 2); a fragment whose objects do not all have
+	// another holder is not hedged.
 	Hedge bool
 	// HedgeDelay pins how long the primary may lag before the hedge
 	// fires. Zero derives the delay from the p99 of observed fragment
@@ -161,14 +162,9 @@ type Router struct {
 	// without RepoAddr.
 	birthCh chan birthReq
 
-	queries      atomic.Int64
-	scattered    atomic.Int64 // queries split across ≥2 shards
-	degraded     atomic.Int64 // queries answered without every fragment
-	rerouted     atomic.Int64 // fragments recovered via an alternate owner
-	failover     atomic.Int64 // fragments recovered via a non-primary replica
-	hedged       atomic.Int64 // hedged replica attempts fired
-	births       atomic.Int64 // born objects adopted into routing
-	grantBatches atomic.Int64 // batched birth-grant frames shipped to shards
+	// Event counters, registered on Reg at construction; their help
+	// strings there say what each one counts.
+	queries, scattered, degraded, rerouted, failover, hedged, births, grantBatches *obs.Counter
 
 	routerLat *obs.Histogram // end-to-end scatter/gather latency
 	fragLat   *obs.Histogram // per-fragment shard round-trip latency
@@ -240,30 +236,22 @@ func NewRouter(cfg Config) (*Router, error) {
 		"End-to-end scatter/gather latency of routed queries.", nil)
 	r.fragLat = r.Reg.NewHistogram("delta_router_fragment_seconds",
 		"Per-fragment shard round-trip latency (successful attempts); its p99 derives the hedge delay.", nil)
-	r.Reg.NewCounterFunc("delta_router_queries_total",
-		"Client queries routed by this router.",
-		func() float64 { return float64(r.queries.Load()) })
-	r.Reg.NewCounterFunc("delta_router_scattered_total",
-		"Routed queries split across two or more shards.",
-		func() float64 { return float64(r.scattered.Load()) })
-	r.Reg.NewCounterFunc("delta_router_degraded_total",
-		"Routed queries answered without every fragment.",
-		func() float64 { return float64(r.degraded.Load()) })
-	r.Reg.NewCounterFunc("delta_router_rerouted_total",
-		"Failed fragments fully recovered via an alternate owner.",
-		func() float64 { return float64(r.rerouted.Load()) })
-	r.Reg.NewCounterFunc("delta_router_failover_total",
-		"Failed fragments fully recovered via a non-primary replica.",
-		func() float64 { return float64(r.failover.Load()) })
-	r.Reg.NewCounterFunc("delta_router_hedged_total",
-		"Hedged replica attempts fired for slow primaries.",
-		func() float64 { return float64(r.hedged.Load()) })
-	r.Reg.NewCounterFunc("delta_router_births_total",
-		"Born objects adopted into the routing universe.",
-		func() float64 { return float64(r.births.Load()) })
-	r.Reg.NewCounterFunc("delta_router_grant_batches_total",
-		"Batched birth-grant frames shipped to shards (each may carry many births).",
-		func() float64 { return float64(r.grantBatches.Load()) })
+	r.queries = r.Reg.NewCounter("delta_router_queries_total",
+		"Client queries routed by this router.")
+	r.scattered = r.Reg.NewCounter("delta_router_scattered_total",
+		"Routed queries split across two or more shards.")
+	r.degraded = r.Reg.NewCounter("delta_router_degraded_total",
+		"Routed queries answered without every fragment.")
+	r.rerouted = r.Reg.NewCounter("delta_router_rerouted_total",
+		"Failed fragments fully recovered via an alternate owner.")
+	r.failover = r.Reg.NewCounter("delta_router_failover_total",
+		"Failed fragments fully recovered via a non-primary replica.")
+	r.hedged = r.Reg.NewCounter("delta_router_hedged_total",
+		"Hedged replica attempts fired for slow primaries.")
+	r.births = r.Reg.NewCounter("delta_router_births_total",
+		"Born objects adopted into the routing universe.")
+	r.grantBatches = r.Reg.NewCounter("delta_router_grant_batches_total",
+		"Batched birth-grant frames shipped to shards (each may carry many births).")
 	r.Reg.NewCounterFunc("delta_router_result_cache_hits_total",
 		"Routed queries answered from the router's invalidation-aware result cache.",
 		func() float64 { return float64(r.results.Hits()) })
@@ -479,14 +467,23 @@ func (r *Router) resolveRegion(region netproto.SkyRegion) ([]model.ObjectID, boo
 	return objs, hit, nil
 }
 
-// fragment is one shard's slice of a scattered query. fragments is
-// how many slices the original query was split into (1 for reroutes,
-// which re-scatter a single failed slice).
+// fragment is one link's slice of a query: the unit a plan produces and
+// the attempt loop sends (the client's whole query is the root, with
+// no link). fragments is how many slices the client's query was first
+// split into; recovery attempts inherit it.
 type fragment struct {
 	link      *shardLink
 	query     model.Query
 	fragments int
 	traceID   uint64 // propagated to the shard so its span joins the trace
+}
+
+// answer is what the attempt loop gathered for one fragment: a partial
+// result per holder that answered, and the error that lost the objects
+// no holder answered for (nil when every object was answered).
+type answer struct {
+	results []netproto.QueryResultMsg
+	lost    error
 }
 
 // routeQuery answers a client query, doing identical work at most
@@ -498,7 +495,7 @@ type fragment struct {
 // repository invalidation stream, or disabled by size) every query
 // scatters as before.
 func (r *Router) routeQuery(ctx context.Context, q *model.Query, traceID uint64, detail string) netproto.Frame {
-	r.queries.Add(1)
+	r.queries.Inc()
 	start := time.Now()
 	if len(q.Objects) == 0 {
 		return netproto.ErrorFrame("query %d accesses no objects", q.ID)
@@ -581,59 +578,25 @@ func (r *Router) serveShared(q *model.Query, res *netproto.QueryResultMsg, trace
 
 // scatterQuery scatters a query to the shards owning its objects under
 // the current routing epoch, gathers the fragments, and merges them
-// into one result. A failed fragment is first re-routed through the
-// freshest routing view (during a resize transition every moving
-// object has an alternate owner; after one, a stale epoch's owner may
-// simply have changed); only objects with no alternate degrade the
-// answer. If some — but not all — objects' fragments fail, the merged
-// result is returned with Degraded set and the failed shards listed,
-// so a dead shard degrades answers instead of failing them.
+// into one result. Each fragment is fetched by the attempt loop (fetch),
+// which walks the objects' other holders when a shard fails or
+// straggles; only objects no holder answers for degrade the answer. If
+// some — but not all — objects are lost, the merged result is returned
+// with Degraded set and the failed shards listed, so a dead shard
+// degrades answers instead of failing them.
 func (r *Router) scatterQuery(ctx context.Context, q *model.Query, traceID uint64, detail string, start time.Time) netproto.Frame {
 	rt := r.routing.Load()
-	parts, err := rt.own.Split(q.Objects)
-	if err != nil {
-		return netproto.ErrorFrame("query %d: %v", q.ID, err)
+	frags, stranded, _ := plan(rt, fragment{query: *q, traceID: traceID}, nil, false)
+	if len(stranded) > 0 {
+		return netproto.ErrorFrame("query %d: cluster: object %d is outside the cluster's universe", q.ID, stranded[0])
 	}
-	frags := fragmentsFor(rt, q, parts)
 	for i := range frags {
-		frags[i].traceID = traceID
+		frags[i].fragments = len(frags)
 	}
 	if len(frags) > 1 {
-		r.scattered.Add(1)
+		r.scattered.Inc()
 	}
-
-	type outcome struct {
-		shard   int
-		results []netproto.QueryResultMsg // primary or recovered partials
-		err     error                     // set when objects were lost entirely
-	}
-	outs := make([]outcome, len(frags))
-	var wg sync.WaitGroup
-	for i, fr := range frags {
-		wg.Add(1)
-		go func(i int, fr fragment) {
-			defer wg.Done()
-			outs[i].shard = fr.link.index
-			results, err := r.dispatch(ctx, fr)
-			if err == nil {
-				outs[i].results = results
-				return
-			}
-			recovered, all, viaReplica := r.reroute(ctx, fr)
-			outs[i].results = recovered
-			if all {
-				if viaReplica {
-					r.failover.Add(1)
-				} else {
-					r.rerouted.Add(1)
-				}
-				return
-			}
-			outs[i].err = err
-			r.cfg.Logf("query %d: shard %d fragment failed: %v", q.ID, fr.link.index, err)
-		}(i, fr)
-	}
-	wg.Wait()
+	outs := r.gather(ctx, frags, nil)
 
 	merged := netproto.QueryResultMsg{QueryID: q.ID}
 	var (
@@ -642,12 +605,12 @@ func (r *Router) scatterQuery(ctx context.Context, q *model.Query, traceID uint6
 		anyRepo  bool
 		firstErr error
 	)
-	for _, out := range outs {
-		if out.err != nil {
+	for i, out := range outs {
+		if out.lost != nil {
 			merged.Degraded = true
-			merged.MissingShards = append(merged.MissingShards, out.shard)
+			merged.MissingShards = append(merged.MissingShards, frags[i].link.index)
 			if firstErr == nil {
-				firstErr = out.err
+				firstErr = out.lost
 			}
 		}
 		for _, res := range out.results {
@@ -679,7 +642,7 @@ func (r *Router) scatterQuery(ctx context.Context, q *model.Query, traceID uint6
 		return netproto.ErrorFrame("query %d: all %d owning shards failed: %v", q.ID, len(frags), firstErr)
 	}
 	if merged.Degraded {
-		r.degraded.Add(1)
+		r.degraded.Inc()
 		slices.Sort(merged.MissingShards)
 		merged.MissingShards = slices.Compact(merged.MissingShards)
 	}
@@ -762,219 +725,180 @@ func (r *Router) hedgeDelay() time.Duration {
 	return defaultHedgeDelay
 }
 
-// dispatch performs one fragment round trip. With hedging enabled and
-// every object of the fragment covered by a live replica, the primary
-// attempt races a delayed replica attempt: if the primary has not
-// answered within hedgeDelay, the fragment re-scatters to the next
-// replicas and the first complete answer wins; the loser is cancelled
-// through its context. Errors fall back to the caller's reroute path.
-func (r *Router) dispatch(ctx context.Context, fr fragment) ([]netproto.QueryResultMsg, error) {
-	if !r.cfg.Hedge {
-		res, err := r.shardRoundTrip(ctx, fr)
-		if err != nil {
-			return nil, err
+// plan splits fr's query into per-link fragments under rt, and is the
+// only place that knows where an object may be asked for: its
+// candidates are its ranked owners, then — during a resize transition —
+// its alternate link (the migration destination before the flip, the
+// still-warm source after it). Each object goes to its first candidate
+// not struck; one with none is stranded. retry says fr's link is a live
+// shard that rejected fr: an ownership recut makes a shard refuse a
+// whole fragment over one moved object although it still owns the rest,
+// so when only some objects found another candidate, the stranded ones
+// are retried there as a strictly narrower fragment. Fragments come out
+// in (index, addr) order, each keeping fr's query identity, time,
+// tolerance and trace, with ν split proportionally to object counts;
+// when nothing is stranded the rounding remainder is charged to the
+// first fragment, so the shares sum exactly to fr's. viaReplica reports
+// whether any object goes to a rank ≥ 1 holder.
+func plan(rt *routing, fr fragment, struck []string, retry bool) (frags []fragment, stranded []model.ObjectID, viaReplica bool) {
+	objs := fr.query.Objects
+	frags = make([]fragment, 0, min(len(objs), len(rt.links)))
+	at := make(map[*shardLink]int, cap(frags))
+	add := func(link *shardLink, id model.ObjectID) {
+		i, ok := at[link]
+		if !ok {
+			i, at[link] = len(frags), len(frags)
+			frags = append(frags, fr)
+			frags[i].link, frags[i].query.Objects = link, nil
 		}
-		return []netproto.QueryResultMsg{res}, nil
+		frags[i].query.Objects = append(frags[i].query.Objects, id)
 	}
-	rt := r.routing.Load()
-	groups, stranded, _ := rerouteTargets(rt, fr)
-	if len(stranded) > 0 || len(groups) == 0 {
-		// No full replica coverage to hedge onto (K=1, or mid-resize).
-		res, err := r.shardRoundTrip(ctx, fr)
-		if err != nil {
-			return nil, err
+	k := rt.own.kEff
+	for _, id := range objs {
+		var ranked []int32
+		if p, ok := rt.own.pos(id); ok {
+			ranked = rt.own.ownersFlat[p*k : (p+1)*k]
 		}
-		return []netproto.QueryResultMsg{res}, nil
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels whichever attempt loses
-	type attempt struct {
-		results []netproto.QueryResultMsg
-		err     error
-	}
-	ch := make(chan attempt, 2)
-	go func() {
-		res, err := r.shardRoundTrip(hctx, fr)
-		if err != nil {
-			ch <- attempt{err: err}
-			return
-		}
-		ch <- attempt{results: []netproto.QueryResultMsg{res}}
-	}()
-	timer := time.NewTimer(r.hedgeDelay())
-	defer timer.Stop()
-	launched := false
-	pending := 1
-	var firstErr error
-	for {
-		select {
-		case <-timer.C:
-			if launched {
-				continue
+		c := 0
+		for ; c <= len(ranked); c++ {
+			cand := rt.alt[id]
+			if c < len(ranked) {
+				cand = rt.links[ranked[c]]
 			}
-			launched = true
-			pending++
-			r.hedged.Add(1)
-			go func() {
-				results, complete := r.scatterGroups(hctx, fr, groups)
-				if !complete {
-					ch <- attempt{err: fmt.Errorf("hedged replicas incomplete")}
-					return
-				}
-				ch <- attempt{results: results}
-			}()
-		case a := <-ch:
-			pending--
-			if a.err == nil {
-				return a.results, nil
-			}
-			if firstErr == nil {
-				firstErr = a.err
-			}
-			if !launched || pending == 0 {
-				// The primary failed before the hedge fired (let the
-				// caller's reroute handle failover), or both attempts lost.
-				return nil, firstErr
+			if cand != nil && !slices.Contains(struck, cand.addr) {
+				add(cand, id)
+				viaReplica = viaReplica || c > 0 && c < len(ranked)
+				break
 			}
 		}
-	}
-}
-
-// rerouteTargets groups a failed (or hedged) fragment's objects by
-// their best alternate link under rt: each object's ranked replica set
-// is walked primary-first, skipping the failed address, then the
-// resize-transition alt map is consulted. Objects with no alternate
-// are returned stranded. viaReplica reports whether any target was a
-// non-primary replica — a true failover rather than an
-// ownership-change reroute.
-func rerouteTargets(rt *routing, failed fragment) (groups map[*shardLink][]model.ObjectID, stranded []model.ObjectID, viaReplica bool) {
-	groups = make(map[*shardLink][]model.ObjectID)
-	for _, id := range failed.query.Objects {
-		var target *shardLink
-		if ranked, ok := rt.own.Owners(id); ok {
-			for rank, s := range ranked {
-				if s < len(rt.links) && rt.links[s].addr != failed.link.addr {
-					target = rt.links[s]
-					if rank > 0 {
-						viaReplica = true
-					}
-					break
-				}
-			}
-		}
-		if target == nil {
-			if alt := rt.alt[id]; alt != nil && alt.addr != failed.link.addr {
-				target = alt
-			}
-		}
-		if target == nil {
+		if c > len(ranked) {
 			stranded = append(stranded, id)
-			continue
 		}
-		groups[target] = append(groups[target], id)
 	}
-	return groups, stranded, viaReplica
-}
-
-// scatterGroups re-sends a fragment's objects to their grouped
-// alternate links in shard order, splitting ν(q) proportionally by
-// object count. When every group answers, the rounding remainder is
-// charged to the first result so cost shares still sum exactly to the
-// fragment's share.
-func (r *Router) scatterGroups(ctx context.Context, failed fragment, groups map[*shardLink][]model.ObjectID) ([]netproto.QueryResultMsg, bool) {
-	links := make([]*shardLink, 0, len(groups))
-	for l := range groups {
-		links = append(links, l)
-	}
-	slices.SortFunc(links, func(a, b *shardLink) int {
-		if a.index != b.index {
-			return a.index - b.index
+	if retry && len(stranded) > 0 && len(stranded) < len(objs) {
+		for _, id := range stranded {
+			add(fr.link, id)
 		}
-		return cmp.Compare(a.addr, b.addr)
+		stranded = nil
+	}
+	slices.SortFunc(frags, func(a, b fragment) int {
+		return cmp.Or(cmp.Compare(a.link.index, b.link.index), cmp.Compare(a.link.addr, b.link.addr))
 	})
+	rest := fr.query.Cost
+	for i := range frags {
+		frags[i].query.Cost = fr.query.Cost * cost.Bytes(len(frags[i].query.Objects)) / cost.Bytes(len(objs))
+		rest -= frags[i].query.Cost
+	}
+	if len(stranded) == 0 && len(frags) > 0 {
+		frags[0].query.Cost += rest
+	}
+	return frags, stranded, viaReplica
+}
+
+// gather fetches the fragments of one plan concurrently.
+func (r *Router) gather(ctx context.Context, frags []fragment, struck []string) []answer {
+	outs := make([]answer, len(frags))
+	var wg sync.WaitGroup
+	for i := range frags {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i] = r.fetch(ctx, frags[i], struck)
+		}()
+	}
+	wg.Wait()
+	return outs
+}
+
+// fetch is the attempt loop: it answers fr by whichever holders it
+// takes. It sends fr to its link, and the next attempt (next) starts
+// when that send fails — or, with hedging on, when the hedge delay
+// passes first, in which case the two race: the first complete answer
+// wins and the loser is cancelled through ctx. The next attempt's
+// fragments are fetched the same way, so the walk goes on until an
+// attempt answers or an object has no candidate left. struck is what
+// the attempts before this one learned: the addresses of links that
+// failed this client fragment in transport, timed out, rejected it, or
+// are still being waited on by a hedge race — none is a candidate for
+// its objects again. Each branch of the walk extends its own copy.
+func (r *Router) fetch(ctx context.Context, fr fragment, struck []string) answer {
 	var (
-		results  []netproto.QueryResultMsg
-		assigned cost.Bytes
-		covered  int
-		all      = true
+		timer *time.Timer
+		hedge chan answer // carries the raced attempt; closed if none could be planned
 	)
-	for _, link := range links {
-		sub := failed.query
-		sub.Objects = groups[link]
-		sub.Cost = failed.query.Cost * cost.Bytes(len(sub.Objects)) / cost.Bytes(len(failed.query.Objects))
-		assigned += sub.Cost
-		covered += len(sub.Objects)
-		res, err := r.shardRoundTrip(ctx, fragment{link: link, query: sub, traceID: failed.traceID})
-		if err != nil {
-			r.cfg.Logf("reroute of %d objects to shard %d failed: %v", len(sub.Objects), link.index, err)
-			all = false
-			continue
+	if r.cfg.Hedge {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+		hedge = make(chan answer, 1)
+		timer = time.AfterFunc(r.hedgeDelay(), func() {
+			out, ok := r.next(ctx, fr, struck, nil)
+			if !ok {
+				close(hedge)
+				return
+			}
+			if out.lost == nil {
+				cancel() // complete: stop waiting for the straggler
+			}
+			hedge <- out
+		})
+		defer timer.Stop()
+	}
+	res, err := r.shardRoundTrip(ctx, fr)
+	if err == nil {
+		return answer{results: []netproto.QueryResultMsg{res}}
+	}
+	if timer != nil && !timer.Stop() {
+		// The hedge already fired: its attempt is this send's recovery
+		// too, complete or not — its links must not be asked again.
+		if out, ok := <-hedge; ok {
+			return out
 		}
-		results = append(results, res)
 	}
-	if all && covered == len(failed.query.Objects) && len(results) > 0 {
-		// Charge the rounding remainder to the first group so a fully
-		// recovered fragment keeps cost shares summing exactly.
-		results[0].Logical += failed.query.Cost - assigned
+	if ctx.Err() != nil {
+		return answer{lost: err} // cancelled, not failed: a race was lost upstream
 	}
-	return results, all
+	out, _ := r.next(ctx, fr, struck, err)
+	return out
 }
 
-// reroute re-sends a failed fragment's objects through the freshest
-// routing view, skipping the shard that just failed. With replication
-// each object's ranked replica set supplies the alternate (rank ≥ 1 is
-// a failover); during a resize transition the double-routing alt map
-// covers moving objects (the migration destination before the flip,
-// the still-warm source after it); and a partially stranded fragment
-// retries the stranded subset once on the original shard — an
-// ownership recut can make a shard reject a whole fragment for one
-// no-longer-owned object even though it still owns the rest. It
-// returns the recovered partial results, whether every object was
-// recovered, and whether any recovery used a non-primary replica.
-func (r *Router) reroute(ctx context.Context, failed fragment) ([]netproto.QueryResultMsg, bool, bool) {
-	rtNow := r.routing.Load()
-	groups, stranded, viaReplica := rerouteTargets(rtNow, failed)
-	strandedRetry := len(stranded) > 0 && len(stranded) < len(failed.query.Objects)
-	if strandedRetry {
-		// A strict subset with no alternate means the original shard
-		// likely rejected the fragment over its moved objects, not that
-		// it died: retry the stayers there as a narrower sub-fragment. A
-		// fully stranded fragment (shard death at K=1) degrades
-		// immediately, as before.
-		groups[failed.link] = stranded
+// next runs the attempt after a send of fr that failed with cause — or,
+// when cause is nil, that the hedge timer found unanswered: fr's link is
+// struck, and fr's objects are re-planned under the freshest routing
+// view (a stale epoch's owner may simply have changed) and fetched
+// concurrently. A hedge is only worth racing when it can answer
+// everything, so it reports !ok instead of attempting a plan that
+// strands objects; a failure recovers what it can and loses the rest.
+func (r *Router) next(ctx context.Context, fr fragment, struck []string, cause error) (out answer, ok bool) {
+	var rejection *netproto.RemoteError // a live shard's refusal, not a dead link
+	struck = append(slices.Clip(struck), fr.link.addr)
+	groups, stranded, viaReplica := plan(r.routing.Load(), fr, struck, errors.As(cause, &rejection))
+	if cause == nil {
+		if len(stranded) > 0 {
+			return answer{}, false
+		}
+		r.hedged.Inc()
+	} else {
+		r.cfg.Logf("query %d: %d objects on shard %d failed (%d stranded): %v",
+			fr.query.ID, len(fr.query.Objects), fr.link.index, len(stranded), cause)
 	}
-	if len(groups) == 0 {
-		return nil, false, viaReplica
+	if len(stranded) > 0 {
+		out.lost = cause
 	}
-	results, all := r.scatterGroups(ctx, failed, groups)
-	if len(stranded) > 0 && !strandedRetry {
-		all = false
+	for _, a := range r.gather(ctx, groups, struck) {
+		out.results = append(out.results, a.results...)
+		if out.lost == nil {
+			out.lost = a.lost
+		}
 	}
-	return results, all, viaReplica
-}
-
-// fragmentsFor builds the per-shard sub-queries for one routing epoch.
-// Each fragment keeps the query's identity, time, and tolerance; the
-// result cost ν(q) is split across fragments proportionally to their
-// object counts, with the remainder charged to the first fragment so
-// the shares sum exactly to the original cost.
-func fragmentsFor(rt *routing, q *model.Query, parts map[int][]model.ObjectID) []fragment {
-	shardIdxs := make([]int, 0, len(parts))
-	for s := range parts {
-		shardIdxs = append(shardIdxs, s)
+	if cause != nil && out.lost == nil {
+		if viaReplica {
+			r.failover.Inc()
+		} else {
+			r.rerouted.Inc()
+		}
 	}
-	slices.Sort(shardIdxs)
-	frags := make([]fragment, 0, len(shardIdxs))
-	var assigned cost.Bytes
-	for _, s := range shardIdxs {
-		sub := *q
-		sub.Objects = parts[s]
-		sub.Cost = q.Cost * cost.Bytes(len(parts[s])) / cost.Bytes(len(q.Objects))
-		assigned += sub.Cost
-		frags = append(frags, fragment{link: rt.links[s], query: sub, fragments: len(shardIdxs)})
-	}
-	frags[0].query.Cost += q.Cost - assigned
-	return frags
+	return out, true
 }
 
 // clusterStats probes every shard's StatsMsg in parallel and builds
@@ -1059,7 +983,7 @@ func (r *Router) clusterStats(ctx context.Context) netproto.ClusterStatsMsg {
 	out.Aggregate.ResultCacheHits += r.results.Hits()
 	out.Aggregate.ResultCacheMisses += r.results.Misses()
 	out.Aggregate.CoalescedQueries += r.results.Coalesced()
-	out.Aggregate.GrantBatches += r.grantBatches.Load()
+	out.Aggregate.GrantBatches += r.grantBatches.Value()
 	slices.SortFunc(out.Aggregate.Cached, func(a, b model.ObjectID) int { return cmp.Compare(a, b) })
 	return out
 }
@@ -1103,27 +1027,27 @@ func (r *Router) Topology() Topology {
 func (r *Router) Ownership() *Ownership { return r.routing.Load().own }
 
 // Queries returns how many client queries the router has routed.
-func (r *Router) Queries() int64 { return r.queries.Load() }
+func (r *Router) Queries() int64 { return r.queries.Value() }
 
 // Scattered returns how many routed queries were split across two or
 // more shards.
-func (r *Router) Scattered() int64 { return r.scattered.Load() }
+func (r *Router) Scattered() int64 { return r.scattered.Value() }
 
 // Degraded returns how many routed queries were answered without
 // every fragment because a shard failed.
-func (r *Router) Degraded() int64 { return r.degraded.Load() }
+func (r *Router) Degraded() int64 { return r.degraded.Value() }
 
 // Rerouted returns how many failed fragments were fully recovered via
 // an alternate owner (the double-routing path of live resizes).
-func (r *Router) Rerouted() int64 { return r.rerouted.Load() }
+func (r *Router) Rerouted() int64 { return r.rerouted.Value() }
 
 // Failover returns how many failed fragments were fully recovered via
 // a non-primary replica.
-func (r *Router) Failover() int64 { return r.failover.Load() }
+func (r *Router) Failover() int64 { return r.failover.Value() }
 
 // Hedged returns how many hedged replica attempts were fired for slow
 // primaries.
-func (r *Router) Hedged() int64 { return r.hedged.Load() }
+func (r *Router) Hedged() int64 { return r.hedged.Value() }
 
 // ResultCacheHits returns how many routed queries were answered from
 // the router's result cache (zero when the cache is disabled).
@@ -1143,4 +1067,4 @@ func (r *Router) ResultCacheInvalidations() int64 { return r.results.Invalidatio
 
 // GrantBatches returns how many batched birth-grant frames the router
 // has shipped to shards.
-func (r *Router) GrantBatches() int64 { return r.grantBatches.Load() }
+func (r *Router) GrantBatches() int64 { return r.grantBatches.Value() }
