@@ -56,6 +56,16 @@ func (r *Router) invalidationLoop(c *netproto.Conn) {
 	for {
 		f, err := c.Recv()
 		if err != nil {
+			select {
+			case <-r.Done():
+			default:
+				// Deaf, not closing: no notice will evict anything again,
+				// so fail closed — wipe the result cache and scatter every
+				// query from here on — rather than serve entries nothing
+				// keeps current. (Resubscribing is ROADMAP item 3.)
+				r.results.disable()
+				r.cfg.Logf("invalidation stream lost: %v; result cache disabled, every query scatters", err)
+			}
 			return
 		}
 		switch body := f.Body.(type) {
@@ -227,15 +237,10 @@ func (r *Router) adoptBirths(ctx context.Context, births []model.Birth) (int, er
 		}
 	}
 
+	// Same epoch, no existing object moved: cached results and scatters
+	// in motion stay correct for the object sets they name, so the
+	// result cache is left alone (regions re-resolve below).
 	r.routing.Store(&routing{epoch: rt.epoch, own: ownNew, links: rt.links, alt: rt.alt})
-	// Routing grew under any result in motion: wipe the result cache
-	// and poison in-flight scatters. (Cached entries for pre-birth
-	// object sets are strictly still correct — a birth touches no
-	// existing object — but region covers re-resolve to new ID sets
-	// now, and a wholesale clear keeps the birth path's cache
-	// interaction trivially auditable; growth-heavy workloads cache
-	// little at the router anyway.)
-	r.results.clear()
 	r.births.Add(int64(len(fresh)))
 	if r.covers != nil {
 		// Extend the resolver's universe before dropping memoized

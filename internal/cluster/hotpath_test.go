@@ -119,6 +119,174 @@ func TestRouterResultCacheEpochFlipClears(t *testing.T) {
 	}
 }
 
+// startGrowingCluster starts a 16-object repository and an HTM-aware
+// cluster over it, and returns beside them a mirror survey: the same
+// catalog, untouched, for tests to draw births from (the catalog
+// assigns sequential IDs, so the mirror's births are the repository's
+// next ones).
+func startGrowingCluster(t *testing.T, shards int, policy func(int) core.Policy) (*catalog.Survey, *server.Repository, *cluster.LocalCluster) {
+	t.Helper()
+	mirror, err := catalog.NewSurvey(growthSurveyConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	repoSurvey, err := catalog.NewSurvey(growthSurveyConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := server.New(server.Config{Survey: repoSurvey, Scale: netproto.PayloadScale{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { repo.Close() })
+	lc, err := cluster.SpawnLocal(cluster.LocalConfig{
+		RepoAddr: repo.Addr(),
+		Objects:  repoSurvey.Objects(),
+		Shards:   shards,
+		Mode:     cluster.HTMAware,
+		Policy:   policy,
+		Scale:    netproto.PayloadScale{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	return mirror, repo, lc
+}
+
+// TestRouterResultCacheSurvivesBirth pins the growth interaction: a
+// birth is the same epoch with no existing object moved, so adopting it
+// neither evicts a warm result nor counts as an invalidation — while a
+// query naming the newborn still answers exactly, and an update to a
+// member of the warm result after the birth still evicts it.
+func TestRouterResultCacheSurvivesBirth(t *testing.T) {
+	mirror, repo, lc := startGrowingCluster(t, 2, func(int) core.Policy { return core.NewReplica() })
+	cl, err := client.DialCluster(lc.Router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	objs := spanningObjects(t, lc)
+	q := model.Query{
+		Objects:   objs,
+		Cost:      cost.Bytes(len(objs)) * cost.MB,
+		Tolerance: model.AnyStaleness,
+		Time:      time.Second,
+	}
+	if _, err := cl.Query(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+
+	births, err := mirror.GrowObjects(rand.New(rand.NewSource(11)), 3, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.AddObjects(ctx, births); err != nil {
+		t.Fatal(err)
+	}
+	if got := lc.Router.Births(); got != int64(len(births)) {
+		t.Fatalf("router adopted %d births, want %d", got, len(births))
+	}
+
+	hits := lc.Router.ResultCacheHits()
+	if _, err := cl.Query(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	if got := lc.Router.ResultCacheHits(); got != hits+1 {
+		t.Errorf("warm query after a birth: %d -> %d result-cache hits, want a hit", hits, got)
+	}
+	if got := lc.Router.ResultCacheInvalidations(); got != 0 {
+		t.Errorf("adopting births counted %d invalidations, want 0", got)
+	}
+
+	// The newborn routes: a query naming it (beside a warm member)
+	// answers undegraded with its exact declared cost.
+	grown := model.Query{
+		Objects:   []model.ObjectID{objs[0], births[0].Object.ID},
+		Cost:      3 * cost.MB,
+		Tolerance: model.AnyStaleness,
+		Time:      2 * time.Second,
+	}
+	res, err := cl.Query(ctx, grown)
+	if err != nil {
+		t.Fatalf("query naming newborn %d: %v", births[0].Object.ID, err)
+	}
+	if res.Degraded || res.Logical != int64(grown.Cost) {
+		t.Errorf("query naming the newborn: degraded=%v logical=%d, want undegraded %d", res.Degraded, res.Logical, grown.Cost)
+	}
+
+	// Both warm results name objs[0]; an update to it after the birth
+	// must still evict them.
+	repo.ApplyUpdate(model.Update{ID: 1, Object: objs[0], Cost: cost.MB, Time: 3 * time.Second})
+	deadline := time.Now().Add(5 * time.Second)
+	for lc.Router.ResultCacheInvalidations() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("update after the birth evicted %d cached results, want 2", lc.Router.ResultCacheInvalidations())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	hits = lc.Router.ResultCacheHits()
+	if _, err := cl.Query(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	if got := lc.Router.ResultCacheHits(); got != hits {
+		t.Errorf("query after the update hit the cache (%d -> %d hits): stale answer", hits, got)
+	}
+}
+
+// TestRouterResultCacheFailsClosedWhenDeaf pins what the router does
+// when its invalidation stream dies under it: with no notice able to
+// evict anything again, the result cache is wiped and stops serving —
+// the warm query is answered by the shards (or fails), never from the
+// router's cache.
+func TestRouterResultCacheFailsClosedWhenDeaf(t *testing.T) {
+	_, repo, lc := startCluster(t, 2, func(int) core.Policy { return core.NewReplica() })
+	cl, err := client.DialCluster(lc.Router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	objs := spanningObjects(t, lc)
+	q := model.Query{
+		Objects:   objs,
+		Cost:      cost.Bytes(len(objs)) * cost.MB,
+		Tolerance: model.AnyStaleness,
+		Time:      time.Second,
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := cl.Query(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := lc.Router.ResultCacheHits(); got != 1 {
+		t.Fatalf("warmup recorded %d cache hits, want 1", got)
+	}
+
+	// Closing the repository severs the stream; the wipe of the one
+	// resident entry shows as an invalidation.
+	repo.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for lc.Router.ResultCacheInvalidations() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("router kept its cached result after losing the invalidation stream")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// Twice: were the first answer admitted, the second would hit. (The
+	// resident shards may well answer; whether they do is not the point.)
+	for i := 0; i < 2; i++ {
+		_, _ = cl.Query(ctx, q)
+	}
+	if got := lc.Router.ResultCacheHits(); got != 1 {
+		t.Errorf("deaf router recorded %d result-cache hits, want only the 1 from warmup", got)
+	}
+}
+
 // TestRouterCoalescesIdenticalQueries pins the singleflight contract:
 // a flash crowd of identical concurrent queries costs one scatter —
 // followers join the leader's flight (or hit the cache it populates)
@@ -202,34 +370,7 @@ func TestRouterCoalescesIdenticalQueries(t *testing.T) {
 // frame per owning shard per adoption round, not one frame per object
 // — and every born object is queryable once its publish call returns.
 func TestBatchedBirthGrants(t *testing.T) {
-	const nBase = 16
-	mirror, err := catalog.NewSurvey(growthSurveyConfig(nBase))
-	if err != nil {
-		t.Fatal(err)
-	}
-	repoSurvey, err := catalog.NewSurvey(growthSurveyConfig(nBase))
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, err := server.New(server.Config{Survey: repoSurvey, Scale: netproto.PayloadScale{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer repo.Close()
-	lc, err := cluster.SpawnLocal(cluster.LocalConfig{
-		RepoAddr: repo.Addr(),
-		Objects:  repoSurvey.Objects(),
-		Shards:   3,
-		Mode:     cluster.HTMAware,
-		Scale:    netproto.PayloadScale{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
+	mirror, _, lc := startGrowingCluster(t, 3, nil)
 
 	// Publish through the router's publish path in bursts (the catalog
 	// assigns sequential IDs, so bursts are ordered; concurrency rides

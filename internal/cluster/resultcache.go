@@ -18,16 +18,24 @@
 // invalidation stream, and is disabled without one):
 //
 //   - An update to any member object evicts every cached result whose
-//     ID set contains it, and poisons any in-flight scatter touching
-//     it: the poisoned flight's result is neither inserted into the
-//     cache nor shared with followers (a follower may have joined after
-//     the invalidation arrived), so each follower falls back to its own
-//     scatter.
-//   - Birth adoption and resize epoch flips clear the cache wholesale
-//     and poison every flight — routing changed under them.
+//     ID set contains it, eagerly, and poisons any in-flight scatter
+//     touching it: the poisoned flight's result is neither inserted
+//     into the cache nor shared with followers (a follower may have
+//     joined after the invalidation arrived), so each follower falls
+//     back to its own scatter. An inverted index object → resident
+//     entries finds the matches, so a notice costs what it evicts, not
+//     the cache size (see index below).
+//   - Resize epoch flips clear the cache wholesale and poison every
+//     flight — routing changed under them. Birth adoption does neither:
+//     the epoch is the same, no existing object moves, an entry's ID
+//     set still names exactly the objects its payload was merged from,
+//     and a region whose cover gained the newborn resolves to a new ID
+//     set and so to a new signature.
 //   - Degraded or failed leader results are never shared with
 //     followers and never cached; each follower falls back to its own
 //     scatter.
+//   - If the invalidation stream is lost the cache fails closed
+//     (disable): wiped, and neither serving nor admitting from then on.
 //
 // Sharing respects the v3 frame ownership contract: the cached value
 // is the router's merged QueryResultMsg, whose Payload/Rows/Spans
@@ -100,6 +108,30 @@ type cacheEntry struct {
 	ids []model.ObjectID // sorted member set
 	res netproto.QueryResultMsg
 	elt *list.Element
+	// Where invalidate finds the entry: posts heads the chain (through
+	// posting.sib) of its arena postings and wideAt is -1, or — for an
+	// entry kept off the index — wideAt is its slot in resultCache.wide.
+	posts  int32
+	wideAt int
+}
+
+// wideEntry is the member count above which an entry stays off the
+// inverted index. Trace queries name a handful of objects (p50 4, p95
+// 10) but the tail is sky-wide (max ≈ 2,400); linking and unlinking
+// thousands of postings under mu on insert and again on LRU eviction
+// costs every concurrent query tens of µs, while one binary search per
+// such entry per notice costs nanoseconds — and there are few of them.
+const wideEntry = 64
+
+// posting records that entry e contains the object at universe position
+// pos. It sits on two chains, both threaded through arena indices (0 is
+// nil): the object's doubly-linked list of resident entries (prev,
+// next; resultCache.heads[pos] is its head) and the entry's own list of
+// postings (sib), which removal walks.
+type posting struct {
+	e               *cacheEntry
+	pos             int32
+	prev, next, sib int32
 }
 
 // resultCache is the router's combined singleflight + LRU result
@@ -112,6 +144,22 @@ type resultCache struct {
 	entries map[uint64]*cacheEntry
 	lru     *list.List // front = most recent; values are *cacheEntry
 	flights map[uint64]*flight
+	// off is set once by disable: the cache no longer serves or admits.
+	off bool
+
+	// The inverted index object → resident entries. pos maps an object
+	// to its universe position (Ownership.pos: stable for the router's
+	// life, since births append and resizes keep the universe order),
+	// which indexes heads directly — no map write per member on the
+	// miss path. Postings live in one arena recycled through a free
+	// chain (posting.next), so steady-state upkeep allocates nothing.
+	// Entries wider than wideEntry, or naming an object pos does not
+	// know, sit on wide instead and are binary-searched per notice.
+	pos   func(model.ObjectID) (int, bool)
+	heads []int32
+	arena []posting
+	free  int32
+	wide  []*cacheEntry
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -119,7 +167,7 @@ type resultCache struct {
 	invalidations atomic.Int64
 }
 
-func newResultCache(size int) *resultCache {
+func newResultCache(size int, pos func(model.ObjectID) (int, bool)) *resultCache {
 	if size <= 0 {
 		size = DefaultResultCacheSize
 	}
@@ -128,6 +176,8 @@ func newResultCache(size int) *resultCache {
 		entries: make(map[uint64]*cacheEntry),
 		lru:     list.New(),
 		flights: make(map[uint64]*flight),
+		pos:     pos,
+		arena:   make([]posting, 1), // slot 0 is the nil posting
 	}
 }
 
@@ -144,6 +194,9 @@ func (c *resultCache) begin(objects []model.ObjectID) (cached *netproto.QueryRes
 	sig, ids := querySignature(objects)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.off {
+		return nil, nil, false
+	}
 	if e, ok := c.entries[sig]; ok {
 		if slices.Equal(e.ids, ids) {
 			c.lru.MoveToFront(e.elt)
@@ -193,71 +246,178 @@ func (c *resultCache) complete(f *flight, res netproto.QueryResultMsg, ok bool) 
 
 func (c *resultCache) insertLocked(sig uint64, ids []model.ObjectID, res netproto.QueryResultMsg) {
 	if e, exists := c.entries[sig]; exists {
-		e.ids, e.res = ids, res
-		c.lru.MoveToFront(e.elt)
-		return
+		c.removeLocked(e)
 	}
-	e := &cacheEntry{sig: sig, ids: ids, res: res}
+	e := &cacheEntry{sig: sig, ids: ids, res: res, wideAt: -1}
 	e.elt = c.lru.PushFront(e)
 	c.entries[sig] = e
+	c.indexLocked(e)
 	for c.lru.Len() > c.size {
 		oldest := c.lru.Back()
 		c.removeLocked(oldest.Value.(*cacheEntry))
 	}
 }
 
+// indexLocked makes e findable by invalidate: one posting per distinct
+// member (a query may name an object twice; its entry must still be
+// evicted once), or a slot on the wide list.
+func (c *resultCache) indexLocked(e *cacheEntry) {
+	if len(e.ids) <= wideEntry && c.linkLocked(e) {
+		return
+	}
+	e.wideAt = len(c.wide)
+	c.wide = append(c.wide, e)
+}
+
+// linkLocked threads a posting for each distinct member onto that
+// object's list. At a member pos does not know it undoes the postings
+// made so far and reports false.
+func (c *resultCache) linkLocked(e *cacheEntry) bool {
+	for i, id := range e.ids {
+		if i > 0 && id == e.ids[i-1] {
+			continue
+		}
+		p, ok := c.pos(id)
+		if !ok {
+			c.unlinkLocked(e)
+			return false
+		}
+		if p >= len(c.heads) {
+			c.heads = append(c.heads, make([]int32, p+1-len(c.heads))...)
+		}
+		at := c.free
+		if at != 0 {
+			c.free = c.arena[at].next
+		} else {
+			at = int32(len(c.arena))
+			c.arena = append(c.arena, posting{})
+		}
+		head := c.heads[p]
+		c.arena[at] = posting{e: e, pos: int32(p), next: head, sib: e.posts}
+		if head != 0 {
+			c.arena[head].prev = at
+		}
+		c.heads[p], e.posts = at, at
+	}
+	return true
+}
+
+// unlinkLocked takes e's postings off their objects' lists and returns
+// them to the free chain.
+func (c *resultCache) unlinkLocked(e *cacheEntry) {
+	for at := e.posts; at != 0; {
+		po := c.arena[at]
+		if po.prev != 0 {
+			c.arena[po.prev].next = po.next
+		} else {
+			c.heads[po.pos] = po.next
+		}
+		if po.next != 0 {
+			c.arena[po.next].prev = po.prev
+		}
+		c.arena[at] = posting{next: c.free}
+		c.free = at
+		at = po.sib
+	}
+	e.posts = 0
+}
+
 func (c *resultCache) removeLocked(e *cacheEntry) {
 	c.lru.Remove(e.elt)
 	delete(c.entries, e.sig)
+	if e.wideAt < 0 {
+		c.unlinkLocked(e)
+		return
+	}
+	last := len(c.wide) - 1
+	c.wide[e.wideAt] = c.wide[last]
+	c.wide[e.wideAt].wideAt = e.wideAt
+	c.wide[last] = nil
+	c.wide = c.wide[:last]
 }
 
 // invalidate evicts every cached result containing the updated object
-// and poisons matching in-flight scatters. The scan walks all resident
-// entries — bounded by the configured size — with a binary search per
-// entry; at the default size this is microseconds, far below one
-// scatter round trip.
+// and poisons matching in-flight scatters. The object's posting list
+// names exactly the indexed residents to evict, so a notice that
+// matches nothing — every notice, when updates fall on unqueried sky —
+// costs one slice load plus a binary search per wide entry and per
+// flight, both few; it runs under the mutex begin needs, beside every
+// read.
 func (c *resultCache) invalidate(id model.ObjectID) {
 	if c == nil {
 		return
 	}
+	p, known := c.pos(id)
 	c.mu.Lock()
-	var evicted []*cacheEntry
-	for _, e := range c.entries {
-		if _, found := slices.BinarySearch(e.ids, id); found {
-			evicted = append(evicted, e)
+	evicted := 0
+	if known && p < len(c.heads) {
+		for at := c.heads[p]; at != 0; evicted++ {
+			po := c.arena[at]
+			at = po.next // e has one posting per object: never po.e's own
+			c.removeLocked(po.e)
 		}
 	}
-	for _, e := range evicted {
-		c.removeLocked(e)
+	for i := 0; i < len(c.wide); {
+		if e := c.wide[i]; contains(e.ids, id) {
+			c.removeLocked(e) // swaps the list's last entry into slot i
+			evicted++
+		} else {
+			i++
+		}
 	}
 	for _, fl := range c.flights {
-		if _, found := slices.BinarySearch(fl.ids, id); found {
+		if contains(fl.ids, id) {
 			fl.poisoned = true
 		}
 	}
-	if len(evicted) > 0 {
-		c.invalidations.Add(int64(len(evicted)))
+	if evicted > 0 {
+		c.invalidations.Add(int64(evicted))
 	}
 	c.mu.Unlock()
 }
 
+func contains(sorted []model.ObjectID, id model.ObjectID) bool {
+	_, found := slices.BinarySearch(sorted, id)
+	return found
+}
+
 // clear wipes the cache wholesale and poisons every in-flight scatter
-// — the response to birth adoption and resize epoch flips, where
-// routing itself changed under any result in motion.
+// — the response to resize epoch flips, where routing itself changed
+// under any result in motion.
 func (c *resultCache) clear() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	n := len(c.entries)
-	c.entries = make(map[uint64]*cacheEntry)
+	c.clearLocked()
+	c.mu.Unlock()
+}
+
+func (c *resultCache) clearLocked() {
+	c.invalidations.Add(int64(len(c.entries)))
+	clear(c.entries)
 	c.lru.Init()
+	clear(c.heads)
+	clear(c.arena)
+	c.arena, c.free = c.arena[:1], 0
+	clear(c.wide)
+	c.wide = c.wide[:0]
 	for _, fl := range c.flights {
 		fl.poisoned = true
 	}
-	if n > 0 {
-		c.invalidations.Add(int64(n))
+}
+
+// disable is the fail-closed response to losing the invalidation
+// stream: with no notices arriving, no resident entry can be trusted
+// and none may be admitted, so the cache is wiped and every later begin
+// passes through to a scatter.
+func (c *resultCache) disable() {
+	if c == nil {
+		return
 	}
+	c.mu.Lock()
+	c.off = true
+	c.clearLocked()
 	c.mu.Unlock()
 }
 

@@ -7,6 +7,10 @@ import (
 	"github.com/deltacache/delta/internal/netproto"
 )
 
+// denseIDs is the position lookup of a universe with IDs 1..N, for
+// caches built without a router.
+func denseIDs(id model.ObjectID) (int, bool) { return int(id) - 1, id >= 1 }
+
 // lead drives one complete leader pass through the cache: begin must
 // hand back a fresh flight, which is completed with the given result.
 func lead(t *testing.T, c *resultCache, objs []model.ObjectID, res netproto.QueryResultMsg) {
@@ -19,7 +23,7 @@ func lead(t *testing.T, c *resultCache, objs []model.ObjectID, res netproto.Quer
 }
 
 func TestResultCacheHitAndLRUEviction(t *testing.T) {
-	c := newResultCache(2)
+	c := newResultCache(2, denseIDs)
 	a := []model.ObjectID{1, 2}
 	b := []model.ObjectID{3, 4}
 	d := []model.ObjectID{5, 6}
@@ -53,7 +57,7 @@ func TestResultCacheHitAndLRUEviction(t *testing.T) {
 }
 
 func TestResultCacheInvalidateEvictsMemberEntries(t *testing.T) {
-	c := newResultCache(8)
+	c := newResultCache(8, denseIDs)
 	lead(t, c, []model.ObjectID{1, 2}, netproto.QueryResultMsg{})
 	lead(t, c, []model.ObjectID{2, 3}, netproto.QueryResultMsg{})
 	lead(t, c, []model.ObjectID{4}, netproto.QueryResultMsg{})
@@ -74,7 +78,7 @@ func TestResultCacheInvalidateEvictsMemberEntries(t *testing.T) {
 }
 
 func TestResultCacheInvalidatePoisonsFlight(t *testing.T) {
-	c := newResultCache(8)
+	c := newResultCache(8, denseIDs)
 	_, fl, leader := c.begin([]model.ObjectID{7, 8})
 	if fl == nil || !leader {
 		t.Fatal("expected a fresh leader flight")
@@ -90,7 +94,7 @@ func TestResultCacheInvalidatePoisonsFlight(t *testing.T) {
 }
 
 func TestResultCacheClearPoisonsAndWipes(t *testing.T) {
-	c := newResultCache(8)
+	c := newResultCache(8, denseIDs)
 	lead(t, c, []model.ObjectID{1}, netproto.QueryResultMsg{})
 	_, fl, leader := c.begin([]model.ObjectID{2})
 	if fl == nil || !leader {
@@ -109,12 +113,31 @@ func TestResultCacheClearPoisonsAndWipes(t *testing.T) {
 	}
 }
 
+// TestResultCacheDisableFailsClosed pins the lost-stream response: the
+// cache is wiped, a flight in motion is poisoned, and from then on begin
+// neither serves nor opens a flight, so nothing is admitted again.
+func TestResultCacheDisableFailsClosed(t *testing.T) {
+	c := newResultCache(8, denseIDs)
+	lead(t, c, []model.ObjectID{1}, netproto.QueryResultMsg{})
+	_, fl, _ := c.begin([]model.ObjectID{2})
+	c.disable()
+	c.complete(fl, netproto.QueryResultMsg{}, true)
+	if fl.shared || c.Len() != 0 {
+		t.Errorf("after disable: flight shared=%v, %d residents; want neither", fl.shared, c.Len())
+	}
+	for _, objs := range [][]model.ObjectID{{1}, {2}, {3}} {
+		if cached, fl, leader := c.begin(objs); cached != nil || fl != nil || leader {
+			t.Errorf("begin(%v) on a disabled cache = (%v, %v, %v), want a plain pass-through", objs, cached, fl, leader)
+		}
+	}
+}
+
 // TestResultCacheCollisionPassesThrough pins the collision contract: a
 // resident entry whose signature matches but whose ID set differs must
 // neither answer the query nor be evicted — the colliding query passes
 // through uncached, costing performance only.
 func TestResultCacheCollisionPassesThrough(t *testing.T) {
-	c := newResultCache(8)
+	c := newResultCache(8, denseIDs)
 	// Forge a collision: insert under query {5}'s signature an entry
 	// claiming a different member set.
 	sig, _ := querySignature([]model.ObjectID{5})
@@ -144,6 +167,7 @@ func TestResultCacheNilReceiver(t *testing.T) {
 	c.complete(nil, netproto.QueryResultMsg{}, true)
 	c.invalidate(1)
 	c.clear()
+	c.disable()
 	if c.Len() != 0 || c.Hits() != 0 || c.Misses() != 0 || c.Coalesced() != 0 || c.Invalidations() != 0 {
 		t.Error("nil cache accessors must all report zero")
 	}

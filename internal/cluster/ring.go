@@ -16,8 +16,10 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
@@ -64,9 +66,11 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // Ownership is the deterministic object→shard assignment shared by the
-// router and every shard. It is immutable after construction and safe
-// for concurrent use; Resize derives a new Ownership rather than
-// mutating this one.
+// router and every shard. It is immutable to its readers and safe for
+// concurrent use; Resize and Extend derive a new Ownership rather than
+// mutating this one. (Extend's first child appends into the spare
+// capacity past this value's slice lengths — memory no reader of this
+// value ever addresses — so growth costs the batch, not the universe.)
 //
 // The representation is position-indexed: survey universes carry dense
 // sequential IDs (1..N, births continuing the sequence), so the
@@ -99,6 +103,17 @@ type Ownership struct {
 	// byShard[s] lists the objects shard s holds at any replica rank,
 	// sorted by ID.
 	byShard [][]model.ObjectID
+	// cutOrder (HTMAware only) is the (trixel, ID) sort the cuts were
+	// made over, as universe positions: universe[:len(cutOrder)] in
+	// spatial order. Objects born since (Extend) are not in it — they
+	// take their spatial predecessor's cut and never start one. Shared
+	// read-only by every Extend descendant.
+	cutOrder []int32
+	// extended is set by the first Extend of this value, which may then
+	// append in place past the slice lengths above; a later Extend of
+	// the same value finds it set and copies instead, so siblings never
+	// write the same spare capacity.
+	extended atomic.Bool
 }
 
 // NewOwnership assigns every object in the universe to one of n shards
@@ -245,15 +260,7 @@ func (o *Ownership) deriveReplicas() {
 	counts := make([]int, o.shards)
 	for i := range o.universe {
 		ranked := o.ownersFlat[i*k : (i+1)*k]
-		switch o.mode {
-		case Rendezvous:
-			rendezvousRankInto(o.universe[i].ID, o.shards, ranked)
-		default: // HTMAware: the owning cut plus its right neighbors
-			c := o.owner[i]
-			for r := 0; r < k; r++ {
-				ranked[r] = (c + int32(r)) % int32(o.shards)
-			}
-		}
+		o.rankInto(o.universe[i].ID, o.owner[i], ranked)
 		o.owner[i] = ranked[0]
 		for _, s := range ranked {
 			counts[s]++
@@ -278,23 +285,33 @@ func (o *Ownership) deriveReplicas() {
 	}
 }
 
+// rankInto writes one object's ranked replica set into ranked
+// (len kEff), given its primary cut.
+func (o *Ownership) rankInto(id model.ObjectID, cut int32, ranked []int32) {
+	switch o.mode {
+	case Rendezvous:
+		rendezvousRankInto(id, o.shards, ranked)
+	default: // HTMAware: the owning cut plus its right neighbors
+		for r := range ranked {
+			ranked[r] = (cut + int32(r)) % int32(o.shards)
+		}
+	}
+}
+
 // assignHTMAware sorts the universe spatially (by trixel ID, which
 // orders the HTM mesh depth-first so numeric neighbors are spatial
 // neighbors) and cuts it into n contiguous, size-balanced runs.
 // Objects without a trixel (a non-HTM universe) fall back to ID order,
 // which the survey builder also derives from sky position.
 func (o *Ownership) assignHTMAware() {
-	order := make([]int, len(o.universe))
+	order := make([]int32, len(o.universe))
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
 	sort.Slice(order, func(a, b int) bool {
-		oa, ob := &o.universe[order[a]], &o.universe[order[b]]
-		if oa.Trixel != ob.Trixel {
-			return oa.Trixel < ob.Trixel
-		}
-		return oa.ID < ob.ID
+		return cutBefore(&o.universe[order[a]], &o.universe[order[b]])
 	})
+	o.cutOrder = order
 	var total int64
 	for i := range o.universe {
 		total += int64(o.universe[i].Size)
@@ -318,6 +335,14 @@ func (o *Ownership) assignHTMAware() {
 		o.owner[p] = int32(shard)
 		acc += size
 	}
+}
+
+// cutBefore is the (trixel, ID) order HTM cuts are made over.
+func cutBefore(a, b *model.Object) bool {
+	if a.Trixel != b.Trixel {
+		return a.Trixel < b.Trixel
+	}
+	return a.ID < b.ID
 }
 
 // mix64 is splitmix64's finalizer: a cheap, well-distributed 64-bit
@@ -450,79 +475,102 @@ func (n *Ownership) relabel(o *Ownership) {
 // recuts over newborns and base objects alike. Deterministic: every
 // party extends to the identical map. A newborn already owned is an
 // error — callers deduplicate against the current universe.
+//
+// The cost is the batch's, amortized: the child appends the newborns to
+// the parent's arrays in place (see extended) rather than copying the
+// universe, and o keeps answering exactly as before — its slice lengths
+// never move. Two cases still copy: a second Extend of the same o, and
+// a universe whose IDs are not the dense sequence 1..N, whose index map
+// is cloned per child.
 func (o *Ownership) Extend(objs []model.Object) (*Ownership, error) {
 	if len(objs) == 0 {
 		return o, nil
 	}
+	seq := o.seq
 	added := make(map[model.ObjectID]struct{}, len(objs))
-	for _, obj := range objs {
-		if _, dup := o.pos(obj.ID); dup {
-			return nil, fmt.Errorf("cluster: extend with already-owned object %d", obj.ID)
-		}
-		if _, dup := added[obj.ID]; dup {
+	for i, obj := range objs {
+		_, owned := o.pos(obj.ID)
+		if _, dup := added[obj.ID]; owned || dup {
 			return nil, fmt.Errorf("cluster: extend with already-owned object %d", obj.ID)
 		}
 		added[obj.ID] = struct{}{}
+		seq = seq && obj.ID == model.ObjectID(len(o.universe)+i+1)
 	}
+	// The first child owns the parent's spare capacity; a sibling clips
+	// it away so that its appends copy.
+	inPlace := o.extended.CompareAndSwap(false, true)
 	n := &Ownership{
-		mode:     o.mode,
-		shards:   o.shards,
-		replicas: o.replicas,
-		kEff:     o.kEff,
-		universe: make([]model.Object, 0, len(o.universe)+len(objs)),
-		owner:    make([]int32, len(o.universe)+len(objs)),
+		mode:       o.mode,
+		shards:     o.shards,
+		replicas:   o.replicas,
+		kEff:       o.kEff,
+		universe:   append(spare(o.universe, inPlace), objs...),
+		seq:        seq,
+		owner:      spare(o.owner, inPlace),
+		ownersFlat: spare(o.ownersFlat, inPlace),
+		byShard:    make([][]model.ObjectID, o.shards),
+		cutOrder:   o.cutOrder,
 	}
-	n.universe = append(n.universe, o.universe...)
-	n.universe = append(n.universe, objs...)
-	n.reindex()
-	copy(n.owner, o.owner)
-	for i, obj := range objs {
-		p := len(o.universe) + i
-		switch o.mode {
-		case Rendezvous:
-			n.owner[p] = int32(rendezvousOwner(obj.ID, o.shards))
-		case HTMAware:
-			n.owner[p] = int32(n.cutOwner(obj, p))
-		default:
-			return nil, fmt.Errorf("cluster: unknown mode %d", int(o.mode))
+	for s := range n.byShard {
+		n.byShard[s] = spare(o.byShard[s], inPlace)
+	}
+	if !seq && o.seq {
+		// The batch broke the dense sequence: index everything.
+		n.idx = make(map[model.ObjectID]int, len(n.universe))
+		for p := range n.universe {
+			n.idx[n.universe[p].ID] = p
+		}
+	} else if !seq {
+		n.idx = maps.Clone(o.idx)
+		for i, obj := range objs {
+			n.idx[obj.ID] = len(o.universe) + i
 		}
 	}
-	n.deriveReplicas()
+	for i := range objs {
+		obj := &objs[i]
+		var cut int32
+		if o.mode == HTMAware {
+			cut = o.cutOwner(obj)
+		}
+		n.ownersFlat = append(n.ownersFlat, make([]int32, o.kEff)...)
+		ranked := n.ownersFlat[len(n.ownersFlat)-o.kEff:]
+		o.rankInto(obj.ID, cut, ranked)
+		n.owner = append(n.owner, ranked[0])
+		for _, s := range ranked {
+			held := n.byShard[s]
+			if len(held) == 0 || held[len(held)-1] < obj.ID {
+				n.byShard[s] = append(held, obj.ID)
+				continue
+			}
+			// An ID below the shard's last: insert in order, on a copy
+			// (the shift would move entries the parent still reads).
+			at, _ := slices.BinarySearch(held, obj.ID)
+			n.byShard[s] = slices.Insert(slices.Clip(held), at, obj.ID)
+		}
+	}
 	return n, nil
+}
+
+// spare returns s with its spare capacity for an in-place append, or
+// clipped so that an append copies.
+func spare[T any](s []T, inPlace bool) []T {
+	if inPlace {
+		return s
+	}
+	return slices.Clip(s)
 }
 
 // cutOwner returns the shard whose contiguous HTM cut contains the
 // newborn: the owner of its predecessor in the (trixel, ID) order the
 // cuts were made over, falling back to the spatially first object for
-// a newborn before every cut. Only universe[:limit] — the objects
-// placed before this newborn — participates.
-func (n *Ownership) cutOwner(obj model.Object, limit int) int {
-	bestOwner, haveBest := -1, false
-	var bestT uint64
-	var bestID model.ObjectID
-	firstOwner := 0
-	var firstT uint64
-	var firstID model.ObjectID
-	haveFirst := false
-	for p := 0; p < limit; p++ {
-		u := &n.universe[p]
-		t, id := u.Trixel, u.ID
-		if !haveFirst || t < firstT || (t == firstT && id < firstID) {
-			firstT, firstID, firstOwner = t, id, int(n.owner[p])
-			haveFirst = true
-		}
-		if t > obj.Trixel || (t == obj.Trixel && id > obj.ID) {
-			continue // past the newborn in cut order
-		}
-		if !haveBest || t > bestT || (t == bestT && id > bestID) {
-			bestT, bestID, bestOwner = t, id, int(n.owner[p])
-			haveBest = true
-		}
-	}
-	if haveBest {
-		return bestOwner
-	}
-	return firstOwner
+// a newborn before every cut. Searching cutOrder alone is enough: an
+// earlier birth between the newborn and that predecessor took the same
+// predecessor's cut itself.
+func (o *Ownership) cutOwner(obj *model.Object) int32 {
+	after := sort.Search(len(o.cutOrder), func(i int) bool {
+		return cutBefore(obj, &o.universe[o.cutOrder[i]])
+	})
+	return o.owner[o.cutOrder[max(after-1, 0)]]
 }
 
 // Objects returns the metadata of the given owned objects, in input

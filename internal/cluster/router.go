@@ -259,7 +259,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		"Routed queries that missed the result cache and scattered (or coalesced).",
 		func() float64 { return float64(r.results.Misses()) })
 	r.Reg.NewCounterFunc("delta_router_result_cache_invalidations_total",
-		"Cached results evicted by the invalidation stream, birth adoptions, or epoch flips.",
+		"Cached results evicted by an update notice on a member object, an epoch flip, or loss of the invalidation stream (births evict nothing).",
 		func() float64 { return float64(r.results.Invalidations()) })
 	r.Reg.NewCounterFunc("delta_router_coalesced_total",
 		"Queries that joined an identical in-flight query's scatter instead of scattering.",
@@ -308,7 +308,9 @@ func NewRouter(cfg Config) (*Router, error) {
 		// it before the subscription so no invalidation can race the
 		// cache into existence.
 		if cfg.ResultCacheSize >= 0 {
-			r.results = newResultCache(cfg.ResultCacheSize)
+			r.results = newResultCache(cfg.ResultCacheSize, func(id model.ObjectID) (int, bool) {
+				return r.routing.Load().own.pos(id)
+			})
 		}
 		if err := r.subscribeInvalidations(); err != nil {
 			repo.Close()
@@ -1062,7 +1064,8 @@ func (r *Router) ResultCacheMisses() int64 { return r.results.Misses() }
 func (r *Router) Coalesced() int64 { return r.results.Coalesced() }
 
 // ResultCacheInvalidations returns how many cached results were
-// evicted by the invalidation stream, birth adoptions, or epoch flips.
+// evicted by update notices, epoch flips, or the loss of the
+// invalidation stream.
 func (r *Router) ResultCacheInvalidations() int64 { return r.results.Invalidations() }
 
 // GrantBatches returns how many batched birth-grant frames the router

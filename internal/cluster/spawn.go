@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/deltacache/delta/internal/cache"
@@ -148,8 +149,10 @@ func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, er
 		return core.NewVCover(core.DefaultVCoverConfig())
 	}
 	// Shards treat the universe as read-only, so share the ownership's
-	// slice instead of cloning a million objects per shard.
-	universe := own.universe
+	// slice instead of cloning a million objects per shard — clipped, so
+	// an append by the shard copies rather than writing the spare
+	// capacity Extend grows into.
+	universe := slices.Clip(own.universe)
 	capacity := cfg.ShardCapacity
 	var reshardCapacity func([]model.Object) cost.Bytes
 	if capacity == 0 {
