@@ -13,8 +13,8 @@
 // outside the lock on a multiplexed repository session (a small
 // connection pool with RequestID demultiplexing), with per-object
 // singleflight so concurrent queries that need the same object trigger
-// one load. Client connections speaking protocol v2 get a worker
-// goroutine per request, so a query stalled on an object load never
+// one load. A client connection's requests run on its own bounded set
+// of worker goroutines, so a query stalled on an object load never
 // head-of-line-blocks its neighbors.
 package cache
 

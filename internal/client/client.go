@@ -165,9 +165,7 @@ func (c *Client) query(ctx context.Context, msg netproto.QueryMsg) (*Result, err
 		}
 	}
 	start := time.Now()
-	ctx, cancel := c.withTimeout(ctx)
-	defer cancel()
-	reply, err := c.sess.RoundTrip(ctx, netproto.Frame{Type: netproto.MsgQuery, Body: msg})
+	reply, err := c.roundTrip(ctx, netproto.Frame{Type: netproto.MsgQuery, Body: msg})
 	if err != nil {
 		return nil, fmt.Errorf("client: query: %w", err)
 	}
@@ -245,9 +243,7 @@ func (c *Client) QueryBatch(ctx context.Context, qs []model.Query) ([]*Result, e
 // idempotent — births already known are skipped — and the returned
 // count is how many the repository newly ingested.
 func (c *Client) AddObjects(ctx context.Context, births []model.Birth) (int, error) {
-	ctx, cancel := c.withTimeout(ctx)
-	defer cancel()
-	reply, err := c.sess.RoundTrip(ctx, netproto.Frame{
+	reply, err := c.roundTrip(ctx, netproto.Frame{
 		Type: netproto.MsgObjectBirth,
 		Body: netproto.ObjectBirthMsg{Births: births},
 	})
@@ -263,9 +259,7 @@ func (c *Client) AddObjects(ctx context.Context, births []model.Birth) (int, err
 
 // Stats fetches the middleware's statistics.
 func (c *Client) Stats(ctx context.Context) (*netproto.StatsMsg, error) {
-	ctx, cancel := c.withTimeout(ctx)
-	defer cancel()
-	reply, err := c.sess.RoundTrip(ctx, netproto.Frame{
+	reply, err := c.roundTrip(ctx, netproto.Frame{
 		Type: netproto.MsgStats,
 		Body: netproto.StatsMsg{},
 	})
@@ -283,9 +277,7 @@ func (c *Client) Stats(ctx context.Context) (*netproto.StatsMsg, error) {
 // StatsMsg plus the aggregate. A single (unsharded) cache answers as a
 // one-shard cluster.
 func (c *Client) ClusterStats(ctx context.Context) (*netproto.ClusterStatsMsg, error) {
-	ctx, cancel := c.withTimeout(ctx)
-	defer cancel()
-	reply, err := c.sess.RoundTrip(ctx, netproto.Frame{
+	reply, err := c.roundTrip(ctx, netproto.Frame{
 		Type: netproto.MsgClusterStats,
 		Body: netproto.ClusterStatsMsg{},
 	})
@@ -324,9 +316,7 @@ func (c *Client) Resize(ctx context.Context, shards []string) (*netproto.Rebalan
 // RebalanceStatus fetches a cluster router's rebalance progress view
 // (phase, routing epoch, moved objects/bytes, last error).
 func (c *Client) RebalanceStatus(ctx context.Context) (*netproto.RebalanceStatusMsg, error) {
-	ctx, cancel := c.withTimeout(ctx)
-	defer cancel()
-	reply, err := c.sess.RoundTrip(ctx, netproto.Frame{
+	reply, err := c.roundTrip(ctx, netproto.Frame{
 		Type: netproto.MsgRebalanceStatus,
 		Body: netproto.RebalanceStatusMsg{},
 	})
@@ -340,12 +330,12 @@ func (c *Client) RebalanceStatus(ctx context.Context) (*netproto.RebalanceStatus
 	return &st, nil
 }
 
-func (c *Client) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.requestTimeout <= 0 {
-		return ctx, func() {}
-	}
+// roundTrip bounds a request by the client's request timeout unless ctx
+// carries a deadline of its own.
+func (c *Client) roundTrip(ctx context.Context, f netproto.Frame) (netproto.Frame, error) {
+	timeout := c.requestTimeout
 	if _, ok := ctx.Deadline(); ok {
-		return ctx, func() {}
+		timeout = 0
 	}
-	return context.WithTimeout(ctx, c.requestTimeout)
+	return c.sess.RoundTripTimeout(ctx, f, timeout)
 }

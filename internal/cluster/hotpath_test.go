@@ -1,7 +1,9 @@
 package cluster_test
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -444,5 +446,80 @@ func TestBatchedBirthGrants(t *testing.T) {
 	}
 	if cs.Aggregate.GrantBatches != batches {
 		t.Errorf("aggregate stats report %d grant batches, router counted %d", cs.Aggregate.GrantBatches, batches)
+	}
+}
+
+// goroutinesCreated reads how many goroutines the process has started so
+// far off the ID of a fresh one: the runtime numbers goroutines in
+// order, handing each P a block of 16 IDs at a time.
+func goroutinesCreated(t *testing.T) int {
+	t.Helper()
+	header := make(chan string)
+	go func() {
+		buf := make([]byte, 64)
+		header <- string(buf[:runtime.Stack(buf, false)])
+	}()
+	var id int
+	h := <-header
+	if _, err := fmt.Sscanf(h, "goroutine %d ", &id); err != nil {
+		t.Fatalf("no goroutine ID in %q: %v", h, err)
+	}
+	return id
+}
+
+// TestOneFragmentQuerySpawnsNothing pins the hit path's goroutine cost:
+// once each connection's mux workers exist, a scattered query owned by
+// one shard starts no goroutine at client, router or shard — the
+// router fetches the lone fragment on the worker that took the query.
+func TestOneFragmentQuerySpawnsNothing(t *testing.T) {
+	survey, repo := startRepository(t)
+	lc, err := cluster.SpawnLocal(cluster.LocalConfig{
+		RepoAddr:        repo.Addr(),
+		Objects:         survey.Objects(),
+		Shards:          2,
+		Mode:            cluster.HTMAware,
+		Policy:          func(int) core.Policy { return core.NewReplica() },
+		Scale:           netproto.DefaultScale(),
+		ResultCacheSize: -1, // every query scatters
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	cl, err := client.DialCluster(lc.Router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	q := model.Query{
+		Objects:   lc.Ownership.ShardObjects(0)[:1],
+		Cost:      cost.MB,
+		Tolerance: model.AnyStaleness,
+		Time:      time.Second,
+	}
+	query := func(n int) {
+		t.Helper()
+		for range n {
+			if _, err := cl.Query(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	query(100) // warm: the object is resident and every hop has a parked worker
+	const queries = 1000
+	served := lc.Shards[0].Stats().Queries
+	running, created := runtime.NumGoroutine(), goroutinesCreated(t)
+	query(queries)
+	if got := lc.Shards[0].Stats().Queries - served; got != queries {
+		t.Fatalf("shard 0 served %d of %d queries: they did not all scatter", got, queries)
+	}
+	// Three spawns per query (client → router, gather, router → shard)
+	// before workers were reused; a few dozen IDs of slack cover the
+	// per-P ID blocks and a worker started late.
+	if got := goroutinesCreated(t) - created; got > queries/10 {
+		t.Errorf("%d goroutines started during %d one-fragment queries, want none per query", got, queries)
+	}
+	if got := runtime.NumGoroutine(); got > running+4 {
+		t.Errorf("goroutines %d -> %d across %d queries", running, got, queries)
 	}
 }

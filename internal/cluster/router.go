@@ -680,10 +680,8 @@ func (r *Router) scatterQuery(ctx context.Context, q *model.Query, traceID uint6
 // round trips feed the fragment-latency histogram the hedge delay is
 // derived from.
 func (r *Router) shardRoundTrip(ctx context.Context, fr fragment) (netproto.QueryResultMsg, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
-	defer cancel()
 	start := time.Now()
-	reply, err := fr.link.sess.RoundTrip(ctx, netproto.Frame{
+	reply, err := fr.link.sess.RoundTripTimeout(ctx, netproto.Frame{
 		Type: netproto.MsgShardQuery,
 		Body: netproto.ShardQueryMsg{
 			Query:     fr.query,
@@ -691,7 +689,7 @@ func (r *Router) shardRoundTrip(ctx context.Context, fr fragment) (netproto.Quer
 			Fragments: max(fr.fragments, 1),
 			TraceID:   fr.traceID,
 		},
-	})
+	}, r.cfg.ShardTimeout)
 	if err != nil {
 		return netproto.QueryResultMsg{}, err
 	}
@@ -797,16 +795,21 @@ func plan(rt *routing, fr fragment, struck []string, retry bool) (frags []fragme
 	return frags, stranded, viaReplica
 }
 
-// gather fetches the fragments of one plan concurrently.
+// gather fetches the fragments of one plan concurrently: the last on
+// the calling goroutine, so the usual one-fragment plan spawns nothing.
 func (r *Router) gather(ctx context.Context, frags []fragment, struck []string) []answer {
 	outs := make([]answer, len(frags))
 	var wg sync.WaitGroup
-	for i := range frags {
+	last := len(frags) - 1
+	for i := range last {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			outs[i] = r.fetch(ctx, frags[i], struck)
 		}()
+	}
+	if last >= 0 {
+		outs[last] = r.fetch(ctx, frags[last], struck)
 	}
 	wg.Wait()
 	return outs

@@ -13,6 +13,7 @@
 package gds
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -39,12 +40,45 @@ type Cache struct {
 	gdsf     bool
 
 	entries map[int64]*entry
+	// order is a min-heap of the entries on (heapH, key). An entry's
+	// credit only ever rises after it is admitted (inflate never falls
+	// and freq only grows), so Touch leaves the heap alone and heapH
+	// may lag below h; minCredit repairs the root until it is current.
+	order creditHeap
 }
 
 type entry struct {
+	key        int64
 	size, cost int64
 	h          float64
 	freq       int64
+	heapH      float64 // h as order last saw it; never above h
+	pos        int     // index in order
+}
+
+// creditHeap implements heap.Interface over entries, smallest
+// (heapH, key) first.
+type creditHeap []*entry
+
+func (o creditHeap) Len() int { return len(o) }
+func (o creditHeap) Less(i, j int) bool {
+	return o[i].heapH < o[j].heapH || (o[i].heapH == o[j].heapH && o[i].key < o[j].key)
+}
+func (o creditHeap) Swap(i, j int) {
+	o[i], o[j] = o[j], o[i]
+	o[i].pos, o[j].pos = i, j
+}
+func (o *creditHeap) Push(x any) {
+	e := x.(*entry)
+	e.pos = len(*o)
+	*o = append(*o, e)
+}
+func (o *creditHeap) Pop() any {
+	old := *o
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*o = old[:len(old)-1]
+	return e
 }
 
 // New returns an empty cache with the given capacity. If gdsf is true
@@ -124,8 +158,14 @@ func (c *Cache) Remove(key int64) {
 	if !ok {
 		return
 	}
+	c.evict(e)
+}
+
+// evict drops a cached entry from the map, the heap and the books.
+func (c *Cache) evict(e *entry) {
 	c.used -= e.size
-	delete(c.entries, key)
+	delete(c.entries, e.key)
+	heap.Remove(&c.order, e.pos)
 }
 
 // Admit inserts the candidate, evicting minimum-credit objects until it
@@ -142,20 +182,21 @@ func (c *Cache) Admit(cand Entry) (evicted []int64, admitted bool) {
 		return nil, true
 	}
 	for c.used+cand.Size > c.capacity {
-		victim, ok := c.minCredit()
-		if !ok {
+		victim := c.minCredit()
+		if victim == nil {
 			return evicted, false // nothing left to evict; cannot happen with valid sizes
 		}
 		// The inflation level rises to the evicted credit: this is the
 		// "aging" that lets stale high-cost objects eventually leave.
-		c.inflate = c.entries[victim].h
-		c.used -= c.entries[victim].size
-		delete(c.entries, victim)
-		evicted = append(evicted, victim)
+		c.inflate = victim.h
+		c.evict(victim)
+		evicted = append(evicted, victim.key)
 	}
-	e := &entry{size: cand.Size, cost: cand.Cost, freq: 1}
+	e := &entry{key: cand.Key, size: cand.Size, cost: cand.Cost, freq: 1}
 	e.h = c.credit(e)
+	e.heapH = e.h
 	c.entries[cand.Key] = e
+	heap.Push(&c.order, e)
 	c.used += cand.Size
 	return evicted, true
 }
@@ -206,18 +247,19 @@ func (c *Cache) AdmitBatch(cands []Entry) BatchResult {
 	return res
 }
 
-// minCredit returns the key with the smallest credit, breaking ties by
-// smaller key for determinism.
-func (c *Cache) minCredit() (int64, bool) {
-	var (
-		bestKey int64
-		bestH   float64
-		found   bool
-	)
-	for k, e := range c.entries {
-		if !found || e.h < bestH || (e.h == bestH && k < bestKey) {
-			bestKey, bestH, found = k, e.h, true
+// minCredit returns the entry with the smallest credit, ties broken by
+// smaller key for determinism; nil when the cache is empty. While the
+// root's heapH lags its credit the root is brought current and sifted
+// down; a root that is current is the minimum, because every other
+// entry's credit is at least its heapH.
+func (c *Cache) minCredit() *entry {
+	for len(c.order) > 0 {
+		top := c.order[0]
+		if top.heapH == top.h {
+			return top
 		}
+		top.heapH = top.h
+		heap.Fix(&c.order, 0)
 	}
-	return bestKey, found
+	return nil
 }

@@ -2,6 +2,7 @@ package gds
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -318,5 +319,158 @@ func TestAdmitBatchMatchesSequentialState(t *testing.T) {
 				t.Fatalf("trial %d: key sets differ: %v vs %v", trial, ka, kb)
 			}
 		}
+	}
+}
+
+// scanCache is the oracle for TestQuickHeapMatchesScan: Greedy-Dual-Size
+// with the victim found by scanning every resident entry, as Cache did
+// before it kept a heap.
+type scanCache struct {
+	capacity, used int64
+	inflate        float64
+	gdsf           bool
+	entries        map[int64]*entry
+}
+
+func (c *scanCache) credit(e *entry) float64 {
+	return (&Cache{inflate: c.inflate, gdsf: c.gdsf}).credit(e)
+}
+
+func (c *scanCache) touch(key int64) {
+	if e, ok := c.entries[key]; ok {
+		e.freq++
+		e.h = c.credit(e)
+	}
+}
+
+func (c *scanCache) remove(key int64) {
+	if e, ok := c.entries[key]; ok {
+		c.used -= e.size
+		delete(c.entries, key)
+	}
+}
+
+func (c *scanCache) admit(cand Entry) (evicted []int64, admitted bool) {
+	if cand.Size > c.capacity || cand.Size < 0 || cand.Cost < 0 {
+		return nil, false
+	}
+	if _, ok := c.entries[cand.Key]; ok {
+		c.touch(cand.Key)
+		return nil, true
+	}
+	for c.used+cand.Size > c.capacity {
+		var victim *entry
+		for _, e := range c.entries {
+			if victim == nil || e.h < victim.h || (e.h == victim.h && e.key < victim.key) {
+				victim = e
+			}
+		}
+		if victim == nil {
+			return evicted, false
+		}
+		c.inflate = victim.h
+		c.remove(victim.key)
+		evicted = append(evicted, victim.key)
+	}
+	e := &entry{key: cand.Key, size: cand.Size, cost: cand.Cost, freq: 1}
+	e.h = c.credit(e)
+	c.entries[cand.Key] = e
+	c.used += cand.Size
+	return evicted, true
+}
+
+// admitBatch is AdmitBatch's elision over the oracle's admit.
+func (c *scanCache) admitBatch(cands []Entry) BatchResult {
+	newly, evictedOld := map[int64]bool{}, map[int64]bool{}
+	for _, cand := range cands {
+		_, wasPresent := c.entries[cand.Key]
+		evicted, admitted := c.admit(cand)
+		for _, v := range evicted {
+			if newly[v] {
+				delete(newly, v)
+			} else {
+				evictedOld[v] = true
+			}
+		}
+		if admitted && !wasPresent {
+			newly[cand.Key] = true
+		}
+	}
+	var res BatchResult
+	for k := range newly {
+		res.Load = append(res.Load, k)
+	}
+	for k := range evictedOld {
+		res.Evict = append(res.Evict, k)
+	}
+	slices.Sort(res.Load)
+	slices.Sort(res.Evict)
+	return res
+}
+
+// TestQuickHeapMatchesScan drives Cache and the scanning oracle through
+// the same random Admit / AdmitBatch / Touch / Remove sequences, under
+// GDS and GDSF, with sizes and costs drawn from so few values that
+// equal credits are common: every call must name the same victims in
+// the same order and leave the same inflation, credits and residents.
+func TestQuickHeapMatchesScan(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := int64(rng.Intn(40) + 1)
+		gdsf := rng.Intn(2) == 0
+		c, err := New(capacity, gdsf)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		o := &scanCache{capacity: capacity, gdsf: gdsf, entries: map[int64]*entry{}}
+		cand := func() Entry {
+			// Size -1..5 and cost -1..3: rejected, zero-size and tied
+			// candidates all occur.
+			return Entry{Key: int64(rng.Intn(24)), Size: int64(rng.Intn(7) - 1), Cost: int64(rng.Intn(5) - 1)}
+		}
+		for step := 0; step < 400; step++ {
+			switch key := int64(rng.Intn(24)); rng.Intn(6) {
+			case 0:
+				c.Remove(key)
+				o.remove(key)
+			case 1, 2:
+				c.Touch(key)
+				o.touch(key)
+			case 3:
+				batch := make([]Entry, rng.Intn(6))
+				for i := range batch {
+					batch[i] = cand()
+				}
+				got, want := c.AdmitBatch(batch), o.admitBatch(batch)
+				if !slices.Equal(got.Load, want.Load) || !slices.Equal(got.Evict, want.Evict) {
+					t.Errorf("seed %d step %d: AdmitBatch(%v) = %+v, scan says %+v", seed, step, batch, got, want)
+					return false
+				}
+			default:
+				e := cand()
+				gotEv, gotOK := c.Admit(e)
+				wantEv, wantOK := o.admit(e)
+				if gotOK != wantOK || !slices.Equal(gotEv, wantEv) {
+					t.Errorf("seed %d step %d: Admit(%+v) = %v, %v; scan says %v, %v", seed, step, e, gotEv, gotOK, wantEv, wantOK)
+					return false
+				}
+			}
+			if c.inflate != o.inflate || c.used != o.used || len(c.entries) != len(o.entries) || len(c.order) != len(c.entries) {
+				t.Errorf("seed %d step %d: inflate %v used %d len %d heap %d; scan says %v, %d, %d",
+					seed, step, c.inflate, c.used, len(c.entries), len(c.order), o.inflate, o.used, len(o.entries))
+				return false
+			}
+			for k, oe := range o.entries {
+				if h, ok := c.Credit(k); !ok || h != oe.h {
+					t.Errorf("seed %d step %d: credit of %d = %v, %v; scan says %v", seed, step, k, h, ok, oe.h)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

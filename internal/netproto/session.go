@@ -197,10 +197,29 @@ func (sc *sessionConn) fail(err error) {
 	}
 }
 
+// waiters recycles reply channels (capacity 1: the one delivery never
+// blocks readLoop or fail). A channel returns to the pool only from the
+// round trip that received its reply, or that never registered it: once
+// a round trip gives up while registered, readLoop or fail may already
+// hold the channel and deliver into it later.
+var waiters = sync.Pool{New: func() any { return make(chan roundTripResult, 1) }}
+
+// timers recycles the timers behind round-trip timeouts. go.mod's go
+// line is past 1.23, so a stopped timer's channel holds no stale tick.
+var timers sync.Pool
+
 // RoundTrip sends one request and waits for its correlated reply,
 // honoring ctx for cancellation. An ErrorMsg reply is converted to a
 // *RemoteError. Safe for concurrent use.
 func (s *Session) RoundTrip(ctx context.Context, f Frame) (Frame, error) {
+	return s.RoundTripTimeout(ctx, f, 0)
+}
+
+// RoundTripTimeout is RoundTrip bounded by timeout as well as by ctx; a
+// round trip that outlasts it fails with context.DeadlineExceeded while
+// ctx stays alive, so the caller can tell its own deadline from this
+// hop's. timeout <= 0 means no bound beyond ctx.
+func (s *Session) RoundTripTimeout(ctx context.Context, f Frame, timeout time.Duration) (Frame, error) {
 	if s.closed.Load() {
 		return Frame{}, net.ErrClosed
 	}
@@ -210,11 +229,12 @@ func (s *Session) RoundTrip(ctx context.Context, f Frame) (Frame, error) {
 	}
 	id := s.reqID.Add(1)
 	f.RequestID = id
-	ch := make(chan roundTripResult, 1)
+	ch := waiters.Get().(chan roundTripResult)
 	sc.mu.Lock()
 	if sc.dead {
 		err := sc.err
 		sc.mu.Unlock()
+		waiters.Put(ch)
 		return Frame{}, err
 	}
 	sc.pending[id] = ch
@@ -233,18 +253,36 @@ func (s *Session) RoundTrip(ctx context.Context, f Frame) (Frame, error) {
 		sc.mu.Unlock()
 		return Frame{}, err
 	}
+	var expired <-chan time.Time
+	if timeout > 0 {
+		t, _ := timers.Get().(*time.Timer)
+		if t == nil {
+			t = time.NewTimer(timeout)
+		} else {
+			t.Reset(timeout)
+		}
+		defer func() {
+			t.Stop()
+			timers.Put(t)
+		}()
+		expired = t.C
+	}
+	err := context.DeadlineExceeded
 	select {
 	case res := <-ch:
+		waiters.Put(ch)
 		if res.err != nil {
 			return Frame{}, res.err
 		}
 		return checkError(res.frame)
 	case <-ctx.Done():
-		sc.mu.Lock()
-		delete(sc.pending, id)
-		sc.mu.Unlock()
-		return Frame{}, ctx.Err()
+		err = ctx.Err()
+	case <-expired:
 	}
+	sc.mu.Lock()
+	delete(sc.pending, id)
+	sc.mu.Unlock()
+	return Frame{}, err
 }
 
 func checkError(f Frame) (Frame, error) {

@@ -44,7 +44,7 @@ func accept(c *Conn) bool {
 
 // listen accepts connections on a loopback port until the test ends,
 // running serve on each and closing it when serve returns.
-func listen(t *testing.T, serve func(c *Conn)) string {
+func listen(t testing.TB, serve func(c *Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -7,10 +7,10 @@
 // Section 3's invalidation model).
 //
 // Every connection opens with the same Hello → HelloAck handshake.
-// Request connections then multiplex: every request is dispatched to its
-// own worker goroutine (replies carry the request's correlation ID and
-// are serialized onto the socket by netproto.Conn), so a slow object
-// load does not head-of-line-block cheap queries.
+// Request connections then multiplex: every request runs on one of the
+// connection's worker goroutines (replies carry the request's
+// correlation ID and are serialized onto the socket by netproto.Conn),
+// so a slow object load does not head-of-line-block cheap queries.
 package server
 
 import (
@@ -354,7 +354,10 @@ func (r *Repository) servePipeline(c *netproto.Conn, hello netproto.Hello) error
 // serveInvalidations registers the subscriber before acknowledging its
 // Hello: the dialer returns from its handshake only after the ack, so
 // every update applied after a subscribing constructor returns reaches
-// that subscriber. The stream is then one-way until either side closes.
+// that subscriber. The stream is then one-way: a writer goroutine sends
+// the notices while this one watches the read side, so a subscriber
+// that leaves gives up its slot at once — not when the next notice,
+// which may never come, fails to send.
 func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) error {
 	ch := make(chan netproto.Frame, 1024)
 	r.mu.Lock()
@@ -366,23 +369,40 @@ func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) 
 	r.nextSub++
 	r.subscribers[id] = ch
 	r.mu.Unlock()
-	defer func() {
+	unregister := func() {
 		r.mu.Lock()
 		if _, ok := r.subscribers[id]; ok {
 			delete(r.subscribers, id)
 			close(ch)
 		}
 		r.mu.Unlock()
-	}()
+	}
+	defer unregister()
 	if _, err := netproto.ServeHandshake(c, hello, 0); err != nil {
 		return err
 	}
-	for f := range ch {
-		if err := c.Send(f); err != nil {
-			return netproto.IgnoreClosed(err)
+	var sendErr error
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for f := range ch {
+			if sendErr = c.Send(f); sendErr != nil {
+				c.Close() // wake the watcher below
+				return
+			}
 		}
+	}()
+	f, err := c.Recv()
+	if err == nil {
+		err = fmt.Errorf("server: invalidation subscriber sent %s", f.Type)
 	}
-	return nil
+	unregister() // closes ch: the writer's range ends
+	c.Close()    // a writer blocked on a peer that stopped reading fails now
+	<-sent
+	if sendErr != nil {
+		err = sendErr
+	}
+	return netproto.IgnoreClosed(err)
 }
 
 // handleRequest executes one request frame and builds its reply (the

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -258,6 +259,35 @@ func TestInvalidationBroadcastNonBlocking(t *testing.T) {
 	if stats.DroppedInvalidations != repo.DroppedInvalidations() {
 		t.Errorf("StatsMsg dropped = %d, repo reports %d",
 			stats.DroppedInvalidations, repo.DroppedInvalidations())
+	}
+}
+
+// A subscriber that leaves gives up its slot, channel and goroutines at
+// once — with no update applied, so no failed send is there to reveal
+// it.
+func TestDepartedSubscriberUnregistersWithoutUpdates(t *testing.T) {
+	repo := testRepo(t)
+	if err := repo.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	baseline := runtime.NumGoroutine()
+	nc, err := net.Dial("tcp", repo.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	handshake(t, nc, "invalidations")
+	if got := repo.Subscribers(); got != 1 {
+		t.Fatalf("Subscribers() = %d after the handshake, want 1", got)
+	}
+	nc.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for repo.Subscribers() != 0 || runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("5s after the subscriber left: Subscribers() = %d, goroutines %d (baseline %d)",
+				repo.Subscribers(), runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
