@@ -203,8 +203,8 @@ func printClusterStats(cs *netproto.ClusterStatsMsg) {
 		degraded = " DEGRADED"
 	}
 	fmt.Printf("cluster: %d shards%s\n", len(cs.Shards), degraded)
-	fmt.Printf("  %-5s %-21s %9s %9s %8s %8s %6s %7s %8s %10s\n",
-		"shard", "addr", "queries", "hit-rate", "cached", "shipped", "born", "mig-in", "mig-out", "traffic")
+	fmt.Printf("  %-5s %-21s %9s %9s %8s %8s %6s %7s %10s\n",
+		"shard", "addr", "queries", "hit-rate", "cached", "shipped", "born", "mig-in", "traffic")
 	var rates []float64
 	for _, sh := range cs.Shards {
 		if !sh.Alive {
@@ -216,10 +216,10 @@ func printClusterStats(cs *netproto.ClusterStatsMsg) {
 			rate = float64(sh.Stats.AtCache) / float64(sh.Stats.Queries)
 		}
 		rates = append(rates, rate)
-		fmt.Printf("  %-5d %-21s %9d %8.1f%% %8d %8d %6d %7d %8d %10v\n",
+		fmt.Printf("  %-5d %-21s %9d %8.1f%% %8d %8d %6d %7d %10v\n",
 			sh.Shard, sh.Addr, sh.Stats.Queries, rate*100, len(sh.Stats.Cached),
 			sh.Stats.Shipped, sh.Stats.ObjectsBorn, sh.Stats.MigratedIn,
-			sh.Stats.MigratedOut, sh.Stats.Ledger.Total())
+			sh.Stats.Ledger.Total())
 	}
 	if len(rates) > 0 {
 		lo, hi, sum := rates[0], rates[0], 0.0
@@ -262,8 +262,8 @@ func printStats(st *netproto.StatsMsg) {
 		st.Policy, st.Queries, st.AtCache, st.Shipped)
 	fmt.Printf("traffic: query-ship=%v update-ship=%v loads=%v total=%v\n",
 		st.Ledger.QueryShip, st.Ledger.UpdateShip, st.Ledger.ObjectLoad, st.Ledger.Total())
-	fmt.Printf("health: dropped-invalidations=%d singleflight-deduped-loads=%d migrated-in=%d migrated-out=%d objects-born=%d\n",
-		st.DroppedInvalidations, st.DedupedLoads, st.MigratedIn, st.MigratedOut, st.ObjectsBorn)
+	fmt.Printf("health: dropped-invalidations=%d singleflight-deduped-loads=%d migrated-in=%d objects-born=%d\n",
+		st.DroppedInvalidations, st.DedupedLoads, st.MigratedIn, st.ObjectsBorn)
 	fmt.Printf("cover cache: hits=%d misses=%d\n", st.CoverCacheHits, st.CoverCacheMisses)
 	fmt.Printf("result cache: hits=%d misses=%d coalesced=%d grant-batches=%d\n",
 		st.ResultCacheHits, st.ResultCacheMisses, st.CoalescedQueries, st.GrantBatches)

@@ -17,9 +17,10 @@
 //
 //	delta-client -cache :7708 -resize 127.0.0.1:7801,127.0.0.1:7802,127.0.0.1:7803,127.0.0.1:7804
 //
-// takes the cluster from 2 to 4 shards while it serves, streaming the
-// moving objects' cached state shard-to-shard (see docs/CLUSTER.md,
-// "Resizing a live cluster").
+// takes the cluster from 2 to 4 shards while it serves: each new holder
+// adopts warm, in its widen reshard, the moving objects its old
+// primary held resident (see docs/CLUSTER.md, "Resizing a live
+// cluster").
 //
 // With `-repo` set the router also serves live universe growth: it
 // subscribes to the repository's invalidation stream, adopts newly

@@ -37,7 +37,6 @@ func run() error {
 		dataDir      = flag.String("data-dir", "", "directory for grown-universe snapshots and the birth journal; restarts recover births from it (empty = no persistence)")
 		snapEvery    = flag.Duration("snapshot-interval", 0, "periodic snapshot interval with -data-dir (0 = 30s default)")
 		metricsAddr  = flag.String("metrics-addr", "", "debug HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof (empty = off)")
-		replicas     = flag.Int("replicas", 1, "advertise the deployment's cache replication factor K in stats (informational)")
 	)
 	flag.Parse()
 
@@ -52,7 +51,6 @@ func run() error {
 		Addr:             *addr,
 		Survey:           survey,
 		Scale:            netproto.PayloadScale{BytesPerGB: *bytesPerGB},
-		Replicas:         *replicas,
 		DataDir:          *dataDir,
 		SnapshotInterval: *snapEvery,
 		MetricsAddr:      *metricsAddr,

@@ -164,9 +164,8 @@ type Middleware struct {
 	// owned is the filtered object universe (nil when the node owns
 	// everything); guarded by mu since reshards replace it live.
 	owned *idSet
-	// byID indexes the known universe for reshard and migration
-	// lookups; guarded by mu since births and reshard metadata extend
-	// it live.
+	// byID indexes the known universe for reshard lookups; guarded by
+	// mu since births and reshard metadata extend it live.
 	byID *objectTable
 
 	loads loadGroup
@@ -186,7 +185,6 @@ type Middleware struct {
 	droppedInv    atomic.Int64
 	dedupLoads    atomic.Int64
 	migratedIn    atomic.Int64
-	migratedOut   atomic.Int64
 	bornObjects   atomic.Int64
 	recoveredWarm atomic.Int64
 	replicas      atomic.Int64 // deployed replication factor K (≥ 1)
@@ -283,7 +281,7 @@ func New(cfg Config) (*Middleware, error) {
 		}
 	}
 	// Universe metadata beyond the static config: born objects and
-	// reshard/migration arrivals from the persisted state. Everything
+	// reshard arrivals from the persisted state. Everything
 	// merges into byID (reshard lookups need the metadata regardless of
 	// ownership); only what the node owns joins the policy universe.
 	var extras []model.Object
@@ -555,7 +553,6 @@ func (m *Middleware) Stats() netproto.StatsMsg {
 		DroppedInvalidations: m.droppedInv.Load(),
 		DedupedLoads:         m.dedupLoads.Load(),
 		MigratedIn:           m.migratedIn.Load(),
-		MigratedOut:          m.migratedOut.Load(),
 		ObjectsBorn:          m.bornObjects.Load(),
 		RecoveredWarm:        m.recoveredWarm.Load(),
 		Replicas:             m.replicas.Load(),
@@ -583,8 +580,8 @@ func (m *Middleware) invalidationLoop(c *netproto.Conn) {
 			m.mu.Unlock()
 			if sharded {
 				// A cluster shard adopts births only when its router
-				// pushes them (MsgObjectBirth request): ownership of a
-				// newborn is the router's assignment, not a broadcast.
+				// grants them (MsgBirthGrant): ownership of a newborn is
+				// the router's assignment, not a broadcast.
 				continue
 			}
 			if _, err := m.AddObjects(ctx, birth.Births); err != nil {
@@ -669,14 +666,6 @@ func (m *Middleware) handleClientFrame(f netproto.Frame) netproto.Frame {
 		return netproto.Frame{Type: netproto.MsgStats, Body: m.Stats()}
 	case netproto.ReshardMsg:
 		return orError(m.handleReshard(body))
-	case netproto.MigrateBeginMsg:
-		return orError(m.handleMigrateOut(ctx, body))
-	case netproto.MigrateChunkMsg:
-		return orError(m.handleMigrateChunk(body))
-	case netproto.MigrateDoneMsg:
-		// The source sums the per-chunk ack counts into Imported; the
-		// destination just acknowledges the totals.
-		return netproto.Frame{Type: netproto.MsgMigrateDone, Body: body}
 	case netproto.ClusterStatsMsg:
 		// A cluster-aware client talking to a single cache: answer as
 		// a one-shard cluster so DialCluster is transparent both ways.
@@ -827,14 +816,20 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 	return netproto.Frame{Type: netproto.MsgQueryResult, Body: result, Release: release}
 }
 
-// handleBirths serves MsgObjectBirth: publish the births to the
-// repository (idempotent — the repository skips births it already
-// ingested), then admit them into this node's own universe. A cluster
-// router pushes births to their owning shard through this same frame,
-// so the adoption half doubles as the ownership grant; the forward
-// half is then a no-op round trip that guarantees the repository is
-// never behind a node that answers for the newborn.
+// handleBirths serves MsgObjectBirth on a standalone cache: publish the
+// births to the repository (idempotent — the repository skips births it
+// already ingested), then admit them into this node's own universe. A
+// cluster shard refuses the frame: which shard owns a newborn is the
+// router's placement, granted through MsgBirthGrant, so a birth
+// published straight to a shard would make it claim objects the router
+// routes elsewhere.
 func (m *Middleware) handleBirths(ctx context.Context, body netproto.ObjectBirthMsg) (netproto.Frame, error) {
+	m.mu.Lock()
+	sharded := m.owned != nil
+	m.mu.Unlock()
+	if sharded {
+		return netproto.Frame{}, fmt.Errorf("cache: this node is a cluster shard; publish births through the cluster router")
+	}
 	reply, err := m.repo.RoundTrip(ctx, netproto.Frame{
 		Type: netproto.MsgObjectBirth,
 		Body: netproto.ObjectBirthMsg{Births: body.Births},
@@ -882,11 +877,11 @@ func (m *Middleware) handleBirthGrant(ctx context.Context, body netproto.BirthGr
 
 // AddObjects admits newly published objects into the node's universe,
 // live: the policy's universe extends (core.Grower), the owned set
-// grows when the node is a cluster shard (the router pushes a birth
-// only to its owning shard), and any immediate decision the policy
+// grows when the node is a cluster shard (the router grants a birth
+// only to its owning shards), and any immediate decision the policy
 // returns (Replica loads newborns) is executed. Births already known
 // are skipped, so adoption is idempotent across the announcement
-// stream and the router push. Returns how many births were new.
+// stream and the router's grants. Returns how many births were new.
 func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int, error) {
 	m.mu.Lock()
 	fresh := make([]model.Object, 0, len(births))

@@ -1,30 +1,21 @@
-// Live resharding and warm cache migration. A cluster resize changes
-// which objects this node owns; instead of restarting the node cold,
-// the router drives three operations implemented here:
+// Live resharding. A cluster resize changes which objects this node
+// owns; instead of restarting the node cold, the router sends it
+// MsgReshard, which atomically replaces the owned object set: the
+// policy is rebuilt for the new universe (the decision framework is
+// Init-once by design), still-owned residents are carried over warm via
+// core.Warmable, then the reshard's warm list — objects this node gains
+// that were resident at their old primary — is adopted through the same
+// call; residents the node no longer owns are dropped for free.
 //
-//   - Reshard: atomically replace the owned object set. The policy is
-//     rebuilt for the new universe (the decision framework is
-//     Init-once by design) and still-owned resident objects are
-//     carried over warm via core.Warmable; residents the node no
-//     longer owns are dropped for free.
-//   - Migrate-out (MsgMigrateBegin): stream the cached state of the
-//     listed objects to a sibling shard, chunked under the frame
-//     limit, over an ordinary v2 session — shard to shard, not
-//     through the router.
-//   - Migrate-in (MsgMigrateChunk/Done): adopt objects a sibling
-//     streamed to us, again via core.Warmable, skipping anything we
-//     do not own or already hold.
-//
-// None of it touches the repository: a warm move costs intra-cluster
-// traffic only, which is the point — the repository ledger (the
-// paper's objective function) sees no reload for moved objects.
+// Nothing moves between shards and nothing touches the repository:
+// residency is bookkeeping, so a warm arrival is a name on a list, and
+// the repository ledger (the paper's objective function) sees no reload
+// for it.
 package cache
 
 import (
-	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/cost"
@@ -32,33 +23,25 @@ import (
 	"github.com/deltacache/delta/internal/netproto"
 )
 
-// migrateChunkObjects bounds how many objects ride in one
-// MsgMigrateChunk; migrateChunkPayload bounds the chunk's summed
-// physical payload well under netproto.MaxFrame.
-const (
-	migrateChunkObjects = 64
-	migrateChunkPayload = 1 << 20
-)
-
-// migrateRoundTripTimeout bounds each chunk round trip of an outbound
-// migration stream (a wedged destination must not hold the source's
-// mux worker forever).
-const migrateRoundTripTimeout = 30 * time.Second
-
 // Reshard atomically replaces the node's owned object set with exactly
 // owned (a subset of the known universe; meta supplies metadata for
 // objects born after this node spawned, so a fresh shard can take
 // ownership of newborns it has never seen). A fresh policy is built
-// from Config.PolicyFactory and initialized over the new universe;
-// resident objects still owned are adopted warm (core.Warmable),
-// everything else is discarded. It returns how many cached objects
-// survived and how many were dropped.
+// from Config.PolicyFactory and initialized over the new universe; it
+// then adopts (core.Warmable) the still-owned residents, sorted, and
+// after them the warm IDs that are owned and not already resident,
+// sorted — so under capacity pressure carried state wins over
+// arrivals. Everything else is discarded. It returns how many objects
+// are resident after the swap and how many former residents were
+// dropped; warm adoptions count into StatsMsg.MigratedIn.
 //
 // Residency optimism carries over: an object whose load is still in
 // flight at swap time is adopted as resident; if that load ultimately
 // fails, the rollback leaves the new policy believing the object is
-// cached — the same divergence a failed load always causes here.
-func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Object) (resident, dropped int, err error) {
+// cached — the same divergence a failed load always causes here. Warm
+// IDs are hints in the same sense: the router read them from the old
+// primary's resident list, which may have moved on since.
+func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Object, warm []model.ObjectID) (resident, dropped int, err error) {
 	if m.cfg.PolicyFactory == nil {
 		return 0, 0, fmt.Errorf("cache: no policy factory configured; live reshard unavailable")
 	}
@@ -115,31 +98,46 @@ func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Obj
 		}
 	}
 	slices.Sort(carried) // deterministic adoption order under capacity pressure
+	arrivals := make([]model.ObjectID, 0, len(warm))
+	for _, id := range warm {
+		if _, held := m.resident[id]; !held && want.has(id) {
+			arrivals = append(arrivals, id)
+		}
+	}
+	slices.Sort(arrivals)
+	arrivals = slices.Compact(arrivals)
 	var adopted []model.ObjectID
 	if w, ok := policy.(core.Warmable); ok {
-		adopted, err = w.Warm(carried)
+		adopted, err = w.Warm(append(carried, arrivals...))
 		if err != nil {
 			return 0, 0, fmt.Errorf("cache: reshard warm: %w", err)
 		}
 	}
-	dropped = len(m.resident) - len(adopted)
-	m.resident = make(map[model.ObjectID]struct{}, len(adopted))
+	next := make(map[model.ObjectID]struct{}, len(adopted))
+	kept := 0
 	for _, id := range adopted {
-		m.resident[id] = struct{}{}
+		if _, held := m.resident[id]; held {
+			kept++
+		}
+		next[id] = struct{}{}
 	}
+	dropped = len(m.resident) - kept
+	m.migratedIn.Add(int64(len(adopted) - kept))
+	m.resident = next
 	m.policy = policy
 	m.owned = want
-	m.cfg.Logf("reshard epoch %d: %d objects owned, %d resident carried, %d dropped (capacity %v)",
-		epoch, want.len(), len(adopted), dropped, capacity)
+	m.cfg.Logf("reshard epoch %d: %d objects owned, %d resident carried, %d adopted warm, %d dropped (capacity %v)",
+		epoch, want.len(), kept, len(adopted)-kept, dropped, capacity)
 	return len(adopted), dropped, nil
 }
 
 // handleReshard serves MsgReshard: the router's filter-swap command. A
-// successful swap snapshots immediately — the owned set and epoch just
-// changed wholesale, and a crash replaying a pre-reshard journal onto a
-// pre-reshard snapshot would resurrect state the router re-homed.
+// successful swap snapshots immediately — the owned set, the epoch and
+// the resident set (warm arrivals included) just changed wholesale, and
+// a crash replaying a pre-reshard journal onto a pre-reshard snapshot
+// would resurrect state the router re-homed.
 func (m *Middleware) handleReshard(body netproto.ReshardMsg) (netproto.Frame, error) {
-	resident, droppedCount, err := m.Reshard(body.Epoch, body.Owned, body.Universe)
+	resident, droppedCount, err := m.Reshard(body.Epoch, body.Owned, body.Universe, body.Warm)
 	if err != nil {
 		return netproto.Frame{}, err
 	}
@@ -155,145 +153,6 @@ func (m *Middleware) handleReshard(body netproto.ReshardMsg) (netproto.Frame, er
 		Resident: resident,
 		Dropped:  droppedCount,
 		Replicas: body.Replicas,
-	}}, nil
-}
-
-// handleMigrateOut serves MsgMigrateBegin: stream the cached state of
-// the requested objects to the destination shard. Only the resident
-// subset travels — the destination loads the rest cold on first use.
-// The residency snapshot is taken under the lock; the streaming runs
-// outside it on a dedicated session to the destination.
-func (m *Middleware) handleMigrateOut(ctx context.Context, body netproto.MigrateBeginMsg) (netproto.Frame, error) {
-	if body.Dest == "" {
-		return netproto.Frame{}, fmt.Errorf("cache: migrate-begin without destination")
-	}
-	m.mu.Lock()
-	objs := make([]model.Object, 0, len(body.Objects))
-	for _, id := range body.Objects {
-		if _, ok := m.resident[id]; !ok {
-			continue
-		}
-		if obj, ok := m.byID.get(id); ok {
-			objs = append(objs, obj)
-		}
-	}
-	m.mu.Unlock()
-
-	summary := netproto.MigrateBeginMsg{Epoch: body.Epoch, Dest: body.Dest}
-	if len(objs) == 0 {
-		return netproto.Frame{Type: netproto.MsgMigrateBegin, Body: summary}, nil
-	}
-
-	sess, err := netproto.DialSession(body.Dest, "cache", netproto.SessionConfig{PoolSize: 1})
-	if err != nil {
-		return netproto.Frame{}, fmt.Errorf("cache: migrate dial %s: %w", body.Dest, err)
-	}
-	defer sess.Close()
-
-	var chunk []netproto.MigratedObject
-	var chunkPayload int
-	var imported int64
-	flush := func() error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		ctx, cancel := context.WithTimeout(ctx, migrateRoundTripTimeout)
-		defer cancel()
-		reply, err := sess.RoundTrip(ctx, netproto.Frame{
-			Type: netproto.MsgMigrateChunk,
-			Body: netproto.MigrateChunkMsg{Epoch: body.Epoch, Objects: chunk},
-		})
-		if err != nil {
-			return fmt.Errorf("cache: migrate chunk to %s: %w", body.Dest, err)
-		}
-		ack, ok := reply.Body.(netproto.MigrateChunkMsg)
-		if !ok {
-			return fmt.Errorf("cache: %s replied %s to migrate chunk", body.Dest, reply.Type)
-		}
-		imported += int64(ack.Imported)
-		chunk, chunkPayload = nil, 0
-		return nil
-	}
-	for _, obj := range objs {
-		payload := netproto.MakePayload(m.cfg.Scale, obj.Size, int64(obj.ID))
-		if len(chunk) >= migrateChunkObjects || chunkPayload+len(payload) > migrateChunkPayload {
-			if err := flush(); err != nil {
-				return netproto.Frame{}, err
-			}
-		}
-		chunk = append(chunk, netproto.MigratedObject{Object: obj, Payload: payload})
-		chunkPayload += len(payload)
-		summary.Moved++
-		summary.MovedBytes += obj.Size
-	}
-	if err := flush(); err != nil {
-		return netproto.Frame{}, err
-	}
-	{
-		ctx, cancel := context.WithTimeout(ctx, migrateRoundTripTimeout)
-		defer cancel()
-		if _, err := sess.RoundTrip(ctx, netproto.Frame{
-			Type: netproto.MsgMigrateDone,
-			Body: netproto.MigrateDoneMsg{Epoch: body.Epoch, Sent: summary.Moved, Imported: imported},
-		}); err != nil {
-			return netproto.Frame{}, fmt.Errorf("cache: migrate done to %s: %w", body.Dest, err)
-		}
-	}
-	m.migratedOut.Add(summary.Moved)
-	m.cfg.Logf("migrated %d objects (%v) to %s for epoch %d",
-		summary.Moved, summary.MovedBytes, body.Dest, body.Epoch)
-	return netproto.Frame{Type: netproto.MsgMigrateBegin, Body: summary}, nil
-}
-
-// handleMigrateChunk serves MsgMigrateChunk: adopt migrated objects we
-// own and do not already hold. Objects the policy declines (capacity,
-// or a policy that cannot warm) are skipped, not failed — they load
-// cold later, which costs traffic but never correctness.
-func (m *Middleware) handleMigrateChunk(body netproto.MigrateChunkMsg) (netproto.Frame, error) {
-	imported := 0
-	var adoptedIDs []model.ObjectID
-	m.mu.Lock()
-	for _, mo := range body.Objects {
-		id := mo.Object.ID
-		if !m.byID.has(id) {
-			// A migrated newborn this node has not met yet: the chunk
-			// carries full metadata, so register it before adoption.
-			m.byID.put(mo.Object)
-		}
-		if m.owned != nil && !m.owned.has(id) {
-			continue
-		}
-		if _, dup := m.resident[id]; dup {
-			continue
-		}
-		w, ok := m.policy.(core.Warmable)
-		if !ok {
-			break
-		}
-		adopted, err := w.Warm([]model.ObjectID{id})
-		if err != nil || len(adopted) == 0 {
-			if err != nil {
-				m.cfg.Logf("migrate-in object %d: %v", id, err)
-			}
-			continue
-		}
-		m.resident[id] = struct{}{}
-		adoptedIDs = append(adoptedIDs, id)
-		imported++
-	}
-	m.mu.Unlock()
-	if m.store != nil {
-		for _, id := range adoptedIDs {
-			if err := m.store.AppendAdmit(id); err != nil {
-				m.cfg.Logf("journal migrated admit %d: %v", id, err)
-				break
-			}
-		}
-	}
-	m.migratedIn.Add(int64(imported))
-	return netproto.Frame{Type: netproto.MsgMigrateChunk, Body: netproto.MigrateChunkMsg{
-		Epoch:    body.Epoch,
-		Imported: imported,
 	}}, nil
 }
 

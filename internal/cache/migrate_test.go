@@ -87,7 +87,7 @@ func TestReshardCarriesOwnedResidents(t *testing.T) {
 			keep = append(keep, o.ID)
 		}
 	}
-	resident, dropped, err := mw.Reshard(1, keep, nil)
+	resident, dropped, err := mw.Reshard(1, keep, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,16 +150,16 @@ func TestReshardRejectsStaleEpoch(t *testing.T) {
 	for _, o := range all {
 		whole = append(whole, o.ID)
 	}
-	if _, _, err := mw.Reshard(2, whole, nil); err != nil {
+	if _, _, err := mw.Reshard(2, whole, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := mw.Reshard(1, half, nil); err == nil {
+	if _, _, err := mw.Reshard(1, half, nil, nil); err == nil {
 		t.Error("stale epoch-1 reshard applied after epoch 2")
 	}
 	if got := len(mw.Stats().Cached); got != len(all) {
 		t.Errorf("stale reshard disturbed residency: %d cached, want %d", got, len(all))
 	}
-	if _, _, err := mw.Reshard(2, half, nil); err != nil {
+	if _, _, err := mw.Reshard(2, half, nil, nil); err != nil {
 		t.Errorf("same-epoch reshard (narrow after widen) rejected: %v", err)
 	}
 }
@@ -169,10 +169,10 @@ func TestReshardRejectsStaleEpoch(t *testing.T) {
 func TestReshardRejectsBadInputs(t *testing.T) {
 	survey, _, mw := startReshardable(t)
 	before := len(mw.Stats().Cached)
-	if _, _, err := mw.Reshard(1, []model.ObjectID{9999}, nil); err == nil {
+	if _, _, err := mw.Reshard(1, []model.ObjectID{9999}, nil, nil); err == nil {
 		t.Error("reshard accepted an object outside the universe")
 	}
-	if _, _, err := mw.Reshard(1, nil, nil); err == nil {
+	if _, _, err := mw.Reshard(1, nil, nil, nil); err == nil {
 		t.Error("reshard accepted an empty owned set")
 	}
 	if got := len(mw.Stats().Cached); got != before {
@@ -181,31 +181,29 @@ func TestReshardRejectsBadInputs(t *testing.T) {
 	_ = survey
 }
 
-// TestMigrationWarmsDestination streams cached state from a warm
-// source shard to a cold destination shard over the migrate frames and
-// checks the destination answers from cache afterwards — the wire path
-// a live resize drives.
-func TestMigrationWarmsDestination(t *testing.T) {
-	survey, repo, src := startReshardable(t)
+// TestReshardAdoptsWarmArrivals drives the warm half of a live resize
+// over the wire: a cold shard receives a widen MsgReshard whose Warm
+// list names objects it gains, adopts them through the fresh policy's
+// Warm (answering them from cache, counting them into MigratedIn once),
+// ignores warm IDs it does not own, and — under capacity pressure —
+// keeps its carried residents over new arrivals.
+func TestReshardAdoptsWarmArrivals(t *testing.T) {
+	survey, repo, _ := startReshardable(t)
 	all := survey.Objects()
-	// The destination owns the second half of the universe, cold.
-	var destOwned []model.ObjectID
-	for i, o := range all {
-		if i >= len(all)/2 {
-			destOwned = append(destOwned, o.ID)
-		}
+	// The shard owns the first half of the universe, cold, with room
+	// for half of what it owns.
+	var owned []model.ObjectID
+	for _, o := range all[:len(all)/2] {
+		owned = append(owned, o.ID)
 	}
-	ownedSet := make(map[model.ObjectID]bool, len(destOwned))
-	for _, id := range destOwned {
-		ownedSet[id] = true
-	}
+	outside := all[len(all)-1].ID
 	dst, err := cache.New(cache.Config{
 		RepoAddr:        repo.Addr(),
 		PolicyFactory:   func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
 		Objects:         all,
-		ObjectFilter:    func(id model.ObjectID) bool { return ownedSet[id] },
-		Capacity:        survey.TotalSize(),
-		ReshardCapacity: cache.ReplicatedCapacity,
+		ObjectFilter:    func(id model.ObjectID) bool { return slices.Contains(owned, id) },
+		Capacity:        survey.TotalSize() / 4,
+		ReshardCapacity: cache.FractionalCapacity(0.5),
 		Scale:           netproto.DefaultScale(),
 	})
 	if err != nil {
@@ -215,38 +213,40 @@ func TestMigrationWarmsDestination(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { dst.Close() })
-
-	// Command the source to migrate the destination's objects, as the
-	// router would during a resize.
-	sess, err := netproto.DialSession(src.Addr(), "client", netproto.SessionConfig{})
+	sess, err := netproto.DialSession(dst.Addr(), "client", netproto.SessionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	reply, err := sess.RoundTrip(ctx, netproto.Frame{
-		Type: netproto.MsgMigrateBegin,
-		Body: netproto.MigrateBeginMsg{Epoch: 1, Dest: dst.Addr(), Objects: destOwned},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, ok := reply.Body.(netproto.MigrateBeginMsg)
-	if !ok {
-		t.Fatalf("migrate-begin replied %s", reply.Type)
-	}
-	if sum.Moved != int64(len(destOwned)) {
-		t.Errorf("source moved %d objects, want %d", sum.Moved, len(destOwned))
-	}
-	if sum.MovedBytes == 0 {
-		t.Error("source reports zero moved bytes")
+	reshard := func(warm []model.ObjectID) netproto.ReshardMsg {
+		t.Helper()
+		reply, err := sess.RoundTrip(ctx, netproto.Frame{
+			Type: netproto.MsgReshard,
+			Body: netproto.ReshardMsg{Epoch: 1, Owned: owned, Warm: warm},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack, ok := reply.Body.(netproto.ReshardMsg)
+		if !ok {
+			t.Fatalf("reshard replied %s", reply.Type)
+		}
+		return ack
 	}
 
-	dstStats := dst.Stats()
-	if dstStats.MigratedIn != int64(len(destOwned)) {
-		t.Errorf("destination imported %d, want %d", dstStats.MigratedIn, len(destOwned))
+	// Half the owned set fills the capacity exactly; the unowned ID is
+	// ignored.
+	first := owned[:len(owned)/2]
+	ack := reshard(append([]model.ObjectID{outside}, first...))
+	if ack.Resident != len(first) {
+		t.Errorf("reshard reports %d resident, want %d", ack.Resident, len(first))
 	}
-	if src.Stats().MigratedOut != int64(len(destOwned)) {
-		t.Errorf("source migrated-out counter = %d, want %d", src.Stats().MigratedOut, len(destOwned))
+	st := dst.Stats()
+	if !slices.Equal(st.Cached, first) {
+		t.Errorf("cached after warm reshard = %v, want %v", st.Cached, first)
+	}
+	if st.MigratedIn != int64(len(first)) {
+		t.Errorf("MigratedIn = %d, want %d", st.MigratedIn, len(first))
 	}
 	cl, err := client.Dial(dst.Addr())
 	if err != nil {
@@ -254,25 +254,30 @@ func TestMigrationWarmsDestination(t *testing.T) {
 	}
 	defer cl.Close()
 	res, err := cl.Query(ctx, model.Query{
-		Objects: []model.ObjectID{destOwned[0]}, Cost: cost.KB,
+		Objects: []model.ObjectID{first[0]}, Cost: cost.KB,
 		Tolerance: model.AnyStaleness, Time: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Source != "cache" {
-		t.Errorf("migrated object answered from %s, want cache (warm)", res.Source)
+		t.Errorf("warm arrival answered from %s, want cache", res.Source)
 	}
-	// Re-sending the same chunk stream must not double-import.
-	reply, err = sess.RoundTrip(ctx, netproto.Frame{
-		Type: netproto.MsgMigrateBegin,
-		Body: netproto.MigrateBeginMsg{Epoch: 2, Dest: dst.Addr(), Objects: destOwned},
-	})
-	if err != nil {
-		t.Fatal(err)
+
+	// Re-sending the same reshard carries them; nothing counts twice.
+	reshard(first)
+	if got := dst.Stats().MigratedIn; got != int64(len(first)) {
+		t.Errorf("re-sent reshard counted warm arrivals again: MigratedIn = %d", got)
 	}
-	if got := dst.Stats().MigratedIn; got != int64(len(destOwned)) {
-		t.Errorf("duplicate migration imported again: counter %d", got)
+
+	// The other half arrives while the carried residents fill the
+	// capacity: carried state wins, the arrivals are declined.
+	reshard(owned[len(owned)/2:])
+	st = dst.Stats()
+	if !slices.Equal(st.Cached, first) {
+		t.Errorf("cached under capacity pressure = %v, want the carried %v", st.Cached, first)
 	}
-	_ = reply
+	if st.MigratedIn != int64(len(first)) {
+		t.Errorf("declined arrivals counted: MigratedIn = %d", st.MigratedIn)
+	}
 }

@@ -294,9 +294,10 @@ func (c *Client) ClusterStats(ctx context.Context) (*netproto.ClusterStatsMsg, e
 // Resize asks a cluster router to take the cluster to a new shard
 // address list, live (see cluster.ResizeSpec for the semantics:
 // continuing addresses keep their cached state, new addresses join
-// warm via migration, missing addresses are drained). It blocks until
-// the resize completes and returns the final rebalance status; pass a
-// context with a deadline generous enough for the migration. Only
+// warm with what their objects' old primaries held, missing addresses
+// are drained). It blocks until the resize completes and returns the
+// final rebalance status; pass a context with a deadline generous
+// enough for every shard's reshard. Only
 // routers answer it — a single cache replies with an error.
 func (c *Client) Resize(ctx context.Context, shards []string) (*netproto.RebalanceStatusMsg, error) {
 	reply, err := c.sess.RoundTrip(ctx, netproto.Frame{

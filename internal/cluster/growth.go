@@ -9,8 +9,10 @@
 //  1. extend the current routing epoch's ownership (Ownership.Extend:
 //     rendezvous placement is free, HTM places the newborn in the cut
 //     that spatially contains it — no existing object moves);
-//  2. push the birth to its owning shard (MsgObjectBirth request), so
-//     the shard admits it into its filter and policy universe;
+//  2. grant the birth to its owning shards (one MsgBirthGrant per shard
+//     per batch), so each admits it into its filter and policy
+//     universe — a shard refuses MsgObjectBirth published to it
+//     directly, since placement is the router's;
 //  3. publish the extended routing snapshot — same epoch, grown
 //     universe — so queries touching the newborn route from then on.
 //

@@ -373,3 +373,81 @@ func TestPublishPathUsesCanonicalMetadata(t *testing.T) {
 		}
 	}
 }
+
+// TestShardRefusesDirectBirths pins that placement of a newborn is the
+// router's: a birth published straight to a shard is refused (before
+// the fix the shard forwarded it, then claimed and answered for an
+// object the router may place elsewhere), and the same birth published
+// through the router is queryable with its exact ν(q).
+func TestShardRefusesDirectBirths(t *testing.T) {
+	repoSurvey, err := catalog.NewSurvey(growthSurveyConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror, err := catalog.NewSurvey(growthSurveyConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := server.New(server.Config{Survey: repoSurvey, Scale: netproto.PayloadScale{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	lc, err := cluster.SpawnLocal(cluster.LocalConfig{
+		RepoAddr: repo.Addr(),
+		Objects:  repoSurvey.Objects(),
+		Shards:   2,
+		Mode:     cluster.HTMAware,
+		Scale:    netproto.PayloadScale{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	births, err := mirror.GrowObjects(rand.New(rand.NewSource(11)), 1, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := births[0].Object.ID
+	q := model.Query{Objects: []model.ObjectID{id}, Cost: 3 * cost.MB, Tolerance: model.AnyStaleness, Time: time.Minute}
+
+	for s, shard := range lc.Shards {
+		cl, err := client.Dial(shard.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.AddObjects(ctx, births); err == nil {
+			t.Errorf("shard %d accepted a birth published to it directly", s)
+		}
+		sess, err := netproto.DialSession(shard.Addr(), "client", netproto.SessionConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.RoundTrip(ctx, netproto.Frame{
+			Type: netproto.MsgShardQuery, Body: netproto.ShardQueryMsg{Query: q, Shard: s, Fragments: 1},
+		}); err == nil {
+			t.Errorf("shard %d answered a fragment for newborn %d it was never granted", s, id)
+		}
+		sess.Close()
+		cl.Close()
+	}
+
+	cl, err := client.DialCluster(lc.Router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.AddObjects(ctx, births); err != nil {
+		t.Fatalf("publish through the router: %v", err)
+	}
+	res, err := cl.Query(ctx, q)
+	if err != nil {
+		t.Fatalf("newborn %d not queryable through the router: %v", id, err)
+	}
+	if res.Degraded || res.Logical != int64(q.Cost) {
+		t.Errorf("newborn answer degraded=%v ν(q)=%d, want exact %d", res.Degraded, res.Logical, q.Cost)
+	}
+}

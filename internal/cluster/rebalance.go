@@ -1,33 +1,35 @@
 // Live elastic resharding: taking the routing tier from N to M shards
-// while serving queries, with warm migration of cached state instead
-// of cold restarts.
+// while serving queries, with cached state following ownership warm
+// instead of restarting cold.
 //
 // Because ownership is a pure function of (universe, shard count,
-// mode), a resize is an ownership diff plus choreography. The
-// rebalancer runs four phases:
+// mode), a resize is an ownership diff plus choreography. Residency is
+// bookkeeping — no cached bytes exist to move — so warmth travels as a
+// list: before widening, the router reads every old shard's resident
+// set with one MsgStats probe, and each new holder of an object that
+// its old primary holds resident gets the object on its warm list. The
+// rebalancer then runs three phases:
 //
-//  1. widen   — every shard in the new config accepts the union of
-//     its old and new owned sets (MsgReshard), so queries keep
-//     landing on a willing shard no matter which side of the flip
-//     routed them. Still-owned residents carry over warm.
-//  2. migrate — each source shard streams the cached state of its
-//     moving objects directly to their new owner (MsgMigrateBegin →
-//     MsgMigrateChunk/Done, shard to shard), commanded by the router.
-//  3. flip    — the router publishes the new routing epoch atomically;
+//  1. widen  — every shard in the new config accepts the union of its
+//     old and new owned sets (MsgReshard), so queries keep landing on
+//     a willing shard no matter which side of the flip routed them.
+//     Its fresh policy adopts its still-owned residents, then its warm
+//     list (ReshardMsg.Warm), through the one Init → Warm path.
+//  2. flip   — the router publishes the new routing epoch atomically;
 //     new queries route to the new owners, which are already warm.
-//  4. narrow  — continuing shards drop ownership (and residency) of
+//  3. narrow — continuing shards drop ownership (and residency) of
 //     what they gave away (MsgReshard with the exact new set).
 //
 // Queries are double-routed throughout the window: every moving
-// object's routing snapshot records an alternate owner (the migration
-// destination before the flip, the still-warm source after it), so a
-// fragment that fails on its primary is re-sent instead of degrading
-// the answer. Failure semantics: a failed widen aborts the resize
-// before any routing change (a partially widened filter is harmless —
-// it only accepts more than the router will send); a failed migration
-// demotes the moving objects to cold arrivals, costing traffic, never
-// correctness; a failed narrow leaves a filter wide until the next
-// successful resize.
+// object's routing snapshot records an alternate owner (a new holder
+// before the flip, the still-warm old holder after it), so a fragment
+// that fails on its primary is re-sent instead of degrading the answer.
+// Failure semantics: a source whose probe fails contributes no warm
+// list, so its moving objects arrive cold, costing traffic, never
+// correctness; a failed widen aborts the resize before any routing
+// change (a partially widened filter is harmless — it only accepts more
+// than the router will send); a failed narrow leaves a filter wide
+// until the next successful resize.
 package cluster
 
 import (
@@ -37,15 +39,17 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
 )
 
 // reshardTarget pairs a shard link with the owned set a reshard phase
-// should install on it.
+// should install on it and, on widen, the warm list it should adopt.
 type reshardTarget struct {
 	link  *shardLink
 	owned []model.ObjectID
+	warm  []model.ObjectID
 }
 
 // ResizeSpec parameterizes a live resize.
@@ -60,9 +64,10 @@ type ResizeSpec struct {
 	// addresses no longer listed are drained from the routing table
 	// but not shut down (they are not the router's to stop).
 	Shards []string
-	// SkipMigration skips the warm state transfer, so new owners
-	// start cold — the "restart" baseline BenchmarkRebalance compares
-	// warm migration against. Routing still flips atomically.
+	// SkipMigration skips the residency probe and sends no warm lists,
+	// so new holders start cold — the "restart" baseline
+	// BenchmarkRebalance compares warm resizes against. Routing still
+	// flips atomically.
 	SkipMigration bool
 }
 
@@ -143,16 +148,42 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 		linksNew[i] = link
 	}
 
+	// Probe the old shards' resident lists before widen: a new holder
+	// is seeded warm with what the object's old primary holds now. A
+	// shard that fails the probe contributes no warm list — its moving
+	// objects arrive cold, a traffic cost, never a correctness problem.
+	// The cold baseline (SkipMigration) probes nothing.
+	probe := make([]netproto.ShardStats, from)
+	if !spec.SkipMigration {
+		probe = r.probeStats(ctx, rt.links)
+		var probeErrs []string
+		for _, p := range probe {
+			if !p.Alive {
+				probeErrs = append(probeErrs, fmt.Sprintf("shard %d (%s): %s", p.Shard, p.Addr, p.Err))
+			}
+		}
+		if len(probeErrs) > 0 {
+			r.cfg.Logf("resize epoch %d: %d probe failures (their moving objects arrive cold): %s",
+				epoch, len(probeErrs), strings.Join(probeErrs, "; "))
+			r.setStatus(func(st *netproto.RebalanceStatusMsg) {
+				st.LastError = "probe: " + strings.Join(probeErrs, "; ")
+			})
+		}
+	}
+
 	// The ownership diff, by address set: with replication an object is
 	// held by K shards on each side of the recut, so the diff compares
 	// the old and new holder ADDRESS sets rank by address. Every new
-	// holder not already warm is seeded from the old primary; an object
-	// with any new holder double-routes to the first of them pre-flip,
-	// and to a still-warm departing holder post-flip. At K=1 this
-	// reduces exactly to the old owner-address comparison.
+	// holder not already warm goes on its warm list when the old primary
+	// holds the object resident; an object with any new holder
+	// double-routes to the first of them pre-flip, and to a still-warm
+	// departing holder post-flip. At K=1 this reduces exactly to the old
+	// owner-address comparison.
 	movingPre := make(map[model.ObjectID]*shardLink)  // pre-flip alternate: a new holder
 	movingPost := make(map[model.ObjectID]*shardLink) // post-flip alternate: an old holder
-	moves := make(map[*shardLink]map[string][]model.ObjectID)
+	warm := make([][]model.ObjectID, to)              // by new shard index
+	var moved int64
+	var movedBytes cost.Bytes
 	for _, u := range rt.own.universe {
 		id := u.ID
 		oldRanked, _ := rt.own.Owners(id)
@@ -168,21 +199,19 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 		for _, d := range newRanked {
 			newAddrs[linksNew[d].addr] = true
 		}
-		src := rt.links[oldRanked[0]] // old primary seeds the movers warm
+		_, hot := slices.BinarySearch(probe[oldRanked[0]].Stats.Cached, id)
 		for _, d := range newRanked {
-			dst := linksNew[d]
-			if oldAddrs[dst.addr] {
+			if oldAddrs[linksNew[d].addr] {
 				continue // already warm at some rank
 			}
 			if movingPre[id] == nil {
-				movingPre[id] = dst
+				movingPre[id] = linksNew[d]
 			}
-			group := moves[src]
-			if group == nil {
-				group = make(map[string][]model.ObjectID)
-				moves[src] = group
+			if hot {
+				warm[d] = append(warm[d], id)
+				moved++
+				movedBytes += u.Size
 			}
-			group[dst.addr] = append(group[dst.addr], id)
 		}
 		for _, s := range oldRanked {
 			if !newAddrs[rt.links[s].addr] {
@@ -191,92 +220,44 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 			}
 		}
 	}
-	r.cfg.Logf("resize %d→%d (epoch %d): %d objects gaining holders across %d source shards",
-		from, to, epoch, len(movingPre), len(moves))
+	r.cfg.Logf("resize %d→%d (epoch %d): %d objects gaining holders, %d warm arrivals",
+		from, to, epoch, len(movingPre), moved)
 
 	// Phase 1: widen. Every shard of the new config accepts the union
-	// of its old and new owned sets before any routing changes.
+	// of its old and new owned sets, and adopts its warm list, before
+	// any routing changes.
 	widen := make([]reshardTarget, 0, to)
 	for i, link := range linksNew {
 		owned := ownNew.ShardObjects(i)
 		if oldIdx, ok := oldIndexByAddr[link.addr]; ok {
 			owned = unionIDs(owned, rt.own.ShardObjects(oldIdx))
 		}
-		widen = append(widen, reshardTarget{link: link, owned: owned})
+		widen = append(widen, reshardTarget{link: link, owned: owned, warm: warm[i]})
 	}
 	if err := r.reshardAll(ctx, epoch, ownNew, widen); err != nil {
 		return fail(fmt.Errorf("cluster: widen: %w", err))
 	}
+	r.setStatus(func(st *netproto.RebalanceStatusMsg) {
+		st.MovedObjects = moved
+		st.MovedBytes = movedBytes
+	})
 
-	// Double-route moving objects while their state is in flight. The
-	// result cache clears with every routing snapshot a resize
-	// publishes (here, at the flip, and after narrow): cached merged
-	// payloads stay bytewise valid across placement changes, but a
-	// resize is rare and wholesale invalidation keeps the cache's
-	// epoch semantics trivially auditable.
+	// Double-route moving objects until the flip. The result cache
+	// clears with every routing snapshot a resize publishes (here, at
+	// the flip, and after narrow): cached merged payloads stay bytewise
+	// valid across placement changes, but a resize is rare and wholesale
+	// invalidation keeps the cache's epoch semantics trivially
+	// auditable.
 	r.routing.Store(&routing{epoch: rt.epoch, own: rt.own, links: rt.links, alt: movingPre})
 	r.results.clear()
 
-	// Phase 2: migrate warm state, shard to shard.
-	if !spec.SkipMigration && len(moves) > 0 {
-		r.setStatus(func(st *netproto.RebalanceStatusMsg) { st.Phase = "migrate" })
-		var (
-			wg       sync.WaitGroup
-			errMu    sync.Mutex
-			migrErrs []string
-		)
-		for src, dests := range moves {
-			wg.Add(1)
-			go func(src *shardLink, dests map[string][]model.ObjectID) {
-				defer wg.Done()
-				addrs := make([]string, 0, len(dests))
-				for a := range dests {
-					addrs = append(addrs, a)
-				}
-				slices.Sort(addrs)
-				for _, dst := range addrs {
-					ids := dests[dst]
-					slices.Sort(ids)
-					ctx, cancel := context.WithTimeout(ctx, r.cfg.MigrateTimeout)
-					reply, err := src.sess.RoundTrip(ctx, netproto.Frame{
-						Type: netproto.MsgMigrateBegin,
-						Body: netproto.MigrateBeginMsg{Epoch: epoch, Dest: dst, Objects: ids},
-					})
-					cancel()
-					if err != nil {
-						errMu.Lock()
-						migrErrs = append(migrErrs, fmt.Sprintf("shard %d→%s: %v", src.index, dst, err))
-						errMu.Unlock()
-						continue
-					}
-					if sum, ok := reply.Body.(netproto.MigrateBeginMsg); ok {
-						r.setStatus(func(st *netproto.RebalanceStatusMsg) {
-							st.MovedObjects += sum.Moved
-							st.MovedBytes += sum.MovedBytes
-						})
-					}
-				}
-			}(src, dests)
-		}
-		wg.Wait()
-		if len(migrErrs) > 0 {
-			// Failed moves arrive cold at their new owner — a traffic
-			// cost, not a correctness problem; the resize proceeds.
-			r.cfg.Logf("resize epoch %d: %d migration failures (state arrives cold): %s",
-				epoch, len(migrErrs), strings.Join(migrErrs, "; "))
-			r.setStatus(func(st *netproto.RebalanceStatusMsg) {
-				st.LastError = fmt.Sprintf("migration: %s", strings.Join(migrErrs, "; "))
-			})
-		}
-	}
-
-	// Phase 3: flip. New queries route to the new owners; the old
+	// Phase 2: flip. New queries route to the new owners; the old
 	// owners stay warm alternates until narrow completes.
 	r.setStatus(func(st *netproto.RebalanceStatusMsg) { st.Phase = "flip" })
 	r.routing.Store(&routing{epoch: epoch, own: ownNew, links: linksNew, alt: movingPost})
 	r.results.clear()
 
-	// Phase 4: narrow continuing shards to exactly their new sets
+	// Phase 3: narrow continuing shards to exactly their new sets
 	// (new shards already are exact — their union had no old half).
 	r.setStatus(func(st *netproto.RebalanceStatusMsg) { st.Phase = "narrow" })
 	narrow := make([]reshardTarget, 0, to)
@@ -318,31 +299,32 @@ func (r *Router) reshardAll(ctx context.Context, epoch int, own *Ownership, targ
 	var wg sync.WaitGroup
 	for i, t := range targets {
 		wg.Add(1)
-		go func(i int, link *shardLink, owned []model.ObjectID) {
+		go func(i int, t reshardTarget) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
 			defer cancel()
-			reply, err := link.sess.RoundTrip(ctx, netproto.Frame{
+			reply, err := t.link.sess.RoundTrip(ctx, netproto.Frame{
 				Type: netproto.MsgReshard,
 				Body: netproto.ReshardMsg{
 					Epoch:    epoch,
-					Owned:    owned,
-					Universe: own.Objects(owned),
+					Owned:    t.owned,
+					Universe: own.Objects(t.owned),
+					Warm:     t.warm,
 					Replicas: own.Replicas(),
 				},
 			})
 			if err != nil {
-				errs[i] = fmt.Errorf("shard %d (%s): %w", link.index, link.addr, err)
+				errs[i] = fmt.Errorf("shard %d (%s): %w", t.link.index, t.link.addr, err)
 				return
 			}
 			ack, ok := reply.Body.(netproto.ReshardMsg)
 			if !ok {
-				errs[i] = fmt.Errorf("shard %d replied %s to reshard", link.index, reply.Type)
+				errs[i] = fmt.Errorf("shard %d replied %s to reshard", t.link.index, reply.Type)
 				return
 			}
-			r.cfg.Logf("shard %d resharded for epoch %d: %d owned, %d resident, %d dropped",
-				link.index, epoch, len(owned), ack.Resident, ack.Dropped)
-		}(i, t.link, t.owned)
+			r.cfg.Logf("shard %d resharded for epoch %d: %d owned, %d warm offered, %d resident, %d dropped",
+				t.link.index, epoch, len(t.owned), len(t.warm), ack.Resident, ack.Dropped)
+		}(i, t)
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -3,11 +3,13 @@ package cluster_test
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/deltacache/delta/internal/cache"
 	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/client"
 	"github.com/deltacache/delta/internal/cluster"
@@ -21,8 +23,8 @@ import (
 // startResizableCluster spins up repository + N VCover shards sized to
 // hold their owned subsets, and warms every object into its owner (a
 // query whose cost covers the object's load cost makes VCover load
-// it).
-func startResizableCluster(t *testing.T, shards int) (*catalog.Survey, *cluster.LocalCluster) {
+// it). It also returns the repository's address.
+func startResizableCluster(t *testing.T, shards int) (*catalog.Survey, *cluster.LocalCluster, string) {
 	t.Helper()
 	scfg := catalog.DefaultConfig()
 	scfg.NumObjects = 32
@@ -68,7 +70,7 @@ func startResizableCluster(t *testing.T, shards int) (*catalog.Survey, *cluster.
 			t.Fatalf("warmup query for object %d: %v", o.ID, err)
 		}
 	}
-	return survey, lc
+	return survey, lc, repo.Addr()
 }
 
 // sweepHitRate queries every object once and returns the fraction
@@ -107,7 +109,7 @@ func sweepHitRate(t *testing.T, survey *catalog.Survey, addr string) float64 {
 // only during the transition windows; and the post-resize hit rate
 // must stay within 10% of the pre-resize one (warm migration).
 func TestResizeLiveTraffic(t *testing.T) {
-	survey, lc := startResizableCluster(t, 4)
+	survey, lc, _ := startResizableCluster(t, 4)
 	objects := survey.Objects()
 
 	preHit := sweepHitRate(t, survey, lc.Router.Addr())
@@ -179,7 +181,7 @@ func TestResizeLiveTraffic(t *testing.T) {
 		t.Errorf("resize status = %+v", st)
 	}
 	if st.MovedObjects == 0 {
-		t.Error("grow 4→8 migrated nothing; expected warm state transfer")
+		t.Error("grow 4→8 migrated nothing; expected warm arrivals")
 	}
 	if got := len(lc.Router.Topology().Shards); got != 8 {
 		t.Errorf("topology has %d shards after grow, want 8", got)
@@ -198,7 +200,7 @@ func TestResizeLiveTraffic(t *testing.T) {
 		t.Errorf("shrink status = %+v", st)
 	}
 	if st.MovedObjects == 0 {
-		t.Error("shrink 8→4 migrated nothing; expected warm state transfer")
+		t.Error("shrink 8→4 migrated nothing; expected warm arrivals")
 	}
 	settle()
 
@@ -229,9 +231,8 @@ func TestResizeLiveTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Aggregate.MigratedIn == 0 || cs.Aggregate.MigratedOut == 0 {
-		t.Errorf("migration counters in=%d out=%d; warm moves should be visible in stats",
-			cs.Aggregate.MigratedIn, cs.Aggregate.MigratedOut)
+	if cs.Aggregate.MigratedIn == 0 {
+		t.Error("MigratedIn = 0; warm arrivals should be visible in stats")
 	}
 }
 
@@ -240,7 +241,7 @@ func TestResizeLiveTraffic(t *testing.T) {
 // the moved objects arrive cold, so the post-resize hit rate drops by
 // roughly the moving fraction.
 func TestResizeColdBaselineLosesWarmth(t *testing.T) {
-	survey, lc := startResizableCluster(t, 4)
+	survey, lc, _ := startResizableCluster(t, 4)
 
 	old := lc.Ownership
 	st, err := lc.Resize(ctx, 8, true /* skip migration */)
@@ -278,11 +279,90 @@ func TestResizeColdBaselineLosesWarmth(t *testing.T) {
 	}
 }
 
+// TestResizeProbeFailureArrivesCold pins the failure rule of the
+// residency probe: in a 4→8 resize whose old shard 2 died before the
+// probe (and is replaced by a fresh shard at the same index), the
+// resize still completes, every object whose old primary answered the
+// probe is warm at its new holder, and every object the dead shard held
+// arrives cold.
+func TestResizeProbeFailureArrivesCold(t *testing.T) {
+	survey, lc, repoAddr := startResizableCluster(t, 4)
+	old := lc.Ownership
+	own, err := old.Resize(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spawn := func(s int) string {
+		t.Helper()
+		mw, err := cache.New(cache.Config{
+			RepoAddr:        repoAddr,
+			PolicyFactory:   func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
+			Objects:         survey.Objects(),
+			ObjectFilter:    own.Filter(s),
+			Capacity:        cache.ReplicatedCapacity(own.Objects(own.ShardObjects(s))),
+			ReshardCapacity: cache.ReplicatedCapacity,
+			Scale:           netproto.PayloadScale{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mw.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mw.Close() })
+		return mw.Addr()
+	}
+	const dead = 2
+	if err := lc.Shards[dead].Close(); err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, 8)
+	for i := range addrs {
+		if i < 4 && i != dead {
+			addrs[i] = lc.Shards[i].Addr()
+		} else {
+			addrs[i] = spawn(i)
+		}
+	}
+	st, err := lc.Router.Resize(ctx, cluster.ResizeSpec{Shards: addrs})
+	if err != nil {
+		t.Fatalf("resize with a dead source: %v", err)
+	}
+	if st.Phase != "done" || st.To != 8 {
+		t.Errorf("resize status = %+v", st)
+	}
+	if !strings.Contains(st.LastError, "probe") {
+		t.Errorf("LastError = %q, want the failed probe reported", st.LastError)
+	}
+	if st.MovedObjects == 0 {
+		t.Error("no warm arrivals from the live sources")
+	}
+
+	cl, err := client.DialCluster(lc.Router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, o := range survey.Objects() {
+		res, err := cl.Query(ctx, model.Query{
+			Objects: []model.ObjectID{o.ID}, Cost: cost.KB,
+			Tolerance: model.AnyStaleness, Time: time.Minute,
+		})
+		if err != nil {
+			t.Fatalf("query object %d: %v", o.ID, err)
+		}
+		src, _ := old.Owner(o.ID)
+		if warm := res.Source == "cache"; warm != (src != dead) {
+			t.Errorf("object %d (old shard %d) answered from %s", o.ID, src, res.Source)
+		}
+	}
+}
+
 // TestResizeAdminFrames drives a resize through the wire protocol the
 // way an operator would: client.Resize against the router, then
 // client.RebalanceStatus.
 func TestResizeAdminFrames(t *testing.T) {
-	survey, lc := startResizableCluster(t, 2)
+	survey, lc, _ := startResizableCluster(t, 2)
 	_ = survey
 
 	cl, err := client.DialCluster(lc.Router.Addr())

@@ -53,12 +53,9 @@ type Config struct {
 	// instead of degrading them (Session only fails on connection
 	// death). Defaults to 30s.
 	ShardTimeout time.Duration
-	// StatsTimeout bounds each shard's stats probe. Defaults to 5s.
+	// StatsTimeout bounds each shard's stats probe (cluster stats, and
+	// the residency probe that opens a live resize). Defaults to 5s.
 	StatsTimeout time.Duration
-	// MigrateTimeout bounds one source shard's whole outbound
-	// migration stream during a resize (it can move many objects).
-	// Defaults to 2m.
-	MigrateTimeout time.Duration
 	// Resolver maps a sky cap to the object IDs whose partitions may
 	// intersect it (typically catalog.Survey.CoverCap). When set,
 	// client queries arriving with a SkyRegion instead of an object
@@ -216,9 +213,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	if cfg.StatsTimeout <= 0 {
 		cfg.StatsTimeout = 5 * time.Second
-	}
-	if cfg.MigrateTimeout <= 0 {
-		cfg.MigrateTimeout = 2 * time.Minute
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -728,8 +722,8 @@ func (r *Router) hedgeDelay() time.Duration {
 // plan splits fr's query into per-link fragments under rt, and is the
 // only place that knows where an object may be asked for: its
 // candidates are its ranked owners, then — during a resize transition —
-// its alternate link (the migration destination before the flip, the
-// still-warm source after it). Each object goes to its first candidate
+// its alternate link (a new holder before the flip, the still-warm
+// old holder after it). Each object goes to its first candidate
 // not struck; one with none is stranded. retry says fr's link is a live
 // shard that rejected fr: an ownership recut makes a shard refuse a
 // whole fragment over one moved object although it still owns the rest,
@@ -906,19 +900,17 @@ func (r *Router) next(ctx context.Context, fr fragment, struck []string, cause e
 	return out, true
 }
 
-// clusterStats probes every shard's StatsMsg in parallel and builds
-// the cluster-wide view. A shard that fails to answer is reported
-// not-alive and the view marked degraded; the aggregate covers the
-// survivors.
-func (r *Router) clusterStats(ctx context.Context) netproto.ClusterStatsMsg {
-	rt := r.routing.Load()
-	out := netproto.ClusterStatsMsg{Shards: make([]netproto.ShardStats, len(rt.links))}
+// probeStats asks every link for its StatsMsg in parallel, each probe
+// bounded by StatsTimeout. A shard that fails to answer comes back
+// not-alive, with the failure in Err.
+func (r *Router) probeStats(ctx context.Context, links []*shardLink) []netproto.ShardStats {
+	out := make([]netproto.ShardStats, len(links))
 	var wg sync.WaitGroup
-	for i, s := range rt.links {
+	for i, s := range links {
 		wg.Add(1)
 		go func(i int, s *shardLink) {
 			defer wg.Done()
-			st := &out.Shards[i]
+			st := &out[i]
 			st.Shard = s.index
 			st.Addr = s.addr
 			ctx, cancel := context.WithTimeout(ctx, r.cfg.StatsTimeout)
@@ -940,6 +932,15 @@ func (r *Router) clusterStats(ctx context.Context) netproto.ClusterStatsMsg {
 		}(i, s)
 	}
 	wg.Wait()
+	return out
+}
+
+// clusterStats probes every shard and builds the cluster-wide view. A
+// shard that fails to answer is reported not-alive and the view marked
+// degraded; the aggregate covers the survivors.
+func (r *Router) clusterStats(ctx context.Context) netproto.ClusterStatsMsg {
+	rt := r.routing.Load()
+	out := netproto.ClusterStatsMsg{Shards: r.probeStats(ctx, rt.links)}
 	for _, st := range out.Shards {
 		if !st.Alive {
 			out.Degraded = true
@@ -958,7 +959,6 @@ func (r *Router) clusterStats(ctx context.Context) netproto.ClusterStatsMsg {
 		agg.DroppedInvalidations += st.Stats.DroppedInvalidations
 		agg.DedupedLoads += st.Stats.DedupedLoads
 		agg.MigratedIn += st.Stats.MigratedIn
-		agg.MigratedOut += st.Stats.MigratedOut
 		agg.ObjectsBorn += st.Stats.ObjectsBorn
 		agg.CoverCacheHits += st.Stats.CoverCacheHits
 		agg.CoverCacheMisses += st.Stats.CoverCacheMisses

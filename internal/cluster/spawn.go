@@ -200,8 +200,8 @@ func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, er
 // fresh (empty) shards for the new indices before handing the router
 // the new address list; shrinking closes the released shards once the
 // router has drained them from the routing table. Traffic keeps
-// flowing throughout; cached state follows ownership via warm
-// migration unless skipMigration (the cold baseline) is set.
+// flowing throughout; cached state follows ownership through the
+// reshards' warm lists unless skipMigration (the cold baseline) is set.
 func (lc *LocalCluster) Resize(ctx context.Context, m int, skipMigration bool) (netproto.RebalanceStatusMsg, error) {
 	if m <= 0 {
 		return netproto.RebalanceStatusMsg{}, fmt.Errorf("cluster: shard count must be positive")

@@ -93,18 +93,20 @@ type Grower interface {
 }
 
 // Warmable is implemented by policies that can adopt already-resident
-// objects into a freshly initialized instance without a load — the
-// warm half of a live cluster reshard, where a shard's cached state
-// survives an ownership change (carried residents) or arrives from a
-// sibling shard (migration) instead of being re-fetched from the
-// repository. Its second consumer is durable restart (internal/persist
-// + cache.Middleware recovery, see docs/PERSISTENCE.md): residents
-// recovered from a node's snapshot+journal are re-adopted through the
-// same call, so a restarted node rejoins warm. Warm is called after
-// Init and before any event; it returns the subset of ids the policy
-// actually adopted (an object may be declined when it no longer fits
-// the capacity). A policy that does not implement Warmable starts cold
-// after a reshard — and restarts cold from disk.
+// objects into a freshly initialized instance without a load. It has
+// two consumers, and both call Init and then Warm once on a fresh
+// instance. A live cluster reshard (cache.Middleware.Reshard) adopts
+// the shard's still-owned residents, then the warm arrivals the router
+// listed (objects resident at their old primary), instead of
+// re-fetching them from the repository. Durable restart
+// (internal/persist + cache.Middleware recovery, see
+// docs/PERSISTENCE.md) re-adopts the residents recovered from a node's
+// snapshot+journal, so a restarted node rejoins warm. Warm is called
+// after Init and before any event; it returns the subset of ids the
+// policy actually adopted, in order (an object may be declined when it
+// no longer fits the capacity, so earlier ids win). A policy that does
+// not implement Warmable starts cold after a reshard — and restarts
+// cold from disk.
 type Warmable interface {
 	Warm(ids []model.ObjectID) ([]model.ObjectID, error)
 }

@@ -142,8 +142,8 @@ func (p *VCover) Init(objects []model.Object, capacity cost.Bytes) error {
 }
 
 // Warm implements Warmable: adopt already-resident objects into a
-// fresh instance without a load (live reshard carry-over and warm
-// migration). Each object is admitted to the GDS load cache only when
+// fresh instance without a load (live reshard carry-over, warm
+// arrivals, and recovery). Each object is admitted to the GDS load cache only when
 // it fits the remaining free capacity — warming never evicts, so the
 // adopted set is order-independent up to capacity exhaustion; declined
 // objects simply stay cold and reload on demand.
@@ -171,9 +171,9 @@ func (p *VCover) Warm(ids []model.ObjectID) ([]model.ObjectID, error) {
 		if err := p.idx.markCached(id); err != nil {
 			return nil, err
 		}
-		// A migrated copy is as fresh as the source's: any updates it
-		// missed are the source's outstanding set, which the reshard
-		// protocol does not carry — treat the copy as fresh, the same
+		// A warm arrival is as fresh as its old holder's copy: any
+		// updates it missed are that holder's outstanding set, which the
+		// reshard does not carry — treat the copy as fresh, the same
 		// optimism a repository load has.
 		p.outstanding[id] = nil
 		adopted = append(adopted, id)

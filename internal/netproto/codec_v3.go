@@ -299,7 +299,6 @@ func encStats(e *encBuf, s *StatsMsg) {
 	e.varint(s.DroppedInvalidations)
 	e.varint(s.DedupedLoads)
 	e.varint(s.MigratedIn)
-	e.varint(s.MigratedOut)
 	e.varint(s.ObjectsBorn)
 	e.varint(s.CoverCacheHits)
 	e.varint(s.CoverCacheMisses)
@@ -329,7 +328,6 @@ func decStats(d *decBuf) StatsMsg {
 	s.DroppedInvalidations = d.varint()
 	s.DedupedLoads = d.varint()
 	s.MigratedIn = d.varint()
-	s.MigratedOut = d.varint()
 	s.ObjectsBorn = d.varint()
 	s.CoverCacheHits = d.varint()
 	s.CoverCacheMisses = d.varint()
@@ -380,16 +378,8 @@ func encodeBodyV3(e *encBuf, t MsgType, body any) error {
 	case Hello:
 		e.str(b.Role)
 		e.varint(int64(b.Version))
-		e.uvarint(uint64(len(b.Features)))
-		for _, f := range b.Features {
-			e.str(f)
-		}
 	case HelloAck:
 		e.varint(int64(b.Version))
-		e.uvarint(uint64(len(b.Features)))
-		for _, f := range b.Features {
-			e.str(f)
-		}
 	case QueryMsg:
 		encQuery(e, &b.Query)
 		e.f64(b.Region.RA)
@@ -497,31 +487,13 @@ func encodeBodyV3(e *encBuf, t MsgType, body any) error {
 		for i := range b.Universe {
 			encObject(e, &b.Universe[i])
 		}
+		encObjectIDs(e, b.Warm)
 		e.varint(int64(b.Resident))
 		e.varint(int64(b.Dropped))
 		// Replicas rides the frame tail: encoded only when non-zero.
 		if b.Replicas != 0 {
 			e.varint(int64(b.Replicas))
 		}
-	case MigrateBeginMsg:
-		e.varint(int64(b.Epoch))
-		e.str(b.Dest)
-		encObjectIDs(e, b.Objects)
-		e.varint(b.Moved)
-		e.varint(int64(b.MovedBytes))
-	case MigrateChunkMsg:
-		e.varint(int64(b.Epoch))
-		e.uvarint(uint64(len(b.Objects)))
-		for i := range b.Objects {
-			mo := &b.Objects[i]
-			encObject(e, &mo.Object)
-			e.bytes(mo.Payload)
-		}
-		e.varint(int64(b.Imported))
-	case MigrateDoneMsg:
-		e.varint(int64(b.Epoch))
-		e.varint(b.Sent)
-		e.varint(b.Imported)
 	case ObjectBirthMsg:
 		e.uvarint(uint64(len(b.Births)))
 		for i := range b.Births {
@@ -553,24 +525,10 @@ func decodeBodyV3(d *decBuf, t MsgType) (any, error) {
 		var b Hello
 		b.Role = d.str()
 		b.Version = int(d.varint())
-		if n := d.length(1); n > 0 {
-			b.Features = make([]string, n)
-			for i := range b.Features {
-				b.Features[i] = d.str()
-			}
-		}
 		body = b
 	case MsgHelloAck:
-		var b HelloAck
-		b.Version = int(d.varint())
-		if n := d.length(1); n > 0 {
-			b.Features = make([]string, n)
-			for i := range b.Features {
-				b.Features[i] = d.str()
-			}
-		}
-		body = b
-	case MsgQuery, MsgClientQuery:
+		body = HelloAck{Version: int(d.varint())}
+	case MsgQuery:
 		var b QueryMsg
 		b.Query = decQuery(d)
 		b.Region.RA = d.f64()
@@ -708,37 +666,12 @@ func decodeBodyV3(d *decBuf, t MsgType) (any, error) {
 				b.Universe[i] = decObject(d)
 			}
 		}
+		b.Warm = decObjectIDs(d)
 		b.Resident = int(d.varint())
 		b.Dropped = int(d.varint())
 		if d.err == nil && len(d.b) > 0 {
 			b.Replicas = int(d.varint())
 		}
-		body = b
-	case MsgMigrateBegin:
-		var b MigrateBeginMsg
-		b.Epoch = int(d.varint())
-		b.Dest = d.str()
-		b.Objects = decObjectIDs(d)
-		b.Moved = d.varint()
-		b.MovedBytes = cost.Bytes(d.varint())
-		body = b
-	case MsgMigrateChunk:
-		var b MigrateChunkMsg
-		b.Epoch = int(d.varint())
-		if n := d.length(4); n > 0 {
-			b.Objects = make([]MigratedObject, n)
-			for i := range b.Objects {
-				b.Objects[i].Object = decObject(d)
-				b.Objects[i].Payload = d.bytes()
-			}
-		}
-		b.Imported = int(d.varint())
-		body = b
-	case MsgMigrateDone:
-		var b MigrateDoneMsg
-		b.Epoch = int(d.varint())
-		b.Sent = d.varint()
-		b.Imported = d.varint()
 		body = b
 	case MsgObjectBirth:
 		var b ObjectBirthMsg

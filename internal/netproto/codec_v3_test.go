@@ -100,9 +100,6 @@ var quickBodies = []struct {
 	{MsgAdminResize, AdminResizeMsg{}},
 	{MsgRebalanceStatus, RebalanceStatusMsg{}},
 	{MsgReshard, ReshardMsg{}},
-	{MsgMigrateBegin, MigrateBeginMsg{}},
-	{MsgMigrateChunk, MigrateChunkMsg{}},
-	{MsgMigrateDone, MigrateDoneMsg{}},
 	{MsgObjectBirth, ObjectBirthMsg{}},
 	{MsgBirthGrant, BirthGrantMsg{}},
 }

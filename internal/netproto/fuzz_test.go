@@ -53,9 +53,11 @@ func seedFrames() []Frame {
 			Epoch: 2, Owned: []model.ObjectID{1, 69},
 			Universe: []model.Object{{ID: 69, Size: cost.GB}},
 		}},
-		{Type: MsgMigrateChunk, Body: MigrateChunkMsg{
-			Epoch:   2,
-			Objects: []MigratedObject{{Object: model.Object{ID: 4, Size: cost.MB}, Payload: []byte{42}}},
+		// A widen reshard carrying the warm list of a live resize.
+		{Type: MsgReshard, Body: ReshardMsg{
+			Epoch: 2, Owned: []model.ObjectID{1, 4, 69},
+			Universe: []model.Object{{ID: 4, Size: cost.MB}},
+			Warm:     []model.ObjectID{4, 69},
 		}},
 		{Type: MsgStats, Body: StatsMsg{Queries: 12, ObjectsBorn: 3}},
 		{Type: MsgError, Body: ErrorMsg{Message: "boom"}},
@@ -108,23 +110,21 @@ func seedFrames() []Frame {
 		}},
 		// Handshake shapes beyond the bare ones that lead the list: the
 		// handshake is the first thing an unauthenticated peer controls,
-		// so seed every role, a stale version, and the reserved Features
-		// list on both halves.
-		{Type: MsgHello, Body: Hello{Role: "invalidations", Version: ProtoV3, Features: []string{"a", "bc"}}},
+		// so seed every role, a stale version, and a future one.
+		{Type: MsgHello, Body: Hello{Role: "invalidations", Version: ProtoV3}},
 		{Type: MsgHello, Body: Hello{Role: "pipeline", Version: 2}},
-		{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV3, Features: []string{"a"}}},
+		{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV3 + 1}},
 	}
 }
 
-// oversizedFeaturesHello is a well-framed Hello whose Features count
-// claims far more strings than the frame has bytes: decoding must fail
-// on the count, before allocating for it.
-func oversizedFeaturesHello() []byte {
-	body := []byte{byte(MsgHello), 0} // type, RequestID 0
-	body = append(body, 6)
+// oversizedRoleHello is a well-framed Hello whose Role length claims
+// 2^40 bytes, far more than the frame has: decoding must fail on the
+// length, before allocating for it.
+func oversizedRoleHello() []byte {
+	body := []byte{byte(MsgHello), 0}        // type, RequestID 0
+	body = binary.AppendUvarint(body, 1<<40) // Role length
 	body = append(body, "client"...)
 	body = binary.AppendVarint(body, ProtoV3)
-	body = binary.AppendUvarint(body, 1<<40) // Features count
 	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
@@ -138,7 +138,7 @@ func streamSeeds(t testing.TB) [][]byte {
 		valid[:3],            // truncated inside the length prefix
 		{},                   // empty stream
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, // absurd length prefix
-		oversizedFeaturesHello(),
+		oversizedRoleHello(),
 	}
 }
 
@@ -209,8 +209,8 @@ func TestDecodeFrameSeedCorpus(t *testing.T) {
 			drainStream(data)
 		}()
 	}
-	if err := drainStream(oversizedFeaturesHello()); err == nil || err == io.EOF {
-		t.Errorf("a Hello claiming 2^40 features decoded (err = %v), want a slice-length error", err)
+	if err := drainStream(oversizedRoleHello()); err == nil || err == io.EOF {
+		t.Errorf("a Hello whose Role claims 2^40 bytes decoded (err = %v), want a slice-length error", err)
 	}
 }
 

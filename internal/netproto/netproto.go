@@ -167,8 +167,6 @@ const (
 	MsgStats
 	// MsgError carries a server-side failure.
 	MsgError
-	// MsgClientQuery is a client's query submission to the cache.
-	MsgClientQuery
 	// MsgHello introduces a connection and its role.
 	MsgHello
 	// MsgHelloAck acknowledges a Hello; every role waits for it.
@@ -186,18 +184,9 @@ const (
 	// progress view (admin client → router).
 	MsgRebalanceStatus
 	// MsgReshard atomically swaps a cache shard's owned object set
-	// during a live resize (router → shard).
+	// during a live resize, naming the arrivals it may adopt warm
+	// (router → shard).
 	MsgReshard
-	// MsgMigrateBegin commands a shard to stream its cached state for
-	// the listed objects to a destination shard (router → source
-	// shard).
-	MsgMigrateBegin
-	// MsgMigrateChunk carries one batch of migrated cached objects
-	// (source shard → destination shard).
-	MsgMigrateChunk
-	// MsgMigrateDone closes a migration stream with its totals (source
-	// shard → destination shard).
-	MsgMigrateDone
 	// MsgObjectBirth carries newly published data objects. It is both
 	// the ingestion request (client/pipeline → cache/router → repository,
 	// replied to with the accepted count) and the announcement the
@@ -219,12 +208,11 @@ var msgNames = [...]string{
 	MsgUpdateFeed: "update-feed", MsgShipUpdates: "ship-updates",
 	MsgUpdates: "updates", MsgLoadObject: "load-object",
 	MsgObjectData: "object-data", MsgInvalidate: "invalidate",
-	MsgStats: "stats", MsgError: "error", MsgClientQuery: "client-query",
+	MsgStats: "stats", MsgError: "error",
 	MsgHello: "hello", MsgHelloAck: "hello-ack",
 	MsgShardQuery: "shard-query", MsgClusterStats: "cluster-stats",
 	MsgAdminResize: "admin-resize", MsgRebalanceStatus: "rebalance-status",
-	MsgReshard: "reshard", MsgMigrateBegin: "migrate-begin",
-	MsgMigrateChunk: "migrate-chunk", MsgMigrateDone: "migrate-done",
+	MsgReshard:     "reshard",
 	MsgObjectBirth: "object-birth", MsgBirthGrant: "birth-grant",
 }
 
@@ -243,18 +231,11 @@ type Hello struct {
 	// Version is the protocol version the peer speaks (ProtoV3).
 	// Anything lower is refused.
 	Version int
-	// Features lists optional capabilities the peer supports.
-	// Reserved: no optional capability exists yet, so it is always
-	// empty; it rides in the handshake so adding one later needs no
-	// wire change.
-	Features []string
 }
 
-// HelloAck completes the handshake; Version is always ProtoV3. Features
-// mirrors Hello's reserved field.
+// HelloAck completes the handshake; Version is always ProtoV3.
 type HelloAck struct {
-	Version  int
-	Features []string
+	Version int
 }
 
 // SkyRegion is an optional spherical-cap restriction riding a query:
@@ -416,12 +397,10 @@ type StatsMsg struct {
 	// singleflight collapsed into an already-running flight instead of
 	// issuing a second repository round trip.
 	DedupedLoads int64
-	// MigratedIn / MigratedOut count cached objects this node adopted
-	// from, or streamed to, a sibling shard during live cluster
-	// resizes (warm migration; never charged to the repository
-	// ledger).
-	MigratedIn  int64
-	MigratedOut int64
+	// MigratedIn counts objects this node adopted warm as a new holder
+	// during live cluster resizes (ReshardMsg.Warm arrivals; never
+	// charged to the repository ledger).
+	MigratedIn int64
 	// ObjectsBorn counts newly published objects this node has admitted
 	// into its universe since start (live repository growth).
 	ObjectsBorn int64
@@ -511,7 +490,7 @@ type AdminResizeMsg struct {
 // RebalanceStatusMsg requests / carries the router's rebalance view.
 type RebalanceStatusMsg struct {
 	// Active reports a resize in flight; Phase names its stage
-	// ("widen", "migrate", "flip", "narrow", or "idle"/"done").
+	// ("widen", "flip", "narrow", or "idle"/"done"/"failed").
 	Active bool
 	Phase  string
 	// Epoch is the routing epoch: it increments once per completed
@@ -520,7 +499,9 @@ type RebalanceStatusMsg struct {
 	// From and To are the shard counts of the transition (or of the
 	// last completed one).
 	From, To int
-	// MovedObjects / MovedBytes total the warm-migrated cached state.
+	// MovedObjects / MovedBytes total the warm lists the widen reshards
+	// carried: one entry per (object, new holder) whose old primary held
+	// it resident at the probe.
 	MovedObjects int64
 	MovedBytes   cost.Bytes
 	// Completed counts finished resizes; LastError carries the most
@@ -532,8 +513,9 @@ type RebalanceStatusMsg struct {
 // ReshardMsg atomically replaces a shard's owned object set (router →
 // shard) during a live resize: the shard rebuilds its object filter
 // and policy universe around exactly Owned, carrying still-owned
-// resident objects over warm and dropping the rest. The reply echoes
-// the message with Resident/Dropped filled in.
+// resident objects over warm, then adopting Warm arrivals, and dropping
+// the rest. The reply echoes the message with Resident/Dropped filled
+// in.
 type ReshardMsg struct {
 	Epoch int
 	Owned []model.ObjectID
@@ -541,6 +523,11 @@ type ReshardMsg struct {
 	// can take ownership of objects born after it spawned (a fresh
 	// shard joining a grown cluster has never seen them).
 	Universe []model.Object
+	// Warm lists objects this shard gains as a new holder that were
+	// resident at their old primary when the router probed it: the
+	// shard adopts them warm (after its carried residents, as capacity
+	// allows) instead of loading them cold. A hint, like all residency.
+	Warm []model.ObjectID
 	// Resident and Dropped are reply fields: how many cached objects
 	// survived the swap and how many were discarded as no longer
 	// owned.
@@ -550,46 +537,6 @@ type ReshardMsg struct {
 	// (Owned spans every replica rank, not just primaries). Rides the
 	// frame tail; 0 means unspecified and leaves the shard's K unchanged.
 	Replicas int
-}
-
-// MigrateBeginMsg commands a source shard to stream its cached state
-// for Objects to the shard at Dest (router → source). The source
-// replies after the stream completes, with Moved/MovedBytes filled in
-// (objects it did not hold resident are simply skipped — the
-// destination will load them cold on first use).
-type MigrateBeginMsg struct {
-	Epoch   int
-	Dest    string
-	Objects []model.ObjectID
-	// Moved and MovedBytes are reply fields.
-	Moved      int64
-	MovedBytes cost.Bytes
-}
-
-// MigratedObject is one cached object's state in flight between
-// shards: its metadata plus the scaled physical payload.
-type MigratedObject struct {
-	Object  model.Object
-	Payload []byte
-}
-
-// MigrateChunkMsg carries one batch of migrated objects (source →
-// destination shard). The reply echoes the message with Imported set
-// to how many the destination adopted.
-type MigrateChunkMsg struct {
-	Epoch    int
-	Objects  []MigratedObject
-	Imported int
-}
-
-// MigrateDoneMsg closes a migration stream (source → destination
-// shard) with its totals: Sent is how many objects the source
-// streamed, Imported sums the destination's per-chunk ack counts. The
-// destination echoes the message as the acknowledgement.
-type MigrateDoneMsg struct {
-	Epoch    int
-	Sent     int64
-	Imported int64
 }
 
 // ObjectBirthMsg carries newly published objects: full metadata plus

@@ -148,7 +148,7 @@ func TestMsgTypeString(t *testing.T) {
 	if MsgQuery.String() != "query" || MsgObjectData.String() != "object-data" {
 		t.Error("known message names wrong")
 	}
-	if MsgReshard.String() != "reshard" || MsgMigrateChunk.String() != "migrate-chunk" {
+	if MsgReshard.String() != "reshard" || MsgBirthGrant.String() != "birth-grant" {
 		t.Error("rebalance message names wrong")
 	}
 	if MsgType(200).String() != "msg(200)" {
@@ -157,28 +157,19 @@ func TestMsgTypeString(t *testing.T) {
 }
 
 // TestRebalanceFramesRoundTrip pins the wire encoding of the live
-// resize vocabulary: admin, reshard and migration frames survive a
-// connection round trip with their bodies intact.
+// resize vocabulary: admin frames and the widen reshard with its warm
+// list survive a connection round trip with their bodies intact.
 func TestRebalanceFramesRoundTrip(t *testing.T) {
 	client, server := pipePair(t)
 	frames := []Frame{
 		{Type: MsgAdminResize, Body: AdminResizeMsg{Shards: []string{"a:1", "b:2"}}},
 		{Type: MsgRebalanceStatus, Body: RebalanceStatusMsg{
-			Active: true, Phase: "migrate", Epoch: 3, From: 4, To: 8,
+			Active: true, Phase: "widen", Epoch: 3, From: 4, To: 8,
 			MovedObjects: 17, MovedBytes: 9 * cost.GB, Completed: 2, LastError: "x",
 		}},
-		{Type: MsgReshard, Body: ReshardMsg{Epoch: 3, Owned: []model.ObjectID{1, 2, 9}}},
-		{Type: MsgMigrateBegin, Body: MigrateBeginMsg{
-			Epoch: 3, Dest: "c:3", Objects: []model.ObjectID{2, 9},
+		{Type: MsgReshard, Body: ReshardMsg{
+			Epoch: 3, Owned: []model.ObjectID{1, 2, 9}, Warm: []model.ObjectID{2, 9},
 		}},
-		{Type: MsgMigrateChunk, Body: MigrateChunkMsg{
-			Epoch: 3,
-			Objects: []MigratedObject{{
-				Object:  model.Object{ID: 2, Size: cost.GB, Trixel: 77},
-				Payload: []byte{1, 2, 3},
-			}},
-		}},
-		{Type: MsgMigrateDone, Body: MigrateDoneMsg{Epoch: 3, Sent: 2, Imported: 2}},
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -204,25 +195,12 @@ func TestRebalanceFramesRoundTrip(t *testing.T) {
 				t.Errorf("admin-resize body = %+v", body)
 			}
 		case RebalanceStatusMsg:
-			if body.Phase != "migrate" || body.MovedBytes != 9*cost.GB || body.Completed != 2 {
+			if body.Phase != "widen" || body.MovedBytes != 9*cost.GB || body.Completed != 2 {
 				t.Errorf("rebalance-status body = %+v", body)
 			}
 		case ReshardMsg:
-			if body.Epoch != 3 || len(body.Owned) != 3 {
+			if body.Epoch != 3 || len(body.Owned) != 3 || len(body.Warm) != 2 || body.Warm[1] != 9 {
 				t.Errorf("reshard body = %+v", body)
-			}
-		case MigrateBeginMsg:
-			if body.Dest != "c:3" || len(body.Objects) != 2 {
-				t.Errorf("migrate-begin body = %+v", body)
-			}
-		case MigrateChunkMsg:
-			if len(body.Objects) != 1 || body.Objects[0].Object.Trixel != 77 ||
-				len(body.Objects[0].Payload) != 3 {
-				t.Errorf("migrate-chunk body = %+v", body)
-			}
-		case MigrateDoneMsg:
-			if body.Sent != 2 || body.Imported != 2 {
-				t.Errorf("migrate-done body = %+v", body)
 			}
 		}
 	}

@@ -94,7 +94,6 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_dropped_invalidations_total",
 		"delta_deduped_loads_total",
 		"delta_migrated_in_total",
-		"delta_migrated_out_total",
 		"delta_objects_born_total",
 		"delta_cover_cache_hits_total",
 		"delta_cover_cache_misses_total",

@@ -57,10 +57,8 @@ func RegisterStats(r *Registry, fetch func() (netproto.StatsMsg, error)) {
 		func(s *netproto.StatsMsg) float64 { return float64(s.DroppedInvalidations) })
 	counter("delta_deduped_loads_total", "Object loads collapsed into an in-flight load (singleflight).",
 		func(s *netproto.StatsMsg) float64 { return float64(s.DedupedLoads) })
-	counter("delta_migrated_in_total", "Cached objects adopted warm from sibling shards.",
+	counter("delta_migrated_in_total", "Objects adopted warm as a new holder during live resizes.",
 		func(s *netproto.StatsMsg) float64 { return float64(s.MigratedIn) })
-	counter("delta_migrated_out_total", "Cached objects streamed warm to sibling shards.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.MigratedOut) })
 	counter("delta_objects_born_total", "Newly published objects admitted into this node's universe.",
 		func(s *netproto.StatsMsg) float64 { return float64(s.ObjectsBorn) })
 	counter("delta_cover_cache_hits_total", "Sky-region resolutions answered from the HTM cover cache.",

@@ -12,7 +12,7 @@ import (
 // State is everything a node persists to rejoin warm: the newest
 // routing epoch it resharded for, the object universe it knows beyond
 // what its static configuration rebuilds (born objects in full
-// fidelity, plus bare metadata that arrived via reshard or migration),
+// fidelity, plus bare metadata that arrived via reshard),
 // its owned set when it is a cluster shard, and the resident set its
 // policy should re-adopt.
 //
@@ -28,8 +28,7 @@ type State struct {
 	// here.
 	Epoch int
 	// Universe holds object metadata the node cannot rebuild from its
-	// static configuration: born objects plus reshard/migration
-	// arrivals. Base-partition objects need not appear (they are
+	// static configuration: born objects plus reshard arrivals. Base-partition objects need not appear (they are
 	// derived from the survey seed), but including them is harmless —
 	// recovery merges by ID.
 	Universe []model.Object

@@ -43,11 +43,6 @@ type Config struct {
 	// tables; a loopback deployment answers in microseconds, which
 	// hides every concurrency effect). Zero disables.
 	ExecDelay time.Duration
-	// Replicas advertises the deployment's cache replication factor K
-	// in the repository's StatsMsg, so clients and operators can audit
-	// the intended K against what the cache tier reports. 0 is treated
-	// as 1 (unreplicated). Purely informational at the repository.
-	Replicas int
 	// DataDir, when set, makes repository growth durable: ingested
 	// births are journaled and snapshotted (internal/persist), and New
 	// replays them into the survey so the grown universe survives
@@ -76,7 +71,6 @@ type Repository struct {
 	mu        sync.Mutex
 	updates   map[model.UpdateID]model.Update
 	perObject map[model.ObjectID][]model.UpdateID
-	freshAsOf map[model.ObjectID]time.Duration
 	// subscribers carry invalidation-stream frames: update notices
 	// (MsgInvalidate) and new-object announcements (MsgObjectBirth). Nil
 	// once Close has closed the channels: no subscriber registers after.
@@ -115,7 +109,6 @@ func New(cfg Config) (*Repository, error) {
 		rows:        cfg.Survey.SampleRows(2000, cfg.Survey.Config().Seed),
 		updates:     make(map[model.UpdateID]model.Update),
 		perObject:   make(map[model.ObjectID][]model.UpdateID),
-		freshAsOf:   make(map[model.ObjectID]time.Duration),
 		subscribers: make(map[int]chan netproto.Frame),
 	}
 	r.Node = node.New("repository", cfg.Addr, cfg.MetricsAddr, cfg.Logf, r.handleRequest)
@@ -453,7 +446,6 @@ func (r *Repository) Stats() netproto.StatsMsg {
 		DroppedInvalidations: r.droppedInvalidations.Load(),
 		ObjectsBorn:          r.objectsBorn.Load(),
 		RecoveredWarm:        r.recoveredBirths.Load(),
-		Replicas:             int64(max(r.cfg.Replicas, 1)),
 	}
 	if r.store != nil {
 		stats.SnapshotAge = r.store.SnapshotAge()
@@ -542,7 +534,6 @@ func (r *Repository) loadObject(id model.ObjectID) netproto.Frame {
 			fresh = u.Time
 		}
 	}
-	r.freshAsOf[id] = fresh
 	r.mu.Unlock()
 	r.ledger.Charge(cost.ObjectLoad, obj.Size)
 	payload, release := netproto.NewPayload(r.cfg.Scale, obj.Size, int64(obj.ID))
