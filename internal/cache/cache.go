@@ -11,11 +11,13 @@
 // run under one mutex — but that critical section contains no network
 // I/O. Query shipping, update shipping and object loads all execute
 // outside the lock on a multiplexed repository session (a small
-// connection pool with RequestID demultiplexing), with per-object
-// singleflight so concurrent queries that need the same object trigger
-// one load. A client connection's requests run on its own bounded set
-// of worker goroutines, so a query stalled on an object load never
-// head-of-line-blocks its neighbors.
+// connection pool with RequestID demultiplexing). A decision's loads
+// travel as one batched round trip, which a shipped query overlaps, and
+// per-object singleflight makes concurrent decisions that need the same
+// object share one load. A client connection's requests run on its own
+// bounded set of worker goroutines, so a query stalled on an object load
+// never head-of-line-blocks its neighbors. If the invalidation stream
+// is lost, the node fails closed: every query ships.
 package cache
 
 import (
@@ -144,6 +146,7 @@ type Middleware struct {
 	cfg    Config
 	ledger cost.Ledger
 	repo   *netproto.Session
+	rows   *catalog.RowIndex // Config.SampleRows, grouped by object
 
 	// mu guards the policy, the residency map, the owned set and the
 	// reshard epoch (all swapped together by a live reshard). The
@@ -194,25 +197,38 @@ type Middleware struct {
 	fsyncLat *obs.Histogram
 
 	inv *netproto.Conn // invalidation subscription
+	// deaf is set once the invalidation stream is lost while the node is
+	// not closing: no notice reaches the policy again, so every query
+	// ships to the repository from then on.
+	deaf atomic.Bool
 }
 
 // plan lists the repository I/O a committed decision still owes, plus
 // the residency changes it already applied (for the durability journal).
+// It runs in two halves so a shipped query can overlap its loads:
+// startPlan puts the loads this decision leads on the wire as one
+// flight, and finishPlan waits for every load the decision needs — led
+// or joined — and then ships its updates.
 type plan struct {
 	loads       []pendingLoad
 	evicts      []model.ObjectID
 	shipUpdates []model.UpdateID
 }
 
-// pendingLoad is a load flight registered at commit time (so
-// loadGroup.wait can find it the moment residency becomes visible);
-// leader marks the plan that must actually run it.
+// pendingLoad is a load registered at commit time (so loadGroup.wait
+// can find it the moment residency becomes visible); leader marks the
+// plan whose flight must actually fetch it.
 type pendingLoad struct {
 	id     model.ObjectID
-	charge bool
 	call   *loadCall
 	leader bool
 }
+
+// maxLoadBatch caps the objects one MsgLoadObject names. Decisions load
+// far fewer; a Replica/SOptimal preload of a large universe goes out in
+// frames of this many, which keeps each reply (object metadata plus a
+// payload capped at MaxFrame/2) under netproto.MaxFrame.
+const maxLoadBatch = 1024
 
 // New builds the middleware, connects it to the repository, initializes
 // the policy and subscribes to invalidations.
@@ -239,6 +255,7 @@ func New(cfg Config) (*Middleware, error) {
 	}
 	m := &Middleware{
 		cfg:      cfg,
+		rows:     catalog.NewRowIndex(cfg.SampleRows),
 		policy:   cfg.Policy,
 		resident: make(map[model.ObjectID]struct{}),
 		byID:     newObjectTable(len(cfg.Objects)),
@@ -392,16 +409,25 @@ func New(cfg Config) (*Middleware, error) {
 		}
 	}
 
-	// Apply any preload the policy requests (Replica/SOptimal).
+	// Apply any preload the policy requests (Replica/SOptimal) through
+	// the same singleflight and flights as decision loads, one frame of
+	// maxLoadBatch objects at a time.
 	if pre, ok := m.policy.(core.Preloader); ok {
 		objs, charge := pre.Preload()
-		for _, id := range objs {
-			if err := m.fetchObject(context.Background(), id, charge); err != nil {
+		for chunk := range slices.Chunk(objs, maxLoadBatch) {
+			loads := make([]pendingLoad, len(chunk))
+			for i, id := range chunk {
+				loads[i] = m.registerLoad(id)
+			}
+			m.startLoads(context.Background(), loads, charge)
+			if err := awaitLoads(context.Background(), loads); err != nil {
 				m.Close()
-				return nil, fmt.Errorf("cache: preload %d: %w", id, err)
+				return nil, fmt.Errorf("cache: preload: %w", err)
 			}
 			m.mu.Lock()
-			m.resident[id] = struct{}{}
+			for _, id := range chunk {
+				m.resident[id] = struct{}{}
+			}
 			m.mu.Unlock()
 		}
 	}
@@ -572,6 +598,16 @@ func (m *Middleware) invalidationLoop(c *netproto.Conn) {
 	for {
 		f, err := c.Recv()
 		if err != nil {
+			select {
+			case <-m.Done():
+			default:
+				// Deaf, not closing: residents can go stale with nothing
+				// to tell the policy, so fail closed and ship every query
+				// rather than answer from them. The node does not
+				// resubscribe.
+				m.deaf.Store(true)
+				m.cfg.Logf("invalidation stream lost: %v; every query ships to the repository", err)
+			}
 			return
 		}
 		if birth, ok := f.Body.(netproto.ObjectBirthMsg); ok {
@@ -742,6 +778,12 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 			}
 		}
 	}
+	if m.deaf.Load() {
+		// No notice reaches the policy any more, so its view of
+		// currency is blind: ship without consulting it.
+		m.mu.Unlock()
+		return m.shipQuery(ctx, q, meta, start, plan{})
+	}
 	d, err := m.policy.OnQuery(q)
 	if err != nil {
 		m.mu.Unlock()
@@ -754,36 +796,11 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 	}
 
 	// Repository I/O outside the lock.
+	if d.ShipQuery {
+		return m.shipQuery(ctx, q, meta, start, p)
+	}
 	if err := m.executePlan(ctx, p); err != nil {
 		return netproto.ErrorFrame("apply: %v", err)
-	}
-	if d.ShipQuery {
-		m.shipped.Add(1)
-		reply, err := m.repo.RoundTrip(ctx, netproto.Frame{
-			Type: netproto.MsgQuery,
-			Body: netproto.QueryMsg{Query: *q, TraceID: meta.traceID},
-		})
-		if err != nil {
-			return netproto.ErrorFrame("ship query: %v", err)
-		}
-		res, ok := reply.Body.(netproto.QueryResultMsg)
-		if !ok {
-			return netproto.ErrorFrame("repository replied %s", reply.Type)
-		}
-		m.ledger.Charge(cost.QueryShip, q.Cost)
-		res.Elapsed = time.Since(start)
-		m.queryLat.Observe(res.Elapsed)
-		if meta.traceID != 0 {
-			// This hop's span leads; the repository's spans (already in
-			// res.Spans) nest under it.
-			res.TraceID = meta.traceID
-			spans := append([]netproto.TraceSpan{
-				meta.span(m.Addr(), len(q.Objects), res.Source, res.Elapsed),
-			}, res.Spans...)
-			res.Spans = spans
-			m.Traces.Add(meta.traceID, spans)
-		}
-		return netproto.Frame{Type: netproto.MsgQueryResult, Body: res}
 	}
 	m.atCache.Add(1)
 	// A sibling query may have committed a load of one of our objects
@@ -814,6 +831,45 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 		m.Traces.Add(meta.traceID, result.Spans)
 	}
 	return netproto.Frame{Type: netproto.MsgQueryResult, Body: result, Release: release}
+}
+
+// shipQuery answers q from the repository. The query travels while p's
+// loads are in flight, but the reply waits for all of p's I/O: a failed
+// load still fails the query, and the ledgers have settled by the time
+// the client sees the answer.
+func (m *Middleware) shipQuery(ctx context.Context, q *model.Query, meta queryMeta, start time.Time, p plan) netproto.Frame {
+	m.shipped.Add(1)
+	m.startPlan(ctx, p)
+	reply, shipErr := m.repo.RoundTrip(ctx, netproto.Frame{
+		Type: netproto.MsgQuery,
+		Body: netproto.QueryMsg{Query: *q, TraceID: meta.traceID},
+	})
+	res, ok := reply.Body.(netproto.QueryResultMsg)
+	if shipErr == nil && !ok {
+		shipErr = fmt.Errorf("repository replied %s", reply.Type)
+	}
+	if shipErr == nil {
+		m.ledger.Charge(cost.QueryShip, q.Cost)
+	}
+	if err := m.finishPlan(ctx, p); err != nil {
+		return netproto.ErrorFrame("apply: %v", err)
+	}
+	if shipErr != nil {
+		return netproto.ErrorFrame("ship query: %v", shipErr)
+	}
+	res.Elapsed = time.Since(start)
+	m.queryLat.Observe(res.Elapsed)
+	if meta.traceID != 0 {
+		// This hop's span leads; the repository's spans (already in
+		// res.Spans) nest under it.
+		res.TraceID = meta.traceID
+		spans := append([]netproto.TraceSpan{
+			meta.span(m.Addr(), len(q.Objects), res.Source, res.Elapsed),
+		}, res.Spans...)
+		res.Spans = spans
+		m.Traces.Add(meta.traceID, spans)
+	}
+	return netproto.Frame{Type: netproto.MsgQueryResult, Body: res}
 }
 
 // handleBirths serves MsgObjectBirth on a standalone cache: publish the
@@ -960,7 +1016,7 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 // Residency is deliberately optimistic: the policy's view is the
 // source of truth the moment it decides, and the network load is its
 // materialization (local answers join in-flight loads via loadGroup).
-// If a load ultimately fails, executePlan rolls the residency entry
+// If a load ultimately fails, its flight rolls the residency entry
 // back; the policy's internal state keeps believing the load happened
 // — the same divergence the seed had on a failed load.
 func (m *Middleware) commitDecisionLocked(d core.Decision) (plan, error) {
@@ -987,31 +1043,41 @@ func (m *Middleware) commitDecisionLocked(d core.Decision) (plan, error) {
 	}
 	for _, id := range d.Load {
 		m.resident[id] = struct{}{}
-		c, leader := m.loads.register(id)
-		if !leader {
-			m.dedupLoads.Add(1)
-		}
-		p.loads = append(p.loads, pendingLoad{id: id, charge: true, call: c, leader: leader})
+		p.loads = append(p.loads, m.registerLoad(id))
 	}
 	p.shipUpdates = d.ApplyUpdates
 	return p, nil
 }
 
-// executePlan performs the network I/O a committed decision owes:
-// object loads (singleflighted per object) and update shipments.
-func (m *Middleware) executePlan(ctx context.Context, p plan) error {
-	m.journalPlan(p)
-	// Start every owned flight before waiting on any, so sibling
-	// loads of one decision overlap.
-	for _, l := range p.loads {
-		if l.leader {
-			m.loads.start(ctx, l.id, l.call, m.loadFlight(l.id, l.charge))
-		}
+// registerLoad joins id's in-flight load or registers a new one this
+// caller leads.
+func (m *Middleware) registerLoad(id model.ObjectID) pendingLoad {
+	c, leader := m.loads.register(id)
+	if !leader {
+		m.dedupLoads.Add(1)
 	}
-	for _, l := range p.loads {
-		if err := l.call.await(ctx); err != nil {
-			return err
-		}
+	return pendingLoad{id: id, call: c, leader: leader}
+}
+
+// executePlan performs the network I/O a committed decision owes before
+// its caller goes on: startPlan, then finishPlan.
+func (m *Middleware) executePlan(ctx context.Context, p plan) error {
+	m.startPlan(ctx, p)
+	return m.finishPlan(ctx, p)
+}
+
+// startPlan journals a committed decision and puts the loads it leads
+// on the wire as one flight. It does not wait.
+func (m *Middleware) startPlan(ctx context.Context, p plan) {
+	m.journalPlan(p)
+	m.startLoads(ctx, p.loads, true)
+}
+
+// finishPlan waits for every load the decision needs — its own flight's
+// and those it joined — then ships its updates.
+func (m *Middleware) finishPlan(ctx context.Context, p plan) error {
+	if err := awaitLoads(ctx, p.loads); err != nil {
+		return err
 	}
 	if len(p.shipUpdates) > 0 {
 		reply, err := m.repo.RoundTrip(ctx, netproto.Frame{
@@ -1034,82 +1100,98 @@ func (m *Middleware) executePlan(ctx context.Context, p plan) error {
 	return nil
 }
 
-// fetchObject loads one object from the repository, collapsing
-// concurrent loads of the same object into a single round trip (the
-// preload path; decision loads register their flights at commit time).
-func (m *Middleware) fetchObject(ctx context.Context, id model.ObjectID, charge bool) error {
-	c, leader := m.loads.register(id)
-	if leader {
-		m.loads.start(ctx, id, c, m.loadFlight(id, charge))
-	} else {
-		m.dedupLoads.Add(1)
+// startLoads starts one flight for the loads among loads that the
+// caller leads: one goroutine and one batched round trip, detached from
+// ctx's cancellation (a load serves every query that joins it, so the
+// initiator's deadline must not abort it for the others). The flight
+// settles every led call. On failure it first rolls back the optimistic
+// residency of every object it carried — the flight is the only place
+// that knows the load definitively failed (waiters may have bailed on
+// their own contexts while it was still going).
+func (m *Middleware) startLoads(ctx context.Context, loads []pendingLoad, charge bool) {
+	var led []pendingLoad
+	for _, l := range loads {
+		if l.leader {
+			led = append(led, l)
+		}
 	}
-	return c.await(ctx)
-}
-
-// loadFlight is the body of one object-load flight. On failure it
-// rolls the optimistic residency commit back itself — the flight is
-// the only place that knows the load definitively failed (waiters may
-// have bailed on their own contexts while it was still going).
-func (m *Middleware) loadFlight(id model.ObjectID, charge bool) func(context.Context) error {
-	return func(ctx context.Context) error {
-		start := time.Now()
-		defer func() { m.loadLat.Observe(time.Since(start)) }()
-		err := func() error {
-			reply, err := m.repo.RoundTrip(ctx, netproto.Frame{
-				Type: netproto.MsgLoadObject,
-				Body: netproto.LoadObjectMsg{Object: id},
-			})
-			if err != nil {
-				return fmt.Errorf("load object %d: %w", id, err)
-			}
-			data, ok := reply.Body.(netproto.ObjectDataMsg)
-			if !ok {
-				return fmt.Errorf("repository replied %s to load", reply.Type)
-			}
-			if charge {
-				m.ledger.Charge(cost.ObjectLoad, data.Object.Size)
-			}
-			return nil
-		}()
+	if len(led) == 0 {
+		return
+	}
+	ctx = context.WithoutCancel(ctx)
+	go func() {
+		err := m.loadObjects(ctx, led, charge)
 		if err != nil {
 			m.mu.Lock()
-			delete(m.resident, id)
+			for _, l := range led {
+				delete(m.resident, l.id)
+			}
 			m.mu.Unlock()
 		}
-		return err
+		m.loads.settle(led, err)
+	}()
+}
+
+// loadObjects is the one MsgLoadObject round trip a flight makes.
+func (m *Middleware) loadObjects(ctx context.Context, loads []pendingLoad, charge bool) error {
+	start := time.Now()
+	defer func() { m.loadLat.Observe(time.Since(start)) }()
+	ids := make([]model.ObjectID, len(loads))
+	for i, l := range loads {
+		ids[i] = l.id
 	}
+	reply, err := m.repo.RoundTrip(ctx, netproto.Frame{
+		Type: netproto.MsgLoadObject,
+		Body: netproto.LoadObjectMsg{Objects: ids},
+	})
+	if err != nil {
+		return fmt.Errorf("load %d objects (first %d): %w", len(ids), ids[0], err)
+	}
+	data, ok := reply.Body.(netproto.ObjectDataMsg)
+	if !ok {
+		return fmt.Errorf("repository replied %s to load", reply.Type)
+	}
+	if len(data.Objects) != len(ids) {
+		return fmt.Errorf("repository answered a load of %d objects with %d", len(ids), len(data.Objects))
+	}
+	if charge {
+		var total cost.Bytes
+		for _, o := range data.Objects {
+			total += o.Size
+		}
+		m.ledger.Charge(cost.ObjectLoad, total)
+	}
+	return nil
+}
+
+// awaitLoads waits for every load in loads to settle, returning the
+// first failure.
+func awaitLoads(ctx context.Context, loads []pendingLoad) error {
+	for _, l := range loads {
+		if err := l.call.await(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sampleRowsFor returns demo rows for locally answered queries.
 func (m *Middleware) sampleRowsFor(objs []model.ObjectID) []netproto.ResultRow {
-	if len(m.cfg.SampleRows) == 0 {
+	sample := m.rows.Sample(objs, 8)
+	if sample == nil {
 		return nil
 	}
-	want := make(map[model.ObjectID]struct{}, len(objs))
-	for _, id := range objs {
-		want[id] = struct{}{}
-	}
-	var rows []netproto.ResultRow
-	for _, row := range m.cfg.SampleRows {
-		if _, ok := want[row.Object]; !ok {
-			continue
-		}
-		rows = append(rows, netproto.ResultRow{
-			ObjID: row.ObjID, RA: row.RA, Dec: row.Dec, R: row.R,
-		})
-		if len(rows) >= 8 {
-			break
-		}
+	rows := make([]netproto.ResultRow, len(sample))
+	for i, row := range sample {
+		rows[i] = netproto.ResultRow{ObjID: row.ObjID, RA: row.RA, Dec: row.Dec, R: row.R}
 	}
 	return rows
 }
 
-// loadGroup is a minimal singleflight keyed by object ID. The flight
-// itself runs detached from any one caller's context (the load
-// benefits every query that joins it, so the initiator's deadline
-// must not abort it for the others); each waiter honors its own
-// context instead.
+// loadGroup is a minimal singleflight keyed by object ID: a load
+// registered while another of the same object is in flight joins that
+// flight instead of fetching again. A flight settles the calls it
+// carried all at once; each waiter honors its own context.
 type loadGroup struct {
 	mu       sync.Mutex
 	inflight map[model.ObjectID]*loadCall
@@ -1120,8 +1202,8 @@ type loadCall struct {
 	err  error
 }
 
-// register returns id's flight, creating it if absent; leader reports
-// whether the caller owns it and must call start.
+// register returns id's call, creating it if absent; leader reports
+// whether the caller owns it and must put it in a flight.
 func (g *loadGroup) register(id model.ObjectID) (c *loadCall, leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -1136,15 +1218,18 @@ func (g *loadGroup) register(id model.ObjectID) (c *loadCall, leader bool) {
 	return c, true
 }
 
-// start runs an owned flight detached from the initiator's context.
-func (g *loadGroup) start(ctx context.Context, id model.ObjectID, c *loadCall, fn func(context.Context) error) {
-	go func() {
-		c.err = fn(context.WithoutCancel(ctx))
-		g.mu.Lock()
-		delete(g.inflight, id)
-		g.mu.Unlock()
-		close(c.done)
-	}()
+// settle ends a flight: its calls leave the in-flight table, take the
+// flight's outcome, and wake their waiters.
+func (g *loadGroup) settle(loads []pendingLoad, err error) {
+	g.mu.Lock()
+	for _, l := range loads {
+		delete(g.inflight, l.id)
+	}
+	g.mu.Unlock()
+	for _, l := range loads {
+		l.call.err = err
+		close(l.call.done)
+	}
 }
 
 // await blocks until the flight settles or the waiter's own context

@@ -1,0 +1,412 @@
+package cache
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"maps"
+	"math/rand"
+	"sync"
+	"testing"
+	"testing/quick"
+	"time"
+
+	"github.com/deltacache/delta/internal/catalog"
+	"github.com/deltacache/delta/internal/core"
+	"github.com/deltacache/delta/internal/cost"
+	"github.com/deltacache/delta/internal/model"
+	"github.com/deltacache/delta/internal/netproto"
+	"github.com/deltacache/delta/internal/obs"
+	"github.com/deltacache/delta/internal/server"
+)
+
+// startLoadRepo starts a repository over a 16-object survey.
+func startLoadRepo(t *testing.T) (*server.Repository, *catalog.Survey) {
+	t.Helper()
+	scfg := catalog.DefaultConfig()
+	scfg.NumObjects = 16
+	scfg.TotalSize = 16 * cost.GB
+	scfg.MinObjectSize = 100 * cost.MB
+	scfg.MaxObjectSize = 4 * cost.GB
+	survey, err := catalog.NewSurvey(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := server.New(server.Config{Survey: survey, Scale: netproto.DefaultScale()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { repo.Close() })
+	return repo, survey
+}
+
+// newLoadCache builds a cache over objs against repo; decisions reach it
+// either through policy or straight through commitDecisionLocked.
+func newLoadCache(t *testing.T, repo *server.Repository, policy core.Policy, objs []model.Object) *Middleware {
+	t.Helper()
+	m, err := New(Config{
+		RepoAddr: repo.Addr(),
+		Policy:   policy,
+		Objects:  objs,
+		Capacity: 64 * cost.GB,
+		Scale:    netproto.DefaultScale(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
+// repoLoadRequests reads how many load requests the repository served
+// from its delta_repo_load_seconds histogram.
+func repoLoadRequests(t *testing.T, repo *server.Repository) int {
+	t.Helper()
+	var b bytes.Buffer
+	if err := repo.Reg.WriteExposition(&b); err != nil {
+		t.Fatal(err)
+	}
+	families, err := obs.ParseExposition(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(families["delta_repo_load_seconds"].Samples["delta_repo_load_seconds_count"])
+}
+
+// shipAndLoad ships every query and loads whatever of B(q) it has not
+// loaded before.
+type shipAndLoad struct{ loaded map[model.ObjectID]bool }
+
+func (p *shipAndLoad) Name() string { return "ship-and-load" }
+func (p *shipAndLoad) Init([]model.Object, cost.Bytes) error {
+	p.loaded = make(map[model.ObjectID]bool)
+	return nil
+}
+func (p *shipAndLoad) OnUpdate(*model.Update) (core.Decision, error) { return core.Decision{}, nil }
+func (p *shipAndLoad) OnQuery(q *model.Query) (core.Decision, error) {
+	d := core.Decision{ShipQuery: true}
+	for _, id := range q.Objects {
+		if !p.loaded[id] {
+			p.loaded[id] = true
+			d.Load = append(d.Load, id)
+		}
+	}
+	return d, nil
+}
+
+func query(m *Middleware, q model.Query) (netproto.QueryResultMsg, error) {
+	reply := m.handleClientFrame(netproto.Frame{Type: netproto.MsgQuery, Body: netproto.QueryMsg{Query: q}})
+	if e, ok := reply.Body.(netproto.ErrorMsg); ok {
+		return netproto.QueryResultMsg{}, fmt.Errorf("%s", e.Message)
+	}
+	return reply.Body.(netproto.QueryResultMsg), nil
+}
+
+// TestDecisionLoadsOneRoundTrip: a shipped query whose decision loads
+// four objects costs the repository one load request, and both ledgers
+// carry the four objects' summed size.
+func TestDecisionLoadsOneRoundTrip(t *testing.T) {
+	repo, survey := startLoadRepo(t)
+	m := newLoadCache(t, repo, &shipAndLoad{}, survey.Objects())
+	objs := []model.ObjectID{3, 7, 1, 12}
+	var want cost.Bytes
+	for _, id := range objs {
+		o, _ := survey.Object(id)
+		want += o.Size
+	}
+	before := repoLoadRequests(t, repo)
+	res, err := query(m, model.Query{ID: 1, Objects: objs, Cost: cost.MB, Time: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Source != "repository" {
+		t.Errorf("source = %q, want repository", res.Source)
+	}
+	if got := repoLoadRequests(t, repo) - before; got != 1 {
+		t.Errorf("a decision loading %d objects made %d repository load requests, want 1", len(objs), got)
+	}
+	if got := m.Ledger().ObjectLoad; got != want {
+		t.Errorf("cache load ledger = %v, want %v", got, want)
+	}
+	if got := repo.Ledger().ObjectLoad; got != want {
+		t.Errorf("repository load ledger = %v, want %v", got, want)
+	}
+	for _, id := range objs {
+		if _, ok := m.resident[id]; !ok {
+			t.Errorf("object %d not resident after its load", id)
+		}
+	}
+}
+
+// startPlanPerObject is the load path startPlan replaced, kept as the
+// oracle of TestQuickBatchedLoadsMatchPerObjectFlights: one goroutine
+// and one single-object round trip per led load.
+func (m *Middleware) startPlanPerObject(ctx context.Context, p plan) {
+	m.journalPlan(p)
+	for _, l := range p.loads {
+		if !l.leader {
+			continue
+		}
+		go func() {
+			err := m.loadOnePerObject(context.WithoutCancel(ctx), l.id)
+			if err != nil {
+				m.mu.Lock()
+				delete(m.resident, l.id)
+				m.mu.Unlock()
+			}
+			m.loads.mu.Lock()
+			delete(m.loads.inflight, l.id)
+			m.loads.mu.Unlock()
+			l.call.err = err
+			close(l.call.done)
+		}()
+	}
+}
+
+func (m *Middleware) loadOnePerObject(ctx context.Context, id model.ObjectID) error {
+	reply, err := m.repo.RoundTrip(ctx, netproto.Frame{
+		Type: netproto.MsgLoadObject,
+		Body: netproto.LoadObjectMsg{Objects: []model.ObjectID{id}},
+	})
+	if err != nil {
+		return fmt.Errorf("load object %d: %w", id, err)
+	}
+	data, ok := reply.Body.(netproto.ObjectDataMsg)
+	if !ok || len(data.Objects) != 1 {
+		return fmt.Errorf("repository replied %s to load", reply.Type)
+	}
+	m.ledger.Charge(cost.ObjectLoad, data.Objects[0].Size)
+	return nil
+}
+
+// randomRounds draws rounds of valid decisions over objects 1..n: each
+// evicts some residents and loads some non-residents (an object evicted
+// by the same decision included). An object loaded, evicted and loaded
+// again within one round joins the first load's flight.
+func randomRounds(rng *rand.Rand, n int) [][]core.Decision {
+	resident := map[model.ObjectID]bool{}
+	rounds := make([][]core.Decision, 1+rng.Intn(3))
+	for r := range rounds {
+		decisions := make([]core.Decision, 1+rng.Intn(6))
+		for i := range decisions {
+			var d core.Decision
+			for id := model.ObjectID(1); id <= model.ObjectID(n); id++ {
+				if resident[id] && rng.Intn(3) == 0 {
+					d.Evict = append(d.Evict, id)
+					resident[id] = false
+				}
+			}
+			for id := model.ObjectID(1); id <= model.ObjectID(n); id++ {
+				if !resident[id] && rng.Intn(4) == 0 {
+					d.Load = append(d.Load, id)
+					resident[id] = true
+				}
+			}
+			rng.Shuffle(len(d.Load), func(a, b int) { d.Load[a], d.Load[b] = d.Load[b], d.Load[a] })
+			decisions[i] = d
+		}
+		rounds[r] = decisions
+	}
+	return rounds
+}
+
+// runRounds commits each round's decisions in order, then runs their
+// plans concurrently — start through start, finish through finishPlan
+// — and waits before the next round. Committing a whole round first
+// makes which loads lead and which join deterministic. It returns how
+// many plans led at least one load.
+func runRounds(t *testing.T, m *Middleware, rounds [][]core.Decision, start func(context.Context, plan)) int {
+	t.Helper()
+	leading := 0
+	for _, decisions := range rounds {
+		plans := make([]plan, len(decisions))
+		m.mu.Lock()
+		for i, d := range decisions {
+			p, err := m.commitDecisionLocked(d)
+			if err != nil {
+				m.mu.Unlock()
+				t.Fatalf("commit %+v: %v", d, err)
+			}
+			plans[i] = p
+			for _, l := range p.loads {
+				if l.leader {
+					leading++
+					break
+				}
+			}
+		}
+		m.mu.Unlock()
+		var wg sync.WaitGroup
+		for _, p := range plans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start(context.Background(), p)
+				if err := m.finishPlan(context.Background(), p); err != nil {
+					t.Errorf("finish plan: %v", err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	return leading
+}
+
+// TestQuickBatchedLoadsMatchPerObjectFlights: over random rounds of
+// concurrent decisions that share objects, one batched flight per
+// decision leaves the same resident set, load ledger and DedupedLoads
+// as one flight per object (the oracle), settles every flight, and
+// costs the repository one load request per decision that leads a load.
+func TestQuickBatchedLoadsMatchPerObjectFlights(t *testing.T) {
+	repo, survey := startLoadRepo(t)
+	var joined int64
+	prop := func(seed int64) bool {
+		rounds := randomRounds(rand.New(rand.NewSource(seed)), 12)
+		charged := repo.Ledger().ObjectLoad
+		oracle := newLoadCache(t, repo, core.NewNoCache(), survey.Objects())
+		runRounds(t, oracle, rounds, oracle.startPlanPerObject)
+		oracleCharged := repo.Ledger().ObjectLoad - charged
+
+		charged = repo.Ledger().ObjectLoad
+		batched := newLoadCache(t, repo, core.NewNoCache(), survey.Objects())
+		requests := repoLoadRequests(t, repo)
+		leading := runRounds(t, batched, rounds, batched.startPlan)
+		requests = repoLoadRequests(t, repo) - requests
+		batchedCharged := repo.Ledger().ObjectLoad - charged
+
+		ok := true
+		if !maps.Equal(batched.resident, oracle.resident) {
+			t.Logf("seed %d: resident %v, oracle %v", seed, batched.resident, oracle.resident)
+			ok = false
+		}
+		if b, o := batched.Ledger(), oracle.Ledger(); b.ObjectLoad != o.ObjectLoad || b.Total() != o.Total() {
+			t.Logf("seed %d: ledger %+v, oracle %+v", seed, b, o)
+			ok = false
+		}
+		if b, o := batchedCharged, oracleCharged; b != o || b != batched.Ledger().ObjectLoad {
+			t.Logf("seed %d: repository charged %v for the batched run, %v for the oracle", seed, b, o)
+			ok = false
+		}
+		if b, o := batched.dedupLoads.Load(), oracle.dedupLoads.Load(); b != o {
+			t.Logf("seed %d: deduped %d, oracle %d", seed, b, o)
+			ok = false
+		}
+		joined += batched.dedupLoads.Load()
+		if requests != leading {
+			t.Logf("seed %d: %d repository load requests for %d leading decisions", seed, requests, leading)
+			ok = false
+		}
+		for _, m := range []*Middleware{batched, oracle} {
+			m.loads.mu.Lock()
+			if len(m.loads.inflight) != 0 {
+				t.Logf("seed %d: %d loads never settled", seed, len(m.loads.inflight))
+				ok = false
+			}
+			m.loads.mu.Unlock()
+		}
+		batched.Close()
+		oracle.Close()
+		return ok
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+	if joined == 0 {
+		t.Error("no trial had a decision join another's load")
+	}
+}
+
+// TestFailedBatchRollsBackEveryLeader: one unknown object fails the
+// whole batch, so every object the flight led loses its residency —
+// the known ones too — and a decision that joined one of those loads
+// fails with it. Nothing is charged on either side.
+func TestFailedBatchRollsBackEveryLeader(t *testing.T) {
+	repo, survey := startLoadRepo(t)
+	// Object 99 is in the cache's universe but not the repository's.
+	m := newLoadCache(t, repo, core.NewNoCache(), append(survey.Objects(), model.Object{ID: 99, Size: cost.MB}))
+	m.mu.Lock()
+	lead, err := m.commitDecisionLocked(core.Decision{Load: []model.ObjectID{1, 2, 99}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evict, err := m.commitDecisionLocked(core.Decision{Evict: []model.ObjectID{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	join, err := m.commitDecisionLocked(core.Decision{Load: []model.ObjectID{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Unlock()
+	if join.loads[0].leader {
+		t.Fatal("the reload of object 2 led a load instead of joining the in-flight one")
+	}
+	ctx := context.Background()
+	if err := m.executePlan(ctx, evict); err != nil {
+		t.Fatal(err)
+	}
+	m.startPlan(ctx, join) // leads nothing: starts no flight
+	m.startPlan(ctx, lead)
+	if err := m.finishPlan(ctx, lead); err == nil {
+		t.Error("a batch naming an unknown object succeeded")
+	}
+	if err := m.finishPlan(ctx, join); err == nil {
+		t.Error("a decision that joined a failed load succeeded")
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.resident) != 0 {
+		t.Errorf("resident after the failed batch: %v, want none", m.resident)
+	}
+	if got := m.Ledger().ObjectLoad + repo.Ledger().ObjectLoad; got != 0 {
+		t.Errorf("a failed batch charged %v", got)
+	}
+}
+
+// TestDeafCacheShipsEveryQuery: once its invalidation stream is lost
+// while it is not closing, a cache can no longer tell its residents are
+// stale, so it ships every query instead of answering from them.
+func TestDeafCacheShipsEveryQuery(t *testing.T) {
+	repo, survey := startLoadRepo(t)
+	m := newLoadCache(t, repo, core.NewVCover(core.DefaultVCoverConfig()), survey.Objects())
+	obj := survey.Objects()[0]
+	// A query whose cost covers the object's load loads it; the next one
+	// is answered from the cache.
+	fresh := model.Query{ID: 1, Objects: []model.ObjectID{obj.ID}, Cost: obj.Size, Tolerance: model.NoTolerance, Time: time.Second}
+	if _, err := query(m, fresh); err != nil {
+		t.Fatal(err)
+	}
+	fresh.ID, fresh.Cost, fresh.Time = 2, cost.MB, 2*time.Second
+	if res, err := query(m, fresh); err != nil || res.Source != "cache" {
+		t.Fatalf("warm query: source %q, err %v; want cache", res.Source, err)
+	}
+
+	m.inv.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for !m.deaf.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("the cache never noticed its invalidation stream was gone")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The notice for this update goes nowhere.
+	repo.ApplyUpdate(model.Update{ID: 1, Object: obj.ID, Cost: cost.MB, Time: 3 * time.Second})
+	shipped := m.Ledger().QueryShip
+	fresh.ID, fresh.Time = 3, 4*time.Second
+	res, err := query(m, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Source != "repository" {
+		t.Errorf("deaf cache answered a tolerance-0 query from %q, want repository", res.Source)
+	}
+	if got := m.Ledger().QueryShip - shipped; got != fresh.Cost {
+		t.Errorf("deaf ship charged %v, want %v", got, fresh.Cost)
+	}
+	if st := m.Stats(); st.AtCache+st.Shipped != st.Queries {
+		t.Errorf("at-cache %d + shipped %d != queries %d", st.AtCache, st.Shipped, st.Queries)
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -542,6 +543,64 @@ func (s *Survey) SampleRows(n int, seed int64) []Row {
 		}
 	}
 	return rows
+}
+
+// RowIndex is a row sample grouped by object at construction, so the
+// demo rows of a result cost the objects the query names, not a scan of
+// the whole sample.
+type RowIndex struct {
+	rows     []Row
+	byObject map[model.ObjectID][]int32 // ascending positions in rows
+}
+
+// NewRowIndex indexes rows by object; the sample's order is kept.
+func NewRowIndex(rows []Row) *RowIndex {
+	x := &RowIndex{rows: rows, byObject: make(map[model.ObjectID][]int32)}
+	for i, row := range rows {
+		x.byObject[row.Object] = append(x.byObject[row.Object], int32(i))
+	}
+	return x
+}
+
+// Sample returns the first n rows, in sample order, among the rows of
+// objs — exactly what a scan of the sample keeping rows whose object is
+// in objs would return. Duplicate IDs count once; IDs with no sampled
+// rows (unknown, or born after the sample was drawn) add nothing. Nil
+// when no row matches.
+func (x *RowIndex) Sample(objs []model.ObjectID, n int) []Row {
+	if n <= 0 {
+		return nil
+	}
+	// best holds the n smallest matching positions seen so far, sorted.
+	// Each object's positions ascend, so its walk stops at the first
+	// one that cannot make the cut.
+	var best []int32
+	for _, id := range objs {
+		for _, pos := range x.byObject[id] {
+			if len(best) == n && pos >= best[n-1] {
+				break
+			}
+			i, dup := slices.BinarySearch(best, pos)
+			if dup {
+				continue // the same ID named twice
+			}
+			if best == nil {
+				best = make([]int32, 0, n)
+			}
+			if len(best) == n {
+				best = best[:n-1]
+			}
+			best = slices.Insert(best, i, pos)
+		}
+	}
+	if len(best) == 0 {
+		return nil
+	}
+	out := make([]Row, len(best))
+	for i, pos := range best {
+		out[i] = x.rows[pos]
+	}
+	return out
 }
 
 func randomUnit(rng *rand.Rand) geom.Vec3 {

@@ -2,7 +2,9 @@ package catalog
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"github.com/deltacache/delta/internal/cost"
@@ -205,6 +207,61 @@ func TestSampleRows(t *testing.T) {
 	again := s.SampleRows(500, 42)
 	if rows[123] != again[123] {
 		t.Error("SampleRows not deterministic for equal seeds")
+	}
+}
+
+// scanSample is the linear scan RowIndex.Sample replaces, kept as its
+// oracle: walk the whole sample, keep rows whose object is in objs,
+// stop at n.
+func scanSample(rows []Row, objs []model.ObjectID, n int) []Row {
+	want := make(map[model.ObjectID]struct{}, len(objs))
+	for _, id := range objs {
+		want[id] = struct{}{}
+	}
+	var out []Row
+	for _, row := range rows {
+		if _, ok := want[row.Object]; !ok {
+			continue
+		}
+		out = append(out, row)
+		if len(out) >= n {
+			break
+		}
+	}
+	return out
+}
+
+// TestQuickRowIndexMatchesScan: for random B(q) lists — duplicates,
+// unknown IDs and born IDs (objects with no sampled rows) included —
+// and random row budgets, the indexed sampler returns exactly the rows
+// the scan does, in the same order.
+func TestQuickRowIndexMatchesScan(t *testing.T) {
+	s := testSurvey(t)
+	rows := s.SampleRows(300, 42)
+	if _, err := s.GrowObjects(rand.New(rand.NewSource(3)), 10, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	idx := NewRowIndex(rows)
+	// IDs 1..68 are sampled base objects, 69..78 born ones; 0 and
+	// 79..99 are unknown. Drawing from 100 values makes duplicates common.
+	prop := func(raw []uint8, budget uint8) bool {
+		objs := make([]model.ObjectID, len(raw))
+		for i, b := range raw {
+			objs[i] = model.ObjectID(b % 100)
+		}
+		n := int(budget%24) + 1
+		got, want := idx.Sample(objs, n), scanSample(rows, objs, n)
+		if !slices.Equal(got, want) {
+			t.Logf("objs %v, n %d: index %v, scan %v", objs, n, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	if got := idx.Sample([]model.ObjectID{1, 2, 3}, 0); got != nil {
+		t.Errorf("Sample with n=0 = %v, want nil", got)
 	}
 }
 

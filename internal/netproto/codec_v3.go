@@ -434,10 +434,12 @@ func encodeBodyV3(e *encBuf, t MsgType, body any) error {
 		}
 		e.bytes(b.Payload)
 	case LoadObjectMsg:
-		e.varint(int64(b.Object))
+		encObjectIDs(e, b.Objects)
 	case ObjectDataMsg:
-		encObject(e, &b.Object)
-		e.varint(int64(b.FreshAsOf))
+		e.uvarint(uint64(len(b.Objects)))
+		for i := range b.Objects {
+			encObject(e, &b.Objects[i])
+		}
 		e.bytes(b.Payload)
 	case InvalidateMsg:
 		encUpdate(e, &b.Update)
@@ -596,11 +598,15 @@ func decodeBodyV3(d *decBuf, t MsgType) (any, error) {
 		b.Payload = d.bytes()
 		body = b
 	case MsgLoadObject:
-		body = LoadObjectMsg{Object: model.ObjectID(d.varint())}
+		body = LoadObjectMsg{Objects: decObjectIDs(d)}
 	case MsgObjectData:
 		var b ObjectDataMsg
-		b.Object = decObject(d)
-		b.FreshAsOf = timeDuration(d.varint())
+		if n := d.length(3); n > 0 {
+			b.Objects = make([]model.Object, n)
+			for i := range b.Objects {
+				b.Objects[i] = decObject(d)
+			}
+		}
 		b.Payload = d.bytes()
 		body = b
 	case MsgInvalidate:

@@ -30,7 +30,8 @@ func encodeFrames(t testing.TB, frames ...Frame) []byte {
 
 // seedFrames covers every body shape that crosses the wire, including
 // the growth frames (births ride both the request path and the
-// invalidation stream).
+// invalidation stream) and the batched load frames. New shapes are
+// appended: the corpus writer references entries by index.
 func seedFrames() []Frame {
 	return []Frame{
 		{Type: MsgHello, Body: Hello{Role: "cache", Version: ProtoV3}},
@@ -114,6 +115,26 @@ func seedFrames() []Frame {
 		{Type: MsgHello, Body: Hello{Role: "invalidations", Version: ProtoV3}},
 		{Type: MsgHello, Body: Hello{Role: "pipeline", Version: 2}},
 		{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV3 + 1}},
+		// The cache → repository I/O frames: a batched load and its
+		// object-data reply (objects in request order), and an update
+		// shipment with its reply.
+		{Type: MsgLoadObject, RequestID: 12, Body: LoadObjectMsg{Objects: []model.ObjectID{5, 1, 69}}},
+		{Type: MsgObjectData, RequestID: 12, Body: ObjectDataMsg{
+			Objects: []model.Object{
+				{ID: 5, Size: cost.GB, Trixel: 17},
+				{ID: 1, Size: 50 * cost.MB, Trixel: 9},
+				{ID: 69, Size: cost.MB, Trixel: 123},
+			},
+			Payload: []byte{4, 5, 6, 7},
+		}},
+		{Type: MsgShipUpdates, RequestID: 13, Body: ShipUpdatesMsg{IDs: []model.UpdateID{9, 10}}},
+		{Type: MsgUpdates, RequestID: 13, Body: UpdatesMsg{
+			Updates: []model.Update{
+				{ID: 9, Object: 3, Cost: cost.KB, Time: time.Minute},
+				{ID: 10, Object: 5, Cost: 2 * cost.KB, Time: 2 * time.Minute},
+			},
+			Payload: []byte{8, 9},
+		}},
 	}
 }
 
@@ -240,21 +261,27 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 	reshardKFlip[len(reshardKFlip)-1] ^= 0x55  // corrupt the Replicas tail byte
 	grant := encodeFrames(t, seedFrames()[15]) // BirthGrantMsg with the Epoch tail
 	grantFlip := bytes.Clone(grant)
-	grantFlip[len(grantFlip)/2] ^= 0x55 // corrupt mid-batch
+	grantFlip[len(grantFlip)/2] ^= 0x55             // corrupt mid-batch
+	objectData := encodeFrames(t, seedFrames()[22]) // multi-object ObjectDataMsg
+	objectDataFlip := bytes.Clone(objectData)
+	objectDataFlip[len(objectDataFlip)/2] ^= 0x55 // corrupt mid-batch
 	entries := map[string][]byte{
-		"valid-v3-stream":        valid,
-		"truncated-v3-birth":     oneBirth[:len(oneBirth)*2/3],
-		"bitflip-v3-birth":       flipped,
-		"v3-absurd-length":       {0xff, 0xff, 0xff, 0x7f, 0x01},
-		"valid-v3-traced":        traced,
-		"truncated-v3-traced":    traced[:len(traced)*3/4],
-		"bitflip-v3-traced":      tracedFlip,
-		"valid-v3-reshard-k":     reshardK,
-		"truncated-v3-reshard-k": reshardK[:len(reshardK)-1], // stream ends inside the Replicas tail
-		"bitflip-v3-reshard-k":   reshardKFlip,
-		"valid-v3-grant":         grant,
-		"truncated-v3-grant":     grant[:len(grant)*2/3], // stream ends inside the birth batch
-		"bitflip-v3-grant":       grantFlip,
+		"valid-v3-stream":          valid,
+		"truncated-v3-birth":       oneBirth[:len(oneBirth)*2/3],
+		"bitflip-v3-birth":         flipped,
+		"v3-absurd-length":         {0xff, 0xff, 0xff, 0x7f, 0x01},
+		"valid-v3-traced":          traced,
+		"truncated-v3-traced":      traced[:len(traced)*3/4],
+		"bitflip-v3-traced":        tracedFlip,
+		"valid-v3-reshard-k":       reshardK,
+		"truncated-v3-reshard-k":   reshardK[:len(reshardK)-1], // stream ends inside the Replicas tail
+		"bitflip-v3-reshard-k":     reshardKFlip,
+		"valid-v3-grant":           grant,
+		"truncated-v3-grant":       grant[:len(grant)*2/3], // stream ends inside the birth batch
+		"bitflip-v3-grant":         grantFlip,
+		"valid-v3-object-data":     objectData,
+		"truncated-v3-object-data": objectData[:len(objectData)*2/3], // stream ends inside the object batch
+		"bitflip-v3-object-data":   objectDataFlip,
 	}
 	for name, data := range entries {
 		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)

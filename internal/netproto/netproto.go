@@ -156,9 +156,10 @@ const (
 	MsgShipUpdates
 	// MsgUpdates carries shipped updates (repository → cache).
 	MsgUpdates
-	// MsgLoadObject requests a whole object (cache → repository).
+	// MsgLoadObject requests a batch of whole objects (cache →
+	// repository).
 	MsgLoadObject
-	// MsgObjectData carries a loaded object (repository → cache).
+	// MsgObjectData carries a loaded batch (repository → cache).
 	MsgObjectData
 	// MsgInvalidate notifies the cache that an update arrived for an
 	// object (control plane; not charged).
@@ -360,17 +361,17 @@ type UpdatesMsg struct {
 	Payload []byte
 }
 
-// LoadObjectMsg requests a full object copy.
+// LoadObjectMsg requests full copies of a batch of objects: every load
+// one decision owes rides one round trip.
 type LoadObjectMsg struct {
-	Object model.ObjectID
+	Objects []model.ObjectID
 }
 
-// ObjectDataMsg carries a full object copy.
+// ObjectDataMsg carries the objects a LoadObjectMsg asked for, in
+// request order, under one payload scaled to their summed size.
 type ObjectDataMsg struct {
-	Object model.Object
-	// FreshAsOf is the repository time of the newest update included.
-	FreshAsOf time.Duration
-	Payload   []byte
+	Objects []model.Object
+	Payload []byte
 }
 
 // InvalidateMsg tells the cache an object has a new outstanding update.

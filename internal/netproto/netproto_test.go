@@ -28,7 +28,7 @@ func TestRoundTripFrames(t *testing.T) {
 			Tolerance: time.Minute, Time: 3 * time.Second,
 		}}},
 		{Type: MsgShipUpdates, Body: ShipUpdatesMsg{IDs: []model.UpdateID{1, 2, 3}}},
-		{Type: MsgLoadObject, Body: LoadObjectMsg{Object: 42}},
+		{Type: MsgLoadObject, Body: LoadObjectMsg{Objects: []model.ObjectID{42, 7}}},
 		{Type: MsgInvalidate, Body: InvalidateMsg{Update: model.Update{
 			ID: 9, Object: 3, Cost: cost.MB, Time: time.Second,
 		}}},

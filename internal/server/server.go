@@ -66,7 +66,7 @@ type Repository struct {
 	*node.Node
 	cfg    Config
 	ledger cost.Ledger
-	rows   []catalog.Row
+	rows   *catalog.RowIndex
 
 	mu        sync.Mutex
 	updates   map[model.UpdateID]model.Update
@@ -106,7 +106,7 @@ func New(cfg Config) (*Repository, error) {
 	}
 	r := &Repository{
 		cfg:         cfg,
-		rows:        cfg.Survey.SampleRows(2000, cfg.Survey.Config().Seed),
+		rows:        catalog.NewRowIndex(cfg.Survey.SampleRows(2000, cfg.Survey.Config().Seed)),
 		updates:     make(map[model.UpdateID]model.Update),
 		perObject:   make(map[model.ObjectID][]model.UpdateID),
 		subscribers: make(map[int]chan netproto.Frame),
@@ -407,7 +407,7 @@ func (r *Repository) handleRequest(f netproto.Frame) netproto.Frame {
 	case netproto.ShipUpdatesMsg:
 		return r.shipUpdates(body.IDs)
 	case netproto.LoadObjectMsg:
-		return r.loadObject(body.Object)
+		return r.loadObjects(body.Objects)
 	case netproto.ObjectBirthMsg:
 		accepted, err := r.AddObjects(body.Births)
 		if err != nil {
@@ -520,46 +520,41 @@ func (r *Repository) shipUpdates(ids []model.UpdateID) netproto.Frame {
 	}, Release: release}
 }
 
-func (r *Repository) loadObject(id model.ObjectID) netproto.Frame {
+// loadObjects serves one batched load: every ID must resolve, or the
+// whole frame errors and nothing is charged. The batch is charged once,
+// for its summed size — the same ledger bytes as one charge per object.
+func (r *Repository) loadObjects(ids []model.ObjectID) netproto.Frame {
 	start := time.Now()
 	defer func() { r.loadLat.Observe(time.Since(start)) }()
-	obj, err := r.cfg.Survey.Object(id)
-	if err != nil {
-		return netproto.ErrorFrame("load: %v", err)
+	if len(ids) == 0 {
+		return netproto.ErrorFrame("load: no objects requested")
 	}
-	r.mu.Lock()
-	var fresh time.Duration
-	for _, uid := range r.perObject[id] {
-		if u := r.updates[uid]; u.Time > fresh {
-			fresh = u.Time
+	objs := make([]model.Object, len(ids))
+	var total cost.Bytes
+	for i, id := range ids {
+		obj, err := r.cfg.Survey.Object(id)
+		if err != nil {
+			return netproto.ErrorFrame("load: %v", err)
 		}
+		objs[i] = obj
+		total += obj.Size
 	}
-	r.mu.Unlock()
-	r.ledger.Charge(cost.ObjectLoad, obj.Size)
-	payload, release := netproto.NewPayload(r.cfg.Scale, obj.Size, int64(obj.ID))
+	r.ledger.Charge(cost.ObjectLoad, total)
+	payload, release := netproto.NewPayload(r.cfg.Scale, total, int64(ids[0]))
 	return netproto.Frame{Type: netproto.MsgObjectData, Body: netproto.ObjectDataMsg{
-		Object:    obj,
-		FreshAsOf: fresh,
-		Payload:   payload,
+		Objects: objs,
+		Payload: payload,
 	}, Release: release}
 }
 
 func (r *Repository) sampleRowsFor(objs []model.ObjectID) []netproto.ResultRow {
-	want := make(map[model.ObjectID]struct{}, len(objs))
-	for _, id := range objs {
-		want[id] = struct{}{}
+	sample := r.rows.Sample(objs, r.cfg.SampleRows)
+	if sample == nil {
+		return nil
 	}
-	var rows []netproto.ResultRow
-	for _, row := range r.rows {
-		if _, ok := want[row.Object]; !ok {
-			continue
-		}
-		rows = append(rows, netproto.ResultRow{
-			ObjID: row.ObjID, RA: row.RA, Dec: row.Dec, R: row.R,
-		})
-		if len(rows) >= r.cfg.SampleRows {
-			break
-		}
+	rows := make([]netproto.ResultRow, len(sample))
+	for i, row := range sample {
+		rows[i] = netproto.ResultRow{ObjID: row.ObjID, RA: row.RA, Dec: row.Dec, R: row.R}
 	}
 	return rows
 }

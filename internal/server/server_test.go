@@ -119,8 +119,8 @@ func TestRequestResponsesDirect(t *testing.T) {
 		t.Errorf("ledger = %v", got)
 	}
 
-	// Unknown object load fails with an error frame.
-	if err := c.Send(netproto.Frame{Type: netproto.MsgLoadObject, Body: netproto.LoadObjectMsg{Object: 99}}); err != nil {
+	// A batch naming an unknown object fails as a whole, uncharged.
+	if err := c.Send(netproto.Frame{Type: netproto.MsgLoadObject, Body: netproto.LoadObjectMsg{Objects: []model.ObjectID{2, 99}}}); err != nil {
 		t.Fatal(err)
 	}
 	reply, err = c.Recv()
@@ -129,6 +129,19 @@ func TestRequestResponsesDirect(t *testing.T) {
 	}
 	if _, ok := reply.Body.(netproto.ErrorMsg); !ok {
 		t.Errorf("expected error frame, got %s", reply.Type)
+	}
+	if got := repo.Ledger().ObjectLoad; got != 0 {
+		t.Errorf("failed batch charged %v", got)
+	}
+	// So does an empty one.
+	if err := c.Send(netproto.Frame{Type: netproto.MsgLoadObject, Body: netproto.LoadObjectMsg{}}); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err = c.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reply.Body.(netproto.ErrorMsg); !ok {
+		t.Errorf("empty load: expected error frame, got %s", reply.Type)
 	}
 
 	// Unknown update shipment fails.
@@ -167,8 +180,10 @@ func TestRequestResponsesDirect(t *testing.T) {
 		t.Errorf("update ledger = %v", got)
 	}
 
-	// Object load returns size-accurate metadata.
-	if err := c.Send(netproto.Frame{Type: netproto.MsgLoadObject, Body: netproto.LoadObjectMsg{Object: 2}}); err != nil {
+	// A batched load returns size-accurate metadata in request order,
+	// charged once for the summed size.
+	want := []model.ObjectID{3, 2, 5}
+	if err := c.Send(netproto.Frame{Type: netproto.MsgLoadObject, Body: netproto.LoadObjectMsg{Objects: want}}); err != nil {
 		t.Fatal(err)
 	}
 	reply, err = c.Recv()
@@ -179,11 +194,21 @@ func TestRequestResponsesDirect(t *testing.T) {
 	if !ok {
 		t.Fatalf("reply %s", reply.Type)
 	}
-	if data.Object.ID != 2 || data.Object.Size <= 0 {
-		t.Errorf("object = %+v", data.Object)
+	if len(data.Objects) != len(want) {
+		t.Fatalf("objects = %+v, want %v", data.Objects, want)
 	}
-	if data.FreshAsOf != time.Second {
-		t.Errorf("FreshAsOf = %v, want 1s (the shipped update)", data.FreshAsOf)
+	var total cost.Bytes
+	for i, o := range data.Objects {
+		if o.ID != want[i] || o.Size <= 0 {
+			t.Errorf("object %d = %+v, want ID %d", i, o, want[i])
+		}
+		total += o.Size
+	}
+	if len(data.Payload) == 0 {
+		t.Error("scaled payload missing")
+	}
+	if l := repo.Ledger(); l.ObjectLoad != total || l.ObjectLoads != 1 {
+		t.Errorf("load ledger = %v over %d charges, want %v in 1", l.ObjectLoad, l.ObjectLoads, total)
 	}
 }
 
@@ -370,12 +395,12 @@ func TestAddObjectsIngestAndAnnounce(t *testing.T) {
 	}
 	reply, err = sess.RoundTrip(context.Background(), netproto.Frame{
 		Type: netproto.MsgLoadObject,
-		Body: netproto.LoadObjectMsg{Object: model.ObjectID(base + 1)},
+		Body: netproto.LoadObjectMsg{Objects: []model.ObjectID{model.ObjectID(base + 1)}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data, ok := reply.Body.(netproto.ObjectDataMsg); !ok || data.Object.Size != 100*cost.MB {
+	if data, ok := reply.Body.(netproto.ObjectDataMsg); !ok || len(data.Objects) != 1 || data.Objects[0].Size != 100*cost.MB {
 		t.Fatalf("load of born object replied %s (%+v)", reply.Type, reply.Body)
 	}
 }
