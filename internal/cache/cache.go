@@ -6,12 +6,18 @@
 // load objects. It subscribes to the repository's invalidation stream so
 // its policy sees every update the moment the repository ingests it.
 //
+// Every decision is applied to core.Applier, the simulator's own ground
+// truth: a bad decision item is skipped as the simulator skips it, and
+// an at-cache answer over an absent or stale object fails closed — the
+// query ships. Each such violation counts in
+// delta_decision_violations_total.
+//
 // Concurrency model: the policy's decision framework is sequential by
-// design, so OnQuery/OnUpdate and the residency bookkeeping they imply
-// run under one mutex — but that critical section contains no network
-// I/O. Query shipping, update shipping and object loads all execute
-// outside the lock on a multiplexed repository session (a small
-// connection pool with RequestID demultiplexing). A decision's loads
+// design, so OnQuery/OnUpdate and the applier run under one mutex — but
+// that critical section contains no network I/O. Query shipping, update
+// shipping and object loads all execute outside the lock on a
+// multiplexed repository session (a small connection pool with
+// RequestID demultiplexing). A decision's loads
 // travel as one batched round trip, which a shipped query overlaps, and
 // per-object singleflight makes concurrent decisions that need the same
 // object share one load. A client connection's requests run on its own
@@ -148,13 +154,16 @@ type Middleware struct {
 	repo   *netproto.Session
 	rows   *catalog.RowIndex // Config.SampleRows, grouped by object
 
-	// mu guards the policy, the residency map, the owned set and the
-	// reshard epoch (all swapped together by a live reshard). The
-	// decision framework is sequential by design; network I/O never
-	// happens under this lock.
-	mu       sync.Mutex
-	policy   core.Policy
-	resident map[model.ObjectID]struct{}
+	// mu guards the policy, the applier, the owned set and the reshard
+	// epoch (all swapped together by a live reshard). The decision
+	// framework is sequential by design; network I/O never happens under
+	// this lock.
+	mu     sync.Mutex
+	policy core.Policy
+	// applier holds what is resident and the updates outstanding on it;
+	// events numbers the decisions applied to it.
+	applier *core.Applier
+	events  int64
 	// reshardEpoch is the newest routing epoch this node has resharded
 	// for; older MsgReshard frames (delayed retries from a superseded
 	// resize) are rejected instead of clobbering newer state.
@@ -192,9 +201,10 @@ type Middleware struct {
 	recoveredWarm atomic.Int64
 	replicas      atomic.Int64 // deployed replication factor K (≥ 1)
 
-	queryLat *obs.Histogram
-	loadLat  *obs.Histogram
-	fsyncLat *obs.Histogram
+	queryLat   *obs.Histogram
+	loadLat    *obs.Histogram
+	fsyncLat   *obs.Histogram
+	violations *obs.Counter
 
 	inv *netproto.Conn // invalidation subscription
 	// deaf is set once the invalidation stream is lost while the node is
@@ -203,16 +213,15 @@ type Middleware struct {
 	deaf atomic.Bool
 }
 
-// plan lists the repository I/O a committed decision still owes, plus
-// the residency changes it already applied (for the durability journal).
-// It runs in two halves so a shipped query can overlap its loads:
-// startPlan puts the loads this decision leads on the wire as one
-// flight, and finishPlan waits for every load the decision needs — led
-// or joined — and then ships its updates.
+// plan is an applied decision's core.Plan plus its loads as registered
+// with the node's singleflight. It runs in two halves so a shipped query
+// can overlap its loads: startPlan journals the residency changes and
+// puts the loads this decision leads on the wire as one flight, and
+// finishPlan waits for every load the decision needs — led or joined —
+// and then ships its updates.
 type plan struct {
-	loads       []pendingLoad
-	evicts      []model.ObjectID
-	shipUpdates []model.UpdateID
+	core.Plan
+	loads []pendingLoad
 }
 
 // pendingLoad is a load registered at commit time (so loadGroup.wait
@@ -254,11 +263,10 @@ func New(cfg Config) (*Middleware, error) {
 		}
 	}
 	m := &Middleware{
-		cfg:      cfg,
-		rows:     catalog.NewRowIndex(cfg.SampleRows),
-		policy:   cfg.Policy,
-		resident: make(map[model.ObjectID]struct{}),
-		byID:     newObjectTable(len(cfg.Objects)),
+		cfg:    cfg,
+		rows:   catalog.NewRowIndex(cfg.SampleRows),
+		policy: cfg.Policy,
+		byID:   newObjectTable(len(cfg.Objects)),
 	}
 	m.Node = node.New("cache", cfg.Addr, cfg.MetricsAddr, cfg.Logf, m.handleClientFrame)
 	m.replicas.Store(int64(max(cfg.Replicas, 1)))
@@ -271,6 +279,8 @@ func New(cfg Config) (*Middleware, error) {
 		"Repository object-load round-trip latency.", nil)
 	m.fsyncLat = m.Reg.NewHistogram("delta_journal_fsync_seconds",
 		"Durability journal fsync latency.", nil)
+	m.violations = m.Reg.NewCounter("delta_decision_violations_total",
+		"Decision items the applier skipped and at-cache answers it shipped instead (absent or stale objects).")
 	obs.RegisterStats(m.Reg, func() (netproto.StatsMsg, error) { return m.Stats(), nil })
 	for _, o := range cfg.Objects {
 		m.byID.put(o)
@@ -356,6 +366,7 @@ func New(cfg Config) (*Middleware, error) {
 		m.closeStore()
 		return nil, fmt.Errorf("cache: %w", err)
 	}
+	m.applier = core.NewApplier(capacity, m.sizeOf)
 	if recovered != nil {
 		m.adoptRecovered(recovered)
 	}
@@ -411,9 +422,18 @@ func New(cfg Config) (*Middleware, error) {
 
 	// Apply any preload the policy requests (Replica/SOptimal) through
 	// the same singleflight and flights as decision loads, one frame of
-	// maxLoadBatch objects at a time.
+	// maxLoadBatch objects at a time. Objects a recovery already adopted
+	// stay as they are.
 	if pre, ok := m.policy.(core.Preloader); ok {
 		objs, charge := pre.Preload()
+		m.mu.Lock()
+		objs = slices.DeleteFunc(slices.Clone(objs), m.applier.Resident)
+		err := m.applier.Preload(objs)
+		m.mu.Unlock()
+		if err != nil {
+			m.Close()
+			return nil, fmt.Errorf("cache: %w", err)
+		}
 		for chunk := range slices.Chunk(objs, maxLoadBatch) {
 			loads := make([]pendingLoad, len(chunk))
 			for i, id := range chunk {
@@ -424,11 +444,6 @@ func New(cfg Config) (*Middleware, error) {
 				m.Close()
 				return nil, fmt.Errorf("cache: preload: %w", err)
 			}
-			m.mu.Lock()
-			for _, id := range chunk {
-				m.resident[id] = struct{}{}
-			}
-			m.mu.Unlock()
 		}
 	}
 	return m, nil
@@ -470,8 +485,8 @@ func (m *Middleware) adoptRecovered(st *persist.State) {
 			m.cfg.Logf("recovery warm-up: %v (restarting cold)", err)
 			adopted = nil
 		}
-		for _, id := range adopted {
-			m.resident[id] = struct{}{}
+		if err := m.applier.Preload(adopted); err != nil {
+			m.cfg.Logf("recovery warm-up: %v", err)
 		}
 		m.recoveredWarm.Store(int64(len(adopted)))
 	}
@@ -485,7 +500,7 @@ func (m *Middleware) adoptRecovered(st *persist.State) {
 		m.covers.Bump()
 	}
 	m.cfg.Logf("recovered warm: epoch %d, %d births, %d/%d residents re-adopted",
-		st.Epoch, len(st.Births), len(m.resident), len(st.Resident))
+		st.Epoch, len(st.Births), m.recoveredWarm.Load(), len(st.Resident))
 }
 
 // persistState captures the node's durable state under mu.
@@ -508,11 +523,7 @@ func (m *Middleware) persistState() *persist.State {
 		}
 		slices.Sort(st.Owned)
 	}
-	st.Resident = make([]model.ObjectID, 0, len(m.resident))
-	for id := range m.resident {
-		st.Resident = append(st.Resident, id)
-	}
-	slices.Sort(st.Resident)
+	st.Resident = m.applier.Residents()
 	return st
 }
 
@@ -538,19 +549,15 @@ func (m *Middleware) journalPlan(p plan) {
 	if m.store == nil {
 		return
 	}
-	for _, id := range p.evicts {
+	for _, id := range p.Evict {
 		if err := m.store.AppendEvict(id); err != nil {
 			m.cfg.Logf("journal evict %d: %v", id, err)
 			return
 		}
 	}
-	for _, l := range p.loads {
-		if !l.leader {
-			// The leader's plan already journaled this admit.
-			continue
-		}
-		if err := m.store.AppendAdmit(l.id); err != nil {
-			m.cfg.Logf("journal admit %d: %v", l.id, err)
+	for _, o := range p.Load {
+		if err := m.store.AppendAdmit(o.ID); err != nil {
+			m.cfg.Logf("journal admit %d: %v", o.ID, err)
 			return
 		}
 	}
@@ -562,13 +569,9 @@ func (m *Middleware) Ledger() cost.Snapshot { return m.ledger.Snapshot() }
 // Stats returns a stats message describing the node.
 func (m *Middleware) Stats() netproto.StatsMsg {
 	m.mu.Lock()
-	cached := make([]model.ObjectID, 0, len(m.resident))
-	for id := range m.resident {
-		cached = append(cached, id)
-	}
+	cached := m.applier.Residents()
 	policy := m.policy.Name()
 	m.mu.Unlock()
-	slices.SortFunc(cached, func(a, b model.ObjectID) int { return cmp.Compare(a, b) })
 	stats := netproto.StatsMsg{
 		Ledger:               m.ledger.Snapshot(),
 		Cached:               cached,
@@ -648,13 +651,8 @@ func (m *Middleware) invalidationLoop(c *netproto.Conn) {
 			m.cfg.Logf("policy OnUpdate: %v", err)
 			continue
 		}
-		p, err := m.commitDecisionLocked(d)
+		p := m.applyLocked(model.Event{Kind: model.EventUpdate, Update: &inv.Update}, d)
 		m.mu.Unlock()
-		if err != nil {
-			m.droppedInv.Add(1)
-			m.cfg.Logf("apply update decision: %v", err)
-			continue
-		}
 		if err := m.executePlan(ctx, p); err != nil {
 			m.droppedInv.Add(1)
 			m.cfg.Logf("apply update decision: %v", err)
@@ -789,14 +787,12 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 		m.mu.Unlock()
 		return netproto.ErrorFrame("policy: %v", err)
 	}
-	p, err := m.commitDecisionLocked(d)
+	p := m.applyLocked(model.Event{Kind: model.EventQuery, Query: q}, d)
 	m.mu.Unlock()
-	if err != nil {
-		return netproto.ErrorFrame("apply: %v", err)
-	}
 
-	// Repository I/O outside the lock.
-	if d.ShipQuery {
+	// Repository I/O outside the lock. An at-cache answer the applier
+	// found absent or stale fails closed: it ships.
+	if p.ShipQuery || p.Stale {
 		return m.shipQuery(ctx, q, meta, start, p)
 	}
 	if err := m.executePlan(ctx, p); err != nil {
@@ -970,7 +966,7 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 		}
 	}
 	m.births = append(m.births, freshBirths...)
-	p, err := m.commitDecisionLocked(d)
+	p := m.applyLocked(model.Event{Kind: model.EventBirth}, d)
 	universe := m.byID.len()
 	m.mu.Unlock()
 	if m.store != nil {
@@ -1001,52 +997,36 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 		m.covers.Bump()
 	}
 	m.cfg.Logf("admitted %d born objects (universe now %d)", len(fresh), universe)
-	if err != nil {
-		return len(fresh), fmt.Errorf("cache: commit birth decision: %w", err)
-	}
 	if err := m.executePlan(ctx, p); err != nil {
 		return len(fresh), fmt.Errorf("cache: execute birth decision: %w", err)
 	}
 	return len(fresh), nil
 }
 
-// commitDecisionLocked applies a decision's residency bookkeeping
-// (evictions take effect, loads are committed so later decisions see
-// them) and returns the repository I/O still owed. mu must be held.
-// Residency is deliberately optimistic: the policy's view is the
-// source of truth the moment it decides, and the network load is its
-// materialization (local answers join in-flight loads via loadGroup).
-// If a load ultimately fails, its flight rolls the residency entry
-// back; the policy's internal state keeps believing the load happened
-// — the same divergence the seed had on a failed load.
-func (m *Middleware) commitDecisionLocked(d core.Decision) (plan, error) {
-	// Validate before mutating: once a load flight is registered it
-	// must be run, so nothing may fail after registration starts.
-	evicting := make(map[model.ObjectID]struct{}, len(d.Evict))
-	for _, id := range d.Evict {
-		if _, ok := m.resident[id]; !ok {
-			return plan{}, fmt.Errorf("evict of non-resident object %d", id)
-		}
-		evicting[id] = struct{}{}
+// applyLocked applies d to the applier as the node's next event, counts
+// and logs its violations, and registers the loads it owes. mu must be
+// held. Residency is optimistic: an accepted load is resident at once
+// (local answers join its flight through loadGroup), and a flight that
+// fails unloads its objects again.
+func (m *Middleware) applyLocked(e model.Event, d core.Decision) plan {
+	m.events++
+	e.Seq = m.events
+	ap, violations := m.applier.Apply(&e, d)
+	for _, v := range violations {
+		m.violations.Inc()
+		m.cfg.Logf("decision violation: %s", v)
 	}
-	for _, id := range d.Load {
-		if _, dup := m.resident[id]; dup {
-			if _, ok := evicting[id]; !ok {
-				return plan{}, fmt.Errorf("object %d already resident", id)
-			}
-		}
+	p := plan{Plan: ap}
+	for _, o := range ap.Load {
+		p.loads = append(p.loads, m.registerLoad(o.ID))
 	}
-	var p plan
-	p.evicts = d.Evict
-	for _, id := range d.Evict {
-		delete(m.resident, id)
-	}
-	for _, id := range d.Load {
-		m.resident[id] = struct{}{}
-		p.loads = append(p.loads, m.registerLoad(id))
-	}
-	p.shipUpdates = d.ApplyUpdates
-	return p, nil
+	return p
+}
+
+// sizeOf is the applier's view of the universe: byID, under mu.
+func (m *Middleware) sizeOf(id model.ObjectID) (cost.Bytes, bool) {
+	o, ok := m.byID.get(id)
+	return o.Size, ok
 }
 
 // registerLoad joins id's in-flight load or registers a new one this
@@ -1079,10 +1059,14 @@ func (m *Middleware) finishPlan(ctx context.Context, p plan) error {
 	if err := awaitLoads(ctx, p.loads); err != nil {
 		return err
 	}
-	if len(p.shipUpdates) > 0 {
+	if len(p.Ship) > 0 {
+		ids := make([]model.UpdateID, len(p.Ship))
+		for i, u := range p.Ship {
+			ids[i] = u.ID
+		}
 		reply, err := m.repo.RoundTrip(ctx, netproto.Frame{
 			Type: netproto.MsgShipUpdates,
-			Body: netproto.ShipUpdatesMsg{IDs: p.shipUpdates},
+			Body: netproto.ShipUpdatesMsg{IDs: ids},
 		})
 		if err != nil {
 			return fmt.Errorf("ship updates: %w", err)
@@ -1104,10 +1088,10 @@ func (m *Middleware) finishPlan(ctx context.Context, p plan) error {
 // caller leads: one goroutine and one batched round trip, detached from
 // ctx's cancellation (a load serves every query that joins it, so the
 // initiator's deadline must not abort it for the others). The flight
-// settles every led call. On failure it first rolls back the optimistic
-// residency of every object it carried — the flight is the only place
-// that knows the load definitively failed (waiters may have bailed on
-// their own contexts while it was still going).
+// settles every led call. On failure it first unloads every object it
+// carried from the applier — the flight is the only place that knows the
+// load definitively failed (waiters may have bailed on their own
+// contexts while it was still going).
 func (m *Middleware) startLoads(ctx context.Context, loads []pendingLoad, charge bool) {
 	var led []pendingLoad
 	for _, l := range loads {
@@ -1124,7 +1108,7 @@ func (m *Middleware) startLoads(ctx context.Context, loads []pendingLoad, charge
 		if err != nil {
 			m.mu.Lock()
 			for _, l := range led {
-				delete(m.resident, l.id)
+				m.applier.Unload(l.id)
 			}
 			m.mu.Unlock()
 		}

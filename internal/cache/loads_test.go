@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -44,7 +44,7 @@ func startLoadRepo(t *testing.T) (*server.Repository, *catalog.Survey) {
 }
 
 // newLoadCache builds a cache over objs against repo; decisions reach it
-// either through policy or straight through commitDecisionLocked.
+// either through policy or straight through commit.
 func newLoadCache(t *testing.T, repo *server.Repository, policy core.Policy, objs []model.Object) *Middleware {
 	t.Helper()
 	m, err := New(Config{
@@ -134,11 +134,25 @@ func TestDecisionLoadsOneRoundTrip(t *testing.T) {
 	if got := repo.Ledger().ObjectLoad; got != want {
 		t.Errorf("repository load ledger = %v, want %v", got, want)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, id := range objs {
-		if _, ok := m.resident[id]; !ok {
+		if !m.applier.Resident(id) {
 			t.Errorf("object %d not resident after its load", id)
 		}
 	}
+}
+
+// commit applies d to m's ground truth as an event of no kind (only the
+// decision's own items apply) and fails the test on any violation.
+func commit(t *testing.T, m *Middleware, d core.Decision) plan {
+	t.Helper()
+	before := m.violations.Value()
+	p := m.applyLocked(model.Event{}, d)
+	if n := m.violations.Value() - before; n != 0 {
+		t.Fatalf("commit %+v: %d violations", d, n)
+	}
+	return p
 }
 
 // startPlanPerObject is the load path startPlan replaced, kept as the
@@ -154,7 +168,7 @@ func (m *Middleware) startPlanPerObject(ctx context.Context, p plan) {
 			err := m.loadOnePerObject(context.WithoutCancel(ctx), l.id)
 			if err != nil {
 				m.mu.Lock()
-				delete(m.resident, l.id)
+				m.applier.Unload(l.id)
 				m.mu.Unlock()
 			}
 			m.loads.mu.Lock()
@@ -225,11 +239,7 @@ func runRounds(t *testing.T, m *Middleware, rounds [][]core.Decision, start func
 		plans := make([]plan, len(decisions))
 		m.mu.Lock()
 		for i, d := range decisions {
-			p, err := m.commitDecisionLocked(d)
-			if err != nil {
-				m.mu.Unlock()
-				t.Fatalf("commit %+v: %v", d, err)
-			}
+			p := commit(t, m, d)
 			plans[i] = p
 			for _, l := range p.loads {
 				if l.leader {
@@ -278,8 +288,8 @@ func TestQuickBatchedLoadsMatchPerObjectFlights(t *testing.T) {
 		batchedCharged := repo.Ledger().ObjectLoad - charged
 
 		ok := true
-		if !maps.Equal(batched.resident, oracle.resident) {
-			t.Logf("seed %d: resident %v, oracle %v", seed, batched.resident, oracle.resident)
+		if b, o := residents(batched), residents(oracle); !slices.Equal(b, o) {
+			t.Logf("seed %d: resident %v, oracle %v", seed, b, o)
 			ok = false
 		}
 		if b, o := batched.Ledger(), oracle.Ledger(); b.ObjectLoad != o.ObjectLoad || b.Total() != o.Total() {
@@ -328,18 +338,9 @@ func TestFailedBatchRollsBackEveryLeader(t *testing.T) {
 	// Object 99 is in the cache's universe but not the repository's.
 	m := newLoadCache(t, repo, core.NewNoCache(), append(survey.Objects(), model.Object{ID: 99, Size: cost.MB}))
 	m.mu.Lock()
-	lead, err := m.commitDecisionLocked(core.Decision{Load: []model.ObjectID{1, 2, 99}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evict, err := m.commitDecisionLocked(core.Decision{Evict: []model.ObjectID{2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	join, err := m.commitDecisionLocked(core.Decision{Load: []model.ObjectID{2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lead := commit(t, m, core.Decision{Load: []model.ObjectID{1, 2, 99}})
+	evict := commit(t, m, core.Decision{Evict: []model.ObjectID{2}})
+	join := commit(t, m, core.Decision{Load: []model.ObjectID{2}})
 	m.mu.Unlock()
 	if join.loads[0].leader {
 		t.Fatal("the reload of object 2 led a load instead of joining the in-flight one")
@@ -356,14 +357,19 @@ func TestFailedBatchRollsBackEveryLeader(t *testing.T) {
 	if err := m.finishPlan(ctx, join); err == nil {
 		t.Error("a decision that joined a failed load succeeded")
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.resident) != 0 {
-		t.Errorf("resident after the failed batch: %v, want none", m.resident)
+	if got := residents(m); len(got) != 0 {
+		t.Errorf("resident after the failed batch: %v, want none", got)
 	}
 	if got := m.Ledger().ObjectLoad + repo.Ledger().ObjectLoad; got != 0 {
 		t.Errorf("a failed batch charged %v", got)
 	}
+}
+
+// residents reads m's resident set.
+func residents(m *Middleware) []model.ObjectID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.applier.Residents()
 }
 
 // TestDeafCacheShipsEveryQuery: once its invalidation stream is lost

@@ -35,12 +35,13 @@ import (
 // are resident after the swap and how many former residents were
 // dropped; warm adoptions count into StatsMsg.MigratedIn.
 //
-// Residency optimism carries over: an object whose load is still in
-// flight at swap time is adopted as resident; if that load ultimately
-// fails, the rollback leaves the new policy believing the object is
-// cached — the same divergence a failed load always causes here. Warm
-// IDs are hints in the same sense: the router read them from the old
-// primary's resident list, which may have moved on since.
+// A fresh core.Applier starts beside the fresh policy, holding what it
+// adopted. Residency optimism carries over: an object whose load is
+// still in flight at swap time is adopted as resident; if that load
+// ultimately fails, its flight unloads it from the new applier, and the
+// applier's answer check ships any query the policy would answer from
+// it. Warm IDs are hints in the same sense: the router read them from
+// the old primary's resident list, which may have moved on since.
 func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Object, warm []model.ObjectID) (resident, dropped int, err error) {
 	if m.cfg.PolicyFactory == nil {
 		return 0, 0, fmt.Errorf("cache: no policy factory configured; live reshard unavailable")
@@ -91,16 +92,16 @@ func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Obj
 		return 0, 0, fmt.Errorf("cache: reshard for epoch %d superseded by epoch %d", epoch, m.reshardEpoch)
 	}
 	m.reshardEpoch = epoch
-	carried := make([]model.ObjectID, 0, len(m.resident))
-	for id := range m.resident {
+	residents := m.applier.Residents() // sorted: deterministic adoption under capacity pressure
+	carried := make([]model.ObjectID, 0, len(residents))
+	for _, id := range residents {
 		if want.has(id) {
 			carried = append(carried, id)
 		}
 	}
-	slices.Sort(carried) // deterministic adoption order under capacity pressure
 	arrivals := make([]model.ObjectID, 0, len(warm))
 	for _, id := range warm {
-		if _, held := m.resident[id]; !held && want.has(id) {
+		if !m.applier.Resident(id) && want.has(id) {
 			arrivals = append(arrivals, id)
 		}
 	}
@@ -113,17 +114,19 @@ func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Obj
 			return 0, 0, fmt.Errorf("cache: reshard warm: %w", err)
 		}
 	}
-	next := make(map[model.ObjectID]struct{}, len(adopted))
+	next := core.NewApplier(capacity, m.sizeOf)
+	if err := next.Preload(adopted); err != nil {
+		return 0, 0, fmt.Errorf("cache: reshard warm: %w", err)
+	}
 	kept := 0
 	for _, id := range adopted {
-		if _, held := m.resident[id]; held {
+		if m.applier.Resident(id) {
 			kept++
 		}
-		next[id] = struct{}{}
 	}
-	dropped = len(m.resident) - kept
+	dropped = len(residents) - kept
 	m.migratedIn.Add(int64(len(adopted) - kept))
-	m.resident = next
+	m.applier = next
 	m.policy = policy
 	m.owned = want
 	m.cfg.Logf("reshard epoch %d: %d objects owned, %d resident carried, %d adopted warm, %d dropped (capacity %v)",

@@ -1,0 +1,198 @@
+package core
+
+import (
+	"fmt"
+	"maps"
+	"slices"
+
+	"github.com/deltacache/delta/internal/cost"
+	"github.com/deltacache/delta/internal/model"
+)
+
+// Applier is the ground truth a policy's decisions are applied to, and
+// the one implementation of the paper's accounting order — evict, load,
+// the update arrives, ship updates, answer — for the simulator and the
+// live cache node alike. A bad decision item is skipped and reported as
+// a violation; the rest of the decision still applies. The Applier moves
+// no bytes and charges no ledger: each caller charges the Plan when its
+// traffic happens. It is not safe for concurrent use.
+type Applier struct {
+	size     func(model.ObjectID) (cost.Bytes, bool)
+	capacity cost.Bytes
+	used     cost.Bytes
+	// exemptUsed is the preload occupancy of capacity-exempt yardsticks
+	// (Replica); capacity violations are measured against
+	// max(capacity, exemptUsed).
+	exemptUsed cost.Bytes
+	// resident maps each resident object to the IDs of its outstanding
+	// updates; pending holds those updates.
+	resident map[model.ObjectID]map[model.UpdateID]struct{}
+	pending  map[model.UpdateID]model.Update
+}
+
+// Plan is what an applied decision owes the network: the evictions and
+// loads the Applier accepted (each load with its size), the outstanding
+// updates to ship (each with its cost), and how the query is answered.
+type Plan struct {
+	Evict     []model.ObjectID
+	Load      []model.Object
+	Ship      []model.Update
+	ShipQuery bool
+	// Stale marks an at-cache answer over an object that is absent or
+	// misses an update t(q) requires. The simulator counts the answer; a
+	// live node ships the query instead.
+	Stale bool
+}
+
+// NewApplier returns an empty cache of the given capacity. size reports
+// an object's size and whether the object exists: the caller's universe.
+func NewApplier(capacity cost.Bytes, size func(model.ObjectID) (cost.Bytes, bool)) *Applier {
+	return &Applier{
+		size:     size,
+		capacity: capacity,
+		resident: make(map[model.ObjectID]map[model.UpdateID]struct{}),
+		pending:  make(map[model.UpdateID]model.Update),
+	}
+}
+
+// Preload makes ids resident before the first event — a Preloader's
+// starting set, or what a fresh policy adopted through Warm — and sets
+// the capacity-exempt allowance to the resulting occupancy. An unknown
+// or repeated id is malformed input, an error.
+func (a *Applier) Preload(ids []model.ObjectID) error {
+	for _, id := range ids {
+		size, ok := a.size(id)
+		if !ok {
+			return fmt.Errorf("core: preload of unknown object %d", id)
+		}
+		if _, dup := a.resident[id]; dup {
+			return fmt.Errorf("core: duplicate preload of object %d", id)
+		}
+		a.resident[id] = nil
+		a.used += size
+	}
+	a.exemptUsed = a.used
+	return nil
+}
+
+// Apply applies decision d on event e and returns the Plan it owes and
+// one message per violation.
+func (a *Applier) Apply(e *model.Event, d Decision) (Plan, []string) {
+	var (
+		p          Plan
+		violations []string
+	)
+	violate := func(format string, args ...any) {
+		violations = append(violations, fmt.Sprintf(format, args...))
+	}
+
+	// 1. Evictions.
+	for _, id := range d.Evict {
+		if _, ok := a.resident[id]; !ok {
+			violate("event %d: evict of non-resident object %d", e.Seq, id)
+			continue
+		}
+		a.Unload(id)
+		p.Evict = append(p.Evict, id)
+	}
+	// 2. Loads (the object arrives fresh: any updates that occurred
+	// while it was away are part of the copy).
+	for _, id := range d.Load {
+		size, ok := a.size(id)
+		if !ok {
+			violate("event %d: load of unknown object %d", e.Seq, id)
+			continue
+		}
+		if _, dup := a.resident[id]; dup {
+			violate("event %d: load of already-resident object %d", e.Seq, id)
+			continue
+		}
+		a.resident[id] = nil
+		a.used += size
+		p.Load = append(p.Load, model.Object{ID: id, Size: size})
+	}
+	// A capacity-exempt mirror's birth-time loads raise its allowance.
+	if e.Kind == model.EventBirth && a.exemptUsed > 0 {
+		a.exemptUsed = max(a.exemptUsed, a.used)
+	}
+	if limit := max(a.capacity, a.exemptUsed); a.used > limit {
+		violate("event %d: cache over capacity: %v > %v", e.Seq, a.used, limit)
+	}
+
+	// 3. The update itself arrives at the repository; outstanding
+	// bookkeeping applies only to resident objects.
+	if e.Kind == model.EventUpdate {
+		u := e.Update
+		if ups, ok := a.resident[u.Object]; ok {
+			if ups == nil {
+				ups = make(map[model.UpdateID]struct{})
+				a.resident[u.Object] = ups
+			}
+			ups[u.ID] = struct{}{}
+			a.pending[u.ID] = *u
+		}
+	}
+
+	// 4. Update shipments.
+	for _, uid := range d.ApplyUpdates {
+		u, ok := a.pending[uid]
+		if !ok {
+			violate("event %d: shipping update %d that is not outstanding", e.Seq, uid)
+			continue
+		}
+		p.Ship = append(p.Ship, u)
+		delete(a.pending, uid)
+		delete(a.resident[u.Object], uid)
+	}
+
+	// 5. Answer the query.
+	if e.Kind == model.EventQuery {
+		q := e.Query
+		p.ShipQuery = d.ShipQuery
+		if !d.ShipQuery {
+			for _, id := range q.Objects {
+				ups, ok := a.resident[id]
+				if !ok {
+					violate("event %d: query %d answered at cache but object %d absent", e.Seq, q.ID, id)
+					p.Stale = true
+				}
+				for uid := range ups {
+					if u := a.pending[uid]; model.UpdateRequired(&u, q) {
+						violate("event %d: query %d answered stale: update %d on object %d unapplied", e.Seq, q.ID, uid, id)
+						p.Stale = true
+					}
+				}
+			}
+		}
+	}
+	return p, violations
+}
+
+// Unload rolls back a load that failed to materialize: id, if still
+// resident, leaves with its outstanding updates.
+func (a *Applier) Unload(id model.ObjectID) {
+	ups, ok := a.resident[id]
+	if !ok {
+		return
+	}
+	for uid := range ups {
+		delete(a.pending, uid)
+	}
+	delete(a.resident, id)
+	size, _ := a.size(id)
+	a.used -= size
+}
+
+// Resident reports whether id is in the cache.
+func (a *Applier) Resident(id model.ObjectID) bool {
+	_, ok := a.resident[id]
+	return ok
+}
+
+// Residents lists the resident objects in ascending order.
+func (a *Applier) Residents() []model.ObjectID {
+	return slices.Sorted(maps.Keys(a.resident))
+}
+
+// Used is the resident objects' total size.
+func (a *Applier) Used() cost.Bytes { return a.used }

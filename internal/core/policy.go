@@ -19,10 +19,10 @@
 //   - NoCache, Replica, SOptimal — the three yardsticks of Section 6.
 //
 // Policies are deliberately passive: they return Decisions and the
-// caller (the simulator or the live cache service) applies them. Each
-// policy maintains an internal mirror of cache state that is, by
-// construction, consistent with the caller's ground truth; the simulator
-// cross-checks the two on every event.
+// caller (the simulator or the live cache service) applies them through
+// an Applier. Each policy maintains an internal mirror of cache state
+// that is, by construction, consistent with the caller's ground truth;
+// the Applier cross-checks the two on every event, for both callers.
 package core
 
 import (

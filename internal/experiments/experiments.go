@@ -175,30 +175,24 @@ func (s *Setup) Policies() []core.Policy {
 func (s *Setup) RunAll() (map[string]*sim.Result, error) {
 	results := make(map[string]*sim.Result, 5)
 	for _, p := range s.Policies() {
-		res, err := sim.Run(p, s.Survey.Objects(), s.Events, sim.Config{
-			CacheCapacity: s.Capacity(),
-			SampleEvery:   s.SampleEvery,
-		})
+		res, err := s.RunOne(p)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", p.Name(), err)
-		}
-		if len(res.Violations) > 0 {
-			return nil, fmt.Errorf("experiments: %s violated constraints: %s",
-				p.Name(), res.Violations[0])
+			return nil, err
 		}
 		results[res.Policy] = res
 	}
 	return results, nil
 }
 
-// RunOne replays the trace through a single policy.
+// RunOne replays the trace through a single policy, failing on any
+// constraint violation like RunAll.
 func (s *Setup) RunOne(p core.Policy) (*sim.Result, error) {
 	res, err := sim.Run(p, s.Survey.Objects(), s.Events, sim.Config{
 		CacheCapacity: s.Capacity(),
 		SampleEvery:   s.SampleEvery,
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: %s: %w", p.Name(), err)
 	}
 	if len(res.Violations) > 0 {
 		return nil, fmt.Errorf("experiments: %s violated constraints: %s",

@@ -118,12 +118,6 @@ func (b *Bipartite) HasLeft(key int64) bool { _, ok := b.left[key]; return ok }
 // HasRight reports whether the right key is present.
 func (b *Bipartite) HasRight(key int64) bool { _, ok := b.right[key]; return ok }
 
-// LeftWeight returns the weight of a left vertex (0 if absent).
-func (b *Bipartite) LeftWeight(key int64) int64 { return b.weight[key] }
-
-// RightWeight returns the weight of a right vertex (0 if absent).
-func (b *Bipartite) RightWeight(key int64) int64 { return b.rweight[key] }
-
 // DegreeLeft returns the live edge count of a left vertex.
 func (b *Bipartite) DegreeLeft(key int64) int { return len(b.ledges[key]) }
 
@@ -147,16 +141,6 @@ func (b *Bipartite) Len() (nLeft, nRight int) { return len(b.left), len(b.right)
 func (b *Bipartite) Lefts() []int64 {
 	out := make([]int64, 0, len(b.left))
 	for k := range b.left {
-		out = append(out, k)
-	}
-	sortInt64s(out)
-	return out
-}
-
-// Rights returns all live right keys, sorted.
-func (b *Bipartite) Rights() []int64 {
-	out := make([]int64, 0, len(b.right))
-	for k := range b.right {
 		out = append(out, k)
 	}
 	sortInt64s(out)

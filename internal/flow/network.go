@@ -70,10 +70,6 @@ func (n *Network) AddNode() int {
 	return id
 }
 
-// NumNodes returns the number of nodes ever allocated, including removed
-// ones.
-func (n *Network) NumNodes() int { return len(n.adj) }
-
 // Alive reports whether the node has not been removed.
 func (n *Network) Alive(v int) bool { return v >= 0 && v < len(n.alive) && n.alive[v] }
 
@@ -95,9 +91,6 @@ func (n *Network) AddEdge(from, to int, capacity int64) (int, error) {
 	n.adj[to] = append(n.adj[to], int32(id+1))
 	return id, nil
 }
-
-// EdgeFlow returns the current flow on the edge returned by AddEdge.
-func (n *Network) EdgeFlow(edgeID int) int64 { return n.edges[edgeID].flow }
 
 // Value returns the current total flow from source to sink as maintained
 // across MaxFlow and RemoveNode calls.

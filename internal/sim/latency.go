@@ -1,9 +1,8 @@
 package sim
 
 import (
-	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/deltacache/delta/internal/core"
@@ -79,103 +78,49 @@ type LatencySummary struct {
 }
 
 // RunWithLatency replays events like Run and additionally models
-// response times for every query under the given latency model. The
-// traffic accounting is identical to Run.
+// response times for every query under the given latency model, priced
+// from the Plan its decision applied. The traffic accounting is
+// identical to Run.
 func RunWithLatency(policy core.Policy, objects []model.Object, events []model.Event,
 	cfg Config, lm LatencyModel) (*Result, *LatencySummary, error) {
 
-	// Wrap the policy to observe decisions alongside the normal run.
-	obs := &latencyObserver{inner: policy, lm: lm}
-	res, err := Run(obs, objects, events, cfg)
+	var samples []time.Duration
+	res, err := run(policy, objects, events, cfg, func(e *model.Event, p core.Plan) {
+		if e.Kind != model.EventQuery {
+			return
+		}
+		var updBytes cost.Bytes
+		for _, u := range p.Ship {
+			updBytes += u.Cost
+		}
+		samples = append(samples, lm.QueryTime(p.ShipQuery, e.Query.Cost, updBytes))
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, obs.summary(), nil
+	return res, summarize(samples), nil
 }
 
-// latencyObserver decorates a policy, recording modeled response times.
-type latencyObserver struct {
-	inner core.Policy
-	lm    LatencyModel
-
-	updCost map[model.UpdateID]cost.Bytes
-	samples []time.Duration
-}
-
-var _ core.Policy = (*latencyObserver)(nil)
-
-func (o *latencyObserver) Name() string { return o.inner.Name() }
-
-func (o *latencyObserver) Init(objects []model.Object, capacity cost.Bytes) error {
-	o.updCost = make(map[model.UpdateID]cost.Bytes)
-	return o.inner.Init(objects, capacity)
-}
-
-// Preload forwards the inner policy's preload if any.
-func (o *latencyObserver) Preload() ([]model.ObjectID, bool) {
-	if pre, ok := o.inner.(core.Preloader); ok {
-		return pre.Preload()
-	}
-	return nil, false
-}
-
-func (o *latencyObserver) OnUpdate(u *model.Update) (core.Decision, error) {
-	o.updCost[u.ID] = u.Cost
-	return o.inner.OnUpdate(u)
-}
-
-// AddObjects forwards universe growth to the inner policy (births are
-// background work and do not produce a latency sample).
-func (o *latencyObserver) AddObjects(objs []model.Object) (core.Decision, error) {
-	g, ok := o.inner.(core.Grower)
-	if !ok {
-		return core.Decision{}, fmt.Errorf("sim: policy %s cannot grow its universe", o.inner.Name())
-	}
-	return g.AddObjects(objs)
-}
-
-func (o *latencyObserver) OnQuery(q *model.Query) (core.Decision, error) {
-	d, err := o.inner.OnQuery(q)
-	if err != nil {
-		return d, err
-	}
-	var updBytes cost.Bytes
-	for _, uid := range d.ApplyUpdates {
-		updBytes += o.updCost[uid]
-	}
-	o.samples = append(o.samples, o.lm.QueryTime(d.ShipQuery, q.Cost, updBytes))
-	return d, nil
-}
-
-func (o *latencyObserver) summary() *LatencySummary {
-	s := &LatencySummary{Queries: int64(len(o.samples))}
-	if len(o.samples) == 0 {
+func summarize(samples []time.Duration) *LatencySummary {
+	s := &LatencySummary{Queries: int64(len(samples))}
+	if len(samples) == 0 {
 		return s
 	}
-	sorted := append([]time.Duration(nil), o.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(samples)
 	var total time.Duration
-	for _, t := range sorted {
+	for _, t := range samples {
 		total += t
 	}
-	s.Mean = total / time.Duration(len(sorted))
-	s.P50 = percentile(sorted, 0.50)
-	s.P95 = percentile(sorted, 0.95)
-	s.P99 = percentile(sorted, 0.99)
-	s.Max = sorted[len(sorted)-1]
+	s.Mean = total / time.Duration(len(samples))
+	s.P50 = percentile(samples, 0.50)
+	s.P95 = percentile(samples, 0.95)
+	s.P99 = percentile(samples, 0.99)
+	s.Max = samples[len(samples)-1]
 	return s
 }
 
+// percentile is the nearest-rank p-quantile of a non-empty sorted slice.
 func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	rank := int(math.Ceil(p * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }

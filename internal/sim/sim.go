@@ -1,15 +1,18 @@
 // Package sim replays a workload trace against a decoupling policy,
-// maintaining the ground-truth state of the repository and the cache,
 // charging every data movement to a traffic ledger, and verifying on
 // every event that the policy respected the two hard constraints of the
 // decoupling problem: the cache capacity and each query's tolerance for
 // staleness.
 //
-// The simulator is deliberately paranoid: policies keep their own state
-// mirrors, and any divergence (shipping an update that is not
-// outstanding, loading an object that is already resident, answering a
-// stale query at the cache) is recorded as a violation. Experiments
-// assert zero violations.
+// The ground truth is core.Applier, the same bookkeeping a live cache
+// node applies its decisions to: Run is the policy's decisions fed
+// through Apply over an in-memory repository, with the Plan's loads,
+// update shipments and query shipments charged the moment they are
+// decided. The simulator is deliberately paranoid: policies keep their
+// own state mirrors, and any divergence the applier catches (shipping an
+// update that is not outstanding, loading an object that is already
+// resident, answering a stale query at the cache) is recorded as a
+// violation. Experiments assert zero violations.
 package sim
 
 import (
@@ -65,29 +68,18 @@ type Result struct {
 // Total returns the final total traffic.
 func (r *Result) Total() cost.Bytes { return r.Ledger.Total() }
 
-// state is the simulator's ground truth.
-type state struct {
-	sizes    map[model.ObjectID]cost.Bytes
-	cached   map[model.ObjectID]struct{}
-	used     cost.Bytes
-	capacity cost.Bytes
-	// exemptUsed is the preload occupancy of capacity-exempt yardsticks
-	// (Replica); dynamic violations are measured against
-	// max(capacity, exemptUsed).
-	exemptUsed cost.Bytes
-
-	// pending maps outstanding update IDs (for cached objects) to the
-	// update; perObject indexes them for eviction cleanup and currency
-	// checks.
-	pending   map[model.UpdateID]model.Update
-	perObject map[model.ObjectID]map[model.UpdateID]struct{}
-}
-
 // Run replays events against the policy and returns the accounting. An
 // error is returned for structural problems (nil policy, invalid
 // events); constraint breaches by the policy are reported as violations
 // in the Result instead.
 func Run(policy core.Policy, objects []model.Object, events []model.Event, cfg Config) (*Result, error) {
+	return run(policy, objects, events, cfg, nil)
+}
+
+// run is Run that also hands every event's applied Plan to observe, when
+// set.
+func run(policy core.Policy, objects []model.Object, events []model.Event, cfg Config,
+	observe func(*model.Event, core.Plan)) (*Result, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("sim: nil policy")
 	}
@@ -97,16 +89,14 @@ func Run(policy core.Policy, objects []model.Object, events []model.Event, cfg C
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 5000
 	}
-	st := &state{
-		sizes:     make(map[model.ObjectID]cost.Bytes, len(objects)),
-		cached:    make(map[model.ObjectID]struct{}),
-		capacity:  cfg.CacheCapacity,
-		pending:   make(map[model.UpdateID]model.Update),
-		perObject: make(map[model.ObjectID]map[model.UpdateID]struct{}),
-	}
+	sizes := make(map[model.ObjectID]cost.Bytes, len(objects))
 	for _, o := range objects {
-		st.sizes[o.ID] = o.Size
+		sizes[o.ID] = o.Size
 	}
+	cache := core.NewApplier(cfg.CacheCapacity, func(id model.ObjectID) (cost.Bytes, bool) {
+		size, ok := sizes[id]
+		return size, ok
+	})
 
 	if err := policy.Init(objects, cfg.CacheCapacity); err != nil {
 		return nil, fmt.Errorf("sim: init %s: %w", policy.Name(), err)
@@ -118,32 +108,17 @@ func Run(policy core.Policy, objects []model.Object, events []model.Event, cfg C
 	// Preloading yardsticks start with a resident set.
 	if pre, ok := policy.(core.Preloader); ok {
 		objs, charge := pre.Preload()
-		for _, id := range objs {
-			size, ok := st.sizes[id]
-			if !ok {
-				return nil, fmt.Errorf("sim: preload of unknown object %d", id)
-			}
-			if _, dup := st.cached[id]; dup {
-				return nil, fmt.Errorf("sim: duplicate preload of object %d", id)
-			}
-			st.cached[id] = struct{}{}
-			st.used += size
-			if charge {
-				ledger.Charge(cost.ObjectLoad, size)
+		if err := cache.Preload(objs); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+		if charge {
+			for _, id := range objs {
+				ledger.Charge(cost.ObjectLoad, sizes[id])
 				res.Loads++
 			}
 		}
-		st.exemptUsed = st.used
 	}
-	if st.used > res.MaxUsed {
-		res.MaxUsed = st.used
-	}
-
-	violate := func(format string, args ...any) {
-		if len(res.Violations) < 100 { // cap memory on broken policies
-			res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-		}
-	}
+	res.MaxUsed = cache.Used()
 
 	for i := range events {
 		e := &events[i]
@@ -167,10 +142,10 @@ func Run(policy core.Policy, objects []model.Object, events []model.Event, cfg C
 			// truth grows, and the policy's universe must grow with it.
 			res.Births++
 			b := e.Birth
-			if _, dup := st.sizes[b.Object.ID]; dup {
+			if _, dup := sizes[b.Object.ID]; dup {
 				return nil, fmt.Errorf("sim: birth of existing object %d at event %d", b.Object.ID, e.Seq)
 			}
-			st.sizes[b.Object.ID] = b.Object.Size
+			sizes[b.Object.ID] = b.Object.Size
 			g, ok := policy.(core.Grower)
 			if !ok {
 				return nil, fmt.Errorf("sim: policy %s cannot grow its universe", policy.Name())
@@ -181,98 +156,28 @@ func Run(policy core.Policy, objects []model.Object, events []model.Event, cfg C
 			return nil, fmt.Errorf("sim: %s at event %d: %w", policy.Name(), e.Seq, err)
 		}
 
-		// 1. Evictions.
-		for _, id := range d.Evict {
-			if _, ok := st.cached[id]; !ok {
-				violate("event %d: evict of non-resident object %d", e.Seq, id)
-				continue
-			}
-			delete(st.cached, id)
-			st.used -= st.sizes[id]
-			for uid := range st.perObject[id] {
-				delete(st.pending, uid)
-			}
-			delete(st.perObject, id)
-			res.Evictions++
-		}
-		// 2. Loads (the object arrives fresh: any updates that occurred
-		// while it was away are part of the copy).
-		for _, id := range d.Load {
-			size, ok := st.sizes[id]
-			if !ok {
-				violate("event %d: load of unknown object %d", e.Seq, id)
-				continue
-			}
-			if _, dup := st.cached[id]; dup {
-				violate("event %d: load of already-resident object %d", e.Seq, id)
-				continue
-			}
-			st.cached[id] = struct{}{}
-			st.used += size
-			ledger.Charge(cost.ObjectLoad, size)
+		p, violations := cache.Apply(e, d)
+		// Keep at most 100: cap memory on broken policies.
+		res.Violations = append(res.Violations, violations[:min(len(violations), 100-len(res.Violations))]...)
+		res.Evictions += int64(len(p.Evict))
+		for _, o := range p.Load {
+			ledger.Charge(cost.ObjectLoad, o.Size)
 			res.Loads++
 		}
-		// A capacity-exempt mirror (Replica) grows with the repository:
-		// its birth-time loads raise the exempt allowance the way its
-		// preload established it.
-		if e.Kind == model.EventBirth && st.exemptUsed > 0 {
-			st.exemptUsed = maxBytes(st.exemptUsed, st.used)
-		}
-		if limit := maxBytes(st.capacity, st.exemptUsed); st.used > limit {
-			violate("event %d: cache over capacity: %v > %v", e.Seq, st.used, limit)
-		}
-		if st.used > res.MaxUsed {
-			res.MaxUsed = st.used
-		}
-
-		// 3. The update itself arrives at the repository; outstanding
-		// bookkeeping applies only to resident objects.
-		if e.Kind == model.EventUpdate {
-			u := e.Update
-			if _, ok := st.cached[u.Object]; ok {
-				st.pending[u.ID] = *u
-				if st.perObject[u.Object] == nil {
-					st.perObject[u.Object] = make(map[model.UpdateID]struct{})
-				}
-				st.perObject[u.Object][u.ID] = struct{}{}
-			}
-		}
-
-		// 4. Update shipments.
-		for _, uid := range d.ApplyUpdates {
-			u, ok := st.pending[uid]
-			if !ok {
-				violate("event %d: shipping update %d that is not outstanding", e.Seq, uid)
-				continue
-			}
+		res.MaxUsed = max(res.MaxUsed, cache.Used())
+		for _, u := range p.Ship {
 			ledger.Charge(cost.UpdateShip, u.Cost)
 			res.UpdatesShipped++
-			delete(st.pending, uid)
-			delete(st.perObject[u.Object], uid)
 		}
-
-		// 5. Answer the query.
+		if observe != nil {
+			observe(e, p)
+		}
 		if e.Kind == model.EventQuery {
-			q := e.Query
-			if d.ShipQuery {
-				ledger.Charge(cost.QueryShip, q.Cost)
+			if p.ShipQuery {
+				ledger.Charge(cost.QueryShip, e.Query.Cost)
 				res.QueriesShipped++
 			} else {
 				res.QueriesAtCache++
-				for _, id := range q.Objects {
-					if _, ok := st.cached[id]; !ok {
-						violate("event %d: query %d answered at cache but object %d absent",
-							e.Seq, q.ID, id)
-						continue
-					}
-					for uid := range st.perObject[id] {
-						u := st.pending[uid]
-						if model.UpdateRequired(&u, q) {
-							violate("event %d: query %d answered stale: update %d on object %d unapplied",
-								e.Seq, q.ID, uid, id)
-						}
-					}
-				}
 			}
 		}
 
@@ -290,11 +195,4 @@ func Run(policy core.Policy, objects []model.Object, events []model.Event, cfg C
 
 	res.Ledger = ledger.Snapshot()
 	return res, nil
-}
-
-func maxBytes(a, b cost.Bytes) cost.Bytes {
-	if a > b {
-		return a
-	}
-	return b
 }
