@@ -1348,24 +1348,6 @@ func BenchmarkGDSAdmit(b *testing.B) {
 	}
 }
 
-// BenchmarkHTMCover measures the query→object mapping (cap coverage).
-func BenchmarkHTMCover(b *testing.B) {
-	p, err := htm.BuildLeveled(nil, 68)
-	if err != nil {
-		b.Fatal(err)
-	}
-	caps := make([]geom.Cap, 64)
-	for i := range caps {
-		caps[i] = geom.CapFromRADec(float64(i*5%360), float64(i%120-60), 1.5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := p.Cover(caps[i%len(caps)]); len(got) == 0 {
-			b.Fatal("empty cover")
-		}
-	}
-}
-
 // BenchmarkHTMLocate measures point location at the paper's default
 // granularity.
 func BenchmarkHTMLocate(b *testing.B) {

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
 	"github.com/deltacache/delta/internal/cost"
+	"github.com/deltacache/delta/internal/trace"
 )
 
 // testSetup builds a reduced but statistically meaningful trace (100k
@@ -17,6 +20,28 @@ func testSetup(t *testing.T) *Setup {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestNewSetupGolden pins the reference trace (seed 2) that the
+// benchmark's paper-trace workload replays, at a small scale: every
+// query's object set is a cone cover over the 68-object leveled mesh,
+// so a cover that drifts by one boundary trixel changes the hash.
+// Regenerate an intentional change with
+//
+//	go test ./internal/experiments -run TestNewSetupGolden -v
+func TestNewSetupGolden(t *testing.T) {
+	const want = "d0131a11ae94edf14bd8d8fab4886d526a36a8bc244918ab1b8dd1ba8ac3cc1c"
+	s, err := NewSetup(Options{Scale: 0.02, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := trace.WriteJSONL(h, s.Events); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("reference trace hash changed:\n got  %s\n want %s", got, want)
+	}
 }
 
 func TestNewSetupDefaults(t *testing.T) {

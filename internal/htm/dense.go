@@ -13,15 +13,31 @@ import (
 // (one pnode per trixel, three vertices each) and assigns unchosen
 // leaves by an O(n²) nearest-object scan — fine at the paper's 68
 // objects, hopeless at a million. The dense form keeps only one float64
-// weight per object (8 bytes), and descends the implicit tree on the
-// fly for lookups and covers, which is what lets the million-object
-// soak build a catalog in O(n) time and O(n) small memory.
+// weight per object (8 bytes), plus the cover geometry of the trixels
+// at levels 0..min(level, maxGeoLevel), and descends the implicit tree
+// on the fly for lookups and covers, which is what lets the
+// million-object soak build a catalog in O(n) time and O(n) small
+// memory.
 type DensePartition struct {
 	level   int
 	n       int
 	first   uint64 // ID of the first trixel at this level: 8·4^level
 	weights []float64
+	// geo holds the geometry of every trixel at levels
+	// 0..min(level, maxGeoLevel), in level then ID order (see geoIndex):
+	// 40 bytes a trixel, 7 MB when all eight levels are present.
+	geo []geometry
 }
+
+// maxGeoLevel is the deepest level whose trixel geometry a dense
+// partition stores; covers of finer meshes derive it from the vertices
+// they already hold.
+const maxGeoLevel = 7
+
+// geoIndex is the position in DensePartition.geo of the trixel id at
+// the given level: the Σ_{l<level} 8·4^l trixels of the levels above,
+// plus id − 8·4^level.
+func geoIndex(id uint64, level int) uint64 { return id - (16<<(2*uint(level))+8)/3 }
 
 // DenseLevelObjects returns the object count of the complete
 // decomposition at the given HTM level: 8·4^level.
@@ -51,15 +67,21 @@ func BuildDense(weight WeightFunc, n int) (*DensePartition, error) {
 	if weight == nil {
 		weight = func(t Trixel) float64 { return t.AreaSr() }
 	}
+	geoLevels := min(level, maxGeoLevel)
 	p := &DensePartition{
 		level:   level,
 		n:       n,
 		first:   8 << (2 * uint(level)),
 		weights: make([]float64, n),
+		// Sized to where the first trixel below geoLevels would go.
+		geo: make([]geometry, geoIndex(8<<(2*uint(geoLevels+1)), geoLevels+1)),
 	}
-	var walk func(t Trixel)
-	walk = func(t Trixel) {
-		if t.Level() == level {
+	var walk func(t Trixel, l int)
+	walk = func(t Trixel, l int) {
+		if l <= geoLevels {
+			p.geo[geoIndex(t.ID, l)] = geometryOf(&t)
+		}
+		if l == level {
 			w := weight(t)
 			if w < 0 {
 				w = 0
@@ -68,11 +90,11 @@ func BuildDense(weight WeightFunc, n int) (*DensePartition, error) {
 			return
 		}
 		for _, ch := range t.Children() {
-			walk(ch)
+			walk(ch, l+1)
 		}
 	}
 	for _, r := range Roots() {
-		walk(r)
+		walk(r, 0)
 	}
 	return p, nil
 }
@@ -122,22 +144,31 @@ func (p *DensePartition) ObjectFor(v geom.Vec3) int {
 // sorted and duplicate-free — no map or sort pass, which matters when
 // drift-heavy workloads churn the cover cache.
 func (p *DensePartition) Cover(c geom.Cap) []int {
+	ct := prepareCap(c)
 	var out []int
-	var walk func(t Trixel)
-	walk = func(t Trixel) {
-		if !t.IntersectsCap(c) {
-			return
-		}
-		if t.Level() == p.level {
-			out = append(out, int(t.ID-p.first))
-			return
-		}
-		for _, ch := range t.Children() {
-			walk(ch)
-		}
+	for i := range roots {
+		out = p.cover(&ct, &roots[i], 0, out)
 	}
-	for _, r := range Roots() {
-		walk(r)
+	return out
+}
+
+func (p *DensePartition) cover(ct *capTest, t *Trixel, level int, out []int) []int {
+	var g *geometry
+	if level <= maxGeoLevel {
+		g = &p.geo[geoIndex(t.ID, level)]
+	} else {
+		derived := geometryOf(t)
+		g = &derived
+	}
+	if !ct.intersects(t, g) {
+		return out
+	}
+	if level == p.level {
+		return append(out, int(t.ID-p.first))
+	}
+	kids := t.Children()
+	for i := range kids {
+		out = p.cover(ct, &kids[i], level+1, out)
 	}
 	return out
 }

@@ -11,11 +11,29 @@
 // scheme: roots are 8–15 and child i of trixel t has ID 4t+i, so the ID
 // encodes the full path and the level is recoverable from the bit
 // length.
+//
+// A cone search maps to data objects by a cover: the walk from the
+// roots that keeps every trixel the cap intersects (Partition.Cover,
+// DensePartition.Cover). Its one predicate, Trixel.IntersectsCap, costs
+// dot products, not arctangents. The cap is prepared once per cover:
+// its radius r with r's cosine and sine. Each trixel's geometry — its
+// center and the cosine and sine of its bounding radius — is built once
+// when the partition is constructed: in the adaptive tree's nodes, and
+// in a per-level table for a dense partition's top eight levels (finer
+// levels derive it from the vertices during the walk). The
+// bounding-circle test then compares a dot product against cos(r+br)
+// from the sum formula, and each edge test compares one against sin r
+// or cos r. A dot product within 1e-9 of its threshold falls back to
+// the exact angle arithmetic; outside that band both reach the same
+// answer (see IntersectsCap), so covers are bit-identical to the angle
+// arithmetic's. Built partitions are immutable and safe for concurrent
+// covers.
 package htm
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/deltacache/delta/internal/geom"
 )
@@ -53,24 +71,26 @@ type Trixel struct {
 	V [3]geom.Vec3
 }
 
-// Roots returns the eight level-0 trixels.
-func Roots() [8]Trixel {
-	var roots [8]Trixel
+// roots holds the eight level-0 trixels, built once.
+var roots = func() [8]Trixel {
+	var r [8]Trixel
 	for i, spec := range rootSpec {
-		roots[i] = Trixel{
+		r[i] = Trixel{
 			ID: uint64(8 + i),
 			V:  [3]geom.Vec3{octV[spec[0]], octV[spec[1]], octV[spec[2]]},
 		}
 	}
-	return roots
-}
+	return r
+}()
+
+// Roots returns the eight level-0 trixels.
+func Roots() [8]Trixel { return roots }
 
 // Level returns the trixel's subdivision depth: 0 for roots, increasing
 // by one per subdivision.
 func (t Trixel) Level() int {
 	// Roots use 4 bits (1000..1111); each level appends 2 bits.
-	bits := 64 - leadingZeros(t.ID)
-	return (bits - 4) / 2
+	return (bits.Len64(t.ID) - 4) / 2
 }
 
 // Children subdivides the trixel into its four children by connecting
@@ -128,29 +148,26 @@ func (t Trixel) AreaSr() float64 {
 // center inside the trixel, or (c) the cap reaching one of the trixel's
 // edge arcs. Keeping this tight matters: over-coverage inflates B(q) and
 // with it every query's object footprint.
+//
+// The bounding-circle and edge-arc tests compare dot products against
+// the cosine or sine of the cap radius r (prepared once per cap) and of
+// r plus the bounding radius (from the trixel's geometry, which
+// partitions build once per trixel). Only a dot product within 1e-9 of
+// its threshold falls back to the angle arithmetic (atan2 angles and
+// arcDistance). Cosine and sine move by at most one per radian, so
+// outside that band the true angles are more than 1e-9 rad from the
+// threshold: both computations, each accurate to far less, reach the
+// same answer, and the result is bit-identical to the angle arithmetic
+// alone.
 func (t Trixel) IntersectsCap(c geom.Cap) bool {
-	capR := math.Acos(clamp(c.CosRadius, -1, 1))
-	if t.Center().AngleTo(c.Center) > capR+t.BoundingRadius() {
-		return false
-	}
-	for _, v := range t.V {
-		if c.Contains(v) {
-			return true
-		}
-	}
-	if t.Contains(c.Center) {
-		return true
-	}
-	for i := 0; i < 3; i++ {
-		if arcDistance(c.Center, t.V[i], t.V[(i+1)%3]) <= capR {
-			return true
-		}
-	}
-	return false
+	ct := prepareCap(c)
+	g := geometryOf(&t)
+	return ct.intersects(&t, &g)
 }
 
 // arcDistance returns the angular distance (radians) from point p to the
-// great-circle arc between a and b.
+// great-circle arc between a and b. It is the exact fallback of the
+// cap-cover edge test.
 func arcDistance(p, a, b geom.Vec3) float64 {
 	pole := a.Cross(b)
 	if pole.Norm() == 0 {
@@ -236,9 +253,9 @@ func Locate(v geom.Vec3, level int) (Trixel, error) {
 }
 
 func rootContaining(v geom.Vec3) (Trixel, bool) {
-	for _, r := range Roots() {
-		if r.Contains(v) {
-			return r, true
+	for i := range roots {
+		if roots[i].Contains(v) {
+			return roots[i], true
 		}
 	}
 	return Trixel{}, false
@@ -266,15 +283,4 @@ func clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if x&(1<<uint(i)) != 0 {
-			break
-		}
-		n++
-	}
-	return n
 }

@@ -36,8 +36,13 @@ type leaf struct {
 
 type pnode struct {
 	trixel   Trixel
+	geo      geometry
 	children *[4]*pnode // nil for leaves
 	leafIdx  int        // index into Partition.leaves for leaves, -1 otherwise
+}
+
+func newPnode(t Trixel) *pnode {
+	return &pnode{trixel: t, geo: geometryOf(&t), leafIdx: -1}
 }
 
 // BuildLeveled decomposes the sphere at the smallest uniform HTM level
@@ -67,7 +72,7 @@ func BuildLeveled(weight WeightFunc, n int) (*Partition, error) {
 	p := &Partition{n: n}
 	var leaves []*pnode
 	for i, r := range Roots() {
-		node := &pnode{trixel: r, leafIdx: -1}
+		node := newPnode(r)
 		p.root[i] = node
 		leaves = append(leaves, node)
 	}
@@ -77,7 +82,7 @@ func BuildLeveled(weight WeightFunc, n int) (*Partition, error) {
 			ch := nd.trixel.Children()
 			var kids [4]*pnode
 			for i := range ch {
-				kids[i] = &pnode{trixel: ch[i], leafIdx: -1}
+				kids[i] = newPnode(ch[i])
 			}
 			nd.children = &kids
 			next = append(next, kids[0], kids[1], kids[2], kids[3])
@@ -112,7 +117,7 @@ func BuildPartition(weight WeightFunc, n int) (*Partition, error) {
 	p := &Partition{n: n}
 	var leaves []*pnode
 	for i, r := range Roots() {
-		node := &pnode{trixel: r, leafIdx: -1}
+		node := newPnode(r)
 		p.root[i] = node
 		leaves = append(leaves, node)
 	}
@@ -149,7 +154,7 @@ func BuildPartition(weight WeightFunc, n int) (*Partition, error) {
 		ch := nd.trixel.Children()
 		var kids [4]*pnode
 		for i := range ch {
-			kids[i] = &pnode{trixel: ch[i], leafIdx: -1}
+			kids[i] = newPnode(ch[i])
 		}
 		nd.children = &kids
 		// Replace the split leaf with its four children.
@@ -264,10 +269,11 @@ func (p *Partition) ObjectFor(v geom.Vec3) int {
 // may intersect the cap. The result is conservative: it includes every
 // object that truly intersects, and may include near misses.
 func (p *Partition) Cover(c geom.Cap) []int {
+	ct := prepareCap(c)
 	seen := make(map[int]struct{})
 	var walk func(nd *pnode)
 	walk = func(nd *pnode) {
-		if !nd.trixel.IntersectsCap(c) {
+		if !ct.intersects(&nd.trixel, &nd.geo) {
 			return
 		}
 		if nd.children == nil {
