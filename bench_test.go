@@ -35,7 +35,6 @@ import (
 	"github.com/deltacache/delta/internal/netproto"
 	"github.com/deltacache/delta/internal/server"
 	"github.com/deltacache/delta/internal/sim"
-	"github.com/deltacache/delta/internal/trace"
 )
 
 // benchScale keeps a single policy run around 20k events.
@@ -1167,52 +1166,6 @@ func writeRouterJSON(b *testing.B, dir string) {
 
 // --- ablations for the design choices DESIGN.md calls out ---
 
-// BenchmarkAblationCounterLoading compares the paper's randomized cost
-// attribution against explicit per-object counters: traffic should be
-// similar (the randomization exists for space efficiency, not traffic).
-func BenchmarkAblationCounterLoading(b *testing.B) {
-	s := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		randomized, err := s.RunOne(core.NewVCover(core.VCoverConfig{Seed: s.Seed, GDSF: true}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		counted, err := s.RunOne(core.NewVCover(core.VCoverConfig{
-			Seed: s.Seed, GDSF: true, CounterLoading: true,
-		}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(randomized.Total().GBf(), "randomizedGB")
-			b.ReportMetric(counted.Total().GBf(), "counterGB")
-		}
-	}
-}
-
-// BenchmarkAblationPreship measures the traffic cost of the Section 4
-// preshipping extension (it trades extra update traffic for response
-// time on hot objects).
-func BenchmarkAblationPreship(b *testing.B) {
-	s := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		plain, err := s.RunOne(core.NewVCover(core.VCoverConfig{Seed: s.Seed, GDSF: true}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		preship, err := s.RunOne(core.NewVCover(core.VCoverConfig{
-			Seed: s.Seed, GDSF: true, Preship: true, PreshipAfter: 3,
-		}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(plain.Total().GBf(), "plainGB")
-			b.ReportMetric(preship.Total().GBf(), "preshipGB")
-		}
-	}
-}
-
 // BenchmarkAblationGDSvsGDSF compares plain Greedy-Dual-Size against the
 // frequency-aware variant in the LoadManager.
 func BenchmarkAblationGDSvsGDSF(b *testing.B) {
@@ -1361,50 +1314,6 @@ func BenchmarkHTMLocate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkTraceGobRoundTrip measures trace serialization throughput.
-func BenchmarkTraceGobRoundTrip(b *testing.B) {
-	events := make([]model.Event, 4096)
-	for i := range events {
-		events[i] = model.Event{
-			Seq:  int64(i),
-			Kind: model.EventUpdate,
-			Update: &model.Update{
-				ID: model.UpdateID(i), Object: model.ObjectID(i%68 + 1),
-				Cost: cost.Bytes(i), Time: time.Duration(i) * time.Second,
-			},
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf countingBuffer
-		if err := trace.WriteGob(&buf, events); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := trace.ReadGob(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type countingBuffer struct {
-	data []byte
-	off  int
-}
-
-func (c *countingBuffer) Write(p []byte) (int, error) {
-	c.data = append(c.data, p...)
-	return len(p), nil
-}
-
-func (c *countingBuffer) Read(p []byte) (int, error) {
-	if c.off >= len(c.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, c.data[c.off:])
-	c.off += n
-	return n, nil
 }
 
 func itoa(n int) string {

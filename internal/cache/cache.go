@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/geom"
@@ -56,10 +55,6 @@ type Config struct {
 	// RepoPool is how many connections back the repository session
 	// (each one multiplexes; 0 means a small default).
 	RepoPool int
-	// RepoDialRetry keeps retrying a refused repository connection
-	// for this long with backoff (a cache often starts alongside its
-	// repository). Zero means a 5s default; negative disables.
-	RepoDialRetry time.Duration
 	// Policy decides; nil defaults to VCover (built via PolicyFactory
 	// when that is set).
 	Policy core.Policy
@@ -95,9 +90,6 @@ type Config struct {
 	Replicas int
 	// Scale converts logical sizes to physical payloads.
 	Scale netproto.PayloadScale
-	// SampleRows optionally provides catalog rows so locally answered
-	// queries can return result samples like the repository does.
-	SampleRows []catalog.Row
 	// ExecDelay simulates the node-local scan time of a query answered
 	// at the cache (the paper's cache runs real database scans; a
 	// loopback deployment answers in microseconds). The delay holds a
@@ -152,7 +144,6 @@ type Middleware struct {
 	cfg    Config
 	ledger cost.Ledger
 	repo   *netproto.Session
-	rows   *catalog.RowIndex // Config.SampleRows, grouped by object
 
 	// mu guards the policy, the applier, the owned set and the reshard
 	// epoch (all swapped together by a live reshard). The decision
@@ -239,6 +230,11 @@ type pendingLoad struct {
 // payload capped at MaxFrame/2) under netproto.MaxFrame.
 const maxLoadBatch = 1024
 
+// repoDialRetry is how long New keeps retrying a refused repository
+// connection, with backoff: a cache often starts alongside its
+// repository.
+const repoDialRetry = 5 * time.Second
+
 // New builds the middleware, connects it to the repository, initializes
 // the policy and subscribes to invalidations.
 func New(cfg Config) (*Middleware, error) {
@@ -264,7 +260,6 @@ func New(cfg Config) (*Middleware, error) {
 	}
 	m := &Middleware{
 		cfg:    cfg,
-		rows:   catalog.NewRowIndex(cfg.SampleRows),
 		policy: cfg.Policy,
 		byID:   newObjectTable(len(cfg.Objects)),
 	}
@@ -380,11 +375,7 @@ func New(cfg Config) (*Middleware, error) {
 	}
 
 	// Multiplexed request/response session to the repository.
-	retry := cfg.RepoDialRetry
-	if retry == 0 {
-		retry = 5 * time.Second
-	}
-	dial := netproto.SessionConfig{PoolSize: cfg.RepoPool, DialRetry: max(retry, 0)}
+	dial := netproto.SessionConfig{PoolSize: cfg.RepoPool, DialRetry: repoDialRetry}
 	sess, err := netproto.DialSession(cfg.RepoAddr, "cache", dial)
 	if err != nil {
 		m.closeStore()
@@ -814,7 +805,6 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 	result.QueryID = q.ID
 	result.Logical = q.Cost
 	result.Source = "cache"
-	result.Rows = m.sampleRowsFor(q.Objects)
 	payload, release := netproto.NewPayload(m.cfg.Scale, q.Cost, int64(q.ID))
 	result.Payload = payload
 	result.Elapsed = time.Since(start)
@@ -1157,19 +1147,6 @@ func awaitLoads(ctx context.Context, loads []pendingLoad) error {
 		}
 	}
 	return nil
-}
-
-// sampleRowsFor returns demo rows for locally answered queries.
-func (m *Middleware) sampleRowsFor(objs []model.ObjectID) []netproto.ResultRow {
-	sample := m.rows.Sample(objs, 8)
-	if sample == nil {
-		return nil
-	}
-	rows := make([]netproto.ResultRow, len(sample))
-	for i, row := range sample {
-		rows[i] = netproto.ResultRow{ObjID: row.ObjID, RA: row.RA, Dec: row.Dec, R: row.R}
-	}
-	return rows
 }
 
 // loadGroup is a minimal singleflight keyed by object ID: a load

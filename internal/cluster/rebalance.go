@@ -90,8 +90,8 @@ func (r *Router) setStatus(mut func(*netproto.RebalanceStatusMsg)) {
 // serves it synchronously) and returns the final status. Exactly one
 // resize runs at a time; a second request fails fast.
 func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.RebalanceStatusMsg, error) {
-	if len(spec.Shards) == 0 {
-		return r.RebalanceStatus(), fmt.Errorf("cluster: resize needs at least one shard")
+	if err := checkShardAddrs(spec.Shards); err != nil {
+		return r.RebalanceStatus(), err
 	}
 	if !r.resizeMu.TryLock() {
 		return r.RebalanceStatus(), fmt.Errorf("cluster: a resize is already in progress")

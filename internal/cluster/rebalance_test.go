@@ -402,6 +402,38 @@ func TestResizeAdminFrames(t *testing.T) {
 	}
 }
 
+// TestResizeRejectsBadAddresses: shard address lists come from outside
+// the program (-shards, delta-client -resize, MsgAdminResize). One that
+// repeats an address would give two topology positions one session, so
+// one shard would get both positions' owned sets at the same epoch and
+// keep only the later; an empty one cannot be dialed. Both are refused
+// before anything changes: the epoch and the rebalance status stay put
+// and every object still answers from cache. NewRouter refuses them
+// too.
+func TestResizeRejectsBadAddresses(t *testing.T) {
+	survey, lc, _ := startResizableCluster(t, 2)
+	a := lc.Shards[0].Addr()
+	epoch := lc.Router.Topology().Epoch
+	for _, addrs := range [][]string{{a, a}, {a, ""}} {
+		if _, err := lc.Router.Resize(ctx, cluster.ResizeSpec{Shards: addrs}); err == nil {
+			t.Errorf("Resize(%q) succeeded", addrs)
+		}
+		if got := lc.Router.Topology().Epoch; got != epoch {
+			t.Errorf("Resize(%q) moved the epoch %d → %d", addrs, epoch, got)
+		}
+		if st := lc.Router.RebalanceStatus(); st.Phase != "idle" {
+			t.Errorf("Resize(%q) changed the rebalance status: %+v", addrs, st)
+		}
+		if hit := sweepHitRate(t, survey, lc.Router.Addr()); hit < 0.99 {
+			t.Errorf("hit rate after refused Resize(%q) = %.2f, want ~1", addrs, hit)
+		}
+		if r, err := cluster.NewRouter(cluster.Config{Shards: addrs, Ownership: lc.Router.Ownership()}); err == nil {
+			r.Close()
+			t.Errorf("NewRouter(%q) succeeded", addrs)
+		}
+	}
+}
+
 // TestRouterCloseDuringInflightScatter is the regression test for
 // Router.Close racing live scatters: closing the router while
 // fragments dwell on slow shards must fail the pending queries

@@ -53,9 +53,6 @@ type Config struct {
 	// instead of degrading them (Session only fails on connection
 	// death). Defaults to 30s.
 	ShardTimeout time.Duration
-	// StatsTimeout bounds each shard's stats probe (cluster stats, and
-	// the residency probe that opens a live resize). Defaults to 5s.
-	StatsTimeout time.Duration
 	// Resolver maps a sky cap to the object IDs whose partitions may
 	// intersect it (typically catalog.Survey.CoverCap). When set,
 	// client queries arriving with a SkyRegion instead of an object
@@ -192,8 +189,8 @@ type shardLink struct {
 // NewRouter connects a router to its shards. Every shard must be
 // dialable (after DialRetry's grace for startup races).
 func NewRouter(cfg Config) (*Router, error) {
-	if len(cfg.Shards) == 0 {
-		return nil, fmt.Errorf("cluster: router needs at least one shard")
+	if err := checkShardAddrs(cfg.Shards); err != nil {
+		return nil, err
 	}
 	if cfg.Ownership == nil {
 		return nil, fmt.Errorf("cluster: router needs an ownership map")
@@ -210,9 +207,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	if cfg.ShardTimeout <= 0 {
 		cfg.ShardTimeout = 30 * time.Second
-	}
-	if cfg.StatsTimeout <= 0 {
-		cfg.StatsTimeout = 5 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -315,6 +309,27 @@ func NewRouter(cfg Config) (*Router, error) {
 		r.Go(r.birthWorker)
 	}
 	return r, nil
+}
+
+// checkShardAddrs rejects an empty shard address list and one holding an
+// empty or repeated address. Sessions are keyed by address, so a
+// repeated address would give two topology positions one shard: it
+// would receive both positions' owned sets and keep only the later.
+func checkShardAddrs(addrs []string) error {
+	if len(addrs) == 0 {
+		return fmt.Errorf("cluster: at least one shard address is required")
+	}
+	seen := make(map[string]int, len(addrs))
+	for i, addr := range addrs {
+		if addr == "" {
+			return fmt.Errorf("cluster: shard %d has an empty address", i)
+		}
+		if j, dup := seen[addr]; dup {
+			return fmt.Errorf("cluster: shards %d and %d share the address %s", j, i, addr)
+		}
+		seen[addr] = i
+	}
+	return nil
 }
 
 // dialLink returns the registry's session for addr, dialing one if the
@@ -900,8 +915,12 @@ func (r *Router) next(ctx context.Context, fr fragment, struck []string, cause e
 	return out, true
 }
 
+// statsTimeout bounds each shard's stats probe (cluster stats, and the
+// residency probe that opens a live resize).
+const statsTimeout = 5 * time.Second
+
 // probeStats asks every link for its StatsMsg in parallel, each probe
-// bounded by StatsTimeout. A shard that fails to answer comes back
+// bounded by statsTimeout. A shard that fails to answer comes back
 // not-alive, with the failure in Err.
 func (r *Router) probeStats(ctx context.Context, links []*shardLink) []netproto.ShardStats {
 	out := make([]netproto.ShardStats, len(links))
@@ -913,7 +932,7 @@ func (r *Router) probeStats(ctx context.Context, links []*shardLink) []netproto.
 			st := &out[i]
 			st.Shard = s.index
 			st.Addr = s.addr
-			ctx, cancel := context.WithTimeout(ctx, r.cfg.StatsTimeout)
+			ctx, cancel := context.WithTimeout(ctx, statsTimeout)
 			defer cancel()
 			reply, err := s.sess.RoundTrip(ctx, netproto.Frame{
 				Type: netproto.MsgStats, Body: netproto.StatsMsg{},

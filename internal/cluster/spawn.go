@@ -51,10 +51,6 @@ type LocalConfig struct {
 	// — how tests and BenchmarkReplicaHedging make one shard a
 	// straggler. Return a negative duration for "no override".
 	ShardExecDelay func(shard int) time.Duration
-	// RepoPool is each shard's repository session pool size.
-	RepoPool int
-	// RouterPool is the router's per-shard session pool size.
-	RouterPool int
 	// ResultCacheSize bounds the router's result cache + coalescer
 	// (see cluster.Config.ResultCacheSize: 0 = default, negative
 	// disables; only effective with a RepoAddr).
@@ -78,9 +74,9 @@ type LocalConfig struct {
 }
 
 // LocalCluster is an in-process sharded deployment: N cache shards and
-// the router fronting them, all on loopback. Tests, benchmarks, and
-// examples use it to stand up a whole topology in a few milliseconds
-// — and resize it live with Resize.
+// the router fronting them, all on loopback. Tests and benchmarks use
+// it to stand up a whole topology in a few milliseconds — and resize it
+// live with Resize.
 type LocalCluster struct {
 	Ownership *Ownership
 	Shards    []*cache.Middleware
@@ -118,7 +114,6 @@ func SpawnLocal(cfg LocalConfig) (*LocalCluster, error) {
 		Shards:          addrs,
 		Ownership:       own,
 		RepoAddr:        cfg.RepoAddr,
-		ShardPool:       cfg.RouterPool,
 		ResultCacheSize: cfg.ResultCacheSize,
 		Resolver:        cfg.Resolver,
 		ResolverGrow:    cfg.ResolverGrow,
@@ -173,7 +168,6 @@ func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, er
 	}
 	mw, err := cache.New(cache.Config{
 		RepoAddr:         cfg.RepoAddr,
-		RepoPool:         cfg.RepoPool,
 		PolicyFactory:    factory,
 		Objects:          universe,
 		ObjectFilter:     own.Filter(s),

@@ -85,10 +85,6 @@ func NewBenefit(cfg BenefitConfig) *Benefit {
 // Name implements Policy.
 func (p *Benefit) Name() string { return "Benefit" }
 
-// Config returns the policy's configuration (after Init it reflects
-// applied defaults).
-func (p *Benefit) Config() BenefitConfig { return p.cfg }
-
 // Stats returns internal decision counters.
 func (p *Benefit) Stats() BenefitStats { return p.stats }
 

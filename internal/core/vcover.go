@@ -10,7 +10,10 @@ import (
 	"github.com/deltacache/delta/internal/model"
 )
 
-// VCoverConfig parameterizes VCover.
+// VCoverConfig parameterizes VCover. The algorithm itself has no knobs:
+// loads use the paper's randomized cost attribution (no per-object
+// counters), and updates are only ever shipped on demand, when a vertex
+// cover picks them.
 type VCoverConfig struct {
 	// Seed drives the LoadManager's randomized cost attribution.
 	Seed int64
@@ -18,28 +21,11 @@ type VCoverConfig struct {
 	// LoadManager's object-usage tracking (the paper measures usage
 	// "from frequency and recency of use").
 	GDSF bool
-	// CounterLoading replaces the randomized cost attribution with
-	// explicit per-object counters: an object becomes a load candidate
-	// exactly when its accumulated attributed cost reaches its load
-	// cost. The paper rejects this variant as space-inefficient
-	// ("counters on each object are not maintained") but it is the
-	// natural ablation: both variants should produce similar traffic,
-	// which BenchmarkAblationCounterLoading verifies.
-	CounterLoading bool
-	// Preship enables the response-time extension sketched in the
-	// paper's Section 4 discussion: once an object's updates have been
-	// shipped by vertex covers repeatedly, further updates for it are
-	// preshipped (proactively sent on arrival), trading update traffic
-	// for lower response times on currency-demanding queries.
-	Preship bool
-	// PreshipAfter is the number of cover-driven update shipments on an
-	// object that arms preshipping for it (default 3).
-	PreshipAfter int
 }
 
 // DefaultVCoverConfig returns the configuration used in the experiments.
 func DefaultVCoverConfig() VCoverConfig {
-	return VCoverConfig{Seed: 1, GDSF: true, PreshipAfter: 3}
+	return VCoverConfig{Seed: 1, GDSF: true}
 }
 
 // VCover is the paper's online algorithm for the data decoupling
@@ -76,13 +62,6 @@ type VCover struct {
 	// updObject maps update vertices present in the interaction graph to
 	// their object.
 	updObject map[model.UpdateID]model.ObjectID
-	// attributed holds per-object accumulated query costs when
-	// CounterLoading is enabled.
-	attributed map[model.ObjectID]int64
-	// coverShips counts cover-driven update shipments per object; when
-	// Preship is enabled and the count reaches PreshipAfter, the object
-	// switches to push mode.
-	coverShips map[model.ObjectID]int
 
 	stats VCoverStats
 }
@@ -100,7 +79,6 @@ type VCoverStats struct {
 	ObjectsLoaded     int64
 	ObjectsEvicted    int64
 	CoverComputations int64
-	UpdatesPreshipped int64
 }
 
 // NewVCover returns a VCover policy with the given configuration.
@@ -133,11 +111,6 @@ func (p *VCover) Init(objects []model.Object, capacity cost.Bytes) error {
 	p.rng = rand.New(rand.NewSource(p.cfg.Seed))
 	p.outstanding = make(map[model.ObjectID][]pendingUpdate)
 	p.updObject = make(map[model.UpdateID]model.ObjectID)
-	p.attributed = make(map[model.ObjectID]int64)
-	p.coverShips = make(map[model.ObjectID]int)
-	if p.cfg.PreshipAfter <= 0 {
-		p.cfg.PreshipAfter = 3
-	}
 	return nil
 }
 
@@ -209,13 +182,6 @@ func (p *VCover) OnUpdate(u *model.Update) (Decision, error) {
 		return Decision{}, err
 	}
 	if p.idx.isCached(u.Object) {
-		if p.cfg.Preship && p.coverShips[u.Object] >= p.cfg.PreshipAfter {
-			// The object has proven query-hot and update-cheap: push the
-			// update immediately so currency-demanding queries are not
-			// delayed by on-demand shipping (Section 4 discussion).
-			p.stats.UpdatesPreshipped++
-			return Decision{ApplyUpdates: []model.UpdateID{u.ID}}, nil
-		}
 		p.outstanding[u.Object] = append(p.outstanding[u.Object], pendingUpdate{update: *u})
 	}
 	return Decision{}, nil
@@ -302,7 +268,6 @@ func (p *VCover) updateManager(q *model.Query) (Decision, error) {
 		}
 		delete(p.updObject, uid)
 		d.ApplyUpdates = append(d.ApplyUpdates, uid)
-		p.coverShips[obj]++
 		p.stats.UpdatesShipped++
 	}
 	if cover.ContainsLeft(int64(q.ID)) {
@@ -369,22 +334,6 @@ func (p *VCover) loadManager(q *model.Query) (Decision, error) {
 		}
 		l := int64(size)
 		entry := gds.Entry{Key: int64(id), Size: l, Cost: l}
-		if p.cfg.CounterLoading {
-			// Ablation: explicit per-object counters instead of the
-			// randomized attribution. Deterministic, but needs state for
-			// every object ever queried.
-			take := c
-			if take > l {
-				take = l
-			}
-			p.attributed[id] += take
-			c -= take
-			if p.attributed[id] >= l {
-				candidates = append(candidates, entry)
-				p.attributed[id] = 0
-			}
-			continue
-		}
 		if c >= l {
 			// The query's cost alone covers the load cost: the object is
 			// made a candidate immediately.

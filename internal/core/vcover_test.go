@@ -123,9 +123,14 @@ func TestVCoverHitAnswersAtCacheFree(t *testing.T) {
 func TestVCoverShipsCheapUpdatesOverExpensiveQuery(t *testing.T) {
 	p := newTestVCover(t, 30*cost.GB)
 	warmLoad(t, p, 1, 1, time.Second)
-	// A cheap update invalidates the object.
-	if _, err := p.OnUpdate(&model.Update{ID: 1, Object: 1, Cost: cost.MB, Time: 2 * time.Second}); err != nil {
+	// A cheap update invalidates the object; it is never shipped on
+	// arrival, only when a cover picks it.
+	du, err := p.OnUpdate(&model.Update{ID: 1, Object: 1, Cost: cost.MB, Time: 2 * time.Second})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !du.IsNoop() {
+		t.Errorf("an arriving update must not ship: %+v", du)
 	}
 	// An expensive zero-tolerance query: the cover must ship the update.
 	d, err := p.OnQuery(&model.Query{

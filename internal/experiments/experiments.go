@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -16,7 +17,6 @@ import (
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/sim"
-	"github.com/deltacache/delta/internal/trace"
 	"github.com/deltacache/delta/internal/workload"
 )
 
@@ -207,11 +207,30 @@ var PolicyNames = []string{"NoCache", "Replica", "Benefit", "VCover", "SOptimal"
 // Fig7a writes the Figure 7(a) scatter (object-ID incidence along the
 // event sequence) as CSV.
 func Fig7a(s *Setup, w io.Writer) error {
-	k := len(s.Events) / 4000
-	if k < 1 {
-		k = 1
+	return ScatterCSV(w, s.Events, len(s.Events)/4000)
+}
+
+// ScatterCSV writes the Figure 7(a) scatter: one row per (event,
+// object) incidence with the event kind. Sampling every k-th event
+// keeps files small; k <= 1 writes every event.
+func ScatterCSV(w io.Writer, events []model.Event, k int) error {
+	k = max(k, 1)
+	bw := bufio.NewWriter(w)
+	if _, err := fmt.Fprintln(bw, "event,object,kind"); err != nil {
+		return err
 	}
-	return trace.ScatterCSV(w, s.Events, k)
+	for i := 0; i < len(events); i += k {
+		e := &events[i]
+		switch e.Kind {
+		case model.EventQuery:
+			for _, o := range e.Query.Objects {
+				fmt.Fprintf(bw, "%d,%d,query\n", e.Seq, o)
+			}
+		case model.EventUpdate:
+			fmt.Fprintf(bw, "%d,%d,update\n", e.Seq, e.Update.Object)
+		}
+	}
+	return bw.Flush()
 }
 
 // Fig7bRow is one sample of the cumulative-traffic comparison.

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/deltacache/delta/internal/cost"
-	"github.com/deltacache/delta/internal/trace"
+	"github.com/deltacache/delta/internal/model"
 )
 
 // testSetup builds a reduced but statistically meaningful trace (100k
@@ -35,9 +37,13 @@ func TestNewSetupGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One JSON object per event, newline-terminated.
 	h := sha256.New()
-	if err := trace.WriteJSONL(h, s.Events); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(h)
+	for i := range s.Events {
+		if err := enc.Encode(&s.Events[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("reference trace hash changed:\n got  %s\n want %s", got, want)
@@ -112,6 +118,55 @@ func TestFig7aCSV(t *testing.T) {
 	}
 	if lines[0] != "event,object,kind" {
 		t.Errorf("header = %q", lines[0])
+	}
+}
+
+func scatterEvents() []model.Event {
+	return []model.Event{
+		{Seq: 0, Kind: model.EventQuery, Query: &model.Query{
+			ID: 1, Objects: []model.ObjectID{1, 2}, Cost: 10 * cost.MB,
+			Tolerance: model.NoTolerance, Time: 0,
+		}},
+		{Seq: 1, Kind: model.EventUpdate, Update: &model.Update{
+			ID: 1, Object: 3, Cost: 2 * cost.MB, Time: time.Second,
+		}},
+		{Seq: 2, Kind: model.EventQuery, Query: &model.Query{
+			ID: 2, Objects: []model.ObjectID{2}, Cost: 6 * cost.MB,
+			Tolerance: time.Minute, Time: 2 * time.Second,
+		}},
+		{Seq: 3, Kind: model.EventUpdate, Update: &model.Update{
+			ID: 2, Object: 3, Cost: 1 * cost.MB, Time: 3 * time.Second,
+		}},
+	}
+}
+
+func TestScatterCSV(t *testing.T) {
+	var buf bytes.Buffer
+	if err := ScatterCSV(&buf, scatterEvents(), 1); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	// Header + q1 touches 2 objects + u1 + q2 + u2 = 6 lines.
+	if len(lines) != 6 {
+		t.Fatalf("got %d lines: %v", len(lines), lines)
+	}
+	if lines[0] != "event,object,kind" {
+		t.Errorf("header = %q", lines[0])
+	}
+	if lines[1] != "0,1,query" || lines[2] != "0,2,query" {
+		t.Errorf("query rows wrong: %v", lines[1:3])
+	}
+}
+
+func TestScatterCSVSampling(t *testing.T) {
+	var buf bytes.Buffer
+	if err := ScatterCSV(&buf, scatterEvents(), 2); err != nil {
+		t.Fatal(err)
+	}
+	// Only events 0 and 2 are sampled: header + 2 obj rows + 1 = 4.
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("got %d lines: %v", len(lines), lines)
 	}
 }
 

@@ -36,8 +36,6 @@ type Config struct {
 	Survey *catalog.Survey
 	// Scale converts logical sizes to physical payload bytes.
 	Scale netproto.PayloadScale
-	// SampleRows bounds the demo rows returned with query results.
-	SampleRows int
 	// ExecDelay simulates repository query-execution time per request
 	// (the paper's repository runs multi-second scans over TB-scale
 	// tables; a loopback deployment answers in microseconds, which
@@ -100,9 +98,6 @@ func New(cfg Config) (*Repository, error) {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.SampleRows <= 0 {
-		cfg.SampleRows = 8
 	}
 	r := &Repository{
 		cfg:         cfg,
@@ -547,8 +542,11 @@ func (r *Repository) loadObjects(ids []model.ObjectID) netproto.Frame {
 	}, Release: release}
 }
 
+// sampleRows bounds the demo rows returned with a query result.
+const sampleRows = 8
+
 func (r *Repository) sampleRowsFor(objs []model.ObjectID) []netproto.ResultRow {
-	sample := r.rows.Sample(objs, r.cfg.SampleRows)
+	sample := r.rows.Sample(objs, sampleRows)
 	if sample == nil {
 		return nil
 	}

@@ -10,7 +10,7 @@ import (
 
 // Scripted is a policy that replays a pre-written list of decisions, one
 // per event, optionally starting from a preloaded cache. It exists so
-// tests and examples can evaluate hand-constructed plans — such as the
+// tests can evaluate hand-constructed plans — such as the
 // two strategies of the paper's Section 3.1 example — under the
 // simulator's full cost accounting and constraint checking.
 type Scripted struct {

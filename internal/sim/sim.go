@@ -73,13 +73,6 @@ func (r *Result) Total() cost.Bytes { return r.Ledger.Total() }
 // events); constraint breaches by the policy are reported as violations
 // in the Result instead.
 func Run(policy core.Policy, objects []model.Object, events []model.Event, cfg Config) (*Result, error) {
-	return run(policy, objects, events, cfg, nil)
-}
-
-// run is Run that also hands every event's applied Plan to observe, when
-// set.
-func run(policy core.Policy, objects []model.Object, events []model.Event, cfg Config,
-	observe func(*model.Event, core.Plan)) (*Result, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("sim: nil policy")
 	}
@@ -168,9 +161,6 @@ func run(policy core.Policy, objects []model.Object, events []model.Event, cfg C
 		for _, u := range p.Ship {
 			ledger.Charge(cost.UpdateShip, u.Cost)
 			res.UpdatesShipped++
-		}
-		if observe != nil {
-			observe(e, p)
 		}
 		if e.Kind == model.EventQuery {
 			if p.ShipQuery {

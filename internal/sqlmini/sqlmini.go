@@ -157,8 +157,8 @@ func estimateResultSize(st *Statement, survey *catalog.Survey, center geom.Vec3,
 	return cost.Bytes(size)
 }
 
-// Execute runs the statement over a row sample (the demo executor used
-// by the live services and examples).
+// Execute runs the statement over a row sample (a demo executor that no
+// node calls).
 func Execute(st *Statement, rows []catalog.Row) ([]catalog.Row, int, error) {
 	var cap geom.Cap
 	hasRegion := st.Region != nil

@@ -2,13 +2,13 @@ package workload
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
 	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
-	"github.com/deltacache/delta/internal/trace"
 )
 
 // smallConfig returns a fast config for tests.
@@ -224,20 +224,49 @@ func TestHotspotDecoupling(t *testing.T) {
 	// Query hotspots and update hotspots must be largely disjoint —
 	// this is the workload property Delta exploits (Fig 7a).
 	events := genSmall(t)
-	st := trace.Summarize(events)
-	topQ := st.TopQueried(8)
-	topU := st.TopUpdated(8)
-	overlap := 0
-	for _, q := range topQ {
-		for _, u := range topU {
-			if q.Object == u.Object {
-				overlap++
+	queryBytes := make(map[model.ObjectID]cost.Bytes)
+	updateBytes := make(map[model.ObjectID]cost.Bytes)
+	for i := range events {
+		switch e := &events[i]; e.Kind {
+		case model.EventQuery:
+			// A query's bytes split evenly over its objects.
+			share := e.Query.Cost / cost.Bytes(len(e.Query.Objects))
+			for _, o := range e.Query.Objects {
+				queryBytes[o] += share
 			}
+		case model.EventUpdate:
+			updateBytes[e.Update.Object] += e.Update.Cost
+		}
+	}
+	topU := make(map[model.ObjectID]bool)
+	for _, o := range topByBytes(updateBytes, 8) {
+		topU[o] = true
+	}
+	overlap := 0
+	for _, o := range topByBytes(queryBytes, 8) {
+		if topU[o] {
+			overlap++
 		}
 	}
 	if overlap > 3 {
 		t.Errorf("query/update hotspots overlap too much: %d of 8", overlap)
 	}
+}
+
+// topByBytes returns the n objects with the most bytes, ties broken by
+// object ID.
+func topByBytes(bytes map[model.ObjectID]cost.Bytes, n int) []model.ObjectID {
+	ids := make([]model.ObjectID, 0, len(bytes))
+	for id := range bytes {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		if bytes[ids[i]] != bytes[ids[j]] {
+			return bytes[ids[i]] > bytes[ids[j]]
+		}
+		return ids[i] < ids[j]
+	})
+	return ids[:min(n, len(ids))]
 }
 
 func TestCampaignEvolution(t *testing.T) {
