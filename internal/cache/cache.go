@@ -4,7 +4,8 @@
 // answer from its local object store, ship outstanding updates first, or
 // ship the query to the repository — and, in the background, whether to
 // load objects. It subscribes to the repository's invalidation stream so
-// its policy sees every update the moment the repository ingests it.
+// its policy sees every update the moment the repository ingests it (a
+// cluster shard: every update on what it owns, filter.go).
 //
 // Every decision is applied to core.Applier, the simulator's own ground
 // truth: a bad decision item is skipped as the simulator skips it, and
@@ -198,6 +199,9 @@ type Middleware struct {
 	violations *obs.Counter
 
 	inv *netproto.Conn // invalidation subscription
+	// filter is the owned-set handshake on inv (cluster shards only;
+	// filter.go).
+	filter streamFilter
 	// deaf is set once the invalidation stream is lost while the node is
 	// not closing: no notice reaches the policy again, so every query
 	// ships to the repository from then on.
@@ -262,6 +266,7 @@ func New(cfg Config) (*Middleware, error) {
 		cfg:    cfg,
 		policy: cfg.Policy,
 		byID:   newObjectTable(len(cfg.Objects)),
+		filter: streamFilter{wake: make(chan struct{}, 1), lost: make(chan struct{})},
 	}
 	m.Node = node.New("cache", cfg.Addr, cfg.MetricsAddr, cfg.Logf, m.handleClientFrame)
 	m.replicas.Store(int64(max(cfg.Replicas, 1)))
@@ -399,6 +404,13 @@ func New(cfg Config) (*Middleware, error) {
 		m.inv.Close()
 	}
 	m.Go(func() { m.invalidationLoop(m.inv) })
+	if m.owned != nil {
+		// A cluster shard asks for its own objects' notices only; once
+		// New returns, the repository filters this stream.
+		m.filter.mu.Lock()
+		m.awaitFilter(m.sendFilter(nil))
+		m.filter.mu.Unlock()
+	}
 	if m.store != nil {
 		// The interval only bounds journal replay length: reshards
 		// snapshot on their own, and Close lands a final one, so a clean
@@ -588,6 +600,7 @@ func (m *Middleware) Stats() netproto.StatsMsg {
 }
 
 func (m *Middleware) invalidationLoop(c *netproto.Conn) {
+	defer close(m.filter.lost)
 	ctx := context.Background()
 	for {
 		f, err := c.Recv()
@@ -603,6 +616,10 @@ func (m *Middleware) invalidationLoop(c *netproto.Conn) {
 				m.cfg.Logf("invalidation stream lost: %v; every query ships to the repository", err)
 			}
 			return
+		}
+		if _, ok := f.Body.(netproto.ReshardMsg); ok {
+			m.filterEchoed()
+			continue
 		}
 		if birth, ok := f.Body.(netproto.ObjectBirthMsg); ok {
 			m.mu.Lock()
@@ -628,9 +645,10 @@ func (m *Middleware) invalidationLoop(c *netproto.Conn) {
 		m.mu.Lock()
 		if m.owned != nil {
 			if !m.owned.has(inv.Update.Object) {
-				// Another shard's object: the repository's stream
-				// carries every update, ownership says this one is not
-				// our business (not a drop).
+				// Not ours (not a drop): the repository's filter passes
+				// a superset of what this shard owns — the union while a
+				// reshard narrows, every object above the horizon, the
+				// whole stream until the first echo.
 				m.mu.Unlock()
 				continue
 			}

@@ -7,10 +7,11 @@
 // that were resident at their old primary — is adopted through the same
 // call; residents the node no longer owns are dropped for free.
 //
-// Nothing moves between shards and nothing touches the repository:
-// residency is bookkeeping, so a warm arrival is a name on a list, and
-// the repository ledger (the paper's objective function) sees no reload
-// for it.
+// Nothing moves between shards and nothing is loaded from the
+// repository: residency is bookkeeping, so a warm arrival is a name on a
+// list, and the repository ledger (the paper's objective function) sees
+// no reload for it. The repository hears only the new owned set, on the
+// invalidation stream (filter.go).
 package cache
 
 import (
@@ -42,6 +43,10 @@ import (
 // applier's answer check ships any query the policy would answer from
 // it. Warm IDs are hints in the same sense: the router read them from
 // the old primary's resident list, which may have moved on since.
+//
+// A reshard that gains objects widens the repository's notice filter to
+// old ∪ new and waits for its echo before the swap; every successful
+// reshard then narrows it to the new set (filter.go).
 func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Object, warm []model.ObjectID) (resident, dropped int, err error) {
 	if m.cfg.PolicyFactory == nil {
 		return 0, 0, fmt.Errorf("cache: no policy factory configured; live reshard unavailable")
@@ -82,15 +87,49 @@ func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Obj
 		return 0, 0, fmt.Errorf("cache: reshard init: %w", err)
 	}
 
+	// Reshards serialize on the filter handshake (filter.go): the owned
+	// set changes only while the repository's filter covers both sides.
+	m.filter.mu.Lock()
+	defer m.filter.mu.Unlock()
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	// Reject frames from a superseded resize: a reshard that timed out
 	// router-side can still arrive late, and applying it would clobber
 	// the owned set a newer epoch installed. Widen and narrow share an
 	// epoch, so equality is allowed.
 	if epoch < m.reshardEpoch {
+		m.mu.Unlock()
 		return 0, 0, fmt.Errorf("cache: reshard for epoch %d superseded by epoch %d", epoch, m.reshardEpoch)
 	}
+	gains := false
+	if m.owned != nil {
+		for id := range want.all() {
+			if !m.owned.has(id) {
+				gains = true
+				break
+			}
+		}
+	}
+	m.mu.Unlock()
+	if gains {
+		// A notice on a gained object applied before the repository
+		// passes it would never reach the policy: widen the filter to
+		// old ∪ new and wait for it before owning anything new.
+		m.awaitFilter(m.sendFilter(want))
+	}
+	m.mu.Lock()
+	resident, dropped, err = m.swapLocked(epoch, want, warm, policy, capacity)
+	m.mu.Unlock()
+	if err != nil {
+		return 0, 0, err
+	}
+	// Narrow to exactly the new set; nothing waits on it.
+	m.sendFilter(nil)
+	return resident, dropped, nil
+}
+
+// swapLocked installs the reshard's policy, applier and owned set; mu
+// must be held.
+func (m *Middleware) swapLocked(epoch int, want *idSet, warm []model.ObjectID, policy core.Policy, capacity cost.Bytes) (resident, dropped int, err error) {
 	m.reshardEpoch = epoch
 	residents := m.applier.Residents() // sorted: deterministic adoption under capacity pressure
 	carried := make([]model.ObjectID, 0, len(residents))

@@ -85,6 +85,16 @@ func (t *objectTable) has(id model.ObjectID) bool {
 
 func (t *objectTable) len() int { return t.n }
 
+// knownPrefix returns the largest h such that every ID in 1..h is known.
+func (t *objectTable) knownPrefix() model.ObjectID {
+	for i := range t.dense {
+		if t.dense[i].ID == 0 {
+			return model.ObjectID(i)
+		}
+	}
+	return model.ObjectID(len(t.dense))
+}
+
 // all yields every known object, dense range first in ascending ID
 // order, then sparse overflow in map order.
 func (t *objectTable) all() iter.Seq[model.Object] {

@@ -43,8 +43,7 @@ import (
 // from NewRouter when Config.RepoAddr is set.
 func (r *Router) subscribeInvalidations() error {
 	c, err := netproto.DialConn(r.cfg.RepoAddr, "invalidations", netproto.SessionConfig{
-		DialTimeout: r.cfg.DialTimeout,
-		DialRetry:   max(r.cfg.DialRetry, 0),
+		DialRetry: max(r.cfg.DialRetry, 0),
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: subscribe invalidations: %w", err)

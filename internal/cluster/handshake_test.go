@@ -116,13 +116,29 @@ func TestHandshakeOnEveryNode(t *testing.T) {
 					u := model.Update{ID: nextUpdate, Object: lc.Ownership.ShardObjects(0)[0], Cost: cost.KB, Time: time.Duration(nextUpdate) * time.Second}
 					switch role {
 					case "pipeline":
+						// A raw subscriber sees the fed update's notice.
+						sn, err := net.Dial("tcp", node.addr)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer sn.Close()
+						sn.SetDeadline(time.Now().Add(deadline))
+						sub := netproto.NewConn(sn)
+						if err := sub.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "invalidations", Version: netproto.ProtoV3}}); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := sub.Recv(); err != nil {
+							t.Fatal(err)
+						}
 						if err := c.Send(netproto.Frame{Type: netproto.MsgUpdateFeed, Body: netproto.UpdateFeedMsg{Update: u}}); err != nil {
 							t.Fatal(err)
 						}
-						for end := time.Now().Add(deadline); len(repo.OutstandingSince(u.Object, u.Time-1)) != 1; time.Sleep(time.Millisecond) {
-							if time.Now().After(end) {
-								t.Fatalf("update %d fed over the pipeline never reached the repository", u.ID)
-							}
+						f, err := sub.Recv()
+						if err != nil {
+							t.Fatalf("update %d fed over the pipeline never reached a subscriber: %v", u.ID, err)
+						}
+						if inv, ok := f.Body.(netproto.InvalidateMsg); !ok || inv.Update != u {
+							t.Fatalf("subscriber received %s %+v, want the notice for update %d", f.Type, f.Body, u.ID)
 						}
 					case "invalidations":
 						repo.ApplyUpdate(u)

@@ -35,15 +35,9 @@ type Config struct {
 	// accepts birth publications from clients, forwarding them to the
 	// repository. Empty disables growth at this router.
 	RepoAddr string
-	// RepoPool is how many connections back the repository session used
-	// to forward birth publications (0 means a small default). Only
-	// used when RepoAddr is set.
-	RepoPool int
 	// ShardPool is how many connections back each shard session
 	// (each one multiplexes; 0 means a small default).
 	ShardPool int
-	// DialTimeout bounds each shard connection attempt. Defaults to 5s.
-	DialTimeout time.Duration
 	// DialRetry keeps retrying refused shard connections for this
 	// long (a router typically starts alongside its shards). Defaults
 	// to 2s; negative disables.
@@ -282,9 +276,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	r.status = netproto.RebalanceStatusMsg{Phase: "idle", From: len(cfg.Shards), To: len(cfg.Shards)}
 	if cfg.RepoAddr != "" {
 		repo, err := netproto.DialSession(cfg.RepoAddr, "client", netproto.SessionConfig{
-			PoolSize:    max(cfg.RepoPool, 1),
-			DialTimeout: cfg.DialTimeout,
-			DialRetry:   max(cfg.DialRetry, 0),
+			DialRetry: max(cfg.DialRetry, 0),
 		})
 		if err != nil {
 			r.closeLinks()
@@ -343,9 +335,8 @@ func (r *Router) dialLink(addr string, index int) (*shardLink, error) {
 	}
 	r.linksMu.Unlock()
 	sess, err := netproto.DialSession(addr, "client", netproto.SessionConfig{
-		PoolSize:    r.cfg.ShardPool,
-		DialTimeout: r.cfg.DialTimeout,
-		DialRetry:   max(r.cfg.DialRetry, 0),
+		PoolSize:  r.cfg.ShardPool,
+		DialRetry: max(r.cfg.DialRetry, 0),
 	})
 	if err != nil {
 		return nil, err

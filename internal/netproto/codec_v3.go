@@ -492,9 +492,13 @@ func encodeBodyV3(e *encBuf, t MsgType, body any) error {
 		encObjectIDs(e, b.Warm)
 		e.varint(int64(b.Resident))
 		e.varint(int64(b.Dropped))
-		// Replicas rides the frame tail: encoded only when non-zero.
-		if b.Replicas != 0 {
+		// Replicas and then Horizon ride the frame tail: each is encoded
+		// only when it or a later field is non-zero.
+		if b.Replicas != 0 || b.Horizon != 0 {
 			e.varint(int64(b.Replicas))
+		}
+		if b.Horizon != 0 {
+			e.varint(int64(b.Horizon))
 		}
 	case ObjectBirthMsg:
 		e.uvarint(uint64(len(b.Births)))
@@ -677,6 +681,9 @@ func decodeBodyV3(d *decBuf, t MsgType) (any, error) {
 		b.Dropped = int(d.varint())
 		if d.err == nil && len(d.b) > 0 {
 			b.Replicas = int(d.varint())
+		}
+		if d.err == nil && len(d.b) > 0 {
+			b.Horizon = model.ObjectID(d.varint())
 		}
 		body = b
 	case MsgObjectBirth:

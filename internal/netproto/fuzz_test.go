@@ -135,6 +135,11 @@ func seedFrames() []Frame {
 			},
 			Payload: []byte{8, 9},
 		}},
+		// A shard's owned set on its invalidation stream: the Horizon
+		// tail forces a zero Replicas before it.
+		{Type: MsgReshard, Body: ReshardMsg{
+			Epoch: 1, Owned: []model.ObjectID{2, 3, 5}, Horizon: 16,
+		}},
 	}
 }
 

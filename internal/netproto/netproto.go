@@ -517,6 +517,12 @@ type RebalanceStatusMsg struct {
 // resident objects over warm, then adopting Warm arrivals, and dropping
 // the rest. The reply echoes the message with Resident/Dropped filled
 // in.
+//
+// A cluster shard also sends it on its invalidation stream (shard →
+// repository) to name the objects whose update notices it wants: Owned
+// and every ID above Horizon. The repository installs that filter and
+// echoes Epoch and the Horizon it applied back in-stream, after the
+// last notice filtered the old way.
 type ReshardMsg struct {
 	Epoch int
 	Owned []model.ObjectID
@@ -538,6 +544,11 @@ type ReshardMsg struct {
 	// (Owned spans every replica rank, not just primaries). Rides the
 	// frame tail; 0 means unspecified and leaves the shard's K unchanged.
 	Replicas int
+	// Horizon is an invalidation-stream field: the shard knew every
+	// object up to it when it sent the set, so any object it is granted
+	// later lies above it, and the repository passes every notice above
+	// it. Rides the frame tail after Replicas; 0 passes every notice.
+	Horizon model.ObjectID
 }
 
 // ObjectBirthMsg carries newly published objects: full metadata plus

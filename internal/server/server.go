@@ -66,15 +66,14 @@ type Repository struct {
 	ledger cost.Ledger
 	rows   *catalog.RowIndex
 
-	mu        sync.Mutex
-	updates   map[model.UpdateID]model.Update
-	perObject map[model.ObjectID][]model.UpdateID
-	// subscribers carry invalidation-stream frames: update notices
-	// (MsgInvalidate) and new-object announcements (MsgObjectBirth). Nil
-	// once Close has closed the channels: no subscriber registers after.
-	subscribers map[int]chan netproto.Frame
+	mu      sync.Mutex
+	updates map[model.UpdateID]model.Update
+	// subscribers are the invalidation streams. Nil once Close has
+	// closed their channels: no subscriber registers after.
+	subscribers map[int]*subscriber
 	nextSub     int
 
+	notices              *obs.Counter
 	droppedInvalidations atomic.Int64
 	objectsBorn          atomic.Int64
 	recoveredBirths      atomic.Int64
@@ -91,6 +90,52 @@ type Repository struct {
 	fsyncLat     *obs.Histogram
 }
 
+// subscriber is one invalidation stream: the frames queued to it —
+// update notices (MsgInvalidate), new-object announcements
+// (MsgObjectBirth) and filter echoes (MsgReshard) — and the filter its
+// cluster shard installed.
+type subscriber struct {
+	ch chan netproto.Frame
+	// filter is nil until the subscriber sends its owned set; nil passes
+	// every notice and announcement.
+	filter *noticeFilter
+}
+
+// noticeFilter is a cluster shard's view of the update stream: the
+// notices of the objects it owned when it sent the set, and of every
+// object above horizon. The shard knew every object up to horizon, and
+// a shard is granted only objects it did not know, so everything it
+// may own before its next set lies in the filter.
+type noticeFilter struct {
+	owned   []uint64 // bit id-1 is set for every owned id ≤ horizon
+	horizon model.ObjectID
+}
+
+// newNoticeFilter builds the filter for an owned set. No object above
+// the repository's universe can be owned yet, so a horizon past it is
+// lowered to it: that passes more notices, never fewer, and bounds the
+// bitset by the universe whatever the peer sent.
+func newNoticeFilter(owned []model.ObjectID, horizon model.ObjectID, universe int) *noticeFilter {
+	horizon = max(0, min(horizon, model.ObjectID(universe)))
+	f := &noticeFilter{owned: make([]uint64, (int(horizon)+63)/64), horizon: horizon}
+	for _, id := range owned {
+		if id >= 1 && id <= horizon {
+			f.owned[(id-1)/64] |= 1 << ((id - 1) % 64)
+		}
+	}
+	return f
+}
+
+// passes reports whether an update on obj is sent to the filter's
+// subscriber. A nil filter passes everything.
+func (f *noticeFilter) passes(obj model.ObjectID) bool {
+	if f == nil || obj > f.horizon {
+		return true
+	}
+	i := obj - 1
+	return i >= 0 && f.owned[i/64]&(1<<(i%64)) != 0
+}
+
 // New validates the config and creates a repository (not yet listening).
 func New(cfg Config) (*Repository, error) {
 	if cfg.Survey == nil {
@@ -103,8 +148,7 @@ func New(cfg Config) (*Repository, error) {
 		cfg:         cfg,
 		rows:        catalog.NewRowIndex(cfg.Survey.SampleRows(2000, cfg.Survey.Config().Seed)),
 		updates:     make(map[model.UpdateID]model.Update),
-		perObject:   make(map[model.ObjectID][]model.UpdateID),
-		subscribers: make(map[int]chan netproto.Frame),
+		subscribers: make(map[int]*subscriber),
 	}
 	r.Node = node.New("repository", cfg.Addr, cfg.MetricsAddr, cfg.Logf, r.handleRequest)
 	r.Roles = map[string]node.Serve{
@@ -120,6 +164,8 @@ func New(cfg Config) (*Repository, error) {
 		"Repository object-load latency.", nil)
 	r.fsyncLat = r.Reg.NewHistogram("delta_journal_fsync_seconds",
 		"Durability journal fsync latency.", nil)
+	r.notices = r.Reg.NewCounter("delta_repo_notices_total",
+		"Update notices queued to invalidation subscribers, after each subscriber's ownership filter.")
 	obs.RegisterStats(r.Reg, func() (netproto.StatsMsg, error) { return r.Stats(), nil })
 	if cfg.DataDir != "" {
 		store, err := persist.Open(persist.Options{
@@ -208,44 +254,51 @@ func (r *Repository) DroppedInvalidations() int64 {
 	return r.droppedInvalidations.Load()
 }
 
+// Notices reports how many update notices have been queued to
+// subscribers (delta_repo_notices_total): one per subscriber whose
+// filter passed the update, drops excluded.
+func (r *Repository) Notices() int64 { return r.notices.Value() }
+
 // closeSubscribers is the runtime's Unblock hook: closing every
 // subscriber channel ends its serveInvalidations loop.
 func (r *Repository) closeSubscribers() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, ch := range r.subscribers {
-		close(ch)
+	for _, s := range r.subscribers {
+		close(s.ch)
 	}
 	r.subscribers = nil
 }
 
 // ApplyUpdate ingests one pipeline update directly (the in-process
 // pipeline path used by tests and the simulator bridge; the network path
-// arrives via MsgUpdateFeed).
+// arrives via MsgUpdateFeed). This is the stream's one broadcast point
+// for notices: each goes to the subscribers whose filter passes its
+// object.
 func (r *Repository) ApplyUpdate(u model.Update) {
+	f := netproto.Frame{Type: netproto.MsgInvalidate, Body: netproto.InvalidateMsg{Update: u}}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.updates[u.ID] = u
-	r.perObject[u.Object] = append(r.perObject[u.Object], u.ID)
-	r.broadcastLocked(netproto.Frame{
-		Type: netproto.MsgInvalidate,
-		Body: netproto.InvalidateMsg{Update: u},
-	})
+	for _, s := range r.subscribers {
+		if s.filter.passes(u.Object) && r.enqueueLocked(s, f) {
+			r.notices.Inc()
+		}
+	}
 }
 
-// broadcastLocked fans one frame out to every invalidation subscriber.
-// Sends stay under the lock: subscriber channels are closed under it,
-// and a send racing a close would panic. They cannot block the
-// pipeline — a full buffer drops the notice instead (dropped notices
-// only cost freshness, loading repairs it, and the drop counter makes
-// them observable in StatsMsg).
-func (r *Repository) broadcastLocked(f netproto.Frame) {
-	for _, ch := range r.subscribers {
-		select {
-		case ch <- f:
-		default:
-			r.droppedInvalidations.Add(1)
-		}
+// enqueueLocked queues f to one subscriber. Sends stay under the lock:
+// subscriber channels are closed under it, and a send racing a close
+// would panic. They cannot block the pipeline — a full buffer drops the
+// frame instead (a dropped notice only costs freshness, loading repairs
+// it, and the drop counter makes it observable in StatsMsg).
+func (r *Repository) enqueueLocked(s *subscriber, f netproto.Frame) bool {
+	select {
+	case s.ch <- f:
+		return true
+	default:
+		r.droppedInvalidations.Add(1)
+		return false
 	}
 }
 
@@ -287,32 +340,22 @@ func (r *Repository) AddObjects(births []model.Birth) (int, error) {
 	}
 	r.objectsBorn.Add(int64(len(accepted)))
 	r.cfg.Logf("ingested %d new objects (universe now %d)", len(accepted), r.cfg.Survey.NumObjects())
+	f := netproto.Frame{Type: netproto.MsgObjectBirth, Body: netproto.ObjectBirthMsg{Births: accepted}}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.broadcastLocked(netproto.Frame{
-		Type: netproto.MsgObjectBirth,
-		Body: netproto.ObjectBirthMsg{Births: accepted},
-	})
+	for _, s := range r.subscribers {
+		// A filtered subscriber is a cluster shard, which adopts a
+		// newborn only when its router grants it.
+		if s.filter == nil {
+			r.enqueueLocked(s, f)
+		}
+	}
 	return len(accepted), nil
 }
 
 // ObjectsBorn reports how many new objects the repository has ingested
 // since start.
 func (r *Repository) ObjectsBorn() int64 { return r.objectsBorn.Load() }
-
-// OutstandingSince returns updates for an object newer than the given
-// time (used when a cache loads an object and needs the frontier).
-func (r *Repository) OutstandingSince(obj model.ObjectID, since time.Duration) []model.Update {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []model.Update
-	for _, id := range r.perObject[obj] {
-		if u := r.updates[id]; u.Time > since {
-			out = append(out, u)
-		}
-	}
-	return out
-}
 
 func (r *Repository) servePipeline(c *netproto.Conn, hello netproto.Hello) error {
 	if _, err := netproto.ServeHandshake(c, hello, 0); err != nil {
@@ -342,10 +385,11 @@ func (r *Repository) servePipeline(c *netproto.Conn, hello netproto.Hello) error
 // serveInvalidations registers the subscriber before acknowledging its
 // Hello: the dialer returns from its handshake only after the ack, so
 // every update applied after a subscribing constructor returns reaches
-// that subscriber. The stream is then one-way: a writer goroutine sends
-// the notices while this one watches the read side, so a subscriber
-// that leaves gives up its slot at once — not when the next notice,
-// which may never come, fails to send.
+// that subscriber. A writer goroutine then sends the queued frames while
+// this one watches the read side, so a subscriber that leaves gives up
+// its slot at once — not when the next notice, which may never come,
+// fails to send. The only frame a subscriber may send is its owned set
+// (installFilter).
 func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) error {
 	ch := make(chan netproto.Frame, 1024)
 	r.mu.Lock()
@@ -355,7 +399,7 @@ func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) 
 	}
 	id := r.nextSub
 	r.nextSub++
-	r.subscribers[id] = ch
+	r.subscribers[id] = &subscriber{ch: ch}
 	r.mu.Unlock()
 	unregister := func() {
 		r.mu.Lock()
@@ -380,9 +424,12 @@ func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) 
 			}
 		}
 	}()
-	f, err := c.Recv()
-	if err == nil {
-		err = fmt.Errorf("server: invalidation subscriber sent %s", f.Type)
+	var err error
+	for err == nil {
+		var f netproto.Frame
+		if f, err = c.Recv(); err == nil {
+			err = r.installFilter(id, f)
+		}
 	}
 	unregister() // closes ch: the writer's range ends
 	c.Close()    // a writer blocked on a peer that stopped reading fails now
@@ -391,6 +438,37 @@ func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) 
 		err = sendErr
 	}
 	return netproto.IgnoreClosed(err)
+}
+
+// installFilter serves a frame subscriber id sent on its stream, which
+// must be a cluster shard's owned set (MsgReshard): the filter replaces
+// the subscriber's old one, and the frame's Epoch and effective Horizon
+// are echoed back in-stream. Every notice queued before the echo passed
+// the old filter and every notice after it passes the new one, so a
+// shard that waits for the echo knows when a widened set is in force.
+// An echo that finds the buffer full ends the stream: the shard would
+// wait for it forever, and a shard without a stream fails closed.
+func (r *Repository) installFilter(id int, f netproto.Frame) error {
+	body, ok := f.Body.(netproto.ReshardMsg)
+	if !ok {
+		return fmt.Errorf("server: invalidation subscriber sent %s", f.Type)
+	}
+	filter := newNoticeFilter(body.Owned, body.Horizon, r.cfg.Survey.NumObjects())
+	echo := netproto.Frame{Type: netproto.MsgReshard, Body: netproto.ReshardMsg{
+		Epoch:   body.Epoch,
+		Horizon: filter.horizon,
+	}}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, ok := r.subscribers[id]
+	if !ok {
+		return nil // closing: the next Recv fails
+	}
+	s.filter = filter
+	if !r.enqueueLocked(s, echo) {
+		return fmt.Errorf("server: invalidation subscriber %d is %d frames behind; dropping it", id, len(s.ch))
+	}
+	return nil
 }
 
 // handleRequest executes one request frame and builds its reply (the

@@ -44,21 +44,95 @@ func TestAddrBeforeStart(t *testing.T) {
 	}
 }
 
-func TestOutstandingSince(t *testing.T) {
+// TestNoticeFilterAndEcho drives the subscriber side of the owned-set
+// filter over raw streams: a subscriber that sends nothing gets every
+// notice and announcement; one that sends its owned set gets the echo
+// (with the horizon it was given, lowered to the universe), then only
+// the notices of its objects and of objects above the horizon, and no
+// announcements. The counter counts what was queued, after the filter.
+func TestNoticeFilterAndEcho(t *testing.T) {
 	repo := testRepo(t)
-	repo.ApplyUpdate(model.Update{ID: 1, Object: 3, Cost: 1, Time: 10 * time.Second})
-	repo.ApplyUpdate(model.Update{ID: 2, Object: 3, Cost: 1, Time: 20 * time.Second})
-	repo.ApplyUpdate(model.Update{ID: 3, Object: 4, Cost: 1, Time: 30 * time.Second})
+	if err := repo.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	subscribe := func() *netproto.Conn {
+		nc, err := net.Dial("tcp", repo.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		return handshake(t, nc, "invalidations")
+	}
+	recv := func(c *netproto.Conn) any {
+		t.Helper()
+		f, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.Body
+	}
+	setFilter := func(c *netproto.Conn, owned []model.ObjectID, horizon, wantHorizon model.ObjectID) {
+		t.Helper()
+		if err := c.Send(netproto.Frame{Type: netproto.MsgReshard, Body: netproto.ReshardMsg{
+			Epoch: 7, Owned: owned, Horizon: horizon,
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		echo, ok := recv(c).(netproto.ReshardMsg)
+		if !ok || echo.Epoch != 7 || echo.Horizon != wantHorizon || len(echo.Owned) != 0 {
+			t.Fatalf("echo = %+v, want epoch 7, horizon %d, no owned list", echo, wantHorizon)
+		}
+	}
+	wantNotice := func(c *netproto.Conn, obj model.ObjectID) {
+		t.Helper()
+		if inv, ok := recv(c).(netproto.InvalidateMsg); !ok || inv.Update.Object != obj {
+			t.Fatalf("got %+v, want the notice on object %d", inv, obj)
+		}
+	}
 
-	got := repo.OutstandingSince(3, 15*time.Second)
-	if len(got) != 1 || got[0].ID != 2 {
-		t.Errorf("OutstandingSince(3, 15s) = %+v, want update 2", got)
+	all, shard := subscribe(), subscribe()
+	setFilter(shard, []model.ObjectID{3, 4}, 8, 8)
+	objects := []model.ObjectID{3, 5, 9, 4}
+	for i, obj := range objects {
+		repo.ApplyUpdate(model.Update{ID: model.UpdateID(i + 1), Object: obj, Cost: 1, Time: time.Second})
 	}
-	if got := repo.OutstandingSince(3, 0); len(got) != 2 {
-		t.Errorf("OutstandingSince(3, 0) = %d updates, want 2", len(got))
+	for _, obj := range objects {
+		wantNotice(all, obj)
 	}
-	if got := repo.OutstandingSince(9, 0); len(got) != 0 {
-		t.Errorf("unrelated object has %d outstanding", len(got))
+	for _, obj := range []model.ObjectID{3, 9, 4} {
+		wantNotice(shard, obj)
+	}
+	if got := repo.Notices(); got != 7 {
+		t.Errorf("notices = %d, want 4 unfiltered + 3 filtered", got)
+	}
+
+	// A birth is announced to the unfiltered subscriber only.
+	if _, err := repo.AddObjects([]model.Birth{{Object: model.Object{ID: 13, Size: cost.MB}, RA: 1, Dec: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := recv(all).(netproto.ObjectBirthMsg); !ok {
+		t.Fatal("unfiltered subscriber missed the announcement")
+	}
+	repo.ApplyUpdate(model.Update{ID: 10, Object: 4, Cost: 1, Time: time.Second})
+	wantNotice(shard, 4)
+
+	// A horizon past the universe (13 objects now) is lowered to it, and
+	// a new set replaces the old one.
+	setFilter(shard, []model.ObjectID{5}, 1<<30, 13)
+	for i, obj := range []model.ObjectID{4, 5, 14} {
+		repo.ApplyUpdate(model.Update{ID: model.UpdateID(20 + i), Object: obj, Cost: 1, Time: time.Second})
+	}
+	wantNotice(shard, 5)
+	wantNotice(shard, 14)
+
+	// Any other frame ends the stream.
+	if err := shard.Send(netproto.Frame{Type: netproto.MsgStats, Body: netproto.StatsMsg{}}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := shard.Recv(); err == nil {
+		t.Fatalf("stream still open after a stray frame: got %s", f.Type)
 	}
 }
 
