@@ -14,76 +14,83 @@ import (
 	"strings"
 	"time"
 
-	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/experiments"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "delta-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// experiment is one -exp value: it writes its CSVs under outdir and
+// prints its summary to stdout.
+type experiment struct {
+	name string
+	run  func(opts experiments.Options, outdir string) error
+}
+
+// suite is every experiment, in the order -exp all runs them.
+var suite = []experiment{
+	{"fig7a", fig7a},
+	{"fig7b", fig7b},
+	{"fig8a", fig8a},
+	{"fig8b", fig8b},
+	{"cachesize", cacheSize},
+	{"window", window},
+	{"warmup", warmup},
+}
+
+// expNames is the -exp vocabulary: every experiment, then "all".
+func expNames() string {
+	names := make([]string, 0, len(suite)+1)
+	for _, e := range suite {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), "|")
+}
+
+// selectExperiments resolves an -exp value to the experiments it runs.
+func selectExperiments(name string) ([]experiment, error) {
+	if name == "all" {
+		return suite, nil
+	}
+	for _, e := range suite {
+		if e.name == name {
+			return []experiment{e}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown -exp %q (valid: %s)", name, expNames())
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("delta-bench", flag.ExitOnError)
 	var (
-		exp    = flag.String("exp", "all", "experiment: fig7a|fig7b|fig8a|fig8b|cachesize|window|warmup|all")
-		scale  = flag.Float64("scale", 0.2, "workload scale (1 = the paper's 500k events)")
-		outdir = flag.String("outdir", "results", "directory for CSV output")
-		seed   = flag.Int64("seed", 0, "workload seed (0 = reference trace)")
+		exp    = fs.String("exp", "all", "experiment: "+expNames())
+		scale  = fs.Float64("scale", 0.2, "workload scale (1 = the paper's 500k events)")
+		outdir = fs.String("outdir", "results", "directory for CSV output")
+		seed   = fs.Int64("seed", 0, "workload seed (0 = reference trace)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	selected, err := selectExperiments(*exp)
+	if err != nil {
+		return err
+	}
 
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {
 		return err
 	}
 	opts := experiments.Options{Scale: *scale, Seed: *seed}
-
-	runOne := func(name string, fn func() error) error {
+	for _, e := range selected {
 		start := time.Now()
-		fmt.Printf("## %s\n", name)
-		if err := fn(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+		fmt.Printf("## %s\n", e.name)
+		if err := e.run(opts, *outdir); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		fmt.Printf("(%s in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-
-	all := *exp == "all"
-	if all || *exp == "fig7a" {
-		if err := runOne("fig7a", func() error { return fig7a(opts, *outdir) }); err != nil {
-			return err
-		}
-	}
-	if all || *exp == "fig7b" {
-		if err := runOne("fig7b", func() error { return fig7b(opts, *outdir) }); err != nil {
-			return err
-		}
-	}
-	if all || *exp == "fig8a" {
-		if err := runOne("fig8a", func() error { return fig8a(opts, *outdir) }); err != nil {
-			return err
-		}
-	}
-	if all || *exp == "fig8b" {
-		if err := runOne("fig8b", func() error { return fig8b(opts, *outdir) }); err != nil {
-			return err
-		}
-	}
-	if all || *exp == "cachesize" {
-		if err := runOne("cachesize", func() error { return cacheSize(opts, *outdir) }); err != nil {
-			return err
-		}
-	}
-	if all || *exp == "window" {
-		if err := runOne("window", func() error { return window(opts, *outdir) }); err != nil {
-			return err
-		}
-	}
-	if all || *exp == "warmup" {
-		if err := runOne("warmup", func() error { return warmup(opts, *outdir) }); err != nil {
-			return err
-		}
+		fmt.Printf("(%s in %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }
@@ -285,5 +292,3 @@ func warmup(opts experiments.Options, outdir string) error {
 	}
 	return nil
 }
-
-var _ = cost.GB

@@ -38,7 +38,6 @@ func run() error {
 		cacheFrac   = flag.Float64("cache-frac", 0.3, "cache size as a fraction of the server total")
 		bytesPerGB  = flag.Int64("bytes-per-gb", 4096, "physical payload bytes per logical GB")
 		repoPool    = flag.Int("repo-pool", 2, "connections in the repository session pool")
-		execDelay   = flag.Duration("exec-delay", 0, "simulated node-local scan time per cache-answered query")
 		shardIdx    = flag.Int("shard-index", -1, "run as shard i of a cluster (-1: standalone)")
 		shardCount  = flag.Int("shard-count", 0, "total shards in the cluster (with -shard-index)")
 		shardMode   = flag.String("shard-mode", "htm", "cluster ownership mode: htm|rendezvous (must match the router)")
@@ -133,7 +132,6 @@ func run() error {
 		ReshardCapacity:  cache.FractionalCapacity(*cacheFrac),
 		Replicas:         *replicas,
 		Scale:            netproto.PayloadScale{BytesPerGB: *bytesPerGB},
-		ExecDelay:        *execDelay,
 		Resolver:         resolver,
 		ResolverGrow:     resolverGrow,
 		DataDir:          *dataDir,

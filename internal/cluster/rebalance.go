@@ -65,9 +65,9 @@ type ResizeSpec struct {
 	// but not shut down (they are not the router's to stop).
 	Shards []string
 	// SkipMigration skips the residency probe and sends no warm lists,
-	// so new holders start cold — the "restart" baseline
-	// BenchmarkRebalance compares warm resizes against. Routing still
-	// flips atomically.
+	// so new holders start cold. RestartShard resizes this way, and
+	// TestResizeColdBaselineLosesWarmth holds it against a warm resize.
+	// Routing still flips atomically.
 	SkipMigration bool
 }
 

@@ -48,7 +48,7 @@ type LocalConfig struct {
 	// cache.Config.ExecDelay).
 	ExecDelay time.Duration
 	// ShardExecDelay, when non-nil, overrides ExecDelay per shard index
-	// — how tests and BenchmarkReplicaHedging make one shard a
+	// — how TestClusterHedgedReadsMaskStraggler makes one shard a
 	// straggler. Return a negative duration for "no override".
 	ShardExecDelay func(shard int) time.Duration
 	// ResultCacheSize bounds the router's result cache + coalescer

@@ -2,8 +2,8 @@
 // evaluation (Section 6). Each experiment builds the synthetic SDSS-like
 // survey and workload, replays it through the five policies under the
 // simulator, and returns the series/rows the paper plots. The
-// delta-bench command and the repository's benchmarks are thin wrappers
-// over this package; EXPERIMENTS.md records paper-vs-measured for each.
+// delta-bench command is a thin wrapper over this package, and the
+// benchmark's paper-trace workload replays NewSetup's reference trace.
 package experiments
 
 import (

@@ -246,6 +246,40 @@ func TestFig8bRuns(t *testing.T) {
 	}
 }
 
+// TestCacheSizeSweep checks the sweep's shape, not an ordering of the
+// online policies: VCover's traffic need not fall as the cache grows.
+// NoCache holds nothing and Replica holds everything regardless of
+// capacity, so their totals must not move with the fraction.
+func TestCacheSizeSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run sweep")
+	}
+	fracs := []float64{0.1, 0.2, 0.3}
+	rows, err := CacheSize(Options{Scale: 0.008}, fracs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(fracs) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(fracs))
+	}
+	for i, row := range rows {
+		if row.CacheFrac != fracs[i] {
+			t.Errorf("row %d: fraction %v, want %v", i, row.CacheFrac, fracs[i])
+		}
+		for _, name := range PolicyNames {
+			if row.Totals[name] <= 0 {
+				t.Errorf("fraction %v: %s total %v, want > 0", row.CacheFrac, name, row.Totals[name])
+			}
+		}
+		for _, name := range []string{"NoCache", "Replica"} {
+			if row.Totals[name] != rows[0].Totals[name] {
+				t.Errorf("%s at fraction %v = %v, at %v = %v; must not depend on the cache size",
+					name, row.CacheFrac, row.Totals[name], rows[0].CacheFrac, rows[0].Totals[name])
+			}
+		}
+	}
+}
+
 func TestBenefitWindowSweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")

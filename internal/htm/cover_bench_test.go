@@ -63,3 +63,18 @@ func BenchmarkHTMCover(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHTMLocate measures point location at the paper's default
+// granularity.
+func BenchmarkHTMLocate(b *testing.B) {
+	pts := make([]geom.Vec3, 128)
+	for i := range pts {
+		pts[i] = geom.FromRADec(float64(i*7%360), float64(i%160-80))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Locate(pts[i%len(pts)], 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

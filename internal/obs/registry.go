@@ -11,8 +11,7 @@
 // (Counter.Add, Histogram.Observe, TraceRing.Add, ...) is a no-op on a
 // nil receiver, and a nil *Registry hands out nil instruments. A node
 // built with observability disabled therefore carries nil obs fields
-// and its instrumented call sites need no branches — which is also
-// what BenchmarkObsOverhead measures the cost of.
+// and its instrumented call sites need no branches.
 package obs
 
 import (

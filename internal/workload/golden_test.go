@@ -8,7 +8,7 @@ import (
 
 // goldenTraces pins the exact event stream every scenario generates
 // for a fixed survey, seed, and event mix. A refactor that silently
-// changes any scenario's trace — and with it every benchmark trajectory
+// changes any scenario's trace — and with it every benchmark number
 // built on that scenario — fails here first. When a change is
 // *intentional*, regenerate with:
 //
