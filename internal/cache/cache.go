@@ -24,7 +24,8 @@
 // object share one load. A client connection's requests run on its own
 // bounded set of worker goroutines, so a query stalled on an object load
 // never head-of-line-blocks its neighbors. If the invalidation stream
-// is lost, the node fails closed: every query ships.
+// is lost, the node fails closed — every query ships — until it has
+// resubscribed and rebuilt cold (resume).
 package cache
 
 import (
@@ -198,13 +199,11 @@ type Middleware struct {
 	fsyncLat   *obs.Histogram
 	violations *obs.Counter
 
-	inv *netproto.Conn // invalidation subscription
-	// filter is the owned-set handshake on inv (cluster shards only;
-	// filter.go).
-	filter streamFilter
-	// deaf is set once the invalidation stream is lost while the node is
-	// not closing: no notice reaches the policy again, so every query
-	// ships to the repository from then on.
+	// inv is the invalidation subscription; a cluster shard also sends
+	// its owned set on it (filter.go).
+	inv *node.Subscription
+	// deaf is set between a gap in the invalidation stream and its
+	// resume: no notice reaches the policy, so every query ships.
 	deaf atomic.Bool
 }
 
@@ -266,7 +265,6 @@ func New(cfg Config) (*Middleware, error) {
 		cfg:    cfg,
 		policy: cfg.Policy,
 		byID:   newObjectTable(len(cfg.Objects)),
-		filter: streamFilter{wake: make(chan struct{}, 1), lost: make(chan struct{})},
 	}
 	m.Node = node.New("cache", cfg.Addr, cfg.MetricsAddr, cfg.Logf, m.handleClientFrame)
 	m.replicas.Store(int64(max(cfg.Replicas, 1)))
@@ -388,28 +386,27 @@ func New(cfg Config) (*Middleware, error) {
 	}
 	m.repo = sess
 
-	// Invalidation subscription (a one-way stream). The repository acks
-	// the handshake only after registering the subscriber, so every
-	// update applied once New returns is delivered here.
-	m.inv, err = netproto.DialConn(cfg.RepoAddr, "invalidations", dial)
+	// Invalidation subscription: every update applied once New returns
+	// is delivered here.
+	m.inv, err = m.Subscribe(cfg.RepoAddr, dial, node.StreamHandler{
+		Frame:  m.streamFrame,
+		Gap:    func() { m.deaf.Store(true) },
+		Resume: m.resume,
+	})
 	if err != nil {
 		sess.Close()
 		m.closeStore()
 		return nil, fmt.Errorf("cache: subscribe invalidations: %w", err)
 	}
-	// Closing the session and the stream fails every handler's pending
-	// repository round trip and ends the invalidation loop.
-	m.Unblock = func() {
-		m.repo.Close()
-		m.inv.Close()
-	}
-	m.Go(func() { m.invalidationLoop(m.inv) })
+	// Closing the session fails every handler's pending repository
+	// round trip.
+	m.Unblock = func() { m.repo.Close() }
 	if m.owned != nil {
 		// A cluster shard asks for its own objects' notices only; once
 		// New returns, the repository filters this stream.
-		m.filter.mu.Lock()
-		m.awaitFilter(m.sendFilter(nil))
-		m.filter.mu.Unlock()
+		m.inv.Lock()
+		m.inv.Send(m.filterFrame(nil)).Wait()
+		m.inv.Unlock()
 	}
 	if m.store != nil {
 		// The interval only bounds journal replay length: reshards
@@ -423,33 +420,42 @@ func New(cfg Config) (*Middleware, error) {
 		}
 	}
 
-	// Apply any preload the policy requests (Replica/SOptimal) through
-	// the same singleflight and flights as decision loads, one frame of
-	// maxLoadBatch objects at a time. Objects a recovery already adopted
-	// stay as they are.
-	if pre, ok := m.policy.(core.Preloader); ok {
-		objs, charge := pre.Preload()
-		m.mu.Lock()
-		objs = slices.DeleteFunc(slices.Clone(objs), m.applier.Resident)
-		err := m.applier.Preload(objs)
-		m.mu.Unlock()
-		if err != nil {
-			m.Close()
-			return nil, fmt.Errorf("cache: %w", err)
-		}
-		for chunk := range slices.Chunk(objs, maxLoadBatch) {
-			loads := make([]pendingLoad, len(chunk))
-			for i, id := range chunk {
-				loads[i] = m.registerLoad(id)
-			}
-			m.startLoads(context.Background(), loads, charge)
-			if err := awaitLoads(context.Background(), loads); err != nil {
-				m.Close()
-				return nil, fmt.Errorf("cache: preload: %w", err)
-			}
-		}
+	if err := m.preload(); err != nil {
+		m.Close()
+		return nil, fmt.Errorf("cache: %w", err)
 	}
 	return m, nil
+}
+
+// preload applies the preload the policy requests (Replica/SOptimal)
+// through the same singleflight and flights as decision loads, one
+// frame of maxLoadBatch objects at a time. Objects already resident
+// stay as they are.
+func (m *Middleware) preload() error {
+	m.mu.Lock()
+	pre, ok := m.policy.(core.Preloader)
+	if !ok {
+		m.mu.Unlock()
+		return nil
+	}
+	objs, charge := pre.Preload()
+	objs = slices.DeleteFunc(slices.Clone(objs), m.applier.Resident)
+	err := m.applier.Preload(objs)
+	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	for chunk := range slices.Chunk(objs, maxLoadBatch) {
+		loads := make([]pendingLoad, len(chunk))
+		for i, id := range chunk {
+			loads[i] = m.registerLoad(id)
+		}
+		m.startLoads(context.Background(), loads, charge)
+		if err := awaitLoads(context.Background(), loads); err != nil {
+			return fmt.Errorf("preload: %w", err)
+		}
+	}
+	return nil
 }
 
 // closeStore releases the persist store on constructor error paths.
@@ -599,74 +605,101 @@ func (m *Middleware) Stats() netproto.StatsMsg {
 	return stats
 }
 
-func (m *Middleware) invalidationLoop(c *netproto.Conn) {
-	defer close(m.filter.lost)
+// streamFrame is the invalidation stream's handler: a notice reaches
+// the policy (a cluster shard's only on an object it owns), and a
+// standalone cache adopts announced births.
+func (m *Middleware) streamFrame(f netproto.Frame) {
 	ctx := context.Background()
-	for {
-		f, err := c.Recv()
-		if err != nil {
-			select {
-			case <-m.Done():
-			default:
-				// Deaf, not closing: residents can go stale with nothing
-				// to tell the policy, so fail closed and ship every query
-				// rather than answer from them. The node does not
-				// resubscribe.
-				m.deaf.Store(true)
-				m.cfg.Logf("invalidation stream lost: %v; every query ships to the repository", err)
-			}
+	if birth, ok := f.Body.(netproto.ObjectBirthMsg); ok {
+		m.mu.Lock()
+		sharded := m.owned != nil
+		m.mu.Unlock()
+		if sharded {
+			// A cluster shard adopts births only when its router grants
+			// them (MsgBirthGrant): ownership of a newborn is the
+			// router's assignment, not a broadcast.
 			return
 		}
-		if _, ok := f.Body.(netproto.ReshardMsg); ok {
-			m.filterEchoed()
-			continue
-		}
-		if birth, ok := f.Body.(netproto.ObjectBirthMsg); ok {
-			m.mu.Lock()
-			sharded := m.owned != nil
-			m.mu.Unlock()
-			if sharded {
-				// A cluster shard adopts births only when its router
-				// grants them (MsgBirthGrant): ownership of a newborn is
-				// the router's assignment, not a broadcast.
-				continue
-			}
-			if _, err := m.AddObjects(ctx, birth.Births); err != nil {
-				m.droppedInv.Add(1)
-				m.cfg.Logf("adopt births: %v", err)
-			}
-			continue
-		}
-		inv, ok := f.Body.(netproto.InvalidateMsg)
-		if !ok {
-			m.cfg.Logf("invalidation stream sent %s", f.Type)
-			continue
-		}
-		m.mu.Lock()
-		if m.owned != nil {
-			if !m.owned.has(inv.Update.Object) {
-				// Not ours (not a drop): the repository's filter passes
-				// a superset of what this shard owns — the union while a
-				// reshard narrows, every object above the horizon, the
-				// whole stream until the first echo.
-				m.mu.Unlock()
-				continue
-			}
-		}
-		d, err := m.policy.OnUpdate(&inv.Update)
-		if err != nil {
-			m.mu.Unlock()
+		if _, err := m.AddObjects(ctx, birth.Births); err != nil {
 			m.droppedInv.Add(1)
-			m.cfg.Logf("policy OnUpdate: %v", err)
-			continue
+			m.cfg.Logf("adopt births: %v", err)
 		}
-		p := m.applyLocked(model.Event{Kind: model.EventUpdate, Update: &inv.Update}, d)
+		return
+	}
+	inv, ok := f.Body.(netproto.InvalidateMsg)
+	if !ok {
+		m.cfg.Logf("invalidation stream sent %s", f.Type)
+		return
+	}
+	m.mu.Lock()
+	if m.owned != nil && !m.owned.has(inv.Update.Object) {
+		// Not ours (not a drop): the repository's filter passes a
+		// superset of what this shard owns — the union while a reshard
+		// narrows, every object above the horizon, the whole stream
+		// until its owned set is installed.
 		m.mu.Unlock()
-		if err := m.executePlan(ctx, p); err != nil {
-			m.droppedInv.Add(1)
-			m.cfg.Logf("apply update decision: %v", err)
+		return
+	}
+	d, err := m.policy.OnUpdate(&inv.Update)
+	if err != nil {
+		m.mu.Unlock()
+		m.droppedInv.Add(1)
+		m.cfg.Logf("policy OnUpdate: %v", err)
+		return
+	}
+	p := m.applyLocked(model.Event{Kind: model.EventUpdate, Update: &inv.Update}, d)
+	m.mu.Unlock()
+	if err := m.executePlan(ctx, p); err != nil {
+		m.droppedInv.Add(1)
+		m.cfg.Logf("apply update decision: %v", err)
+	}
+}
+
+// resume is the invalidation stream's Resume. The repository kept no
+// notice for the node while it was away, and an outstanding update ID
+// from before the gap may no longer ship, so any resident may be stale:
+// the node rebuilds cold — a fresh policy over what it owns and an
+// empty applier — snapshots, so a restart cannot resurrect what it
+// dropped, and hears again. A shard then re-sends its owned set without
+// awaiting the echo: until the repository installs it, the new stream
+// is unfiltered, a superset. Births announced during the gap are
+// missed. A node without a PolicyFactory cannot rebuild and stays deaf.
+func (m *Middleware) resume(sub *node.Subscription) {
+	if err := m.repo.Redial(); err != nil {
+		m.cfg.Logf("redial repository: %v", err)
+	}
+	if m.cfg.PolicyFactory == nil {
+		m.cfg.Logf("no policy factory to rebuild with; every query keeps shipping")
+		return
+	}
+	m.mu.Lock()
+	universe := make([]model.Object, 0, m.byID.len())
+	for o := range m.byID.all() {
+		if m.owned == nil || m.owned.has(o.ID) {
+			universe = append(universe, o)
 		}
 	}
+	slices.SortFunc(universe, func(a, b model.Object) int { return cmp.Compare(a.ID, b.ID) })
+	policy, capacity, err := m.newPolicy(universe)
+	if err == nil {
+		m.policy, m.applier = policy, core.NewApplier(capacity, m.sizeOf)
+	}
+	sharded := m.owned != nil
+	m.mu.Unlock()
+	if err != nil {
+		m.cfg.Logf("rebuild after the gap: %v; every query keeps shipping", err)
+		return
+	}
+	m.snapshotNow()
+	m.deaf.Store(false)
+	if sharded {
+		sub.Send(m.filterFrame(nil))
+	}
+	m.Go(func() {
+		if err := m.preload(); err != nil {
+			m.cfg.Logf("rebuild after the gap: %v", err)
+		}
+	})
 }
 
 // orError turns a handler's failure into the MsgError reply its peer
@@ -786,8 +819,8 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 		}
 	}
 	if m.deaf.Load() {
-		// No notice reaches the policy any more, so its view of
-		// currency is blind: ship without consulting it.
+		// No notice reaches the policy until the stream resumes, so its
+		// view of currency is blind: ship without consulting it.
 		m.mu.Unlock()
 		return m.shipQuery(ctx, q, meta, start, plan{})
 	}

@@ -2,8 +2,10 @@ package cache_test
 
 import (
 	"math/rand"
+	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -52,15 +54,124 @@ type filterModel struct {
 	applied      []model.UpdateID
 }
 
+// cutProxy relays a shard's repository connections frame by frame so a
+// test can cut its invalidation streams: all of them at once (cut), or
+// the next one right after it forwards the shard's next owned-set frame,
+// before the repository's echo can come back (armed). opened gets a
+// token each time a stream forwards its first owned-set frame — a
+// shard's resume sends one once it hears again.
+type cutProxy struct {
+	ln      net.Listener
+	target  string
+	armed   atomic.Bool
+	opened  chan struct{}
+	mu      sync.Mutex
+	streams map[net.Conn]net.Conn // shard side → repository side
+}
+
+func startCutProxy(t *testing.T, target string) *cutProxy {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// opened is sized above the streams one trial can open (one, plus at
+	// most two cuts per step), so a relay never blocks on it.
+	p := &cutProxy{ln: ln, target: target, opened: make(chan struct{}, 64), streams: make(map[net.Conn]net.Conn)}
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go p.relay(nc)
+		}
+	}()
+	return p
+}
+
+func (p *cutProxy) relay(nc net.Conn) {
+	defer nc.Close()
+	down := netproto.NewConn(nc)
+	hello, err := netproto.ReadHello(down)
+	if err != nil {
+		return
+	}
+	uc, err := net.Dial("tcp", p.target)
+	if err != nil {
+		return
+	}
+	defer uc.Close()
+	up := netproto.NewConn(uc)
+	stream := hello.Role == "invalidations"
+	if stream {
+		p.mu.Lock()
+		p.streams[nc] = uc
+		p.mu.Unlock()
+		defer func() {
+			p.mu.Lock()
+			delete(p.streams, nc)
+			p.mu.Unlock()
+		}()
+	}
+	if up.Send(netproto.Frame{Type: netproto.MsgHello, Body: hello}) != nil {
+		return
+	}
+	go func() {
+		defer nc.Close()
+		for {
+			f, err := up.Recv()
+			if err != nil || down.Send(f) != nil {
+				return
+			}
+		}
+	}()
+	for first := true; ; first = false {
+		f, err := down.Recv()
+		if err != nil || up.Send(f) != nil {
+			return
+		}
+		if stream && f.Type == netproto.MsgReshard {
+			if first {
+				p.opened <- struct{}{}
+			}
+			if p.armed.CompareAndSwap(true, false) {
+				return
+			}
+		}
+	}
+}
+
+// cut closes every invalidation stream, both sides.
+func (p *cutProxy) cut() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for down, up := range p.streams {
+		down.Close()
+		up.Close()
+	}
+}
+
+// awaitOpen waits for a stream to send its first owned set.
+func (p *cutProxy) awaitOpen(t *testing.T) {
+	t.Helper()
+	select {
+	case <-p.opened:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the shard never resubscribed")
+	}
+}
+
 // TestQuickFilteredShardMatchesFullStream is the filter's property: over
 // random sequences of subscribe (after some births the shard never
 // heard of), births granted at once, late grants out of ID order,
-// widening and narrowing reshards, and updates on any object the
-// repository knows, a shard behind the ownership-filtered stream applies
+// widening and narrowing reshards, updates on any object the repository
+// knows, and stream cuts — between steps, and between a widen's send and
+// its echo — a shard behind the ownership-filtered stream applies
 // exactly the notices the oracle applies, in the same order. Every step
 // ends with a notice on object 1, which the shard always owns; the
 // stream is FIFO, so once that notice is logged, everything before it
-// has been filtered or applied.
+// has been filtered or applied. No update is applied during a gap: a
+// notice missed there is the cold rebuild's business, not the filter's.
 func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 	var filtered int64 // notices the filter spared the shard, over all trials
 	prop := func(seed int64) bool {
@@ -83,6 +194,9 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer repo.Close()
+		proxy := startCutProxy(t, repo.Addr())
+		defer proxy.ln.Close()
+		defer proxy.cut()
 		var born []model.Birth
 		publish := func() model.Birth {
 			b := model.Birth{
@@ -109,7 +223,7 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 		}
 		log := &noticeLog{}
 		mw, err := cache.New(cache.Config{
-			RepoAddr: repo.Addr(),
+			RepoAddr: proxy.ln.Addr().String(),
 			PolicyFactory: func() core.Policy {
 				return loggingVCover{VCover: core.NewVCover(core.DefaultVCoverConfig()), log: log}
 			},
@@ -123,6 +237,7 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer mw.Close()
+		proxy.awaitOpen(t)
 
 		nextUpdate := model.UpdateID(0)
 		update := func(obj model.ObjectID) {
@@ -143,6 +258,10 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 		}
 		epoch := 0
 		for step := range 30 {
+			if rng.Intn(6) == 0 {
+				proxy.cut()
+				proxy.awaitOpen(t)
+			}
 			universe := survey.NumObjects()
 			switch k := rng.Intn(10); {
 			case k < 5:
@@ -163,21 +282,24 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 						owned = append(owned, id)
 					}
 				}
+				var gained []model.ObjectID
 				for _, id := range owned {
 					o, err := survey.Object(id)
 					if err != nil {
 						t.Fatal(err)
 					}
 					meta = append(meta, o)
-				}
-				if _, _, err := mw.Reshard(epoch, owned, meta, nil); err != nil {
-					t.Fatal(err)
-				}
-				var gained []model.ObjectID
-				for _, id := range owned {
 					if !oracle.owned[id] {
 						gained = append(gained, id)
 					}
+				}
+				cutWiden := len(gained) > 0 && rng.Intn(2) == 0
+				proxy.armed.Store(cutWiden)
+				if _, _, err := mw.Reshard(epoch, owned, meta, nil); err != nil {
+					t.Fatal(err)
+				}
+				if cutWiden {
+					proxy.awaitOpen(t)
 				}
 				oracle.owned = make(map[model.ObjectID]bool, len(owned))
 				for _, id := range owned {

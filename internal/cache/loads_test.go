@@ -372,47 +372,79 @@ func residents(m *Middleware) []model.ObjectID {
 	return m.applier.Residents()
 }
 
-// TestDeafCacheShipsEveryQuery: once its invalidation stream is lost
-// while it is not closing, a cache can no longer tell its residents are
-// stale, so it ships every query instead of answering from them.
-func TestDeafCacheShipsEveryQuery(t *testing.T) {
+// TestCacheGapShipsThenResumesCold pins the gap window and what follows
+// it. While the repository is down the cache ships every query rather
+// than answer from a resident it can no longer vouch for (the ship
+// fails: there is nothing to ship to). An update applied to the
+// restarted repository before it listens reaches no subscriber, so the
+// resumed cache has rebuilt cold: its first tolerance-0 query on the
+// updated object does not answer from the pre-gap resident, and
+// at-cache answers come back once it loads again.
+func TestCacheGapShipsThenResumesCold(t *testing.T) {
 	repo, survey := startLoadRepo(t)
-	m := newLoadCache(t, repo, core.NewVCover(core.DefaultVCoverConfig()), survey.Objects())
-	obj := survey.Objects()[0]
-	// A query whose cost covers the object's load loads it; the next one
-	// is answered from the cache.
-	fresh := model.Query{ID: 1, Objects: []model.ObjectID{obj.ID}, Cost: obj.Size, Tolerance: model.NoTolerance, Time: time.Second}
-	if _, err := query(m, fresh); err != nil {
-		t.Fatal(err)
-	}
-	fresh.ID, fresh.Cost, fresh.Time = 2, cost.MB, 2*time.Second
-	if res, err := query(m, fresh); err != nil || res.Source != "cache" {
-		t.Fatalf("warm query: source %q, err %v; want cache", res.Source, err)
-	}
-
-	m.inv.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for !m.deaf.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("the cache never noticed its invalidation stream was gone")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The notice for this update goes nowhere.
-	repo.ApplyUpdate(model.Update{ID: 1, Object: obj.ID, Cost: cost.MB, Time: 3 * time.Second})
-	shipped := m.Ledger().QueryShip
-	fresh.ID, fresh.Time = 3, 4*time.Second
-	res, err := query(m, fresh)
+	m, err := New(Config{
+		RepoAddr:      repo.Addr(),
+		PolicyFactory: func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
+		Objects:       survey.Objects(),
+		Capacity:      64 * cost.GB,
+		Scale:         netproto.DefaultScale(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Source != "repository" {
-		t.Errorf("deaf cache answered a tolerance-0 query from %q, want repository", res.Source)
+	defer m.Close()
+	obj := survey.Objects()[0]
+	// A query whose cost covers the object's load loads it; the next one
+	// is answered from the cache.
+	warm := func(at time.Duration) {
+		t.Helper()
+		q := model.Query{ID: model.QueryID(at), Objects: []model.ObjectID{obj.ID}, Cost: obj.Size, Tolerance: model.NoTolerance, Time: at}
+		if _, err := query(m, q); err != nil {
+			t.Fatal(err)
+		}
+		q.ID, q.Cost, q.Time = q.ID+1, cost.MB, at+time.Millisecond
+		if res, err := query(m, q); err != nil || res.Source != "cache" {
+			t.Fatalf("warm query at %v: source %q, err %v; want cache", at, res.Source, err)
+		}
 	}
-	if got := m.Ledger().QueryShip - shipped; got != fresh.Cost {
-		t.Errorf("deaf ship charged %v, want %v", got, fresh.Cost)
+	warm(time.Second)
+
+	addr := repo.Addr()
+	repo.Close()
+	eventually(t, "the cache to notice its invalidation stream was gone", m.deaf.Load)
+	fresh := model.Query{ID: 100, Objects: []model.ObjectID{obj.ID}, Cost: cost.MB, Tolerance: model.NoTolerance, Time: 2 * time.Second}
+	before := m.Stats()
+	if res, err := query(m, fresh); err == nil {
+		t.Errorf("a query during the gap answered from %q with the repository down", res.Source)
 	}
-	if st := m.Stats(); st.AtCache+st.Shipped != st.Queries {
-		t.Errorf("at-cache %d + shipped %d != queries %d", st.AtCache, st.Shipped, st.Queries)
+	if st := m.Stats(); st.Shipped != before.Shipped+1 || st.AtCache != before.AtCache {
+		t.Errorf("during the gap: shipped %d -> %d, at-cache %d -> %d; want one ship, no at-cache answer",
+			before.Shipped, st.Shipped, before.AtCache, st.AtCache)
+	}
+
+	repo, err = server.New(server.Config{Survey: survey, Addr: addr, Scale: netproto.DefaultScale()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo.ApplyUpdate(model.Update{ID: 1, Object: obj.ID, Cost: cost.MB, Time: 3 * time.Second})
+	if err := repo.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	eventually(t, "the cache to resume", func() bool { return !m.deaf.Load() })
+	if got := residents(m); len(got) != 0 {
+		t.Errorf("resumed with residents %v, want a cold rebuild", got)
+	}
+	fresh.ID, fresh.Time = 101, 4*time.Second
+	if res, err := query(m, fresh); err != nil || res.Source != "repository" {
+		t.Errorf("first tolerance-0 query after the resume: source %q, err %v; want repository", res.Source, err)
+	}
+	atCache := m.Stats().AtCache
+	warm(5 * time.Second)
+	if got := m.Stats().AtCache; got <= atCache {
+		t.Errorf("at-cache answers did not come back after the resume (%d -> %d)", atCache, got)
+	}
+	if got := m.violations.Value(); got != 0 {
+		t.Errorf("%d decision violations", got)
 	}
 }

@@ -75,22 +75,15 @@ func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Obj
 	if len(universe) == 0 {
 		return 0, 0, fmt.Errorf("cache: reshard leaves the node with no objects")
 	}
-	capacity := m.cfg.Capacity
-	if m.cfg.ReshardCapacity != nil {
-		capacity = m.cfg.ReshardCapacity(universe)
-	}
-	policy := m.cfg.PolicyFactory()
-	if policy == nil {
-		return 0, 0, fmt.Errorf("cache: policy factory returned nil")
-	}
-	if err := policy.Init(universe, capacity); err != nil {
-		return 0, 0, fmt.Errorf("cache: reshard init: %w", err)
+	policy, capacity, err := m.newPolicy(universe)
+	if err != nil {
+		return 0, 0, err
 	}
 
 	// Reshards serialize on the filter handshake (filter.go): the owned
 	// set changes only while the repository's filter covers both sides.
-	m.filter.mu.Lock()
-	defer m.filter.mu.Unlock()
+	m.inv.Lock()
+	defer m.inv.Unlock()
 	m.mu.Lock()
 	// Reject frames from a superseded resize: a reshard that timed out
 	// router-side can still arrive late, and applying it would clobber
@@ -114,7 +107,7 @@ func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Obj
 		// A notice on a gained object applied before the repository
 		// passes it would never reach the policy: widen the filter to
 		// old ∪ new and wait for it before owning anything new.
-		m.awaitFilter(m.sendFilter(want))
+		m.inv.Send(m.filterFrame(want)).Wait()
 	}
 	m.mu.Lock()
 	resident, dropped, err = m.swapLocked(epoch, want, warm, policy, capacity)
@@ -123,8 +116,26 @@ func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Obj
 		return 0, 0, err
 	}
 	// Narrow to exactly the new set; nothing waits on it.
-	m.sendFilter(nil)
+	m.inv.Send(m.filterFrame(nil))
 	return resident, dropped, nil
+}
+
+// newPolicy builds a policy from Config.PolicyFactory, initialized over
+// universe at the capacity ReshardCapacity gives it (Capacity when that
+// is nil).
+func (m *Middleware) newPolicy(universe []model.Object) (core.Policy, cost.Bytes, error) {
+	capacity := m.cfg.Capacity
+	if m.cfg.ReshardCapacity != nil {
+		capacity = m.cfg.ReshardCapacity(universe)
+	}
+	policy := m.cfg.PolicyFactory()
+	if policy == nil {
+		return nil, 0, fmt.Errorf("cache: policy factory returned nil")
+	}
+	if err := policy.Init(universe, capacity); err != nil {
+		return nil, 0, fmt.Errorf("cache: init policy: %w", err)
+	}
+	return policy, capacity, nil
 }
 
 // swapLocked installs the reshard's policy, applier and owned set; mu

@@ -31,58 +31,44 @@ import (
 
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
+	"github.com/deltacache/delta/internal/node"
 )
 
-// subscribeInvalidations dials the repository's invalidation stream so
-// the router hears new-object announcements and update notices. Shard
-// freshness is still the shards' business; the router consumes update
-// notices only to evict its own result cache (a cached merged result
-// containing the updated object must never be served after the notice
-// lands). The repository acks the handshake only after registering the
-// subscriber, so nothing applied after this returns is missed. Called
-// from NewRouter when Config.RepoAddr is set.
+// subscribeInvalidations subscribes the router to the repository's
+// invalidation stream: it adopts the births announced there, and an
+// update notice evicts every cached result containing the object
+// before the next query can be served stale. Shard freshness is the
+// shards' own business. A gap turns the result cache off and wipes it;
+// the resume wipes it again, poisoning every flight, and turns it back
+// on. Births announced during a gap are missed. Called from NewRouter
+// when Config.RepoAddr is set.
 func (r *Router) subscribeInvalidations() error {
-	c, err := netproto.DialConn(r.cfg.RepoAddr, "invalidations", netproto.SessionConfig{
+	_, err := r.Subscribe(r.cfg.RepoAddr, netproto.SessionConfig{
 		DialRetry: max(r.cfg.DialRetry, 0),
+	}, node.StreamHandler{
+		Frame: func(f netproto.Frame) {
+			switch body := f.Body.(type) {
+			case netproto.ObjectBirthMsg:
+				// Hand the announcement to the batching worker:
+				// announcements arriving while an adoption is in flight
+				// pile up and adopt as one batch.
+				r.enqueueBirths(body.Births, nil)
+			case netproto.InvalidateMsg:
+				r.results.invalidate(body.Update.Object)
+			}
+		},
+		Gap: func() { r.results.setOff(true) },
+		Resume: func(*node.Subscription) {
+			if err := r.repo.Redial(); err != nil {
+				r.cfg.Logf("redial repository: %v", err)
+			}
+			r.results.setOff(false)
+		},
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: subscribe invalidations: %w", err)
 	}
-	r.inv = c
-	r.Go(func() { r.invalidationLoop(c) })
 	return nil
-}
-
-func (r *Router) invalidationLoop(c *netproto.Conn) {
-	for {
-		f, err := c.Recv()
-		if err != nil {
-			select {
-			case <-r.Done():
-			default:
-				// Deaf, not closing: no notice will evict anything again,
-				// so fail closed — wipe the result cache and scatter every
-				// query from here on — rather than serve entries nothing
-				// keeps current. (Resubscribing is ROADMAP item 3.)
-				r.results.disable()
-				r.cfg.Logf("invalidation stream lost: %v; result cache disabled, every query scatters", err)
-			}
-			return
-		}
-		switch body := f.Body.(type) {
-		case netproto.ObjectBirthMsg:
-			// Hand the announcement to the batching worker: announcements
-			// arriving while an adoption is in flight pile up and adopt as
-			// one batch (one ownership extension, one grant per shard).
-			r.enqueueBirths(body.Births, nil)
-		case netproto.InvalidateMsg:
-			// Evict every cached result the updated object is part of, and
-			// poison in-flight scatters touching it, before the next query
-			// can be served stale. Shard-side freshness rides the shards'
-			// own subscriptions to this same stream.
-			r.results.invalidate(body.Update.Object)
-		}
-	}
 }
 
 // birthReq is one batch of births queued for the adoption worker. A

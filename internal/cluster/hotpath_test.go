@@ -240,13 +240,14 @@ func TestRouterResultCacheSurvivesBirth(t *testing.T) {
 	}
 }
 
-// TestRouterResultCacheFailsClosedWhenDeaf pins what the router does
-// when its invalidation stream dies under it: with no notice able to
-// evict anything again, the result cache is wiped and stops serving —
-// the warm query is answered by the shards (or fails), never from the
-// router's cache.
-func TestRouterResultCacheFailsClosedWhenDeaf(t *testing.T) {
-	_, repo, lc := startCluster(t, 2, func(int) core.Policy { return core.NewReplica() })
+// TestRouterResultCacheGapThenResume pins what the router's result cache
+// does across a repository bounce. During the gap no notice can evict
+// anything, so the cache is wiped and admits nothing: the warm query is
+// answered by the shards (or fails), never from the router. Once the
+// repository is back on its address and the router has resubscribed,
+// the cache serves again.
+func TestRouterResultCacheGapThenResume(t *testing.T) {
+	survey, repo, lc := startCluster(t, 2, func(int) core.Policy { return core.NewReplica() })
 	cl, err := client.DialCluster(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -271,21 +272,51 @@ func TestRouterResultCacheFailsClosedWhenDeaf(t *testing.T) {
 
 	// Closing the repository severs the stream; the wipe of the one
 	// resident entry shows as an invalidation.
+	addr := repo.Addr()
 	repo.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for lc.Router.ResultCacheInvalidations() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("router kept its cached result after losing the invalidation stream")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// Twice: were the first answer admitted, the second would hit. (The
-	// resident shards may well answer; whether they do is not the point.)
+	waitFor(t, "the router to wipe its result cache", func() bool { return lc.Router.ResultCacheInvalidations() > 0 })
+	// Twice: were the first answer admitted, the second would hit.
 	for i := 0; i < 2; i++ {
 		_, _ = cl.Query(ctx, q)
 	}
 	if got := lc.Router.ResultCacheHits(); got != 1 {
-		t.Errorf("deaf router recorded %d result-cache hits, want only the 1 from warmup", got)
+		t.Errorf("router recorded %d result-cache hits during the gap, want only the 1 from warmup", got)
+	}
+
+	restartRepository(t, survey, addr, "")
+	waitFor(t, "result-cache hits after the resume", func() bool {
+		_, _ = cl.Query(ctx, q)
+		return lc.Router.ResultCacheHits() > 1
+	})
+}
+
+// restartRepository starts a repository over survey on addr, the
+// address a closed one listened on.
+func restartRepository(t *testing.T, survey *catalog.Survey, addr, dataDir string, before ...model.Update) *server.Repository {
+	t.Helper()
+	repo, err := server.New(server.Config{Survey: survey, Addr: addr, DataDir: dataDir, Scale: netproto.DefaultScale()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range before {
+		repo.ApplyUpdate(u)
+	}
+	if err := repo.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { repo.Close() })
+	return repo
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

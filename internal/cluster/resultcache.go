@@ -34,8 +34,8 @@
 //   - Degraded or failed leader results are never shared with
 //     followers and never cached; each follower falls back to its own
 //     scatter.
-//   - If the invalidation stream is lost the cache fails closed
-//     (disable): wiped, and neither serving nor admitting from then on.
+//   - Between a gap in the invalidation stream and its resume the cache
+//     fails closed (setOff): wiped, neither serving nor admitting.
 //
 // Sharing respects the v3 frame ownership contract: the cached value
 // is the router's merged QueryResultMsg, whose Payload/Rows/Spans
@@ -144,7 +144,8 @@ type resultCache struct {
 	entries map[uint64]*cacheEntry
 	lru     *list.List // front = most recent; values are *cacheEntry
 	flights map[uint64]*flight
-	// off is set once by disable: the cache no longer serves or admits.
+	// off is set between a stream gap and its resume (setOff): the cache
+	// neither serves nor admits.
 	off bool
 
 	// The inverted index object → resident entries. pos maps an object
@@ -407,16 +408,17 @@ func (c *resultCache) clearLocked() {
 	}
 }
 
-// disable is the fail-closed response to losing the invalidation
-// stream: with no notices arriving, no resident entry can be trusted
-// and none may be admitted, so the cache is wiped and every later begin
-// passes through to a scatter.
-func (c *resultCache) disable() {
+// setOff is the response to a gap in the invalidation stream (off) and
+// to its resume (on). Either way the cache is wiped and every flight
+// poisoned: no entry heard the notices the gap hid, and a scatter that
+// read a shard before one of them must never be admitted. While off,
+// every begin passes through to a scatter.
+func (c *resultCache) setOff(off bool) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.off = true
+	c.off = off
 	c.clearLocked()
 	c.mu.Unlock()
 }

@@ -113,14 +113,16 @@ func TestResultCacheClearPoisonsAndWipes(t *testing.T) {
 	}
 }
 
-// TestResultCacheDisableFailsClosed pins the lost-stream response: the
-// cache is wiped, a flight in motion is poisoned, and from then on begin
-// neither serves nor opens a flight, so nothing is admitted again.
+// TestResultCacheDisableFailsClosed pins the response to a gap in the
+// stream and to its resume: at the gap the cache is wiped, a flight in
+// motion is poisoned, and begin neither serves nor opens a flight; at
+// the resume a flight that spans it is poisoned too, and begin leads
+// flights again.
 func TestResultCacheDisableFailsClosed(t *testing.T) {
 	c := newResultCache(8, denseIDs)
 	lead(t, c, []model.ObjectID{1}, netproto.QueryResultMsg{})
 	_, fl, _ := c.begin([]model.ObjectID{2})
-	c.disable()
+	c.setOff(true)
 	c.complete(fl, netproto.QueryResultMsg{}, true)
 	if fl.shared || c.Len() != 0 {
 		t.Errorf("after disable: flight shared=%v, %d residents; want neither", fl.shared, c.Len())
@@ -129,6 +131,16 @@ func TestResultCacheDisableFailsClosed(t *testing.T) {
 		if cached, fl, leader := c.begin(objs); cached != nil || fl != nil || leader {
 			t.Errorf("begin(%v) on a disabled cache = (%v, %v, %v), want a plain pass-through", objs, cached, fl, leader)
 		}
+	}
+	c.setOff(false)
+	_, fl, leader := c.begin([]model.ObjectID{2})
+	if fl == nil || !leader {
+		t.Fatal("begin after the resume opened no flight")
+	}
+	c.setOff(false) // a second resume: the flight spans it
+	c.complete(fl, netproto.QueryResultMsg{}, true)
+	if fl.shared || c.Len() != 0 {
+		t.Errorf("a flight spanning a resume: shared=%v, %d residents; want neither", fl.shared, c.Len())
 	}
 }
 
@@ -167,7 +179,7 @@ func TestResultCacheNilReceiver(t *testing.T) {
 	c.complete(nil, netproto.QueryResultMsg{}, true)
 	c.invalidate(1)
 	c.clear()
-	c.disable()
+	c.setOff(true)
 	if c.Len() != 0 || c.Hits() != 0 || c.Misses() != 0 || c.Coalesced() != 0 || c.Invalidations() != 0 {
 		t.Error("nil cache accessors must all report zero")
 	}

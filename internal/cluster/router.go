@@ -130,10 +130,9 @@ type Router struct {
 	statusMu sync.Mutex
 	status   netproto.RebalanceStatusMsg
 
-	// repo and inv are the repository session and invalidation
-	// subscription backing live growth; nil without RepoAddr.
+	// repo is the repository session backing live growth; nil without
+	// RepoAddr.
 	repo *netproto.Session
-	inv  *netproto.Conn
 
 	// covers memoizes Resolver lookups for region queries (nil when no
 	// Resolver is configured).
@@ -391,13 +390,11 @@ func (r *Router) dropLink(addr string) {
 	}
 }
 
-// release is the runtime's Unblock hook: closing the repository session,
-// the invalidation stream and every shard session fails the round trips
-// handlers wait on and ends the invalidation loop.
+// release is the runtime's Unblock hook: closing the repository session
+// and every shard session fails the round trips handlers wait on.
 func (r *Router) release() {
 	if r.repo != nil {
 		r.repo.Close()
-		r.inv.Close()
 	}
 	r.closeLinks()
 }

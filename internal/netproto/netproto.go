@@ -387,12 +387,11 @@ type StatsMsg struct {
 	Queries int64
 	AtCache int64
 	Shipped int64
-	// DroppedInvalidations counts invalidation notices that were
-	// discarded rather than applied: at the repository, notices a full
-	// subscriber buffer forced it to drop (the non-blocking pipeline
-	// send); at the cache, notices whose policy application failed.
-	// Dropped notices cost freshness, not correctness; this makes
-	// them observable.
+	// DroppedInvalidations counts invalidation notices that were not
+	// applied: at the repository, the streams a full subscriber buffer
+	// forced it to cut (the non-blocking pipeline send; the consumer
+	// fails closed and resubscribes); at the cache, notices whose policy
+	// application failed.
 	DroppedInvalidations int64
 	// DedupedLoads counts object loads the cache's per-object
 	// singleflight collapsed into an already-running flight instead of

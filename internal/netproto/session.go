@@ -46,21 +46,23 @@ type SessionConfig struct {
 // goroutine demultiplexes replies by RequestID, and any number of
 // goroutines may call RoundTrip concurrently.
 type Session struct {
-	conns []*sessionConn
-	reqID atomic.Uint64
-	next  atomic.Uint64
+	addr, role string
+	cfg        SessionConfig
+	conns      []*sessionConn
+	reqID      atomic.Uint64
+	next       atomic.Uint64
 
 	closeOnce sync.Once
 	closed    atomic.Bool
 }
 
-// sessionConn is one pooled connection with its demux state.
+// sessionConn is one pooled connection with its demux state. c is nil
+// once its reader has failed, until Redial replaces it.
 type sessionConn struct {
-	c *Conn
-
 	mu      sync.Mutex
+	c       *Conn
 	pending map[uint64]chan roundTripResult
-	err     error // sticky after the reader dies
+	err     error // sticky while dead
 	dead    bool
 }
 
@@ -76,7 +78,7 @@ func DialSession(addr, role string, cfg SessionConfig) (*Session, error) {
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = 1
 	}
-	s := &Session{}
+	s := &Session{addr: addr, role: role, cfg: cfg}
 	for i := 0; i < cfg.PoolSize; i++ {
 		c, err := DialConn(addr, role, cfg)
 		if err != nil {
@@ -85,9 +87,42 @@ func DialSession(addr, role string, cfg SessionConfig) (*Session, error) {
 		}
 		sc := &sessionConn{c: c, pending: make(map[uint64]chan roundTripResult)}
 		s.conns = append(s.conns, sc)
-		go sc.readLoop()
+		go sc.readLoop(c)
 	}
 	return s, nil
+}
+
+// Redial replaces every pooled connection whose reader has failed with
+// a fresh one: one dial each, no retry. A session never redials on its
+// own; a caller that knows its peer is back (an invalidation stream
+// that resumed) calls this.
+func (s *Session) Redial() error {
+	cfg := s.cfg
+	cfg.DialRetry = 0
+	var errs []error
+	for _, sc := range s.conns {
+		sc.mu.Lock()
+		alive := sc.c != nil
+		sc.mu.Unlock()
+		if alive || s.closed.Load() {
+			continue
+		}
+		c, err := DialConn(s.addr, s.role, cfg)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		sc.mu.Lock()
+		if s.closed.Load() || sc.c != nil {
+			sc.mu.Unlock()
+			c.Close()
+			continue
+		}
+		sc.c, sc.dead, sc.err = c, false, nil
+		sc.mu.Unlock()
+		go sc.readLoop(c)
+	}
+	return errors.Join(errs...)
 }
 
 // dialRetry dials addr, retrying connection-refused failures with
@@ -96,25 +131,27 @@ func DialSession(addr, role string, cfg SessionConfig) (*Session, error) {
 // racing the same server's startup.
 func dialRetry(addr string, cfg SessionConfig) (net.Conn, error) {
 	deadline := time.Now().Add(cfg.DialRetry)
-	backoff := 10 * time.Millisecond
-	const maxBackoff = 500 * time.Millisecond
+	var b Backoff
 	for {
 		nc, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
 		if err == nil || cfg.DialRetry <= 0 ||
 			!errors.Is(err, syscall.ECONNREFUSED) || !time.Now().Before(deadline) {
 			return nc, err
 		}
-		// Full jitter over (0, backoff]: retries spread instead of
-		// thundering onto the server the instant it binds.
-		sleep := time.Duration(rand.Int64N(int64(backoff))) + 1
-		if remain := time.Until(deadline); sleep > remain {
-			sleep = remain
-		}
-		time.Sleep(sleep)
-		if backoff < maxBackoff {
-			backoff *= 2
-		}
+		time.Sleep(min(b.Next(), time.Until(deadline)))
 	}
+}
+
+// Backoff paces a retry loop: capped exponential backoff with full
+// jitter, so retries spread instead of thundering onto a server the
+// instant it binds. The zero value is ready.
+type Backoff struct{ ceil time.Duration }
+
+// Next returns the wait before the next attempt: uniform over (0, ceil],
+// where ceil starts at 10 ms and doubles up to 500 ms.
+func (b *Backoff) Next() time.Duration {
+	b.ceil = min(max(2*b.ceil, 10*time.Millisecond), 500*time.Millisecond)
+	return time.Duration(rand.Int64N(int64(b.ceil))) + 1
 }
 
 // DialConn dials addr (honoring cfg.DialTimeout and cfg.DialRetry) and
@@ -167,11 +204,12 @@ func handshake(nc net.Conn, c *Conn, role string, timeout time.Duration) error {
 
 // readLoop demultiplexes replies by RequestID. Replies with no waiter
 // (a cancelled RoundTrip) are dropped.
-func (sc *sessionConn) readLoop() {
+func (sc *sessionConn) readLoop(c *Conn) {
 	for {
-		f, err := sc.c.Recv()
+		f, err := c.Recv()
 		if err != nil {
 			sc.fail(err)
+			c.Close()
 			return
 		}
 		sc.mu.Lock()
@@ -187,8 +225,7 @@ func (sc *sessionConn) readLoop() {
 // fail marks the connection dead and unblocks every waiter.
 func (sc *sessionConn) fail(err error) {
 	sc.mu.Lock()
-	sc.dead = true
-	sc.err = err
+	sc.c, sc.dead, sc.err = nil, true, err
 	pending := sc.pending
 	sc.pending = make(map[uint64]chan roundTripResult)
 	sc.mu.Unlock()
@@ -238,8 +275,9 @@ func (s *Session) RoundTripTimeout(ctx context.Context, f Frame, timeout time.Du
 		return Frame{}, err
 	}
 	sc.pending[id] = ch
+	c := sc.c
 	sc.mu.Unlock()
-	if err := sc.c.Send(f); err != nil {
+	if err := c.Send(f); err != nil {
 		// A send failure means the frame cannot be encoded or the
 		// write side is broken; stop routing new requests here. The
 		// read side keeps draining replies for requests already in
@@ -335,7 +373,13 @@ func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		s.closed.Store(true)
 		for _, sc := range s.conns {
-			if e := sc.c.Close(); e != nil && err == nil {
+			sc.mu.Lock()
+			c := sc.c
+			sc.mu.Unlock()
+			if c == nil {
+				continue
+			}
+			if e := c.Close(); e != nil && err == nil {
 				err = e
 			}
 		}

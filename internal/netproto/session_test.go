@@ -389,6 +389,64 @@ func TestSessionPoolExhaustedUnderCancellation(t *testing.T) {
 	}
 }
 
+// TestSessionRedialRevivesDeadConnections: a session whose connections
+// all died stays dead on its own, and Redial brings back exactly the dead
+// ones, after which round trips succeed again.
+func TestSessionRedialRevivesDeadConnections(t *testing.T) {
+	conns := make(chan *Conn, 4) // the pool of 2, then its 2 redials
+	addr := listen(t, func(c *Conn) {
+		if !accept(c) {
+			return
+		}
+		conns <- c
+		for {
+			f, err := c.Recv()
+			if err != nil {
+				return
+			}
+			echoQuery(f, c)
+		}
+	})
+	s, err := DialSession(addr, "client", SessionConfig{PoolSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	query := func() error {
+		_, err := s.RoundTrip(context.Background(), Frame{Type: MsgQuery, Body: QueryMsg{
+			Query: model.Query{ID: 1, Objects: []model.ObjectID{1}, Cost: 1},
+		}})
+		return err
+	}
+	for range 2 {
+		(<-conns).Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Live() {
+		if time.Now().After(deadline) {
+			t.Fatal("session never noticed its connections died")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := query(); err == nil {
+		t.Fatal("a dead session answered before Redial")
+	}
+	if err := s.Redial(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Redial(); err != nil { // nothing is dead: dials nothing
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := query(); err != nil {
+			t.Fatalf("round trip %d after Redial: %v", i, err)
+		}
+	}
+	if len(conns) != 2 {
+		t.Errorf("%d connections redialed, want the 2 dead ones", len(conns))
+	}
+}
+
 // TestDialRetryRidesOutStartupRace reserves an address, starts the
 // server only after a delay, and dials with DialRetry: the dial must
 // ride out the refused attempts and succeed once the listener binds.

@@ -96,6 +96,7 @@ type Repository struct {
 // cluster shard installed.
 type subscriber struct {
 	ch chan netproto.Frame
+	c  *netproto.Conn
 	// filter is nil until the subscriber sends its owned set; nil passes
 	// every notice and announcement.
 	filter *noticeFilter
@@ -248,15 +249,15 @@ func (r *Repository) Subscribers() int {
 	return len(r.subscribers)
 }
 
-// DroppedInvalidations reports how many invalidation notices were
-// discarded because a subscriber's buffer was full.
+// DroppedInvalidations reports how many invalidation streams were cut
+// because a subscriber's buffer was full.
 func (r *Repository) DroppedInvalidations() int64 {
 	return r.droppedInvalidations.Load()
 }
 
 // Notices reports how many update notices have been queued to
 // subscribers (delta_repo_notices_total): one per subscriber whose
-// filter passed the update, drops excluded.
+// filter passed the update, cut streams excluded.
 func (r *Repository) Notices() int64 { return r.notices.Value() }
 
 // closeSubscribers is the runtime's Unblock hook: closing every
@@ -280,24 +281,31 @@ func (r *Repository) ApplyUpdate(u model.Update) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.updates[u.ID] = u
-	for _, s := range r.subscribers {
-		if s.filter.passes(u.Object) && r.enqueueLocked(s, f) {
+	for id, s := range r.subscribers {
+		if s.filter.passes(u.Object) && r.enqueueLocked(id, s, f) {
 			r.notices.Inc()
 		}
 	}
 }
 
-// enqueueLocked queues f to one subscriber. Sends stay under the lock:
+// enqueueLocked queues f to subscriber id. Sends stay under the lock:
 // subscriber channels are closed under it, and a send racing a close
-// would panic. They cannot block the pipeline — a full buffer drops the
-// frame instead (a dropped notice only costs freshness, loading repairs
-// it, and the drop counter makes it observable in StatsMsg).
-func (r *Repository) enqueueLocked(s *subscriber, f netproto.Frame) bool {
+// would panic. They cannot block the pipeline: a full buffer cuts the
+// subscriber instead of dropping the frame. Its channel closes, it
+// leaves the table, and its connection closes, so the consumer's Recv
+// fails and it takes the gap path (fail closed, resubscribe) rather
+// than answer past a notice it never got. Cuts count in
+// DroppedInvalidations.
+func (r *Repository) enqueueLocked(id int, s *subscriber, f netproto.Frame) bool {
 	select {
 	case s.ch <- f:
 		return true
 	default:
 		r.droppedInvalidations.Add(1)
+		r.cfg.Logf("invalidation subscriber %d is %d frames behind; cutting its stream", id, cap(s.ch))
+		delete(r.subscribers, id)
+		close(s.ch)
+		s.c.Close()
 		return false
 	}
 }
@@ -343,11 +351,11 @@ func (r *Repository) AddObjects(births []model.Birth) (int, error) {
 	f := netproto.Frame{Type: netproto.MsgObjectBirth, Body: netproto.ObjectBirthMsg{Births: accepted}}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, s := range r.subscribers {
+	for id, s := range r.subscribers {
 		// A filtered subscriber is a cluster shard, which adopts a
 		// newborn only when its router grants it.
 		if s.filter == nil {
-			r.enqueueLocked(s, f)
+			r.enqueueLocked(id, s, f)
 		}
 	}
 	return len(accepted), nil
@@ -399,7 +407,7 @@ func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) 
 	}
 	id := r.nextSub
 	r.nextSub++
-	r.subscribers[id] = &subscriber{ch: ch}
+	r.subscribers[id] = &subscriber{ch: ch, c: c}
 	r.mu.Unlock()
 	unregister := func() {
 		r.mu.Lock()
@@ -446,8 +454,7 @@ func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) 
 // are echoed back in-stream. Every notice queued before the echo passed
 // the old filter and every notice after it passes the new one, so a
 // shard that waits for the echo knows when a widened set is in force.
-// An echo that finds the buffer full ends the stream: the shard would
-// wait for it forever, and a shard without a stream fails closed.
+// An echo that finds the buffer full cuts the stream like any frame.
 func (r *Repository) installFilter(id int, f netproto.Frame) error {
 	body, ok := f.Body.(netproto.ReshardMsg)
 	if !ok {
@@ -462,12 +469,10 @@ func (r *Repository) installFilter(id int, f netproto.Frame) error {
 	defer r.mu.Unlock()
 	s, ok := r.subscribers[id]
 	if !ok {
-		return nil // closing: the next Recv fails
+		return nil // closing or cut: the next Recv fails
 	}
 	s.filter = filter
-	if !r.enqueueLocked(s, echo) {
-		return fmt.Errorf("server: invalidation subscriber %d is %d frames behind; dropping it", id, len(s.ch))
-	}
+	r.enqueueLocked(id, s, echo) // a cut closes c: the next Recv fails
 	return nil
 }
 

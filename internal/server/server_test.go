@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net"
 	"runtime"
 	"testing"
@@ -286,6 +287,10 @@ func TestRequestResponsesDirect(t *testing.T) {
 	}
 }
 
+// TestInvalidationBroadcastNonBlocking: a subscriber that stops reading
+// never blocks the pipeline, and once its buffer is full its stream is
+// cut — unregistered and closed, so its consumer sees the loss — rather
+// than left subscribed with notices silently dropped.
 func TestInvalidationBroadcastNonBlocking(t *testing.T) {
 	repo := testRepo(t)
 	if err := repo.Start(); err != nil {
@@ -311,10 +316,10 @@ func TestInvalidationBroadcastNonBlocking(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	handshake(t, nc, "invalidations") // and then never read: a stalled subscriber
+	sub := handshake(t, nc, "invalidations") // and then never read: a stalled subscriber
 	// Push enough notices to overwhelm the subscriber buffer plus
 	// whatever the kernel's socket buffers absorb: the stalled reader
-	// guarantees drops at this volume.
+	// guarantees a cut at this volume.
 	const updates = 200_000
 	done := make(chan struct{})
 	go func() {
@@ -331,10 +336,26 @@ func TestInvalidationBroadcastNonBlocking(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("pipeline blocked on a stalled subscriber")
 	}
-	// The subscriber never read a byte, so the bulk of the notices were
-	// dropped — and the drops must be counted, not silent.
-	if got := repo.DroppedInvalidations(); got == 0 {
-		t.Error("dropped invalidations = 0, want > 0 with a stalled subscriber")
+	// The subscriber never read a byte: its stream was cut once, and it
+	// is no longer subscribed, so nothing more is dropped on it.
+	if got := repo.DroppedInvalidations(); got != 1 {
+		t.Errorf("cut streams = %d, want 1 with one stalled subscriber", got)
+	}
+	if got := repo.Subscribers(); got != 0 {
+		t.Errorf("%d subscribers after the cut, want 0", got)
+	}
+	// What was queued before the cut may still arrive; then the stream
+	// ends instead of going quiet.
+	if err := nc.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := sub.Recv(); err != nil {
+			if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
+				t.Fatal("the cut stream stayed open")
+			}
+			break
+		}
 	}
 
 	// The counter is also surfaced over the wire in the stats reply.
