@@ -1,20 +1,28 @@
 // Command delta-bench regenerates every table and figure of the paper's
-// evaluation (Section 6). Each experiment writes a CSV under -outdir and
-// prints a markdown summary to stdout.
+// evaluation (Section 6). Each experiment replays its sweep through the
+// simulator over internal/experiments' shared setup, writes a CSV under
+// -outdir and prints a markdown summary to stdout.
 //
 //	delta-bench -exp all -scale 0.2 -outdir results/
 //	delta-bench -exp fig7b -scale 1            # the full 500k-event run
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
+	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/experiments"
+	"github.com/deltacache/delta/internal/sim"
 )
 
 func main() {
@@ -79,6 +87,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	// NewSetup reads a zero scale as the paper's full one: refuse it here
+	// rather than spend minutes on a typo.
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return fmt.Errorf("-scale must be a positive number, got %v", *scale)
+	}
 
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {
 		return err
@@ -95,8 +108,18 @@ func run(args []string) error {
 	return nil
 }
 
-func csvFile(outdir, name string) (*os.File, error) {
-	return os.Create(filepath.Join(outdir, name))
+// writeCSV creates outdir/name, hands write a buffered writer on it,
+// and reports the first error of the writes, the flush and the close.
+func writeCSV(outdir, name string, write func(w io.Writer) error) error {
+	f, err := os.Create(filepath.Join(outdir, name))
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	if err = write(bw); err == nil {
+		err = bw.Flush()
+	}
+	return errors.Join(err, f.Close())
 }
 
 func fig7a(opts experiments.Options, outdir string) error {
@@ -104,39 +127,40 @@ func fig7a(opts experiments.Options, outdir string) error {
 	if err != nil {
 		return err
 	}
-	f, err := csvFile(outdir, "fig7a_scatter.csv")
-	if err != nil {
+	const name = "fig7a_scatter.csv"
+	if err := writeCSV(outdir, name, func(w io.Writer) error {
+		return experiments.ScatterCSV(w, s.Events, len(s.Events)/4000)
+	}); err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := experiments.Fig7a(s, f); err != nil {
-		return err
-	}
-	fmt.Printf("scatter written to %s (plot event vs object, colored by kind)\n", f.Name())
+	fmt.Printf("scatter written to %s (plot event vs object, colored by kind)\n", filepath.Join(outdir, name))
 	return nil
 }
 
+// fig7b writes every policy's cumulative traffic along the event
+// sequence (Figure 7b).
 func fig7b(opts experiments.Options, outdir string) error {
 	s, err := experiments.NewSetup(opts)
 	if err != nil {
 		return err
 	}
-	rows, results, err := experiments.Fig7b(s)
+	results, err := s.RunAll()
 	if err != nil {
 		return err
 	}
-	f, err := csvFile(outdir, "fig7b_cumulative.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "event,%s\n", strings.Join(experiments.PolicyNames, ","))
-	for _, row := range rows {
-		fmt.Fprintf(f, "%d", row.Seq)
-		for _, name := range experiments.PolicyNames {
-			fmt.Fprintf(f, ",%.3f", row.Totals[name].GBf())
+	if err := writeCSV(outdir, "fig7b_cumulative.csv", func(w io.Writer) error {
+		fmt.Fprintf(w, "event,%s\n", strings.Join(experiments.PolicyNames, ","))
+		// All series share sampling points by construction.
+		for i, pt := range results["NoCache"].Series {
+			fmt.Fprintf(w, "%d", pt.Seq)
+			for _, name := range experiments.PolicyNames {
+				fmt.Fprintf(w, ",%.3f", results[name].Series[i].Total.GBf())
+			}
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(f)
+		return nil
+	}); err != nil {
+		return err
 	}
 
 	post := experiments.PostWarmup(results, 0.5)
@@ -152,143 +176,161 @@ func fig7b(opts experiments.Options, outdir string) error {
 	return nil
 }
 
+// sweepPoint is one point of a five-policy sweep over one option: its
+// label in the CSV and in the markdown table, and how it sets the option.
+type sweepPoint struct {
+	csv, md string
+	set     func(*experiments.Options)
+}
+
+// policySweep replays the five policies at every point. Each point is
+// one CSV row, the full-trace totals then the post-warmup ones, and one
+// markdown row of the post-warmup totals (the regime the paper plots).
+func policySweep(opts experiments.Options, w io.Writer, csvColumn, mdColumn string, points []sweepPoint) error {
+	fmt.Fprintf(w, "%s,%s,%s\n", csvColumn,
+		strings.Join(experiments.PolicyNames, ","),
+		"post_"+strings.Join(experiments.PolicyNames, ",post_"))
+	fmt.Println("| " + mdColumn + " | " + strings.Join(experiments.PolicyNames, " | ") + " |")
+	fmt.Println("|---|---|---|---|---|---|")
+	for _, pt := range points {
+		o := opts
+		pt.set(&o)
+		s, err := experiments.NewSetup(o)
+		if err != nil {
+			return err
+		}
+		results, err := s.RunAll()
+		if err != nil {
+			return err
+		}
+		post := experiments.PostWarmup(results, 0.5)
+		fmt.Fprint(w, pt.csv)
+		fmt.Printf("| %s ", pt.md)
+		for _, name := range experiments.PolicyNames {
+			fmt.Fprintf(w, ",%.3f", results[name].Total().GBf())
+		}
+		for _, name := range experiments.PolicyNames {
+			fmt.Fprintf(w, ",%.3f", post[name].GBf())
+			fmt.Printf("| %v ", post[name])
+		}
+		fmt.Fprintln(w)
+		fmt.Println("|")
+	}
+	return nil
+}
+
+// fig8a varies the number of updates with the queries fixed (Figure 8a).
 func fig8a(opts experiments.Options, outdir string) error {
 	base := int(250_000 * opts.Scale)
-	counts := []int{base / 2, 3 * base / 4, base, 5 * base / 4, 3 * base / 2}
-	rows, err := experiments.Fig8a(opts, counts)
-	if err != nil {
-		return err
+	var points []sweepPoint
+	for _, n := range []int{base / 2, 3 * base / 4, base, 5 * base / 4, 3 * base / 2} {
+		label := strconv.Itoa(n)
+		points = append(points, sweepPoint{label, label, func(o *experiments.Options) { o.NumUpdates = n }})
 	}
-	f, err := csvFile(outdir, "fig8a_updates.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "updates,%s,%s\n",
-		strings.Join(experiments.PolicyNames, ","),
-		"post_"+strings.Join(experiments.PolicyNames, ",post_"))
 	fmt.Println("post-warmup totals (the regime the paper plots):")
-	fmt.Println("| updates | " + strings.Join(experiments.PolicyNames, " | ") + " |")
-	fmt.Println("|---|---|---|---|---|---|")
-	for _, row := range rows {
-		fmt.Fprintf(f, "%d", row.NumUpdates)
-		fmt.Printf("| %d ", row.NumUpdates)
-		for _, name := range experiments.PolicyNames {
-			fmt.Fprintf(f, ",%.3f", row.Totals[name].GBf())
-		}
-		for _, name := range experiments.PolicyNames {
-			fmt.Fprintf(f, ",%.3f", row.PostTotals[name].GBf())
-			fmt.Printf("| %v ", row.PostTotals[name])
-		}
-		fmt.Fprintln(f)
-		fmt.Println("|")
-	}
-	return nil
+	return writeCSV(outdir, "fig8a_updates.csv", func(w io.Writer) error {
+		return policySweep(opts, w, "updates", "updates", points)
+	})
 }
 
-func fig8b(opts experiments.Options, outdir string) error {
-	counts := []int{10, 20, 68, 91, 134, 285, 532}
-	rows, err := experiments.Fig8b(opts, counts)
-	if err != nil {
-		return err
-	}
-	f, err := csvFile(outdir, "fig8b_granularity.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "objects,finalGB")
-	fmt.Println("| objects | VCover final traffic |")
-	fmt.Println("|---|---|")
-	for _, row := range rows {
-		fmt.Fprintf(f, "%d,%.3f\n", row.NumObjects, row.Final.GBf())
-		fmt.Printf("| %d | %v |\n", row.NumObjects, row.Final)
-	}
-	// Full series per granularity for the cumulative plot.
-	fs, err := csvFile(outdir, "fig8b_series.csv")
-	if err != nil {
-		return err
-	}
-	defer fs.Close()
-	fmt.Fprintln(fs, "objects,event,totalGB")
-	for _, row := range rows {
-		for _, pt := range row.Series {
-			fmt.Fprintf(fs, "%d,%d,%.3f\n", row.NumObjects, pt.Seq, pt.Total.GBf())
-		}
-	}
-	return nil
-}
-
+// cacheSize sweeps the cache size (the paper's headline: VCover halves
+// traffic with a cache one-fifth of the server).
 func cacheSize(opts experiments.Options, outdir string) error {
-	fracs := []float64{0.1, 0.2, 0.3, 0.5, 1.0}
-	rows, err := experiments.CacheSize(opts, fracs)
-	if err != nil {
-		return err
+	var points []sweepPoint
+	for _, frac := range []float64{0.1, 0.2, 0.3, 0.5, 1.0} {
+		points = append(points, sweepPoint{fmt.Sprintf("%.2f", frac), fmt.Sprintf("%.0f%%", frac*100),
+			func(o *experiments.Options) { o.CacheFrac = frac }})
 	}
-	f, err := csvFile(outdir, "cachesize.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "cacheFrac,%s,%s\n",
-		strings.Join(experiments.PolicyNames, ","),
-		"post_"+strings.Join(experiments.PolicyNames, ",post_"))
 	fmt.Println("post-warmup totals:")
-	fmt.Println("| cache fraction | " + strings.Join(experiments.PolicyNames, " | ") + " |")
-	fmt.Println("|---|---|---|---|---|---|")
-	for _, row := range rows {
-		fmt.Fprintf(f, "%.2f", row.CacheFrac)
-		fmt.Printf("| %.0f%% ", row.CacheFrac*100)
-		for _, name := range experiments.PolicyNames {
-			fmt.Fprintf(f, ",%.3f", row.Totals[name].GBf())
-		}
-		for _, name := range experiments.PolicyNames {
-			fmt.Fprintf(f, ",%.3f", row.PostTotals[name].GBf())
-			fmt.Printf("| %v ", row.PostTotals[name])
-		}
-		fmt.Fprintln(f)
-		fmt.Println("|")
-	}
-	return nil
+	return writeCSV(outdir, "cachesize.csv", func(w io.Writer) error {
+		return policySweep(opts, w, "cacheFrac", "cache fraction", points)
+	})
 }
 
+// runVCover replays a fresh setup's trace through VCover, configured
+// as experiments.Policies configures it.
+func runVCover(opts experiments.Options) (*sim.Result, error) {
+	s, err := experiments.NewSetup(opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.RunOne(core.NewVCover(core.VCoverConfig{Seed: s.Seed, GDSF: true}))
+}
+
+// fig8b runs VCover at each object-set granularity (Figure 8b): its
+// final traffic, and its full cumulative series for the plot.
+func fig8b(opts experiments.Options, outdir string) error {
+	return writeCSV(outdir, "fig8b_granularity.csv", func(finals io.Writer) error {
+		return writeCSV(outdir, "fig8b_series.csv", func(series io.Writer) error {
+			fmt.Fprintln(finals, "objects,finalGB")
+			fmt.Fprintln(series, "objects,event,totalGB")
+			fmt.Println("| objects | VCover final traffic |")
+			fmt.Println("|---|---|")
+			for _, n := range []int{10, 20, 68, 91, 134, 285, 532} {
+				o := opts
+				o.NumObjects = n
+				res, err := runVCover(o)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintf(finals, "%d,%.3f\n", n, res.Total().GBf())
+				fmt.Printf("| %d | %v |\n", n, res.Total())
+				for _, pt := range res.Series {
+					fmt.Fprintf(series, "%d,%d,%.3f\n", n, pt.Seq, pt.Total.GBf())
+				}
+			}
+			return nil
+		})
+	})
+}
+
+// window varies Benefit's window δ (the paper chose 1000 by sweeping).
 func window(opts experiments.Options, outdir string) error {
-	windows := []int{50, 200, 1000, 5000, 20000}
-	rows, err := experiments.BenefitWindowSweep(opts, windows)
+	s, err := experiments.NewSetup(opts)
 	if err != nil {
 		return err
 	}
-	f, err := csvFile(outdir, "benefit_window.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "window,totalGB")
-	fmt.Println("| δ (events) | Benefit total traffic |")
-	fmt.Println("|---|---|")
-	for _, row := range rows {
-		fmt.Fprintf(f, "%d,%.3f\n", row.Window, row.Total.GBf())
-		fmt.Printf("| %d | %v |\n", row.Window, row.Total)
-	}
-	return nil
+	return writeCSV(outdir, "benefit_window.csv", func(w io.Writer) error {
+		fmt.Fprintln(w, "window,totalGB")
+		fmt.Println("| δ (events) | Benefit total traffic |")
+		fmt.Println("|---|---|")
+		for _, win := range []int{50, 200, 1000, 5000, 20000} {
+			res, err := s.RunOne(core.NewBenefit(core.BenefitConfig{Window: win, Alpha: 0.3, LoadAmortization: 16}))
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "%d,%.3f\n", win, res.Total().GBf())
+			fmt.Printf("| %d | %v |\n", win, res.Total())
+		}
+		return nil
+	})
 }
 
+// warmup measures VCover's warm-up on five seeds: the events before the
+// cache first carries half its final load traffic (Section 6.1 reports
+// 150k–300k events on the paper's traces).
 func warmup(opts experiments.Options, outdir string) error {
-	rows, err := experiments.Warmup(opts, []int64{1, 2, 3, 4, 5})
-	if err != nil {
-		return err
-	}
-	f, err := csvFile(outdir, "warmup.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "seed,warmupEvents,finalUsedGB")
-	fmt.Println("| seed | warm-up events | final cache occupancy |")
-	fmt.Println("|---|---|---|")
-	for _, row := range rows {
-		fmt.Fprintf(f, "%d,%d,%.3f\n", row.Seed, row.WarmupEvents, row.FinalUsed.GBf())
-		fmt.Printf("| %d | %d | %v |\n", row.Seed, row.WarmupEvents, row.FinalUsed)
-	}
-	return nil
+	return writeCSV(outdir, "warmup.csv", func(w io.Writer) error {
+		fmt.Fprintln(w, "seed,warmupEvents,finalUsedGB")
+		fmt.Println("| seed | warm-up events | final cache occupancy |")
+		fmt.Println("|---|---|---|")
+		for seed := int64(1); seed <= 5; seed++ {
+			o := opts
+			o.Seed = seed
+			res, err := runVCover(o)
+			if err != nil {
+				return err
+			}
+			var warm int64
+			for _, pt := range res.Series {
+				if pt.ObjectLoad*2 >= res.Ledger.ObjectLoad {
+					warm = pt.Seq
+					break
+				}
+			}
+			fmt.Fprintf(w, "%d,%d,%.3f\n", seed, warm, res.MaxUsed.GBf())
+			fmt.Printf("| %d | %d | %v |\n", seed, warm, res.MaxUsed)
+		}
+		return nil
+	})
 }

@@ -65,8 +65,7 @@ func run() error {
 		replicas  = flag.Int("replicas", 1, "replication factor K: how many shards hold each object (must match the shards' -replicas)")
 		hedge     = flag.Bool("hedge", false, "enable hedged reads: re-scatter a slow fragment to the next replicas after the hedge delay (needs -replicas >= 2)")
 		hedgeGap  = flag.Duration("hedge-delay", 0, "pin the hedge delay (0 derives it from the observed fragment latency p99)")
-		resCache  = flag.Bool("result-cache", true, "enable the router result cache + in-flight query coalescing (needs -repo for the invalidation stream)")
-		resSize   = flag.Int("result-cache-size", 0, "result cache entry bound (0 = default 1024)")
+		resSize   = flag.Int("result-cache-size", 0, "bound on the router result cache + in-flight query coalescing, which need -repo for the invalidation stream (0 = default 1024 entries, -1 = off)")
 	)
 	flag.Parse()
 
@@ -94,10 +93,6 @@ func run() error {
 		return err
 	}
 
-	cacheSize := *resSize
-	if !*resCache {
-		cacheSize = -1
-	}
 	router, err := cluster.NewRouter(cluster.Config{
 		Addr:            *addr,
 		Shards:          addrs,
@@ -105,7 +100,7 @@ func run() error {
 		RepoAddr:        *repoAddr,
 		ShardPool:       *pool,
 		DialRetry:       *dialRetry,
-		ResultCacheSize: cacheSize,
+		ResultCacheSize: *resSize,
 		Resolver:        survey.CoverCap,
 		// Keep the resolver survey extending with live births, so
 		// region covers include newborns published after startup.

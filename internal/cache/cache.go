@@ -92,13 +92,6 @@ type Config struct {
 	Replicas int
 	// Scale converts logical sizes to physical payloads.
 	Scale netproto.PayloadScale
-	// ExecDelay simulates the node-local scan time of a query answered
-	// at the cache (the paper's cache runs real database scans; a
-	// loopback deployment answers in microseconds). The delay holds a
-	// dedicated per-node execution lock, modeling one serial execution
-	// resource per cache node — which is what makes sharded-cluster
-	// scaling measurable on one machine. Zero disables.
-	ExecDelay time.Duration
 	// Resolver maps a sky cap to the object IDs whose partitions may
 	// intersect it (typically catalog.Survey.CoverCap). When set,
 	// queries arriving with a SkyRegion instead of an object list are
@@ -161,10 +154,6 @@ type Middleware struct {
 	// for; older MsgReshard frames (delayed retries from a superseded
 	// resize) are rejected instead of clobbering newer state.
 	reshardEpoch int
-
-	// execMu implements Config.ExecDelay: one serial execution
-	// resource per node.
-	execMu sync.Mutex
 
 	// owned is the filtered object universe (nil when the node owns
 	// everything); guarded by mu since reshards replace it live.
@@ -846,11 +835,6 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 	// outruns the load it depends on.
 	for _, id := range q.Objects {
 		m.loads.wait(ctx, id)
-	}
-	if m.cfg.ExecDelay > 0 {
-		m.execMu.Lock()
-		time.Sleep(m.cfg.ExecDelay)
-		m.execMu.Unlock()
 	}
 	var result netproto.QueryResultMsg
 	result.QueryID = q.ID

@@ -403,8 +403,8 @@ func TestConcurrentMixedStress(t *testing.T) {
 	}
 }
 
-// TestQueryBatchThroughCache runs the batch API against a real
-// deployment.
+// TestQueryBatchThroughCache runs a batch of concurrent queries, one
+// goroutine each, through one client against a real deployment.
 func TestQueryBatchThroughCache(t *testing.T) {
 	d := startDeployment(t, core.NewVCover(core.DefaultVCoverConfig()))
 	cl, err := client.Dial(d.mw.Addr())
@@ -412,22 +412,25 @@ func TestQueryBatchThroughCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	qs := make([]model.Query, 10)
-	for i := range qs {
-		qs[i] = model.Query{
-			Objects:   []model.ObjectID{model.ObjectID(i%16 + 1)},
-			Cost:      cost.MB,
-			Tolerance: model.AnyStaleness,
-			Time:      time.Duration(i) * time.Second,
-		}
+	results := make([]*client.Result, 10)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = cl.Query(ctx, model.Query{
+				Objects:   []model.ObjectID{model.ObjectID(i%16 + 1)},
+				Cost:      cost.MB,
+				Tolerance: model.AnyStaleness,
+				Time:      time.Duration(i) * time.Second,
+			})
+		}()
 	}
-	results, err := cl.QueryBatch(ctx, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 	for i, res := range results {
-		if res == nil || res.Logical != int64(cost.MB) {
-			t.Fatalf("batch result %d = %+v", i, res)
+		if errs[i] != nil || res.Logical != int64(cost.MB) {
+			t.Fatalf("query %d = %+v, %v", i, res, errs[i])
 		}
 	}
 }

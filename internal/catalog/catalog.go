@@ -1,6 +1,6 @@
 // Package catalog builds the synthetic survey the experiments run
 // against: a PhotoObj-like star catalog with a clustered sky-density
-// model, partitioned into data objects by a density-adaptive HTM mesh.
+// model, partitioned into data objects by a keep-the-densest HTM mesh.
 //
 // The paper's server is a ~1 TB SDSS PhotoObj table partitioned into 68
 // HTM objects holding ~800 GB, with object sizes from 50 MB to 90 GB.
@@ -143,9 +143,9 @@ type Config struct {
 	// Blobs is the number of density clusters on the sky.
 	Blobs int
 	// Uniform selects the complete uniform decomposition at a fixed HTM
-	// level instead of the adaptive keep-the-densest mesh. NumObjects
-	// must then be exactly 8·4^level (…, 32768, 131072, 524288,
-	// 2097152). This is the million-object path: the adaptive builder
+	// level instead of the keep-the-densest mesh. NumObjects must then
+	// be exactly 8·4^level (…, 32768, 131072, 524288, 2097152). This is
+	// the million-object path: the keep-the-densest builder
 	// materializes the whole trixel tree and runs an O(n²) assignment
 	// pass, while the uniform partition stores one weight per object
 	// and resolves positions and covers on the implicit tree.
@@ -188,7 +188,8 @@ type Survey struct {
 }
 
 // skyPartition is what the survey needs from a sphere decomposition;
-// both the adaptive htm.Partition and the uniform htm.DensePartition
+// both the keep-the-densest htm.Partition and the uniform
+// htm.DensePartition
 // satisfy it.
 type skyPartition interface {
 	N() int
@@ -207,8 +208,8 @@ type bornObject struct {
 	t    time.Duration
 }
 
-// NewSurvey constructs the survey: the sky density model, the adaptive
-// HTM partition with NumObjects objects, and per-object sizes
+// NewSurvey constructs the survey: the sky density model, the
+// keep-the-densest HTM partition with NumObjects objects, and per-object sizes
 // proportional to integrated density, clamped to the configured range
 // and rescaled to the configured total.
 func NewSurvey(cfg Config) (*Survey, error) {

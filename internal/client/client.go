@@ -5,10 +5,10 @@
 //
 // The client is safe for concurrent use by any number of goroutines.
 // Requests are multiplexed over a small connection pool and correlated
-// by RequestID, so many queries can be in flight at once. Every call
-// takes a context for cancellation and deadlines; QueryAsync and
-// QueryBatch issue queries concurrently without the caller managing
-// goroutines. Dial options configure the pool size and timeouts.
+// by RequestID, so many queries can be in flight at once: issue them
+// from as many goroutines as needed. Every call takes a context for
+// cancellation and deadlines. Dial options configure the pool size and
+// timeouts.
 package client
 
 import (
@@ -142,12 +142,6 @@ type Result struct {
 	Spans   []netproto.TraceSpan
 }
 
-// Outcome pairs a query's result with its error for async delivery.
-type Outcome struct {
-	Result *Result
-	Err    error
-}
-
 // Query submits a query and waits for its result.
 func (c *Client) Query(ctx context.Context, q model.Query) (*Result, error) {
 	return c.query(ctx, netproto.QueryMsg{Query: q})
@@ -201,38 +195,6 @@ func (c *Client) QueryRegion(ctx context.Context, ra, dec, radiusDeg float64, q 
 		Query:  q,
 		Region: netproto.SkyRegion{RA: ra, Dec: dec, RadiusDeg: radiusDeg},
 	})
-}
-
-// QueryAsync submits a query without blocking and delivers its outcome
-// on the returned channel (buffered; the result is never lost if the
-// caller reads late).
-func (c *Client) QueryAsync(ctx context.Context, q model.Query) <-chan Outcome {
-	ch := make(chan Outcome, 1)
-	go func() {
-		res, err := c.Query(ctx, q)
-		ch <- Outcome{Result: res, Err: err}
-	}()
-	return ch
-}
-
-// QueryBatch submits all queries concurrently and waits for every
-// outcome. The results slice is parallel to qs; the returned error is
-// the first failure (the remaining queries still ran to completion).
-func (c *Client) QueryBatch(ctx context.Context, qs []model.Query) ([]*Result, error) {
-	chans := make([]<-chan Outcome, len(qs))
-	for i, q := range qs {
-		chans[i] = c.QueryAsync(ctx, q)
-	}
-	results := make([]*Result, len(qs))
-	var firstErr error
-	for i, ch := range chans {
-		out := <-ch
-		results[i] = out.Result
-		if out.Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("query %d: %w", i, out.Err)
-		}
-	}
-	return results, firstErr
 }
 
 // AddObjects publishes newly born data objects into the deployment:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -149,8 +150,9 @@ func TestQueryAssignsIDs(t *testing.T) {
 	}
 }
 
-// TestQueryBatchAndAsync runs many queries concurrently through one
-// client and checks every outcome arrives, in order for the batch.
+// TestQueryBatchAndAsync runs a batch of queries concurrently through
+// one client, one goroutine each, and checks every answer reaches the
+// call that asked for it.
 func TestQueryBatchAndAsync(t *testing.T) {
 	addr := fakeCache(t, func(f netproto.Frame) netproto.Frame {
 		q := f.Body.(netproto.QueryMsg).Query
@@ -165,23 +167,21 @@ func TestQueryBatchAndAsync(t *testing.T) {
 	defer cl.Close()
 	ctx := context.Background()
 
-	qs := make([]model.Query, 16)
-	for i := range qs {
-		qs[i] = model.Query{Objects: []model.ObjectID{1}, Cost: cost.Bytes(100 + i)}
+	results := make([]*Result, 16)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = cl.Query(ctx, model.Query{Objects: []model.ObjectID{1}, Cost: cost.Bytes(100 + i)})
+		}()
 	}
-	results, err := cl.QueryBatch(ctx, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 	for i, res := range results {
-		if res == nil || res.Logical != 100+int64(i) {
-			t.Fatalf("batch result %d = %+v", i, res)
+		if errs[i] != nil || res.Logical != 100+int64(i) {
+			t.Fatalf("query %d = %+v, %v", i, res, errs[i])
 		}
-	}
-
-	out := <-cl.QueryAsync(ctx, model.Query{Objects: []model.ObjectID{1}, Cost: 7})
-	if out.Err != nil || out.Result.Logical != 7 {
-		t.Fatalf("async outcome = %+v", out)
 	}
 }
 

@@ -199,7 +199,7 @@ func (r *Router) adoptBirths(ctx context.Context, births []model.Birth) (int, er
 		go func(i, s int) {
 			defer wg.Done()
 			link := rt.links[s]
-			ctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
+			ctx, cancel := context.WithTimeout(ctx, shardTimeout)
 			defer cancel()
 			_, err := link.sess.RoundTrip(ctx, netproto.Frame{
 				Type: netproto.MsgBirthGrant,

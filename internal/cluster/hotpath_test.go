@@ -343,12 +343,10 @@ func TestRouterCoalescesIdenticalQueries(t *testing.T) {
 		RepoAddr: repo.Addr(),
 		Objects:  survey.Objects(),
 		Shards:   2,
-		Policy:   func(int) core.Policy { return core.NewReplica() },
-		Scale:    netproto.PayloadScale{},
-		// Each shard dwells on its serial execution lock, so the
-		// followers reliably arrive while the leader's scatter is in
-		// flight.
-		ExecDelay: 50 * time.Millisecond,
+		// Each shard dwells in every decision, so the followers reliably
+		// arrive while the leader's scatter is in flight.
+		Policy: slowReplicas(50 * time.Millisecond),
+		Scale:  netproto.PayloadScale{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,16 +24,11 @@ type lifecycleNode interface {
 	Close() error
 }
 
-// execDelay is how long every repository in these tests holds a query:
-// long enough that the query is still in flight when Close is called,
-// short enough that Close, which waits for it, returns within its second.
-const execDelay = 300 * time.Millisecond
-
-// lifecycleRepository builds (and does not start) a repository that
-// holds every query for execDelay.
+// lifecycleRepository builds (and does not start) a repository over the
+// test survey at the default payload scale.
 func lifecycleRepository(t *testing.T, cfg server.Config) *server.Repository {
 	t.Helper()
-	cfg.Survey, cfg.Scale, cfg.ExecDelay = testSurvey(t), netproto.DefaultScale(), execDelay
+	cfg.Survey, cfg.Scale = testSurvey(t), netproto.DefaultScale()
 	repo, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -160,9 +155,18 @@ func closeWithin(t *testing.T, n lifecycleNode, peers []*netproto.Conn) {
 // leaves nothing bound, and the goroutine count returns to what it was
 // before Start.
 func TestNodeLifecycle(t *testing.T) {
-	query := netproto.Frame{Type: netproto.MsgQuery, RequestID: 1, Body: netproto.QueryMsg{Query: model.Query{
-		ID: 1, Objects: []model.ObjectID{1}, Cost: cost.MB, Tolerance: model.AnyStaleness, Time: time.Second,
-	}}}
+	// inFlight queries whose replies (2 TB logical, MaxFrame/2 physical
+	// at the default scale) together far outgrow the loopback buffers:
+	// the peer never reads, so the node's reply writes block and its
+	// handlers are still in flight when Close is called. Each query names
+	// its own object, so a router cannot coalesce them into one.
+	const inFlight = 4
+	query := func(i int) netproto.Frame {
+		return netproto.Frame{Type: netproto.MsgQuery, RequestID: uint64(i + 1), Body: netproto.QueryMsg{Query: model.Query{
+			ID: model.QueryID(i + 1), Objects: []model.ObjectID{model.ObjectID(i + 1)}, Cost: 2 * cost.TB,
+			Tolerance: model.AnyStaleness, Time: time.Second,
+		}}}
+	}
 	rows := []struct {
 		name  string
 		only  string // the one node kind the row applies to; "" means all
@@ -173,10 +177,12 @@ func TestNodeLifecycle(t *testing.T) {
 		}},
 		{name: "request-in-flight", peers: func(t *testing.T, addr string, backend *server.Repository) []*netproto.Conn {
 			c := dialPeer(t, addr, "client")
-			if err := c.Send(query); err != nil {
-				t.Fatal(err)
+			for i := 0; i < inFlight; i++ {
+				if err := c.Send(query(i)); err != nil {
+					t.Fatal(err)
+				}
 			}
-			waitUntil(t, "the query is executing", func() bool { return backend.Stats().Queries == 1 })
+			waitUntil(t, "every query reaches the repository", func() bool { return backend.Stats().Queries == inFlight })
 			return []*netproto.Conn{c}
 		}},
 		{name: "subscriber-and-feeder", only: "repository", peers: func(t *testing.T, addr string, _ *server.Repository) []*netproto.Conn {

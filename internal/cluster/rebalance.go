@@ -301,7 +301,7 @@ func (r *Router) reshardAll(ctx context.Context, epoch int, own *Ownership, targ
 		wg.Add(1)
 		go func(i int, t reshardTarget) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
+			ctx, cancel := context.WithTimeout(ctx, shardTimeout)
 			defer cancel()
 			reply, err := t.link.sess.RoundTrip(ctx, netproto.Frame{
 				Type: netproto.MsgReshard,

@@ -457,11 +457,10 @@ func TestRouterCloseDuringInflightScatter(t *testing.T) {
 		RepoAddr: repo.Addr(),
 		Objects:  survey.Objects(),
 		Shards:   3,
-		Policy:   func(int) core.Policy { return core.NewReplica() },
-		Scale:    netproto.PayloadScale{},
-		// Each shard dwells 100ms per query under its serial execution
-		// lock, so the scatters below are reliably in flight at Close.
-		ExecDelay: 100 * time.Millisecond,
+		// Each shard dwells 100ms in every decision, one query at a
+		// time, so the scatters below are reliably in flight at Close.
+		Policy: slowReplicas(100 * time.Millisecond),
+		Scale:  netproto.PayloadScale{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -243,10 +243,30 @@ func TestReplicatedDoubleKill(t *testing.T) {
 	}
 }
 
+// slowReplica is Replica with a stall before every query decision. A
+// shard decides under its policy lock, so a shard built with it holds
+// each query for delay, one query at a time. It embeds *core.Replica,
+// not core.Policy, so that Preload, Warm and AddObjects stay promoted.
+type slowReplica struct {
+	*core.Replica
+	delay time.Duration
+}
+
+func (p slowReplica) OnQuery(q *model.Query) (core.Decision, error) {
+	time.Sleep(p.delay)
+	return p.Replica.OnQuery(q)
+}
+
+// slowReplicas is a LocalConfig.Policy that builds a slowReplica with
+// delay on every shard.
+func slowReplicas(delay time.Duration) func(int) core.Policy {
+	return func(int) core.Policy { return slowReplica{core.NewReplica(), delay} }
+}
+
 // TestClusterHedgedReadsMaskStraggler pins the hedged-read contract: a
-// shard that stalls (long node-local scans) no longer sets the query
-// tail, because after the hedge delay the router races the fragment
-// against the next replica and takes the first complete answer.
+// shard that stalls no longer sets the query tail, because after the
+// hedge delay the router races the fragment against the next replica
+// and takes the first complete answer.
 func TestClusterHedgedReadsMaskStraggler(t *testing.T) {
 	const (
 		slow      = 0
@@ -255,15 +275,14 @@ func TestClusterHedgedReadsMaskStraggler(t *testing.T) {
 	_, lc := startReplicated(t, 3, 2, func(cfg *cluster.LocalConfig) {
 		cfg.Hedge = true
 		cfg.HedgeDelay = 3 * time.Millisecond
-		// ExecDelay applies to cache-answered queries; the replica policy
-		// keeps every object cache-resident so the straggler actually
-		// stalls (and the fast replicas answer from cache immediately).
-		cfg.Policy = func(int) core.Policy { return core.NewReplica() }
-		cfg.ShardExecDelay = func(s int) time.Duration {
+		// The replica policy keeps every object cache-resident, so the
+		// fast replicas answer from cache at once; the straggler stalls
+		// in every decision.
+		cfg.Policy = func(s int) core.Policy {
 			if s == slow {
-				return slowDelay
+				return slowReplica{core.NewReplica(), slowDelay}
 			}
-			return 0
+			return core.NewReplica()
 		}
 	})
 	cl, err := client.DialCluster(lc.Router.Addr())
@@ -283,7 +302,7 @@ func TestClusterHedgedReadsMaskStraggler(t *testing.T) {
 	}
 
 	// Warm the caches: the first touch of each object ships from the
-	// repository (no exec delay) while the replica policy admits it.
+	// repository while the replica policy admits it.
 	for _, objs := range [][]model.ObjectID{slowObjs, lc.Ownership.ShardObjects(1), lc.Ownership.ShardObjects(2)} {
 		if _, err := cl.Query(ctx, model.Query{
 			Objects:   objs,

@@ -42,11 +42,6 @@ type Config struct {
 	// long (a router typically starts alongside its shards). Defaults
 	// to 2s; negative disables.
 	DialRetry time.Duration
-	// ShardTimeout bounds each shard round trip. Without it a wedged
-	// — alive but unresponsive — shard would hang queries forever
-	// instead of degrading them (Session only fails on connection
-	// death). Defaults to 30s.
-	ShardTimeout time.Duration
 	// Resolver maps a sky cap to the object IDs whose partitions may
 	// intersect it (typically catalog.Survey.CoverCap). When set,
 	// client queries arriving with a SkyRegion instead of an object
@@ -197,9 +192,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	if cfg.DialRetry == 0 {
 		cfg.DialRetry = 2 * time.Second
-	}
-	if cfg.ShardTimeout <= 0 {
-		cfg.ShardTimeout = 30 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -673,6 +665,11 @@ func (r *Router) scatterQuery(ctx context.Context, q *model.Query, traceID uint6
 	return netproto.Frame{Type: netproto.MsgQueryResult, Body: merged}
 }
 
+// shardTimeout bounds each shard round trip. Without it a wedged — alive
+// but unresponsive — shard would hang queries forever instead of
+// degrading them (a Session only fails on connection death).
+const shardTimeout = 30 * time.Second
+
 // shardRoundTrip sends one fragment and decodes the reply. Successful
 // round trips feed the fragment-latency histogram the hedge delay is
 // derived from.
@@ -686,7 +683,7 @@ func (r *Router) shardRoundTrip(ctx context.Context, fr fragment) (netproto.Quer
 			Fragments: max(fr.fragments, 1),
 			TraceID:   fr.traceID,
 		},
-	}, r.cfg.ShardTimeout)
+	}, shardTimeout)
 	if err != nil {
 		return netproto.QueryResultMsg{}, err
 	}

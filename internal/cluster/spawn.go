@@ -22,7 +22,8 @@ type LocalConfig struct {
 	Objects []model.Object
 	// Shards is how many cache shards to spawn.
 	Shards int
-	// Mode selects the ownership assignment. Defaults to HTMAware.
+	// Mode selects the ownership assignment. The zero Mode is
+	// Rendezvous.
 	Mode Mode
 	// Replicas is the replication factor K: how many shards hold each
 	// object (0 and 1 both mean unreplicated). With K ≥ 2 the router
@@ -44,13 +45,6 @@ type LocalConfig struct {
 	Policy func(shard int) core.Policy
 	// Scale converts logical sizes to physical payloads.
 	Scale netproto.PayloadScale
-	// ExecDelay is each shard's simulated local scan time (see
-	// cache.Config.ExecDelay).
-	ExecDelay time.Duration
-	// ShardExecDelay, when non-nil, overrides ExecDelay per shard index
-	// — how TestClusterHedgedReadsMaskStraggler makes one shard a
-	// straggler. Return a negative duration for "no override".
-	ShardExecDelay func(shard int) time.Duration
 	// ResultCacheSize bounds the router's result cache + coalescer
 	// (see cluster.Config.ResultCacheSize: 0 = default, negative
 	// disables; only effective with a RepoAddr).
@@ -160,12 +154,6 @@ func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, er
 	if cfg.ShardDataDir != nil {
 		dataDir = cfg.ShardDataDir(s)
 	}
-	execDelay := cfg.ExecDelay
-	if cfg.ShardExecDelay != nil {
-		if d := cfg.ShardExecDelay(s); d >= 0 {
-			execDelay = d
-		}
-	}
 	mw, err := cache.New(cache.Config{
 		RepoAddr:         cfg.RepoAddr,
 		PolicyFactory:    factory,
@@ -174,7 +162,6 @@ func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, er
 		Capacity:         capacity,
 		ReshardCapacity:  reshardCapacity,
 		Scale:            cfg.Scale,
-		ExecDelay:        execDelay,
 		Replicas:         max(cfg.Replicas, 1),
 		DataDir:          dataDir,
 		SnapshotInterval: cfg.SnapshotInterval,

@@ -1,9 +1,9 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 6). Each experiment builds the synthetic SDSS-like
-// survey and workload, replays it through the five policies under the
-// simulator, and returns the series/rows the paper plots. The
-// delta-bench command is a thin wrapper over this package, and the
-// benchmark's paper-trace workload replays NewSetup's reference trace.
+// Package experiments is the shared setup of the paper's evaluation
+// (Section 6): it builds the synthetic SDSS-like survey and trace at a
+// scale of the paper's, sizes the cache, and replays the trace through
+// the five policies under the simulator. The delta-bench command runs
+// the paper's figures over it, and the benchmark's paper-trace workload
+// replays NewSetup's reference trace.
 package experiments
 
 import (
@@ -204,12 +204,6 @@ func (s *Setup) RunOne(p core.Policy) (*sim.Result, error) {
 // PolicyNames is the canonical ordering for tables.
 var PolicyNames = []string{"NoCache", "Replica", "Benefit", "VCover", "SOptimal"}
 
-// Fig7a writes the Figure 7(a) scatter (object-ID incidence along the
-// event sequence) as CSV.
-func Fig7a(s *Setup, w io.Writer) error {
-	return ScatterCSV(w, s.Events, len(s.Events)/4000)
-}
-
 // ScatterCSV writes the Figure 7(a) scatter: one row per (event,
 // object) incidence with the event kind. Sampling every k-th event
 // keeps files small; k <= 1 writes every event.
@@ -231,196 +225,4 @@ func ScatterCSV(w io.Writer, events []model.Event, k int) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Fig7bRow is one sample of the cumulative-traffic comparison.
-type Fig7bRow struct {
-	Seq    int64
-	Totals map[string]cost.Bytes
-}
-
-// Fig7b produces the cumulative traffic cost along the event sequence
-// for all five policies (Figure 7b).
-func Fig7b(s *Setup) ([]Fig7bRow, map[string]*sim.Result, error) {
-	results, err := s.RunAll()
-	if err != nil {
-		return nil, nil, err
-	}
-	// All series share sampling points by construction.
-	ref := results["NoCache"].Series
-	rows := make([]Fig7bRow, len(ref))
-	for i := range ref {
-		rows[i] = Fig7bRow{Seq: ref[i].Seq, Totals: make(map[string]cost.Bytes, 5)}
-		for name, res := range results {
-			if i < len(res.Series) {
-				rows[i].Totals[name] = res.Series[i].Total
-			}
-		}
-	}
-	return rows, results, nil
-}
-
-// Fig8aRow is the final traffic cost of every policy at one update
-// count, both over the whole trace and post-warmup (the regime the
-// paper plots).
-type Fig8aRow struct {
-	NumUpdates int
-	Totals     map[string]cost.Bytes
-	PostTotals map[string]cost.Bytes
-}
-
-// Fig8a varies the number of updates with the query workload fixed
-// (Figure 8a). Update counts are given in absolute numbers already
-// scaled by the caller.
-func Fig8a(opts Options, updateCounts []int) ([]Fig8aRow, error) {
-	rows := make([]Fig8aRow, 0, len(updateCounts))
-	for _, n := range updateCounts {
-		o := opts
-		o.NumUpdates = n
-		s, err := NewSetup(o)
-		if err != nil {
-			return nil, err
-		}
-		results, err := s.RunAll()
-		if err != nil {
-			return nil, err
-		}
-		row := Fig8aRow{
-			NumUpdates: n,
-			Totals:     make(map[string]cost.Bytes, 5),
-			PostTotals: PostWarmup(results, 0.5),
-		}
-		for name, res := range results {
-			row.Totals[name] = res.Total()
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// Fig8bRow is VCover's cumulative traffic series at one object
-// granularity.
-type Fig8bRow struct {
-	NumObjects int
-	Series     []sim.Point
-	Final      cost.Bytes
-}
-
-// Fig8b runs VCover at each object-set granularity (Figure 8b; paper
-// values 10..532).
-func Fig8b(opts Options, objectCounts []int) ([]Fig8bRow, error) {
-	rows := make([]Fig8bRow, 0, len(objectCounts))
-	for _, n := range objectCounts {
-		o := opts
-		o.NumObjects = n
-		s, err := NewSetup(o)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.RunOne(core.NewVCover(core.VCoverConfig{Seed: s.Seed, GDSF: true}))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig8bRow{NumObjects: n, Series: res.Series, Final: res.Total()})
-	}
-	return rows, nil
-}
-
-// CacheSizeRow is the final traffic of the capacity-respecting policies
-// at one cache fraction, full-trace and post-warmup.
-type CacheSizeRow struct {
-	CacheFrac  float64
-	Totals     map[string]cost.Bytes
-	PostTotals map[string]cost.Bytes
-}
-
-// CacheSize sweeps the cache size (the paper's headline: VCover halves
-// traffic with a cache one-fifth of the server).
-func CacheSize(opts Options, fracs []float64) ([]CacheSizeRow, error) {
-	rows := make([]CacheSizeRow, 0, len(fracs))
-	for _, f := range fracs {
-		o := opts
-		o.CacheFrac = f
-		s, err := NewSetup(o)
-		if err != nil {
-			return nil, err
-		}
-		results, err := s.RunAll()
-		if err != nil {
-			return nil, err
-		}
-		row := CacheSizeRow{
-			CacheFrac:  f,
-			Totals:     make(map[string]cost.Bytes, 5),
-			PostTotals: PostWarmup(results, 0.5),
-		}
-		for name, res := range results {
-			row.Totals[name] = res.Total()
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// WindowRow is Benefit's final traffic at one window size δ.
-type WindowRow struct {
-	Window int
-	Total  cost.Bytes
-}
-
-// BenefitWindowSweep varies δ (the paper chose 1000 by sweeping).
-func BenefitWindowSweep(opts Options, windows []int) ([]WindowRow, error) {
-	s, err := NewSetup(opts)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]WindowRow, 0, len(windows))
-	for _, w := range windows {
-		res, err := s.RunOne(core.NewBenefit(core.BenefitConfig{Window: w, Alpha: 0.3, LoadAmortization: 16}))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, WindowRow{Window: w, Total: res.Total()})
-	}
-	return rows, nil
-}
-
-// WarmupRow reports the warm-up length of VCover for one seed: the
-// number of events before the cache first reaches half its final
-// occupancy.
-type WarmupRow struct {
-	Seed         int64
-	WarmupEvents int64
-	FinalUsed    cost.Bytes
-}
-
-// Warmup characterizes the warm-up period across seeds (Section 6.1
-// reports 150k–300k events on the paper's traces).
-func Warmup(opts Options, seeds []int64) ([]WarmupRow, error) {
-	rows := make([]WarmupRow, 0, len(seeds))
-	for _, seed := range seeds {
-		o := opts
-		o.Seed = seed
-		s, err := NewSetup(o)
-		if err != nil {
-			return nil, err
-		}
-		vc := core.NewVCover(core.VCoverConfig{Seed: seed, GDSF: true})
-		res, err := s.RunOne(vc)
-		if err != nil {
-			return nil, err
-		}
-		// Loads are visible in the series as ObjectLoad traffic; find
-		// the first sample with at least half the final load traffic.
-		finalLoads := res.Ledger.ObjectLoad
-		var warm int64
-		for _, pt := range res.Series {
-			if pt.ObjectLoad*2 >= finalLoads {
-				warm = pt.Seq
-				break
-			}
-		}
-		rows = append(rows, WarmupRow{Seed: seed, WarmupEvents: warm, FinalUsed: res.MaxUsed})
-	}
-	return rows, nil
 }

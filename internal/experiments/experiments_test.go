@@ -106,10 +106,12 @@ func TestPaperOrdering(t *testing.T) {
 	}
 }
 
+// TestFig7aCSV samples the scatter as Figure 7(a) does, every
+// len/4000-th event of the 100k-event trace.
 func TestFig7aCSV(t *testing.T) {
 	s := testSetup(t)
 	var buf bytes.Buffer
-	if err := Fig7a(s, &buf); err != nil {
+	if err := ScatterCSV(&buf, s.Events, len(s.Events)/4000); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -167,141 +169,5 @@ func TestScatterCSVSampling(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("got %d lines: %v", len(lines), lines)
-	}
-}
-
-func TestFig7bSeriesShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("needs full small trace")
-	}
-	s := testSetup(t)
-	rows, results, err := Fig7b(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) < 50 {
-		t.Fatalf("too few samples: %d", len(rows))
-	}
-	for _, name := range PolicyNames {
-		if _, ok := results[name]; !ok {
-			t.Errorf("missing policy %s", name)
-		}
-		prev := cost.Bytes(-1)
-		for _, row := range rows {
-			if row.Totals[name] < prev {
-				t.Errorf("%s series decreases", name)
-				break
-			}
-			prev = row.Totals[name]
-		}
-	}
-}
-
-func TestFig8aReplicaScalesWithUpdates(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep")
-	}
-	rows, err := Fig8a(Options{Scale: 0.016}, []int{2000, 6000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// NoCache is flat (same queries); Replica grows with updates.
-	if rows[0].Totals["NoCache"] != rows[1].Totals["NoCache"] {
-		t.Errorf("NoCache must be independent of update count: %v vs %v",
-			rows[0].Totals["NoCache"], rows[1].Totals["NoCache"])
-	}
-	if rows[1].Totals["Replica"] <= rows[0].Totals["Replica"] {
-		t.Errorf("Replica must grow with updates: %v vs %v",
-			rows[0].Totals["Replica"], rows[1].Totals["Replica"])
-	}
-	// Replica growth should be roughly proportional (3x updates -> ~3x
-	// cost, within a factor).
-	ratio := float64(rows[1].Totals["Replica"]) / float64(rows[0].Totals["Replica"])
-	if ratio < 1.8 || ratio > 4.5 {
-		t.Errorf("Replica growth ratio %v, want near 3", ratio)
-	}
-}
-
-func TestFig8bRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep")
-	}
-	rows, err := Fig8b(Options{Scale: 0.008}, []int{10, 68})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Final <= 0 {
-			t.Errorf("granularity %d: zero cost", r.NumObjects)
-		}
-		if len(r.Series) == 0 {
-			t.Errorf("granularity %d: no series", r.NumObjects)
-		}
-	}
-}
-
-// TestCacheSizeSweep checks the sweep's shape, not an ordering of the
-// online policies: VCover's traffic need not fall as the cache grows.
-// NoCache holds nothing and Replica holds everything regardless of
-// capacity, so their totals must not move with the fraction.
-func TestCacheSizeSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep")
-	}
-	fracs := []float64{0.1, 0.2, 0.3}
-	rows, err := CacheSize(Options{Scale: 0.008}, fracs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(fracs) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(fracs))
-	}
-	for i, row := range rows {
-		if row.CacheFrac != fracs[i] {
-			t.Errorf("row %d: fraction %v, want %v", i, row.CacheFrac, fracs[i])
-		}
-		for _, name := range PolicyNames {
-			if row.Totals[name] <= 0 {
-				t.Errorf("fraction %v: %s total %v, want > 0", row.CacheFrac, name, row.Totals[name])
-			}
-		}
-		for _, name := range []string{"NoCache", "Replica"} {
-			if row.Totals[name] != rows[0].Totals[name] {
-				t.Errorf("%s at fraction %v = %v, at %v = %v; must not depend on the cache size",
-					name, row.CacheFrac, row.Totals[name], rows[0].CacheFrac, rows[0].Totals[name])
-			}
-		}
-	}
-}
-
-func TestBenefitWindowSweepRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep")
-	}
-	rows, err := BenefitWindowSweep(Options{Scale: 0.008}, []int{100, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].Total <= 0 || rows[1].Total <= 0 {
-		t.Fatalf("rows = %+v", rows)
-	}
-}
-
-func TestWarmupRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep")
-	}
-	rows, err := Warmup(Options{Scale: 0.008}, []int64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %+v", rows)
 	}
 }

@@ -243,15 +243,11 @@ func TestDenseCoverMatchesReference(t *testing.T) {
 
 func TestPartitionCoverMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	adaptive, err := BuildPartition(gaussianWeight, 532)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leveled, err := BuildLeveled(gaussianWeight, 68)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []*Partition{adaptive, leveled} {
+	for _, n := range []int{532, 68} {
+		p, err := BuildLeveled(gaussianWeight, n)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, c := range coverCaps(rng, 6, 600) {
 			if got, want := p.Cover(c), partitionCoverReference(p, c); !slices.Equal(got, want) {
 				t.Fatalf("cap %+v: cover %v, reference %v", c, got, want)

@@ -9,7 +9,7 @@ import (
 // DensePartition is the complete uniform HTM decomposition at a fixed
 // level: every trixel of that level is a data object, indexed by
 // `trixelID - firstID` so no per-object tree, map, or trixel vertex set
-// is ever materialized. BuildLeveled stores the whole adaptive tree
+// is ever materialized. BuildLeveled stores the whole trixel tree
 // (one pnode per trixel, three vertices each) and assigns unchosen
 // leaves by an O(n²) nearest-object scan — fine at the paper's 68
 // objects, hopeless at a million. The dense form keeps only one float64

@@ -18,7 +18,7 @@
 // dot products, not arctangents. The cap is prepared once per cover:
 // its radius r with r's cosine and sine. Each trixel's geometry — its
 // center and the cosine and sine of its bounding radius — is built once
-// when the partition is constructed: in the adaptive tree's nodes, and
+// when the partition is constructed: in a Partition's tree nodes, and
 // in a per-level table for a dense partition's top eight levels (finer
 // levels derive it from the vertices during the walk). The
 // bounding-circle test then compares a dot product against cos(r+br)

@@ -8,21 +8,20 @@ import (
 )
 
 // WeightFunc assigns a non-negative weight to a trixel, typically the
-// integrated data density over its area. The adaptive partitioner splits
-// the heaviest trixels first, producing the "roughly equi-area data
-// objects" of Section 6.1.
+// integrated data density over its area. A partition keeps the heaviest
+// trixels as data objects, and each object's size follows its weight.
 type WeightFunc func(Trixel) float64
 
-// Partition is a density-adaptive decomposition of the sphere into
-// exactly N data objects. Because pure 4-way splitting can only reach
-// trixel counts of the form 8+3k, the partitioner may overshoot and then
-// leave the lightest trixels *unassigned*: they carry no data object of
-// their own (the paper likewise ignores partitions "which weren't
-// queried at all") and map to the nearest assigned object so that every
-// sky position still resolves to an object.
+// Partition decomposes the sphere into exactly N data objects, all
+// trixels of one HTM level (see BuildLeveled). A level has 8·4^k
+// trixels, so the partition keeps the N heaviest and leaves the rest
+// *unassigned*: they carry no data object of their own (the paper
+// likewise ignores partitions "which weren't queried at all") and map to
+// the nearest assigned object so that every sky position still resolves
+// to an object.
 type Partition struct {
 	n      int
-	leaves []leaf // all leaf trixels of the adaptive tree
+	leaves []leaf // all leaf trixels of the tree
 	root   [8]*pnode
 	// objects[i] is the representative trixel for object index i.
 	objects []Trixel
@@ -97,77 +96,6 @@ func BuildLeveled(weight WeightFunc, n int) (*Partition, error) {
 			w = 0
 		}
 		p.leaves[i] = leaf{trixel: nd.trixel, weight: w, objIdx: -1}
-	}
-	p.assignObjects()
-	return p, nil
-}
-
-// BuildPartition decomposes the sphere into exactly n data objects by
-// repeatedly splitting the heaviest leaf trixel. n must be at least 8
-// (the octahedron roots). The weight function is evaluated once per
-// created trixel.
-func BuildPartition(weight WeightFunc, n int) (*Partition, error) {
-	if n < 8 {
-		return nil, fmt.Errorf("htm: partition needs at least 8 objects, got %d", n)
-	}
-	if weight == nil {
-		weight = func(t Trixel) float64 { return t.AreaSr() }
-	}
-
-	p := &Partition{n: n}
-	var leaves []*pnode
-	for i, r := range Roots() {
-		node := newPnode(r)
-		p.root[i] = node
-		leaves = append(leaves, node)
-	}
-
-	// Split the heaviest leaf until we have at least n leaves. Counts
-	// progress 8, 11, 14, ... so we may overshoot n by one or two.
-	weightOf := make(map[uint64]float64, 4*n)
-	w := func(t Trixel) float64 {
-		if v, ok := weightOf[t.ID]; ok {
-			return v
-		}
-		v := weight(t)
-		if v < 0 {
-			v = 0
-		}
-		weightOf[t.ID] = v
-		return v
-	}
-	for len(leaves) < n {
-		// Find the heaviest splittable leaf.
-		best := -1
-		for i, nd := range leaves {
-			if nd.trixel.Level() >= 25 {
-				continue
-			}
-			if best == -1 || w(nd.trixel) > w(leaves[best].trixel) {
-				best = i
-			}
-		}
-		if best == -1 {
-			return nil, fmt.Errorf("htm: cannot split further toward %d objects", n)
-		}
-		nd := leaves[best]
-		ch := nd.trixel.Children()
-		var kids [4]*pnode
-		for i := range ch {
-			kids[i] = newPnode(ch[i])
-		}
-		nd.children = &kids
-		// Replace the split leaf with its four children.
-		leaves[best] = kids[0]
-		leaves = append(leaves, kids[1], kids[2], kids[3])
-	}
-
-	// Record leaves and choose which to leave unassigned (the lightest
-	// extra ones).
-	p.leaves = make([]leaf, len(leaves))
-	for i, nd := range leaves {
-		nd.leafIdx = i
-		p.leaves[i] = leaf{trixel: nd.trixel, weight: w(nd.trixel), objIdx: -1}
 	}
 	p.assignObjects()
 	return p, nil

@@ -15,30 +15,34 @@ func gaussianWeight(t Trixel) float64 {
 	return t.AreaSr() * (0.05 + math.Exp(-d*d/0.3))
 }
 
+// TestBuildPartitionExactCounts builds the paper's object-set sizes
+// (Section 6.2): each has exactly n objects and n weights, and every
+// object owns the center of its own trixel.
 func TestBuildPartitionExactCounts(t *testing.T) {
-	// The paper's object-set sizes from Section 6.2.
 	for _, n := range []int{10, 20, 68, 91, 134, 285, 532} {
-		p, err := BuildPartition(gaussianWeight, n)
+		p, err := BuildLeveled(gaussianWeight, n)
 		if err != nil {
-			t.Fatalf("BuildPartition(%d): %v", n, err)
+			t.Fatalf("BuildLeveled(%d): %v", n, err)
 		}
-		if p.N() != n {
-			t.Errorf("N() = %d, want %d", p.N(), n)
+		if p.N() != n || len(p.Objects()) != n || len(p.Weights()) != n {
+			t.Fatalf("n=%d: N() = %d, %d objects, %d weights", n, p.N(), len(p.Objects()), len(p.Weights()))
 		}
-		if got := len(p.Objects()); got != n {
-			t.Errorf("len(Objects()) = %d, want %d", got, n)
+		for i, tr := range p.Objects() {
+			if got := p.ObjectFor(tr.Center()); got != i {
+				t.Fatalf("n=%d: object %d's center resolves to object %d", n, i, got)
+			}
 		}
 	}
 }
 
 func TestBuildPartitionTooSmall(t *testing.T) {
-	if _, err := BuildPartition(nil, 7); err == nil {
-		t.Error("BuildPartition(7) should fail: fewer than 8 roots")
+	if _, err := BuildLeveled(nil, 7); err == nil {
+		t.Error("BuildLeveled(7) should fail: fewer than 8 roots")
 	}
 }
 
 func TestObjectForCoversAllIndices(t *testing.T) {
-	p, err := BuildPartition(gaussianWeight, 68)
+	p, err := BuildLeveled(gaussianWeight, 68)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +62,7 @@ func TestObjectForCoversAllIndices(t *testing.T) {
 }
 
 func TestObjectForDeterministic(t *testing.T) {
-	p, err := BuildPartition(gaussianWeight, 20)
+	p, err := BuildLeveled(gaussianWeight, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +76,11 @@ func TestObjectForDeterministic(t *testing.T) {
 }
 
 func TestPartitionIsStableAcrossBuilds(t *testing.T) {
-	a, err := BuildPartition(gaussianWeight, 68)
+	a, err := BuildLeveled(gaussianWeight, 68)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildPartition(gaussianWeight, 68)
+	b, err := BuildLeveled(gaussianWeight, 68)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +93,7 @@ func TestPartitionIsStableAcrossBuilds(t *testing.T) {
 }
 
 func TestCoverIncludesContainingObject(t *testing.T) {
-	p, err := BuildPartition(gaussianWeight, 91)
+	p, err := BuildLeveled(gaussianWeight, 91)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +129,7 @@ func TestCoverIncludesContainingObject(t *testing.T) {
 }
 
 func TestCoverSortedAndUnique(t *testing.T) {
-	p, err := BuildPartition(gaussianWeight, 68)
+	p, err := BuildLeveled(gaussianWeight, 68)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +143,7 @@ func TestCoverSortedAndUnique(t *testing.T) {
 }
 
 func TestCoverGrowsWithRadius(t *testing.T) {
-	p, err := BuildPartition(gaussianWeight, 134)
+	p, err := BuildLeveled(gaussianWeight, 134)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,34 +154,6 @@ func TestCoverGrowsWithRadius(t *testing.T) {
 	}
 	if big < 10 {
 		t.Errorf("60° cap covers only %d objects of 134", big)
-	}
-}
-
-func TestAdaptiveSplitFollowsDensity(t *testing.T) {
-	// Objects near the hotspot must be smaller (more subdivided) than
-	// objects far from it.
-	p, err := BuildPartition(gaussianWeight, 68)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := geom.FromRADec(180, 0)
-	hotLevels, coldLevels := 0, 0
-	hotN, coldN := 0, 0
-	for _, tr := range p.Objects() {
-		if tr.Center().AngleTo(hot) < 0.5 {
-			hotLevels += tr.Level()
-			hotN++
-		} else if tr.Center().AngleTo(hot) > 2.0 {
-			coldLevels += tr.Level()
-			coldN++
-		}
-	}
-	if hotN == 0 || coldN == 0 {
-		t.Skip("degenerate sample")
-	}
-	if float64(hotLevels)/float64(hotN) <= float64(coldLevels)/float64(coldN) {
-		t.Errorf("hotspot not more subdivided: hot avg level %v, cold %v",
-			float64(hotLevels)/float64(hotN), float64(coldLevels)/float64(coldN))
 	}
 }
 
@@ -281,7 +257,7 @@ func TestCoverStraddlesAssignedBoundary(t *testing.T) {
 }
 
 func TestWeightsMatchObjectCount(t *testing.T) {
-	p, err := BuildPartition(gaussianWeight, 91)
+	p, err := BuildLeveled(gaussianWeight, 91)
 	if err != nil {
 		t.Fatal(err)
 	}

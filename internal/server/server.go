@@ -36,11 +36,6 @@ type Config struct {
 	Survey *catalog.Survey
 	// Scale converts logical sizes to physical payload bytes.
 	Scale netproto.PayloadScale
-	// ExecDelay simulates repository query-execution time per request
-	// (the paper's repository runs multi-second scans over TB-scale
-	// tables; a loopback deployment answers in microseconds, which
-	// hides every concurrency effect). Zero disables.
-	ExecDelay time.Duration
 	// DataDir, when set, makes repository growth durable: ingested
 	// births are journaled and snapshotted (internal/persist), and New
 	// replays them into the survey so the grown universe survives
@@ -537,9 +532,6 @@ func (r *Repository) execQuery(q *model.Query, traceID uint64) netproto.Frame {
 	r.queriesTotal.Add(1)
 	if len(q.Objects) == 0 {
 		return netproto.ErrorFrame("query %d accesses no objects", q.ID)
-	}
-	if r.cfg.ExecDelay > 0 {
-		time.Sleep(r.cfg.ExecDelay)
 	}
 	for _, id := range q.Objects {
 		if _, err := r.cfg.Survey.Object(id); err != nil {

@@ -157,31 +157,6 @@ func estimateResultSize(st *Statement, survey *catalog.Survey, center geom.Vec3,
 	return cost.Bytes(size)
 }
 
-// Execute runs the statement over a row sample (a demo executor that no
-// node calls).
-func Execute(st *Statement, rows []catalog.Row) ([]catalog.Row, int, error) {
-	var cap geom.Cap
-	hasRegion := st.Region != nil
-	if hasRegion {
-		cap = st.Region.Cap()
-	}
-	var out []catalog.Row
-	count := 0
-	for _, row := range rows {
-		if hasRegion && !cap.Contains(geom.FromRADec(row.RA, row.Dec)) {
-			continue
-		}
-		if st.MagLimit != nil && row.R >= *st.MagLimit {
-			continue
-		}
-		count++
-		if !st.Count {
-			out = append(out, row)
-		}
-	}
-	return out, count, nil
-}
-
 // --- lexer ---
 
 type tokKind int

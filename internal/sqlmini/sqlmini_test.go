@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/deltacache/delta/internal/catalog"
-	"github.com/deltacache/delta/internal/geom"
 	"github.com/deltacache/delta/internal/model"
 )
 
@@ -169,51 +168,6 @@ func TestCostEstimateShrinksWithSelectivity(t *testing.T) {
 	}
 	if qCount.Cost >= qNarrow.Cost {
 		t.Errorf("COUNT (%v) should be tiny", qCount.Cost)
-	}
-}
-
-func TestExecuteFiltersRows(t *testing.T) {
-	s := testSurvey(t)
-	rows := s.SampleRows(3000, 1)
-	st, err := Parse("SELECT ra, dec FROM PhotoObj WHERE CONTAINS(POINT(0, 0), CIRCLE(0, 0, 30))")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, count, err := Execute(st, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != len(out) {
-		t.Errorf("count %d != rows %d", count, len(out))
-	}
-	region := st.Region.Cap()
-	for _, r := range out {
-		if !region.Contains(geom.FromRADec(r.RA, r.Dec)) {
-			t.Fatalf("row (%v,%v) outside region", r.RA, r.Dec)
-		}
-	}
-	// The complement must be non-empty for a 30° cap on full-sky rows.
-	if count == 0 || count == len(rows) {
-		t.Errorf("filter degenerate: %d of %d", count, len(rows))
-	}
-}
-
-func TestExecuteCountOnly(t *testing.T) {
-	s := testSurvey(t)
-	rows := s.SampleRows(500, 1)
-	st, err := Parse("SELECT COUNT(*) FROM PhotoObj WHERE r < 18")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, count, err := Execute(st, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != nil {
-		t.Error("COUNT(*) must not materialize rows")
-	}
-	if count <= 0 || count >= 500 {
-		t.Errorf("count = %d of 500", count)
 	}
 }
 
