@@ -164,7 +164,8 @@ type Middleware struct {
 
 	loads loadGroup
 
-	// covers memoizes Resolver lookups (nil when no Resolver is set).
+	// covers resolves sky regions through Resolver and ResolverGrow;
+	// nil (every method still callable) when no Resolver is set.
 	covers *htm.CoverCache
 
 	// store is the durability layer (nil when Config.DataDir is empty);
@@ -257,9 +258,7 @@ func New(cfg Config) (*Middleware, error) {
 	}
 	m.Node = node.New("cache", cfg.Addr, cfg.MetricsAddr, cfg.Logf, m.handleClientFrame)
 	m.replicas.Store(int64(max(cfg.Replicas, 1)))
-	if cfg.Resolver != nil {
-		m.covers = htm.NewCoverCache(256)
-	}
+	m.covers = htm.NewCoverCache(256, cfg.Resolver, cfg.ResolverGrow)
 	m.queryLat = m.Reg.NewHistogram("delta_query_seconds",
 		"End-to-end query handling latency at this cache node (fragment or whole query).", nil)
 	m.loadLat = m.Reg.NewHistogram("delta_load_seconds",
@@ -488,14 +487,13 @@ func (m *Middleware) adoptRecovered(st *persist.State) {
 		}
 		m.recoveredWarm.Store(int64(len(adopted)))
 	}
-	if len(st.Births) > 0 && m.covers != nil && m.cfg.ResolverGrow != nil {
+	if len(st.Births) > 0 {
 		// The resolver was built from the startup survey; recovered
 		// births must rejoin its universe or region covers would exclude
 		// them until the next live birth.
-		if err := m.cfg.ResolverGrow(st.Births); err != nil {
+		if err := m.covers.Grow(st.Births); err != nil {
 			m.cfg.Logf("recovery resolver growth: %v (region covers may miss recovered newborns)", err)
 		}
-		m.covers.Bump()
 	}
 	m.cfg.Logf("recovered warm: epoch %d, %d births, %d/%d residents re-adopted",
 		st.Epoch, len(st.Births), m.recoveredWarm.Load(), len(st.Resident))
@@ -584,9 +582,7 @@ func (m *Middleware) Stats() netproto.StatsMsg {
 		RecoveredWarm:        m.recoveredWarm.Load(),
 		Replicas:             m.replicas.Load(),
 	}
-	if m.covers != nil {
-		stats.CoverCacheHits, stats.CoverCacheMisses = m.covers.Stats()
-	}
+	stats.CoverCacheHits, stats.CoverCacheMisses = m.covers.Stats()
 	if m.store != nil {
 		stats.SnapshotAge = m.store.SnapshotAge()
 		stats.JournalRecords = m.store.JournalRecords()
@@ -706,16 +702,11 @@ func (m *Middleware) handleClientFrame(f netproto.Frame) netproto.Frame {
 	case netproto.QueryMsg:
 		meta := queryMeta{traceID: body.TraceID, shard: -1}
 		if len(body.Query.Objects) == 0 && !body.Region.Empty() {
-			objs, hit, err := m.resolveRegion(body.Region)
+			objs, detail, err := m.covers.Region(body.Region.RA, body.Region.Dec, body.Region.RadiusDeg)
 			if err != nil {
-				return netproto.ErrorFrame("%v", err)
+				return netproto.ErrorFrame("cache: %v", err)
 			}
-			body.Query.Objects = objs
-			if hit {
-				meta.detail = "cover-cache=hit"
-			} else {
-				meta.detail = "cover-cache=miss"
-			}
+			body.Query.Objects, meta.detail = objs, detail
 		}
 		return m.handleQuery(ctx, &body.Query, meta)
 	case netproto.ShardQueryMsg:
@@ -742,22 +733,6 @@ func (m *Middleware) handleClientFrame(f netproto.Frame) netproto.Frame {
 	default:
 		return netproto.ErrorFrame("cache: client sent %s", f.Type)
 	}
-}
-
-// resolveRegion maps a query's sky region to B(q) through the memoized
-// cover cache (also reporting whether the cover was memoized, for the
-// trace span). A node with no resolver cannot serve region queries.
-func (m *Middleware) resolveRegion(region netproto.SkyRegion) ([]model.ObjectID, bool, error) {
-	if m.cfg.Resolver == nil {
-		return nil, false, fmt.Errorf("cache: node has no region resolver; send explicit object lists")
-	}
-	objs, hit := m.covers.ResolveHit(
-		geom.CapFromRADec(region.RA, region.Dec, region.RadiusDeg), m.cfg.Resolver)
-	if len(objs) == 0 {
-		return nil, hit, fmt.Errorf("cache: region (%v, %v, r=%v°) covers no objects",
-			region.RA, region.Dec, region.RadiusDeg)
-	}
-	return objs, hit, nil
 }
 
 // queryMeta carries a query's routing and tracing context into
@@ -1009,17 +984,8 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 	// birth load (Replica) rolls residency back exactly like any
 	// failed load.
 	m.bornObjects.Add(int64(len(fresh)))
-	if m.covers != nil {
-		// Extend the resolver's universe first, then drop memoized
-		// covers: a newborn can join any region's cover, and a recompute
-		// against the pre-growth resolver would just re-memoize its
-		// absence.
-		if m.cfg.ResolverGrow != nil {
-			if err := m.cfg.ResolverGrow(freshBirths); err != nil {
-				m.cfg.Logf("resolver growth: %v (region covers may miss newborns)", err)
-			}
-		}
-		m.covers.Bump()
+	if err := m.covers.Grow(freshBirths); err != nil {
+		m.cfg.Logf("resolver growth: %v (region covers may miss newborns)", err)
 	}
 	m.cfg.Logf("admitted %d born objects (universe now %d)", len(fresh), universe)
 	if err := m.executePlan(ctx, p); err != nil {

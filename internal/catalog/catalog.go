@@ -142,13 +142,11 @@ type Config struct {
 	MaxObjectSize cost.Bytes
 	// Blobs is the number of density clusters on the sky.
 	Blobs int
-	// Uniform selects the complete uniform decomposition at a fixed HTM
-	// level instead of the keep-the-densest mesh. NumObjects must then
-	// be exactly 8·4^level (…, 32768, 131072, 524288, 2097152). This is
-	// the million-object path: the keep-the-densest builder
-	// materializes the whole trixel tree and runs an O(n²) assignment
-	// pass, while the uniform partition stores one weight per object
-	// and resolves positions and covers on the implicit tree.
+	// Uniform selects the complete decomposition of one HTM level, every
+	// trixel an object: NumObjects must then be exactly 8·4^level (…,
+	// 32768, 131072, 524288, 2097152), and each object is weighed by one
+	// density sample at its center instead of a 7-point quadrature, so
+	// the build stays linear at two million objects.
 	Uniform bool
 }
 
@@ -178,25 +176,13 @@ func DefaultConfig() Config {
 type Survey struct {
 	cfg       Config
 	sky       *Sky
-	partition skyPartition
+	partition *htm.Partition
 	objects   []model.Object
 	maxDens   float64
 
 	mu         sync.RWMutex
 	born       []bornObject
 	bornByCell map[int][]int // partition cell index → born indexes
-}
-
-// skyPartition is what the survey needs from a sphere decomposition;
-// both the keep-the-densest htm.Partition and the uniform
-// htm.DensePartition
-// satisfy it.
-type skyPartition interface {
-	N() int
-	ObjectFor(geom.Vec3) int
-	Cover(geom.Cap) []int
-	Weights() []float64
-	ObjectTrixelID(int) uint64
 }
 
 // bornObject is one live-ingested object with its sky position, its
@@ -223,31 +209,23 @@ func NewSurvey(cfg Config) (*Survey, error) {
 		return nil, fmt.Errorf("catalog: min object size exceeds max")
 	}
 	sky := NewSky(cfg.Seed, cfg.Blobs)
-	var part skyPartition
+	// Equi-area partitions at a fixed HTM level, keeping the N densest
+	// (the paper's construction); object sizes then follow density and
+	// span the paper's 50 MB – 90 GB range.
+	weight := func(t htm.Trixel) float64 { return integrateDensity(sky, t) }
 	if cfg.Uniform {
-		// Complete decomposition: one density sample per trixel keeps
-		// the build O(n) even at two million objects, where the 7-point
-		// quadrature would cost seven sky evaluations apiece.
-		weight := func(t htm.Trixel) float64 {
-			return sky.Density(t.Center()) * t.AreaSr()
+		if level, exact := htm.LevelFor(cfg.NumObjects); !exact {
+			return nil, fmt.Errorf("catalog: uniform partition needs 8·4^level objects (%d or %d, not %d)",
+				htm.LevelObjects(max(level-1, 0)), htm.LevelObjects(level), cfg.NumObjects)
 		}
-		dense, err := htm.BuildDense(weight, cfg.NumObjects)
-		if err != nil {
-			return nil, fmt.Errorf("catalog: build partition: %w", err)
-		}
-		part = dense
-	} else {
-		weight := func(t htm.Trixel) float64 {
-			return integrateDensity(sky, t)
-		}
-		// Equi-area partitions at a fixed HTM level, keeping the N
-		// densest (the paper's construction); object sizes then follow
-		// density and span the paper's 50 MB – 90 GB range.
-		leveled, err := htm.BuildLeveled(weight, cfg.NumObjects)
-		if err != nil {
-			return nil, fmt.Errorf("catalog: build partition: %w", err)
-		}
-		part = leveled
+		// One density sample per trixel keeps the build O(n) even at two
+		// million objects, where the 7-point quadrature would cost seven
+		// sky evaluations apiece.
+		weight = func(t htm.Trixel) float64 { return sky.Density(t.Center()) * t.AreaSr() }
+	}
+	part, err := htm.Build(weight, cfg.NumObjects)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: build partition: %w", err)
 	}
 	s := &Survey{cfg: cfg, sky: sky, partition: part}
 	s.sizeObjects()

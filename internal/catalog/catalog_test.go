@@ -50,7 +50,7 @@ func TestCoverCapConcurrentThroughCoverCache(t *testing.T) {
 		for i, c := range caps {
 			want[i] = twin.CoverCap(c)
 		}
-		cc := htm.NewCoverCache(16)
+		cc := htm.NewCoverCache(16, s.CoverCap, nil)
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -58,7 +58,7 @@ func TestCoverCapConcurrentThroughCoverCache(t *testing.T) {
 				defer wg.Done()
 				for k := 0; k < 4*len(caps); k++ {
 					i := (k*7 + g) % len(caps)
-					if got := cc.Resolve(caps[i], s.CoverCap); !slices.Equal(got, want[i]) {
+					if got, _ := cc.Resolve(caps[i]); !slices.Equal(got, want[i]) {
 						t.Errorf("goroutine %d, cap %d: cover %v, sequential %v", g, i, got, want[i])
 						return
 					}

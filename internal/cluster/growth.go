@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
@@ -187,40 +186,32 @@ func (r *Router) adoptBirths(ctx context.Context, births []model.Birth) (int, er
 		shardIdxs = append(shardIdxs, s)
 	}
 	slices.Sort(shardIdxs)
+	links := make([]*shardLink, len(shardIdxs))
+	for i, s := range shardIdxs {
+		links[i] = rt.links[s]
+	}
 	// One batched grant frame per owning shard, shipped in parallel:
 	// however many births this round accumulated, each shard costs one
 	// round trip (MsgBirthGrant carries the whole batch; the shard
 	// admits the births directly, with no repository re-forward — the
 	// grant only ever follows the repository's own ack or announcement).
-	grantErrs := make([]error, len(shardIdxs))
-	var wg sync.WaitGroup
-	for i, s := range shardIdxs {
-		wg.Add(1)
-		go func(i, s int) {
-			defer wg.Done()
-			link := rt.links[s]
-			ctx, cancel := context.WithTimeout(ctx, shardTimeout)
-			defer cancel()
-			_, err := link.sess.RoundTrip(ctx, netproto.Frame{
-				Type: netproto.MsgBirthGrant,
-				Body: netproto.BirthGrantMsg{Births: byShard[s], Epoch: rt.epoch},
-			})
-			if err != nil {
-				// The shard missed its grant: queries for the newborn will
-				// fail on it until the next reshard re-grants the owned set
-				// explicitly. Surface the failure; routing still flips so
-				// the rest of the batch serves.
-				grantErrs[i] = fmt.Errorf("shard %d (%s): %w", link.index, link.addr, err)
-				r.cfg.Logf("birth grant to shard %d failed: %v", link.index, err)
-			}
-		}(i, s)
-	}
-	wg.Wait()
+	_, grantErrs := fanOut(ctx, links, shardTimeout, func(i int) netproto.Frame {
+		return netproto.Frame{
+			Type: netproto.MsgBirthGrant,
+			Body: netproto.BirthGrantMsg{Births: byShard[shardIdxs[i]], Epoch: rt.epoch},
+		}
+	})
 	r.grantBatches.Add(int64(len(shardIdxs)))
 	var pushErrs []error
-	for _, err := range grantErrs {
+	for i, err := range grantErrs {
 		if err != nil {
-			pushErrs = append(pushErrs, err)
+			// The shard missed its grant: queries for the newborn will
+			// fail on it until the next reshard re-grants the owned set
+			// explicitly. Surface the failure; routing still flips so the
+			// rest of the batch serves.
+			link := links[i]
+			r.cfg.Logf("birth grant to shard %d failed: %v", link.index, err)
+			pushErrs = append(pushErrs, fmt.Errorf("shard %d (%s): %w", link.index, link.addr, err))
 		}
 	}
 
@@ -229,17 +220,8 @@ func (r *Router) adoptBirths(ctx context.Context, births []model.Birth) (int, er
 	// result cache is left alone (regions re-resolve below).
 	r.routing.Store(&routing{epoch: rt.epoch, own: ownNew, links: rt.links, alt: rt.alt})
 	r.births.Add(int64(len(fresh)))
-	if r.covers != nil {
-		// Extend the resolver's universe before dropping memoized
-		// covers — newborns can join any region's cover, and a
-		// recompute against the pre-growth resolver would re-memoize
-		// their absence.
-		if r.cfg.ResolverGrow != nil {
-			if err := r.cfg.ResolverGrow(freshBirths); err != nil {
-				r.cfg.Logf("resolver growth: %v (region covers may miss newborns)", err)
-			}
-		}
-		r.covers.Bump()
+	if err := r.covers.Grow(freshBirths); err != nil {
+		r.cfg.Logf("resolver growth: %v (region covers may miss newborns)", err)
 	}
 	r.cfg.Logf("adopted %d born objects (universe now %d objects, epoch %d)",
 		len(fresh), len(ownNew.universe), rt.epoch)

@@ -33,11 +33,11 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
@@ -295,44 +295,38 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 // metadata so a shard can take ownership of objects born after it
 // spawned.
 func (r *Router) reshardAll(ctx context.Context, epoch int, own *Ownership, targets []reshardTarget) error {
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
+	links := make([]*shardLink, len(targets))
 	for i, t := range targets {
-		wg.Add(1)
-		go func(i int, t reshardTarget) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(ctx, shardTimeout)
-			defer cancel()
-			reply, err := t.link.sess.RoundTrip(ctx, netproto.Frame{
-				Type: netproto.MsgReshard,
-				Body: netproto.ReshardMsg{
-					Epoch:    epoch,
-					Owned:    t.owned,
-					Universe: own.Objects(t.owned),
-					Warm:     t.warm,
-					Replicas: own.Replicas(),
-				},
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d (%s): %w", t.link.index, t.link.addr, err)
-				return
-			}
-			ack, ok := reply.Body.(netproto.ReshardMsg)
-			if !ok {
-				errs[i] = fmt.Errorf("shard %d replied %s to reshard", t.link.index, reply.Type)
-				return
-			}
-			r.cfg.Logf("shard %d resharded for epoch %d: %d owned, %d warm offered, %d resident, %d dropped",
-				t.link.index, epoch, len(t.owned), len(t.warm), ack.Resident, ack.Dropped)
-		}(i, t)
+		links[i] = t.link
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	replies, errs := fanOut(ctx, links, shardTimeout, func(i int) netproto.Frame {
+		t := targets[i]
+		return netproto.Frame{
+			Type: netproto.MsgReshard,
+			Body: netproto.ReshardMsg{
+				Epoch:    epoch,
+				Owned:    t.owned,
+				Universe: own.Objects(t.owned),
+				Warm:     t.warm,
+				Replicas: own.Replicas(),
+			},
 		}
+	})
+	var first error
+	for i, t := range targets {
+		if errs[i] != nil {
+			first = cmp.Or(first, fmt.Errorf("shard %d (%s): %w", t.link.index, t.link.addr, errs[i]))
+			continue
+		}
+		ack, ok := replies[i].Body.(netproto.ReshardMsg)
+		if !ok {
+			first = cmp.Or(first, fmt.Errorf("shard %d replied %s to reshard", t.link.index, replies[i].Type))
+			continue
+		}
+		r.cfg.Logf("shard %d resharded for epoch %d: %d owned, %d warm offered, %d resident, %d dropped",
+			t.link.index, epoch, len(t.owned), len(t.warm), ack.Resident, ack.Dropped)
 	}
-	return nil
+	return first
 }
 
 // unionIDs merges two sorted ID slices, deduplicated.

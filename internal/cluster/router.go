@@ -129,8 +129,8 @@ type Router struct {
 	// RepoAddr.
 	repo *netproto.Session
 
-	// covers memoizes Resolver lookups for region queries (nil when no
-	// Resolver is configured).
+	// covers resolves region queries through Resolver and ResolverGrow;
+	// nil (every method still callable) when no Resolver is configured.
 	covers *htm.CoverCache
 
 	// results is the invalidation-aware result cache + in-flight query
@@ -202,9 +202,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	r.Node = node.New("cluster router", cfg.Addr, cfg.MetricsAddr, cfg.Logf, r.handleClientFrame)
 	r.Unblock = r.release
-	if cfg.Resolver != nil {
-		r.covers = htm.NewCoverCache(256)
-	}
+	r.covers = htm.NewCoverCache(256, cfg.Resolver, cfg.ResolverGrow)
 	r.routerLat = r.Reg.NewHistogram("delta_router_query_seconds",
 		"End-to-end scatter/gather latency of routed queries.", nil)
 	r.fragLat = r.Reg.NewHistogram("delta_router_fragment_seconds",
@@ -410,15 +408,11 @@ func (r *Router) handleClientFrame(f netproto.Frame) netproto.Frame {
 	case netproto.QueryMsg:
 		var detail string
 		if len(body.Query.Objects) == 0 && !body.Region.Empty() {
-			objs, hit, err := r.resolveRegion(body.Region)
+			objs, d, err := r.covers.Region(body.Region.RA, body.Region.Dec, body.Region.RadiusDeg)
 			if err != nil {
-				return netproto.ErrorFrame("%v", err)
+				return netproto.ErrorFrame("cluster: %v", err)
 			}
-			body.Query.Objects = objs
-			detail = "cover-cache=miss"
-			if hit {
-				detail = "cover-cache=hit"
-			}
+			body.Query.Objects, detail = objs, d
 		}
 		return r.routeQuery(ctx, &body.Query, body.TraceID, detail)
 	case netproto.StatsMsg:
@@ -439,23 +433,6 @@ func (r *Router) handleClientFrame(f netproto.Frame) netproto.Frame {
 	default:
 		return netproto.ErrorFrame("cluster: client sent %s", f.Type)
 	}
-}
-
-// resolveRegion maps a client's sky region to B(q) through the
-// router's memoized cover cache; repeated sky-region queries skip the
-// partition.Cover recomputation entirely. The hit flag feeds the trace
-// span's cover-cache detail.
-func (r *Router) resolveRegion(region netproto.SkyRegion) ([]model.ObjectID, bool, error) {
-	if r.cfg.Resolver == nil {
-		return nil, false, fmt.Errorf("cluster: router has no region resolver; send explicit object lists")
-	}
-	objs, hit := r.covers.ResolveHit(
-		geom.CapFromRADec(region.RA, region.Dec, region.RadiusDeg), r.cfg.Resolver)
-	if len(objs) == 0 {
-		return nil, false, fmt.Errorf("cluster: region (%v, %v, r=%v°) covers no objects",
-			region.RA, region.Dec, region.RadiusDeg)
-	}
-	return objs, hit, nil
 }
 
 // fragment is one link's slice of a query: the unit a plan produces and
@@ -904,38 +881,48 @@ func (r *Router) next(ctx context.Context, fr fragment, struck []string, cause e
 // residency probe that opens a live resize).
 const statsTimeout = 5 * time.Second
 
+// fanOut sends frame(i) to links[i] for every link concurrently, each
+// round trip bounded by timeout, and returns the replies and errors in
+// link order.
+func fanOut(ctx context.Context, links []*shardLink, timeout time.Duration, frame func(i int) netproto.Frame) ([]netproto.Frame, []error) {
+	replies := make([]netproto.Frame, len(links))
+	errs := make([]error, len(links))
+	var wg sync.WaitGroup
+	for i, l := range links {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(ctx, timeout)
+			defer cancel()
+			replies[i], errs[i] = l.sess.RoundTrip(ctx, frame(i))
+		}()
+	}
+	wg.Wait()
+	return replies, errs
+}
+
 // probeStats asks every link for its StatsMsg in parallel, each probe
 // bounded by statsTimeout. A shard that fails to answer comes back
 // not-alive, with the failure in Err.
 func (r *Router) probeStats(ctx context.Context, links []*shardLink) []netproto.ShardStats {
+	replies, errs := fanOut(ctx, links, statsTimeout, func(int) netproto.Frame {
+		return netproto.Frame{Type: netproto.MsgStats, Body: netproto.StatsMsg{}}
+	})
 	out := make([]netproto.ShardStats, len(links))
-	var wg sync.WaitGroup
 	for i, s := range links {
-		wg.Add(1)
-		go func(i int, s *shardLink) {
-			defer wg.Done()
-			st := &out[i]
-			st.Shard = s.index
-			st.Addr = s.addr
-			ctx, cancel := context.WithTimeout(ctx, statsTimeout)
-			defer cancel()
-			reply, err := s.sess.RoundTrip(ctx, netproto.Frame{
-				Type: netproto.MsgStats, Body: netproto.StatsMsg{},
-			})
-			if err != nil {
-				st.Err = err.Error()
-				return
-			}
-			stats, ok := reply.Body.(netproto.StatsMsg)
-			if !ok {
-				st.Err = fmt.Sprintf("shard replied %s", reply.Type)
-				return
-			}
-			st.Alive = true
-			st.Stats = stats
-		}(i, s)
+		st := &out[i]
+		st.Shard, st.Addr = s.index, s.addr
+		if errs[i] != nil {
+			st.Err = errs[i].Error()
+			continue
+		}
+		stats, ok := replies[i].Body.(netproto.StatsMsg)
+		if !ok {
+			st.Err = fmt.Sprintf("shard replied %s", replies[i].Type)
+			continue
+		}
+		st.Alive, st.Stats = true, stats
 	}
-	wg.Wait()
 	return out
 }
 
@@ -979,13 +966,11 @@ func (r *Router) clusterStats(ctx context.Context) netproto.ClusterStatsMsg {
 			agg.Policy = fmt.Sprintf("cluster(%s×%d)", st.Stats.Policy, len(rt.links))
 		}
 	}
-	if r.covers != nil {
-		// Region resolution happens at the router, so its cover cache
-		// joins the aggregate the shards cannot see.
-		hits, misses := r.covers.Stats()
-		out.Aggregate.CoverCacheHits += hits
-		out.Aggregate.CoverCacheMisses += misses
-	}
+	// Region resolution happens at the router, so its cover cache joins
+	// the aggregate the shards cannot see.
+	hits, misses := r.covers.Stats()
+	out.Aggregate.CoverCacheHits += hits
+	out.Aggregate.CoverCacheMisses += misses
 	// The result cache, coalescer, and grant batcher are routing-tier
 	// structures too: their counters join the aggregate here (shards
 	// always report zeroes for them).

@@ -23,13 +23,13 @@ func generatorCaps(n int) []geom.Cap {
 	return caps
 }
 
-// BenchmarkDenseCover times one DensePartition.Cover at the cluster
-// workloads' level-5 mesh and the million-object soak's level 9.
+// BenchmarkDenseCover times one Partition.Cover on complete levels: the
+// cluster workloads' level-5 mesh and the million-object soak's level 9.
 func BenchmarkDenseCover(b *testing.B) {
 	caps := generatorCaps(256)
 	for _, level := range []int{5, 9} {
 		b.Run(fmt.Sprintf("level%d", level), func(b *testing.B) {
-			p, err := BuildDense(nil, DenseLevelObjects(level))
+			p, err := Build(nil, LevelObjects(level))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -45,9 +45,9 @@ func BenchmarkDenseCover(b *testing.B) {
 }
 
 // BenchmarkHTMCover times the query→object mapping on the paper's
-// 68-object leveled partition.
+// 68-object kept subset.
 func BenchmarkHTMCover(b *testing.B) {
-	p, err := BuildLeveled(nil, 68)
+	p, err := Build(nil, 68)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -36,8 +36,9 @@ func intersectsCapReference(t Trixel, c geom.Cap) bool {
 	return false
 }
 
-// denseCoverReference is DensePartition.Cover's walk on the oracle.
-func denseCoverReference(p *DensePartition, c geom.Cap) []int {
+// coverReference is Partition.Cover's walk on the oracle, deriving
+// every trixel from its parent instead of reading the partition's table.
+func coverReference(p *Partition, c geom.Cap) []int {
 	var out []int
 	var walk func(t Trixel)
 	walk = func(t Trixel) {
@@ -45,7 +46,7 @@ func denseCoverReference(p *DensePartition, c geom.Cap) []int {
 			return
 		}
 		if t.Level() == p.level {
-			out = append(out, int(t.ID-p.first))
+			out = append(out, p.object(t.ID))
 			return
 		}
 		for _, ch := range t.Children() {
@@ -55,34 +56,8 @@ func denseCoverReference(p *DensePartition, c geom.Cap) []int {
 	for _, r := range Roots() {
 		walk(r)
 	}
-	return out
-}
-
-// partitionCoverReference is Partition.Cover's walk on the oracle.
-func partitionCoverReference(p *Partition, c geom.Cap) []int {
-	seen := make(map[int]bool)
-	var walk func(nd *pnode)
-	walk = func(nd *pnode) {
-		if !intersectsCapReference(nd.trixel, c) {
-			return
-		}
-		if nd.children == nil {
-			seen[p.leaves[nd.leafIdx].objIdx] = true
-			return
-		}
-		for _, ch := range nd.children {
-			walk(ch)
-		}
-	}
-	for _, r := range p.root {
-		walk(r)
-	}
-	out := make([]int, 0, len(seen))
-	for idx := range seen {
-		out = append(out, idx)
-	}
 	slices.Sort(out)
-	return out
+	return slices.Compact(out)
 }
 
 // randomTrixel returns the trixel at a random level in [0, maxLevel]
@@ -221,51 +196,53 @@ func coverCaps(rng *rand.Rand, level, n int) []geom.Cap {
 	return caps
 }
 
+// checkCoverMatchesReference builds a partition of n objects and
+// compares its covers of the given caps against the oracle walk.
+func checkCoverMatchesReference(t *testing.T, weight WeightFunc, n int, caps []geom.Cap) {
+	t.Helper()
+	p, err := Build(weight, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range caps {
+		if got, want := p.Cover(c), coverReference(p, c); !slices.Equal(got, want) {
+			t.Fatalf("%d objects, cap %+v: cover %v, reference %v", n, c, got, want)
+		}
+	}
+}
+
+// TestDenseCoverMatchesReference covers complete (dense) levels, where
+// every trixel of the level is its own object.
 func TestDenseCoverMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	// Level 8 walks its last level on derived geometry.
 	for _, level := range []int{0, 2, 5, 8} {
-		p, err := BuildDense(nil, DenseLevelObjects(level))
-		if err != nil {
-			t.Fatal(err)
-		}
 		n := 400
 		if level == 8 {
 			n = 40
 		}
-		for _, c := range coverCaps(rng, level, n) {
-			if got, want := p.Cover(c), denseCoverReference(p, c); !slices.Equal(got, want) {
-				t.Fatalf("level %d, cap %+v: cover %v, reference %v", level, c, got, want)
-			}
-		}
+		checkCoverMatchesReference(t, nil, LevelObjects(level), coverCaps(rng, level, n))
 	}
 }
 
+// TestPartitionCoverMatchesReference covers kept subsets, where every
+// other trixel maps to the kept object with the nearest center.
 func TestPartitionCoverMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{532, 68} {
-		p, err := BuildLeveled(gaussianWeight, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range coverCaps(rng, 6, 600) {
-			if got, want := p.Cover(c), partitionCoverReference(p, c); !slices.Equal(got, want) {
-				t.Fatalf("cap %+v: cover %v, reference %v", c, got, want)
-			}
-		}
+		checkCoverMatchesReference(t, gaussianWeight, n, coverCaps(rng, 6, 600))
 	}
 }
 
-// TestCoverConcurrent covers from 8 goroutines at once on both
-// partition kinds, each freshly built and never covered before (run
-// under -race): every result equals a twin partition's sequential one,
-// so the geometry covers read is built at construction, not filled in
-// on first use.
+// TestCoverConcurrent covers from 8 goroutines at once on a complete
+// level and a kept subset, each freshly built and never covered before
+// (run under -race): every result equals a twin partition's sequential
+// one, so the geometry covers read is built at construction, not filled
+// in on first use.
 func TestCoverConcurrent(t *testing.T) {
-	type coverer interface{ Cover(geom.Cap) []int }
-	builds := []func() (coverer, error){
-		func() (coverer, error) { return BuildDense(nil, DenseLevelObjects(5)) },
-		func() (coverer, error) { return BuildLeveled(gaussianWeight, 68) },
+	builds := []func() (*Partition, error){
+		func() (*Partition, error) { return Build(nil, LevelObjects(5)) },
+		func() (*Partition, error) { return Build(gaussianWeight, 68) },
 	}
 	caps := coverCaps(rand.New(rand.NewSource(32)), 5, 64)
 	for _, build := range builds {

@@ -13,14 +13,14 @@
 // length.
 //
 // A cone search maps to data objects by a cover: the walk from the
-// roots that keeps every trixel the cap intersects (Partition.Cover,
-// DensePartition.Cover). Its one predicate, Trixel.IntersectsCap, costs
-// dot products, not arctangents. The cap is prepared once per cover:
-// its radius r with r's cosine and sine. Each trixel's geometry — its
-// center and the cosine and sine of its bounding radius — is built once
-// when the partition is constructed: in a Partition's tree nodes, and
-// in a per-level table for a dense partition's top eight levels (finer
-// levels derive it from the vertices during the walk). The
+// roots that keeps every trixel the cap intersects (Partition.Cover).
+// Its one predicate, Trixel.IntersectsCap, costs dot products, not
+// arctangents. The cap is prepared once per cover: its radius r with
+// r's cosine and sine. Each trixel's geometry — its center and the
+// cosine and sine of its bounding radius — is built once when the
+// partition is constructed, in the partition's one table of the top
+// eight levels (finer levels derive it from the vertices during the
+// walk). The
 // bounding-circle test then compares a dot product against cos(r+br)
 // from the sum formula, and each edge test compares one against sin r
 // or cos r. A dot product within 1e-9 of its threshold falls back to
@@ -235,19 +235,7 @@ func Locate(v geom.Vec3, level int) (Trixel, error) {
 	}
 	for l := 0; l < level; l++ {
 		children := cur.Children()
-		found := false
-		for _, ch := range children {
-			if ch.Contains(v) {
-				cur = ch
-				found = true
-				break
-			}
-		}
-		if !found {
-			// Numerically a point can fall in the cracks between child
-			// edge planes; snap to the child whose center is nearest.
-			cur = nearestChild(children, v)
-		}
+		cur = children[pick(children[:], v)]
 	}
 	return cur, nil
 }
@@ -259,18 +247,6 @@ func rootContaining(v geom.Vec3) (Trixel, bool) {
 		}
 	}
 	return Trixel{}, false
-}
-
-func nearestChild(children [4]Trixel, v geom.Vec3) Trixel {
-	best := children[0]
-	bestDot := math.Inf(-1)
-	for _, ch := range children {
-		if d := ch.Center().Dot(v); d > bestDot {
-			bestDot = d
-			best = ch
-		}
-	}
-	return best
 }
 
 func mid(a, b geom.Vec3) geom.Vec3 { return a.Add(b).Normalize() }

@@ -8,33 +8,43 @@ import (
 	"github.com/deltacache/delta/internal/geom"
 )
 
+// objectTrixels returns every object's trixel, by object index.
+func objectTrixels(p *Partition) []Trixel {
+	out := make([]Trixel, p.N())
+	for i := range out {
+		out[i] = trixelOf(p.ObjectTrixelID(i))
+	}
+	return out
+}
+
 func TestBuildLeveledExactCounts(t *testing.T) {
 	for _, n := range []int{8, 10, 20, 68, 91, 134, 285, 532} {
-		p, err := BuildLeveled(gaussianWeight, n)
+		p, err := Build(gaussianWeight, n)
 		if err != nil {
-			t.Fatalf("BuildLeveled(%d): %v", n, err)
+			t.Fatalf("Build(%d): %v", n, err)
 		}
-		if p.N() != n || len(p.Objects()) != n {
-			t.Errorf("n=%d: got %d objects", n, len(p.Objects()))
+		if p.N() != n || len(p.Weights()) != n {
+			t.Errorf("n=%d: got %d objects", n, p.N())
 		}
 	}
 }
 
 func TestBuildLeveledTooSmall(t *testing.T) {
-	if _, err := BuildLeveled(nil, 5); err == nil {
-		t.Error("BuildLeveled(5) should fail")
+	if _, err := Build(nil, 5); err == nil {
+		t.Error("Build(5) should fail")
 	}
 }
 
 func TestBuildLeveledUniformLevel(t *testing.T) {
-	// All objects of a leveled partition sit at the same HTM level (the
-	// paper's equi-area construction).
-	p, err := BuildLeveled(gaussianWeight, 68)
+	// All objects of a partition sit at the same HTM level (the paper's
+	// equi-area construction).
+	p, err := Build(gaussianWeight, 68)
 	if err != nil {
 		t.Fatal(err)
 	}
-	level := p.Objects()[0].Level()
-	for _, tr := range p.Objects() {
+	objs := objectTrixels(p)
+	level := objs[0].Level()
+	for _, tr := range objs {
 		if tr.Level() != level {
 			t.Fatalf("mixed levels: %d and %d", level, tr.Level())
 		}
@@ -46,13 +56,12 @@ func TestBuildLeveledUniformLevel(t *testing.T) {
 }
 
 func TestBuildLeveledEquiArea(t *testing.T) {
-	p, err := BuildLeveled(gaussianWeight, 91)
+	p, err := Build(gaussianWeight, 91)
 	if err != nil {
 		t.Fatal(err)
 	}
-	objs := p.Objects()
 	minA, maxA := math.Inf(1), 0.0
-	for _, tr := range objs {
+	for _, tr := range objectTrixels(p) {
 		a := tr.AreaSr()
 		if a < minA {
 			minA = a
@@ -70,17 +79,15 @@ func TestBuildLeveledEquiArea(t *testing.T) {
 
 func TestBuildLeveledKeepsDensest(t *testing.T) {
 	// The kept objects must be the heaviest trixels of the level.
-	p, err := BuildLeveled(gaussianWeight, 20)
+	p, err := Build(gaussianWeight, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kept := make(map[uint64]bool, 20)
 	minKept := math.Inf(1)
-	for i, tr := range p.Objects() {
-		kept[tr.ID] = true
-		if w := p.Weights()[i]; w < minKept {
-			minKept = w
-		}
+	for i, w := range p.Weights() {
+		kept[p.ObjectTrixelID(i)] = true
+		minKept = min(minKept, w)
 	}
 	// Walk all level-1 trixels (20 objects → level 1, 32 trixels) and
 	// verify no dropped trixel outweighs a kept one.
@@ -98,7 +105,7 @@ func TestBuildLeveledKeepsDensest(t *testing.T) {
 }
 
 func TestBuildLeveledEveryPointMapsToObject(t *testing.T) {
-	p, err := BuildLeveled(gaussianWeight, 68)
+	p, err := Build(gaussianWeight, 68)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +119,7 @@ func TestBuildLeveledEveryPointMapsToObject(t *testing.T) {
 }
 
 func TestBuildLeveledCoverConsistency(t *testing.T) {
-	p, err := BuildLeveled(gaussianWeight, 68)
+	p, err := Build(gaussianWeight, 68)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,15 +139,15 @@ func TestBuildLeveledCoverConsistency(t *testing.T) {
 }
 
 func TestBuildLeveledDefaultWeightIsArea(t *testing.T) {
-	p, err := BuildLeveled(nil, 8)
+	p, err := Build(nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(p.Objects()); got != 8 {
+	if got := p.N(); got != 8 {
 		t.Fatalf("objects = %d", got)
 	}
 	// With area weight and n=8, the roots themselves are the objects.
-	for _, tr := range p.Objects() {
+	for _, tr := range objectTrixels(p) {
 		if tr.Level() != 0 {
 			t.Errorf("n=8 should keep the roots, got level %d", tr.Level())
 		}

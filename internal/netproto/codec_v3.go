@@ -49,48 +49,69 @@ var encPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4<<10); return &b },
 }
 
-// encBuf is an append-only encode cursor over a pooled byte slice.
-type encBuf struct {
+// Encoder is an append-only encode cursor with the v3 scalar
+// conventions. The wire codec stages frames in one, and the
+// persistence layer writes its snapshot and journal records with one,
+// so a model value has one encoding on the wire and on disk.
+type Encoder struct {
 	b []byte
 }
 
-func (e *encBuf) u8(v byte)        { e.b = append(e.b, v) }
-func (e *encBuf) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *encBuf) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *encBuf) f64(v float64)    { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-func (e *encBuf) boolean(v bool) {
+// NewEncoder returns an encoder appending to dst.
+func NewEncoder(dst []byte) *Encoder { return &Encoder{b: dst} }
+
+// Bytes returns everything encoded so far.
+func (e *Encoder) Bytes() []byte { return e.b }
+
+// U8, Uvarint, Varint, F64, Bool and Str each append one scalar, in the
+// conventions at the top of this file; the Decoder's namesakes read it
+// back.
+func (e *Encoder) U8(v byte)        { e.b = append(e.b, v) }
+func (e *Encoder) Uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *Encoder) Varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
+func (e *Encoder) F64(v float64)    { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
+func (e *Encoder) Bool(v bool) {
 	if v {
-		e.u8(1)
+		e.U8(1)
 	} else {
-		e.u8(0)
+		e.U8(0)
 	}
 }
-func (e *encBuf) str(s string) {
-	e.uvarint(uint64(len(s)))
+func (e *Encoder) Str(s string) {
+	e.Uvarint(uint64(len(s)))
 	e.b = append(e.b, s...)
 }
-func (e *encBuf) bytes(p []byte) {
-	e.uvarint(uint64(len(p)))
+
+// Blob appends a length-prefixed byte slice.
+func (e *Encoder) Blob(p []byte) {
+	e.Uvarint(uint64(len(p)))
 	e.b = append(e.b, p...)
 }
 
-// decBuf is a bounds-checked decode cursor. Every getter reports
-// truncation through the sticky err instead of panicking, so arbitrary
-// fuzz input surfaces as an error, never a crash; slice lengths are
-// validated against the bytes actually remaining before any allocation,
-// so a corrupt length cannot trigger an unbounded make.
-type decBuf struct {
+// Decoder is a bounds-checked decode cursor over the Encoder's format.
+// Every getter reports truncation through a sticky error (see Err)
+// instead of panicking, so arbitrary fuzz input surfaces as an error,
+// never a crash; slice lengths are validated against the bytes actually
+// remaining before any allocation, so a corrupt length cannot trigger
+// an unbounded make.
+type Decoder struct {
 	b   []byte
 	err error
 }
 
-func (d *decBuf) fail(what string) {
+// NewDecoder returns a decoder reading b.
+func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
+
+// Err returns the first decode failure, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+func (d *Decoder) fail(what string) {
 	if d.err == nil {
 		d.err = fmt.Errorf("netproto: v3 decode: truncated or corrupt %s", what)
 	}
 }
 
-func (d *decBuf) u8() byte {
+func (d *Decoder) U8() byte {
 	if d.err != nil || len(d.b) < 1 {
 		d.fail("byte")
 		return 0
@@ -100,7 +121,7 @@ func (d *decBuf) u8() byte {
 	return v
 }
 
-func (d *decBuf) uvarint() uint64 {
+func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -113,7 +134,7 @@ func (d *decBuf) uvarint() uint64 {
 	return v
 }
 
-func (d *decBuf) varint() int64 {
+func (d *Decoder) Varint() int64 {
 	if d.err != nil {
 		return 0
 	}
@@ -126,7 +147,7 @@ func (d *decBuf) varint() int64 {
 	return v
 }
 
-func (d *decBuf) f64() float64 {
+func (d *Decoder) F64() float64 {
 	if d.err != nil || len(d.b) < 8 {
 		d.fail("float64")
 		return 0
@@ -136,12 +157,12 @@ func (d *decBuf) f64() float64 {
 	return v
 }
 
-func (d *decBuf) boolean() bool { return d.u8() != 0 }
+func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
-// length decodes a slice length and validates it against the remaining
+// Len decodes a slice length and validates it against the remaining
 // bytes at minSize encoded bytes per element.
-func (d *decBuf) length(minSize int) int {
-	n := d.uvarint()
+func (d *Decoder) Len(minSize int) int {
+	n := d.Uvarint()
 	if d.err != nil {
 		return 0
 	}
@@ -155,13 +176,13 @@ func (d *decBuf) length(minSize int) int {
 	return int(n)
 }
 
-// str copies a string out of the scratch buffer (decoded frames own
-// their memory). The handful of constant strings that ride every hot
-// reply (result sources, policy names) are interned so steady-state
-// decoding does not allocate for them; a switch on string(b) compares
-// without converting.
-func (d *decBuf) str() string {
-	n := d.length(1)
+// Str copies a string out of the input (decoded frames own their
+// memory). The handful of constant strings that ride every hot reply
+// (result sources, policy names) are interned so steady-state decoding
+// does not allocate for them; a switch on string(b) compares without
+// converting.
+func (d *Decoder) Str() string {
+	n := d.Len(1)
 	if d.err != nil || n == 0 {
 		return ""
 	}
@@ -178,10 +199,10 @@ func (d *decBuf) str() string {
 	return string(raw)
 }
 
-// bytes copies a byte slice out of the scratch buffer. Zero-length
-// slices decode as nil.
-func (d *decBuf) bytes() []byte {
-	n := d.length(1)
+// Blob copies a length-prefixed byte slice out of the input.
+// Zero-length slices decode as nil.
+func (d *Decoder) Blob() []byte {
+	n := d.Len(1)
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -193,178 +214,186 @@ func (d *decBuf) bytes() []byte {
 
 // --- model substructures ---
 
-func encQuery(e *encBuf, q *model.Query) {
-	e.varint(int64(q.ID))
-	e.uvarint(uint64(len(q.Objects)))
+func encQuery(e *Encoder, q *model.Query) {
+	e.Varint(int64(q.ID))
+	e.Uvarint(uint64(len(q.Objects)))
 	for _, id := range q.Objects {
-		e.varint(int64(id))
+		e.Varint(int64(id))
 	}
-	e.varint(int64(q.Cost))
-	e.varint(int64(q.Tolerance))
-	e.varint(int64(q.Time))
+	e.Varint(int64(q.Cost))
+	e.Varint(int64(q.Tolerance))
+	e.Varint(int64(q.Time))
 }
 
-func decQuery(d *decBuf) model.Query {
+func decQuery(d *Decoder) model.Query {
 	var q model.Query
-	q.ID = model.QueryID(d.varint())
-	if n := d.length(1); n > 0 {
+	q.ID = model.QueryID(d.Varint())
+	if n := d.Len(1); n > 0 {
 		q.Objects = make([]model.ObjectID, n)
 		for i := range q.Objects {
-			q.Objects[i] = model.ObjectID(d.varint())
+			q.Objects[i] = model.ObjectID(d.Varint())
 		}
 	}
-	q.Cost = cost.Bytes(d.varint())
-	q.Tolerance = timeDuration(d.varint())
-	q.Time = timeDuration(d.varint())
+	q.Cost = cost.Bytes(d.Varint())
+	q.Tolerance = timeDuration(d.Varint())
+	q.Time = timeDuration(d.Varint())
 	return q
 }
 
-func encUpdate(e *encBuf, u *model.Update) {
-	e.varint(int64(u.ID))
-	e.varint(int64(u.Object))
-	e.varint(int64(u.Cost))
-	e.varint(int64(u.Time))
+func encUpdate(e *Encoder, u *model.Update) {
+	e.Varint(int64(u.ID))
+	e.Varint(int64(u.Object))
+	e.Varint(int64(u.Cost))
+	e.Varint(int64(u.Time))
 }
 
-func decUpdate(d *decBuf) model.Update {
+func decUpdate(d *Decoder) model.Update {
 	return model.Update{
-		ID:     model.UpdateID(d.varint()),
-		Object: model.ObjectID(d.varint()),
-		Cost:   cost.Bytes(d.varint()),
-		Time:   timeDuration(d.varint()),
+		ID:     model.UpdateID(d.Varint()),
+		Object: model.ObjectID(d.Varint()),
+		Cost:   cost.Bytes(d.Varint()),
+		Time:   timeDuration(d.Varint()),
 	}
 }
 
-func encObject(e *encBuf, o *model.Object) {
-	e.varint(int64(o.ID))
-	e.varint(int64(o.Size))
-	e.uvarint(o.Trixel)
+// Object appends an object's metadata.
+func (e *Encoder) Object(o *model.Object) {
+	e.Varint(int64(o.ID))
+	e.Varint(int64(o.Size))
+	e.Uvarint(o.Trixel)
 }
 
-func decObject(d *decBuf) model.Object {
+// Object decodes what Encoder.Object wrote.
+func (d *Decoder) Object() model.Object {
 	return model.Object{
-		ID:     model.ObjectID(d.varint()),
-		Size:   cost.Bytes(d.varint()),
-		Trixel: d.uvarint(),
+		ID:     model.ObjectID(d.Varint()),
+		Size:   cost.Bytes(d.Varint()),
+		Trixel: d.Uvarint(),
 	}
 }
 
-func encBirth(e *encBuf, b *model.Birth) {
-	encObject(e, &b.Object)
-	e.f64(b.RA)
-	e.f64(b.Dec)
-	e.varint(int64(b.Time))
+// Birth appends a birth: the object, its sky position and publication
+// time.
+func (e *Encoder) Birth(b *model.Birth) {
+	e.Object(&b.Object)
+	e.F64(b.RA)
+	e.F64(b.Dec)
+	e.Varint(int64(b.Time))
 }
 
-func decBirth(d *decBuf) model.Birth {
+// Birth decodes what Encoder.Birth wrote.
+func (d *Decoder) Birth() model.Birth {
 	return model.Birth{
-		Object: decObject(d),
-		RA:     d.f64(),
-		Dec:    d.f64(),
-		Time:   timeDuration(d.varint()),
+		Object: d.Object(),
+		RA:     d.F64(),
+		Dec:    d.F64(),
+		Time:   timeDuration(d.Varint()),
 	}
 }
 
-func encObjectIDs(e *encBuf, ids []model.ObjectID) {
-	e.uvarint(uint64(len(ids)))
+// ObjectIDs appends a counted ID list.
+func (e *Encoder) ObjectIDs(ids []model.ObjectID) {
+	e.Uvarint(uint64(len(ids)))
 	for _, id := range ids {
-		e.varint(int64(id))
+		e.Varint(int64(id))
 	}
 }
 
-func decObjectIDs(d *decBuf) []model.ObjectID {
-	n := d.length(1)
+// ObjectIDs decodes what Encoder.ObjectIDs wrote; an empty list decodes
+// as nil.
+func (d *Decoder) ObjectIDs() []model.ObjectID {
+	n := d.Len(1)
 	if n == 0 {
 		return nil
 	}
 	ids := make([]model.ObjectID, n)
 	for i := range ids {
-		ids[i] = model.ObjectID(d.varint())
+		ids[i] = model.ObjectID(d.Varint())
 	}
 	return ids
 }
 
-func encStats(e *encBuf, s *StatsMsg) {
-	e.varint(int64(s.Ledger.QueryShip))
-	e.varint(int64(s.Ledger.UpdateShip))
-	e.varint(int64(s.Ledger.ObjectLoad))
-	e.varint(s.Ledger.QueryShips)
-	e.varint(s.Ledger.UpdateShips)
-	e.varint(s.Ledger.ObjectLoads)
-	encObjectIDs(e, s.Cached)
-	e.str(s.Policy)
-	e.varint(s.Queries)
-	e.varint(s.AtCache)
-	e.varint(s.Shipped)
-	e.varint(s.DroppedInvalidations)
-	e.varint(s.DedupedLoads)
-	e.varint(s.MigratedIn)
-	e.varint(s.ObjectsBorn)
-	e.varint(s.CoverCacheHits)
-	e.varint(s.CoverCacheMisses)
-	e.varint(int64(s.SnapshotAge))
-	e.varint(s.JournalRecords)
-	e.varint(s.RecoveredWarm)
-	e.varint(s.Replicas)
-	e.varint(s.ResultCacheHits)
-	e.varint(s.ResultCacheMisses)
-	e.varint(s.CoalescedQueries)
-	e.varint(s.GrantBatches)
+func encStats(e *Encoder, s *StatsMsg) {
+	e.Varint(int64(s.Ledger.QueryShip))
+	e.Varint(int64(s.Ledger.UpdateShip))
+	e.Varint(int64(s.Ledger.ObjectLoad))
+	e.Varint(s.Ledger.QueryShips)
+	e.Varint(s.Ledger.UpdateShips)
+	e.Varint(s.Ledger.ObjectLoads)
+	e.ObjectIDs(s.Cached)
+	e.Str(s.Policy)
+	e.Varint(s.Queries)
+	e.Varint(s.AtCache)
+	e.Varint(s.Shipped)
+	e.Varint(s.DroppedInvalidations)
+	e.Varint(s.DedupedLoads)
+	e.Varint(s.MigratedIn)
+	e.Varint(s.ObjectsBorn)
+	e.Varint(s.CoverCacheHits)
+	e.Varint(s.CoverCacheMisses)
+	e.Varint(int64(s.SnapshotAge))
+	e.Varint(s.JournalRecords)
+	e.Varint(s.RecoveredWarm)
+	e.Varint(s.Replicas)
+	e.Varint(s.ResultCacheHits)
+	e.Varint(s.ResultCacheMisses)
+	e.Varint(s.CoalescedQueries)
+	e.Varint(s.GrantBatches)
 }
 
-func decStats(d *decBuf) StatsMsg {
+func decStats(d *Decoder) StatsMsg {
 	var s StatsMsg
-	s.Ledger.QueryShip = cost.Bytes(d.varint())
-	s.Ledger.UpdateShip = cost.Bytes(d.varint())
-	s.Ledger.ObjectLoad = cost.Bytes(d.varint())
-	s.Ledger.QueryShips = d.varint()
-	s.Ledger.UpdateShips = d.varint()
-	s.Ledger.ObjectLoads = d.varint()
-	s.Cached = decObjectIDs(d)
-	s.Policy = d.str()
-	s.Queries = d.varint()
-	s.AtCache = d.varint()
-	s.Shipped = d.varint()
-	s.DroppedInvalidations = d.varint()
-	s.DedupedLoads = d.varint()
-	s.MigratedIn = d.varint()
-	s.ObjectsBorn = d.varint()
-	s.CoverCacheHits = d.varint()
-	s.CoverCacheMisses = d.varint()
-	s.SnapshotAge = time.Duration(d.varint())
-	s.JournalRecords = d.varint()
-	s.RecoveredWarm = d.varint()
-	s.Replicas = d.varint()
-	s.ResultCacheHits = d.varint()
-	s.ResultCacheMisses = d.varint()
-	s.CoalescedQueries = d.varint()
-	s.GrantBatches = d.varint()
+	s.Ledger.QueryShip = cost.Bytes(d.Varint())
+	s.Ledger.UpdateShip = cost.Bytes(d.Varint())
+	s.Ledger.ObjectLoad = cost.Bytes(d.Varint())
+	s.Ledger.QueryShips = d.Varint()
+	s.Ledger.UpdateShips = d.Varint()
+	s.Ledger.ObjectLoads = d.Varint()
+	s.Cached = d.ObjectIDs()
+	s.Policy = d.Str()
+	s.Queries = d.Varint()
+	s.AtCache = d.Varint()
+	s.Shipped = d.Varint()
+	s.DroppedInvalidations = d.Varint()
+	s.DedupedLoads = d.Varint()
+	s.MigratedIn = d.Varint()
+	s.ObjectsBorn = d.Varint()
+	s.CoverCacheHits = d.Varint()
+	s.CoverCacheMisses = d.Varint()
+	s.SnapshotAge = time.Duration(d.Varint())
+	s.JournalRecords = d.Varint()
+	s.RecoveredWarm = d.Varint()
+	s.Replicas = d.Varint()
+	s.ResultCacheHits = d.Varint()
+	s.ResultCacheMisses = d.Varint()
+	s.CoalescedQueries = d.Varint()
+	s.GrantBatches = d.Varint()
 	return s
 }
 
-func encSpan(e *encBuf, s *TraceSpan) {
-	e.str(s.Name)
-	e.str(s.Node)
-	e.varint(int64(s.Shard))
-	e.varint(int64(s.Epoch))
-	e.varint(int64(s.Fragments))
-	e.varint(int64(s.Objects))
-	e.str(s.Source)
-	e.str(s.Detail)
-	e.varint(int64(s.Elapsed))
+func encSpan(e *Encoder, s *TraceSpan) {
+	e.Str(s.Name)
+	e.Str(s.Node)
+	e.Varint(int64(s.Shard))
+	e.Varint(int64(s.Epoch))
+	e.Varint(int64(s.Fragments))
+	e.Varint(int64(s.Objects))
+	e.Str(s.Source)
+	e.Str(s.Detail)
+	e.Varint(int64(s.Elapsed))
 }
 
-func decSpan(d *decBuf) TraceSpan {
+func decSpan(d *Decoder) TraceSpan {
 	return TraceSpan{
-		Name:      d.str(),
-		Node:      d.str(),
-		Shard:     int(d.varint()),
-		Epoch:     int(d.varint()),
-		Fragments: int(d.varint()),
-		Objects:   int(d.varint()),
-		Source:    d.str(),
-		Detail:    d.str(),
-		Elapsed:   timeDuration(d.varint()),
+		Name:      d.Str(),
+		Node:      d.Str(),
+		Shard:     int(d.Varint()),
+		Epoch:     int(d.Varint()),
+		Fragments: int(d.Varint()),
+		Objects:   int(d.Varint()),
+		Source:    d.Str(),
+		Detail:    d.Str(),
+		Elapsed:   timeDuration(d.Varint()),
 	}
 }
 
@@ -373,49 +402,49 @@ func decSpan(d *decBuf) TraceSpan {
 // encodeBodyV3 appends the body's binary layout, dispatching on the
 // concrete type. A body whose type does not belong to the vocabulary is
 // an error.
-func encodeBodyV3(e *encBuf, t MsgType, body any) error {
+func encodeBodyV3(e *Encoder, t MsgType, body any) error {
 	switch b := body.(type) {
 	case Hello:
-		e.str(b.Role)
-		e.varint(int64(b.Version))
+		e.Str(b.Role)
+		e.Varint(int64(b.Version))
 	case HelloAck:
-		e.varint(int64(b.Version))
+		e.Varint(int64(b.Version))
 	case QueryMsg:
 		encQuery(e, &b.Query)
-		e.f64(b.Region.RA)
-		e.f64(b.Region.Dec)
-		e.f64(b.Region.RadiusDeg)
+		e.F64(b.Region.RA)
+		e.F64(b.Region.Dec)
+		e.F64(b.Region.RadiusDeg)
 		// Frame tail, written only when meaningful: decoders treat an
 		// absent tail as an untraced query, so untraced frames pay no
 		// bytes for tracing.
 		if b.TraceID != 0 {
-			e.uvarint(b.TraceID)
+			e.Uvarint(b.TraceID)
 		}
 	case QueryResultMsg:
-		e.varint(int64(b.QueryID))
-		e.varint(int64(b.Logical))
-		e.uvarint(uint64(len(b.Rows)))
+		e.Varint(int64(b.QueryID))
+		e.Varint(int64(b.Logical))
+		e.Uvarint(uint64(len(b.Rows)))
 		for i := range b.Rows {
 			r := &b.Rows[i]
-			e.varint(r.ObjID)
-			e.f64(r.RA)
-			e.f64(r.Dec)
-			e.f64(r.R)
+			e.Varint(r.ObjID)
+			e.F64(r.RA)
+			e.F64(r.Dec)
+			e.F64(r.R)
 		}
-		e.bytes(b.Payload)
-		e.str(b.Source)
-		e.varint(int64(b.Elapsed))
-		e.boolean(b.Degraded)
-		e.uvarint(uint64(len(b.MissingShards)))
+		e.Blob(b.Payload)
+		e.Str(b.Source)
+		e.Varint(int64(b.Elapsed))
+		e.Bool(b.Degraded)
+		e.Uvarint(uint64(len(b.MissingShards)))
 		for _, s := range b.MissingShards {
-			e.varint(int64(s))
+			e.Varint(int64(s))
 		}
 		// Frame tail: trace ID + recorded spans, elided entirely when
 		// both are empty (see the QueryMsg tail note). A present tail
 		// always carries both fields.
 		if b.TraceID != 0 || len(b.Spans) > 0 {
-			e.uvarint(b.TraceID)
-			e.uvarint(uint64(len(b.Spans)))
+			e.Uvarint(b.TraceID)
+			e.Uvarint(uint64(len(b.Spans)))
 			for i := range b.Spans {
 				encSpan(e, &b.Spans[i])
 			}
@@ -423,98 +452,98 @@ func encodeBodyV3(e *encBuf, t MsgType, body any) error {
 	case UpdateFeedMsg:
 		encUpdate(e, &b.Update)
 	case ShipUpdatesMsg:
-		e.uvarint(uint64(len(b.IDs)))
+		e.Uvarint(uint64(len(b.IDs)))
 		for _, id := range b.IDs {
-			e.varint(int64(id))
+			e.Varint(int64(id))
 		}
 	case UpdatesMsg:
-		e.uvarint(uint64(len(b.Updates)))
+		e.Uvarint(uint64(len(b.Updates)))
 		for i := range b.Updates {
 			encUpdate(e, &b.Updates[i])
 		}
-		e.bytes(b.Payload)
+		e.Blob(b.Payload)
 	case LoadObjectMsg:
-		encObjectIDs(e, b.Objects)
+		e.ObjectIDs(b.Objects)
 	case ObjectDataMsg:
-		e.uvarint(uint64(len(b.Objects)))
+		e.Uvarint(uint64(len(b.Objects)))
 		for i := range b.Objects {
-			encObject(e, &b.Objects[i])
+			e.Object(&b.Objects[i])
 		}
-		e.bytes(b.Payload)
+		e.Blob(b.Payload)
 	case InvalidateMsg:
 		encUpdate(e, &b.Update)
 	case StatsMsg:
 		encStats(e, &b)
 	case ErrorMsg:
-		e.str(b.Message)
+		e.Str(b.Message)
 	case ShardQueryMsg:
 		encQuery(e, &b.Query)
-		e.varint(int64(b.Shard))
-		e.varint(int64(b.Fragments))
+		e.Varint(int64(b.Shard))
+		e.Varint(int64(b.Fragments))
 		// Frame tail: trace ID (see the QueryMsg tail note).
 		if b.TraceID != 0 {
-			e.uvarint(b.TraceID)
+			e.Uvarint(b.TraceID)
 		}
 	case ClusterStatsMsg:
-		e.uvarint(uint64(len(b.Shards)))
+		e.Uvarint(uint64(len(b.Shards)))
 		for i := range b.Shards {
 			s := &b.Shards[i]
-			e.varint(int64(s.Shard))
-			e.str(s.Addr)
-			e.boolean(s.Alive)
-			e.str(s.Err)
+			e.Varint(int64(s.Shard))
+			e.Str(s.Addr)
+			e.Bool(s.Alive)
+			e.Str(s.Err)
 			encStats(e, &s.Stats)
 		}
 		encStats(e, &b.Aggregate)
-		e.boolean(b.Degraded)
+		e.Bool(b.Degraded)
 	case AdminResizeMsg:
-		e.uvarint(uint64(len(b.Shards)))
+		e.Uvarint(uint64(len(b.Shards)))
 		for _, s := range b.Shards {
-			e.str(s)
+			e.Str(s)
 		}
 	case RebalanceStatusMsg:
-		e.boolean(b.Active)
-		e.str(b.Phase)
-		e.varint(int64(b.Epoch))
-		e.varint(int64(b.From))
-		e.varint(int64(b.To))
-		e.varint(b.MovedObjects)
-		e.varint(int64(b.MovedBytes))
-		e.varint(b.Completed)
-		e.str(b.LastError)
+		e.Bool(b.Active)
+		e.Str(b.Phase)
+		e.Varint(int64(b.Epoch))
+		e.Varint(int64(b.From))
+		e.Varint(int64(b.To))
+		e.Varint(b.MovedObjects)
+		e.Varint(int64(b.MovedBytes))
+		e.Varint(b.Completed)
+		e.Str(b.LastError)
 	case ReshardMsg:
-		e.varint(int64(b.Epoch))
-		encObjectIDs(e, b.Owned)
-		e.uvarint(uint64(len(b.Universe)))
+		e.Varint(int64(b.Epoch))
+		e.ObjectIDs(b.Owned)
+		e.Uvarint(uint64(len(b.Universe)))
 		for i := range b.Universe {
-			encObject(e, &b.Universe[i])
+			e.Object(&b.Universe[i])
 		}
-		encObjectIDs(e, b.Warm)
-		e.varint(int64(b.Resident))
-		e.varint(int64(b.Dropped))
+		e.ObjectIDs(b.Warm)
+		e.Varint(int64(b.Resident))
+		e.Varint(int64(b.Dropped))
 		// Replicas and then Horizon ride the frame tail: each is encoded
 		// only when it or a later field is non-zero.
 		if b.Replicas != 0 || b.Horizon != 0 {
-			e.varint(int64(b.Replicas))
+			e.Varint(int64(b.Replicas))
 		}
 		if b.Horizon != 0 {
-			e.varint(int64(b.Horizon))
+			e.Varint(int64(b.Horizon))
 		}
 	case ObjectBirthMsg:
-		e.uvarint(uint64(len(b.Births)))
+		e.Uvarint(uint64(len(b.Births)))
 		for i := range b.Births {
-			encBirth(e, &b.Births[i])
+			e.Birth(&b.Births[i])
 		}
-		e.varint(int64(b.Accepted))
+		e.Varint(int64(b.Accepted))
 	case BirthGrantMsg:
-		e.uvarint(uint64(len(b.Births)))
+		e.Uvarint(uint64(len(b.Births)))
 		for i := range b.Births {
-			encBirth(e, &b.Births[i])
+			e.Birth(&b.Births[i])
 		}
-		e.varint(int64(b.Accepted))
+		e.Varint(int64(b.Accepted))
 		// Epoch rides the frame tail, like ReshardMsg.Replicas.
 		if b.Epoch != 0 {
-			e.varint(int64(b.Epoch))
+			e.Varint(int64(b.Epoch))
 		}
 	default:
 		return fmt.Errorf("netproto: v3 cannot encode %T as %s", body, t)
@@ -524,55 +553,55 @@ func encodeBodyV3(e *encBuf, t MsgType, body any) error {
 
 // decodeBodyV3 decodes the body the frame type implies. The body owns
 // all of its memory (nothing aliases the connection's scratch buffer).
-func decodeBodyV3(d *decBuf, t MsgType) (any, error) {
+func decodeBodyV3(d *Decoder, t MsgType) (any, error) {
 	var body any
 	switch t {
 	case MsgHello:
 		var b Hello
-		b.Role = d.str()
-		b.Version = int(d.varint())
+		b.Role = d.Str()
+		b.Version = int(d.Varint())
 		body = b
 	case MsgHelloAck:
-		body = HelloAck{Version: int(d.varint())}
+		body = HelloAck{Version: int(d.Varint())}
 	case MsgQuery:
 		var b QueryMsg
 		b.Query = decQuery(d)
-		b.Region.RA = d.f64()
-		b.Region.Dec = d.f64()
-		b.Region.RadiusDeg = d.f64()
+		b.Region.RA = d.F64()
+		b.Region.Dec = d.F64()
+		b.Region.RadiusDeg = d.F64()
 		// Frame tail: absent decodes as an untraced query.
 		if d.err == nil && len(d.b) > 0 {
-			b.TraceID = d.uvarint()
+			b.TraceID = d.Uvarint()
 		}
 		body = b
 	case MsgQueryResult:
 		var b QueryResultMsg
-		b.QueryID = model.QueryID(d.varint())
-		b.Logical = cost.Bytes(d.varint())
+		b.QueryID = model.QueryID(d.Varint())
+		b.Logical = cost.Bytes(d.Varint())
 		// Minimum row encoding: 1-byte varint ObjID + three raw f64s.
-		if n := d.length(25); n > 0 {
+		if n := d.Len(25); n > 0 {
 			b.Rows = make([]ResultRow, n)
 			for i := range b.Rows {
-				b.Rows[i] = ResultRow{ObjID: d.varint(), RA: d.f64(), Dec: d.f64(), R: d.f64()}
+				b.Rows[i] = ResultRow{ObjID: d.Varint(), RA: d.F64(), Dec: d.F64(), R: d.F64()}
 			}
 		}
-		b.Payload = d.bytes()
-		b.Source = d.str()
-		b.Elapsed = timeDuration(d.varint())
-		b.Degraded = d.boolean()
-		if n := d.length(1); n > 0 {
+		b.Payload = d.Blob()
+		b.Source = d.Str()
+		b.Elapsed = timeDuration(d.Varint())
+		b.Degraded = d.Bool()
+		if n := d.Len(1); n > 0 {
 			b.MissingShards = make([]int, n)
 			for i := range b.MissingShards {
-				b.MissingShards[i] = int(d.varint())
+				b.MissingShards[i] = int(d.Varint())
 			}
 		}
 		// Frame tail: trace ID + spans. A present tail
 		// always carries both fields.
 		if d.err == nil && len(d.b) > 0 {
-			b.TraceID = d.uvarint()
+			b.TraceID = d.Uvarint()
 			// Minimum span encoding: four 1-byte strings + five 1-byte
 			// varints.
-			if n := d.length(9); n > 0 {
+			if n := d.Len(9); n > 0 {
 				b.Spans = make([]TraceSpan, n)
 				for i := range b.Spans {
 					b.Spans[i] = decSpan(d)
@@ -584,131 +613,131 @@ func decodeBodyV3(d *decBuf, t MsgType) (any, error) {
 		body = UpdateFeedMsg{Update: decUpdate(d)}
 	case MsgShipUpdates:
 		var b ShipUpdatesMsg
-		if n := d.length(1); n > 0 {
+		if n := d.Len(1); n > 0 {
 			b.IDs = make([]model.UpdateID, n)
 			for i := range b.IDs {
-				b.IDs[i] = model.UpdateID(d.varint())
+				b.IDs[i] = model.UpdateID(d.Varint())
 			}
 		}
 		body = b
 	case MsgUpdates:
 		var b UpdatesMsg
-		if n := d.length(4); n > 0 {
+		if n := d.Len(4); n > 0 {
 			b.Updates = make([]model.Update, n)
 			for i := range b.Updates {
 				b.Updates[i] = decUpdate(d)
 			}
 		}
-		b.Payload = d.bytes()
+		b.Payload = d.Blob()
 		body = b
 	case MsgLoadObject:
-		body = LoadObjectMsg{Objects: decObjectIDs(d)}
+		body = LoadObjectMsg{Objects: d.ObjectIDs()}
 	case MsgObjectData:
 		var b ObjectDataMsg
-		if n := d.length(3); n > 0 {
+		if n := d.Len(3); n > 0 {
 			b.Objects = make([]model.Object, n)
 			for i := range b.Objects {
-				b.Objects[i] = decObject(d)
+				b.Objects[i] = d.Object()
 			}
 		}
-		b.Payload = d.bytes()
+		b.Payload = d.Blob()
 		body = b
 	case MsgInvalidate:
 		body = InvalidateMsg{Update: decUpdate(d)}
 	case MsgStats:
 		body = decStats(d)
 	case MsgError:
-		body = ErrorMsg{Message: d.str()}
+		body = ErrorMsg{Message: d.Str()}
 	case MsgShardQuery:
 		var b ShardQueryMsg
 		b.Query = decQuery(d)
-		b.Shard = int(d.varint())
-		b.Fragments = int(d.varint())
+		b.Shard = int(d.Varint())
+		b.Fragments = int(d.Varint())
 		// Frame tail, as on MsgQuery.
 		if d.err == nil && len(d.b) > 0 {
-			b.TraceID = d.uvarint()
+			b.TraceID = d.Uvarint()
 		}
 		body = b
 	case MsgClusterStats:
 		var b ClusterStatsMsg
-		if n := d.length(18); n > 0 {
+		if n := d.Len(18); n > 0 {
 			b.Shards = make([]ShardStats, n)
 			for i := range b.Shards {
 				s := &b.Shards[i]
-				s.Shard = int(d.varint())
-				s.Addr = d.str()
-				s.Alive = d.boolean()
-				s.Err = d.str()
+				s.Shard = int(d.Varint())
+				s.Addr = d.Str()
+				s.Alive = d.Bool()
+				s.Err = d.Str()
 				s.Stats = decStats(d)
 			}
 		}
 		b.Aggregate = decStats(d)
-		b.Degraded = d.boolean()
+		b.Degraded = d.Bool()
 		body = b
 	case MsgAdminResize:
 		var b AdminResizeMsg
-		if n := d.length(1); n > 0 {
+		if n := d.Len(1); n > 0 {
 			b.Shards = make([]string, n)
 			for i := range b.Shards {
-				b.Shards[i] = d.str()
+				b.Shards[i] = d.Str()
 			}
 		}
 		body = b
 	case MsgRebalanceStatus:
 		var b RebalanceStatusMsg
-		b.Active = d.boolean()
-		b.Phase = d.str()
-		b.Epoch = int(d.varint())
-		b.From = int(d.varint())
-		b.To = int(d.varint())
-		b.MovedObjects = d.varint()
-		b.MovedBytes = cost.Bytes(d.varint())
-		b.Completed = d.varint()
-		b.LastError = d.str()
+		b.Active = d.Bool()
+		b.Phase = d.Str()
+		b.Epoch = int(d.Varint())
+		b.From = int(d.Varint())
+		b.To = int(d.Varint())
+		b.MovedObjects = d.Varint()
+		b.MovedBytes = cost.Bytes(d.Varint())
+		b.Completed = d.Varint()
+		b.LastError = d.Str()
 		body = b
 	case MsgReshard:
 		var b ReshardMsg
-		b.Epoch = int(d.varint())
-		b.Owned = decObjectIDs(d)
-		if n := d.length(3); n > 0 {
+		b.Epoch = int(d.Varint())
+		b.Owned = d.ObjectIDs()
+		if n := d.Len(3); n > 0 {
 			b.Universe = make([]model.Object, n)
 			for i := range b.Universe {
-				b.Universe[i] = decObject(d)
+				b.Universe[i] = d.Object()
 			}
 		}
-		b.Warm = decObjectIDs(d)
-		b.Resident = int(d.varint())
-		b.Dropped = int(d.varint())
+		b.Warm = d.ObjectIDs()
+		b.Resident = int(d.Varint())
+		b.Dropped = int(d.Varint())
 		if d.err == nil && len(d.b) > 0 {
-			b.Replicas = int(d.varint())
+			b.Replicas = int(d.Varint())
 		}
 		if d.err == nil && len(d.b) > 0 {
-			b.Horizon = model.ObjectID(d.varint())
+			b.Horizon = model.ObjectID(d.Varint())
 		}
 		body = b
 	case MsgObjectBirth:
 		var b ObjectBirthMsg
 		// Minimum birth encoding: 3-byte object + two raw f64s + time.
-		if n := d.length(20); n > 0 {
+		if n := d.Len(20); n > 0 {
 			b.Births = make([]model.Birth, n)
 			for i := range b.Births {
-				b.Births[i] = decBirth(d)
+				b.Births[i] = d.Birth()
 			}
 		}
-		b.Accepted = int(d.varint())
+		b.Accepted = int(d.Varint())
 		body = b
 	case MsgBirthGrant:
 		var b BirthGrantMsg
-		if n := d.length(20); n > 0 {
+		if n := d.Len(20); n > 0 {
 			b.Births = make([]model.Birth, n)
 			for i := range b.Births {
-				b.Births[i] = decBirth(d)
+				b.Births[i] = d.Birth()
 			}
 		}
-		b.Accepted = int(d.varint())
+		b.Accepted = int(d.Varint())
 		// Frame tail, as on MsgReshard's Replicas.
 		if d.err == nil && len(d.b) > 0 {
-			b.Epoch = int(d.varint())
+			b.Epoch = int(d.Varint())
 		}
 		body = b
 	default:

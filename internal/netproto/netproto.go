@@ -415,7 +415,8 @@ type StatsMsg struct {
 	// journal covers everything since.
 	SnapshotAge time.Duration
 	// JournalRecords counts records appended to the durability journal
-	// since the last snapshot (bounds what a crash right now replays).
+	// since the last snapshot (bounds what a crash right now replays);
+	// every snapshot zeroes it.
 	JournalRecords int64
 	// RecoveredWarm counts residents the node re-adopted from disk at
 	// its last startup (via the policy's Warm carry-over boundary);
@@ -656,10 +657,10 @@ func (c *Conn) Send(f Frame) error {
 		defer f.Release()
 	}
 	bufp := encPool.Get().(*[]byte)
-	e := encBuf{b: (*bufp)[:0]}
+	e := Encoder{b: (*bufp)[:0]}
 	e.b = append(e.b, 0, 0, 0, 0) // length prefix, patched below
-	e.u8(byte(f.Type))
-	e.uvarint(f.RequestID)
+	e.U8(byte(f.Type))
+	e.Uvarint(f.RequestID)
 	err := encodeBodyV3(&e, f.Type, f.Body)
 	if err == nil && len(e.b)-4 > MaxFrame {
 		err = fmt.Errorf("netproto: frame %s too large (%d bytes)", f.Type, len(e.b)-4)
@@ -710,9 +711,9 @@ func (c *Conn) Recv() (Frame, error) {
 	if _, err := io.ReadFull(c.br, buf); err != nil {
 		return Frame{}, fmt.Errorf("netproto: read frame body: %w", err)
 	}
-	d := decBuf{b: buf}
-	t := MsgType(d.u8())
-	reqID := d.uvarint()
+	d := Decoder{b: buf}
+	t := MsgType(d.U8())
+	reqID := d.Uvarint()
 	if d.err != nil {
 		return Frame{}, d.err
 	}

@@ -103,9 +103,9 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_ledger_query_ships_total",
 		"delta_ledger_update_ships_total",
 		"delta_ledger_object_loads_total",
-		"delta_journal_records_total",
 		"delta_cached_objects",
 		"delta_snapshot_age_seconds",
+		"delta_journal_records",
 		"delta_recovered_warm",
 		"delta_repo_query_seconds",
 		"delta_repo_load_seconds",

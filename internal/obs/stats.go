@@ -77,12 +77,12 @@ func RegisterStats(r *Registry, fetch func() (netproto.StatsMsg, error)) {
 		func(s *netproto.StatsMsg) float64 { return float64(s.Ledger.UpdateShips) })
 	counter("delta_ledger_object_loads_total", "Object-load transfers charged to the ledger.",
 		func(s *netproto.StatsMsg) float64 { return float64(s.Ledger.ObjectLoads) })
-	counter("delta_journal_records_total", "Durability journal records appended since the last snapshot.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.JournalRecords) })
 	gauge("delta_cached_objects", "Objects currently resident in this node's cache.",
 		func(s *netproto.StatsMsg) float64 { return float64(len(s.Cached)) })
 	gauge("delta_snapshot_age_seconds", "Age of the newest durability snapshot (0 when persistence is off).",
 		func(s *netproto.StatsMsg) float64 { return s.SnapshotAge.Seconds() })
+	gauge("delta_journal_records", "Durability journal records appended since the last snapshot (what a crash now would replay).",
+		func(s *netproto.StatsMsg) float64 { return float64(s.JournalRecords) })
 	gauge("delta_recovered_warm", "Residents re-adopted from disk at the last startup.",
 		func(s *netproto.StatsMsg) float64 { return float64(s.RecoveredWarm) })
 }

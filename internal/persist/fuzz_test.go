@@ -10,35 +10,36 @@ import (
 
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
+	"github.com/deltacache/delta/internal/netproto"
 )
 
 // seedJournal renders a valid journal stream (magic, generation-gen
 // header, one record of each type) for the fuzzer to mutate.
 func seedJournal(gen uint64) []byte {
-	var head enc
-	head.uvarint(gen)
+	var head netproto.Encoder
+	head.Uvarint(gen)
 	out := append([]byte(nil), journalMagic...)
-	out = frameRecord(out, recHeader, head.b)
-	var b enc
-	encBirth(&b, &model.Birth{
+	out = frameRecord(out, recHeader, head.Bytes())
+	var b netproto.Encoder
+	b.Birth(&model.Birth{
 		Object: model.Object{ID: 69, Size: cost.GB, Trixel: 123},
 		RA:     182.5, Dec: -1.25, Time: time.Hour,
 	})
-	out = frameRecord(out, recBirth, b.b)
-	var admit enc
-	admit.varint(69)
-	out = frameRecord(out, recAdmit, admit.b)
-	var evict enc
-	evict.varint(69)
-	return frameRecord(out, recEvict, evict.b)
+	out = frameRecord(out, recBirth, b.Bytes())
+	var admit netproto.Encoder
+	admit.Varint(69)
+	out = frameRecord(out, recAdmit, admit.Bytes())
+	var evict netproto.Encoder
+	evict.Varint(69)
+	return frameRecord(out, recEvict, evict.Bytes())
 }
 
 // seedSnapshot renders a valid snapshot file for the same treatment.
 func seedSnapshot() []byte {
-	var head enc
-	head.uvarint(1)
+	var head netproto.Encoder
+	head.Uvarint(1)
 	out := append([]byte(nil), snapshotMagic...)
-	out = frameRecord(out, recHeader, head.b)
+	out = frameRecord(out, recHeader, head.Bytes())
 	return frameRecord(out, recSnapshot, encodeState(testState()))
 }
 

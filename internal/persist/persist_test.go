@@ -362,3 +362,24 @@ func TestSnapshotAgeAndCounters(t *testing.T) {
 		t.Errorf("JournalRecords = %d, want 1", got)
 	}
 }
+
+// TestJournalRecordsResetAtSnapshot: JournalRecords counts what the
+// journal holds, so a snapshot, which truncates the journal, zeroes it.
+func TestJournalRecordsResetAtSnapshot(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	defer s.Close()
+	for _, id := range []model.ObjectID{1, 2} {
+		if err := s.AppendAdmit(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.WriteSnapshot(&State{Resident: []model.ObjectID{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendEvict(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.JournalRecords(); got != 1 {
+		t.Errorf("JournalRecords = %d after a snapshot and one append, want 1", got)
+	}
+}

@@ -8,14 +8,16 @@
 // a live reshard uses — instead of paying the full warmup the caching
 // policies exist to avoid.
 //
-// File formats follow the v3 wire codec conventions (no gob): each
-// record is a little-endian uint32 length prefix over a one-byte
-// record type plus a varint-encoded payload, followed by a
-// little-endian uint32 CRC-32C over the type and payload. Snapshots
-// are replaced atomically (write temp, fsync, rename, fsync dir);
-// the journal is append-only with batched fsyncs and tolerates a
-// truncated or corrupt tail, so a crash mid-write never loses more
-// than the records after the last clean one. A generation counter
+// Record payloads are written by netproto.Encoder and read by
+// netproto.Decoder, so objects, births and ID lists have the same
+// bytes on disk as on the wire (no gob): each record is a
+// little-endian uint32 length prefix over a one-byte record type plus
+// the payload, followed by a little-endian uint32 CRC-32C over the
+// type and payload. Snapshots are replaced atomically (write temp,
+// fsync, rename, fsync dir); the journal is append-only with batched
+// fsyncs and tolerates a truncated or corrupt tail, so a crash
+// mid-write never loses more than the records after the last clean
+// one. A generation counter
 // links the journal to the snapshot it extends: a crash between
 // snapshot rename and journal reset leaves a stale-generation journal
 // that replay ignores instead of misapplying. docs/PERSISTENCE.md
@@ -26,7 +28,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
+
+	"github.com/deltacache/delta/internal/netproto"
 )
 
 // Record types. The zero value is invalid so a zero-filled tail never
@@ -61,104 +64,13 @@ const maxRecord = 64 << 20
 // platforms that matter).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// enc is an append-only encode cursor mirroring the v3 wire codec's
-// scalar conventions: uvarints for unsigned, zigzag varints for signed
-// (including durations and cost.Bytes), raw little-endian float64s.
-type enc struct {
-	b []byte
-}
-
-func (e *enc) u8(v byte)        { e.b = append(e.b, v) }
-func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) f64(v float64)    { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-func (e *enc) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
+// decodeErr reports a decoder's failure under this package's prefix, so
+// a bad snapshot or journal record reads as a persistence error.
+func decodeErr(d *netproto.Decoder) error {
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("persist: %w", err)
 	}
-}
-
-// dec is a bounds-checked decode cursor with a sticky error: every
-// getter reports truncation or corruption through err instead of
-// panicking, and slice lengths are validated against the bytes
-// actually remaining before any allocation — the same contract the
-// wire codec's fuzzers pin, here pinned by FuzzJournalReplay.
-type dec struct {
-	b   []byte
-	err error
-}
-
-func (d *dec) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("persist: truncated or corrupt %s", what)
-	}
-}
-
-func (d *dec) u8() byte {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail("byte")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *dec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) f64() float64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.fail("float64")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *dec) boolean() bool { return d.u8() != 0 }
-
-// length decodes a slice length and validates it against the remaining
-// bytes at minSize encoded bytes per element.
-func (d *dec) length(minSize int) int {
-	n := d.uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if minSize < 1 {
-		minSize = 1
-	}
-	if n > uint64(len(d.b)/minSize) {
-		d.fail("slice length")
-		return 0
-	}
-	return int(n)
+	return nil
 }
 
 // frameRecord renders one record (length prefix, type, payload, CRC)

@@ -3,10 +3,9 @@ package persist
 import (
 	"fmt"
 	"slices"
-	"time"
 
-	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
+	"github.com/deltacache/delta/internal/netproto"
 )
 
 // State is everything a node persists to rejoin warm: the newest
@@ -62,100 +61,51 @@ func (st *State) Clone() *State {
 	}
 }
 
-func encObject(e *enc, o *model.Object) {
-	e.varint(int64(o.ID))
-	e.varint(int64(o.Size))
-	e.uvarint(o.Trixel)
-}
-
-func decObject(d *dec) model.Object {
-	return model.Object{
-		ID:     model.ObjectID(d.varint()),
-		Size:   cost.Bytes(d.varint()),
-		Trixel: d.uvarint(),
-	}
-}
-
-func encBirth(e *enc, b *model.Birth) {
-	encObject(e, &b.Object)
-	e.f64(b.RA)
-	e.f64(b.Dec)
-	e.varint(int64(b.Time))
-}
-
-func decBirth(d *dec) model.Birth {
-	return model.Birth{
-		Object: decObject(d),
-		RA:     d.f64(),
-		Dec:    d.f64(),
-		Time:   time.Duration(d.varint()),
-	}
-}
-
-func encIDs(e *enc, ids []model.ObjectID) {
-	e.uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		e.varint(int64(id))
-	}
-}
-
-func decIDs(d *dec) []model.ObjectID {
-	n := d.length(1)
-	if n == 0 {
-		return nil
-	}
-	ids := make([]model.ObjectID, n)
-	for i := range ids {
-		ids[i] = model.ObjectID(d.varint())
-	}
-	return ids
-}
-
 // encodeState renders a State as a recSnapshot payload.
 func encodeState(st *State) []byte {
-	e := &enc{b: make([]byte, 0, 64+16*(len(st.Universe)+len(st.Births))+8*(len(st.Owned)+len(st.Resident)))}
-	e.uvarint(uint64(st.Epoch))
-	e.uvarint(uint64(len(st.Universe)))
+	e := netproto.NewEncoder(make([]byte, 0, 64+16*(len(st.Universe)+len(st.Births))+8*(len(st.Owned)+len(st.Resident))))
+	e.Uvarint(uint64(st.Epoch))
+	e.Uvarint(uint64(len(st.Universe)))
 	for i := range st.Universe {
-		encObject(e, &st.Universe[i])
+		e.Object(&st.Universe[i])
 	}
-	e.uvarint(uint64(len(st.Births)))
+	e.Uvarint(uint64(len(st.Births)))
 	for i := range st.Births {
-		encBirth(e, &st.Births[i])
+		e.Birth(&st.Births[i])
 	}
-	e.boolean(st.Owned != nil)
-	encIDs(e, st.Owned)
-	encIDs(e, st.Resident)
-	return e.b
+	e.Bool(st.Owned != nil)
+	e.ObjectIDs(st.Owned)
+	e.ObjectIDs(st.Resident)
+	return e.Bytes()
 }
 
 // decodeState parses a recSnapshot payload.
 func decodeState(payload []byte) (*State, error) {
-	d := &dec{b: payload}
-	st := &State{Epoch: int(d.uvarint())}
-	if n := d.length(3); n > 0 {
+	d := netproto.NewDecoder(payload)
+	st := &State{Epoch: int(d.Uvarint())}
+	if n := d.Len(3); n > 0 {
 		st.Universe = make([]model.Object, n)
 		for i := range st.Universe {
-			st.Universe[i] = decObject(d)
+			st.Universe[i] = d.Object()
 		}
 	}
-	if n := d.length(19); n > 0 {
+	if n := d.Len(19); n > 0 {
 		st.Births = make([]model.Birth, n)
 		for i := range st.Births {
-			st.Births[i] = decBirth(d)
+			st.Births[i] = d.Birth()
 		}
 	}
-	hasOwned := d.boolean()
-	owned := decIDs(d)
+	hasOwned := d.Bool()
+	owned := d.ObjectIDs()
 	if hasOwned {
 		if owned == nil {
 			owned = []model.ObjectID{}
 		}
 		st.Owned = owned
 	}
-	st.Resident = decIDs(d)
-	if d.err != nil {
-		return nil, d.err
+	st.Resident = d.ObjectIDs()
+	if err := decodeErr(d); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -164,12 +114,12 @@ func decodeState(payload []byte) (*State, error) {
 // evictions are idempotent set operations and births dedup by ID (see
 // the State doc for why that tolerance is sound here).
 func (st *State) apply(typ byte, payload []byte) error {
-	d := &dec{b: payload}
+	d := netproto.NewDecoder(payload)
 	switch typ {
 	case recBirth:
-		b := decBirth(d)
-		if d.err != nil {
-			return d.err
+		b := d.Birth()
+		if err := decodeErr(d); err != nil {
+			return err
 		}
 		for _, known := range st.Births {
 			if known.Object.ID == b.Object.ID {
@@ -184,17 +134,17 @@ func (st *State) apply(typ byte, payload []byte) error {
 			st.Owned = append(st.Owned, b.Object.ID)
 		}
 	case recAdmit:
-		id := model.ObjectID(d.varint())
-		if d.err != nil {
-			return d.err
+		id := model.ObjectID(d.Varint())
+		if err := decodeErr(d); err != nil {
+			return err
 		}
 		if !slices.Contains(st.Resident, id) {
 			st.Resident = append(st.Resident, id)
 		}
 	case recEvict:
-		id := model.ObjectID(d.varint())
-		if d.err != nil {
-			return d.err
+		id := model.ObjectID(d.Varint())
+		if err := decodeErr(d); err != nil {
+			return err
 		}
 		if i := slices.Index(st.Resident, id); i >= 0 {
 			st.Resident = slices.Delete(st.Resident, i, i+1)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/deltacache/delta/internal/model"
+	"github.com/deltacache/delta/internal/netproto"
 )
 
 // File names inside a store directory.
@@ -61,7 +62,7 @@ type Store struct {
 	generation uint64
 	closed     bool
 
-	records  atomic.Int64 // journal records appended since open
+	records  atomic.Int64 // journal records appended since the last reset
 	lastSnap atomic.Int64 // unix nanos of the newest snapshot
 
 	flushWake chan struct{}
@@ -156,10 +157,10 @@ func decodeSnapshotFile(raw []byte) (*State, error) {
 	if typ != recHeader {
 		return nil, fmt.Errorf("persist: snapshot opens with record type %d", typ)
 	}
-	hd := &dec{b: payload}
-	generation := hd.uvarint()
-	if hd.err != nil {
-		return nil, hd.err
+	hd := netproto.NewDecoder(payload)
+	generation := hd.Uvarint()
+	if err := decodeErr(hd); err != nil {
+		return nil, err
 	}
 	typ, payload, rest, err = readRecord(rest)
 	if err != nil {
@@ -194,10 +195,10 @@ func replayJournal(raw []byte, wantGen uint64, st *State) (applied int, tailErr 
 	if typ != recHeader {
 		return 0, fmt.Errorf("persist: journal opens with record type %d", typ)
 	}
-	hd := &dec{b: payload}
-	gen := hd.uvarint()
-	if hd.err != nil {
-		return 0, hd.err
+	hd := netproto.NewDecoder(payload)
+	gen := hd.Uvarint()
+	if err := decodeErr(hd); err != nil {
+		return 0, err
 	}
 	if gen != wantGen {
 		// A crash between snapshot rename and journal reset leaves the
@@ -238,10 +239,10 @@ func (s *Store) WriteSnapshot(st *State) error {
 	}
 
 	gen := s.generation + 1
-	var head enc
-	head.uvarint(gen)
+	var head netproto.Encoder
+	head.Uvarint(gen)
 	out := append([]byte(nil), snapshotMagic...)
-	out = frameRecord(out, recHeader, head.b)
+	out = frameRecord(out, recHeader, head.Bytes())
 	out = frameRecord(out, recSnapshot, encodeState(st))
 
 	path := filepath.Join(s.opts.Dir, snapshotFile)
@@ -304,10 +305,10 @@ func (s *Store) resetJournalLocked() error {
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	var head enc
-	head.uvarint(s.generation)
+	var head netproto.Encoder
+	head.Uvarint(s.generation)
 	out := append([]byte(nil), journalMagic...)
-	out = frameRecord(out, recHeader, head.b)
+	out = frameRecord(out, recHeader, head.Bytes())
 	if _, err := f.Write(out); err != nil {
 		f.Close()
 		return fmt.Errorf("persist: journal header: %w", err)
@@ -318,6 +319,7 @@ func (s *Store) resetJournalLocked() error {
 	}
 	s.journal = f
 	s.pending, s.dirty = 0, false
+	s.records.Store(0)
 	return nil
 }
 
@@ -390,26 +392,28 @@ func (s *Store) flushLoop() {
 
 // AppendBirth journals one adopted object birth.
 func (s *Store) AppendBirth(b model.Birth) error {
-	var e enc
-	encBirth(&e, &b)
-	return s.append(recBirth, e.b)
+	var e netproto.Encoder
+	e.Birth(&b)
+	return s.append(recBirth, e.Bytes())
 }
 
 // AppendAdmit journals one object admitted to the resident set.
 func (s *Store) AppendAdmit(id model.ObjectID) error {
-	var e enc
-	e.varint(int64(id))
-	return s.append(recAdmit, e.b)
+	var e netproto.Encoder
+	e.Varint(int64(id))
+	return s.append(recAdmit, e.Bytes())
 }
 
 // AppendEvict journals one object evicted from the resident set.
 func (s *Store) AppendEvict(id model.ObjectID) error {
-	var e enc
-	e.varint(int64(id))
-	return s.append(recEvict, e.b)
+	var e netproto.Encoder
+	e.Varint(int64(id))
+	return s.append(recEvict, e.Bytes())
 }
 
-// JournalRecords reports how many records were appended since open.
+// JournalRecords reports how many records the journal holds: those
+// appended since the last snapshot, which is what a crash right now
+// would replay.
 func (s *Store) JournalRecords() int64 { return s.records.Load() }
 
 // SnapshotAge reports how long ago the newest snapshot landed (since
