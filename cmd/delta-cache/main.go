@@ -13,7 +13,6 @@ import (
 
 	"github.com/deltacache/delta/internal/cache"
 	"github.com/deltacache/delta/internal/catalog"
-	"github.com/deltacache/delta/internal/cluster"
 	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/geom"
@@ -35,13 +34,10 @@ func run() error {
 		policyName  = flag.String("policy", "vcover", "decoupling policy: vcover|benefit|nocache|replica")
 		objects     = flag.Int("objects", 68, "number of data objects (must match the repository)")
 		seed        = flag.Int64("seed", 2, "survey seed (must match the repository)")
-		cacheFrac   = flag.Float64("cache-frac", 0.3, "cache size as a fraction of the server total")
+		cacheFrac   = flag.Float64("cache-frac", 0.3, "cache size as a fraction of what the node holds: the whole survey, or a shard's owned objects")
 		bytesPerGB  = flag.Int64("bytes-per-gb", 4096, "physical payload bytes per logical GB")
 		repoPool    = flag.Int("repo-pool", 2, "connections in the repository session pool")
-		shardIdx    = flag.Int("shard-index", -1, "run as shard i of a cluster (-1: standalone)")
-		shardCount  = flag.Int("shard-count", 0, "total shards in the cluster (with -shard-index)")
-		shardMode   = flag.String("shard-mode", "htm", "cluster ownership mode: htm|rendezvous (must match the router)")
-		replicas    = flag.Int("replicas", 1, "cluster replication factor K: how many shards hold each object (with -shard-index; must match the router)")
+		shard       = flag.Bool("shard", false, "run as a cluster shard: own nothing until the router's reshard says what to own")
 		dataDir     = flag.String("data-dir", "", "directory for warm-state snapshots and the decision journal; restarts rejoin warm from it (empty = no persistence)")
 		snapEvery   = flag.Duration("snapshot-interval", 0, "periodic snapshot interval with -data-dir (0 = 30s default)")
 		metricsAddr = flag.String("metrics-addr", "", "debug HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof (empty = off)")
@@ -56,40 +52,10 @@ func run() error {
 		return err
 	}
 
-	// Cluster shard mode: restrict this node to the objects it owns
-	// under the deterministic assignment the router also computes.
-	var filter func(model.ObjectID) bool
-	ownedSize := survey.TotalSize()
-	if *shardIdx >= 0 {
-		if *shardCount <= *shardIdx {
-			return fmt.Errorf("-shard-count %d must exceed -shard-index %d", *shardCount, *shardIdx)
-		}
-		mode, err := cluster.ParseMode(*shardMode)
-		if err != nil {
-			return err
-		}
-		if *replicas < 1 {
-			return fmt.Errorf("-replicas must be at least 1, got %d", *replicas)
-		}
-		own, err := cluster.NewOwnershipReplicated(survey.Objects(), *shardCount, *replicas, mode)
-		if err != nil {
-			return err
-		}
-		filter = own.Filter(*shardIdx)
-		// ShardObjects spans every replica rank, so a K≥2 shard sizes
-		// its cache for the replica copies it holds too.
-		ownedSize = 0
-		for _, id := range own.ShardObjects(*shardIdx) {
-			obj, err := survey.Object(id)
-			if err != nil {
-				return err
-			}
-			ownedSize += obj.Size
-		}
-	}
-	// Capacity scales with what this node can be asked to hold: the
-	// whole survey standalone, the owned subset as a shard.
-	capacity := cost.Bytes(float64(ownedSize) * *cacheFrac)
+	// Capacity is a fraction of what the node can be asked to hold:
+	// the whole survey standalone; as a shard, each reshard resizes it
+	// to the same fraction of what the router gives it.
+	capacity := cost.Bytes(float64(survey.TotalSize()) * *cacheFrac)
 
 	// Region queries resolve only on a standalone cache: a cluster
 	// shard owns a subset of the sky, so regions must resolve at the
@@ -99,7 +65,7 @@ func run() error {
 		resolver     func(geom.Cap) []model.ObjectID
 		resolverGrow func([]model.Birth) error
 	)
-	if *shardIdx < 0 {
+	if !*shard {
 		resolver = survey.CoverCap
 		resolverGrow = func(births []model.Birth) error {
 			for _, b := range births {
@@ -125,12 +91,11 @@ func run() error {
 		RepoPool:      *repoPool,
 		PolicyFactory: policyFactory,
 		Objects:       survey.Objects(),
-		ObjectFilter:  filter,
+		Shard:         *shard,
 		Capacity:      capacity,
 		// Across live reshards the cache keeps holding the same
 		// fraction of whatever it currently owns.
 		ReshardCapacity:  cache.FractionalCapacity(*cacheFrac),
-		Replicas:         *replicas,
 		Scale:            netproto.PayloadScale{BytesPerGB: *bytesPerGB},
 		Resolver:         resolver,
 		ResolverGrow:     resolverGrow,
@@ -145,9 +110,9 @@ func run() error {
 	if err := mw.Start(); err != nil {
 		return err
 	}
-	if *shardIdx >= 0 {
-		log.Printf("cache ready on %s as shard %d/%d (policy %s, capacity %v)",
-			mw.Addr(), *shardIdx, *shardCount, *policyName, capacity)
+	if *shard {
+		log.Printf("cache ready on %s as a cluster shard (policy %s), waiting for its router's reshard",
+			mw.Addr(), *policyName)
 	} else {
 		log.Printf("cache ready on %s (policy %s, capacity %v)", mw.Addr(), *policyName, capacity)
 	}

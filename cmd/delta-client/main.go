@@ -54,7 +54,6 @@ func run() error {
 		objects   = flag.Int("objects", 68, "objects (must match deployment)")
 		seed      = flag.Int64("seed", 2, "survey seed (must match deployment)")
 		region    = flag.String("region", "", "query a sky region \"ra,dec,radiusDeg\" resolved server-side (no local universe needed)")
-		expectK   = flag.Int("replicas", 0, "expected replication factor K; with -stats/-cluster-stats, fail if the deployment reports a different K (0 = don't check)")
 		trace     = flag.Bool("trace", false, "stamp queries with a trace ID and print the per-hop fan-out tree (router scatter, shard fragments, repository work)")
 		scenario  = flag.String("scenario", "", "replay a named workload scenario against the deployment (see -list-scenarios; fanned out over -workers)")
 		scnQ      = flag.Int("scenario-queries", 0, "query count for -scenario (0 = the scenario's default)")
@@ -170,9 +169,6 @@ func run() error {
 			return err
 		}
 		printStats(st)
-		if err := checkReplicas(*expectK, st.Replicas); err != nil {
-			return err
-		}
 	}
 	if *cstats {
 		cs, err := cl.ClusterStats(ctx)
@@ -180,9 +176,6 @@ func run() error {
 			return err
 		}
 		printClusterStats(cs)
-		if err := checkReplicas(*expectK, cs.Aggregate.Replicas); err != nil {
-			return err
-		}
 	}
 	if *rebStatus {
 		st, err := cl.RebalanceStatus(ctx)
@@ -271,20 +264,6 @@ func printStats(st *netproto.StatsMsg) {
 		st.SnapshotAge.Round(time.Millisecond), st.JournalRecords, st.RecoveredWarm)
 	fmt.Printf("replication: K=%d\n", max(st.Replicas, 1))
 	fmt.Printf("cached objects: %v\n", st.Cached)
-}
-
-// checkReplicas audits the deployment's reported replication factor
-// against the -replicas expectation (a shard started with the wrong
-// -replicas silently computes a different ownership map — this is the
-// cheap way to catch it from the outside).
-func checkReplicas(want int, got int64) error {
-	if want <= 0 {
-		return nil
-	}
-	if reported := max(got, 1); reported != int64(want) {
-		return fmt.Errorf("deployment reports replication factor K=%d, expected K=%d", reported, want)
-	}
-	return nil
 }
 
 // runRegion submits one sky-region query resolved server-side: the

@@ -1,19 +1,21 @@
 // Command delta-router runs the cluster routing tier: a partition-aware
 // front that makes N cache shards look like one Delta cache. Ownership
-// is a pure function of the shared survey config, the shard count, and
-// the mode, so the router and every `delta-cache -shard-index` compute
-// the same map with no coordination service:
+// is a pure function of the survey config, the shard count, the mode
+// and -replicas, and the router is the only node that computes it: a
+// `delta-cache -shard` starts owning nothing, and the router's first
+// reshard, at startup, tells each shard what it owns:
 //
-//	delta-cache -repo :7707 -addr :7801 -shard-index 0 -shard-count 2 &
-//	delta-cache -repo :7707 -addr :7802 -shard-index 1 -shard-count 2 &
+//	delta-cache -repo :7707 -addr :7801 -shard &
+//	delta-cache -repo :7707 -addr :7802 -shard &
 //	delta-router -addr :7708 -shards 127.0.0.1:7801,127.0.0.1:7802
 //
-// Clients connect to the router exactly as they would to a single
-// cache; multi-object queries scatter to the owning shards and merge.
+// A shard built from another survey than the router's refuses that
+// reshard, and the router exits with the disagreement. Clients connect
+// to the router exactly as they would to a single cache; multi-object
+// queries scatter to the owning shards and merge.
 //
 // The router also serves the live-resize admin frames: start the new
-// shards (e.g. `-shard-index 2 -shard-count 4` and `-shard-index 3
-// -shard-count 4`) and then
+// shards (with `-shard`) and then
 //
 //	delta-client -cache :7708 -resize 127.0.0.1:7801,127.0.0.1:7802,127.0.0.1:7803,127.0.0.1:7804
 //
@@ -54,15 +56,15 @@ func main() {
 func run() error {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7708", "client-facing listen address")
-		shardList = flag.String("shards", "", "comma-separated shard addresses, in shard-index order")
+		shardList = flag.String("shards", "", "comma-separated shard addresses, in shard order")
 		repoAddr  = flag.String("repo", "", "repository address; enables live universe growth (birth publication + announcement adoption)")
-		modeName  = flag.String("mode", "htm", "ownership mode: htm|rendezvous (must match the shards)")
-		objects   = flag.Int("objects", 68, "number of data objects (must match the deployment)")
-		seed      = flag.Int64("seed", 2, "survey seed (must match the deployment)")
+		modeName  = flag.String("mode", "htm", "ownership mode: htm|rendezvous")
+		objects   = flag.Int("objects", 68, "number of data objects (must match the deployment; the shards check)")
+		seed      = flag.Int64("seed", 2, "survey seed (must match the deployment; the shards check)")
 		pool      = flag.Int("shard-pool", 2, "connections in each shard session pool")
 		dialRetry = flag.Duration("dial-retry", 5*time.Second, "how long to retry refused shard dials (startup race)")
 		metrics   = flag.String("metrics-addr", "", "debug HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof (empty = off)")
-		replicas  = flag.Int("replicas", 1, "replication factor K: how many shards hold each object (must match the shards' -replicas)")
+		replicas  = flag.Int("replicas", 1, "replication factor K: how many shards hold each object")
 		hedge     = flag.Bool("hedge", false, "enable hedged reads: re-scatter a slow fragment to the next replicas after the hedge delay (needs -replicas >= 2)")
 		hedgeGap  = flag.Duration("hedge-delay", 0, "pin the hedge delay (0 derives it from the observed fragment latency p99)")
 		resSize   = flag.Int("result-cache-size", 0, "bound on the router result cache + in-flight query coalescing, which need -repo for the invalidation stream (0 = default 1024 entries, -1 = off)")

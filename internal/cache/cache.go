@@ -69,13 +69,13 @@ type Config struct {
 	PolicyFactory func() core.Policy
 	// Objects is the object universe (must match the repository's).
 	Objects []model.Object
-	// ObjectFilter, when non-nil, restricts this node to the objects
-	// it owns: Objects is filtered through it before the policy sees
-	// the universe, so a cluster shard's policy only reasons about
-	// owned objects, and queries touching unowned objects are
-	// rejected (they indicate a routing bug). Nil means the node owns
-	// everything (the single-cache deployment).
-	ObjectFilter func(model.ObjectID) bool
+	// Shard makes the node a cluster shard: it starts owning nothing,
+	// rejects every fragment and notice until its router's first
+	// MsgReshard installs what it owns, and from then on owns exactly
+	// what reshards and birth grants give it. A shard needs a
+	// PolicyFactory. False is the standalone cache, which owns the whole
+	// universe.
+	Shard bool
 	// Capacity is the cache size.
 	Capacity cost.Bytes
 	// ReshardCapacity recomputes the node's capacity for a new owned
@@ -83,13 +83,6 @@ type Config struct {
 	// owned data, or exactly its size for the replicated shape). Nil
 	// keeps Capacity fixed across reshards.
 	ReshardCapacity func(owned []model.Object) cost.Bytes
-	// Replicas is the replication factor K the node serves under — how
-	// many shards hold each object it owns. Informational: the
-	// ownership math lives in the router's cluster.Ownership and
-	// reaches the node through ObjectFilter/reshard frames; this value
-	// surfaces in StatsMsg so operators and clients can audit the
-	// deployed K. 0 is treated as 1 (unreplicated).
-	Replicas int
 	// Scale converts logical sizes to physical payloads.
 	Scale netproto.PayloadScale
 	// Resolver maps a sky cap to the object IDs whose partitions may
@@ -114,9 +107,9 @@ type Config struct {
 	// periodic snapshots of its warm state, and on startup replays
 	// snapshot+journal to rejoin warm — the policy is rebuilt over the
 	// persisted universe and residents are re-adopted through the same
-	// core.Warmable boundary a live reshard uses, re-validated against
-	// current ownership so a node restarted into a resized cluster
-	// drops no-longer-owned state. Empty disables persistence.
+	// core.Warmable boundary a live reshard uses. A shard holds its
+	// recovered residents until its router's first reshard carries
+	// those it still owns. Empty disables persistence.
 	DataDir string
 	// SnapshotInterval paces the periodic snapshot loop when DataDir is
 	// set (0 = 30s default). Snapshots are also written after every
@@ -152,10 +145,11 @@ type Middleware struct {
 	events  int64
 	// reshardEpoch is the newest routing epoch this node has resharded
 	// for; older MsgReshard frames (delayed retries from a superseded
-	// resize) are rejected instead of clobbering newer state.
+	// resize) are rejected instead of clobbering newer state, except a
+	// router's epoch-0 install, which starts its epochs over.
 	reshardEpoch int
 
-	// owned is the filtered object universe (nil when the node owns
+	// owned is what a shard owns (nil on a standalone cache, which owns
 	// everything); guarded by mu since reshards replace it live.
 	owned *idSet
 	// byID indexes the known universe for reshard lookups; guarded by
@@ -240,6 +234,9 @@ func New(cfg Config) (*Middleware, error) {
 	if cfg.RepoPool <= 0 {
 		cfg.RepoPool = 2
 	}
+	if cfg.Shard && cfg.PolicyFactory == nil {
+		return nil, fmt.Errorf("cache: a cluster shard needs a policy factory to reshard with")
+	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -257,7 +254,7 @@ func New(cfg Config) (*Middleware, error) {
 		byID:   newObjectTable(len(cfg.Objects)),
 	}
 	m.Node = node.New("cache", cfg.Addr, cfg.MetricsAddr, cfg.Logf, m.handleClientFrame)
-	m.replicas.Store(int64(max(cfg.Replicas, 1)))
+	m.replicas.Store(1)
 	m.covers = htm.NewCoverCache(256, cfg.Resolver, cfg.ResolverGrow)
 	m.queryLat = m.Reg.NewHistogram("delta_query_seconds",
 		"End-to-end query handling latency at this cache node (fragment or whole query).", nil)
@@ -294,12 +291,13 @@ func New(cfg Config) (*Middleware, error) {
 		}
 	}
 	// Universe metadata beyond the static config: born objects and
-	// reshard arrivals from the persisted state. Everything
-	// merges into byID (reshard lookups need the metadata regardless of
-	// ownership); only what the node owns joins the policy universe.
-	var extras []model.Object
-	recoveredOwned := make(map[model.ObjectID]struct{})
+	// reshard arrivals from the persisted state. Everything merges into
+	// byID (reshard lookups need the metadata regardless of ownership).
+	// A standalone cache owns it all; a shard owns nothing until its
+	// router's first reshard.
+	universe := cfg.Objects
 	if recovered != nil {
+		var extras []model.Object
 		for _, o := range recovered.Universe {
 			if !m.byID.has(o.ID) {
 				m.byID.put(o)
@@ -307,42 +305,14 @@ func New(cfg Config) (*Middleware, error) {
 			}
 		}
 		slices.SortFunc(extras, func(a, b model.Object) int { return cmp.Compare(a.ID, b.ID) })
-		for _, id := range recovered.Owned {
-			recoveredOwned[id] = struct{}{}
-		}
+		universe = append(slices.Clip(universe), extras...)
 	}
-
-	universe := cfg.Objects
-	if cfg.ObjectFilter != nil {
-		universe = make([]model.Object, 0, len(cfg.Objects))
-		m.owned = newIDSet(len(cfg.Objects))
-		for _, o := range cfg.Objects {
-			if cfg.ObjectFilter(o.ID) {
-				universe = append(universe, o)
-				m.owned.add(o.ID)
-			}
-		}
-		if len(universe) == 0 {
-			m.closeStore()
-			return nil, fmt.Errorf("cache: object filter leaves the shard empty")
-		}
-	}
-	for _, o := range extras {
-		// Ownership revalidation for recovered objects: the current
-		// filter (computed from the current cluster shape) decides, with
-		// persisted grants honored for newborns the static filter cannot
-		// know — the next reshard from the router settles any remainder.
-		if cfg.ObjectFilter != nil {
-			_, granted := recoveredOwned[o.ID]
-			if !granted && !cfg.ObjectFilter(o.ID) {
-				continue
-			}
-			m.owned.add(o.ID)
-		}
-		universe = append(universe, o)
+	if cfg.Shard {
+		m.owned = newIDSet(0)
+		universe = nil
 	}
 	capacity := cfg.Capacity
-	if len(extras) > 0 && cfg.ReshardCapacity != nil {
+	if len(universe) > len(cfg.Objects) && cfg.ReshardCapacity != nil {
 		// The boot capacity was computed over the static universe; a
 		// recovered grown universe resizes it the same way a reshard
 		// would.
@@ -389,13 +359,6 @@ func New(cfg Config) (*Middleware, error) {
 	// Closing the session fails every handler's pending repository
 	// round trip.
 	m.Unblock = func() { m.repo.Close() }
-	if m.owned != nil {
-		// A cluster shard asks for its own objects' notices only; once
-		// New returns, the repository filters this stream.
-		m.inv.Lock()
-		m.inv.Send(m.filterFrame(nil)).Wait()
-		m.inv.Unlock()
-	}
 	if m.store != nil {
 		// The interval only bounds journal replay length: reshards
 		// snapshot on their own, and Close lands a final one, so a clean
@@ -455,38 +418,33 @@ func (m *Middleware) closeStore() {
 }
 
 // adoptRecovered restores the previous incarnation's warm state onto a
-// freshly initialized policy. Residents are re-validated against the
-// current universe — ownership included, so a node restarted into a
-// resized cluster drops no-longer-owned state here for free — and
+// freshly initialized policy. Residents still in the universe are
 // offered through core.Warmable, the same carry-over boundary a live
-// reshard uses; the policy adopts what fits its capacity. Policies
-// without Warm (SOptimal, NoCache) simply restart cold.
+// reshard uses, and the policy adopts what fits its capacity; policies
+// without Warm (SOptimal, NoCache) simply restart cold. A shard owns
+// nothing yet, so its residents wait in the applier, unoffered: its
+// router's first reshard carries those it still owns into the policy it
+// builds. The persisted epoch and owned set are not read — both come
+// from the router, and no frame of an earlier process reaches this one.
 func (m *Middleware) adoptRecovered(st *persist.State) {
-	m.reshardEpoch = st.Epoch
 	m.births = slices.Clone(st.Births)
-	carried := make([]model.ObjectID, 0, len(st.Resident))
-	for _, id := range st.Resident {
-		if m.owned != nil {
-			if !m.owned.has(id) {
-				continue
-			}
-		} else if !m.byID.has(id) {
-			continue
-		}
-		carried = append(carried, id)
-	}
+	carried := slices.DeleteFunc(slices.Clone(st.Resident), func(id model.ObjectID) bool { return !m.byID.has(id) })
 	slices.Sort(carried)
-	if w, ok := m.policy.(core.Warmable); ok && len(carried) > 0 {
-		adopted, err := w.Warm(carried)
-		if err != nil {
-			m.cfg.Logf("recovery warm-up: %v (restarting cold)", err)
-			adopted = nil
+	adopted := carried
+	if m.owned == nil {
+		adopted = nil
+		if w, ok := m.policy.(core.Warmable); ok && len(carried) > 0 {
+			var err error
+			if adopted, err = w.Warm(carried); err != nil {
+				m.cfg.Logf("recovery warm-up: %v (restarting cold)", err)
+				adopted = nil
+			}
 		}
-		if err := m.applier.Preload(adopted); err != nil {
-			m.cfg.Logf("recovery warm-up: %v", err)
-		}
-		m.recoveredWarm.Store(int64(len(adopted)))
 	}
+	if err := m.applier.Preload(adopted); err != nil {
+		m.cfg.Logf("recovery warm-up: %v", err)
+	}
+	m.recoveredWarm.Store(int64(len(adopted)))
 	if len(st.Births) > 0 {
 		// The resolver was built from the startup survey; recovered
 		// births must rejoin its universe or region covers would exclude
@@ -495,8 +453,8 @@ func (m *Middleware) adoptRecovered(st *persist.State) {
 			m.cfg.Logf("recovery resolver growth: %v (region covers may miss recovered newborns)", err)
 		}
 	}
-	m.cfg.Logf("recovered warm: epoch %d, %d births, %d/%d residents re-adopted",
-		st.Epoch, len(st.Births), m.recoveredWarm.Load(), len(st.Resident))
+	m.cfg.Logf("recovered warm: %d births, %d/%d residents re-adopted",
+		len(st.Births), len(adopted), len(st.Resident))
 }
 
 // persistState captures the node's durable state under mu.
@@ -621,7 +579,10 @@ func (m *Middleware) streamFrame(f netproto.Frame) {
 		// Not ours (not a drop): the repository's filter passes a
 		// superset of what this shard owns — the union while a reshard
 		// narrows, every object above the horizon, the whole stream
-		// until its owned set is installed.
+		// until its owned set is installed. A recovered resident held
+		// for the first reshard leaves the carried set instead of
+		// crossing it stale.
+		m.applier.Unload(inv.Update.Object)
 		m.mu.Unlock()
 		return
 	}
@@ -1129,6 +1090,18 @@ func (m *Middleware) loadObjects(ctx context.Context, loads []pendingLoad, charg
 	if len(data.Objects) != len(ids) {
 		return fmt.Errorf("repository answered a load of %d objects with %d", len(ids), len(data.Objects))
 	}
+	// The policy decided over this node's metadata; an object the
+	// repository describes otherwise means the two were built from
+	// different surveys, and the ledger would charge a size no decision
+	// reasoned about.
+	m.mu.Lock()
+	for i, o := range data.Objects {
+		if known, _ := m.byID.get(ids[i]); o != known {
+			m.mu.Unlock()
+			return fmt.Errorf("load of object %d: the repository has %+v, this node has %+v", ids[i], o, known)
+		}
+	}
+	m.mu.Unlock()
 	if charge {
 		var total cost.Bytes
 		for _, o := range data.Objects {

@@ -1,11 +1,11 @@
 // The ownership filter on a cluster shard's invalidation stream. The
 // shard sends the repository its owned set — a MsgReshard on the stream
-// it subscribed with — right after subscribing, at every reshard and at
-// every resume, and the repository then queues it only the notices of
-// objects in the filter: the owned set, plus every object above the
-// horizon, the largest ID below which the shard knew every object when
-// it sent the set. A shard is granted only objects it did not know, so
-// births need no message.
+// it subscribed with — at every reshard (the first one installs it;
+// until then the stream is unfiltered) and at every resume, and the
+// repository then queues it only the notices of objects in the filter:
+// the owned set, plus every object above the horizon, the largest ID
+// below which the shard knew every object when it sent the set. A shard
+// is granted only objects it did not know, so births need no message.
 //
 // The one invariant: the filter in force passes a superset of what the
 // shard owns. A reshard that gains objects therefore sends old ∪ new

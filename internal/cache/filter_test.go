@@ -206,6 +206,11 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 			if _, err := repo.AddObjects([]model.Birth{b}); err != nil {
 				t.Fatal(err)
 			}
+			// Grant the repository's copy (trixel filled in), as a router
+			// does.
+			if b.Object, err = survey.Object(b.Object.ID); err != nil {
+				t.Fatal(err)
+			}
 			born = append(born, b)
 			return b
 		}
@@ -228,7 +233,7 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 				return loggingVCover{VCover: core.NewVCover(core.DefaultVCoverConfig()), log: log}
 			},
 			Objects:         base,
-			ObjectFilter:    func(id model.ObjectID) bool { return oracle.owned[id] },
+			Shard:           true,
 			Capacity:        survey.TotalSize(),
 			ReshardCapacity: cache.ReplicatedCapacity,
 			Scale:           netproto.DefaultScale(),
@@ -237,6 +242,15 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer mw.Close()
+		var initial []model.ObjectID
+		for _, o := range base {
+			if oracle.owned[o.ID] {
+				initial = append(initial, o.ID)
+			}
+		}
+		if _, _, err := mw.Reshard(0, initial, nil, nil); err != nil {
+			t.Fatal(err)
+		}
 		proxy.awaitOpen(t)
 
 		nextUpdate := model.UpdateID(0)

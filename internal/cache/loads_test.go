@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -140,6 +141,43 @@ func TestDecisionLoadsOneRoundTrip(t *testing.T) {
 		if !m.applier.Resident(id) {
 			t.Errorf("object %d not resident after its load", id)
 		}
+	}
+}
+
+// TestLoadRefusesAnotherSurvey: a cache built from another survey than
+// its repository's (the same object count, another seed) fails its
+// first load with an error naming the object and both descriptions of
+// it, and its ledger charges nothing for it.
+func TestLoadRefusesAnotherSurvey(t *testing.T) {
+	repo, survey := startLoadRepo(t)
+	scfg := catalog.DefaultConfig()
+	scfg.Seed = 2
+	scfg.NumObjects = 16
+	scfg.TotalSize = 16 * cost.GB
+	scfg.MinObjectSize = 100 * cost.MB
+	scfg.MaxObjectSize = 4 * cost.GB
+	other, err := catalog.NewSurvey(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = model.ObjectID(3)
+	theirs, _ := survey.Object(id)
+	mine, _ := other.Object(id)
+	if theirs == mine {
+		t.Fatalf("object %d is %+v in both surveys", id, mine)
+	}
+	m := newLoadCache(t, repo, &shipAndLoad{}, other.Objects())
+	res, err := query(m, model.Query{ID: 1, Objects: []model.ObjectID{id}, Cost: cost.MB, Time: time.Second})
+	if err == nil {
+		t.Fatalf("a load over another survey's metadata succeeded: %+v", res)
+	}
+	for _, want := range []string{fmt.Sprintf("object %d", id), fmt.Sprintf("%+v", theirs), fmt.Sprintf("%+v", mine)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("load error %q does not name %s", err, want)
+		}
+	}
+	if got := m.Ledger().ObjectLoad; got != 0 {
+		t.Errorf("cache load ledger = %v after a refused load, want 0", got)
 	}
 }
 

@@ -1,6 +1,7 @@
-// Live resharding. A cluster resize changes which objects this node
-// owns; instead of restarting the node cold, the router sends it
-// MsgReshard, which atomically replaces the owned object set: the
+// Live resharding. A cluster shard owns only what its router tells it:
+// the router's first MsgReshard (at router startup, or in the resize
+// that brings the shard in) installs the owned set, and every resize
+// replaces it. A reshard atomically replaces the owned object set: the
 // policy is rebuilt for the new universe (the decision framework is
 // Init-once by design), still-owned residents are carried over warm via
 // core.Warmable, then the reshard's warm list — objects this node gains
@@ -27,12 +28,14 @@ import (
 // Reshard atomically replaces the node's owned object set with exactly
 // owned (a subset of the known universe; meta supplies metadata for
 // objects born after this node spawned, so a fresh shard can take
-// ownership of newborns it has never seen). A fresh policy is built
-// from Config.PolicyFactory and initialized over the new universe; it
-// then adopts (core.Warmable) the still-owned residents, sorted, and
-// after them the warm IDs that are owned and not already resident,
-// sorted — so under capacity pressure carried state wins over
-// arrivals. Everything else is discarded. It returns how many objects
+// ownership of newborns it has never seen). An entry of meta that
+// disagrees with what the node already knows of the object is refused:
+// the router and this node were built from different surveys. A fresh
+// policy is built from Config.PolicyFactory and initialized over the
+// new universe; it then adopts (core.Warmable) the still-owned
+// residents, sorted, and after them the warm IDs that are owned and not
+// already resident, sorted — so under capacity pressure carried state
+// wins over arrivals. Everything else is discarded. It returns how many objects
 // are resident after the swap and how many former residents were
 // dropped; warm adoptions count into StatsMsg.MigratedIn.
 //
@@ -46,15 +49,23 @@ import (
 //
 // A reshard that gains objects widens the repository's notice filter to
 // old ∪ new and waits for its echo before the swap; every successful
-// reshard then narrows it to the new set (filter.go).
+// reshard then narrows it to the new set (filter.go). Last, a
+// core.Preloader policy loads what it starts with and is not yet
+// resident, as at New.
 func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Object, warm []model.ObjectID) (resident, dropped int, err error) {
 	if m.cfg.PolicyFactory == nil {
 		return 0, 0, fmt.Errorf("cache: no policy factory configured; live reshard unavailable")
 	}
 	m.mu.Lock()
 	for _, o := range meta {
-		if !m.byID.has(o.ID) {
+		known, ok := m.byID.get(o.ID)
+		if !ok {
 			m.byID.put(o)
+			continue
+		}
+		if known != o {
+			m.mu.Unlock()
+			return 0, 0, fmt.Errorf("cache: reshard metadata for object %d disagrees: the router has %+v, this node has %+v", o.ID, o, known)
 		}
 	}
 	want := newIDSet(len(owned))
@@ -80,16 +91,32 @@ func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Obj
 		return 0, 0, err
 	}
 
-	// Reshards serialize on the filter handshake (filter.go): the owned
-	// set changes only while the repository's filter covers both sides.
+	if resident, dropped, err = m.swapFiltered(epoch, want, warm, policy, capacity); err != nil {
+		return 0, 0, err
+	}
+	if err := m.preload(); err != nil {
+		return 0, 0, fmt.Errorf("cache: reshard: %w", err)
+	}
+	return resident, dropped, nil
+}
+
+// swapFiltered swaps the owned set inside the filter handshake
+// (filter.go): reshards serialize on it, and the owned set changes only
+// while the repository's filter covers both sides.
+func (m *Middleware) swapFiltered(epoch int, want *idSet, warm []model.ObjectID, policy core.Policy, capacity cost.Bytes) (resident, dropped int, err error) {
 	m.inv.Lock()
 	defer m.inv.Unlock()
 	m.mu.Lock()
 	// Reject frames from a superseded resize: a reshard that timed out
 	// router-side can still arrive late, and applying it would clobber
 	// the owned set a newer epoch installed. Widen and narrow share an
-	// epoch, so equality is allowed.
-	if epoch < m.reshardEpoch {
+	// epoch, so equality is allowed. Epoch 0 is a router's install
+	// (NewRouter), which starts that router's epochs over: it always
+	// applies, so a restarted router takes over shards an earlier
+	// router process left at a higher epoch. Within one router it is
+	// never stale — NewRouter waits for every install reply before it
+	// serves, and fails without resizing when one does not come.
+	if epoch > 0 && epoch < m.reshardEpoch {
 		m.mu.Unlock()
 		return 0, 0, fmt.Errorf("cache: reshard for epoch %d superseded by epoch %d", epoch, m.reshardEpoch)
 	}
@@ -195,9 +222,8 @@ func (m *Middleware) handleReshard(body netproto.ReshardMsg) (netproto.Frame, er
 		return netproto.Frame{}, err
 	}
 	if body.Replicas > 0 {
-		// The recut ownership's replication factor, so stats keep
-		// reporting the deployed K after a resize (0 = an older router
-		// that predates the field; keep the configured value).
+		// The ownership's replication factor, so stats report the
+		// deployed K (0 leaves the last one the node heard).
 		m.replicas.Store(int64(body.Replicas))
 	}
 	m.snapshotNow()

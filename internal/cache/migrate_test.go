@@ -136,7 +136,7 @@ func TestReshardCarriesOwnedResidents(t *testing.T) {
 // TestReshardRejectsStaleEpoch pins the superseded-resize guard: a
 // delayed reshard from an older epoch must not clobber the owned set
 // a newer epoch installed (same-epoch retries stay allowed — widen
-// and narrow share an epoch).
+// and narrow share an epoch), except a new router's epoch-0 install.
 func TestReshardRejectsStaleEpoch(t *testing.T) {
 	survey, _, mw := startReshardable(t)
 	all := survey.Objects()
@@ -161,6 +161,13 @@ func TestReshardRejectsStaleEpoch(t *testing.T) {
 	}
 	if _, _, err := mw.Reshard(2, half, nil, nil); err != nil {
 		t.Errorf("same-epoch reshard (narrow after widen) rejected: %v", err)
+	}
+	// Epoch 0 is a new router's install: it applies over any epoch.
+	if _, _, err := mw.Reshard(0, whole, nil, nil); err != nil {
+		t.Errorf("a new router's epoch-0 install rejected after epoch 2: %v", err)
+	}
+	if _, _, err := mw.Reshard(1, half, nil, nil); err != nil {
+		t.Errorf("the new router's epoch-1 resize rejected: %v", err)
 	}
 }
 
@@ -201,7 +208,7 @@ func TestReshardAdoptsWarmArrivals(t *testing.T) {
 		RepoAddr:        repo.Addr(),
 		PolicyFactory:   func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
 		Objects:         all,
-		ObjectFilter:    func(id model.ObjectID) bool { return slices.Contains(owned, id) },
+		Shard:           true,
 		Capacity:        survey.TotalSize() / 4,
 		ReshardCapacity: cache.FractionalCapacity(0.5),
 		Scale:           netproto.DefaultScale(),

@@ -164,6 +164,77 @@ func TestWarmRestartStandalone(t *testing.T) {
 	}
 }
 
+// TestRestartedShardDropsUpdatedResidents: a shard restarted from disk
+// holds its recovered residents for its first reshard, and one updated
+// before that reshard leaves the carried set instead of arriving stale.
+func TestRestartedShardDropsUpdatedResidents(t *testing.T) {
+	survey, repo := startPersistRepo(t, 16)
+	base := survey.Objects()
+	all := make([]model.ObjectID, len(base))
+	for i, o := range base {
+		all[i] = o.ID
+	}
+	dir := t.TempDir()
+	spawn := func() *cache.Middleware {
+		t.Helper()
+		mw, err := cache.New(cache.Config{
+			RepoAddr:      repo.Addr(),
+			PolicyFactory: func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
+			Objects:       base,
+			Shard:         true,
+			Capacity:      20 * cost.GB,
+			Scale:         netproto.PayloadScale{},
+			DataDir:       dir,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mw.Start(); err != nil {
+			t.Fatal(err)
+		}
+		return mw
+	}
+
+	mw1 := spawn()
+	if _, _, err := mw1.Reshard(0, all, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := client.Dial(mw1.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range base[:4] {
+		if _, err := cl.Query(ctx, model.Query{
+			Objects: []model.ObjectID{o.ID}, Cost: o.Size,
+			Tolerance: model.AnyStaleness, Time: time.Second,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Close()
+	warm := mw1.Stats().Cached
+	if !slices.Equal(warm, all[:4]) {
+		t.Fatalf("cached before the restart = %v, want %v", warm, all[:4])
+	}
+	if err := mw1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mw2 := spawn()
+	defer mw2.Close()
+	if got := mw2.Stats().Cached; !slices.Equal(got, warm) {
+		t.Fatalf("restarted shard holds %v, want the recovered %v", got, warm)
+	}
+	repo.ApplyUpdate(model.Update{ID: 1, Object: warm[0], Cost: cost.MB, Time: 2 * time.Second})
+	waitFor(t, func() bool { return !slices.Contains(mw2.Stats().Cached, warm[0]) })
+	if _, _, err := mw2.Reshard(0, all, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := mw2.Stats().Cached; !slices.Equal(got, warm[1:]) {
+		t.Errorf("first reshard carried %v, want %v (the updated object dropped)", got, warm[1:])
+	}
+}
+
 // TestRestartFromTornJournal crashes a cache mid-write: the data
 // directory is copied while the node is still serving (so the journal
 // image may end mid-record), the tail is additionally truncated, and a

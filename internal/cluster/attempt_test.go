@@ -74,6 +74,9 @@ func newScriptedCluster(t *testing.T, own *Ownership, scripts []script, mutate f
 
 // react records the fragment shard i was sent and plays its script.
 func (sc *scriptedCluster) react(i int, f netproto.Frame) netproto.Frame {
+	if rs, ok := f.Body.(netproto.ReshardMsg); ok {
+		return netproto.Frame{Type: netproto.MsgReshard, Body: netproto.ReshardMsg{Epoch: rs.Epoch}}
+	}
 	sq, ok := f.Body.(netproto.ShardQueryMsg)
 	if !ok {
 		return netproto.ErrorFrame("scripted shard got %s", f.Type)

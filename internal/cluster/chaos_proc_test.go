@@ -85,9 +85,7 @@ func TestChaosProcessKill(t *testing.T) {
 	for i := 0; i < shards; i++ {
 		shardProcs[i] = spawn(fmt.Sprintf("shard%d", i), "delta-cache",
 			"-addr", shardAddrs[i], "-repo", repoAddr,
-			"-objects", fmt.Sprint(objects), "-seed", fmt.Sprint(seed),
-			"-shard-index", fmt.Sprint(i), "-shard-count", fmt.Sprint(shards),
-			"-shard-mode", "htm", "-replicas", fmt.Sprint(replicas))
+			"-objects", fmt.Sprint(objects), "-seed", fmt.Sprint(seed), "-shard")
 	}
 	for _, addr := range shardAddrs {
 		waitListening(t, addr)

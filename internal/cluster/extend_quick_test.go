@@ -70,15 +70,13 @@ func cutOwnerScan(n *Ownership, obj model.Object, limit int) int {
 }
 
 // sameAnswers compares everything an Ownership tells its callers —
-// Owner, Owners, ShardObjects, Filter — for every object of want's
-// universe and one outside it.
+// Owner, Owners, ShardObjects — for every object of want's universe and
+// one outside it.
 func sameAnswers(got, want *Ownership) error {
 	if len(got.universe) != len(want.universe) {
 		return fmt.Errorf("universe of %d objects, want %d", len(got.universe), len(want.universe))
 	}
-	filters := make([][2]func(model.ObjectID) bool, want.shards)
-	for s := range filters {
-		filters[s] = [2]func(model.ObjectID) bool{got.Filter(s), want.Filter(s)}
+	for s := range want.shards {
 		if g, w := got.ShardObjects(s), want.ShardObjects(s); !slices.Equal(g, w) {
 			return fmt.Errorf("shard %d holds %v, want %v", s, g, w)
 		}
@@ -93,11 +91,6 @@ func sameAnswers(got, want *Ownership) error {
 		ws, wok := want.Owners(id)
 		if !slices.Equal(gs, ws) || gok != wok {
 			return fmt.Errorf("Owners(%d) = %v,%v, want %v,%v", id, gs, gok, ws, wok)
-		}
-		for s, f := range filters {
-			if f[0](id) != f[1](id) {
-				return fmt.Errorf("Filter(%d)(%d) = %v, want %v", s, id, f[0](id), f[1](id))
-			}
 		}
 		return nil
 	}

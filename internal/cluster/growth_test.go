@@ -355,15 +355,18 @@ func TestPublishPathUsesCanonicalMetadata(t *testing.T) {
 	if _, err := cl.AddObjects(ctx, published); err != nil {
 		t.Fatal(err)
 	}
-	own := lc.Router.Ownership()
+	adopted := make(map[model.ObjectID]model.Object)
+	for _, o := range lc.Router.Ownership().Universe() {
+		adopted[o.ID] = o
+	}
 	for id, trixel := range canonical {
-		got := own.Objects([]model.ObjectID{id})
-		if len(got) != 1 {
+		got, ok := adopted[id]
+		if !ok {
 			t.Fatalf("born object %d missing from routing universe", id)
 		}
-		if got[0].Trixel != trixel {
+		if got.Trixel != trixel {
 			t.Errorf("router adopted object %d with trixel %d, canonical is %d",
-				id, got[0].Trixel, trixel)
+				id, got.Trixel, trixel)
 		}
 		if _, err := cl.Query(ctx, model.Query{
 			Objects: []model.ObjectID{id}, Cost: cost.KB,

@@ -38,17 +38,18 @@ func lifecycleRepository(t *testing.T, cfg server.Config) *server.Repository {
 }
 
 // lifecycleCache builds (and does not start) a cache that ships every
-// query to repo.
-func lifecycleCache(t *testing.T, repo *server.Repository, addr, metricsAddr string) *cache.Middleware {
+// query to repo: standalone, or a cluster shard for a router to reshard.
+func lifecycleCache(t *testing.T, repo *server.Repository, addr, metricsAddr string, shard bool) *cache.Middleware {
 	t.Helper()
 	mw, err := cache.New(cache.Config{
-		Addr:        addr,
-		MetricsAddr: metricsAddr,
-		RepoAddr:    repo.Addr(),
-		Policy:      core.NewNoCache(),
-		Objects:     testSurvey(t).Objects(),
-		Capacity:    8 * cost.GB,
-		Scale:       netproto.DefaultScale(),
+		Addr:          addr,
+		MetricsAddr:   metricsAddr,
+		RepoAddr:      repo.Addr(),
+		PolicyFactory: func() core.Policy { return core.NewNoCache() },
+		Objects:       testSurvey(t).Objects(),
+		Shard:         shard,
+		Capacity:      8 * cost.GB,
+		Scale:         netproto.DefaultScale(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,11 +72,11 @@ var nodeKinds = []struct {
 	}},
 	{"cache", func(t *testing.T, addr, metricsAddr string) (lifecycleNode, *server.Repository) {
 		repo := startedRepository(t)
-		return lifecycleCache(t, repo, addr, metricsAddr), repo
+		return lifecycleCache(t, repo, addr, metricsAddr, false), repo
 	}},
 	{"router", func(t *testing.T, addr, metricsAddr string) (lifecycleNode, *server.Repository) {
 		repo := startedRepository(t)
-		shard := lifecycleCache(t, repo, "", "")
+		shard := lifecycleCache(t, repo, "", "", true)
 		if err := shard.Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -291,9 +291,8 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 }
 
 // reshardAll swaps the owned sets of several shards concurrently and
-// returns the first failure. Each command carries the owned objects'
-// metadata so a shard can take ownership of objects born after it
-// spawned.
+// returns the first failure. Each command carries reshardMeta's
+// metadata for its owned set.
 func (r *Router) reshardAll(ctx context.Context, epoch int, own *Ownership, targets []reshardTarget) error {
 	links := make([]*shardLink, len(targets))
 	for i, t := range targets {
@@ -306,7 +305,7 @@ func (r *Router) reshardAll(ctx context.Context, epoch int, own *Ownership, targ
 			Body: netproto.ReshardMsg{
 				Epoch:    epoch,
 				Owned:    t.owned,
-				Universe: own.Objects(t.owned),
+				Universe: reshardMeta(own, t.owned, r.surveyed),
 				Warm:     t.warm,
 				Replicas: own.Replicas(),
 			},
@@ -327,6 +326,24 @@ func (r *Router) reshardAll(ctx context.Context, epoch int, own *Ownership, targ
 			t.link.index, epoch, len(t.owned), len(t.warm), ack.Resident, ack.Dropped)
 	}
 	return first
+}
+
+// reshardMeta returns the metadata a reshard ships with owned, a
+// shard's sorted owned set: every object at universe position surveyed
+// or later — births, which a shard that spawned before them has never
+// seen — and, as a survey check, the first owned object. Every node
+// builds the objects it was started with from its own survey, so
+// shipping them would only cap a shard's owned set at what fits in
+// netproto.MaxFrame; a shard built from another survey (another seed or
+// size) describes the first one otherwise and refuses the reshard.
+func reshardMeta(own *Ownership, owned []model.ObjectID, surveyed int) []model.Object {
+	var out []model.Object
+	for i, id := range owned {
+		if p, ok := own.pos(id); ok && (i == 0 || p >= surveyed) {
+			out = append(out, own.universe[p])
+		}
+	}
+	return out
 }
 
 // unionIDs merges two sorted ID slices, deduplicated.

@@ -288,18 +288,13 @@ func TestResizeColdBaselineLosesWarmth(t *testing.T) {
 func TestResizeProbeFailureArrivesCold(t *testing.T) {
 	survey, lc, repoAddr := startResizableCluster(t, 4)
 	old := lc.Ownership
-	own, err := old.Resize(8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spawn := func(s int) string {
 		t.Helper()
 		mw, err := cache.New(cache.Config{
 			RepoAddr:        repoAddr,
 			PolicyFactory:   func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
 			Objects:         survey.Objects(),
-			ObjectFilter:    own.Filter(s),
-			Capacity:        cache.ReplicatedCapacity(own.Objects(own.ShardObjects(s))),
+			Shard:           true,
 			ReshardCapacity: cache.ReplicatedCapacity,
 			Scale:           netproto.PayloadScale{},
 		})

@@ -194,8 +194,8 @@ func TestRestartRecoverySoak(t *testing.T) {
 
 	// Both clusters resize 3→4 (staying comparable); only the durable
 	// one then has shard 1 bounced — restart-after-resize is the harder
-	// case, since the recovered state must re-validate against the
-	// post-resize ownership cut and epoch.
+	// case, since the recovered residents must be carried through the
+	// post-resize ownership cut.
 	if _, err := durable.lc.Resize(ctx, 4, false); err != nil {
 		t.Fatalf("resize durable cluster: %v", err)
 	}

@@ -2,9 +2,10 @@
 // routing tier that fronts N independent cache shards, each a full
 // cache.Middleware owning a deterministic subset of the data objects.
 // Ownership needs no coordination service — it is a pure function of
-// the object universe, the shard count, and the assignment mode, so
-// the router, every shard, and any out-of-band tool (delta-cache
-// -shard-index) compute identical maps from the shared survey config.
+// the object universe, the shard count, and the assignment mode — and
+// only the router computes it: a shard starts owning nothing, and the
+// router's reshards (the first at its startup, the rest in resizes)
+// tell it what it owns.
 //
 // The router scatters multi-object queries to the owning shards over
 // multiplexed netproto sessions, gathers and merges the fragments, and
@@ -573,19 +574,6 @@ func (o *Ownership) cutOwner(obj *model.Object) int32 {
 	return o.owner[o.cutOrder[max(after-1, 0)]]
 }
 
-// Objects returns the metadata of the given owned objects, in input
-// order — what a reshard command ships so shards can take ownership of
-// objects born after they spawned. Unknown IDs are skipped.
-func (o *Ownership) Objects(ids []model.ObjectID) []model.Object {
-	out := make([]model.Object, 0, len(ids))
-	for _, id := range ids {
-		if p, ok := o.pos(id); ok {
-			out = append(out, o.universe[p])
-		}
-	}
-	return out
-}
-
 // Moving returns the objects whose owning shard index differs between
 // two ownerships of the same universe, sorted by ID — exactly the set
 // a live resize must migrate. An object known to only one side is an
@@ -660,24 +648,4 @@ func (o *Ownership) ShardObjects(s int) []model.ObjectID {
 	out := make([]model.ObjectID, len(o.byShard[s]))
 	copy(out, o.byShard[s])
 	return out
-}
-
-// Filter returns the shard-local object predicate for
-// cache.Config.ObjectFilter: true for objects the shard holds at any
-// replica rank. Objects outside the cluster's universe are owned by
-// nobody (a shard whose survey config disagrees with the router's must
-// reject the strays, not adopt them).
-func (o *Ownership) Filter(s int) func(model.ObjectID) bool {
-	return func(id model.ObjectID) bool {
-		p, ok := o.pos(id)
-		if !ok {
-			return false
-		}
-		for _, owner := range o.ownersFlat[p*o.kEff : (p+1)*o.kEff] {
-			if int(owner) == s {
-				return true
-			}
-		}
-		return false
-	}
 }

@@ -38,13 +38,12 @@ func TestOwnershipCoversUniverse(t *testing.T) {
 					t.Errorf("%s/%d: shard %d owns nothing", mode, shards, s)
 				}
 				total += len(ids)
-				filter := own.Filter(s)
 				for _, id := range ids {
 					if got, ok := own.Owner(id); !ok || got != s {
 						t.Fatalf("%s/%d: owner(%d) = %d,%v, want %d", mode, shards, id, got, ok, s)
 					}
-					if !filter(id) {
-						t.Fatalf("%s/%d: filter(%d) false for owner", mode, shards, id)
+					if owners, _ := own.Owners(id); !slices.Contains(owners, s) {
+						t.Fatalf("%s/%d: owners(%d) = %v lack the owner %d", mode, shards, id, owners, s)
 					}
 				}
 			}

@@ -27,7 +27,8 @@ type Config struct {
 	// by shard number; the order must match the Ownership assignment.
 	Shards []string
 	// Ownership maps objects to shard indices; its shard count must
-	// equal len(Shards).
+	// equal len(Shards). Its objects are the survey every shard builds
+	// for itself: reshards ship metadata only for births adopted later.
 	Ownership *Ownership
 	// RepoAddr is the repository's address. When set, the router
 	// subscribes to the repository's invalidation stream so newly
@@ -102,6 +103,10 @@ type Router struct {
 	*node.Node
 	cfg Config
 
+	// surveyed counts the objects of the ownership the router started
+	// with; those at later universe positions are births (reshardMeta).
+	surveyed int
+
 	// routing is the current epoch snapshot; queries load it once and
 	// route entirely against that view.
 	routing atomic.Pointer[routing]
@@ -174,8 +179,12 @@ type shardLink struct {
 	sess  *netproto.Session
 }
 
-// NewRouter connects a router to its shards. Every shard must be
-// dialable (after DialRetry's grace for startup races).
+// NewRouter connects a router to its shards and installs the initial
+// ownership on them: the widen reshard a resize runs, at epoch 0 with no
+// warm lists, so a shard owns exactly what this router routes to it.
+// Every shard must be dialable (after DialRetry's grace for startup
+// races) and must take the reshard; a shard whose metadata disagrees
+// with the router's universe refuses it, and NewRouter fails.
 func NewRouter(cfg Config) (*Router, error) {
 	if err := checkShardAddrs(cfg.Shards); err != nil {
 		return nil, err
@@ -197,8 +206,9 @@ func NewRouter(cfg Config) (*Router, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	r := &Router{
-		cfg:   cfg,
-		links: make(map[string]*shardLink),
+		cfg:      cfg,
+		surveyed: len(cfg.Ownership.universe),
+		links:    make(map[string]*shardLink),
 	}
 	r.Node = node.New("cluster router", cfg.Addr, cfg.MetricsAddr, cfg.Logf, r.handleClientFrame)
 	r.Unblock = r.release
@@ -260,6 +270,14 @@ func NewRouter(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("cluster: dial shard %d: %w", i, err)
 		}
 		rt.links = append(rt.links, link)
+	}
+	install := make([]reshardTarget, len(rt.links))
+	for i, link := range rt.links {
+		install[i] = reshardTarget{link: link, owned: rt.own.ShardObjects(i)}
+	}
+	if err := r.reshardAll(context.Background(), rt.epoch, rt.own, install); err != nil {
+		r.closeLinks()
+		return nil, fmt.Errorf("cluster: install ownership: %w", err)
 	}
 	r.routing.Store(rt)
 	r.status = netproto.RebalanceStatusMsg{Phase: "idle", From: len(cfg.Shards), To: len(cfg.Shards)}

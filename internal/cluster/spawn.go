@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/deltacache/delta/internal/cache"
@@ -41,7 +42,9 @@ type LocalConfig struct {
 	ShardCapacity cost.Bytes
 	// Policy builds one policy instance per shard; nil defaults each
 	// shard to VCover. It doubles as the shard's reshard policy
-	// factory, so live resizes rebuild policies through it too.
+	// factory, so the router's install and live resizes rebuild
+	// policies through it too. Calls never overlap, though the shards'
+	// reshards run concurrently.
 	Policy func(shard int) core.Policy
 	// Scale converts logical sizes to physical payloads.
 	Scale netproto.PayloadScale
@@ -77,11 +80,13 @@ type LocalCluster struct {
 	Router    *Router
 
 	cfg LocalConfig
+	// policyMu keeps LocalConfig.Policy calls from overlapping.
+	policyMu sync.Mutex
 }
 
 // SpawnLocal builds the ownership map, spawns every shard (each a full
-// cache.Middleware restricted to its owned objects), and starts the
-// router over them.
+// cache.Middleware that owns nothing yet), and starts the router over
+// them, whose first reshard tells each shard what it owns.
 func SpawnLocal(cfg LocalConfig) (*LocalCluster, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("cluster: shard count must be positive")
@@ -125,14 +130,16 @@ func SpawnLocal(cfg LocalConfig) (*LocalCluster, error) {
 	return lc, nil
 }
 
-// spawnShard builds and starts one cache shard owning own's shard s.
-// The shard's configured universe is the ownership's (base objects
-// plus births adopted before the spawn), so a shard joining a grown
-// cluster knows every object it may own.
+// spawnShard builds and starts cache shard s, owning nothing until a
+// reshard from the router. The shard's configured universe is own's
+// (base objects plus births adopted before the spawn), so a shard
+// joining a grown cluster knows every object it may own.
 func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, error) {
 	cfg := lc.cfg
 	factory := func() core.Policy {
 		if cfg.Policy != nil {
+			lc.policyMu.Lock()
+			defer lc.policyMu.Unlock()
 			return cfg.Policy(s)
 		}
 		return core.NewVCover(core.DefaultVCoverConfig())
@@ -142,13 +149,9 @@ func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, er
 	// an append by the shard copies rather than writing the spare
 	// capacity Extend grows into.
 	universe := slices.Clip(own.universe)
-	capacity := cfg.ShardCapacity
 	var reshardCapacity func([]model.Object) cost.Bytes
-	if capacity == 0 {
+	if cfg.ShardCapacity == 0 {
 		reshardCapacity = cache.ReplicatedCapacity
-		for _, o := range own.Objects(own.ShardObjects(s)) {
-			capacity += o.Size
-		}
 	}
 	var dataDir string
 	if cfg.ShardDataDir != nil {
@@ -158,11 +161,10 @@ func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, er
 		RepoAddr:         cfg.RepoAddr,
 		PolicyFactory:    factory,
 		Objects:          universe,
-		ObjectFilter:     own.Filter(s),
-		Capacity:         capacity,
+		Shard:            true,
+		Capacity:         cfg.ShardCapacity,
 		ReshardCapacity:  reshardCapacity,
 		Scale:            cfg.Scale,
-		Replicas:         max(cfg.Replicas, 1),
 		DataDir:          dataDir,
 		SnapshotInterval: cfg.SnapshotInterval,
 		Logf:             cfg.Logf,
@@ -230,9 +232,8 @@ func (lc *LocalCluster) Resize(ctx context.Context, m int, skipMigration bool) (
 // (flushing a final snapshot), a fresh Middleware recovers the shard's
 // grown universe and resident set from disk, and the router is resized
 // in place over the same shard count so the replacement address joins
-// the routing table: the accompanying reshard at the next epoch
-// re-grants ownership, and the recovered residents — already
-// re-validated against ownership during recovery — carry over warm
+// the routing table: the accompanying reshard at the next epoch grants
+// ownership, and the recovered residents it still owns carry over warm
 // through the same core.Warmable path a live resize uses. Queries
 // issued between Close and the resize completing fail over nothing (the
 // routing table still names the dead address), so callers pause traffic

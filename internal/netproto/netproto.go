@@ -512,11 +512,11 @@ type RebalanceStatusMsg struct {
 }
 
 // ReshardMsg atomically replaces a shard's owned object set (router →
-// shard) during a live resize: the shard rebuilds its object filter
-// and policy universe around exactly Owned, carrying still-owned
-// resident objects over warm, then adopting Warm arrivals, and dropping
-// the rest. The reply echoes the message with Resident/Dropped filled
-// in.
+// shard) at router startup and during a live resize: the shard rebuilds
+// its object filter and policy universe around exactly Owned, carrying
+// still-owned resident objects over warm, then adopting Warm arrivals,
+// and dropping the rest. The reply echoes the message with
+// Resident/Dropped filled in.
 //
 // A cluster shard also sends it on its invalidation stream (shard →
 // repository) to name the objects whose update notices it wants: Owned
@@ -526,9 +526,13 @@ type RebalanceStatusMsg struct {
 type ReshardMsg struct {
 	Epoch int
 	Owned []model.ObjectID
-	// Universe carries the metadata of the Owned objects, so a shard
-	// can take ownership of objects born after it spawned (a fresh
-	// shard joining a grown cluster has never seen them).
+	// Universe carries the metadata of the Owned objects born after
+	// the router started, so a shard can take ownership of objects born
+	// after it spawned (a fresh shard joining a grown cluster has never
+	// seen them), and of the first Owned object, so a shard refuses the
+	// reshard when an object it already knows is described otherwise
+	// (a router built from another survey). Every node builds the other
+	// base objects from its own survey.
 	Universe []model.Object
 	// Warm lists objects this shard gains as a new holder that were
 	// resident at their old primary when the router probed it: the
@@ -541,8 +545,9 @@ type ReshardMsg struct {
 	Resident int
 	Dropped  int
 	// Replicas is the replication factor K of the epoch's ownership
-	// (Owned spans every replica rank, not just primaries). Rides the
-	// frame tail; 0 means unspecified and leaves the shard's K unchanged.
+	// (Owned spans every replica rank, not just primaries), the only
+	// way a shard learns K. Rides the frame tail; 0 means unspecified
+	// and leaves the shard's K unchanged.
 	Replicas int
 	// Horizon is an invalidation-stream field: the shard knew every
 	// object up to it when it sent the set, so any object it is granted

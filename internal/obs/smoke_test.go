@@ -1,9 +1,9 @@
 package obs_test
 
-// External test package: boots a real repository node with a debug
-// endpoint and scrapes it over HTTP, so the exposition that ships is
-// the exposition that parses. Lives outside package obs because the
-// server imports obs.
+// External test package: boots real nodes with debug endpoints and
+// scrapes them over HTTP, so the exposition that ships is the
+// exposition that parses. Lives outside package obs because every node
+// imports obs.
 
 import (
 	"bytes"
@@ -13,8 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/deltacache/delta/internal/cache"
 	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/client"
+	"github.com/deltacache/delta/internal/cluster"
+	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
@@ -22,9 +25,12 @@ import (
 	"github.com/deltacache/delta/internal/server"
 )
 
-// TestMetricsExpositionSmoke is the in-process twin of the CI metrics
-// smoke: start a node with -metrics-addr, serve it a query, scrape
-// /metrics, and fail on anything ParseExposition rejects.
+// TestMetricsExpositionSmoke boots one node of each kind — a
+// repository, a cache against it, and a router over a shard — each with
+// its debug endpoint, serves a query through each, scrapes /metrics over
+// HTTP and fails on anything ParseExposition rejects or on a missing
+// family: an unparseable or incomplete exposition fails the build
+// before any dashboard sees it.
 func TestMetricsExpositionSmoke(t *testing.T) {
 	scfg := catalog.DefaultConfig()
 	scfg.NumObjects = 8
@@ -47,47 +53,10 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer repo.Close()
-	if repo.DebugAddr() == "" {
-		t.Fatal("repository started with MetricsAddr but reports no debug address")
-	}
-
-	// Serve one query so the query-path counters and histograms have
-	// something to say.
-	cl, err := client.Dial(repo.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	obj := survey.Objects()[0].ID
-	if _, err := cl.Query(t.Context(), model.Query{
-		Objects:   []model.ObjectID{obj},
-		Cost:      cost.MB,
-		Tolerance: model.AnyStaleness,
-		Time:      time.Second,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", repo.DebugAddr()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status = %d, want 200", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	families, err := obs.ParseExposition(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("scrape does not parse: %v\n%s", err, body)
-	}
 
 	// Every StatsMsg-backed family plus the node's own histograms must
 	// be present in a single scrape.
-	for _, name := range []string{
+	families := scrapeAfterQuery(t, "repository", repo.Addr(), repo.DebugAddr(), survey.Objects()[0].ID,
 		"delta_queries_total",
 		"delta_queries_at_cache_total",
 		"delta_queries_shipped_total",
@@ -109,12 +78,9 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_recovered_warm",
 		"delta_repo_query_seconds",
 		"delta_repo_load_seconds",
+		"delta_repo_notices_total",
 		"delta_journal_fsync_seconds",
-	} {
-		if _, ok := families[name]; !ok {
-			t.Errorf("scrape missing family %q", name)
-		}
-	}
+	)
 	if f := families["delta_queries_total"]; f.Samples["delta_queries_total"] < 1 {
 		t.Errorf("delta_queries_total = %v after a served query, want >= 1",
 			f.Samples["delta_queries_total"])
@@ -124,13 +90,119 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 			f.Samples["delta_repo_query_seconds_count"])
 	}
 
-	// /healthz answers on the same mux — the liveness probe CI leans on.
-	hresp, err := http.Get(fmt.Sprintf("http://%s/healthz", repo.DebugAddr()))
+	cacheNode := func(shard bool, metricsAddr string) *cache.Middleware {
+		t.Helper()
+		mw, err := cache.New(cache.Config{
+			RepoAddr:      repo.Addr(),
+			PolicyFactory: func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
+			Objects:       survey.Objects(),
+			Shard:         shard,
+			Capacity:      survey.TotalSize(),
+			Scale:         netproto.DefaultScale(),
+			MetricsAddr:   metricsAddr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mw.Close() })
+		if err := mw.Start(); err != nil {
+			t.Fatal(err)
+		}
+		return mw
+	}
+	mw := cacheNode(false, "127.0.0.1:0")
+	scrapeAfterQuery(t, "cache", mw.Addr(), mw.DebugAddr(), survey.Objects()[0].ID,
+		"delta_queries_total",
+		"delta_queries_at_cache_total",
+		"delta_decision_violations_total",
+		"delta_query_seconds",
+		"delta_load_seconds",
+		"delta_invalidation_gaps_total",
+	)
+
+	shard := cacheNode(true, "")
+	own, err := cluster.NewOwnership(survey.Objects(), 1, cluster.HTMAware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := cluster.NewRouter(cluster.Config{
+		Shards:      []string{shard.Addr()},
+		Ownership:   own,
+		RepoAddr:    repo.Addr(),
+		MetricsAddr: "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	if err := router.Start(); err != nil {
+		t.Fatal(err)
+	}
+	scrapeAfterQuery(t, "router", router.Addr(), router.DebugAddr(), survey.Objects()[0].ID,
+		"delta_queries_total",
+		"delta_router_queries_total",
+		"delta_router_query_seconds",
+		"delta_router_fragment_seconds",
+		"delta_router_shards",
+		"delta_router_epoch",
+		"delta_invalidation_gaps_total",
+	)
+}
+
+// scrapeAfterQuery serves one query on obj through the node at addr,
+// scrapes its /metrics at debugAddr, and fails the test on an exposition
+// that does not parse or lacks a required family. /healthz must answer
+// on the same mux. It returns the parsed families.
+func scrapeAfterQuery(t *testing.T, node, addr, debugAddr string, obj model.ObjectID, required ...string) map[string]*obs.Family {
+	t.Helper()
+	if debugAddr == "" {
+		t.Fatalf("%s started with MetricsAddr but reports no debug address", node)
+	}
+	// Serve one query so the query-path counters and histograms have
+	// something to say.
+	cl, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Query(t.Context(), model.Query{
+		Objects:   []model.ObjectID{obj},
+		Cost:      cost.MB,
+		Tolerance: model.AnyStaleness,
+		Time:      time.Second,
+	}); err != nil {
+		t.Fatalf("%s query: %v", node, err)
+	}
+
+	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", debugAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s /metrics status = %d, want 200", node, resp.StatusCode)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	families, err := obs.ParseExposition(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("%s scrape does not parse: %v\n%s", node, err, body)
+	}
+	for _, name := range required {
+		if _, ok := families[name]; !ok {
+			t.Errorf("%s scrape missing family %q", node, name)
+		}
+	}
+
+	hresp, err := http.Get(fmt.Sprintf("http://%s/healthz", debugAddr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
-		t.Errorf("/healthz status = %d, want 200", hresp.StatusCode)
+		t.Errorf("%s /healthz status = %d, want 200", node, hresp.StatusCode)
 	}
+	return families
 }

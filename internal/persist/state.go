@@ -13,18 +13,16 @@ import (
 // what its static configuration rebuilds (born objects in full
 // fidelity, plus bare metadata that arrived via reshard),
 // its owned set when it is a cluster shard, and the resident set its
-// policy should re-adopt.
+// policy should re-adopt. A restarting cache reads neither the epoch
+// nor the owned set: its router's next reshard supplies both.
 //
 // Residency is a warmth hint, not a durability contract: recovery
-// re-validates every resident against current ownership and re-offers
-// it to a freshly built policy through core.Warmable, which adopts
-// only what fits. A stale or slightly wrong resident set therefore
+// re-offers every resident the node still owns to a freshly built
+// policy through core.Warmable, which adopts only what fits. A stale or slightly wrong resident set therefore
 // costs warmth, never correctness — which is what lets journal replay
 // treat admissions and evictions as idempotent set operations.
 type State struct {
-	// Epoch is the newest reshard epoch the state was valid for; a
-	// restarted shard resumes rejecting superseded reshard frames from
-	// here.
+	// Epoch is the newest reshard epoch the state was valid for.
 	Epoch int
 	// Universe holds object metadata the node cannot rebuild from its
 	// static configuration: born objects plus reshard arrivals. Base-partition objects need not appear (they are
