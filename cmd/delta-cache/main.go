@@ -77,22 +77,21 @@ func run() error {
 		}
 	}
 
-	// The factory (rather than a one-shot instance) is what lets a
-	// live cluster resize rebuild the policy over a new owned
-	// universe (cache.Middleware.Reshard).
-	policyFactory, err := policyFactoryFor(*policyName)
+	// One instance for the node's whole life: a cluster resize changes
+	// its universe live (cache.Middleware.Reshard).
+	policy, err := policyFor(*policyName)
 	if err != nil {
 		return err
 	}
 
 	mw, err := cache.New(cache.Config{
-		Addr:          *addr,
-		RepoAddr:      *repoAddr,
-		RepoPool:      *repoPool,
-		PolicyFactory: policyFactory,
-		Objects:       survey.Objects(),
-		Shard:         *shard,
-		Capacity:      capacity,
+		Addr:     *addr,
+		RepoAddr: *repoAddr,
+		RepoPool: *repoPool,
+		Policy:   policy,
+		Objects:  survey.Objects(),
+		Shard:    *shard,
+		Capacity: capacity,
 		// Across live reshards the cache keeps holding the same
 		// fraction of whatever it currently owns.
 		ReshardCapacity:  cache.FractionalCapacity(*cacheFrac),
@@ -124,16 +123,16 @@ func run() error {
 	return mw.Close()
 }
 
-func policyFactoryFor(name string) (func() core.Policy, error) {
+func policyFor(name string) (core.Policy, error) {
 	switch name {
 	case "vcover":
-		return func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) }, nil
+		return core.NewVCover(core.DefaultVCoverConfig()), nil
 	case "benefit":
-		return func() core.Policy { return core.NewBenefit(core.DefaultBenefitConfig()) }, nil
+		return core.NewBenefit(core.DefaultBenefitConfig()), nil
 	case "nocache":
-		return func() core.Policy { return core.NewNoCache() }, nil
+		return core.NewNoCache(), nil
 	case "replica":
-		return func() core.Policy { return core.NewReplica() }, nil
+		return core.NewReplica(), nil
 	default:
 		return nil, fmt.Errorf("unknown policy %q", name)
 	}

@@ -25,7 +25,12 @@
 // bounded set of worker goroutines, so a query stalled on an object load
 // never head-of-line-blocks its neighbors. If the invalidation stream
 // is lost, the node fails closed — every query ships — until it has
-// resubscribed and rebuilt cold (resume).
+// resubscribed and evicted every resident (resume).
+//
+// A node keeps one policy and one core.Applier for its whole life:
+// births, reshards (migrate.go) and a resume after a gap all change them
+// in place, so what the policy has learned, and the updates outstanding
+// on every resident it keeps, carry across each.
 package cache
 
 import (
@@ -57,24 +62,19 @@ type Config struct {
 	// RepoPool is how many connections back the repository session
 	// (each one multiplexes; 0 means a small default).
 	RepoPool int
-	// Policy decides; nil defaults to VCover (built via PolicyFactory
-	// when that is set).
+	// Policy decides; nil defaults to VCover. The node keeps this one
+	// instance for its whole life: a standalone node initializes it in
+	// New, a cluster shard at its router's first reshard, and every
+	// later reshard changes its universe and capacity live
+	// (core.Grower, core.Warmable, core.Forgetter).
 	Policy core.Policy
-	// PolicyFactory builds a fresh policy instance for a resharded
-	// universe: a live cluster resize swaps the node's policy
-	// wholesale (the decision framework is Init-once by design), so a
-	// node must know how to construct a new one. Nil disables live
-	// resharding for this node. When Policy is nil and PolicyFactory
-	// is set, the initial policy also comes from the factory.
-	PolicyFactory func() core.Policy
 	// Objects is the object universe (must match the repository's).
 	Objects []model.Object
 	// Shard makes the node a cluster shard: it starts owning nothing,
 	// rejects every fragment and notice until its router's first
 	// MsgReshard installs what it owns, and from then on owns exactly
-	// what reshards and birth grants give it. A shard needs a
-	// PolicyFactory. False is the standalone cache, which owns the whole
-	// universe.
+	// what reshards and birth grants give it. False is the standalone
+	// cache, which owns the whole universe.
 	Shard bool
 	// Capacity is the cache size.
 	Capacity cost.Bytes
@@ -105,11 +105,11 @@ type Config struct {
 	// DataDir, when set, enables the durability layer (internal/persist):
 	// the node journals births and admission/eviction decisions, writes
 	// periodic snapshots of its warm state, and on startup replays
-	// snapshot+journal to rejoin warm — the policy is rebuilt over the
-	// persisted universe and residents are re-adopted through the same
-	// core.Warmable boundary a live reshard uses. A shard holds its
-	// recovered residents until its router's first reshard carries
-	// those it still owns. Empty disables persistence.
+	// snapshot+journal to rejoin warm: the policy is initialized over
+	// the persisted universe and re-adopts the recovered residents
+	// through core.Warmable. A shard holds its recovered residents until
+	// its router's first reshard initializes its policy and offers it
+	// those it owns. Empty disables persistence.
 	DataDir string
 	// SnapshotInterval paces the periodic snapshot loop when DataDir is
 	// set (0 = 30s default). Snapshots are also written after every
@@ -134,9 +134,8 @@ type Middleware struct {
 	repo   *netproto.Session
 
 	// mu guards the policy, the applier, the owned set and the reshard
-	// epoch (all swapped together by a live reshard). The decision
-	// framework is sequential by design; network I/O never happens under
-	// this lock.
+	// epoch (a reshard changes them together). The decision framework is
+	// sequential by design; network I/O never happens under this lock.
 	mu     sync.Mutex
 	policy core.Policy
 	// applier holds what is resident and the updates outstanding on it;
@@ -223,7 +222,8 @@ const maxLoadBatch = 1024
 const repoDialRetry = 5 * time.Second
 
 // New builds the middleware, connects it to the repository, initializes
-// the policy and subscribes to invalidations.
+// the policy (a shard's waits for its router's first reshard) and
+// subscribes to invalidations.
 func New(cfg Config) (*Middleware, error) {
 	if cfg.RepoAddr == "" {
 		return nil, fmt.Errorf("cache: repository address required")
@@ -234,19 +234,11 @@ func New(cfg Config) (*Middleware, error) {
 	if cfg.RepoPool <= 0 {
 		cfg.RepoPool = 2
 	}
-	if cfg.Shard && cfg.PolicyFactory == nil {
-		return nil, fmt.Errorf("cache: a cluster shard needs a policy factory to reshard with")
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	if cfg.Policy == nil {
-		if cfg.PolicyFactory != nil {
-			cfg.Policy = cfg.PolicyFactory()
-		}
-		if cfg.Policy == nil {
-			cfg.Policy = core.NewVCover(core.DefaultVCoverConfig())
-		}
+		cfg.Policy = core.NewVCover(core.DefaultVCoverConfig())
 	}
 	m := &Middleware{
 		cfg:    cfg,
@@ -271,9 +263,8 @@ func New(cfg Config) (*Middleware, error) {
 
 	// Recover the previous incarnation's state before the policy sees
 	// any universe: born objects the static config cannot rebuild must
-	// be part of what Init reasons about, and residents re-adopt through
-	// core.Warmable, which only works on a freshly initialized policy
-	// (the same contract a live reshard relies on).
+	// be part of what Init reasons about, and the recovered residents
+	// wait in the applier until Init offers them to the policy.
 	var recovered *persist.State
 	if cfg.DataDir != "" {
 		store, err := persist.Open(persist.Options{
@@ -307,10 +298,6 @@ func New(cfg Config) (*Middleware, error) {
 		slices.SortFunc(extras, func(a, b model.Object) int { return cmp.Compare(a.ID, b.ID) })
 		universe = append(slices.Clip(universe), extras...)
 	}
-	if cfg.Shard {
-		m.owned = newIDSet(0)
-		universe = nil
-	}
 	capacity := cfg.Capacity
 	if len(universe) > len(cfg.Objects) && cfg.ReshardCapacity != nil {
 		// The boot capacity was computed over the static universe; a
@@ -318,13 +305,21 @@ func New(cfg Config) (*Middleware, error) {
 		// would.
 		capacity = cfg.ReshardCapacity(universe)
 	}
-	if err := m.policy.Init(universe, capacity); err != nil {
-		m.closeStore()
-		return nil, fmt.Errorf("cache: %w", err)
-	}
 	m.applier = core.NewApplier(capacity, m.sizeOf)
 	if recovered != nil {
 		m.adoptRecovered(recovered)
+	}
+	if cfg.Shard {
+		m.owned = newIDSet(0)
+	} else {
+		m.mu.Lock()
+		dropped, err := m.initLocked(universe, capacity)
+		m.mu.Unlock()
+		if err != nil {
+			m.closeStore()
+			return nil, err
+		}
+		m.journalPlan(dropped)
 	}
 	if m.store != nil {
 		// Land the post-recovery truth as the new baseline snapshot (and
@@ -371,17 +366,17 @@ func New(cfg Config) (*Middleware, error) {
 		}
 	}
 
-	if err := m.preload(); err != nil {
-		m.Close()
-		return nil, fmt.Errorf("cache: %w", err)
+	if !cfg.Shard {
+		if err := m.preload(); err != nil {
+			m.Close()
+			return nil, fmt.Errorf("cache: %w", err)
+		}
 	}
 	return m, nil
 }
 
-// preload applies the preload the policy requests (Replica/SOptimal)
-// through the same singleflight and flights as decision loads, one
-// frame of maxLoadBatch objects at a time. Objects already resident
-// stay as they are.
+// preload applies the preload a freshly initialized policy requests
+// (Replica/SOptimal). Objects already resident stay as they are.
 func (m *Middleware) preload() error {
 	m.mu.Lock()
 	pre, ok := m.policy.(core.Preloader)
@@ -392,18 +387,32 @@ func (m *Middleware) preload() error {
 	objs, charge := pre.Preload()
 	objs = slices.DeleteFunc(slices.Clone(objs), m.applier.Resident)
 	err := m.applier.Preload(objs)
+	var loads []pendingLoad
+	if err == nil {
+		loads = make([]pendingLoad, len(objs))
+		for i, id := range objs {
+			loads[i] = m.registerLoad(id)
+		}
+	}
 	m.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	for chunk := range slices.Chunk(objs, maxLoadBatch) {
-		loads := make([]pendingLoad, len(chunk))
-		for i, id := range chunk {
-			loads[i] = m.registerLoad(id)
-		}
-		m.startLoads(context.Background(), loads, charge)
-		if err := awaitLoads(context.Background(), loads); err != nil {
-			return fmt.Errorf("preload: %w", err)
+	if err := m.fetch(loads, charge); err != nil {
+		return fmt.Errorf("preload: %w", err)
+	}
+	return nil
+}
+
+// fetch runs loads through the same singleflight and flights as
+// decision loads, one frame of maxLoadBatch objects at a time, and
+// waits for every one: a preload, or a reshard's or a resume's gains.
+func (m *Middleware) fetch(loads []pendingLoad, charge bool) error {
+	ctx := context.Background()
+	for chunk := range slices.Chunk(loads, maxLoadBatch) {
+		m.startLoads(ctx, chunk, charge)
+		if err := awaitLoads(ctx, chunk); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -417,34 +426,20 @@ func (m *Middleware) closeStore() {
 	}
 }
 
-// adoptRecovered restores the previous incarnation's warm state onto a
-// freshly initialized policy. Residents still in the universe are
-// offered through core.Warmable, the same carry-over boundary a live
-// reshard uses, and the policy adopts what fits its capacity; policies
-// without Warm (SOptimal, NoCache) simply restart cold. A shard owns
-// nothing yet, so its residents wait in the applier, unoffered: its
-// router's first reshard carries those it still owns into the policy it
-// builds. The persisted epoch and owned set are not read — both come
-// from the router, and no frame of an earlier process reaches this one.
+// adoptRecovered restores the previous incarnation's warm state before
+// the policy is initialized: its births rejoin the universe, and its
+// residents still in the universe wait in the applier until Init offers
+// them to the policy (initLocked), which adopts what fits its capacity;
+// policies without Warm (SOptimal, NoCache) simply restart cold. The
+// persisted epoch and owned set are not read — both come from the
+// router, and no frame of an earlier process reaches this one.
 func (m *Middleware) adoptRecovered(st *persist.State) {
 	m.births = slices.Clone(st.Births)
-	carried := slices.DeleteFunc(slices.Clone(st.Resident), func(id model.ObjectID) bool { return !m.byID.has(id) })
-	slices.Sort(carried)
-	adopted := carried
-	if m.owned == nil {
-		adopted = nil
-		if w, ok := m.policy.(core.Warmable); ok && len(carried) > 0 {
-			var err error
-			if adopted, err = w.Warm(carried); err != nil {
-				m.cfg.Logf("recovery warm-up: %v (restarting cold)", err)
-				adopted = nil
-			}
-		}
-	}
-	if err := m.applier.Preload(adopted); err != nil {
+	held := slices.DeleteFunc(slices.Clone(st.Resident), func(id model.ObjectID) bool { return !m.byID.has(id) })
+	slices.Sort(held)
+	if err := m.applier.Adopt(slices.Compact(held)); err != nil {
 		m.cfg.Logf("recovery warm-up: %v", err)
 	}
-	m.recoveredWarm.Store(int64(len(adopted)))
 	if len(st.Births) > 0 {
 		// The resolver was built from the startup survey; recovered
 		// births must rejoin its universe or region covers would exclude
@@ -453,8 +448,7 @@ func (m *Middleware) adoptRecovered(st *persist.State) {
 			m.cfg.Logf("recovery resolver growth: %v (region covers may miss recovered newborns)", err)
 		}
 	}
-	m.cfg.Logf("recovered warm: %d births, %d/%d residents re-adopted",
-		len(st.Births), len(adopted), len(st.Resident))
+	m.cfg.Logf("recovered %d births and %d residents", len(st.Births), len(st.Resident))
 }
 
 // persistState captures the node's durable state under mu.
@@ -577,11 +571,10 @@ func (m *Middleware) streamFrame(f netproto.Frame) {
 	m.mu.Lock()
 	if m.owned != nil && !m.owned.has(inv.Update.Object) {
 		// Not ours (not a drop): the repository's filter passes a
-		// superset of what this shard owns — the union while a reshard
+		// superset of what this shard owns — the old set while a reshard
 		// narrows, every object above the horizon, the whole stream
 		// until its owned set is installed. A recovered resident held
-		// for the first reshard leaves the carried set instead of
-		// crossing it stale.
+		// for the first reshard leaves instead of being offered stale.
 		m.applier.Unload(inv.Update.Object)
 		m.mu.Unlock()
 		return
@@ -604,48 +597,63 @@ func (m *Middleware) streamFrame(f netproto.Frame) {
 // resume is the invalidation stream's Resume. The repository kept no
 // notice for the node while it was away, and an outstanding update ID
 // from before the gap may no longer ship, so any resident may be stale:
-// the node rebuilds cold — a fresh policy over what it owns and an
-// empty applier — snapshots, so a restart cannot resurrect what it
-// dropped, and hears again. A shard then re-sends its owned set without
-// awaiting the echo: until the repository installs it, the new stream
-// is unfiltered, a superset. Births announced during the gap are
-// missed. A node without a PolicyFactory cannot rebuild and stays deaf.
+// the node evicts every resident with the updates outstanding on it and
+// keeps its universe and its policy (coldLocked), snapshots, so a
+// restart cannot resurrect what it dropped, and hears again. A shard
+// then re-sends its owned set without awaiting the echo: until the
+// repository installs it, the new stream is unfiltered, a superset.
+// Births announced during the gap are missed. A node whose policy cannot
+// forget (core.Forgetter) keeps its residents and stays deaf: every
+// query keeps shipping.
 func (m *Middleware) resume(sub *node.Subscription) {
 	if err := m.repo.Redial(); err != nil {
 		m.cfg.Logf("redial repository: %v", err)
 	}
-	if m.cfg.PolicyFactory == nil {
-		m.cfg.Logf("no policy factory to rebuild with; every query keeps shipping")
-		return
-	}
 	m.mu.Lock()
-	universe := make([]model.Object, 0, m.byID.len())
-	for o := range m.byID.all() {
-		if m.owned == nil || m.owned.has(o.ID) {
-			universe = append(universe, o)
-		}
-	}
-	slices.SortFunc(universe, func(a, b model.Object) int { return cmp.Compare(a.ID, b.ID) })
-	policy, capacity, err := m.newPolicy(universe)
-	if err == nil {
-		m.policy, m.applier = policy, core.NewApplier(capacity, m.sizeOf)
-	}
+	p, err := m.coldLocked()
 	sharded := m.owned != nil
 	m.mu.Unlock()
 	if err != nil {
-		m.cfg.Logf("rebuild after the gap: %v; every query keeps shipping", err)
+		m.cfg.Logf("evict after the gap: %v; every query keeps shipping", err)
 		return
 	}
 	m.snapshotNow()
 	m.deaf.Store(false)
 	if sharded {
-		sub.Send(m.filterFrame(nil))
+		sub.Send(m.filterFrame())
 	}
 	m.Go(func() {
-		if err := m.preload(); err != nil {
-			m.cfg.Logf("rebuild after the gap: %v", err)
+		if err := m.fetch(p.loads, false); err != nil {
+			m.cfg.Logf("reload after the gap: %v", err)
 		}
 	})
+}
+
+// coldLocked evicts every resident, with the updates outstanding on it,
+// through the calls a reshard makes: each leaves the policy's universe
+// (core.Forgetter) and rejoins it cold (core.Grower). A shard still
+// awaiting its install drops the residents it holds. It returns the plan
+// of the rejoin, whose loads (Replica's) are owed uncharged. mu must be
+// held.
+func (m *Middleware) coldLocked() (plan, error) {
+	residents := m.applier.Residents()
+	if m.awaitingInstallLocked() {
+		return m.applyLocked(model.Event{}, core.Decision{Evict: residents}), nil
+	}
+	if len(residents) == 0 {
+		return plan{}, nil
+	}
+	if _, ok := m.policy.(core.Grower); !ok {
+		return plan{}, fmt.Errorf("cache: policy %s cannot grow its universe", m.policy.Name())
+	}
+	objs := make([]model.Object, len(residents))
+	for i, id := range residents {
+		objs[i], _ = m.byID.get(id)
+	}
+	if _, err := m.forgetLocked(residents, m.applier.Capacity()); err != nil {
+		return plan{}, err
+	}
+	return m.growLocked(objs)
 }
 
 // orError turns a handler's failure into the MsgError reply its peer
@@ -732,8 +740,8 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 	m.queries.Add(1)
 
 	// Decision + bookkeeping under the lock; no I/O here. The owned
-	// check shares the critical section because a live reshard swaps
-	// the owned set and the policy together.
+	// check shares the critical section because a reshard changes the
+	// owned set and the policy's universe together.
 	m.mu.Lock()
 	if m.owned != nil {
 		for _, id := range q.Objects {
@@ -897,6 +905,10 @@ func (m *Middleware) handleBirthGrant(ctx context.Context, body netproto.BirthGr
 // stream and the router's grants. Returns how many births were new.
 func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int, error) {
 	m.mu.Lock()
+	if m.awaitingInstallLocked() {
+		m.mu.Unlock()
+		return 0, fmt.Errorf("cache: this shard owns nothing until its router's first reshard")
+	}
 	fresh := make([]model.Object, 0, len(births))
 	freshBirths := make([]model.Birth, 0, len(births))
 	for _, b := range births {
@@ -910,24 +922,17 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 		m.mu.Unlock()
 		return 0, nil
 	}
-	grower, ok := m.policy.(core.Grower)
-	if !ok {
-		m.mu.Unlock()
-		return 0, fmt.Errorf("cache: policy %s cannot grow its universe", m.policy.Name())
-	}
-	d, err := grower.AddObjects(fresh)
+	p, err := m.growLocked(fresh)
 	if err != nil {
 		m.mu.Unlock()
-		return 0, fmt.Errorf("cache: policy admit births: %w", err)
+		return 0, err
 	}
-	for _, o := range fresh {
-		m.byID.put(o)
-		if m.owned != nil {
+	if m.owned != nil {
+		for _, o := range fresh {
 			m.owned.add(o.ID)
 		}
 	}
 	m.births = append(m.births, freshBirths...)
-	p := m.applyLocked(model.Event{Kind: model.EventBirth}, d)
 	universe := m.byID.len()
 	m.mu.Unlock()
 	if m.store != nil {

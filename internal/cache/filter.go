@@ -23,22 +23,14 @@ import (
 	"github.com/deltacache/delta/internal/netproto"
 )
 
-// filterFrame is the set this shard's notices must cover: owned ∪ with
-// (with may be nil) and every object above the known prefix. m.owned is
-// non-nil.
-func (m *Middleware) filterFrame(with *idSet) netproto.Frame {
+// filterFrame is the set this shard's notices must cover: what it owns
+// and every object above the known prefix. m.owned is non-nil.
+func (m *Middleware) filterFrame() netproto.Frame {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ids := make([]model.ObjectID, 0, m.owned.len())
 	for id := range m.owned.all() {
 		ids = append(ids, id)
-	}
-	if with != nil {
-		for id := range with.all() {
-			if !m.owned.has(id) {
-				ids = append(ids, id)
-			}
-		}
 	}
 	return netproto.Frame{Type: netproto.MsgReshard, Body: netproto.ReshardMsg{
 		Epoch: m.reshardEpoch, Owned: ids, Horizon: m.byID.knownPrefix(),

@@ -59,14 +59,27 @@ type filterModel struct {
 // the next one right after it forwards the shard's next owned-set frame,
 // before the repository's echo can come back (armed). opened gets a
 // token each time a stream forwards its first owned-set frame — a
-// shard's resume sends one once it hears again.
+// shard's resume sends one once it hears again. A test may also watch
+// what the shard sends the repository and act the moment an owned-set
+// echo reaches the proxy, before the shard sees it (watch).
 type cutProxy struct {
 	ln      net.Listener
 	target  string
 	armed   atomic.Bool
 	opened  chan struct{}
 	mu      sync.Mutex
+	sent    func(netproto.Frame)
+	echoed  func()
 	streams map[net.Conn]net.Conn // shard side → repository side
+}
+
+// watch sets the hooks connections dialed from now on run: sent sees
+// every frame the shard sends the repository, and echoed runs on each
+// owned-set echo before the proxy forwards it.
+func (p *cutProxy) watch(sent func(netproto.Frame), echoed func()) {
+	p.mu.Lock()
+	p.sent, p.echoed = sent, echoed
+	p.mu.Unlock()
 }
 
 func startCutProxy(t *testing.T, target string) *cutProxy {
@@ -103,6 +116,9 @@ func (p *cutProxy) relay(nc net.Conn) {
 	defer uc.Close()
 	up := netproto.NewConn(uc)
 	stream := hello.Role == "invalidations"
+	p.mu.Lock()
+	sent, echoed := p.sent, p.echoed
+	p.mu.Unlock()
 	if stream {
 		p.mu.Lock()
 		p.streams[nc] = uc
@@ -120,14 +136,26 @@ func (p *cutProxy) relay(nc net.Conn) {
 		defer nc.Close()
 		for {
 			f, err := up.Recv()
-			if err != nil || down.Send(f) != nil {
+			if err != nil {
+				return
+			}
+			if stream && f.Type == netproto.MsgReshard && echoed != nil {
+				echoed()
+			}
+			if down.Send(f) != nil {
 				return
 			}
 		}
 	}()
 	for first := true; ; first = false {
 		f, err := down.Recv()
-		if err != nil || up.Send(f) != nil {
+		if err != nil {
+			return
+		}
+		if sent != nil {
+			sent(f)
+		}
+		if up.Send(f) != nil {
 			return
 		}
 		if stream && f.Type == netproto.MsgReshard {
@@ -171,7 +199,7 @@ func (p *cutProxy) awaitOpen(t *testing.T) {
 // ends with a notice on object 1, which the shard always owns; the
 // stream is FIFO, so once that notice is logged, everything before it
 // has been filtered or applied. No update is applied during a gap: a
-// notice missed there is the cold rebuild's business, not the filter's.
+// notice missed there is the cold resume's business, not the filter's.
 func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 	var filtered int64 // notices the filter spared the shard, over all trials
 	prop := func(seed int64) bool {
@@ -228,10 +256,8 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 		}
 		log := &noticeLog{}
 		mw, err := cache.New(cache.Config{
-			RepoAddr: proxy.ln.Addr().String(),
-			PolicyFactory: func() core.Policy {
-				return loggingVCover{VCover: core.NewVCover(core.DefaultVCoverConfig()), log: log}
-			},
+			RepoAddr:        proxy.ln.Addr().String(),
+			Policy:          loggingVCover{VCover: core.NewVCover(core.DefaultVCoverConfig()), log: log},
 			Objects:         base,
 			Shard:           true,
 			Capacity:        survey.TotalSize(),

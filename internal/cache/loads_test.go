@@ -415,17 +415,17 @@ func residents(m *Middleware) []model.ObjectID {
 // than answer from a resident it can no longer vouch for (the ship
 // fails: there is nothing to ship to). An update applied to the
 // restarted repository before it listens reaches no subscriber, so the
-// resumed cache has rebuilt cold: its first tolerance-0 query on the
-// updated object does not answer from the pre-gap resident, and
-// at-cache answers come back once it loads again.
+// resumed cache has evicted every resident: its first tolerance-0
+// query on the updated object does not answer from the pre-gap
+// resident, and at-cache answers come back once it loads again.
 func TestCacheGapShipsThenResumesCold(t *testing.T) {
 	repo, survey := startLoadRepo(t)
 	m, err := New(Config{
-		RepoAddr:      repo.Addr(),
-		PolicyFactory: func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
-		Objects:       survey.Objects(),
-		Capacity:      64 * cost.GB,
-		Scale:         netproto.DefaultScale(),
+		RepoAddr: repo.Addr(),
+		Policy:   core.NewVCover(core.DefaultVCoverConfig()),
+		Objects:  survey.Objects(),
+		Capacity: 64 * cost.GB,
+		Scale:    netproto.DefaultScale(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -471,7 +471,7 @@ func TestCacheGapShipsThenResumesCold(t *testing.T) {
 	defer repo.Close()
 	eventually(t, "the cache to resume", func() bool { return !m.deaf.Load() })
 	if got := residents(m); len(got) != 0 {
-		t.Errorf("resumed with residents %v, want a cold rebuild", got)
+		t.Errorf("resumed with residents %v, want every resident evicted", got)
 	}
 	fresh.ID, fresh.Time = 101, 4*time.Second
 	if res, err := query(m, fresh); err != nil || res.Source != "repository" {

@@ -1,18 +1,21 @@
 // Live resharding. A cluster shard owns only what its router tells it:
 // the router's first MsgReshard (at router startup, or in the resize
 // that brings the shard in) installs the owned set, and every resize
-// replaces it. A reshard atomically replaces the owned object set: the
-// policy is rebuilt for the new universe (the decision framework is
-// Init-once by design), still-owned residents are carried over warm via
-// core.Warmable, then the reshard's warm list — objects this node gains
-// that were resident at their old primary — is adopted through the same
-// call; residents the node no longer owns are dropped for free.
+// changes it. The node keeps one policy and one core.Applier for its
+// whole life, and a reshard is a delta on them: the install initializes
+// the policy over the first owned set; after it, objects the node gains
+// join the policy's universe (core.Grower), the reshard's warm list —
+// objects it gains that were resident at their old primary — is adopted
+// (core.Warmable), and objects it loses leave the universe together
+// with any capacity change (core.Forgetter). A resident the node keeps
+// is never touched, so it keeps the updates outstanding on it and
+// everything the policy learned about it.
 //
 // Nothing moves between shards and nothing is loaded from the
-// repository: residency is bookkeeping, so a warm arrival is a name on a
-// list, and the repository ledger (the paper's objective function) sees
-// no reload for it. The repository hears only the new owned set, on the
-// invalidation stream (filter.go).
+// repository for an arrival: residency is bookkeeping, so a warm arrival
+// is a name on a list, and the repository ledger (the paper's objective
+// function) sees no reload for it. The repository hears only the new
+// owned set, on the invalidation stream (filter.go).
 package cache
 
 import (
@@ -25,88 +28,122 @@ import (
 	"github.com/deltacache/delta/internal/netproto"
 )
 
-// Reshard atomically replaces the node's owned object set with exactly
-// owned (a subset of the known universe; meta supplies metadata for
-// objects born after this node spawned, so a fresh shard can take
-// ownership of newborns it has never seen). An entry of meta that
-// disagrees with what the node already knows of the object is refused:
-// the router and this node were built from different surveys. A fresh
-// policy is built from Config.PolicyFactory and initialized over the
-// new universe; it then adopts (core.Warmable) the still-owned
-// residents, sorted, and after them the warm IDs that are owned and not
-// already resident, sorted — so under capacity pressure carried state
-// wins over arrivals. Everything else is discarded. It returns how many objects
-// are resident after the swap and how many former residents were
-// dropped; warm adoptions count into StatsMsg.MigratedIn.
+// Reshard changes the node's owned object set to exactly owned (a
+// subset of the known universe; meta supplies metadata for objects born
+// after this node spawned, so a fresh shard can take ownership of
+// newborns it has never seen). An entry of meta that disagrees with what
+// the node already knows of the object is refused: the router and this
+// node were built from different surveys. It returns how many objects
+// are resident afterwards and how many residents the reshard dropped;
+// warm adoptions count into StatsMsg.MigratedIn.
 //
-// A fresh core.Applier starts beside the fresh policy, holding what it
-// adopted. Residency optimism carries over: an object whose load is
-// still in flight at swap time is adopted as resident; if that load
-// ultimately fails, its flight unloads it from the new applier, and the
-// applier's answer check ships any query the policy would answer from
-// it. Warm IDs are hints in the same sense: the router read them from
-// the old primary's resident list, which may have moved on since.
+// A shard's first reshard is its install: the policy is initialized over
+// owned at the capacity ReshardCapacity gives (Capacity when that is
+// nil) and offered the recovered residents the shard owns. Every later
+// reshard is a delta on the live policy, in this order:
+//   - gained objects join the policy's universe and the owned set, then
+//     the repository's notice filter widens to old ∪ new and the node
+//     waits for its echo (filter.go);
+//   - lost objects leave the universe, a lost resident with the updates
+//     outstanding on it, and the capacity changes;
+//   - the warm IDs that are owned and not resident are offered, sorted,
+//     so under capacity pressure carried residents win over arrivals;
+//   - the filter narrows to the new set.
 //
-// A reshard that gains objects widens the repository's notice filter to
-// old ∪ new and waits for its echo before the swap; every successful
-// reshard then narrows it to the new set (filter.go). Last, a
-// core.Preloader policy loads what it starts with and is not yet
-// resident, as at New.
+// A policy without core.Forgetter takes only reshards that gain objects
+// at an unchanged capacity; any other fails before it changes anything.
+// Gained objects a policy loads at once (Replica) load uncharged, as a
+// Preloader's starting set does. Warm IDs are hints: the router read them
+// from the old primary's resident list, which may have moved on since.
 func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Object, warm []model.ObjectID) (resident, dropped int, err error) {
-	if m.cfg.PolicyFactory == nil {
-		return 0, 0, fmt.Errorf("cache: no policy factory configured; live reshard unavailable")
-	}
+	// Reshards serialize on the subscription's lock, and the owned set
+	// grows or shrinks only while the repository's filter covers it.
+	m.inv.Lock()
+	defer m.inv.Unlock()
+
 	m.mu.Lock()
-	for _, o := range meta {
-		known, ok := m.byID.get(o.ID)
-		if !ok {
-			m.byID.put(o)
-			continue
-		}
-		if known != o {
-			m.mu.Unlock()
-			return 0, 0, fmt.Errorf("cache: reshard metadata for object %d disagrees: the router has %+v, this node has %+v", o.ID, o, known)
-		}
+	d, err := m.deltaLocked(epoch, owned, meta)
+	if err != nil {
+		m.mu.Unlock()
+		return 0, 0, err
 	}
-	want := newIDSet(len(owned))
-	universe := make([]model.Object, 0, len(owned))
-	for _, id := range owned {
-		o, ok := m.byID.get(id)
-		if !ok {
-			m.mu.Unlock()
-			return 0, 0, fmt.Errorf("cache: reshard names object %d outside the known universe", id)
-		}
-		if want.has(id) {
-			continue
-		}
-		want.add(id)
-		universe = append(universe, o)
+	var grown plan
+	if d.install {
+		grown, err = m.initLocked(d.owned, d.capacity)
+		dropped = len(grown.Evict)
+	} else if len(d.gained) > 0 {
+		grown, err = m.growLocked(d.gained)
+	}
+	if err != nil {
+		m.mu.Unlock()
+		return 0, 0, err
+	}
+	m.reshardEpoch = epoch
+	for _, o := range d.gained {
+		m.owned.add(o.ID)
 	}
 	m.mu.Unlock()
-	if len(universe) == 0 {
-		return 0, 0, fmt.Errorf("cache: reshard leaves the node with no objects")
+	m.journalPlan(grown)
+	if len(d.gained) > 0 {
+		// A notice the repository queued before its filter passes a
+		// gained object never arrives: widen the filter to old ∪ new and
+		// wait for its echo before anything loads or adopts one. (No
+		// fragment on a gained object comes before this reshard replies:
+		// the router routes none here until its widen is done.)
+		m.inv.Send(m.filterFrame()).Wait()
 	}
-	policy, capacity, err := m.newPolicy(universe)
+
+	m.mu.Lock()
+	var lost []model.ObjectID
+	for id := range m.owned.all() {
+		if !d.want.has(id) {
+			lost = append(lost, id)
+		}
+	}
+	slices.Sort(lost)
+	var forgot plan
+	if len(lost) > 0 || d.capacity != m.applier.Capacity() {
+		forgot, err = m.forgetLocked(lost, d.capacity)
+	}
+	if err == nil {
+		m.owned = d.want
+		dropped += len(forgot.Evict)
+		m.warmLocked(warm)
+	}
+	resident = len(m.applier.Residents())
+	m.mu.Unlock()
+	m.journalPlan(forgot)
+	// Narrow to exactly the new set; nothing waits on it.
+	m.inv.Send(m.filterFrame())
+	if ferr := m.fetch(grown.loads, false); err == nil && ferr != nil {
+		err = fmt.Errorf("cache: reshard: %w", ferr)
+	}
+	if err == nil && d.install {
+		err = m.preload()
+	}
 	if err != nil {
 		return 0, 0, err
 	}
-
-	if resident, dropped, err = m.swapFiltered(epoch, want, warm, policy, capacity); err != nil {
-		return 0, 0, err
-	}
-	if err := m.preload(); err != nil {
-		return 0, 0, fmt.Errorf("cache: reshard: %w", err)
-	}
+	m.cfg.Logf("reshard epoch %d: %d objects owned, %d gained, %d lost, %d resident, %d dropped (capacity %v)",
+		epoch, d.want.len(), len(d.gained), len(lost), resident, dropped, d.capacity)
 	return resident, dropped, nil
 }
 
-// swapFiltered swaps the owned set inside the filter handshake
-// (filter.go): reshards serialize on it, and the owned set changes only
-// while the repository's filter covers both sides.
-func (m *Middleware) swapFiltered(epoch int, want *idSet, warm []model.ObjectID, policy core.Policy, capacity cost.Bytes) (resident, dropped int, err error) {
-	m.inv.Lock()
-	defer m.inv.Unlock()
-	m.mu.Lock()
+// reshardDelta is what one reshard changes.
+type reshardDelta struct {
+	want     *idSet
+	owned    []model.Object // want's objects, in the reshard's order
+	gained   []model.Object // objects of want the node does not own yet
+	capacity cost.Bytes
+	install  bool // the shard's first reshard: its policy is not yet initialized
+}
+
+// deltaLocked validates a reshard and works out its delta; it changes
+// nothing but the metadata it learns. mu must be held.
+func (m *Middleware) deltaLocked(epoch int, owned []model.ObjectID, meta []model.Object) (*reshardDelta, error) {
+	if m.owned == nil {
+		return nil, fmt.Errorf("cache: a standalone cache owns its whole universe; only a cluster shard reshards")
+	}
 	// Reject frames from a superseded resize: a reshard that timed out
 	// router-side can still arrive late, and applying it would clobber
 	// the owned set a newer epoch installed. Widen and narrow share an
@@ -117,104 +154,156 @@ func (m *Middleware) swapFiltered(epoch int, want *idSet, warm []model.ObjectID,
 	// never stale — NewRouter waits for every install reply before it
 	// serves, and fails without resizing when one does not come.
 	if epoch > 0 && epoch < m.reshardEpoch {
-		m.mu.Unlock()
-		return 0, 0, fmt.Errorf("cache: reshard for epoch %d superseded by epoch %d", epoch, m.reshardEpoch)
+		return nil, fmt.Errorf("cache: reshard for epoch %d superseded by epoch %d", epoch, m.reshardEpoch)
 	}
-	gains := false
-	if m.owned != nil {
-		for id := range want.all() {
-			if !m.owned.has(id) {
-				gains = true
-				break
-			}
+	for _, o := range meta {
+		known, ok := m.byID.get(o.ID)
+		if !ok {
+			m.byID.put(o)
+			continue
+		}
+		if known != o {
+			return nil, fmt.Errorf("cache: reshard metadata for object %d disagrees: the router has %+v, this node has %+v", o.ID, o, known)
 		}
 	}
-	m.mu.Unlock()
-	if gains {
-		// A notice on a gained object applied before the repository
-		// passes it would never reach the policy: widen the filter to
-		// old ∪ new and wait for it before owning anything new.
-		m.inv.Send(m.filterFrame(want)).Wait()
+	d := &reshardDelta{want: newIDSet(len(owned)), install: m.awaitingInstallLocked()}
+	for _, id := range owned {
+		o, ok := m.byID.get(id)
+		if !ok {
+			return nil, fmt.Errorf("cache: reshard names object %d outside the known universe", id)
+		}
+		if d.want.has(id) {
+			continue
+		}
+		d.want.add(id)
+		d.owned = append(d.owned, o)
+		if !m.owned.has(id) {
+			d.gained = append(d.gained, o)
+		}
 	}
-	m.mu.Lock()
-	resident, dropped, err = m.swapLocked(epoch, want, warm, policy, capacity)
-	m.mu.Unlock()
-	if err != nil {
-		return 0, 0, err
+	if len(d.owned) == 0 {
+		return nil, fmt.Errorf("cache: reshard leaves the node with no objects")
 	}
-	// Narrow to exactly the new set; nothing waits on it.
-	m.inv.Send(m.filterFrame(nil))
-	return resident, dropped, nil
-}
-
-// newPolicy builds a policy from Config.PolicyFactory, initialized over
-// universe at the capacity ReshardCapacity gives it (Capacity when that
-// is nil).
-func (m *Middleware) newPolicy(universe []model.Object) (core.Policy, cost.Bytes, error) {
-	capacity := m.cfg.Capacity
+	d.capacity = m.cfg.Capacity
 	if m.cfg.ReshardCapacity != nil {
-		capacity = m.cfg.ReshardCapacity(universe)
+		d.capacity = m.cfg.ReshardCapacity(d.owned)
 	}
-	policy := m.cfg.PolicyFactory()
-	if policy == nil {
-		return nil, 0, fmt.Errorf("cache: policy factory returned nil")
+	if !d.install {
+		if _, ok := m.policy.(core.Grower); !ok && len(d.gained) > 0 {
+			return nil, fmt.Errorf("cache: policy %s cannot grow its universe; this reshard gains %d objects", m.policy.Name(), len(d.gained))
+		}
+		loses := len(d.owned)-len(d.gained) < m.owned.len()
+		if _, ok := m.policy.(core.Forgetter); !ok && (loses || d.capacity != m.applier.Capacity()) {
+			return nil, fmt.Errorf("cache: policy %s cannot forget objects or change its capacity, as this reshard needs", m.policy.Name())
+		}
 	}
-	if err := policy.Init(universe, capacity); err != nil {
-		return nil, 0, fmt.Errorf("cache: init policy: %w", err)
-	}
-	return policy, capacity, nil
+	return d, nil
 }
 
-// swapLocked installs the reshard's policy, applier and owned set; mu
-// must be held.
-func (m *Middleware) swapLocked(epoch int, want *idSet, warm []model.ObjectID, policy core.Policy, capacity cost.Bytes) (resident, dropped int, err error) {
-	m.reshardEpoch = epoch
-	residents := m.applier.Residents() // sorted: deterministic adoption under capacity pressure
-	carried := make([]model.ObjectID, 0, len(residents))
-	for _, id := range residents {
-		if want.has(id) {
-			carried = append(carried, id)
+// awaitingInstallLocked reports whether the node is a shard whose
+// router has not yet installed what it owns, so its policy is not yet
+// initialized: a shard owns nothing only until then. mu must be held.
+func (m *Middleware) awaitingInstallLocked() bool {
+	return m.owned != nil && m.owned.len() == 0
+}
+
+// initLocked initializes the policy over universe at capacity, offers it
+// the residents recovered from disk that the node owns, sorted
+// (core.Warmable), and drops the rest: a standalone node's at New, a
+// shard's at its install. It returns the plan of the drops. mu must be
+// held.
+func (m *Middleware) initLocked(universe []model.Object, capacity cost.Bytes) (plan, error) {
+	if err := m.policy.Init(universe, capacity); err != nil {
+		return plan{}, fmt.Errorf("cache: init policy: %w", err)
+	}
+	m.applier.Resize(capacity)
+	held := m.applier.Residents()
+	if len(held) == 0 {
+		return plan{}, nil
+	}
+	var adopted []model.ObjectID
+	if w, ok := m.policy.(core.Warmable); ok {
+		in := newIDSet(len(universe))
+		for _, o := range universe {
+			in.add(o.ID)
+		}
+		owned := slices.DeleteFunc(slices.Clone(held), func(id model.ObjectID) bool { return !in.has(id) })
+		var err error
+		if adopted, err = w.Warm(owned); err != nil {
+			m.cfg.Logf("recovery warm-up: %v (restarting cold)", err)
+			adopted = nil
 		}
 	}
-	arrivals := make([]model.ObjectID, 0, len(warm))
-	for _, id := range warm {
-		if !m.applier.Resident(id) && want.has(id) {
-			arrivals = append(arrivals, id)
-		}
+	drop := slices.DeleteFunc(held, func(id model.ObjectID) bool {
+		_, ok := slices.BinarySearch(adopted, id) // Warm keeps the sorted order
+		return ok
+	})
+	m.recoveredWarm.Store(int64(len(adopted)))
+	m.cfg.Logf("recovered warm: %d of %d residents re-adopted", len(adopted), len(adopted)+len(drop))
+	return m.applyLocked(model.Event{}, core.Decision{Evict: drop}), nil
+}
+
+// growLocked extends the policy's universe (core.Grower) and the node's
+// with objs and applies the policy's decision as a birth event. mu must
+// be held.
+func (m *Middleware) growLocked(objs []model.Object) (plan, error) {
+	grower, ok := m.policy.(core.Grower)
+	if !ok {
+		return plan{}, fmt.Errorf("cache: policy %s cannot grow its universe", m.policy.Name())
+	}
+	d, err := grower.AddObjects(objs)
+	if err != nil {
+		return plan{}, fmt.Errorf("cache: policy admit objects: %w", err)
+	}
+	for _, o := range objs {
+		m.byID.put(o)
+	}
+	return m.applyLocked(model.Event{Kind: model.EventBirth}, d), nil
+}
+
+// forgetLocked drops ids from the policy's universe and sets its
+// capacity (core.Forgetter), and applies the evictions both need. mu must
+// be held.
+func (m *Middleware) forgetLocked(ids []model.ObjectID, capacity cost.Bytes) (plan, error) {
+	f, ok := m.policy.(core.Forgetter)
+	if !ok {
+		return plan{}, fmt.Errorf("cache: policy %s cannot forget objects or change its capacity", m.policy.Name())
+	}
+	d, err := f.Forget(ids, capacity)
+	if err != nil {
+		return plan{}, fmt.Errorf("cache: policy forget objects: %w", err)
+	}
+	m.applier.Resize(capacity)
+	return m.applyLocked(model.Event{}, d), nil
+}
+
+// warmLocked offers the policy the warm IDs the node owns and does not
+// hold, sorted (core.Warmable), and makes what it adopts resident. mu
+// must be held.
+func (m *Middleware) warmLocked(warm []model.ObjectID) {
+	w, ok := m.policy.(core.Warmable)
+	arrivals := slices.DeleteFunc(slices.Clone(warm), func(id model.ObjectID) bool {
+		return !m.owned.has(id) || m.applier.Resident(id)
+	})
+	if !ok || len(arrivals) == 0 {
+		return
 	}
 	slices.Sort(arrivals)
-	arrivals = slices.Compact(arrivals)
-	var adopted []model.ObjectID
-	if w, ok := policy.(core.Warmable); ok {
-		adopted, err = w.Warm(append(carried, arrivals...))
-		if err != nil {
-			return 0, 0, fmt.Errorf("cache: reshard warm: %w", err)
-		}
+	adopted, err := w.Warm(slices.Compact(arrivals))
+	if err == nil {
+		err = m.applier.Adopt(adopted)
 	}
-	next := core.NewApplier(capacity, m.sizeOf)
-	if err := next.Preload(adopted); err != nil {
-		return 0, 0, fmt.Errorf("cache: reshard warm: %w", err)
+	if err != nil {
+		m.cfg.Logf("reshard warm: %v (arrivals stay cold)", err)
+		return
 	}
-	kept := 0
-	for _, id := range adopted {
-		if m.applier.Resident(id) {
-			kept++
-		}
-	}
-	dropped = len(residents) - kept
-	m.migratedIn.Add(int64(len(adopted) - kept))
-	m.applier = next
-	m.policy = policy
-	m.owned = want
-	m.cfg.Logf("reshard epoch %d: %d objects owned, %d resident carried, %d adopted warm, %d dropped (capacity %v)",
-		epoch, want.len(), kept, len(adopted)-kept, dropped, capacity)
-	return len(adopted), dropped, nil
+	m.migratedIn.Add(int64(len(adopted)))
 }
 
 // handleReshard serves MsgReshard: the router's filter-swap command. A
-// successful swap snapshots immediately — the owned set, the epoch and
-// the resident set (warm arrivals included) just changed wholesale, and
-// a crash replaying a pre-reshard journal onto a pre-reshard snapshot
+// successful reshard snapshots immediately — the owned set, the epoch
+// and the resident set (warm arrivals included) just changed, and a
+// crash replaying a pre-reshard journal onto a pre-reshard snapshot
 // would resurrect state the router re-homed.
 func (m *Middleware) handleReshard(body netproto.ReshardMsg) (netproto.Frame, error) {
 	resident, droppedCount, err := m.Reshard(body.Epoch, body.Owned, body.Universe, body.Warm)

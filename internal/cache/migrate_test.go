@@ -15,9 +15,9 @@ import (
 	"github.com/deltacache/delta/internal/server"
 )
 
-// startReshardable spins up a repository plus a reshard-capable
-// middleware (policy factory + replicated capacity) owning the whole
-// survey, and warms every object into it.
+// startReshardable spins up a repository plus a cluster shard
+// installed over the whole survey at replicated capacity, and warms
+// every object into it.
 func startReshardable(t *testing.T) (*catalog.Survey, *server.Repository, *cache.Middleware) {
 	t.Helper()
 	scfg := catalog.DefaultConfig()
@@ -39,9 +39,9 @@ func startReshardable(t *testing.T) (*catalog.Survey, *server.Repository, *cache
 	t.Cleanup(func() { repo.Close() })
 	mw, err := cache.New(cache.Config{
 		RepoAddr:        repo.Addr(),
-		PolicyFactory:   func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
+		Policy:          core.NewVCover(core.DefaultVCoverConfig()),
 		Objects:         survey.Objects(),
-		Capacity:        survey.TotalSize(),
+		Shard:           true,
 		ReshardCapacity: cache.ReplicatedCapacity,
 		Scale:           netproto.DefaultScale(),
 	})
@@ -52,6 +52,13 @@ func startReshardable(t *testing.T) (*catalog.Survey, *server.Repository, *cache
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mw.Close() })
+	all := make([]model.ObjectID, 0, survey.NumObjects())
+	for _, o := range survey.Objects() {
+		all = append(all, o.ID)
+	}
+	if _, _, err := mw.Reshard(0, all, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	cl, err := client.Dial(mw.Addr())
 	if err != nil {
@@ -71,9 +78,9 @@ func startReshardable(t *testing.T) (*catalog.Survey, *server.Repository, *cache
 	return survey, repo, mw
 }
 
-// TestReshardCarriesOwnedResidents checks the atomic filter/policy
-// swap: after resharding to a subset, still-owned residents stay warm,
-// unowned ones are dropped, and queries enforce the new boundary.
+// TestReshardCarriesOwnedResidents checks a narrowing reshard: after
+// resharding to a subset, still-owned residents stay warm, unowned ones
+// are dropped, and queries enforce the new boundary.
 func TestReshardCarriesOwnedResidents(t *testing.T) {
 	survey, _, mw := startReshardable(t)
 	all := survey.Objects()
@@ -190,7 +197,7 @@ func TestReshardRejectsBadInputs(t *testing.T) {
 
 // TestReshardAdoptsWarmArrivals drives the warm half of a live resize
 // over the wire: a cold shard receives a widen MsgReshard whose Warm
-// list names objects it gains, adopts them through the fresh policy's
+// list names objects it gains, adopts them through the policy's
 // Warm (answering them from cache, counting them into MigratedIn once),
 // ignores warm IDs it does not own, and — under capacity pressure —
 // keeps its carried residents over new arrivals.
@@ -206,7 +213,7 @@ func TestReshardAdoptsWarmArrivals(t *testing.T) {
 	outside := all[len(all)-1].ID
 	dst, err := cache.New(cache.Config{
 		RepoAddr:        repo.Addr(),
-		PolicyFactory:   func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
+		Policy:          core.NewVCover(core.DefaultVCoverConfig()),
 		Objects:         all,
 		Shard:           true,
 		Capacity:        survey.TotalSize() / 4,
@@ -286,5 +293,75 @@ func TestReshardAdoptsWarmArrivals(t *testing.T) {
 	}
 	if st.MigratedIn != int64(len(first)) {
 		t.Errorf("declined arrivals counted: MigratedIn = %d", st.MigratedIn)
+	}
+}
+
+// growOnly is VCover without core.Forgetter: its universe only grows.
+type growOnly struct{ v *core.VCover }
+
+func (p growOnly) Name() string { return p.v.Name() }
+func (p growOnly) Init(objs []model.Object, capacity cost.Bytes) error {
+	return p.v.Init(objs, capacity)
+}
+func (p growOnly) OnQuery(q *model.Query) (core.Decision, error)   { return p.v.OnQuery(q) }
+func (p growOnly) OnUpdate(u *model.Update) (core.Decision, error) { return p.v.OnUpdate(u) }
+func (p growOnly) AddObjects(objs []model.Object) (core.Decision, error) {
+	return p.v.AddObjects(objs)
+}
+
+// TestReshardWithoutForget: a shard whose policy cannot forget takes
+// reshards that only gain objects at an unchanged capacity, and refuses
+// one that would lose an object, changing nothing. A standalone cache
+// refuses every reshard.
+func TestReshardWithoutForget(t *testing.T) {
+	survey, repo, _ := startReshardable(t)
+	all := make([]model.ObjectID, 0, survey.NumObjects())
+	for _, o := range survey.Objects() {
+		all = append(all, o.ID)
+	}
+	start := func(shard bool) *cache.Middleware {
+		mw, err := cache.New(cache.Config{
+			RepoAddr: repo.Addr(),
+			Policy:   growOnly{core.NewVCover(core.DefaultVCoverConfig())},
+			Objects:  survey.Objects(),
+			Shard:    shard,
+			Capacity: survey.TotalSize() / 2,
+			Scale:    netproto.DefaultScale(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mw.Close() })
+		return mw
+	}
+	mw := start(true)
+	if _, _, err := mw.Reshard(0, all[:8], nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := mw.Reshard(1, all, nil, nil); err != nil {
+		t.Errorf("a gain-only reshard at a fixed capacity failed: %v", err)
+	}
+	if _, _, err := mw.Reshard(2, all[:8], nil, nil); err == nil {
+		t.Error("a reshard that loses objects applied to a policy that cannot forget")
+	}
+	if err := mw.Start(); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := client.Dial(mw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Query(ctx, model.Query{
+		Objects: []model.ObjectID{all[len(all)-1]}, Cost: cost.KB,
+		Tolerance: model.AnyStaleness, Time: time.Minute,
+	}); err != nil {
+		t.Errorf("the refused reshard changed the owned set: %v", err)
+	}
+	if _, _, err := mw.Reshard(1, all, nil, nil); err != nil {
+		t.Errorf("the refused reshard moved the epoch: %v", err)
+	}
+	if _, _, err := start(false).Reshard(0, all, nil, nil); err == nil {
+		t.Error("a standalone cache took a reshard")
 	}
 }

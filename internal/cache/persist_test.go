@@ -65,12 +65,12 @@ func TestWarmRestartStandalone(t *testing.T) {
 	spawn := func() *cache.Middleware {
 		t.Helper()
 		mw, err := cache.New(cache.Config{
-			RepoAddr:      repo.Addr(),
-			PolicyFactory: func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
-			Objects:       base,
-			Capacity:      20 * cost.GB,
-			Scale:         netproto.PayloadScale{},
-			DataDir:       dir,
+			RepoAddr: repo.Addr(),
+			Policy:   core.NewVCover(core.DefaultVCoverConfig()),
+			Objects:  base,
+			Capacity: 20 * cost.GB,
+			Scale:    netproto.PayloadScale{},
+			DataDir:  dir,
 			// Rely on the Close flush (the satellite contract under
 			// test), not the periodic loop.
 			SnapshotInterval: time.Hour,
@@ -178,13 +178,13 @@ func TestRestartedShardDropsUpdatedResidents(t *testing.T) {
 	spawn := func() *cache.Middleware {
 		t.Helper()
 		mw, err := cache.New(cache.Config{
-			RepoAddr:      repo.Addr(),
-			PolicyFactory: func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
-			Objects:       base,
-			Shard:         true,
-			Capacity:      20 * cost.GB,
-			Scale:         netproto.PayloadScale{},
-			DataDir:       dir,
+			RepoAddr: repo.Addr(),
+			Policy:   core.NewVCover(core.DefaultVCoverConfig()),
+			Objects:  base,
+			Shard:    true,
+			Capacity: 20 * cost.GB,
+			Scale:    netproto.PayloadScale{},
+			DataDir:  dir,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -247,7 +247,7 @@ func TestRestartFromTornJournal(t *testing.T) {
 		t.Helper()
 		mw, err := cache.New(cache.Config{
 			RepoAddr:         repo.Addr(),
-			PolicyFactory:    func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
+			Policy:           core.NewVCover(core.DefaultVCoverConfig()),
 			Objects:          base,
 			Capacity:         20 * cost.GB,
 			Scale:            netproto.PayloadScale{},

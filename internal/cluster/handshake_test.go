@@ -177,12 +177,12 @@ func TestHandshakeOnEveryNode(t *testing.T) {
 func TestUpdateRightAfterNewRouterIsDelivered(t *testing.T) {
 	survey, repo := startRepository(t)
 	shard, err := cache.New(cache.Config{
-		RepoAddr:      repo.Addr(),
-		PolicyFactory: func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
-		Objects:       survey.Objects(),
-		Shard:         true,
-		Capacity:      8 * cost.GB,
-		Scale:         netproto.DefaultScale(),
+		RepoAddr: repo.Addr(),
+		Policy:   core.NewVCover(core.DefaultVCoverConfig()),
+		Objects:  survey.Objects(),
+		Shard:    true,
+		Capacity: 8 * cost.GB,
+		Scale:    netproto.DefaultScale(),
 	})
 	if err != nil {
 		t.Fatal(err)

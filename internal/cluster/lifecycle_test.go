@@ -42,14 +42,14 @@ func lifecycleRepository(t *testing.T, cfg server.Config) *server.Repository {
 func lifecycleCache(t *testing.T, repo *server.Repository, addr, metricsAddr string, shard bool) *cache.Middleware {
 	t.Helper()
 	mw, err := cache.New(cache.Config{
-		Addr:          addr,
-		MetricsAddr:   metricsAddr,
-		RepoAddr:      repo.Addr(),
-		PolicyFactory: func() core.Policy { return core.NewNoCache() },
-		Objects:       testSurvey(t).Objects(),
-		Shard:         shard,
-		Capacity:      8 * cost.GB,
-		Scale:         netproto.DefaultScale(),
+		Addr:        addr,
+		MetricsAddr: metricsAddr,
+		RepoAddr:    repo.Addr(),
+		Policy:      core.NewNoCache(),
+		Objects:     testSurvey(t).Objects(),
+		Shard:       shard,
+		Capacity:    8 * cost.GB,
+		Scale:       netproto.DefaultScale(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,8 @@
 //  1. widen  — every shard in the new config accepts the union of its
 //     old and new owned sets (MsgReshard), so queries keep landing on
 //     a willing shard no matter which side of the flip routed them.
-//     Its fresh policy adopts its still-owned residents, then its warm
-//     list (ReshardMsg.Warm), through the one Init → Warm path.
+//     Its live policy keeps its residents and adopts its warm list
+//     (ReshardMsg.Warm) through core.Warmable.
 //  2. flip   — the router publishes the new routing epoch atomically;
 //     new queries route to the new owners, which are already warm.
 //  3. narrow — continuing shards drop ownership (and residency) of

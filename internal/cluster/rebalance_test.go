@@ -292,7 +292,7 @@ func TestResizeProbeFailureArrivesCold(t *testing.T) {
 		t.Helper()
 		mw, err := cache.New(cache.Config{
 			RepoAddr:        repoAddr,
-			PolicyFactory:   func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
+			Policy:          core.NewVCover(core.DefaultVCoverConfig()),
 			Objects:         survey.Objects(),
 			Shard:           true,
 			ReshardCapacity: cache.ReplicatedCapacity,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/deltacache/delta/internal/cache"
@@ -40,11 +39,10 @@ type LocalConfig struct {
 	// to hold its entire owned subset (the replicated-cluster shape),
 	// and keeps it sized that way across live resizes.
 	ShardCapacity cost.Bytes
-	// Policy builds one policy instance per shard; nil defaults each
-	// shard to VCover. It doubles as the shard's reshard policy
-	// factory, so the router's install and live resizes rebuild
-	// policies through it too. Calls never overlap, though the shards'
-	// reshards run concurrently.
+	// Policy builds each shard's policy, once, when the shard spawns
+	// (SpawnLocal, a Resize that adds it, or RestartShard); the shard
+	// keeps that instance for its whole life. Nil defaults each shard to
+	// VCover.
 	Policy func(shard int) core.Policy
 	// Scale converts logical sizes to physical payloads.
 	Scale netproto.PayloadScale
@@ -80,8 +78,6 @@ type LocalCluster struct {
 	Router    *Router
 
 	cfg LocalConfig
-	// policyMu keeps LocalConfig.Policy calls from overlapping.
-	policyMu sync.Mutex
 }
 
 // SpawnLocal builds the ownership map, spawns every shard (each a full
@@ -136,13 +132,9 @@ func SpawnLocal(cfg LocalConfig) (*LocalCluster, error) {
 // joining a grown cluster knows every object it may own.
 func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, error) {
 	cfg := lc.cfg
-	factory := func() core.Policy {
-		if cfg.Policy != nil {
-			lc.policyMu.Lock()
-			defer lc.policyMu.Unlock()
-			return cfg.Policy(s)
-		}
-		return core.NewVCover(core.DefaultVCoverConfig())
+	var policy core.Policy
+	if cfg.Policy != nil {
+		policy = cfg.Policy(s)
 	}
 	// Shards treat the universe as read-only, so share the ownership's
 	// slice instead of cloning a million objects per shard — clipped, so
@@ -159,7 +151,7 @@ func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, er
 	}
 	mw, err := cache.New(cache.Config{
 		RepoAddr:         cfg.RepoAddr,
-		PolicyFactory:    factory,
+		Policy:           policy,
 		Objects:          universe,
 		Shard:            true,
 		Capacity:         cfg.ShardCapacity,

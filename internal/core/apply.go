@@ -55,25 +55,37 @@ func NewApplier(capacity cost.Bytes, size func(model.ObjectID) (cost.Bytes, bool
 	}
 }
 
-// Preload makes ids resident before the first event — a Preloader's
-// starting set, or what a fresh policy adopted through Warm — and sets
-// the capacity-exempt allowance to the resulting occupancy. An unknown
-// or repeated id is malformed input, an error.
-func (a *Applier) Preload(ids []model.ObjectID) error {
+// Adopt makes ids resident without a load: what a policy adopted
+// through Warm, or residents recovered from disk. An unknown or already
+// resident id is malformed input, an error.
+func (a *Applier) Adopt(ids []model.ObjectID) error {
 	for _, id := range ids {
 		size, ok := a.size(id)
 		if !ok {
-			return fmt.Errorf("core: preload of unknown object %d", id)
+			return fmt.Errorf("core: adoption of unknown object %d", id)
 		}
 		if _, dup := a.resident[id]; dup {
-			return fmt.Errorf("core: duplicate preload of object %d", id)
+			return fmt.Errorf("core: duplicate adoption of object %d", id)
 		}
 		a.resident[id] = nil
 		a.used += size
 	}
+	return nil
+}
+
+// Preload adopts a Preloader's starting set and sets the
+// capacity-exempt allowance to the resulting occupancy.
+func (a *Applier) Preload(ids []model.ObjectID) error {
+	if err := a.Adopt(ids); err != nil {
+		return err
+	}
 	a.exemptUsed = a.used
 	return nil
 }
+
+// Resize changes the capacity later decisions are checked against: a
+// node's owned universe, and with it its capacity, changes live.
+func (a *Applier) Resize(capacity cost.Bytes) { a.capacity = capacity }
 
 // Apply applies decision d on event e and returns the Plan it owes and
 // one message per violation.
@@ -196,3 +208,6 @@ func (a *Applier) Residents() []model.ObjectID {
 
 // Used is the resident objects' total size.
 func (a *Applier) Used() cost.Bytes { return a.used }
+
+// Capacity is the capacity decisions are checked against.
+func (a *Applier) Capacity() cost.Bytes { return a.capacity }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/deltacache/delta/internal/cost"
@@ -116,8 +118,8 @@ func (p *Benefit) Init(objects []model.Object, capacity cost.Bytes) error {
 }
 
 // Warm implements Warmable: adopt already-resident objects that fit
-// the capacity. Warmed objects start with no forecast history; the
-// next window boundary judges them like any other cached object.
+// the capacity. Warming leaves the forecasts alone; the next window
+// boundary judges an adopted object like any other cached one.
 func (p *Benefit) Warm(ids []model.ObjectID) ([]model.ObjectID, error) {
 	if p.idx == nil {
 		return nil, fmt.Errorf("core: Benefit not initialized")
@@ -156,6 +158,43 @@ func (p *Benefit) AddObjects(objs []model.Object) (Decision, error) {
 		}
 	}
 	return Decision{}, nil
+}
+
+// Forget implements Forgetter: forgotten objects leave the forecast
+// and, when resident, the cache; a smaller capacity then evicts the
+// residents a window boundary would rank lowest until the rest fit.
+func (p *Benefit) Forget(ids []model.ObjectID, capacity cost.Bytes) (Decision, error) {
+	if p.idx == nil {
+		return Decision{}, fmt.Errorf("core: Benefit not initialized")
+	}
+	var d Decision
+	for _, id := range ids {
+		if p.idx.isCached(id) {
+			_ = p.idx.markEvicted(id)
+			d.Evict = append(d.Evict, id)
+		}
+		delete(p.idx.objects, id)
+		delete(p.mu, id)
+		delete(p.winBenefit, id)
+	}
+	p.idx.capacity = capacity
+	if p.idx.used > capacity {
+		// replan's ranking, reversed: lowest forecast first, ties to the
+		// larger ID.
+		cached := p.CachedObjects()
+		slices.SortStableFunc(cached, func(a, b model.ObjectID) int {
+			return cmp.Or(cmp.Compare(p.mu[a], p.mu[b]), cmp.Compare(b, a))
+		})
+		for _, id := range cached {
+			if p.idx.used <= capacity {
+				break
+			}
+			_ = p.idx.markEvicted(id)
+			d.Evict = append(d.Evict, id)
+		}
+	}
+	p.stats.ObjectsEvicted += int64(len(d.Evict))
+	return d, nil
 }
 
 // OnQuery implements Policy.
@@ -280,8 +319,8 @@ func (p *Benefit) replan() Decision {
 			d.Load = append(d.Load, id)
 		}
 	}
-	sortObjectIDs(d.Evict)
-	sortObjectIDs(d.Load)
+	slices.Sort(d.Evict)
+	slices.Sort(d.Load)
 	for _, id := range d.Evict {
 		// Mirror maintenance; errors impossible by construction.
 		_ = p.idx.markEvicted(id)
@@ -300,6 +339,6 @@ func (p *Benefit) CachedObjects() []model.ObjectID {
 	for id := range p.idx.cached {
 		out = append(out, id)
 	}
-	sortObjectIDs(out)
+	slices.Sort(out)
 	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -220,5 +221,36 @@ func TestBenefitWindowOneReplansEveryEvent(t *testing.T) {
 	}
 	if p.Stats().Windows != 1 {
 		t.Errorf("stats: %+v", p.Stats())
+	}
+}
+
+// TestBenefitForget: a forgotten object leaves the forecast and the
+// cache, and a smaller capacity evicts the lowest forecasts first.
+func TestBenefitForget(t *testing.T) {
+	objs := []model.Object{{ID: 1, Size: cost.GB}, {ID: 2, Size: cost.GB}, {ID: 3, Size: cost.GB}}
+	p := NewBenefit(BenefitConfig{Window: 1, Alpha: 1, LoadAmortization: 1})
+	if err := p.Init(objs, 3*cost.GB); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Warm([]model.ObjectID{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	p.mu[1], p.mu[2], p.mu[3] = 3, 1, 2
+	d, err := p.Forget([]model.ObjectID{1}, 3*cost.GB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(d.Evict, []model.ObjectID{1}) {
+		t.Errorf("Forget(1) = %+v, want object 1 evicted", d)
+	}
+	if _, ok := p.mu[1]; ok || p.idx.objects[1] != (model.Object{}) {
+		t.Error("object 1 is still in the forecast or the universe")
+	}
+	d, err = p.Forget(nil, cost.GB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(d.Evict, []model.ObjectID{2}) || !slices.Equal(p.CachedObjects(), []model.ObjectID{3}) {
+		t.Errorf("shrink to 1GB = %+v, cached %v; want the lower forecast (2) evicted", d, p.CachedObjects())
 	}
 }

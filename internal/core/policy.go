@@ -93,22 +93,33 @@ type Grower interface {
 }
 
 // Warmable is implemented by policies that can adopt already-resident
-// objects into a freshly initialized instance without a load. It has
-// two consumers, and both call Init and then Warm once on a fresh
-// instance. A live cluster reshard (cache.Middleware.Reshard) adopts
-// the shard's still-owned residents, then the warm arrivals the router
-// listed (objects resident at their old primary), instead of
-// re-fetching them from the repository. Durable restart
-// (internal/persist + cache.Middleware recovery, see
-// docs/PERSISTENCE.md) re-adopts the residents recovered from a node's
-// snapshot+journal, so a restarted node rejoins warm. Warm is called
-// after Init and before any event; it returns the subset of ids the
-// policy actually adopted, in order (an object may be declined when it
-// no longer fits the capacity, so earlier ids win). A policy that does
-// not implement Warmable starts cold after a reshard — and restarts
-// cold from disk.
+// objects without a load, at any point in their life. It has two
+// consumers. A live cluster reshard (cache.Middleware.Reshard) adopts
+// the warm arrivals the router listed (objects resident at their old
+// primary) instead of re-fetching them from the repository, and a
+// shard's first reshard adopts the residents it recovered from disk.
+// Durable restart (internal/persist + cache.Middleware recovery, see
+// docs/PERSISTENCE.md) re-adopts a standalone node's recovered
+// residents right after Init, so a restarted node rejoins warm. Warm
+// returns the subset of ids the policy actually adopted, in order: an
+// object already resident is kept, and one may be declined when it no
+// longer fits the capacity, so residents win over arrivals and earlier
+// ids over later ones. A policy that does not implement Warmable takes
+// every arrival cold — and restarts cold from disk.
 type Warmable interface {
 	Warm(ids []model.ObjectID) ([]model.ObjectID, error)
+}
+
+// Forgetter is implemented by policies whose object universe can shrink
+// and whose capacity can change while running: a live cluster reshard
+// hands objects to other shards and resizes the node to what it still
+// owns. Forget drops ids from the universe — evicting any that are
+// resident, together with the updates outstanding on them — sets the
+// capacity, and returns every eviction both need in one Decision; an id
+// the policy does not know is ignored. A reshard of a policy without
+// Forget may only gain objects at an unchanged capacity.
+type Forgetter interface {
+	Forget(ids []model.ObjectID, capacity cost.Bytes) (Decision, error)
 }
 
 // objectIndex is the shared bookkeeping helper for policies: object

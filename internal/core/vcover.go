@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/flow"
@@ -114,12 +115,12 @@ func (p *VCover) Init(objects []model.Object, capacity cost.Bytes) error {
 	return nil
 }
 
-// Warm implements Warmable: adopt already-resident objects into a
-// fresh instance without a load (live reshard carry-over, warm
-// arrivals, and recovery). Each object is admitted to the GDS load cache only when
-// it fits the remaining free capacity — warming never evicts, so the
-// adopted set is order-independent up to capacity exhaustion; declined
-// objects simply stay cold and reload on demand.
+// Warm implements Warmable: adopt already-resident objects without a
+// load (warm arrivals of a live reshard, and recovered residents). Each
+// object is admitted to the GDS load cache only when it fits the
+// remaining free capacity — warming never evicts, so the adopted set is
+// order-independent up to capacity exhaustion; declined objects simply
+// stay cold and reload on demand.
 func (p *VCover) Warm(ids []model.ObjectID) ([]model.ObjectID, error) {
 	if p.idx == nil {
 		return nil, fmt.Errorf("core: VCover not initialized")
@@ -146,7 +147,7 @@ func (p *VCover) Warm(ids []model.ObjectID) ([]model.ObjectID, error) {
 		}
 		// A warm arrival is as fresh as its old holder's copy: any
 		// updates it missed are that holder's outstanding set, which the
-		// reshard does not carry — treat the copy as fresh, the same
+		// warm list does not carry — treat the copy as fresh, the same
 		// optimism a repository load has.
 		p.outstanding[id] = nil
 		adopted = append(adopted, id)
@@ -168,6 +169,43 @@ func (p *VCover) AddObjects(objs []model.Object) (Decision, error) {
 		}
 	}
 	return Decision{}, nil
+}
+
+// Forget implements Forgetter: a forgotten resident leaves with its
+// outstanding updates and their interaction-graph vertices, and a
+// smaller capacity evicts in the LoadManager's Greedy-Dual-Size order
+// until the residents fit.
+func (p *VCover) Forget(ids []model.ObjectID, capacity cost.Bytes) (Decision, error) {
+	if p.idx == nil {
+		return Decision{}, fmt.Errorf("core: VCover not initialized")
+	}
+	if capacity < 0 {
+		return Decision{}, fmt.Errorf("core: negative cache capacity")
+	}
+	var d Decision
+	for _, id := range ids {
+		if p.idx.isCached(id) {
+			if err := p.evictObject(id); err != nil {
+				return Decision{}, err
+			}
+			p.loads.Remove(int64(id))
+			d.Evict = append(d.Evict, id)
+		}
+		delete(p.idx.objects, id)
+	}
+	evicted, err := p.loads.Resize(int64(capacity))
+	if err != nil {
+		return Decision{}, err
+	}
+	p.idx.capacity = capacity
+	for _, key := range evicted {
+		if err := p.evictObject(model.ObjectID(key)); err != nil {
+			return Decision{}, err
+		}
+		d.Evict = append(d.Evict, model.ObjectID(key))
+	}
+	p.stats.ObjectsEvicted += int64(len(d.Evict))
+	return d, nil
 }
 
 // OnUpdate implements Policy. Updates are never shipped eagerly: the
@@ -406,14 +444,6 @@ func (p *VCover) CachedObjects() []model.ObjectID {
 	for id := range p.idx.cached {
 		out = append(out, id)
 	}
-	sortObjectIDs(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortObjectIDs(ids []model.ObjectID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -396,5 +397,56 @@ func TestVCoverStatsProgress(t *testing.T) {
 	st = p.Stats()
 	if st.UpdatesShipped != 1 || st.CoverComputations != 1 || st.QueriesAtCache != 1 {
 		t.Errorf("stats after cover: %+v", st)
+	}
+}
+
+// TestVCoverForget: a forgotten resident is evicted with its outstanding
+// updates and interaction-graph vertices and leaves the universe, an
+// unknown ID is ignored, a smaller capacity evicts in GDS order, and a
+// forgotten object can rejoin cold.
+func TestVCoverForget(t *testing.T) {
+	p := newTestVCover(t, 35*cost.GB)
+	warmLoad(t, p, 1, 1, time.Second)
+	warmLoad(t, p, 2, 2, 2*time.Second)
+	warmLoad(t, p, 3, 3, 3*time.Second)
+	if _, err := p.OnUpdate(&model.Update{ID: 1, Object: 1, Cost: cost.MB, Time: 4 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	// The query puts the update's vertex in the graph and ships the
+	// cheap query instead.
+	if d, err := p.OnQuery(&model.Query{ID: 4, Objects: []model.ObjectID{1}, Cost: cost.KB, Time: 5 * time.Second}); err != nil || !d.ShipQuery {
+		t.Fatalf("query over an outstanding update = %+v, %v; want shipped", d, err)
+	}
+	d, err := p.Forget([]model.ObjectID{1, 99}, 35*cost.GB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(d.Evict, []model.ObjectID{1}) || len(d.Load) != 0 || d.ShipQuery {
+		t.Errorf("Forget(1, 99) = %+v, want only object 1 evicted", d)
+	}
+	if p.bip.HasRight(1) || len(p.outstanding[1]) != 0 || p.loads.Contains(1) {
+		t.Error("the forgotten resident left decision state behind")
+	}
+	if _, err := p.OnQuery(&model.Query{ID: 5, Objects: []model.ObjectID{1}, Cost: cost.KB}); err == nil {
+		t.Error("a query on a forgotten object was accepted")
+	}
+
+	// Objects 2 and 3 hold 25GB; at 20GB one must go, in GDS order.
+	d, err = p.Forget(nil, 20*cost.GB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Evict) != 1 || p.idx.used > 20*cost.GB || p.loads.Used() != int64(p.idx.used) {
+		t.Errorf("shrink to 20GB = %+v, leaving %v resident", d, p.idx.used)
+	}
+	if _, err := p.Forget(nil, -1); err == nil {
+		t.Error("a negative capacity was accepted")
+	}
+
+	if _, err := p.AddObjects([]model.Object{{ID: 1, Size: 10 * cost.GB}}); err != nil {
+		t.Fatalf("a forgotten object could not rejoin: %v", err)
+	}
+	if p.idx.isCached(1) {
+		t.Error("a rejoined object is resident")
 	}
 }

@@ -36,6 +36,12 @@ func (p *NoCache) AddObjects(objs []model.Object) (Decision, error) {
 	return Decision{}, nil
 }
 
+// Forget implements Forgetter: NoCache holds nothing, so there is
+// nothing to evict.
+func (p *NoCache) Forget(ids []model.ObjectID, capacity cost.Bytes) (Decision, error) {
+	return Decision{}, nil
+}
+
 // OnQuery implements Policy: always ship.
 func (p *NoCache) OnQuery(q *model.Query) (Decision, error) {
 	return Decision{ShipQuery: true}, nil
@@ -66,10 +72,16 @@ func (p *Replica) Init(objects []model.Object, capacity cost.Bytes) error {
 	if p.idx != nil {
 		return fmt.Errorf("core: Replica initialized twice")
 	}
-	// Capacity is deliberately ignored: the replica mirrors the server.
+	// Capacity is deliberately ignored: the replica mirrors the server,
+	// so everything it knows is resident from the start (Preload).
 	idx, err := newObjectIndex(objects, capacity)
 	if err != nil {
 		return err
+	}
+	for _, o := range objects {
+		if err := idx.markCached(o.ID); err != nil {
+			return err
+		}
 	}
 	p.idx = idx
 	return nil
@@ -120,6 +132,23 @@ func (p *Replica) AddObjects(objs []model.Object) (Decision, error) {
 			return Decision{}, err
 		}
 		d.Load = append(d.Load, o.ID)
+	}
+	return d, nil
+}
+
+// Forget implements Forgetter: a forgotten object leaves the mirror.
+// Capacity is ignored, as in Init.
+func (p *Replica) Forget(ids []model.ObjectID, capacity cost.Bytes) (Decision, error) {
+	if p.idx == nil {
+		return Decision{}, fmt.Errorf("core: Replica not initialized")
+	}
+	var d Decision
+	for _, id := range ids {
+		if p.idx.isCached(id) {
+			_ = p.idx.markEvicted(id)
+			d.Evict = append(d.Evict, id)
+		}
+		delete(p.idx.objects, id)
 	}
 	return d, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -229,5 +230,25 @@ func TestUpdateRequiredSemantics(t *testing.T) {
 	zeroQ := &model.Query{Time: 100 * time.Second, Tolerance: model.NoTolerance}
 	if !model.UpdateRequired(fresh, zeroQ) {
 		t.Error("zero tolerance requires every prior update")
+	}
+}
+
+// TestReplicaForget: a replica holds everything it knows, so every
+// forgotten object is evicted, whatever the capacity.
+func TestReplicaForget(t *testing.T) {
+	p := NewReplica()
+	objs := []model.Object{{ID: 1, Size: cost.GB}, {ID: 2, Size: cost.GB}}
+	if err := p.Init(objs, cost.MB); err != nil {
+		t.Fatal(err)
+	}
+	d, err := p.Forget([]model.ObjectID{2, 7}, cost.MB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(d.Evict, []model.ObjectID{2}) {
+		t.Errorf("Forget(2, 7) = %+v, want object 2 evicted", d)
+	}
+	if objs, _ := p.Preload(); !slices.Equal(objs, []model.ObjectID{1}) {
+		t.Errorf("after Forget the replica holds %v, want [1]", objs)
 	}
 }

@@ -168,6 +168,33 @@ func (c *Cache) evict(e *entry) {
 	heap.Remove(&c.order, e.pos)
 }
 
+// Resize sets the capacity, evicting minimum-credit objects until the
+// contents fit, and returns the evicted keys in eviction order.
+func (c *Cache) Resize(capacity int64) ([]int64, error) {
+	if capacity < 0 {
+		return nil, fmt.Errorf("gds: negative capacity %d", capacity)
+	}
+	c.capacity = capacity
+	return c.shrinkTo(capacity), nil
+}
+
+// shrinkTo evicts minimum-credit objects until at most limit is used
+// or nothing is left, and returns the evicted keys in order. The
+// inflation level rises to each evicted credit: this is the "aging"
+// that lets stale high-cost objects eventually leave.
+func (c *Cache) shrinkTo(limit int64) (evicted []int64) {
+	for c.used > limit {
+		victim := c.minCredit()
+		if victim == nil {
+			break
+		}
+		c.inflate = victim.h
+		c.evict(victim)
+		evicted = append(evicted, victim.key)
+	}
+	return evicted
+}
+
 // Admit inserts the candidate, evicting minimum-credit objects until it
 // fits. It returns the evicted keys and whether the candidate was
 // admitted. Candidates larger than the whole cache are rejected without
@@ -181,17 +208,7 @@ func (c *Cache) Admit(cand Entry) (evicted []int64, admitted bool) {
 		c.Touch(cand.Key)
 		return nil, true
 	}
-	for c.used+cand.Size > c.capacity {
-		victim := c.minCredit()
-		if victim == nil {
-			return evicted, false // nothing left to evict; cannot happen with valid sizes
-		}
-		// The inflation level rises to the evicted credit: this is the
-		// "aging" that lets stale high-cost objects eventually leave.
-		c.inflate = victim.h
-		c.evict(victim)
-		evicted = append(evicted, victim.key)
-	}
+	evicted = c.shrinkTo(c.capacity - cand.Size)
 	e := &entry{key: cand.Key, size: cand.Size, cost: cand.Cost, freq: 1}
 	e.h = c.credit(e)
 	e.heapH = e.h

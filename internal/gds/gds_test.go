@@ -359,12 +359,7 @@ func (c *scanCache) admit(cand Entry) (evicted []int64, admitted bool) {
 		return nil, true
 	}
 	for c.used+cand.Size > c.capacity {
-		var victim *entry
-		for _, e := range c.entries {
-			if victim == nil || e.h < victim.h || (e.h == victim.h && e.key < victim.key) {
-				victim = e
-			}
-		}
+		victim := c.minEntry()
 		if victim == nil {
 			return evicted, false
 		}
@@ -377,6 +372,29 @@ func (c *scanCache) admit(cand Entry) (evicted []int64, admitted bool) {
 	c.entries[cand.Key] = e
 	c.used += cand.Size
 	return evicted, true
+}
+
+// minEntry scans for the minimum-credit entry, ties to the smaller key.
+func (c *scanCache) minEntry() *entry {
+	var victim *entry
+	for _, e := range c.entries {
+		if victim == nil || e.h < victim.h || (e.h == victim.h && e.key < victim.key) {
+			victim = e
+		}
+	}
+	return victim
+}
+
+// resize is Resize over the scan.
+func (c *scanCache) resize(capacity int64) (evicted []int64) {
+	c.capacity = capacity
+	for c.used > c.capacity {
+		victim := c.minEntry()
+		c.inflate = victim.h
+		c.remove(victim.key)
+		evicted = append(evicted, victim.key)
+	}
+	return evicted
 }
 
 // admitBatch is AdmitBatch's elision over the oracle's admit.
@@ -409,7 +427,7 @@ func (c *scanCache) admitBatch(cands []Entry) BatchResult {
 }
 
 // TestQuickHeapMatchesScan drives Cache and the scanning oracle through
-// the same random Admit / AdmitBatch / Touch / Remove sequences, under
+// the same random Admit / AdmitBatch / Touch / Remove / Resize sequences, under
 // GDS and GDSF, with sizes and costs drawn from so few values that
 // equal credits are common: every call must name the same victims in
 // the same order and leave the same inflation, credits and residents.
@@ -430,10 +448,17 @@ func TestQuickHeapMatchesScan(t *testing.T) {
 			return Entry{Key: int64(rng.Intn(24)), Size: int64(rng.Intn(7) - 1), Cost: int64(rng.Intn(5) - 1)}
 		}
 		for step := 0; step < 400; step++ {
-			switch key := int64(rng.Intn(24)); rng.Intn(6) {
+			switch key := int64(rng.Intn(24)); rng.Intn(7) {
 			case 0:
 				c.Remove(key)
 				o.remove(key)
+			case 6:
+				capacity := int64(rng.Intn(40))
+				got, err := c.Resize(capacity)
+				if want := o.resize(capacity); err != nil || !slices.Equal(got, want) {
+					t.Errorf("seed %d step %d: Resize(%d) = %v, %v; scan says %v", seed, step, capacity, got, err, want)
+					return false
+				}
 			case 1, 2:
 				c.Touch(key)
 				o.touch(key)
@@ -472,5 +497,16 @@ func TestQuickHeapMatchesScan(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestResizeNegativeCapacity(t *testing.T) {
+	c := mustNew(t, 100, false)
+	_, _ = c.Admit(Entry{Key: 1, Size: 60, Cost: 60})
+	if _, err := c.Resize(-1); err == nil {
+		t.Error("Resize(-1) should fail")
+	}
+	if c.Capacity() != 100 || !c.Contains(1) {
+		t.Error("a refused Resize changed the cache")
 	}
 }

@@ -511,12 +511,11 @@ type RebalanceStatusMsg struct {
 	LastError string
 }
 
-// ReshardMsg atomically replaces a shard's owned object set (router →
-// shard) at router startup and during a live resize: the shard rebuilds
-// its object filter and policy universe around exactly Owned, carrying
-// still-owned resident objects over warm, then adopting Warm arrivals,
-// and dropping the rest. The reply echoes the message with
-// Resident/Dropped filled in.
+// ReshardMsg replaces a shard's owned object set (router → shard) at
+// router startup and during a live resize: the shard's policy universe
+// and object filter change to exactly Owned — still-owned residents stay
+// as they are, Warm arrivals are adopted, and the rest are dropped. The
+// reply echoes the message with Resident/Dropped filled in.
 //
 // A cluster shard also sends it on its invalidation stream (shard →
 // repository) to name the objects whose update notices it wants: Owned

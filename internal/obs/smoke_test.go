@@ -93,13 +93,13 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 	cacheNode := func(shard bool, metricsAddr string) *cache.Middleware {
 		t.Helper()
 		mw, err := cache.New(cache.Config{
-			RepoAddr:      repo.Addr(),
-			PolicyFactory: func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
-			Objects:       survey.Objects(),
-			Shard:         shard,
-			Capacity:      survey.TotalSize(),
-			Scale:         netproto.DefaultScale(),
-			MetricsAddr:   metricsAddr,
+			RepoAddr:    repo.Addr(),
+			Policy:      core.NewVCover(core.DefaultVCoverConfig()),
+			Objects:     survey.Objects(),
+			Shard:       shard,
+			Capacity:    survey.TotalSize(),
+			Scale:       netproto.DefaultScale(),
+			MetricsAddr: metricsAddr,
 		})
 		if err != nil {
 			t.Fatal(err)

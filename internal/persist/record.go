@@ -3,10 +3,10 @@
 // universe metadata, born objects, reshard epoch) plus an append-only
 // journal recording the births and admission/eviction decisions made
 // since that snapshot. Together they let a restarted node rejoin the
-// deployment warm — the policy is rebuilt over the persisted universe
-// and re-adopts its residents through the same core.Warmable boundary
-// a live reshard uses — instead of paying the full warmup the caching
-// policies exist to avoid.
+// deployment warm — the policy is initialized over the persisted
+// universe and re-adopts its residents through core.Warmable, the
+// boundary a live reshard's warm arrivals also cross — instead of
+// paying the full warmup the caching policies exist to avoid.
 //
 // Record payloads are written by netproto.Encoder and read by
 // netproto.Decoder, so objects, births and ID lists have the same
