@@ -104,12 +104,13 @@ type Config struct {
 	ResolverGrow func([]model.Birth) error
 	// DataDir, when set, enables the durability layer (internal/persist):
 	// the node journals births and admission/eviction decisions, writes
-	// periodic snapshots of its warm state, and on startup replays
-	// snapshot+journal to rejoin warm: the policy is initialized over
-	// the persisted universe and re-adopts the recovered residents
-	// through core.Warmable. A shard holds its recovered residents until
-	// its router's first reshard initializes its policy and offers it
-	// those it owns. Empty disables persistence.
+	// periodic snapshots of its births and residents, and on startup
+	// replays snapshot+journal to rejoin warm: the policy is initialized
+	// over Objects plus the recovered births and offered the recovered
+	// residents it owns through core.Warmable. A shard holds its
+	// recovered residents until its router's first reshard initializes
+	// its policy and offers it those it owns. Empty disables
+	// persistence.
 	DataDir string
 	// SnapshotInterval paces the periodic snapshot loop when DataDir is
 	// set (0 = 30s default). Snapshots are also written after every
@@ -163,9 +164,12 @@ type Middleware struct {
 
 	// store is the durability layer (nil when Config.DataDir is empty);
 	// births holds every adopted birth in publication order (guarded by
-	// mu) so snapshots carry full-fidelity growth for the next restart.
+	// mu) so snapshots carry full-fidelity growth for the next restart;
+	// held are the recovered residents, sorted, that wait (guarded by mu)
+	// for initLocked to offer the owned ones to the policy.
 	store  *persist.Store
 	births []model.Birth
+	held   []model.ObjectID
 
 	queries       atomic.Int64
 	atCache       atomic.Int64
@@ -261,10 +265,10 @@ func New(cfg Config) (*Middleware, error) {
 		m.byID.put(o)
 	}
 
-	// Recover the previous incarnation's state before the policy sees
-	// any universe: born objects the static config cannot rebuild must
-	// be part of what Init reasons about, and the recovered residents
-	// wait in the applier until Init offers them to the policy.
+	// Recover the previous incarnation's births and residents before the
+	// policy sees any universe: births the static config cannot rebuild
+	// must be part of what Init reasons about, and the recovered
+	// residents are held until initLocked offers them to the policy.
 	var recovered *persist.State
 	if cfg.DataDir != "" {
 		store, err := persist.Open(persist.Options{
@@ -281,22 +285,11 @@ func New(cfg Config) (*Middleware, error) {
 			return nil, fmt.Errorf("cache: %w", err)
 		}
 	}
-	// Universe metadata beyond the static config: born objects and
-	// reshard arrivals from the persisted state. Everything merges into
-	// byID (reshard lookups need the metadata regardless of ownership).
-	// A standalone cache owns it all; a shard owns nothing until its
-	// router's first reshard.
+	// A standalone cache owns the whole universe; a shard owns nothing
+	// until its router's first reshard.
 	universe := cfg.Objects
 	if recovered != nil {
-		var extras []model.Object
-		for _, o := range recovered.Universe {
-			if !m.byID.has(o.ID) {
-				m.byID.put(o)
-				extras = append(extras, o)
-			}
-		}
-		slices.SortFunc(extras, func(a, b model.Object) int { return cmp.Compare(a.ID, b.ID) })
-		universe = append(slices.Clip(universe), extras...)
+		universe = m.adoptRecovered(recovered)
 	}
 	capacity := cfg.Capacity
 	if len(universe) > len(cfg.Objects) && cfg.ReshardCapacity != nil {
@@ -306,20 +299,16 @@ func New(cfg Config) (*Middleware, error) {
 		capacity = cfg.ReshardCapacity(universe)
 	}
 	m.applier = core.NewApplier(capacity, m.sizeOf)
-	if recovered != nil {
-		m.adoptRecovered(recovered)
-	}
 	if cfg.Shard {
 		m.owned = newIDSet(0)
 	} else {
 		m.mu.Lock()
-		dropped, err := m.initLocked(universe, capacity)
+		_, err := m.initLocked(universe, capacity)
 		m.mu.Unlock()
 		if err != nil {
 			m.closeStore()
 			return nil, err
 		}
-		m.journalPlan(dropped)
 	}
 	if m.store != nil {
 		// Land the post-recovery truth as the new baseline snapshot (and
@@ -426,20 +415,25 @@ func (m *Middleware) closeStore() {
 	}
 }
 
-// adoptRecovered restores the previous incarnation's warm state before
-// the policy is initialized: its births rejoin the universe, and its
-// residents still in the universe wait in the applier until Init offers
-// them to the policy (initLocked), which adopts what fits its capacity;
-// policies without Warm (SOptimal, NoCache) simply restart cold. The
-// persisted epoch and owned set are not read — both come from the
-// router, and no frame of an earlier process reaches this one.
-func (m *Middleware) adoptRecovered(st *persist.State) {
-	m.births = slices.Clone(st.Births)
-	held := slices.DeleteFunc(slices.Clone(st.Resident), func(id model.ObjectID) bool { return !m.byID.has(id) })
-	slices.Sort(held)
-	if err := m.applier.Adopt(slices.Compact(held)); err != nil {
-		m.cfg.Logf("recovery warm-up: %v", err)
+// adoptRecovered restores the previous incarnation's births and holds
+// its residents, and returns the node's universe: Objects plus the
+// recovered births. Every node rebuilds everything else: the survey from
+// its configuration, and a shard the metadata of the births it owns from
+// its router's first reshard, which re-sends it before initLocked offers
+// the held residents — so a resident newborn the shard knew only from an
+// earlier reshard is kept.
+func (m *Middleware) adoptRecovered(st *persist.State) []model.Object {
+	m.births = st.Births
+	var extras []model.Object
+	for _, b := range st.Births {
+		if !m.byID.has(b.Object.ID) {
+			m.byID.put(b.Object)
+			extras = append(extras, b.Object)
+		}
 	}
+	slices.SortFunc(extras, func(a, b model.Object) int { return cmp.Compare(a.ID, b.ID) })
+	slices.Sort(st.Resident)
+	m.held = slices.Compact(st.Resident)
 	if len(st.Births) > 0 {
 		// The resolver was built from the startup survey; recovered
 		// births must rejoin its universe or region covers would exclude
@@ -448,31 +442,26 @@ func (m *Middleware) adoptRecovered(st *persist.State) {
 			m.cfg.Logf("recovery resolver growth: %v (region covers may miss recovered newborns)", err)
 		}
 	}
-	m.cfg.Logf("recovered %d births and %d residents", len(st.Births), len(st.Resident))
+	m.cfg.Logf("recovered %d births and %d residents", len(st.Births), len(m.held))
+	return append(slices.Clip(m.cfg.Objects), extras...)
 }
 
-// persistState captures the node's durable state under mu.
+// persistState captures what only this node knows — its births and its
+// residents, held ones included — under mu.
 func (m *Middleware) persistState() *persist.State {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := &persist.State{
-		Epoch:    m.reshardEpoch,
-		Births:   slices.Clone(m.births),
-		Universe: make([]model.Object, 0, m.byID.len()),
+	return &persist.State{Births: slices.Clone(m.births), Resident: m.residentsLocked()}
+}
+
+// residentsLocked lists the resident objects in ascending order: until
+// initLocked offers the held recovered ones to the policy, nothing else
+// is resident, and those are listed. mu must be held.
+func (m *Middleware) residentsLocked() []model.ObjectID {
+	if len(m.held) > 0 {
+		return slices.Clone(m.held)
 	}
-	for o := range m.byID.all() {
-		st.Universe = append(st.Universe, o)
-	}
-	slices.SortFunc(st.Universe, func(a, b model.Object) int { return cmp.Compare(a.ID, b.ID) })
-	if m.owned != nil {
-		st.Owned = make([]model.ObjectID, 0, m.owned.len())
-		for id := range m.owned.all() {
-			st.Owned = append(st.Owned, id)
-		}
-		slices.Sort(st.Owned)
-	}
-	st.Resident = m.applier.Residents()
-	return st
+	return m.applier.Residents()
 }
 
 // snapshotNow lands a snapshot of the current state; errors are logged,
@@ -517,7 +506,7 @@ func (m *Middleware) Ledger() cost.Snapshot { return m.ledger.Snapshot() }
 // Stats returns a stats message describing the node.
 func (m *Middleware) Stats() netproto.StatsMsg {
 	m.mu.Lock()
-	cached := m.applier.Residents()
+	cached := m.residentsLocked()
 	policy := m.policy.Name()
 	m.mu.Unlock()
 	stats := netproto.StatsMsg{
@@ -575,7 +564,9 @@ func (m *Middleware) streamFrame(f netproto.Frame) {
 		// narrows, every object above the horizon, the whole stream
 		// until its owned set is installed. A recovered resident held
 		// for the first reshard leaves instead of being offered stale.
-		m.applier.Unload(inv.Update.Object)
+		if i, ok := slices.BinarySearch(m.held, inv.Update.Object); ok {
+			m.held = slices.Delete(m.held, i, i+1)
+		}
 		m.mu.Unlock()
 		return
 	}
@@ -631,15 +622,13 @@ func (m *Middleware) resume(sub *node.Subscription) {
 
 // coldLocked evicts every resident, with the updates outstanding on it,
 // through the calls a reshard makes: each leaves the policy's universe
-// (core.Forgetter) and rejoins it cold (core.Grower). A shard still
-// awaiting its install drops the residents it holds. It returns the plan
-// of the rejoin, whose loads (Replica's) are owed uncharged. mu must be
-// held.
+// (core.Forgetter) and rejoins it cold (core.Grower). Recovered
+// residents still held for a shard's install are dropped. It returns
+// the plan of the rejoin, whose loads (Replica's) are owed uncharged. mu
+// must be held.
 func (m *Middleware) coldLocked() (plan, error) {
+	m.held = nil
 	residents := m.applier.Residents()
-	if m.awaitingInstallLocked() {
-		return m.applyLocked(model.Event{}, core.Decision{Evict: residents}), nil
-	}
 	if len(residents) == 0 {
 		return plan{}, nil
 	}

@@ -69,8 +69,7 @@ func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Obj
 	}
 	var grown plan
 	if d.install {
-		grown, err = m.initLocked(d.owned, d.capacity)
-		dropped = len(grown.Evict)
+		dropped, err = m.initLocked(d.owned, d.capacity)
 	} else if len(d.gained) > 0 {
 		grown, err = m.growLocked(d.gained)
 	}
@@ -207,19 +206,20 @@ func (m *Middleware) awaitingInstallLocked() bool {
 	return m.owned != nil && m.owned.len() == 0
 }
 
-// initLocked initializes the policy over universe at capacity, offers it
-// the residents recovered from disk that the node owns, sorted
-// (core.Warmable), and drops the rest: a standalone node's at New, a
-// shard's at its install. It returns the plan of the drops. mu must be
-// held.
-func (m *Middleware) initLocked(universe []model.Object, capacity cost.Bytes) (plan, error) {
+// initLocked initializes the policy over universe at capacity, offers
+// it the held recovered residents in universe, sorted (core.Warmable),
+// makes what it adopts resident and drops the rest: a standalone node's
+// at New, a shard's at its install. It returns how many held residents
+// it dropped. mu must be held.
+func (m *Middleware) initLocked(universe []model.Object, capacity cost.Bytes) (dropped int, err error) {
 	if err := m.policy.Init(universe, capacity); err != nil {
-		return plan{}, fmt.Errorf("cache: init policy: %w", err)
+		return 0, fmt.Errorf("cache: init policy: %w", err)
 	}
 	m.applier.Resize(capacity)
-	held := m.applier.Residents()
+	held := m.held
+	m.held = nil
 	if len(held) == 0 {
-		return plan{}, nil
+		return 0, nil
 	}
 	var adopted []model.ObjectID
 	if w, ok := m.policy.(core.Warmable); ok {
@@ -228,19 +228,18 @@ func (m *Middleware) initLocked(universe []model.Object, capacity cost.Bytes) (p
 			in.add(o.ID)
 		}
 		owned := slices.DeleteFunc(slices.Clone(held), func(id model.ObjectID) bool { return !in.has(id) })
-		var err error
-		if adopted, err = w.Warm(owned); err != nil {
+		adopted, err = w.Warm(owned)
+		if err == nil {
+			err = m.applier.Adopt(adopted)
+		}
+		if err != nil {
 			m.cfg.Logf("recovery warm-up: %v (restarting cold)", err)
 			adopted = nil
 		}
 	}
-	drop := slices.DeleteFunc(held, func(id model.ObjectID) bool {
-		_, ok := slices.BinarySearch(adopted, id) // Warm keeps the sorted order
-		return ok
-	})
 	m.recoveredWarm.Store(int64(len(adopted)))
-	m.cfg.Logf("recovered warm: %d of %d residents re-adopted", len(adopted), len(adopted)+len(drop))
-	return m.applyLocked(model.Event{}, core.Decision{Evict: drop}), nil
+	m.cfg.Logf("recovered warm: %d of %d residents re-adopted", len(adopted), len(held))
+	return len(held) - len(adopted), nil
 }
 
 // growLocked extends the policy's universe (core.Grower) and the node's
@@ -301,10 +300,10 @@ func (m *Middleware) warmLocked(warm []model.ObjectID) {
 }
 
 // handleReshard serves MsgReshard: the router's filter-swap command. A
-// successful reshard snapshots immediately — the owned set, the epoch
-// and the resident set (warm arrivals included) just changed, and a
-// crash replaying a pre-reshard journal onto a pre-reshard snapshot
-// would resurrect state the router re-homed.
+// successful reshard snapshots immediately: no journal record holds the
+// warm arrivals it adopted or the held residents its install dropped,
+// so a crash replaying the pre-reshard snapshot and journal would lose
+// the one and resurrect the other.
 func (m *Middleware) handleReshard(body netproto.ReshardMsg) (netproto.Frame, error) {
 	resident, droppedCount, err := m.Reshard(body.Epoch, body.Owned, body.Universe, body.Warm)
 	if err != nil {

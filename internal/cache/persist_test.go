@@ -311,3 +311,110 @@ func TestRestartFromTornJournal(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotSizeIndependentOfSurvey: a snapshot holds only what the
+// node alone knows, its births and its residents, so two nodes with
+// neither write the same snapshot over surveys sixteen times apart.
+func TestSnapshotSizeIndependentOfSurvey(t *testing.T) {
+	var sizes []int64
+	for _, n := range []int{8192, 131072} {
+		survey, repo := startPersistRepo(t, n)
+		dir := t.TempDir()
+		mw, err := cache.New(cache.Config{
+			RepoAddr:         repo.Addr(),
+			Policy:           core.NewNoCache(),
+			Objects:          survey.Objects(),
+			Capacity:         cost.GB,
+			Scale:            netproto.PayloadScale{},
+			DataDir:          dir,
+			SnapshotInterval: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(filepath.Join(dir, "snapshot.dp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, fi.Size())
+	}
+	t.Logf("snapshot sizes: %d B and %d B", sizes[0], sizes[1])
+	if sizes[0] != sizes[1] {
+		t.Errorf("snapshot of a node with no births or residents is %d B over 8192 objects and %d B over 131072", sizes[0], sizes[1])
+	}
+}
+
+// TestRestartedShardKeepsNewbornFromReshardMeta: a shard whose static
+// config predates a birth learns the newborn's metadata from a reshard
+// and holds it resident. Restarted from its data directory with the
+// same config, it holds the newborn until its router's first reshard
+// re-sends the metadata, and then adopts it warm.
+func TestRestartedShardKeepsNewbornFromReshardMeta(t *testing.T) {
+	survey, repo := startPersistRepo(t, 16)
+	base := slices.Clone(survey.Objects())
+	mirror, err := catalog.NewSurvey(persistSurveyConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	births, err := mirror.GrowObjects(rand.New(rand.NewSource(5)), 1, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.AddObjects(births); err != nil {
+		t.Fatal(err)
+	}
+	newborn := births[0].Object
+	all := []model.ObjectID{newborn.ID}
+	for _, o := range base {
+		all = append(all, o.ID)
+	}
+	slices.Sort(all)
+	meta := []model.Object{newborn}
+	dir := t.TempDir()
+	spawn := func() *cache.Middleware {
+		t.Helper()
+		mw, err := cache.New(cache.Config{
+			RepoAddr: repo.Addr(),
+			Policy:   core.NewVCover(core.DefaultVCoverConfig()),
+			Objects:  base,
+			Shard:    true,
+			Capacity: 20 * cost.GB,
+			Scale:    netproto.PayloadScale{},
+			DataDir:  dir,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mw
+	}
+
+	mw1 := spawn()
+	if _, _, err := mw1.Reshard(0, all[:len(base)], nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := mw1.Reshard(1, all, meta, []model.ObjectID{newborn.ID}); err != nil {
+		t.Fatal(err)
+	}
+	if got := mw1.Stats().Cached; !slices.Equal(got, []model.ObjectID{newborn.ID}) {
+		t.Fatalf("cached after the warm arrival = %v, want [%d]", got, newborn.ID)
+	}
+	if err := mw1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mw2 := spawn()
+	defer mw2.Close()
+	if got := mw2.Stats().Cached; !slices.Equal(got, []model.ObjectID{newborn.ID}) {
+		t.Fatalf("restarted shard holds %v, want the recovered [%d]", got, newborn.ID)
+	}
+	if _, _, err := mw2.Reshard(0, all, meta, nil); err != nil {
+		t.Fatal(err)
+	}
+	st := mw2.Stats()
+	if !slices.Equal(st.Cached, []model.ObjectID{newborn.ID}) || st.RecoveredWarm != 1 {
+		t.Errorf("after the install: cached %v, recovered warm %d; want [%d] and 1", st.Cached, st.RecoveredWarm, newborn.ID)
+	}
+}

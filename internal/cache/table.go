@@ -95,26 +95,6 @@ func (t *objectTable) knownPrefix() model.ObjectID {
 	return model.ObjectID(len(t.dense))
 }
 
-// all yields every known object, dense range first in ascending ID
-// order, then sparse overflow in map order.
-func (t *objectTable) all() iter.Seq[model.Object] {
-	return func(yield func(model.Object) bool) {
-		for i := range t.dense {
-			if t.dense[i].ID == 0 {
-				continue
-			}
-			if !yield(t.dense[i]) {
-				return
-			}
-		}
-		for _, o := range t.sparse {
-			if !yield(o) {
-				return
-			}
-		}
-	}
-}
-
 // idSet is a set of object IDs with the same dense/sparse split as
 // objectTable: a bitset indexed by id−1 (one bit per object — 128 KiB
 // for a million-object shard, where the set it replaced cost tens of

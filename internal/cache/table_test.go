@@ -70,18 +70,6 @@ func TestObjectTableDenseSparse(t *testing.T) {
 	if tab.has(9) {
 		t.Fatal("hole in the dense range reported present")
 	}
-
-	// Iteration yields each member exactly once, dense range ascending.
-	var ids []model.ObjectID
-	for o := range tab.all() {
-		ids = append(ids, o.ID)
-	}
-	if len(ids) != tab.len() {
-		t.Fatalf("all() yielded %d of %d members", len(ids), tab.len())
-	}
-	if !slices.IsSorted(ids) {
-		t.Fatal("all-dense iteration not in ascending ID order")
-	}
 }
 
 func TestIDSetDenseSparse(t *testing.T) {

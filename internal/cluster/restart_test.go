@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -253,5 +254,63 @@ func TestRestartRecoverySoak(t *testing.T) {
 		}); err != nil {
 			t.Errorf("born object %d not queryable after restart: %v", id, err)
 		}
+	}
+}
+
+// TestRestartedShardKeepsWarmNewborn: a newborn resident on the shard
+// that adopted its birth moves warm, in a resize, to a shard that never
+// adopted it and learned its metadata only from the reshard. Restarted
+// from its data directory, that shard holds every resident it had again
+// once the router's reshard installs it, the newborn included, and
+// counts each in RecoveredWarm.
+func TestRestartedShardKeepsWarmNewborn(t *testing.T) {
+	rc := spawnRestartCluster(t, 12, t.TempDir())
+	rc.grow(t, rand.New(rand.NewSource(3)), 6, time.Second)
+	cl, err := client.DialCluster(rc.lc.Router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	born := rc.known[12:]
+	// A query costing the object's size loads it at its owner.
+	for _, id := range born {
+		if _, err := cl.Query(ctx, model.Query{
+			Objects: []model.ObjectID{id}, Cost: cost.GB,
+			Tolerance: model.AnyStaleness, Time: 2 * time.Second,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := rc.lc.Router.Ownership()
+	if _, err := rc.lc.Resize(ctx, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	after := rc.lc.Router.Ownership()
+	var shard int
+	newborn := model.ObjectID(-1)
+	for _, id := range born {
+		was, _ := before.Owner(id)
+		now, _ := after.Owner(id)
+		if was != now {
+			shard, newborn = now, id
+			break
+		}
+	}
+	if newborn < 0 {
+		t.Fatal("no newborn changed shards in the resize; the test would be vacuous")
+	}
+	warm := rc.lc.Shards[shard].Stats().Cached
+	if !slices.Contains(warm, newborn) {
+		t.Fatalf("newborn %d did not arrive warm on shard %d (cached %v)", newborn, shard, warm)
+	}
+	if err := rc.lc.RestartShard(ctx, shard); err != nil {
+		t.Fatal(err)
+	}
+	st := rc.lc.Shards[shard].Stats()
+	if !slices.Equal(st.Cached, warm) {
+		t.Errorf("restarted shard %d holds %v, want %v (newborn %d)", shard, st.Cached, warm, newborn)
+	}
+	if st.RecoveredWarm != int64(len(warm)) {
+		t.Errorf("RecoveredWarm = %d, want %d", st.RecoveredWarm, len(warm))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,7 +96,7 @@ func TestJournalReplaySeedCorpus(t *testing.T) {
 		seedJournal(1),
 		{},
 		append([]byte("DPJ1"), 0xff, 0xff, 0xff),
-		append([]byte("DPS1"), 0xff, 0xff, 0xff),
+		append([]byte("DPS2"), 0xff, 0xff, 0xff),
 	}
 	for _, seed := range [][]byte{valid, snap} {
 		for cut := 1; cut < len(seed); cut += 3 {
@@ -129,6 +130,12 @@ func TestJournalReplaySeedCorpus(t *testing.T) {
 	}
 	if _, err := decodeSnapshotFile(snap); err != nil {
 		t.Fatalf("valid snapshot: %v", err)
+	}
+	// A snapshot in the retired DPS1 format is refused by name, never
+	// misread as the current one.
+	old := append(bytes.Clone(oldSnapshotMagic), snap[len(snapshotMagic):]...)
+	if _, err := decodeSnapshotFile(old); err == nil || !strings.Contains(err.Error(), "DPS1") {
+		t.Fatalf("DPS1 snapshot: err %v, want one naming the old format", err)
 	}
 	// A CRC-corrupted snapshot must error (never silently half-load).
 	corrupt := bytes.Clone(snap)

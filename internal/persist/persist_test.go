@@ -13,15 +13,9 @@ import (
 
 func testState() *State {
 	return &State{
-		Epoch: 3,
-		Universe: []model.Object{
-			{ID: 1, Size: cost.GB, Trixel: 40},
-			{ID: 69, Size: 2 * cost.GB, Trixel: 41},
-		},
 		Births: []model.Birth{
 			{Object: model.Object{ID: 69, Size: 2 * cost.GB, Trixel: 41}, RA: 182.5, Dec: -1.25, Time: time.Hour},
 		},
-		Owned:    []model.ObjectID{1, 69},
 		Resident: []model.ObjectID{69},
 	}
 }
@@ -63,17 +57,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func assertState(t *testing.T, got, want *State) {
 	t.Helper()
-	if got.Epoch != want.Epoch {
-		t.Errorf("epoch %d, want %d", got.Epoch, want.Epoch)
-	}
-	if len(got.Universe) != len(want.Universe) {
-		t.Fatalf("universe %v, want %v", got.Universe, want.Universe)
-	}
-	for i := range want.Universe {
-		if got.Universe[i] != want.Universe[i] {
-			t.Errorf("universe[%d] = %+v, want %+v", i, got.Universe[i], want.Universe[i])
-		}
-	}
 	if len(got.Births) != len(want.Births) {
 		t.Fatalf("births %v, want %v", got.Births, want.Births)
 	}
@@ -82,10 +65,6 @@ func assertState(t *testing.T, got, want *State) {
 			t.Errorf("births[%d] = %+v, want %+v", i, got.Births[i], want.Births[i])
 		}
 	}
-	if (got.Owned == nil) != (want.Owned == nil) {
-		t.Errorf("owned nil-ness %v, want %v", got.Owned == nil, want.Owned == nil)
-	}
-	assertIDs(t, "owned", got.Owned, want.Owned)
 	assertIDs(t, "resident", got.Resident, want.Resident)
 }
 
@@ -98,28 +77,6 @@ func assertIDs(t *testing.T, what string, got, want []model.ObjectID) {
 		if got[i] != want[i] {
 			t.Errorf("%s[%d] = %d, want %d", what, i, got[i], want[i])
 		}
-	}
-}
-
-// TestNilOwnedRoundTrips pins the standalone-node shape: a nil owned
-// set (owns everything) must not come back as an empty one.
-func TestNilOwnedRoundTrips(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir)
-	st := testState()
-	st.Owned = nil
-	if err := s.WriteSnapshot(st); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2 := openStore(t, dir)
-	defer s2.Close()
-	got, err := s2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Owned != nil {
-		t.Errorf("owned = %v, want nil", got.Owned)
 	}
 }
 
@@ -154,9 +111,7 @@ func TestJournalReplayOverSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := testState()
-	want.Universe = append(want.Universe, newborn.Object)
 	want.Births = append(want.Births, newborn)
-	want.Owned = append(want.Owned, 70)
 	want.Resident = []model.ObjectID{70, 1}
 	assertState(t, got, want)
 }
@@ -167,7 +122,7 @@ func TestJournalReplayOverSnapshot(t *testing.T) {
 func TestTruncatedTailRecovers(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	if err := s.WriteSnapshot(&State{Epoch: 1}); err != nil {
+	if err := s.WriteSnapshot(&State{}); err != nil {
 		t.Fatal(err)
 	}
 	for id := model.ObjectID(1); id <= 10; id++ {
@@ -213,7 +168,7 @@ func TestTruncatedTailRecovers(t *testing.T) {
 func TestBitFlippedTailRecovers(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	if err := s.WriteSnapshot(&State{Epoch: 1}); err != nil {
+	if err := s.WriteSnapshot(&State{}); err != nil {
 		t.Fatal(err)
 	}
 	for id := model.ObjectID(1); id <= 8; id++ {
@@ -259,7 +214,7 @@ func TestBitFlippedTailRecovers(t *testing.T) {
 func TestStaleGenerationJournalIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	if err := s.WriteSnapshot(&State{Epoch: 1}); err != nil {
+	if err := s.WriteSnapshot(&State{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendAdmit(5); err != nil {
@@ -276,7 +231,7 @@ func TestStaleGenerationJournalIgnored(t *testing.T) {
 	if _, err := s2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.WriteSnapshot(&State{Epoch: 2, Resident: []model.ObjectID{9}}); err != nil {
+	if err := s2.WriteSnapshot(&State{Resident: []model.ObjectID{9}}); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()
@@ -290,9 +245,6 @@ func TestStaleGenerationJournalIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Epoch != 2 {
-		t.Errorf("epoch %d, want 2", st.Epoch)
-	}
 	assertIDs(t, "resident", st.Resident, []model.ObjectID{9})
 }
 
@@ -301,7 +253,7 @@ func TestStaleGenerationJournalIgnored(t *testing.T) {
 func TestTempSnapshotLeftoverIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	if err := s.WriteSnapshot(&State{Epoch: 7}); err != nil {
+	if err := s.WriteSnapshot(&State{Resident: []model.ObjectID{7}}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -315,9 +267,10 @@ func TestTempSnapshotLeftoverIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st == nil || st.Epoch != 7 {
-		t.Fatalf("recovered %+v, want epoch 7", st)
+	if st == nil {
+		t.Fatal("no state recovered")
 	}
+	assertIDs(t, "resident", st.Resident, []model.ObjectID{7})
 }
 
 // TestCorruptSnapshotErrors pins the asymmetry with the journal: a
@@ -382,4 +335,59 @@ func TestJournalRecordsResetAtSnapshot(t *testing.T) {
 	if got := s.JournalRecords(); got != 1 {
 		t.Errorf("JournalRecords = %d after a snapshot and one append, want 1", got)
 	}
+}
+
+// TestOverCapRecordRefused: a snapshot or journal record just over
+// maxRecord is refused when written, and the previous snapshot and
+// journal stay as they were, so recovery never meets a record it would
+// report as corrupt.
+func TestOverCapRecordRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	if err := s.WriteSnapshot(testState()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendAdmit(1); err != nil {
+		t.Fatal(err)
+	}
+	files := func() [2][]byte {
+		t.Helper()
+		var out [2][]byte
+		for i, name := range []string{snapshotFile, journalFile} {
+			raw, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = raw
+		}
+		return out
+	}
+	before := files()
+	// The record is the type byte plus the payload: one byte over the cap.
+	over := make([]byte, maxRecord)
+	if err := s.append(recBirth, over); err == nil {
+		t.Error("journal accepted a record over the cap")
+	}
+	if err := s.writeSnapshot(over); err == nil {
+		t.Error("snapshot accepted a record over the cap")
+	}
+	over = nil
+	if got := s.JournalRecords(); got != 1 {
+		t.Errorf("JournalRecords = %d after a refused append, want 1", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := files(); !bytes.Equal(after[0], before[0]) || !bytes.Equal(after[1], before[1]) {
+		t.Error("a refused record changed the snapshot or the journal")
+	}
+	s2 := openStore(t, dir)
+	defer s2.Close()
+	got, err := s2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := testState()
+	want.Resident = append(want.Resident, 1)
+	assertState(t, got, want)
 }

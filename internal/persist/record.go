@@ -1,12 +1,13 @@
 // Package persist is the durability layer under a Delta node: a
-// snapshot file holding the node's warm state (resident set, owned
-// universe metadata, born objects, reshard epoch) plus an append-only
-// journal recording the births and admission/eviction decisions made
-// since that snapshot. Together they let a restarted node rejoin the
-// deployment warm — the policy is initialized over the persisted
-// universe and re-adopts its residents through core.Warmable, the
-// boundary a live reshard's warm arrivals also cross — instead of
-// paying the full warmup the caching policies exist to avoid.
+// snapshot file holding what only the node knows (the births it adopted
+// and its resident set) plus an append-only journal recording the
+// births and admission/eviction decisions made since that snapshot.
+// Together they let a restarted node rejoin the deployment warm — the
+// policy is initialized over the configured universe plus the recovered
+// births and offered the recovered residents it owns through
+// core.Warmable, the boundary a live reshard's warm arrivals also
+// cross — instead of paying the full warmup the caching policies exist
+// to avoid.
 //
 // Record payloads are written by netproto.Encoder and read by
 // netproto.Decoder, so objects, births and ID lists have the same
@@ -50,14 +51,17 @@ const (
 )
 
 // Magic prefixes distinguish the two files (and their format version).
+// DPS1 snapshots also held the reshard epoch, the owned set and the
+// whole object universe; they are refused, never misread.
 var (
-	snapshotMagic = []byte("DPS1")
-	journalMagic  = []byte("DPJ1")
+	snapshotMagic    = []byte("DPS2")
+	oldSnapshotMagic = []byte("DPS1")
+	journalMagic     = []byte("DPJ1")
 )
 
 // maxRecord bounds a single record so a corrupt length prefix cannot
-// trigger an unbounded read; 64 MiB is far above any real snapshot of
-// a paper-scale universe.
+// trigger an unbounded read. Writers refuse a larger record
+// (checkRecord) rather than land one recovery would report as corrupt.
 const maxRecord = 64 << 20
 
 // castagnoli is the CRC-32C table (hardware-accelerated on the
@@ -69,6 +73,15 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func decodeErr(d *netproto.Decoder) error {
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("persist: %w", err)
+	}
+	return nil
+}
+
+// checkRecord refuses a payload whose record exceeds maxRecord, before
+// anything is written.
+func checkRecord(payload []byte) error {
+	if n := 1 + len(payload); n > maxRecord {
+		return fmt.Errorf("persist: a %d-byte record exceeds the %d-byte cap recovery accepts", n, maxRecord)
 	}
 	return nil
 }

@@ -8,34 +8,25 @@ import (
 	"github.com/deltacache/delta/internal/netproto"
 )
 
-// State is everything a node persists to rejoin warm: the newest
-// routing epoch it resharded for, the object universe it knows beyond
-// what its static configuration rebuilds (born objects in full
-// fidelity, plus bare metadata that arrived via reshard),
-// its owned set when it is a cluster shard, and the resident set its
-// policy should re-adopt. A restarting cache reads neither the epoch
-// nor the owned set: its router's next reshard supplies both.
+// State is what only the node itself knows, and so what it persists to
+// rejoin warm: the births it adopted and the objects it held resident.
+// Everything else is rebuilt or resent: the base universe from the
+// survey configuration, and a shard's owned set, epoch and the metadata
+// of births it never adopted from its router's first reshard. A
+// snapshot therefore grows with the node's births and warm state, not
+// with the survey.
 //
 // Residency is a warmth hint, not a durability contract: recovery
-// re-offers every resident the node still owns to a freshly built
-// policy through core.Warmable, which adopts only what fits. A stale or slightly wrong resident set therefore
-// costs warmth, never correctness — which is what lets journal replay
-// treat admissions and evictions as idempotent set operations.
+// offers every resident the node still owns to its policy through
+// core.Warmable, which adopts only what fits. A stale or slightly wrong
+// resident set therefore costs warmth, never correctness — which is
+// what lets journal replay treat admissions and evictions as idempotent
+// set operations.
 type State struct {
-	// Epoch is the newest reshard epoch the state was valid for.
-	Epoch int
-	// Universe holds object metadata the node cannot rebuild from its
-	// static configuration: born objects plus reshard arrivals. Base-partition objects need not appear (they are
-	// derived from the survey seed), but including them is harmless —
-	// recovery merges by ID.
-	Universe []model.Object
 	// Births are the adopted object births in publication order, full
 	// fidelity (sky position and publication time), so a resolver or a
 	// repository catalog can replay them through AddObject.
 	Births []model.Birth
-	// Owned is the owned object set, nil when the node owns everything
-	// (standalone cache or repository).
-	Owned []model.ObjectID
 	// Resident is the resident set at snapshot time.
 	Resident []model.ObjectID
 
@@ -44,35 +35,13 @@ type State struct {
 	generation uint64
 }
 
-// Clone returns a deep copy (recovery hands the state to callers that
-// mutate it while the store keeps its own copy for compaction).
-func (st *State) Clone() *State {
-	if st == nil {
-		return nil
-	}
-	return &State{
-		Epoch:    st.Epoch,
-		Universe: slices.Clone(st.Universe),
-		Births:   slices.Clone(st.Births),
-		Owned:    slices.Clone(st.Owned),
-		Resident: slices.Clone(st.Resident),
-	}
-}
-
 // encodeState renders a State as a recSnapshot payload.
 func encodeState(st *State) []byte {
-	e := netproto.NewEncoder(make([]byte, 0, 64+16*(len(st.Universe)+len(st.Births))+8*(len(st.Owned)+len(st.Resident))))
-	e.Uvarint(uint64(st.Epoch))
-	e.Uvarint(uint64(len(st.Universe)))
-	for i := range st.Universe {
-		e.Object(&st.Universe[i])
-	}
+	e := netproto.NewEncoder(make([]byte, 0, 16+40*len(st.Births)+8*len(st.Resident)))
 	e.Uvarint(uint64(len(st.Births)))
 	for i := range st.Births {
 		e.Birth(&st.Births[i])
 	}
-	e.Bool(st.Owned != nil)
-	e.ObjectIDs(st.Owned)
 	e.ObjectIDs(st.Resident)
 	return e.Bytes()
 }
@@ -80,26 +49,12 @@ func encodeState(st *State) []byte {
 // decodeState parses a recSnapshot payload.
 func decodeState(payload []byte) (*State, error) {
 	d := netproto.NewDecoder(payload)
-	st := &State{Epoch: int(d.Uvarint())}
-	if n := d.Len(3); n > 0 {
-		st.Universe = make([]model.Object, n)
-		for i := range st.Universe {
-			st.Universe[i] = d.Object()
-		}
-	}
+	st := &State{}
 	if n := d.Len(19); n > 0 {
 		st.Births = make([]model.Birth, n)
 		for i := range st.Births {
 			st.Births[i] = d.Birth()
 		}
-	}
-	hasOwned := d.Bool()
-	owned := d.ObjectIDs()
-	if hasOwned {
-		if owned == nil {
-			owned = []model.ObjectID{}
-		}
-		st.Owned = owned
 	}
 	st.Resident = d.ObjectIDs()
 	if err := decodeErr(d); err != nil {
@@ -119,17 +74,8 @@ func (st *State) apply(typ byte, payload []byte) error {
 		if err := decodeErr(d); err != nil {
 			return err
 		}
-		for _, known := range st.Births {
-			if known.Object.ID == b.Object.ID {
-				return nil
-			}
-		}
-		st.Births = append(st.Births, b)
-		if !slices.ContainsFunc(st.Universe, func(o model.Object) bool { return o.ID == b.Object.ID }) {
-			st.Universe = append(st.Universe, b.Object)
-		}
-		if st.Owned != nil && !slices.Contains(st.Owned, b.Object.ID) {
-			st.Owned = append(st.Owned, b.Object.ID)
+		if !slices.ContainsFunc(st.Births, func(known model.Birth) bool { return known.Object.ID == b.Object.ID }) {
+			st.Births = append(st.Births, b)
 		}
 	case recAdmit:
 		id := model.ObjectID(d.Varint())

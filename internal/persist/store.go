@@ -146,6 +146,9 @@ func (s *Store) Recover() (*State, error) {
 // record so WriteSnapshot can link the next journal to it — but
 // Recover tolerates any generation (the journal's must match).
 func decodeSnapshotFile(raw []byte) (*State, error) {
+	if bytes.HasPrefix(raw, oldSnapshotMagic) {
+		return nil, fmt.Errorf("persist: snapshot is in the retired %s format; delete the data directory to start cold", oldSnapshotMagic)
+	}
 	if len(raw) < len(snapshotMagic) || !bytes.Equal(raw[:len(snapshotMagic)], snapshotMagic) {
 		return nil, fmt.Errorf("persist: bad snapshot magic")
 	}
@@ -227,8 +230,16 @@ func replayJournal(raw []byte, wantGen uint64, st *State) (applied int, tailErr 
 // recovers to either the old snapshot plus its full journal or the new
 // snapshot alone: the journal is synced first, the temp snapshot is
 // synced before rename, the directory is synced after, and only then
-// is the journal reset under a new generation.
-func (s *Store) WriteSnapshot(st *State) error {
+// is the journal reset under a new generation. A state whose record
+// exceeds maxRecord is refused, and the previous snapshot and journal
+// stay as they were.
+func (s *Store) WriteSnapshot(st *State) error { return s.writeSnapshot(encodeState(st)) }
+
+// writeSnapshot lands an encoded state as the new snapshot.
+func (s *Store) writeSnapshot(payload []byte) error {
+	if err := checkRecord(payload); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -243,7 +254,7 @@ func (s *Store) WriteSnapshot(st *State) error {
 	head.Uvarint(gen)
 	out := append([]byte(nil), snapshotMagic...)
 	out = frameRecord(out, recHeader, head.Bytes())
-	out = frameRecord(out, recSnapshot, encodeState(st))
+	out = frameRecord(out, recSnapshot, payload)
 
 	path := filepath.Join(s.opts.Dir, snapshotFile)
 	tmp := path + tempSuffix
@@ -324,8 +335,12 @@ func (s *Store) resetJournalLocked() error {
 }
 
 // append writes one framed record to the journal, syncing when the
-// batch fills (the time-based batcher covers the rest).
+// batch fills (the time-based batcher covers the rest). A record over
+// maxRecord is refused and the journal stays as it was.
 func (s *Store) append(typ byte, payload []byte) error {
+	if err := checkRecord(payload); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

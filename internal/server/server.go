@@ -217,8 +217,7 @@ func New(cfg Config) (*Repository, error) {
 
 // persistState captures the repository's durable state: the grown
 // universe as full-fidelity births (static base objects rebuild from
-// the survey seed). No epoch, ownership, or residency — the repository
-// owns everything and caches nothing.
+// the survey seed). No residents: the repository caches nothing.
 func (r *Repository) persistState() *persist.State {
 	return &persist.State{Births: r.cfg.Survey.BornObjects()}
 }
