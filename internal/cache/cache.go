@@ -171,20 +171,14 @@ type Middleware struct {
 	births []model.Birth
 	held   []model.ObjectID
 
-	queries       atomic.Int64
-	atCache       atomic.Int64
-	shipped       atomic.Int64
-	droppedInv    atomic.Int64
-	dedupLoads    atomic.Int64
-	migratedIn    atomic.Int64
-	bornObjects   atomic.Int64
-	recoveredWarm atomic.Int64
-	replicas      atomic.Int64 // deployed replication factor K (≥ 1)
+	// Counters and gauges, declared on Reg in New; their help strings
+	// there say what each counts. Stats reads them.
+	queries, atCache, shipped, droppedInv, dedupLoads *obs.Counter
+	migratedIn, bornObjects, violations               *obs.Counter
+	recoveredWarm                                     *obs.Gauge
+	queryLat, loadLat, fsyncLat                       *obs.Histogram
 
-	queryLat   *obs.Histogram
-	loadLat    *obs.Histogram
-	fsyncLat   *obs.Histogram
-	violations *obs.Counter
+	replicas atomic.Int64 // deployed replication factor K (≥ 1)
 
 	// inv is the invalidation subscription; a cluster shard also sends
 	// its owned set on it (filter.go).
@@ -260,7 +254,36 @@ func New(cfg Config) (*Middleware, error) {
 		"Durability journal fsync latency.", nil)
 	m.violations = m.Reg.NewCounter("delta_decision_violations_total",
 		"Decision items the applier skipped and at-cache answers it shipped instead (absent or stale objects).")
-	obs.RegisterStats(m.Reg, func() (netproto.StatsMsg, error) { return m.Stats(), nil })
+	m.queries = m.Reg.NewCounter("delta_queries_total",
+		"Queries (whole, or a router's fragments) this cache handled.")
+	m.atCache = m.Reg.NewCounter("delta_queries_at_cache_total",
+		"Queries answered from local cache state (hits).")
+	m.shipped = m.Reg.NewCounter("delta_queries_shipped_total",
+		"Queries shipped upstream to the repository.")
+	m.droppedInv = m.Reg.NewCounter("delta_dropped_invalidations_total",
+		"Invalidation-stream frames this cache failed to apply: update notices and birth adoptions.")
+	m.dedupLoads = m.Reg.NewCounter("delta_deduped_loads_total",
+		"Object loads collapsed into an in-flight load (singleflight).")
+	m.migratedIn = m.Reg.NewCounter("delta_migrated_in_total",
+		"Objects adopted warm as a new holder during live resizes.")
+	m.bornObjects = m.Reg.NewCounter("delta_objects_born_total",
+		"Newly published objects admitted into this cache's universe.")
+	m.recoveredWarm = m.Reg.NewGauge("delta_recovered_warm",
+		"Residents re-adopted from disk at the last startup.")
+	m.Reg.NewCounterFunc("delta_cover_cache_hits_total",
+		"Sky-region resolutions answered from the HTM cover cache.",
+		func() float64 { hits, _ := m.covers.Stats(); return float64(hits) })
+	m.Reg.NewCounterFunc("delta_cover_cache_misses_total",
+		"Sky-region resolutions recomputed via partition cover.",
+		func() float64 { _, misses := m.covers.Stats(); return float64(misses) })
+	m.Reg.NewGaugeFunc("delta_cached_objects",
+		"Objects resident in this cache, recovered ones held for a shard's first reshard included.",
+		func() float64 {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			// Nothing else is resident while recovered residents are held.
+			return float64(len(m.held) + m.applier.Len())
+		})
 	for _, o := range cfg.Objects {
 		m.byID.put(o)
 	}
@@ -291,6 +314,7 @@ func New(cfg Config) (*Middleware, error) {
 	if recovered != nil {
 		universe = m.adoptRecovered(recovered)
 	}
+	m.ExposeAccounting(&m.ledger, m.store)
 	capacity := cfg.Capacity
 	if len(universe) > len(cfg.Objects) && cfg.ReshardCapacity != nil {
 		// The boot capacity was computed over the static universe; a
@@ -503,32 +527,32 @@ func (m *Middleware) journalPlan(p plan) {
 // Ledger returns a snapshot of the cache's traffic accounting.
 func (m *Middleware) Ledger() cost.Snapshot { return m.ledger.Snapshot() }
 
-// Stats returns a stats message describing the node.
+// Stats returns a stats message describing the node, read from the
+// instruments /metrics exposes.
 func (m *Middleware) Stats() netproto.StatsMsg {
 	m.mu.Lock()
 	cached := m.residentsLocked()
 	policy := m.policy.Name()
 	m.mu.Unlock()
-	stats := netproto.StatsMsg{
+	hits, misses := m.covers.Stats()
+	return netproto.StatsMsg{
 		Ledger:               m.ledger.Snapshot(),
 		Cached:               cached,
 		Policy:               policy,
-		Queries:              m.queries.Load(),
-		AtCache:              m.atCache.Load(),
-		Shipped:              m.shipped.Load(),
-		DroppedInvalidations: m.droppedInv.Load(),
-		DedupedLoads:         m.dedupLoads.Load(),
-		MigratedIn:           m.migratedIn.Load(),
-		ObjectsBorn:          m.bornObjects.Load(),
-		RecoveredWarm:        m.recoveredWarm.Load(),
+		Queries:              m.queries.Value(),
+		AtCache:              m.atCache.Value(),
+		Shipped:              m.shipped.Value(),
+		DroppedInvalidations: m.droppedInv.Value(),
+		DedupedLoads:         m.dedupLoads.Value(),
+		MigratedIn:           m.migratedIn.Value(),
+		ObjectsBorn:          m.bornObjects.Value(),
+		CoverCacheHits:       hits,
+		CoverCacheMisses:     misses,
+		SnapshotAge:          m.store.SnapshotAge(),
+		JournalRecords:       m.store.JournalRecords(),
+		RecoveredWarm:        m.recoveredWarm.Value(),
 		Replicas:             m.replicas.Load(),
 	}
-	stats.CoverCacheHits, stats.CoverCacheMisses = m.covers.Stats()
-	if m.store != nil {
-		stats.SnapshotAge = m.store.SnapshotAge()
-		stats.JournalRecords = m.store.JournalRecords()
-	}
-	return stats
 }
 
 // streamFrame is the invalidation stream's handler: a notice reaches
@@ -547,7 +571,7 @@ func (m *Middleware) streamFrame(f netproto.Frame) {
 			return
 		}
 		if _, err := m.AddObjects(ctx, birth.Births); err != nil {
-			m.droppedInv.Add(1)
+			m.droppedInv.Inc()
 			m.cfg.Logf("adopt births: %v", err)
 		}
 		return
@@ -573,14 +597,14 @@ func (m *Middleware) streamFrame(f netproto.Frame) {
 	d, err := m.policy.OnUpdate(&inv.Update)
 	if err != nil {
 		m.mu.Unlock()
-		m.droppedInv.Add(1)
+		m.droppedInv.Inc()
 		m.cfg.Logf("policy OnUpdate: %v", err)
 		return
 	}
 	p := m.applyLocked(model.Event{Kind: model.EventUpdate, Update: &inv.Update}, d)
 	m.mu.Unlock()
 	if err := m.executePlan(ctx, p); err != nil {
-		m.droppedInv.Add(1)
+		m.droppedInv.Inc()
 		m.cfg.Logf("apply update decision: %v", err)
 	}
 }
@@ -726,7 +750,7 @@ func (meta *queryMeta) span(node string, objects int, source string, elapsed tim
 
 func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta queryMeta) netproto.Frame {
 	start := time.Now()
-	m.queries.Add(1)
+	m.queries.Inc()
 
 	// Decision + bookkeeping under the lock; no I/O here. The owned
 	// check shares the critical section because a reshard changes the
@@ -762,7 +786,7 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 	if err := m.executePlan(ctx, p); err != nil {
 		return netproto.ErrorFrame("apply: %v", err)
 	}
-	m.atCache.Add(1)
+	m.atCache.Inc()
 	// A sibling query may have committed a load of one of our objects
 	// that is still materializing; join it so a "cache" answer never
 	// outruns the load it depends on.
@@ -792,7 +816,7 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 // load still fails the query, and the ledgers have settled by the time
 // the client sees the answer.
 func (m *Middleware) shipQuery(ctx context.Context, q *model.Query, meta queryMeta, start time.Time, p plan) netproto.Frame {
-	m.shipped.Add(1)
+	m.shipped.Inc()
 	m.startPlan(ctx, p)
 	reply, shipErr := m.repo.RoundTrip(ctx, netproto.Frame{
 		Type: netproto.MsgQuery,
@@ -980,7 +1004,7 @@ func (m *Middleware) sizeOf(id model.ObjectID) (cost.Bytes, bool) {
 func (m *Middleware) registerLoad(id model.ObjectID) pendingLoad {
 	c, leader := m.loads.register(id)
 	if !leader {
-		m.dedupLoads.Add(1)
+		m.dedupLoads.Inc()
 	}
 	return pendingLoad{id: id, call: c, leader: leader}
 }

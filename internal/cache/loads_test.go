@@ -338,11 +338,11 @@ func TestQuickBatchedLoadsMatchPerObjectFlights(t *testing.T) {
 			t.Logf("seed %d: repository charged %v for the batched run, %v for the oracle", seed, b, o)
 			ok = false
 		}
-		if b, o := batched.dedupLoads.Load(), oracle.dedupLoads.Load(); b != o {
+		if b, o := batched.dedupLoads.Value(), oracle.dedupLoads.Value(); b != o {
 			t.Logf("seed %d: deduped %d, oracle %d", seed, b, o)
 			ok = false
 		}
-		joined += batched.dedupLoads.Load()
+		joined += batched.dedupLoads.Value()
 		if requests != leading {
 			t.Logf("seed %d: %d repository load requests for %d leading decisions", seed, requests, leading)
 			ok = false

@@ -237,7 +237,7 @@ func (m *Middleware) initLocked(universe []model.Object, capacity cost.Bytes) (d
 			adopted = nil
 		}
 	}
-	m.recoveredWarm.Store(int64(len(adopted)))
+	m.recoveredWarm.Set(int64(len(adopted)))
 	m.cfg.Logf("recovered warm: %d of %d residents re-adopted", len(adopted), len(held))
 	return len(held) - len(adopted), nil
 }

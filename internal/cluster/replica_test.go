@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -387,5 +388,39 @@ func TestClusterReplicaStats(t *testing.T) {
 	}
 	if want := 2 * len(lc.Ownership.Universe()); total != want {
 		t.Errorf("shards hold %d object slots, want %d", total, want)
+	}
+}
+
+// TestClusterStatsListsEachResidentOnce pins the aggregate's resident
+// list at K=2: an object two shards hold is one cached object of the
+// cluster, so the aggregate lists the sorted union of the shards'
+// lists, each ID once.
+func TestClusterStatsListsEachResidentOnce(t *testing.T) {
+	_, lc := startReplicated(t, 2, 2, func(cfg *cluster.LocalConfig) {
+		cfg.Policy = func(int) core.Policy { return core.NewReplica() }
+	})
+	cl, err := client.DialCluster(lc.Router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	cs, err := cl.ClusterStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var union []model.ObjectID
+	for _, st := range cs.Shards {
+		union = append(union, st.Stats.Cached...)
+	}
+	held := len(union)
+	slices.Sort(union)
+	union = slices.Compact(union)
+	if held == len(union) {
+		t.Fatalf("shards hold %d residents with no object on two of them; K=2 Replica shards should share every one", held)
+	}
+	if !slices.Equal(cs.Aggregate.Cached, union) {
+		t.Errorf("aggregate lists %d residents, want the %d-object union %v of the shards' lists:\n%v",
+			len(cs.Aggregate.Cached), len(union), union, cs.Aggregate.Cached)
 	}
 }

@@ -77,8 +77,8 @@ type Config struct {
 	ResultCacheSize int
 	// MetricsAddr, when set, serves the debug HTTP mux (/metrics,
 	// /healthz, /debug/traces, /debug/pprof) on that address. The
-	// router's /metrics is the cluster view: the aggregate StatsMsg
-	// across shards plus router-local scatter/gather counters.
+	// router's /metrics holds only what the router counts; a scrape
+	// sends no frame to any shard (the cluster aggregate is MsgStats).
 	MetricsAddr string
 	// Logf logs events; nil silences.
 	Logf func(format string, args ...any)
@@ -251,17 +251,14 @@ func NewRouter(cfg Config) (*Router, error) {
 	r.Reg.NewGaugeFunc("delta_router_epoch",
 		"Current routing epoch (completed resizes).",
 		func() float64 { return float64(r.routing.Load().epoch) })
-	// The StatsMsg families on a router expose the cluster
-	// aggregate. A degraded probe (a shard down) reports an error so
-	// the scrape serves the last complete snapshot instead of a view
-	// with a shard's counters missing.
-	obs.RegisterStats(r.Reg, func() (netproto.StatsMsg, error) {
-		cs := r.clusterStats(context.Background())
-		if cs.Degraded {
-			return cs.Aggregate, fmt.Errorf("cluster: stats probe degraded")
-		}
-		return cs.Aggregate, nil
-	})
+	// Region resolution happens here, not on the shards. What the
+	// shards count they expose themselves.
+	r.Reg.NewCounterFunc("delta_cover_cache_hits_total",
+		"Sky-region resolutions answered from the router's HTM cover cache.",
+		func() float64 { hits, _ := r.covers.Stats(); return float64(hits) })
+	r.Reg.NewCounterFunc("delta_cover_cache_misses_total",
+		"Sky-region resolutions the router recomputed via partition cover.",
+		func() float64 { _, misses := r.covers.Stats(); return float64(misses) })
 	rt := &routing{own: cfg.Ownership}
 	for i, addr := range cfg.Shards {
 		link, err := r.dialLink(addr, i)
@@ -946,7 +943,8 @@ func (r *Router) probeStats(ctx context.Context, links []*shardLink) []netproto.
 
 // clusterStats probes every shard and builds the cluster-wide view. A
 // shard that fails to answer is reported not-alive and the view marked
-// degraded; the aggregate covers the survivors.
+// degraded; the aggregate covers the survivors. Its Cached lists each
+// resident once, however many replicas hold it.
 func (r *Router) clusterStats(ctx context.Context) netproto.ClusterStatsMsg {
 	rt := r.routing.Load()
 	out := netproto.ClusterStatsMsg{Shards: r.probeStats(ctx, rt.links)}
@@ -996,7 +994,8 @@ func (r *Router) clusterStats(ctx context.Context) netproto.ClusterStatsMsg {
 	out.Aggregate.ResultCacheMisses += r.results.Misses()
 	out.Aggregate.CoalescedQueries += r.results.Coalesced()
 	out.Aggregate.GrantBatches += r.grantBatches.Value()
-	slices.SortFunc(out.Aggregate.Cached, func(a, b model.ObjectID) int { return cmp.Compare(a, b) })
+	slices.Sort(out.Aggregate.Cached)
+	out.Aggregate.Cached = slices.Compact(out.Aggregate.Cached)
 	return out
 }
 

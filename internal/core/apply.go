@@ -206,6 +206,9 @@ func (a *Applier) Residents() []model.ObjectID {
 	return slices.Sorted(maps.Keys(a.resident))
 }
 
+// Len is how many objects are resident.
+func (a *Applier) Len() int { return len(a.resident) }
+
 // Used is the resident objects' total size.
 func (a *Applier) Used() cost.Bytes { return a.used }
 

@@ -84,8 +84,8 @@ func TestApplierSequence(t *testing.T) {
 	if p.Stale || !slices.Equal(p.Evict, []model.ObjectID{1}) || len(p.Load) != 1 {
 		t.Errorf("evict-and-reload plan %+v", p)
 	}
-	if got := a.Residents(); !slices.Equal(got, []model.ObjectID{1}) || !a.Resident(1) || a.Resident(2) || a.Used() != 10 {
-		t.Errorf("residents %v, used %v", got, a.Used())
+	if got := a.Residents(); !slices.Equal(got, []model.ObjectID{1}) || a.Len() != 1 || !a.Resident(1) || a.Resident(2) || a.Used() != 10 {
+		t.Errorf("residents %v (Len %d), used %v", got, a.Len(), a.Used())
 	}
 }
 

@@ -379,7 +379,10 @@ type InvalidateMsg struct {
 	Update model.Update
 }
 
-// StatsMsg carries a ledger snapshot.
+// StatsMsg is a node's MsgStats answer: its traffic ledger, residents,
+// policy and counters. A repository or cache reads each counter from the
+// instrument its /metrics exposes; a router answers with the cluster
+// aggregate (ClusterStatsMsg.Aggregate), which no /metrics exposes.
 type StatsMsg struct {
 	Ledger  cost.Snapshot
 	Cached  []model.ObjectID
@@ -390,8 +393,8 @@ type StatsMsg struct {
 	// DroppedInvalidations counts invalidation notices that were not
 	// applied: at the repository, the streams a full subscriber buffer
 	// forced it to cut (the non-blocking pipeline send; the consumer
-	// fails closed and resubscribes); at the cache, notices whose policy
-	// application failed.
+	// fails closed and resubscribes); at the cache, stream frames it
+	// failed to apply — notices and birth adoptions.
 	DroppedInvalidations int64
 	// DedupedLoads counts object loads the cache's per-object
 	// singleflight collapsed into an already-running flight instead of
@@ -418,9 +421,9 @@ type StatsMsg struct {
 	// since the last snapshot (bounds what a crash right now replays);
 	// every snapshot zeroes it.
 	JournalRecords int64
-	// RecoveredWarm counts residents the node re-adopted from disk at
-	// its last startup (via the policy's Warm carry-over boundary);
-	// zero for a cold start.
+	// RecoveredWarm counts residents a cache re-adopted from disk at
+	// its last startup (via the policy's Warm carry-over boundary), or
+	// the births a repository replayed from disk; zero for a cold start.
 	RecoveredWarm int64
 	// Replicas is the replication factor K the node serves under (how
 	// many shards hold each object); 1 for an unreplicated deployment.

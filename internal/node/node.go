@@ -10,8 +10,10 @@ import (
 	"sync"
 	"time"
 
+	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/netproto"
 	"github.com/deltacache/delta/internal/obs"
+	"github.com/deltacache/delta/internal/persist"
 )
 
 // DefaultInterval is Every's period when the caller has none (both
@@ -114,6 +116,29 @@ func (n *Node) Every(interval time.Duration, task func()) {
 			}
 		}
 	})
+}
+
+// ExposeAccounting declares what the repository and the cache both
+// account for, read at scrape time: the six delta_ledger_* families from
+// l, and the durability gauges from store (0 on a node without one).
+func (n *Node) ExposeAccounting(l *cost.Ledger, store *persist.Store) {
+	for _, m := range []struct {
+		mech               cost.Mechanism
+		bytes, count, what string
+	}{
+		{cost.QueryShip, "delta_ledger_query_ship_bytes_total", "delta_ledger_query_ships_total", "query shipping"},
+		{cost.UpdateShip, "delta_ledger_update_ship_bytes_total", "delta_ledger_update_ships_total", "update shipping"},
+		{cost.ObjectLoad, "delta_ledger_object_load_bytes_total", "delta_ledger_object_loads_total", "object loading"},
+	} {
+		n.Reg.NewCounterFunc(m.bytes, "Logical bytes charged to "+m.what+".",
+			func() float64 { return float64(l.ByMechanism(m.mech)) })
+		n.Reg.NewCounterFunc(m.count, "Transfers charged to "+m.what+".",
+			func() float64 { return float64(l.Count(m.mech)) })
+	}
+	n.Reg.NewGaugeFunc("delta_snapshot_age_seconds", "Age of the newest durability snapshot (0 when persistence is off).",
+		func() float64 { return store.SnapshotAge().Seconds() })
+	n.Reg.NewGaugeFunc("delta_journal_records", "Durability journal records appended since the last snapshot (what a crash now would replay).",
+		func() float64 { return float64(store.JournalRecords()) })
 }
 
 // acceptLoop exits only when the listener is closed: any other Accept error

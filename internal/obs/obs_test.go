@@ -2,14 +2,12 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
-	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
 )
 
@@ -369,60 +367,5 @@ func TestDebugServer(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("debug server still answering after Close")
-	}
-}
-
-// TestRegisterStats pins the StatsMsg bridge: every field surfaces
-// under its metric name, the fetch is memoized across one scrape, and
-// a failing fetch serves the last good snapshot.
-func TestRegisterStats(t *testing.T) {
-	fetches := 0
-	fail := false
-	r := NewRegistry()
-	RegisterStats(r, func() (netproto.StatsMsg, error) {
-		fetches++
-		if fail {
-			return netproto.StatsMsg{}, fmt.Errorf("probe down")
-		}
-		return netproto.StatsMsg{
-			Queries: 10, AtCache: 6, Shipped: 4, ObjectsBorn: 2,
-			Cached:        []model.ObjectID{1, 2, 3},
-			SnapshotAge:   2 * time.Second,
-			RecoveredWarm: 5,
-		}, nil
-	})
-
-	fams := mustParse(t, r)
-	if fetches != 1 {
-		t.Fatalf("one scrape cost %d fetches, want 1 (memoization broken)", fetches)
-	}
-	expect := map[string]float64{
-		"delta_queries_total":          10,
-		"delta_queries_at_cache_total": 6,
-		"delta_queries_shipped_total":  4,
-		"delta_objects_born_total":     2,
-		"delta_cached_objects":         3,
-		"delta_snapshot_age_seconds":   2,
-		"delta_recovered_warm":         5,
-	}
-	for name, want := range expect {
-		fam := fams[name]
-		if fam == nil {
-			t.Fatalf("family %s missing", name)
-		}
-		if got := fam.Samples[name]; got != want {
-			t.Errorf("%s = %v, want %v", name, got, want)
-		}
-	}
-
-	// A failing fetch after the TTL serves the last good snapshot.
-	fail = true
-	time.Sleep(statsTTL + 50*time.Millisecond)
-	fams = mustParse(t, r)
-	if got := fams["delta_queries_total"].Samples["delta_queries_total"]; got != 10 {
-		t.Errorf("failed fetch dropped the last snapshot: queries = %v, want 10", got)
-	}
-	if fetches < 2 {
-		t.Errorf("TTL expiry did not re-fetch (fetches = %d)", fetches)
 	}
 }

@@ -28,9 +28,10 @@ import (
 // TestMetricsExpositionSmoke boots one node of each kind — a
 // repository, a cache against it, and a router over a shard — each with
 // its debug endpoint, serves a query through each, scrapes /metrics over
-// HTTP and fails on anything ParseExposition rejects or on a missing
-// family: an unparseable or incomplete exposition fails the build
-// before any dashboard sees it.
+// HTTP and fails on anything ParseExposition rejects, on a missing
+// family, on a family the node does not count, or on a value that
+// disagrees with the node's own StatsMsg: an unparseable, incomplete or
+// wrong exposition fails the build before any dashboard sees it.
 func TestMetricsExpositionSmoke(t *testing.T) {
 	scfg := catalog.DefaultConfig()
 	scfg.NumObjects = 8
@@ -54,25 +55,18 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 	}
 	defer repo.Close()
 
-	// Every StatsMsg-backed family plus the node's own histograms must
-	// be present in a single scrape.
+	// The repository exposes what it counts; what only a cache counts
+	// (hits, loads, residents, region covers) is absent, not zero.
 	families := scrapeAfterQuery(t, "repository", repo.Addr(), repo.DebugAddr(), survey.Objects()[0].ID,
 		"delta_queries_total",
-		"delta_queries_at_cache_total",
-		"delta_queries_shipped_total",
 		"delta_dropped_invalidations_total",
-		"delta_deduped_loads_total",
-		"delta_migrated_in_total",
 		"delta_objects_born_total",
-		"delta_cover_cache_hits_total",
-		"delta_cover_cache_misses_total",
 		"delta_ledger_query_ship_bytes_total",
 		"delta_ledger_update_ship_bytes_total",
 		"delta_ledger_object_load_bytes_total",
 		"delta_ledger_query_ships_total",
 		"delta_ledger_update_ships_total",
 		"delta_ledger_object_loads_total",
-		"delta_cached_objects",
 		"delta_snapshot_age_seconds",
 		"delta_journal_records",
 		"delta_recovered_warm",
@@ -80,6 +74,15 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_repo_load_seconds",
 		"delta_repo_notices_total",
 		"delta_journal_fsync_seconds",
+	)
+	absent(t, "repository", families,
+		"delta_queries_at_cache_total",
+		"delta_queries_shipped_total",
+		"delta_deduped_loads_total",
+		"delta_migrated_in_total",
+		"delta_cover_cache_hits_total",
+		"delta_cover_cache_misses_total",
+		"delta_cached_objects",
 	)
 	if f := families["delta_queries_total"]; f.Samples["delta_queries_total"] < 1 {
 		t.Errorf("delta_queries_total = %v after a served query, want >= 1",
@@ -114,9 +117,27 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 	scrapeAfterQuery(t, "cache", mw.Addr(), mw.DebugAddr(), survey.Objects()[0].ID,
 		"delta_queries_total",
 		"delta_queries_at_cache_total",
+		"delta_queries_shipped_total",
+		"delta_dropped_invalidations_total",
+		"delta_deduped_loads_total",
+		"delta_migrated_in_total",
+		"delta_objects_born_total",
+		"delta_cover_cache_hits_total",
+		"delta_cover_cache_misses_total",
+		"delta_ledger_query_ship_bytes_total",
+		"delta_ledger_update_ship_bytes_total",
+		"delta_ledger_object_load_bytes_total",
+		"delta_ledger_query_ships_total",
+		"delta_ledger_update_ships_total",
+		"delta_ledger_object_loads_total",
+		"delta_cached_objects",
+		"delta_snapshot_age_seconds",
+		"delta_journal_records",
+		"delta_recovered_warm",
 		"delta_decision_violations_total",
 		"delta_query_seconds",
 		"delta_load_seconds",
+		"delta_journal_fsync_seconds",
 		"delta_invalidation_gaps_total",
 	)
 
@@ -138,21 +159,77 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 	if err := router.Start(); err != nil {
 		t.Fatal(err)
 	}
-	scrapeAfterQuery(t, "router", router.Addr(), router.DebugAddr(), survey.Objects()[0].ID,
-		"delta_queries_total",
+	// The router exposes what it counts, region resolution included;
+	// the shards' totals are theirs to expose (or delta-client -stats).
+	families = scrapeAfterQuery(t, "router", router.Addr(), router.DebugAddr(), survey.Objects()[0].ID,
 		"delta_router_queries_total",
 		"delta_router_query_seconds",
 		"delta_router_fragment_seconds",
 		"delta_router_shards",
 		"delta_router_epoch",
+		"delta_cover_cache_hits_total",
+		"delta_cover_cache_misses_total",
 		"delta_invalidation_gaps_total",
 	)
+	absent(t, "router", families,
+		"delta_queries_total",
+		"delta_queries_at_cache_total",
+		"delta_queries_shipped_total",
+		"delta_dropped_invalidations_total",
+		"delta_deduped_loads_total",
+		"delta_migrated_in_total",
+		"delta_objects_born_total",
+		"delta_ledger_query_ship_bytes_total",
+		"delta_ledger_update_ship_bytes_total",
+		"delta_ledger_object_load_bytes_total",
+		"delta_ledger_query_ships_total",
+		"delta_ledger_update_ships_total",
+		"delta_ledger_object_loads_total",
+		"delta_cached_objects",
+		"delta_snapshot_age_seconds",
+		"delta_journal_records",
+		"delta_recovered_warm",
+	)
+	if got, want := families["delta_router_queries_total"].Samples["delta_router_queries_total"], float64(router.Queries()); got != want {
+		t.Errorf("delta_router_queries_total = %v, router counted %v", got, want)
+	}
+}
+
+// absent fails the test for every named family the node's scrape has.
+func absent(t *testing.T, node string, families map[string]*obs.Family, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		if _, ok := families[name]; ok {
+			t.Errorf("%s scrape has family %q, which it does not count", node, name)
+		}
+	}
+}
+
+// statsFamilies maps each family a StatsMsg field backs to its value.
+func statsFamilies(s *netproto.StatsMsg) map[string]float64 {
+	return map[string]float64{
+		"delta_queries_total":                  float64(s.Queries),
+		"delta_queries_at_cache_total":         float64(s.AtCache),
+		"delta_queries_shipped_total":          float64(s.Shipped),
+		"delta_objects_born_total":             float64(s.ObjectsBorn),
+		"delta_cached_objects":                 float64(len(s.Cached)),
+		"delta_cover_cache_hits_total":         float64(s.CoverCacheHits),
+		"delta_cover_cache_misses_total":       float64(s.CoverCacheMisses),
+		"delta_ledger_query_ship_bytes_total":  float64(s.Ledger.QueryShip),
+		"delta_ledger_update_ship_bytes_total": float64(s.Ledger.UpdateShip),
+		"delta_ledger_object_load_bytes_total": float64(s.Ledger.ObjectLoad),
+		"delta_ledger_query_ships_total":       float64(s.Ledger.QueryShips),
+		"delta_ledger_update_ships_total":      float64(s.Ledger.UpdateShips),
+		"delta_ledger_object_loads_total":      float64(s.Ledger.ObjectLoads),
+	}
 }
 
 // scrapeAfterQuery serves one query on obj through the node at addr,
 // scrapes its /metrics at debugAddr, and fails the test on an exposition
-// that does not parse or lacks a required family. /healthz must answer
-// on the same mux. It returns the parsed families.
+// that does not parse, lacks a required family, or reports a
+// StatsMsg-backed family other than the node's MsgStats answer read
+// after the scrape. /healthz must answer on the same mux. It returns the
+// parsed families.
 func scrapeAfterQuery(t *testing.T, node, addr, debugAddr string, obj model.ObjectID, required ...string) map[string]*obs.Family {
 	t.Helper()
 	if debugAddr == "" {
@@ -193,6 +270,15 @@ func scrapeAfterQuery(t *testing.T, node, addr, debugAddr string, obj model.Obje
 	for _, name := range required {
 		if _, ok := families[name]; !ok {
 			t.Errorf("%s scrape missing family %q", node, name)
+		}
+	}
+	st, err := cl.Stats(t.Context())
+	if err != nil {
+		t.Fatalf("%s stats: %v", node, err)
+	}
+	for name, want := range statsFamilies(st) {
+		if f, ok := families[name]; ok && f.Samples[name] != want {
+			t.Errorf("%s scrape %s = %v, its StatsMsg says %v", node, name, f.Samples[name], want)
 		}
 	}
 

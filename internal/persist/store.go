@@ -428,12 +428,20 @@ func (s *Store) AppendEvict(id model.ObjectID) error {
 
 // JournalRecords reports how many records the journal holds: those
 // appended since the last snapshot, which is what a crash right now
-// would replay.
-func (s *Store) JournalRecords() int64 { return s.records.Load() }
+// would replay. A nil Store (persistence off) reports 0.
+func (s *Store) JournalRecords() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.records.Load()
+}
 
 // SnapshotAge reports how long ago the newest snapshot landed (since
-// open, when none has yet).
+// open, when none has yet); 0 on a nil Store.
 func (s *Store) SnapshotAge() time.Duration {
+	if s == nil {
+		return 0
+	}
 	return time.Duration(time.Now().UnixNano() - s.lastSnap.Load())
 }
 

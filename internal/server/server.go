@@ -16,7 +16,6 @@ package server
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/deltacache/delta/internal/catalog"
@@ -68,21 +67,15 @@ type Repository struct {
 	subscribers map[int]*subscriber
 	nextSub     int
 
-	notices              *obs.Counter
-	droppedInvalidations atomic.Int64
-	objectsBorn          atomic.Int64
-	recoveredBirths      atomic.Int64
-
 	// store is the durability layer for the grown universe (nil when
 	// Config.DataDir is empty).
 	store *persist.Store
 
-	// queriesTotal mirrors StatsMsg.Queries, which the repository
-	// otherwise does not track.
-	queriesTotal atomic.Int64
-	execLat      *obs.Histogram
-	loadLat      *obs.Histogram
-	fsyncLat     *obs.Histogram
+	// Counters and gauges, declared on Reg in New; their help strings
+	// there say what each counts. Stats reads them.
+	queries, notices, droppedInvalidations, objectsBorn *obs.Counter
+	recoveredBirths                                     *obs.Gauge
+	execLat, loadLat, fsyncLat                          *obs.Histogram
 }
 
 // subscriber is one invalidation stream: the frames queued to it —
@@ -162,7 +155,14 @@ func New(cfg Config) (*Repository, error) {
 		"Durability journal fsync latency.", nil)
 	r.notices = r.Reg.NewCounter("delta_repo_notices_total",
 		"Update notices queued to invalidation subscribers, after each subscriber's ownership filter.")
-	obs.RegisterStats(r.Reg, func() (netproto.StatsMsg, error) { return r.Stats(), nil })
+	r.queries = r.Reg.NewCounter("delta_queries_total",
+		"Query requests this repository received, from caches and clients, refused ones included.")
+	r.droppedInvalidations = r.Reg.NewCounter("delta_dropped_invalidations_total",
+		"Invalidation streams cut because the subscriber's buffer was full.")
+	r.objectsBorn = r.Reg.NewCounter("delta_objects_born_total",
+		"Newly published objects ingested into the survey since start.")
+	r.recoveredBirths = r.Reg.NewGauge("delta_recovered_warm",
+		"Births replayed from disk into the survey at the last startup.")
 	if cfg.DataDir != "" {
 		store, err := persist.Open(persist.Options{
 			Dir:         cfg.DataDir,
@@ -195,7 +195,7 @@ func New(cfg Config) (*Repository, error) {
 				}
 				replayed++
 			}
-			r.recoveredBirths.Store(int64(replayed))
+			r.recoveredBirths.Set(int64(replayed))
 			if replayed > 0 {
 				cfg.Logf("recovered %d born objects from %s (universe now %d)",
 					replayed, cfg.DataDir, cfg.Survey.NumObjects())
@@ -212,6 +212,7 @@ func New(cfg Config) (*Repository, error) {
 			return store.Close()
 		}
 	}
+	r.ExposeAccounting(&r.ledger, r.store)
 	return r, nil
 }
 
@@ -246,7 +247,7 @@ func (r *Repository) Subscribers() int {
 // DroppedInvalidations reports how many invalidation streams were cut
 // because a subscriber's buffer was full.
 func (r *Repository) DroppedInvalidations() int64 {
-	return r.droppedInvalidations.Load()
+	return r.droppedInvalidations.Value()
 }
 
 // Notices reports how many update notices have been queued to
@@ -295,7 +296,7 @@ func (r *Repository) enqueueLocked(id int, s *subscriber, f netproto.Frame) bool
 	case s.ch <- f:
 		return true
 	default:
-		r.droppedInvalidations.Add(1)
+		r.droppedInvalidations.Inc()
 		r.cfg.Logf("invalidation subscriber %d is %d frames behind; cutting its stream", id, cap(s.ch))
 		delete(r.subscribers, id)
 		close(s.ch)
@@ -357,7 +358,7 @@ func (r *Repository) AddObjects(births []model.Birth) (int, error) {
 
 // ObjectsBorn reports how many new objects the repository has ingested
 // since start.
-func (r *Repository) ObjectsBorn() int64 { return r.objectsBorn.Load() }
+func (r *Repository) ObjectsBorn() int64 { return r.objectsBorn.Value() }
 
 func (r *Repository) servePipeline(c *netproto.Conn, hello netproto.Hello) error {
 	if _, err := netproto.ServeHandshake(c, hello, 0); err != nil {
@@ -509,26 +510,23 @@ func (r *Repository) handleRequest(f netproto.Frame) netproto.Frame {
 }
 
 // Stats snapshots the repository's StatsMsg view — what a MsgStats
-// request returns and what the /metrics exposition exports.
+// request returns — read from the instruments /metrics exposes.
 func (r *Repository) Stats() netproto.StatsMsg {
-	stats := netproto.StatsMsg{
+	return netproto.StatsMsg{
 		Ledger:               r.ledger.Snapshot(),
 		Policy:               "repository",
-		Queries:              r.queriesTotal.Load(),
-		DroppedInvalidations: r.droppedInvalidations.Load(),
-		ObjectsBorn:          r.objectsBorn.Load(),
-		RecoveredWarm:        r.recoveredBirths.Load(),
+		Queries:              r.queries.Value(),
+		DroppedInvalidations: r.droppedInvalidations.Value(),
+		ObjectsBorn:          r.objectsBorn.Value(),
+		SnapshotAge:          r.store.SnapshotAge(),
+		JournalRecords:       r.store.JournalRecords(),
+		RecoveredWarm:        r.recoveredBirths.Value(),
 	}
-	if r.store != nil {
-		stats.SnapshotAge = r.store.SnapshotAge()
-		stats.JournalRecords = r.store.JournalRecords()
-	}
-	return stats
 }
 
 func (r *Repository) execQuery(q *model.Query, traceID uint64) netproto.Frame {
 	start := time.Now()
-	r.queriesTotal.Add(1)
+	r.queries.Inc()
 	if len(q.Objects) == 0 {
 		return netproto.ErrorFrame("query %d accesses no objects", q.ID)
 	}
