@@ -85,8 +85,17 @@ func (p *decisionLog) OnUpdate(u *model.Update) (core.Decision, error) {
 }
 
 func (p *decisionLog) AddObjects(objs []model.Object) (core.Decision, error) {
-	d, err := p.Policy.(core.Grower).AddObjects(objs)
+	d, err := core.OptionalOf(p.Policy).Grower.AddObjects(objs)
 	return p.record(fmt.Sprintf("birth %d", objs[0].ID), d, err)
+}
+
+// Preload forwards the policy's starting set, if it has one, so a
+// preloading policy starts live as it does in the simulator.
+func (p *decisionLog) Preload() ([]model.ObjectID, bool) {
+	if pre := core.OptionalOf(p.Policy).Preloader; pre != nil {
+		return pre.Preload()
+	}
+	return nil, false
 }
 
 // last returns the newest entry, if any.
@@ -157,6 +166,7 @@ func TestLiveDecisionsMatchSim(t *testing.T) {
 		{"Benefit", func() core.Policy {
 			return core.NewBenefit(core.BenefitConfig{Window: 40, Alpha: 0.5, LoadAmortization: 2})
 		}},
+		{"Replica", func() core.Policy { return core.NewReplica() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			survey, err := catalog.NewSurvey(scfg) // pristine: births arrive through the trace

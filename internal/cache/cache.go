@@ -7,14 +7,16 @@
 // its policy sees every update the moment the repository ingests it (a
 // cluster shard: every update on what it owns, filter.go).
 //
-// Every decision is applied to core.Applier, the simulator's own ground
-// truth: a bad decision item is skipped as the simulator skips it, and
-// an at-cache answer over an absent or stale object fails closed — the
-// query ships. Each such violation counts in
-// delta_decision_violations_total.
+// The node is the I/O shell around core.Shard, the state machine the
+// simulator drives too, whose doc states the order of a recovery, a
+// reshard and a resume: the node moves what each Plan owes, writes the
+// journal and snapshots, and runs the filter handshake between a
+// reshard's halves. An at-cache answer over an absent or stale object
+// fails closed — the query ships — and counts, with every other
+// violation, in delta_decision_violations_total.
 //
 // Concurrency model: the policy's decision framework is sequential by
-// design, so OnQuery/OnUpdate and the applier run under one mutex — but
+// design, so every core.Shard call runs under one mutex — but
 // that critical section contains no network I/O. Query shipping, update
 // shipping and object loads all execute outside the lock on a
 // multiplexed repository session (a small connection pool with
@@ -25,16 +27,10 @@
 // bounded set of worker goroutines, so a query stalled on an object load
 // never head-of-line-blocks its neighbors. If the invalidation stream
 // is lost, the node fails closed — every query ships — until it has
-// resubscribed and evicted every resident (resume).
-//
-// A node keeps one policy and one core.Applier for its whole life:
-// births, reshards (migrate.go) and a resume after a gap all change them
-// in place, so what the policy has learned, and the updates outstanding
-// on every resident it keeps, carry across each.
+// resubscribed and resumed.
 package cache
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -63,10 +59,7 @@ type Config struct {
 	// (each one multiplexes; 0 means a small default).
 	RepoPool int
 	// Policy decides; nil defaults to VCover. The node keeps this one
-	// instance for its whole life: a standalone node initializes it in
-	// New, a cluster shard at its router's first reshard, and every
-	// later reshard changes its universe and capacity live
-	// (core.Grower, core.Warmable, core.Forgetter).
+	// instance for its whole life (core.Shard).
 	Policy core.Policy
 	// Objects is the object universe (must match the repository's).
 	Objects []model.Object
@@ -105,12 +98,8 @@ type Config struct {
 	// DataDir, when set, enables the durability layer (internal/persist):
 	// the node journals births and admission/eviction decisions, writes
 	// periodic snapshots of its births and residents, and on startup
-	// replays snapshot+journal to rejoin warm: the policy is initialized
-	// over Objects plus the recovered births and offered the recovered
-	// residents it owns through core.Warmable. A shard holds its
-	// recovered residents until its router's first reshard initializes
-	// its policy and offers it those it owns. Empty disables
-	// persistence.
+	// replays snapshot+journal to rejoin warm, in core.Shard's recovery
+	// order. Empty disables persistence.
 	DataDir string
 	// SnapshotInterval paces the periodic snapshot loop when DataDir is
 	// set (0 = 30s default). Snapshots are also written after every
@@ -134,27 +123,10 @@ type Middleware struct {
 	ledger cost.Ledger
 	repo   *netproto.Session
 
-	// mu guards the policy, the applier, the owned set and the reshard
-	// epoch (a reshard changes them together). The decision framework is
-	// sequential by design; network I/O never happens under this lock.
-	mu     sync.Mutex
-	policy core.Policy
-	// applier holds what is resident and the updates outstanding on it;
-	// events numbers the decisions applied to it.
-	applier *core.Applier
-	events  int64
-	// reshardEpoch is the newest routing epoch this node has resharded
-	// for; older MsgReshard frames (delayed retries from a superseded
-	// resize) are rejected instead of clobbering newer state, except a
-	// router's epoch-0 install, which starts its epochs over.
-	reshardEpoch int
-
-	// owned is what a shard owns (nil on a standalone cache, which owns
-	// everything); guarded by mu since reshards replace it live.
-	owned *idSet
-	// byID indexes the known universe for reshard lookups; guarded by
-	// mu since births and reshard metadata extend it live.
-	byID *objectTable
+	// mu guards shard, the node's decision state. The decision framework
+	// is sequential by design; network I/O never happens under this lock.
+	mu    sync.Mutex
+	shard *core.Shard
 
 	loads loadGroup
 
@@ -162,14 +134,8 @@ type Middleware struct {
 	// nil (every method still callable) when no Resolver is set.
 	covers *htm.CoverCache
 
-	// store is the durability layer (nil when Config.DataDir is empty);
-	// births holds every adopted birth in publication order (guarded by
-	// mu) so snapshots carry full-fidelity growth for the next restart;
-	// held are the recovered residents, sorted, that wait (guarded by mu)
-	// for initLocked to offer the owned ones to the policy.
-	store  *persist.Store
-	births []model.Birth
-	held   []model.ObjectID
+	// store is the durability layer (nil when Config.DataDir is empty).
+	store *persist.Store
 
 	// Counters and gauges, declared on Reg in New; their help strings
 	// there say what each counts. Stats reads them.
@@ -183,9 +149,6 @@ type Middleware struct {
 	// inv is the invalidation subscription; a cluster shard also sends
 	// its owned set on it (filter.go).
 	inv *node.Subscription
-	// deaf is set between a gap in the invalidation stream and its
-	// resume: no notice reaches the policy, so every query ships.
-	deaf atomic.Bool
 }
 
 // plan is an applied decision's core.Plan plus its loads as registered
@@ -239,9 +202,13 @@ func New(cfg Config) (*Middleware, error) {
 		cfg.Policy = core.NewVCover(core.DefaultVCoverConfig())
 	}
 	m := &Middleware{
-		cfg:    cfg,
-		policy: cfg.Policy,
-		byID:   newObjectTable(len(cfg.Objects)),
+		cfg: cfg,
+		shard: core.NewShard(core.ShardConfig{
+			Policy:   cfg.Policy,
+			Objects:  cfg.Objects,
+			Capacity: cfg.Capacity,
+			Resize:   cfg.ReshardCapacity,
+		}),
 	}
 	m.Node = node.New("cache", cfg.Addr, cfg.MetricsAddr, cfg.Logf, m.handleClientFrame)
 	m.replicas.Store(1)
@@ -281,18 +248,11 @@ func New(cfg Config) (*Middleware, error) {
 		func() float64 {
 			m.mu.Lock()
 			defer m.mu.Unlock()
-			// Nothing else is resident while recovered residents are held.
-			return float64(len(m.held) + m.applier.Len())
+			return float64(m.shard.Len())
 		})
-	for _, o := range cfg.Objects {
-		m.byID.put(o)
-	}
 
 	// Recover the previous incarnation's births and residents before the
-	// policy sees any universe: births the static config cannot rebuild
-	// must be part of what Init reasons about, and the recovered
-	// residents are held until initLocked offers them to the policy.
-	var recovered *persist.State
+	// policy sees any universe (core.Shard.Recover).
 	if cfg.DataDir != "" {
 		store, err := persist.Open(persist.Options{
 			Dir:         cfg.DataDir,
@@ -303,36 +263,40 @@ func New(cfg Config) (*Middleware, error) {
 			return nil, fmt.Errorf("cache: %w", err)
 		}
 		m.store = store
-		if recovered, err = store.Recover(); err != nil {
+		st, err := store.Recover()
+		if err != nil {
 			store.Close()
 			return nil, fmt.Errorf("cache: %w", err)
 		}
-	}
-	// A standalone cache owns the whole universe; a shard owns nothing
-	// until its router's first reshard.
-	universe := cfg.Objects
-	if recovered != nil {
-		universe = m.adoptRecovered(recovered)
+		if st != nil {
+			m.shard.Recover(st.Births, st.Resident)
+			m.cfg.Logf("recovered %d births and %d residents", len(st.Births), m.shard.Len())
+			// The resolver was built from the startup survey; recovered
+			// births must rejoin its universe or region covers would
+			// exclude them until the next live birth.
+			if len(st.Births) > 0 {
+				if err := m.covers.Grow(st.Births); err != nil {
+					m.cfg.Logf("recovery resolver growth: %v (region covers may miss recovered newborns)", err)
+				}
+			}
+		}
 	}
 	m.ExposeAccounting(&m.ledger, m.store)
-	capacity := cfg.Capacity
-	if len(universe) > len(cfg.Objects) && cfg.ReshardCapacity != nil {
-		// The boot capacity was computed over the static universe; a
-		// recovered grown universe resizes it the same way a reshard
-		// would.
-		capacity = cfg.ReshardCapacity(universe)
-	}
-	m.applier = core.NewApplier(capacity, m.sizeOf)
-	if cfg.Shard {
-		m.owned = newIDSet(0)
-	} else {
+	var start core.Start
+	var preload []pendingLoad
+	if !cfg.Shard {
+		// A standalone cache owns the whole universe; a shard owns
+		// nothing until its router's first reshard.
 		m.mu.Lock()
-		_, err := m.initLocked(universe, capacity)
+		var err error
+		start, err = m.shard.Init()
+		preload = m.registerLoads(start.Preload)
 		m.mu.Unlock()
 		if err != nil {
 			m.closeStore()
 			return nil, err
 		}
+		m.logStart(start)
 	}
 	if m.store != nil {
 		// Land the post-recovery truth as the new baseline snapshot (and
@@ -355,8 +319,12 @@ func New(cfg Config) (*Middleware, error) {
 	// Invalidation subscription: every update applied once New returns
 	// is delivered here.
 	m.inv, err = m.Subscribe(cfg.RepoAddr, dial, node.StreamHandler{
-		Frame:  m.streamFrame,
-		Gap:    func() { m.deaf.Store(true) },
+		Frame: m.streamFrame,
+		Gap: func() {
+			m.mu.Lock()
+			m.shard.Gap()
+			m.mu.Unlock()
+		},
 		Resume: m.resume,
 	})
 	if err != nil {
@@ -379,42 +347,11 @@ func New(cfg Config) (*Middleware, error) {
 		}
 	}
 
-	if !cfg.Shard {
-		if err := m.preload(); err != nil {
-			m.Close()
-			return nil, fmt.Errorf("cache: %w", err)
-		}
+	if err := m.fetch(preload, start.Charge); err != nil {
+		m.Close()
+		return nil, fmt.Errorf("cache: preload: %w", err)
 	}
 	return m, nil
-}
-
-// preload applies the preload a freshly initialized policy requests
-// (Replica/SOptimal). Objects already resident stay as they are.
-func (m *Middleware) preload() error {
-	m.mu.Lock()
-	pre, ok := m.policy.(core.Preloader)
-	if !ok {
-		m.mu.Unlock()
-		return nil
-	}
-	objs, charge := pre.Preload()
-	objs = slices.DeleteFunc(slices.Clone(objs), m.applier.Resident)
-	err := m.applier.Preload(objs)
-	var loads []pendingLoad
-	if err == nil {
-		loads = make([]pendingLoad, len(objs))
-		for i, id := range objs {
-			loads[i] = m.registerLoad(id)
-		}
-	}
-	m.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := m.fetch(loads, charge); err != nil {
-		return fmt.Errorf("preload: %w", err)
-	}
-	return nil
 }
 
 // fetch runs loads through the same singleflight and flights as
@@ -439,35 +376,17 @@ func (m *Middleware) closeStore() {
 	}
 }
 
-// adoptRecovered restores the previous incarnation's births and holds
-// its residents, and returns the node's universe: Objects plus the
-// recovered births. Every node rebuilds everything else: the survey from
-// its configuration, and a shard the metadata of the births it owns from
-// its router's first reshard, which re-sends it before initLocked offers
-// the held residents — so a resident newborn the shard knew only from an
-// earlier reshard is kept.
-func (m *Middleware) adoptRecovered(st *persist.State) []model.Object {
-	m.births = st.Births
-	var extras []model.Object
-	for _, b := range st.Births {
-		if !m.byID.has(b.Object.ID) {
-			m.byID.put(b.Object)
-			extras = append(extras, b.Object)
-		}
+// logStart reports what the policy's initialization did with the held
+// recovered residents.
+func (m *Middleware) logStart(r core.Start) {
+	if r.Held == 0 {
+		return
 	}
-	slices.SortFunc(extras, func(a, b model.Object) int { return cmp.Compare(a.ID, b.ID) })
-	slices.Sort(st.Resident)
-	m.held = slices.Compact(st.Resident)
-	if len(st.Births) > 0 {
-		// The resolver was built from the startup survey; recovered
-		// births must rejoin its universe or region covers would exclude
-		// them until the next live birth.
-		if err := m.covers.Grow(st.Births); err != nil {
-			m.cfg.Logf("recovery resolver growth: %v (region covers may miss recovered newborns)", err)
-		}
+	if r.WarmErr != nil {
+		m.cfg.Logf("recovery warm-up: %v (restarting cold)", r.WarmErr)
 	}
-	m.cfg.Logf("recovered %d births and %d residents", len(st.Births), len(m.held))
-	return append(slices.Clip(m.cfg.Objects), extras...)
+	m.recoveredWarm.Set(int64(r.Adopted))
+	m.cfg.Logf("recovered warm: %d of %d residents re-adopted", r.Adopted, r.Held)
 }
 
 // persistState captures what only this node knows — its births and its
@@ -475,17 +394,7 @@ func (m *Middleware) adoptRecovered(st *persist.State) []model.Object {
 func (m *Middleware) persistState() *persist.State {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return &persist.State{Births: slices.Clone(m.births), Resident: m.residentsLocked()}
-}
-
-// residentsLocked lists the resident objects in ascending order: until
-// initLocked offers the held recovered ones to the policy, nothing else
-// is resident, and those are listed. mu must be held.
-func (m *Middleware) residentsLocked() []model.ObjectID {
-	if len(m.held) > 0 {
-		return slices.Clone(m.held)
-	}
-	return m.applier.Residents()
+	return &persist.State{Births: m.shard.Born(), Resident: m.shard.Residents()}
 }
 
 // snapshotNow lands a snapshot of the current state; errors are logged,
@@ -531,8 +440,8 @@ func (m *Middleware) Ledger() cost.Snapshot { return m.ledger.Snapshot() }
 // instruments /metrics exposes.
 func (m *Middleware) Stats() netproto.StatsMsg {
 	m.mu.Lock()
-	cached := m.residentsLocked()
-	policy := m.policy.Name()
+	cached := m.shard.Residents()
+	policy := m.cfg.Policy.Name()
 	m.mu.Unlock()
 	hits, misses := m.covers.Stats()
 	return netproto.StatsMsg{
@@ -561,10 +470,7 @@ func (m *Middleware) Stats() netproto.StatsMsg {
 func (m *Middleware) streamFrame(f netproto.Frame) {
 	ctx := context.Background()
 	if birth, ok := f.Body.(netproto.ObjectBirthMsg); ok {
-		m.mu.Lock()
-		sharded := m.owned != nil
-		m.mu.Unlock()
-		if sharded {
+		if m.cfg.Shard {
 			// A cluster shard adopts births only when its router grants
 			// them (MsgBirthGrant): ownership of a newborn is the
 			// router's assignment, not a broadcast.
@@ -582,59 +488,37 @@ func (m *Middleware) streamFrame(f netproto.Frame) {
 		return
 	}
 	m.mu.Lock()
-	if m.owned != nil && !m.owned.has(inv.Update.Object) {
-		// Not ours (not a drop): the repository's filter passes a
-		// superset of what this shard owns — the old set while a reshard
-		// narrows, every object above the horizon, the whole stream
-		// until its owned set is installed. A recovered resident held
-		// for the first reshard leaves instead of being offered stale.
-		if i, ok := slices.BinarySearch(m.held, inv.Update.Object); ok {
-			m.held = slices.Delete(m.held, i, i+1)
-		}
-		m.mu.Unlock()
-		return
-	}
-	d, err := m.policy.OnUpdate(&inv.Update)
-	if err != nil {
-		m.mu.Unlock()
-		m.droppedInv.Inc()
-		m.cfg.Logf("policy OnUpdate: %v", err)
-		return
-	}
-	p := m.applyLocked(model.Event{Kind: model.EventUpdate, Update: &inv.Update}, d)
+	step, err := m.shard.Notice(&inv.Update)
+	p := m.planLocked(step)
 	m.mu.Unlock()
-	if err := m.executePlan(ctx, p); err != nil {
+	if err == nil {
+		err = m.executePlan(ctx, p)
+	}
+	if err != nil {
 		m.droppedInv.Inc()
-		m.cfg.Logf("apply update decision: %v", err)
+		m.cfg.Logf("apply notice of update %d: %v", inv.Update.ID, err)
 	}
 }
 
-// resume is the invalidation stream's Resume. The repository kept no
-// notice for the node while it was away, and an outstanding update ID
-// from before the gap may no longer ship, so any resident may be stale:
-// the node evicts every resident with the updates outstanding on it and
-// keeps its universe and its policy (coldLocked), snapshots, so a
-// restart cannot resurrect what it dropped, and hears again. A shard
-// then re-sends its owned set without awaiting the echo: until the
-// repository installs it, the new stream is unfiltered, a superset.
-// Births announced during the gap are missed. A node whose policy cannot
-// forget (core.Forgetter) keeps its residents and stays deaf: every
-// query keeps shipping.
+// resume is the invalidation stream's Resume: the node resumes cold
+// (core.Shard.Resume), snapshots, so a restart cannot resurrect what it
+// dropped, and a shard re-sends its owned set without awaiting the
+// echo: until the repository installs it, the new stream is unfiltered,
+// a superset. Births announced during the gap are missed.
 func (m *Middleware) resume(sub *node.Subscription) {
 	if err := m.repo.Redial(); err != nil {
 		m.cfg.Logf("redial repository: %v", err)
 	}
 	m.mu.Lock()
-	p, err := m.coldLocked()
-	sharded := m.owned != nil
+	step, err := m.shard.Resume()
+	p := m.planLocked(step)
 	m.mu.Unlock()
 	if err != nil {
 		m.cfg.Logf("evict after the gap: %v; every query keeps shipping", err)
 		return
 	}
 	m.snapshotNow()
-	m.deaf.Store(false)
-	if sharded {
+	if m.cfg.Shard {
 		sub.Send(m.filterFrame())
 	}
 	m.Go(func() {
@@ -642,31 +526,6 @@ func (m *Middleware) resume(sub *node.Subscription) {
 			m.cfg.Logf("reload after the gap: %v", err)
 		}
 	})
-}
-
-// coldLocked evicts every resident, with the updates outstanding on it,
-// through the calls a reshard makes: each leaves the policy's universe
-// (core.Forgetter) and rejoins it cold (core.Grower). Recovered
-// residents still held for a shard's install are dropped. It returns
-// the plan of the rejoin, whose loads (Replica's) are owed uncharged. mu
-// must be held.
-func (m *Middleware) coldLocked() (plan, error) {
-	m.held = nil
-	residents := m.applier.Residents()
-	if len(residents) == 0 {
-		return plan{}, nil
-	}
-	if _, ok := m.policy.(core.Grower); !ok {
-		return plan{}, fmt.Errorf("cache: policy %s cannot grow its universe", m.policy.Name())
-	}
-	objs := make([]model.Object, len(residents))
-	for i, id := range residents {
-		objs[i], _ = m.byID.get(id)
-	}
-	if _, err := m.forgetLocked(residents, m.applier.Capacity()); err != nil {
-		return plan{}, err
-	}
-	return m.growLocked(objs)
 }
 
 // orError turns a handler's failure into the MsgError reply its peer
@@ -752,31 +611,14 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 	start := time.Now()
 	m.queries.Inc()
 
-	// Decision + bookkeeping under the lock; no I/O here. The owned
-	// check shares the critical section because a reshard changes the
-	// owned set and the policy's universe together.
+	// Decision + bookkeeping under the lock; no I/O here.
 	m.mu.Lock()
-	if m.owned != nil {
-		for _, id := range q.Objects {
-			if !m.owned.has(id) {
-				m.mu.Unlock()
-				return netproto.ErrorFrame("query %d touches object %d not owned by this shard", q.ID, id)
-			}
-		}
-	}
-	if m.deaf.Load() {
-		// No notice reaches the policy until the stream resumes, so its
-		// view of currency is blind: ship without consulting it.
-		m.mu.Unlock()
-		return m.shipQuery(ctx, q, meta, start, plan{})
-	}
-	d, err := m.policy.OnQuery(q)
-	if err != nil {
-		m.mu.Unlock()
-		return netproto.ErrorFrame("policy: %v", err)
-	}
-	p := m.applyLocked(model.Event{Kind: model.EventQuery, Query: q}, d)
+	step, err := m.shard.Query(q)
+	p := m.planLocked(step)
 	m.mu.Unlock()
+	if err != nil {
+		return netproto.ErrorFrame("%v", err)
+	}
 
 	// Repository I/O outside the lock. An at-cache answer the applier
 	// found absent or stale fails closed: it ships.
@@ -858,10 +700,7 @@ func (m *Middleware) shipQuery(ctx context.Context, q *model.Query, meta queryMe
 // published straight to a shard would make it claim objects the router
 // routes elsewhere.
 func (m *Middleware) handleBirths(ctx context.Context, body netproto.ObjectBirthMsg) (netproto.Frame, error) {
-	m.mu.Lock()
-	sharded := m.owned != nil
-	m.mu.Unlock()
-	if sharded {
+	if m.cfg.Shard {
 		return netproto.Frame{}, fmt.Errorf("cache: this node is a cluster shard; publish births through the cluster router")
 	}
 	reply, err := m.repo.RoundTrip(ctx, netproto.Frame{
@@ -910,46 +749,20 @@ func (m *Middleware) handleBirthGrant(ctx context.Context, body netproto.BirthGr
 }
 
 // AddObjects admits newly published objects into the node's universe,
-// live: the policy's universe extends (core.Grower), the owned set
-// grows when the node is a cluster shard (the router grants a birth
-// only to its owning shards), and any immediate decision the policy
-// returns (Replica loads newborns) is executed. Births already known
-// are skipped, so adoption is idempotent across the announcement
+// live (core.Shard.Births), journals them, and executes any immediate
+// decision the policy returns (Replica loads newborns). Births already
+// known are skipped, so adoption is idempotent across the announcement
 // stream and the router's grants. Returns how many births were new.
 func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int, error) {
 	m.mu.Lock()
-	if m.awaitingInstallLocked() {
-		m.mu.Unlock()
-		return 0, fmt.Errorf("cache: this shard owns nothing until its router's first reshard")
-	}
-	fresh := make([]model.Object, 0, len(births))
-	freshBirths := make([]model.Birth, 0, len(births))
-	for _, b := range births {
-		if m.byID.has(b.Object.ID) {
-			continue
-		}
-		fresh = append(fresh, b.Object)
-		freshBirths = append(freshBirths, b)
-	}
-	if len(fresh) == 0 {
-		m.mu.Unlock()
-		return 0, nil
-	}
-	p, err := m.growLocked(fresh)
-	if err != nil {
-		m.mu.Unlock()
+	step, fresh, err := m.shard.Births(births)
+	p := m.planLocked(step)
+	m.mu.Unlock()
+	if err != nil || len(fresh) == 0 {
 		return 0, err
 	}
-	if m.owned != nil {
-		for _, o := range fresh {
-			m.owned.add(o.ID)
-		}
-	}
-	m.births = append(m.births, freshBirths...)
-	universe := m.byID.len()
-	m.mu.Unlock()
 	if m.store != nil {
-		for _, b := range freshBirths {
+		for _, b := range fresh {
 			if jerr := m.store.AppendBirth(b); jerr != nil {
 				m.cfg.Logf("journal birth %d: %v", b.Object.ID, jerr)
 				break
@@ -963,40 +776,36 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 	// birth load (Replica) rolls residency back exactly like any
 	// failed load.
 	m.bornObjects.Add(int64(len(fresh)))
-	if err := m.covers.Grow(freshBirths); err != nil {
+	if err := m.covers.Grow(fresh); err != nil {
 		m.cfg.Logf("resolver growth: %v (region covers may miss newborns)", err)
 	}
-	m.cfg.Logf("admitted %d born objects (universe now %d)", len(fresh), universe)
+	m.cfg.Logf("admitted %d born objects", len(fresh))
 	if err := m.executePlan(ctx, p); err != nil {
 		return len(fresh), fmt.Errorf("cache: execute birth decision: %w", err)
 	}
 	return len(fresh), nil
 }
 
-// applyLocked applies d to the applier as the node's next event, counts
-// and logs its violations, and registers the loads it owes. mu must be
-// held. Residency is optimistic: an accepted load is resident at once
-// (local answers join its flight through loadGroup), and a flight that
-// fails unloads its objects again.
-func (m *Middleware) applyLocked(e model.Event, d core.Decision) plan {
-	m.events++
-	e.Seq = m.events
-	ap, violations := m.applier.Apply(&e, d)
-	for _, v := range violations {
+// planLocked counts and logs a step's violations and registers the
+// loads it owes. mu must be held. Residency is optimistic: an accepted
+// load is resident at once (local answers join its flight through
+// loadGroup), and a flight that fails unloads its objects again.
+func (m *Middleware) planLocked(s core.Step) plan {
+	for _, v := range s.Violations {
 		m.violations.Inc()
 		m.cfg.Logf("decision violation: %s", v)
 	}
-	p := plan{Plan: ap}
-	for _, o := range ap.Load {
-		p.loads = append(p.loads, m.registerLoad(o.ID))
-	}
-	return p
+	return plan{Plan: s.Plan, loads: m.registerLoads(s.Load)}
 }
 
-// sizeOf is the applier's view of the universe: byID, under mu.
-func (m *Middleware) sizeOf(id model.ObjectID) (cost.Bytes, bool) {
-	o, ok := m.byID.get(id)
-	return o.Size, ok
+// registerLoads registers objs' loads with the node's singleflight. mu
+// must be held.
+func (m *Middleware) registerLoads(objs []model.Object) []pendingLoad {
+	var loads []pendingLoad
+	for _, o := range objs {
+		loads = append(loads, m.registerLoad(o.ID))
+	}
+	return loads
 }
 
 // registerLoad joins id's in-flight load or registers a new one this
@@ -1078,7 +887,7 @@ func (m *Middleware) startLoads(ctx context.Context, loads []pendingLoad, charge
 		if err != nil {
 			m.mu.Lock()
 			for _, l := range led {
-				m.applier.Unload(l.id)
+				m.shard.Unload(l.id)
 			}
 			m.mu.Unlock()
 		}
@@ -1114,7 +923,7 @@ func (m *Middleware) loadObjects(ctx context.Context, loads []pendingLoad, charg
 	// reasoned about.
 	m.mu.Lock()
 	for i, o := range data.Objects {
-		if known, _ := m.byID.get(ids[i]); o != known {
+		if known, _ := m.shard.Object(ids[i]); o != known {
 			m.mu.Unlock()
 			return fmt.Errorf("load of object %d: the repository has %+v, this node has %+v", ids[i], o, known)
 		}

@@ -14,25 +14,19 @@
 // and sends the exact new set afterwards without waiting. Sends, waits
 // and swaps all hold the subscription's lock, which a resume also takes
 // to change connections, so a wait never counts another connection's
-// echo. The owned check in streamFrame stays as the safety net against
-// the surplus.
+// echo. The owned check in core.Shard.Notice stays as the safety net
+// against the surplus.
 package cache
 
-import (
-	"github.com/deltacache/delta/internal/model"
-	"github.com/deltacache/delta/internal/netproto"
-)
+import "github.com/deltacache/delta/internal/netproto"
 
 // filterFrame is the set this shard's notices must cover: what it owns
-// and every object above the known prefix. m.owned is non-nil.
+// and every object above the known prefix.
 func (m *Middleware) filterFrame() netproto.Frame {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids := make([]model.ObjectID, 0, m.owned.len())
-	for id := range m.owned.all() {
-		ids = append(ids, id)
-	}
+	epoch, owned, horizon := m.shard.Filter()
+	m.mu.Unlock()
 	return netproto.Frame{Type: netproto.MsgReshard, Body: netproto.ReshardMsg{
-		Epoch: m.reshardEpoch, Owned: ids, Horizon: m.byID.knownPrefix(),
+		Epoch: epoch, Owned: owned, Horizon: horizon,
 	}}
 }

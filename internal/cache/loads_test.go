@@ -19,6 +19,7 @@ import (
 	"github.com/deltacache/delta/internal/netproto"
 	"github.com/deltacache/delta/internal/obs"
 	"github.com/deltacache/delta/internal/server"
+	"github.com/deltacache/delta/internal/sim"
 )
 
 // startLoadRepo starts a repository over a 16-object survey.
@@ -135,10 +136,9 @@ func TestDecisionLoadsOneRoundTrip(t *testing.T) {
 	if got := repo.Ledger().ObjectLoad; got != want {
 		t.Errorf("repository load ledger = %v, want %v", got, want)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	resident := residents(m)
 	for _, id := range objs {
-		if !m.applier.Resident(id) {
+		if !slices.Contains(resident, id) {
 			t.Errorf("object %d not resident after its load", id)
 		}
 	}
@@ -181,16 +181,19 @@ func TestLoadRefusesAnotherSurvey(t *testing.T) {
 	}
 }
 
-// commit applies d to m's ground truth as an event of no kind (only the
-// decision's own items apply) and fails the test on any violation.
+// commit applies d to m's ground truth as the decision on a query of
+// no objects (only the decision's own items apply): m's policy is a
+// sim.Scripted, and d is its next decision. It fails the test on any
+// violation. mu must be held.
 func commit(t *testing.T, m *Middleware, d core.Decision) plan {
 	t.Helper()
-	before := m.violations.Value()
-	p := m.applyLocked(model.Event{}, d)
-	if n := m.violations.Value() - before; n != 0 {
-		t.Fatalf("commit %+v: %d violations", d, n)
+	script := m.cfg.Policy.(*sim.Scripted)
+	script.Decisions = append(script.Decisions, d)
+	step, err := m.shard.Query(&model.Query{})
+	if err != nil || len(step.Violations) != 0 {
+		t.Fatalf("commit %+v: %v, violations %v", d, err, step.Violations)
 	}
-	return p
+	return m.planLocked(step)
 }
 
 // startPlanPerObject is the load path startPlan replaced, kept as the
@@ -206,7 +209,7 @@ func (m *Middleware) startPlanPerObject(ctx context.Context, p plan) {
 			err := m.loadOnePerObject(context.WithoutCancel(ctx), l.id)
 			if err != nil {
 				m.mu.Lock()
-				m.applier.Unload(l.id)
+				m.shard.Unload(l.id)
 				m.mu.Unlock()
 			}
 			m.loads.mu.Lock()
@@ -314,12 +317,12 @@ func TestQuickBatchedLoadsMatchPerObjectFlights(t *testing.T) {
 	prop := func(seed int64) bool {
 		rounds := randomRounds(rand.New(rand.NewSource(seed)), 12)
 		charged := repo.Ledger().ObjectLoad
-		oracle := newLoadCache(t, repo, core.NewNoCache(), survey.Objects())
+		oracle := newLoadCache(t, repo, &sim.Scripted{}, survey.Objects())
 		runRounds(t, oracle, rounds, oracle.startPlanPerObject)
 		oracleCharged := repo.Ledger().ObjectLoad - charged
 
 		charged = repo.Ledger().ObjectLoad
-		batched := newLoadCache(t, repo, core.NewNoCache(), survey.Objects())
+		batched := newLoadCache(t, repo, &sim.Scripted{}, survey.Objects())
 		requests := repoLoadRequests(t, repo)
 		leading := runRounds(t, batched, rounds, batched.startPlan)
 		requests = repoLoadRequests(t, repo) - requests
@@ -374,7 +377,7 @@ func TestQuickBatchedLoadsMatchPerObjectFlights(t *testing.T) {
 func TestFailedBatchRollsBackEveryLeader(t *testing.T) {
 	repo, survey := startLoadRepo(t)
 	// Object 99 is in the cache's universe but not the repository's.
-	m := newLoadCache(t, repo, core.NewNoCache(), append(survey.Objects(), model.Object{ID: 99, Size: cost.MB}))
+	m := newLoadCache(t, repo, &sim.Scripted{}, append(survey.Objects(), model.Object{ID: 99, Size: cost.MB}))
 	m.mu.Lock()
 	lead := commit(t, m, core.Decision{Load: []model.ObjectID{1, 2, 99}})
 	evict := commit(t, m, core.Decision{Evict: []model.ObjectID{2}})
@@ -407,7 +410,15 @@ func TestFailedBatchRollsBackEveryLeader(t *testing.T) {
 func residents(m *Middleware) []model.ObjectID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.applier.Residents()
+	return m.shard.Residents()
+}
+
+// deaf reports whether m is between a gap in its invalidation stream and
+// the resume.
+func deaf(m *Middleware) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.shard.Deaf()
 }
 
 // TestCacheGapShipsThenResumesCold pins the gap window and what follows
@@ -449,7 +460,7 @@ func TestCacheGapShipsThenResumesCold(t *testing.T) {
 
 	addr := repo.Addr()
 	repo.Close()
-	eventually(t, "the cache to notice its invalidation stream was gone", m.deaf.Load)
+	eventually(t, "the cache to notice its invalidation stream was gone", func() bool { return deaf(m) })
 	fresh := model.Query{ID: 100, Objects: []model.ObjectID{obj.ID}, Cost: cost.MB, Tolerance: model.NoTolerance, Time: 2 * time.Second}
 	before := m.Stats()
 	if res, err := query(m, fresh); err == nil {
@@ -469,7 +480,7 @@ func TestCacheGapShipsThenResumesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer repo.Close()
-	eventually(t, "the cache to resume", func() bool { return !m.deaf.Load() })
+	eventually(t, "the cache to resume", func() bool { return !deaf(m) })
 	if got := residents(m); len(got) != 0 {
 		t.Errorf("resumed with residents %v, want every resident evicted", got)
 	}

@@ -2,8 +2,10 @@ package core_test
 
 import (
 	"testing"
+	"time"
 
 	"github.com/deltacache/delta/internal/core"
+	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/experiments"
 	"github.com/deltacache/delta/internal/model"
 )
@@ -89,6 +91,36 @@ func BenchmarkBenefitDecisions(b *testing.B) {
 		}
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShardCoreHit times one shard-core query on the hit path, with
+// no sockets: every object resident (VCover re-adopted them all from a
+// recovery), no update required, and the answer from the cache.
+func BenchmarkShardCoreHit(b *testing.B) {
+	objects := make([]model.Object, 1024)
+	ids := make([]model.ObjectID, len(objects))
+	for i := range objects {
+		ids[i] = model.ObjectID(i + 1)
+		objects[i] = model.Object{ID: ids[i], Size: cost.MB}
+	}
+	shard := core.NewShard(core.ShardConfig{
+		Policy:   core.NewVCover(core.DefaultVCoverConfig()),
+		Objects:  objects,
+		Capacity: cost.Bytes(len(objects)) * cost.MB,
+	})
+	shard.Recover(nil, ids)
+	if start, err := shard.Init(); err != nil || start.Adopted != len(ids) {
+		b.Fatalf("init: %v; adopted %d of %d", err, start.Adopted, len(ids))
+	}
+	q := model.Query{Objects: ids[:8], Cost: cost.KB, Tolerance: model.NoTolerance}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.ID, q.Time = model.QueryID(i+1), time.Duration(i)*time.Millisecond
+		step, err := shard.Query(&q)
+		if err != nil || step.ShipQuery || step.Stale || len(step.Violations) > 0 {
+			b.Fatalf("query %d: %v; shipped %v, stale %v, violations %v", q.ID, err, step.ShipQuery, step.Stale, step.Violations)
 		}
 	}
 }

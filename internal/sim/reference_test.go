@@ -64,7 +64,7 @@ func runReference(policy core.Policy, objects []model.Object, events []model.Eve
 	var ledger cost.Ledger
 
 	// Preloading yardsticks start with a resident set.
-	if pre, ok := policy.(core.Preloader); ok {
+	if pre := core.OptionalOf(policy).Preloader; pre != nil {
 		objs, charge := pre.Preload()
 		for _, id := range objs {
 			size, ok := st.sizes[id]
@@ -119,8 +119,8 @@ func runReference(policy core.Policy, objects []model.Object, events []model.Eve
 				return nil, fmt.Errorf("sim: birth of existing object %d at event %d", b.Object.ID, e.Seq)
 			}
 			st.sizes[b.Object.ID] = b.Object.Size
-			g, ok := policy.(core.Grower)
-			if !ok {
+			g := core.OptionalOf(policy).Grower
+			if g == nil {
 				return nil, fmt.Errorf("sim: policy %s cannot grow its universe", policy.Name())
 			}
 			d, err = g.AddObjects([]model.Object{b.Object})

@@ -4,15 +4,15 @@
 // decoupling problem: the cache capacity and each query's tolerance for
 // staleness.
 //
-// The ground truth is core.Applier, the same bookkeeping a live cache
-// node applies its decisions to: Run is the policy's decisions fed
-// through Apply over an in-memory repository, with the Plan's loads,
-// update shipments and query shipments charged the moment they are
-// decided. The simulator is deliberately paranoid: policies keep their
-// own state mirrors, and any divergence the applier catches (shipping an
-// update that is not outstanding, loading an object that is already
-// resident, answering a stale query at the cache) is recorded as a
-// violation. Experiments assert zero violations.
+// The ground truth is core.Shard, the same state machine a live cache
+// node drives: Run replays the trace through it over an in-memory
+// repository, with each Plan's loads, update shipments and query
+// shipments charged the moment they are decided. The simulator is
+// deliberately paranoid: policies keep their own state mirrors, and any
+// divergence the applier catches (shipping an update that is not
+// outstanding, loading an object that is already resident, answering a
+// stale query at the cache) is recorded as a violation. Experiments
+// assert zero violations.
 package sim
 
 import (
@@ -82,16 +82,9 @@ func Run(policy core.Policy, objects []model.Object, events []model.Event, cfg C
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 5000
 	}
-	sizes := make(map[model.ObjectID]cost.Bytes, len(objects))
-	for _, o := range objects {
-		sizes[o.ID] = o.Size
-	}
-	cache := core.NewApplier(cfg.CacheCapacity, func(id model.ObjectID) (cost.Bytes, bool) {
-		size, ok := sizes[id]
-		return size, ok
-	})
-
-	if err := policy.Init(objects, cfg.CacheCapacity); err != nil {
+	shard := core.NewShard(core.ShardConfig{Policy: policy, Objects: objects, Capacity: cfg.CacheCapacity})
+	start, err := shard.Init()
+	if err != nil {
 		return nil, fmt.Errorf("sim: init %s: %w", policy.Name(), err)
 	}
 
@@ -99,71 +92,48 @@ func Run(policy core.Policy, objects []model.Object, events []model.Event, cfg C
 	var ledger cost.Ledger
 
 	// Preloading yardsticks start with a resident set.
-	if pre, ok := policy.(core.Preloader); ok {
-		objs, charge := pre.Preload()
-		if err := cache.Preload(objs); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		if charge {
-			for _, id := range objs {
-				ledger.Charge(cost.ObjectLoad, sizes[id])
-				res.Loads++
-			}
+	if start.Charge {
+		for _, o := range start.Preload {
+			ledger.Charge(cost.ObjectLoad, o.Size)
+			res.Loads++
 		}
 	}
-	res.MaxUsed = cache.Used()
+	res.MaxUsed = shard.Used()
 
 	for i := range events {
 		e := &events[i]
 		if err := e.Validate(); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-
-		var (
-			d   core.Decision
-			err error
-		)
 		switch e.Kind {
 		case model.EventQuery:
 			res.Queries++
-			d, err = policy.OnQuery(e.Query)
 		case model.EventUpdate:
 			res.Updates++
-			d, err = policy.OnUpdate(e.Update)
 		case model.EventBirth:
 			// A new object is published at the repository: the ground
 			// truth grows, and the policy's universe must grow with it.
 			res.Births++
-			b := e.Birth
-			if _, dup := sizes[b.Object.ID]; dup {
-				return nil, fmt.Errorf("sim: birth of existing object %d at event %d", b.Object.ID, e.Seq)
-			}
-			sizes[b.Object.ID] = b.Object.Size
-			g, ok := policy.(core.Grower)
-			if !ok {
-				return nil, fmt.Errorf("sim: policy %s cannot grow its universe", policy.Name())
-			}
-			d, err = g.AddObjects([]model.Object{b.Object})
 		}
+		step, err := shard.Replay(e)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s at event %d: %w", policy.Name(), e.Seq, err)
 		}
 
-		p, violations := cache.Apply(e, d)
 		// Keep at most 100: cap memory on broken policies.
-		res.Violations = append(res.Violations, violations[:min(len(violations), 100-len(res.Violations))]...)
-		res.Evictions += int64(len(p.Evict))
-		for _, o := range p.Load {
+		res.Violations = append(res.Violations, step.Violations[:min(len(step.Violations), 100-len(res.Violations))]...)
+		res.Evictions += int64(len(step.Evict))
+		for _, o := range step.Load {
 			ledger.Charge(cost.ObjectLoad, o.Size)
 			res.Loads++
 		}
-		res.MaxUsed = max(res.MaxUsed, cache.Used())
-		for _, u := range p.Ship {
+		res.MaxUsed = max(res.MaxUsed, shard.Used())
+		for _, u := range step.Ship {
 			ledger.Charge(cost.UpdateShip, u.Cost)
 			res.UpdatesShipped++
 		}
 		if e.Kind == model.EventQuery {
-			if p.ShipQuery {
+			if step.ShipQuery {
 				ledger.Charge(cost.QueryShip, e.Query.Cost)
 				res.QueriesShipped++
 			} else {
