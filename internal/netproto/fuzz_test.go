@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -293,5 +295,35 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// readCorpusEntry returns the bytes a single-value []byte corpus file
+// holds, as the writers above render them.
+func readCorpusEntry(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeFrame", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+	quoted, ok2 := strings.CutSuffix(quoted, ")\n")
+	data, err := strconv.Unquote(quoted)
+	if !ok || !ok2 || err != nil {
+		t.Fatalf("%s is not a []byte corpus entry: %v", name, err)
+	}
+	return []byte(data)
+}
+
+// TestV3CorpusPinsWireBytes pins the wire format: the checked-in
+// valid-v3-stream must equal what the seed frames encode to, so a
+// change to any frame layout fails here, and the corpus cannot go stale
+// unnoticed. A deliberate format change regenerates the file with
+// WRITE_V3_CORPUS=1.
+func TestV3CorpusPinsWireBytes(t *testing.T) {
+	want := readCorpusEntry(t, "valid-v3-stream")
+	if got := encodeFrames(t, seedFrames()...); !bytes.Equal(got, want) {
+		t.Fatalf("seed frames encode to %d bytes that differ from the %d in valid-v3-stream:\n got  %x\n want %x",
+			len(got), len(want), got, want)
 	}
 }
