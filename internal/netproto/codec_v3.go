@@ -18,6 +18,12 @@
 // elements. Zero-length slices decode as nil (nil and empty are one
 // value on the wire).
 //
+// Each layout is written once, as a walk over a Cursor that either
+// encodes or decodes: encoding appends every field the walk visits,
+// decoding fills it. walkBody holds every frame body's layout, the
+// model walks below hold the values frames share with persistence, and
+// a layout cannot be written one way and read another.
+//
 // Buffer ownership: encoding stages frames in pooled scratch buffers
 // (returned to the pool after the bytes reach the connection's write
 // buffer); decoding reads each frame into a per-connection scratch
@@ -32,722 +38,531 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
-	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 )
 
-// timeDuration narrows a decoded varint back to a virtual-clock time.
-func timeDuration(v int64) time.Duration { return time.Duration(v) }
-
-// encPool recycles encode scratch buffers across connections: a
-// frame is staged here, copied to the connection's write buffer, and
-// the scratch goes back to the pool, so steady-state sends allocate
+// encPool recycles encode scratch buffers across connections: a frame
+// is staged here, copied to the connection's write buffer, and the
+// scratch goes back to the pool, so steady-state sends allocate
 // nothing.
 var encPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4<<10); return &b },
 }
 
-// Encoder is an append-only encode cursor with the v3 scalar
-// conventions. The wire codec stages frames in one, and the
-// persistence layer writes its snapshot and journal records with one,
-// so a model value has one encoding on the wire and on disk.
-type Encoder struct {
-	b []byte
-}
-
-// NewEncoder returns an encoder appending to dst.
-func NewEncoder(dst []byte) *Encoder { return &Encoder{b: dst} }
-
-// Bytes returns everything encoded so far.
-func (e *Encoder) Bytes() []byte { return e.b }
-
-// U8, Uvarint, Varint, F64, Bool and Str each append one scalar, in the
-// conventions at the top of this file; the Decoder's namesakes read it
-// back.
-func (e *Encoder) U8(v byte)        { e.b = append(e.b, v) }
-func (e *Encoder) Uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *Encoder) Varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *Encoder) F64(v float64)    { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-func (e *Encoder) Str(s string) {
-	e.Uvarint(uint64(len(s)))
-	e.b = append(e.b, s...)
-}
-
-// Blob appends a length-prefixed byte slice.
-func (e *Encoder) Blob(p []byte) {
-	e.Uvarint(uint64(len(p)))
-	e.b = append(e.b, p...)
-}
-
-// Decoder is a bounds-checked decode cursor over the Encoder's format.
-// Every getter reports truncation through a sticky error (see Err)
-// instead of panicking, so arbitrary fuzz input surfaces as an error,
-// never a crash; slice lengths are validated against the bytes actually
-// remaining before any allocation, so a corrupt length cannot trigger
-// an unbounded make.
-type Decoder struct {
-	b   []byte
+// Cursor walks a layout in one direction, with the v3 scalar
+// conventions. Encoding, each field method appends the field's value;
+// decoding, it reads the field and stores it. The wire codec walks
+// frames with one, and the persistence layer its snapshot and journal
+// records, so a model value has one encoding on the wire and on disk.
+//
+// Decoding is bounds-checked: truncation is reported through a sticky
+// error (see Err) instead of a panic, so arbitrary fuzz input surfaces
+// as an error, never a crash, and every field after the first failure
+// is left as it was. Slice lengths are validated against the bytes
+// actually remaining before any allocation, so a corrupt length cannot
+// trigger an unbounded make.
+type Cursor struct {
+	b   []byte // encoding: everything so far; decoding: what is left
+	dec bool
 	err error
 }
 
-// NewDecoder returns a decoder reading b.
-func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
+// Encoding returns a cursor that appends to dst.
+func Encoding(dst []byte) *Cursor { return &Cursor{b: dst} }
 
-// Err returns the first decode failure, or nil.
-func (d *Decoder) Err() error { return d.err }
+// Decoding returns a cursor that reads b.
+func Decoding(b []byte) *Cursor { return &Cursor{b: b, dec: true} }
 
-func (d *Decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("netproto: v3 decode: truncated or corrupt %s", what)
+// Bytes returns everything encoded so far (or, decoding, what is left).
+func (c *Cursor) Bytes() []byte { return c.b }
+
+// Err returns the first failure, or nil.
+func (c *Cursor) Err() error { return c.err }
+
+// fail records the first failure and drops the bytes, so that every
+// later read comes up short.
+func (c *Cursor) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
+	c.b = nil
 }
 
-func (d *Decoder) U8() byte {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail("byte")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
+func (c *Cursor) truncated(what string) {
+	c.fail(fmt.Errorf("netproto: v3 decode: truncated or corrupt %s", what))
 }
 
-func (d *Decoder) Uvarint() uint64 {
-	if d.err != nil {
-		return 0
+// U8, Uvarint, F64, Bool, Str and Blob each walk one scalar, and
+// Varint a signed integer of any width, in the conventions at the top
+// of this file.
+
+func (c *Cursor) U8(v *byte) {
+	if c.dec {
+		c.readU8(v)
+		return
 	}
-	v, n := binary.Uvarint(d.b)
+	c.b = append(c.b, *v)
+}
+
+func (c *Cursor) Uvarint(v *uint64) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, *v)
+		return
+	}
+	x, n := binary.Uvarint(c.b)
 	if n <= 0 {
-		d.fail("uvarint")
-		return 0
+		c.truncated("uvarint")
+		return
 	}
-	d.b = d.b[n:]
-	return v
+	*v = x
+	c.b = c.b[n:]
 }
 
-func (d *Decoder) Varint() int64 {
-	if d.err != nil {
-		return 0
+// Varint walks a signed integer as a zigzag varint; decoding narrows it
+// to T.
+func Varint[T ~int | ~int32 | ~int64](c *Cursor, v *T) {
+	if !c.dec {
+		c.b = binary.AppendVarint(c.b, int64(*v))
+		return
 	}
-	v, n := binary.Varint(d.b)
+	x, n := binary.Varint(c.b)
 	if n <= 0 {
-		d.fail("varint")
-		return 0
+		c.truncated("varint")
+		return
 	}
-	d.b = d.b[n:]
-	return v
+	*v = T(x)
+	c.b = c.b[n:]
 }
 
-func (d *Decoder) F64() float64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.fail("float64")
-		return 0
+func (c *Cursor) F64(v *float64) {
+	if c.dec {
+		c.readF64(v)
+		return
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
+	c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*v))
 }
 
-func (d *Decoder) Bool() bool { return d.U8() != 0 }
+func (c *Cursor) Bool(v *bool) {
+	var b byte
+	if *v {
+		b = 1
+	}
+	c.U8(&b)
+	*v = b != 0
+}
 
-// Len decodes a slice length and validates it against the remaining
-// bytes at minSize encoded bytes per element.
-func (d *Decoder) Len(minSize int) int {
-	n := d.Uvarint()
-	if d.err != nil {
+// Str walks a string. Decoding copies it out of the input (decoded
+// frames own their memory); the handful of constant strings that ride
+// every hot reply (result sources, policy names) are interned so
+// steady-state decoding does not allocate for them. The switch on
+// string(raw) compares without converting.
+func (c *Cursor) Str(v *string) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, uint64(len(*v)))
+		c.b = append(c.b, *v...)
+		return
+	}
+	switch raw := c.span(); string(raw) {
+	case "cache":
+		*v = "cache"
+	case "repository":
+		*v = "repository"
+	case "mixed":
+		*v = "mixed"
+	default:
+		*v = string(raw)
+	}
+}
+
+// Blob walks a length-prefixed byte slice. Decoding copies it out of
+// the input; a zero-length slice decodes as nil.
+func (c *Cursor) Blob(v *[]byte) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, uint64(len(*v)))
+		c.b = append(c.b, *v...)
+		return
+	}
+	if raw := c.span(); len(raw) > 0 {
+		*v = make([]byte, len(raw))
+		copy(*v, raw)
+	}
+}
+
+// List walks a slice's element count and returns it, for the caller to
+// walk each element. Decoding sizes *s (left nil when empty) once the
+// count passes the check in count.
+func List[T any](c *Cursor, s *[]T, minLen int) int {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, uint64(len(*s)))
+		return len(*s)
+	}
+	n := c.count(minLen)
+	if n > 0 {
+		*s = make([]T, n)
+	}
+	return n
+}
+
+// IDs walks a counted list of signed integers, the layout of every ID
+// list.
+func IDs[T ~int | ~int32 | ~int64](c *Cursor, s *[]T) {
+	for i := range List(c, s, 1) {
+		Varint(c, &(*s)[i])
+	}
+}
+
+// readU8 and readF64 are the out-of-line decode halves of the field
+// methods whose encode half is short enough to inline.
+
+func (c *Cursor) readU8(v *byte) {
+	if len(c.b) < 1 {
+		c.truncated("byte")
+		return
+	}
+	*v = c.b[0]
+	c.b = c.b[1:]
+}
+
+func (c *Cursor) readF64(v *float64) {
+	if len(c.b) < 8 {
+		c.truncated("float64")
+		return
+	}
+	*v = math.Float64frombits(binary.LittleEndian.Uint64(c.b))
+	c.b = c.b[8:]
+}
+
+// count decodes a slice length and validates it against the bytes left
+// at minLen, at least 1, encoded bytes per element: the shortest an
+// element can be.
+func (c *Cursor) count(minLen int) int {
+	n, k := binary.Uvarint(c.b)
+	if k <= 0 || n > uint64((len(c.b)-k)/minLen) {
+		c.truncated("slice length")
 		return 0
 	}
-	if minSize < 1 {
-		minSize = 1
-	}
-	if n > uint64(len(d.b)/minSize) {
-		d.fail("slice length")
-		return 0
-	}
+	c.b = c.b[k:]
 	return int(n)
 }
 
-// Str copies a string out of the input (decoded frames own their
-// memory). The handful of constant strings that ride every hot reply
-// (result sources, policy names) are interned so steady-state decoding
-// does not allocate for them; a switch on string(b) compares without
-// converting.
-func (d *Decoder) Str() string {
-	n := d.Len(1)
-	if d.err != nil || n == 0 {
-		return ""
+// span decodes a length-prefixed run of bytes, aliasing the input.
+func (c *Cursor) span() []byte {
+	n := c.count(1)
+	raw := c.b[:n]
+	c.b = c.b[n:]
+	return raw
+}
+
+// tail reports whether a frame tail's fields are walked. A tail is
+// written only when it carries something (present) and read whenever
+// bytes remain, so an absent tail decodes as zero fields and frames
+// that leave it empty pay no bytes for it.
+func (c *Cursor) tail(present bool) bool {
+	if c.dec {
+		return len(c.b) > 0
 	}
-	raw := d.b[:n]
-	d.b = d.b[n:]
-	switch string(raw) {
-	case "cache":
-		return "cache"
-	case "repository":
-		return "repository"
-	case "mixed":
-		return "mixed"
-	}
-	return string(raw)
+	return present
 }
 
-// Blob copies a length-prefixed byte slice out of the input.
-// Zero-length slices decode as nil.
-func (d *Decoder) Blob() []byte {
-	n := d.Len(1)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	p := make([]byte, n)
-	copy(p, d.b[:n])
-	d.b = d.b[n:]
-	return p
-}
+// --- model values ---
 
-// --- model substructures ---
-
-func encQuery(e *Encoder, q *model.Query) {
-	e.Varint(int64(q.ID))
-	e.Uvarint(uint64(len(q.Objects)))
-	for _, id := range q.Objects {
-		e.Varint(int64(id))
-	}
-	e.Varint(int64(q.Cost))
-	e.Varint(int64(q.Tolerance))
-	e.Varint(int64(q.Time))
-}
-
-func decQuery(d *Decoder) model.Query {
-	var q model.Query
-	q.ID = model.QueryID(d.Varint())
-	if n := d.Len(1); n > 0 {
-		q.Objects = make([]model.ObjectID, n)
-		for i := range q.Objects {
-			q.Objects[i] = model.ObjectID(d.Varint())
-		}
-	}
-	q.Cost = cost.Bytes(d.Varint())
-	q.Tolerance = timeDuration(d.Varint())
-	q.Time = timeDuration(d.Varint())
-	return q
-}
-
-func encUpdate(e *Encoder, u *model.Update) {
-	e.Varint(int64(u.ID))
-	e.Varint(int64(u.Object))
-	e.Varint(int64(u.Cost))
-	e.Varint(int64(u.Time))
-}
-
-func decUpdate(d *Decoder) model.Update {
-	return model.Update{
-		ID:     model.UpdateID(d.Varint()),
-		Object: model.ObjectID(d.Varint()),
-		Cost:   cost.Bytes(d.Varint()),
-		Time:   timeDuration(d.Varint()),
-	}
-}
-
-// Object appends an object's metadata.
-func (e *Encoder) Object(o *model.Object) {
-	e.Varint(int64(o.ID))
-	e.Varint(int64(o.Size))
-	e.Uvarint(o.Trixel)
-}
-
-// Object decodes what Encoder.Object wrote.
-func (d *Decoder) Object() model.Object {
-	return model.Object{
-		ID:     model.ObjectID(d.Varint()),
-		Size:   cost.Bytes(d.Varint()),
-		Trixel: d.Uvarint(),
-	}
-}
-
-// Birth appends a birth: the object, its sky position and publication
+// Birth walks a birth: the object, its sky position and publication
 // time.
-func (e *Encoder) Birth(b *model.Birth) {
-	e.Object(&b.Object)
-	e.F64(b.RA)
-	e.F64(b.Dec)
-	e.Varint(int64(b.Time))
+func Birth(c *Cursor, b *model.Birth) {
+	walkObject(c, &b.Object)
+	c.F64(&b.RA)
+	c.F64(&b.Dec)
+	Varint(c, &b.Time)
 }
 
-// Birth decodes what Encoder.Birth wrote.
-func (d *Decoder) Birth() model.Birth {
-	return model.Birth{
-		Object: d.Object(),
-		RA:     d.F64(),
-		Dec:    d.F64(),
-		Time:   timeDuration(d.Varint()),
+// Births walks a counted birth list.
+func Births(c *Cursor, s *[]model.Birth) {
+	for i := range List(c, s, birthLen) {
+		Birth(c, &(*s)[i])
 	}
 }
 
-// ObjectIDs appends a counted ID list.
-func (e *Encoder) ObjectIDs(ids []model.ObjectID) {
-	e.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		e.Varint(int64(id))
+func walkObject(c *Cursor, o *model.Object) {
+	Varint(c, &o.ID)
+	Varint(c, &o.Size)
+	c.Uvarint(&o.Trixel)
+}
+
+func walkQuery(c *Cursor, q *model.Query) {
+	Varint(c, &q.ID)
+	IDs(c, &q.Objects)
+	Varint(c, &q.Cost)
+	Varint(c, &q.Tolerance)
+	Varint(c, &q.Time)
+}
+
+func walkUpdate(c *Cursor, u *model.Update) {
+	Varint(c, &u.ID)
+	Varint(c, &u.Object)
+	Varint(c, &u.Cost)
+	Varint(c, &u.Time)
+}
+
+// walkStats is the StatsMsg layout.
+func walkStats(c *Cursor, s *StatsMsg) {
+	Varint(c, &s.Ledger.QueryShip)
+	Varint(c, &s.Ledger.UpdateShip)
+	Varint(c, &s.Ledger.ObjectLoad)
+	Varint(c, &s.Ledger.QueryShips)
+	Varint(c, &s.Ledger.UpdateShips)
+	Varint(c, &s.Ledger.ObjectLoads)
+	IDs(c, &s.Cached)
+	c.Str(&s.Policy)
+	Varint(c, &s.Queries)
+	Varint(c, &s.AtCache)
+	Varint(c, &s.Shipped)
+	Varint(c, &s.DroppedInvalidations)
+	Varint(c, &s.DedupedLoads)
+	Varint(c, &s.MigratedIn)
+	Varint(c, &s.ObjectsBorn)
+	Varint(c, &s.CoverCacheHits)
+	Varint(c, &s.CoverCacheMisses)
+	Varint(c, &s.SnapshotAge)
+	Varint(c, &s.JournalRecords)
+	Varint(c, &s.RecoveredWarm)
+	Varint(c, &s.Replicas)
+	Varint(c, &s.ResultCacheHits)
+	Varint(c, &s.ResultCacheMisses)
+	Varint(c, &s.CoalescedQueries)
+	Varint(c, &s.GrantBatches)
+}
+
+func walkShardStats(c *Cursor, s *ShardStats) {
+	Varint(c, &s.Shard)
+	c.Str(&s.Addr)
+	c.Bool(&s.Alive)
+	c.Str(&s.Err)
+	walkStats(c, &s.Stats)
+}
+
+func walkRow(c *Cursor, r *ResultRow) {
+	Varint(c, &r.ObjID)
+	c.F64(&r.RA)
+	c.F64(&r.Dec)
+	c.F64(&r.R)
+}
+
+func walkSpan(c *Cursor, s *TraceSpan) {
+	c.Str(&s.Name)
+	c.Str(&s.Node)
+	Varint(c, &s.Shard)
+	Varint(c, &s.Epoch)
+	Varint(c, &s.Fragments)
+	Varint(c, &s.Objects)
+	c.Str(&s.Source)
+	c.Str(&s.Detail)
+	Varint(c, &s.Elapsed)
+}
+
+// The shortest encoding of each list element that is a struct: its
+// zero value's, measured by its own walk, so a List bound cannot drift
+// from the layout it guards.
+var (
+	birthLen      = zeroLen(Birth)
+	objectLen     = zeroLen(walkObject)
+	updateLen     = zeroLen(walkUpdate)
+	shardStatsLen = zeroLen(walkShardStats)
+	rowLen        = zeroLen(walkRow)
+	spanLen       = zeroLen(walkSpan)
+)
+
+func zeroLen[T any](walk func(*Cursor, *T)) int {
+	var (
+		c    Cursor
+		zero T
+	)
+	walk(&c, &zero)
+	return len(c.b)
+}
+
+// --- frames ---
+
+// walkFrame walks a frame's type, request ID and body. Encoding, it
+// refuses a body not of the frame type's body type; decoding, it
+// requires the body to use every byte it was handed.
+func (c *Cursor) walkFrame(f *Frame) {
+	c.U8((*byte)(&f.Type))
+	c.Uvarint(&f.RequestID)
+	body, ok := walkBody(c, f.Type, f.Body)
+	switch {
+	case !c.dec && !ok:
+		c.fail(fmt.Errorf("netproto: v3 cannot encode %T as %s", f.Body, f.Type))
+	case c.dec:
+		f.Body = body
+		if len(c.b) != 0 {
+			c.fail(fmt.Errorf("netproto: v3 decode: %d trailing bytes after %s body", len(c.b), f.Type))
+		}
 	}
 }
 
-// ObjectIDs decodes what Encoder.ObjectIDs wrote; an empty list decodes
-// as nil.
-func (d *Decoder) ObjectIDs() []model.ObjectID {
-	n := d.Len(1)
-	if n == 0 {
-		return nil
-	}
-	ids := make([]model.ObjectID, n)
-	for i := range ids {
-		ids[i] = model.ObjectID(d.Varint())
-	}
-	return ids
-}
-
-func encStats(e *Encoder, s *StatsMsg) {
-	e.Varint(int64(s.Ledger.QueryShip))
-	e.Varint(int64(s.Ledger.UpdateShip))
-	e.Varint(int64(s.Ledger.ObjectLoad))
-	e.Varint(s.Ledger.QueryShips)
-	e.Varint(s.Ledger.UpdateShips)
-	e.Varint(s.Ledger.ObjectLoads)
-	e.ObjectIDs(s.Cached)
-	e.Str(s.Policy)
-	e.Varint(s.Queries)
-	e.Varint(s.AtCache)
-	e.Varint(s.Shipped)
-	e.Varint(s.DroppedInvalidations)
-	e.Varint(s.DedupedLoads)
-	e.Varint(s.MigratedIn)
-	e.Varint(s.ObjectsBorn)
-	e.Varint(s.CoverCacheHits)
-	e.Varint(s.CoverCacheMisses)
-	e.Varint(int64(s.SnapshotAge))
-	e.Varint(s.JournalRecords)
-	e.Varint(s.RecoveredWarm)
-	e.Varint(s.Replicas)
-	e.Varint(s.ResultCacheHits)
-	e.Varint(s.ResultCacheMisses)
-	e.Varint(s.CoalescedQueries)
-	e.Varint(s.GrantBatches)
-}
-
-func decStats(d *Decoder) StatsMsg {
-	var s StatsMsg
-	s.Ledger.QueryShip = cost.Bytes(d.Varint())
-	s.Ledger.UpdateShip = cost.Bytes(d.Varint())
-	s.Ledger.ObjectLoad = cost.Bytes(d.Varint())
-	s.Ledger.QueryShips = d.Varint()
-	s.Ledger.UpdateShips = d.Varint()
-	s.Ledger.ObjectLoads = d.Varint()
-	s.Cached = d.ObjectIDs()
-	s.Policy = d.Str()
-	s.Queries = d.Varint()
-	s.AtCache = d.Varint()
-	s.Shipped = d.Varint()
-	s.DroppedInvalidations = d.Varint()
-	s.DedupedLoads = d.Varint()
-	s.MigratedIn = d.Varint()
-	s.ObjectsBorn = d.Varint()
-	s.CoverCacheHits = d.Varint()
-	s.CoverCacheMisses = d.Varint()
-	s.SnapshotAge = time.Duration(d.Varint())
-	s.JournalRecords = d.Varint()
-	s.RecoveredWarm = d.Varint()
-	s.Replicas = d.Varint()
-	s.ResultCacheHits = d.Varint()
-	s.ResultCacheMisses = d.Varint()
-	s.CoalescedQueries = d.Varint()
-	s.GrantBatches = d.Varint()
-	return s
-}
-
-func encSpan(e *Encoder, s *TraceSpan) {
-	e.Str(s.Name)
-	e.Str(s.Node)
-	e.Varint(int64(s.Shard))
-	e.Varint(int64(s.Epoch))
-	e.Varint(int64(s.Fragments))
-	e.Varint(int64(s.Objects))
-	e.Str(s.Source)
-	e.Str(s.Detail)
-	e.Varint(int64(s.Elapsed))
-}
-
-func decSpan(d *Decoder) TraceSpan {
-	return TraceSpan{
-		Name:      d.Str(),
-		Node:      d.Str(),
-		Shard:     int(d.Varint()),
-		Epoch:     int(d.Varint()),
-		Fragments: int(d.Varint()),
-		Objects:   int(d.Varint()),
-		Source:    d.Str(),
-		Detail:    d.Str(),
-		Elapsed:   timeDuration(d.Varint()),
-	}
-}
-
-// --- frame bodies ---
-
-// encodeBodyV3 appends the body's binary layout, dispatching on the
-// concrete type. A body whose type does not belong to the vocabulary is
-// an error.
-func encodeBodyV3(e *Encoder, t MsgType, body any) error {
-	switch b := body.(type) {
-	case Hello:
-		e.Str(b.Role)
-		e.Varint(int64(b.Version))
-	case HelloAck:
-		e.Varint(int64(b.Version))
-	case QueryMsg:
-		encQuery(e, &b.Query)
-		e.F64(b.Region.RA)
-		e.F64(b.Region.Dec)
-		e.F64(b.Region.RadiusDeg)
-		// Frame tail, written only when meaningful: decoders treat an
-		// absent tail as an untraced query, so untraced frames pay no
-		// bytes for tracing.
-		if b.TraceID != 0 {
-			e.Uvarint(b.TraceID)
-		}
-	case QueryResultMsg:
-		e.Varint(int64(b.QueryID))
-		e.Varint(int64(b.Logical))
-		e.Uvarint(uint64(len(b.Rows)))
-		for i := range b.Rows {
-			r := &b.Rows[i]
-			e.Varint(r.ObjID)
-			e.F64(r.RA)
-			e.F64(r.Dec)
-			e.F64(r.R)
-		}
-		e.Blob(b.Payload)
-		e.Str(b.Source)
-		e.Varint(int64(b.Elapsed))
-		e.Bool(b.Degraded)
-		e.Uvarint(uint64(len(b.MissingShards)))
-		for _, s := range b.MissingShards {
-			e.Varint(int64(s))
-		}
-		// Frame tail: trace ID + recorded spans, elided entirely when
-		// both are empty (see the QueryMsg tail note). A present tail
-		// always carries both fields.
-		if b.TraceID != 0 || len(b.Spans) > 0 {
-			e.Uvarint(b.TraceID)
-			e.Uvarint(uint64(len(b.Spans)))
-			for i := range b.Spans {
-				encSpan(e, &b.Spans[i])
-			}
-		}
-	case UpdateFeedMsg:
-		encUpdate(e, &b.Update)
-	case ShipUpdatesMsg:
-		e.Uvarint(uint64(len(b.IDs)))
-		for _, id := range b.IDs {
-			e.Varint(int64(id))
-		}
-	case UpdatesMsg:
-		e.Uvarint(uint64(len(b.Updates)))
-		for i := range b.Updates {
-			encUpdate(e, &b.Updates[i])
-		}
-		e.Blob(b.Payload)
-	case LoadObjectMsg:
-		e.ObjectIDs(b.Objects)
-	case ObjectDataMsg:
-		e.Uvarint(uint64(len(b.Objects)))
-		for i := range b.Objects {
-			e.Object(&b.Objects[i])
-		}
-		e.Blob(b.Payload)
-	case InvalidateMsg:
-		encUpdate(e, &b.Update)
-	case StatsMsg:
-		encStats(e, &b)
-	case ErrorMsg:
-		e.Str(b.Message)
-	case ShardQueryMsg:
-		encQuery(e, &b.Query)
-		e.Varint(int64(b.Shard))
-		e.Varint(int64(b.Fragments))
-		// Frame tail: trace ID (see the QueryMsg tail note).
-		if b.TraceID != 0 {
-			e.Uvarint(b.TraceID)
-		}
-	case ClusterStatsMsg:
-		e.Uvarint(uint64(len(b.Shards)))
-		for i := range b.Shards {
-			s := &b.Shards[i]
-			e.Varint(int64(s.Shard))
-			e.Str(s.Addr)
-			e.Bool(s.Alive)
-			e.Str(s.Err)
-			encStats(e, &s.Stats)
-		}
-		encStats(e, &b.Aggregate)
-		e.Bool(b.Degraded)
-	case AdminResizeMsg:
-		e.Uvarint(uint64(len(b.Shards)))
-		for _, s := range b.Shards {
-			e.Str(s)
-		}
-	case RebalanceStatusMsg:
-		e.Bool(b.Active)
-		e.Str(b.Phase)
-		e.Varint(int64(b.Epoch))
-		e.Varint(int64(b.From))
-		e.Varint(int64(b.To))
-		e.Varint(b.MovedObjects)
-		e.Varint(int64(b.MovedBytes))
-		e.Varint(b.Completed)
-		e.Str(b.LastError)
-	case ReshardMsg:
-		e.Varint(int64(b.Epoch))
-		e.ObjectIDs(b.Owned)
-		e.Uvarint(uint64(len(b.Universe)))
-		for i := range b.Universe {
-			e.Object(&b.Universe[i])
-		}
-		e.ObjectIDs(b.Warm)
-		e.Varint(int64(b.Resident))
-		e.Varint(int64(b.Dropped))
-		// Replicas and then Horizon ride the frame tail: each is encoded
-		// only when it or a later field is non-zero.
-		if b.Replicas != 0 || b.Horizon != 0 {
-			e.Varint(int64(b.Replicas))
-		}
-		if b.Horizon != 0 {
-			e.Varint(int64(b.Horizon))
-		}
-	case ObjectBirthMsg:
-		e.Uvarint(uint64(len(b.Births)))
-		for i := range b.Births {
-			e.Birth(&b.Births[i])
-		}
-		e.Varint(int64(b.Accepted))
-	case BirthGrantMsg:
-		e.Uvarint(uint64(len(b.Births)))
-		for i := range b.Births {
-			e.Birth(&b.Births[i])
-		}
-		e.Varint(int64(b.Accepted))
-		// Epoch rides the frame tail, like ReshardMsg.Replicas.
-		if b.Epoch != 0 {
-			e.Varint(int64(b.Epoch))
-		}
-	default:
-		return fmt.Errorf("netproto: v3 cannot encode %T as %s", body, t)
+// decoded returns what a body walk yields: decoding, the body, boxed
+// here (the one allocation every decoded frame makes); encoding, nil.
+func decoded[T any](c *Cursor, b *T) any {
+	if c.dec {
+		return *b
 	}
 	return nil
 }
 
-// decodeBodyV3 decodes the body the frame type implies. The body owns
-// all of its memory (nothing aliases the connection's scratch buffer).
-func decodeBodyV3(d *Decoder, t MsgType) (any, error) {
-	var body any
+// walkBody walks the body layout the frame type implies. Encoding, it
+// reports whether body is of that type's body type; decoding, it
+// returns the body, which owns all of its memory (nothing aliases the
+// connection's scratch buffer).
+func walkBody(c *Cursor, t MsgType, body any) (any, bool) {
 	switch t {
 	case MsgHello:
-		var b Hello
-		b.Role = d.Str()
-		b.Version = int(d.Varint())
-		body = b
+		b, ok := body.(Hello)
+		c.Str(&b.Role)
+		Varint(c, &b.Version)
+		return decoded(c, &b), ok
 	case MsgHelloAck:
-		body = HelloAck{Version: int(d.Varint())}
+		b, ok := body.(HelloAck)
+		Varint(c, &b.Version)
+		return decoded(c, &b), ok
 	case MsgQuery:
-		var b QueryMsg
-		b.Query = decQuery(d)
-		b.Region.RA = d.F64()
-		b.Region.Dec = d.F64()
-		b.Region.RadiusDeg = d.F64()
-		// Frame tail: absent decodes as an untraced query.
-		if d.err == nil && len(d.b) > 0 {
-			b.TraceID = d.Uvarint()
+		b, ok := body.(QueryMsg)
+		walkQuery(c, &b.Query)
+		c.F64(&b.Region.RA)
+		c.F64(&b.Region.Dec)
+		c.F64(&b.Region.RadiusDeg)
+		if c.tail(b.TraceID != 0) {
+			c.Uvarint(&b.TraceID)
 		}
-		body = b
+		return decoded(c, &b), ok
 	case MsgQueryResult:
-		var b QueryResultMsg
-		b.QueryID = model.QueryID(d.Varint())
-		b.Logical = cost.Bytes(d.Varint())
-		// Minimum row encoding: 1-byte varint ObjID + three raw f64s.
-		if n := d.Len(25); n > 0 {
-			b.Rows = make([]ResultRow, n)
-			for i := range b.Rows {
-				b.Rows[i] = ResultRow{ObjID: d.Varint(), RA: d.F64(), Dec: d.F64(), R: d.F64()}
+		b, ok := body.(QueryResultMsg)
+		Varint(c, &b.QueryID)
+		Varint(c, &b.Logical)
+		for i := range List(c, &b.Rows, rowLen) {
+			walkRow(c, &b.Rows[i])
+		}
+		c.Blob(&b.Payload)
+		c.Str(&b.Source)
+		Varint(c, &b.Elapsed)
+		c.Bool(&b.Degraded)
+		IDs(c, &b.MissingShards)
+		// A present tail always carries both fields.
+		if c.tail(b.TraceID != 0 || len(b.Spans) > 0) {
+			c.Uvarint(&b.TraceID)
+			for i := range List(c, &b.Spans, spanLen) {
+				walkSpan(c, &b.Spans[i])
 			}
 		}
-		b.Payload = d.Blob()
-		b.Source = d.Str()
-		b.Elapsed = timeDuration(d.Varint())
-		b.Degraded = d.Bool()
-		if n := d.Len(1); n > 0 {
-			b.MissingShards = make([]int, n)
-			for i := range b.MissingShards {
-				b.MissingShards[i] = int(d.Varint())
-			}
-		}
-		// Frame tail: trace ID + spans. A present tail
-		// always carries both fields.
-		if d.err == nil && len(d.b) > 0 {
-			b.TraceID = d.Uvarint()
-			// Minimum span encoding: four 1-byte strings + five 1-byte
-			// varints.
-			if n := d.Len(9); n > 0 {
-				b.Spans = make([]TraceSpan, n)
-				for i := range b.Spans {
-					b.Spans[i] = decSpan(d)
-				}
-			}
-		}
-		body = b
+		return decoded(c, &b), ok
 	case MsgUpdateFeed:
-		body = UpdateFeedMsg{Update: decUpdate(d)}
+		b, ok := body.(UpdateFeedMsg)
+		walkUpdate(c, &b.Update)
+		return decoded(c, &b), ok
 	case MsgShipUpdates:
-		var b ShipUpdatesMsg
-		if n := d.Len(1); n > 0 {
-			b.IDs = make([]model.UpdateID, n)
-			for i := range b.IDs {
-				b.IDs[i] = model.UpdateID(d.Varint())
-			}
-		}
-		body = b
+		b, ok := body.(ShipUpdatesMsg)
+		IDs(c, &b.IDs)
+		return decoded(c, &b), ok
 	case MsgUpdates:
-		var b UpdatesMsg
-		if n := d.Len(4); n > 0 {
-			b.Updates = make([]model.Update, n)
-			for i := range b.Updates {
-				b.Updates[i] = decUpdate(d)
-			}
+		b, ok := body.(UpdatesMsg)
+		for i := range List(c, &b.Updates, updateLen) {
+			walkUpdate(c, &b.Updates[i])
 		}
-		b.Payload = d.Blob()
-		body = b
+		c.Blob(&b.Payload)
+		return decoded(c, &b), ok
 	case MsgLoadObject:
-		body = LoadObjectMsg{Objects: d.ObjectIDs()}
+		b, ok := body.(LoadObjectMsg)
+		IDs(c, &b.Objects)
+		return decoded(c, &b), ok
 	case MsgObjectData:
-		var b ObjectDataMsg
-		if n := d.Len(3); n > 0 {
-			b.Objects = make([]model.Object, n)
-			for i := range b.Objects {
-				b.Objects[i] = d.Object()
-			}
+		b, ok := body.(ObjectDataMsg)
+		for i := range List(c, &b.Objects, objectLen) {
+			walkObject(c, &b.Objects[i])
 		}
-		b.Payload = d.Blob()
-		body = b
+		c.Blob(&b.Payload)
+		return decoded(c, &b), ok
 	case MsgInvalidate:
-		body = InvalidateMsg{Update: decUpdate(d)}
+		b, ok := body.(InvalidateMsg)
+		walkUpdate(c, &b.Update)
+		return decoded(c, &b), ok
 	case MsgStats:
-		body = decStats(d)
+		b, ok := body.(StatsMsg)
+		walkStats(c, &b)
+		return decoded(c, &b), ok
 	case MsgError:
-		body = ErrorMsg{Message: d.Str()}
+		b, ok := body.(ErrorMsg)
+		c.Str(&b.Message)
+		return decoded(c, &b), ok
 	case MsgShardQuery:
-		var b ShardQueryMsg
-		b.Query = decQuery(d)
-		b.Shard = int(d.Varint())
-		b.Fragments = int(d.Varint())
-		// Frame tail, as on MsgQuery.
-		if d.err == nil && len(d.b) > 0 {
-			b.TraceID = d.Uvarint()
+		b, ok := body.(ShardQueryMsg)
+		walkQuery(c, &b.Query)
+		Varint(c, &b.Shard)
+		Varint(c, &b.Fragments)
+		if c.tail(b.TraceID != 0) {
+			c.Uvarint(&b.TraceID)
 		}
-		body = b
+		return decoded(c, &b), ok
 	case MsgClusterStats:
-		var b ClusterStatsMsg
-		if n := d.Len(18); n > 0 {
-			b.Shards = make([]ShardStats, n)
-			for i := range b.Shards {
-				s := &b.Shards[i]
-				s.Shard = int(d.Varint())
-				s.Addr = d.Str()
-				s.Alive = d.Bool()
-				s.Err = d.Str()
-				s.Stats = decStats(d)
-			}
+		b, ok := body.(ClusterStatsMsg)
+		for i := range List(c, &b.Shards, shardStatsLen) {
+			walkShardStats(c, &b.Shards[i])
 		}
-		b.Aggregate = decStats(d)
-		b.Degraded = d.Bool()
-		body = b
+		walkStats(c, &b.Aggregate)
+		c.Bool(&b.Degraded)
+		return decoded(c, &b), ok
 	case MsgAdminResize:
-		var b AdminResizeMsg
-		if n := d.Len(1); n > 0 {
-			b.Shards = make([]string, n)
-			for i := range b.Shards {
-				b.Shards[i] = d.Str()
-			}
+		b, ok := body.(AdminResizeMsg)
+		for i := range List(c, &b.Shards, 1) {
+			c.Str(&b.Shards[i])
 		}
-		body = b
+		return decoded(c, &b), ok
 	case MsgRebalanceStatus:
-		var b RebalanceStatusMsg
-		b.Active = d.Bool()
-		b.Phase = d.Str()
-		b.Epoch = int(d.Varint())
-		b.From = int(d.Varint())
-		b.To = int(d.Varint())
-		b.MovedObjects = d.Varint()
-		b.MovedBytes = cost.Bytes(d.Varint())
-		b.Completed = d.Varint()
-		b.LastError = d.Str()
-		body = b
+		b, ok := body.(RebalanceStatusMsg)
+		c.Bool(&b.Active)
+		c.Str(&b.Phase)
+		Varint(c, &b.Epoch)
+		Varint(c, &b.From)
+		Varint(c, &b.To)
+		Varint(c, &b.MovedObjects)
+		Varint(c, &b.MovedBytes)
+		Varint(c, &b.Completed)
+		c.Str(&b.LastError)
+		return decoded(c, &b), ok
 	case MsgReshard:
-		var b ReshardMsg
-		b.Epoch = int(d.Varint())
-		b.Owned = d.ObjectIDs()
-		if n := d.Len(3); n > 0 {
-			b.Universe = make([]model.Object, n)
-			for i := range b.Universe {
-				b.Universe[i] = d.Object()
-			}
+		b, ok := body.(ReshardMsg)
+		Varint(c, &b.Epoch)
+		IDs(c, &b.Owned)
+		for i := range List(c, &b.Universe, objectLen) {
+			walkObject(c, &b.Universe[i])
 		}
-		b.Warm = d.ObjectIDs()
-		b.Resident = int(d.Varint())
-		b.Dropped = int(d.Varint())
-		if d.err == nil && len(d.b) > 0 {
-			b.Replicas = int(d.Varint())
+		IDs(c, &b.Warm)
+		Varint(c, &b.Resident)
+		Varint(c, &b.Dropped)
+		// Replicas and then Horizon ride the tail: each is written only
+		// when it or a later field is non-zero.
+		if c.tail(b.Replicas != 0 || b.Horizon != 0) {
+			Varint(c, &b.Replicas)
 		}
-		if d.err == nil && len(d.b) > 0 {
-			b.Horizon = model.ObjectID(d.Varint())
+		if c.tail(b.Horizon != 0) {
+			Varint(c, &b.Horizon)
 		}
-		body = b
+		return decoded(c, &b), ok
 	case MsgObjectBirth:
-		var b ObjectBirthMsg
-		// Minimum birth encoding: 3-byte object + two raw f64s + time.
-		if n := d.Len(20); n > 0 {
-			b.Births = make([]model.Birth, n)
-			for i := range b.Births {
-				b.Births[i] = d.Birth()
-			}
-		}
-		b.Accepted = int(d.Varint())
-		body = b
+		b, ok := body.(ObjectBirthMsg)
+		Births(c, &b.Births)
+		Varint(c, &b.Accepted)
+		return decoded(c, &b), ok
 	case MsgBirthGrant:
-		var b BirthGrantMsg
-		if n := d.Len(20); n > 0 {
-			b.Births = make([]model.Birth, n)
-			for i := range b.Births {
-				b.Births[i] = d.Birth()
-			}
+		b, ok := body.(BirthGrantMsg)
+		Births(c, &b.Births)
+		Varint(c, &b.Accepted)
+		if c.tail(b.Epoch != 0) {
+			Varint(c, &b.Epoch)
 		}
-		b.Accepted = int(d.Varint())
-		// Frame tail, as on MsgReshard's Replicas.
-		if d.err == nil && len(d.b) > 0 {
-			b.Epoch = int(d.Varint())
-		}
-		body = b
-	default:
-		return nil, fmt.Errorf("netproto: v3 decode: unknown frame type %d", uint8(t))
+		return decoded(c, &b), ok
 	}
-	if d.err != nil {
-		return nil, d.err
+	if c.dec {
+		c.fail(fmt.Errorf("netproto: v3 decode: unknown frame type %d", uint8(t)))
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("netproto: v3 decode: %d trailing bytes after %s body", len(d.b), t)
-	}
-	return body, nil
+	return nil, false
 }

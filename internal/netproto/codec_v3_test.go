@@ -132,6 +132,37 @@ func TestV3RoundTripProperty(t *testing.T) {
 	}
 }
 
+// fillLists sets every slice in v, at any depth, to n zero-value
+// elements. The elements' own slices stay nil, so every list holds its
+// element type's shortest encoding.
+func fillLists(v reflect.Value, n int) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillLists(v.Field(i), n)
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), n, n))
+	}
+}
+
+// TestV3ListBoundAdmitsShortestElements pins the lower edge of the
+// slice-length guard: a body whose every list holds one to three
+// zero-value elements, each at its shortest encoding, must round-trip.
+// A minimum element length stated above the true one would refuse it.
+func TestV3ListBoundAdmitsShortestElements(t *testing.T) {
+	for _, entry := range quickBodies {
+		for n := 1; n <= 3; n++ {
+			v := reflect.New(reflect.TypeOf(entry.body)).Elem()
+			fillLists(v, n)
+			f := Frame{Type: entry.t, Body: v.Interface()}
+			if got := roundTrip(t, f); !reflect.DeepEqual(got.Body, f.Body) {
+				t.Errorf("%s with %d-element lists: received %+v, sent %+v", entry.t, n, got.Body, f.Body)
+			}
+		}
+	}
+}
+
 // TestV3TraceTailCompat pins the trace tail's wire contract on the
 // three frame types that carry it: an untraced frame encodes with no
 // tail at all, a traced frame round-trips its TraceID and spans
@@ -338,5 +369,40 @@ func TestV3AllocAdvantage(t *testing.T) {
 	t.Logf("allocs per encode+decode: %.1f", allocs)
 	if allocs > 4 {
 		t.Errorf("QueryResultMsg encode+decode allocates %.1f/op, want at most 4", allocs)
+	}
+}
+
+// BenchmarkFrameRoundTrip is the codec's share of one query hop: a
+// QueryMsg request and its QueryResultMsg reply, each encoded and
+// decoded over a buffer with no socket, shaped like the benchmark
+// module's codec probe (a multi-object query; a reply with a scaled
+// payload and no rows).
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	c := connOverBuffer()
+	q := model.Query{
+		ID: 7, Objects: []model.ObjectID{3, 14, 15, 92, 65}, Cost: 40 * cost.MB,
+		Tolerance: time.Minute, Time: time.Hour,
+	}
+	frames := [2]Frame{
+		{Type: MsgQuery, RequestID: 7, Body: QueryMsg{Query: q}},
+		{Type: MsgQueryResult, RequestID: 7, Body: QueryResultMsg{
+			QueryID: q.ID,
+			Logical: q.Cost,
+			Payload: MakePayload(DefaultScale(), q.Cost, int64(q.ID)),
+			Source:  "cache",
+			Elapsed: 50 * time.Microsecond,
+		}},
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, f := range frames {
+			if err := c.Send(f); err != nil {
+				b.Fatal(err)
+			}
+			got, err := c.Recv()
+			if err != nil || got.Type != f.Type || got.RequestID != f.RequestID {
+				b.Fatalf("round trip of %s: got %s #%d, err %v", f.Type, got.Type, got.RequestID, err)
+			}
+		}
 	}
 }

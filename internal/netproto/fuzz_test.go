@@ -172,13 +172,34 @@ func streamSeeds(t testing.TB) [][]byte {
 
 // drainStream feeds data to Conn.Recv until the first error, which it
 // returns: every frame either decodes or errors, never panics, and the
-// input is finite so EOF terminates the loop.
-func drainStream(data []byte) error {
+// input is finite so EOF terminates the loop. Every frame that decodes
+// must reach the codec's fixed point (checkFixedPoint).
+func drainStream(t testing.TB, data []byte) error {
 	c := NewConn(readWriter{bytes.NewReader(data)})
 	for {
-		if _, err := c.Recv(); err != nil {
+		f, err := c.Recv()
+		if err != nil {
 			return err
 		}
+		checkFixedPoint(t, f)
+	}
+}
+
+// checkFixedPoint requires a decoded frame's re-encoding to decode and
+// re-encode to the same bytes. The first re-encoding may differ from
+// the bytes the frame came from, since decoding normalises (an
+// overlong varint, a bool byte other than 1, a tail of zeros), but
+// after it nothing may change. Bytes are compared, not values, because
+// NaN != NaN.
+func checkFixedPoint(t testing.TB, f Frame) {
+	t.Helper()
+	first := encodeFrames(t, f)
+	again, err := NewConn(readWriter{bytes.NewReader(first)}).Recv()
+	if err != nil {
+		t.Fatalf("%s: the re-encoding %x does not decode: %v", f.Type, first, err)
+	}
+	if second := encodeFrames(t, again); !bytes.Equal(first, second) {
+		t.Fatalf("%s: re-encoding is no fixed point:\n first  %x\n second %x", f.Type, first, second)
 	}
 }
 
@@ -207,7 +228,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		drainStream(data)
+		drainStream(t, data)
 	})
 }
 
@@ -234,10 +255,10 @@ func TestDecodeFrameSeedCorpus(t *testing.T) {
 					t.Fatalf("case %d: Recv panicked: %v", i, r)
 				}
 			}()
-			drainStream(data)
+			drainStream(t, data)
 		}()
 	}
-	if err := drainStream(oversizedRoleHello()); err == nil || err == io.EOF {
+	if err := drainStream(t, oversizedRoleHello()); err == nil || err == io.EOF {
 		t.Errorf("a Hello whose Role claims 2^40 bytes decoded (err = %v), want a slice-length error", err)
 	}
 }

@@ -664,11 +664,9 @@ func (c *Conn) Send(f Frame) error {
 		defer f.Release()
 	}
 	bufp := encPool.Get().(*[]byte)
-	e := Encoder{b: (*bufp)[:0]}
-	e.b = append(e.b, 0, 0, 0, 0) // length prefix, patched below
-	e.U8(byte(f.Type))
-	e.Uvarint(f.RequestID)
-	err := encodeBodyV3(&e, f.Type, f.Body)
+	e := Cursor{b: append((*bufp)[:0], 0, 0, 0, 0)} // length prefix, patched below
+	e.walkFrame(&f)
+	err := e.err
 	if err == nil && len(e.b)-4 > MaxFrame {
 		err = fmt.Errorf("netproto: frame %s too large (%d bytes)", f.Type, len(e.b)-4)
 	}
@@ -718,17 +716,13 @@ func (c *Conn) Recv() (Frame, error) {
 	if _, err := io.ReadFull(c.br, buf); err != nil {
 		return Frame{}, fmt.Errorf("netproto: read frame body: %w", err)
 	}
-	d := Decoder{b: buf}
-	t := MsgType(d.U8())
-	reqID := d.Uvarint()
-	if d.err != nil {
-		return Frame{}, d.err
-	}
-	body, err := decodeBodyV3(&d, t)
-	if err != nil {
+	cur := Cursor{b: buf, dec: true}
+	var f Frame
+	cur.walkFrame(&f)
+	if err := cur.err; err != nil {
 		return Frame{}, err
 	}
-	return Frame{Type: t, RequestID: reqID, Body: body}, nil
+	return f, nil
 }
 
 // MakePayload builds a deterministic pseudo-payload of the scaled size

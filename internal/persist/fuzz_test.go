@@ -17,44 +17,70 @@ import (
 // seedJournal renders a valid journal stream (magic, generation-gen
 // header, one record of each type) for the fuzzer to mutate.
 func seedJournal(gen uint64) []byte {
-	var head netproto.Encoder
-	head.Uvarint(gen)
-	out := append([]byte(nil), journalMagic...)
-	out = frameRecord(out, recHeader, head.Bytes())
-	var b netproto.Encoder
-	b.Birth(&model.Birth{
-		Object: model.Object{ID: 69, Size: cost.GB, Trixel: 123},
-		RA:     182.5, Dec: -1.25, Time: time.Hour,
-	})
-	out = frameRecord(out, recBirth, b.Bytes())
-	var admit netproto.Encoder
-	admit.Varint(69)
-	out = frameRecord(out, recAdmit, admit.Bytes())
-	var evict netproto.Encoder
-	evict.Varint(69)
-	return frameRecord(out, recEvict, evict.Bytes())
+	out := header(journalMagic, gen)
+	for _, e := range []entry{
+		{typ: recBirth, birth: model.Birth{
+			Object: model.Object{ID: 69, Size: cost.GB, Trixel: 123},
+			RA:     182.5, Dec: -1.25, Time: time.Hour,
+		}},
+		{typ: recAdmit, id: 69},
+		{typ: recEvict, id: 69},
+	} {
+		out = frameRecord(out, e.typ, encode(nil, e.walk))
+	}
+	return out
 }
 
 // seedSnapshot renders a valid snapshot file for the same treatment.
 func seedSnapshot() []byte {
-	var head netproto.Encoder
-	head.Uvarint(1)
-	out := append([]byte(nil), snapshotMagic...)
-	out = frameRecord(out, recHeader, head.Bytes())
-	return frameRecord(out, recSnapshot, encodeState(testState()))
+	return frameRecord(header(snapshotMagic, 1), recSnapshot, encode(nil, testState().walk))
 }
 
 // replayArbitrary feeds one byte stream through both decode paths — as
 // a journal (over an empty state and over a populated one) and as a
 // snapshot file. Malformed, truncated, or bit-flipped input must
 // surface as an error or a cleanly dropped tail, never as a panic or
-// an unbounded allocation.
-func replayArbitrary(data []byte) {
+// an unbounded allocation, and the snapshot state and every journal
+// record that decodes must reach its layout's fixed point.
+func replayArbitrary(t testing.TB, data []byte) {
 	st := &State{}
 	_, _ = replayJournal(data, 0, st)
 	st2 := testState()
 	_, _ = replayJournal(data, 1, st2)
-	_, _ = decodeSnapshotFile(data)
+	if snap, err := decodeSnapshotFile(data); err == nil {
+		if err := fixedPoint(snap.walk, (&State{}).walk); err != nil {
+			t.Fatalf("snapshot state: %v", err)
+		}
+	}
+	_, records, err := readHeader(data, journalMagic, "journal")
+	for err == nil && len(records) > 0 {
+		var typ byte
+		var payload []byte
+		typ, payload, records, err = readRecord(records)
+		e := entry{typ: typ}
+		if err != nil || decode(payload, e.walk) != nil {
+			continue
+		}
+		if err := fixedPoint(e.walk, (&entry{typ: typ}).walk); err != nil {
+			t.Fatalf("journal record type %d: %v", typ, err)
+		}
+	}
+}
+
+// fixedPoint requires what walk encodes to decode through next, a
+// fresh value's walk, and encode again to the same bytes. Decoding may
+// normalise (an overlong varint), so a decoded value's encoding need
+// not equal the bytes it came from, but after that nothing may change.
+// Bytes are compared, not values, because NaN != NaN.
+func fixedPoint(walk, next func(*netproto.Cursor)) error {
+	first := encode(nil, walk)
+	if err := decode(first, next); err != nil {
+		return fmt.Errorf("the re-encoding %x does not decode: %w", first, err)
+	}
+	if second := encode(nil, next); !bytes.Equal(first, second) {
+		return fmt.Errorf("re-encoding is no fixed point:\n first  %x\n second %x", first, second)
+	}
+	return nil
 }
 
 // FuzzJournalReplay is the durability twin of netproto's
@@ -78,7 +104,7 @@ func FuzzJournalReplay(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		replayArbitrary(data)
+		replayArbitrary(t, data)
 	})
 }
 
@@ -115,7 +141,7 @@ func TestJournalReplaySeedCorpus(t *testing.T) {
 					t.Fatalf("case %d: replay panicked: %v", i, r)
 				}
 			}()
-			replayArbitrary(data)
+			replayArbitrary(t, data)
 		}()
 	}
 	// The valid streams must actually decode, or the corpus is testing

@@ -391,3 +391,21 @@ func TestOverCapRecordRefused(t *testing.T) {
 	want.Resident = append(want.Resident, 1)
 	assertState(t, got, want)
 }
+
+// TestStateListBoundAdmitsShortestElements pins the lower edge of the
+// slice-length guard on the snapshot record: a state whose lists hold
+// one to three zero-value births and IDs, each at its shortest
+// encoding, must round-trip, with each list alone last in the record
+// and with both filled.
+func TestStateListBoundAdmitsShortestElements(t *testing.T) {
+	for n := 1; n <= 3; n++ {
+		births, ids := make([]model.Birth, n), make([]model.ObjectID, n)
+		for _, want := range []*State{{Births: births}, {Resident: ids}, {Births: births, Resident: ids}} {
+			got := &State{}
+			if err := decode(encode(nil, want.walk), got.walk); err != nil {
+				t.Fatalf("%d births, %d residents: %v", len(want.Births), len(want.Resident), err)
+			}
+			assertState(t, got, want)
+		}
+	}
+}

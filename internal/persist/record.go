@@ -9,9 +9,9 @@
 // cross — instead of paying the full warmup the caching policies exist
 // to avoid.
 //
-// Record payloads are written by netproto.Encoder and read by
-// netproto.Decoder, so objects, births and ID lists have the same
-// bytes on disk as on the wire (no gob): each record is a
+// Each record payload's layout is one walk over a netproto.Cursor,
+// which both writes and reads it, so objects, births and ID lists have
+// the same bytes on disk as on the wire (no gob): each record is a
 // little-endian uint32 length prefix over a one-byte record type plus
 // the payload, followed by a little-endian uint32 CRC-32C over the
 // type and payload. Snapshots are replaced atomically (write temp,
@@ -26,6 +26,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -68,13 +69,53 @@ const maxRecord = 64 << 20
 // platforms that matter).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// decodeErr reports a decoder's failure under this package's prefix, so
-// a bad snapshot or journal record reads as a persistence error.
-func decodeErr(d *netproto.Decoder) error {
-	if err := d.Err(); err != nil {
+// encode appends to dst the payload a layout's walk writes.
+func encode(dst []byte, walk func(*netproto.Cursor)) []byte {
+	c := netproto.Encoding(dst)
+	walk(c)
+	return c.Bytes()
+}
+
+// decode reads a payload through a layout's walk, reporting a failure
+// under this package's prefix, so a bad snapshot or journal record
+// reads as a persistence error.
+func decode(payload []byte, walk func(*netproto.Cursor)) error {
+	c := netproto.Decoding(payload)
+	walk(c)
+	if err := c.Err(); err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
 	return nil
+}
+
+// generation is the payload of the header record that opens both
+// files: the generation of the snapshot the file holds or extends.
+type generation uint64
+
+func (g *generation) walk(c *netproto.Cursor) { c.Uvarint((*uint64)(g)) }
+
+// header renders a file's magic and its header record.
+func header(magic []byte, gen uint64) []byte {
+	g := generation(gen)
+	return frameRecord(bytes.Clone(magic), recHeader, encode(nil, g.walk))
+}
+
+// readHeader checks a file's magic and its header record, and returns
+// the generation and the records after it.
+func readHeader(raw, magic []byte, file string) (uint64, []byte, error) {
+	if !bytes.HasPrefix(raw, magic) {
+		return 0, nil, fmt.Errorf("persist: bad %s magic", file)
+	}
+	typ, payload, rest, err := readRecord(raw[len(magic):])
+	if err != nil {
+		return 0, nil, fmt.Errorf("persist: %s header: %w", file, err)
+	}
+	if typ != recHeader {
+		return 0, nil, fmt.Errorf("persist: %s opens with record type %d", file, typ)
+	}
+	var g generation
+	err = decode(payload, g.walk)
+	return uint64(g), rest, err
 }
 
 // checkRecord refuses a payload whose record exceeds maxRecord, before

@@ -35,62 +35,49 @@ type State struct {
 	generation uint64
 }
 
-// encodeState renders a State as a recSnapshot payload.
-func encodeState(st *State) []byte {
-	e := netproto.NewEncoder(make([]byte, 0, 16+40*len(st.Births)+8*len(st.Resident)))
-	e.Uvarint(uint64(len(st.Births)))
-	for i := range st.Births {
-		e.Birth(&st.Births[i])
-	}
-	e.ObjectIDs(st.Resident)
-	return e.Bytes()
+// walk is the snapshot record's layout.
+func (st *State) walk(c *netproto.Cursor) {
+	netproto.Births(c, &st.Births)
+	netproto.IDs(c, &st.Resident)
 }
 
-// decodeState parses a recSnapshot payload.
-func decodeState(payload []byte) (*State, error) {
-	d := netproto.NewDecoder(payload)
-	st := &State{}
-	if n := d.Len(19); n > 0 {
-		st.Births = make([]model.Birth, n)
-		for i := range st.Births {
-			st.Births[i] = d.Birth()
-		}
+// entry is one journal record after the header: a birth (recBirth) or
+// an object ID (recAdmit, recEvict).
+type entry struct {
+	typ   byte
+	birth model.Birth
+	id    model.ObjectID
+}
+
+// walk is an entry's payload layout, which its type selects.
+func (e *entry) walk(c *netproto.Cursor) {
+	switch e.typ {
+	case recBirth:
+		netproto.Birth(c, &e.birth)
+	case recAdmit, recEvict:
+		netproto.Varint(c, &e.id)
 	}
-	st.Resident = d.ObjectIDs()
-	if err := decodeErr(d); err != nil {
-		return nil, err
-	}
-	return st, nil
 }
 
 // apply folds one journal record into the state. Admissions and
 // evictions are idempotent set operations and births dedup by ID (see
 // the State doc for why that tolerance is sound here).
 func (st *State) apply(typ byte, payload []byte) error {
-	d := netproto.NewDecoder(payload)
+	e := entry{typ: typ}
+	if err := decode(payload, e.walk); err != nil {
+		return err
+	}
 	switch typ {
 	case recBirth:
-		b := d.Birth()
-		if err := decodeErr(d); err != nil {
-			return err
-		}
-		if !slices.ContainsFunc(st.Births, func(known model.Birth) bool { return known.Object.ID == b.Object.ID }) {
-			st.Births = append(st.Births, b)
+		if !slices.ContainsFunc(st.Births, func(known model.Birth) bool { return known.Object.ID == e.birth.Object.ID }) {
+			st.Births = append(st.Births, e.birth)
 		}
 	case recAdmit:
-		id := model.ObjectID(d.Varint())
-		if err := decodeErr(d); err != nil {
-			return err
-		}
-		if !slices.Contains(st.Resident, id) {
-			st.Resident = append(st.Resident, id)
+		if !slices.Contains(st.Resident, e.id) {
+			st.Resident = append(st.Resident, e.id)
 		}
 	case recEvict:
-		id := model.ObjectID(d.Varint())
-		if err := decodeErr(d); err != nil {
-			return err
-		}
-		if i := slices.Index(st.Resident, id); i >= 0 {
+		if i := slices.Index(st.Resident, e.id); i >= 0 {
 			st.Resident = slices.Delete(st.Resident, i, i+1)
 		}
 	default:

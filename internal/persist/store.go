@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/deltacache/delta/internal/model"
-	"github.com/deltacache/delta/internal/netproto"
 )
 
 // File names inside a store directory.
@@ -149,23 +148,11 @@ func decodeSnapshotFile(raw []byte) (*State, error) {
 	if bytes.HasPrefix(raw, oldSnapshotMagic) {
 		return nil, fmt.Errorf("persist: snapshot is in the retired %s format; delete the data directory to start cold", oldSnapshotMagic)
 	}
-	if len(raw) < len(snapshotMagic) || !bytes.Equal(raw[:len(snapshotMagic)], snapshotMagic) {
-		return nil, fmt.Errorf("persist: bad snapshot magic")
-	}
-	b := raw[len(snapshotMagic):]
-	typ, payload, rest, err := readRecord(b)
+	gen, rest, err := readHeader(raw, snapshotMagic, "snapshot")
 	if err != nil {
-		return nil, fmt.Errorf("persist: snapshot: %w", err)
-	}
-	if typ != recHeader {
-		return nil, fmt.Errorf("persist: snapshot opens with record type %d", typ)
-	}
-	hd := netproto.NewDecoder(payload)
-	generation := hd.Uvarint()
-	if err := decodeErr(hd); err != nil {
 		return nil, err
 	}
-	typ, payload, rest, err = readRecord(rest)
+	typ, payload, rest, err := readRecord(rest)
 	if err != nil {
 		return nil, fmt.Errorf("persist: snapshot: %w", err)
 	}
@@ -175,11 +162,10 @@ func decodeSnapshotFile(raw []byte) (*State, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("persist: %d trailing bytes after snapshot record", len(rest))
 	}
-	st, err := decodeState(payload)
-	if err != nil {
+	st := &State{generation: gen}
+	if err := decode(payload, st.walk); err != nil {
 		return nil, err
 	}
-	st.generation = generation
 	return st, nil
 }
 
@@ -187,20 +173,8 @@ func decodeSnapshotFile(raw []byte) (*State, error) {
 // header generation must match gen... see Store.Recover for how the
 // caller learns the snapshot's generation.
 func replayJournal(raw []byte, wantGen uint64, st *State) (applied int, tailErr error) {
-	if len(raw) < len(journalMagic) || !bytes.Equal(raw[:len(journalMagic)], journalMagic) {
-		return 0, fmt.Errorf("persist: bad journal magic")
-	}
-	b := raw[len(journalMagic):]
-	typ, payload, rest, err := readRecord(b)
+	gen, b, err := readHeader(raw, journalMagic, "journal")
 	if err != nil {
-		return 0, fmt.Errorf("persist: journal header: %w", err)
-	}
-	if typ != recHeader {
-		return 0, fmt.Errorf("persist: journal opens with record type %d", typ)
-	}
-	hd := netproto.NewDecoder(payload)
-	gen := hd.Uvarint()
-	if err := decodeErr(hd); err != nil {
 		return 0, err
 	}
 	if gen != wantGen {
@@ -210,9 +184,8 @@ func replayJournal(raw []byte, wantGen uint64, st *State) (applied int, tailErr 
 		// them would be wrong. Ignore the whole journal.
 		return 0, fmt.Errorf("persist: journal generation %d does not extend snapshot generation %d", gen, wantGen)
 	}
-	b = rest
 	for len(b) > 0 {
-		typ, payload, rest, err = readRecord(b)
+		typ, payload, rest, err := readRecord(b)
 		if err != nil {
 			return applied, err // torn tail: keep the clean prefix
 		}
@@ -233,7 +206,9 @@ func replayJournal(raw []byte, wantGen uint64, st *State) (applied int, tailErr 
 // is the journal reset under a new generation. A state whose record
 // exceeds maxRecord is refused, and the previous snapshot and journal
 // stay as they were.
-func (s *Store) WriteSnapshot(st *State) error { return s.writeSnapshot(encodeState(st)) }
+func (s *Store) WriteSnapshot(st *State) error {
+	return s.writeSnapshot(encode(make([]byte, 0, 16+40*len(st.Births)+8*len(st.Resident)), st.walk))
+}
 
 // writeSnapshot lands an encoded state as the new snapshot.
 func (s *Store) writeSnapshot(payload []byte) error {
@@ -250,11 +225,7 @@ func (s *Store) writeSnapshot(payload []byte) error {
 	}
 
 	gen := s.generation + 1
-	var head netproto.Encoder
-	head.Uvarint(gen)
-	out := append([]byte(nil), snapshotMagic...)
-	out = frameRecord(out, recHeader, head.Bytes())
-	out = frameRecord(out, recSnapshot, payload)
+	out := frameRecord(header(snapshotMagic, gen), recSnapshot, payload)
 
 	path := filepath.Join(s.opts.Dir, snapshotFile)
 	tmp := path + tempSuffix
@@ -316,11 +287,7 @@ func (s *Store) resetJournalLocked() error {
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	var head netproto.Encoder
-	head.Uvarint(s.generation)
-	out := append([]byte(nil), journalMagic...)
-	out = frameRecord(out, recHeader, head.Bytes())
-	if _, err := f.Write(out); err != nil {
+	if _, err := f.Write(header(journalMagic, s.generation)); err != nil {
 		f.Close()
 		return fmt.Errorf("persist: journal header: %w", err)
 	}
@@ -407,24 +374,20 @@ func (s *Store) flushLoop() {
 
 // AppendBirth journals one adopted object birth.
 func (s *Store) AppendBirth(b model.Birth) error {
-	var e netproto.Encoder
-	e.Birth(&b)
-	return s.append(recBirth, e.Bytes())
+	return s.appendEntry(entry{typ: recBirth, birth: b})
 }
 
 // AppendAdmit journals one object admitted to the resident set.
 func (s *Store) AppendAdmit(id model.ObjectID) error {
-	var e netproto.Encoder
-	e.Varint(int64(id))
-	return s.append(recAdmit, e.Bytes())
+	return s.appendEntry(entry{typ: recAdmit, id: id})
 }
 
 // AppendEvict journals one object evicted from the resident set.
 func (s *Store) AppendEvict(id model.ObjectID) error {
-	var e netproto.Encoder
-	e.Varint(int64(id))
-	return s.append(recEvict, e.Bytes())
+	return s.appendEntry(entry{typ: recEvict, id: id})
 }
+
+func (s *Store) appendEntry(e entry) error { return s.append(e.typ, encode(nil, e.walk)) }
 
 // JournalRecords reports how many records the journal holds: those
 // appended since the last snapshot, which is what a crash right now
