@@ -11,8 +11,10 @@ import (
 
 // goldenGenerator pins the base Generator's event stream the way
 // goldenTraces pins the scenarios: DefaultConfig (shortened) on the
-// level-5 uniform mesh the cluster benchmarks replay, once on a fixed
-// universe and once with births and the access bias toward them. Every
+// level-5 uniform mesh the cluster benchmarks replay: once on a fixed
+// universe, once with births and the access bias toward them, and once
+// in the benchmark's all-sky shape (every query a background query, no
+// updates). Every
 // query's object set is a cone cover, so a cover that drifts by one
 // boundary trixel changes a hash. Regenerate an intentional change with
 //
@@ -20,6 +22,7 @@ import (
 var goldenGenerator = map[string]string{
 	"fixed":   "ad1138441ca5b92a80c4527f0be3b6c0a0f111e0d40d4668a39f1b9d54f602a2",
 	"growing": "971a49ae80694873b9f26bdc402248c4b03ef7548d2514da82787bdfeab4b487",
+	"all-sky": "7a149a4df8278dc79a448110815bf4d2e5bc726e83edab74daab0fdc1bed8951",
 }
 
 func TestGoldenGenerator(t *testing.T) {
@@ -40,8 +43,11 @@ func TestGoldenGenerator(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Seed = 5
 			cfg.NumQueries, cfg.NumUpdates = 3000, 1500
-			if name == "growing" {
+			switch name {
+			case "growing":
 				cfg.GrowthObjects, cfg.BirthBias = 60, 0.3
+			case "all-sky":
+				cfg.BackgroundQueryFrac, cfg.NumUpdates = 1, 0
 			}
 			g, err := NewGenerator(survey, cfg)
 			if err != nil {

@@ -23,6 +23,17 @@ var goldenTraces = map[string]string{
 	"zipf-drift":        "210abe13914a2e1d6e7f0fc2741950357bef3ce607ab56df699d78c94f03e029",
 }
 
+// goldenDefaultTraces pins every scenario at its own default event mix
+// (Options{Seed: 42}), so a change to a scenario's default counts or
+// to its births fails here even when the fixed mix above still passes.
+var goldenDefaultTraces = map[string]string{
+	"batch-interactive": "b1de4812b42c9a0c1962ca2ff4e759e7c1756e8d3e0fef5a6a2f28b886e88e39",
+	"diurnal":           "4c5d5016447aa5e5e8b8f41f037d7730fc902f353f673b3b2acbe7218f37a27f",
+	"flash-crowd":       "1ea2da3b0dcab7458d8581b6417e6156a4a71e42ce69cdea538384d97ed0f7ad",
+	"growth-spurt":      "6e54bef9692de1c9812facb09ee713d662b4fb28ed053e510ad15ad2297abdfb",
+	"zipf-drift":        "c4ac8302118f5035e1958ad7f5115e5db6bc7f40b324066aa9fa643bd51b453c",
+}
+
 func TestGoldenTraces(t *testing.T) {
 	for _, sc := range Scenarios() {
 		t.Run(sc.Name(), func(t *testing.T) {
@@ -30,16 +41,32 @@ func TestGoldenTraces(t *testing.T) {
 			if !ok {
 				t.Fatalf("scenario %q has no golden hash; add it", sc.Name())
 			}
-			events, err := sc.Events(testSurvey(t), Options{Seed: 42, Queries: 800, Updates: 400})
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := sha256.New()
-			serializeEvents(h, events)
-			got := hex.EncodeToString(h.Sum(nil))
-			if got != want {
-				t.Errorf("golden trace hash changed:\n got  %s\n want %s", got, want)
-			}
+			checkGoldenTrace(t, sc, Options{Seed: 42, Queries: 800, Updates: 400}, want)
 		})
+	}
+}
+
+func TestGoldenDefaultTraces(t *testing.T) {
+	for _, sc := range Scenarios() {
+		t.Run(sc.Name(), func(t *testing.T) {
+			want, ok := goldenDefaultTraces[sc.Name()]
+			if !ok {
+				t.Fatalf("scenario %q has no default-mix golden hash; add it", sc.Name())
+			}
+			checkGoldenTrace(t, sc, Options{Seed: 42}, want)
+		})
+	}
+}
+
+func checkGoldenTrace(t *testing.T, sc Scenario, opts Options, want string) {
+	t.Helper()
+	events, err := sc.Events(testSurvey(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	serializeEvents(h, events)
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("golden trace hash changed:\n got  %s\n want %s", got, want)
 	}
 }
