@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -18,24 +19,53 @@ import (
 // encodes one access pattern the in-network-cache trace studies
 // measured on real scientific repositories — Zipf popularity with rank
 // drift, diurnal load cycles, batch pipelines vs interactive users,
-// flash crowds, growth spurts — and reduces it to the same
-// model.Event stream the base Generator produces, so the simulator,
-// the cluster soaks, and the live delta-client driver replay any
-// scenario unchanged.
-type Scenario interface {
-	// Name is the stable registry key (delta-client -scenario <name>).
-	Name() string
-	// Description is a one-line summary for listings.
-	Description() string
-	// Events generates the scenario's event stream against the survey.
-	// The stream is deterministic for a fixed survey, scenario
-	// configuration, and options. Scenarios that grow the universe
-	// apply births to the survey as a side effect, exactly like
-	// Generator.Generate.
-	Events(survey *catalog.Survey, opts Options) ([]model.Event, error)
+// flash crowds, growth spurts — at one calibration, and reduces it to
+// the same model.Event stream the base Generator produces, so the
+// simulator, the cluster soaks, and the live delta-client driver replay
+// any scenario unchanged.
+type Scenario struct {
+	name, description string
+	// queries and updates are the default event mix, births the number
+	// of objects the scenario publishes, and anchors the number of
+	// query anchors it draws on the flanks of query-hot blobs.
+	queries, updates int
+	births           int
+	anchors          int
+	// emit writes the scenario's events once Events has set up the
+	// emitter and drawn the anchors.
+	emit func(e *emitter, anchors []geom.Vec3) error
 }
 
-// Options are the scenario-independent knobs of a generated trace.
+// Name is the stable registry key (delta-client -scenario <name>).
+func (s Scenario) Name() string { return s.name }
+
+// Description is a one-line summary for listings.
+func (s Scenario) Description() string { return s.description }
+
+// Events generates the scenario's event stream against the survey. The
+// stream is deterministic for a fixed survey and options. A scenario
+// that grows the universe applies its births to the survey as a side
+// effect, exactly like Generator.Generate.
+func (s Scenario) Events(survey *catalog.Survey, opts Options) ([]model.Event, error) {
+	opts = opts.withDefaults(s.queries, s.updates)
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	e, err := newEmitter(survey, opts, opts.Queries+opts.Updates+s.births)
+	if err != nil {
+		return nil, err
+	}
+	anchors, err := queryAnchors(e.planRng, survey, s.anchors)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.emit(e, anchors); err != nil {
+		return nil, err
+	}
+	return e.events, nil
+}
+
+// Options are the scenario-independent settings of a generated trace.
 // Zero values select per-scenario defaults.
 type Options struct {
 	// Seed drives every random choice; equal seeds give identical
@@ -45,9 +75,6 @@ type Options struct {
 	// default; negative is invalid.
 	Queries int
 	Updates int
-	// EventInterval is the base virtual time between consecutive
-	// events; scenarios with bursty or cyclic arrivals modulate it.
-	EventInterval time.Duration
 }
 
 func (o Options) withDefaults(defQueries, defUpdates int) Options {
@@ -60,9 +87,6 @@ func (o Options) withDefaults(defQueries, defUpdates int) Options {
 	if o.Updates == 0 {
 		o.Updates = defUpdates
 	}
-	if o.EventInterval == 0 {
-		o.EventInterval = 200 * time.Millisecond
-	}
 	return o
 }
 
@@ -73,44 +97,79 @@ func (o Options) validate() error {
 	if o.Queries+o.Updates == 0 {
 		return fmt.Errorf("workload: scenario needs at least one event")
 	}
-	if o.EventInterval < 0 {
-		return fmt.Errorf("workload: negative event interval")
-	}
 	return nil
 }
 
-// Scenarios returns every registered scenario with default knobs,
-// sorted by name.
-func Scenarios() []Scenario {
-	out := []Scenario{
-		BatchInteractive{},
-		Diurnal{},
-		FlashCrowd{},
-		GrowthSpurt{},
-		ZipfDrift{},
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name() < out[b].Name() })
-	return out
+// scenarios is the registry, sorted by name.
+var scenarios = []Scenario{
+	{
+		name:        "batch-interactive",
+		description: "pipeline bursts of updates+wide scans over an interactive cone-search trickle",
+		queries:     5000,
+		updates:     3000,
+		anchors:     6,
+		emit:        emitBatchInteractive,
+	},
+	{
+		name:        "diurnal",
+		description: "day/night cycles: interactive queries at the peak, pipeline updates in the trough",
+		queries:     6000,
+		updates:     3000,
+		anchors:     8,
+		emit:        emitDiurnal,
+	},
+	{
+		name:        "flash-crowd",
+		description: "steady baseline until one sky region goes viral mid-trace, then decays",
+		queries:     8000,
+		updates:     2000,
+		anchors:     8,
+		emit:        emitFlashCrowd,
+	},
+	{
+		name:        "growth-spurt",
+		description: "birth storms concentrated in time and sky region, with access piling onto newborns",
+		queries:     5000,
+		updates:     2000,
+		births:      growthBirths,
+		anchors:     8,
+		emit:        emitGrowthSpurt,
+	},
+	{
+		name:        "zipf-drift",
+		description: "Zipf-skewed anchor popularity whose rank→region mapping rotates each drift phase",
+		queries:     6000,
+		updates:     2000,
+		anchors:     zipfAnchors,
+		emit:        emitZipfDrift,
+	},
 }
+
+// Scenarios returns every registered scenario, sorted by name.
+func Scenarios() []Scenario { return slices.Clone(scenarios) }
 
 // Lookup resolves a scenario by registry name.
 func Lookup(name string) (Scenario, error) {
 	var known []string
-	for _, s := range Scenarios() {
-		if s.Name() == name {
+	for _, s := range scenarios {
+		if s.name == name {
 			return s, nil
 		}
-		known = append(known, s.Name())
+		known = append(known, s.name)
 	}
-	return nil, fmt.Errorf("workload: unknown scenario %q (have %s)", name, strings.Join(known, ", "))
+	return Scenario{}, fmt.Errorf("workload: unknown scenario %q (have %s)", name, strings.Join(known, ", "))
 }
 
 // emitter is the shared event-construction machinery: it owns the
-// virtual clock, the ID counters, and the query/update/birth builders,
-// so each scenario only has to decide *where* and *when*.
+// random streams, the virtual clock, the ID counters, and the
+// query/update/birth builders, so each scenario only has to decide
+// *where* and *when*.
 type emitter struct {
-	survey      *catalog.Survey
-	opts        Options
+	survey *catalog.Survey
+	opts   Options
+	// Independent streams, seeded as Generator.Generate seeds its own.
+	planRng, qRng, uRng, bRng *rand.Rand
+
 	events      []model.Event
 	now         time.Duration
 	qID         model.QueryID
@@ -127,8 +186,12 @@ func newEmitter(survey *catalog.Survey, opts Options, totalEvents int) (*emitter
 	e := &emitter{
 		survey:  survey,
 		opts:    opts,
+		planRng: rand.New(rand.NewSource(opts.Seed)),
+		qRng:    rand.New(rand.NewSource(opts.Seed ^ 0x51ec5)),
+		uRng:    rand.New(rand.NewSource(opts.Seed ^ 0x0bda7e)),
+		bRng:    rand.New(rand.NewSource(opts.Seed ^ 0x6b17f5)),
 		events:  make([]model.Event, 0, totalEvents),
-		horizon: time.Duration(totalEvents) * opts.EventInterval,
+		horizon: time.Duration(totalEvents) * eventInterval,
 	}
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x3a7d9))
 	sum := 0.0
@@ -143,29 +206,17 @@ func newEmitter(survey *catalog.Survey, opts Options, totalEvents int) (*emitter
 	return e, nil
 }
 
-// tick advances the virtual clock by dt (floored so time stays
-// strictly increasing) and returns the new now.
-func (e *emitter) tick(dt time.Duration) time.Duration {
+// tick advances the virtual clock by dt, floored so time stays
+// strictly increasing.
+func (e *emitter) tick(dt time.Duration) {
 	if dt < time.Microsecond {
 		dt = time.Microsecond
 	}
 	e.now += dt
-	return e.now
-}
-
-func (e *emitter) tolerance(rng *rand.Rand) time.Duration {
-	switch r := rng.Float64(); {
-	case r < 0.5:
-		return model.NoTolerance
-	case r < 0.7:
-		return model.AnyStaleness
-	default:
-		return time.Duration(rng.Float64() * 0.2 * float64(e.horizon))
-	}
 }
 
 // coneQuery emits a cone search around center.
-func (e *emitter) coneQuery(rng *rand.Rand, center geom.Vec3, radiusDeg float64, meanSize cost.Bytes) {
+func (e *emitter) coneQuery(center geom.Vec3, radiusDeg float64, meanSize cost.Bytes) {
 	objects := e.survey.CoverCap(geom.NewCap(center, radiusDeg))
 	if len(objects) == 0 {
 		objects = []model.ObjectID{e.survey.ObjectAt(center)}
@@ -177,17 +228,24 @@ func (e *emitter) coneQuery(rng *rand.Rand, center geom.Vec3, radiusDeg float64,
 		Query: &model.Query{
 			ID:        e.qID,
 			Objects:   objects,
-			Cost:      lognormalBytes(rng, float64(meanSize), 1.6, 1024),
-			Tolerance: e.tolerance(rng),
+			Cost:      lognormalBytes(e.qRng, float64(meanSize), 1.6, 1024),
+			Tolerance: tolerance(e.qRng, e.horizon),
 			Time:      e.now,
 		},
 	})
 }
 
-// update emits an update at a sky position, sized by local density.
-func (e *emitter) update(rng *rand.Rand, pos geom.Vec3, meanSize cost.Bytes) {
+// update emits an update near an update-hot blob, sized by local
+// density.
+func (e *emitter) update() error {
+	blobs := e.survey.Sky().Blobs(catalog.UpdateHot)
+	if len(blobs) == 0 {
+		return fmt.Errorf("workload: survey sky lacks update blobs")
+	}
+	b := blobs[e.uRng.Intn(len(blobs))]
+	pos := perturb(e.uRng, b.Center, b.Sigma)
 	density := e.survey.Density(pos)
-	mean := float64(meanSize) * (density / e.meanDensity)
+	mean := float64(meanUpdateSize) * (density / e.meanDensity)
 	e.uID++
 	e.events = append(e.events, model.Event{
 		Seq:  int64(len(e.events)),
@@ -195,19 +253,20 @@ func (e *emitter) update(rng *rand.Rand, pos geom.Vec3, meanSize cost.Bytes) {
 		Update: &model.Update{
 			ID:     e.uID,
 			Object: e.survey.ObjectAt(pos),
-			Cost:   lognormalBytes(rng, mean, 0.8, 512),
+			Cost:   lognormalBytes(e.uRng, mean, 0.8, 512),
 			Time:   e.now,
 		},
 	})
+	return nil
 }
 
 // birth publishes one new object at pos and emits its event.
-func (e *emitter) birth(rng *rand.Rand, pos geom.Vec3, meanSize cost.Bytes) error {
+func (e *emitter) birth(pos geom.Vec3, meanSize cost.Bytes) error {
 	ra, dec := pos.RADec()
 	b := model.Birth{
 		Object: model.Object{
 			ID:   e.survey.NextID(),
-			Size: lognormalBytes(rng, float64(meanSize), 1.0, 1024),
+			Size: lognormalBytes(e.bRng, float64(meanSize), 1.0, 1024),
 		},
 		RA:   ra,
 		Dec:  dec,
@@ -229,6 +288,34 @@ func (e *emitter) birth(rng *rand.Rand, pos geom.Vec3, meanSize cost.Bytes) erro
 		Birth: &b,
 	})
 	return nil
+}
+
+// interleave emits the options' queries and updates, one base interval
+// apart, in the proportional interleave: query(i) emits the i-th query,
+// and each update slot emits an update.
+func (e *emitter) interleave(query func(i int)) error {
+	qIssued, uIssued := 0, 0
+	for qIssued+uIssued < e.opts.Queries+e.opts.Updates {
+		e.tick(eventInterval)
+		if nextIsQuery(qIssued, uIssued, e.opts.Queries, e.opts.Updates) {
+			query(qIssued)
+			qIssued++
+			continue
+		}
+		if err := e.update(); err != nil {
+			return err
+		}
+		uIssued++
+	}
+	return nil
+}
+
+// nextIsQuery is the deterministic proportional (Bresenham) interleave
+// of queries and updates: after q queries and u updates, it emits the
+// stream furthest behind its quota, so both streams stay evenly mixed
+// regardless of the ratio.
+func nextIsQuery(q, u, queries, updates int) bool {
+	return u >= updates || (q < queries && int64(q)*int64(queries+updates) <= int64(q+u)*int64(queries))
 }
 
 func lognormalBytes(rng *rand.Rand, mean, sigma float64, floor cost.Bytes) cost.Bytes {
@@ -254,251 +341,72 @@ func queryAnchors(rng *rand.Rand, survey *catalog.Survey, n int) ([]geom.Vec3, e
 	return out, nil
 }
 
-// updatePos draws an update position near an update-hot blob.
-func updatePos(rng *rand.Rand, survey *catalog.Survey) (geom.Vec3, error) {
-	blobs := survey.Sky().Blobs(catalog.UpdateHot)
-	if len(blobs) == 0 {
-		return geom.Vec3{}, fmt.Errorf("workload: survey sky lacks update blobs")
-	}
-	b := blobs[rng.Intn(len(blobs))]
-	return perturb(rng, b.Center, b.Sigma), nil
-}
-
-// interleave runs the Bresenham query/update interleave over exactly
-// queries+updates slots, calling q or u per slot. The deterministic
-// proportional schedule keeps both streams evenly mixed regardless of
-// the ratio.
-func interleave(queries, updates int, q func(i int), u func(i int)) {
-	total := queries + updates
-	qIssued, uIssued := 0, 0
-	for slot := 0; slot < total; slot++ {
-		emitQuery := int64(qIssued)*int64(total) <= int64(slot)*int64(queries) && qIssued < queries
-		if uIssued >= updates {
-			emitQuery = true
-		}
-		if emitQuery {
-			q(qIssued)
-			qIssued++
-		} else {
-			u(uIssued)
-			uIssued++
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
-// zipf-drift
-
-// ZipfDrift reproduces the headline finding of the access-trend
+// zipf-drift reproduces the headline finding of the access-trend
 // studies: object popularity is Zipf-distributed, but the *identity*
 // of the popular objects drifts over time. Queries draw an anchor rank
 // from a Zipf distribution; the rank→anchor mapping rotates once per
 // drift phase, so each phase has the same popularity curve over a
 // shifted set of sky regions.
-type ZipfDrift struct {
-	// Skew is the Zipf s parameter; must exceed 1. Default 1.25.
-	Skew float64
-	// Anchors is the number of ranked sky anchors. Default 16.
-	Anchors int
-	// DriftPhases is how many times the rank→anchor mapping rotates
-	// across the trace. Default 4.
-	DriftPhases int
-	// RadiusDeg is the cone radius of anchor queries. Default 0.7.
-	RadiusDeg float64
-	// BackgroundFrac is the fraction of queries aimed anywhere on the
-	// sky; zero keeps every query on an anchor, which is what makes
-	// rank-frequency measurable.
-	BackgroundFrac float64
-}
 
-func (z ZipfDrift) withDefaults() ZipfDrift {
-	if z.Skew == 0 {
-		z.Skew = 1.25
-	}
-	if z.Anchors == 0 {
-		z.Anchors = 16
-	}
-	if z.DriftPhases == 0 {
-		z.DriftPhases = 4
-	}
-	if z.RadiusDeg == 0 {
-		z.RadiusDeg = 0.7
-	}
-	return z
-}
+const (
+	// zipfSkew is the Zipf s parameter.
+	zipfSkew = 1.25
+	// zipfAnchors is the number of ranked sky anchors.
+	zipfAnchors = 16
+	// zipfPhases is how many times the rank→anchor mapping rotates
+	// across the trace.
+	zipfPhases = 4
+	// zipfRadiusDeg is the cone radius of anchor queries.
+	zipfRadiusDeg = 0.7
+)
 
-func (z ZipfDrift) validate() error {
-	if z.Skew <= 1 {
-		return fmt.Errorf("workload: zipf skew must exceed 1, got %v", z.Skew)
-	}
-	if z.Anchors < 2 {
-		return fmt.Errorf("workload: zipf needs at least 2 anchors, got %d", z.Anchors)
-	}
-	if z.DriftPhases < 1 {
-		return fmt.Errorf("workload: drift phases must be positive, got %d", z.DriftPhases)
-	}
-	if z.RadiusDeg <= 0 || z.RadiusDeg > 90 {
-		return fmt.Errorf("workload: anchor radius %v out of (0,90]", z.RadiusDeg)
-	}
-	if z.BackgroundFrac < 0 || z.BackgroundFrac > 1 {
-		return fmt.Errorf("workload: background fraction out of range")
-	}
-	return nil
-}
-
-// Name implements Scenario.
-func (ZipfDrift) Name() string { return "zipf-drift" }
-
-// Description implements Scenario.
-func (ZipfDrift) Description() string {
-	return "Zipf-skewed anchor popularity whose rank→region mapping rotates each drift phase"
-}
-
-// Events implements Scenario.
-func (z ZipfDrift) Events(survey *catalog.Survey, opts Options) ([]model.Event, error) {
-	z = z.withDefaults()
-	if err := z.validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults(6000, 2000)
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	e, err := newEmitter(survey, opts, opts.Queries+opts.Updates)
-	if err != nil {
-		return nil, err
-	}
-	planRng := rand.New(rand.NewSource(opts.Seed))
-	qRng := rand.New(rand.NewSource(opts.Seed ^ 0x51ec5))
-	uRng := rand.New(rand.NewSource(opts.Seed ^ 0x0bda7e))
-	anchors, err := queryAnchors(planRng, survey, z.Anchors)
-	if err != nil {
-		return nil, err
-	}
-	zipf := rand.NewZipf(qRng, z.Skew, 1, uint64(z.Anchors-1))
-
-	interleave(opts.Queries, opts.Updates,
-		func(i int) {
-			e.tick(opts.EventInterval)
-			if qRng.Float64() < z.BackgroundFrac {
-				e.coneQuery(qRng, randomUnit(qRng), z.RadiusDeg, cost.MB)
-				return
-			}
-			phase := i * z.DriftPhases / max(opts.Queries, 1)
-			rank := int(zipf.Uint64())
-			anchor := anchors[(rank+phase)%len(anchors)]
-			// A tight wobble keeps each anchor's covered object set
-			// stable, so rank-frequency is measurable downstream.
-			e.coneQuery(qRng, perturb(qRng, anchor, 0.05*math.Pi/180), z.RadiusDeg, cost.MB)
-		},
-		func(int) {
-			e.tick(opts.EventInterval)
-			pos, uerr := updatePos(uRng, survey)
-			if uerr != nil {
-				err = uerr
-				return
-			}
-			e.update(uRng, pos, 232*cost.KB)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return e.events, nil
+func emitZipfDrift(e *emitter, anchors []geom.Vec3) error {
+	zipf := rand.NewZipf(e.qRng, zipfSkew, 1, uint64(len(anchors)-1))
+	return e.interleave(func(i int) {
+		// zipf-drift sends no query to the open sky, which is what makes
+		// rank-frequency measurable; each query still draws the
+		// background coin the other shapes flip, and the golden traces
+		// pin that draw.
+		_ = e.qRng.Float64()
+		phase := i * zipfPhases / max(e.opts.Queries, 1)
+		rank := int(zipf.Uint64())
+		anchor := anchors[(rank+phase)%len(anchors)]
+		// A tight wobble keeps each anchor's covered object set
+		// stable, so rank-frequency is measurable downstream.
+		e.coneQuery(perturb(e.qRng, anchor, 0.05*math.Pi/180), zipfRadiusDeg, cost.MB)
+	})
 }
 
 // ---------------------------------------------------------------------
-// diurnal
-
-// Diurnal reproduces the day/night load cycle: interactive queries
+// diurnal reproduces the day/night load cycle: interactive queries
 // cluster in the working-hours peak, pipeline updates concentrate in
-// the quiet trough, and arrival intensity swings by PeakFactor between
+// the quiet trough, and arrival intensity swings by diurnalPeak between
 // them, modulating inter-event gaps sinusoidally.
-type Diurnal struct {
-	// PeriodEvents is the length of one virtual day in events.
-	// Default 2000.
-	PeriodEvents int
-	// PeakFactor is the day-peak arrival intensity over the night
-	// trough; must be at least 1. Default 4.
-	PeakFactor float64
-	// NightUpdateShare is the fraction of updates forced into the
-	// night half of each cycle. Default 0.8.
-	NightUpdateShare float64
-	// RadiusDeg is the cone radius of interactive queries.
-	// Default 1.0.
-	RadiusDeg float64
-}
 
-func (d Diurnal) withDefaults() Diurnal {
-	if d.PeriodEvents == 0 {
-		d.PeriodEvents = 2000
-	}
-	if d.PeakFactor == 0 {
-		d.PeakFactor = 4
-	}
-	if d.NightUpdateShare == 0 {
-		d.NightUpdateShare = 0.8
-	}
-	if d.RadiusDeg == 0 {
-		d.RadiusDeg = 1.0
-	}
-	return d
-}
+const (
+	// diurnalPeriod is the length of one virtual day in events.
+	diurnalPeriod = 2000
+	// diurnalPeak is the day-peak arrival intensity over the night
+	// trough.
+	diurnalPeak = 4
+	// diurnalNightShare is the fraction of updates forced into the
+	// night half of each cycle.
+	diurnalNightShare = 0.8
+	// diurnalRadiusDeg is the cone radius of interactive queries.
+	diurnalRadiusDeg = 1.0
+)
 
-func (d Diurnal) validate() error {
-	if d.PeriodEvents < 8 {
-		return fmt.Errorf("workload: diurnal period must be at least 8 events, got %d", d.PeriodEvents)
-	}
-	if d.PeakFactor < 1 {
-		return fmt.Errorf("workload: peak factor must be at least 1, got %v", d.PeakFactor)
-	}
-	if d.NightUpdateShare < 0 || d.NightUpdateShare > 1 {
-		return fmt.Errorf("workload: night update share out of range")
-	}
-	if d.RadiusDeg <= 0 || d.RadiusDeg > 90 {
-		return fmt.Errorf("workload: query radius %v out of (0,90]", d.RadiusDeg)
-	}
-	return nil
-}
-
-// Name implements Scenario.
-func (Diurnal) Name() string { return "diurnal" }
-
-// Description implements Scenario.
-func (Diurnal) Description() string {
-	return "day/night cycles: interactive queries at the peak, pipeline updates in the trough"
-}
-
-// Events implements Scenario.
-func (d Diurnal) Events(survey *catalog.Survey, opts Options) ([]model.Event, error) {
-	d = d.withDefaults()
-	if err := d.validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults(6000, 3000)
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	e, err := newEmitter(survey, opts, opts.Queries+opts.Updates)
-	if err != nil {
-		return nil, err
-	}
-	planRng := rand.New(rand.NewSource(opts.Seed))
-	qRng := rand.New(rand.NewSource(opts.Seed ^ 0x51ec5))
-	uRng := rand.New(rand.NewSource(opts.Seed ^ 0x0bda7e))
-	anchors, err := queryAnchors(planRng, survey, 8)
-	if err != nil {
-		return nil, err
-	}
-
-	total := opts.Queries + opts.Updates
+func emitDiurnal(e *emitter, anchors []geom.Vec3) error {
+	total := e.opts.Queries + e.opts.Updates
 	// dayness(slot) ∈ [0,1]: 1 at the peak of the cycle, 0 in the
 	// trough.
 	dayness := func(slot int) float64 {
-		phase := 2 * math.Pi * float64(slot%d.PeriodEvents) / float64(d.PeriodEvents)
+		phase := 2 * math.Pi * float64(slot%diurnalPeriod) / float64(diurnalPeriod)
 		return (1 + math.Sin(phase)) / 2
 	}
 	// Assign kinds: updates claim the night-most slots first (their
-	// NightUpdateShare), the rest follow the plain interleave over
+	// diurnalNightShare), the rest follow the plain interleave over
 	// what remains. Sorting slot indices by dayness is deterministic.
 	kind := make([]model.EventKind, total)
 	order := make([]int, total)
@@ -506,153 +414,78 @@ func (d Diurnal) Events(survey *catalog.Survey, opts Options) ([]model.Event, er
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return dayness(order[a]) < dayness(order[b]) })
-	nightUpdates := int(float64(opts.Updates) * d.NightUpdateShare)
+	nightUpdates := int(float64(e.opts.Updates) * diurnalNightShare)
 	for _, slot := range order[:min(nightUpdates, total)] {
 		kind[slot] = model.EventUpdate
 	}
 	// Distribute the remaining events over unclaimed slots.
-	restQ, restU := opts.Queries, opts.Updates-nightUpdates
-	qLeft, uLeft := restQ, restU
-	seen := 0
+	restQ, restU := e.opts.Queries, e.opts.Updates-nightUpdates
+	q, u := 0, 0
 	for slot := 0; slot < total; slot++ {
 		if kind[slot] != 0 {
 			continue
 		}
-		emitQuery := int64(qLeft) > 0 &&
-			(uLeft == 0 || int64(restQ-qLeft)*int64(restQ+restU) <= int64(seen)*int64(restQ))
-		if emitQuery {
+		if nextIsQuery(q, u, restQ, restU) {
 			kind[slot] = model.EventQuery
-			qLeft--
+			q++
 		} else {
 			kind[slot] = model.EventUpdate
-			uLeft--
+			u++
 		}
-		seen++
 	}
 
 	for slot := 0; slot < total; slot++ {
-		// High intensity compresses inter-event gaps: a PeakFactor of 4
-		// makes peak arrivals 4× denser than trough arrivals.
-		intensity := 1 + (d.PeakFactor-1)*dayness(slot)
-		e.tick(time.Duration(float64(opts.EventInterval) / intensity))
+		// High intensity compresses inter-event gaps: a peak of 4 makes
+		// peak arrivals 4× denser than trough arrivals.
+		intensity := 1 + (diurnalPeak-1)*dayness(slot)
+		e.tick(time.Duration(float64(eventInterval) / intensity))
 		if kind[slot] == model.EventQuery {
-			anchor := anchors[(slot/d.PeriodEvents)%len(anchors)]
-			if qRng.Float64() < 0.3 {
-				anchor = anchors[qRng.Intn(len(anchors))]
+			anchor := anchors[(slot/diurnalPeriod)%len(anchors)]
+			if e.qRng.Float64() < 0.3 {
+				anchor = anchors[e.qRng.Intn(len(anchors))]
 			}
-			e.coneQuery(qRng, perturb(qRng, anchor, 0.5*math.Pi/180), d.RadiusDeg, cost.MB)
-		} else {
-			pos, uerr := updatePos(uRng, survey)
-			if uerr != nil {
-				return nil, uerr
-			}
-			e.update(uRng, pos, 232*cost.KB)
+			e.coneQuery(perturb(e.qRng, anchor, 0.5*math.Pi/180), diurnalRadiusDeg, cost.MB)
+		} else if err := e.update(); err != nil {
+			return err
 		}
-	}
-	return e.events, nil
-}
-
-// ---------------------------------------------------------------------
-// batch-interactive
-
-// BatchInteractive alternates batch-pipeline bursts with an
-// interactive trickle: every BatchPeriod events a pipeline wakes up
-// and fires BatchLen events back to back (updates plus wide scans) at
-// BatchSpeedup× the base rate, then individual users trickle cone
-// searches at the base rate.
-type BatchInteractive struct {
-	// BatchPeriod is the distance between batch-burst starts, in
-	// events. Default 400.
-	BatchPeriod int
-	// BatchLen is how many events each burst carries; must be smaller
-	// than BatchPeriod. Default 80.
-	BatchLen int
-	// BatchSpeedup is how much faster events arrive inside a burst;
-	// must be at least 1. Default 20.
-	BatchSpeedup float64
-	// WideFrac is the fraction of burst queries that are wide-area
-	// scans. Default 0.3.
-	WideFrac float64
-}
-
-func (b BatchInteractive) withDefaults() BatchInteractive {
-	if b.BatchPeriod == 0 {
-		b.BatchPeriod = 400
-	}
-	if b.BatchLen == 0 {
-		b.BatchLen = 80
-	}
-	if b.BatchSpeedup == 0 {
-		b.BatchSpeedup = 20
-	}
-	if b.WideFrac == 0 {
-		b.WideFrac = 0.3
-	}
-	return b
-}
-
-func (b BatchInteractive) validate() error {
-	if b.BatchPeriod < 2 {
-		return fmt.Errorf("workload: batch period must be at least 2, got %d", b.BatchPeriod)
-	}
-	if b.BatchLen < 1 {
-		return fmt.Errorf("workload: batch length must be positive, got %d", b.BatchLen)
-	}
-	if b.BatchLen >= b.BatchPeriod {
-		return fmt.Errorf("workload: batch length %d must leave interactive room within period %d",
-			b.BatchLen, b.BatchPeriod)
-	}
-	if b.BatchSpeedup < 1 {
-		return fmt.Errorf("workload: batch speedup must be at least 1, got %v", b.BatchSpeedup)
-	}
-	if b.WideFrac < 0 || b.WideFrac > 1 {
-		return fmt.Errorf("workload: wide fraction out of range")
 	}
 	return nil
 }
 
-// Name implements Scenario.
-func (BatchInteractive) Name() string { return "batch-interactive" }
+// ---------------------------------------------------------------------
+// batch-interactive alternates batch-pipeline bursts with an
+// interactive trickle: every batchPeriod events a pipeline wakes up and
+// fires batchLen events back to back (updates plus wide scans) at
+// batchSpeedup× the base rate, then individual users trickle cone
+// searches at the base rate.
 
-// Description implements Scenario.
-func (BatchInteractive) Description() string {
-	return "pipeline bursts of updates+wide scans over an interactive cone-search trickle"
-}
+const (
+	// batchPeriod is the distance between batch-burst starts, in
+	// events.
+	batchPeriod = 400
+	// batchLen is how many events each burst carries, leaving the rest
+	// of the period to the interactive trickle.
+	batchLen = 80
+	// batchSpeedup is how much faster events arrive inside a burst.
+	batchSpeedup = 20
+	// batchWideFrac is the fraction of burst queries that are
+	// wide-area scans.
+	batchWideFrac = 0.3
+)
 
-// Events implements Scenario.
-func (b BatchInteractive) Events(survey *catalog.Survey, opts Options) ([]model.Event, error) {
-	b = b.withDefaults()
-	if err := b.validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults(5000, 3000)
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	e, err := newEmitter(survey, opts, opts.Queries+opts.Updates)
-	if err != nil {
-		return nil, err
-	}
-	planRng := rand.New(rand.NewSource(opts.Seed))
-	qRng := rand.New(rand.NewSource(opts.Seed ^ 0x51ec5))
-	uRng := rand.New(rand.NewSource(opts.Seed ^ 0x0bda7e))
-	anchors, err := queryAnchors(planRng, survey, 6)
-	if err != nil {
-		return nil, err
-	}
-
-	total := opts.Queries + opts.Updates
-	qLeft, uLeft := opts.Queries, opts.Updates
+func emitBatchInteractive(e *emitter, anchors []geom.Vec3) error {
+	total := e.opts.Queries + e.opts.Updates
+	qLeft, uLeft := e.opts.Queries, e.opts.Updates
 	for slot := 0; slot < total; slot++ {
-		inBatch := slot%b.BatchPeriod < b.BatchLen
+		inBatch := slot%batchPeriod < batchLen
 		if inBatch {
-			e.tick(time.Duration(float64(opts.EventInterval) / b.BatchSpeedup))
+			e.tick(time.Duration(float64(eventInterval) / batchSpeedup))
 		} else {
-			e.tick(opts.EventInterval)
+			e.tick(eventInterval)
 		}
 		// Bursts prefer updates; the trickle prefers queries. Quotas
 		// stay exact: when a stream runs dry the other fills in.
-		wantUpdate := inBatch && uRng.Float64() < 0.7
+		wantUpdate := inBatch && e.uRng.Float64() < 0.7
 		if wantUpdate && uLeft == 0 {
 			wantUpdate = false
 		}
@@ -660,318 +493,157 @@ func (b BatchInteractive) Events(survey *catalog.Survey, opts Options) ([]model.
 			wantUpdate = true
 		}
 		if wantUpdate {
-			pos, uerr := updatePos(uRng, survey)
-			if uerr != nil {
-				return nil, uerr
+			if err := e.update(); err != nil {
+				return err
 			}
-			e.update(uRng, pos, 232*cost.KB)
 			uLeft--
 			continue
 		}
-		if inBatch && qRng.Float64() < b.WideFrac {
+		if inBatch && e.qRng.Float64() < batchWideFrac {
 			// Pipeline re-derivation pass: wide scan over its stripe.
-			e.coneQuery(qRng, perturb(qRng, anchors[(slot/b.BatchPeriod)%len(anchors)], 0.5*math.Pi/180),
-				10+qRng.Float64()*20, 4*cost.MB)
+			e.coneQuery(perturb(e.qRng, anchors[(slot/batchPeriod)%len(anchors)], 0.5*math.Pi/180),
+				10+e.qRng.Float64()*20, 4*cost.MB)
 		} else {
-			e.coneQuery(qRng, perturb(qRng, anchors[qRng.Intn(len(anchors))], 1.5*math.Pi/180),
-				0.3+qRng.Float64()*1.2, cost.MB)
+			e.coneQuery(perturb(e.qRng, anchors[e.qRng.Intn(len(anchors))], 1.5*math.Pi/180),
+				0.3+e.qRng.Float64()*1.2, cost.MB)
 		}
 		qLeft--
 	}
-	return e.events, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------
-// flash-crowd
-
-// FlashCrowd runs a steady baseline mix until one sky region goes
+// flash-crowd runs a steady baseline mix until one sky region goes
 // viral mid-trace: the share of queries aimed at that region ramps
-// linearly from zero at StartFrac to PeakShare at PeakFrac, then
-// decays back to zero by EndFrac. This is the pinning harness for
+// linearly from zero at flashStart to flashPeakShare at flashPeak, then
+// decays back to zero by flashEnd. This is the pinning harness for
 // autopilot elasticity: p99 on the viral region must recover without
 // operator action.
-type FlashCrowd struct {
-	// StartFrac, PeakFrac, and EndFrac position the ramp within the
-	// trace; they must be strictly ordered within [0,1].
-	// Defaults 0.3, 0.5, 0.8.
-	StartFrac float64
-	PeakFrac  float64
-	EndFrac   float64
-	// PeakShare is the fraction of queries hitting the viral region
-	// at the peak. Default 0.8.
-	PeakShare float64
-	// RadiusDeg is the viral query cone radius. Default 0.5.
-	RadiusDeg float64
-}
 
-func (f FlashCrowd) withDefaults() FlashCrowd {
-	if f.StartFrac == 0 {
-		f.StartFrac = 0.3
-	}
-	if f.PeakFrac == 0 {
-		f.PeakFrac = 0.5
-	}
-	if f.EndFrac == 0 {
-		f.EndFrac = 0.8
-	}
-	if f.PeakShare == 0 {
-		f.PeakShare = 0.8
-	}
-	if f.RadiusDeg == 0 {
-		f.RadiusDeg = 0.5
-	}
-	return f
-}
+const (
+	// flashStart, flashPeak, and flashEnd position the ramp within the
+	// trace, as fractions of the query sequence.
+	flashStart = 0.3
+	flashPeak  = 0.5
+	flashEnd   = 0.8
+	// flashPeakShare is the fraction of queries hitting the viral
+	// region at the peak.
+	flashPeakShare = 0.8
+	// flashRadiusDeg is the viral query cone radius.
+	flashRadiusDeg = 0.5
+)
 
-func (f FlashCrowd) validate() error {
-	if f.StartFrac < 0 || f.EndFrac > 1 ||
-		f.StartFrac >= f.PeakFrac || f.PeakFrac >= f.EndFrac {
-		return fmt.Errorf("workload: flash-crowd ramp %v < %v < %v must be ordered within [0,1]",
-			f.StartFrac, f.PeakFrac, f.EndFrac)
-	}
-	if f.PeakShare <= 0 || f.PeakShare > 1 {
-		return fmt.Errorf("workload: peak share %v out of (0,1]", f.PeakShare)
-	}
-	if f.RadiusDeg <= 0 || f.RadiusDeg > 90 {
-		return fmt.Errorf("workload: viral radius %v out of (0,90]", f.RadiusDeg)
-	}
-	return nil
-}
-
-// Name implements Scenario.
-func (FlashCrowd) Name() string { return "flash-crowd" }
-
-// Description implements Scenario.
-func (FlashCrowd) Description() string {
-	return "steady baseline until one sky region goes viral mid-trace, then decays"
-}
-
-// Events implements Scenario.
-func (f FlashCrowd) Events(survey *catalog.Survey, opts Options) ([]model.Event, error) {
-	f = f.withDefaults()
-	if err := f.validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults(8000, 2000)
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	e, err := newEmitter(survey, opts, opts.Queries+opts.Updates)
-	if err != nil {
-		return nil, err
-	}
-	planRng := rand.New(rand.NewSource(opts.Seed))
-	qRng := rand.New(rand.NewSource(opts.Seed ^ 0x51ec5))
-	uRng := rand.New(rand.NewSource(opts.Seed ^ 0x0bda7e))
-	anchors, err := queryAnchors(planRng, survey, 8)
-	if err != nil {
-		return nil, err
-	}
-	viral := anchors[planRng.Intn(len(anchors))]
-
-	// viralShare is the ramp profile at trace position frac ∈ [0,1].
-	viralShare := func(frac float64) float64 {
-		switch {
-		case frac <= f.StartFrac || frac >= f.EndFrac:
-			return 0
-		case frac < f.PeakFrac:
-			return f.PeakShare * (frac - f.StartFrac) / (f.PeakFrac - f.StartFrac)
-		default:
-			return f.PeakShare * (f.EndFrac - frac) / (f.EndFrac - f.PeakFrac)
+func emitFlashCrowd(e *emitter, anchors []geom.Vec3) error {
+	viral := anchors[e.planRng.Intn(len(anchors))]
+	return e.interleave(func(i int) {
+		frac := float64(i) / float64(max(e.opts.Queries, 1))
+		if e.qRng.Float64() < viralShare(frac) {
+			// The crowd all looks at the same thing: tight cones on
+			// the viral region.
+			e.coneQuery(perturb(e.qRng, viral, 0.1*math.Pi/180), flashRadiusDeg, cost.MB)
+			return
 		}
-	}
+		e.coneQuery(perturb(e.qRng, anchors[e.qRng.Intn(len(anchors))], 1.5*math.Pi/180),
+			0.3+e.qRng.Float64()*1.7, cost.MB)
+	})
+}
 
-	interleave(opts.Queries, opts.Updates,
-		func(i int) {
-			e.tick(opts.EventInterval)
-			frac := float64(i) / float64(max(opts.Queries, 1))
-			if qRng.Float64() < viralShare(frac) {
-				// The crowd all looks at the same thing: tight cones on
-				// the viral region.
-				e.coneQuery(qRng, perturb(qRng, viral, 0.1*math.Pi/180), f.RadiusDeg, cost.MB)
-				return
-			}
-			e.coneQuery(qRng, perturb(qRng, anchors[qRng.Intn(len(anchors))], 1.5*math.Pi/180),
-				0.3+qRng.Float64()*1.7, cost.MB)
-		},
-		func(int) {
-			e.tick(opts.EventInterval)
-			pos, uerr := updatePos(uRng, survey)
-			if uerr != nil {
-				err = uerr
-				return
-			}
-			e.update(uRng, pos, 232*cost.KB)
-		})
-	if err != nil {
-		return nil, err
+// viralShare is flash-crowd's ramp profile at trace position
+// frac ∈ [0,1].
+func viralShare(frac float64) float64 {
+	// Variables, not constants: the slopes divide by float64
+	// differences, which the golden traces pin; Go would fold
+	// flashEnd-flashPeak exactly instead.
+	start, peak, end := flashStart, flashPeak, flashEnd
+	switch {
+	case frac <= start || frac >= end:
+		return 0
+	case frac < peak:
+		return flashPeakShare * (frac - start) / (peak - start)
+	default:
+		return flashPeakShare * (end - frac) / (end - peak)
 	}
-	return e.events, nil
 }
 
 // ---------------------------------------------------------------------
-// growth-spurt
-
-// GrowthSpurt concentrates repository growth in time and sky: instead
+// growth-spurt concentrates repository growth in time and sky: instead
 // of the base generator's evenly-spread births, data releases land as
-// storms — runs of consecutive births clustered around one sky region
-// — and the query stream piles onto the newborns, reproducing the
-// access concentration on newly released data.
-type GrowthSpurt struct {
-	// Births is the total number of objects published. Default 120.
-	Births int
-	// Storms is how many birth storms the births are concentrated
-	// into; must not exceed Births. Default 4.
-	Storms int
-	// StormRadiusDeg is the sky scatter of one storm's births around
-	// its region. Default 3.
-	StormRadiusDeg float64
-	// NewbornBias is the probability a query issued after the first
-	// storm targets a recent newborn. Default 0.5.
-	NewbornBias float64
-}
+// storms — runs of consecutive births clustered around one sky region —
+// and the query stream piles onto the newborns, reproducing the access
+// concentration on newly released data.
 
-func (g GrowthSpurt) withDefaults() GrowthSpurt {
-	if g.Births == 0 {
-		g.Births = 120
-	}
-	if g.Storms == 0 {
-		g.Storms = 4
-	}
-	if g.StormRadiusDeg == 0 {
-		g.StormRadiusDeg = 3
-	}
-	if g.NewbornBias == 0 {
-		g.NewbornBias = 0.5
-	}
-	return g
-}
+const (
+	// growthBirths is the total number of objects published, in
+	// growthStorms storms of equal size.
+	growthBirths = 120
+	growthStorms = 4
+	// growthStormRadiusDeg is the sky scatter of one storm's births
+	// around its region.
+	growthStormRadiusDeg = 3
+	// growthNewbornBias is the probability a query issued after the
+	// first storm targets a recent newborn.
+	growthNewbornBias = 0.5
+	// growthBirthSize is the mean size of a published object.
+	growthBirthSize = 4 * cost.MB
+)
 
-func (g GrowthSpurt) validate() error {
-	if g.Births < 1 {
-		return fmt.Errorf("workload: growth spurt needs births, got %d", g.Births)
-	}
-	if g.Storms < 1 {
-		return fmt.Errorf("workload: storms must be positive, got %d", g.Storms)
-	}
-	if g.Storms > g.Births {
-		return fmt.Errorf("workload: %d storms cannot carry only %d births", g.Storms, g.Births)
-	}
-	if g.StormRadiusDeg <= 0 || g.StormRadiusDeg > 90 {
-		return fmt.Errorf("workload: storm radius %v out of (0,90]", g.StormRadiusDeg)
-	}
-	if g.NewbornBias < 0 || g.NewbornBias > 1 {
-		return fmt.Errorf("workload: newborn bias out of range")
-	}
-	return nil
-}
-
-// Name implements Scenario.
-func (GrowthSpurt) Name() string { return "growth-spurt" }
-
-// Description implements Scenario.
-func (GrowthSpurt) Description() string {
-	return "birth storms concentrated in time and sky region, with access piling onto newborns"
-}
-
-// Events implements Scenario.
-func (g GrowthSpurt) Events(survey *catalog.Survey, opts Options) ([]model.Event, error) {
-	g = g.withDefaults()
-	if err := g.validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults(5000, 2000)
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	total := opts.Queries + opts.Updates + g.Births
-	e, err := newEmitter(survey, opts, total)
-	if err != nil {
-		return nil, err
-	}
-	planRng := rand.New(rand.NewSource(opts.Seed))
-	qRng := rand.New(rand.NewSource(opts.Seed ^ 0x51ec5))
-	uRng := rand.New(rand.NewSource(opts.Seed ^ 0x0bda7e))
-	bRng := rand.New(rand.NewSource(opts.Seed ^ 0x6b17f5))
-	anchors, err := queryAnchors(planRng, survey, 8)
-	if err != nil {
-		return nil, err
-	}
+func emitGrowthSpurt(e *emitter, anchors []geom.Vec3) error {
+	total := e.opts.Queries + e.opts.Updates + growthBirths
 	// Storm plan: start slots spread through the middle of the trace,
 	// each storm a run of consecutive birth slots near one region.
-	perStorm := g.Births / g.Storms
-	extra := g.Births % g.Storms
-	maxPerStorm := perStorm
-	if extra > 0 {
-		maxPerStorm++
-	}
-	if spacing := total / (g.Storms + 1); maxPerStorm >= spacing {
+	perStorm := growthBirths / growthStorms
+	if spacing := total / (growthStorms + 1); perStorm >= spacing {
 		// Overlapping storm windows would silently swallow births.
-		return nil, fmt.Errorf("workload: %d births in %d storms do not fit a %d-event trace",
-			g.Births, g.Storms, total)
+		return fmt.Errorf("workload: %d births in %d storms do not fit a %d-event trace",
+			growthBirths, growthStorms, total)
 	}
 	type storm struct {
-		start, count int
-		center       geom.Vec3
+		start  int
+		center geom.Vec3
 	}
-	storms := make([]storm, g.Storms)
+	storms := make([]storm, growthStorms)
 	for i := range storms {
-		count := perStorm
-		if i < extra {
-			count++
-		}
 		storms[i] = storm{
-			start:  (i + 1) * total / (g.Storms + 1),
-			count:  count,
-			center: perturb(planRng, anchors[planRng.Intn(len(anchors))], 1*math.Pi/180),
+			start:  (i + 1) * total / (growthStorms + 1),
+			center: perturb(e.planRng, anchors[e.planRng.Intn(len(anchors))], 1*math.Pi/180),
 		}
 	}
 	stormAt := func(slot int) (storm, bool) {
 		for _, st := range storms {
-			if slot >= st.start && slot < st.start+st.count {
+			if slot >= st.start && slot < st.start+perStorm {
 				return st, true
 			}
 		}
 		return storm{}, false
 	}
 
-	meanBirthSize := 4 * cost.MB
 	qIssued, uIssued := 0, 0
-	quTotal := opts.Queries + opts.Updates
 	for slot := 0; slot < total; slot++ {
-		e.tick(opts.EventInterval)
+		e.tick(eventInterval)
 		if st, ok := stormAt(slot); ok {
-			pos := perturb(bRng, st.center, g.StormRadiusDeg*math.Pi/180)
-			if err := e.birth(bRng, pos, meanBirthSize); err != nil {
-				return nil, err
+			pos := perturb(e.bRng, st.center, radians(growthStormRadiusDeg))
+			if err := e.birth(pos, growthBirthSize); err != nil {
+				return err
 			}
 			continue
 		}
-		qu := qIssued + uIssued
-		emitQuery := int64(qIssued)*int64(quTotal) <= int64(qu)*int64(opts.Queries) &&
-			qIssued < opts.Queries
-		if uIssued >= opts.Updates {
-			emitQuery = true
-		}
-		if emitQuery {
-			if len(e.born) > 0 && qRng.Float64() < g.NewbornBias {
-				recent := e.born[max(0, len(e.born)-16):]
-				b := recent[qRng.Intn(len(recent))]
-				e.coneQuery(qRng, perturb(qRng, geom.FromRADec(b.RA, b.Dec), 0.2*math.Pi/180),
-					0.3+qRng.Float64()*0.7, cost.MB)
-			} else {
-				e.coneQuery(qRng, perturb(qRng, anchors[qRng.Intn(len(anchors))], 1.5*math.Pi/180),
-					0.3+qRng.Float64()*1.7, cost.MB)
+		if !nextIsQuery(qIssued, uIssued, e.opts.Queries, e.opts.Updates) {
+			if err := e.update(); err != nil {
+				return err
 			}
-			qIssued++
-		} else {
-			pos, uerr := updatePos(uRng, survey)
-			if uerr != nil {
-				return nil, uerr
-			}
-			e.update(uRng, pos, 232*cost.KB)
 			uIssued++
+			continue
 		}
+		if len(e.born) > 0 && e.qRng.Float64() < growthNewbornBias {
+			recent := e.born[max(0, len(e.born)-16):]
+			b := recent[e.qRng.Intn(len(recent))]
+			e.coneQuery(perturb(e.qRng, geom.FromRADec(b.RA, b.Dec), 0.2*math.Pi/180),
+				0.3+e.qRng.Float64()*0.7, cost.MB)
+		} else {
+			e.coneQuery(perturb(e.qRng, anchors[e.qRng.Intn(len(anchors))], 1.5*math.Pi/180),
+				0.3+e.qRng.Float64()*1.7, cost.MB)
+		}
+		qIssued++
 	}
-	return e.events, nil
+	return nil
 }

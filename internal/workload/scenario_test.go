@@ -99,48 +99,24 @@ func TestScenarioEventContract(t *testing.T) {
 	}
 }
 
-// TestScenarioValidation drives every invalid knob of every scenario
-// (and the shared Options) through its error path.
+// TestScenarioValidation drives every invalid scenario option through
+// its error path.
 func TestScenarioValidation(t *testing.T) {
 	survey := testSurvey(t)
 	cases := []struct {
-		name string
-		sc   Scenario
-		opts Options
+		name     string
+		scenario string
+		opts     Options
 	}{
-		{"options negative queries", ZipfDrift{}, Options{Queries: -1, Updates: 10}},
-		{"options negative updates", ZipfDrift{}, Options{Queries: 10, Updates: -1}},
-		{"options negative interval", ZipfDrift{}, Options{Queries: 10, Updates: 10, EventInterval: -time.Second}},
-		{"zipf skew at 1", ZipfDrift{Skew: 1}, Options{}},
-		{"zipf skew below 1", ZipfDrift{Skew: 0.5}, Options{}},
-		{"zipf one anchor", ZipfDrift{Anchors: 1}, Options{}},
-		{"zipf negative phases", ZipfDrift{DriftPhases: -1}, Options{}},
-		{"zipf radius negative", ZipfDrift{RadiusDeg: -2}, Options{}},
-		{"zipf radius too wide", ZipfDrift{RadiusDeg: 120}, Options{}},
-		{"zipf background above 1", ZipfDrift{BackgroundFrac: 1.5}, Options{}},
-		{"diurnal short period", Diurnal{PeriodEvents: 4}, Options{}},
-		{"diurnal peak below 1", Diurnal{PeakFactor: 0.5}, Options{}},
-		{"diurnal night share above 1", Diurnal{NightUpdateShare: 1.2}, Options{}},
-		{"diurnal radius negative", Diurnal{RadiusDeg: -1}, Options{}},
-		{"batch period too small", BatchInteractive{BatchPeriod: 1}, Options{}},
-		{"batch negative length", BatchInteractive{BatchLen: -3}, Options{}},
-		{"batch fills whole period", BatchInteractive{BatchPeriod: 50, BatchLen: 50}, Options{}},
-		{"batch speedup below 1", BatchInteractive{BatchSpeedup: 0.2}, Options{}},
-		{"batch wide frac above 1", BatchInteractive{WideFrac: 2}, Options{}},
-		{"flash ramp unordered", FlashCrowd{StartFrac: 0.6, PeakFrac: 0.5, EndFrac: 0.8}, Options{}},
-		{"flash ramp out of trace", FlashCrowd{StartFrac: 0.5, PeakFrac: 0.8, EndFrac: 1.2}, Options{}},
-		{"flash peak share above 1", FlashCrowd{PeakShare: 1.5}, Options{}},
-		{"flash radius negative", FlashCrowd{RadiusDeg: -0.5}, Options{}},
-		{"growth negative births", GrowthSpurt{Births: -5}, Options{}},
-		{"growth negative storms", GrowthSpurt{Storms: -1}, Options{}},
-		{"growth more storms than births", GrowthSpurt{Births: 3, Storms: 8}, Options{}},
-		{"growth storm radius negative", GrowthSpurt{StormRadiusDeg: -2}, Options{}},
-		{"growth newborn bias above 1", GrowthSpurt{NewbornBias: 1.5}, Options{}},
-		{"growth births overflow trace", GrowthSpurt{Births: 500, Storms: 1}, Options{Queries: 50, Updates: 50}},
+		{"options negative queries", "zipf-drift", Options{Queries: -1, Updates: 10}},
+		{"options negative updates", "zipf-drift", Options{Queries: 10, Updates: -1}},
+		// 120 births in 4 storms of 30 need storm starts more than 30
+		// slots apart; 140 slots space them 28 apart.
+		{"growth births overflow trace", "growth-spurt", Options{Queries: 10, Updates: 10}},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := tt.sc.Events(survey, tt.opts); err == nil {
+			if _, err := mustLookup(t, tt.scenario).Events(survey, tt.opts); err == nil {
 				t.Errorf("expected error for %s", tt.name)
 			}
 		})
@@ -152,8 +128,8 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
-// TestConfigValidationTable covers every invalid knob (and conflicting
-// knob combination) of the base generator Config.
+// TestConfigValidationTable covers every invalid setting of the base
+// generator Config.
 func TestConfigValidationTable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -162,27 +138,9 @@ func TestConfigValidationTable(t *testing.T) {
 		{"no events", func(c *Config) { c.NumQueries, c.NumUpdates = 0, 0 }},
 		{"negative queries", func(c *Config) { c.NumQueries = -1 }},
 		{"negative updates", func(c *Config) { c.NumUpdates = -1 }},
-		{"no campaigns", func(c *Config) { c.Campaigns = 0 }},
-		{"negative campaign spread", func(c *Config) { c.CampaignSpreadDeg = -1 }},
-		{"negative min radius", func(c *Config) { c.QueryRadiusMinDeg = -0.5 }},
-		{"zero max radius", func(c *Config) { c.QueryRadiusMaxDeg = 0 }},
-		{"radius min above max", func(c *Config) { c.QueryRadiusMinDeg, c.QueryRadiusMaxDeg = 5, 2 }},
-		{"wide scan frac above 1", func(c *Config) { c.WideScanFrac = 1.5 }},
 		{"background frac negative", func(c *Config) { c.BackgroundQueryFrac = -0.1 }},
-		{"zero mean result size", func(c *Config) { c.MeanResultSize = 0 }},
-		{"negative result sigma", func(c *Config) { c.ResultSigma = -1 }},
-		{"negative tolerance frac", func(c *Config) { c.ZeroTolFrac = -0.2 }},
-		{"tolerance fracs exceed 1", func(c *Config) { c.ZeroTolFrac, c.AnyTolFrac = 0.8, 0.5 }},
-		{"hotspot bias above 1", func(c *Config) { c.HotspotBias = 1.2 }},
-		{"query blob frac negative", func(c *Config) { c.QueryBlobUpdateFrac = -0.1 }},
-		{"hotspot+query blob exceed 1", func(c *Config) { c.HotspotBias, c.QueryBlobUpdateFrac = 0.8, 0.4 }},
-		{"zero scan step with updates", func(c *Config) { c.ScanStep = 0 }},
-		{"zero mean update size", func(c *Config) { c.MeanUpdateSize = 0 }},
-		{"warmup frac above 1", func(c *Config) { c.WarmupFrac = 1.5 }},
-		{"warmup scale conflicts", func(c *Config) { c.WarmupFrac, c.WarmupScale = 0.5, 0 }},
 		{"negative growth", func(c *Config) { c.GrowthObjects = -1 }},
 		{"birth bias above 1", func(c *Config) { c.BirthBias = 2 }},
-		{"zero event interval", func(c *Config) { c.EventInterval = 0 }},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
@@ -193,15 +151,12 @@ func TestConfigValidationTable(t *testing.T) {
 			}
 		})
 	}
-	// Knobs that only conflict in combination stay valid alone.
 	okCases := []struct {
 		name string
 		mut  func(*Config)
 	}{
 		{"default", func(*Config) {}},
-		{"queries only skips update knobs", func(c *Config) { c.NumUpdates, c.ScanStep, c.MeanUpdateSize = 0, 0, 0 }},
-		{"no warmup skips scale", func(c *Config) { c.WarmupFrac, c.WarmupScale = 0, 0 }},
-		{"tolerance fracs at exactly 1", func(c *Config) { c.ZeroTolFrac, c.AnyTolFrac = 0.7, 0.3 }},
+		{"queries only", func(c *Config) { c.NumUpdates = 0 }},
 	}
 	for _, tt := range okCases {
 		t.Run("ok/"+tt.name, func(t *testing.T) {
@@ -221,12 +176,10 @@ func TestScenarioConservationProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")
 	}
+	// The smallest random trace, 100 queries + 50 updates + growth-spurt's
+	// 120 births, spaces its 4 storms 54 slots apart: above the 30
+	// births in each.
 	for _, sc := range Scenarios() {
-		sc := sc
-		if sc.Name() == "growth-spurt" {
-			// Pin births small enough to fit the random trace lengths.
-			sc = GrowthSpurt{Births: 8, Storms: 2}
-		}
 		prop := func(seed uint16, dq, du uint8) bool {
 			survey := quickSurvey()
 			opts := Options{
@@ -290,7 +243,7 @@ func TestZeroGrowthScenariosByteIdentical(t *testing.T) {
 // TestGrowthSpurtDeterministic: the growing scenario is deterministic
 // too, and concentrates births into storm runs.
 func TestGrowthSpurtDeterministic(t *testing.T) {
-	sc := GrowthSpurt{Births: 24, Storms: 3}
+	sc := mustLookup(t, "growth-spurt")
 	opts := Options{Seed: 5, Queries: 800, Updates: 400}
 	a, err := sc.Events(testSurvey(t), opts)
 	if err != nil {
@@ -303,7 +256,7 @@ func TestGrowthSpurtDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("growth-spurt not deterministic")
 	}
-	// Births arrive in exactly Storms consecutive runs.
+	// Births arrive in exactly growthStorms consecutive runs.
 	runs, births := 0, 0
 	prevBirth := false
 	for i := range a {
@@ -316,20 +269,21 @@ func TestGrowthSpurtDeterministic(t *testing.T) {
 		}
 		prevBirth = isBirth
 	}
-	if births != 24 {
-		t.Errorf("got %d births, want 24", births)
+	if births != growthBirths {
+		t.Errorf("got %d births, want %d", births, growthBirths)
 	}
-	if runs != 3 {
-		t.Errorf("births split into %d runs, want 3 storms", runs)
+	if runs != growthStorms {
+		t.Errorf("births split into %d runs, want %d storms", runs, growthStorms)
 	}
 }
 
 // TestZipfRankFrequency checks the measured anchor popularity against
-// the configured skew: with one drift phase, anchor k must be hit
-// approximately N·(k+1)^−s/H times. The survey is a fine uniform
-// partition so distinct anchors resolve to distinct object sets;
-// anchors whose covers still overlap (two ranks on the same sky) are
-// grouped and checked against their summed expectation.
+// the skew within the first drift phase, where rank k maps to anchor k:
+// anchor k must be hit approximately N·(k+1)^−s/H times by that phase's
+// N queries. The survey is a fine uniform partition so distinct anchors
+// resolve to distinct object sets; anchors whose covers still overlap
+// (two ranks on the same sky) are grouped and checked against their
+// summed expectation.
 func TestZipfRankFrequency(t *testing.T) {
 	scfg := catalog.Config{
 		Seed:          1,
@@ -344,16 +298,15 @@ func TestZipfRankFrequency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z := ZipfDrift{Skew: 1.4, Anchors: 12, DriftPhases: 1, RadiusDeg: 0.4}
-	opts := Options{Seed: 9, Queries: 12000, Updates: 1}
-	events, err := z.Events(survey, opts)
+	opts := Options{Seed: 9, Queries: 12000 * zipfPhases, Updates: 1}
+	events, err := mustLookup(t, "zipf-drift").Events(survey, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Recreate the anchor plan: Events draws it from a fresh planRng
 	// before touching any other stream.
 	planRng := rand.New(rand.NewSource(opts.Seed))
-	anchors, err := queryAnchors(planRng, survey, z.Anchors)
+	anchors, err := queryAnchors(planRng, survey, zipfAnchors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +315,7 @@ func TestZipfRankFrequency(t *testing.T) {
 	// overlaps most.
 	anchorCover := make([][]model.ObjectID, len(anchors))
 	for a := range anchors {
-		anchorCover[a] = survey.CoverCap(geom.NewCap(anchors[a], z.RadiusDeg))
+		anchorCover[a] = survey.CoverCap(geom.NewCap(anchors[a], zipfRadiusDeg))
 	}
 	// Group anchors with overlapping covers: their queries are mutually
 	// unattributable, so they are validated against a pooled
@@ -385,10 +338,13 @@ func TestZipfRankFrequency(t *testing.T) {
 		}
 	}
 	counts := make(map[int]float64)
+	phaseQueries := 0
 	for i := range events {
-		if events[i].Kind != model.EventQuery {
+		if events[i].Kind != model.EventQuery ||
+			int(events[i].Query.ID-1)*zipfPhases/opts.Queries != 0 {
 			continue
 		}
+		phaseQueries++
 		best, bestOverlap := 0, -1
 		for a := range anchors {
 			if overlap := overlapCount(events[i].Query.Objects, anchorCover[a]); overlap > bestOverlap {
@@ -398,12 +354,12 @@ func TestZipfRankFrequency(t *testing.T) {
 		counts[find(best)]++
 	}
 	var h float64
-	for k := 0; k < z.Anchors; k++ {
-		h += math.Pow(float64(k+1), -z.Skew)
+	for k := 0; k < zipfAnchors; k++ {
+		h += math.Pow(float64(k+1), -zipfSkew)
 	}
 	expected := make(map[int]float64)
-	for k := 0; k < z.Anchors; k++ {
-		expected[find(k)] += float64(opts.Queries) * math.Pow(float64(k+1), -z.Skew) / h
+	for k := 0; k < zipfAnchors; k++ {
+		expected[find(k)] += float64(phaseQueries) * math.Pow(float64(k+1), -zipfSkew) / h
 	}
 	checked := 0
 	for g, exp := range expected {
@@ -412,7 +368,7 @@ func TestZipfRankFrequency(t *testing.T) {
 		}
 		checked++
 		if got := counts[g]; math.Abs(got-exp) > 0.25*exp+30 {
-			t.Errorf("anchor group %d: %v queries, want ~%.0f (skew %v)", g, got, exp, z.Skew)
+			t.Errorf("anchor group %d: %v queries, want ~%.0f (skew %v)", g, got, exp, zipfSkew)
 		}
 	}
 	if checked < 3 {
@@ -424,8 +380,9 @@ func TestZipfRankFrequency(t *testing.T) {
 // event-stream contract — a scenario trace drives the simulator with
 // zero violations, births included.
 func TestScenarioReplaysThroughSimulator(t *testing.T) {
-	for _, sc := range []Scenario{FlashCrowd{}, GrowthSpurt{Births: 16, Storms: 2}} {
-		t.Run(sc.Name(), func(t *testing.T) {
+	for _, name := range []string{"flash-crowd", "growth-spurt"} {
+		t.Run(name, func(t *testing.T) {
+			sc := mustLookup(t, name)
 			survey := testSurvey(t)
 			objects := survey.Objects()
 			events, err := sc.Events(survey, Options{Seed: 2, Queries: 1500, Updates: 600})
@@ -478,6 +435,15 @@ func overlapCount(a, b []model.ObjectID) int {
 		}
 	}
 	return n
+}
+
+func mustLookup(t *testing.T, name string) Scenario {
+	t.Helper()
+	sc, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }
 
 // quickSurvey builds a small survey without a testing.T (for

@@ -32,7 +32,8 @@ import (
 	"github.com/deltacache/delta/internal/model"
 )
 
-// Config parameterizes trace generation.
+// Config holds the values a caller sets. Everything else about the
+// trace is one of the constants below.
 type Config struct {
 	Seed int64
 
@@ -41,64 +42,11 @@ type Config struct {
 	NumQueries int
 	NumUpdates int
 
-	// Campaigns is the number of query campaigns across the trace; each
-	// campaign concentrates queries around one query-hot region for a
-	// contiguous span of events.
-	Campaigns int
-	// CampaignSpreadDeg is the angular scatter of query centers around
-	// the campaign center.
-	CampaignSpreadDeg float64
-	// QueryRadiusMinDeg/MaxDeg bound cone-search radii.
-	QueryRadiusMinDeg float64
-	QueryRadiusMaxDeg float64
-	// WideScanFrac is the fraction of queries that scan a wide region
-	// (tens of degrees), touching many objects.
-	WideScanFrac float64
 	// BackgroundQueryFrac is the fraction of queries aimed anywhere on
 	// the sky, outside any campaign: the serendipitous long tail that
 	// "does not follow any clear patterns" (Section 6.1). These queries
 	// are essentially uncacheable and bound every policy's savings.
 	BackgroundQueryFrac float64
-
-	// MeanResultSize is the mean query result size ν(q); the paper's
-	// trace carries ~300 GB over 250k queries (~1.2 MB mean).
-	MeanResultSize cost.Bytes
-	// ResultSigma is the lognormal shape parameter of result sizes.
-	ResultSigma float64
-
-	// ZeroTolFrac is the fraction of queries with no tolerance for
-	// staleness; AnyTolFrac accept arbitrary staleness; the remainder
-	// draw a tolerance uniformly in (0, ToleranceMaxFrac of the trace's
-	// virtual duration]. Expressing the bound as a fraction keeps the
-	// staleness semantics identical when a trace is scaled down.
-	ZeroTolFrac      float64
-	AnyTolFrac       float64
-	ToleranceMaxFrac float64
-
-	// ScanStep is the angular step between consecutive scan updates in
-	// degrees.
-	ScanStep float64
-	// HotspotBias is the probability an update is redrawn near an
-	// update-hot blob instead of the current scan position, clustering
-	// updates on update hotspots.
-	HotspotBias float64
-	// QueryBlobUpdateFrac is the probability an update lands near a
-	// query-hot blob: telescopes revisit scientifically interesting
-	// regions, so the most-queried sky keeps growing too. Because update
-	// sizes follow density, a modest count fraction here is a large byte
-	// fraction — the pressure that separates Delta's on-demand update
-	// shipping from the eager shipping of Replica/Benefit/SOptimal.
-	QueryBlobUpdateFrac float64
-	// MeanUpdateSize is the mean update payload ν(u), scaled by local
-	// density (paper: update size proportional to object density).
-	MeanUpdateSize cost.Bytes
-
-	// WarmupFrac is the fraction of the query sequence whose result
-	// sizes ramp up from WarmupScale× to 1× of the configured mean,
-	// reproducing the paper's warm-up behaviour ("queries with small
-	// query cost occur earlier in trace").
-	WarmupFrac  float64
-	WarmupScale float64
 
 	// GrowthObjects is how many new data objects are published across
 	// the trace (the paper's rapidly-growing repository); births are
@@ -112,10 +60,68 @@ type Config struct {
 	// data that in-network-cache studies of real scientific
 	// repositories observe.
 	BirthBias float64
-
-	// EventInterval is the virtual time between consecutive events.
-	EventInterval time.Duration
 }
+
+// The base trace's fixed shape, calibrated to the paper's SDSS trace.
+const (
+	// numCampaigns is the number of query campaigns across the trace;
+	// each campaign concentrates queries around one query-hot region
+	// for a contiguous span of events.
+	numCampaigns = 10
+	// campaignSpreadDeg is the angular scatter of query centers around
+	// the campaign center.
+	campaignSpreadDeg = 2.5
+	// queryRadiusMinDeg and queryRadiusMaxDeg bound cone-search radii.
+	queryRadiusMinDeg = 0.3
+	queryRadiusMaxDeg = 2
+	// wideScanFrac is the fraction of queries that scan a wide region
+	// (tens of degrees), touching many objects.
+	wideScanFrac = 0.02
+
+	// meanResultSize is the mean query result size ν(q); the paper's
+	// trace carries ~300 GB over 250k queries (~1.2 MB mean).
+	meanResultSize = 3 * cost.MB / 2
+	// resultSigma is the lognormal shape parameter of result sizes.
+	resultSigma = 2.0
+
+	// zeroTolFrac is the fraction of queries with no tolerance for
+	// staleness; anyTolFrac accept arbitrary staleness; the remainder
+	// draw a tolerance uniformly in (0, toleranceMaxFrac of the trace's
+	// virtual duration]. Expressing the bound as a fraction keeps the
+	// staleness semantics identical when a trace is scaled down.
+	zeroTolFrac      = 0.5
+	anyTolFrac       = 0.2
+	toleranceMaxFrac = 0.2
+
+	// scanStepDeg is the angular step between consecutive scan updates.
+	scanStepDeg = 0.8
+	// hotspotBias is the probability an update is redrawn near an
+	// update-hot blob instead of the current scan position, clustering
+	// updates on update hotspots.
+	hotspotBias = 0.45
+	// queryBlobUpdateFrac is the probability an update lands near a
+	// query-hot blob: telescopes revisit scientifically interesting
+	// regions, so the most-queried sky keeps growing too. Because update
+	// sizes follow density, a modest count fraction here is a large byte
+	// fraction — the pressure that separates Delta's on-demand update
+	// shipping from the eager shipping of Replica/Benefit/SOptimal.
+	queryBlobUpdateFrac = 0.05
+	// meanUpdateSize is the mean update payload ν(u), scaled by local
+	// density (paper: update size proportional to object density). The
+	// scenarios use it too.
+	meanUpdateSize = 232 * cost.KB
+
+	// warmupFrac is the fraction of the query sequence whose result
+	// sizes ramp up from warmupScale× to 1× of the mean, reproducing the
+	// paper's warm-up behaviour ("queries with small query cost occur
+	// earlier in trace").
+	warmupFrac  = 0.4
+	warmupScale = 0.25
+
+	// eventInterval is the virtual time between consecutive events;
+	// scenarios with bursty or cyclic arrivals modulate it.
+	eventInterval = 200 * time.Millisecond
+)
 
 // DefaultConfig returns the paper-calibrated workload: 250k queries and
 // 250k updates with ~300 GB of query traffic and ~300 GB of update
@@ -125,24 +131,7 @@ func DefaultConfig() Config {
 		Seed:                1,
 		NumQueries:          250_000,
 		NumUpdates:          250_000,
-		Campaigns:           10,
-		CampaignSpreadDeg:   2.5,
-		QueryRadiusMinDeg:   0.3,
-		QueryRadiusMaxDeg:   2,
-		WideScanFrac:        0.02,
 		BackgroundQueryFrac: 0.25,
-		MeanResultSize:      3 * cost.MB / 2,
-		ResultSigma:         2.0,
-		ZeroTolFrac:         0.5,
-		AnyTolFrac:          0.2,
-		ToleranceMaxFrac:    0.2,
-		ScanStep:            0.8,
-		HotspotBias:         0.45,
-		QueryBlobUpdateFrac: 0.05,
-		MeanUpdateSize:      232 * cost.KB,
-		WarmupFrac:          0.4,
-		WarmupScale:         0.25,
-		EventInterval:       200 * time.Millisecond,
 	}
 }
 
@@ -152,79 +141,20 @@ type Generator struct {
 	cfg    Config
 }
 
-// Validate checks every knob and, crucially, knob *combinations*:
-// conflicting settings error out loudly instead of being silently
-// clamped into a workload that no longer means what it says.
+// Validate checks the event and birth counts and the range of both
+// shares.
 func (cfg Config) Validate() error {
 	if cfg.NumQueries < 0 || cfg.NumUpdates < 0 || cfg.NumQueries+cfg.NumUpdates == 0 {
 		return fmt.Errorf("workload: invalid event counts q=%d u=%d", cfg.NumQueries, cfg.NumUpdates)
 	}
-	if cfg.Campaigns <= 0 {
-		return fmt.Errorf("workload: need at least one campaign")
-	}
-	if cfg.CampaignSpreadDeg < 0 {
-		return fmt.Errorf("workload: campaign spread must be non-negative")
-	}
-	if cfg.QueryRadiusMinDeg < 0 || cfg.QueryRadiusMaxDeg <= 0 {
-		return fmt.Errorf("workload: query radii must be positive")
-	}
-	if cfg.QueryRadiusMinDeg > cfg.QueryRadiusMaxDeg {
-		return fmt.Errorf("workload: query radius min %v exceeds max %v",
-			cfg.QueryRadiusMinDeg, cfg.QueryRadiusMaxDeg)
-	}
-	if cfg.WideScanFrac < 0 || cfg.WideScanFrac > 1 {
-		return fmt.Errorf("workload: wide-scan fraction out of range")
-	}
 	if cfg.BackgroundQueryFrac < 0 || cfg.BackgroundQueryFrac > 1 {
 		return fmt.Errorf("workload: background query fraction out of range")
-	}
-	if cfg.NumQueries > 0 && cfg.MeanResultSize <= 0 {
-		return fmt.Errorf("workload: mean result size must be positive")
-	}
-	if cfg.ResultSigma < 0 {
-		return fmt.Errorf("workload: result sigma must be non-negative")
-	}
-	if cfg.ZeroTolFrac < 0 || cfg.AnyTolFrac < 0 || cfg.ToleranceMaxFrac < 0 {
-		return fmt.Errorf("workload: tolerance fractions must be non-negative")
-	}
-	if cfg.ZeroTolFrac+cfg.AnyTolFrac > 1 {
-		return fmt.Errorf("workload: tolerance fractions exceed 1")
-	}
-	if cfg.HotspotBias < 0 || cfg.HotspotBias > 1 {
-		return fmt.Errorf("workload: hotspot bias out of range")
-	}
-	if cfg.QueryBlobUpdateFrac < 0 || cfg.QueryBlobUpdateFrac > 1 {
-		return fmt.Errorf("workload: query-blob update fraction out of range")
-	}
-	if cfg.HotspotBias+cfg.QueryBlobUpdateFrac > 1 {
-		// Previously this silently starved the great-circle scan branch;
-		// the update stream then had no systematic component at all.
-		return fmt.Errorf("workload: hotspot bias %v + query-blob update fraction %v exceed 1",
-			cfg.HotspotBias, cfg.QueryBlobUpdateFrac)
-	}
-	if cfg.NumUpdates > 0 {
-		if cfg.ScanStep <= 0 {
-			return fmt.Errorf("workload: scan step must be positive when updates are generated")
-		}
-		if cfg.MeanUpdateSize <= 0 {
-			return fmt.Errorf("workload: mean update size must be positive")
-		}
-	}
-	if cfg.WarmupFrac < 0 || cfg.WarmupFrac > 1 {
-		return fmt.Errorf("workload: warmup fraction out of range")
-	}
-	if cfg.WarmupFrac > 0 && (cfg.WarmupScale <= 0 || cfg.WarmupScale > 1) {
-		return fmt.Errorf("workload: warmup scale %v conflicts with warmup fraction %v",
-			cfg.WarmupScale, cfg.WarmupFrac)
 	}
 	if cfg.GrowthObjects < 0 {
 		return fmt.Errorf("workload: growth objects must be non-negative")
 	}
 	if cfg.BirthBias < 0 || cfg.BirthBias > 1 {
 		return fmt.Errorf("workload: birth bias out of range")
-	}
-	if cfg.EventInterval <= 0 {
-		return fmt.Errorf("workload: event interval must be positive")
 	}
 	return nil
 }
@@ -282,7 +212,7 @@ func (g *Generator) Generate() ([]model.Event, error) {
 
 	// Campaign plan: each campaign anchors near a query-hot blob, with
 	// a drifting offset so consecutive campaigns visit different sky.
-	campaigns := make([]campaign, cfg.Campaigns)
+	campaigns := make([]campaign, numCampaigns)
 	for i := range campaigns {
 		blob := queryBlobs[planRng.Intn(len(queryBlobs))]
 		// Anchor on the blob's flank: query hotspots in the paper
@@ -292,8 +222,7 @@ func (g *Generator) Generate() ([]model.Event, error) {
 
 	scan := g.newScan(uRng, updateBlobs)
 
-	quTotal := cfg.NumQueries + cfg.NumUpdates
-	total := quTotal + cfg.GrowthObjects
+	total := cfg.NumQueries + cfg.NumUpdates + cfg.GrowthObjects
 	events := make([]model.Event, 0, total)
 	var (
 		qID     model.QueryID
@@ -306,7 +235,7 @@ func (g *Generator) Generate() ([]model.Event, error) {
 	meanDensity := g.meanDensity(planRng)
 
 	for seq := 0; seq < total; seq++ {
-		t := time.Duration(seq) * cfg.EventInterval
+		t := time.Duration(seq) * eventInterval
 
 		// Births spread evenly through the trace: the k-th birth lands
 		// once a k-th share of the sequence has elapsed.
@@ -322,17 +251,7 @@ func (g *Generator) Generate() ([]model.Event, error) {
 			continue
 		}
 
-		// Deterministic proportional interleave (Bresenham) of the
-		// query and update streams over their own subtotal: emit the
-		// stream that is furthest behind its quota.
-		qu := seq - len(born)
-		emitQuery := int64(qIssued)*int64(quTotal) <= int64(qu)*int64(cfg.NumQueries) &&
-			qIssued < cfg.NumQueries
-		if uIssued >= cfg.NumUpdates {
-			emitQuery = true
-		}
-
-		if emitQuery {
+		if nextIsQuery(qIssued, uIssued, cfg.NumQueries, cfg.NumUpdates) {
 			qID++
 			q := g.genQuery(qRng, qID, t, qIssued, campaigns, born)
 			events = append(events, model.Event{Seq: int64(seq), Kind: model.EventQuery, Query: q})
@@ -382,7 +301,7 @@ func (g *Generator) genQuery(rng *rand.Rand, id model.QueryID, t time.Duration,
 	if rng.Float64() < 0.15 { // revisit a random earlier region
 		campIdx = rng.Intn(len(campaigns))
 	}
-	center := perturb(rng, campaigns[campIdx].center, cfg.CampaignSpreadDeg*math.Pi/180)
+	center := perturb(rng, campaigns[campIdx].center, radians(campaignSpreadDeg))
 	fresh := false
 	switch {
 	case len(born) > 0 && rng.Float64() < cfg.BirthBias:
@@ -401,27 +320,27 @@ func (g *Generator) genQuery(rng *rand.Rand, id model.QueryID, t time.Duration,
 	switch {
 	case fresh:
 		radius = 0.3 + rng.Float64()*0.7 // tight cone on the newborn
-	case rng.Float64() < cfg.WideScanFrac:
+	case rng.Float64() < wideScanFrac:
 		radius = 15 + rng.Float64()*45 // wide-area scan
 	default:
-		radius = cfg.QueryRadiusMinDeg +
-			rng.Float64()*(cfg.QueryRadiusMaxDeg-cfg.QueryRadiusMinDeg)
+		radius = queryRadiusMinDeg +
+			rng.Float64()*(queryRadiusMaxDeg-queryRadiusMinDeg)
 	}
 	objects := g.survey.CoverCap(geom.NewCap(center, radius))
 	if len(objects) == 0 {
 		objects = []model.ObjectID{g.survey.ObjectAt(center)}
 	}
 
-	// Result size: lognormal around the configured mean (queries are
+	// Result size: lognormal around meanResultSize (queries are
 	// selective, so result size does not track sky density), shaped by
 	// the warm-up ramp.
-	mean := float64(cfg.MeanResultSize)
-	sigma := cfg.ResultSigma
+	mean := float64(meanResultSize)
+	sigma := resultSigma
 	// For a lognormal with E[X]=m: mu = ln m - sigma^2/2.
 	mu := math.Log(mean) - sigma*sigma/2
 	size := math.Exp(mu + sigma*rng.NormFloat64())
-	if warm := float64(issued) / float64(max(cfg.NumQueries, 1)); warm < cfg.WarmupFrac && cfg.WarmupFrac > 0 {
-		ramp := cfg.WarmupScale + (1-cfg.WarmupScale)*(warm/cfg.WarmupFrac)
+	if warm := float64(issued) / float64(max(cfg.NumQueries, 1)); warm < warmupFrac {
+		ramp := warmupScale + (1-warmupScale)*(warm/warmupFrac)
 		size *= ramp
 	}
 	if size < 1024 {
@@ -432,42 +351,43 @@ func (g *Generator) genQuery(rng *rand.Rand, id model.QueryID, t time.Duration,
 		ID:        id,
 		Objects:   objects,
 		Cost:      cost.Bytes(size),
-		Tolerance: g.genTolerance(rng),
+		Tolerance: tolerance(rng, time.Duration(cfg.NumQueries+cfg.NumUpdates)*eventInterval),
 		Time:      t,
 	}
 }
 
-func (g *Generator) genTolerance(rng *rand.Rand) time.Duration {
-	r := rng.Float64()
-	switch {
-	case r < g.cfg.ZeroTolFrac:
+// tolerance draws a query's staleness tolerance: zeroTolFrac of
+// queries demand the latest data, anyTolFrac accept any cached version,
+// and the rest tolerate up to toleranceMaxFrac of the trace's virtual
+// horizon.
+func tolerance(rng *rand.Rand, horizon time.Duration) time.Duration {
+	switch r := rng.Float64(); {
+	case r < zeroTolFrac:
 		return model.NoTolerance
-	case r < g.cfg.ZeroTolFrac+g.cfg.AnyTolFrac:
+	case r < zeroTolFrac+anyTolFrac:
 		return model.AnyStaleness
 	default:
-		duration := float64(g.cfg.NumQueries+g.cfg.NumUpdates) * float64(g.cfg.EventInterval)
-		return time.Duration(rng.Float64() * g.cfg.ToleranceMaxFrac * duration)
+		return time.Duration(rng.Float64() * toleranceMaxFrac * float64(horizon))
 	}
 }
 
 func (g *Generator) genUpdate(rng *rand.Rand, id model.UpdateID, t time.Duration,
 	scan *scanState, updateBlobs []catalog.Blob, meanDensity float64) *model.Update {
 
-	cfg := g.cfg
 	var pos geom.Vec3
 	switch r := rng.Float64(); {
-	case r < cfg.HotspotBias:
+	case r < hotspotBias:
 		// Clustered on an update-hot stripe.
 		blob := updateBlobs[rng.Intn(len(updateBlobs))]
 		pos = perturb(rng, blob.Center, blob.Sigma)
-	case r < cfg.HotspotBias+cfg.QueryBlobUpdateFrac:
+	case r < hotspotBias+queryBlobUpdateFrac:
 		// Revisit of a scientifically interesting (query-hot) region.
 		queryBlobs := g.survey.Sky().Blobs(catalog.QueryHot)
 		blob := queryBlobs[rng.Intn(len(queryBlobs))]
 		pos = perturb(rng, blob.Center, blob.Sigma)
 	default:
 		// Systematic scan along the current great circle.
-		scan.theta += cfg.ScanStep * math.Pi / 180
+		scan.theta += radians(scanStepDeg)
 		if scan.theta > 2*math.Pi {
 			*scan = *g.newScan(rng, updateBlobs)
 		}
@@ -477,7 +397,7 @@ func (g *Generator) genUpdate(rng *rand.Rand, id model.UpdateID, t time.Duration
 
 	// Update size proportional to object density, lognormal noise.
 	density := g.survey.Density(pos)
-	mean := float64(cfg.MeanUpdateSize) * (density / meanDensity)
+	mean := float64(meanUpdateSize) * (density / meanDensity)
 	sigma := 0.8
 	mu := math.Log(math.Max(mean, 1024)) - sigma*sigma/2
 	size := math.Exp(mu + sigma*rng.NormFloat64())
@@ -501,6 +421,11 @@ func perturb(rng *rand.Rand, center geom.Vec3, sigmaRad float64) geom.Vec3 {
 	}.Normalize().Scale(math.Abs(rng.NormFloat64()) * sigmaRad)
 	return center.Add(off).Normalize()
 }
+
+// radians converts degrees at run time. Go folds a constant expression
+// such as 3*math.Pi/180 exactly, which can differ in the last bit from
+// the float64 product that the golden traces pin.
+func radians(deg float64) float64 { return deg * math.Pi / 180 }
 
 func randomUnit(rng *rand.Rand) geom.Vec3 {
 	return geom.Vec3{

@@ -16,7 +16,6 @@ func smallConfig() Config {
 	cfg := DefaultConfig()
 	cfg.NumQueries = 4000
 	cfg.NumUpdates = 4000
-	cfg.Campaigns = 6
 	return cfg
 }
 
@@ -50,10 +49,6 @@ func TestGeneratorValidation(t *testing.T) {
 	}{
 		{"no events", func(c *Config) { c.NumQueries, c.NumUpdates = 0, 0 }},
 		{"negative queries", func(c *Config) { c.NumQueries = -1 }},
-		{"no campaigns", func(c *Config) { c.Campaigns = 0 }},
-		{"tolerance fractions", func(c *Config) { c.ZeroTolFrac, c.AnyTolFrac = 0.8, 0.5 }},
-		{"warmup fraction", func(c *Config) { c.WarmupFrac = 1.5 }},
-		{"event interval", func(c *Config) { c.EventInterval = 0 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
