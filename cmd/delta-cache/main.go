@@ -36,7 +36,6 @@ func run() error {
 		seed        = flag.Int64("seed", 2, "survey seed (must match the repository)")
 		cacheFrac   = flag.Float64("cache-frac", 0.3, "cache size as a fraction of what the node holds: the whole survey, or a shard's owned objects")
 		bytesPerGB  = flag.Int64("bytes-per-gb", 4096, "physical payload bytes per logical GB")
-		repoPool    = flag.Int("repo-pool", 2, "connections in the repository session pool")
 		shard       = flag.Bool("shard", false, "run as a cluster shard: own nothing until the router's reshard says what to own")
 		dataDir     = flag.String("data-dir", "", "directory for warm-state snapshots and the decision journal; restarts rejoin warm from it (empty = no persistence)")
 		snapEvery   = flag.Duration("snapshot-interval", 0, "periodic snapshot interval with -data-dir (0 = 30s default)")
@@ -87,7 +86,6 @@ func run() error {
 	mw, err := cache.New(cache.Config{
 		Addr:     *addr,
 		RepoAddr: *repoAddr,
-		RepoPool: *repoPool,
 		Policy:   policy,
 		Objects:  survey.Objects(),
 		Shard:    *shard,

@@ -10,11 +10,13 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,34 +129,8 @@ func run() error {
 		}
 		printRebalance(st)
 	case *grow > 0:
-		rng := rand.New(rand.NewSource(*growSeed))
-		// Catch the local survey mirror up with growth already
-		// published (stats report how many objects the deployment has
-		// admitted since its base universe), replaying the generator
-		// stream so a second -grow run continues the ID sequence
-		// instead of silently colliding with the first run's. Assumes
-		// one grower with a stable -grow-seed.
-		st, err := cl.Stats(ctx)
-		if err != nil {
+		if err := runGrow(ctx, cl, survey, *grow, *growSeed, start); err != nil {
 			return err
-		}
-		if st.ObjectsBorn > 0 {
-			if _, err := survey.GrowObjects(rng, int(st.ObjectsBorn), 0); err != nil {
-				return fmt.Errorf("replaying %d published births: %w", st.ObjectsBorn, err)
-			}
-		}
-		births, err := survey.GrowObjects(rng, *grow, time.Since(start))
-		if err != nil {
-			return err
-		}
-		accepted, err := cl.AddObjects(ctx, births)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("published %d new objects (%d newly admitted; universe now %d objects)\n",
-			len(births), accepted, survey.NumObjects())
-		for _, b := range births {
-			fmt.Printf("  object %d: %v at ra=%.3f dec=%.3f\n", b.Object.ID, b.Object.Size, b.RA, b.Dec)
 		}
 	case *stats || *cstats || *rebStatus:
 		// handled below
@@ -209,9 +185,11 @@ func printClusterStats(cs *netproto.ClusterStatsMsg) {
 			rate = float64(sh.Stats.AtCache) / float64(sh.Stats.Queries)
 		}
 		rates = append(rates, rate)
-		fmt.Printf("  %-5d %-21s %9d %8.1f%% %8d %8d %6d %7d %10v\n",
+		fmt.Printf("  %-5d %-21s %9d %8.1f%% %8d %8.0f %6.0f %7.0f %10v\n",
 			sh.Shard, sh.Addr, sh.Stats.Queries, rate*100, len(sh.Stats.Cached),
-			sh.Stats.Shipped, sh.Stats.ObjectsBorn, sh.Stats.MigratedIn,
+			sh.Stats.Metric("delta_queries_shipped_total"),
+			sh.Stats.Metric("delta_objects_born_total"),
+			sh.Stats.Metric("delta_migrated_in_total"),
 			sh.Stats.Ledger.Total())
 	}
 	if len(rates) > 0 {
@@ -250,20 +228,48 @@ func printRebalance(st *netproto.RebalanceStatusMsg) {
 	}
 }
 
+// printStats renders a node's stats answer: its policy, its traffic
+// ledger, one line per counter and gauge sample, and its residents.
 func printStats(st *netproto.StatsMsg) {
-	fmt.Printf("policy=%s queries=%d atCache=%d shipped=%d\n",
-		st.Policy, st.Queries, st.AtCache, st.Shipped)
+	fmt.Printf("policy=%s\n", st.Policy)
 	fmt.Printf("traffic: query-ship=%v update-ship=%v loads=%v total=%v\n",
 		st.Ledger.QueryShip, st.Ledger.UpdateShip, st.Ledger.ObjectLoad, st.Ledger.Total())
-	fmt.Printf("health: dropped-invalidations=%d singleflight-deduped-loads=%d migrated-in=%d objects-born=%d\n",
-		st.DroppedInvalidations, st.DedupedLoads, st.MigratedIn, st.ObjectsBorn)
-	fmt.Printf("cover cache: hits=%d misses=%d\n", st.CoverCacheHits, st.CoverCacheMisses)
-	fmt.Printf("result cache: hits=%d misses=%d coalesced=%d grant-batches=%d\n",
-		st.ResultCacheHits, st.ResultCacheMisses, st.CoalescedQueries, st.GrantBatches)
-	fmt.Printf("persistence: snapshot-age=%v journal-records=%d recovered-warm=%d\n",
-		st.SnapshotAge.Round(time.Millisecond), st.JournalRecords, st.RecoveredWarm)
-	fmt.Printf("replication: K=%d\n", max(st.Replicas, 1))
+	for _, m := range st.Metrics {
+		fmt.Printf("%s %s\n", m.Name, strconv.FormatFloat(m.Value, 'f', -1, 64))
+	}
 	fmt.Printf("cached objects: %v\n", st.Cached)
+}
+
+// runGrow publishes n new objects. It first replays the births already
+// published through the seeded generator, so a second run continues the
+// ID sequence (assuming one grower with a stable seed). It counts each
+// birth once: a router's aggregate delta_objects_born_total counts one
+// per holder, so a router's delta_router_births_total comes first.
+func runGrow(ctx context.Context, cl *client.Client, survey *catalog.Survey, n int, seed int64, start time.Time) error {
+	rng := rand.New(rand.NewSource(seed))
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		return err
+	}
+	if born := int(cmp.Or(st.Metric("delta_router_births_total"), st.Metric("delta_objects_born_total"))); born > 0 {
+		if _, err := survey.GrowObjects(rng, born, 0); err != nil {
+			return fmt.Errorf("replaying %d published births: %w", born, err)
+		}
+	}
+	births, err := survey.GrowObjects(rng, n, time.Since(start))
+	if err != nil {
+		return err
+	}
+	accepted, err := cl.AddObjects(ctx, births)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("published %d new objects (%d newly admitted; universe now %d objects)\n",
+		len(births), accepted, survey.NumObjects())
+	for _, b := range births {
+		fmt.Printf("  object %d: %v at ra=%.3f dec=%.3f\n", b.Object.ID, b.Object.Size, b.RA, b.Dec)
+	}
+	return nil
 }
 
 // runRegion submits one sky-region query resolved server-side: the

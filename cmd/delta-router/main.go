@@ -61,7 +61,6 @@ func run() error {
 		modeName  = flag.String("mode", "htm", "ownership mode: htm|rendezvous")
 		objects   = flag.Int("objects", 68, "number of data objects (must match the deployment; the shards check)")
 		seed      = flag.Int64("seed", 2, "survey seed (must match the deployment; the shards check)")
-		pool      = flag.Int("shard-pool", 2, "connections in each shard session pool")
 		dialRetry = flag.Duration("dial-retry", 5*time.Second, "how long to retry refused shard dials (startup race)")
 		metrics   = flag.String("metrics-addr", "", "debug HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof (empty = off)")
 		replicas  = flag.Int("replicas", 1, "replication factor K: how many shards hold each object")
@@ -100,7 +99,6 @@ func run() error {
 		Shards:          addrs,
 		Ownership:       own,
 		RepoAddr:        *repoAddr,
-		ShardPool:       *pool,
 		DialRetry:       *dialRetry,
 		ResultCacheSize: *resSize,
 		Resolver:        survey.CoverCap,

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/deltacache/delta/internal/core"
@@ -55,9 +54,6 @@ type Config struct {
 	Addr string
 	// RepoAddr is the repository's address.
 	RepoAddr string
-	// RepoPool is how many connections back the repository session
-	// (each one multiplexes; 0 means a small default).
-	RepoPool int
 	// Policy decides; nil defaults to VCover. The node keeps this one
 	// instance for its whole life (core.Shard).
 	Policy core.Policy
@@ -82,7 +78,7 @@ type Config struct {
 	// intersect it (typically catalog.Survey.CoverCap). When set,
 	// queries arriving with a SkyRegion instead of an object list are
 	// resolved here, memoized through a bounded cover cache whose
-	// hit/miss counters surface in StatsMsg. Nil rejects region
+	// hit/miss counters are /metrics samples. Nil rejects region
 	// queries. Cluster shards must leave it nil: a shard resolves
 	// against the whole sky but owns a subset, so every region query
 	// would die on the ownership check — regions resolve at the
@@ -144,8 +140,6 @@ type Middleware struct {
 	recoveredWarm                                     *obs.Gauge
 	queryLat, loadLat, fsyncLat                       *obs.Histogram
 
-	replicas atomic.Int64 // deployed replication factor K (≥ 1)
-
 	// inv is the invalidation subscription; a cluster shard also sends
 	// its owned set on it (filter.go).
 	inv *node.Subscription
@@ -182,6 +176,9 @@ const maxLoadBatch = 1024
 // repository.
 const repoDialRetry = 5 * time.Second
 
+// repoPool is how many multiplexed connections back the repository session.
+const repoPool = 2
+
 // New builds the middleware, connects it to the repository, initializes
 // the policy (a shard's waits for its router's first reshard) and
 // subscribes to invalidations.
@@ -191,9 +188,6 @@ func New(cfg Config) (*Middleware, error) {
 	}
 	if len(cfg.Objects) == 0 {
 		return nil, fmt.Errorf("cache: object universe required")
-	}
-	if cfg.RepoPool <= 0 {
-		cfg.RepoPool = 2
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -211,7 +205,6 @@ func New(cfg Config) (*Middleware, error) {
 		}),
 	}
 	m.Node = node.New("cache", cfg.Addr, cfg.MetricsAddr, cfg.Logf, m.handleClientFrame)
-	m.replicas.Store(1)
 	m.covers = htm.NewCoverCache(256, cfg.Resolver, cfg.ResolverGrow)
 	m.queryLat = m.Reg.NewHistogram("delta_query_seconds",
 		"End-to-end query handling latency at this cache node (fragment or whole query).", nil)
@@ -308,7 +301,7 @@ func New(cfg Config) (*Middleware, error) {
 	}
 
 	// Multiplexed request/response session to the repository.
-	dial := netproto.SessionConfig{PoolSize: cfg.RepoPool, DialRetry: repoDialRetry}
+	dial := netproto.SessionConfig{PoolSize: repoPool, DialRetry: repoDialRetry}
 	sess, err := netproto.DialSession(cfg.RepoAddr, "cache", dial)
 	if err != nil {
 		m.closeStore()
@@ -436,31 +429,23 @@ func (m *Middleware) journalPlan(p plan) {
 // Ledger returns a snapshot of the cache's traffic accounting.
 func (m *Middleware) Ledger() cost.Snapshot { return m.ledger.Snapshot() }
 
-// Stats returns a stats message describing the node, read from the
-// instruments /metrics exposes.
+// Stats returns a stats message describing the node: its residents,
+// policy and every counter and gauge /metrics exposes.
 func (m *Middleware) Stats() netproto.StatsMsg {
 	m.mu.Lock()
 	cached := m.shard.Residents()
 	policy := m.cfg.Policy.Name()
 	m.mu.Unlock()
-	hits, misses := m.covers.Stats()
+	// Values reads delta_cached_objects under m.mu: call it unlocked.
 	return netproto.StatsMsg{
 		Ledger:               m.ledger.Snapshot(),
 		Cached:               cached,
 		Policy:               policy,
 		Queries:              m.queries.Value(),
 		AtCache:              m.atCache.Value(),
-		Shipped:              m.shipped.Value(),
 		DroppedInvalidations: m.droppedInv.Value(),
 		DedupedLoads:         m.dedupLoads.Value(),
-		MigratedIn:           m.migratedIn.Value(),
-		ObjectsBorn:          m.bornObjects.Value(),
-		CoverCacheHits:       hits,
-		CoverCacheMisses:     misses,
-		SnapshotAge:          m.store.SnapshotAge(),
-		JournalRecords:       m.store.JournalRecords(),
-		RecoveredWarm:        m.recoveredWarm.Value(),
-		Replicas:             m.replicas.Load(),
+		Metrics:              m.Reg.Values(),
 	}
 }
 

@@ -376,7 +376,7 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 			t.Logf("seed %d: dropped %d at the shard, %d at the repository", seed, st.DroppedInvalidations, repo.DroppedInvalidations())
 			return false
 		}
-		filtered += int64(nextUpdate) - repo.Notices()
+		filtered += int64(nextUpdate) - int64(repo.Stats().Metric("delta_repo_notices_total"))
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {

@@ -397,9 +397,9 @@ func TestConcurrentMixedStress(t *testing.T) {
 	if stats.Queries != wantQueries {
 		t.Errorf("queries = %d, want %d", stats.Queries, wantQueries)
 	}
-	if stats.AtCache+stats.Shipped != stats.Queries {
-		t.Errorf("atCache(%d) + shipped(%d) != queries(%d)",
-			stats.AtCache, stats.Shipped, stats.Queries)
+	if shipped := stats.Metric("delta_queries_shipped_total"); float64(stats.AtCache)+shipped != float64(stats.Queries) {
+		t.Errorf("atCache(%d) + shipped(%v) != queries(%d)",
+			stats.AtCache, shipped, stats.Queries)
 	}
 }
 
@@ -533,8 +533,8 @@ func TestSingleCacheAdoptsBirths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ObjectsBorn != 2 {
-		t.Errorf("cache ObjectsBorn = %d, want 2", st.ObjectsBorn)
+	if born := st.Metric("delta_objects_born_total"); born != 2 {
+		t.Errorf("cache delta_objects_born_total = %v, want 2", born)
 	}
 }
 

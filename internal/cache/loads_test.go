@@ -466,9 +466,10 @@ func TestCacheGapShipsThenResumesCold(t *testing.T) {
 	if res, err := query(m, fresh); err == nil {
 		t.Errorf("a query during the gap answered from %q with the repository down", res.Source)
 	}
-	if st := m.Stats(); st.Shipped != before.Shipped+1 || st.AtCache != before.AtCache {
-		t.Errorf("during the gap: shipped %d -> %d, at-cache %d -> %d; want one ship, no at-cache answer",
-			before.Shipped, st.Shipped, before.AtCache, st.AtCache)
+	const shipped = "delta_queries_shipped_total"
+	if st := m.Stats(); st.Metric(shipped) != before.Metric(shipped)+1 || st.AtCache != before.AtCache {
+		t.Errorf("during the gap: shipped %v -> %v, at-cache %d -> %d; want one ship, no at-cache answer",
+			before.Metric(shipped), st.Metric(shipped), before.AtCache, st.AtCache)
 	}
 
 	repo, err = server.New(server.Config{Survey: survey, Addr: addr, Scale: netproto.DefaultScale()})

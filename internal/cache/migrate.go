@@ -24,7 +24,7 @@ import (
 // order core.Shard states (meta supplies metadata for objects born after
 // this node spawned). It returns how many objects are resident
 // afterwards and how many residents the reshard dropped; warm adoptions
-// count into StatsMsg.MigratedIn. A shard's first reshard initializes
+// count into delta_migrated_in_total. A shard's first reshard initializes
 // its policy at the capacity ReshardCapacity gives (Capacity when that
 // is nil) and loads what a Preloader starts with.
 func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Object, warm []model.ObjectID) (resident, dropped int, err error) {
@@ -88,17 +88,11 @@ func (m *Middleware) handleReshard(body netproto.ReshardMsg) (netproto.Frame, er
 	if err != nil {
 		return netproto.Frame{}, err
 	}
-	if body.Replicas > 0 {
-		// The ownership's replication factor, so stats report the
-		// deployed K (0 leaves the last one the node heard).
-		m.replicas.Store(int64(body.Replicas))
-	}
 	m.snapshotNow()
 	return netproto.Frame{Type: netproto.MsgReshard, Body: netproto.ReshardMsg{
 		Epoch:    body.Epoch,
 		Resident: resident,
 		Dropped:  droppedCount,
-		Replicas: body.Replicas,
 	}}, nil
 }
 

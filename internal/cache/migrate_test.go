@@ -259,8 +259,9 @@ func TestReshardAdoptsWarmArrivals(t *testing.T) {
 	if !slices.Equal(st.Cached, first) {
 		t.Errorf("cached after warm reshard = %v, want %v", st.Cached, first)
 	}
-	if st.MigratedIn != int64(len(first)) {
-		t.Errorf("MigratedIn = %d, want %d", st.MigratedIn, len(first))
+	const migratedIn = "delta_migrated_in_total"
+	if got := st.Metric(migratedIn); got != float64(len(first)) {
+		t.Errorf("%s = %v, want %d", migratedIn, got, len(first))
 	}
 	cl, err := client.Dial(dst.Addr())
 	if err != nil {
@@ -280,8 +281,8 @@ func TestReshardAdoptsWarmArrivals(t *testing.T) {
 
 	// Re-sending the same reshard carries them; nothing counts twice.
 	reshard(first)
-	if got := dst.Stats().MigratedIn; got != int64(len(first)) {
-		t.Errorf("re-sent reshard counted warm arrivals again: MigratedIn = %d", got)
+	if got := dst.Stats().Metric(migratedIn); got != float64(len(first)) {
+		t.Errorf("re-sent reshard counted warm arrivals again: %s = %v", migratedIn, got)
 	}
 
 	// The other half arrives while the carried residents fill the
@@ -291,8 +292,8 @@ func TestReshardAdoptsWarmArrivals(t *testing.T) {
 	if !slices.Equal(st.Cached, first) {
 		t.Errorf("cached under capacity pressure = %v, want the carried %v", st.Cached, first)
 	}
-	if st.MigratedIn != int64(len(first)) {
-		t.Errorf("declined arrivals counted: MigratedIn = %d", st.MigratedIn)
+	if got := st.Metric(migratedIn); got != float64(len(first)) {
+		t.Errorf("declined arrivals counted: %s = %v", migratedIn, got)
 	}
 }
 

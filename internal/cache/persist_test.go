@@ -125,7 +125,7 @@ func TestWarmRestartStandalone(t *testing.T) {
 	mw2 := spawn()
 	defer mw2.Close()
 	after := mw2.Stats()
-	if after.RecoveredWarm == 0 {
+	if after.Metric("delta_recovered_warm") == 0 {
 		t.Fatal("restart recovered no residents")
 	}
 	if !slices.Equal(after.Cached, before.Cached) {
@@ -414,7 +414,7 @@ func TestRestartedShardKeepsNewbornFromReshardMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := mw2.Stats()
-	if !slices.Equal(st.Cached, []model.ObjectID{newborn.ID}) || st.RecoveredWarm != 1 {
-		t.Errorf("after the install: cached %v, recovered warm %d; want [%d] and 1", st.Cached, st.RecoveredWarm, newborn.ID)
+	if warm := st.Metric("delta_recovered_warm"); !slices.Equal(st.Cached, []model.ObjectID{newborn.ID}) || warm != 1 {
+		t.Errorf("after the install: cached %v, recovered warm %v; want [%d] and 1", st.Cached, warm, newborn.ID)
 	}
 }

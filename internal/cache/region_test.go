@@ -82,9 +82,10 @@ func TestCacheResolvesRegionQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CoverCacheMisses < 1 || stats.CoverCacheHits < repeats-1 {
-		t.Errorf("cover cache = %d hits / %d misses, want ≥%d / ≥1",
-			stats.CoverCacheHits, stats.CoverCacheMisses, repeats-1)
+	hits, misses := stats.Metric("delta_cover_cache_hits_total"), stats.Metric("delta_cover_cache_misses_total")
+	if misses < 1 || hits < repeats-1 {
+		t.Errorf("cover cache = %v hits / %v misses, want ≥%d / ≥1",
+			hits, misses, repeats-1)
 	}
 
 	// A client mixing an object list with a region is a usage error.

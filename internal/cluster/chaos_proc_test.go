@@ -161,8 +161,8 @@ func TestChaosProcessKill(t *testing.T) {
 	if !cs.Degraded {
 		t.Error("cluster stats should report the killed shard as down")
 	}
-	if cs.Aggregate.Replicas != replicas {
-		t.Errorf("aggregate reports K=%d, want %d", cs.Aggregate.Replicas, replicas)
+	if k := cs.Aggregate.Metric("delta_router_replicas"); k != replicas {
+		t.Errorf("aggregate reports K=%v, want %d", k, replicas)
 	}
 
 	// A node severs its peers on shutdown: the repository exits on

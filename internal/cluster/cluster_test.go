@@ -285,7 +285,8 @@ func TestClusterStatsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sumQueries, sumAtCache, sumShipped int64
+	var sumQueries, sumAtCache int64
+	var sumShipped float64
 	var sumLoad cost.Bytes
 	seen := make(map[model.ObjectID]int)
 	for _, st := range cs.Shards {
@@ -294,7 +295,7 @@ func TestClusterStatsAggregation(t *testing.T) {
 		}
 		sumQueries += st.Stats.Queries
 		sumAtCache += st.Stats.AtCache
-		sumShipped += st.Stats.Shipped
+		sumShipped += st.Stats.Metric("delta_queries_shipped_total")
 		sumLoad += st.Stats.Ledger.ObjectLoad
 		for _, id := range st.Stats.Cached {
 			seen[id]++
@@ -306,9 +307,9 @@ func TestClusterStatsAggregation(t *testing.T) {
 	if cs.Aggregate.Queries != sumQueries || cs.Aggregate.Queries != 16 {
 		t.Errorf("aggregate queries = %d, shard sum = %d, want 16", cs.Aggregate.Queries, sumQueries)
 	}
-	if cs.Aggregate.AtCache != sumAtCache || cs.Aggregate.Shipped != sumShipped {
-		t.Errorf("aggregate atCache/shipped = %d/%d, sums = %d/%d",
-			cs.Aggregate.AtCache, cs.Aggregate.Shipped, sumAtCache, sumShipped)
+	if shipped := cs.Aggregate.Metric("delta_queries_shipped_total"); cs.Aggregate.AtCache != sumAtCache || shipped != sumShipped {
+		t.Errorf("aggregate atCache/shipped = %d/%v, sums = %d/%v",
+			cs.Aggregate.AtCache, shipped, sumAtCache, sumShipped)
 	}
 	if cs.Aggregate.Ledger.ObjectLoad != sumLoad {
 		t.Errorf("aggregate load traffic = %v, sum = %v", cs.Aggregate.Ledger.ObjectLoad, sumLoad)

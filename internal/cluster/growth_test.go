@@ -214,8 +214,8 @@ func TestGrowthSoakWithResizeOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Aggregate.ObjectsBorn != nBirths {
-		t.Errorf("shards admitted %d births total, want %d", cs.Aggregate.ObjectsBorn, nBirths)
+	if born := cs.Aggregate.Metric("delta_objects_born_total"); born != nBirths {
+		t.Errorf("shards admitted %v births total, want %d", born, nBirths)
 	}
 }
 

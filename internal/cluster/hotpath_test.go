@@ -65,15 +65,22 @@ func TestRouterResultCacheInvalidation(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	hits, misses := lc.Router.ResultCacheHits(), lc.Router.ResultCacheMisses()
+	misses := func() float64 {
+		st, err := cl.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Metric("delta_router_result_cache_misses_total")
+	}
+	hits, missed := lc.Router.ResultCacheHits(), misses()
 	if _, err := cl.Query(ctx, q); err != nil {
 		t.Fatal(err)
 	}
 	if got := lc.Router.ResultCacheHits(); got != hits {
 		t.Errorf("query after invalidation hit the cache (%d -> %d hits): stale answer", hits, got)
 	}
-	if got := lc.Router.ResultCacheMisses(); got != misses+1 {
-		t.Errorf("query after invalidation recorded %d misses, want %d", got, misses+1)
+	if got := misses(); got != missed+1 {
+		t.Errorf("query after invalidation recorded %v misses, want %v", got, missed+1)
 	}
 }
 
@@ -470,11 +477,11 @@ func TestBatchedBirthGrants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Aggregate.ObjectsBorn != total {
-		t.Errorf("shards admitted %d births, want %d", cs.Aggregate.ObjectsBorn, total)
+	if born := cs.Aggregate.Metric("delta_objects_born_total"); born != float64(total) {
+		t.Errorf("shards admitted %v births, want %d", born, total)
 	}
-	if cs.Aggregate.GrantBatches != batches {
-		t.Errorf("aggregate stats report %d grant batches, router counted %d", cs.Aggregate.GrantBatches, batches)
+	if got := cs.Aggregate.Metric("delta_router_grant_batches_total"); got != float64(batches) {
+		t.Errorf("aggregate stats report %v grant batches, router counted %d", got, batches)
 	}
 }
 

@@ -335,9 +335,10 @@ func TestInstallPreloadsReplicaShards(t *testing.T) {
 		if st.Ledger.ObjectLoad != 0 {
 			t.Errorf("shard %d charged %v for a Replica preload", s, st.Ledger.ObjectLoad)
 		}
-		if st.Replicas != 2 {
-			t.Errorf("shard %d reports K=%d, want 2", s, st.Replicas)
-		}
+	}
+	// K is the router's to know: no shard is told it.
+	if k := lc.Router.clusterStats(t.Context()).Aggregate.Metric("delta_router_replicas"); k != 2 {
+		t.Errorf("the router reports K=%v, want 2", k)
 	}
 	if repo.Ledger().ObjectLoads == 0 {
 		t.Error("the install preloaded nothing from the repository")

@@ -286,12 +286,12 @@ func TestRepositoryCloseWithLivePeerWritesFinalSnapshot(t *testing.T) {
 	if n, err := repo.AddObjects([]model.Birth{birth}); n != 1 || err != nil {
 		t.Fatalf("AddObjects = %d, %v", n, err)
 	}
-	if got := repo.Stats().JournalRecords; got != 1 {
-		t.Fatalf("journal holds %d records after one birth, want 1", got)
+	if got := repo.Stats().Metric("delta_journal_records"); got != 1 {
+		t.Fatalf("journal holds %v records after one birth, want 1", got)
 	}
 	before := time.Now()
 	closeWithin(t, repo, nil)
-	if age, since := repo.Stats().SnapshotAge, time.Since(before); age > since {
+	if age, since := repo.Stats().Metric("delta_snapshot_age_seconds"), time.Since(before); age > since.Seconds() {
 		t.Errorf("newest snapshot is %v old %v after Close was called: Close wrote none", age, since)
 	}
 	store, err := persist.Open(persist.Options{Dir: dir})

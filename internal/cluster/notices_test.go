@@ -53,13 +53,14 @@ func TestNoticeFanOutFollowsOwnership(t *testing.T) {
 			defer lc.Close()
 			objs := lc.Ownership.ShardObjects(0)
 			const n = 40
-			before := repo.Notices()
+			notices := func() int64 { return int64(repo.Stats().Metric("delta_repo_notices_total")) }
+			before := notices()
 			for i := range n {
 				repo.ApplyUpdate(model.Update{
 					ID: model.UpdateID(i + 1), Object: objs[i%len(objs)], Cost: cost.KB, Time: time.Duration(i+1) * time.Second,
 				})
 			}
-			if got, want := repo.Notices()-before, int64(n*(1+k)); got != want {
+			if got, want := notices()-before, int64(n*(1+k)); got != want {
 				t.Errorf("%d updates queued %d notices, want %d (%d per update)", n, got, want, 1+k)
 			}
 			want := []int64{n, 0}

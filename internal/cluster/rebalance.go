@@ -307,7 +307,6 @@ func (r *Router) reshardAll(ctx context.Context, epoch int, own *Ownership, targ
 				Owned:    t.owned,
 				Universe: reshardMeta(own, t.owned, r.surveyed),
 				Warm:     t.warm,
-				Replicas: own.Replicas(),
 			},
 		}
 	})

@@ -231,8 +231,8 @@ func TestResizeLiveTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Aggregate.MigratedIn == 0 {
-		t.Error("MigratedIn = 0; warm arrivals should be visible in stats")
+	if cs.Aggregate.Metric("delta_migrated_in_total") == 0 {
+		t.Error("delta_migrated_in_total = 0; warm arrivals should be visible in stats")
 	}
 }
 
@@ -274,8 +274,8 @@ func TestResizeColdBaselineLosesWarmth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Aggregate.MigratedIn != 0 {
-		t.Errorf("cold resize imported %d objects", cs.Aggregate.MigratedIn)
+	if got := cs.Aggregate.Metric("delta_migrated_in_total"); got != 0 {
+		t.Errorf("cold resize imported %v objects", got)
 	}
 }
 

@@ -101,11 +101,11 @@ func TestRouterResolvesRegionQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Aggregate.CoverCacheMisses < 1 {
-		t.Errorf("cover-cache misses = %d, want ≥1", cs.Aggregate.CoverCacheMisses)
+	if misses := cs.Aggregate.Metric("delta_cover_cache_misses_total"); misses < 1 {
+		t.Errorf("cover-cache misses = %v, want ≥1", misses)
 	}
-	if cs.Aggregate.CoverCacheHits < repeats {
-		t.Errorf("cover-cache hits = %d, want ≥%d (region repeated)", cs.Aggregate.CoverCacheHits, repeats)
+	if hits := cs.Aggregate.Metric("delta_cover_cache_hits_total"); hits < repeats {
+		t.Errorf("cover-cache hits = %v, want ≥%d (region repeated)", hits, repeats)
 	}
 
 	// A region query against a router with no resolver fails cleanly.

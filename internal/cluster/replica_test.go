@@ -364,20 +364,21 @@ func TestClusterReplicaStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// K is the router's gauge: no shard is told it.
 	for _, st := range cs.Shards {
-		if st.Stats.Replicas != 2 {
-			t.Errorf("shard %d reports K=%d, want 2", st.Shard, st.Stats.Replicas)
+		if k := st.Stats.Metric("delta_router_replicas"); k != 0 {
+			t.Errorf("shard %d reports K=%v; only the router knows K", st.Shard, k)
 		}
 	}
-	if cs.Aggregate.Replicas != 2 {
-		t.Errorf("aggregate reports K=%d, want 2 (K must not sum across shards)", cs.Aggregate.Replicas)
+	if k := cs.Aggregate.Metric("delta_router_replicas"); k != 2 {
+		t.Errorf("aggregate reports K=%v, want 2", k)
 	}
 	st, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Replicas != 2 {
-		t.Errorf("aggregate StatsMsg reports K=%d, want 2", st.Replicas)
+	if k := st.Metric("delta_router_replicas"); k != 2 {
+		t.Errorf("aggregate StatsMsg reports K=%v, want 2", k)
 	}
 
 	// At K=2 every object is held by exactly two shards, so the total

@@ -232,10 +232,10 @@ func TestRestartRecoverySoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Aggregate.RecoveredWarm == 0 {
-		t.Error("restarted shard recovered no residents from disk (RecoveredWarm == 0)")
+	if cs.Aggregate.Metric("delta_recovered_warm") == 0 {
+		t.Error("restarted shard recovered no residents from disk (delta_recovered_warm == 0)")
 	}
-	if cs.Aggregate.ObjectsBorn == 0 {
+	if cs.Aggregate.Metric("delta_objects_born_total") == 0 {
 		t.Error("no shard admitted the growth bursts")
 	}
 
@@ -310,7 +310,7 @@ func TestRestartedShardKeepsWarmNewborn(t *testing.T) {
 	if !slices.Equal(st.Cached, warm) {
 		t.Errorf("restarted shard %d holds %v, want %v (newborn %d)", shard, st.Cached, warm, newborn)
 	}
-	if st.RecoveredWarm != int64(len(warm)) {
-		t.Errorf("RecoveredWarm = %d, want %d", st.RecoveredWarm, len(warm))
+	if got := st.Metric("delta_recovered_warm"); got != float64(len(warm)) {
+		t.Errorf("delta_recovered_warm = %v, want %d", got, len(warm))
 	}
 }

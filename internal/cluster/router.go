@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,9 +37,6 @@ type Config struct {
 	// accepts birth publications from clients, forwarding them to the
 	// repository. Empty disables growth at this router.
 	RepoAddr string
-	// ShardPool is how many connections back each shard session
-	// (each one multiplexes; 0 means a small default).
-	ShardPool int
 	// DialRetry keeps retrying refused shard connections for this
 	// long (a router typically starts alongside its shards). Defaults
 	// to 2s; negative disables.
@@ -47,7 +45,7 @@ type Config struct {
 	// intersect it (typically catalog.Survey.CoverCap). When set,
 	// client queries arriving with a SkyRegion instead of an object
 	// list are resolved at the router, memoized through a bounded
-	// cover cache whose hit/miss counters join the aggregate StatsMsg.
+	// cover cache whose hit/miss counters are /metrics samples.
 	// Nil rejects region queries.
 	Resolver func(geom.Cap) []model.ObjectID
 	// ResolverGrow feeds adopted births into the resolver's universe
@@ -196,9 +194,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: ownership spans %d shards, router fronts %d",
 			cfg.Ownership.Shards(), len(cfg.Shards))
 	}
-	if cfg.ShardPool <= 0 {
-		cfg.ShardPool = 2
-	}
 	if cfg.DialRetry == 0 {
 		cfg.DialRetry = 2 * time.Second
 	}
@@ -251,6 +246,9 @@ func NewRouter(cfg Config) (*Router, error) {
 	r.Reg.NewGaugeFunc("delta_router_epoch",
 		"Current routing epoch (completed resizes).",
 		func() float64 { return float64(r.routing.Load().epoch) })
+	r.Reg.NewGaugeFunc("delta_router_replicas",
+		"Replication factor K: how many shards hold each object.",
+		func() float64 { return float64(r.routing.Load().own.Replicas()) })
 	// Region resolution happens here, not on the shards. What the
 	// shards count they expose themselves.
 	r.Reg.NewCounterFunc("delta_cover_cache_hits_total",
@@ -328,6 +326,9 @@ func checkShardAddrs(addrs []string) error {
 	return nil
 }
 
+// shardPool is how many multiplexed connections back each shard session.
+const shardPool = 2
+
 // dialLink returns the registry's session for addr, dialing one if the
 // address is new. The dial happens outside the registry lock; a racing
 // dial of the same address keeps the first session.
@@ -339,7 +340,7 @@ func (r *Router) dialLink(addr string, index int) (*shardLink, error) {
 	}
 	r.linksMu.Unlock()
 	sess, err := netproto.DialSession(addr, "client", netproto.SessionConfig{
-		PoolSize:  r.cfg.ShardPool,
+		PoolSize:  shardPool,
 		DialRetry: max(r.cfg.DialRetry, 0),
 	})
 	if err != nil {
@@ -948,12 +949,12 @@ func (r *Router) probeStats(ctx context.Context, links []*shardLink) []netproto.
 func (r *Router) clusterStats(ctx context.Context) netproto.ClusterStatsMsg {
 	rt := r.routing.Load()
 	out := netproto.ClusterStatsMsg{Shards: r.probeStats(ctx, rt.links)}
+	agg := &out.Aggregate
 	for _, st := range out.Shards {
 		if !st.Alive {
 			out.Degraded = true
 			continue
 		}
-		agg := &out.Aggregate
 		agg.Ledger.QueryShip += st.Stats.Ledger.QueryShip
 		agg.Ledger.UpdateShip += st.Stats.Ledger.UpdateShip
 		agg.Ledger.ObjectLoad += st.Stats.Ledger.ObjectLoad
@@ -962,41 +963,37 @@ func (r *Router) clusterStats(ctx context.Context) netproto.ClusterStatsMsg {
 		agg.Ledger.ObjectLoads += st.Stats.Ledger.ObjectLoads
 		agg.Queries += st.Stats.Queries
 		agg.AtCache += st.Stats.AtCache
-		agg.Shipped += st.Stats.Shipped
 		agg.DroppedInvalidations += st.Stats.DroppedInvalidations
 		agg.DedupedLoads += st.Stats.DedupedLoads
-		agg.MigratedIn += st.Stats.MigratedIn
-		agg.ObjectsBorn += st.Stats.ObjectsBorn
-		agg.CoverCacheHits += st.Stats.CoverCacheHits
-		agg.CoverCacheMisses += st.Stats.CoverCacheMisses
-		agg.JournalRecords += st.Stats.JournalRecords
-		agg.RecoveredWarm += st.Stats.RecoveredWarm
-		// The cluster's replication factor, not a sum: every shard of a
-		// consistent deployment reports the same K.
-		agg.Replicas = max(agg.Replicas, st.Stats.Replicas)
-		// The aggregate snapshot age is the oldest shard's: it bounds
-		// how much journal any crash in the cluster would replay.
-		agg.SnapshotAge = max(agg.SnapshotAge, st.Stats.SnapshotAge)
+		agg.Metrics = mergeSamples(agg.Metrics, st.Stats.Metrics)
 		agg.Cached = append(agg.Cached, st.Stats.Cached...)
 		if agg.Policy == "" && st.Stats.Policy != "" {
 			agg.Policy = fmt.Sprintf("cluster(%s×%d)", st.Stats.Policy, len(rt.links))
 		}
 	}
-	// Region resolution happens at the router, so its cover cache joins
-	// the aggregate the shards cannot see.
-	hits, misses := r.covers.Stats()
-	out.Aggregate.CoverCacheHits += hits
-	out.Aggregate.CoverCacheMisses += misses
-	// The result cache, coalescer, and grant batcher are routing-tier
-	// structures too: their counters join the aggregate here (shards
-	// always report zeroes for them).
-	out.Aggregate.ResultCacheHits += r.results.Hits()
-	out.Aggregate.ResultCacheMisses += r.results.Misses()
-	out.Aggregate.CoalescedQueries += r.results.Coalesced()
-	out.Aggregate.GrantBatches += r.grantBatches.Value()
-	slices.Sort(out.Aggregate.Cached)
-	out.Aggregate.Cached = slices.Compact(out.Aggregate.Cached)
+	// What the routing tier counts (regions, result cache, births, K).
+	agg.Metrics = mergeSamples(agg.Metrics, r.Reg.Values())
+	slices.Sort(agg.Cached)
+	agg.Cached = slices.Compact(agg.Cached)
 	return out
+}
+
+// mergeSamples folds samples into merged by name, in first-seen order:
+// a *_total counter sums, and any other sample, a gauge, takes the
+// largest value (the oldest snapshot, the longest journal).
+func mergeSamples(merged, samples []netproto.Sample) []netproto.Sample {
+	for _, s := range samples {
+		i := slices.IndexFunc(merged, func(m netproto.Sample) bool { return m.Name == s.Name })
+		switch {
+		case i < 0:
+			merged = append(merged, s)
+		case strings.HasSuffix(s.Name, "_total"):
+			merged[i].Value += s.Value
+		default:
+			merged[i].Value = max(merged[i].Value, s.Value)
+		}
+	}
+	return merged
 }
 
 // ShardInfo describes one shard in a topology snapshot.
@@ -1063,10 +1060,6 @@ func (r *Router) Hedged() int64 { return r.hedged.Value() }
 // ResultCacheHits returns how many routed queries were answered from
 // the router's result cache (zero when the cache is disabled).
 func (r *Router) ResultCacheHits() int64 { return r.results.Hits() }
-
-// ResultCacheMisses returns how many routed queries missed the result
-// cache and scattered or coalesced.
-func (r *Router) ResultCacheMisses() int64 { return r.results.Misses() }
 
 // Coalesced returns how many queries joined an identical in-flight
 // query's scatter instead of scattering themselves.

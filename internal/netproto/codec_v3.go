@@ -316,21 +316,16 @@ func walkStats(c *Cursor, s *StatsMsg) {
 	c.Str(&s.Policy)
 	Varint(c, &s.Queries)
 	Varint(c, &s.AtCache)
-	Varint(c, &s.Shipped)
 	Varint(c, &s.DroppedInvalidations)
 	Varint(c, &s.DedupedLoads)
-	Varint(c, &s.MigratedIn)
-	Varint(c, &s.ObjectsBorn)
-	Varint(c, &s.CoverCacheHits)
-	Varint(c, &s.CoverCacheMisses)
-	Varint(c, &s.SnapshotAge)
-	Varint(c, &s.JournalRecords)
-	Varint(c, &s.RecoveredWarm)
-	Varint(c, &s.Replicas)
-	Varint(c, &s.ResultCacheHits)
-	Varint(c, &s.ResultCacheMisses)
-	Varint(c, &s.CoalescedQueries)
-	Varint(c, &s.GrantBatches)
+	for i := range List(c, &s.Metrics, sampleLen) {
+		walkSample(c, &s.Metrics[i])
+	}
+}
+
+func walkSample(c *Cursor, s *Sample) {
+	c.Str(&s.Name)
+	c.F64(&s.Value)
 }
 
 func walkShardStats(c *Cursor, s *ShardStats) {
@@ -368,6 +363,7 @@ var (
 	objectLen     = zeroLen(walkObject)
 	updateLen     = zeroLen(walkUpdate)
 	shardStatsLen = zeroLen(walkShardStats)
+	sampleLen     = zeroLen(walkSample)
 	rowLen        = zeroLen(walkRow)
 	spanLen       = zeroLen(walkSpan)
 )
@@ -538,11 +534,6 @@ func walkBody(c *Cursor, t MsgType, body any) (any, bool) {
 		IDs(c, &b.Warm)
 		Varint(c, &b.Resident)
 		Varint(c, &b.Dropped)
-		// Replicas and then Horizon ride the tail: each is written only
-		// when it or a later field is non-zero.
-		if c.tail(b.Replicas != 0 || b.Horizon != 0) {
-			Varint(c, &b.Replicas)
-		}
 		if c.tail(b.Horizon != 0) {
 			Varint(c, &b.Horizon)
 		}

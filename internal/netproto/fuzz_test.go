@@ -62,7 +62,9 @@ func seedFrames() []Frame {
 			Universe: []model.Object{{ID: 4, Size: cost.MB}},
 			Warm:     []model.ObjectID{4, 69},
 		}},
-		{Type: MsgStats, Body: StatsMsg{Queries: 12, ObjectsBorn: 3}},
+		{Type: MsgStats, Body: StatsMsg{Queries: 12, Metrics: []Sample{
+			{Name: "delta_objects_born_total", Value: 3},
+		}}},
 		{Type: MsgError, Body: ErrorMsg{Message: "boom"}},
 		// Trace-bearing shapes: the frame tails
 		// carrying TraceID (queries) and TraceID+Spans (results), so the
@@ -85,16 +87,20 @@ func seedFrames() []Frame {
 					Objects: 1, Source: "cache", Elapsed: 300 * time.Microsecond},
 			},
 		}},
-		// Replica-bearing shapes: the ReshardMsg Replicas field rides a
-		// frame tail (like the trace tails above),
-		// and StatsMsg.Replicas sits mid-frame — seed both so the fuzzer
-		// mutates the replicated encodings too.
+		// A shard's owned set on its invalidation stream, its Horizon
+		// riding the frame tail (like the trace tails above), and a
+		// cache's stats answer with residents and gauge samples, so the
+		// fuzzer mutates a tail and a sample list.
 		{Type: MsgReshard, Body: ReshardMsg{
-			Epoch: 3, Owned: []model.ObjectID{1, 2, 69},
-			Universe: []model.Object{{ID: 69, Size: cost.GB, Trixel: 123}},
-			Replicas: 2,
+			Epoch: 3, Owned: []model.ObjectID{1, 2, 69}, Horizon: 69,
 		}},
-		{Type: MsgStats, Body: StatsMsg{Queries: 12, ObjectsBorn: 3, Replicas: 2}},
+		{Type: MsgStats, Body: StatsMsg{
+			Cached: []model.ObjectID{1, 69}, Policy: "VCover", Queries: 12, AtCache: 4,
+			Metrics: []Sample{
+				{Name: "delta_snapshot_age_seconds", Value: 1.5},
+				{Name: "delta_recovered_warm", Value: 2},
+			},
+		}},
 		// Batched birth-grant shapes: the multi-birth grant frame with
 		// its Epoch tail, and one with the tail
 		// elided (Epoch 0), so the fuzzer mutates both encodings.
@@ -105,12 +111,15 @@ func seedFrames() []Frame {
 		{Type: MsgBirthGrant, RequestID: 11, Body: BirthGrantMsg{Births: []model.Birth{
 			{Object: model.Object{ID: 72, Size: cost.KB, Trixel: 323}, RA: 0.25, Dec: 0.5, Time: time.Minute},
 		}, Accepted: 1}},
-		// StatsMsg carrying the router hot-path counters appended for
-		// the result cache + batched grants.
-		{Type: MsgStats, Body: StatsMsg{
-			Queries: 12, ResultCacheHits: 5, ResultCacheMisses: 2,
-			CoalescedQueries: 3, GrantBatches: 1,
-		}},
+		// A router's aggregate, carrying the routing tier's samples:
+		// result cache, coalescer, grant batches and K.
+		{Type: MsgStats, Body: StatsMsg{Queries: 12, Metrics: []Sample{
+			{Name: "delta_router_result_cache_hits_total", Value: 5},
+			{Name: "delta_router_result_cache_misses_total", Value: 2},
+			{Name: "delta_router_coalesced_total", Value: 3},
+			{Name: "delta_router_grant_batches_total", Value: 1},
+			{Name: "delta_router_replicas", Value: 2},
+		}}},
 		// Handshake shapes beyond the bare ones that lead the list: the
 		// handshake is the first thing an unauthenticated peer controls,
 		// so seed every role, a stale version, and a future one.
@@ -137,8 +146,8 @@ func seedFrames() []Frame {
 			},
 			Payload: []byte{8, 9},
 		}},
-		// A shard's owned set on its invalidation stream: the Horizon
-		// tail forces a zero Replicas before it.
+		// A shard's owned set on its invalidation stream, with no
+		// Universe.
 		{Type: MsgReshard, Body: ReshardMsg{
 			Epoch: 1, Owned: []model.ObjectID{2, 3, 5}, Horizon: 16,
 		}},
@@ -283,10 +292,10 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 	flipped[len(flipped)/2] ^= 0x55
 	traced := encodeFrames(t, seedFrames()[12]) // QueryResultMsg with TraceID+Spans tail
 	tracedFlip := bytes.Clone(traced)
-	tracedFlip[len(tracedFlip)-2] ^= 0x55         // corrupt inside the trace tail
-	reshardK := encodeFrames(t, seedFrames()[13]) // ReshardMsg with the Replicas tail
-	reshardKFlip := bytes.Clone(reshardK)
-	reshardKFlip[len(reshardKFlip)-1] ^= 0x55  // corrupt the Replicas tail byte
+	tracedFlip[len(tracedFlip)-2] ^= 0x55        // corrupt inside the trace tail
+	horizon := encodeFrames(t, seedFrames()[13]) // ReshardMsg with the Horizon tail
+	horizonFlip := bytes.Clone(horizon)
+	horizonFlip[len(horizonFlip)-1] ^= 0x55    // corrupt the Horizon tail byte
 	grant := encodeFrames(t, seedFrames()[15]) // BirthGrantMsg with the Epoch tail
 	grantFlip := bytes.Clone(grant)
 	grantFlip[len(grantFlip)/2] ^= 0x55             // corrupt mid-batch
@@ -294,22 +303,22 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 	objectDataFlip := bytes.Clone(objectData)
 	objectDataFlip[len(objectDataFlip)/2] ^= 0x55 // corrupt mid-batch
 	entries := map[string][]byte{
-		"valid-v3-stream":          valid,
-		"truncated-v3-birth":       oneBirth[:len(oneBirth)*2/3],
-		"bitflip-v3-birth":         flipped,
-		"v3-absurd-length":         {0xff, 0xff, 0xff, 0x7f, 0x01},
-		"valid-v3-traced":          traced,
-		"truncated-v3-traced":      traced[:len(traced)*3/4],
-		"bitflip-v3-traced":        tracedFlip,
-		"valid-v3-reshard-k":       reshardK,
-		"truncated-v3-reshard-k":   reshardK[:len(reshardK)-1], // stream ends inside the Replicas tail
-		"bitflip-v3-reshard-k":     reshardKFlip,
-		"valid-v3-grant":           grant,
-		"truncated-v3-grant":       grant[:len(grant)*2/3], // stream ends inside the birth batch
-		"bitflip-v3-grant":         grantFlip,
-		"valid-v3-object-data":     objectData,
-		"truncated-v3-object-data": objectData[:len(objectData)*2/3], // stream ends inside the object batch
-		"bitflip-v3-object-data":   objectDataFlip,
+		"valid-v3-stream":              valid,
+		"truncated-v3-birth":           oneBirth[:len(oneBirth)*2/3],
+		"bitflip-v3-birth":             flipped,
+		"v3-absurd-length":             {0xff, 0xff, 0xff, 0x7f, 0x01},
+		"valid-v3-traced":              traced,
+		"truncated-v3-traced":          traced[:len(traced)*3/4],
+		"bitflip-v3-traced":            tracedFlip,
+		"valid-v3-reshard-horizon":     horizon,
+		"truncated-v3-reshard-horizon": horizon[:len(horizon)-1], // stream ends inside the Horizon tail
+		"bitflip-v3-reshard-horizon":   horizonFlip,
+		"valid-v3-grant":               grant,
+		"truncated-v3-grant":           grant[:len(grant)*2/3], // stream ends inside the birth batch
+		"bitflip-v3-grant":             grantFlip,
+		"valid-v3-object-data":         objectData,
+		"truncated-v3-object-data":     objectData[:len(objectData)*2/3], // stream ends inside the object batch
+		"bitflip-v3-object-data":       objectDataFlip,
 	}
 	for name, data := range entries {
 		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)

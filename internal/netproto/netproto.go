@@ -380,68 +380,38 @@ type InvalidateMsg struct {
 }
 
 // StatsMsg is a node's MsgStats answer: its traffic ledger, residents,
-// policy and counters. A repository or cache reads each counter from the
-// instrument its /metrics exposes; a router answers with the cluster
-// aggregate (ClusterStatsMsg.Aggregate), which no /metrics exposes.
+// policy and Metrics, every counter and gauge of its obs registry by
+// /metrics name. A router answers with the cluster aggregate
+// (ClusterStatsMsg.Aggregate), which no /metrics exposes.
 type StatsMsg struct {
-	Ledger  cost.Snapshot
-	Cached  []model.ObjectID
-	Policy  string
-	Queries int64
-	AtCache int64
-	Shipped int64
-	// DroppedInvalidations counts invalidation notices that were not
-	// applied: at the repository, the streams a full subscriber buffer
-	// forced it to cut (the non-blocking pipeline send; the consumer
-	// fails closed and resubscribes); at the cache, stream frames it
-	// failed to apply — notices and birth adoptions.
+	Ledger cost.Snapshot
+	Cached []model.ObjectID
+	Policy string
+	// Queries, AtCache, DroppedInvalidations and DedupedLoads repeat
+	// samples in Metrics as typed fields only because the bench/
+	// harness reads them; they go once it reads Metrics by name.
+	Queries              int64
+	AtCache              int64
 	DroppedInvalidations int64
-	// DedupedLoads counts object loads the cache's per-object
-	// singleflight collapsed into an already-running flight instead of
-	// issuing a second repository round trip.
-	DedupedLoads int64
-	// MigratedIn counts objects this node adopted warm as a new holder
-	// during live cluster resizes (ReshardMsg.Warm arrivals; never
-	// charged to the repository ledger).
-	MigratedIn int64
-	// ObjectsBorn counts newly published objects this node has admitted
-	// into its universe since start (live repository growth).
-	ObjectsBorn int64
-	// CoverCacheHits / CoverCacheMisses count sky-region → object-set
-	// resolutions answered from the node's memoized HTM cover cache
-	// versus recomputed via partition.Cover (repeated sky-region
-	// queries hit; novel regions miss).
-	CoverCacheHits   int64
-	CoverCacheMisses int64
-	// SnapshotAge is how long ago the node's durability layer landed
-	// its last warm-state snapshot (zero when persistence is off); the
-	// journal covers everything since.
-	SnapshotAge time.Duration
-	// JournalRecords counts records appended to the durability journal
-	// since the last snapshot (bounds what a crash right now replays);
-	// every snapshot zeroes it.
-	JournalRecords int64
-	// RecoveredWarm counts residents a cache re-adopted from disk at
-	// its last startup (via the policy's Warm carry-over boundary), or
-	// the births a repository replayed from disk; zero for a cold start.
-	RecoveredWarm int64
-	// Replicas is the replication factor K the node serves under (how
-	// many shards hold each object); 1 for an unreplicated deployment.
-	// On a cluster aggregate it is the cluster's K, not a sum.
-	Replicas int64
-	// ResultCacheHits / ResultCacheMisses count router-tier query
-	// signatures answered from the router's invalidation-aware result
-	// cache versus scattered to the shards. Always zero on a single
-	// cache (the result cache is a routing-tier structure).
-	ResultCacheHits   int64
-	ResultCacheMisses int64
-	// CoalescedQueries counts queries that joined an identical
-	// in-flight query's scatter (singleflight followers) instead of
-	// scattering themselves.
-	CoalescedQueries int64
-	// GrantBatches counts batched birth-grant frames (MsgBirthGrant)
-	// the router shipped to shards; each may carry many births.
-	GrantBatches int64
+	DedupedLoads         int64
+	Metrics              []Sample
+}
+
+// Sample is one metric value by name: an exposition line of a node's
+// /metrics, and an entry of its StatsMsg.Metrics.
+type Sample struct {
+	Name  string
+	Value float64
+}
+
+// Metric returns the value of the named sample, 0 when s has none.
+func (s StatsMsg) Metric(name string) float64 {
+	for _, m := range s.Metrics {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return 0
 }
 
 // ShardQueryMsg is the router→shard leg of a scattered query: the
@@ -546,15 +516,10 @@ type ReshardMsg struct {
 	// owned.
 	Resident int
 	Dropped  int
-	// Replicas is the replication factor K of the epoch's ownership
-	// (Owned spans every replica rank, not just primaries), the only
-	// way a shard learns K. Rides the frame tail; 0 means unspecified
-	// and leaves the shard's K unchanged.
-	Replicas int
 	// Horizon is an invalidation-stream field: the shard knew every
 	// object up to it when it sent the set, so any object it is granted
 	// later lies above it, and the repository passes every notice above
-	// it. Rides the frame tail after Replicas; 0 passes every notice.
+	// it. Rides the frame tail; 0 passes every notice.
 	Horizon model.ObjectID
 }
 

@@ -202,7 +202,7 @@ func TestRebalanceFramesRoundTrip(t *testing.T) {
 			}
 		case ReshardMsg:
 			if body.Epoch == 4 {
-				if len(body.Owned) != 2 || body.Horizon != 12 || body.Replicas != 0 {
+				if len(body.Owned) != 2 || body.Horizon != 12 {
 					t.Errorf("owned-set body = %+v", body)
 				}
 			} else if body.Epoch != 3 || len(body.Owned) != 3 || len(body.Warm) != 2 || body.Warm[1] != 9 {

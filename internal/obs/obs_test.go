@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -74,6 +75,48 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("dup_total", "")
 	r.NewCounter("dup_total", "")
+}
+
+// TestCounterNameMustEndInTotal pins the naming rule a cluster
+// aggregate relies on to tell a counter's sum from a gauge's maximum.
+func TestCounterNameMustEndInTotal(t *testing.T) {
+	for name, register := range map[string]func(r *Registry){
+		"NewCounter":     func(r *Registry) { r.NewCounter("x", "") },
+		"NewCounterFunc": func(r *Registry) { r.NewCounterFunc("x", "", func() float64 { return 0 }) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s(\"x\") did not panic", name)
+				}
+			}()
+			register(NewRegistry())
+		})
+	}
+}
+
+// TestValues pins what a node's stats answer carries: every counter
+// and gauge sample, in registration order, and no histogram.
+func TestValues(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounter("v_ops_total", "").Add(3)
+	r.NewHistogram("v_seconds", "", nil).Observe(time.Second)
+	r.NewGauge("v_resident", "").Set(-2)
+	r.NewCounterFunc("v_fn_total", "", func() float64 { return 7.5 })
+	r.NewGaugeFunc("v_fn", "", func() float64 { return 0.25 })
+	want := []Sample{
+		{Name: "v_ops_total", Value: 3},
+		{Name: "v_resident", Value: -2},
+		{Name: "v_fn_total", Value: 7.5},
+		{Name: "v_fn", Value: 0.25},
+	}
+	if got := r.Values(); !slices.Equal(got, want) {
+		t.Errorf("Values() = %v, want %v", got, want)
+	}
+	var nilReg *Registry
+	if got := nilReg.Values(); got != nil {
+		t.Errorf("nil registry Values() = %v, want nil", got)
+	}
 }
 
 func TestHistogramObserveAndQuantile(t *testing.T) {

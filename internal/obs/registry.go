@@ -17,9 +17,12 @@ package obs
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/deltacache/delta/internal/netproto"
 )
 
 // DefBuckets is the default latency histogram layout: roughly
@@ -52,16 +55,18 @@ type metric interface {
 }
 
 // Sample is one exposition line: a metric name (with any label suffix
-// already rendered, e.g. `delta_x_bucket{le="0.5"}`) and its value.
-type Sample struct {
-	Name  string
-	Value float64
-}
+// already rendered, e.g. `delta_x_bucket{le="0.5"}`) and its value. It
+// is the wire's StatsMsg sample, so Values needs no conversion.
+type Sample = netproto.Sample
 
 // register appends m under its name, panicking on duplicates (a
 // duplicate registration is a programming error, and Prometheus
-// exposition with duplicate families is invalid).
+// exposition with duplicate families is invalid) and on a counter not
+// named *_total, for a cluster aggregate sums exactly those samples.
 func (r *Registry) register(name string, m metric) {
+	if _, _, typ := m.meta(); typ == "counter" && !strings.HasSuffix(name, "_total") {
+		panic(fmt.Sprintf("obs: counter %q does not end in _total", name))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.names[name] {
@@ -69,6 +74,18 @@ func (r *Registry) register(name string, m metric) {
 	}
 	r.names[name] = true
 	r.metrics = append(r.metrics, m)
+}
+
+// Values returns every counter and gauge sample in registration order:
+// what a node's StatsMsg carries. Histograms stay on /metrics.
+func (r *Registry) Values() []Sample {
+	var out []Sample
+	for _, m := range r.snapshot() {
+		if _, _, typ := m.meta(); typ != "histogram" {
+			out = append(out, m.samples()...)
+		}
+	}
+	return out
 }
 
 // snapshot copies the metric list for iteration outside the lock.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,9 +30,10 @@ import (
 // repository, a cache against it, and a router over a shard — each with
 // its debug endpoint, serves a query through each, scrapes /metrics over
 // HTTP and fails on anything ParseExposition rejects, on a missing
-// family, on a family the node does not count, or on a value that
-// disagrees with the node's own StatsMsg: an unparseable, incomplete or
-// wrong exposition fails the build before any dashboard sees it.
+// family, on a family the node does not count, on a counter not named
+// *_total, or on a stats answer whose samples are not the scrape's: an
+// unparseable, incomplete or wrong exposition fails the build before
+// any dashboard sees it.
 func TestMetricsExpositionSmoke(t *testing.T) {
 	scfg := catalog.DefaultConfig()
 	scfg.NumObjects = 8
@@ -57,7 +59,7 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 
 	// The repository exposes what it counts; what only a cache counts
 	// (hits, loads, residents, region covers) is absent, not zero.
-	families := scrapeAfterQuery(t, "repository", repo.Addr(), repo.DebugAddr(), survey.Objects()[0].ID,
+	families, _ := scrapeAfterQuery(t, "repository", repo.Addr(), repo.DebugAddr(), survey.Objects()[0].ID, true,
 		"delta_queries_total",
 		"delta_dropped_invalidations_total",
 		"delta_objects_born_total",
@@ -114,7 +116,7 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		return mw
 	}
 	mw := cacheNode(false, "127.0.0.1:0")
-	scrapeAfterQuery(t, "cache", mw.Addr(), mw.DebugAddr(), survey.Objects()[0].ID,
+	scrapeAfterQuery(t, "cache", mw.Addr(), mw.DebugAddr(), survey.Objects()[0].ID, true,
 		"delta_queries_total",
 		"delta_queries_at_cache_total",
 		"delta_queries_shipped_total",
@@ -161,12 +163,13 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 	}
 	// The router exposes what it counts, region resolution included;
 	// the shards' totals are theirs to expose (or delta-client -stats).
-	families = scrapeAfterQuery(t, "router", router.Addr(), router.DebugAddr(), survey.Objects()[0].ID,
+	families, agg := scrapeAfterQuery(t, "router", router.Addr(), router.DebugAddr(), survey.Objects()[0].ID, false,
 		"delta_router_queries_total",
 		"delta_router_query_seconds",
 		"delta_router_fragment_seconds",
 		"delta_router_shards",
 		"delta_router_epoch",
+		"delta_router_replicas",
 		"delta_cover_cache_hits_total",
 		"delta_cover_cache_misses_total",
 		"delta_invalidation_gaps_total",
@@ -193,6 +196,11 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 	if got, want := families["delta_router_queries_total"].Samples["delta_router_queries_total"], float64(router.Queries()); got != want {
 		t.Errorf("delta_router_queries_total = %v, router counted %v", got, want)
 	}
+	// Its stats answer, which no /metrics exposes, adds the shards'
+	// samples to its own.
+	if got, want := agg.Metric("delta_queries_total"), shard.Stats().Metric("delta_queries_total"); got != want || got < 1 {
+		t.Errorf("router aggregate delta_queries_total = %v, its one shard counted %v", got, want)
+	}
 }
 
 // absent fails the test for every named family the node's scrape has.
@@ -205,32 +213,58 @@ func absent(t *testing.T, node string, families map[string]*obs.Family, names ..
 	}
 }
 
-// statsFamilies maps each family a StatsMsg field backs to its value.
-func statsFamilies(s *netproto.StatsMsg) map[string]float64 {
-	return map[string]float64{
-		"delta_queries_total":                  float64(s.Queries),
-		"delta_queries_at_cache_total":         float64(s.AtCache),
-		"delta_queries_shipped_total":          float64(s.Shipped),
-		"delta_objects_born_total":             float64(s.ObjectsBorn),
-		"delta_cached_objects":                 float64(len(s.Cached)),
-		"delta_cover_cache_hits_total":         float64(s.CoverCacheHits),
-		"delta_cover_cache_misses_total":       float64(s.CoverCacheMisses),
-		"delta_ledger_query_ship_bytes_total":  float64(s.Ledger.QueryShip),
-		"delta_ledger_update_ship_bytes_total": float64(s.Ledger.UpdateShip),
-		"delta_ledger_object_load_bytes_total": float64(s.Ledger.ObjectLoad),
-		"delta_ledger_query_ships_total":       float64(s.Ledger.QueryShips),
-		"delta_ledger_update_ships_total":      float64(s.Ledger.UpdateShips),
-		"delta_ledger_object_loads_total":      float64(s.Ledger.ObjectLoads),
+// checkSamples fails the test on a counter family not named *_total,
+// and unless st lists every counter and gauge family of the scrape with
+// its scraped value. With whole set, st must list nothing else either:
+// a repository's or a cache's stats answer is its registry. A router's
+// aggregate also carries its shards' samples, which its /metrics does
+// not expose.
+func checkSamples(t *testing.T, node string, families map[string]*obs.Family, st *netproto.StatsMsg, whole bool) {
+	t.Helper()
+	listed := make(map[string]float64, len(st.Metrics))
+	for _, m := range st.Metrics {
+		listed[m.Name] = m.Value
+		if _, ok := families[m.Name]; whole && !ok {
+			t.Errorf("%s stats answer has sample %s, which its scrape does not", node, m.Name)
+		}
+	}
+	for name, f := range families {
+		if f.Type == "counter" && !strings.HasSuffix(name, "_total") {
+			t.Errorf("%s counter %s does not end in _total", node, name)
+		}
+		if f.Type == "histogram" {
+			continue
+		}
+		if got, ok := listed[name]; !ok {
+			t.Errorf("%s stats answer lacks %s %s", node, f.Type, name)
+		} else if got != f.Samples[name] {
+			t.Errorf("%s scrape %s = %v, its stats answer says %v", node, name, f.Samples[name], got)
+		}
+	}
+	// The structured fields agree with the families that count them.
+	l := st.Ledger
+	for name, want := range map[string]int64{
+		"delta_ledger_query_ship_bytes_total":  int64(l.QueryShip),
+		"delta_ledger_update_ship_bytes_total": int64(l.UpdateShip),
+		"delta_ledger_object_load_bytes_total": int64(l.ObjectLoad),
+		"delta_ledger_query_ships_total":       l.QueryShips,
+		"delta_ledger_update_ships_total":      l.UpdateShips,
+		"delta_ledger_object_loads_total":      l.ObjectLoads,
+		"delta_cached_objects":                 int64(len(st.Cached)),
+	} {
+		if f, ok := families[name]; ok && f.Samples[name] != float64(want) {
+			t.Errorf("%s scrape %s = %v, its stats answer's structured fields say %d", node, name, f.Samples[name], want)
+		}
 	}
 }
 
 // scrapeAfterQuery serves one query on obj through the node at addr,
 // scrapes its /metrics at debugAddr, and fails the test on an exposition
-// that does not parse, lacks a required family, or reports a
-// StatsMsg-backed family other than the node's MsgStats answer read
-// after the scrape. /healthz must answer on the same mux. It returns the
-// parsed families.
-func scrapeAfterQuery(t *testing.T, node, addr, debugAddr string, obj model.ObjectID, required ...string) map[string]*obs.Family {
+// that does not parse, lacks a required family, or disagrees with the
+// node's MsgStats answer read after the scrape (checkSamples, with
+// whole). /healthz must answer on the same mux. It returns the parsed
+// families and the stats answer.
+func scrapeAfterQuery(t *testing.T, node, addr, debugAddr string, obj model.ObjectID, whole bool, required ...string) (map[string]*obs.Family, *netproto.StatsMsg) {
 	t.Helper()
 	if debugAddr == "" {
 		t.Fatalf("%s started with MetricsAddr but reports no debug address", node)
@@ -276,11 +310,7 @@ func scrapeAfterQuery(t *testing.T, node, addr, debugAddr string, obj model.Obje
 	if err != nil {
 		t.Fatalf("%s stats: %v", node, err)
 	}
-	for name, want := range statsFamilies(st) {
-		if f, ok := families[name]; ok && f.Samples[name] != want {
-			t.Errorf("%s scrape %s = %v, its StatsMsg says %v", node, name, f.Samples[name], want)
-		}
-	}
+	checkSamples(t, node, families, st, whole)
 
 	hresp, err := http.Get(fmt.Sprintf("http://%s/healthz", debugAddr))
 	if err != nil {
@@ -290,5 +320,5 @@ func scrapeAfterQuery(t *testing.T, node, addr, debugAddr string, obj model.Obje
 	if hresp.StatusCode != http.StatusOK {
 		t.Errorf("%s /healthz status = %d, want 200", node, hresp.StatusCode)
 	}
-	return families
+	return families, st
 }

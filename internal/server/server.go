@@ -250,11 +250,6 @@ func (r *Repository) DroppedInvalidations() int64 {
 	return r.droppedInvalidations.Value()
 }
 
-// Notices reports how many update notices have been queued to
-// subscribers (delta_repo_notices_total): one per subscriber whose
-// filter passed the update, cut streams excluded.
-func (r *Repository) Notices() int64 { return r.notices.Value() }
-
 // closeSubscribers is the runtime's Unblock hook: closing every
 // subscriber channel ends its serveInvalidations loop.
 func (r *Repository) closeSubscribers() {
@@ -355,10 +350,6 @@ func (r *Repository) AddObjects(births []model.Birth) (int, error) {
 	}
 	return len(accepted), nil
 }
-
-// ObjectsBorn reports how many new objects the repository has ingested
-// since start.
-func (r *Repository) ObjectsBorn() int64 { return r.objectsBorn.Value() }
 
 func (r *Repository) servePipeline(c *netproto.Conn, hello netproto.Hello) error {
 	if _, err := netproto.ServeHandshake(c, hello, 0); err != nil {
@@ -510,17 +501,15 @@ func (r *Repository) handleRequest(f netproto.Frame) netproto.Frame {
 }
 
 // Stats snapshots the repository's StatsMsg view — what a MsgStats
-// request returns — read from the instruments /metrics exposes.
+// request returns: its ledger and every counter and gauge /metrics
+// exposes.
 func (r *Repository) Stats() netproto.StatsMsg {
 	return netproto.StatsMsg{
 		Ledger:               r.ledger.Snapshot(),
 		Policy:               "repository",
 		Queries:              r.queries.Value(),
 		DroppedInvalidations: r.droppedInvalidations.Value(),
-		ObjectsBorn:          r.objectsBorn.Value(),
-		SnapshotAge:          r.store.SnapshotAge(),
-		JournalRecords:       r.store.JournalRecords(),
-		RecoveredWarm:        r.recoveredBirths.Value(),
+		Metrics:              r.Reg.Values(),
 	}
 }
 

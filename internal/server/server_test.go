@@ -105,8 +105,8 @@ func TestNoticeFilterAndEcho(t *testing.T) {
 	for _, obj := range []model.ObjectID{3, 9, 4} {
 		wantNotice(shard, obj)
 	}
-	if got := repo.Notices(); got != 7 {
-		t.Errorf("notices = %d, want 4 unfiltered + 3 filtered", got)
+	if got := repo.Stats().Metric("delta_repo_notices_total"); got != 7 {
+		t.Errorf("notices = %v, want 4 unfiltered + 3 filtered", got)
 	}
 
 	// A birth is announced to the unfiltered subscriber only.
@@ -438,8 +438,8 @@ func TestAddObjectsIngestAndAnnounce(t *testing.T) {
 	if accepted != 2 {
 		t.Fatalf("accepted = %d, want 2", accepted)
 	}
-	if repo.ObjectsBorn() != 2 {
-		t.Errorf("ObjectsBorn = %d", repo.ObjectsBorn())
+	if born := repo.Stats().Metric("delta_objects_born_total"); born != 2 {
+		t.Errorf("delta_objects_born_total = %v", born)
 	}
 	// Republishing is idempotent: known births are skipped silently.
 	accepted, err = repo.AddObjects(births)
