@@ -1,7 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/csv"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -219,5 +221,40 @@ func TestWarmupRuns(t *testing.T) {
 	_, rows := readCSV(t, runExp(t, "warmup", "0.008"), "warmup.csv")
 	if len(rows) != 5 {
 		t.Fatalf("rows = %v, want one per seed", rows)
+	}
+}
+
+// TestPaperFiguresGolden pins every CSV of -exp all at scale 0.01 to its
+// checked-in sha256: a refactor of the simulator, the policies, the
+// trace generators or the figure drivers must leave the paper's figures
+// byte-identical, and one that means to move them updates these hashes.
+func TestPaperFiguresGolden(t *testing.T) {
+	dir := runExp(t, "all", "0.01")
+	golden := map[string]string{
+		"benefit_window.csv":    "ac7f582f1b4eaff373aaa565d60e94fd393644186a8ac291cfd4c06200909021",
+		"cachesize.csv":         "ead6874a8ad95163e42b1d4ac69eee513591a926e7ee6063d8a2901e071f55be",
+		"fig7a_scatter.csv":     "9501f6643fd8d6e856fd5f9fa2320736f0b7e1aea0f54d9663d0fb519457a53c",
+		"fig7b_cumulative.csv":  "f1b066d27573b1c9f5d092ba82e29050eebd7f190e75dc1fd31a36d860975ce5",
+		"fig8a_updates.csv":     "cb07715e4d9d7bd0f17e0de97e76c7c11ecb5171d00a589332d042aaff21ad1b",
+		"fig8b_granularity.csv": "e4f80f57daf895c1c2bdc3ca48dcff7df38289ac293fc9c924f33686b4241150",
+		"fig8b_series.csv":      "1bf6a756e6807cb2c80666f77c67eda32a87e76265feefd2c5ef4996e2aa45a6",
+		"warmup.csv":            "99b0fe24bb12d576e745c1b31c7ae2facd82c5759894683a9f4f904463bca8ef",
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(golden) {
+		t.Errorf("-exp all wrote %d files, want %d", len(entries), len(golden))
+	}
+	for name, want := range golden {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+			t.Errorf("%s: sha256 %s, want %s", name, got, want)
+		}
 	}
 }

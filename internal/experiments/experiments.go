@@ -62,7 +62,7 @@ func NewSetup(opts Options) (*Setup, error) {
 	if opts.Seed == 0 {
 		// The default trace, like the paper's single SDSS trace, is one
 		// specific workload; seed 2 is the reference trace whose
-		// measurements EXPERIMENTS.md records.
+		// figures TestPaperFiguresGolden (cmd/delta-bench) pins.
 		opts.Seed = 2
 	}
 	scfg := catalog.DefaultConfig()
