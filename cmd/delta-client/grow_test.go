@@ -43,7 +43,7 @@ func TestRunGrowTwiceOnReplicatedCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lc.Close()
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 //
 // or drives a random demo workload with -demo N (optionally fanned out
 // over -workers concurrent submitters), and prints the cache's
-// statistics with -stats.
+// statistics with -stats (a router's with a per-shard table first).
 package main
 
 import (
@@ -14,8 +14,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,8 +49,7 @@ func run() error {
 		workers   = flag.Int("workers", 1, "concurrent submitters for -demo")
 		pool      = flag.Int("pool", 1, "connections in the session pool")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout")
-		stats     = flag.Bool("stats", false, "print cache statistics")
-		cstats    = flag.Bool("cluster-stats", false, "print per-shard cluster statistics (routers; a single cache answers as one shard)")
+		stats     = flag.Bool("stats", false, "print cache statistics (a router's with a per-shard table)")
 		resize    = flag.String("resize", "", "resize the cluster live to this comma-separated shard address list (routers only)")
 		rebStatus = flag.Bool("rebalance-status", false, "print the router's rebalance progress view")
 		grow      = flag.Int("grow", 0, "publish N new data objects into the deployment (assumes this client is the only grower, so locally generated IDs line up)")
@@ -132,11 +133,11 @@ func run() error {
 		if err := runGrow(ctx, cl, survey, *grow, *growSeed, start); err != nil {
 			return err
 		}
-	case *stats || *cstats || *rebStatus:
+	case *stats || *rebStatus:
 		// handled below
 	default:
 		flag.Usage()
-		return fmt.Errorf("one of -sql, -region, -demo, -scenario, -list-scenarios, -stats, -cluster-stats, -resize, -rebalance-status, -grow is required")
+		return fmt.Errorf("one of -sql, -region, -demo, -scenario, -list-scenarios, -stats, -resize, -rebalance-status, -grow is required")
 	}
 
 	if *stats || *demo > 0 {
@@ -144,14 +145,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		printStats(st)
-	}
-	if *cstats {
-		cs, err := cl.ClusterStats(ctx)
-		if err != nil {
-			return err
-		}
-		printClusterStats(cs)
+		printStats(os.Stdout, st)
 	}
 	if *rebStatus {
 		st, err := cl.RebalanceStatus(ctx)
@@ -163,47 +157,62 @@ func run() error {
 	return nil
 }
 
-// printClusterStats renders the per-shard breakdown as a table plus a
-// hit-rate spread summary (an unbalanced spread is the first sign one
-// shard's working set outgrew its cache).
-func printClusterStats(cs *netproto.ClusterStatsMsg) {
-	degraded := ""
-	if cs.Degraded {
-		degraded = " DEGRADED"
+// printShards renders the per-shard table of a router's stats answer:
+// a row for each delta_shard_up sample, filled from that shard's
+// {shard="i"} samples, then a hit-rate spread summary (an unbalanced
+// spread is the first sign one shard's working set outgrew its cache).
+// It reports whether st had any shard.
+func printShards(w io.Writer, st *netproto.StatsMsg) bool {
+	type shard struct {
+		index, addr string
+		up          bool
 	}
-	fmt.Printf("cluster: %d shards%s\n", len(cs.Shards), degraded)
-	fmt.Printf("  %-5s %-21s %9s %9s %8s %8s %6s %7s %10s\n",
+	var shards []shard
+	degraded := ""
+	for _, m := range st.Metrics {
+		sh := shard{up: m.Value == 1}
+		if _, err := fmt.Sscanf(m.Name, "delta_shard_up{shard=%q,addr=%q}", &sh.index, &sh.addr); err == nil {
+			shards = append(shards, sh)
+			if !sh.up {
+				degraded = " DEGRADED"
+			}
+		}
+	}
+	if len(shards) == 0 {
+		return false
+	}
+	fmt.Fprintf(w, "cluster: %d shards%s\n", len(shards), degraded)
+	fmt.Fprintf(w, "  %-5s %-21s %9s %9s %8s %8s %6s %7s %10s\n",
 		"shard", "addr", "queries", "hit-rate", "cached", "shipped", "born", "mig-in", "traffic")
 	var rates []float64
-	for _, sh := range cs.Shards {
-		if !sh.Alive {
-			fmt.Printf("  %-5d %-21s DOWN (%s)\n", sh.Shard, sh.Addr, sh.Err)
+	for _, sh := range shards {
+		if !sh.up {
+			fmt.Fprintf(w, "  %-5s %-21s DOWN\n", sh.index, sh.addr)
 			continue
 		}
+		metric := func(name string) float64 { return st.Metric(name + `{shard="` + sh.index + `"}`) }
+		queries := metric("delta_queries_total")
 		var rate float64
-		if sh.Stats.Queries > 0 {
-			rate = float64(sh.Stats.AtCache) / float64(sh.Stats.Queries)
+		if queries > 0 {
+			rate = metric("delta_queries_at_cache_total") / queries
 		}
 		rates = append(rates, rate)
-		fmt.Printf("  %-5d %-21s %9d %8.1f%% %8d %8.0f %6.0f %7.0f %10v\n",
-			sh.Shard, sh.Addr, sh.Stats.Queries, rate*100, len(sh.Stats.Cached),
-			sh.Stats.Metric("delta_queries_shipped_total"),
-			sh.Stats.Metric("delta_objects_born_total"),
-			sh.Stats.Metric("delta_migrated_in_total"),
-			sh.Stats.Ledger.Total())
+		traffic := cost.Bytes(metric("delta_ledger_query_ship_bytes_total") +
+			metric("delta_ledger_update_ship_bytes_total") + metric("delta_ledger_object_load_bytes_total"))
+		fmt.Fprintf(w, "  %-5s %-21s %9.0f %8.1f%% %8.0f %8.0f %6.0f %7.0f %10v\n",
+			sh.index, sh.addr, queries, rate*100, metric("delta_cached_objects"),
+			metric("delta_queries_shipped_total"), metric("delta_objects_born_total"),
+			metric("delta_migrated_in_total"), traffic)
 	}
 	if len(rates) > 0 {
-		lo, hi, sum := rates[0], rates[0], 0.0
+		var sum float64
 		for _, r := range rates {
 			sum += r
-			lo = min(lo, r)
-			hi = max(hi, r)
 		}
-		fmt.Printf("  hit-rate across %d live shards: min=%.1f%% mean=%.1f%% max=%.1f%%\n",
-			len(rates), lo*100, sum/float64(len(rates))*100, hi*100)
+		fmt.Fprintf(w, "  hit-rate across %d live shards: min=%.1f%% mean=%.1f%% max=%.1f%%\n",
+			len(rates), slices.Min(rates)*100, sum/float64(len(rates))*100, slices.Max(rates)*100)
 	}
-	fmt.Println("aggregate:")
-	printStats(&cs.Aggregate)
+	return true
 }
 
 // printTrace renders a traced query's fan-out tree.
@@ -228,16 +237,22 @@ func printRebalance(st *netproto.RebalanceStatusMsg) {
 	}
 }
 
-// printStats renders a node's stats answer: its policy, its traffic
-// ledger, one line per counter and gauge sample, and its residents.
-func printStats(st *netproto.StatsMsg) {
-	fmt.Printf("policy=%s\n", st.Policy)
-	fmt.Printf("traffic: query-ship=%v update-ship=%v loads=%v total=%v\n",
+// printStats renders a node's stats answer: a router's per-shard table
+// first, then its policy, its traffic ledger, one line per unlabelled
+// counter and gauge sample, and its residents.
+func printStats(w io.Writer, st *netproto.StatsMsg) {
+	if printShards(w, st) {
+		fmt.Fprintln(w, "aggregate:")
+	}
+	fmt.Fprintf(w, "policy=%s\n", st.Policy)
+	fmt.Fprintf(w, "traffic: query-ship=%v update-ship=%v loads=%v total=%v\n",
 		st.Ledger.QueryShip, st.Ledger.UpdateShip, st.Ledger.ObjectLoad, st.Ledger.Total())
 	for _, m := range st.Metrics {
-		fmt.Printf("%s %s\n", m.Name, strconv.FormatFloat(m.Value, 'f', -1, 64))
+		if !strings.Contains(m.Name, "{") {
+			fmt.Fprintf(w, "%s %s\n", m.Name, strconv.FormatFloat(m.Value, 'f', -1, 64))
+		}
 	}
-	fmt.Printf("cached objects: %v\n", st.Cached)
+	fmt.Fprintf(w, "cached objects: %v\n", st.Cached)
 }
 
 // runGrow publishes n new objects. It first replays the births already

@@ -45,7 +45,7 @@ func TestRunScenarioSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lc.Close()
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -548,14 +548,6 @@ func (m *Middleware) handleClientFrame(f netproto.Frame) netproto.Frame {
 		return netproto.Frame{Type: netproto.MsgStats, Body: m.Stats()}
 	case netproto.ReshardMsg:
 		return orError(m.handleReshard(body))
-	case netproto.ClusterStatsMsg:
-		// A cluster-aware client talking to a single cache: answer as
-		// a one-shard cluster so DialCluster is transparent both ways.
-		stats := m.Stats()
-		return netproto.Frame{Type: netproto.MsgClusterStats, Body: netproto.ClusterStatsMsg{
-			Shards:    []netproto.ShardStats{{Shard: 0, Addr: m.Addr(), Alive: true, Stats: stats}},
-			Aggregate: stats,
-		}}
 	default:
 		return netproto.ErrorFrame("cache: client sent %s", f.Type)
 	}

@@ -77,7 +77,8 @@ type Client struct {
 	observer       func(time.Duration)
 }
 
-// Dial connects to the cache's client endpoint. Refused connections
+// Dial connects to a cache's or a cluster router's client endpoint
+// (a router speaks the single-cache protocol). Refused connections
 // are retried with capped exponential backoff plus jitter (see
 // WithDialRetry), so dialing a node that is still binding its listener
 // succeeds instead of failing the race.
@@ -103,15 +104,6 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		traceSeed: uint64(time.Now().UnixNano()),
 		observer:  o.observer,
 	}, nil
-}
-
-// DialCluster connects to a cluster router's client endpoint. The
-// router speaks exactly the single-cache protocol, so this is Dial
-// with the intent spelled out; ClusterStats additionally exposes the
-// per-shard statistics breakdown (which a single cache also answers,
-// as a one-shard cluster).
-func DialCluster(addr string, opts ...Option) (*Client, error) {
-	return Dial(addr, opts...)
 }
 
 // Close terminates the connection; in-flight calls fail.
@@ -219,7 +211,8 @@ func (c *Client) AddObjects(ctx context.Context, births []model.Birth) (int, err
 	return body.Accepted, nil
 }
 
-// Stats fetches the middleware's statistics.
+// Stats fetches the node's statistics. A router answers with the
+// cluster aggregate plus each shard's samples labelled {shard="i"}.
 func (c *Client) Stats(ctx context.Context) (*netproto.StatsMsg, error) {
 	reply, err := c.roundTrip(ctx, netproto.Frame{
 		Type: netproto.MsgStats,
@@ -229,24 +222,6 @@ func (c *Client) Stats(ctx context.Context) (*netproto.StatsMsg, error) {
 		return nil, fmt.Errorf("client: stats: %w", err)
 	}
 	stats, ok := reply.Body.(netproto.StatsMsg)
-	if !ok {
-		return nil, fmt.Errorf("client: unexpected reply %s", reply.Type)
-	}
-	return &stats, nil
-}
-
-// ClusterStats fetches the cluster-wide statistics view: per-shard
-// StatsMsg plus the aggregate. A single (unsharded) cache answers as a
-// one-shard cluster.
-func (c *Client) ClusterStats(ctx context.Context) (*netproto.ClusterStatsMsg, error) {
-	reply, err := c.roundTrip(ctx, netproto.Frame{
-		Type: netproto.MsgClusterStats,
-		Body: netproto.ClusterStatsMsg{},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("client: cluster stats: %w", err)
-	}
-	stats, ok := reply.Body.(netproto.ClusterStatsMsg)
 	if !ok {
 		return nil, fmt.Errorf("client: unexpected reply %s", reply.Type)
 	}

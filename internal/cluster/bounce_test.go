@@ -64,7 +64,7 @@ func TestRepositoryBounceResubscribes(t *testing.T) {
 	}
 	t.Cleanup(func() { lc.Close() })
 
-	rc, err := client.DialCluster(lc.Router.Addr())
+	rc, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

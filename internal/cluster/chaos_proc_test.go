@@ -111,7 +111,7 @@ func TestChaosProcessKill(t *testing.T) {
 		ids = append(ids, o.ID)
 	}
 
-	cl, err := client.DialCluster(routerAddr)
+	cl, err := client.Dial(routerAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +154,14 @@ func TestChaosProcessKill(t *testing.T) {
 		query("post-kill", i)
 	}
 
-	cs, err := cl.ClusterStats(ctx)
+	st, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cs.Degraded {
-		t.Error("cluster stats should report the killed shard as down")
+	if up := shardUp(st, dead); up != 0 {
+		t.Errorf("killed shard's delta_shard_up = %v, want 0", up)
 	}
-	if k := cs.Aggregate.Metric("delta_router_replicas"); k != replicas {
+	if k := st.Metric("delta_router_replicas"); k != replicas {
 		t.Errorf("aggregate reports K=%v, want %d", k, replicas)
 	}
 

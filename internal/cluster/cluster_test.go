@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -18,6 +19,24 @@ import (
 )
 
 var ctx = context.Background()
+
+// shardUp returns shard i's delta_shard_up sample in a router's stats
+// answer (1 live, 0 not), or -1 when the answer has none for it.
+func shardUp(st *netproto.StatsMsg, i int) float64 {
+	prefix := fmt.Sprintf(`delta_shard_up{shard="%d",`, i)
+	for _, m := range st.Metrics {
+		if strings.HasPrefix(m.Name, prefix) {
+			return m.Value
+		}
+	}
+	return -1
+}
+
+// shardMetric returns shard i's sample of the named family in a
+// router's stats answer.
+func shardMetric(st *netproto.StatsMsg, name string, i int) float64 {
+	return st.Metric(fmt.Sprintf(`%s{shard="%d"}`, name, i))
+}
 
 // startCluster spins up repository + N cache shards + router on
 // loopback.
@@ -86,7 +105,7 @@ func spanningObjects(t *testing.T, lc *cluster.LocalCluster) []model.ObjectID {
 
 func TestClusterScatterGather(t *testing.T) {
 	_, _, lc := startCluster(t, 3, nil)
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,20 +133,20 @@ func TestClusterScatterGather(t *testing.T) {
 		t.Errorf("scattered = %d, want 1", lc.Router.Scattered())
 	}
 	// Every shard saw exactly its fragment.
-	cs, err := cl.ClusterStats(ctx)
+	st, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range cs.Shards {
-		if !st.Alive {
-			t.Errorf("shard %d not alive", st.Shard)
+	for i := range lc.Shards {
+		if up := shardUp(st, i); up != 1 {
+			t.Errorf("shard %d: delta_shard_up = %v, want 1", i, up)
 		}
-		if st.Stats.Queries != 1 {
-			t.Errorf("shard %d handled %d queries, want 1", st.Shard, st.Stats.Queries)
+		if q := shardMetric(st, "delta_queries_total", i); q != 1 {
+			t.Errorf("shard %d handled %v queries, want 1", i, q)
 		}
 	}
-	if cs.Aggregate.Queries != 3 {
-		t.Errorf("aggregate queries = %d, want 3 (one fragment per shard)", cs.Aggregate.Queries)
+	if st.Queries != 3 {
+		t.Errorf("aggregate queries = %d, want 3 (one fragment per shard)", st.Queries)
 	}
 	// An object outside the universe means client and cluster disagree
 	// about the survey: the query is refused, not partially answered.
@@ -143,7 +162,7 @@ func TestClusterScatterGather(t *testing.T) {
 
 func TestClusterSingleShardFastPath(t *testing.T) {
 	_, _, lc := startCluster(t, 3, nil)
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +192,7 @@ func TestClusterSingleShardFastPath(t *testing.T) {
 // cluster stats report the shard as not alive.
 func TestClusterShardFailureDegrades(t *testing.T) {
 	_, _, lc := startCluster(t, 3, nil)
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,30 +245,30 @@ func TestClusterShardFailureDegrades(t *testing.T) {
 		t.Error("query wholly on the dead shard succeeded")
 	}
 
-	// Stats degrade the same way: the dead shard reports not-alive,
-	// the aggregate covers the survivors.
-	cs, err := cl.ClusterStats(ctx)
+	// Stats degrade the same way: the dead shard reports down and
+	// carries no samples, the aggregate covers the survivors.
+	st, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cs.Degraded {
-		t.Error("cluster stats not marked degraded")
-	}
-	alive := 0
-	for _, st := range cs.Shards {
-		if st.Shard == dead {
-			if st.Alive {
-				t.Error("dead shard reported alive")
-			}
-			if st.Err == "" {
-				t.Error("dead shard carries no error")
-			}
-		} else if st.Alive {
-			alive++
+	var survivorQueries float64
+	for i := range lc.Shards {
+		want := 1.0
+		if i == dead {
+			want = 0
 		}
+		if up := shardUp(st, i); up != want {
+			t.Errorf("shard %d: delta_shard_up = %v, want %v", i, up, want)
+		}
+		survivorQueries += shardMetric(st, "delta_queries_total", i)
 	}
-	if alive != 2 {
-		t.Errorf("alive survivors = %d, want 2", alive)
+	if slices.ContainsFunc(st.Metrics, func(m netproto.Sample) bool {
+		return strings.Contains(m.Name, fmt.Sprintf(`{shard="%d"}`, dead))
+	}) {
+		t.Error("dead shard carries samples")
+	}
+	if float64(st.Queries) != survivorQueries || survivorQueries == 0 {
+		t.Errorf("aggregate queries = %d, survivors' sum = %v", st.Queries, survivorQueries)
 	}
 	// Topology snapshot agrees.
 	topo := lc.Router.Topology()
@@ -258,12 +277,14 @@ func TestClusterShardFailureDegrades(t *testing.T) {
 	}
 }
 
-// TestClusterStatsAggregation pushes traffic through the router and
-// checks the aggregate equals the sum of the per-shard views, with
-// ownership keeping cached sets disjoint.
-func TestClusterStatsAggregation(t *testing.T) {
+// TestRouterStatsAggregation pushes traffic through the router and
+// checks the aggregate equals the sum of the per-shard samples, with
+// ownership keeping cached sets disjoint, and that the aggregate's
+// delta_cached_objects counts the cluster's residents, not the fullest
+// shard's.
+func TestRouterStatsAggregation(t *testing.T) {
 	survey, _, lc := startCluster(t, 4, nil)
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,55 +302,47 @@ func TestClusterStatsAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cs, err := cl.ClusterStats(ctx)
+	st, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sumQueries, sumAtCache int64
-	var sumShipped float64
-	var sumLoad cost.Bytes
+	var sumQueries, sumAtCache, sumShipped, sumLoad, sumCached float64
 	seen := make(map[model.ObjectID]int)
-	for _, st := range cs.Shards {
-		if !st.Alive {
-			t.Fatalf("shard %d not alive", st.Shard)
+	for i, shard := range lc.Shards {
+		if up := shardUp(st, i); up != 1 {
+			t.Fatalf("shard %d: delta_shard_up = %v, want 1", i, up)
 		}
-		sumQueries += st.Stats.Queries
-		sumAtCache += st.Stats.AtCache
-		sumShipped += st.Stats.Metric("delta_queries_shipped_total")
-		sumLoad += st.Stats.Ledger.ObjectLoad
-		for _, id := range st.Stats.Cached {
+		sumQueries += shardMetric(st, "delta_queries_total", i)
+		sumAtCache += shardMetric(st, "delta_queries_at_cache_total", i)
+		sumShipped += shardMetric(st, "delta_queries_shipped_total", i)
+		sumLoad += shardMetric(st, "delta_ledger_object_load_bytes_total", i)
+		sumCached += shardMetric(st, "delta_cached_objects", i)
+		for _, id := range shard.Stats().Cached {
 			seen[id]++
-			if owner, _ := lc.Ownership.Owner(id); owner != st.Shard {
-				t.Errorf("shard %d caches object %d owned by shard %d", st.Shard, id, owner)
+			if owner, _ := lc.Ownership.Owner(id); owner != i {
+				t.Errorf("shard %d caches object %d owned by shard %d", i, id, owner)
 			}
 		}
 	}
-	if cs.Aggregate.Queries != sumQueries || cs.Aggregate.Queries != 16 {
-		t.Errorf("aggregate queries = %d, shard sum = %d, want 16", cs.Aggregate.Queries, sumQueries)
+	if float64(st.Queries) != sumQueries || st.Queries != 16 {
+		t.Errorf("aggregate queries = %d, shard sum = %v, want 16", st.Queries, sumQueries)
 	}
-	if shipped := cs.Aggregate.Metric("delta_queries_shipped_total"); cs.Aggregate.AtCache != sumAtCache || shipped != sumShipped {
-		t.Errorf("aggregate atCache/shipped = %d/%v, sums = %d/%v",
-			cs.Aggregate.AtCache, shipped, sumAtCache, sumShipped)
+	if shipped := st.Metric("delta_queries_shipped_total"); float64(st.AtCache) != sumAtCache || shipped != sumShipped {
+		t.Errorf("aggregate atCache/shipped = %d/%v, sums = %v/%v", st.AtCache, shipped, sumAtCache, sumShipped)
 	}
-	if cs.Aggregate.Ledger.ObjectLoad != sumLoad {
-		t.Errorf("aggregate load traffic = %v, sum = %v", cs.Aggregate.Ledger.ObjectLoad, sumLoad)
+	if float64(st.Ledger.ObjectLoad) != sumLoad {
+		t.Errorf("aggregate load traffic = %v, sum = %v", st.Ledger.ObjectLoad, cost.Bytes(sumLoad))
 	}
 	for id, n := range seen {
 		if n > 1 {
 			t.Errorf("object %d cached on %d shards; ownership must keep them disjoint", id, n)
 		}
 	}
-	if len(cs.Aggregate.Cached) != len(seen) {
-		t.Errorf("aggregate cached %d objects, shards report %d", len(cs.Aggregate.Cached), len(seen))
+	if len(st.Cached) != len(seen) || sumCached != float64(len(seen)) {
+		t.Errorf("aggregate cached %d objects, shards report %v (%d distinct)", len(st.Cached), sumCached, len(seen))
 	}
-	// The plain Stats endpoint returns the same aggregate, so a
-	// cluster-unaware client sees one big cache.
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Queries != cs.Aggregate.Queries || st.Policy != cs.Aggregate.Policy {
-		t.Errorf("Stats() = %+v, disagrees with aggregate %+v", st, cs.Aggregate)
+	if got := st.Metric("delta_cached_objects"); got != float64(len(st.Cached)) {
+		t.Errorf("aggregate delta_cached_objects = %v, want the %d objects of its Cached", got, len(st.Cached))
 	}
 }
 
@@ -337,7 +350,7 @@ func TestClusterStatsAggregation(t *testing.T) {
 // only its owned objects' updates off the shared invalidation stream.
 func TestClusterInvalidationsRouteToOwners(t *testing.T) {
 	survey, repo, lc := startCluster(t, 2, func(int) core.Policy { return core.NewReplica() })
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,48 +374,4 @@ func TestClusterInvalidationsRouteToOwners(t *testing.T) {
 		t.Errorf("non-owner shard shipped %v of updates", got)
 	}
 	_ = survey
-}
-
-// TestClusterTransparentSingleCacheClusterStats checks the other
-// direction of transparency: ClusterStats against an unsharded cache
-// answers as a one-shard cluster.
-func TestClusterTransparentSingleCacheClusterStats(t *testing.T) {
-	scfg := catalog.DefaultConfig()
-	scfg.NumObjects = 16
-	survey, err := catalog.NewSurvey(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, err := server.New(server.Config{Survey: survey, Scale: netproto.DefaultScale()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer repo.Close()
-	lc, err := cluster.SpawnLocal(cluster.LocalConfig{
-		RepoAddr: repo.Addr(),
-		Objects:  survey.Objects(),
-		Shards:   1,
-		Scale:    netproto.DefaultScale(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-
-	// Dial the shard directly, bypassing the router.
-	cl, err := client.DialCluster(lc.Shards[0].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cs, err := cl.ClusterStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cs.Shards) != 1 || !cs.Shards[0].Alive || cs.Degraded {
-		t.Errorf("single cache cluster stats = %+v", cs)
-	}
 }

@@ -102,7 +102,7 @@ func TestGrowthSoakWithResizeOverlap(t *testing.T) {
 		wg     sync.WaitGroup
 	)
 	for c := 0; c < nClients; c++ {
-		cl, err := client.DialCluster(lc.Router.Addr())
+		cl, err := client.Dial(lc.Router.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestGrowthSoakWithResizeOverlap(t *testing.T) {
 
 	// Grower: publish the births in bursts; the resize fires midway
 	// and overlaps the remaining bursts.
-	growCl, err := client.DialCluster(lc.Router.Addr())
+	growCl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestGrowthSoakWithResizeOverlap(t *testing.T) {
 	if got := lc.Router.Births(); got != nBirths {
 		t.Errorf("router adopted %d births, want %d", got, nBirths)
 	}
-	verify, err := client.DialCluster(lc.Router.Addr())
+	verify, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +210,11 @@ func TestGrowthSoakWithResizeOverlap(t *testing.T) {
 			t.Errorf("born object %d answered degraded", id)
 		}
 	}
-	cs, err := verify.ClusterStats(ctx)
+	cs, err := verify.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if born := cs.Aggregate.Metric("delta_objects_born_total"); born != nBirths {
+	if born := cs.Metric("delta_objects_born_total"); born != nBirths {
 		t.Errorf("shards admitted %v births total, want %d", born, nBirths)
 	}
 }
@@ -275,7 +275,7 @@ func TestBirthAnnouncementReachesRouterAndCache(t *testing.T) {
 		t.Fatalf("repository accepted %v of %d births", reply.Body, len(births))
 	}
 
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestPublishPathUsesCanonicalMetadata(t *testing.T) {
 		published[i] = b
 		published[i].Object.Trixel = 0 // what a lazy publisher would send
 	}
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestShardRefusesDirectBirths(t *testing.T) {
 		cl.Close()
 	}
 
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 // now-evicted entry.
 func TestRouterResultCacheInvalidation(t *testing.T) {
 	_, repo, lc := startCluster(t, 2, func(int) core.Policy { return core.NewReplica() })
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRouterResultCacheInvalidation(t *testing.T) {
 // query warm in the cache before the resize scatters afresh after it.
 func TestRouterResultCacheEpochFlipClears(t *testing.T) {
 	_, _, lc := startCluster(t, 2, func(int) core.Policy { return core.NewReplica() })
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func startGrowingCluster(t *testing.T, shards int, policy func(int) core.Policy)
 // member of the warm result after the birth still evicts it.
 func TestRouterResultCacheSurvivesBirth(t *testing.T) {
 	mirror, repo, lc := startGrowingCluster(t, 2, func(int) core.Policy { return core.NewReplica() })
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestRouterResultCacheSurvivesBirth(t *testing.T) {
 // the cache serves again.
 func TestRouterResultCacheGapThenResume(t *testing.T) {
 	survey, repo, lc := startCluster(t, 2, func(int) core.Policy { return core.NewReplica() })
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestRouterCoalescesIdenticalQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cl, err := client.DialCluster(lc.Router.Addr())
+			cl, err := client.Dial(lc.Router.Addr())
 			if err != nil {
 				errs[i] = err
 				return
@@ -420,7 +420,7 @@ func TestBatchedBirthGrants(t *testing.T) {
 		perBurst = 8
 	)
 	growRng := rand.New(rand.NewSource(11))
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,14 +473,14 @@ func TestBatchedBirthGrants(t *testing.T) {
 	}
 
 	// The shards admitted every birth through the grant frames.
-	cs, err := cl.ClusterStats(ctx)
+	cs, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if born := cs.Aggregate.Metric("delta_objects_born_total"); born != float64(total) {
+	if born := cs.Metric("delta_objects_born_total"); born != float64(total) {
 		t.Errorf("shards admitted %v births, want %d", born, total)
 	}
-	if got := cs.Aggregate.Metric("delta_router_grant_batches_total"); got != float64(batches) {
+	if got := cs.Metric("delta_router_grant_batches_total"); got != float64(batches) {
 		t.Errorf("aggregate stats report %v grant batches, router counted %d", got, batches)
 	}
 }
@@ -522,7 +522,7 @@ func TestOneFragmentQuerySpawnsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lc.Close() })
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

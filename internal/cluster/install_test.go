@@ -147,7 +147,7 @@ func TestFreshRouterOverRecoveredShards(t *testing.T) {
 	if err := fresh.Router.Start(); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := client.DialCluster(fresh.Router.Addr())
+	cl, err := client.Dial(fresh.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRestartedRouterOverLiveShards(t *testing.T) {
 	if err := lc.Router.Start(); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestFreshShardJoinsGrownCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestInstallPreloadsReplicaShards(t *testing.T) {
 		}
 	}
 	// K is the router's to know: no shard is told it.
-	if k := lc.Router.clusterStats(t.Context()).Aggregate.Metric("delta_router_replicas"); k != 2 {
+	if k := lc.Router.clusterStats(t.Context()).Metric("delta_router_replicas"); k != 2 {
 		t.Errorf("the router reports K=%v, want 2", k)
 	}
 	if repo.Ledger().ObjectLoads == 0 {

@@ -153,13 +153,14 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 	// shard that fails the probe contributes no warm list — its moving
 	// objects arrive cold, a traffic cost, never a correctness problem.
 	// The cold baseline (SkipMigration) probes nothing.
-	probe := make([]netproto.ShardStats, from)
+	probe := make([]netproto.StatsMsg, from)
 	if !spec.SkipMigration {
-		probe = r.probeStats(ctx, rt.links)
+		var errs []error
+		probe, errs = r.probeStats(ctx, rt.links)
 		var probeErrs []string
-		for _, p := range probe {
-			if !p.Alive {
-				probeErrs = append(probeErrs, fmt.Sprintf("shard %d (%s): %s", p.Shard, p.Addr, p.Err))
+		for i, err := range errs {
+			if err != nil {
+				probeErrs = append(probeErrs, fmt.Sprintf("shard %d (%s): %v", rt.links[i].index, rt.links[i].addr, err))
 			}
 		}
 		if len(probeErrs) > 0 {
@@ -199,7 +200,7 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 		for _, d := range newRanked {
 			newAddrs[linksNew[d].addr] = true
 		}
-		_, hot := slices.BinarySearch(probe[oldRanked[0]].Stats.Cached, id)
+		_, hot := slices.BinarySearch(probe[oldRanked[0]].Cached, id)
 		for _, d := range newRanked {
 			if oldAddrs[linksNew[d].addr] {
 				continue // already warm at some rank

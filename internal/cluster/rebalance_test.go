@@ -55,7 +55,7 @@ func startResizableCluster(t *testing.T, shards int) (*catalog.Survey, *cluster.
 	}
 	t.Cleanup(func() { lc.Close() })
 
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func startResizableCluster(t *testing.T, shards int) (*catalog.Survey, *cluster.
 // not create it.
 func sweepHitRate(t *testing.T, survey *catalog.Survey, addr string) float64 {
 	t.Helper()
-	cl, err := client.DialCluster(addr, client.WithRequestTimeout(10*time.Second))
+	cl, err := client.Dial(addr, client.WithRequestTimeout(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestResizeLiveTraffic(t *testing.T) {
 		wg              sync.WaitGroup
 	)
 	for c := 0; c < nClients; c++ {
-		cl, err := client.DialCluster(lc.Router.Addr(), client.WithRequestTimeout(10*time.Second))
+		cl, err := client.Dial(lc.Router.Addr(), client.WithRequestTimeout(10*time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,16 +222,16 @@ func TestResizeLiveTraffic(t *testing.T) {
 	if postHit < preHit*0.9 {
 		t.Errorf("hit rate after resizes = %.2f, want within 10%% of pre-resize %.2f", postHit, preHit)
 	}
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cs, err := cl.ClusterStats(ctx)
+	cs, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Aggregate.Metric("delta_migrated_in_total") == 0 {
+	if cs.Metric("delta_migrated_in_total") == 0 {
 		t.Error("delta_migrated_in_total = 0; warm arrivals should be visible in stats")
 	}
 }
@@ -265,16 +265,16 @@ func TestResizeColdBaselineLosesWarmth(t *testing.T) {
 		t.Errorf("cold resize hit rate %.2f; moved objects (%d/%d) should have been cold (expected ≈%.2f)",
 			hit, len(moving), len(survey.Objects()), expected)
 	}
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cs, err := cl.ClusterStats(ctx)
+	cs, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cs.Aggregate.Metric("delta_migrated_in_total"); got != 0 {
+	if got := cs.Metric("delta_migrated_in_total"); got != 0 {
 		t.Errorf("cold resize imported %v objects", got)
 	}
 }
@@ -333,7 +333,7 @@ func TestResizeProbeFailureArrivesCold(t *testing.T) {
 		t.Error("no warm arrivals from the live sources")
 	}
 
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestResizeAdminFrames(t *testing.T) {
 	survey, lc, _ := startResizableCluster(t, 2)
 	_ = survey
 
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestRouterCloseDuringInflightScatter(t *testing.T) {
 	}
 	clients := make([]*client.Client, nQueries)
 	for i := range clients {
-		cl, err := client.DialCluster(router.Addr())
+		cl, err := client.Dial(router.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func TestRouterResolvesRegionQueries(t *testing.T) {
 	}
 	defer lc.Close()
 
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,15 +96,15 @@ func TestRouterResolvesRegionQueries(t *testing.T) {
 	}
 
 	// Repeated identical regions hit the router's memoized cover cache;
-	// the counters ride the cluster stats aggregate.
-	cs, err := cl.ClusterStats(ctx)
+	// the counters ride the stats aggregate.
+	cs, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if misses := cs.Aggregate.Metric("delta_cover_cache_misses_total"); misses < 1 {
+	if misses := cs.Metric("delta_cover_cache_misses_total"); misses < 1 {
 		t.Errorf("cover-cache misses = %v, want ≥1", misses)
 	}
-	if hits := cs.Aggregate.Metric("delta_cover_cache_hits_total"); hits < repeats {
+	if hits := cs.Metric("delta_cover_cache_hits_total"); hits < repeats {
 		t.Errorf("cover-cache hits = %v, want ≥%d (region repeated)", hits, repeats)
 	}
 
@@ -122,7 +122,7 @@ func TestRouterResolvesRegionQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bare.Close()
-	bareCl, err := client.DialCluster(bare.Router.Addr())
+	bareCl, err := client.Dial(bare.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestRegionResolverLearnsBirths(t *testing.T) {
 	}
 	defer lc.Close()
 
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

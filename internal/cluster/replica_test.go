@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,7 +114,7 @@ func TestReplicatedShardKillSoak(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cl, err := client.DialCluster(lc.Router.Addr())
+			cl, err := client.Dial(lc.Router.Addr())
 			if err != nil {
 				t.Errorf("worker %d dial: %v", w, err)
 				return
@@ -189,7 +190,7 @@ func TestReplicatedDoubleKill(t *testing.T) {
 	_, lc := startReplicated(t, 4, 3, func(cfg *cluster.LocalConfig) {
 		cfg.ResultCacheSize = -1 // every query must reach the shards
 	})
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestClusterHedgedReadsMaskStraggler(t *testing.T) {
 			return core.NewReplica()
 		}
 	})
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,35 +351,28 @@ func TestClusterHedgedReadsMaskStraggler(t *testing.T) {
 }
 
 // TestClusterReplicaStats pins the replication factor's trip through
-// the stats plane: every shard reports its configured K, and the
-// cluster aggregate carries K itself (not a sum across shards).
+// the stats plane: no shard reports K, and the cluster aggregate
+// carries K itself (not a sum across shards).
 func TestClusterReplicaStats(t *testing.T) {
 	_, lc := startReplicated(t, 3, 2, nil)
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	cs, err := cl.ClusterStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// K is the router's gauge: no shard is told it.
-	for _, st := range cs.Shards {
-		if k := st.Stats.Metric("delta_router_replicas"); k != 0 {
-			t.Errorf("shard %d reports K=%v; only the router knows K", st.Shard, k)
-		}
-	}
-	if k := cs.Aggregate.Metric("delta_router_replicas"); k != 2 {
-		t.Errorf("aggregate reports K=%v, want 2", k)
-	}
 	st, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// K is the router's gauge: no shard is told it.
+	for _, m := range st.Metrics {
+		if strings.HasPrefix(m.Name, "delta_router_replicas{") {
+			t.Errorf("a shard reports K: %s %v; only the router knows K", m.Name, m.Value)
+		}
+	}
 	if k := st.Metric("delta_router_replicas"); k != 2 {
-		t.Errorf("aggregate StatsMsg reports K=%v, want 2", k)
+		t.Errorf("aggregate reports K=%v, want 2", k)
 	}
 
 	// At K=2 every object is held by exactly two shards, so the total
@@ -392,27 +386,27 @@ func TestClusterReplicaStats(t *testing.T) {
 	}
 }
 
-// TestClusterStatsListsEachResidentOnce pins the aggregate's resident
+// TestRouterStatsListsEachResidentOnce pins the aggregate's resident
 // list at K=2: an object two shards hold is one cached object of the
 // cluster, so the aggregate lists the sorted union of the shards'
 // lists, each ID once.
-func TestClusterStatsListsEachResidentOnce(t *testing.T) {
+func TestRouterStatsListsEachResidentOnce(t *testing.T) {
 	_, lc := startReplicated(t, 2, 2, func(cfg *cluster.LocalConfig) {
 		cfg.Policy = func(int) core.Policy { return core.NewReplica() }
 	})
-	cl, err := client.DialCluster(lc.Router.Addr())
+	cl, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	cs, err := cl.ClusterStats(ctx)
+	st, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var union []model.ObjectID
-	for _, st := range cs.Shards {
-		union = append(union, st.Stats.Cached...)
+	for _, shard := range lc.Shards {
+		union = append(union, shard.Stats().Cached...)
 	}
 	held := len(union)
 	slices.Sort(union)
@@ -420,8 +414,11 @@ func TestClusterStatsListsEachResidentOnce(t *testing.T) {
 	if held == len(union) {
 		t.Fatalf("shards hold %d residents with no object on two of them; K=2 Replica shards should share every one", held)
 	}
-	if !slices.Equal(cs.Aggregate.Cached, union) {
+	if !slices.Equal(st.Cached, union) {
 		t.Errorf("aggregate lists %d residents, want the %d-object union %v of the shards' lists:\n%v",
-			len(cs.Aggregate.Cached), len(union), union, cs.Aggregate.Cached)
+			len(st.Cached), len(union), union, st.Cached)
+	}
+	if got := st.Metric("delta_cached_objects"); got != float64(len(union)) {
+		t.Errorf("aggregate delta_cached_objects = %v, want the %d-object union", got, len(union))
 	}
 }

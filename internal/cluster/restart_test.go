@@ -91,7 +91,7 @@ func (rc *restartCluster) grow(t *testing.T, rng *rand.Rand, n int, at time.Dura
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := client.DialCluster(rc.lc.Router.Addr())
+	cl, err := client.Dial(rc.lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func soakPhase(t *testing.T, rc *restartCluster, seedBase int64, nWorkers, perWo
 	var queries, hits atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < nWorkers; w++ {
-		cl, err := client.DialCluster(rc.lc.Router.Addr())
+		cl, err := client.Dial(rc.lc.Router.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,20 +222,20 @@ func TestRestartRecoverySoak(t *testing.T) {
 
 	// The recovery must be observable, not incidental: the bounced
 	// shard re-adopted residents from disk, and the aggregation path
-	// surfaces it through cluster stats.
-	verify, err := client.DialCluster(durable.lc.Router.Addr())
+	// surfaces it through the router's stats.
+	verify, err := client.Dial(durable.lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer verify.Close()
-	cs, err := verify.ClusterStats(ctx)
+	cs, err := verify.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Aggregate.Metric("delta_recovered_warm") == 0 {
+	if cs.Metric("delta_recovered_warm") == 0 {
 		t.Error("restarted shard recovered no residents from disk (delta_recovered_warm == 0)")
 	}
-	if cs.Aggregate.Metric("delta_objects_born_total") == 0 {
+	if cs.Metric("delta_objects_born_total") == 0 {
 		t.Error("no shard admitted the growth bursts")
 	}
 
@@ -266,7 +266,7 @@ func TestRestartRecoverySoak(t *testing.T) {
 func TestRestartedShardKeepsWarmNewborn(t *testing.T) {
 	rc := spawnRestartCluster(t, 12, t.TempDir())
 	rc.grow(t, rand.New(rand.NewSource(3)), 6, time.Second)
-	cl, err := client.DialCluster(rc.lc.Router.Addr())
+	cl, err := client.Dial(rc.lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,8 +84,8 @@ type Config struct {
 
 // Router is a running cluster routing tier. To clients it looks
 // exactly like a single cache.Middleware: it accepts the same hellos,
-// answers MsgQuery and MsgStats, and additionally serves
-// MsgClusterStats with the per-shard breakdown and the admin frames
+// answers MsgQuery and MsgStats (the cluster aggregate, with each
+// shard's samples labelled), and additionally serves the admin frames
 // (MsgAdminResize, MsgRebalanceStatus) that drive live resizes.
 //
 // Routing state is an immutable epoch snapshot swapped atomically, so
@@ -432,10 +432,7 @@ func (r *Router) handleClientFrame(f netproto.Frame) netproto.Frame {
 		}
 		return r.routeQuery(ctx, &body.Query, body.TraceID, detail)
 	case netproto.StatsMsg:
-		cs := r.clusterStats(ctx)
-		return netproto.Frame{Type: netproto.MsgStats, Body: cs.Aggregate}
-	case netproto.ClusterStatsMsg:
-		return netproto.Frame{Type: netproto.MsgClusterStats, Body: r.clusterStats(ctx)}
+		return netproto.Frame{Type: netproto.MsgStats, Body: r.clusterStats(ctx)}
 	case netproto.AdminResizeMsg:
 		st, err := r.Resize(ctx, ResizeSpec{Shards: body.Shards})
 		if err != nil {
@@ -893,8 +890,8 @@ func (r *Router) next(ctx context.Context, fr fragment, struck []string, cause e
 	return out, true
 }
 
-// statsTimeout bounds each shard's stats probe (cluster stats, and the
-// residency probe that opens a live resize).
+// statsTimeout bounds each shard's stats probe (the router's MsgStats
+// answer, and the residency probe that opens a live resize).
 const statsTimeout = 5 * time.Second
 
 // fanOut sends frame(i) to links[i] for every link concurrently, each
@@ -918,64 +915,74 @@ func fanOut(ctx context.Context, links []*shardLink, timeout time.Duration, fram
 }
 
 // probeStats asks every link for its StatsMsg in parallel, each probe
-// bounded by statsTimeout. A shard that fails to answer comes back
-// not-alive, with the failure in Err.
-func (r *Router) probeStats(ctx context.Context, links []*shardLink) []netproto.ShardStats {
+// bounded by statsTimeout, and returns each link's answer and error.
+func (r *Router) probeStats(ctx context.Context, links []*shardLink) ([]netproto.StatsMsg, []error) {
 	replies, errs := fanOut(ctx, links, statsTimeout, func(int) netproto.Frame {
 		return netproto.Frame{Type: netproto.MsgStats, Body: netproto.StatsMsg{}}
 	})
-	out := make([]netproto.ShardStats, len(links))
-	for i, s := range links {
-		st := &out[i]
-		st.Shard, st.Addr = s.index, s.addr
+	stats := make([]netproto.StatsMsg, len(links))
+	for i := range links {
 		if errs[i] != nil {
-			st.Err = errs[i].Error()
 			continue
 		}
-		stats, ok := replies[i].Body.(netproto.StatsMsg)
-		if !ok {
-			st.Err = fmt.Sprintf("shard replied %s", replies[i].Type)
-			continue
+		var ok bool
+		if stats[i], ok = replies[i].Body.(netproto.StatsMsg); !ok {
+			errs[i] = fmt.Errorf("shard replied %s", replies[i].Type)
 		}
-		st.Alive, st.Stats = true, stats
 	}
-	return out
+	return stats, errs
 }
 
-// clusterStats probes every shard and builds the cluster-wide view. A
-// shard that fails to answer is reported not-alive and the view marked
-// degraded; the aggregate covers the survivors. Its Cached lists each
-// resident once, however many replicas hold it.
-func (r *Router) clusterStats(ctx context.Context) netproto.ClusterStatsMsg {
+// clusterStats probes every shard and builds the router's MsgStats
+// answer. Its unlabelled part is the aggregate over the live shards and
+// the router's own registry; its Cached lists each resident once,
+// however many replicas hold it, and delta_cached_objects counts that
+// list. Then, per shard in routing order, come delta_shard_up (1 live,
+// 0 not) and every sample of a live shard's answer, labelled with the
+// shard. A shard that fails to answer is logged.
+func (r *Router) clusterStats(ctx context.Context) netproto.StatsMsg {
 	rt := r.routing.Load()
-	out := netproto.ClusterStatsMsg{Shards: r.probeStats(ctx, rt.links)}
-	agg := &out.Aggregate
-	for _, st := range out.Shards {
-		if !st.Alive {
-			out.Degraded = true
+	stats, errs := r.probeStats(ctx, rt.links)
+	var agg netproto.StatsMsg
+	var shards []netproto.Sample
+	for i, l := range rt.links {
+		up := netproto.Sample{Name: fmt.Sprintf(`delta_shard_up{shard="%d",addr=%q}`, l.index, l.addr)}
+		if errs[i] != nil {
+			r.cfg.Logf("stats: shard %d (%s): %v", l.index, l.addr, errs[i])
+			shards = append(shards, up)
 			continue
 		}
-		agg.Ledger.QueryShip += st.Stats.Ledger.QueryShip
-		agg.Ledger.UpdateShip += st.Stats.Ledger.UpdateShip
-		agg.Ledger.ObjectLoad += st.Stats.Ledger.ObjectLoad
-		agg.Ledger.QueryShips += st.Stats.Ledger.QueryShips
-		agg.Ledger.UpdateShips += st.Stats.Ledger.UpdateShips
-		agg.Ledger.ObjectLoads += st.Stats.Ledger.ObjectLoads
-		agg.Queries += st.Stats.Queries
-		agg.AtCache += st.Stats.AtCache
-		agg.DroppedInvalidations += st.Stats.DroppedInvalidations
-		agg.DedupedLoads += st.Stats.DedupedLoads
-		agg.Metrics = mergeSamples(agg.Metrics, st.Stats.Metrics)
-		agg.Cached = append(agg.Cached, st.Stats.Cached...)
-		if agg.Policy == "" && st.Stats.Policy != "" {
-			agg.Policy = fmt.Sprintf("cluster(%s×%d)", st.Stats.Policy, len(rt.links))
+		up.Value = 1
+		shards = append(shards, up)
+		st := &stats[i]
+		for _, s := range st.Metrics {
+			shards = append(shards, netproto.Sample{Name: fmt.Sprintf(`%s{shard="%d"}`, s.Name, l.index), Value: s.Value})
+		}
+		agg.Ledger.QueryShip += st.Ledger.QueryShip
+		agg.Ledger.UpdateShip += st.Ledger.UpdateShip
+		agg.Ledger.ObjectLoad += st.Ledger.ObjectLoad
+		agg.Ledger.QueryShips += st.Ledger.QueryShips
+		agg.Ledger.UpdateShips += st.Ledger.UpdateShips
+		agg.Ledger.ObjectLoads += st.Ledger.ObjectLoads
+		agg.Queries += st.Queries
+		agg.AtCache += st.AtCache
+		agg.DroppedInvalidations += st.DroppedInvalidations
+		agg.DedupedLoads += st.DedupedLoads
+		agg.Metrics = mergeSamples(agg.Metrics, st.Metrics)
+		agg.Cached = append(agg.Cached, st.Cached...)
+		if agg.Policy == "" && st.Policy != "" {
+			agg.Policy = fmt.Sprintf("cluster(%s×%d)", st.Policy, len(rt.links))
 		}
 	}
 	// What the routing tier counts (regions, result cache, births, K).
 	agg.Metrics = mergeSamples(agg.Metrics, r.Reg.Values())
 	slices.Sort(agg.Cached)
 	agg.Cached = slices.Compact(agg.Cached)
-	return out
+	if i := slices.IndexFunc(agg.Metrics, func(s netproto.Sample) bool { return s.Name == "delta_cached_objects" }); i >= 0 {
+		agg.Metrics[i].Value = float64(len(agg.Cached))
+	}
+	agg.Metrics = append(agg.Metrics, shards...)
+	return agg
 }
 
 // mergeSamples folds samples into merged by name, in first-seen order:

@@ -74,7 +74,7 @@ func checkSpanTree(t *testing.T, res *client.Result, wantShards int) {
 // that untraced queries stay untraced.
 func TestTracedQuerySpanTree(t *testing.T) {
 	_, _, lc := startCluster(t, 3, nil)
-	cl, err := client.DialCluster(lc.Router.Addr(), client.WithTrace())
+	cl, err := client.Dial(lc.Router.Addr(), client.WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestTracedQuerySpanTree(t *testing.T) {
 	}
 
 	// A client dialed without WithTrace stays untraced end to end.
-	plain, err := client.DialCluster(lc.Router.Addr())
+	plain, err := client.Dial(lc.Router.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

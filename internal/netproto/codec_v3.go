@@ -328,14 +328,6 @@ func walkSample(c *Cursor, s *Sample) {
 	c.F64(&s.Value)
 }
 
-func walkShardStats(c *Cursor, s *ShardStats) {
-	Varint(c, &s.Shard)
-	c.Str(&s.Addr)
-	c.Bool(&s.Alive)
-	c.Str(&s.Err)
-	walkStats(c, &s.Stats)
-}
-
 func walkRow(c *Cursor, r *ResultRow) {
 	Varint(c, &r.ObjID)
 	c.F64(&r.RA)
@@ -359,13 +351,12 @@ func walkSpan(c *Cursor, s *TraceSpan) {
 // zero value's, measured by its own walk, so a List bound cannot drift
 // from the layout it guards.
 var (
-	birthLen      = zeroLen(Birth)
-	objectLen     = zeroLen(walkObject)
-	updateLen     = zeroLen(walkUpdate)
-	shardStatsLen = zeroLen(walkShardStats)
-	sampleLen     = zeroLen(walkSample)
-	rowLen        = zeroLen(walkRow)
-	spanLen       = zeroLen(walkSpan)
+	birthLen  = zeroLen(Birth)
+	objectLen = zeroLen(walkObject)
+	updateLen = zeroLen(walkUpdate)
+	sampleLen = zeroLen(walkSample)
+	rowLen    = zeroLen(walkRow)
+	spanLen   = zeroLen(walkSpan)
 )
 
 func zeroLen[T any](walk func(*Cursor, *T)) int {
@@ -497,14 +488,6 @@ func walkBody(c *Cursor, t MsgType, body any) (any, bool) {
 		if c.tail(b.TraceID != 0) {
 			c.Uvarint(&b.TraceID)
 		}
-		return decoded(c, &b), ok
-	case MsgClusterStats:
-		b, ok := body.(ClusterStatsMsg)
-		for i := range List(c, &b.Shards, shardStatsLen) {
-			walkShardStats(c, &b.Shards[i])
-		}
-		walkStats(c, &b.Aggregate)
-		c.Bool(&b.Degraded)
 		return decoded(c, &b), ok
 	case MsgAdminResize:
 		b, ok := body.(AdminResizeMsg)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -96,7 +97,6 @@ var quickBodies = []struct {
 	{MsgStats, StatsMsg{}},
 	{MsgError, ErrorMsg{}},
 	{MsgShardQuery, ShardQueryMsg{}},
-	{MsgClusterStats, ClusterStatsMsg{}},
 	{MsgAdminResize, AdminResizeMsg{}},
 	{MsgRebalanceStatus, RebalanceStatusMsg{}},
 	{MsgReshard, ReshardMsg{}},
@@ -258,6 +258,21 @@ func TestV3RejectsUnknownBody(t *testing.T) {
 	got, err := c.Recv()
 	if err != nil || got.Body.(ErrorMsg).Message != "ok" {
 		t.Fatalf("recv after rejected encode: %v %+v", err, got)
+	}
+}
+
+// TestV3ReservedTypeRejected pins slot 14 of the MsgType iota as
+// reserved: the types after it keep their bytes, and a frame of type 14
+// fails to decode.
+func TestV3ReservedTypeRejected(t *testing.T) {
+	if MsgShardQuery != 13 || MsgAdminResize != 15 || MsgBirthGrant != 19 {
+		t.Errorf("frame types moved: shard-query=%d admin-resize=%d birth-grant=%d, want 13, 15, 19",
+			MsgShardQuery, MsgAdminResize, MsgBirthGrant)
+	}
+	// Length 2: type 14, request ID 0, no body.
+	c := NewConn(readWriter{bytes.NewReader([]byte{2, 0, 0, 0, 14, 0})})
+	if _, err := c.Recv(); err == nil || !strings.Contains(err.Error(), "unknown frame type 14") {
+		t.Errorf("type-14 frame: err = %v, want unknown frame type 14", err)
 	}
 }
 

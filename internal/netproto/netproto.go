@@ -175,9 +175,8 @@ const (
 	// MsgShardQuery ships one fragment of a scattered query from a
 	// cluster router to the shard that owns the fragment's objects.
 	MsgShardQuery
-	// MsgClusterStats requests / carries the cluster-wide statistics
-	// view (per-shard StatsMsg plus the aggregate).
-	MsgClusterStats
+	// Slot 14 is reserved, so that every later type keeps its byte.
+	_
 	// MsgAdminResize asks a cluster router to resize the cluster to a
 	// new shard list, live (admin client → router).
 	MsgAdminResize
@@ -211,9 +210,8 @@ var msgNames = [...]string{
 	MsgObjectData: "object-data", MsgInvalidate: "invalidate",
 	MsgStats: "stats", MsgError: "error",
 	MsgHello: "hello", MsgHelloAck: "hello-ack",
-	MsgShardQuery: "shard-query", MsgClusterStats: "cluster-stats",
-	MsgAdminResize: "admin-resize", MsgRebalanceStatus: "rebalance-status",
-	MsgReshard:     "reshard",
+	MsgShardQuery: "shard-query", MsgAdminResize: "admin-resize",
+	MsgRebalanceStatus: "rebalance-status", MsgReshard: "reshard",
 	MsgObjectBirth: "object-birth", MsgBirthGrant: "birth-grant",
 }
 
@@ -381,8 +379,10 @@ type InvalidateMsg struct {
 
 // StatsMsg is a node's MsgStats answer: its traffic ledger, residents,
 // policy and Metrics, every counter and gauge of its obs registry by
-// /metrics name. A router answers with the cluster aggregate
-// (ClusterStatsMsg.Aggregate), which no /metrics exposes.
+// /metrics name. A router answers with the cluster aggregate, whose
+// Metrics also carry delta_shard_up{shard="i",addr="…"} for every shard
+// and each live shard's samples as name{shard="i"}; no /metrics
+// exposes either.
 type StatsMsg struct {
 	Ledger cost.Snapshot
 	Cached []model.ObjectID
@@ -428,27 +428,6 @@ type ShardQueryMsg struct {
 	// TraceID propagates the client query's trace ID to the shard (see
 	// QueryMsg.TraceID); rides the frame tail.
 	TraceID uint64
-}
-
-// ShardStats is one shard's slice of a cluster statistics view.
-type ShardStats struct {
-	Shard int
-	Addr  string
-	// Alive reports whether the shard answered the stats probe; Err
-	// carries the failure when it did not.
-	Alive bool
-	Err   string
-	Stats StatsMsg
-}
-
-// ClusterStatsMsg carries the cluster-wide statistics view: every
-// shard's StatsMsg plus the aggregate a single-cache client would see.
-// A single (unsharded) cache answers with itself as the only shard.
-type ClusterStatsMsg struct {
-	Shards    []ShardStats
-	Aggregate StatsMsg
-	// Degraded is set when at least one shard failed to report.
-	Degraded bool
 }
 
 // AdminResizeMsg asks a router to take the cluster to a new shard

@@ -192,14 +192,22 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_snapshot_age_seconds",
 		"delta_journal_records",
 		"delta_recovered_warm",
+		"delta_shard_up",
 	)
 	if got, want := families["delta_router_queries_total"].Samples["delta_router_queries_total"], float64(router.Queries()); got != want {
 		t.Errorf("delta_router_queries_total = %v, router counted %v", got, want)
 	}
 	// Its stats answer, which no /metrics exposes, adds the shards'
-	// samples to its own.
-	if got, want := agg.Metric("delta_queries_total"), shard.Stats().Metric("delta_queries_total"); got != want || got < 1 {
+	// samples to its own, and lists each shard's again under its label.
+	want := shard.Stats().Metric("delta_queries_total")
+	if got := agg.Metric("delta_queries_total"); got != want || got < 1 {
 		t.Errorf("router aggregate delta_queries_total = %v, its one shard counted %v", got, want)
+	}
+	if got := agg.Metric(`delta_queries_total{shard="0"}`); got != want {
+		t.Errorf(`router's delta_queries_total{shard="0"} = %v, its one shard counted %v`, got, want)
+	}
+	if up := agg.Metric(fmt.Sprintf(`delta_shard_up{shard="0",addr=%q}`, shard.Addr())); up != 1 {
+		t.Errorf("router's delta_shard_up for its live shard = %v, want 1", up)
 	}
 }
 

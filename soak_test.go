@@ -108,7 +108,7 @@ func runScenarioSoak(t *testing.T, shape soakShape) {
 	ctx := context.Background()
 	clients := make([]*client.Client, shape.conns)
 	for i := range clients {
-		cl, err := client.DialCluster(lc.Router.Addr())
+		cl, err := client.Dial(lc.Router.Addr())
 		if err != nil {
 			t.Fatalf("dial conn %d: %v", i, err)
 		}
