@@ -38,7 +38,6 @@ func run() error {
 		bytesPerGB  = flag.Int64("bytes-per-gb", 4096, "physical payload bytes per logical GB")
 		shard       = flag.Bool("shard", false, "run as a cluster shard: own nothing until the router's reshard says what to own")
 		dataDir     = flag.String("data-dir", "", "directory for warm-state snapshots and the decision journal; restarts rejoin warm from it (empty = no persistence)")
-		snapEvery   = flag.Duration("snapshot-interval", 0, "periodic snapshot interval with -data-dir (0 = 30s default)")
 		metricsAddr = flag.String("metrics-addr", "", "debug HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof (empty = off)")
 	)
 	flag.Parse()
@@ -92,14 +91,13 @@ func run() error {
 		Capacity: capacity,
 		// Across live reshards the cache keeps holding the same
 		// fraction of whatever it currently owns.
-		ReshardCapacity:  cache.FractionalCapacity(*cacheFrac),
-		Scale:            netproto.PayloadScale{BytesPerGB: *bytesPerGB},
-		Resolver:         resolver,
-		ResolverGrow:     resolverGrow,
-		DataDir:          *dataDir,
-		SnapshotInterval: *snapEvery,
-		MetricsAddr:      *metricsAddr,
-		Logf:             log.Printf,
+		ReshardCapacity: cache.FractionalCapacity(*cacheFrac),
+		Scale:           netproto.PayloadScale{BytesPerGB: *bytesPerGB},
+		Resolver:        resolver,
+		ResolverGrow:    resolverGrow,
+		DataDir:         *dataDir,
+		MetricsAddr:     *metricsAddr,
+		Logf:            log.Printf,
 	})
 	if err != nil {
 		return err

@@ -114,7 +114,7 @@ func run() error {
 			return err
 		}
 	case *demo > 0:
-		if err := runDemo(ctx, cl, survey, *demo, *workers, start); err != nil {
+		if err := runDemo(ctx, os.Stdout, cl, survey, *demo, *workers, start); err != nil {
 			return err
 		}
 		printLatency(demoLat)
@@ -337,62 +337,74 @@ func runSQL(ctx context.Context, cl *client.Client, survey *catalog.Survey, sql 
 	return nil
 }
 
-func runDemo(ctx context.Context, cl *client.Client, survey *catalog.Survey, n, workers int, start time.Time) error {
-	if workers < 1 {
-		workers = 1
-	}
-	// The first error cancels the shared context so the producer and
-	// the in-flight queries abort instead of grinding through the
-	// rest of the demo one timeout at a time.
+// fanOut submits the queries produce sends over workers concurrent
+// submitters and counts the answers, and those answered at the cache.
+// The first failure, a query's or produce's own, cancels the shared
+// context, so produce (which watches it) and the in-flight queries stop
+// instead of grinding through the rest one timeout at a time.
+func fanOut(ctx context.Context, cl *client.Client, workers int,
+	produce func(ctx context.Context, send func(model.Query)) error) (answered, atCache int64, err error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		atCache atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstEr error
+		answers, hits atomic.Int64
+		wg            sync.WaitGroup
+		errOnce       sync.Once
+		firstErr      error
 	)
+	fail := func(err error) { errOnce.Do(func() { firstErr = err; cancel() }) }
+	workers = max(workers, 1)
 	queries := make(chan model.Query)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for q := range queries {
 				res, err := cl.Query(ctx, q)
 				if err != nil {
-					errOnce.Do(func() { firstEr = err; cancel() })
+					fail(err)
 					continue
 				}
+				answers.Add(1)
 				if res.Source == "cache" {
-					atCache.Add(1)
+					hits.Add(1)
 				}
 			}
 		}()
 	}
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	for i := 0; i < n && ctx.Err() == nil; i++ {
-		pos := survey.SamplePosition(rng)
-		ra, dec := pos.RADec()
-		radius := 0.3 + rng.Float64()*2
-		sql := fmt.Sprintf(
-			"SELECT objID, ra, dec, r FROM PhotoObj WHERE CONTAINS(POINT(%.3f, %.3f), CIRCLE(%.3f, %.3f, %.3f))",
-			ra, dec, ra, dec, radius)
-		_, q, err := sqlmini.Compile(sql, survey)
-		if err != nil {
-			close(queries)
-			wg.Wait()
-			return err
-		}
-		q.Time = time.Since(start)
-		queries <- *q
+	if err := produce(ctx, func(q model.Query) { queries <- q }); err != nil {
+		fail(err)
 	}
 	close(queries)
 	wg.Wait()
-	if firstEr != nil {
-		return firstEr
+	return answers.Load(), hits.Load(), firstErr
+}
+
+// runDemo submits n random cone queries, each compiled from SQL.
+func runDemo(ctx context.Context, w io.Writer, cl *client.Client, survey *catalog.Survey, n, workers int, start time.Time) error {
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	answered, atCache, err := fanOut(ctx, cl, workers, func(ctx context.Context, send func(model.Query)) error {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			pos := survey.SamplePosition(rng)
+			ra, dec := pos.RADec()
+			radius := 0.3 + rng.Float64()*2
+			sql := fmt.Sprintf(
+				"SELECT objID, ra, dec, r FROM PhotoObj WHERE CONTAINS(POINT(%.3f, %.3f), CIRCLE(%.3f, %.3f, %.3f))",
+				ra, dec, ra, dec, radius)
+			_, q, err := sqlmini.Compile(sql, survey)
+			if err != nil {
+				return err
+			}
+			q.Time = time.Since(start)
+			send(*q)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	fmt.Printf("demo: %d queries via %d workers, %d answered at cache\n",
-		n, workers, atCache.Load())
+	fmt.Fprintf(w, "demo: %d queries via %d workers, %d answered at cache\n",
+		answered, max(workers, 1), atCache)
 	return nil
 }
 
@@ -412,65 +424,32 @@ func runScenario(ctx context.Context, cl *client.Client, survey *catalog.Survey,
 	if err != nil {
 		return err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		atCache atomic.Int64
-		sent    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstEr error
-	)
-	queries := make(chan *model.Query, 4*workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for q := range queries {
-				res, err := cl.Query(ctx, *q)
-				if err != nil {
-					errOnce.Do(func() { firstEr = err; cancel() })
-					continue
-				}
-				sent.Add(1)
-				if res.Source == "cache" {
-					atCache.Add(1)
-				}
-			}
-		}()
-	}
 	var births, skippedUpdates int
 	start := time.Now()
-	for i := range events {
-		if ctx.Err() != nil {
-			break
-		}
-		switch ev := &events[i]; ev.Kind {
-		case model.EventQuery:
-			queries <- ev.Query
-		case model.EventUpdate:
-			skippedUpdates++
-		case model.EventBirth:
-			if _, err := cl.AddObjects(ctx, []model.Birth{*ev.Birth}); err != nil {
-				errOnce.Do(func() { firstEr = err; cancel() })
-			} else {
+	sent, atCache, err := fanOut(ctx, cl, workers, func(ctx context.Context, send func(model.Query)) error {
+		for i := 0; i < len(events) && ctx.Err() == nil; i++ {
+			switch ev := &events[i]; ev.Kind {
+			case model.EventQuery:
+				send(*ev.Query)
+			case model.EventUpdate:
+				skippedUpdates++
+			case model.EventBirth:
+				if _, err := cl.AddObjects(ctx, []model.Birth{*ev.Birth}); err != nil {
+					return err
+				}
 				births++
 			}
 		}
-	}
-	close(queries)
-	wg.Wait()
-	if firstEr != nil {
-		return fmt.Errorf("scenario %s: %w", name, firstEr)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("scenario %s: %w", name, err)
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("scenario %s: %d queries via %d workers in %v (%.0f q/s), %d answered at cache (%.1f%%), %d births published, %d repository-side updates skipped\n",
-		name, sent.Load(), workers, elapsed.Round(time.Millisecond),
-		float64(sent.Load())/elapsed.Seconds(), atCache.Load(),
-		100*float64(atCache.Load())/float64(max(sent.Load(), 1)),
+		name, sent, max(workers, 1), elapsed.Round(time.Millisecond),
+		float64(sent)/elapsed.Seconds(), atCache,
+		100*float64(atCache)/float64(max(sent, 1)),
 		births, skippedUpdates)
 	return nil
 }

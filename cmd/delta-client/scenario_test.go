@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/client"
@@ -19,38 +22,13 @@ import (
 // stream the client-side replay can't serve (e.g. a query referencing
 // an unpublished newborn).
 func TestRunScenarioSmoke(t *testing.T) {
-	cfg := catalog.DefaultConfig()
-	survey, err := catalog.NewSurvey(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, err := server.New(server.Config{Survey: survey, Scale: netproto.PayloadScale{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer repo.Close()
-	lc, err := cluster.SpawnLocal(cluster.LocalConfig{
-		RepoAddr: repo.Addr(),
-		Objects:  survey.Objects(),
-		Shards:   2,
-		Mode:     cluster.HTMAware,
+	survey, cl := dialLocalCluster(t, cluster.LocalConfig{
+		Shards: 2,
+		Mode:   cluster.HTMAware,
 		// Headroom for growth-spurt births: newborns stay cacheable.
-		ShardCapacity: 2 * cfg.TotalSize,
+		ShardCapacity: 2 * catalog.DefaultConfig().TotalSize,
 		Scale:         netproto.PayloadScale{},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	cl, err := client.Dial(lc.Router.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
 	scenarios := workload.Scenarios()
 	if len(scenarios) == 0 {
 		t.Fatal("no registered scenarios")
@@ -77,4 +55,49 @@ func TestRunScenarioUnknown(t *testing.T) {
 	if err := runScenario(context.Background(), nil, survey, "no-such-scenario", 8, 0, 1); err == nil {
 		t.Fatal("expected an error for an unknown scenario name")
 	}
+}
+
+// TestRunDemoSmoke drives the -demo path: random cone queries compiled
+// from SQL, fanned out over four workers, every one answered and
+// counted in the summary line.
+func TestRunDemoSmoke(t *testing.T) {
+	survey, cl := dialLocalCluster(t, cluster.LocalConfig{Shards: 2, Mode: cluster.HTMAware, Scale: netproto.PayloadScale{}})
+	var out bytes.Buffer
+	if err := runDemo(context.Background(), &out, cl, survey, 20, 4, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if want := "demo: 20 queries via 4 workers"; !strings.HasPrefix(out.String(), want) {
+		t.Errorf("summary = %q, want it to start %q", out.String(), want)
+	}
+}
+
+// dialLocalCluster starts a repository over the default survey and a
+// SpawnLocal cluster over it (cfg's RepoAddr and Objects filled in), and
+// returns the survey and a client of the cluster's router.
+func dialLocalCluster(t *testing.T, cfg cluster.LocalConfig) (*catalog.Survey, *client.Client) {
+	t.Helper()
+	survey, err := catalog.NewSurvey(catalog.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := server.New(server.Config{Survey: survey, Scale: netproto.PayloadScale{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { repo.Close() })
+	cfg.RepoAddr, cfg.Objects = repo.Addr(), survey.Objects()
+	lc, err := cluster.SpawnLocal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	cl, err := client.Dial(lc.Router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return survey, cl
 }

@@ -39,7 +39,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/cluster"
@@ -61,7 +60,6 @@ func run() error {
 		modeName  = flag.String("mode", "htm", "ownership mode: htm|rendezvous")
 		objects   = flag.Int("objects", 68, "number of data objects (must match the deployment; the shards check)")
 		seed      = flag.Int64("seed", 2, "survey seed (must match the deployment; the shards check)")
-		dialRetry = flag.Duration("dial-retry", 5*time.Second, "how long to retry refused shard dials (startup race)")
 		metrics   = flag.String("metrics-addr", "", "debug HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof (empty = off)")
 		replicas  = flag.Int("replicas", 1, "replication factor K: how many shards hold each object")
 		hedge     = flag.Bool("hedge", false, "enable hedged reads: re-scatter a slow fragment to the next replicas after the hedge delay (needs -replicas >= 2)")
@@ -99,7 +97,6 @@ func run() error {
 		Shards:          addrs,
 		Ownership:       own,
 		RepoAddr:        *repoAddr,
-		DialRetry:       *dialRetry,
 		ResultCacheSize: *resSize,
 		Resolver:        survey.CoverCap,
 		// Keep the resolver survey extending with live births, so

@@ -35,7 +35,6 @@ func run() error {
 		pipelineRate = flag.Duration("pipeline-rate", 0, "feed one synthetic update per interval (0 = off)")
 		bytesPerGB   = flag.Int64("bytes-per-gb", 4096, "physical payload bytes per logical GB")
 		dataDir      = flag.String("data-dir", "", "directory for grown-universe snapshots and the birth journal; restarts recover births from it (empty = no persistence)")
-		snapEvery    = flag.Duration("snapshot-interval", 0, "periodic snapshot interval with -data-dir (0 = 30s default)")
 		metricsAddr  = flag.String("metrics-addr", "", "debug HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof (empty = off)")
 	)
 	flag.Parse()
@@ -48,13 +47,12 @@ func run() error {
 		return err
 	}
 	repo, err := server.New(server.Config{
-		Addr:             *addr,
-		Survey:           survey,
-		Scale:            netproto.PayloadScale{BytesPerGB: *bytesPerGB},
-		DataDir:          *dataDir,
-		SnapshotInterval: *snapEvery,
-		MetricsAddr:      *metricsAddr,
-		Logf:             log.Printf,
+		Addr:        *addr,
+		Survey:      survey,
+		Scale:       netproto.PayloadScale{BytesPerGB: *bytesPerGB},
+		DataDir:     *dataDir,
+		MetricsAddr: *metricsAddr,
+		Logf:        log.Printf,
 	})
 	if err != nil {
 		return err

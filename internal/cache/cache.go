@@ -93,15 +93,12 @@ type Config struct {
 	ResolverGrow func([]model.Birth) error
 	// DataDir, when set, enables the durability layer (internal/persist):
 	// the node journals births and admission/eviction decisions, writes
-	// periodic snapshots of its births and residents, and on startup
-	// replays snapshot+journal to rejoin warm, in core.Shard's recovery
-	// order. Empty disables persistence.
+	// a snapshot of its births and residents every node.DefaultInterval
+	// (and after every reshard and on Close, so the interval only bounds
+	// how much journal a crash replays), and on startup replays
+	// snapshot+journal to rejoin warm, in core.Shard's recovery order.
+	// Empty disables persistence.
 	DataDir string
-	// SnapshotInterval paces the periodic snapshot loop when DataDir is
-	// set (0 = 30s default). Snapshots are also written after every
-	// reshard and on Close, so the interval only bounds how much journal
-	// a crash replays.
-	SnapshotInterval time.Duration
 	// MetricsAddr, when set, binds the node's debug HTTP endpoint
 	// (/metrics, /healthz, /debug/traces, /debug/pprof) on Start — the
 	// -metrics-addr flag. Empty disables the listener; metrics and
@@ -170,11 +167,6 @@ type pendingLoad struct {
 // frames of this many, which keeps each reply (object metadata plus a
 // payload capped at MaxFrame/2) under netproto.MaxFrame.
 const maxLoadBatch = 1024
-
-// repoDialRetry is how long New keeps retrying a refused repository
-// connection, with backoff: a cache often starts alongside its
-// repository.
-const repoDialRetry = 5 * time.Second
 
 // repoPool is how many multiplexed connections back the repository session.
 const repoPool = 2
@@ -301,7 +293,7 @@ func New(cfg Config) (*Middleware, error) {
 	}
 
 	// Multiplexed request/response session to the repository.
-	dial := netproto.SessionConfig{PoolSize: repoPool, DialRetry: repoDialRetry}
+	dial := netproto.SessionConfig{PoolSize: repoPool, DialRetry: netproto.StartupDialRetry}
 	sess, err := netproto.DialSession(cfg.RepoAddr, "cache", dial)
 	if err != nil {
 		m.closeStore()
@@ -333,7 +325,7 @@ func New(cfg Config) (*Middleware, error) {
 		// snapshot on their own, and Close lands a final one, so a clean
 		// shutdown (SIGTERM included) never loses warmth to the journal
 		// window.
-		m.Every(cfg.SnapshotInterval, m.snapshotNow)
+		m.Every(m.snapshotNow)
 		m.Final = func() error {
 			m.snapshotNow()
 			return m.store.Close()

@@ -315,19 +315,12 @@ func TestServerRejectsUnknownRole(t *testing.T) {
 	}
 }
 
+// TestPipelineOverNetwork: an update the pipeline applies at the
+// repository crosses the network to a replica — its notice on the
+// invalidation stream, then the shipped update.
 func TestPipelineOverNetwork(t *testing.T) {
 	d := startDeployment(t, core.NewReplica())
-	c, err := netproto.DialConn(d.repo.Addr(), "pipeline", netproto.SessionConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Send(netproto.Frame{Type: netproto.MsgUpdateFeed, Body: netproto.UpdateFeedMsg{
-		Update: model.Update{ID: 42, Object: 2, Cost: 7 * cost.MB, Time: time.Second},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	// The update reaches the repository and is pushed to the replica.
+	d.repo.ApplyUpdate(model.Update{ID: 42, Object: 2, Cost: 7 * cost.MB, Time: time.Second})
 	waitFor(t, func() bool { return d.mw.Ledger().UpdateShip == 7*cost.MB })
 }
 

@@ -70,10 +70,9 @@ func TestWarmRestartStandalone(t *testing.T) {
 			Objects:  base,
 			Capacity: 20 * cost.GB,
 			Scale:    netproto.PayloadScale{},
-			DataDir:  dir,
-			// Rely on the Close flush (the satellite contract under
-			// test), not the periodic loop.
-			SnapshotInterval: time.Hour,
+			// The test outlasts no snapshot period (node.DefaultInterval):
+			// what it checks is the Close flush.
+			DataDir: dir,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -246,13 +245,12 @@ func TestRestartFromTornJournal(t *testing.T) {
 	spawn := func(dir string) *cache.Middleware {
 		t.Helper()
 		mw, err := cache.New(cache.Config{
-			RepoAddr:         repo.Addr(),
-			Policy:           core.NewVCover(core.DefaultVCoverConfig()),
-			Objects:          base,
-			Capacity:         20 * cost.GB,
-			Scale:            netproto.PayloadScale{},
-			DataDir:          dir,
-			SnapshotInterval: time.Hour,
+			RepoAddr: repo.Addr(),
+			Policy:   core.NewVCover(core.DefaultVCoverConfig()),
+			Objects:  base,
+			Capacity: 20 * cost.GB,
+			Scale:    netproto.PayloadScale{},
+			DataDir:  dir,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -321,13 +319,12 @@ func TestSnapshotSizeIndependentOfSurvey(t *testing.T) {
 		survey, repo := startPersistRepo(t, n)
 		dir := t.TempDir()
 		mw, err := cache.New(cache.Config{
-			RepoAddr:         repo.Addr(),
-			Policy:           core.NewNoCache(),
-			Objects:          survey.Objects(),
-			Capacity:         cost.GB,
-			Scale:            netproto.PayloadScale{},
-			DataDir:          dir,
-			SnapshotInterval: time.Hour,
+			RepoAddr: repo.Addr(),
+			Policy:   core.NewNoCache(),
+			Objects:  survey.Objects(),
+			Capacity: cost.GB,
+			Scale:    netproto.PayloadScale{},
+			DataDir:  dir,
 		})
 		if err != nil {
 			t.Fatal(err)

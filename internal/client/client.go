@@ -26,7 +26,6 @@ type Option func(*options)
 
 type options struct {
 	poolSize       int
-	dialTimeout    time.Duration
 	requestTimeout time.Duration
 	dialRetry      time.Duration
 	trace          bool
@@ -36,9 +35,6 @@ type options struct {
 // WithPoolSize sets how many connections back the session (default 1;
 // each connection multiplexes, so small values go far).
 func WithPoolSize(n int) Option { return func(o *options) { o.poolSize = n } }
-
-// WithDialTimeout bounds each connection attempt (default 5s).
-func WithDialTimeout(d time.Duration) Option { return func(o *options) { o.dialTimeout = d } }
 
 // WithDialRetry keeps retrying a refused connection for up to d with
 // capped exponential backoff and jitter, riding out the startup race
@@ -88,9 +84,8 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		opt(&o)
 	}
 	sess, err := netproto.DialSession(addr, "client", netproto.SessionConfig{
-		PoolSize:    o.poolSize,
-		DialTimeout: o.dialTimeout,
-		DialRetry:   max(o.dialRetry, 0),
+		PoolSize:  o.poolSize,
+		DialRetry: max(o.dialRetry, 0),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)

@@ -47,7 +47,7 @@ type scriptedCluster struct {
 func newScriptedCluster(t *testing.T, own *Ownership, scripts []script, mutate func(*Config)) *scriptedCluster {
 	t.Helper()
 	sc := &scriptedCluster{scripts: scripts, asked: make([][]ask, len(scripts))}
-	cfg := Config{Ownership: own, DialRetry: -1}
+	cfg := Config{Ownership: own}
 	for i := range scripts {
 		n := node.New("scripted shard", "", "", t.Logf, func(f netproto.Frame) netproto.Frame {
 			return sc.react(i, f)

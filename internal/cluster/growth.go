@@ -43,7 +43,7 @@ import (
 // when Config.RepoAddr is set.
 func (r *Router) subscribeInvalidations() error {
 	_, err := r.Subscribe(r.cfg.RepoAddr, netproto.SessionConfig{
-		DialRetry: max(r.cfg.DialRetry, 0),
+		DialRetry: netproto.StartupDialRetry,
 	}, node.StreamHandler{
 		Frame: func(f netproto.Frame) {
 			switch body := f.Body.(type) {

@@ -69,7 +69,7 @@ func TestNewRouterRefusesAnotherSurvey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(Config{Shards: []string{shard.Addr()}, Ownership: routerOwn, DialRetry: -1})
+	r, err := NewRouter(Config{Shards: []string{shard.Addr()}, Ownership: routerOwn})
 	if err == nil {
 		r.Close()
 		t.Fatal("NewRouter over a shard built from another survey succeeded")

@@ -186,16 +186,14 @@ func TestNodeLifecycle(t *testing.T) {
 			waitUntil(t, "every query reaches the repository", func() bool { return backend.Stats().Queries == inFlight })
 			return []*netproto.Conn{c}
 		}},
-		{name: "subscriber-and-feeder", only: "repository", peers: func(t *testing.T, addr string, _ *server.Repository) []*netproto.Conn {
-			sub, feed := dialPeer(t, addr, "invalidations"), dialPeer(t, addr, "pipeline")
-			u := model.Update{ID: 1, Object: 1, Cost: cost.KB, Time: time.Second}
-			if err := feed.Send(netproto.Frame{Type: netproto.MsgUpdateFeed, Body: netproto.UpdateFeedMsg{Update: u}}); err != nil {
-				t.Fatal(err)
-			}
+		// The feeder is the in-process pipeline: ApplyUpdate.
+		{name: "subscriber-and-feeder", only: "repository", peers: func(t *testing.T, addr string, repo *server.Repository) []*netproto.Conn {
+			sub := dialPeer(t, addr, "invalidations")
+			repo.ApplyUpdate(model.Update{ID: 1, Object: 1, Cost: cost.KB, Time: time.Second})
 			if f, err := sub.Recv(); err != nil || f.Type != netproto.MsgInvalidate {
 				t.Fatalf("subscriber received %s, %v; want the fed update's notice", f.Type, err)
 			}
-			return []*netproto.Conn{sub, feed}
+			return []*netproto.Conn{sub}
 		}},
 	}
 	for _, kind := range nodeKinds {

@@ -33,7 +33,7 @@ type restartCluster struct {
 
 // spawnRestartCluster stands up a repository plus a 3-shard cluster
 // over nBase equal-sized objects. When dataDir is non-empty every
-// shard persists to dataDir/shard-<i> on a fast snapshot cadence.
+// shard persists to dataDir/shard-<i>.
 func spawnRestartCluster(t *testing.T, nBase int, dataDir string) *restartCluster {
 	t.Helper()
 	repoSurvey, err := catalog.NewSurvey(growthSurveyConfig(nBase))
@@ -63,7 +63,6 @@ func spawnRestartCluster(t *testing.T, nBase int, dataDir string) *restartCluste
 		cfg.ShardDataDir = func(s int) string {
 			return filepath.Join(dataDir, fmt.Sprintf("shard-%d", s))
 		}
-		cfg.SnapshotInterval = 50 * time.Millisecond
 	}
 	lc, err := cluster.SpawnLocal(cfg)
 	if err != nil {

@@ -37,10 +37,6 @@ type Config struct {
 	// accepts birth publications from clients, forwarding them to the
 	// repository. Empty disables growth at this router.
 	RepoAddr string
-	// DialRetry keeps retrying refused shard connections for this
-	// long (a router typically starts alongside its shards). Defaults
-	// to 2s; negative disables.
-	DialRetry time.Duration
 	// Resolver maps a sky cap to the object IDs whose partitions may
 	// intersect it (typically catalog.Survey.CoverCap). When set,
 	// client queries arriving with a SkyRegion instead of an object
@@ -180,8 +176,8 @@ type shardLink struct {
 // NewRouter connects a router to its shards and installs the initial
 // ownership on them: the widen reshard a resize runs, at epoch 0 with no
 // warm lists, so a shard owns exactly what this router routes to it.
-// Every shard must be dialable (after DialRetry's grace for startup
-// races) and must take the reshard; a shard whose metadata disagrees
+// Every shard must be dialable (after netproto.StartupDialRetry's grace
+// for startup races) and must take the reshard; a shard whose metadata disagrees
 // with the router's universe refuses it, and NewRouter fails.
 func NewRouter(cfg Config) (*Router, error) {
 	if err := checkShardAddrs(cfg.Shards); err != nil {
@@ -193,9 +189,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Ownership.Shards() != len(cfg.Shards) {
 		return nil, fmt.Errorf("cluster: ownership spans %d shards, router fronts %d",
 			cfg.Ownership.Shards(), len(cfg.Shards))
-	}
-	if cfg.DialRetry == 0 {
-		cfg.DialRetry = 2 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -278,7 +271,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	r.status = netproto.RebalanceStatusMsg{Phase: "idle", From: len(cfg.Shards), To: len(cfg.Shards)}
 	if cfg.RepoAddr != "" {
 		repo, err := netproto.DialSession(cfg.RepoAddr, "client", netproto.SessionConfig{
-			DialRetry: max(cfg.DialRetry, 0),
+			DialRetry: netproto.StartupDialRetry,
 		})
 		if err != nil {
 			r.closeLinks()
@@ -341,7 +334,7 @@ func (r *Router) dialLink(addr string, index int) (*shardLink, error) {
 	r.linksMu.Unlock()
 	sess, err := netproto.DialSession(addr, "client", netproto.SessionConfig{
 		PoolSize:  shardPool,
-		DialRetry: max(r.cfg.DialRetry, 0),
+		DialRetry: netproto.StartupDialRetry,
 	})
 	if err != nil {
 		return nil, err

@@ -61,9 +61,6 @@ type LocalConfig struct {
 	// RestartShard respawns a shard from its directory and the recovered
 	// residents rejoin warm. Return "" to leave a shard ephemeral.
 	ShardDataDir func(shard int) string
-	// SnapshotInterval paces each persistent shard's snapshot loop
-	// (cache.Config.SnapshotInterval).
-	SnapshotInterval time.Duration
 	// Logf logs events; nil silences.
 	Logf func(format string, args ...any)
 }
@@ -150,16 +147,15 @@ func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, er
 		dataDir = cfg.ShardDataDir(s)
 	}
 	mw, err := cache.New(cache.Config{
-		RepoAddr:         cfg.RepoAddr,
-		Policy:           policy,
-		Objects:          universe,
-		Shard:            true,
-		Capacity:         cfg.ShardCapacity,
-		ReshardCapacity:  reshardCapacity,
-		Scale:            cfg.Scale,
-		DataDir:          dataDir,
-		SnapshotInterval: cfg.SnapshotInterval,
-		Logf:             cfg.Logf,
+		RepoAddr:        cfg.RepoAddr,
+		Policy:          policy,
+		Objects:         universe,
+		Shard:           true,
+		Capacity:        cfg.ShardCapacity,
+		ReshardCapacity: reshardCapacity,
+		Scale:           cfg.Scale,
+		DataDir:         dataDir,
+		Logf:            cfg.Logf,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard %d: %w", s, err)

@@ -442,10 +442,6 @@ func walkBody(c *Cursor, t MsgType, body any) (any, bool) {
 			}
 		}
 		return decoded(c, &b), ok
-	case MsgUpdateFeed:
-		b, ok := body.(UpdateFeedMsg)
-		walkUpdate(c, &b.Update)
-		return decoded(c, &b), ok
 	case MsgShipUpdates:
 		b, ok := body.(ShipUpdatesMsg)
 		IDs(c, &b.IDs)

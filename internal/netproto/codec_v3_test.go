@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
@@ -88,7 +89,6 @@ var quickBodies = []struct {
 	{MsgHelloAck, HelloAck{}},
 	{MsgQuery, QueryMsg{}},
 	{MsgQueryResult, QueryResultMsg{}},
-	{MsgUpdateFeed, UpdateFeedMsg{}},
 	{MsgShipUpdates, ShipUpdatesMsg{}},
 	{MsgUpdates, UpdatesMsg{}},
 	{MsgLoadObject, LoadObjectMsg{}},
@@ -261,18 +261,22 @@ func TestV3RejectsUnknownBody(t *testing.T) {
 	}
 }
 
-// TestV3ReservedTypeRejected pins slot 14 of the MsgType iota as
-// reserved: the types after it keep their bytes, and a frame of type 14
-// fails to decode.
+// TestV3ReservedTypeRejected pins slots 3 and 14 of the MsgType iota as
+// reserved: the types around them keep their bytes, and a frame of
+// either type fails to decode.
 func TestV3ReservedTypeRejected(t *testing.T) {
-	if MsgShardQuery != 13 || MsgAdminResize != 15 || MsgBirthGrant != 19 {
-		t.Errorf("frame types moved: shard-query=%d admin-resize=%d birth-grant=%d, want 13, 15, 19",
-			MsgShardQuery, MsgAdminResize, MsgBirthGrant)
+	if MsgQueryResult != 2 || MsgShipUpdates != 4 || MsgShardQuery != 13 ||
+		MsgAdminResize != 15 || MsgBirthGrant != 19 {
+		t.Errorf("frame types moved: query-result=%d ship-updates=%d shard-query=%d admin-resize=%d birth-grant=%d, want 2, 4, 13, 15, 19",
+			MsgQueryResult, MsgShipUpdates, MsgShardQuery, MsgAdminResize, MsgBirthGrant)
 	}
-	// Length 2: type 14, request ID 0, no body.
-	c := NewConn(readWriter{bytes.NewReader([]byte{2, 0, 0, 0, 14, 0})})
-	if _, err := c.Recv(); err == nil || !strings.Contains(err.Error(), "unknown frame type 14") {
-		t.Errorf("type-14 frame: err = %v, want unknown frame type 14", err)
+	for _, typ := range []byte{3, 14} {
+		// Length 2: the type, request ID 0, no body.
+		c := NewConn(readWriter{bytes.NewReader([]byte{2, 0, 0, 0, typ, 0})})
+		want := fmt.Sprintf("unknown frame type %d", typ)
+		if _, err := c.Recv(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("type-%d frame: err = %v, want %s", typ, err, want)
+		}
 	}
 }
 

@@ -148,9 +148,8 @@ const (
 	MsgQuery MsgType = iota + 1
 	// MsgQueryResult returns a query's result.
 	MsgQueryResult
-	// MsgUpdateFeed pushes an update into the repository (data
-	// pipeline → repository).
-	MsgUpdateFeed
+	// Slot 3 is reserved, so that every later type keeps its byte.
+	_
 	// MsgShipUpdates requests outstanding updates by ID (cache →
 	// repository).
 	MsgShipUpdates
@@ -188,7 +187,7 @@ const (
 	// (router → shard).
 	MsgReshard
 	// MsgObjectBirth carries newly published data objects. It is both
-	// the ingestion request (client/pipeline → cache/router → repository,
+	// the ingestion request (client → cache/router → repository,
 	// replied to with the accepted count) and the announcement the
 	// repository broadcasts on the invalidation stream so caches and
 	// routers extend their universes live.
@@ -205,8 +204,8 @@ const (
 // msgNames is indexed by MsgType.
 var msgNames = [...]string{
 	MsgQuery: "query", MsgQueryResult: "query-result",
-	MsgUpdateFeed: "update-feed", MsgShipUpdates: "ship-updates",
-	MsgUpdates: "updates", MsgLoadObject: "load-object",
+	MsgShipUpdates: "ship-updates",
+	MsgUpdates:     "updates", MsgLoadObject: "load-object",
 	MsgObjectData: "object-data", MsgInvalidate: "invalidate",
 	MsgStats: "stats", MsgError: "error",
 	MsgHello: "hello", MsgHelloAck: "hello-ack",
@@ -226,7 +225,7 @@ func (t MsgType) String() string {
 // Hello opens every connection: the dialer announces its role and
 // protocol version, then waits for a HelloAck.
 type Hello struct {
-	Role string // "cache", "client", "pipeline", "invalidations"
+	Role string // "cache", "client", "invalidations"
 	// Version is the protocol version the peer speaks (ProtoV3).
 	// Anything lower is refused.
 	Version int
@@ -340,11 +339,6 @@ type ResultRow struct {
 	RA    float64
 	Dec   float64
 	R     float64
-}
-
-// UpdateFeedMsg pushes one update into the repository.
-type UpdateFeedMsg struct {
-	Update model.Update
 }
 
 // ShipUpdatesMsg requests specific outstanding updates.

@@ -40,6 +40,12 @@ type SessionConfig struct {
 	DialRetry time.Duration
 }
 
+// StartupDialRetry is the DialRetry of every dial a node makes to a
+// peer that may be starting alongside it: a cache's repository session
+// and subscription, a router's shard links, repository session and
+// subscription.
+const StartupDialRetry = 5 * time.Second
+
 // Session is a concurrency-safe request/response channel to a Delta
 // node. It multiplexes: every request gets a fresh RequestID, requests
 // round-robin across a small connection pool, a per-connection reader

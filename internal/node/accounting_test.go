@@ -14,7 +14,7 @@ import (
 // each ledger family reads its mechanism's bytes or transfers at scrape
 // time, and the durability gauges read the store, 0 without one.
 func TestExposeAccounting(t *testing.T) {
-	store, err := persist.Open(persist.Options{Dir: t.TempDir(), FsyncInterval: -1})
+	store, err := persist.Open(persist.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,9 @@ import (
 	"github.com/deltacache/delta/internal/persist"
 )
 
-// DefaultInterval is Every's period when the caller has none (both
-// persistent roles' snapshot cadence). A failed Accept is retried after
-// acceptBackoffMin, doubling up to acceptBackoffMax, as net/http does.
+// DefaultInterval is Every's period: both persistent roles' snapshot
+// cadence. A failed Accept is retried after acceptBackoffMin, doubling
+// up to acceptBackoffMax, as net/http does.
 const (
 	DefaultInterval                    = 30 * time.Second
 	acceptBackoffMin, acceptBackoffMax = 5 * time.Millisecond, time.Second
@@ -101,17 +101,14 @@ func (n *Node) Go(loop func()) {
 	go func() { defer n.wg.Done(); loop() }()
 }
 
-// Every runs task every interval (DefaultInterval if not positive) until Close.
-func (n *Node) Every(interval time.Duration, task func()) {
-	if interval <= 0 {
-		interval = DefaultInterval
-	}
+// Every runs task every DefaultInterval until Close.
+func (n *Node) Every(task func()) {
 	n.Go(func() {
 		for {
 			select {
 			case <-n.stop:
 				return
-			case <-time.After(interval):
+			case <-time.After(DefaultInterval):
 				task()
 			}
 		}

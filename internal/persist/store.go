@@ -36,9 +36,6 @@ const fsyncBatchRecords = 256
 type Options struct {
 	// Dir is the store directory; created if absent.
 	Dir string
-	// FsyncInterval overrides the journal fsync batching window
-	// (0 = DefaultFsyncInterval; negative syncs every append).
-	FsyncInterval time.Duration
 	// Logf logs recovery events (torn tails, ignored journals); nil
 	// silences.
 	Logf func(format string, args ...any)
@@ -74,9 +71,6 @@ type Store struct {
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("persist: store directory required")
-	}
-	if opts.FsyncInterval == 0 {
-		opts.FsyncInterval = DefaultFsyncInterval
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
@@ -324,7 +318,7 @@ func (s *Store) append(typ byte, payload []byte) error {
 	s.records.Add(1)
 	s.pending++
 	s.dirty = true
-	if s.opts.FsyncInterval < 0 || s.pending >= fsyncBatchRecords {
+	if s.pending >= fsyncBatchRecords {
 		return s.syncJournalLocked()
 	}
 	select {
@@ -354,12 +348,8 @@ func (s *Store) syncJournalLocked() error {
 // batch, sleeps the batching window, and syncs whatever accumulated.
 func (s *Store) flushLoop() {
 	defer close(s.flushDone)
-	interval := s.opts.FsyncInterval
-	if interval <= 0 {
-		interval = DefaultFsyncInterval
-	}
 	for range s.flushWake {
-		time.Sleep(interval)
+		time.Sleep(DefaultFsyncInterval)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()

@@ -1,8 +1,8 @@
 // Package server implements the repository node: it owns the survey's
-// data objects, ingests the update pipeline, and serves the three
-// data-communication mechanisms to the middleware cache — query
-// execution, update shipping and object loading — over the netproto wire
-// protocol. Caches additionally subscribe to an invalidation stream that
+// data objects, applies the updates its in-process pipeline hands it
+// (ApplyUpdate), and serves the three data-communication mechanisms to
+// the middleware cache — query execution, update shipping and object
+// loading — over the netproto wire protocol. Caches additionally subscribe to an invalidation stream that
 // carries update notices (control plane, not charged as traffic, per
 // Section 3's invalidation model).
 //
@@ -38,11 +38,9 @@ type Config struct {
 	// DataDir, when set, makes repository growth durable: ingested
 	// births are journaled and snapshotted (internal/persist), and New
 	// replays them into the survey so the grown universe survives
-	// restarts. Empty disables persistence.
+	// restarts: a snapshot every node.DefaultInterval and one more on
+	// Close. Empty disables persistence.
 	DataDir string
-	// SnapshotInterval paces the periodic snapshot loop when DataDir is
-	// set (0 = 30s default); Close also snapshots.
-	SnapshotInterval time.Duration
 	// MetricsAddr, when set, binds the node's debug HTTP endpoint
 	// (/metrics, /healthz, /debug/traces, /debug/pprof) on Start —
 	// the -metrics-addr flag. Empty disables the listener; metrics and
@@ -142,7 +140,6 @@ func New(cfg Config) (*Repository, error) {
 	r.Node = node.New("repository", cfg.Addr, cfg.MetricsAddr, cfg.Logf, r.handleRequest)
 	r.Roles = map[string]node.Serve{
 		"invalidations": r.serveInvalidations,
-		"pipeline":      r.servePipeline,
 		"cache":         nil, // request/reply over handleRequest
 		"client":        nil,
 	}
@@ -206,7 +203,7 @@ func New(cfg Config) (*Repository, error) {
 			store.Close()
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		r.Every(cfg.SnapshotInterval, r.snapshot)
+		r.Every(r.snapshot)
 		r.Final = func() error {
 			r.snapshot()
 			return store.Close()
@@ -261,11 +258,11 @@ func (r *Repository) closeSubscribers() {
 	r.subscribers = nil
 }
 
-// ApplyUpdate ingests one pipeline update directly (the in-process
-// pipeline path used by tests and the simulator bridge; the network path
-// arrives via MsgUpdateFeed). This is the stream's one broadcast point
-// for notices: each goes to the subscribers whose filter passes its
-// object.
+// ApplyUpdate ingests one pipeline update. It is the only way an update
+// enters the repository: the pipeline runs in process (delta-server
+// -pipeline-rate, the benchmark's trace replay, tests), and no frame
+// carries updates in. This is the stream's one broadcast point for
+// notices: each goes to the subscribers whose filter passes its object.
 func (r *Repository) ApplyUpdate(u model.Update) {
 	f := netproto.Frame{Type: netproto.MsgInvalidate, Body: netproto.InvalidateMsg{Update: u}}
 	r.mu.Lock()
@@ -349,31 +346,6 @@ func (r *Repository) AddObjects(births []model.Birth) (int, error) {
 		}
 	}
 	return len(accepted), nil
-}
-
-func (r *Repository) servePipeline(c *netproto.Conn, hello netproto.Hello) error {
-	if _, err := netproto.ServeHandshake(c, hello, 0); err != nil {
-		return err
-	}
-	for {
-		f, err := c.Recv()
-		if err != nil {
-			return netproto.IgnoreClosed(err)
-		}
-		switch body := f.Body.(type) {
-		case netproto.UpdateFeedMsg:
-			r.ApplyUpdate(body.Update)
-		case netproto.ObjectBirthMsg:
-			// The pipeline publishes new objects on its one-way stream;
-			// ingest errors are logged, not replied (there is no reply
-			// path), and idempotent skips are silent.
-			if _, err := r.AddObjects(body.Births); err != nil {
-				r.cfg.Logf("pipeline births: %v", err)
-			}
-		default:
-			return fmt.Errorf("server: pipeline sent %s", f.Type)
-		}
-	}
 }
 
 // serveInvalidations registers the subscriber before acknowledging its
