@@ -177,8 +177,8 @@ type shardLink struct {
 // ownership on them: the widen reshard a resize runs, at epoch 0 with no
 // warm lists, so a shard owns exactly what this router routes to it.
 // Every shard must be dialable (after netproto.StartupDialRetry's grace
-// for startup races) and must take the reshard; a shard whose metadata disagrees
-// with the router's universe refuses it, and NewRouter fails.
+// for startup races) and must take the reshard; a shard whose metadata
+// disagrees with the router's universe refuses it, and NewRouter fails.
 func NewRouter(cfg Config) (*Router, error) {
 	if err := checkShardAddrs(cfg.Shards); err != nil {
 		return nil, err

@@ -187,10 +187,11 @@ const (
 	// (router → shard).
 	MsgReshard
 	// MsgObjectBirth carries newly published data objects. It is both
-	// the ingestion request (client → cache/router → repository,
-	// replied to with the accepted count) and the announcement the
-	// repository broadcasts on the invalidation stream so caches and
-	// routers extend their universes live.
+	// the ingestion request (client → cache, router or repository, the
+	// first two forwarding to the repository; replied to with the
+	// accepted count) and the announcement the repository broadcasts on
+	// the invalidation stream so caches and routers extend their
+	// universes live.
 	MsgObjectBirth
 	// MsgBirthGrant is the router→shard ownership grant for a batch of
 	// adopted births: one frame per shard per adoption round, however
@@ -204,11 +205,10 @@ const (
 // msgNames is indexed by MsgType.
 var msgNames = [...]string{
 	MsgQuery: "query", MsgQueryResult: "query-result",
-	MsgShipUpdates: "ship-updates",
-	MsgUpdates:     "updates", MsgLoadObject: "load-object",
-	MsgObjectData: "object-data", MsgInvalidate: "invalidate",
-	MsgStats: "stats", MsgError: "error",
-	MsgHello: "hello", MsgHelloAck: "hello-ack",
+	MsgShipUpdates: "ship-updates", MsgUpdates: "updates",
+	MsgLoadObject: "load-object", MsgObjectData: "object-data",
+	MsgInvalidate: "invalidate", MsgStats: "stats",
+	MsgError: "error", MsgHello: "hello", MsgHelloAck: "hello-ack",
 	MsgShardQuery: "shard-query", MsgAdminResize: "admin-resize",
 	MsgRebalanceStatus: "rebalance-status", MsgReshard: "reshard",
 	MsgObjectBirth: "object-birth", MsgBirthGrant: "birth-grant",
