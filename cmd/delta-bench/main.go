@@ -295,7 +295,7 @@ func window(opts experiments.Options, outdir string) error {
 		fmt.Println("| δ (events) | Benefit total traffic |")
 		fmt.Println("|---|---|")
 		for _, win := range []int{50, 200, 1000, 5000, 20000} {
-			res, err := s.RunOne(core.NewBenefit(core.BenefitConfig{Window: win, Alpha: 0.3, LoadAmortization: 16}))
+			res, err := s.RunOne(core.NewBenefit(core.BenefitConfig{Window: win}))
 			if err != nil {
 				return err
 			}

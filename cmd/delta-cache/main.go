@@ -15,8 +15,6 @@ import (
 	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/cost"
-	"github.com/deltacache/delta/internal/geom"
-	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
 )
 
@@ -35,7 +33,6 @@ func run() error {
 		objects     = flag.Int("objects", 68, "number of data objects (must match the repository)")
 		seed        = flag.Int64("seed", 2, "survey seed (must match the repository)")
 		cacheFrac   = flag.Float64("cache-frac", 0.3, "cache size as a fraction of what the node holds: the whole survey, or a shard's owned objects")
-		bytesPerGB  = flag.Int64("bytes-per-gb", 4096, "physical payload bytes per logical GB")
 		shard       = flag.Bool("shard", false, "run as a cluster shard: own nothing until the router's reshard says what to own")
 		dataDir     = flag.String("data-dir", "", "directory for warm-state snapshots and the decision journal; restarts rejoin warm from it (empty = no persistence)")
 		metricsAddr = flag.String("metrics-addr", "", "debug HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof (empty = off)")
@@ -57,22 +54,10 @@ func run() error {
 
 	// Region queries resolve only on a standalone cache: a cluster
 	// shard owns a subset of the sky, so regions must resolve at the
-	// router. The grow hook keeps the resolver survey extending with
-	// live births so region covers include newborns.
-	var (
-		resolver     func(geom.Cap) []model.ObjectID
-		resolverGrow func([]model.Birth) error
-	)
+	// router.
+	var regions *catalog.Survey
 	if !*shard {
-		resolver = survey.CoverCap
-		resolverGrow = func(births []model.Birth) error {
-			for _, b := range births {
-				if err := survey.AddObject(b); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+		regions = survey
 	}
 
 	// One instance for the node's whole life: a cluster resize changes
@@ -92,9 +77,8 @@ func run() error {
 		// Across live reshards the cache keeps holding the same
 		// fraction of whatever it currently owns.
 		ReshardCapacity: cache.FractionalCapacity(*cacheFrac),
-		Scale:           netproto.PayloadScale{BytesPerGB: *bytesPerGB},
-		Resolver:        resolver,
-		ResolverGrow:    resolverGrow,
+		Scale:           netproto.DefaultScale(),
+		Regions:         regions,
 		DataDir:         *dataDir,
 		MetricsAddr:     *metricsAddr,
 		Logf:            log.Printf,

@@ -94,7 +94,7 @@ func run() error {
 	var demoLat *obs.Histogram
 	if *demo > 0 || *scenario != "" {
 		demoLat = obs.NewRegistry().NewHistogram(
-			"client_query_seconds", "Client-observed query latency.", nil)
+			"client_query_seconds", "Client-observed query latency.")
 		opts = append(opts, client.WithQueryObserver(demoLat.Observe))
 	}
 	cl, err := client.Dial(*cacheAddr, opts...)

@@ -42,7 +42,6 @@ import (
 
 	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/cluster"
-	"github.com/deltacache/delta/internal/model"
 )
 
 func main() {
@@ -98,21 +97,11 @@ func run() error {
 		Ownership:       own,
 		RepoAddr:        *repoAddr,
 		ResultCacheSize: *resSize,
-		Resolver:        survey.CoverCap,
-		// Keep the resolver survey extending with live births, so
-		// region covers include newborns published after startup.
-		ResolverGrow: func(births []model.Birth) error {
-			for _, b := range births {
-				if err := survey.AddObject(b); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Hedge:       *hedge,
-		HedgeDelay:  *hedgeGap,
-		MetricsAddr: *metrics,
-		Logf:        log.Printf,
+		Regions:         survey,
+		Hedge:           *hedge,
+		HedgeDelay:      *hedgeGap,
+		MetricsAddr:     *metrics,
+		Logf:            log.Printf,
 	})
 	if err != nil {
 		return err

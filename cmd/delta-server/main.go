@@ -33,7 +33,6 @@ func run() error {
 		objects      = flag.Int("objects", 68, "number of data objects")
 		seed         = flag.Int64("seed", 2, "survey seed")
 		pipelineRate = flag.Duration("pipeline-rate", 0, "feed one synthetic update per interval (0 = off)")
-		bytesPerGB   = flag.Int64("bytes-per-gb", 4096, "physical payload bytes per logical GB")
 		dataDir      = flag.String("data-dir", "", "directory for grown-universe snapshots and the birth journal; restarts recover births from it (empty = no persistence)")
 		metricsAddr  = flag.String("metrics-addr", "", "debug HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof (empty = off)")
 	)
@@ -49,7 +48,7 @@ func run() error {
 	repo, err := server.New(server.Config{
 		Addr:        *addr,
 		Survey:      survey,
-		Scale:       netproto.PayloadScale{BytesPerGB: *bytesPerGB},
+		Scale:       netproto.DefaultScale(),
 		DataDir:     *dataDir,
 		MetricsAddr: *metricsAddr,
 		Logf:        log.Printf,

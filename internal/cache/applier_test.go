@@ -164,7 +164,7 @@ func TestLiveDecisionsMatchSim(t *testing.T) {
 	}{
 		{"VCover", func() core.Policy { return core.NewVCover(core.VCoverConfig{Seed: 7, GDSF: true}) }},
 		{"Benefit", func() core.Policy {
-			return core.NewBenefit(core.BenefitConfig{Window: 40, Alpha: 0.5, LoadAmortization: 2})
+			return core.NewBenefit(core.BenefitConfig{Window: 40})
 		}},
 		{"Replica", func() core.Policy { return core.NewReplica() }},
 	} {

@@ -37,9 +37,9 @@ import (
 	"sync"
 	"time"
 
+	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/cost"
-	"github.com/deltacache/delta/internal/geom"
 	"github.com/deltacache/delta/internal/htm"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
@@ -74,23 +74,16 @@ type Config struct {
 	ReshardCapacity func(owned []model.Object) cost.Bytes
 	// Scale converts logical sizes to physical payloads.
 	Scale netproto.PayloadScale
-	// Resolver maps a sky cap to the object IDs whose partitions may
-	// intersect it (typically catalog.Survey.CoverCap). When set,
-	// queries arriving with a SkyRegion instead of an object list are
-	// resolved here, memoized through a bounded cover cache whose
-	// hit/miss counters are /metrics samples. Nil rejects region
-	// queries. Cluster shards must leave it nil: a shard resolves
-	// against the whole sky but owns a subset, so every region query
-	// would die on the ownership check — regions resolve at the
+	// Regions, when set, is the survey sky-region queries resolve
+	// against: a query arriving with a SkyRegion instead of an object
+	// list is resolved here, memoized through a bounded cover cache
+	// whose hit/miss counters are /metrics samples, and every adopted
+	// birth grows the survey, so covers include newborns. Nil rejects
+	// region queries. Cluster shards must leave it nil: a shard
+	// resolves against the whole sky but owns a subset, so every region
+	// query would die on the ownership check — regions resolve at the
 	// router.
-	Resolver func(geom.Cap) []model.ObjectID
-	// ResolverGrow feeds adopted births into the resolver's universe
-	// (typically wrapping catalog.Survey.AddObject on the same survey
-	// backing Resolver), so sky-region covers include live-born
-	// objects. Without it, a resolver built from the startup survey
-	// would silently exclude newborns from every region forever.
-	// Required when Resolver is set on a node that can grow.
-	ResolverGrow func([]model.Birth) error
+	Regions *catalog.Survey
 	// DataDir, when set, enables the durability layer (internal/persist):
 	// the node journals births and admission/eviction decisions, writes
 	// a snapshot of its births and residents every node.DefaultInterval
@@ -123,8 +116,8 @@ type Middleware struct {
 
 	loads loadGroup
 
-	// covers resolves sky regions through Resolver and ResolverGrow;
-	// nil (every method still callable) when no Resolver is set.
+	// covers resolves sky regions against Regions; nil (every method
+	// still callable) when Regions is.
 	covers *htm.CoverCache
 
 	// store is the durability layer (nil when Config.DataDir is empty).
@@ -197,13 +190,15 @@ func New(cfg Config) (*Middleware, error) {
 		}),
 	}
 	m.Node = node.New("cache", cfg.Addr, cfg.MetricsAddr, cfg.Logf, m.handleClientFrame)
-	m.covers = htm.NewCoverCache(256, cfg.Resolver, cfg.ResolverGrow)
+	if cfg.Regions != nil {
+		m.covers = htm.NewCoverCache(cfg.Regions)
+	}
 	m.queryLat = m.Reg.NewHistogram("delta_query_seconds",
-		"End-to-end query handling latency at this cache node (fragment or whole query).", nil)
+		"End-to-end query handling latency at this cache node (fragment or whole query).")
 	m.loadLat = m.Reg.NewHistogram("delta_load_seconds",
-		"Repository object-load round-trip latency.", nil)
+		"Repository object-load round-trip latency.")
 	m.fsyncLat = m.Reg.NewHistogram("delta_journal_fsync_seconds",
-		"Durability journal fsync latency.", nil)
+		"Durability journal fsync latency.")
 	m.violations = m.Reg.NewCounter("delta_decision_violations_total",
 		"Decision items the applier skipped and at-cache answers it shipped instead (absent or stale objects).")
 	m.queries = m.Reg.NewCounter("delta_queries_total",
@@ -256,13 +251,10 @@ func New(cfg Config) (*Middleware, error) {
 		if st != nil {
 			m.shard.Recover(st.Births, st.Resident)
 			m.cfg.Logf("recovered %d births and %d residents", len(st.Births), m.shard.Len())
-			// The resolver was built from the startup survey; recovered
-			// births must rejoin its universe or region covers would
-			// exclude them until the next live birth.
-			if len(st.Births) > 0 {
-				if err := m.covers.Grow(st.Births); err != nil {
-					m.cfg.Logf("recovery resolver growth: %v (region covers may miss recovered newborns)", err)
-				}
+			// Regions is the startup survey; recovered births must
+			// rejoin it or region covers would exclude them.
+			if err := m.covers.Grow(st.Births); err != nil {
+				m.cfg.Logf("recovery region growth: %v (region covers may miss recovered newborns)", err)
 			}
 		}
 	}
@@ -746,7 +738,7 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 	// failed load.
 	m.bornObjects.Add(int64(len(fresh)))
 	if err := m.covers.Grow(fresh); err != nil {
-		m.cfg.Logf("resolver growth: %v (region covers may miss newborns)", err)
+		m.cfg.Logf("region growth: %v (region covers may miss newborns)", err)
 	}
 	m.cfg.Logf("admitted %d born objects", len(fresh))
 	if err := m.executePlan(ctx, p); err != nil {

@@ -2,6 +2,8 @@ package cache_test
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -42,7 +44,7 @@ func TestCacheResolvesRegionQueries(t *testing.T) {
 		Objects:  survey.Objects(),
 		Capacity: 8 * cost.GB,
 		Scale:    netproto.PayloadScale{},
-		Resolver: survey.CoverCap,
+		Regions:  survey,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,5 +95,119 @@ func TestCacheResolvesRegionQueries(t *testing.T) {
 		Objects: []model.ObjectID{1}, Cost: cost.MB,
 	}); err == nil {
 		t.Error("region query with an explicit object list was accepted")
+	}
+}
+
+// regionCache starts a repository over a 16-object survey and a
+// NoCache standalone cache whose Regions is a second survey built from
+// the same config, so that survey grows only through the cache. It
+// returns the cache, its Regions survey and a third twin to draw
+// births from.
+func regionCache(t *testing.T) (mw *cache.Middleware, regions, mirror *catalog.Survey) {
+	t.Helper()
+	scfg := catalog.DefaultConfig()
+	scfg.NumObjects = 16
+	surveys := make([]*catalog.Survey, 3)
+	for i := range surveys {
+		s, err := catalog.NewSurvey(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		surveys[i] = s
+	}
+	repo, err := server.New(server.Config{Survey: surveys[0], Scale: netproto.PayloadScale{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { repo.Close() })
+	mw, err = cache.New(cache.Config{
+		RepoAddr: repo.Addr(),
+		Policy:   core.NewNoCache(),
+		Objects:  surveys[0].Objects(),
+		Capacity: 8 * cost.GB,
+		Regions:  surveys[1],
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mw.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mw.Close() })
+	return mw, surveys[1], surveys[2]
+}
+
+// TestCacheAddObjectsOutOfOrderGrowsRegions adopts births 18, 17 and
+// 19, in that order, as a cache hearing them from its publish path and
+// its announcement stream can: its Regions survey must still grow to
+// 19 objects, and each newborn must join its region's cover.
+func TestCacheAddObjectsOutOfOrderGrowsRegions(t *testing.T) {
+	mw, regions, mirror := regionCache(t)
+	births, err := mirror.GrowObjects(rand.New(rand.NewSource(9)), 3, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{1, 0, 2} {
+		if n, err := mw.AddObjects(context.Background(), births[i:i+1]); err != nil || n != 1 {
+			t.Fatalf("AddObjects(birth %d) = %d, %v; want 1 new", births[i].Object.ID, n, err)
+		}
+	}
+	if n := regions.NumObjects(); n != 19 {
+		t.Errorf("Regions survey holds %d objects, want 19", n)
+	}
+	for _, b := range births {
+		if cover := regions.CoverCap(geom.CapFromRADec(b.RA, b.Dec, 2)); !slices.Contains(cover, b.Object.ID) {
+			t.Errorf("cover at (%v,%v) misses newborn %d: %v", b.RA, b.Dec, b.Object.ID, cover)
+		}
+	}
+}
+
+// TestCacheRegionCoversPublishedBirth drives a standalone cache's region
+// growth end to end: a birth published through the cache joins the
+// cover a region query at its position resolves to, memoized cover
+// and all.
+func TestCacheRegionCoversPublishedBirth(t *testing.T) {
+	mw, regions, mirror := regionCache(t)
+	births, err := mirror.GrowObjects(rand.New(rand.NewSource(9)), 1, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := births[0]
+	cl, err := client.Dial(mw.Addr(), client.WithTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	// coverSize is how many objects the cache resolved the region at
+	// the newborn's position to, read from the query's span.
+	coverSize := func() int {
+		t.Helper()
+		res, err := cl.QueryRegion(ctx, b.RA, b.Dec, 2, model.Query{
+			Cost: cost.KB, Tolerance: model.AnyStaleness, Time: time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range res.Spans {
+			if sp.Name == "cache" {
+				return sp.Objects
+			}
+		}
+		t.Fatalf("no cache span in %+v", res.Spans)
+		return 0
+	}
+	before := coverSize()
+	if n, err := cl.AddObjects(ctx, births); err != nil || n != 1 {
+		t.Fatalf("AddObjects = %d, %v; want 1", n, err)
+	}
+	if after := coverSize(); after != before+1 {
+		t.Errorf("region cover at the newborn holds %d objects after its birth, want %d", after, before+1)
+	}
+	if cover := regions.CoverCap(geom.CapFromRADec(b.RA, b.Dec, 2)); !slices.Contains(cover, b.Object.ID) {
+		t.Errorf("Regions cover misses newborn %d: %v", b.Object.ID, cover)
 	}
 }

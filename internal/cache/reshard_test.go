@@ -285,7 +285,7 @@ func TestQuickReshardMatchesTwin(t *testing.T) {
 		{"Replica", func() core.Policy { return core.NewReplica() }, true},
 		{"VCover", func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) }, false},
 		{"Benefit", func() core.Policy {
-			return core.NewBenefit(core.BenefitConfig{Window: 4, Alpha: 0.5, LoadAmortization: 2})
+			return core.NewBenefit(core.BenefitConfig{Window: 4})
 		}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

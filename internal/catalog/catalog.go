@@ -366,10 +366,11 @@ func (s *Survey) TotalSize() cost.Bytes {
 }
 
 // AddObject ingests one newly published object. The birth's ID must be
-// exactly NextID (dense sequential growth; out-of-order publications
-// are a pipeline bug) and its size positive. The object attaches to
-// the partition cell containing its position, so CoverCap and the HTM
-// ownership cuts place it next to its spatial neighbors.
+// exactly NextID (dense sequential growth; a node that hears of births
+// out of order sequences them through htm.CoverCache.Grow) and its
+// size positive. The object attaches to the partition cell containing
+// its position, so CoverCap and the HTM ownership cuts place it next
+// to its spatial neighbors.
 func (s *Survey) AddObject(b model.Birth) error {
 	if b.Object.Size <= 0 {
 		return fmt.Errorf("catalog: born object %d has non-positive size", b.Object.ID)

@@ -24,16 +24,16 @@ func testSurvey(t *testing.T) *Survey {
 }
 
 // TestCoverCapConcurrentThroughCoverCache resolves regions the way a
-// router does — Survey.CoverCap behind an htm.CoverCache — from 8
-// goroutines on freshly built surveys of both partition kinds (run
-// under -race). The cache holds fewer entries than there are caps, so
-// covers keep being computed concurrently; every answer must equal a
-// twin survey's sequential cover.
+// router does — a Survey behind an htm.CoverCache — from 8 goroutines
+// on freshly built surveys of both partition kinds (run under -race).
+// There are more caps than the cache holds, so covers keep being
+// computed concurrently; every answer must equal a twin survey's
+// sequential cover.
 func TestCoverCapConcurrentThroughCoverCache(t *testing.T) {
 	uniform := DefaultConfig()
 	uniform.NumObjects, uniform.Uniform = 8192, true
 	rng := rand.New(rand.NewSource(28))
-	caps := make([]geom.Cap, 64)
+	caps := make([]geom.Cap, 320)
 	for i := range caps {
 		caps[i] = geom.CapFromRADec(rng.Float64()*360, rng.Float64()*180-90, 0.3+rng.Float64()*1.7)
 	}
@@ -50,7 +50,7 @@ func TestCoverCapConcurrentThroughCoverCache(t *testing.T) {
 		for i, c := range caps {
 			want[i] = twin.CoverCap(c)
 		}
-		cc := htm.NewCoverCache(16, s.CoverCap, nil)
+		cc := htm.NewCoverCache(s)
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)

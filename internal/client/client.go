@@ -27,7 +27,6 @@ type Option func(*options)
 type options struct {
 	poolSize       int
 	requestTimeout time.Duration
-	dialRetry      time.Duration
 	trace          bool
 	observer       func(time.Duration)
 }
@@ -35,14 +34,6 @@ type options struct {
 // WithPoolSize sets how many connections back the session (default 1;
 // each connection multiplexes, so small values go far).
 func WithPoolSize(n int) Option { return func(o *options) { o.poolSize = n } }
-
-// WithDialRetry keeps retrying a refused connection for up to d with
-// capped exponential backoff and jitter, riding out the startup race
-// of a dialer launched alongside its server (a router bringing up its
-// shards, a script starting client and cache together). The default
-// is 2s; a negative d disables retrying so a refused dial fails
-// immediately.
-func WithDialRetry(d time.Duration) Option { return func(o *options) { o.dialRetry = d } }
 
 // WithRequestTimeout applies a default per-request deadline when the
 // caller's context has none (default: no deadline).
@@ -75,17 +66,19 @@ type Client struct {
 
 // Dial connects to a cache's or a cluster router's client endpoint
 // (a router speaks the single-cache protocol). Refused connections
-// are retried with capped exponential backoff plus jitter (see
-// WithDialRetry), so dialing a node that is still binding its listener
-// succeeds instead of failing the race.
+// are retried with capped exponential backoff plus jitter for
+// netproto.StartupDialRetry, the window every node gives its peers, so
+// dialing a node that is still binding its listener (a script starting
+// client and cache together) succeeds instead of failing the race.
+// Other dial failures fail at once.
 func Dial(addr string, opts ...Option) (*Client, error) {
-	o := options{dialRetry: 2 * time.Second}
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
 	sess, err := netproto.DialSession(addr, "client", netproto.SessionConfig{
 		PoolSize:  o.poolSize,
-		DialRetry: max(o.dialRetry, 0),
+		DialRetry: netproto.StartupDialRetry,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)

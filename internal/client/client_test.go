@@ -14,9 +14,14 @@ import (
 )
 
 func TestDialFailure(t *testing.T) {
-	// Retry disabled: a refused dial must fail immediately.
-	if _, err := Dial("127.0.0.1:1", WithDialRetry(-1)); err == nil {
-		t.Error("dialing a closed port should fail")
+	// Only a refused dial is retried: an address with no port fails at
+	// once.
+	start := time.Now()
+	if _, err := Dial("127.0.0.1"); err == nil {
+		t.Error("dialing an address with no port should fail")
+	}
+	if waited := time.Since(start); waited >= time.Second {
+		t.Errorf("a dial that was not refused took %v; it was retried", waited)
 	}
 }
 

@@ -42,7 +42,7 @@ func TestRouterResolvesRegionQueries(t *testing.T) {
 		Mode:     cluster.HTMAware,
 		Policy:   func(int) core.Policy { return core.NewReplica() },
 		Scale:    netproto.PayloadScale{},
-		Resolver: survey.CoverCap,
+		Regions:  survey,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestRouterResolvesRegionQueries(t *testing.T) {
 		t.Errorf("cover-cache hits = %v, want ≥%d (region repeated)", hits, repeats)
 	}
 
-	// A region query against a router with no resolver fails cleanly.
+	// A region query against a router with no Regions fails cleanly.
 	// (Growth is covered by TestRegionResolverLearnsBirths.)
 	bare, err := cluster.SpawnLocal(cluster.LocalConfig{
 		RepoAddr: repo.Addr(),
@@ -130,15 +130,15 @@ func TestRouterResolvesRegionQueries(t *testing.T) {
 	if _, err := bareCl.QueryRegion(ctx, ra, dec, radius, model.Query{
 		Cost: cost.MB, Tolerance: model.AnyStaleness, Time: time.Minute,
 	}); err == nil {
-		t.Error("region query succeeded against a router with no resolver")
+		t.Error("region query succeeded against a router with no Regions")
 	}
 }
 
-// TestRegionResolverLearnsBirths pins the resolver-growth contract:
+// TestRegionResolverLearnsBirths pins the region-growth contract:
 // objects published after startup must join sky-region covers — the
-// router's ResolverGrow extends the resolver survey with each adopted
-// birth before the memoized covers are invalidated, so a region query
-// over a newborn's position routes to it.
+// router grows its Regions survey with each adopted birth before the
+// memoized covers are invalidated, so a region query over a newborn's
+// position routes to it.
 func TestRegionResolverLearnsBirths(t *testing.T) {
 	const nBase = 16
 	repoSurvey, err := catalog.NewSurvey(growthSurveyConfig(nBase))
@@ -149,9 +149,8 @@ func TestRegionResolverLearnsBirths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The router's resolver survey: a third mirror, fed exclusively by
-	// the ResolverGrow hook, so the test observes exactly what the
-	// router taught it.
+	// The router's Regions survey: a third mirror, grown only by the
+	// router, so the test observes exactly what the router taught it.
 	resolverSurvey, err := catalog.NewSurvey(growthSurveyConfig(nBase))
 	if err != nil {
 		t.Fatal(err)
@@ -170,15 +169,7 @@ func TestRegionResolverLearnsBirths(t *testing.T) {
 		Shards:   2,
 		Mode:     cluster.HTMAware,
 		Scale:    netproto.PayloadScale{},
-		Resolver: resolverSurvey.CoverCap,
-		ResolverGrow: func(births []model.Birth) error {
-			for _, b := range births {
-				if err := resolverSurvey.AddObject(b); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
+		Regions:  resolverSurvey,
 	})
 	if err != nil {
 		t.Fatal(err)

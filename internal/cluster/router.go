@@ -11,8 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/cost"
-	"github.com/deltacache/delta/internal/geom"
 	"github.com/deltacache/delta/internal/htm"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
@@ -37,18 +37,13 @@ type Config struct {
 	// accepts birth publications from clients, forwarding them to the
 	// repository. Empty disables growth at this router.
 	RepoAddr string
-	// Resolver maps a sky cap to the object IDs whose partitions may
-	// intersect it (typically catalog.Survey.CoverCap). When set,
-	// client queries arriving with a SkyRegion instead of an object
-	// list are resolved at the router, memoized through a bounded
-	// cover cache whose hit/miss counters are /metrics samples.
+	// Regions, when set, is the survey client sky-region queries
+	// resolve against: a query arriving with a SkyRegion instead of an
+	// object list is resolved at the router, memoized through a bounded
+	// cover cache whose hit/miss counters are /metrics samples, and
+	// every adopted birth grows the survey, so covers include newborns.
 	// Nil rejects region queries.
-	Resolver func(geom.Cap) []model.ObjectID
-	// ResolverGrow feeds adopted births into the resolver's universe
-	// (typically wrapping catalog.Survey.AddObject on the survey
-	// backing Resolver), so region covers include live-born objects.
-	// Required when Resolver is set and RepoAddr enables growth.
-	ResolverGrow func([]model.Birth) error
+	Regions *catalog.Survey
 	// Hedge enables hedged reads: when a fragment's primary shard has
 	// not answered within the hedge delay, the fragment is re-scattered
 	// to the objects' next replicas and the first complete answer wins
@@ -128,8 +123,8 @@ type Router struct {
 	// RepoAddr.
 	repo *netproto.Session
 
-	// covers resolves region queries through Resolver and ResolverGrow;
-	// nil (every method still callable) when no Resolver is configured.
+	// covers resolves region queries against Regions; nil (every
+	// method still callable) when Regions is.
 	covers *htm.CoverCache
 
 	// results is the invalidation-aware result cache + in-flight query
@@ -200,11 +195,13 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	r.Node = node.New("cluster router", cfg.Addr, cfg.MetricsAddr, cfg.Logf, r.handleClientFrame)
 	r.Unblock = r.release
-	r.covers = htm.NewCoverCache(256, cfg.Resolver, cfg.ResolverGrow)
+	if cfg.Regions != nil {
+		r.covers = htm.NewCoverCache(cfg.Regions)
+	}
 	r.routerLat = r.Reg.NewHistogram("delta_router_query_seconds",
-		"End-to-end scatter/gather latency of routed queries.", nil)
+		"End-to-end scatter/gather latency of routed queries.")
 	r.fragLat = r.Reg.NewHistogram("delta_router_fragment_seconds",
-		"Per-fragment shard round-trip latency (successful attempts); its p99 derives the hedge delay.", nil)
+		"Per-fragment shard round-trip latency (successful attempts); its p99 derives the hedge delay.")
 	r.queries = r.Reg.NewCounter("delta_router_queries_total",
 		"Client queries routed by this router.")
 	r.scattered = r.Reg.NewCounter("delta_router_scattered_total",

@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"github.com/deltacache/delta/internal/cache"
+	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/cost"
-	"github.com/deltacache/delta/internal/geom"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
 )
@@ -50,12 +50,9 @@ type LocalConfig struct {
 	// (see cluster.Config.ResultCacheSize: 0 = default, negative
 	// disables; only effective with a RepoAddr).
 	ResultCacheSize int
-	// Resolver, when set, lets the router answer sky-region queries
-	// (typically catalog.Survey.CoverCap; see cluster.Config.Resolver).
-	Resolver func(geom.Cap) []model.ObjectID
-	// ResolverGrow extends the resolver's universe with adopted births
-	// (see cluster.Config.ResolverGrow).
-	ResolverGrow func([]model.Birth) error
+	// Regions, when set, lets the router answer sky-region queries
+	// (see cluster.Config.Regions).
+	Regions *catalog.Survey
 	// ShardDataDir, when non-nil, gives each shard a persistence
 	// directory (cache.Config.DataDir), enabling durable warm restarts:
 	// RestartShard respawns a shard from its directory and the recovered
@@ -107,8 +104,7 @@ func SpawnLocal(cfg LocalConfig) (*LocalCluster, error) {
 		Ownership:       own,
 		RepoAddr:        cfg.RepoAddr,
 		ResultCacheSize: cfg.ResultCacheSize,
-		Resolver:        cfg.Resolver,
-		ResolverGrow:    cfg.ResolverGrow,
+		Regions:         cfg.Regions,
 		Hedge:           cfg.Hedge,
 		HedgeDelay:      cfg.HedgeDelay,
 		Logf:            cfg.Logf,

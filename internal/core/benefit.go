@@ -15,9 +15,12 @@ type BenefitConfig struct {
 	// Window is δ, the number of events per decision window (paper
 	// default: 1000, chosen by parameter sweep).
 	Window int
-	// Alpha is the exponential-smoothing learning parameter in [0,1].
-	Alpha float64
-	// LoadAmortization spreads an uncached object's load-cost penalty
+}
+
+const (
+	// benefitAlpha is the exponential-smoothing learning parameter α.
+	benefitAlpha = 0.3
+	// loadAmortization spreads an uncached object's load-cost penalty
 	// over this many windows when computing its would-be benefit. The
 	// paper says the benefit of a non-cached object is "further
 	// reduce[d] by the cost to load the object" without specifying the
@@ -27,13 +30,13 @@ type BenefitConfig struct {
 	// degenerate to NoCache on any realistic window size. Amortizing
 	// over a few windows preserves the heuristic's greedy character
 	// while letting it actually cache, as it visibly does in the
-	// paper's figures. 1 reproduces the literal reading.
-	LoadAmortization int
-}
+	// paper's figures. 1 would reproduce the literal reading.
+	loadAmortization = 16
+)
 
-// DefaultBenefitConfig returns the paper's tuned parameters.
+// DefaultBenefitConfig returns the paper's tuned window.
 func DefaultBenefitConfig() BenefitConfig {
-	return BenefitConfig{Window: 1000, Alpha: 0.3, LoadAmortization: 16}
+	return BenefitConfig{Window: 1000}
 }
 
 // Benefit is the alternative, heuristics-based algorithm of Section 5 —
@@ -50,8 +53,9 @@ func DefaultBenefitConfig() BenefitConfig {
 //
 //	µᵢ = (1−α)·µᵢ₋₁ + α·bᵢ₋₁
 //
-// and objects with positive forecast are cached greedily in decreasing
-// µ order until the capacity is full.
+// (α is benefitAlpha, 0.3; δ is the one setting), and objects with
+// positive forecast are cached greedily in decreasing µ order until the
+// capacity is full.
 //
 // Its weaknesses (Section 5): it ignores the combinatorial structure of
 // the decoupling problem by splitting query costs proportionally, its
@@ -97,15 +101,6 @@ func (p *Benefit) Init(objects []model.Object, capacity cost.Bytes) error {
 	}
 	if p.cfg.Window <= 0 {
 		return fmt.Errorf("core: Benefit window must be positive, got %d", p.cfg.Window)
-	}
-	if p.cfg.Alpha < 0 || p.cfg.Alpha > 1 {
-		return fmt.Errorf("core: Benefit alpha %v out of [0,1]", p.cfg.Alpha)
-	}
-	if p.cfg.LoadAmortization == 0 {
-		p.cfg.LoadAmortization = 1
-	}
-	if p.cfg.LoadAmortization < 0 {
-		return fmt.Errorf("core: Benefit load amortization must be positive")
 	}
 	idx, err := newObjectIndex(objects, capacity)
 	if err != nil {
@@ -273,12 +268,12 @@ func (p *Benefit) replan() Decision {
 		b := p.winBenefit[id]
 		if !p.idx.isCached(id) {
 			// A non-cached object would pay its load cost first; the
-			// penalty is amortized over LoadAmortization windows (see
-			// BenefitConfig).
+			// penalty is amortized over loadAmortization windows (see
+			// its comment).
 			size, _ := p.idx.size(id)
-			b -= float64(size) / float64(p.cfg.LoadAmortization)
+			b -= float64(size) / loadAmortization
 		}
-		p.mu[id] = (1-p.cfg.Alpha)*p.mu[id] + p.cfg.Alpha*b
+		p.mu[id] = (1-benefitAlpha)*p.mu[id] + benefitAlpha*b
 		p.winBenefit[id] = 0
 	}
 

@@ -11,7 +11,7 @@ import (
 
 func newTestBenefit(t *testing.T, window int, capacity cost.Bytes) *Benefit {
 	t.Helper()
-	p := NewBenefit(BenefitConfig{Window: window, Alpha: 0.5})
+	p := NewBenefit(BenefitConfig{Window: window})
 	if err := p.Init(vcObjects(), capacity); err != nil {
 		t.Fatal(err)
 	}
@@ -19,13 +19,9 @@ func newTestBenefit(t *testing.T, window int, capacity cost.Bytes) *Benefit {
 }
 
 func TestBenefitConfigValidation(t *testing.T) {
-	p := NewBenefit(BenefitConfig{Window: 0, Alpha: 0.5})
+	p := NewBenefit(BenefitConfig{Window: 0})
 	if err := p.Init(vcObjects(), cost.GB); err == nil {
 		t.Error("zero window should fail")
-	}
-	p = NewBenefit(BenefitConfig{Window: 10, Alpha: 1.5})
-	if err := p.Init(vcObjects(), cost.GB); err == nil {
-		t.Error("alpha > 1 should fail")
 	}
 	p = NewBenefit(DefaultBenefitConfig())
 	if err := p.Init(vcObjects(), cost.GB); err != nil {
@@ -228,7 +224,7 @@ func TestBenefitWindowOneReplansEveryEvent(t *testing.T) {
 // cache, and a smaller capacity evicts the lowest forecasts first.
 func TestBenefitForget(t *testing.T) {
 	objs := []model.Object{{ID: 1, Size: cost.GB}, {ID: 2, Size: cost.GB}, {ID: 3, Size: cost.GB}}
-	p := NewBenefit(BenefitConfig{Window: 1, Alpha: 1, LoadAmortization: 1})
+	p := NewBenefit(BenefitConfig{Window: 1})
 	if err := p.Init(objs, 3*cost.GB); err != nil {
 		t.Fatal(err)
 	}

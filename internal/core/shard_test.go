@@ -205,7 +205,7 @@ func newShardTrial(seed int64, warm bool) (*shardTrial, string) {
 	case 0:
 		policy = core.NewVCover(core.VCoverConfig{Seed: rng.Int63(), GDSF: rng.Intn(2) == 0})
 	case 1:
-		policy = core.NewBenefit(core.BenefitConfig{Window: 2 + rng.Intn(20), Alpha: rng.Float64(), LoadAmortization: 1 + rng.Intn(4)})
+		policy = core.NewBenefit(core.BenefitConfig{Window: 2 + rng.Intn(20)})
 	default:
 		policy = core.NewReplica()
 	}

@@ -163,7 +163,7 @@ func (s *Setup) Policies() []core.Policy {
 	return []core.Policy{
 		core.NewNoCache(),
 		core.NewReplica(),
-		core.NewBenefit(core.BenefitConfig{Window: s.BenefitWindow, Alpha: 0.3, LoadAmortization: 16}),
+		core.NewBenefit(core.BenefitConfig{Window: s.BenefitWindow}),
 		core.NewVCover(core.VCoverConfig{Seed: s.Seed, GDSF: true}),
 		core.NewSOptimal(s.Events),
 	}

@@ -2,6 +2,7 @@ package htm
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -11,13 +12,23 @@ import (
 	"github.com/deltacache/delta/internal/model"
 )
 
-// CoverCache is a node's region resolver: it owns the function that
-// maps a sky cap to object IDs and the one that feeds births into that
-// function's universe, and memoizes resolutions behind a small bounded
-// LRU. Repeated sky-region queries (the same survey field polled by
-// many clients, a dashboard refreshing one region) would otherwise
-// recompute partition.Cover per request; the cache answers them with
-// one map lookup.
+// Universe is what a node resolves sky regions against and grows with
+// adopted births: catalog.Survey, which imports this package.
+type Universe interface {
+	// CoverCap maps a sky cap to the IDs of the objects it may touch.
+	CoverCap(geom.Cap) []model.ObjectID
+	// NextID is the ID the next born object must carry.
+	NextID() model.ObjectID
+	// AddObject ingests the birth whose ID is NextID.
+	AddObject(model.Birth) error
+}
+
+// CoverCache is a node's region resolver: it resolves sky caps against
+// its Universe, grows that universe with adopted births, and memoizes
+// resolutions behind a small bounded LRU. Repeated sky-region queries
+// (the same survey field polled by many clients, a dashboard
+// refreshing one region) would otherwise recompute partition.Cover per
+// request; the cache answers them with one map lookup.
 //
 // Keys quantize the cap (center vector and cos-radius at ~1e-7): caps
 // within a quantum share an entry. Covers are conservative
@@ -27,14 +38,15 @@ import (
 //
 // The cache is safe for concurrent use and generation-aware: Grow
 // invalidates every entry (a grown universe changes covers), without
-// reallocating the table. A nil *CoverCache is a node with no resolver:
-// it refuses region queries, grows nothing and counts nothing.
+// reallocating the table. A nil *CoverCache is a node with no region
+// source: it refuses region queries, grows nothing and counts nothing.
 type CoverCache struct {
-	resolve func(geom.Cap) []model.ObjectID
-	grow    func([]model.Birth) error
+	u Universe
+
+	growMu sync.Mutex
+	held   map[model.ObjectID]model.Birth // births above u.NextID()
 
 	mu      sync.Mutex
-	cap     int
 	entries map[coverKey]*list.Element
 	order   *list.List // front = most recently used
 
@@ -42,6 +54,14 @@ type CoverCache struct {
 	hits   atomic.Int64
 	misses atomic.Int64
 }
+
+const (
+	// coverCacheSize is how many covers a node memoizes.
+	coverCacheSize = 256
+	// maxHeldBirths bounds the births Grow holds while it waits for a
+	// lower ID to arrive.
+	maxHeldBirths = 1024
+)
 
 // coverKey is the quantized cap identity.
 type coverKey struct {
@@ -66,24 +86,12 @@ func quantizeCap(c geom.Cap) coverKey {
 	}
 }
 
-// NewCoverCache returns a cache holding at most capacity entries
-// (minimum 1; a typical router uses a few hundred) over resolve, which
-// computes a cover on a miss. grow extends resolve's universe with
-// adopted births (typically wrapping catalog.Survey.AddObject on the
-// survey behind resolve); nil grows nothing. A nil resolve returns a
-// nil cache: the node has no region resolver.
-func NewCoverCache(capacity int, resolve func(geom.Cap) []model.ObjectID, grow func([]model.Birth) error) *CoverCache {
-	if resolve == nil {
-		return nil
-	}
-	if capacity < 1 {
-		capacity = 1
-	}
+// NewCoverCache returns an empty cache resolving against u.
+func NewCoverCache(u Universe) *CoverCache {
 	return &CoverCache{
-		resolve: resolve,
-		grow:    grow,
-		cap:     capacity,
-		entries: make(map[coverKey]*list.Element, capacity),
+		u:       u,
+		held:    make(map[model.ObjectID]model.Birth),
+		entries: make(map[coverKey]*list.Element, coverCacheSize),
 		order:   list.New(),
 	}
 }
@@ -94,7 +102,7 @@ func NewCoverCache(capacity int, resolve func(geom.Cap) []model.ObjectID, grow f
 // region on a nil cache.
 func (cc *CoverCache) Region(ra, dec, radiusDeg float64) ([]model.ObjectID, string, error) {
 	if cc == nil {
-		return nil, "", fmt.Errorf("node has no region resolver; send explicit object lists")
+		return nil, "", fmt.Errorf("node has no region source; send explicit object lists")
 	}
 	ids, hit := cc.Resolve(geom.CapFromRADec(ra, dec, radiusDeg))
 	if len(ids) == 0 {
@@ -130,7 +138,7 @@ func (cc *CoverCache) Resolve(c geom.Cap) ([]model.ObjectID, bool) {
 	cc.mu.Unlock()
 
 	cc.misses.Add(1)
-	ids := cc.resolve(c)
+	ids := cc.u.CoverCap(c)
 
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -139,7 +147,7 @@ func (cc *CoverCache) Resolve(c geom.Cap) ([]model.ObjectID, bool) {
 		cc.order.MoveToFront(el)
 		return ids, false
 	}
-	for cc.order.Len() >= cc.cap {
+	for cc.order.Len() >= coverCacheSize {
 		oldest := cc.order.Back()
 		cc.order.Remove(oldest)
 		delete(cc.entries, oldest.Value.(*coverEntry).key)
@@ -148,21 +156,47 @@ func (cc *CoverCache) Resolve(c geom.Cap) ([]model.ObjectID, bool) {
 	return ids, false
 }
 
-// Grow extends the resolver's universe with births, then invalidates
-// every cached cover: a newborn can join any region's cover, and growing
-// first keeps a concurrent recompute against the pre-growth resolver
-// from re-memoizing its absence. The invalidation happens even when
-// growing fails.
+// Grow adds births to the universe in ID order, then invalidates every
+// cached cover: a newborn can join any region's cover, and growing
+// first keeps a concurrent recompute against the pre-growth universe
+// from re-memoizing its absence. Adoption follows arrival order, not
+// ID order, so births the universe already holds are skipped and a
+// birth above NextID is held until the gap below it fills. Holding is
+// bounded by maxHeldBirths (the birth at NextID is always taken); a
+// birth refused for that reason, or one the universe rejects, is
+// reported in the error, and the rest still grow. The invalidation
+// happens even when growing fails.
 func (cc *CoverCache) Grow(births []model.Birth) error {
 	if cc == nil {
 		return nil
 	}
-	var err error
-	if cc.grow != nil {
-		err = cc.grow(births)
+	defer cc.gen.Add(1)
+	cc.growMu.Lock()
+	defer cc.growMu.Unlock()
+	next := cc.u.NextID()
+	var errs []error
+	for _, b := range births {
+		switch id := b.Object.ID; {
+		case id < next:
+		case len(cc.held) >= maxHeldBirths && id != next:
+			errs = append(errs, fmt.Errorf("dropped birth %d: %d births already wait for %d", id, len(cc.held), next))
+		default:
+			cc.held[id] = b
+		}
 	}
-	cc.gen.Add(1)
-	return err
+	for {
+		b, ok := cc.held[next]
+		if !ok {
+			break
+		}
+		delete(cc.held, next)
+		if err := cc.u.AddObject(b); err != nil {
+			errs = append(errs, err)
+			break
+		}
+		next = cc.u.NextID()
+	}
+	return errors.Join(errs...)
 }
 
 // Stats reports lifetime hit and miss counts.

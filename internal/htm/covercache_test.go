@@ -2,7 +2,10 @@ package htm
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,15 +13,49 @@ import (
 	"github.com/deltacache/delta/internal/model"
 )
 
+// fakeUniverse resolves every cap through cover and grows a dense ID
+// sequence from next, recording what it added; a set err rejects
+// every birth.
+type fakeUniverse struct {
+	cover func(geom.Cap) []model.ObjectID
+	next  model.ObjectID
+	added []model.ObjectID
+	err   error
+}
+
+func (u *fakeUniverse) CoverCap(c geom.Cap) []model.ObjectID { return u.cover(c) }
+func (u *fakeUniverse) NextID() model.ObjectID               { return u.next }
+func (u *fakeUniverse) AddObject(b model.Birth) error {
+	if u.err != nil {
+		return u.err
+	}
+	if b.Object.ID != u.next {
+		return fmt.Errorf("birth %d out of sequence (next is %d)", b.Object.ID, u.next)
+	}
+	u.added = append(u.added, b.Object.ID)
+	u.next++
+	return nil
+}
+
+func coverOf(cover func(geom.Cap) []model.ObjectID) *CoverCache {
+	return NewCoverCache(&fakeUniverse{cover: cover, next: 1})
+}
+
+func births(ids ...model.ObjectID) []model.Birth {
+	out := make([]model.Birth, len(ids))
+	for i, id := range ids {
+		out[i].Object = model.Object{ID: id, Size: 1}
+	}
+	return out
+}
+
 func TestCoverCacheHitMissAndBump(t *testing.T) {
-	calls, grown := 0, 0
-	cc := NewCoverCache(8, func(c geom.Cap) []model.ObjectID {
+	calls := 0
+	u := &fakeUniverse{cover: func(c geom.Cap) []model.ObjectID {
 		calls++
 		return []model.ObjectID{1, 2, 3}
-	}, func(b []model.Birth) error {
-		grown += len(b)
-		return errors.New("resolver rejected the births")
-	})
+	}, next: 1, err: errors.New("universe rejected the birth")}
+	cc := NewCoverCache(u)
 	capA := geom.CapFromRADec(120, 30, 2)
 
 	got, hit := cc.Resolve(capA)
@@ -39,8 +76,8 @@ func TestCoverCacheHitMissAndBump(t *testing.T) {
 	}
 
 	// Growth (even a failed one) invalidates: the next resolve misses.
-	if err := cc.Grow(make([]model.Birth, 2)); err == nil || grown != 2 {
-		t.Fatalf("Grow = %v after growing %d births, want the grow error after 2", err, grown)
+	if err := cc.Grow(births(1, 2)); err == nil {
+		t.Fatal("Grow hid the universe's error")
 	}
 	cc.Resolve(capA)
 	if calls != 2 {
@@ -51,12 +88,12 @@ func TestCoverCacheHitMissAndBump(t *testing.T) {
 // TestCoverCacheRegion pins the region path both nodes serve: the span
 // detail, an empty cover's error, and a nil cache refusing regions.
 func TestCoverCacheRegion(t *testing.T) {
-	cc := NewCoverCache(8, func(c geom.Cap) []model.ObjectID {
+	cc := coverOf(func(c geom.Cap) []model.ObjectID {
 		if c.Center.Z > 0 {
 			return []model.ObjectID{7}
 		}
 		return nil
-	}, nil)
+	})
 	for _, want := range []string{"cover-cache=miss", "cover-cache=hit"} {
 		ids, detail, err := cc.Region(0, 45, 1)
 		if err != nil || len(ids) != 1 || detail != want {
@@ -67,13 +104,10 @@ func TestCoverCacheRegion(t *testing.T) {
 		t.Error("a region covering no objects resolved")
 	}
 	if err := cc.Grow(nil); err != nil {
-		t.Errorf("Grow without a grow function = %v", err)
+		t.Errorf("Grow(nil) = %v", err)
 	}
 
 	var none *CoverCache
-	if got := NewCoverCache(8, nil, nil); got != nil {
-		t.Fatalf("NewCoverCache without a resolver = %v, want nil", got)
-	}
 	if _, _, err := none.Region(0, 45, 1); err == nil {
 		t.Error("a nil cover cache resolved a region")
 	}
@@ -91,34 +125,74 @@ func raOf(c geom.Cap) float64 {
 	return math.Round(ra)
 }
 
+// TestCoverCacheLRUEviction fills the cache, refreshes its oldest
+// entry, and adds one more: the least recently used entry goes.
 func TestCoverCacheLRUEviction(t *testing.T) {
 	calls := map[float64]int{}
-	cc := NewCoverCache(2, func(c geom.Cap) []model.ObjectID {
+	cc := coverOf(func(c geom.Cap) []model.ObjectID {
 		calls[raOf(c)]++
 		return []model.ObjectID{model.ObjectID(raOf(c))}
-	}, nil)
+	})
 	capOf := func(ra float64) geom.Cap { return geom.CapFromRADec(ra, 0, 1) }
 
-	cc.Resolve(capOf(10))
-	cc.Resolve(capOf(20))
-	cc.Resolve(capOf(10)) // refresh 10 → 20 is now LRU
-	cc.Resolve(capOf(30)) // evicts 20
-	cc.Resolve(capOf(10)) // still cached
-	cc.Resolve(capOf(20)) // must recompute
-	if calls[10] != 1 {
-		t.Errorf("entry 10 recomputed %d times, want 1 (LRU refresh lost)", calls[10])
+	for ra := 0; ra < coverCacheSize; ra++ {
+		cc.Resolve(capOf(float64(ra)))
 	}
-	if calls[20] != 2 {
-		t.Errorf("entry 20 computed %d times, want 2 (eviction expected)", calls[20])
+	cc.Resolve(capOf(0))              // refresh 0 → 1 is now LRU
+	cc.Resolve(capOf(coverCacheSize)) // evicts 1
+	cc.Resolve(capOf(0))              // still cached
+	cc.Resolve(capOf(1))              // must recompute
+	if calls[0] != 1 {
+		t.Errorf("entry 0 recomputed %d times, want 1 (LRU refresh lost)", calls[0])
 	}
-	if calls[30] != 1 {
-		t.Errorf("entry 30 computed %d times, want 1", calls[30])
+	if calls[1] != 2 {
+		t.Errorf("entry 1 computed %d times, want 2 (eviction expected)", calls[1])
+	}
+	if calls[coverCacheSize] != 1 {
+		t.Errorf("entry %d computed %d times, want 1", coverCacheSize, calls[coverCacheSize])
+	}
+}
+
+// TestCoverCacheGrowsInIDOrder feeds births out of order, repeated and
+// past the hold bound: the universe grows densely in ID order, a
+// birth waits for the gap below it, and a refused birth is reported.
+func TestCoverCacheGrowsInIDOrder(t *testing.T) {
+	u := &fakeUniverse{cover: func(geom.Cap) []model.ObjectID { return nil }, next: 17}
+	cc := NewCoverCache(u)
+	for _, step := range []struct {
+		births []model.Birth
+		added  []model.ObjectID
+	}{
+		{births(18), nil},
+		{births(16, 17), []model.ObjectID{17, 18}},
+		{births(20, 17, 19), []model.ObjectID{17, 18, 19, 20}},
+	} {
+		if err := cc.Grow(step.births); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(u.added, step.added) {
+			t.Fatalf("after %v the universe added %v, want %v", step.births, u.added, step.added)
+		}
+	}
+
+	ahead := make([]model.ObjectID, maxHeldBirths+1)
+	for i := range ahead {
+		ahead[i] = model.ObjectID(22 + i)
+	}
+	if err := cc.Grow(births(ahead...)); err == nil || !strings.Contains(err.Error(), "dropped birth") {
+		t.Fatalf("Grow past the hold bound = %v, want a dropped birth", err)
+	}
+	if err := cc.Grow(births(21)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := u.next, model.ObjectID(22+maxHeldBirths); got != want {
+		t.Errorf("after the gap filled the next ID is %d, want %d (the held births, not the dropped one)", got, want)
 	}
 }
 
 func TestCoverCacheQuantizationSharesNearbyCaps(t *testing.T) {
 	calls := 0
-	cc := NewCoverCache(8, func(geom.Cap) []model.ObjectID { calls++; return []model.ObjectID{1} }, nil)
+	cc := coverOf(func(geom.Cap) []model.ObjectID { calls++; return []model.ObjectID{1} })
 	cc.Resolve(geom.CapFromRADec(45, -10, 1.5))
 	// A cap perturbed far below the quantum maps to the same entry…
 	cc.Resolve(geom.CapFromRADec(45+1e-10, -10, 1.5))
@@ -136,9 +210,9 @@ func TestCoverCacheQuantizationSharesNearbyCaps(t *testing.T) {
 // (run under -race in CI): resolves must stay consistent and the
 // hit+miss totals must equal the resolve count.
 func TestCoverCacheConcurrent(t *testing.T) {
-	cc := NewCoverCache(16, func(c geom.Cap) []model.ObjectID {
+	cc := coverOf(func(c geom.Cap) []model.ObjectID {
 		return []model.ObjectID{model.ObjectID(raOf(c)) + 1}
-	}, nil)
+	})
 	const goroutines = 8
 	const perG = 200
 	var wg sync.WaitGroup

@@ -40,10 +40,10 @@ type SessionConfig struct {
 	DialRetry time.Duration
 }
 
-// StartupDialRetry is the DialRetry of every dial a node makes to a
-// peer that may be starting alongside it: a cache's repository session
-// and subscription, a router's shard links, repository session and
-// subscription.
+// StartupDialRetry is the DialRetry of every dial made to a peer that
+// may be starting alongside it: a cache's repository session and
+// subscription, a router's shard links, repository session and
+// subscription, and client.Dial.
 const StartupDialRetry = 5 * time.Second
 
 // Session is a concurrency-safe request/response channel to a Delta

@@ -63,7 +63,7 @@ func New(name, addr, metricsAddr string, logf func(format string, args ...any), 
 		addr = "127.0.0.1:0"
 	}
 	return &Node{
-		Reg: obs.NewRegistry(), Traces: obs.NewTraceRing(0),
+		Reg: obs.NewRegistry(), Traces: obs.NewTraceRing(),
 		Unblock: func() {}, Final: func() error { return nil },
 		name: name, listen: addr, metrics: metricsAddr, logf: logf, handle: handle,
 		stop: make(chan struct{}), conns: make(map[net.Conn]struct{}),

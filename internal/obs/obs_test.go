@@ -19,7 +19,7 @@ func TestNilRegistryContract(t *testing.T) {
 	var r *Registry
 	c := r.NewCounter("x_total", "")
 	g := r.NewGauge("x", "")
-	h := r.NewHistogram("x_seconds", "", nil)
+	h := r.NewHistogram("x_seconds", "")
 	r.NewCounterFunc("y_total", "", func() float64 { return 1 })
 	r.NewGaugeFunc("y", "", func() float64 { return 1 })
 	if c != nil || g != nil || h != nil {
@@ -100,7 +100,7 @@ func TestCounterNameMustEndInTotal(t *testing.T) {
 func TestValues(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("v_ops_total", "").Add(3)
-	r.NewHistogram("v_seconds", "", nil).Observe(time.Second)
+	r.NewHistogram("v_seconds", "").Observe(time.Second)
 	r.NewGauge("v_resident", "").Set(-2)
 	r.NewCounterFunc("v_fn_total", "", func() float64 { return 7.5 })
 	r.NewGaugeFunc("v_fn", "", func() float64 { return 0.25 })
@@ -121,42 +121,40 @@ func TestValues(t *testing.T) {
 
 func TestHistogramObserveAndQuantile(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("lat_seconds", "", []float64{0.01, 0.1, 1})
-	// 50 obs in (0, 10ms], 40 in (10ms, 100ms], 10 in (100ms, 1s].
+	h := r.NewHistogram("lat_seconds", "")
+	// DefBuckets has bounds at 2.5, 5, 25, 50, 250 and 500 ms: 50 obs
+	// in (2.5ms, 5ms], 40 in (25ms, 50ms], 10 in (250ms, 500ms].
 	for i := 0; i < 50; i++ {
-		h.Observe(5 * time.Millisecond)
+		h.Observe(4 * time.Millisecond)
 	}
 	for i := 0; i < 40; i++ {
-		h.Observe(50 * time.Millisecond)
+		h.Observe(40 * time.Millisecond)
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(500 * time.Millisecond)
+		h.Observe(400 * time.Millisecond)
 	}
 	if h.Count() != 100 {
 		t.Fatalf("count = %d, want 100", h.Count())
 	}
-	if p50 := h.Quantile(0.50); p50 <= 0 || p50 > 0.01 {
-		t.Errorf("p50 = %v, want in (0, 0.01]", p50)
+	if p50 := h.Quantile(0.50); p50 <= 0.0025 || p50 > 0.005 {
+		t.Errorf("p50 = %v, want in (0.0025, 0.005]", p50)
 	}
-	if p90 := h.Quantile(0.90); p90 <= 0.01 || p90 > 0.1 {
-		t.Errorf("p90 = %v, want in (0.01, 0.1]", p90)
+	if p90 := h.Quantile(0.90); p90 <= 0.025 || p90 > 0.05 {
+		t.Errorf("p90 = %v, want in (0.025, 0.05]", p90)
 	}
-	if p99 := h.Quantile(0.99); p99 <= 0.1 || p99 > 1 {
-		t.Errorf("p99 = %v, want in (0.1, 1]", p99)
+	if p99 := h.Quantile(0.99); p99 <= 0.25 || p99 > 0.5 {
+		t.Errorf("p99 = %v, want in (0.25, 0.5]", p99)
 	}
-	// An exact boundary observation lands in the bucket it bounds (le
-	// semantics), and an over-the-top observation clamps to the highest
-	// finite bound.
-	h.Observe(10 * time.Millisecond)
+	// An over-the-top observation clamps to the highest finite bound.
 	h.Observe(time.Hour)
-	if q := h.Quantile(0.9999); q != 1 {
-		t.Errorf("+Inf quantile = %v, want clamp to 1", q)
+	if q, top := h.Quantile(0.9999), DefBuckets[len(DefBuckets)-1]; q != top {
+		t.Errorf("+Inf quantile = %v, want clamp to %v", q, top)
 	}
 }
 
 func TestHistogramDefaultBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("d_seconds", "", nil)
+	h := r.NewHistogram("d_seconds", "")
 	h.Observe(time.Millisecond)
 	fams := mustParse(t, r)
 	fam := fams["d_seconds"]
@@ -167,15 +165,6 @@ func TestHistogramDefaultBuckets(t *testing.T) {
 	if got, want := len(fam.Samples), len(DefBuckets)+3; got != want {
 		t.Fatalf("histogram sample count = %d, want %d", got, want)
 	}
-}
-
-func TestUnsortedBucketsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unsorted bounds did not panic")
-		}
-	}()
-	NewRegistry().NewHistogram("bad_seconds", "", []float64{1, 0.5})
 }
 
 func mustParse(t *testing.T, r *Registry) map[string]*Family {
@@ -202,9 +191,9 @@ func TestExpositionRoundTrip(t *testing.T) {
 	g.Set(-3)
 	r.NewCounterFunc("rt_fn_total", "computed counter", func() float64 { return 7.5 })
 	r.NewGaugeFunc("rt_fn", "computed gauge", func() float64 { return 0.25 })
-	h := r.NewHistogram("rt_seconds", "latency", []float64{0.5, 2})
+	h := r.NewHistogram("rt_seconds", "latency")
 	h.Observe(time.Second)
-	h.Observe(3 * time.Second)
+	h.Observe(2 * time.Minute)
 
 	fams := mustParse(t, r)
 	checks := []struct {
@@ -217,10 +206,11 @@ func TestExpositionRoundTrip(t *testing.T) {
 		{"rt_fn_total", "rt_fn_total", "counter", 7.5},
 		{"rt_fn", "rt_fn", "gauge", 0.25},
 		{"rt_seconds", `rt_seconds_bucket{le="0.5"}`, "histogram", 0},
-		{"rt_seconds", `rt_seconds_bucket{le="2"}`, "histogram", 1},
+		{"rt_seconds", `rt_seconds_bucket{le="1"}`, "histogram", 1},
+		{"rt_seconds", `rt_seconds_bucket{le="60"}`, "histogram", 1},
 		{"rt_seconds", `rt_seconds_bucket{le="+Inf"}`, "histogram", 2},
 		{"rt_seconds", "rt_seconds_count", "histogram", 2},
-		{"rt_seconds", "rt_seconds_sum", "histogram", 4},
+		{"rt_seconds", "rt_seconds_sum", "histogram", 121},
 	}
 	for _, ck := range checks {
 		fam := fams[ck.family]
@@ -261,22 +251,26 @@ func TestParseExpositionRejects(t *testing.T) {
 }
 
 func TestTraceRing(t *testing.T) {
-	ring := NewTraceRing(3)
+	ring := NewTraceRing()
 	ring.Add(0, []netproto.TraceSpan{{Name: "router"}}) // untraced: ignored
-	for id := uint64(1); id <= 5; id++ {
+	const last = DefaultTraceRing + 2
+	for id := uint64(1); id <= last; id++ {
 		ring.Add(id, []netproto.TraceSpan{{Name: "cache", Objects: int(id)}})
 	}
 	snap := ring.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("ring holds %d traces, want 3", len(snap))
+	if len(snap) != DefaultTraceRing {
+		t.Fatalf("ring holds %d traces, want %d", len(snap), DefaultTraceRing)
 	}
 	// Newest first, oldest two evicted.
-	for i, want := range []uint64{5, 4, 3} {
+	for i, want := range []uint64{last, last - 1, last - 2} {
 		if snap[i].ID != want {
 			t.Errorf("snapshot[%d].ID = %d, want %d", i, snap[i].ID, want)
 		}
 	}
-	if _, ok := ring.Get(1); ok {
+	if snap[DefaultTraceRing-1].ID != 3 {
+		t.Errorf("oldest kept trace = %d, want 3", snap[DefaultTraceRing-1].ID)
+	}
+	if _, ok := ring.Get(2); ok {
 		t.Error("evicted trace still retrievable")
 	}
 	got, ok := ring.Get(4)
@@ -286,9 +280,9 @@ func TestTraceRing(t *testing.T) {
 	// The ring copies spans: mutating the caller's slice after Add must
 	// not reach the stored trace.
 	spans := []netproto.TraceSpan{{Name: "cache"}}
-	ring.Add(9, spans)
+	ring.Add(last+1, spans)
 	spans[0].Name = "mutated"
-	if got, _ := ring.Get(9); got.Spans[0].Name != "cache" {
+	if got, _ := ring.Get(last + 1); got.Spans[0].Name != "cache" {
 		t.Error("ring aliased the caller's span slice")
 	}
 }
@@ -336,7 +330,7 @@ func TestFormatSpans(t *testing.T) {
 func TestDebugServer(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("dbg_total", "x").Add(3)
-	ring := NewTraceRing(4)
+	ring := NewTraceRing()
 	ring.Add(11, []netproto.TraceSpan{{Name: "cache", Shard: -1}})
 	ds, err := ServeDebug("127.0.0.1:0", r, ring)
 	if err != nil {

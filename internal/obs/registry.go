@@ -205,35 +205,26 @@ func (f *funcMetric) samples() []Sample {
 	return []Sample{{Name: f.name, Value: f.fn()}}
 }
 
-// Histogram is a fixed-bucket latency histogram with cumulative bucket
-// counts, a sum, and quantile extraction. Observations are durations;
-// bounds are seconds.
+// Histogram is a latency histogram over DefBuckets with cumulative
+// bucket counts, a sum, and quantile extraction. Observations are
+// durations; bounds are seconds.
 type Histogram struct {
 	name, help string
-	bounds     []float64
-	counts     []atomic.Int64 // len(bounds)+1; last bucket is +Inf
+	counts     []atomic.Int64 // len(DefBuckets)+1; last bucket is +Inf
 	count      atomic.Int64
 	sumNanos   atomic.Int64
 }
 
-// NewHistogram registers a histogram over the given ascending bucket
-// bounds in seconds (nil bounds selects DefBuckets). Nil registry
+// NewHistogram registers a histogram over DefBuckets. Nil registry
 // returns nil.
-func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
+func (r *Registry) NewHistogram(name, help string) *Histogram {
 	if r == nil {
 		return nil
-	}
-	if bounds == nil {
-		bounds = DefBuckets
-	}
-	if !sort.Float64sAreSorted(bounds) {
-		panic(fmt.Sprintf("obs: histogram %q bounds not ascending", name))
 	}
 	h := &Histogram{
 		name:   name,
 		help:   help,
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
+		counts: make([]atomic.Int64, len(DefBuckets)+1),
 	}
 	r.register(name, h)
 	return h
@@ -246,7 +237,7 @@ func (h *Histogram) Observe(d time.Duration) {
 		return
 	}
 	s := d.Seconds()
-	i := sort.SearchFloat64s(h.bounds, s) // first bound >= s (le semantics)
+	i := sort.SearchFloat64s(DefBuckets, s) // first bound >= s (le semantics)
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sumNanos.Add(int64(d))
@@ -282,14 +273,14 @@ func (h *Histogram) Quantile(p float64) float64 {
 			continue
 		}
 		if float64(cum+n) >= rank {
-			if i >= len(h.bounds) { // +Inf bucket
-				return h.bounds[len(h.bounds)-1]
+			if i >= len(DefBuckets) { // +Inf bucket
+				return DefBuckets[len(DefBuckets)-1]
 			}
 			lo := 0.0
 			if i > 0 {
-				lo = h.bounds[i-1]
+				lo = DefBuckets[i-1]
 			}
-			hi := h.bounds[i]
+			hi := DefBuckets[i]
 			frac := (rank - float64(cum)) / float64(n)
 			if frac < 0 {
 				frac = 0
@@ -300,7 +291,7 @@ func (h *Histogram) Quantile(p float64) float64 {
 		}
 		cum += n
 	}
-	return h.bounds[len(h.bounds)-1]
+	return DefBuckets[len(DefBuckets)-1]
 }
 
 func (h *Histogram) meta() (string, string, string) { return h.name, h.help, "histogram" }
@@ -311,8 +302,8 @@ func (h *Histogram) samples() []Sample {
 	for i := range h.counts {
 		cum += h.counts[i].Load()
 		le := "+Inf"
-		if i < len(h.bounds) {
-			le = formatFloat(h.bounds[i])
+		if i < len(DefBuckets) {
+			le = formatFloat(DefBuckets[i])
 		}
 		out = append(out, Sample{
 			Name:  fmt.Sprintf("%s_bucket{le=%q}", h.name, le),

@@ -37,13 +37,9 @@ type TraceRing struct {
 	n    int
 }
 
-// NewTraceRing builds a ring holding up to capacity traces
-// (DefaultTraceRing when capacity <= 0).
-func NewTraceRing(capacity int) *TraceRing {
-	if capacity <= 0 {
-		capacity = DefaultTraceRing
-	}
-	return &TraceRing{buf: make([]Trace, capacity)}
+// NewTraceRing builds a ring holding up to DefaultTraceRing traces.
+func NewTraceRing() *TraceRing {
+	return &TraceRing{buf: make([]Trace, DefaultTraceRing)}
 }
 
 // Add records one traced query's spans (copied, so callers may reuse

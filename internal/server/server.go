@@ -145,11 +145,11 @@ func New(cfg Config) (*Repository, error) {
 	}
 	r.Unblock = r.closeSubscribers
 	r.execLat = r.Reg.NewHistogram("delta_repo_query_seconds",
-		"Repository query execution latency.", nil)
+		"Repository query execution latency.")
 	r.loadLat = r.Reg.NewHistogram("delta_repo_load_seconds",
-		"Repository object-load latency.", nil)
+		"Repository object-load latency.")
 	r.fsyncLat = r.Reg.NewHistogram("delta_journal_fsync_seconds",
-		"Durability journal fsync latency.", nil)
+		"Durability journal fsync latency.")
 	r.notices = r.Reg.NewCounter("delta_repo_notices_total",
 		"Update notices queued to invalidation subscribers, after each subscriber's ownership filter.")
 	r.queries = r.Reg.NewCounter("delta_queries_total",

@@ -37,7 +37,7 @@ func TestGrowthTraceZeroViolations(t *testing.T) {
 		core.NewNoCache(),
 		core.NewReplica(),
 		core.NewVCover(core.DefaultVCoverConfig()),
-		core.NewBenefit(core.BenefitConfig{Window: 2, Alpha: 0.5, LoadAmortization: 2}),
+		core.NewBenefit(core.BenefitConfig{Window: 2}),
 		core.NewSOptimal(events),
 	}
 	for _, p := range policies {

@@ -93,10 +93,7 @@ func TestPoliciesNeverViolateOnRandomWorkloads(t *testing.T) {
 		policies := []core.Policy{
 			core.NewNoCache(),
 			core.NewReplica(),
-			core.NewBenefit(core.BenefitConfig{
-				Window: rng.Intn(400) + 10, Alpha: rng.Float64(),
-				LoadAmortization: rng.Intn(32) + 1,
-			}),
+			core.NewBenefit(core.BenefitConfig{Window: rng.Intn(400) + 10}),
 			core.NewVCover(core.VCoverConfig{Seed: rng.Int63(), GDSF: rng.Intn(2) == 0}),
 			core.NewSOptimal(events),
 		}

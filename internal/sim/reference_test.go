@@ -362,7 +362,7 @@ func TestQuickRunMatchesReference(t *testing.T) {
 		}
 		capacity := cost.Bytes(float64(total) * rng.Float64())
 		cfg := Config{CacheCapacity: capacity, SampleEvery: rng.Intn(10) + 1}
-		benefit := core.BenefitConfig{Window: rng.Intn(20) + 2, Alpha: rng.Float64(), LoadAmortization: rng.Intn(4) + 1}
+		benefit := core.BenefitConfig{Window: rng.Intn(20) + 2}
 		vcover := core.VCoverConfig{Seed: rng.Int63(), GDSF: rng.Intn(2) == 0}
 		script := randomScript(rng, events, len(objects), model.ObjectID(len(objects)+len(events)))
 		policies := []func() core.Policy{
