@@ -21,6 +21,16 @@ func testObjects(t *testing.T, n int) []model.Object {
 	return survey.Objects()
 }
 
+// mustOwnership places objects on n shards with K = k.
+func mustOwnership(t *testing.T, objects []model.Object, n, k int) *Ownership {
+	t.Helper()
+	own, err := NewOwnershipReplicated(objects, n, k, HTMAware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return own
+}
+
 func TestOwnershipCoversUniverse(t *testing.T) {
 	objects := testObjects(t, 68)
 	for _, mode := range []Mode{Rendezvous, HTMAware} {
