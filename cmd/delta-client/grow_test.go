@@ -36,7 +36,6 @@ func TestRunGrowTwiceOnReplicatedCluster(t *testing.T) {
 		Objects:  survey.Objects(),
 		Shards:   3,
 		Replicas: 2,
-		Mode:     cluster.HTMAware,
 		Scale:    netproto.PayloadScale{},
 	})
 	if err != nil {

@@ -24,7 +24,6 @@ import (
 func TestRunScenarioSmoke(t *testing.T) {
 	survey, cl := dialLocalCluster(t, cluster.LocalConfig{
 		Shards: 2,
-		Mode:   cluster.HTMAware,
 		// Headroom for growth-spurt births: newborns stay cacheable.
 		ShardCapacity: 2 * catalog.DefaultConfig().TotalSize,
 		Scale:         netproto.PayloadScale{},
@@ -61,7 +60,7 @@ func TestRunScenarioUnknown(t *testing.T) {
 // from SQL, fanned out over four workers, every one answered and
 // counted in the summary line.
 func TestRunDemoSmoke(t *testing.T) {
-	survey, cl := dialLocalCluster(t, cluster.LocalConfig{Shards: 2, Mode: cluster.HTMAware, Scale: netproto.PayloadScale{}})
+	survey, cl := dialLocalCluster(t, cluster.LocalConfig{Shards: 2, Scale: netproto.PayloadScale{}})
 	var out bytes.Buffer
 	if err := runDemo(context.Background(), &out, cl, survey, 20, 4, time.Now()); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Command delta-router runs the cluster routing tier: a partition-aware
 // front that makes N cache shards look like one Delta cache. Ownership
-// is a pure function of the survey config, the shard count, the mode
-// and -replicas, and the router is the only node that computes it: a
+// (contiguous HTM cuts of the sky) is a pure function of the survey
+// config, the shard count and -replicas, and the router is the only node that computes it: a
 // `delta-cache -shard` starts owning nothing, and the router's first
 // reshard, at startup, tells each shard what it owns:
 //
@@ -56,7 +56,6 @@ func run() error {
 		addr      = flag.String("addr", "127.0.0.1:7708", "client-facing listen address")
 		shardList = flag.String("shards", "", "comma-separated shard addresses, in shard order")
 		repoAddr  = flag.String("repo", "", "repository address; enables live universe growth (birth publication + announcement adoption)")
-		modeName  = flag.String("mode", "htm", "ownership mode: htm|rendezvous")
 		objects   = flag.Int("objects", 68, "number of data objects (must match the deployment; the shards check)")
 		seed      = flag.Int64("seed", 2, "survey seed (must match the deployment; the shards check)")
 		metrics   = flag.String("metrics-addr", "", "debug HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof (empty = off)")
@@ -71,10 +70,6 @@ func run() error {
 	if *shardList == "" || len(addrs) == 0 {
 		return fmt.Errorf("-shards is required (comma-separated shard addresses)")
 	}
-	mode, err := cluster.ParseMode(*modeName)
-	if err != nil {
-		return err
-	}
 
 	scfg := catalog.DefaultConfig()
 	scfg.Seed = *seed
@@ -86,7 +81,7 @@ func run() error {
 	if *replicas < 1 {
 		return fmt.Errorf("-replicas must be at least 1, got %d", *replicas)
 	}
-	own, err := cluster.NewOwnershipReplicated(survey.Objects(), len(addrs), *replicas, mode)
+	own, err := cluster.NewOwnership(survey.Objects(), len(addrs), *replicas)
 	if err != nil {
 		return err
 	}

@@ -42,7 +42,6 @@ func TestAdoptBirthsOutOfOrderGrowsRegions(t *testing.T) {
 		RepoAddr: repo.Addr(),
 		Objects:  repoSurvey.Objects(),
 		Shards:   2,
-		Mode:     HTMAware,
 		Regions:  regions,
 	})
 	if err != nil {

@@ -207,7 +207,7 @@ func TestAttemptLoop(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			own, err := NewOwnershipReplicated(base, shards, row.replicas, HTMAware)
+			own, err := NewOwnership(base, shards, row.replicas)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,7 +56,6 @@ func TestRepositoryBounceResubscribes(t *testing.T) {
 		RepoAddr: repo.Addr(),
 		Objects:  survey.Objects(),
 		Shards:   2,
-		Mode:     cluster.HTMAware,
 		Scale:    netproto.DefaultScale(),
 	})
 	if err != nil {

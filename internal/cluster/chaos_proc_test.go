@@ -94,7 +94,7 @@ func TestChaosProcessKill(t *testing.T) {
 		"-addr", routerAddr,
 		"-shards", shardAddrs[0]+","+shardAddrs[1]+","+shardAddrs[2],
 		"-objects", fmt.Sprint(objects), "-seed", fmt.Sprint(seed),
-		"-mode", "htm", "-replicas", fmt.Sprint(replicas))
+		"-replicas", fmt.Sprint(replicas))
 	waitListening(t, routerAddr)
 
 	// The same survey config the processes were started with, so the

@@ -47,7 +47,6 @@ func startCluster(t *testing.T, shards int, policy func(int) core.Policy) (*cata
 		RepoAddr: repo.Addr(),
 		Objects:  survey.Objects(),
 		Shards:   shards,
-		Mode:     cluster.HTMAware,
 		Policy:   policy,
 		Scale:    netproto.DefaultScale(),
 	})

@@ -16,7 +16,6 @@ import (
 // replica set.
 func extendRebuild(o *Ownership, objs []model.Object) *Ownership {
 	n := &Ownership{
-		mode:     o.mode,
 		shards:   o.shards,
 		replicas: o.replicas,
 		kEff:     o.kEff,
@@ -27,11 +26,7 @@ func extendRebuild(o *Ownership, objs []model.Object) *Ownership {
 	copy(n.owner, o.owner)
 	for i, obj := range objs {
 		p := len(o.universe) + i
-		if o.mode == Rendezvous {
-			n.owner[p] = int32(rendezvousOwner(obj.ID, o.shards))
-		} else {
-			n.owner[p] = int32(cutOwnerScan(n, obj, p))
-		}
+		n.owner[p] = int32(cutOwnerScan(n, obj, p))
 	}
 	n.deriveReplicas()
 	return n
@@ -115,8 +110,8 @@ type extendStep struct {
 }
 
 // TestQuickExtendMatchesRebuild is the differential test of the O(batch)
-// Extend against the rebuild-everything implementation it replaced: in
-// both modes, at K = 1..3, over universes with dense sequential IDs,
+// Extend against the rebuild-everything implementation it replaced: at
+// K = 1..3, over universes with dense sequential IDs,
 // births that break the sequence (jumping ahead, then filling in below
 // a shard's last ID) and universes that never had one, every chain of
 // random birth batches answers Owner / Owners / ShardObjects / Filter
@@ -130,95 +125,93 @@ func TestQuickExtendMatchesRebuild(t *testing.T) {
 		o.ID = o.ID*7 + 3
 		sparse[len(dense)-1-i] = o
 	}
-	for _, mode := range []Mode{Rendezvous, HTMAware} {
-		for k := 1; k <= 3; k++ {
-			for name, base := range map[string][]model.Object{"dense": dense, "sparse": sparse} {
-				prop := func(shards uint8, sequential bool, steps []extendStep) bool {
-					n := int(shards)%5 + 1
-					own, err := NewOwnershipReplicated(base, n, k, mode)
+	for k := 1; k <= 3; k++ {
+		for name, base := range map[string][]model.Object{"dense": dense, "sparse": sparse} {
+			prop := func(shards uint8, sequential bool, steps []extendStep) bool {
+				n := int(shards)%5 + 1
+				own, err := NewOwnership(base, n, k)
+				if err != nil {
+					t.Logf("new ownership: %v", err)
+					return false
+				}
+				oracle, _ := NewOwnership(base, n, k)
+				// Births take IDs past everything so far; a gapped run
+				// also leaves holes that the next batch fills from below.
+				next := model.ObjectID(len(base)*7 + 4)
+				if name == "dense" {
+					next = model.ObjectID(len(base) + 1)
+				}
+				var holes []model.ObjectID
+				batch := func(st extendStep) []model.Object {
+					objs := make([]model.Object, int(st.Births)%4+1)
+					for i := range objs {
+						var id model.ObjectID
+						switch {
+						case !sequential && len(holes) > 0 && st.Gap%2 == 1:
+							id, holes = holes[len(holes)-1], holes[:len(holes)-1]
+						case !sequential && st.Gap%4 == 2:
+							holes = append(holes, next, next+1)
+							id, next = next+2, next+3
+						default:
+							id, next = next, next+1
+						}
+						trixel := uint64(0)
+						if len(st.Trixels) > 0 {
+							trixel = st.Trixels[i%len(st.Trixels)] % 4096
+						}
+						objs[i] = model.Object{ID: id, Size: cost.MB, Trixel: trixel}
+					}
+					return objs
+				}
+				if len(steps) > 16 {
+					steps = steps[:16]
+				}
+				for i, st := range steps {
+					if m := int(st.Shards)%12 + 1; m <= 5 {
+						if own, err = own.Resize(m); err != nil {
+							t.Logf("step %d: resize to %d: %v", i, m, err)
+							return false
+						}
+						oracle, _ = oracle.Resize(m)
+					}
+					first, second := batch(st), batch(st)
+					child, err := own.Extend(first)
 					if err != nil {
-						t.Logf("new ownership: %v", err)
+						t.Logf("step %d: extend: %v", i, err)
 						return false
 					}
-					oracle, _ := NewOwnershipReplicated(base, n, k, mode)
-					// Births take IDs past everything so far; a gapped run
-					// also leaves holes that the next batch fills from below.
-					next := model.ObjectID(len(base)*7 + 4)
-					if name == "dense" {
-						next = model.ObjectID(len(base) + 1)
+					sibling, err := own.Extend(second)
+					if err != nil {
+						t.Logf("step %d: second extend: %v", i, err)
+						return false
 					}
-					var holes []model.ObjectID
-					batch := func(st extendStep) []model.Object {
-						objs := make([]model.Object, int(st.Births)%4+1)
-						for i := range objs {
-							var id model.ObjectID
-							switch {
-							case !sequential && len(holes) > 0 && st.Gap%2 == 1:
-								id, holes = holes[len(holes)-1], holes[:len(holes)-1]
-							case !sequential && st.Gap%4 == 2:
-								holes = append(holes, next, next+1)
-								id, next = next+2, next+3
-							default:
-								id, next = next, next+1
-							}
-							trixel := uint64(0)
-							if len(st.Trixels) > 0 {
-								trixel = st.Trixels[i%len(st.Trixels)] % 4096
-							}
-							objs[i] = model.Object{ID: id, Size: cost.MB, Trixel: trixel}
-						}
-						return objs
-					}
-					if len(steps) > 16 {
-						steps = steps[:16]
-					}
-					for i, st := range steps {
-						if m := int(st.Shards)%12 + 1; m <= 5 {
-							if own, err = own.Resize(m); err != nil {
-								t.Logf("step %d: resize to %d: %v", i, m, err)
-								return false
-							}
-							oracle, _ = oracle.Resize(m)
-						}
-						first, second := batch(st), batch(st)
-						child, err := own.Extend(first)
-						if err != nil {
-							t.Logf("step %d: extend: %v", i, err)
+					wantChild, wantSibling := extendRebuild(oracle, first), extendRebuild(oracle, second)
+					for _, c := range []struct {
+						what      string
+						got, want *Ownership
+					}{
+						{"parent after its children extended", own, oracle},
+						{"first child", child, wantChild},
+						{"second child", sibling, wantSibling},
+					} {
+						if err := sameAnswers(c.got, c.want); err != nil {
+							t.Logf("step %d (%+v), %s: %v", i, st, c.what, err)
 							return false
 						}
-						sibling, err := own.Extend(second)
-						if err != nil {
-							t.Logf("step %d: second extend: %v", i, err)
-							return false
-						}
-						wantChild, wantSibling := extendRebuild(oracle, first), extendRebuild(oracle, second)
-						for _, c := range []struct {
-							what      string
-							got, want *Ownership
-						}{
-							{"parent after its children extended", own, oracle},
-							{"first child", child, wantChild},
-							{"second child", sibling, wantSibling},
-						} {
-							if err := sameAnswers(c.got, c.want); err != nil {
-								t.Logf("step %d (%+v), %s: %v", i, st, c.what, err)
-								return false
-							}
-						}
-						if err := checkPartition(child); err != nil {
-							t.Logf("step %d: %v", i, err)
-							return false
-						}
-						own, oracle = child, wantChild
-						if st.Fork {
-							own, oracle = sibling, wantSibling
-						}
 					}
-					return true
+					if err := checkPartition(child); err != nil {
+						t.Logf("step %d: %v", i, err)
+						return false
+					}
+					own, oracle = child, wantChild
+					if st.Fork {
+						own, oracle = sibling, wantSibling
+					}
 				}
-				if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-					t.Errorf("%s K=%d %s IDs: %v", mode, k, name, err)
-				}
+				return true
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+				t.Errorf("K=%d %s IDs: %v", k, name, err)
 			}
 		}
 	}

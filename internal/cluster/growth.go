@@ -6,9 +6,9 @@
 // subscribes to (Config.RepoAddr) — and adoption is the same either
 // way:
 //
-//  1. extend the current routing epoch's ownership (Ownership.Extend:
-//     rendezvous placement is free, HTM places the newborn in the cut
-//     that spatially contains it — no existing object moves);
+//  1. extend the current routing epoch's ownership (Ownership.Extend
+//     places the newborn in the cut that spatially contains it — no
+//     existing object moves);
 //  2. grant the birth to its owning shards (one MsgBirthGrant per shard
 //     per batch), so each admits it into its filter and policy
 //     universe — a shard refuses MsgObjectBirth published to it

@@ -87,114 +87,110 @@ type growthOp struct {
 
 // TestQuickGrowthResizeSingleOwner is the satellite property test:
 // across any growth sequence and any interleaved Resize, each live
-// object is owned by exactly one shard per epoch, in both ownership
-// modes — and extension is deterministic, so every party that replays
-// the same schedule computes the identical map.
+// object is owned by exactly one shard per epoch — and extension is
+// deterministic, so every party that replays the same schedule computes
+// the identical map.
 func TestQuickGrowthResizeSingleOwner(t *testing.T) {
 	base := testObjects(t, 16)
-	for _, mode := range []Mode{Rendezvous, HTMAware} {
-		prop := func(startShards uint8, ops []growthOp) bool {
-			n := int(startShards)%6 + 1
-			own, err := NewOwnership(base, n, mode)
-			if err != nil {
-				t.Logf("new ownership: %v", err)
+	prop := func(startShards uint8, ops []growthOp) bool {
+		n := int(startShards)%6 + 1
+		own, err := NewOwnership(base, n, 1)
+		if err != nil {
+			t.Logf("new ownership: %v", err)
+			return false
+		}
+		replay, _ := NewOwnership(base, n, 1)
+		nextID := model.ObjectID(len(base) + 1)
+		if len(ops) > 24 {
+			ops = ops[:24]
+		}
+		for _, op := range ops {
+			var objs []model.Object
+			for i := 0; i < int(op.Births)%4; i++ {
+				objs = append(objs, model.Object{
+					ID:     nextID,
+					Size:   cost.Bytes(int64(op.Size)%(1<<20) + 1),
+					Trixel: op.Trixel % 4096,
+				})
+				nextID++
+			}
+			if own, err = own.Extend(objs); err != nil {
+				t.Logf("extend: %v", err)
 				return false
 			}
-			replay, _ := NewOwnership(base, n, mode)
-			nextID := model.ObjectID(len(base) + 1)
-			if len(ops) > 24 {
-				ops = ops[:24]
+			if replay, err = replay.Extend(objs); err != nil {
+				return false
 			}
-			for _, op := range ops {
-				var objs []model.Object
-				for i := 0; i < int(op.Births)%4; i++ {
-					objs = append(objs, model.Object{
-						ID:     nextID,
-						Size:   cost.Bytes(int64(op.Size)%(1<<20) + 1),
-						Trixel: op.Trixel % 4096,
-					})
-					nextID++
-				}
-				if own, err = own.Extend(objs); err != nil {
-					t.Logf("extend: %v", err)
+			if err := checkPartition(own); err != nil {
+				t.Logf("after extend: %v", err)
+				return false
+			}
+			if m := int(op.Shards) % 8; m > 0 {
+				if own, err = own.Resize(m); err != nil {
+					t.Logf("resize to %d: %v", m, err)
 					return false
 				}
-				if replay, err = replay.Extend(objs); err != nil {
+				if replay, err = replay.Resize(m); err != nil {
 					return false
 				}
 				if err := checkPartition(own); err != nil {
-					t.Logf("after extend: %v", err)
+					t.Logf("after resize to %d: %v", m, err)
 					return false
 				}
-				if m := int(op.Shards) % 8; m > 0 {
-					if own, err = own.Resize(m); err != nil {
-						t.Logf("resize to %d: %v", m, err)
-						return false
-					}
-					if replay, err = replay.Resize(m); err != nil {
-						return false
-					}
-					if err := checkPartition(own); err != nil {
-						t.Logf("after resize to %d: %v", m, err)
-						return false
-					}
-				}
-				// Determinism: the replayed schedule computes the same map.
-				for p := range own.universe {
-					id := own.universe[p].ID
-					rs, ok := replay.Owner(id)
-					if !ok || rs != int(own.owner[p]) {
-						t.Logf("replay diverged on object %d: %d vs %d", id, own.owner[p], rs)
-						return false
-					}
+			}
+			// Determinism: the replayed schedule computes the same map.
+			for p := range own.universe {
+				id := own.universe[p].ID
+				rs, ok := replay.Owner(id)
+				if !ok || rs != int(own.owner[p]) {
+					t.Logf("replay diverged on object %d: %d vs %d", id, own.owner[p], rs)
+					return false
 				}
 			}
-			return true
 		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-			t.Errorf("%s: %v", mode, err)
-		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
 	}
 }
 
 // TestQuickExtendNeverMovesExisting pins the "no relabeling" half of
 // the growth design: extending the universe must not change any
-// existing object's owner, in either mode.
+// existing object's owner.
 func TestQuickExtendNeverMovesExisting(t *testing.T) {
 	base := testObjects(t, 16)
-	for _, mode := range []Mode{Rendezvous, HTMAware} {
-		prop := func(shards uint8, trixels []uint64) bool {
-			n := int(shards)%6 + 2
-			own, err := NewOwnership(base, n, mode)
+	prop := func(shards uint8, trixels []uint64) bool {
+		n := int(shards)%6 + 2
+		own, err := NewOwnership(base, n, 1)
+		if err != nil {
+			return false
+		}
+		if len(trixels) > 16 {
+			trixels = trixels[:16]
+		}
+		nextID := model.ObjectID(len(base) + 1)
+		for _, tx := range trixels {
+			before := make(map[model.ObjectID]int, len(own.owner))
+			for p := range own.universe {
+				before[own.universe[p].ID] = int(own.owner[p])
+			}
+			own, err = own.Extend([]model.Object{{ID: nextID, Size: cost.MB, Trixel: tx % 4096}})
 			if err != nil {
 				return false
 			}
-			if len(trixels) > 16 {
-				trixels = trixels[:16]
-			}
-			nextID := model.ObjectID(len(base) + 1)
-			for _, tx := range trixels {
-				before := make(map[model.ObjectID]int, len(own.owner))
-				for p := range own.universe {
-					before[own.universe[p].ID] = int(own.owner[p])
-				}
-				own, err = own.Extend([]model.Object{{ID: nextID, Size: cost.MB, Trixel: tx % 4096}})
-				if err != nil {
+			nextID++
+			for id, s := range before {
+				if got, _ := own.Owner(id); got != s {
+					t.Logf("object %d moved %d→%d on extension", id, s, got)
 					return false
 				}
-				nextID++
-				for id, s := range before {
-					if got, _ := own.Owner(id); got != s {
-						t.Logf("%s: object %d moved %d→%d on extension", mode, id, s, got)
-						return false
-					}
-				}
 			}
-			return true
 		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-			t.Errorf("%s: %v", mode, err)
-		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -257,132 +253,128 @@ func checkShares(frags []fragment, q *model.Query) error {
 // exact.
 func TestQuickFragmentSharesSumToNu(t *testing.T) {
 	base := testObjects(t, 16)
-	for _, mode := range []Mode{Rendezvous, HTMAware} {
-		prop := func(shards uint8, births uint8, nu uint32, picks []uint16) bool {
-			n := int(shards)%6 + 1
-			own, err := NewOwnership(base, n, mode)
-			if err != nil {
+	prop := func(shards uint8, births uint8, nu uint32, picks []uint16) bool {
+		n := int(shards)%6 + 1
+		own, err := NewOwnership(base, n, 1)
+		if err != nil {
+			return false
+		}
+		var objs []model.Object
+		for i := 0; i < int(births)%24; i++ {
+			objs = append(objs, model.Object{
+				ID:     model.ObjectID(len(base) + i + 1),
+				Size:   cost.MB,
+				Trixel: uint64(i) * 97 % 4096,
+			})
+		}
+		if own, err = own.Extend(objs); err != nil {
+			return false
+		}
+		ids := pickObjects(own, picks)
+		q := &model.Query{ID: 1, Objects: ids, Cost: cost.Bytes(nu)}
+		frags, stranded, viaReplica := plan(testRouting(own), fragment{query: *q}, nil, false)
+		if len(stranded) > 0 || viaReplica {
+			t.Logf("plan stranded %v (via replica: %v) with nothing struck", stranded, viaReplica)
+			return false
+		}
+		if err := checkShares(frags, q); err != nil {
+			t.Log(err)
+			return false
+		}
+		covered := make(map[model.ObjectID]struct{})
+		for i, fr := range frags {
+			if i > 0 && frags[i-1].link.index >= fr.link.index {
+				t.Logf("fragments out of shard order: %d before %d", frags[i-1].link.index, fr.link.index)
 				return false
 			}
-			var objs []model.Object
-			for i := 0; i < int(births)%24; i++ {
-				objs = append(objs, model.Object{
-					ID:     model.ObjectID(len(base) + i + 1),
-					Size:   cost.MB,
-					Trixel: uint64(i) * 97 % 4096,
-				})
-			}
-			if own, err = own.Extend(objs); err != nil {
-				return false
-			}
-			ids := pickObjects(own, picks)
-			q := &model.Query{ID: 1, Objects: ids, Cost: cost.Bytes(nu)}
-			frags, stranded, viaReplica := plan(testRouting(own), fragment{query: *q}, nil, false)
-			if len(stranded) > 0 || viaReplica {
-				t.Logf("plan stranded %v (via replica: %v) with nothing struck", stranded, viaReplica)
-				return false
-			}
-			if err := checkShares(frags, q); err != nil {
-				t.Log(err)
-				return false
-			}
-			covered := make(map[model.ObjectID]struct{})
-			for i, fr := range frags {
-				if i > 0 && frags[i-1].link.index >= fr.link.index {
-					t.Logf("fragments out of shard order: %d before %d", frags[i-1].link.index, fr.link.index)
+			for _, id := range fr.query.Objects {
+				if owner, _ := own.Owner(id); owner != fr.link.index {
+					t.Logf("object %d planned onto shard %d, primary is %d", id, fr.link.index, owner)
 					return false
 				}
-				for _, id := range fr.query.Objects {
-					if owner, _ := own.Owner(id); owner != fr.link.index {
-						t.Logf("object %d planned onto shard %d, primary is %d", id, fr.link.index, owner)
-						return false
-					}
-					if _, dup := covered[id]; dup {
-						t.Logf("object %d in two fragments", id)
-						return false
-					}
-					covered[id] = struct{}{}
+				if _, dup := covered[id]; dup {
+					t.Logf("object %d in two fragments", id)
+					return false
 				}
+				covered[id] = struct{}{}
 			}
-			if len(covered) != len(ids) {
-				t.Logf("fragments cover %d of %d objects", len(covered), len(ids))
-				return false
-			}
-			return true
 		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
-			t.Errorf("%s: %v", mode, err)
+		if len(covered) != len(ids) {
+			t.Logf("fragments cover %d of %d objects", len(covered), len(ids))
+			return false
 		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
 	}
 }
 
 // TestQuickReplicatedGrowthResize is the replication property test:
 // across any growth sequence and any interleaved Resize, at any
-// replication factor K ∈ 1..3 and in both ownership modes, every live
+// replication factor K ∈ 1..3, every live
 // object keeps exactly min(K, shards) distinct ranked owners per epoch
 // — Extend and Resize preserve K, never duplicate a replica, and keep
 // the per-shard held lists consistent with the replica sets.
 func TestQuickReplicatedGrowthResize(t *testing.T) {
 	base := testObjects(t, 16)
-	for _, mode := range []Mode{Rendezvous, HTMAware} {
-		prop := func(startShards, k uint8, ops []growthOp) bool {
-			n := int(startShards)%6 + 1
-			kk := int(k)%3 + 1
-			own, err := NewOwnershipReplicated(base, n, kk, mode)
-			if err != nil {
-				t.Logf("new ownership: %v", err)
+	prop := func(startShards, k uint8, ops []growthOp) bool {
+		n := int(startShards)%6 + 1
+		kk := int(k)%3 + 1
+		own, err := NewOwnership(base, n, kk)
+		if err != nil {
+			t.Logf("new ownership: %v", err)
+			return false
+		}
+		if err := checkPartition(own); err != nil {
+			t.Logf("K=%d initial: %v", kk, err)
+			return false
+		}
+		nextID := model.ObjectID(len(base) + 1)
+		if len(ops) > 16 {
+			ops = ops[:16]
+		}
+		for _, op := range ops {
+			var objs []model.Object
+			for i := 0; i < int(op.Births)%4; i++ {
+				objs = append(objs, model.Object{
+					ID:     nextID,
+					Size:   cost.Bytes(int64(op.Size)%(1<<20) + 1),
+					Trixel: op.Trixel % 4096,
+				})
+				nextID++
+			}
+			if own, err = own.Extend(objs); err != nil {
+				t.Logf("extend: %v", err)
+				return false
+			}
+			if own.Replicas() != kk {
+				t.Logf("extend changed K: %d → %d", kk, own.Replicas())
 				return false
 			}
 			if err := checkPartition(own); err != nil {
-				t.Logf("K=%d initial: %v", kk, err)
+				t.Logf("K=%d after extend: %v", kk, err)
 				return false
 			}
-			nextID := model.ObjectID(len(base) + 1)
-			if len(ops) > 16 {
-				ops = ops[:16]
-			}
-			for _, op := range ops {
-				var objs []model.Object
-				for i := 0; i < int(op.Births)%4; i++ {
-					objs = append(objs, model.Object{
-						ID:     nextID,
-						Size:   cost.Bytes(int64(op.Size)%(1<<20) + 1),
-						Trixel: op.Trixel % 4096,
-					})
-					nextID++
-				}
-				if own, err = own.Extend(objs); err != nil {
-					t.Logf("extend: %v", err)
+			if m := int(op.Shards) % 8; m > 0 {
+				if own, err = own.Resize(m); err != nil {
+					t.Logf("resize to %d: %v", m, err)
 					return false
 				}
 				if own.Replicas() != kk {
-					t.Logf("extend changed K: %d → %d", kk, own.Replicas())
+					t.Logf("resize changed K: %d → %d", kk, own.Replicas())
 					return false
 				}
 				if err := checkPartition(own); err != nil {
-					t.Logf("K=%d after extend: %v", kk, err)
+					t.Logf("K=%d after resize to %d: %v", kk, m, err)
 					return false
 				}
-				if m := int(op.Shards) % 8; m > 0 {
-					if own, err = own.Resize(m); err != nil {
-						t.Logf("resize to %d: %v", m, err)
-						return false
-					}
-					if own.Replicas() != kk {
-						t.Logf("resize changed K: %d → %d", kk, own.Replicas())
-						return false
-					}
-					if err := checkPartition(own); err != nil {
-						t.Logf("K=%d after resize to %d: %v", kk, m, err)
-						return false
-					}
-				}
 			}
-			return true
 		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-			t.Errorf("%s: %v", mode, err)
-		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -396,81 +388,79 @@ func TestQuickReplicatedGrowthResize(t *testing.T) {
 // exactly once.
 func TestQuickFailoverSharesSumToNu(t *testing.T) {
 	base := testObjects(t, 16)
-	for _, mode := range []Mode{Rendezvous, HTMAware} {
-		prop := func(shards, k, dead, nDead uint8, nu uint32, picks []uint16) bool {
-			kk := int(k)%2 + 2
-			n := int(shards)%4 + kk // ≥ K, so K−1 deaths leave every object a holder
-			own, err := NewOwnershipReplicated(base, n, kk, mode)
-			if err != nil {
+	prop := func(shards, k, dead, nDead uint8, nu uint32, picks []uint16) bool {
+		kk := int(k)%2 + 2
+		n := int(shards)%4 + kk // ≥ K, so K−1 deaths leave every object a holder
+		own, err := NewOwnership(base, n, kk)
+		if err != nil {
+			return false
+		}
+		rt := testRouting(own)
+		isDead := make(map[int]bool)
+		for j := 0; j < int(nDead)%(kk-1)+1; j++ {
+			isDead[(int(dead)+j)%n] = true
+		}
+		ids := pickObjects(own, picks)
+		q := &model.Query{ID: 1, Objects: ids, Cost: cost.Bytes(nu)}
+		var (
+			sum     cost.Bytes
+			covered = make(map[model.ObjectID]struct{})
+		)
+		var walk func(fr fragment, struck []string) bool
+		walk = func(fr fragment, struck []string) bool {
+			if slices.Contains(struck, fr.link.addr) {
+				t.Logf("group re-targeted struck shard %d", fr.link.index)
 				return false
 			}
-			rt := testRouting(own)
-			isDead := make(map[int]bool)
-			for j := 0; j < int(nDead)%(kk-1)+1; j++ {
-				isDead[(int(dead)+j)%n] = true
-			}
-			ids := pickObjects(own, picks)
-			q := &model.Query{ID: 1, Objects: ids, Cost: cost.Bytes(nu)}
-			var (
-				sum     cost.Bytes
-				covered = make(map[model.ObjectID]struct{})
-			)
-			var walk func(fr fragment, struck []string) bool
-			walk = func(fr fragment, struck []string) bool {
-				if slices.Contains(struck, fr.link.addr) {
-					t.Logf("group re-targeted struck shard %d", fr.link.index)
-					return false
-				}
-				if !isDead[fr.link.index] {
-					sum += fr.query.Cost
-					for _, id := range fr.query.Objects {
-						if _, dup := covered[id]; dup {
-							t.Logf("object %d answered twice", id)
-							return false
-						}
-						covered[id] = struct{}{}
-					}
-					return true
-				}
-				struck = append(slices.Clip(struck), fr.link.addr)
-				groups, stranded, viaReplica := plan(rt, fr, struck, false)
-				if len(stranded) > 0 {
-					t.Logf("K=%d stranded %v with %d shards dead", kk, stranded, len(isDead))
-					return false
-				}
-				if err := checkShares(groups, &fr.query); err != nil {
-					t.Logf("failover of shard %d: %v", fr.link.index, err)
-					return false
-				}
-				for _, g := range groups {
-					if !walk(g, struck) {
+			if !isDead[fr.link.index] {
+				sum += fr.query.Cost
+				for _, id := range fr.query.Objects {
+					if _, dup := covered[id]; dup {
+						t.Logf("object %d answered twice", id)
 						return false
 					}
+					covered[id] = struct{}{}
 				}
-				if !viaReplica {
-					t.Logf("failover of shard %d's fragment touched no replica", fr.link.index)
-				}
-				return viaReplica
+				return true
 			}
-			frags, _, _ := plan(rt, fragment{query: *q}, nil, false)
-			for _, fr := range frags {
-				if !walk(fr, nil) {
+			struck = append(slices.Clip(struck), fr.link.addr)
+			groups, stranded, viaReplica := plan(rt, fr, struck, false)
+			if len(stranded) > 0 {
+				t.Logf("K=%d stranded %v with %d shards dead", kk, stranded, len(isDead))
+				return false
+			}
+			if err := checkShares(groups, &fr.query); err != nil {
+				t.Logf("failover of shard %d: %v", fr.link.index, err)
+				return false
+			}
+			for _, g := range groups {
+				if !walk(g, struck) {
 					return false
 				}
 			}
-			if sum != q.Cost {
-				t.Logf("shares sum %d under failover, ν(q) %d", sum, q.Cost)
+			if !viaReplica {
+				t.Logf("failover of shard %d's fragment touched no replica", fr.link.index)
+			}
+			return viaReplica
+		}
+		frags, _, _ := plan(rt, fragment{query: *q}, nil, false)
+		for _, fr := range frags {
+			if !walk(fr, nil) {
 				return false
 			}
-			if len(covered) != len(ids) {
-				t.Logf("failover covered %d of %d objects", len(covered), len(ids))
-				return false
-			}
-			return true
 		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-			t.Errorf("%s: %v", mode, err)
+		if sum != q.Cost {
+			t.Logf("shares sum %d under failover, ν(q) %d", sum, q.Cost)
+			return false
 		}
+		if len(covered) != len(ids) {
+			t.Logf("failover covered %d of %d objects", len(covered), len(ids))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -479,7 +469,7 @@ func TestQuickFailoverSharesSumToNu(t *testing.T) {
 // shard (it joins the cut that spatially contains it).
 func TestExtendHTMJoinsOwningCut(t *testing.T) {
 	base := testObjects(t, 24)
-	own, err := NewOwnership(base, 4, HTMAware)
+	own, err := NewOwnership(base, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +496,7 @@ func TestExtendHTMJoinsOwningCut(t *testing.T) {
 // with an already-owned ID is a caller bug, not a silent overwrite.
 func TestExtendRejectsKnownObject(t *testing.T) {
 	base := testObjects(t, 16)
-	own, err := NewOwnership(base, 2, Rendezvous)
+	own, err := NewOwnership(base, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,6 @@ func TestGrowthSoakWithResizeOverlap(t *testing.T) {
 		RepoAddr: repo.Addr(),
 		Objects:  repoSurvey.Objects(),
 		Shards:   4,
-		Mode:     cluster.HTMAware,
 		Scale:    netproto.PayloadScale{},
 	})
 	if err != nil {
@@ -245,7 +244,6 @@ func TestBirthAnnouncementReachesRouterAndCache(t *testing.T) {
 		RepoAddr: repo.Addr(),
 		Objects:  repoSurvey.Objects(),
 		Shards:   3,
-		Mode:     cluster.HTMAware,
 		Scale:    netproto.PayloadScale{},
 	})
 	if err != nil {
@@ -328,7 +326,6 @@ func TestPublishPathUsesCanonicalMetadata(t *testing.T) {
 		RepoAddr: repo.Addr(),
 		Objects:  repoSurvey.Objects(),
 		Shards:   4,
-		Mode:     cluster.HTMAware,
 		Scale:    netproto.PayloadScale{},
 	})
 	if err != nil {
@@ -403,7 +400,6 @@ func TestShardRefusesDirectBirths(t *testing.T) {
 		RepoAddr: repo.Addr(),
 		Objects:  repoSurvey.Objects(),
 		Shards:   2,
-		Mode:     cluster.HTMAware,
 		Scale:    netproto.PayloadScale{},
 	})
 	if err != nil {

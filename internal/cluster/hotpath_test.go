@@ -155,7 +155,6 @@ func startGrowingCluster(t *testing.T, shards int, policy func(int) core.Policy)
 		RepoAddr: repo.Addr(),
 		Objects:  repoSurvey.Objects(),
 		Shards:   shards,
-		Mode:     cluster.HTMAware,
 		Policy:   policy,
 		Scale:    netproto.PayloadScale{},
 	})
@@ -513,7 +512,6 @@ func TestOneFragmentQuerySpawnsNothing(t *testing.T) {
 		RepoAddr:        repo.Addr(),
 		Objects:         survey.Objects(),
 		Shards:          2,
-		Mode:            cluster.HTMAware,
 		Policy:          func(int) core.Policy { return core.NewReplica() },
 		Scale:           netproto.DefaultScale(),
 		ResultCacheSize: -1, // every query scatters

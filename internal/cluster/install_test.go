@@ -56,7 +56,7 @@ func TestNewRouterRefusesAnotherSurvey(t *testing.T) {
 		t.Fatal(err)
 	}
 	lc := &LocalCluster{cfg: LocalConfig{RepoAddr: repo.Addr()}}
-	shardOwn, err := NewOwnership(survey.Objects(), 1, HTMAware)
+	shardOwn, err := NewOwnership(survey.Objects(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestNewRouterRefusesAnotherSurvey(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { shard.Close() })
-	routerOwn, err := NewOwnership(other.Objects(), 1, HTMAware)
+	routerOwn, err := NewOwnership(other.Objects(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,6 @@ func TestFreshRouterOverRecoveredShards(t *testing.T) {
 		RepoAddr:     repo.Addr(),
 		Objects:      survey.Objects(),
 		Shards:       2,
-		Mode:         HTMAware,
 		Scale:        netproto.PayloadScale{},
 		ShardDataDir: func(s int) string { return filepath.Join(dir, fmt.Sprint(s)) },
 	}
@@ -128,7 +127,7 @@ func TestFreshRouterOverRecoveredShards(t *testing.T) {
 
 	fresh := &LocalCluster{cfg: cfg}
 	defer fresh.Close()
-	own, err := NewOwnership(survey.Objects(), 2, HTMAware)
+	own, err := NewOwnership(survey.Objects(), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +183,6 @@ func TestRestartedRouterOverLiveShards(t *testing.T) {
 		RepoAddr: repo.Addr(),
 		Objects:  survey.Objects(),
 		Shards:   2,
-		Mode:     HTMAware,
 		Scale:    netproto.PayloadScale{},
 	})
 	if err != nil {
@@ -198,7 +196,7 @@ func TestRestartedRouterOverLiveShards(t *testing.T) {
 	if err := lc.Router.Close(); err != nil {
 		t.Fatal(err)
 	}
-	own, err := NewOwnership(survey.Objects(), 3, HTMAware)
+	own, err := NewOwnership(survey.Objects(), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +248,7 @@ func TestFreshShardJoinsGrownCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The repository grows survey as births publish; keep its base.
-	base, err := NewOwnership(survey.Objects(), 1, HTMAware)
+	base, err := NewOwnership(survey.Objects(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +256,6 @@ func TestFreshShardJoinsGrownCluster(t *testing.T) {
 		RepoAddr: repo.Addr(),
 		Objects:  base.Universe(),
 		Shards:   1,
-		Mode:     HTMAware,
 		Scale:    netproto.PayloadScale{},
 	})
 	if err != nil {
@@ -319,7 +316,6 @@ func TestInstallPreloadsReplicaShards(t *testing.T) {
 		Objects:  survey.Objects(),
 		Shards:   2,
 		Replicas: 2,
-		Mode:     HTMAware,
 		Policy:   func(int) core.Policy { return core.NewReplica() },
 		Scale:    netproto.PayloadScale{},
 	})

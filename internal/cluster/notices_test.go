@@ -41,7 +41,6 @@ func TestNoticeFanOutFollowsOwnership(t *testing.T) {
 				Objects:  survey.Objects(),
 				Shards:   2,
 				Replicas: k,
-				Mode:     cluster.HTMAware,
 				Policy: func(s int) core.Policy {
 					return countingVCover{VCover: core.NewVCover(core.DefaultVCoverConfig()), notices: &applied[s]}
 				},

@@ -47,7 +47,6 @@ func startResizableCluster(t *testing.T, shards int) (*catalog.Survey, *cluster.
 		RepoAddr: repo.Addr(),
 		Objects:  survey.Objects(),
 		Shards:   shards,
-		Mode:     cluster.HTMAware,
 		Scale:    netproto.PayloadScale{},
 	})
 	if err != nil {

@@ -39,7 +39,6 @@ func TestRouterResolvesRegionQueries(t *testing.T) {
 		RepoAddr: repo.Addr(),
 		Objects:  survey.Objects(),
 		Shards:   4,
-		Mode:     cluster.HTMAware,
 		Policy:   func(int) core.Policy { return core.NewReplica() },
 		Scale:    netproto.PayloadScale{},
 		Regions:  survey,
@@ -114,7 +113,6 @@ func TestRouterResolvesRegionQueries(t *testing.T) {
 		RepoAddr: repo.Addr(),
 		Objects:  survey.Objects(),
 		Shards:   2,
-		Mode:     cluster.HTMAware,
 		Policy:   func(int) core.Policy { return core.NewReplica() },
 		Scale:    netproto.PayloadScale{},
 	})
@@ -167,7 +165,6 @@ func TestRegionResolverLearnsBirths(t *testing.T) {
 		RepoAddr: repo.Addr(),
 		Objects:  repoSurvey.Objects(),
 		Shards:   2,
-		Mode:     cluster.HTMAware,
 		Scale:    netproto.PayloadScale{},
 		Regions:  resolverSurvey,
 	})

@@ -48,7 +48,6 @@ func startReplicated(t *testing.T, shards, replicas int, mutate func(*cluster.Lo
 		RepoAddr: repo.Addr(),
 		Objects:  survey.Objects(),
 		Shards:   shards,
-		Mode:     cluster.HTMAware,
 		Replicas: replicas,
 		Scale:    netproto.DefaultScale(),
 	}

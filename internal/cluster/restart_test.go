@@ -56,7 +56,6 @@ func spawnRestartCluster(t *testing.T, nBase int, dataDir string) *restartCluste
 		RepoAddr: repo.Addr(),
 		Objects:  repoSurvey.Objects(),
 		Shards:   3,
-		Mode:     cluster.HTMAware,
 		Scale:    netproto.PayloadScale{},
 	}
 	if dataDir != "" {

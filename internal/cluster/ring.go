@@ -2,7 +2,7 @@
 // routing tier that fronts N independent cache shards, each a full
 // cache.Middleware owning a deterministic subset of the data objects.
 // Ownership needs no coordination service — it is a pure function of
-// the object universe, the shard count, and the assignment mode — and
+// the object universe, the shard count and the replication factor — and
 // only the router computes it: a shard starts owning nothing, and the
 // router's reshards (the first at its startup, the rest in resizes)
 // tell it what it owns.
@@ -26,50 +26,14 @@ import (
 	"github.com/deltacache/delta/internal/model"
 )
 
-// Mode selects how object ownership maps to shards.
-type Mode int
-
-const (
-	// Rendezvous assigns each object independently by
-	// highest-random-weight hashing of (object, shard). Ownership is
-	// stable under shard-count changes: resizing from N to N+1 moves
-	// only the objects the new shard wins, never reshuffles the rest.
-	Rendezvous Mode = iota
-	// HTMAware assigns contiguous runs of the spatially sorted object
-	// list (HTM trixel order) to shards, balanced by object size.
-	// Spatially adjacent objects co-locate, so a cap query's cover —
-	// always a spatially contiguous object set — touches few shards.
-	HTMAware
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case Rendezvous:
-		return "rendezvous"
-	case HTMAware:
-		return "htm"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
-
-// ParseMode parses a mode name as used by command-line flags.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "rendezvous":
-		return Rendezvous, nil
-	case "htm", "htm-aware":
-		return HTMAware, nil
-	default:
-		return 0, fmt.Errorf("cluster: unknown ownership mode %q (want rendezvous|htm)", s)
-	}
-}
-
-// Ownership is the deterministic object→shard assignment shared by the
-// router and every shard. It is immutable to its readers and safe for
-// concurrent use; Resize and Extend derive a new Ownership rather than
-// mutating this one. (Extend's first child appends into the spare
+// Ownership is the deterministic object→shard assignment. Only the
+// router computes it; each shard learns its part from the router's
+// reshards. Each shard's primaries are one of n contiguous,
+// size-balanced runs of the universe in HTM trixel order, so spatially
+// adjacent objects co-locate and a cap query's cover — always a
+// spatially contiguous object set — touches few shards. It is
+// immutable to its readers and safe for concurrent use; Resize and
+// Extend derive a new Ownership rather than mutating this one. (Extend's first child appends into the spare
 // capacity past this value's slice lengths — memory no reader of this
 // value ever addresses — so growth costs the batch, not the universe.)
 //
@@ -82,7 +46,6 @@ func ParseMode(s string) (Mode, error) {
 // construction time under the race detector. Universes with
 // non-sequential IDs fall back to an explicit index map.
 type Ownership struct {
-	mode   Mode
 	shards int
 	// replicas is the requested replication factor K (≥ 1); kEff is
 	// the effective per-object factor min(replicas, shards).
@@ -104,7 +67,7 @@ type Ownership struct {
 	// byShard[s] lists the objects shard s holds at any replica rank,
 	// sorted by ID.
 	byShard [][]model.ObjectID
-	// cutOrder (HTMAware only) is the (trixel, ID) sort the cuts were
+	// cutOrder is the (trixel, ID) sort the cuts were
 	// made over, as universe positions: universe[:len(cutOrder)] in
 	// spatial order. Objects born since (Extend) are not in it — they
 	// take their spatial predecessor's cut and never start one. Shared
@@ -117,19 +80,12 @@ type Ownership struct {
 	extended atomic.Bool
 }
 
-// NewOwnership assigns every object in the universe to one of n shards
-// without replication (K=1).
-func NewOwnership(objects []model.Object, n int, mode Mode) (*Ownership, error) {
-	return NewOwnershipReplicated(objects, n, 1, mode)
-}
-
-// NewOwnershipReplicated assigns every object in the universe to a
-// ranked set of min(k, n) distinct shards. Rank 0 is the primary — the
-// shard queries route to first — and ranks 1..K-1 are failover and
-// hedging targets holding warm copies. Like the unreplicated form, the
-// assignment is a pure function of (universe, n, k, mode), so every
-// party computes identical replica sets with no coordination.
-func NewOwnershipReplicated(objects []model.Object, n, k int, mode Mode) (*Ownership, error) {
+// NewOwnership assigns every object in the universe to a ranked set of
+// min(k, n) distinct shards. Rank 0 is the primary — the shard queries
+// route to first — and ranks 1..K-1 are failover and hedging targets
+// holding warm copies. The assignment is a pure function of
+// (universe, n, k), so every computation of it agrees.
+func NewOwnership(objects []model.Object, n, k int) (*Ownership, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: shard count must be positive, got %d", n)
 	}
@@ -143,7 +99,6 @@ func NewOwnershipReplicated(objects []model.Object, n, k int, mode Mode) (*Owner
 		return nil, fmt.Errorf("cluster: %d objects cannot populate %d shards", len(objects), n)
 	}
 	o := &Ownership{
-		mode:     mode,
 		shards:   n,
 		replicas: k,
 		kEff:     min(k, n),
@@ -151,14 +106,7 @@ func NewOwnershipReplicated(objects []model.Object, n, k int, mode Mode) (*Owner
 		owner:    make([]int32, len(objects)),
 	}
 	o.reindex()
-	switch mode {
-	case Rendezvous:
-		o.assignRendezvous()
-	case HTMAware:
-		o.assignHTMAware()
-	default:
-		return nil, fmt.Errorf("cluster: unknown mode %d", int(mode))
-	}
+	o.assignCuts()
 	o.deriveReplicas()
 	return o, nil
 }
@@ -197,63 +145,10 @@ func (o *Ownership) pos(id model.ObjectID) (int, bool) {
 	return p, ok
 }
 
-// assignRendezvous gives each object to the shard with the highest
-// hash of (object, shard) — classic highest-random-weight hashing.
-func (o *Ownership) assignRendezvous() {
-	for i := range o.universe {
-		o.owner[i] = int32(rendezvousOwner(o.universe[i].ID, o.shards))
-	}
-}
-
-// rendezvousOwner returns the highest-random-weight shard for an
-// object at the given shard count. It is a pure function, which is
-// what makes rendezvous growth free: a newborn's owner needs no state
-// beyond (id, shards).
-func rendezvousOwner(id model.ObjectID, shards int) int {
-	best, bestScore := 0, uint64(0)
-	for s := 0; s < shards; s++ {
-		score := mix64(uint64(id)<<32 | uint64(s)&0xFFFFFFFF)
-		if score > bestScore {
-			best, bestScore = s, score
-		}
-	}
-	return best
-}
-
-// rendezvousRankInto writes the len(out) highest-random-weight shards
-// for an object into out, best first — the ranked list rendezvous
-// hashing induces, truncated to the replication factor, computed
-// without any allocation. Ties break toward the lower shard index,
-// matching rendezvousOwner's strict-greater comparison, so
-// out[0] always equals rendezvousOwner(id, shards).
-func rendezvousRankInto(id model.ObjectID, shards int, out []int32) {
-	for r := range out {
-		best, bestScore := -1, uint64(0)
-		for s := 0; s < shards; s++ {
-			taken := false
-			for _, prev := range out[:r] {
-				if int(prev) == s {
-					taken = true
-					break
-				}
-			}
-			if taken {
-				continue
-			}
-			score := mix64(uint64(id)<<32 | uint64(s)&0xFFFFFFFF)
-			if best == -1 || score > bestScore {
-				best, bestScore = s, score
-			}
-		}
-		out[r] = int32(best)
-	}
-}
-
 // deriveReplicas rebuilds the ranked replica sets and the per-shard
-// held lists from the primary assignment. Rendezvous takes the top-K
-// of the ranked score list; HTMAware assigns ranks to the K cuts
+// held lists from the primary assignment. Ranks go to the K cuts
 // starting at the owning one and walking right along the spatial order
-// (mod shards), so a shard's replica set is its two spatially adjacent
+// (mod shards), so a shard's replica set is its spatially adjacent
 // neighbors' primaries — contiguity is preserved at every rank.
 func (o *Ownership) deriveReplicas() {
 	k := o.kEff
@@ -261,7 +156,7 @@ func (o *Ownership) deriveReplicas() {
 	counts := make([]int, o.shards)
 	for i := range o.universe {
 		ranked := o.ownersFlat[i*k : (i+1)*k]
-		o.rankInto(o.universe[i].ID, o.owner[i], ranked)
+		o.rankInto(o.owner[i], ranked)
 		o.owner[i] = ranked[0]
 		for _, s := range ranked {
 			counts[s]++
@@ -287,24 +182,20 @@ func (o *Ownership) deriveReplicas() {
 }
 
 // rankInto writes one object's ranked replica set into ranked
-// (len kEff), given its primary cut.
-func (o *Ownership) rankInto(id model.ObjectID, cut int32, ranked []int32) {
-	switch o.mode {
-	case Rendezvous:
-		rendezvousRankInto(id, o.shards, ranked)
-	default: // HTMAware: the owning cut plus its right neighbors
-		for r := range ranked {
-			ranked[r] = (cut + int32(r)) % int32(o.shards)
-		}
+// (len kEff), given its primary cut: the owning cut plus its right
+// neighbors.
+func (o *Ownership) rankInto(cut int32, ranked []int32) {
+	for r := range ranked {
+		ranked[r] = (cut + int32(r)) % int32(o.shards)
 	}
 }
 
-// assignHTMAware sorts the universe spatially (by trixel ID, which
-// orders the HTM mesh depth-first so numeric neighbors are spatial
-// neighbors) and cuts it into n contiguous, size-balanced runs.
-// Objects without a trixel (a non-HTM universe) fall back to ID order,
-// which the survey builder also derives from sky position.
-func (o *Ownership) assignHTMAware() {
+// assignCuts sorts the universe spatially (by trixel ID, which orders
+// the HTM mesh depth-first so numeric neighbors are spatial neighbors)
+// and cuts it into n contiguous, size-balanced runs. Objects without a
+// trixel (a non-HTM universe) fall back to ID order, which the survey
+// builder also derives from sky position.
+func (o *Ownership) assignCuts() {
 	order := make([]int32, len(o.universe))
 	for i := range order {
 		order[i] = int32(i)
@@ -346,29 +237,13 @@ func cutBefore(a, b *model.Object) bool {
 	return a.ID < b.ID
 }
 
-// mix64 is splitmix64's finalizer: a cheap, well-distributed 64-bit
-// mixer for rendezvous scores.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // Resize derives the ownership of the same universe over m shards,
-// aligned to o so that as little cached state as possible moves:
-//
-//   - Rendezvous is inherently stable — growing adds only the objects
-//     the new shards win, shrinking redistributes only the removed
-//     shards' objects — so the fresh assignment is already aligned.
-//   - HTMAware recuts the spatially sorted universe into m balanced
-//     runs and then relabels the runs to maximize the total size of
-//     objects keeping their old owner index (greedy maximum-overlap
-//     matching). Without the relabeling a 4→8 recut would renumber
-//     every run and "move" nearly the whole universe even though the
-//     cuts barely shifted.
+// aligned to o so that as little cached state as possible moves: it
+// recuts the spatially sorted universe into m balanced runs and then
+// relabels the runs to maximize the total size of objects keeping
+// their old owner index (greedy maximum-overlap matching). Without the
+// relabeling a 4→8 recut would renumber every run and "move" nearly
+// the whole universe even though the cuts barely shifted.
 //
 // The result is deterministic, so a router and an out-of-band tool
 // compute identical resized maps from the same inputs.
@@ -376,13 +251,11 @@ func (o *Ownership) Resize(m int) (*Ownership, error) {
 	if m == o.shards {
 		return o, nil
 	}
-	n, err := NewOwnershipReplicated(o.universe, m, o.replicas, o.mode)
+	n, err := NewOwnership(o.universe, m, o.replicas)
 	if err != nil {
 		return nil, err
 	}
-	if o.mode == HTMAware {
-		n.relabel(o)
-	}
+	n.relabel(o)
 	return n, nil
 }
 
@@ -455,22 +328,18 @@ func (n *Ownership) relabel(o *Ownership) {
 	for pos := range n.owner {
 		n.owner[pos] = int32(perm[n.owner[pos]])
 	}
-	// The HTM replica rule is anchored to primary labels, so the
+	// The replica rule is anchored to primary labels, so the
 	// permutation invalidates the derived sets — rebuild them.
 	n.deriveReplicas()
 }
 
 // Extend derives the ownership of the universe grown by newly born
 // objects, at the same shard count. Extension never relabels existing
-// assignments — only the newborns are placed:
-//
-//   - Rendezvous placement is free: the newborn's owner is the pure
-//     hash function of (id, shard count), no state consulted.
-//   - HTMAware places the newborn in the cut that spatially contains
-//     it: the owner of its predecessor in the (trixel, ID) sort order
-//     the cuts were made over (births inherit their partition cell's
-//     trixel, so the predecessor is the cell's base object or an
-//     earlier sibling birth). No existing object moves.
+// assignments — only the newborns are placed, each in the cut that
+// spatially contains it: the owner of its predecessor in the
+// (trixel, ID) sort order the cuts were made over (births inherit their
+// partition cell's trixel, so the predecessor is the cell's base object
+// or an earlier sibling birth). No existing object moves.
 //
 // The returned ownership retains the grown universe, so a later Resize
 // recuts over newborns and base objects alike. Deterministic: every
@@ -501,7 +370,6 @@ func (o *Ownership) Extend(objs []model.Object) (*Ownership, error) {
 	// it away so that its appends copy.
 	inPlace := o.extended.CompareAndSwap(false, true)
 	n := &Ownership{
-		mode:       o.mode,
 		shards:     o.shards,
 		replicas:   o.replicas,
 		kEff:       o.kEff,
@@ -529,13 +397,9 @@ func (o *Ownership) Extend(objs []model.Object) (*Ownership, error) {
 	}
 	for i := range objs {
 		obj := &objs[i]
-		var cut int32
-		if o.mode == HTMAware {
-			cut = o.cutOwner(obj)
-		}
 		n.ownersFlat = append(n.ownersFlat, make([]int32, o.kEff)...)
 		ranked := n.ownersFlat[len(n.ownersFlat)-o.kEff:]
-		o.rankInto(obj.ID, cut, ranked)
+		o.rankInto(o.cutOwner(obj), ranked)
 		n.owner = append(n.owner, ranked[0])
 		for _, s := range ranked {
 			held := n.byShard[s]
@@ -561,7 +425,7 @@ func spare[T any](s []T, inPlace bool) []T {
 	return slices.Clip(s)
 }
 
-// cutOwner returns the shard whose contiguous HTM cut contains the
+// cutOwner returns the shard whose contiguous cut contains the
 // newborn: the owner of its predecessor in the (trixel, ID) order the
 // cuts were made over, falling back to the spatially first object for
 // a newborn before every cut. Searching cutOrder alone is enough: an
@@ -606,9 +470,6 @@ func Moving(from, to *Ownership) ([]model.ObjectID, error) {
 func (o *Ownership) Universe() []model.Object {
 	return slices.Clone(o.universe)
 }
-
-// Mode returns the assignment mode.
-func (o *Ownership) Mode() Mode { return o.mode }
 
 // Shards returns the shard count.
 func (o *Ownership) Shards() int { return o.shards }

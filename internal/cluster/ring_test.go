@@ -24,7 +24,7 @@ func testObjects(t *testing.T, n int) []model.Object {
 // mustOwnership places objects on n shards with K = k.
 func mustOwnership(t *testing.T, objects []model.Object, n, k int) *Ownership {
 	t.Helper()
-	own, err := NewOwnershipReplicated(objects, n, k, HTMAware)
+	own, err := NewOwnership(objects, n, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,101 +33,55 @@ func mustOwnership(t *testing.T, objects []model.Object, n, k int) *Ownership {
 
 func TestOwnershipCoversUniverse(t *testing.T) {
 	objects := testObjects(t, 68)
-	for _, mode := range []Mode{Rendezvous, HTMAware} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			own, err := NewOwnership(objects, shards, mode)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", mode, shards, err)
+	for _, shards := range []int{1, 2, 4, 8} {
+		own := mustOwnership(t, objects, shards, 1)
+		// Every object owned by exactly one shard; per-shard lists
+		// partition the universe.
+		total := 0
+		for s := 0; s < shards; s++ {
+			ids := own.ShardObjects(s)
+			if len(ids) == 0 {
+				t.Errorf("%d shards: shard %d owns nothing", shards, s)
 			}
-			// Every object owned by exactly one shard; per-shard lists
-			// partition the universe.
-			total := 0
-			for s := 0; s < shards; s++ {
-				ids := own.ShardObjects(s)
-				if len(ids) == 0 {
-					t.Errorf("%s/%d: shard %d owns nothing", mode, shards, s)
+			total += len(ids)
+			for _, id := range ids {
+				if got, ok := own.Owner(id); !ok || got != s {
+					t.Fatalf("%d shards: owner(%d) = %d,%v, want %d", shards, id, got, ok, s)
 				}
-				total += len(ids)
-				for _, id := range ids {
-					if got, ok := own.Owner(id); !ok || got != s {
-						t.Fatalf("%s/%d: owner(%d) = %d,%v, want %d", mode, shards, id, got, ok, s)
-					}
-					if owners, _ := own.Owners(id); !slices.Contains(owners, s) {
-						t.Fatalf("%s/%d: owners(%d) = %v lack the owner %d", mode, shards, id, owners, s)
-					}
+				if owners, _ := own.Owners(id); !slices.Contains(owners, s) {
+					t.Fatalf("%d shards: owners(%d) = %v lack the owner %d", shards, id, owners, s)
 				}
 			}
-			if total != len(objects) {
-				t.Errorf("%s/%d: shards own %d objects, universe has %d", mode, shards, total, len(objects))
-			}
+		}
+		if total != len(objects) {
+			t.Errorf("%d shards: shards own %d objects, universe has %d", shards, total, len(objects))
 		}
 	}
 }
 
 func TestOwnershipDeterministic(t *testing.T) {
 	objects := testObjects(t, 68)
-	for _, mode := range []Mode{Rendezvous, HTMAware} {
-		a, err := NewOwnership(objects, 4, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A permuted universe must produce the identical assignment —
-		// the router and the shards build it independently.
-		permuted := make([]model.Object, len(objects))
-		for i, o := range objects {
-			permuted[(i*7)%len(objects)] = o
-		}
-		b, err := NewOwnership(permuted, 4, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range objects {
-			sa, _ := a.Owner(o.ID)
-			sb, _ := b.Owner(o.ID)
-			if sa != sb {
-				t.Fatalf("%s: owner(%d) differs across construction orders: %d vs %d", mode, o.ID, sa, sb)
-			}
-		}
+	a := mustOwnership(t, objects, 4, 1)
+	// A permuted universe must produce the identical assignment: the
+	// cuts depend on the objects, not on the order they are listed in.
+	permuted := make([]model.Object, len(objects))
+	for i, o := range objects {
+		permuted[(i*7)%len(objects)] = o
 	}
-}
-
-// TestRendezvousStability verifies the defining property of
-// highest-random-weight hashing: growing the cluster from n to n+1
-// shards only moves objects onto the new shard — survivors keep
-// everything they had.
-func TestRendezvousStability(t *testing.T) {
-	objects := testObjects(t, 68)
-	before, err := NewOwnership(objects, 4, Rendezvous)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := NewOwnership(objects, 5, Rendezvous)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := 0
+	b := mustOwnership(t, permuted, 4, 1)
 	for _, o := range objects {
-		was, _ := before.Owner(o.ID)
-		now, _ := after.Owner(o.ID)
-		if was != now {
-			moved++
-			if now != 4 {
-				t.Errorf("object %d moved %d→%d; rendezvous may only move objects to the new shard", o.ID, was, now)
-			}
+		sa, _ := a.Owner(o.ID)
+		sb, _ := b.Owner(o.ID)
+		if sa != sb {
+			t.Fatalf("owner(%d) differs across construction orders: %d vs %d", o.ID, sa, sb)
 		}
-	}
-	if moved == 0 {
-		t.Error("no objects moved to the new shard (suspicious hash)")
-	}
-	if moved > len(objects)/2 {
-		t.Errorf("%d/%d objects moved; expected roughly 1/5", moved, len(objects))
 	}
 }
 
-// TestHTMAwareLocality checks the mode's purpose: a cap query's cover
-// (a spatially contiguous object set) should touch few shards —
-// strictly fewer scatter fragments on average than rendezvous
-// placement of the same universe.
+// TestHTMAwareLocality pins the purpose of the cuts: a cap query's
+// cover (a spatially contiguous object set) touches few shards. The
+// pinned total is the count the cuts reach over these caps at 8 shards;
+// placement by ID order round-robin scatters them wider.
 func TestHTMAwareLocality(t *testing.T) {
 	scfg := catalog.DefaultConfig()
 	scfg.NumObjects = 68
@@ -135,25 +89,8 @@ func TestHTMAwareLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	objects := survey.Objects()
-	const shards = 8
-	htmOwn, err := NewOwnership(objects, shards, HTMAware)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rdvOwn, err := NewOwnership(objects, shards, Rendezvous)
-	if err != nil {
-		t.Fatal(err)
-	}
-	touched := func(own *Ownership, ids []model.ObjectID) int {
-		frags, stranded, _ := plan(testRouting(own), fragment{query: model.Query{Objects: ids}}, nil, false)
-		if len(stranded) > 0 {
-			t.Fatalf("objects %v outside the universe", stranded)
-		}
-		return len(frags)
-	}
-	var htmTotal, rdvTotal int
-	caps := 0
+	own := mustOwnership(t, survey.Objects(), 8, 1)
+	fragments, caps := 0, 0
 	for ra := 0.0; ra < 360; ra += 30 {
 		for _, dec := range []float64{-45, 0, 45} {
 			ids := survey.CoverCap(geom.CapFromRADec(ra, dec, 4))
@@ -161,16 +98,15 @@ func TestHTMAwareLocality(t *testing.T) {
 				continue
 			}
 			caps++
-			htmTotal += touched(htmOwn, ids)
-			rdvTotal += touched(rdvOwn, ids)
+			frags, stranded, _ := plan(testRouting(own), fragment{query: model.Query{Objects: ids}}, nil, false)
+			if len(stranded) > 0 {
+				t.Fatalf("objects %v outside the universe", stranded)
+			}
+			fragments += len(frags)
 		}
 	}
-	if caps == 0 {
-		t.Fatal("no multi-object caps generated")
-	}
-	if htmTotal >= rdvTotal {
-		t.Errorf("HTM-aware placement touches %d shard-fragments over %d caps, rendezvous %d; spatial co-location should scatter less",
-			htmTotal, caps, rdvTotal)
+	if caps != 18 || fragments != 40 {
+		t.Errorf("%d multi-object caps touch %d shard-fragments, want 18 caps and 40 fragments", caps, fragments)
 	}
 }
 
@@ -179,10 +115,7 @@ func TestHTMAwareLocality(t *testing.T) {
 func TestHTMAwareBalance(t *testing.T) {
 	objects := testObjects(t, 68)
 	const shards = 4
-	own, err := NewOwnership(objects, shards, HTMAware)
-	if err != nil {
-		t.Fatal(err)
-	}
+	own := mustOwnership(t, objects, shards, 1)
 	sizeOf := make(map[model.ObjectID]cost.Bytes, len(objects))
 	var total cost.Bytes
 	for _, o := range objects {
@@ -205,23 +138,18 @@ func TestHTMAwareBalance(t *testing.T) {
 }
 
 func TestSplitRejectsUnknownObject(t *testing.T) {
-	objects := testObjects(t, 16)
-	own, err := NewOwnership(objects, 2, Rendezvous)
-	if err != nil {
-		t.Fatal(err)
-	}
+	own := mustOwnership(t, testObjects(t, 16), 2, 1)
 	_, stranded, _ := plan(testRouting(own), fragment{query: model.Query{Objects: []model.ObjectID{1, 999}}}, nil, false)
 	if !slices.Equal(stranded, []model.ObjectID{999}) {
 		t.Errorf("plan stranded %v, want the object outside the universe (999)", stranded)
 	}
 }
 
-// clusteredUniverse builds the spatially clustered shape the HTM
-// resize advantage shows up on: many tiny objects packed into one
-// trixel neighborhood, a few huge objects spread across the rest of
-// the sky. Size-balanced HTM cuts then move boundary segments through
-// the sparse huge-object regions (few objects per byte), while
-// rendezvous moves a count-uniform sample of the whole universe.
+// clusteredUniverse builds a spatially clustered shape: many tiny
+// objects packed into one trixel neighborhood, a few huge objects
+// spread across the rest of the sky. Size-balanced cuts then move
+// boundary segments through the sparse huge-object regions (few
+// objects per byte).
 func clusteredUniverse() []model.Object {
 	var objs []model.Object
 	id := model.ObjectID(1)
@@ -249,142 +177,90 @@ func TestResizeMovingEqualsSymmetricDifference(t *testing.T) {
 	}
 	pairs := [][2]int{{1, 4}, {4, 8}, {8, 4}, {4, 6}, {6, 4}, {2, 7}, {7, 2}, {3, 3}}
 	for name, objects := range universes {
-		for _, mode := range []Mode{Rendezvous, HTMAware} {
-			for _, pair := range pairs {
-				n, m := pair[0], pair[1]
-				old, err := NewOwnership(objects, n, mode)
-				if err != nil {
-					t.Fatalf("%s %s %d→%d: %v", name, mode, n, m, err)
-				}
-				resized, err := old.Resize(m)
-				if err != nil {
-					t.Fatalf("%s %s %d→%d: %v", name, mode, n, m, err)
-				}
-				moving, err := Moving(old, resized)
-				if err != nil {
-					t.Fatalf("%s %s %d→%d: %v", name, mode, n, m, err)
-				}
-				movingSet := make(map[model.ObjectID]bool, len(moving))
-				for _, id := range moving {
-					movingSet[id] = true
-				}
-				// Count symmetric-difference appearances per object across
-				// all shard indices of either ownership.
-				appearances := make(map[model.ObjectID]int)
-				maxShards := max(n, m)
-				for s := 0; s < maxShards; s++ {
-					oldSet := make(map[model.ObjectID]bool)
-					if s < n {
-						for _, id := range old.ShardObjects(s) {
-							oldSet[id] = true
-						}
-					}
-					newSet := make(map[model.ObjectID]bool)
-					if s < m {
-						for _, id := range resized.ShardObjects(s) {
-							newSet[id] = true
-						}
-					}
-					for id := range oldSet {
-						if !newSet[id] {
-							appearances[id]++
-						}
-					}
-					for id := range newSet {
-						if !oldSet[id] {
-							appearances[id]++
-						}
-					}
-				}
-				for _, o := range objects {
-					want := 0
-					if movingSet[o.ID] {
-						want = 2
-					}
-					if appearances[o.ID] != want {
-						t.Errorf("%s %s %d→%d: object %d appears in %d shard symdiffs, want %d (moving=%v)",
-							name, mode, n, m, o.ID, appearances[o.ID], want, movingSet[o.ID])
-					}
-				}
-				// Sanity: a resized ownership still populates every shard.
-				for s := 0; s < m; s++ {
-					if len(resized.ShardObjects(s)) == 0 {
-						t.Errorf("%s %s %d→%d: shard %d owns nothing after resize", name, mode, n, m, s)
-					}
-				}
-				if resized.Shards() != m {
-					t.Errorf("%s %s %d→%d: resized to %d shards", name, mode, n, m, resized.Shards())
-				}
-			}
-		}
-	}
-}
-
-// TestRendezvousResizeMinimalMovement pins rendezvous's defining
-// resize property through the Resize API: growing moves objects only
-// onto new shards, shrinking only off removed shards.
-func TestRendezvousResizeMinimalMovement(t *testing.T) {
-	objects := testObjects(t, 68)
-	old, err := NewOwnership(objects, 4, Rendezvous)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grown, err := old.Resize(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moving, err := Moving(old, grown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range moving {
-		if now, _ := grown.Owner(id); now < 4 {
-			t.Errorf("grow 4→6 moved object %d to continuing shard %d", id, now)
-		}
-	}
-	shrunk, err := grown.Resize(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moving, err = Moving(grown, shrunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range moving {
-		if was, _ := grown.Owner(id); was < 4 {
-			t.Errorf("shrink 6→4 moved object %d off continuing shard %d", id, was)
-		}
-	}
-}
-
-// TestHTMResizeMovesFewerThanRendezvous checks the payoff of the
-// movement-aligned HTM relabeling: on a spatially clustered universe,
-// an HTM-mode resize migrates fewer objects than a rendezvous-mode
-// resize of the same universe (boundary shifts slice through sparse
-// regions; rendezvous reshuffles a count-uniform sample).
-func TestHTMResizeMovesFewerThanRendezvous(t *testing.T) {
-	objects := clusteredUniverse()
-	for _, pair := range [][2]int{{4, 8}, {8, 4}, {4, 6}, {2, 8}} {
-		n, m := pair[0], pair[1]
-		count := func(mode Mode) int {
-			old, err := NewOwnership(objects, n, mode)
-			if err != nil {
-				t.Fatalf("%s %d→%d: %v", mode, n, m, err)
-			}
+		for _, pair := range pairs {
+			n, m := pair[0], pair[1]
+			old := mustOwnership(t, objects, n, 1)
 			resized, err := old.Resize(m)
 			if err != nil {
-				t.Fatalf("%s %d→%d: %v", mode, n, m, err)
+				t.Fatalf("%s %d→%d: %v", name, n, m, err)
 			}
 			moving, err := Moving(old, resized)
 			if err != nil {
-				t.Fatalf("%s %d→%d: %v", mode, n, m, err)
+				t.Fatalf("%s %d→%d: %v", name, n, m, err)
 			}
-			return len(moving)
+			movingSet := make(map[model.ObjectID]bool, len(moving))
+			for _, id := range moving {
+				movingSet[id] = true
+			}
+			// Count symmetric-difference appearances per object across
+			// all shard indices of either ownership.
+			appearances := make(map[model.ObjectID]int)
+			maxShards := max(n, m)
+			for s := 0; s < maxShards; s++ {
+				oldSet := make(map[model.ObjectID]bool)
+				if s < n {
+					for _, id := range old.ShardObjects(s) {
+						oldSet[id] = true
+					}
+				}
+				newSet := make(map[model.ObjectID]bool)
+				if s < m {
+					for _, id := range resized.ShardObjects(s) {
+						newSet[id] = true
+					}
+				}
+				for id := range oldSet {
+					if !newSet[id] {
+						appearances[id]++
+					}
+				}
+				for id := range newSet {
+					if !oldSet[id] {
+						appearances[id]++
+					}
+				}
+			}
+			for _, o := range objects {
+				want := 0
+				if movingSet[o.ID] {
+					want = 2
+				}
+				if appearances[o.ID] != want {
+					t.Errorf("%s %d→%d: object %d appears in %d shard symdiffs, want %d (moving=%v)",
+						name, n, m, o.ID, appearances[o.ID], want, movingSet[o.ID])
+				}
+			}
+			// Sanity: a resized ownership still populates every shard.
+			for s := 0; s < m; s++ {
+				if len(resized.ShardObjects(s)) == 0 {
+					t.Errorf("%s %d→%d: shard %d owns nothing after resize", name, n, m, s)
+				}
+			}
+			if resized.Shards() != m {
+				t.Errorf("%s %d→%d: resized to %d shards", name, n, m, resized.Shards())
+			}
 		}
-		htm, rdv := count(HTMAware), count(Rendezvous)
-		if htm >= rdv {
-			t.Errorf("%d→%d: HTM moves %d objects, rendezvous %d; aligned HTM cuts should move fewer on a clustered universe",
-				n, m, htm, rdv)
+	}
+}
+
+// TestHTMResizeMovedObjects pins the payoff of relabeling the recut
+// runs: on the clustered universe each resize moves only the objects
+// its shifted boundaries pass. The recut without the relabeling moves
+// more in every pair (14, 14, 11 and 14).
+func TestHTMResizeMovedObjects(t *testing.T) {
+	objects := clusteredUniverse()
+	for _, c := range []struct{ n, m, moved int }{{4, 8, 8}, {8, 4, 12}, {4, 6, 5}, {2, 8, 12}} {
+		old := mustOwnership(t, objects, c.n, 1)
+		resized, err := old.Resize(c.m)
+		if err != nil {
+			t.Fatalf("%d→%d: %v", c.n, c.m, err)
+		}
+		moving, err := Moving(old, resized)
+		if err != nil {
+			t.Fatalf("%d→%d: %v", c.n, c.m, err)
+		}
+		if len(moving) != c.moved {
+			t.Errorf("%d→%d moves %d objects, want %d", c.n, c.m, len(moving), c.moved)
 		}
 	}
 }
@@ -392,35 +268,32 @@ func TestHTMResizeMovesFewerThanRendezvous(t *testing.T) {
 // TestResizeSameCountIsIdentity checks that resizing to the current
 // shard count moves nothing.
 func TestResizeSameCountIsIdentity(t *testing.T) {
-	objects := testObjects(t, 68)
-	for _, mode := range []Mode{Rendezvous, HTMAware} {
-		own, err := NewOwnership(objects, 4, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		same, err := own.Resize(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		moving, err := Moving(own, same)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(moving) != 0 {
-			t.Errorf("%s: resize 4→4 moves %d objects", mode, len(moving))
-		}
+	own := mustOwnership(t, testObjects(t, 68), 4, 1)
+	same, err := own.Resize(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moving, err := Moving(own, same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(moving) != 0 {
+		t.Errorf("resize 4→4 moves %d objects", len(moving))
 	}
 }
 
 func TestOwnershipRejectsBadShapes(t *testing.T) {
 	objects := testObjects(t, 16)
-	if _, err := NewOwnership(objects, 0, Rendezvous); err == nil {
+	if _, err := NewOwnership(objects, 0, 1); err == nil {
 		t.Error("accepted zero shards")
 	}
-	if _, err := NewOwnership(objects, 17, Rendezvous); err == nil {
+	if _, err := NewOwnership(objects, 17, 1); err == nil {
 		t.Error("accepted more shards than objects")
 	}
-	if _, err := NewOwnership(nil, 1, Rendezvous); err == nil {
+	if _, err := NewOwnership(nil, 1, 1); err == nil {
 		t.Error("accepted empty universe")
+	}
+	if _, err := NewOwnership(objects, 2, 0); err == nil {
+		t.Error("accepted zero replicas")
 	}
 }

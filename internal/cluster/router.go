@@ -1009,14 +1009,13 @@ type Topology struct {
 	// Epoch counts completed resizes; it increments when a live
 	// resize flips the routing table.
 	Epoch  int
-	Mode   Mode
 	Shards []ShardInfo
 }
 
 // Topology snapshots the live shard topology.
 func (r *Router) Topology() Topology {
 	rt := r.routing.Load()
-	t := Topology{Epoch: rt.epoch, Mode: rt.own.Mode()}
+	t := Topology{Epoch: rt.epoch}
 	for _, s := range rt.links {
 		t.Shards = append(t.Shards, ShardInfo{
 			Index:   s.index,

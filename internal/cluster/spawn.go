@@ -14,6 +14,14 @@ import (
 	"github.com/deltacache/delta/internal/netproto"
 )
 
+// Mode names an ownership rule. There is one, HTMAware; the type
+// remains for LocalConfig.Mode.
+type Mode int
+
+// HTMAware is placement by contiguous, size-balanced HTM cuts (see
+// Ownership), the zero and only Mode.
+const HTMAware Mode = 0
+
 // LocalConfig parameterizes SpawnLocal.
 type LocalConfig struct {
 	// RepoAddr is the repository every shard loads from.
@@ -22,8 +30,9 @@ type LocalConfig struct {
 	Objects []model.Object
 	// Shards is how many cache shards to spawn.
 	Shards int
-	// Mode selects the ownership assignment. The zero Mode is
-	// Rendezvous.
+	// Mode is ignored and has one value: placement has one rule, HTM
+	// cuts. It stays only because bench/ sets it; ROADMAP item 1(a)
+	// deletes it with the next change to the benchmark.
 	Mode Mode
 	// Replicas is the replication factor K: how many shards hold each
 	// object (0 and 1 both mean unreplicated). With K ≥ 2 the router
@@ -81,7 +90,7 @@ func SpawnLocal(cfg LocalConfig) (*LocalCluster, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("cluster: shard count must be positive")
 	}
-	own, err := NewOwnershipReplicated(cfg.Objects, cfg.Shards, max(cfg.Replicas, 1), cfg.Mode)
+	own, err := NewOwnership(cfg.Objects, cfg.Shards, max(cfg.Replicas, 1))
 	if err != nil {
 		return nil, err
 	}

@@ -122,7 +122,7 @@ func BenchmarkOwnershipExtend(b *testing.B) {
 	for i := range objs {
 		objs[i] = model.Object{ID: model.ObjectID(i + 1), Size: cost.MB, Trixel: uint64(rng.Intn(1 << 20))}
 	}
-	own, err := NewOwnershipReplicated(objs, 2, 1, HTMAware)
+	own, err := NewOwnership(objs, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

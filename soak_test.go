@@ -97,7 +97,6 @@ func runScenarioSoak(t *testing.T, shape soakShape) {
 		RepoAddr: repo.Addr(),
 		Objects:  survey.Objects(),
 		Shards:   shape.shards,
-		Mode:     cluster.HTMAware,
 		Scale:    netproto.PayloadScale{},
 	})
 	if err != nil {
