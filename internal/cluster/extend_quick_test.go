@@ -19,6 +19,7 @@ func extendRebuild(o *Ownership, objs []model.Object) *Ownership {
 		shards:   o.shards,
 		replicas: o.replicas,
 		kEff:     o.kEff,
+		right:    o.right,
 		universe: append(slices.Clone(o.universe), objs...),
 		owner:    make([]int32, len(o.universe)+len(objs)),
 	}

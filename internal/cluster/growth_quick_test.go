@@ -14,7 +14,8 @@ import (
 // replication factor: every universe object has a ranked replica set of
 // exactly min(K, shards) distinct shards in [0, shards), rank 0 agrees
 // with the primary owner map, and the per-shard held lists mirror the
-// replica sets exactly (sorted, no duplicates, no strays). At K=1 this
+// replica sets exactly (sorted, no duplicates, no strays), and ranks
+// walk the runs in spatial order (checkSpatialRanks). At K=1 this
 // reduces to the original single-owner partition invariant.
 func checkPartition(o *Ownership) error {
 	if len(o.owner) != len(o.universe) {
@@ -69,7 +70,7 @@ func checkPartition(o *Ownership) error {
 			}
 		}
 	}
-	return nil
+	return checkSpatialRanks(o)
 }
 
 // growthOp is one step of a random growth/resize schedule.

@@ -36,14 +36,14 @@ func TestOwnershipGolden(t *testing.T) {
 		"extend/out-of-order/k2": "c28543a8cb98c5e154a85cf1c459c74663adab89b376f7ca1c280636ff91f385",
 		"extend/out-of-order/k3": "299af53ff45e87edf54da25e9ca118ef48a77fced3f70f5f00a65dc647e55c33",
 		"survey68/4→5/k1":        "773182a7da11e8bc4f5153d77c85129d504f6a4f9a5d72f6e11a9d4598525204",
-		"survey68/4→5/k2":        "7086f39932a61999c63ee16cd6c84e260753c4fdd4a3a80fa5e64c8ed0bd982a",
-		"survey68/4→5/k3":        "06eb0e4178d53e87260e8bca3fd25b8da439db9cfd8f8e4558e4200589c28862",
+		"survey68/4→5/k2":        "6e21b3778d5a36c6b959b78d5179e89fd6aed627af2ad827847200a7e51389c9",
+		"survey68/4→5/k3":        "4373401c0e8a647678a8d993db197aabcb308453b1c20abb163c2ab3d61ac19b",
 		"survey68/4→8/k1":        "145fd43a3128f13cfdfcf5efcb3484fec44396a24568d0cb2adee125d2054fae",
-		"survey68/4→8/k2":        "7a494612407da86dcee34d579048b0ed9ae87ee166da4da51b620bfe6e7a4d9f",
-		"survey68/4→8/k3":        "92550a3545ee0c5a698aa850127f7f4440718b4957100dcaaa1833a61fd224e8",
+		"survey68/4→8/k2":        "f601198dc93386b52afcdfaba3611a9838aab956354c7ab5bfc1df5a500191e7",
+		"survey68/4→8/k3":        "517febba11f867f9a6005a45354d535fd8e40088c4cbc8affbd038cec9d08712",
 		"survey68/8→4/k1":        "34bb702d2a4889eac0673a46c6e01573f4adb72c4f03978f68e37d496422459b",
-		"survey68/8→4/k2":        "50a02994704c93f5ea85921b3c1b2b4b9c1b0eb6c3ce8f1bed44a848bfa4b6b6",
-		"survey68/8→4/k3":        "9129748efff81fabdfddf71dd97478eaa92b198f9394221e587262c4cd4ea398",
+		"survey68/8→4/k2":        "84751f5310b54c5f7c33563e6a5e7007d26ba4497724bc2c8e2b38a36d6f7c2d",
+		"survey68/8→4/k3":        "6d2e001af93442403783c480816545110916f0bd38cc1b3789ed143ef6c82aed",
 		"survey68/n1/k1":         "cac2f6503a8706e2c6390c679282711ec5977222d73d5af411708cbdd7e81219",
 		"survey68/n1/k2":         "cac2f6503a8706e2c6390c679282711ec5977222d73d5af411708cbdd7e81219",
 		"survey68/n1/k3":         "cac2f6503a8706e2c6390c679282711ec5977222d73d5af411708cbdd7e81219",
@@ -57,14 +57,14 @@ func TestOwnershipGolden(t *testing.T) {
 		"survey68/n8/k2":         "6d95311e7ce4d7f7dde613ff1e4a707f6c7376eacfce951bb2c869dc850f8108",
 		"survey68/n8/k3":         "3af58060176763e2ca5eff7bf0c10c53a2d8f2e4ebd8cf2f4dd2acf8f93f9640",
 		"survey400/4→5/k1":       "428db3c9d8db8e2bdc4a1647cabfbcc13d025e9862c0b481794e92b7667c1b7d",
-		"survey400/4→5/k2":       "764f908a59c85aee8caccb0ae719c97eaf465746e7fe4640d8b8526eaf225ccd",
-		"survey400/4→5/k3":       "61fa81d889cdb356e7e6bd60e716e37eb2c82ccba25e1070d0c46fe635c5d08a",
+		"survey400/4→5/k2":       "2c877f8b2b8c3c22b0c530af0885504fc353e190700a0773153a5c77292a2127",
+		"survey400/4→5/k3":       "1b96583c5e9588d0b214820f54a2088b6b08f0a2d52a1b1a194cd66059a23249",
 		"survey400/4→8/k1":       "5ffd132c48f3db38ba1a30610f631a5e72fe6b04422d718a0bc8ed30eeec2aaa",
-		"survey400/4→8/k2":       "7381e5aba72c3e9e5043ef69564c61b64d912e6b3783988136e98e45ad575ee2",
-		"survey400/4→8/k3":       "cd7e01bd40c48052352e15e3c2d5b71c48cc1a55a8aabf99d694a5f69dce2aa0",
+		"survey400/4→8/k2":       "ac3d0efd6ce8444119b306e8c414669c9cf1c3e922e0c2090d1ed68f89338a74",
+		"survey400/4→8/k3":       "3ca2398f94de5b2bbc1289091bf90db497b38c333dd5cc63e46ef818ff9d8b86",
 		"survey400/8→4/k1":       "dccaa0f0c319694b25ee0b9fb53d3d60a9f5be97491c21003475b760e00b95b2",
-		"survey400/8→4/k2":       "7b34a2bd93682aacd22d0daccaf91119f43def0cb4bf2b293090d6ecb8106f2b",
-		"survey400/8→4/k3":       "e91a885f2225f14414675f9e0a4d0ff5e1640792621e812b5b928c2b40327ed9",
+		"survey400/8→4/k2":       "c8ea6ceda11c7f0bf4fdaf4f3b927813daaf8645f606eb2cd42cc5e7019b2dfd",
+		"survey400/8→4/k3":       "a221956e2302b29d21e2c3719be895dd00b5f72e53cd91e5832de574a727b159",
 		"survey400/n1/k1":        "ac4b7a262084840886383417e7434876549b02be260da703c998b7ff9a7e4aa7",
 		"survey400/n1/k2":        "ac4b7a262084840886383417e7434876549b02be260da703c998b7ff9a7e4aa7",
 		"survey400/n1/k3":        "ac4b7a262084840886383417e7434876549b02be260da703c998b7ff9a7e4aa7",

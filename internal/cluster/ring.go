@@ -33,9 +33,10 @@ import (
 // adjacent objects co-locate and a cap query's cover — always a
 // spatially contiguous object set — touches few shards. It is
 // immutable to its readers and safe for concurrent use; Resize and
-// Extend derive a new Ownership rather than mutating this one. (Extend's first child appends into the spare
-// capacity past this value's slice lengths — memory no reader of this
-// value ever addresses — so growth costs the batch, not the universe.)
+// Extend derive a new Ownership rather than mutating this one.
+// (Extend's first child appends into the spare capacity past this
+// value's slice lengths — memory no reader of this value ever
+// addresses — so growth costs the batch, not the universe.)
 //
 // The representation is position-indexed: survey universes carry dense
 // sequential IDs (1..N, births continuing the sequence), so the
@@ -67,6 +68,12 @@ type Ownership struct {
 	// byShard[s] lists the objects shard s holds at any replica rank,
 	// sorted by ID.
 	byShard [][]model.ObjectID
+	// right[s] is the shard whose run lies next to shard s's along the
+	// spatial order (mod shards), the walk replica ranks take. A fresh
+	// cut labels runs in spatial order, so right[s] = s+1 mod n; Resize
+	// relabels the runs and permutes right with them. Shared read-only
+	// by every Extend descendant.
+	right []int32
 	// cutOrder is the (trixel, ID) sort the cuts were
 	// made over, as universe positions: universe[:len(cutOrder)] in
 	// spatial order. Objects born since (Extend) are not in it — they
@@ -148,8 +155,8 @@ func (o *Ownership) pos(id model.ObjectID) (int, bool) {
 // deriveReplicas rebuilds the ranked replica sets and the per-shard
 // held lists from the primary assignment. Ranks go to the K cuts
 // starting at the owning one and walking right along the spatial order
-// (mod shards), so a shard's replica set is its spatially adjacent
-// neighbors' primaries — contiguity is preserved at every rank.
+// (mod shards), so an object's replicas are the primaries of the runs
+// spatially next to its own — contiguity is preserved at every rank.
 func (o *Ownership) deriveReplicas() {
 	k := o.kEff
 	o.ownersFlat = make([]int32, len(o.universe)*k)
@@ -186,7 +193,8 @@ func (o *Ownership) deriveReplicas() {
 // neighbors.
 func (o *Ownership) rankInto(cut int32, ranked []int32) {
 	for r := range ranked {
-		ranked[r] = (cut + int32(r)) % int32(o.shards)
+		ranked[r] = cut
+		cut = o.right[cut]
 	}
 }
 
@@ -204,6 +212,10 @@ func (o *Ownership) assignCuts() {
 		return cutBefore(&o.universe[order[a]], &o.universe[order[b]])
 	})
 	o.cutOrder = order
+	o.right = make([]int32, o.shards)
+	for s := range o.right {
+		o.right[s] = int32((s + 1) % o.shards)
+	}
 	var total int64
 	for i := range o.universe {
 		total += int64(o.universe[i].Size)
@@ -328,6 +340,11 @@ func (n *Ownership) relabel(o *Ownership) {
 	for pos := range n.owner {
 		n.owner[pos] = int32(perm[n.owner[pos]])
 	}
+	right := make([]int32, n.shards)
+	for raw, next := range n.right {
+		right[perm[raw]] = int32(perm[next])
+	}
+	n.right = right
 	// The replica rule is anchored to primary labels, so the
 	// permutation invalidates the derived sets — rebuild them.
 	n.deriveReplicas()
@@ -378,6 +395,7 @@ func (o *Ownership) Extend(objs []model.Object) (*Ownership, error) {
 		owner:      spare(o.owner, inPlace),
 		ownersFlat: spare(o.ownersFlat, inPlace),
 		byShard:    make([][]model.ObjectID, o.shards),
+		right:      o.right,
 		cutOrder:   o.cutOrder,
 	}
 	for s := range n.byShard {

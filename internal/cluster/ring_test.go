@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -261,6 +262,82 @@ func TestHTMResizeMovedObjects(t *testing.T) {
 		}
 		if len(moving) != c.moved {
 			t.Errorf("%d→%d moves %d objects, want %d", c.n, c.m, len(moving), c.moved)
+		}
+	}
+}
+
+// spatialRuns returns the primary labels of o's runs in spatial
+// ((trixel, ID)) order, or an error if some shard's primaries are not
+// one contiguous run.
+func spatialRuns(o *Ownership) ([]int32, error) {
+	order := make([]int, len(o.universe))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if cutBefore(&o.universe[a], &o.universe[b]) {
+			return -1
+		}
+		return 1
+	})
+	var runs []int32
+	for _, p := range order {
+		if s := o.owner[p]; len(runs) == 0 || runs[len(runs)-1] != s {
+			if slices.Contains(runs, s) {
+				return nil, fmt.Errorf("shard %d's primaries are not contiguous", s)
+			}
+			runs = append(runs, s)
+		}
+	}
+	return runs, nil
+}
+
+// checkSpatialRanks verifies the replica rule: rank r of each object's
+// replica set is the primary of the r-th run to the right of its own
+// along the spatial order (mod shards), whatever labels the runs carry.
+func checkSpatialRanks(o *Ownership) error {
+	runs, err := spatialRuns(o)
+	if err != nil {
+		return err
+	}
+	if len(runs) != o.shards {
+		return fmt.Errorf("%d runs over %d shards", len(runs), o.shards)
+	}
+	for _, obj := range o.universe {
+		owners, _ := o.Owners(obj.ID)
+		at := slices.Index(runs, int32(owners[0]))
+		for r, s := range owners {
+			if want := runs[(at+r)%len(runs)]; int32(s) != want {
+				return fmt.Errorf("object %d: rank %d on shard %d, want shard %d, %d runs right of the primary's",
+					obj.ID, r, s, want, r)
+			}
+		}
+	}
+	return nil
+}
+
+// TestReplicasFollowSpatialOrder pins the replica rule across resizes,
+// whose relabeling permutes the shard labels of the runs: a replica
+// set must stay the owning run and its right neighbors on the sky, not
+// the next labels. (checkPartition applies the same check to every
+// ownership the growth and resize properties reach.)
+func TestReplicasFollowSpatialOrder(t *testing.T) {
+	objects := testObjects(t, 400)
+	for _, k := range []int{2, 3} {
+		for _, chain := range [][2]int{{4, 5}, {4, 8}, {8, 4}, {3, 7}} {
+			resized, err := mustOwnership(t, objects, chain[0], k).Resize(chain[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			grown, err := resized.Extend([]model.Object{{ID: 401, Size: cost.MB, Trixel: objects[17].Trixel}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for what, own := range map[string]*Ownership{"resized": resized, "resized then extended": grown} {
+				if err := checkSpatialRanks(own); err != nil {
+					t.Errorf("K=%d %d→%d, %s: %v", k, chain[0], chain[1], what, err)
+				}
+			}
 		}
 	}
 }
