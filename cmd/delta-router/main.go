@@ -1,9 +1,10 @@
 // Command delta-router runs the cluster routing tier: a partition-aware
 // front that makes N cache shards look like one Delta cache. Ownership
 // (contiguous HTM cuts of the sky) is a pure function of the survey
-// config, the shard count and -replicas, and the router is the only node that computes it: a
-// `delta-cache -shard` starts owning nothing, and the router's first
-// reshard, at startup, tells each shard what it owns:
+// config, the shard count and -replicas, and the router is the only
+// node that computes it: a `delta-cache -shard` starts owning nothing,
+// and the router's first reshard, at startup, tells each shard what it
+// owns:
 //
 //	delta-cache -repo :7707 -addr :7801 -shard &
 //	delta-cache -repo :7707 -addr :7802 -shard &

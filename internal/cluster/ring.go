@@ -74,11 +74,11 @@ type Ownership struct {
 	// relabels the runs and permutes right with them. Shared read-only
 	// by every Extend descendant.
 	right []int32
-	// cutOrder is the (trixel, ID) sort the cuts were
-	// made over, as universe positions: universe[:len(cutOrder)] in
-	// spatial order. Objects born since (Extend) are not in it — they
-	// take their spatial predecessor's cut and never start one. Shared
-	// read-only by every Extend descendant.
+	// cutOrder is the (trixel, ID) sort the cuts were made over, as
+	// universe positions: universe[:len(cutOrder)] in spatial order.
+	// Objects born since (Extend) are not in it — they take their
+	// spatial predecessor's cut and never start one. Shared read-only
+	// by every Extend descendant.
 	cutOrder []int32
 	// extended is set by the first Extend of this value, which may then
 	// append in place past the slice lengths above; a later Extend of
