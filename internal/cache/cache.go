@@ -593,9 +593,7 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 	// A sibling query may have committed a load of one of our objects
 	// that is still materializing; join it so a "cache" answer never
 	// outruns the load it depends on.
-	for _, id := range q.Objects {
-		m.loads.wait(ctx, id)
-	}
+	m.loads.wait(ctx, q.Objects)
 	var result netproto.QueryResultMsg
 	result.QueryID = q.ID
 	result.Logical = q.Cost
@@ -966,19 +964,28 @@ func (c *loadCall) await(ctx context.Context) error {
 	}
 }
 
-// wait joins any in-flight load of id without starting one, so a
-// locally answered query can't race ahead of the load it depends on.
-// The flight's own error handling (residency rollback) is the
-// leader's job; waiters just need it settled.
-func (g *loadGroup) wait(ctx context.Context, id model.ObjectID) {
+// wait joins every in-flight load of ids without starting one, so a
+// locally answered query can't race ahead of the loads it depends on.
+// It takes the group's lock once, not once per object, and skips the
+// lookups when nothing is in flight. The flights' own error handling
+// (residency rollback) is their leaders' job; waiters just need them
+// settled.
+func (g *loadGroup) wait(ctx context.Context, ids []model.ObjectID) {
+	var calls []*loadCall
 	g.mu.Lock()
-	c, ok := g.inflight[id]
-	g.mu.Unlock()
-	if !ok {
-		return
+	if len(g.inflight) > 0 {
+		for _, id := range ids {
+			if c, ok := g.inflight[id]; ok {
+				calls = append(calls, c)
+			}
+		}
 	}
-	select {
-	case <-c.done:
-	case <-ctx.Done():
+	g.mu.Unlock()
+	for _, c := range calls {
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			return
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"github.com/deltacache/delta/internal/cost"
@@ -24,10 +23,15 @@ type Applier struct {
 	// (Replica); capacity violations are measured against
 	// max(capacity, exemptUsed).
 	exemptUsed cost.Bytes
-	// resident maps each resident object to the IDs of its outstanding
-	// updates; pending holds those updates.
-	resident map[model.ObjectID]map[model.UpdateID]struct{}
-	pending  map[model.UpdateID]model.Update
+	// resident is the resident set, indexed densely by object ID: every
+	// object of an at-cache answer is checked in it.
+	resident *idSet
+	// outstanding maps each resident object that has outstanding
+	// updates to their IDs, and owed marks its keys; pending holds
+	// those updates.
+	outstanding map[model.ObjectID]map[model.UpdateID]struct{}
+	owed        *idSet
+	pending     map[model.UpdateID]model.Update
 }
 
 // Plan is what an applied decision owes the network: the evictions and
@@ -48,10 +52,12 @@ type Plan struct {
 // an object's size and whether the object exists: the caller's universe.
 func NewApplier(capacity cost.Bytes, size func(model.ObjectID) (cost.Bytes, bool)) *Applier {
 	return &Applier{
-		size:     size,
-		capacity: capacity,
-		resident: make(map[model.ObjectID]map[model.UpdateID]struct{}),
-		pending:  make(map[model.UpdateID]model.Update),
+		size:        size,
+		capacity:    capacity,
+		resident:    newIDSet(0),
+		outstanding: make(map[model.ObjectID]map[model.UpdateID]struct{}),
+		owed:        newIDSet(0),
+		pending:     make(map[model.UpdateID]model.Update),
 	}
 }
 
@@ -64,10 +70,10 @@ func (a *Applier) Adopt(ids []model.ObjectID) error {
 		if !ok {
 			return fmt.Errorf("core: adoption of unknown object %d", id)
 		}
-		if _, dup := a.resident[id]; dup {
+		if a.resident.has(id) {
 			return fmt.Errorf("core: duplicate adoption of object %d", id)
 		}
-		a.resident[id] = nil
+		a.resident.add(id)
 		a.used += size
 	}
 	return nil
@@ -100,7 +106,7 @@ func (a *Applier) Apply(e *model.Event, d Decision) (Plan, []string) {
 
 	// 1. Evictions.
 	for _, id := range d.Evict {
-		if _, ok := a.resident[id]; !ok {
+		if !a.resident.has(id) {
 			violate("event %d: evict of non-resident object %d", e.Seq, id)
 			continue
 		}
@@ -115,11 +121,11 @@ func (a *Applier) Apply(e *model.Event, d Decision) (Plan, []string) {
 			violate("event %d: load of unknown object %d", e.Seq, id)
 			continue
 		}
-		if _, dup := a.resident[id]; dup {
+		if a.resident.has(id) {
 			violate("event %d: load of already-resident object %d", e.Seq, id)
 			continue
 		}
-		a.resident[id] = nil
+		a.resident.add(id)
 		a.used += size
 		p.Load = append(p.Load, model.Object{ID: id, Size: size})
 	}
@@ -135,10 +141,12 @@ func (a *Applier) Apply(e *model.Event, d Decision) (Plan, []string) {
 	// bookkeeping applies only to resident objects.
 	if e.Kind == model.EventUpdate {
 		u := e.Update
-		if ups, ok := a.resident[u.Object]; ok {
+		if a.resident.has(u.Object) {
+			ups := a.outstanding[u.Object]
 			if ups == nil {
 				ups = make(map[model.UpdateID]struct{})
-				a.resident[u.Object] = ups
+				a.outstanding[u.Object] = ups
+				a.owed.add(u.Object)
 			}
 			ups[u.ID] = struct{}{}
 			a.pending[u.ID] = *u
@@ -154,7 +162,12 @@ func (a *Applier) Apply(e *model.Event, d Decision) (Plan, []string) {
 		}
 		p.Ship = append(p.Ship, u)
 		delete(a.pending, uid)
-		delete(a.resident[u.Object], uid)
+		ups := a.outstanding[u.Object]
+		delete(ups, uid)
+		if len(ups) == 0 {
+			delete(a.outstanding, u.Object)
+			a.owed.remove(u.Object)
+		}
 	}
 
 	// 5. Answer the query.
@@ -163,12 +176,14 @@ func (a *Applier) Apply(e *model.Event, d Decision) (Plan, []string) {
 		p.ShipQuery = d.ShipQuery
 		if !d.ShipQuery {
 			for _, id := range q.Objects {
-				ups, ok := a.resident[id]
-				if !ok {
+				if !a.resident.has(id) {
 					violate("event %d: query %d answered at cache but object %d absent", e.Seq, q.ID, id)
 					p.Stale = true
 				}
-				for uid := range ups {
+				if !a.owed.has(id) {
+					continue
+				}
+				for uid := range a.outstanding[id] {
 					if u := a.pending[uid]; model.UpdateRequired(&u, q) {
 						violate("event %d: query %d answered stale: update %d on object %d unapplied", e.Seq, q.ID, uid, id)
 						p.Stale = true
@@ -183,31 +198,27 @@ func (a *Applier) Apply(e *model.Event, d Decision) (Plan, []string) {
 // Unload rolls back a load that failed to materialize: id, if still
 // resident, leaves with its outstanding updates.
 func (a *Applier) Unload(id model.ObjectID) {
-	ups, ok := a.resident[id]
-	if !ok {
+	if !a.resident.has(id) {
 		return
 	}
-	for uid := range ups {
+	for uid := range a.outstanding[id] {
 		delete(a.pending, uid)
 	}
-	delete(a.resident, id)
+	delete(a.outstanding, id)
+	a.owed.remove(id)
+	a.resident.remove(id)
 	size, _ := a.size(id)
 	a.used -= size
 }
 
 // Resident reports whether id is in the cache.
-func (a *Applier) Resident(id model.ObjectID) bool {
-	_, ok := a.resident[id]
-	return ok
-}
+func (a *Applier) Resident(id model.ObjectID) bool { return a.resident.has(id) }
 
 // Residents lists the resident objects in ascending order.
-func (a *Applier) Residents() []model.ObjectID {
-	return slices.Sorted(maps.Keys(a.resident))
-}
+func (a *Applier) Residents() []model.ObjectID { return slices.Sorted(a.resident.all()) }
 
 // Len is how many objects are resident.
-func (a *Applier) Len() int { return len(a.resident) }
+func (a *Applier) Len() int { return a.resident.len() }
 
 // Used is the resident objects' total size.
 func (a *Applier) Used() cost.Bytes { return a.used }

@@ -168,7 +168,7 @@ func (p *Benefit) Forget(ids []model.ObjectID, capacity cost.Bytes) (Decision, e
 			_ = p.idx.markEvicted(id)
 			d.Evict = append(d.Evict, id)
 		}
-		delete(p.idx.objects, id)
+		p.idx.objects.remove(id)
 		delete(p.mu, id)
 		delete(p.winBenefit, id)
 	}
@@ -264,7 +264,8 @@ func (p *Benefit) tickWindow() Decision {
 func (p *Benefit) replan() Decision {
 	p.stats.Windows++
 	// Fold the window's benefit into the forecast.
-	for id := range p.idx.objects {
+	for o := range p.idx.objects.all() {
+		id := o.ID
 		b := p.winBenefit[id]
 		if !p.idx.isCached(id) {
 			// A non-cached object would pay its load cost first; the
@@ -278,10 +279,10 @@ func (p *Benefit) replan() Decision {
 	}
 
 	// Greedy placement: positive-forecast objects in decreasing µ.
-	ids := make([]model.ObjectID, 0, len(p.idx.objects))
-	for id := range p.idx.objects {
-		if p.mu[id] > 0 {
-			ids = append(ids, id)
+	ids := make([]model.ObjectID, 0, p.idx.objects.len())
+	for o := range p.idx.objects.all() {
+		if p.mu[o.ID] > 0 {
+			ids = append(ids, o.ID)
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool {
@@ -304,7 +305,7 @@ func (p *Benefit) replan() Decision {
 	// Diff against the current contents. Objects already present do not
 	// have to be reloaded (Section 5).
 	var d Decision
-	for id := range p.idx.cached {
+	for id := range p.idx.cached.all() {
 		if _, keep := target[id]; !keep {
 			d.Evict = append(d.Evict, id)
 		}
@@ -329,11 +330,4 @@ func (p *Benefit) replan() Decision {
 }
 
 // CachedObjects returns the mirror's resident set (for tests).
-func (p *Benefit) CachedObjects() []model.ObjectID {
-	out := make([]model.ObjectID, 0, len(p.idx.cached))
-	for id := range p.idx.cached {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
-}
+func (p *Benefit) CachedObjects() []model.ObjectID { return p.idx.cachedObjects() }

@@ -239,7 +239,7 @@ func TestBenefitForget(t *testing.T) {
 	if !slices.Equal(d.Evict, []model.ObjectID{1}) {
 		t.Errorf("Forget(1) = %+v, want object 1 evicted", d)
 	}
-	if _, ok := p.mu[1]; ok || p.idx.objects[1] != (model.Object{}) {
+	if _, ok := p.mu[1]; ok || p.idx.objects.has(1) {
 		t.Error("object 1 is still in the forecast or the universe")
 	}
 	d, err = p.Forget(nil, cost.GB)

@@ -27,6 +27,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
@@ -123,12 +124,14 @@ type Forgetter interface {
 }
 
 // objectIndex is the shared bookkeeping helper for policies: object
-// metadata plus a mirror of cache residency.
+// metadata plus a mirror of cache residency, both indexed densely by
+// object ID (objectTable, idSet), since every object of every query is
+// looked up in both.
 type objectIndex struct {
-	objects  map[model.ObjectID]model.Object
+	objects  *objectTable
 	capacity cost.Bytes
 
-	cached map[model.ObjectID]struct{}
+	cached *idSet
 	used   cost.Bytes
 }
 
@@ -137,18 +140,14 @@ func newObjectIndex(objects []model.Object, capacity cost.Bytes) (*objectIndex, 
 		return nil, fmt.Errorf("core: negative cache capacity")
 	}
 	idx := &objectIndex{
-		objects:  make(map[model.ObjectID]model.Object, len(objects)),
+		objects:  newObjectTable(len(objects)),
 		capacity: capacity,
-		cached:   make(map[model.ObjectID]struct{}),
+		cached:   newIDSet(0),
 	}
 	for _, o := range objects {
-		if o.Size < 0 {
-			return nil, fmt.Errorf("core: object %d has negative size", o.ID)
+		if err := idx.addObject(o); err != nil {
+			return nil, err
 		}
-		if _, dup := idx.objects[o.ID]; dup {
-			return nil, fmt.Errorf("core: duplicate object %d", o.ID)
-		}
-		idx.objects[o.ID] = o
 	}
 	return idx, nil
 }
@@ -158,25 +157,22 @@ func (idx *objectIndex) addObject(o model.Object) error {
 	if o.Size < 0 {
 		return fmt.Errorf("core: object %d has negative size", o.ID)
 	}
-	if _, dup := idx.objects[o.ID]; dup {
+	if idx.objects.has(o.ID) {
 		return fmt.Errorf("core: duplicate object %d", o.ID)
 	}
-	idx.objects[o.ID] = o
+	idx.objects.put(o)
 	return nil
 }
 
 func (idx *objectIndex) size(id model.ObjectID) (cost.Bytes, error) {
-	o, ok := idx.objects[id]
+	o, ok := idx.objects.get(id)
 	if !ok {
 		return 0, fmt.Errorf("core: unknown object %d", id)
 	}
 	return o.Size, nil
 }
 
-func (idx *objectIndex) isCached(id model.ObjectID) bool {
-	_, ok := idx.cached[id]
-	return ok
-}
+func (idx *objectIndex) isCached(id model.ObjectID) bool { return idx.cached.has(id) }
 
 func (idx *objectIndex) allCached(ids []model.ObjectID) bool {
 	for _, id := range ids {
@@ -195,7 +191,7 @@ func (idx *objectIndex) markCached(id model.ObjectID) error {
 	if err != nil {
 		return err
 	}
-	idx.cached[id] = struct{}{}
+	idx.cached.add(id)
 	idx.used += size
 	return nil
 }
@@ -208,7 +204,12 @@ func (idx *objectIndex) markEvicted(id model.ObjectID) error {
 	if err != nil {
 		return err
 	}
-	delete(idx.cached, id)
+	idx.cached.remove(id)
 	idx.used -= size
 	return nil
+}
+
+// cachedObjects lists the mirror's resident set in ascending order.
+func (idx *objectIndex) cachedObjects() []model.ObjectID {
+	return slices.Sorted(idx.cached.all())
 }

@@ -293,3 +293,24 @@ func TestQuickShardCore(t *testing.T) {
 			checked, between, resumes)
 	}
 }
+
+// TestShardHitAllocs pins the hit path's allocations: an at-cache query
+// over resident objects with no update outstanding allocates nothing,
+// however many objects it touches.
+func TestShardHitAllocs(t *testing.T) {
+	shard, ids := residentShard(t, 1024)
+	for _, n := range []int{8, 1000} {
+		q := model.Query{Objects: ids[:n], Cost: cost.KB, Tolerance: model.NoTolerance}
+		allocs := testing.AllocsPerRun(200, func() {
+			q.ID++
+			step, err := shard.Query(&q)
+			if err != nil || step.ShipQuery || step.Stale || len(step.Violations) > 0 {
+				t.Fatalf("query %d: %v; shipped %v, stale %v, violations %v", q.ID, err, step.ShipQuery, step.Stale, step.Violations)
+			}
+		})
+		t.Logf("allocations per %d-object hit: %.0f", n, allocs)
+		if allocs > 0 {
+			t.Errorf("%.0f allocations per %d-object hit, budget 0", allocs, n)
+		}
+	}
+}

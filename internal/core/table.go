@@ -83,7 +83,40 @@ func (t *objectTable) has(id model.ObjectID) bool {
 	return ok
 }
 
+// remove drops id; an absent id is ignored. The dense range never
+// shrinks, so a removed ID's slot is a hole a later put refills.
+func (t *objectTable) remove(id model.ObjectID) {
+	if idx := int(id) - 1; idx >= 0 && idx < len(t.dense) {
+		if t.dense[idx].ID != 0 {
+			t.dense[idx] = model.Object{}
+			t.n--
+		}
+		return
+	}
+	if _, ok := t.sparse[id]; ok {
+		delete(t.sparse, id)
+		t.n--
+	}
+}
+
 func (t *objectTable) len() int { return t.n }
+
+// all yields every object, dense range first in ascending ID order,
+// then sparse overflow in map order.
+func (t *objectTable) all() iter.Seq[model.Object] {
+	return func(yield func(model.Object) bool) {
+		for _, o := range t.dense {
+			if o.ID != 0 && !yield(o) {
+				return
+			}
+		}
+		for _, o := range t.sparse {
+			if !yield(o) {
+				return
+			}
+		}
+	}
+}
 
 // knownPrefix returns the largest h such that every ID in 1..h is known.
 func (t *objectTable) knownPrefix() model.ObjectID {
@@ -149,6 +182,21 @@ func (s *idSet) has(id model.ObjectID) bool {
 	}
 	_, ok := s.sparse[id]
 	return ok
+}
+
+// remove drops id; an absent id is ignored.
+func (s *idSet) remove(id model.ObjectID) {
+	if idx := int(id) - 1; idx >= 0 && idx < len(s.bits)*64 {
+		if s.bits[idx/64]&(1<<(idx%64)) != 0 {
+			s.bits[idx/64] &^= 1 << (idx % 64)
+			s.n--
+		}
+		return
+	}
+	if _, ok := s.sparse[id]; ok {
+		delete(s.sparse, id)
+		s.n--
+	}
 }
 
 func (s *idSet) len() int { return s.n }

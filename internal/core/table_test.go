@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 )
 
@@ -145,6 +146,79 @@ func TestIDSetMatchesMap(t *testing.T) {
 		return seen == len(ref)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickTablesRemoveMatchMap drives idSet and objectTable through
+// random add / remove / has sequences against a map oracle. IDs come
+// from every range the layouts split: the dense range, IDs within
+// denseSlack past its end (which grow it and absorb overflow entries),
+// IDs far past it and below 1 (the sparse overflow), and re-adds of
+// removed IDs; membership, cardinality and iteration must agree after
+// every step.
+func TestQuickTablesRemoveMatchMap(t *testing.T) {
+	check := func(ops []uint16) bool {
+		set, tab := newIDSet(8), newObjectTable(8)
+		ref := make(map[model.ObjectID]cost.Bytes)
+		for i, op := range ops {
+			var id model.ObjectID
+			switch r := int(op >> 3); op % 4 {
+			case 0: // dense
+				id = model.ObjectID(r%64 + 1)
+			case 1: // past the dense range, within the slack of either layout
+				id = model.ObjectID(len(tab.dense) + r%(2*denseSlack) + 1)
+			case 2: // sparse overflow, far past the end or below 1
+				id = model.ObjectID(len(set.bits)*64 + denseSlack*64 + r)
+				if r%2 == 1 {
+					id = -model.ObjectID(r)
+				}
+			default: // a member, to remove or re-add
+				for known := range ref {
+					id = known
+					break
+				}
+				if id == 0 {
+					continue
+				}
+			}
+			if op&4 != 0 {
+				set.remove(id)
+				tab.remove(id)
+				delete(ref, id)
+			} else {
+				set.add(id)
+				tab.put(model.Object{ID: id, Size: cost.Bytes(i + 1)})
+				ref[id] = cost.Bytes(i + 1)
+			}
+			if set.len() != len(ref) || tab.len() != len(ref) || set.has(id) != (op&4 == 0) {
+				return false
+			}
+			if o, ok := tab.get(id); ok != (op&4 == 0) || (ok && (o.ID != id || o.Size != ref[id])) {
+				return false
+			}
+		}
+		for id, size := range ref {
+			if o, ok := tab.get(id); !set.has(id) || !ok || o.Size != size {
+				return false
+			}
+		}
+		n := 0
+		for id := range set.all() {
+			if _, ok := ref[id]; !ok {
+				return false
+			}
+			n++
+		}
+		for o := range tab.all() {
+			if ref[o.ID] != o.Size {
+				return false
+			}
+			n++
+		}
+		return n == 2*len(ref)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

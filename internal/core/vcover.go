@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/flow"
@@ -58,8 +57,11 @@ type VCover struct {
 	rng   *rand.Rand
 
 	// outstanding[o] holds updates received for cached object o that
-	// have not been shipped, in arrival order.
+	// have not been shipped, in arrival order. An object is a key only
+	// while it has some, and owed marks the keys, so a query skips the
+	// objects with none on a bit test instead of a map lookup.
 	outstanding map[model.ObjectID][]pendingUpdate
+	owed        *idSet
 	// updObject maps update vertices present in the interaction graph to
 	// their object.
 	updObject map[model.UpdateID]model.ObjectID
@@ -111,6 +113,7 @@ func (p *VCover) Init(objects []model.Object, capacity cost.Bytes) error {
 	p.loads = loadCache
 	p.rng = rand.New(rand.NewSource(p.cfg.Seed))
 	p.outstanding = make(map[model.ObjectID][]pendingUpdate)
+	p.owed = newIDSet(0)
 	p.updObject = make(map[model.UpdateID]model.ObjectID)
 	return nil
 }
@@ -142,14 +145,13 @@ func (p *VCover) Warm(ids []model.ObjectID) ([]model.ObjectID, error) {
 		if _, ok := p.loads.Admit(gds.Entry{Key: int64(id), Size: l, Cost: l}); !ok {
 			continue
 		}
+		// A warm arrival is as fresh as its old holder's copy: any
+		// updates it missed are that holder's outstanding set, which the
+		// warm list does not carry — treat the copy as fresh (nothing
+		// outstanding), the same optimism a repository load has.
 		if err := p.idx.markCached(id); err != nil {
 			return nil, err
 		}
-		// A warm arrival is as fresh as its old holder's copy: any
-		// updates it missed are that holder's outstanding set, which the
-		// warm list does not carry — treat the copy as fresh, the same
-		// optimism a repository load has.
-		p.outstanding[id] = nil
 		adopted = append(adopted, id)
 	}
 	return adopted, nil
@@ -191,7 +193,7 @@ func (p *VCover) Forget(ids []model.ObjectID, capacity cost.Bytes) (Decision, er
 			p.loads.Remove(int64(id))
 			d.Evict = append(d.Evict, id)
 		}
-		delete(p.idx.objects, id)
+		p.idx.objects.remove(id)
 	}
 	evicted, err := p.loads.Resize(int64(capacity))
 	if err != nil {
@@ -221,6 +223,7 @@ func (p *VCover) OnUpdate(u *model.Update) (Decision, error) {
 	}
 	if p.idx.isCached(u.Object) {
 		p.outstanding[u.Object] = append(p.outstanding[u.Object], pendingUpdate{update: *u})
+		p.owed.add(u.Object)
 	}
 	return Decision{}, nil
 }
@@ -237,12 +240,15 @@ func (p *VCover) OnQuery(q *model.Query) (Decision, error) {
 	}
 	// Track usage of cached objects for the LoadManager's eviction
 	// decisions regardless of which manager handles the query.
+	allCached := true
 	for _, id := range q.Objects {
 		if p.idx.isCached(id) {
 			p.loads.Touch(int64(id))
+		} else {
+			allCached = false
 		}
 	}
-	if p.idx.allCached(q.Objects) {
+	if allCached {
 		return p.updateManager(q)
 	}
 	return p.loadManager(q)
@@ -255,6 +261,9 @@ func (p *VCover) updateManager(q *model.Query) (Decision, error) {
 	// outside q's tolerance for staleness.
 	var needed []model.Update
 	for _, id := range q.Objects {
+		if !p.owed.has(id) {
+			continue
+		}
 		for _, pu := range p.outstanding[id] {
 			if model.UpdateRequired(&pu.update, q) {
 				needed = append(needed, pu.update)
@@ -334,7 +343,12 @@ func (p *VCover) applyOutstanding(obj model.ObjectID, uid model.UpdateID) error 
 	lst := p.outstanding[obj]
 	for i := range lst {
 		if lst[i].update.ID == uid {
-			p.outstanding[obj] = append(lst[:i], lst[i+1:]...)
+			if len(lst) == 1 {
+				delete(p.outstanding, obj)
+				p.owed.remove(obj)
+			} else {
+				p.outstanding[obj] = append(lst[:i], lst[i+1:]...)
+			}
 			return nil
 		}
 	}
@@ -404,13 +418,13 @@ func (p *VCover) loadManager(q *model.Query) (Decision, error) {
 	}
 	for _, key := range res.Load {
 		id := model.ObjectID(key)
+		// A load bulk-copies the object including all updates received
+		// while it was away: the object arrives fresh on both sides
+		// ("Both server and cache mark o fresh"), with nothing
+		// outstanding.
 		if err := p.idx.markCached(id); err != nil {
 			return Decision{}, err
 		}
-		// A load bulk-copies the object including all updates received
-		// while it was away: the object arrives fresh on both sides
-		// ("Both server and cache mark o fresh").
-		p.outstanding[id] = nil
 		d.Load = append(d.Load, id)
 		p.stats.ObjectsLoaded++
 	}
@@ -434,16 +448,10 @@ func (p *VCover) evictObject(id model.ObjectID) error {
 		}
 	}
 	delete(p.outstanding, id)
+	p.owed.remove(id)
 	return nil
 }
 
 // CachedObjects returns the mirror's resident set, for tests and the
 // live cache service.
-func (p *VCover) CachedObjects() []model.ObjectID {
-	out := make([]model.ObjectID, 0, len(p.idx.cached))
-	for id := range p.idx.cached {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
-}
+func (p *VCover) CachedObjects() []model.ObjectID { return p.idx.cachedObjects() }

@@ -121,6 +121,20 @@ func TestVCoverHitAnswersAtCacheFree(t *testing.T) {
 	}
 }
 
+// checkOwed fails unless owed marks exactly the objects with a
+// non-empty outstanding list, the keys of outstanding.
+func checkOwed(t *testing.T, p *VCover) {
+	t.Helper()
+	for obj, lst := range p.outstanding {
+		if len(lst) == 0 || !p.owed.has(obj) {
+			t.Errorf("object %d: %d outstanding, owed %v", obj, len(lst), p.owed.has(obj))
+		}
+	}
+	if p.owed.len() != len(p.outstanding) {
+		t.Errorf("owed marks %d objects, %d have outstanding updates", p.owed.len(), len(p.outstanding))
+	}
+}
+
 func TestVCoverShipsCheapUpdatesOverExpensiveQuery(t *testing.T) {
 	p := newTestVCover(t, 30*cost.GB)
 	warmLoad(t, p, 1, 1, time.Second)
@@ -133,6 +147,10 @@ func TestVCoverShipsCheapUpdatesOverExpensiveQuery(t *testing.T) {
 	if !du.IsNoop() {
 		t.Errorf("an arriving update must not ship: %+v", du)
 	}
+	if !p.owed.has(1) {
+		t.Error("an update on a resident object does not mark it owed")
+	}
+	checkOwed(t, p)
 	// An expensive zero-tolerance query: the cover must ship the update.
 	d, err := p.OnQuery(&model.Query{
 		ID: 2, Objects: []model.ObjectID{1}, Cost: cost.GB,
@@ -147,6 +165,10 @@ func TestVCoverShipsCheapUpdatesOverExpensiveQuery(t *testing.T) {
 	if len(d.ApplyUpdates) != 1 || d.ApplyUpdates[0] != 1 {
 		t.Errorf("expected update 1 shipped, got %+v", d)
 	}
+	if p.owed.has(1) {
+		t.Error("object 1 is still owed after its last update shipped")
+	}
+	checkOwed(t, p)
 	// The update is applied: a follow-up query is free.
 	d2, err := p.OnQuery(&model.Query{
 		ID: 3, Objects: []model.ObjectID{1}, Cost: cost.GB,
@@ -288,6 +310,7 @@ func TestVCoverLoadClearsOutstanding(t *testing.T) {
 			t.Errorf("outstanding updates retained for evicted object %d", obj)
 		}
 	}
+	checkOwed(t, p)
 }
 
 func TestVCoverMirrorMatchesGDS(t *testing.T) {
@@ -424,7 +447,7 @@ func TestVCoverForget(t *testing.T) {
 	if !slices.Equal(d.Evict, []model.ObjectID{1}) || len(d.Load) != 0 || d.ShipQuery {
 		t.Errorf("Forget(1, 99) = %+v, want only object 1 evicted", d)
 	}
-	if p.bip.HasRight(1) || len(p.outstanding[1]) != 0 || p.loads.Contains(1) {
+	if p.bip.HasRight(1) || len(p.outstanding[1]) != 0 || p.owed.has(1) || p.loads.Contains(1) {
 		t.Error("the forgotten resident left decision state behind")
 	}
 	if _, err := p.OnQuery(&model.Query{ID: 5, Objects: []model.ObjectID{1}, Cost: cost.KB}); err == nil {

@@ -89,9 +89,9 @@ func (p *Replica) Init(objects []model.Object, capacity cost.Bytes) error {
 
 // Preload implements Preloader: everything resident, nothing charged.
 func (p *Replica) Preload() (objs []model.ObjectID, charge bool) {
-	ids := make([]model.ObjectID, 0, len(p.idx.objects))
-	for id := range p.idx.objects {
-		ids = append(ids, id)
+	ids := make([]model.ObjectID, 0, p.idx.objects.len())
+	for o := range p.idx.objects.all() {
+		ids = append(ids, o.ID)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids, false
@@ -148,7 +148,7 @@ func (p *Replica) Forget(ids []model.ObjectID, capacity cost.Bytes) (Decision, e
 			_ = p.idx.markEvicted(id)
 			d.Evict = append(d.Evict, id)
 		}
-		delete(p.idx.objects, id)
+		p.idx.objects.remove(id)
 	}
 	return d, nil
 }
@@ -304,7 +304,7 @@ func (p *SOptimal) AddObjects(objs []model.Object) (Decision, error) {
 	}
 	var d Decision
 	for _, o := range objs {
-		if _, known := p.idx.objects[o.ID]; !known {
+		if !p.idx.objects.has(o.ID) {
 			if err := p.idx.addObject(o); err != nil {
 				return Decision{}, err
 			}

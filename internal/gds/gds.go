@@ -39,12 +39,65 @@ type Cache struct {
 	inflate  float64 // the running L value
 	gdsf     bool
 
-	entries map[int64]*entry
+	entries entryIndex
 	// order is a min-heap of the entries on (heapH, key). An entry's
 	// credit only ever rises after it is admitted (inflate never falls
 	// and freq only grows), so Touch leaves the heap alone and heapH
 	// may lag below h; minCredit repairs the root until it is current.
 	order creditHeap
+}
+
+// denseSlack bounds how far past the dense range a key may land and
+// still grow it, as core's object tables do: object IDs are sequential,
+// so the range grows in small steps, while a key far outside it (or
+// below 1) goes to the overflow map instead of forcing a huge slice.
+const denseSlack = 65536
+
+// entryIndex maps keys to cached entries. Keys 1..len(dense) live in a
+// slice indexed by key−1 (nil marks absence) — a hit's Touch is then an
+// array load, not a map lookup — and every other key in sparse, which
+// holds only keys outside the dense range. The heap counts the entries.
+type entryIndex struct {
+	dense  []*entry
+	sparse map[int64]*entry
+}
+
+func (x *entryIndex) get(key int64) *entry {
+	if i := key - 1; i >= 0 && i < int64(len(x.dense)) {
+		return x.dense[i]
+	}
+	return x.sparse[key]
+}
+
+// put inserts e, whose key must be absent.
+func (x *entryIndex) put(e *entry) {
+	i := e.key - 1
+	if i >= int64(len(x.dense)) && i < int64(len(x.dense))+denseSlack {
+		x.dense = append(x.dense, make([]*entry, int(i)+1-len(x.dense))...)
+		for k, s := range x.sparse {
+			if k-1 >= 0 && k-1 < int64(len(x.dense)) {
+				x.dense[k-1] = s
+				delete(x.sparse, k)
+			}
+		}
+	}
+	if i >= 0 && i < int64(len(x.dense)) {
+		x.dense[i] = e
+		return
+	}
+	if x.sparse == nil {
+		x.sparse = make(map[int64]*entry)
+	}
+	x.sparse[e.key] = e
+}
+
+// remove drops key, which must be present.
+func (x *entryIndex) remove(key int64) {
+	if i := key - 1; i >= 0 && i < int64(len(x.dense)) {
+		x.dense[i] = nil
+		return
+	}
+	delete(x.sparse, key)
 }
 
 type entry struct {
@@ -90,7 +143,6 @@ func New(capacity int64, gdsf bool) (*Cache, error) {
 	return &Cache{
 		capacity: capacity,
 		gdsf:     gdsf,
-		entries:  make(map[int64]*entry),
 	}, nil
 }
 
@@ -101,19 +153,16 @@ func (c *Cache) Capacity() int64 { return c.capacity }
 func (c *Cache) Used() int64 { return c.used }
 
 // Len returns the number of cached objects.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return len(c.order) }
 
 // Contains reports whether the key is cached.
-func (c *Cache) Contains(key int64) bool {
-	_, ok := c.entries[key]
-	return ok
-}
+func (c *Cache) Contains(key int64) bool { return c.entries.get(key) != nil }
 
 // Keys returns the cached keys in ascending order.
 func (c *Cache) Keys() []int64 {
-	out := make([]int64, 0, len(c.entries))
-	for k := range c.entries {
-		out = append(out, k)
+	out := make([]int64, 0, len(c.order))
+	for _, e := range c.order {
+		out = append(out, e.key)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -122,8 +171,8 @@ func (c *Cache) Keys() []int64 {
 // Credit returns the current H value of a cached key (0, false if
 // absent). Exposed for tests and introspection.
 func (c *Cache) Credit(key int64) (float64, bool) {
-	e, ok := c.entries[key]
-	if !ok {
+	e := c.entries.get(key)
+	if e == nil {
 		return 0, false
 	}
 	return e.h, true
@@ -143,8 +192,8 @@ func (c *Cache) credit(e *entry) float64 {
 // Touch records a hit on a cached object, refreshing its credit. It is
 // a no-op for absent keys.
 func (c *Cache) Touch(key int64) {
-	e, ok := c.entries[key]
-	if !ok {
+	e := c.entries.get(key)
+	if e == nil {
 		return
 	}
 	e.freq++
@@ -154,8 +203,8 @@ func (c *Cache) Touch(key int64) {
 // Remove evicts the key unconditionally (e.g. the simulator invalidated
 // it). It is a no-op for absent keys.
 func (c *Cache) Remove(key int64) {
-	e, ok := c.entries[key]
-	if !ok {
+	e := c.entries.get(key)
+	if e == nil {
 		return
 	}
 	c.evict(e)
@@ -164,7 +213,7 @@ func (c *Cache) Remove(key int64) {
 // evict drops a cached entry from the map, the heap and the books.
 func (c *Cache) evict(e *entry) {
 	c.used -= e.size
-	delete(c.entries, e.key)
+	c.entries.remove(e.key)
 	heap.Remove(&c.order, e.pos)
 }
 
@@ -204,7 +253,7 @@ func (c *Cache) Admit(cand Entry) (evicted []int64, admitted bool) {
 	if cand.Size > c.capacity || cand.Size < 0 || cand.Cost < 0 {
 		return nil, false
 	}
-	if _, ok := c.entries[cand.Key]; ok {
+	if c.Contains(cand.Key) {
 		c.Touch(cand.Key)
 		return nil, true
 	}
@@ -212,7 +261,7 @@ func (c *Cache) Admit(cand Entry) (evicted []int64, admitted bool) {
 	e := &entry{key: cand.Key, size: cand.Size, cost: cand.Cost, freq: 1}
 	e.h = c.credit(e)
 	e.heapH = e.h
-	c.entries[cand.Key] = e
+	c.entries.put(e)
 	heap.Push(&c.order, e)
 	c.used += cand.Size
 	return evicted, true

@@ -1,6 +1,7 @@
 package gds
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -426,6 +427,20 @@ func (c *scanCache) admitBatch(cands []Entry) BatchResult {
 	return res
 }
 
+// scanKeys are the keys TestQuickHeapMatchesScan draws, ascending, so
+// the Cache's key index is exercised in all its ranges: the small
+// sequential keys of the dense range, keys below 1 and far past it (the
+// overflow map), and a chain past its end — once denseSlack+5 has grown
+// the range, 2·denseSlack+2 grows it again over 2·denseSlack, which an
+// earlier admission left in the overflow map, and must absorb it.
+var scanKeys = func() []int64 {
+	keys := []int64{-7, 0}
+	for k := int64(1); k <= 18; k++ {
+		keys = append(keys, k)
+	}
+	return append(keys, denseSlack+5, 2*denseSlack, 2*denseSlack+2, 1<<40, math.MaxInt64)
+}()
+
 // TestQuickHeapMatchesScan drives Cache and the scanning oracle through
 // the same random Admit / AdmitBatch / Touch / Remove / Resize sequences, under
 // GDS and GDSF, with sizes and costs drawn from so few values that
@@ -445,10 +460,10 @@ func TestQuickHeapMatchesScan(t *testing.T) {
 		cand := func() Entry {
 			// Size -1..5 and cost -1..3: rejected, zero-size and tied
 			// candidates all occur.
-			return Entry{Key: int64(rng.Intn(24)), Size: int64(rng.Intn(7) - 1), Cost: int64(rng.Intn(5) - 1)}
+			return Entry{Key: scanKeys[rng.Intn(len(scanKeys))], Size: int64(rng.Intn(7) - 1), Cost: int64(rng.Intn(5) - 1)}
 		}
 		for step := 0; step < 400; step++ {
-			switch key := int64(rng.Intn(24)); rng.Intn(7) {
+			switch key := scanKeys[rng.Intn(len(scanKeys))]; rng.Intn(7) {
 			case 0:
 				c.Remove(key)
 				o.remove(key)
@@ -481,14 +496,20 @@ func TestQuickHeapMatchesScan(t *testing.T) {
 					return false
 				}
 			}
-			if c.inflate != o.inflate || c.used != o.used || len(c.entries) != len(o.entries) || len(c.order) != len(c.entries) {
+			if c.inflate != o.inflate || c.used != o.used || c.Len() != len(o.entries) || len(c.order) != c.Len() {
 				t.Errorf("seed %d step %d: inflate %v used %d len %d heap %d; scan says %v, %d, %d",
-					seed, step, c.inflate, c.used, len(c.entries), len(c.order), o.inflate, o.used, len(o.entries))
+					seed, step, c.inflate, c.used, c.Len(), len(c.order), o.inflate, o.used, len(o.entries))
 				return false
 			}
 			for k, oe := range o.entries {
 				if h, ok := c.Credit(k); !ok || h != oe.h {
 					t.Errorf("seed %d step %d: credit of %d = %v, %v; scan says %v", seed, step, k, h, ok, oe.h)
+					return false
+				}
+			}
+			for _, k := range scanKeys {
+				if _, want := o.entries[k]; c.Contains(k) != want {
+					t.Errorf("seed %d step %d: Contains(%d) = %v; scan says %v", seed, step, k, !want, want)
 					return false
 				}
 			}
