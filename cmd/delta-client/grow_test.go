@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,10 +14,9 @@ import (
 )
 
 // TestRunGrowTwiceOnReplicatedCluster runs -grow twice against a K=2
-// cluster, each run with a fresh survey mirror as a new process has.
-// The second run must replay each earlier birth once: the shards'
-// delta_objects_born_total counts every birth once per holder, and
-// replaying that many would publish IDs past the repository's next.
+// cluster, each run over a fresh mirror fetched from the deployment, as
+// a new process has. The second run must number its births after the
+// first run's, so the repository and the router adopt all four.
 func TestRunGrowTwiceOnReplicatedCluster(t *testing.T) {
 	cfg := catalog.DefaultConfig()
 	survey, err := catalog.NewSurvey(cfg)
@@ -50,11 +50,11 @@ func TestRunGrowTwiceOnReplicatedCluster(t *testing.T) {
 
 	const perRun = 2
 	for run := 1; run <= 2; run++ {
-		mirror, err := catalog.NewSurvey(cfg)
+		mirror, err := cl.Survey(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := runGrow(context.Background(), cl, mirror, perRun, 1, time.Now()); err != nil {
+		if err := runGrow(context.Background(), cl, mirror, perRun, time.Now()); err != nil {
 			t.Fatalf("grow run %d: %v", run, err)
 		}
 	}
@@ -63,5 +63,16 @@ func TestRunGrowTwiceOnReplicatedCluster(t *testing.T) {
 	}
 	if got := repo.Stats().Metric("delta_objects_born_total"); got != 2*perRun {
 		t.Errorf("repository admitted %v births, want %d", got, 2*perRun)
+	}
+}
+
+// TestUniverseFlagsRefused pins that the client learns the universe
+// from the deployment: -objects, -seed and -grow-seed are not flags.
+func TestUniverseFlagsRefused(t *testing.T) {
+	for _, flag := range []string{"-objects", "-seed", "-grow-seed"} {
+		err := run([]string{flag, "2", "-stats"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%s 2) = %v, want the flag refused", flag, err)
+		}
 	}
 }

@@ -10,8 +10,8 @@
 package main
 
 import (
-	"cmp"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,35 +35,35 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "delta-client:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("delta-client", flag.ContinueOnError)
 	var (
-		cacheAddr = flag.String("cache", "127.0.0.1:7708", "cache address")
-		sql       = flag.String("sql", "", "SQL query to run")
-		demo      = flag.Int("demo", 0, "run N random demo queries")
-		workers   = flag.Int("workers", 1, "concurrent submitters for -demo")
-		pool      = flag.Int("pool", 1, "connections in the session pool")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout")
-		stats     = flag.Bool("stats", false, "print cache statistics (a router's with a per-shard table)")
-		resize    = flag.String("resize", "", "resize the cluster live to this comma-separated shard address list (routers only)")
-		rebStatus = flag.Bool("rebalance-status", false, "print the router's rebalance progress view")
-		grow      = flag.Int("grow", 0, "publish N new data objects into the deployment (assumes this client is the only grower, so locally generated IDs line up)")
-		growSeed  = flag.Int64("grow-seed", 1, "seed for -grow object generation")
-		objects   = flag.Int("objects", 68, "objects (must match deployment)")
-		seed      = flag.Int64("seed", 2, "survey seed (must match deployment)")
-		region    = flag.String("region", "", "query a sky region \"ra,dec,radiusDeg\" resolved server-side (no local universe needed)")
-		trace     = flag.Bool("trace", false, "stamp queries with a trace ID and print the per-hop fan-out tree (router scatter, shard fragments, repository work)")
-		scenario  = flag.String("scenario", "", "replay a named workload scenario against the deployment (see -list-scenarios; fanned out over -workers)")
-		scnQ      = flag.Int("scenario-queries", 0, "query count for -scenario (0 = the scenario's default)")
-		scnU      = flag.Int("scenario-updates", 0, "update count for -scenario (0 = the scenario's default; repository-side updates are skipped by the client)")
-		listScens = flag.Bool("list-scenarios", false, "list the named workload scenarios and exit")
+		cacheAddr = fs.String("cache", "127.0.0.1:7708", "cache address")
+		sql       = fs.String("sql", "", "SQL query to run")
+		demo      = fs.Int("demo", 0, "run N random demo queries")
+		workers   = fs.Int("workers", 1, "concurrent submitters for -demo")
+		pool      = fs.Int("pool", 1, "connections in the session pool")
+		timeout   = fs.Duration("timeout", 30*time.Second, "per-request timeout")
+		stats     = fs.Bool("stats", false, "print cache statistics (a router's with a per-shard table)")
+		resize    = fs.String("resize", "", "resize the cluster live to this comma-separated shard address list (routers only)")
+		rebStatus = fs.Bool("rebalance-status", false, "print the router's rebalance progress view")
+		grow      = fs.Int("grow", 0, "publish N new data objects into the deployment, numbered after the universe the client fetched")
+		region    = fs.String("region", "", "query a sky region \"ra,dec,radiusDeg\" resolved server-side (the client fetches no universe)")
+		trace     = fs.Bool("trace", false, "stamp queries with a trace ID and print the per-hop fan-out tree (router scatter, shard fragments, repository work)")
+		scenario  = fs.String("scenario", "", "replay a named workload scenario against the deployment (see -list-scenarios; fanned out over -workers)")
+		scnQ      = fs.Int("scenario-queries", 0, "query count for -scenario (0 = the scenario's default)")
+		scnU      = fs.Int("scenario-updates", 0, "update count for -scenario (0 = the scenario's default; repository-side updates are skipped by the client)")
+		listScens = fs.Bool("list-scenarios", false, "list the named workload scenarios and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	ctx := context.Background()
 
 	if *listScens {
@@ -71,14 +71,6 @@ func run() error {
 			fmt.Printf("%-18s %s\n", sc.Name(), sc.Description())
 		}
 		return nil
-	}
-
-	scfg := catalog.DefaultConfig()
-	scfg.Seed = *seed
-	scfg.NumObjects = *objects
-	survey, err := catalog.NewSurvey(scfg)
-	if err != nil {
-		return err
 	}
 
 	opts := []client.Option{
@@ -103,6 +95,13 @@ func run() error {
 	}
 	defer cl.Close()
 
+	// Only -sql, -demo, -scenario and -grow need the universe.
+	var survey *catalog.Survey
+	if *sql != "" || *demo > 0 || *scenario != "" || *grow > 0 {
+		if survey, err = cl.Survey(ctx); err != nil {
+			return err
+		}
+	}
 	start := time.Now()
 	switch {
 	case *sql != "":
@@ -119,7 +118,7 @@ func run() error {
 		}
 		printLatency(demoLat)
 	case *scenario != "":
-		if err := runScenario(ctx, cl, survey, *scenario, *scnQ, *scnU, *workers); err != nil {
+		if _, err := runScenario(ctx, cl, survey, *scenario, *scnQ, *scnU, *workers); err != nil {
 			return err
 		}
 		printLatency(demoLat)
@@ -130,13 +129,13 @@ func run() error {
 		}
 		printRebalance(st)
 	case *grow > 0:
-		if err := runGrow(ctx, cl, survey, *grow, *growSeed, start); err != nil {
+		if err := runGrow(ctx, cl, survey, *grow, start); err != nil {
 			return err
 		}
 	case *stats || *rebStatus:
 		// handled below
 	default:
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("one of -sql, -region, -demo, -scenario, -list-scenarios, -stats, -resize, -rebalance-status, -grow is required")
 	}
 
@@ -255,22 +254,12 @@ func printStats(w io.Writer, st *netproto.StatsMsg) {
 	fmt.Fprintf(w, "cached objects: %v\n", st.Cached)
 }
 
-// runGrow publishes n new objects. It first replays the births already
-// published through the seeded generator, so a second run continues the
-// ID sequence (assuming one grower with a stable seed). It counts each
-// birth once: a router's aggregate delta_objects_born_total counts one
-// per holder, so a router's delta_router_births_total comes first.
-func runGrow(ctx context.Context, cl *client.Client, survey *catalog.Survey, n int, seed int64, start time.Time) error {
-	rng := rand.New(rand.NewSource(seed))
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		return err
-	}
-	if born := int(cmp.Or(st.Metric("delta_router_births_total"), st.Metric("delta_objects_born_total"))); born > 0 {
-		if _, err := survey.GrowObjects(rng, born, 0); err != nil {
-			return fmt.Errorf("replaying %d published births: %w", born, err)
-		}
-	}
+// runGrow publishes n new objects after those survey, the fetched
+// universe, holds. Their positions and sizes are drawn from the
+// universe's seed and size, so two growers over the same universe
+// publish the same births, which the repository ingests once.
+func runGrow(ctx context.Context, cl *client.Client, survey *catalog.Survey, n int, start time.Time) error {
+	rng := rand.New(rand.NewSource(survey.Config().Seed + int64(survey.NextID())))
 	births, err := survey.GrowObjects(rng, n, time.Since(start))
 	if err != nil {
 		return err
@@ -413,16 +402,19 @@ func runDemo(ctx context.Context, w io.Writer, cl *client.Client, survey *catalo
 // through the router. Repository-side updates in the trace are skipped
 // — updates originate at the repository, not at clients — and reported
 // so the operator knows the replay is the read/birth half of the trace.
-func runScenario(ctx context.Context, cl *client.Client, survey *catalog.Survey, name string, nQueries, nUpdates, workers int) error {
+// The scenario's births grow survey, which must be the fetched
+// universe, so they carry the IDs the repository ingests next. It
+// returns how many births it published.
+func runScenario(ctx context.Context, cl *client.Client, survey *catalog.Survey, name string, nQueries, nUpdates, workers int) (int, error) {
 	sc, err := workload.Lookup(name)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	events, err := sc.Events(survey, workload.Options{
 		Seed: survey.Config().Seed, Queries: nQueries, Updates: nUpdates,
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	var births, skippedUpdates int
 	start := time.Now()
@@ -443,7 +435,7 @@ func runScenario(ctx context.Context, cl *client.Client, survey *catalog.Survey,
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("scenario %s: %w", name, err)
+		return births, fmt.Errorf("scenario %s: %w", name, err)
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("scenario %s: %d queries via %d workers in %v (%.0f q/s), %d answered at cache (%.1f%%), %d births published, %d repository-side updates skipped\n",
@@ -451,7 +443,7 @@ func runScenario(ctx context.Context, cl *client.Client, survey *catalog.Survey,
 		float64(sent)/elapsed.Seconds(), atCache,
 		100*float64(atCache)/float64(max(sent, 1)),
 		births, skippedUpdates)
-	return nil
+	return births, nil
 }
 
 // printLatency reports the client-observed latency quantiles collected

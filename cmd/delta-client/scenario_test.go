@@ -22,7 +22,7 @@ import (
 // stream the client-side replay can't serve (e.g. a query referencing
 // an unpublished newborn).
 func TestRunScenarioSmoke(t *testing.T) {
-	survey, cl := dialLocalCluster(t, cluster.LocalConfig{
+	_, cl := dialLocalCluster(t, cluster.LocalConfig{
 		Shards: 2,
 		// Headroom for growth-spurt births: newborns stay cacheable.
 		ShardCapacity: 2 * catalog.DefaultConfig().TotalSize,
@@ -37,10 +37,46 @@ func TestRunScenarioSmoke(t *testing.T) {
 			if sc.Description() == "" {
 				t.Errorf("scenario %s has no description", sc.Name())
 			}
-			if err := runScenario(context.Background(), cl, survey, sc.Name(), 48, 16, 4); err != nil {
+			survey, err := cl.Survey(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := runScenario(context.Background(), cl, survey, sc.Name(), 48, 16, 4); err != nil {
 				t.Fatalf("replay %s: %v", sc.Name(), err)
 			}
 		})
+	}
+}
+
+// TestRunScenarioTwiceGrowsTheRepository replays growth-spurt twice in a
+// row, each over a fresh mirror fetched from the deployment, as two
+// delta-client processes would. Each replay must raise the repository's
+// born count by exactly the births it published: a replay whose births
+// the repository already holds, or numbers past its next ID, publishes
+// nothing new.
+func TestRunScenarioTwiceGrowsTheRepository(t *testing.T) {
+	repo, cl := dialLocalCluster(t, cluster.LocalConfig{
+		Shards:        2,
+		ShardCapacity: 2 * catalog.DefaultConfig().TotalSize,
+		Scale:         netproto.PayloadScale{},
+	})
+	ctx := context.Background()
+	for replay := 1; replay <= 2; replay++ {
+		survey, err := cl.Survey(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := repo.Stats().Metric("delta_objects_born_total")
+		births, err := runScenario(ctx, cl, survey, "growth-spurt", 48, 16, 4)
+		if err != nil {
+			t.Fatalf("replay %d: %v", replay, err)
+		}
+		if births == 0 {
+			t.Fatalf("replay %d published no births", replay)
+		}
+		if got := repo.Stats().Metric("delta_objects_born_total") - before; got != float64(births) {
+			t.Errorf("replay %d published %d births; the repository ingested %v", replay, births, got)
+		}
 	}
 }
 
@@ -51,7 +87,7 @@ func TestRunScenarioUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runScenario(context.Background(), nil, survey, "no-such-scenario", 8, 0, 1); err == nil {
+	if _, err := runScenario(context.Background(), nil, survey, "no-such-scenario", 8, 0, 1); err == nil {
 		t.Fatal("expected an error for an unknown scenario name")
 	}
 }
@@ -60,7 +96,11 @@ func TestRunScenarioUnknown(t *testing.T) {
 // from SQL, fanned out over four workers, every one answered and
 // counted in the summary line.
 func TestRunDemoSmoke(t *testing.T) {
-	survey, cl := dialLocalCluster(t, cluster.LocalConfig{Shards: 2, Scale: netproto.PayloadScale{}})
+	_, cl := dialLocalCluster(t, cluster.LocalConfig{Shards: 2, Scale: netproto.PayloadScale{}})
+	survey, err := cl.Survey(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
 	if err := runDemo(context.Background(), &out, cl, survey, 20, 4, time.Now()); err != nil {
 		t.Fatal(err)
@@ -72,8 +112,8 @@ func TestRunDemoSmoke(t *testing.T) {
 
 // dialLocalCluster starts a repository over the default survey and a
 // SpawnLocal cluster over it (cfg's RepoAddr and Objects filled in), and
-// returns the survey and a client of the cluster's router.
-func dialLocalCluster(t *testing.T, cfg cluster.LocalConfig) (*catalog.Survey, *client.Client) {
+// returns the repository and a client of the cluster's router.
+func dialLocalCluster(t *testing.T, cfg cluster.LocalConfig) (*server.Repository, *client.Client) {
 	t.Helper()
 	survey, err := catalog.NewSurvey(catalog.DefaultConfig())
 	if err != nil {
@@ -98,5 +138,5 @@ func dialLocalCluster(t *testing.T, cfg cluster.LocalConfig) (*catalog.Survey, *
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return survey, cl
+	return repo, cl
 }

@@ -328,7 +328,31 @@ func New(cfg Config) (*Middleware, error) {
 		m.Close()
 		return nil, fmt.Errorf("cache: preload: %w", err)
 	}
+	if err := m.catchUp(); err != nil {
+		m.Close()
+		return nil, err
+	}
 	return m, nil
+}
+
+// catchUp adopts, on a standalone cache, every birth the repository
+// holds that the node lacks: once the stream is subscribed at New, so
+// a birth is either fetched here or announced on the stream, and at
+// every resume, so none announced during a gap is missed. A cluster
+// shard adopts only what its router grants.
+func (m *Middleware) catchUp() error {
+	if m.cfg.Shard {
+		return nil
+	}
+	ctx := context.Background()
+	u, err := netproto.FetchUniverse(ctx, m.repo)
+	if err == nil {
+		_, err = m.AddObjects(ctx, u.Births)
+	}
+	if err != nil {
+		return fmt.Errorf("cache: catch up on births: %w", err)
+	}
+	return nil
 }
 
 // fetch runs loads through the same singleflight and flights as
@@ -473,7 +497,8 @@ func (m *Middleware) streamFrame(f netproto.Frame) {
 // (core.Shard.Resume), snapshots, so a restart cannot resurrect what it
 // dropped, and a shard re-sends its owned set without awaiting the
 // echo: until the repository installs it, the new stream is unfiltered,
-// a superset. Births announced during the gap are missed.
+// a superset. A standalone cache then catches up on the births
+// announced during the gap.
 func (m *Middleware) resume(sub *node.Subscription) {
 	if err := m.repo.Redial(); err != nil {
 		m.cfg.Logf("redial repository: %v", err)
@@ -489,6 +514,9 @@ func (m *Middleware) resume(sub *node.Subscription) {
 	m.snapshotNow()
 	if m.cfg.Shard {
 		sub.Send(m.filterFrame())
+	}
+	if err := m.catchUp(); err != nil {
+		m.cfg.Logf("after the gap: %v", err)
 	}
 	m.Go(func() {
 		if err := m.fetch(p.loads, false); err != nil {
@@ -528,6 +556,8 @@ func (m *Middleware) handleClientFrame(f netproto.Frame) netproto.Frame {
 		return orError(m.handleBirths(ctx, body))
 	case netproto.BirthGrantMsg:
 		return orError(m.handleBirthGrant(ctx, body))
+	case netproto.UniverseMsg:
+		return orError(m.repo.RoundTrip(ctx, f))
 	case netproto.StatsMsg:
 		return netproto.Frame{Type: netproto.MsgStats, Body: m.Stats()}
 	case netproto.ReshardMsg:

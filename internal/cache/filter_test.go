@@ -61,7 +61,8 @@ type filterModel struct {
 // token each time a stream forwards its first owned-set frame — a
 // shard's resume sends one once it hears again. A test may also watch
 // what the shard sends the repository and act the moment an owned-set
-// echo reaches the proxy, before the shard sees it (watch).
+// echo reaches the proxy, before the shard sees it (watch), and keep a
+// resubscribing node away from the repository until it lets go (hold).
 type cutProxy struct {
 	ln      net.Listener
 	target  string
@@ -70,7 +71,25 @@ type cutProxy struct {
 	mu      sync.Mutex
 	sent    func(netproto.Frame)
 	echoed  func()
+	gate    chan struct{}         // non-nil while held
 	streams map[net.Conn]net.Conn // shard side → repository side
+}
+
+// hold makes every invalidation stream opened from now on wait, after
+// its Hello, until release: the node is away from the stream for as
+// long as the test needs.
+func (p *cutProxy) hold() {
+	p.mu.Lock()
+	p.gate = make(chan struct{})
+	p.mu.Unlock()
+}
+
+// release lets the streams that hold stopped reach the repository.
+func (p *cutProxy) release() {
+	p.mu.Lock()
+	close(p.gate)
+	p.gate = nil
+	p.mu.Unlock()
 }
 
 // watch sets the hooks connections dialed from now on run: sent sees
@@ -109,13 +128,19 @@ func (p *cutProxy) relay(nc net.Conn) {
 	if err != nil {
 		return
 	}
+	stream := hello.Role == "invalidations"
+	p.mu.Lock()
+	gate := p.gate
+	p.mu.Unlock()
+	if stream && gate != nil {
+		<-gate
+	}
 	uc, err := net.Dial("tcp", p.target)
 	if err != nil {
 		return
 	}
 	defer uc.Close()
 	up := netproto.NewConn(uc)
-	stream := hello.Role == "invalidations"
 	p.mu.Lock()
 	sent, echoed := p.sent, p.echoed
 	p.mu.Unlock()

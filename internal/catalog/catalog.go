@@ -397,6 +397,27 @@ func (s *Survey) AddObject(b model.Birth) error {
 	return nil
 }
 
+// AddObjects ingests births in publication order, the one in-order
+// adoption every holder of a survey shares: a birth whose ID the survey
+// already holds is skipped, so publishing twice is harmless, and any
+// other must carry NextID (AddObject). It returns the births it
+// ingested as stored, each with the trixel it inherits from its cell,
+// and stops at the first it cannot ingest.
+func (s *Survey) AddObjects(births []model.Birth) ([]model.Birth, error) {
+	var added []model.Birth
+	for _, b := range births {
+		if err := s.AddObject(b); err != nil {
+			if b.Object.ID >= 1 && b.Object.ID < s.NextID() {
+				continue // held already, perhaps added concurrently
+			}
+			return added, err
+		}
+		b.Object, _ = s.Object(b.Object.ID)
+		added = append(added, b)
+	}
+	return added, nil
+}
+
 // GrowObjects publishes n new objects at density-sampled sky positions
 // (newly released survey data lands where the sky is busy, which is
 // where access concentrates), applies them to this survey, and returns
@@ -419,20 +440,16 @@ func (s *Survey) GrowObjects(rng *rand.Rand, n int, at time.Duration) ([]model.B
 		if size > s.cfg.MaxObjectSize {
 			size = s.cfg.MaxObjectSize
 		}
-		b := model.Birth{
+		added, err := s.AddObjects([]model.Birth{{
 			Object: model.Object{ID: s.NextID(), Size: size},
 			RA:     ra,
 			Dec:    dec,
 			Time:   at,
-		}
-		if err := s.AddObject(b); err != nil {
+		}})
+		births = append(births, added...)
+		if err != nil {
 			return births, err
 		}
-		// Return the stored copy so the shipped birth carries the
-		// inherited trixel.
-		obj, _ := s.Object(b.Object.ID)
-		b.Object = obj
-		births = append(births, b)
 	}
 	return births, nil
 }

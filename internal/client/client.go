@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
 )
@@ -197,6 +198,25 @@ func (c *Client) AddObjects(ctx context.Context, births []model.Birth) (int, err
 		return 0, fmt.Errorf("client: unexpected reply %s", reply.Type)
 	}
 	return body.Accepted, nil
+}
+
+// Survey rebuilds the deployment's universe from what its repository
+// serves, through whichever node the client dialed (MsgUniverse): the
+// survey its config builds, grown by every birth in publication order,
+// so the mirror's NextID is the repository's.
+func (c *Client) Survey(ctx context.Context) (*catalog.Survey, error) {
+	u, err := netproto.FetchUniverse(ctx, c.sess)
+	if err != nil {
+		return nil, fmt.Errorf("client: universe: %w", err)
+	}
+	survey, err := catalog.NewSurvey(u.Survey)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := survey.AddObjects(u.Births); err != nil {
+		return nil, fmt.Errorf("client: rebuild the universe: %w", err)
+	}
+	return survey, nil
 }
 
 // Stats fetches the node's statistics. A router answers with the

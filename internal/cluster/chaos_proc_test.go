@@ -84,21 +84,20 @@ func TestChaosProcessKill(t *testing.T) {
 	shardProcs := make([]*exec.Cmd, shards)
 	for i := 0; i < shards; i++ {
 		shardProcs[i] = spawn(fmt.Sprintf("shard%d", i), "delta-cache",
-			"-addr", shardAddrs[i], "-repo", repoAddr,
-			"-objects", fmt.Sprint(objects), "-seed", fmt.Sprint(seed), "-shard")
+			"-addr", shardAddrs[i], "-repo", repoAddr, "-shard")
 	}
 	for _, addr := range shardAddrs {
 		waitListening(t, addr)
 	}
 	spawn("router", "delta-router",
-		"-addr", routerAddr,
+		"-addr", routerAddr, "-repo", repoAddr,
 		"-shards", shardAddrs[0]+","+shardAddrs[1]+","+shardAddrs[2],
-		"-objects", fmt.Sprint(objects), "-seed", fmt.Sprint(seed),
 		"-replicas", fmt.Sprint(replicas))
 	waitListening(t, routerAddr)
 
-	// The same survey config the processes were started with, so the
-	// test's object IDs are the deployment's.
+	// The same survey config the repository was started with, which the
+	// caches and the router fetched from it, so the test's object IDs
+	// are the deployment's.
 	scfg := catalog.DefaultConfig()
 	scfg.NumObjects = objects
 	scfg.Seed = seed

@@ -38,9 +38,9 @@ import (
 // update notice evicts every cached result containing the object
 // before the next query can be served stale. Shard freshness is the
 // shards' own business. A gap turns the result cache off and wipes it;
-// the resume wipes it again, poisoning every flight, and turns it back
-// on. Births announced during a gap are missed. Called from NewRouter
-// when Config.RepoAddr is set.
+// the resume wipes it again, poisoning every flight, turns it back on
+// and catches up on the births announced during the gap. Called from
+// NewRouter when Config.RepoAddr is set.
 func (r *Router) subscribeInvalidations() error {
 	_, err := r.Subscribe(r.cfg.RepoAddr, netproto.SessionConfig{
 		DialRetry: netproto.StartupDialRetry,
@@ -62,6 +62,14 @@ func (r *Router) subscribeInvalidations() error {
 				r.cfg.Logf("redial repository: %v", err)
 			}
 			r.results.setOff(false)
+			// Catch up on the births announced during the gap, through
+			// the adoption worker, ahead of what the new stream brings.
+			u, err := netproto.FetchUniverse(context.Background(), r.repo)
+			if err != nil {
+				r.cfg.Logf("catch up on births after the gap: %v", err)
+				return
+			}
+			r.enqueueBirths(u.Births, nil)
 		},
 	})
 	if err != nil {

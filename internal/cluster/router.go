@@ -284,13 +284,23 @@ func NewRouter(cfg Config) (*Router, error) {
 				return r.routing.Load().own.pos(id)
 			})
 		}
-		if err := r.subscribeInvalidations(); err != nil {
-			repo.Close()
-			r.closeLinks()
-			return nil, err
-		}
+		// The adoption worker runs before the stream that feeds it.
 		r.birthCh = make(chan birthReq, 64)
 		r.Go(r.birthWorker)
+		if err := r.subscribeInvalidations(); err != nil {
+			r.Close()
+			return nil, err
+		}
+		// Adopt the births published so far before serving: with the
+		// stream subscribed, each later one is announced on it.
+		u, err := netproto.FetchUniverse(context.Background(), repo)
+		if err == nil {
+			_, err = r.adoptBirths(context.Background(), u.Births)
+		}
+		if err != nil {
+			r.Close()
+			return nil, fmt.Errorf("cluster: catch up on births: %w", err)
+		}
 	}
 	return r, nil
 }
@@ -433,6 +443,15 @@ func (r *Router) handleClientFrame(f netproto.Frame) netproto.Frame {
 		return netproto.Frame{Type: netproto.MsgRebalanceStatus, Body: r.RebalanceStatus()}
 	case netproto.ObjectBirthMsg:
 		return r.handleBirths(ctx, body)
+	case netproto.UniverseMsg:
+		if r.repo == nil {
+			return netproto.ErrorFrame("cluster: router has no repository address")
+		}
+		reply, err := r.repo.RoundTrip(ctx, f)
+		if err != nil {
+			return netproto.ErrorFrame("cluster: universe: %v", err)
+		}
+		return reply
 	default:
 		return netproto.ErrorFrame("cluster: client sent %s", f.Type)
 	}

@@ -530,6 +530,18 @@ func walkBody(c *Cursor, t MsgType, body any) (any, bool) {
 			Varint(c, &b.Epoch)
 		}
 		return decoded(c, &b), ok
+	case MsgUniverse:
+		b, ok := body.(UniverseMsg)
+		s := &b.Survey
+		Varint(c, &s.Seed)
+		Varint(c, &s.NumObjects)
+		Varint(c, &s.TotalSize)
+		Varint(c, &s.MinObjectSize)
+		Varint(c, &s.MaxObjectSize)
+		Varint(c, &s.Blobs)
+		c.Bool(&s.Uniform)
+		Births(c, &b.Births)
+		return decoded(c, &b), ok
 	}
 	if c.dec {
 		c.fail(fmt.Errorf("netproto: v3 decode: unknown frame type %d", uint8(t)))

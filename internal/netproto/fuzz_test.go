@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 )
@@ -154,6 +155,25 @@ func seedFrames() []Frame {
 	}
 }
 
+// universeFrames are the universe request and its reply, kept out of
+// seedFrames so that valid-v3-stream, which pins every earlier layout,
+// stays as it was; they have corpus files of their own.
+func universeFrames() []Frame {
+	return []Frame{
+		{Type: MsgUniverse, RequestID: 14, Body: UniverseMsg{}},
+		{Type: MsgUniverse, RequestID: 14, Body: UniverseMsg{
+			Survey: catalog.Config{
+				Seed: 2, NumObjects: 68, TotalSize: 800 * cost.GB,
+				MinObjectSize: 50 * cost.MB, MaxObjectSize: 90 * cost.GB, Blobs: 10,
+			},
+			Births: []model.Birth{
+				{Object: model.Object{ID: 69, Size: cost.GB, Trixel: 123}, RA: 182.5, Dec: -1.25, Time: time.Hour},
+				{Object: model.Object{ID: 70, Size: cost.MB, Trixel: 321}, RA: 10.5, Dec: 42.0, Time: 2 * time.Hour},
+			},
+		}},
+	}
+}
+
 // oversizedRoleHello is a well-framed Hello whose Role length claims
 // 2^40 bytes, far more than the frame has: decoding must fail on the
 // length, before allocating for it.
@@ -226,7 +246,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, seed := range streamSeeds(f) {
 		f.Add(seed)
 	}
-	for _, fr := range seedFrames() {
+	for _, fr := range append(seedFrames(), universeFrames()...) {
 		one := encodeFrames(f, fr)
 		f.Add(one)
 		f.Add(one[:len(one)*2/3])                              // truncated inside the body
@@ -247,7 +267,7 @@ func FuzzDecodeFrame(f *testing.F) {
 // tier-1 CI too.
 func TestDecodeFrameSeedCorpus(t *testing.T) {
 	cases := streamSeeds(t)
-	for _, fr := range seedFrames() {
+	for _, fr := range append(seedFrames(), universeFrames()...) {
 		one := encodeFrames(t, fr)
 		cases = append(cases, one)
 		for cut := 1; cut < len(one); cut += 7 {
@@ -301,7 +321,10 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 	grantFlip[len(grantFlip)/2] ^= 0x55             // corrupt mid-batch
 	objectData := encodeFrames(t, seedFrames()[22]) // multi-object ObjectDataMsg
 	objectDataFlip := bytes.Clone(objectData)
-	objectDataFlip[len(objectDataFlip)/2] ^= 0x55 // corrupt mid-batch
+	objectDataFlip[len(objectDataFlip)/2] ^= 0x55    // corrupt mid-batch
+	universe := encodeFrames(t, universeFrames()...) // request and reply
+	universeFlip := bytes.Clone(universe)
+	universeFlip[len(universeFlip)/4] ^= 0x55 // corrupt inside the reply's survey config
 	entries := map[string][]byte{
 		"valid-v3-stream":              valid,
 		"truncated-v3-birth":           oneBirth[:len(oneBirth)*2/3],
@@ -319,6 +342,9 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 		"valid-v3-object-data":         objectData,
 		"truncated-v3-object-data":     objectData[:len(objectData)*2/3], // stream ends inside the object batch
 		"bitflip-v3-object-data":       objectDataFlip,
+		"valid-v3-universe":            universe,
+		"truncated-v3-universe":        universe[:len(universe)*2/3], // stream ends inside the reply's births
+		"bitflip-v3-universe":          universeFlip,
 	}
 	for name, data := range entries {
 		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)

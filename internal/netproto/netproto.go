@@ -22,6 +22,7 @@ package netproto
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 )
@@ -200,6 +202,10 @@ const (
 	// follows the repository's ack or announcement), so the shard admits
 	// them directly without re-forwarding upstream.
 	MsgBirthGrant
+	// MsgUniverse requests / carries the repository's universe: its
+	// survey config and every birth (client, cache or router →
+	// repository, the middle two forwarding to theirs).
+	MsgUniverse
 )
 
 // msgNames is indexed by MsgType.
@@ -212,6 +218,7 @@ var msgNames = [...]string{
 	MsgShardQuery: "shard-query", MsgAdminResize: "admin-resize",
 	MsgRebalanceStatus: "rebalance-status", MsgReshard: "reshard",
 	MsgObjectBirth: "object-birth", MsgBirthGrant: "birth-grant",
+	MsgUniverse: "universe",
 }
 
 // String implements fmt.Stringer.
@@ -525,6 +532,30 @@ type BirthGrantMsg struct {
 	// context only (births extend an epoch in place; they never flip
 	// it). Rides the frame tail; 0 means unspecified.
 	Epoch int
+}
+
+// UniverseMsg requests / carries what the repository serves: the config
+// its survey was built from, which rebuilds the base objects, and every
+// birth since, in publication order. A node learns the universe here
+// instead of from settings of its own, and re-reads it after each
+// invalidation-stream gap to adopt the births announced while it was
+// away. The request leaves both fields empty.
+type UniverseMsg struct {
+	Survey catalog.Config
+	Births []model.Birth
+}
+
+// FetchUniverse asks sess's peer for its universe.
+func FetchUniverse(ctx context.Context, sess *Session) (UniverseMsg, error) {
+	reply, err := sess.RoundTrip(ctx, Frame{Type: MsgUniverse, Body: UniverseMsg{}})
+	if err != nil {
+		return UniverseMsg{}, err
+	}
+	u, ok := reply.Body.(UniverseMsg)
+	if !ok {
+		return UniverseMsg{}, fmt.Errorf("netproto: %s replied to a universe request", reply.Type)
+	}
+	return u, nil
 }
 
 // ErrorMsg carries a failure description.

@@ -151,6 +151,9 @@ func TestMsgTypeString(t *testing.T) {
 	if MsgReshard.String() != "reshard" || MsgBirthGrant.String() != "birth-grant" {
 		t.Error("rebalance message names wrong")
 	}
+	if MsgUniverse.String() != "universe" {
+		t.Error("universe message name wrong")
+	}
 	if MsgType(200).String() != "msg(200)" {
 		t.Error("unknown message rendering wrong")
 	}

@@ -177,25 +177,18 @@ func New(cfg Config) (*Repository, error) {
 		r.store = store
 		if recovered != nil {
 			// Replay the persisted births into the freshly built survey
-			// in publication order (births carry dense sequential IDs, so
-			// order is the ingest invariant). Births the survey already
-			// knows — a DataDir shared with a survey that grew — skip
-			// idempotently, like a duplicate publication would.
-			replayed := 0
-			for _, b := range recovered.Births {
-				if err := cfg.Survey.AddObject(b); err != nil {
-					if int(b.Object.ID) >= 1 && int(b.Object.ID) <= cfg.Survey.NumObjects() {
-						continue
-					}
-					store.Close()
-					return nil, fmt.Errorf("server: recover birth %d: %w", b.Object.ID, err)
-				}
-				replayed++
+			// in publication order. Births the survey already knows — a
+			// DataDir shared with a survey that grew — skip, like a
+			// duplicate publication would.
+			replayed, err := cfg.Survey.AddObjects(recovered.Births)
+			if err != nil {
+				store.Close()
+				return nil, fmt.Errorf("server: recover births: %w", err)
 			}
-			r.recoveredBirths.Set(int64(replayed))
-			if replayed > 0 {
+			r.recoveredBirths.Set(int64(len(replayed)))
+			if len(replayed) > 0 {
 				cfg.Logf("recovered %d born objects from %s (universe now %d)",
-					replayed, cfg.DataDir, cfg.Survey.NumObjects())
+					len(replayed), cfg.DataDir, cfg.Survey.NumObjects())
 			}
 		}
 		// Land the post-recovery universe as the new baseline snapshot.
@@ -303,27 +296,18 @@ func (r *Repository) enqueueLocked(id int, s *subscriber, f netproto.Frame) bool
 // universes within one notification round trip. Births whose IDs are
 // already in the catalog are skipped (publication is idempotent, so a
 // client retry or a second publisher is harmless); a birth that is
-// neither known nor next-in-sequence is an error. Returns how many
+// neither known nor next-in-sequence is an error, and the births
+// before it are still journaled and announced. Returns how many
 // births were newly ingested.
 func (r *Repository) AddObjects(births []model.Birth) (int, error) {
-	accepted := make([]model.Birth, 0, len(births))
-	for _, b := range births {
-		if err := r.cfg.Survey.AddObject(b); err != nil {
-			if int(b.Object.ID) >= 1 && int(b.Object.ID) <= r.cfg.Survey.NumObjects() {
-				continue // already published (dense IDs: a known ID is an ingested object)
-			}
-			return len(accepted), fmt.Errorf("server: add object %d: %w", b.Object.ID, err)
-		}
-		// Announce the stored copy: the catalog may have filled in the
-		// trixel the birth inherits from its partition cell.
-		obj, err := r.cfg.Survey.Object(b.Object.ID)
-		if err == nil {
-			b.Object = obj
-		}
-		accepted = append(accepted, b)
+	// The stored copies are announced: the catalog may have filled in
+	// the trixel a birth inherits from its partition cell.
+	accepted, err := r.cfg.Survey.AddObjects(births)
+	if err != nil {
+		err = fmt.Errorf("server: add objects: %w", err)
 	}
 	if len(accepted) == 0 {
-		return 0, nil
+		return 0, err
 	}
 	if r.store != nil {
 		for _, b := range accepted {
@@ -345,7 +329,7 @@ func (r *Repository) AddObjects(births []model.Birth) (int, error) {
 			r.enqueueLocked(id, s, f)
 		}
 	}
-	return len(accepted), nil
+	return len(accepted), err
 }
 
 // serveInvalidations registers the subscriber before acknowledging its
@@ -464,6 +448,11 @@ func (r *Repository) handleRequest(f netproto.Frame) netproto.Frame {
 		return netproto.Frame{Type: netproto.MsgObjectBirth, Body: netproto.ObjectBirthMsg{
 			Births:   canonical,
 			Accepted: accepted,
+		}}
+	case netproto.UniverseMsg:
+		return netproto.Frame{Type: netproto.MsgUniverse, Body: netproto.UniverseMsg{
+			Survey: r.cfg.Survey.Config(),
+			Births: r.cfg.Survey.BornObjects(),
 		}}
 	case netproto.StatsMsg:
 		return netproto.Frame{Type: netproto.MsgStats, Body: r.Stats()}

@@ -272,15 +272,12 @@ func (e *emitter) birth(pos geom.Vec3, meanSize cost.Bytes) error {
 		Dec:  dec,
 		Time: e.now,
 	}
-	if err := e.survey.AddObject(b); err != nil {
+	// Ship the stored copy, which carries the inherited trixel.
+	added, err := e.survey.AddObjects([]model.Birth{b})
+	if err != nil {
 		return fmt.Errorf("workload: birth: %w", err)
 	}
-	// Carry the inherited trixel on the shipped birth.
-	obj, err := e.survey.Object(b.Object.ID)
-	if err != nil {
-		return err
-	}
-	b.Object = obj
+	b = added[0]
 	e.born = append(e.born, b)
 	e.events = append(e.events, model.Event{
 		Seq:   int64(len(e.events)),
