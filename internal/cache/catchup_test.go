@@ -10,6 +10,7 @@ import (
 	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/client"
 	"github.com/deltacache/delta/internal/cluster"
+	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
@@ -57,7 +58,7 @@ func TestResumeAdoptsBirthsOfTheGap(t *testing.T) {
 	}
 	standalone := start(cache.Config{RepoAddr: proxied})
 	shard := start(cache.Config{RepoAddr: repo.Addr(), Shard: true, ReshardCapacity: cache.ReplicatedCapacity})
-	own, err := cluster.NewOwnership(survey.Objects(), 1, 1)
+	own, err := core.NewOwnership(survey.Objects(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
@@ -36,7 +37,8 @@ type script struct {
 
 // scriptedCluster is a router in front of scripted shards: real nodes
 // and real sessions, canned MsgShardQuery handlers that record what
-// each link was asked.
+// each link was asked. The router's result cache is off, so every query
+// reaches the shards.
 type scriptedCluster struct {
 	mu      sync.Mutex
 	router  *Router
@@ -44,10 +46,10 @@ type scriptedCluster struct {
 	asked   [][]ask
 }
 
-func newScriptedCluster(t *testing.T, own *Ownership, scripts []script, mutate func(*Config)) *scriptedCluster {
+func newScriptedCluster(t *testing.T, repoAddr string, own *core.Ownership, scripts []script, mutate func(*Config)) *scriptedCluster {
 	t.Helper()
 	sc := &scriptedCluster{scripts: scripts, asked: make([][]ask, len(scripts))}
-	cfg := Config{Ownership: own}
+	cfg := Config{Ownership: own, RepoAddr: repoAddr, ResultCacheSize: -1}
 	for i := range scripts {
 		n := node.New("scripted shard", "", "", t.Logf, func(f netproto.Frame) netproto.Frame {
 			return sc.react(i, f)
@@ -110,11 +112,12 @@ func (sc *scriptedCluster) react(i int, f netproto.Frame) netproto.Frame {
 // sent the same objects twice, and the walk only stops when an attempt
 // answers or no candidate is left.
 func TestAttemptLoop(t *testing.T) {
-	base := testObjects(t, 16)
+	survey, repo := installSurvey(t, 1)
+	base := survey.Objects()
 	const shards = 4
 	// primaries returns the shard with the most primary objects under
 	// own, and those objects: the one fragment every row sends.
-	primaries := func(own *Ownership) (int, []model.ObjectID) {
+	primaries := func(own *core.Ownership) (int, []model.ObjectID) {
 		best, objs := 0, []model.ObjectID(nil)
 		for s := 0; s < shards; s++ {
 			var mine []model.ObjectID
@@ -207,7 +210,7 @@ func TestAttemptLoop(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			own, err := NewOwnership(base, shards, row.replicas)
+			own, err := core.NewOwnership(base, shards, row.replicas)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,14 +223,14 @@ func TestAttemptLoop(t *testing.T) {
 			if row.disown {
 				scripts[p].disowned = objs[:1]
 			}
-			sc := newScriptedCluster(t, own, scripts, func(cfg *Config) {
+			sc := newScriptedCluster(t, repo.Addr(), own, scripts, func(cfg *Config) {
 				cfg.Hedge, cfg.HedgeDelay = row.hedge, hedgeDelay
 			})
 			r := sc.router
 			if row.alt != 0 {
 				rt := r.routing.Load()
 				r.routing.Store(&routing{own: rt.own, links: rt.links,
-					alt: map[model.ObjectID]*shardLink{objs[0]: rt.links[at(row.alt)]}})
+					alt: map[model.ObjectID]int{objs[0]: at(row.alt)}})
 			}
 
 			// ν leaves a remainder under any split of the fragment.

@@ -26,6 +26,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 
 	"github.com/deltacache/delta/internal/model"
@@ -40,7 +41,7 @@ import (
 // shards' own business. A gap turns the result cache off and wipes it;
 // the resume wipes it again, poisoning every flight, turns it back on
 // and catches up on the births announced during the gap. Called from
-// NewRouter when Config.RepoAddr is set.
+// NewRouter.
 func (r *Router) subscribeInvalidations() error {
 	_, err := r.Subscribe(r.cfg.RepoAddr, netproto.SessionConfig{
 		DialRetry: netproto.StartupDialRetry,
@@ -53,15 +54,15 @@ func (r *Router) subscribeInvalidations() error {
 				// pile up and adopt as one batch.
 				r.enqueueBirths(body.Births, nil)
 			case netproto.InvalidateMsg:
-				r.results.invalidate(body.Update.Object)
+				r.results.Invalidate(body.Update.Object)
 			}
 		},
-		Gap: func() { r.results.setOff(true) },
+		Gap: func() { r.results.SetOff(true) },
 		Resume: func(*node.Subscription) {
 			if err := r.repo.Redial(); err != nil {
 				r.cfg.Logf("redial repository: %v", err)
 			}
-			r.results.setOff(false)
+			r.results.SetOff(false)
 			// Catch up on the births announced during the gap, through
 			// the adoption worker, ahead of what the new stream brings.
 			u, err := netproto.FetchUniverse(context.Background(), r.repo)
@@ -189,11 +190,7 @@ func (r *Router) adoptBirths(ctx context.Context, births []model.Birth) (int, er
 			byShard[s] = append(byShard[s], freshBirths[i])
 		}
 	}
-	shardIdxs := make([]int, 0, len(byShard))
-	for s := range byShard {
-		shardIdxs = append(shardIdxs, s)
-	}
-	slices.Sort(shardIdxs)
+	shardIdxs := slices.Sorted(maps.Keys(byShard))
 	links := make([]*shardLink, len(shardIdxs))
 	for i, s := range shardIdxs {
 		links[i] = rt.links[s]
@@ -217,9 +214,9 @@ func (r *Router) adoptBirths(ctx context.Context, births []model.Birth) (int, er
 			// fail on it until the next reshard re-grants the owned set
 			// explicitly. Surface the failure; routing still flips so the
 			// rest of the batch serves.
-			link := links[i]
-			r.cfg.Logf("birth grant to shard %d failed: %v", link.index, err)
-			pushErrs = append(pushErrs, fmt.Errorf("shard %d (%s): %w", link.index, link.addr, err))
+			s := shardIdxs[i]
+			r.cfg.Logf("birth grant to shard %d failed: %v", s, err)
+			pushErrs = append(pushErrs, fmt.Errorf("shard %d (%s): %w", s, links[i].addr, err))
 		}
 	}
 
@@ -232,7 +229,7 @@ func (r *Router) adoptBirths(ctx context.Context, births []model.Birth) (int, er
 		r.cfg.Logf("region growth: %v (region covers may miss newborns)", err)
 	}
 	r.cfg.Logf("adopted %d born objects (universe now %d objects, epoch %d)",
-		len(fresh), len(ownNew.universe), rt.epoch)
+		len(fresh), len(ownNew.Universe()), rt.epoch)
 	if len(pushErrs) > 0 {
 		return len(fresh), fmt.Errorf("cluster: %d birth grant(s) failed: %v", len(pushErrs), pushErrs[0])
 	}
@@ -244,9 +241,6 @@ func (r *Router) adoptBirths(ctx context.Context, births []model.Birth) (int, er
 // universe), then adopt them into routing synchronously, so the
 // publisher can query its newborns the moment the reply lands.
 func (r *Router) handleBirths(ctx context.Context, body netproto.ObjectBirthMsg) netproto.Frame {
-	if r.repo == nil {
-		return netproto.ErrorFrame("cluster: router has no repository address; growth unavailable")
-	}
 	reply, err := r.repo.RoundTrip(ctx, netproto.Frame{
 		Type: netproto.MsgObjectBirth,
 		Body: netproto.ObjectBirthMsg{Births: body.Births},

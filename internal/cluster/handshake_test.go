@@ -174,7 +174,7 @@ func TestUpdateRightAfterNewRouterIsDelivered(t *testing.T) {
 	if err := shard.Start(); err != nil {
 		t.Fatal(err)
 	}
-	own, err := cluster.NewOwnership(survey.Objects(), 1, 1)
+	own, err := core.NewOwnership(survey.Objects(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

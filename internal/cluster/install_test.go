@@ -56,7 +56,7 @@ func TestNewRouterRefusesAnotherSurvey(t *testing.T) {
 		t.Fatal(err)
 	}
 	lc := &LocalCluster{cfg: LocalConfig{RepoAddr: repo.Addr()}}
-	shardOwn, err := NewOwnership(survey.Objects(), 1, 1)
+	shardOwn, err := core.NewOwnership(survey.Objects(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestNewRouterRefusesAnotherSurvey(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { shard.Close() })
-	routerOwn, err := NewOwnership(other.Objects(), 1, 1)
+	routerOwn, err := core.NewOwnership(other.Objects(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(Config{Shards: []string{shard.Addr()}, Ownership: routerOwn})
+	r, err := NewRouter(Config{Shards: []string{shard.Addr()}, Ownership: routerOwn, RepoAddr: repo.Addr()})
 	if err == nil {
 		r.Close()
 		t.Fatal("NewRouter over a shard built from another survey succeeded")
@@ -127,7 +127,7 @@ func TestFreshRouterOverRecoveredShards(t *testing.T) {
 
 	fresh := &LocalCluster{cfg: cfg}
 	defer fresh.Close()
-	own, err := NewOwnership(survey.Objects(), 2, 1)
+	own, err := core.NewOwnership(survey.Objects(), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestRestartedRouterOverLiveShards(t *testing.T) {
 	if err := lc.Router.Close(); err != nil {
 		t.Fatal(err)
 	}
-	own, err := NewOwnership(survey.Objects(), 3, 1)
+	own, err := core.NewOwnership(survey.Objects(), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestFreshShardJoinsGrownCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The repository grows survey as births publish; keep its base.
-	base, err := NewOwnership(survey.Objects(), 1, 1)
+	base, err := core.NewOwnership(survey.Objects(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

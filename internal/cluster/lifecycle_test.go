@@ -80,7 +80,7 @@ var nodeKinds = []struct {
 		if err := shard.Start(); err != nil {
 			t.Fatal(err)
 		}
-		own, err := cluster.NewOwnership(testSurvey(t).Objects(), 1, 1)
+		own, err := core.NewOwnership(testSurvey(t).Objects(), 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

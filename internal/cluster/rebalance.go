@@ -39,14 +39,16 @@ import (
 	"slices"
 	"strings"
 
+	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
 )
 
-// reshardTarget pairs a shard link with the owned set a reshard phase
-// should install on it and, on widen, the warm list it should adopt.
+// reshardTarget pairs a shard's index and link with the owned set a
+// reshard phase should install on it and, on widen, the warm list.
 type reshardTarget struct {
+	shard int
 	link  *shardLink
 	owned []model.ObjectID
 	warm  []model.ObjectID
@@ -113,10 +115,6 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 			Completed: st.Completed,
 		}
 	})
-	oldIndexByAddr := make(map[string]int, from)
-	for _, l := range rt.links {
-		oldIndexByAddr[l.addr] = l.index
-	}
 	// An aborted resize must not leak the sessions it dialed to shards
 	// that never joined the routing table.
 	var dialedNew []string
@@ -138,10 +136,10 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 	}
 	linksNew := make([]*shardLink, to)
 	for i, addr := range spec.Shards {
-		if _, continuing := oldIndexByAddr[addr]; !continuing {
+		if rt.holderAt(addr) < 0 {
 			dialedNew = append(dialedNew, addr)
 		}
-		link, err := r.linkAt(addr, i)
+		link, err := r.dialLink(addr)
 		if err != nil {
 			return fail(fmt.Errorf("cluster: dial new shard %d (%s): %w", i, addr, err))
 		}
@@ -160,7 +158,7 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 		var probeErrs []string
 		for i, err := range errs {
 			if err != nil {
-				probeErrs = append(probeErrs, fmt.Sprintf("shard %d (%s): %v", rt.links[i].index, rt.links[i].addr, err))
+				probeErrs = append(probeErrs, fmt.Sprintf("shard %d (%s): %v", i, rt.links[i].addr, err))
 			}
 		}
 		if len(probeErrs) > 0 {
@@ -179,13 +177,24 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 	// holds the object resident; an object with any new holder
 	// double-routes to the first of them pre-flip, and to a still-warm
 	// departing holder post-flip. At K=1 this reduces exactly to the old
-	// owner-address comparison.
-	movingPre := make(map[model.ObjectID]*shardLink)  // pre-flip alternate: a new holder
-	movingPost := make(map[model.ObjectID]*shardLink) // post-flip alternate: an old holder
-	warm := make([][]model.ObjectID, to)              // by new shard index
+	// owner-address comparison. Each transition view's holders are its
+	// side's shards, then the other side's that it lacks.
+	pre := &routing{epoch: rt.epoch, own: rt.own, links: slices.Clip(rt.links), alt: make(map[model.ObjectID]int)}
+	post := &routing{epoch: epoch, own: ownNew, links: slices.Clip(linksNew), alt: make(map[model.ObjectID]int)}
+	for _, l := range linksNew {
+		if pre.holderAt(l.addr) < 0 {
+			pre.links = append(pre.links, l)
+		}
+	}
+	for _, l := range rt.links {
+		if post.holderAt(l.addr) < 0 {
+			post.links = append(post.links, l)
+		}
+	}
+	warm := make([][]model.ObjectID, to) // by new shard index
 	var moved int64
 	var movedBytes cost.Bytes
-	for _, u := range rt.own.universe {
+	for _, u := range rt.own.Universe() {
 		id := u.ID
 		oldRanked, _ := rt.own.Owners(id)
 		newRanked, ok := ownNew.Owners(id)
@@ -205,8 +214,8 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 			if oldAddrs[linksNew[d].addr] {
 				continue // already warm at some rank
 			}
-			if movingPre[id] == nil {
-				movingPre[id] = linksNew[d]
+			if _, moving := pre.alt[id]; !moving {
+				pre.alt[id] = pre.holderAt(linksNew[d].addr)
 			}
 			if hot {
 				warm[d] = append(warm[d], id)
@@ -216,13 +225,13 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 		}
 		for _, s := range oldRanked {
 			if !newAddrs[rt.links[s].addr] {
-				movingPost[id] = rt.links[s]
+				post.alt[id] = post.holderAt(rt.links[s].addr)
 				break
 			}
 		}
 	}
 	r.cfg.Logf("resize %d→%d (epoch %d): %d objects gaining holders, %d warm arrivals",
-		from, to, epoch, len(movingPre), moved)
+		from, to, epoch, len(pre.alt), moved)
 
 	// Phase 1: widen. Every shard of the new config accepts the union
 	// of its old and new owned sets, and adopts its warm list, before
@@ -230,10 +239,10 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 	widen := make([]reshardTarget, 0, to)
 	for i, link := range linksNew {
 		owned := ownNew.ShardObjects(i)
-		if oldIdx, ok := oldIndexByAddr[link.addr]; ok {
-			owned = unionIDs(owned, rt.own.ShardObjects(oldIdx))
+		if old := rt.holderAt(link.addr); old >= 0 {
+			owned = unionIDs(owned, rt.own.ShardObjects(old))
 		}
-		widen = append(widen, reshardTarget{link: link, owned: owned, warm: warm[i]})
+		widen = append(widen, reshardTarget{shard: i, link: link, owned: owned, warm: warm[i]})
 	}
 	if err := r.reshardAll(ctx, epoch, ownNew, widen); err != nil {
 		return fail(fmt.Errorf("cluster: widen: %w", err))
@@ -249,22 +258,22 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 	// valid across placement changes, but a resize is rare and wholesale
 	// invalidation keeps the cache's epoch semantics trivially
 	// auditable.
-	r.routing.Store(&routing{epoch: rt.epoch, own: rt.own, links: rt.links, alt: movingPre})
-	r.results.clear()
+	r.routing.Store(pre)
+	r.results.Clear()
 
 	// Phase 2: flip. New queries route to the new owners; the old
 	// owners stay warm alternates until narrow completes.
 	r.setStatus(func(st *netproto.RebalanceStatusMsg) { st.Phase = "flip" })
-	r.routing.Store(&routing{epoch: epoch, own: ownNew, links: linksNew, alt: movingPost})
-	r.results.clear()
+	r.routing.Store(post)
+	r.results.Clear()
 
 	// Phase 3: narrow continuing shards to exactly their new sets
 	// (new shards already are exact — their union had no old half).
 	r.setStatus(func(st *netproto.RebalanceStatusMsg) { st.Phase = "narrow" })
 	narrow := make([]reshardTarget, 0, to)
 	for i, link := range linksNew {
-		if _, continuing := oldIndexByAddr[link.addr]; continuing {
-			narrow = append(narrow, reshardTarget{link: link, owned: ownNew.ShardObjects(i)})
+		if rt.holderAt(link.addr) >= 0 { // continuing
+			narrow = append(narrow, reshardTarget{shard: i, link: link, owned: ownNew.ShardObjects(i)})
 		}
 	}
 	var narrowErr error
@@ -276,10 +285,10 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 	}
 
 	r.routing.Store(&routing{epoch: epoch, own: ownNew, links: linksNew})
-	r.results.clear()
-	for addr := range oldIndexByAddr {
-		if !slices.Contains(spec.Shards, addr) {
-			r.dropLink(addr)
+	r.results.Clear()
+	for _, l := range rt.links {
+		if !slices.Contains(spec.Shards, l.addr) {
+			r.dropLink(l.addr)
 		}
 	}
 	r.setStatus(func(st *netproto.RebalanceStatusMsg) {
@@ -294,7 +303,7 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 // reshardAll swaps the owned sets of several shards concurrently and
 // returns the first failure. Each command carries reshardMeta's
 // metadata for its owned set.
-func (r *Router) reshardAll(ctx context.Context, epoch int, own *Ownership, targets []reshardTarget) error {
+func (r *Router) reshardAll(ctx context.Context, epoch int, own *core.Ownership, targets []reshardTarget) error {
 	links := make([]*shardLink, len(targets))
 	for i, t := range targets {
 		links[i] = t.link
@@ -314,16 +323,16 @@ func (r *Router) reshardAll(ctx context.Context, epoch int, own *Ownership, targ
 	var first error
 	for i, t := range targets {
 		if errs[i] != nil {
-			first = cmp.Or(first, fmt.Errorf("shard %d (%s): %w", t.link.index, t.link.addr, errs[i]))
+			first = cmp.Or(first, fmt.Errorf("shard %d (%s): %w", t.shard, t.link.addr, errs[i]))
 			continue
 		}
 		ack, ok := replies[i].Body.(netproto.ReshardMsg)
 		if !ok {
-			first = cmp.Or(first, fmt.Errorf("shard %d replied %s to reshard", t.link.index, replies[i].Type))
+			first = cmp.Or(first, fmt.Errorf("shard %d replied %s to reshard", t.shard, replies[i].Type))
 			continue
 		}
 		r.cfg.Logf("shard %d resharded for epoch %d: %d owned, %d warm offered, %d resident, %d dropped",
-			t.link.index, epoch, len(t.owned), len(t.warm), ack.Resident, ack.Dropped)
+			t.shard, epoch, len(t.owned), len(t.warm), ack.Resident, ack.Dropped)
 	}
 	return first
 }
@@ -336,11 +345,12 @@ func (r *Router) reshardAll(ctx context.Context, epoch int, own *Ownership, targ
 // shipping them would only cap a shard's owned set at what fits in
 // netproto.MaxFrame; a shard built from another survey (another seed or
 // size) describes the first one otherwise and refuses the reshard.
-func reshardMeta(own *Ownership, owned []model.ObjectID, surveyed int) []model.Object {
+func reshardMeta(own *core.Ownership, owned []model.ObjectID, surveyed int) []model.Object {
+	universe := own.Universe()
 	var out []model.Object
 	for i, id := range owned {
-		if p, ok := own.pos(id); ok && (i == 0 || p >= surveyed) {
-			out = append(out, own.universe[p])
+		if p, ok := own.Pos(id); ok && (i == 0 || p >= surveyed) {
+			out = append(out, universe[p])
 		}
 	}
 	return out

@@ -250,7 +250,7 @@ func TestResizeColdBaselineLosesWarmth(t *testing.T) {
 	if st.MovedObjects != 0 {
 		t.Errorf("cold resize reports %d moved objects", st.MovedObjects)
 	}
-	moving, err := cluster.Moving(old, lc.Ownership)
+	moving, err := core.Moving(old, lc.Ownership)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestResizeAdminFrames(t *testing.T) {
 // and every object still answers from cache. NewRouter refuses them
 // too.
 func TestResizeRejectsBadAddresses(t *testing.T) {
-	survey, lc, _ := startResizableCluster(t, 2)
+	survey, lc, repoAddr := startResizableCluster(t, 2)
 	a := lc.Shards[0].Addr()
 	epoch := lc.Router.Topology().Epoch
 	for _, addrs := range [][]string{{a, a}, {a, ""}} {
@@ -421,7 +421,7 @@ func TestResizeRejectsBadAddresses(t *testing.T) {
 		if hit := sweepHitRate(t, survey, lc.Router.Addr()); hit < 0.99 {
 			t.Errorf("hit rate after refused Resize(%q) = %.2f, want ~1", addrs, hit)
 		}
-		if r, err := cluster.NewRouter(cluster.Config{Shards: addrs, Ownership: lc.Router.Ownership()}); err == nil {
+		if r, err := cluster.NewRouter(cluster.Config{Shards: addrs, Ownership: lc.Router.Ownership(), RepoAddr: repoAddr}); err == nil {
 			r.Close()
 			t.Errorf("NewRouter(%q) succeeded", addrs)
 		}

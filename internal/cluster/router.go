@@ -1,7 +1,22 @@
+// Package cluster scales the Delta middleware out: a routing tier that
+// fronts N independent cache shards, each a full cache.Middleware
+// owning a subset of the data objects. The router's decisions are
+// internal/core's — placement (core.Ownership), the split of a query
+// into fragments and of a failed fragment's retry (Ownership.Split),
+// and the result cache (core.ResultCache) — so a simulator can run them
+// with no sockets. This package is their I/O shell: shard and
+// repository sessions, the attempt loop's goroutines and hedge timers,
+// the codec, region covers, and the resize and birth choreography.
+//
+// The router scatters multi-object queries to the owning shards over
+// multiplexed netproto sessions, gathers and merges the fragments, and
+// degrades gracefully when a shard dies: surviving fragments are
+// returned with a Degraded flag instead of failing the query. Stats
+// aggregate the same way, so a client sees one cache regardless of the
+// shard count.
 package cluster
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -12,7 +27,7 @@ import (
 	"time"
 
 	"github.com/deltacache/delta/internal/catalog"
-	"github.com/deltacache/delta/internal/cost"
+	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/htm"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
@@ -30,12 +45,11 @@ type Config struct {
 	// Ownership maps objects to shard indices; its shard count must
 	// equal len(Shards). Its objects are the survey every shard builds
 	// for itself: reshards ship metadata only for births adopted later.
-	Ownership *Ownership
-	// RepoAddr is the repository's address. When set, the router
-	// subscribes to the repository's invalidation stream so newly
-	// published objects (MsgObjectBirth) become routable live, and
-	// accepts birth publications from clients, forwarding them to the
-	// repository. Empty disables growth at this router.
+	Ownership *core.Ownership
+	// RepoAddr is the repository's address (required). The router
+	// follows its invalidation stream, so births (MsgObjectBirth) become
+	// routable live and update notices evict cached results, and it
+	// forwards clients' births and universe requests there.
 	RepoAddr string
 	// Regions, when set, is the survey client sky-region queries
 	// resolve against: a query arriving with a SkyRegion instead of an
@@ -59,10 +73,8 @@ type Config struct {
 	// ResultCacheSize bounds the router's invalidation-aware result
 	// cache and in-flight query coalescer (entries, not bytes): repeated
 	// or concurrent queries over the same object set are answered from
-	// one scatter. Zero means DefaultResultCacheSize; negative disables
-	// the cache and coalescer entirely. Requires RepoAddr — without the
-	// repository's invalidation stream the router cannot evict stale
-	// results, so the cache stays off however this is set.
+	// one scatter. Zero means core.DefaultResultCacheSize; negative
+	// disables the cache and coalescer entirely.
 	ResultCacheSize int
 	// MetricsAddr, when set, serves the debug HTTP mux (/metrics,
 	// /healthz, /debug/traces, /debug/pprof) on that address. The
@@ -119,8 +131,7 @@ type Router struct {
 	statusMu sync.Mutex
 	status   netproto.RebalanceStatusMsg
 
-	// repo is the repository session backing live growth; nil without
-	// RepoAddr.
+	// repo is the repository session backing live growth.
 	repo *netproto.Session
 
 	// covers resolves region queries against Regions; nil (every
@@ -128,14 +139,12 @@ type Router struct {
 	covers *htm.CoverCache
 
 	// results is the invalidation-aware result cache + in-flight query
-	// coalescer; nil when disabled or when no RepoAddr supplies the
-	// invalidation stream it depends on (all uses are nil-safe).
-	results *resultCache
+	// coalescer; nil when disabled (all uses are nil-safe).
+	results *core.ResultCache[netproto.QueryResultMsg]
 
 	// birthCh feeds the birth adoption worker, which drains whatever
 	// announcements and publications have queued and adopts them as one
-	// batch — one ownership extension, one grant frame per shard. Nil
-	// without RepoAddr.
+	// batch — one ownership extension, one grant frame per shard.
 	birthCh chan birthReq
 
 	// Event counters, registered on Reg at construction; their help
@@ -146,26 +155,29 @@ type Router struct {
 	fragLat   *obs.Histogram // per-fragment shard round-trip latency
 }
 
-// routing is one immutable routing epoch: the ownership map, the shard
-// links in index order, and — during a resize transition window — the
-// alternate owner of every moving object, so a fragment that fails on
-// its primary can be double-routed instead of degraded.
+// routing is one immutable routing epoch: the ownership map and the
+// links of the holders a core.Fragment names — the shards in index
+// order, then during a resize window the alternates, which alt maps
+// each moving object to so a fragment failing on its primary can be
+// double-routed instead of degraded.
 type routing struct {
 	epoch int
-	own   *Ownership
+	own   *core.Ownership
 	links []*shardLink
-	alt   map[model.ObjectID]*shardLink
+	alt   map[model.ObjectID]int
+}
+
+// holderAt returns the holder index of the link to addr, or -1 when this
+// view has none.
+func (rt *routing) holderAt(addr string) int {
+	return slices.IndexFunc(rt.links, func(l *shardLink) bool { return l.addr == addr })
 }
 
 // shardLink is the router's session to one shard; immutable, so
-// routing snapshots may read it concurrently. The index is the
-// shard's position in the topology that references it — a resize that
-// moves a continuing shard to a new position wraps the shared session
-// in a fresh link via linkAt.
+// routing snapshots may read it concurrently.
 type shardLink struct {
-	index int
-	addr  string
-	sess  *netproto.Session
+	addr string
+	sess *netproto.Session
 }
 
 // NewRouter connects a router to its shards and installs the initial
@@ -181,6 +193,9 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Ownership == nil {
 		return nil, fmt.Errorf("cluster: router needs an ownership map")
 	}
+	if cfg.RepoAddr == "" {
+		return nil, fmt.Errorf("cluster: router needs a repository address")
+	}
 	if cfg.Ownership.Shards() != len(cfg.Shards) {
 		return nil, fmt.Errorf("cluster: ownership spans %d shards, router fronts %d",
 			cfg.Ownership.Shards(), len(cfg.Shards))
@@ -190,7 +205,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:      cfg,
-		surveyed: len(cfg.Ownership.universe),
+		surveyed: len(cfg.Ownership.Universe()),
 		links:    make(map[string]*shardLink),
 	}
 	r.Node = node.New("cluster router", cfg.Addr, cfg.MetricsAddr, cfg.Logf, r.handleClientFrame)
@@ -232,7 +247,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		func() float64 { return float64(r.results.Coalesced()) })
 	r.Reg.NewGaugeFunc("delta_router_shards",
 		"Shards in the current routing epoch.",
-		func() float64 { return float64(len(r.routing.Load().links)) })
+		func() float64 { return float64(r.routing.Load().own.Shards()) })
 	r.Reg.NewGaugeFunc("delta_router_epoch",
 		"Current routing epoch (completed resizes).",
 		func() float64 { return float64(r.routing.Load().epoch) })
@@ -249,7 +264,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		func() float64 { _, misses := r.covers.Stats(); return float64(misses) })
 	rt := &routing{own: cfg.Ownership}
 	for i, addr := range cfg.Shards {
-		link, err := r.dialLink(addr, i)
+		link, err := r.dialLink(addr)
 		if err != nil {
 			r.closeLinks()
 			return nil, fmt.Errorf("cluster: dial shard %d: %w", i, err)
@@ -258,7 +273,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	install := make([]reshardTarget, len(rt.links))
 	for i, link := range rt.links {
-		install[i] = reshardTarget{link: link, owned: rt.own.ShardObjects(i)}
+		install[i] = reshardTarget{shard: i, link: link, owned: rt.own.ShardObjects(i)}
 	}
 	if err := r.reshardAll(context.Background(), rt.epoch, rt.own, install); err != nil {
 		r.closeLinks()
@@ -266,41 +281,38 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	r.routing.Store(rt)
 	r.status = netproto.RebalanceStatusMsg{Phase: "idle", From: len(cfg.Shards), To: len(cfg.Shards)}
-	if cfg.RepoAddr != "" {
-		repo, err := netproto.DialSession(cfg.RepoAddr, "client", netproto.SessionConfig{
-			DialRetry: netproto.StartupDialRetry,
+	repo, err := netproto.DialSession(cfg.RepoAddr, "client", netproto.SessionConfig{
+		DialRetry: netproto.StartupDialRetry,
+	})
+	if err != nil {
+		r.closeLinks()
+		return nil, fmt.Errorf("cluster: dial repository: %w", err)
+	}
+	r.repo = repo
+	// The result cache is safe only with the invalidation stream feeding
+	// evictions: create it before the subscription, so no invalidation
+	// can race the cache into existence.
+	if cfg.ResultCacheSize >= 0 {
+		r.results = core.NewResultCache[netproto.QueryResultMsg](cfg.ResultCacheSize, func(id model.ObjectID) (int, bool) {
+			return r.routing.Load().own.Pos(id)
 		})
-		if err != nil {
-			r.closeLinks()
-			return nil, fmt.Errorf("cluster: dial repository: %w", err)
-		}
-		r.repo = repo
-		// The result cache is safe only with the invalidation stream
-		// feeding evictions, so it rides the same RepoAddr gate. Create
-		// it before the subscription so no invalidation can race the
-		// cache into existence.
-		if cfg.ResultCacheSize >= 0 {
-			r.results = newResultCache(cfg.ResultCacheSize, func(id model.ObjectID) (int, bool) {
-				return r.routing.Load().own.pos(id)
-			})
-		}
-		// The adoption worker runs before the stream that feeds it.
-		r.birthCh = make(chan birthReq, 64)
-		r.Go(r.birthWorker)
-		if err := r.subscribeInvalidations(); err != nil {
-			r.Close()
-			return nil, err
-		}
-		// Adopt the births published so far before serving: with the
-		// stream subscribed, each later one is announced on it.
-		u, err := netproto.FetchUniverse(context.Background(), repo)
-		if err == nil {
-			_, err = r.adoptBirths(context.Background(), u.Births)
-		}
-		if err != nil {
-			r.Close()
-			return nil, fmt.Errorf("cluster: catch up on births: %w", err)
-		}
+	}
+	// The adoption worker runs before the stream that feeds it.
+	r.birthCh = make(chan birthReq, 64)
+	r.Go(r.birthWorker)
+	if err := r.subscribeInvalidations(); err != nil {
+		r.Close()
+		return nil, err
+	}
+	// Adopt the births published so far before serving: with the stream
+	// subscribed, each later one is announced on it.
+	u, err := netproto.FetchUniverse(context.Background(), repo)
+	if err == nil {
+		_, err = r.adoptBirths(context.Background(), u.Births)
+	}
+	if err != nil {
+		r.Close()
+		return nil, fmt.Errorf("cluster: catch up on births: %w", err)
 	}
 	return r, nil
 }
@@ -332,7 +344,7 @@ const shardPool = 2
 // dialLink returns the registry's session for addr, dialing one if the
 // address is new. The dial happens outside the registry lock; a racing
 // dial of the same address keeps the first session.
-func (r *Router) dialLink(addr string, index int) (*shardLink, error) {
+func (r *Router) dialLink(addr string) (*shardLink, error) {
 	r.linksMu.Lock()
 	if l, ok := r.links[addr]; ok {
 		r.linksMu.Unlock()
@@ -346,7 +358,7 @@ func (r *Router) dialLink(addr string, index int) (*shardLink, error) {
 	if err != nil {
 		return nil, err
 	}
-	link := &shardLink{index: index, addr: addr, sess: sess}
+	link := &shardLink{addr: addr, sess: sess}
 	r.linksMu.Lock()
 	defer r.linksMu.Unlock()
 	if r.linksClosed {
@@ -359,29 +371,6 @@ func (r *Router) dialLink(addr string, index int) (*shardLink, error) {
 	}
 	r.links[addr] = link
 	return link, nil
-}
-
-// linkAt returns the registry's session for addr relabeled to the
-// given topology index. Links are immutable (routing snapshots read
-// them concurrently), so a continuing shard whose position changed
-// gets a fresh shardLink sharing the same session, and the registry
-// adopts it so stats, fragments and drop/close all see the current
-// index.
-func (r *Router) linkAt(addr string, index int) (*shardLink, error) {
-	link, err := r.dialLink(addr, index)
-	if err != nil {
-		return nil, err
-	}
-	if link.index == index {
-		return link, nil
-	}
-	relabeled := &shardLink{index: index, addr: addr, sess: link.sess}
-	r.linksMu.Lock()
-	if r.links[addr] == link {
-		r.links[addr] = relabeled
-	}
-	r.linksMu.Unlock()
-	return relabeled, nil
 }
 
 // dropLink closes and forgets the session to addr (a shard that left
@@ -399,9 +388,7 @@ func (r *Router) dropLink(addr string) {
 // release is the runtime's Unblock hook: closing the repository session
 // and every shard session fails the round trips handlers wait on.
 func (r *Router) release() {
-	if r.repo != nil {
-		r.repo.Close()
-	}
+	r.repo.Close()
 	r.closeLinks()
 }
 
@@ -444,9 +431,6 @@ func (r *Router) handleClientFrame(f netproto.Frame) netproto.Frame {
 	case netproto.ObjectBirthMsg:
 		return r.handleBirths(ctx, body)
 	case netproto.UniverseMsg:
-		if r.repo == nil {
-			return netproto.ErrorFrame("cluster: router has no repository address")
-		}
 		reply, err := r.repo.RoundTrip(ctx, f)
 		if err != nil {
 			return netproto.ErrorFrame("cluster: universe: %v", err)
@@ -457,15 +441,13 @@ func (r *Router) handleClientFrame(f netproto.Frame) netproto.Frame {
 	}
 }
 
-// fragment is one link's slice of a query: the unit a plan produces and
-// the attempt loop sends (the client's whole query is the root, with
-// no link). fragments is how many slices the client's query was first
-// split into; recovery attempts inherit it.
-type fragment struct {
-	link      *shardLink
-	query     model.Query
+// scatter is what one split's fragments share: the routing view their
+// Holder indexes, and what every attempt at the client's query inherits:
+// its trace and how many fragments it was first split into.
+type scatter struct {
+	rt        *routing
+	traceID   uint64
 	fragments int
-	traceID   uint64 // propagated to the shard so its span joins the trace
 }
 
 // answer is what the attempt loop gathered for one fragment: a partial
@@ -481,27 +463,21 @@ type answer struct {
 // signature-matching in-flight scatter is joined as a coalesced
 // follower, and only a genuinely novel query scatters to the shards.
 // Degraded or failed leader results are never shared — each follower
-// falls back to its own scatter — and without a result cache (no
-// repository invalidation stream, or disabled by size) every query
-// scatters as before.
+// falls back to its own scatter — and with the result cache disabled
+// every query scatters.
 func (r *Router) routeQuery(ctx context.Context, q *model.Query, traceID uint64, detail string) netproto.Frame {
 	r.queries.Inc()
 	start := time.Now()
 	if len(q.Objects) == 0 {
 		return netproto.ErrorFrame("query %d accesses no objects", q.ID)
 	}
-	if r.results == nil {
-		return r.scatterQuery(ctx, q, traceID, detail, start)
-	}
-	cached, fl, leader := r.results.begin(q.Objects)
+	cached, fl, leader := r.results.Begin(q.Objects)
 	switch {
 	case cached != nil:
 		return r.serveShared(q, cached, traceID, joinDetail(detail, "result-cache=hit"), start)
 	case fl != nil && !leader:
-		<-fl.done
-		if fl.shared {
-			r.results.coalesced.Add(1)
-			return r.serveShared(q, &fl.res, traceID, joinDetail(detail, "coalesced=follower"), start)
+		if res, ok := r.results.Wait(fl); ok {
+			return r.serveShared(q, &res, traceID, joinDetail(detail, "coalesced=follower"), start)
 		}
 		// The leader's scatter failed or degraded: not shareable, so
 		// answer with a scatter of our own.
@@ -511,10 +487,10 @@ func (r *Router) routeQuery(ctx context.Context, q *model.Query, traceID uint64,
 		// result is clean and no invalidation raced it, to the cache).
 		frame := r.scatterQuery(ctx, q, traceID, detail, start)
 		res, ok := frame.Body.(netproto.QueryResultMsg)
-		r.results.complete(fl, res, ok && !res.Degraded)
+		r.results.Complete(fl, res, ok && !res.Degraded)
 		return frame
 	default:
-		// Signature collision: pass through uncached.
+		// Signature collision, or the cache is off: pass through uncached.
 		return r.scatterQuery(ctx, q, traceID, detail, start)
 	}
 }
@@ -576,17 +552,14 @@ func (r *Router) serveShared(q *model.Query, res *netproto.QueryResultMsg, trace
 // degrades answers instead of failing them.
 func (r *Router) scatterQuery(ctx context.Context, q *model.Query, traceID uint64, detail string, start time.Time) netproto.Frame {
 	rt := r.routing.Load()
-	frags, stranded, _ := plan(rt, fragment{query: *q, traceID: traceID}, nil, false)
+	frags, stranded, _ := rt.own.Split(rt.alt, core.Fragment{Holder: -1, Query: *q}, nil, false)
 	if len(stranded) > 0 {
 		return netproto.ErrorFrame("query %d: cluster: object %d is outside the cluster's universe", q.ID, stranded[0])
-	}
-	for i := range frags {
-		frags[i].fragments = len(frags)
 	}
 	if len(frags) > 1 {
 		r.scattered.Inc()
 	}
-	outs := r.gather(ctx, frags, nil)
+	outs := r.gather(ctx, scatter{rt: rt, traceID: traceID, fragments: len(frags)}, frags, nil)
 
 	merged := netproto.QueryResultMsg{QueryID: q.ID}
 	var (
@@ -598,7 +571,7 @@ func (r *Router) scatterQuery(ctx context.Context, q *model.Query, traceID uint6
 	for i, out := range outs {
 		if out.lost != nil {
 			merged.Degraded = true
-			merged.MissingShards = append(merged.MissingShards, frags[i].link.index)
+			merged.MissingShards = append(merged.MissingShards, frags[i].Holder)
 			if firstErr == nil {
 				firstErr = out.lost
 			}
@@ -669,18 +642,18 @@ func (r *Router) scatterQuery(ctx context.Context, q *model.Query, traceID uint6
 // degrading them (a Session only fails on connection death).
 const shardTimeout = 30 * time.Second
 
-// shardRoundTrip sends one fragment and decodes the reply. Successful
-// round trips feed the fragment-latency histogram the hedge delay is
-// derived from.
-func (r *Router) shardRoundTrip(ctx context.Context, fr fragment) (netproto.QueryResultMsg, error) {
+// shardRoundTrip sends one fragment to its holder and decodes the
+// reply. Successful round trips feed the fragment-latency histogram the
+// hedge delay is derived from.
+func (r *Router) shardRoundTrip(ctx context.Context, sc scatter, fr core.Fragment) (netproto.QueryResultMsg, error) {
 	start := time.Now()
-	reply, err := fr.link.sess.RoundTripTimeout(ctx, netproto.Frame{
+	reply, err := sc.rt.links[fr.Holder].sess.RoundTripTimeout(ctx, netproto.Frame{
 		Type: netproto.MsgShardQuery,
 		Body: netproto.ShardQueryMsg{
-			Query:     fr.query,
-			Shard:     fr.link.index,
-			Fragments: max(fr.fragments, 1),
-			TraceID:   fr.traceID,
+			Query:     fr.Query,
+			Shard:     fr.Holder,
+			Fragments: max(sc.fragments, 1),
+			TraceID:   sc.traceID,
 		},
 	}, shardTimeout)
 	if err != nil {
@@ -688,7 +661,7 @@ func (r *Router) shardRoundTrip(ctx context.Context, fr fragment) (netproto.Quer
 	}
 	res, ok := reply.Body.(netproto.QueryResultMsg)
 	if !ok {
-		return netproto.QueryResultMsg{}, fmt.Errorf("shard %d replied %s", fr.link.index, reply.Type)
+		return netproto.QueryResultMsg{}, fmt.Errorf("shard %d replied %s", fr.Holder, reply.Type)
 	}
 	r.fragLat.Observe(time.Since(start))
 	return res, nil
@@ -718,79 +691,9 @@ func (r *Router) hedgeDelay() time.Duration {
 	return defaultHedgeDelay
 }
 
-// plan splits fr's query into per-link fragments under rt, and is the
-// only place that knows where an object may be asked for: its
-// candidates are its ranked owners, then — during a resize transition —
-// its alternate link (a new holder before the flip, the still-warm
-// old holder after it). Each object goes to its first candidate
-// not struck; one with none is stranded. retry says fr's link is a live
-// shard that rejected fr: an ownership recut makes a shard refuse a
-// whole fragment over one moved object although it still owns the rest,
-// so when only some objects found another candidate, the stranded ones
-// are retried there as a strictly narrower fragment. Fragments come out
-// in (index, addr) order, each keeping fr's query identity, time,
-// tolerance and trace, with ν split proportionally to object counts;
-// when nothing is stranded the rounding remainder is charged to the
-// first fragment, so the shares sum exactly to fr's. viaReplica reports
-// whether any object goes to a rank ≥ 1 holder.
-func plan(rt *routing, fr fragment, struck []string, retry bool) (frags []fragment, stranded []model.ObjectID, viaReplica bool) {
-	objs := fr.query.Objects
-	frags = make([]fragment, 0, min(len(objs), len(rt.links)))
-	at := make(map[*shardLink]int, cap(frags))
-	add := func(link *shardLink, id model.ObjectID) {
-		i, ok := at[link]
-		if !ok {
-			i, at[link] = len(frags), len(frags)
-			frags = append(frags, fr)
-			frags[i].link, frags[i].query.Objects = link, nil
-		}
-		frags[i].query.Objects = append(frags[i].query.Objects, id)
-	}
-	k := rt.own.kEff
-	for _, id := range objs {
-		var ranked []int32
-		if p, ok := rt.own.pos(id); ok {
-			ranked = rt.own.ownersFlat[p*k : (p+1)*k]
-		}
-		c := 0
-		for ; c <= len(ranked); c++ {
-			cand := rt.alt[id]
-			if c < len(ranked) {
-				cand = rt.links[ranked[c]]
-			}
-			if cand != nil && !slices.Contains(struck, cand.addr) {
-				add(cand, id)
-				viaReplica = viaReplica || c > 0 && c < len(ranked)
-				break
-			}
-		}
-		if c > len(ranked) {
-			stranded = append(stranded, id)
-		}
-	}
-	if retry && len(stranded) > 0 && len(stranded) < len(objs) {
-		for _, id := range stranded {
-			add(fr.link, id)
-		}
-		stranded = nil
-	}
-	slices.SortFunc(frags, func(a, b fragment) int {
-		return cmp.Or(cmp.Compare(a.link.index, b.link.index), cmp.Compare(a.link.addr, b.link.addr))
-	})
-	rest := fr.query.Cost
-	for i := range frags {
-		frags[i].query.Cost = fr.query.Cost * cost.Bytes(len(frags[i].query.Objects)) / cost.Bytes(len(objs))
-		rest -= frags[i].query.Cost
-	}
-	if len(stranded) == 0 && len(frags) > 0 {
-		frags[0].query.Cost += rest
-	}
-	return frags, stranded, viaReplica
-}
-
-// gather fetches the fragments of one plan concurrently: the last on
-// the calling goroutine, so the usual one-fragment plan spawns nothing.
-func (r *Router) gather(ctx context.Context, frags []fragment, struck []string) []answer {
+// gather fetches the fragments of one split concurrently: the last on
+// the calling goroutine, so the usual one-fragment split spawns nothing.
+func (r *Router) gather(ctx context.Context, sc scatter, frags []core.Fragment, struck []string) []answer {
 	outs := make([]answer, len(frags))
 	var wg sync.WaitGroup
 	last := len(frags) - 1
@@ -798,18 +701,18 @@ func (r *Router) gather(ctx context.Context, frags []fragment, struck []string) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			outs[i] = r.fetch(ctx, frags[i], struck)
+			outs[i] = r.fetch(ctx, sc, frags[i], struck)
 		}()
 	}
 	if last >= 0 {
-		outs[last] = r.fetch(ctx, frags[last], struck)
+		outs[last] = r.fetch(ctx, sc, frags[last], struck)
 	}
 	wg.Wait()
 	return outs
 }
 
 // fetch is the attempt loop: it answers fr by whichever holders it
-// takes. It sends fr to its link, and the next attempt (next) starts
+// takes. It sends fr to its holder, and the next attempt (next) starts
 // when that send fails — or, with hedging on, when the hedge delay
 // passes first, in which case the two race: the first complete answer
 // wins and the loser is cancelled through ctx. The next attempt's
@@ -818,8 +721,11 @@ func (r *Router) gather(ctx context.Context, frags []fragment, struck []string) 
 // the attempts before this one learned: the addresses of links that
 // failed this client fragment in transport, timed out, rejected it, or
 // are still being waited on by a hedge race — none is a candidate for
-// its objects again. Each branch of the walk extends its own copy.
-func (r *Router) fetch(ctx context.Context, fr fragment, struck []string) answer {
+// its objects again. It holds addresses, not holder indices, because
+// each attempt splits under the freshest routing view, whose holders
+// may be numbered differently. Each branch of the walk extends its own
+// copy.
+func (r *Router) fetch(ctx context.Context, sc scatter, fr core.Fragment, struck []string) answer {
 	var (
 		timer *time.Timer
 		hedge chan answer // carries the raced attempt; closed if none could be planned
@@ -830,7 +736,7 @@ func (r *Router) fetch(ctx context.Context, fr fragment, struck []string) answer
 		defer cancel()
 		hedge = make(chan answer, 1)
 		timer = time.AfterFunc(r.hedgeDelay(), func() {
-			out, ok := r.next(ctx, fr, struck, nil)
+			out, ok := r.next(ctx, sc, fr, struck, nil)
 			if !ok {
 				close(hedge)
 				return
@@ -842,7 +748,7 @@ func (r *Router) fetch(ctx context.Context, fr fragment, struck []string) answer
 		})
 		defer timer.Stop()
 	}
-	res, err := r.shardRoundTrip(ctx, fr)
+	res, err := r.shardRoundTrip(ctx, sc, fr)
 	if err == nil {
 		return answer{results: []netproto.QueryResultMsg{res}}
 	}
@@ -856,21 +762,28 @@ func (r *Router) fetch(ctx context.Context, fr fragment, struck []string) answer
 	if ctx.Err() != nil {
 		return answer{lost: err} // cancelled, not failed: a race was lost upstream
 	}
-	out, _ := r.next(ctx, fr, struck, err)
+	out, _ := r.next(ctx, sc, fr, struck, err)
 	return out
 }
 
 // next runs the attempt after a send of fr that failed with cause — or,
-// when cause is nil, that the hedge timer found unanswered: fr's link is
-// struck, and fr's objects are re-planned under the freshest routing
-// view (a stale epoch's owner may simply have changed) and fetched
-// concurrently. A hedge is only worth racing when it can answer
-// everything, so it reports !ok instead of attempting a plan that
+// when cause is nil, that the hedge timer found unanswered: fr's holder
+// is struck, and fr's objects are split again under the freshest
+// routing view (a stale epoch's owner may simply have changed) and
+// fetched concurrently. A hedge is only worth racing when it can answer
+// everything, so it reports !ok instead of attempting a split that
 // strands objects; a failure recovers what it can and loses the rest.
-func (r *Router) next(ctx context.Context, fr fragment, struck []string, cause error) (out answer, ok bool) {
+func (r *Router) next(ctx context.Context, sc scatter, fr core.Fragment, struck []string, cause error) (out answer, ok bool) {
 	var rejection *netproto.RemoteError // a live shard's refusal, not a dead link
-	struck = append(slices.Clip(struck), fr.link.addr)
-	groups, stranded, viaReplica := plan(r.routing.Load(), fr, struck, errors.As(cause, &rejection))
+	failed, addr := fr.Holder, sc.rt.links[fr.Holder].addr
+	struck = append(slices.Clip(struck), addr)
+	sc.rt = r.routing.Load()
+	struckAt := make([]int, len(struck))
+	for i, a := range struck {
+		struckAt[i] = sc.rt.holderAt(a) // -1 where this view lacks the link: no candidate
+	}
+	fr.Holder = sc.rt.holderAt(addr) // -1, so no narrowed retry, once the shard has left
+	groups, stranded, viaReplica := sc.rt.own.Split(sc.rt.alt, fr, struckAt, errors.As(cause, &rejection))
 	if cause == nil {
 		if len(stranded) > 0 {
 			return answer{}, false
@@ -878,12 +791,12 @@ func (r *Router) next(ctx context.Context, fr fragment, struck []string, cause e
 		r.hedged.Inc()
 	} else {
 		r.cfg.Logf("query %d: %d objects on shard %d failed (%d stranded): %v",
-			fr.query.ID, len(fr.query.Objects), fr.link.index, len(stranded), cause)
+			fr.Query.ID, len(fr.Query.Objects), failed, len(stranded), cause)
 	}
 	if len(stranded) > 0 {
 		out.lost = cause
 	}
-	for _, a := range r.gather(ctx, groups, struck) {
+	for _, a := range r.gather(ctx, sc, groups, struck) {
 		out.results = append(out.results, a.results...)
 		if out.lost == nil {
 			out.lost = a.lost
@@ -951,13 +864,14 @@ func (r *Router) probeStats(ctx context.Context, links []*shardLink) ([]netproto
 // shard. A shard that fails to answer is logged.
 func (r *Router) clusterStats(ctx context.Context) netproto.StatsMsg {
 	rt := r.routing.Load()
-	stats, errs := r.probeStats(ctx, rt.links)
+	links := rt.links[:rt.own.Shards()]
+	stats, errs := r.probeStats(ctx, links)
 	var agg netproto.StatsMsg
 	var shards []netproto.Sample
-	for i, l := range rt.links {
-		up := netproto.Sample{Name: fmt.Sprintf(`delta_shard_up{shard="%d",addr=%q}`, l.index, l.addr)}
+	for i, l := range links {
+		up := netproto.Sample{Name: fmt.Sprintf(`delta_shard_up{shard="%d",addr=%q}`, i, l.addr)}
 		if errs[i] != nil {
-			r.cfg.Logf("stats: shard %d (%s): %v", l.index, l.addr, errs[i])
+			r.cfg.Logf("stats: shard %d (%s): %v", i, l.addr, errs[i])
 			shards = append(shards, up)
 			continue
 		}
@@ -965,7 +879,7 @@ func (r *Router) clusterStats(ctx context.Context) netproto.StatsMsg {
 		shards = append(shards, up)
 		st := &stats[i]
 		for _, s := range st.Metrics {
-			shards = append(shards, netproto.Sample{Name: fmt.Sprintf(`%s{shard="%d"}`, s.Name, l.index), Value: s.Value})
+			shards = append(shards, netproto.Sample{Name: fmt.Sprintf(`%s{shard="%d"}`, s.Name, i), Value: s.Value})
 		}
 		agg.Ledger.QueryShip += st.Ledger.QueryShip
 		agg.Ledger.UpdateShip += st.Ledger.UpdateShip
@@ -980,7 +894,7 @@ func (r *Router) clusterStats(ctx context.Context) netproto.StatsMsg {
 		agg.Metrics = mergeSamples(agg.Metrics, st.Metrics)
 		agg.Cached = append(agg.Cached, st.Cached...)
 		if agg.Policy == "" && st.Policy != "" {
-			agg.Policy = fmt.Sprintf("cluster(%s×%d)", st.Policy, len(rt.links))
+			agg.Policy = fmt.Sprintf("cluster(%s×%d)", st.Policy, len(links))
 		}
 	}
 	// What the routing tier counts (regions, result cache, births, K).
@@ -1035,19 +949,19 @@ type Topology struct {
 func (r *Router) Topology() Topology {
 	rt := r.routing.Load()
 	t := Topology{Epoch: rt.epoch}
-	for _, s := range rt.links {
+	for i, s := range rt.links[:rt.own.Shards()] {
 		t.Shards = append(t.Shards, ShardInfo{
-			Index:   s.index,
+			Index:   i,
 			Addr:    s.addr,
 			Alive:   s.sess.Live(),
-			Objects: rt.own.ShardObjects(s.index),
+			Objects: rt.own.ShardObjects(i),
 		})
 	}
 	return t
 }
 
 // Ownership returns the current routing epoch's ownership map.
-func (r *Router) Ownership() *Ownership { return r.routing.Load().own }
+func (r *Router) Ownership() *core.Ownership { return r.routing.Load().own }
 
 // Queries returns how many client queries the router has routed.
 func (r *Router) Queries() int64 { return r.queries.Value() }

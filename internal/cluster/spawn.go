@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/deltacache/delta/internal/cache"
@@ -19,7 +18,7 @@ import (
 type Mode int
 
 // HTMAware is placement by contiguous, size-balanced HTM cuts (see
-// Ownership), the zero and only Mode.
+// core.Ownership), the zero and only Mode.
 const HTMAware Mode = 0
 
 // LocalConfig parameterizes SpawnLocal.
@@ -57,7 +56,7 @@ type LocalConfig struct {
 	Scale netproto.PayloadScale
 	// ResultCacheSize bounds the router's result cache + coalescer
 	// (see cluster.Config.ResultCacheSize: 0 = default, negative
-	// disables; only effective with a RepoAddr).
+	// disables).
 	ResultCacheSize int
 	// Regions, when set, lets the router answer sky-region queries
 	// (see cluster.Config.Regions).
@@ -76,7 +75,7 @@ type LocalConfig struct {
 // it to stand up a whole topology in a few milliseconds — and resize it
 // live with Resize.
 type LocalCluster struct {
-	Ownership *Ownership
+	Ownership *core.Ownership
 	Shards    []*cache.Middleware
 	Router    *Router
 
@@ -90,7 +89,7 @@ func SpawnLocal(cfg LocalConfig) (*LocalCluster, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("cluster: shard count must be positive")
 	}
-	own, err := NewOwnership(cfg.Objects, cfg.Shards, max(cfg.Replicas, 1))
+	own, err := core.NewOwnership(cfg.Objects, cfg.Shards, max(cfg.Replicas, 1))
 	if err != nil {
 		return nil, err
 	}
@@ -132,17 +131,15 @@ func SpawnLocal(cfg LocalConfig) (*LocalCluster, error) {
 // reshard from the router. The shard's configured universe is own's
 // (base objects plus births adopted before the spawn), so a shard
 // joining a grown cluster knows every object it may own.
-func (lc *LocalCluster) spawnShard(s int, own *Ownership) (*cache.Middleware, error) {
+func (lc *LocalCluster) spawnShard(s int, own *core.Ownership) (*cache.Middleware, error) {
 	cfg := lc.cfg
 	var policy core.Policy
 	if cfg.Policy != nil {
 		policy = cfg.Policy(s)
 	}
-	// Shards treat the universe as read-only, so share the ownership's
-	// slice instead of cloning a million objects per shard — clipped, so
-	// an append by the shard copies rather than writing the spare
-	// capacity Extend grows into.
-	universe := slices.Clip(own.universe)
+	// Shards treat the universe as read-only, so they share the
+	// ownership's slice instead of cloning a million objects per shard.
+	universe := own.Universe()
 	var reshardCapacity func([]model.Object) cost.Bytes
 	if cfg.ShardCapacity == 0 {
 		reshardCapacity = cache.ReplicatedCapacity

@@ -1,4 +1,4 @@
-package cluster
+package core
 
 import (
 	"fmt"
@@ -28,7 +28,7 @@ func checkPartition(o *Ownership) error {
 			if i > 0 && objs[i-1] >= id {
 				return fmt.Errorf("shard %d held list unsorted or duplicated around object %d", s, id)
 			}
-			if _, ok := o.pos(id); !ok {
+			if _, ok := o.Pos(id); !ok {
 				return fmt.Errorf("shard %d holds object %d outside the universe", s, id)
 			}
 			if holders[id] == nil {
@@ -195,16 +195,6 @@ func TestQuickExtendNeverMovesExisting(t *testing.T) {
 	}
 }
 
-// testRouting fronts own with one session-less link per shard, which is
-// all the pure planner reads.
-func testRouting(own *Ownership) *routing {
-	links := make([]*shardLink, own.Shards())
-	for i := range links {
-		links[i] = &shardLink{index: i, addr: fmt.Sprintf("shard-%d", i)}
-	}
-	return &routing{own: own, links: links}
-}
-
 // pickObjects maps quick's random picks to a deduplicated, non-empty
 // object list of at most 12 universe members.
 func pickObjects(own *Ownership, picks []uint16) []model.ObjectID {
@@ -231,17 +221,105 @@ func pickObjects(own *Ownership, picks []uint16) []model.ObjectID {
 // exactly to ν, and the remainder folded into the first fragment is the
 // truncation loss of the proportional split — in [0, len(frags)), not a
 // sign the shares drifted.
-func checkShares(frags []fragment, q *model.Query) error {
+func checkShares(frags []Fragment, q *model.Query) error {
 	var sum cost.Bytes
 	for _, fr := range frags {
-		sum += fr.query.Cost
+		sum += fr.Query.Cost
 	}
 	if sum != q.Cost {
 		return fmt.Errorf("shares sum %d, ν %d", sum, q.Cost)
 	}
-	floor := q.Cost * cost.Bytes(len(frags[0].query.Objects)) / cost.Bytes(len(q.Objects))
-	if rem := frags[0].query.Cost - floor; rem < 0 || rem >= cost.Bytes(len(frags)) {
+	floor := q.Cost * cost.Bytes(len(frags[0].Query.Objects)) / cost.Bytes(len(q.Objects))
+	if rem := frags[0].Query.Cost - floor; rem < 0 || rem >= cost.Bytes(len(frags)) {
 		return fmt.Errorf("remainder %d out of range for %d fragments", rem, len(frags))
+	}
+	return nil
+}
+
+// randomAlternates gives some of ids an alternate holder among the
+// shards and the two positions past them, the way a resize window does.
+func randomAlternates(ids []model.ObjectID, holders int, draws []uint16) map[model.ObjectID]int {
+	alt := make(map[model.ObjectID]int)
+	for _, d := range draws {
+		alt[ids[int(d&0xff)%len(ids)]] = int(d>>8) % holders
+	}
+	return alt
+}
+
+// struckHolders strikes the holders below holders whose bit is set in
+// mask.
+func struckHolders(holders int, mask uint8) []int {
+	var struck []int
+	for h := range holders {
+		if mask&(1<<h) != 0 {
+			struck = append(struck, h)
+		}
+	}
+	return struck
+}
+
+// checkSplit holds one Split (no narrowed retry) to its definition:
+// every object of fr goes to its first candidate not struck — its
+// ranked owners, then its alternate — and is stranded only when every
+// candidate is; fragments are non-empty, in holder order, and name each
+// object once; viaReplica says whether some object went to a rank ≥ 1
+// owner; and whenever nothing is stranded the shares sum to fr's ν,
+// while beside stranded objects each share is its proportional floor.
+func checkSplit(own *Ownership, alt map[model.ObjectID]int, fr Fragment, struck []int, frags []Fragment, stranded []model.ObjectID, viaReplica bool) error {
+	holderOf := make(map[model.ObjectID]int)
+	for i, f := range frags {
+		if i > 0 && frags[i-1].Holder >= f.Holder {
+			return fmt.Errorf("fragments out of holder order: %d before %d", frags[i-1].Holder, f.Holder)
+		}
+		if len(f.Query.Objects) == 0 {
+			return fmt.Errorf("holder %d got an empty fragment", f.Holder)
+		}
+		for _, id := range f.Query.Objects {
+			if _, dup := holderOf[id]; dup {
+				return fmt.Errorf("object %d in two fragments", id)
+			}
+			holderOf[id] = f.Holder
+		}
+	}
+	var wantStranded []model.ObjectID
+	wantVia := false
+	for _, id := range fr.Query.Objects {
+		ranked, _ := own.Owners(id)
+		cands := ranked
+		if a, ok := alt[id]; ok {
+			cands = append(slices.Clip(ranked), a)
+		}
+		c := slices.IndexFunc(cands, func(h int) bool { return !slices.Contains(struck, h) })
+		got, placed := holderOf[id]
+		switch {
+		case c < 0 && placed:
+			return fmt.Errorf("object %d went to holder %d, every candidate of %v struck", id, got, cands)
+		case c < 0:
+			wantStranded = append(wantStranded, id)
+		case !placed:
+			return fmt.Errorf("object %d stranded, its candidate %d of %v not struck", id, cands[c], cands)
+		case got != cands[c]:
+			return fmt.Errorf("object %d went to holder %d, its first free candidate is %d of %v", id, got, cands[c], cands)
+		default:
+			wantVia = wantVia || c > 0 && c < len(ranked)
+		}
+	}
+	if !slices.Equal(stranded, wantStranded) {
+		return fmt.Errorf("stranded %v, want %v", stranded, wantStranded)
+	}
+	if len(holderOf) != len(fr.Query.Objects)-len(wantStranded) {
+		return fmt.Errorf("fragments name %d objects, %d were placeable", len(holderOf), len(fr.Query.Objects)-len(wantStranded))
+	}
+	if viaReplica != wantVia {
+		return fmt.Errorf("via replica %v, want %v", viaReplica, wantVia)
+	}
+	if len(stranded) == 0 {
+		return checkShares(frags, &fr.Query)
+	}
+	for _, f := range frags {
+		if want := fr.Query.Cost * cost.Bytes(len(f.Query.Objects)) / cost.Bytes(len(fr.Query.Objects)); f.Query.Cost != want {
+			return fmt.Errorf("holder %d charged %d beside stranded objects, want its proportional %d", f.Holder, f.Query.Cost, want)
+		}
 	}
 	return nil
 }
@@ -251,12 +329,15 @@ func checkShares(frags []fragment, q *model.Query) error {
 // resized ownership — the planner sends every object to its primary
 // owner exactly once, in shard order, and the fragment cost shares it
 // assigns sum exactly to ν(q), so cluster-wide traffic accounting stays
-// exact.
+// exact. Under a random alternate map and struck set, at K = 1..3, each
+// object goes to its first candidate not struck, is stranded only when
+// every candidate is, and the shares still sum to ν(q) whenever nothing
+// is stranded (checkSplit).
 func TestQuickFragmentSharesSumToNu(t *testing.T) {
 	base := testObjects(t, 16)
-	prop := func(shards uint8, births uint8, nu uint32, picks []uint16) bool {
+	prop := func(shards, k, births uint8, nu uint32, picks, alts []uint16, mask uint8) bool {
 		n := int(shards)%6 + 1
-		own, err := NewOwnership(base, n, 1)
+		own, err := NewOwnership(base, n, int(k)%3+1)
 		if err != nil {
 			return false
 		}
@@ -272,41 +353,26 @@ func TestQuickFragmentSharesSumToNu(t *testing.T) {
 			return false
 		}
 		ids := pickObjects(own, picks)
-		q := &model.Query{ID: 1, Objects: ids, Cost: cost.Bytes(nu)}
-		frags, stranded, viaReplica := plan(testRouting(own), fragment{query: *q}, nil, false)
+		root := Fragment{Holder: -1, Query: model.Query{ID: 1, Objects: ids, Cost: cost.Bytes(nu)}}
+		frags, stranded, viaReplica := own.Split(nil, root, nil, false)
 		if len(stranded) > 0 || viaReplica {
 			t.Logf("plan stranded %v (via replica: %v) with nothing struck", stranded, viaReplica)
 			return false
 		}
-		if err := checkShares(frags, q); err != nil {
-			t.Log(err)
+		if err := checkSplit(own, nil, root, nil, frags, stranded, viaReplica); err != nil {
+			t.Logf("nothing struck: %v", err)
 			return false
 		}
-		covered := make(map[model.ObjectID]struct{})
-		for i, fr := range frags {
-			if i > 0 && frags[i-1].link.index >= fr.link.index {
-				t.Logf("fragments out of shard order: %d before %d", frags[i-1].link.index, fr.link.index)
-				return false
-			}
-			for _, id := range fr.query.Objects {
-				if owner, _ := own.Owner(id); owner != fr.link.index {
-					t.Logf("object %d planned onto shard %d, primary is %d", id, fr.link.index, owner)
-					return false
-				}
-				if _, dup := covered[id]; dup {
-					t.Logf("object %d in two fragments", id)
-					return false
-				}
-				covered[id] = struct{}{}
-			}
-		}
-		if len(covered) != len(ids) {
-			t.Logf("fragments cover %d of %d objects", len(covered), len(ids))
+		alt := randomAlternates(ids, n+2, alts)
+		struck := struckHolders(n+2, mask)
+		frags, stranded, viaReplica = own.Split(alt, root, struck, false)
+		if err := checkSplit(own, alt, root, struck, frags, stranded, viaReplica); err != nil {
+			t.Logf("alternates %v, struck %v: %v", alt, struck, err)
 			return false
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
@@ -382,56 +448,73 @@ func TestQuickReplicatedGrowthResize(t *testing.T) {
 // TestQuickFailoverSharesSumToNu extends the cost-share property to
 // shard failure under replication: at K ∈ {2, 3}, kill any 1..K−1
 // shards and walk each fragment the way the attempt loop does — strike
-// the dead link, re-plan, walk the groups — with the router's own
-// planner. No group may target a struck link, every plan's shares sum
-// exactly to its input's, and so the shares across surviving fragments
-// and failover groups still sum to ν(q) with every object answered
-// exactly once.
+// the dead holder, re-split, walk the groups — with the router's own
+// planner, under a random alternate map and a random set of holders
+// already struck. No group may target a struck holder, every split
+// holds to its definition (checkSplit), every object is answered or
+// stranded exactly once, and with nothing stranded the shares across
+// surviving fragments and failover groups still sum to ν(q).
 func TestQuickFailoverSharesSumToNu(t *testing.T) {
 	base := testObjects(t, 16)
-	prop := func(shards, k, dead, nDead uint8, nu uint32, picks []uint16) bool {
+	prop := func(shards, k, dead, nDead uint8, nu uint32, picks, alts []uint16, mask uint8) bool {
 		kk := int(k)%2 + 2
 		n := int(shards)%4 + kk // ≥ K, so K−1 deaths leave every object a holder
 		own, err := NewOwnership(base, n, kk)
 		if err != nil {
 			return false
 		}
-		rt := testRouting(own)
 		isDead := make(map[int]bool)
 		for j := 0; j < int(nDead)%(kk-1)+1; j++ {
 			isDead[(int(dead)+j)%n] = true
 		}
 		ids := pickObjects(own, picks)
+		alt := randomAlternates(ids, n+2, alts)
 		q := &model.Query{ID: 1, Objects: ids, Cost: cost.Bytes(nu)}
 		var (
 			sum     cost.Bytes
-			covered = make(map[model.ObjectID]struct{})
+			done    = make(map[model.ObjectID]bool) // answered (true) or stranded
+			anyLost bool
 		)
-		var walk func(fr fragment, struck []string) bool
-		walk = func(fr fragment, struck []string) bool {
-			if slices.Contains(struck, fr.link.addr) {
-				t.Logf("group re-targeted struck shard %d", fr.link.index)
+		settle := func(id model.ObjectID, answered bool) bool {
+			if _, dup := done[id]; dup {
+				t.Logf("object %d answered or stranded twice", id)
 				return false
 			}
-			if !isDead[fr.link.index] {
-				sum += fr.query.Cost
-				for _, id := range fr.query.Objects {
-					if _, dup := covered[id]; dup {
-						t.Logf("object %d answered twice", id)
+			done[id] = answered
+			anyLost = anyLost || !answered
+			return true
+		}
+		split := func(fr Fragment, struck []int) ([]Fragment, bool) {
+			groups, stranded, viaReplica := own.Split(alt, fr, struck, false)
+			if err := checkSplit(own, alt, fr, struck, groups, stranded, viaReplica); err != nil {
+				t.Logf("K=%d, dead %v, alternates %v, struck %v: %v", kk, isDead, alt, struck, err)
+				return nil, false
+			}
+			for _, id := range stranded {
+				if !settle(id, false) {
+					return nil, false
+				}
+			}
+			return groups, true
+		}
+		var walk func(fr Fragment, struck []int) bool
+		walk = func(fr Fragment, struck []int) bool {
+			if slices.Contains(struck, fr.Holder) {
+				t.Logf("group re-targeted struck holder %d", fr.Holder)
+				return false
+			}
+			if !isDead[fr.Holder] {
+				sum += fr.Query.Cost
+				for _, id := range fr.Query.Objects {
+					if !settle(id, true) {
 						return false
 					}
-					covered[id] = struct{}{}
 				}
 				return true
 			}
-			struck = append(slices.Clip(struck), fr.link.addr)
-			groups, stranded, viaReplica := plan(rt, fr, struck, false)
-			if len(stranded) > 0 {
-				t.Logf("K=%d stranded %v with %d shards dead", kk, stranded, len(isDead))
-				return false
-			}
-			if err := checkShares(groups, &fr.query); err != nil {
-				t.Logf("failover of shard %d: %v", fr.link.index, err)
+			struck = append(slices.Clip(struck), fr.Holder)
+			groups, ok := split(fr, struck)
+			if !ok {
 				return false
 			}
 			for _, g := range groups {
@@ -439,28 +522,29 @@ func TestQuickFailoverSharesSumToNu(t *testing.T) {
 					return false
 				}
 			}
-			if !viaReplica {
-				t.Logf("failover of shard %d's fragment touched no replica", fr.link.index)
-			}
-			return viaReplica
+			return true
 		}
-		frags, _, _ := plan(rt, fragment{query: *q}, nil, false)
+		pre := struckHolders(n+2, mask)
+		frags, ok := split(Fragment{Holder: -1, Query: *q}, pre)
+		if !ok {
+			return false
+		}
 		for _, fr := range frags {
-			if !walk(fr, nil) {
+			if !walk(fr, pre) {
 				return false
 			}
 		}
-		if sum != q.Cost {
-			t.Logf("shares sum %d under failover, ν(q) %d", sum, q.Cost)
+		if len(done) != len(ids) {
+			t.Logf("failover settled %d of %d objects", len(done), len(ids))
 			return false
 		}
-		if len(covered) != len(ids) {
-			t.Logf("failover covered %d of %d objects", len(covered), len(ids))
+		if !anyLost && sum != q.Cost {
+			t.Logf("shares sum %d under failover, ν(q) %d", sum, q.Cost)
 			return false
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

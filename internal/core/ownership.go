@@ -1,21 +1,7 @@
-// Package cluster scales the Delta middleware out: a partition-aware
-// routing tier that fronts N independent cache shards, each a full
-// cache.Middleware owning a deterministic subset of the data objects.
-// Ownership needs no coordination service — it is a pure function of
-// the object universe, the shard count and the replication factor — and
-// only the router computes it: a shard starts owning nothing, and the
-// router's reshards (the first at its startup, the rest in resizes)
-// tell it what it owns.
-//
-// The router scatters multi-object queries to the owning shards over
-// multiplexed netproto sessions, gathers and merges the fragments, and
-// degrades gracefully when a shard dies: surviving fragments are
-// returned with a Degraded flag instead of failing the query. Stats
-// aggregate the same way, so a client sees one cache regardless of the
-// shard count.
-package cluster
+package core
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -94,16 +80,16 @@ type Ownership struct {
 // (universe, n, k), so every computation of it agrees.
 func NewOwnership(objects []model.Object, n, k int) (*Ownership, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("cluster: shard count must be positive, got %d", n)
+		return nil, fmt.Errorf("core: shard count must be positive, got %d", n)
 	}
 	if k <= 0 {
-		return nil, fmt.Errorf("cluster: replication factor must be positive, got %d", k)
+		return nil, fmt.Errorf("core: replication factor must be positive, got %d", k)
 	}
 	if len(objects) == 0 {
-		return nil, fmt.Errorf("cluster: empty object universe")
+		return nil, fmt.Errorf("core: empty object universe")
 	}
 	if len(objects) < n {
-		return nil, fmt.Errorf("cluster: %d objects cannot populate %d shards", len(objects), n)
+		return nil, fmt.Errorf("core: %d objects cannot populate %d shards", len(objects), n)
 	}
 	o := &Ownership{
 		shards:   n,
@@ -138,9 +124,9 @@ func (o *Ownership) reindex() {
 	}
 }
 
-// pos returns the universe position of an object, or false for an
-// object outside the universe.
-func (o *Ownership) pos(id model.ObjectID) (int, bool) {
+// Pos returns an object's index in Universe(), which Extend and Resize
+// keep, or false for an object outside the universe.
+func (o *Ownership) Pos(id model.ObjectID) (int, bool) {
 	if o.seq {
 		p := int(id) - 1
 		if p >= 0 && p < len(o.universe) {
@@ -283,7 +269,7 @@ func (n *Ownership) relabel(o *Ownership) {
 	pairBytes := make([]cost.Bytes, n.shards*n.shards)
 	for pos := range n.universe {
 		obj := &n.universe[pos]
-		oldPos, ok := o.pos(obj.ID)
+		oldPos, ok := o.Pos(obj.ID)
 		if !ok {
 			continue
 		}
@@ -376,9 +362,9 @@ func (o *Ownership) Extend(objs []model.Object) (*Ownership, error) {
 	seq := o.seq
 	added := make(map[model.ObjectID]struct{}, len(objs))
 	for i, obj := range objs {
-		_, owned := o.pos(obj.ID)
+		_, owned := o.Pos(obj.ID)
 		if _, dup := added[obj.ID]; owned || dup {
-			return nil, fmt.Errorf("cluster: extend with already-owned object %d", obj.ID)
+			return nil, fmt.Errorf("core: extend with already-owned object %d", obj.ID)
 		}
 		added[obj.ID] = struct{}{}
 		seq = seq && obj.ID == model.ObjectID(len(o.universe)+i+1)
@@ -462,15 +448,15 @@ func (o *Ownership) cutOwner(obj *model.Object) int32 {
 // error: the ownerships describe different universes.
 func Moving(from, to *Ownership) ([]model.ObjectID, error) {
 	if len(from.universe) != len(to.universe) {
-		return nil, fmt.Errorf("cluster: ownerships span %d vs %d objects",
+		return nil, fmt.Errorf("core: ownerships span %d vs %d objects",
 			len(from.universe), len(to.universe))
 	}
 	var moving []model.ObjectID
 	for p := range from.universe {
 		id := from.universe[p].ID
-		tp, ok := to.pos(id)
+		tp, ok := to.Pos(id)
 		if !ok {
-			return nil, fmt.Errorf("cluster: object %d missing from target ownership", id)
+			return nil, fmt.Errorf("core: object %d missing from target ownership", id)
 		}
 		if from.owner[p] != to.owner[tp] {
 			moving = append(moving, id)
@@ -482,11 +468,11 @@ func Moving(from, to *Ownership) ([]model.ObjectID, error) {
 	return moving, nil
 }
 
-// Universe returns a copy of the object universe this ownership spans
-// (base objects plus any births it was extended with). Same-package
-// callers on hot paths read o.universe directly instead of cloning.
+// Universe returns the objects this ownership spans, births included,
+// in position order: shared, so callers only read it, and clipped, so
+// an append copies rather than writing the spare capacity Extend uses.
 func (o *Ownership) Universe() []model.Object {
-	return slices.Clone(o.universe)
+	return slices.Clip(o.universe)
 }
 
 // Shards returns the shard count.
@@ -499,7 +485,7 @@ func (o *Ownership) Replicas() int { return o.replicas }
 // Owner returns the primary shard owning an object, or false for an
 // object outside the universe.
 func (o *Ownership) Owner(id model.ObjectID) (int, bool) {
-	p, ok := o.pos(id)
+	p, ok := o.Pos(id)
 	if !ok {
 		return 0, false
 	}
@@ -510,7 +496,7 @@ func (o *Ownership) Owner(id model.ObjectID) (int, bool) {
 // the failover order — or false for an object outside the universe.
 // The returned slice is a copy.
 func (o *Ownership) Owners(id model.ObjectID) ([]int, bool) {
-	p, ok := o.pos(id)
+	p, ok := o.Pos(id)
 	if !ok {
 		return nil, false
 	}
@@ -527,4 +513,80 @@ func (o *Ownership) ShardObjects(s int) []model.ObjectID {
 	out := make([]model.ObjectID, len(o.byShard[s]))
 	copy(out, o.byShard[s])
 	return out
+}
+
+// Fragment is one holder's slice of a query, the unit Split cuts. Holder
+// is a shard index, or at Shards() and above one of the alternate
+// holders of a resize window (see Split).
+type Fragment struct {
+	Holder int
+	Query  model.Query
+}
+
+// Split cuts fr's query into per-holder fragments, and is the only
+// place that knows where an object may be asked for: its candidates
+// are its ranked owners, then — during a resize — its alternate holder
+// alt[id] (a new holder before the flip, a still-warm old one after).
+// Each object goes to its first candidate not struck; one with none is
+// stranded. retry says fr's holder is a live shard that rejected fr: an
+// ownership recut makes a shard refuse a whole fragment over one moved
+// object although it still owns the rest, so when only some objects
+// found another candidate, the stranded ones are retried there as a
+// strictly narrower fragment (a negative fr.Holder has no such retry).
+// Fragments come out in holder order, each keeping fr's query identity,
+// time, tolerance and trace, with ν split proportionally to object
+// counts; when nothing is stranded the rounding remainder is charged to
+// the first fragment, so the shares sum exactly to fr's. viaReplica
+// reports whether any object goes to a rank ≥ 1 owner.
+func (o *Ownership) Split(alt map[model.ObjectID]int, fr Fragment, struck []int, retry bool) (frags []Fragment, stranded []model.ObjectID, viaReplica bool) {
+	objs := fr.Query.Objects
+	frags = make([]Fragment, 0, min(len(objs), o.shards))
+	at := make(map[int]int, cap(frags))
+	add := func(holder int, id model.ObjectID) {
+		i, ok := at[holder]
+		if !ok {
+			i, at[holder] = len(frags), len(frags)
+			frags = append(frags, fr)
+			frags[i].Holder, frags[i].Query.Objects = holder, nil
+		}
+		frags[i].Query.Objects = append(frags[i].Query.Objects, id)
+	}
+	k := o.kEff
+	for _, id := range objs {
+		var ranked []int32
+		if p, ok := o.Pos(id); ok {
+			ranked = o.ownersFlat[p*k : (p+1)*k]
+		}
+		c := 0
+		for ; c <= len(ranked); c++ {
+			cand, ok := alt[id]
+			if c < len(ranked) {
+				cand, ok = int(ranked[c]), true
+			}
+			if ok && !slices.Contains(struck, cand) {
+				add(cand, id)
+				viaReplica = viaReplica || c > 0 && c < len(ranked)
+				break
+			}
+		}
+		if c > len(ranked) {
+			stranded = append(stranded, id)
+		}
+	}
+	if retry && fr.Holder >= 0 && len(stranded) > 0 && len(stranded) < len(objs) {
+		for _, id := range stranded {
+			add(fr.Holder, id)
+		}
+		stranded = nil
+	}
+	slices.SortFunc(frags, func(a, b Fragment) int { return cmp.Compare(a.Holder, b.Holder) })
+	rest := fr.Query.Cost
+	for i := range frags {
+		frags[i].Query.Cost = fr.Query.Cost * cost.Bytes(len(frags[i].Query.Objects)) / cost.Bytes(len(objs))
+		rest -= frags[i].Query.Cost
+	}
+	if len(stranded) == 0 && len(frags) > 0 {
+		frags[0].Query.Cost += rest
+	}
+	return frags, stranded, viaReplica
 }

@@ -1,4 +1,4 @@
-package cluster
+package core
 
 import (
 	"fmt"
@@ -99,7 +99,7 @@ func TestHTMAwareLocality(t *testing.T) {
 				continue
 			}
 			caps++
-			frags, stranded, _ := plan(testRouting(own), fragment{query: model.Query{Objects: ids}}, nil, false)
+			frags, stranded, _ := own.Split(nil, Fragment{Holder: -1, Query: model.Query{Objects: ids}}, nil, false)
 			if len(stranded) > 0 {
 				t.Fatalf("objects %v outside the universe", stranded)
 			}
@@ -140,9 +140,9 @@ func TestHTMAwareBalance(t *testing.T) {
 
 func TestSplitRejectsUnknownObject(t *testing.T) {
 	own := mustOwnership(t, testObjects(t, 16), 2, 1)
-	_, stranded, _ := plan(testRouting(own), fragment{query: model.Query{Objects: []model.ObjectID{1, 999}}}, nil, false)
+	_, stranded, _ := own.Split(nil, Fragment{Holder: -1, Query: model.Query{Objects: []model.ObjectID{1, 999}}}, nil, false)
 	if !slices.Equal(stranded, []model.ObjectID{999}) {
-		t.Errorf("plan stranded %v, want the object outside the universe (999)", stranded)
+		t.Errorf("Split stranded %v, want the object outside the universe (999)", stranded)
 	}
 }
 

@@ -23,6 +23,11 @@
 // an Applier. Each policy maintains an internal mirror of cache state
 // that is, by construction, consistent with the caller's ground truth;
 // the Applier cross-checks the two on every event, for both callers.
+//
+// Both tiers of a cluster decide here, with no I/O: a shard in Shard,
+// the router in Ownership (placement), Ownership.Split (fragments and
+// their retries) and ResultCache. internal/cache and internal/cluster
+// are the I/O shells around them.
 package core
 
 import (

@@ -1,4 +1,4 @@
-// Router-tier read-path deduplication: the in-flight query coalescer
+// The router's read-path deduplication: the in-flight query coalescer
 // and the invalidation-aware result cache, one structure under one
 // mutex.
 //
@@ -15,7 +15,7 @@
 // signature, and the stale entry simply stops being addressed.
 //
 // Correctness edges (the reason this lives behind the repository's
-// invalidation stream, and is disabled without one):
+// invalidation stream, which feeds Invalidate and SetOff):
 //
 //   - An update to any member object evicts every cached result whose
 //     ID set contains it, eagerly, and poisons any in-flight scatter
@@ -35,14 +35,13 @@
 //     followers and never cached; each follower falls back to its own
 //     scatter.
 //   - Between a gap in the invalidation stream and its resume the cache
-//     fails closed (setOff): wiped, neither serving nor admitting.
+//     fails closed (SetOff): wiped, neither serving nor admitting.
 //
-// Sharing respects the v3 frame ownership contract: the cached value
-// is the router's merged QueryResultMsg, whose Payload/Rows/Spans
-// slices the router itself assembled (never a pooled or per-connection
-// scratch buffer), held read-only and re-stamped per client at serve
-// time (fresh QueryID, cost-share Logical, trace spans).
-package cluster
+// The cached value V is the caller's merged answer. The cache only
+// stores and copies it and calls no method through it; a caller that
+// hands one V to several clients holds it read-only.
+
+package core
 
 import (
 	"container/list"
@@ -52,14 +51,13 @@ import (
 	"sync/atomic"
 
 	"github.com/deltacache/delta/internal/model"
-	"github.com/deltacache/delta/internal/netproto"
 )
 
-// DefaultResultCacheSize bounds the router's result cache when
-// Config.ResultCacheSize is zero. Entries hold merged result payloads
-// (each capped at netproto.MaxFrame/2), so the bound is entry-count,
-// not bytes; 1024 covers the hot set of every trace-realistic scenario
-// while staying far under the shards' own capacity.
+// DefaultResultCacheSize bounds a result cache built with a size that
+// is not positive. Entries hold merged result payloads, so the bound is
+// entry-count, not bytes; 1024 covers the hot set of every
+// trace-realistic scenario while staying far under the shards' own
+// capacity.
 const DefaultResultCacheSize = 1024
 
 // sigSeed keys the signature hash for the process lifetime: signatures
@@ -87,30 +85,31 @@ func querySignature(objects []model.ObjectID) (uint64, []model.ObjectID) {
 	return h.Sum64(), ids
 }
 
-// flight is one in-flight leader scatter that identical concurrent
-// queries coalesce onto. The leader closes done after setting res and
-// shared; followers block on done. A poisoned flight (an invalidation
-// or routing change arrived mid-scatter) neither enters the cache nor
-// shares its result — its followers fall back to their own scatters.
-type flight struct {
+// Flight is one in-flight leader scatter that identical concurrent
+// queries coalesce onto. The leader closes done (Complete) after
+// setting res and shared; followers block on done (Wait). A poisoned
+// flight (an invalidation or routing change arrived mid-scatter)
+// neither enters the cache nor shares its result — its followers fall
+// back to their own scatters.
+type Flight[V any] struct {
 	sig      uint64
 	ids      []model.ObjectID // sorted member set, for invalidation scans
 	done     chan struct{}
-	res      netproto.QueryResultMsg // valid only when shared
-	shared   bool                    // leader succeeded undegraded
-	poisoned bool                    // guarded by the owning cache's mu
+	res      V    // valid only when shared
+	shared   bool // leader succeeded undegraded
+	poisoned bool // guarded by the owning cache's mu
 }
 
 // cacheEntry is one cached merged result, addressed by signature and
 // held on the LRU list.
-type cacheEntry struct {
+type cacheEntry[V any] struct {
 	sig uint64
 	ids []model.ObjectID // sorted member set
-	res netproto.QueryResultMsg
+	res V
 	elt *list.Element
-	// Where invalidate finds the entry: posts heads the chain (through
+	// Where Invalidate finds the entry: posts heads the chain (through
 	// posting.sib) of its arena postings and wideAt is -1, or — for an
-	// entry kept off the index — wideAt is its slot in resultCache.wide.
+	// entry kept off the index — wideAt is its slot in ResultCache.wide.
 	posts  int32
 	wideAt int
 }
@@ -126,30 +125,29 @@ const wideEntry = 64
 // posting records that entry e contains the object at universe position
 // pos. It sits on two chains, both threaded through arena indices (0 is
 // nil): the object's doubly-linked list of resident entries (prev,
-// next; resultCache.heads[pos] is its head) and the entry's own list of
+// next; ResultCache.heads[pos] is its head) and the entry's own list of
 // postings (sib), which removal walks.
-type posting struct {
-	e               *cacheEntry
+type posting[V any] struct {
+	e               *cacheEntry[V]
 	pos             int32
 	prev, next, sib int32
 }
 
-// resultCache is the router's combined singleflight + LRU result
-// cache. All methods are nil-receiver safe no-ops so an unconfigured
-// router (no repository, hence no invalidation stream) costs nothing
-// on the query path.
-type resultCache struct {
+// ResultCache is the router's combined singleflight + LRU result cache
+// over values of type V. All methods are nil-receiver safe no-ops, so a
+// router with the cache disabled costs nothing on the query path.
+type ResultCache[V any] struct {
 	mu      sync.Mutex
 	size    int
-	entries map[uint64]*cacheEntry
-	lru     *list.List // front = most recent; values are *cacheEntry
-	flights map[uint64]*flight
-	// off is set between a stream gap and its resume (setOff): the cache
+	entries map[uint64]*cacheEntry[V]
+	lru     *list.List // front = most recent; values are *cacheEntry[V]
+	flights map[uint64]*Flight[V]
+	// off is set between a stream gap and its resume (SetOff): the cache
 	// neither serves nor admits.
 	off bool
 
 	// The inverted index object → resident entries. pos maps an object
-	// to its universe position (Ownership.pos: stable for the router's
+	// to its universe position (Ownership.Pos: stable for the router's
 	// life, since births append and resizes keep the universe order),
 	// which indexes heads directly — no map write per member on the
 	// miss path. Postings live in one arena recycled through a free
@@ -158,9 +156,9 @@ type resultCache struct {
 	// know, sit on wide instead and are binary-searched per notice.
 	pos   func(model.ObjectID) (int, bool)
 	heads []int32
-	arena []posting
+	arena []posting[V]
 	free  int32
-	wide  []*cacheEntry
+	wide  []*cacheEntry[V]
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -168,27 +166,29 @@ type resultCache struct {
 	invalidations atomic.Int64
 }
 
-func newResultCache(size int, pos func(model.ObjectID) (int, bool)) *resultCache {
+// NewResultCache builds a cache of size entries (DefaultResultCacheSize
+// when size is not positive); pos is the router's Ownership.Pos.
+func NewResultCache[V any](size int, pos func(model.ObjectID) (int, bool)) *ResultCache[V] {
 	if size <= 0 {
 		size = DefaultResultCacheSize
 	}
-	return &resultCache{
+	return &ResultCache[V]{
 		size:    size,
-		entries: make(map[uint64]*cacheEntry),
+		entries: make(map[uint64]*cacheEntry[V]),
 		lru:     list.New(),
-		flights: make(map[uint64]*flight),
+		flights: make(map[uint64]*Flight[V]),
 		pos:     pos,
-		arena:   make([]posting, 1), // slot 0 is the nil posting
+		arena:   make([]posting[V], 1), // slot 0 is the nil posting
 	}
 }
 
-// begin is the read-path entry point. It returns exactly one of:
+// Begin is the read-path entry point. It returns exactly one of:
 // a cached result (hit), an existing flight to wait on (coalesced
 // follower), or a fresh flight the caller now leads (it must call
-// complete exactly once). A hash collision — same signature, different
+// Complete exactly once). A hash collision — same signature, different
 // ID set — is treated as a miss that does not coalesce or cache, so a
 // collision can only cost performance, never correctness.
-func (c *resultCache) begin(objects []model.ObjectID) (cached *netproto.QueryResultMsg, f *flight, leader bool) {
+func (c *ResultCache[V]) Begin(objects []model.ObjectID) (cached *V, f *Flight[V], leader bool) {
 	if c == nil {
 		return nil, nil, false
 	}
@@ -216,17 +216,28 @@ func (c *resultCache) begin(objects []model.ObjectID) (cached *netproto.QueryRes
 		}
 		return nil, nil, false // collision with an in-flight leader
 	}
-	fl := &flight{sig: sig, ids: ids, done: make(chan struct{})}
+	fl := &Flight[V]{sig: sig, ids: ids, done: make(chan struct{})}
 	c.flights[sig] = fl
 	return nil, fl, true
 }
 
-// complete finishes a led flight: publishes the result to the
+// Wait blocks a follower until its flight's leader completes, and
+// returns the leader's result, counted as coalesced, or false when it
+// is not shareable and the follower must scatter on its own.
+func (c *ResultCache[V]) Wait(f *Flight[V]) (V, bool) {
+	<-f.done
+	if f.shared {
+		c.coalesced.Add(1)
+	}
+	return f.res, f.shared
+}
+
+// Complete finishes a led flight: publishes the result to the
 // followers, and — when the scatter succeeded undegraded and no
 // invalidation poisoned the flight meanwhile — inserts it into the
-// LRU. Must be called exactly once per flight begin returned with
+// LRU. Must be called exactly once per flight Begin returned with
 // leader=true.
-func (c *resultCache) complete(f *flight, res netproto.QueryResultMsg, ok bool) {
+func (c *ResultCache[V]) Complete(f *Flight[V], res V, ok bool) {
 	if c == nil || f == nil {
 		return
 	}
@@ -245,24 +256,24 @@ func (c *resultCache) complete(f *flight, res netproto.QueryResultMsg, ok bool) 
 	close(f.done)
 }
 
-func (c *resultCache) insertLocked(sig uint64, ids []model.ObjectID, res netproto.QueryResultMsg) {
+func (c *ResultCache[V]) insertLocked(sig uint64, ids []model.ObjectID, res V) {
 	if e, exists := c.entries[sig]; exists {
 		c.removeLocked(e)
 	}
-	e := &cacheEntry{sig: sig, ids: ids, res: res, wideAt: -1}
+	e := &cacheEntry[V]{sig: sig, ids: ids, res: res, wideAt: -1}
 	e.elt = c.lru.PushFront(e)
 	c.entries[sig] = e
 	c.indexLocked(e)
 	for c.lru.Len() > c.size {
 		oldest := c.lru.Back()
-		c.removeLocked(oldest.Value.(*cacheEntry))
+		c.removeLocked(oldest.Value.(*cacheEntry[V]))
 	}
 }
 
-// indexLocked makes e findable by invalidate: one posting per distinct
+// indexLocked makes e findable by Invalidate: one posting per distinct
 // member (a query may name an object twice; its entry must still be
 // evicted once), or a slot on the wide list.
-func (c *resultCache) indexLocked(e *cacheEntry) {
+func (c *ResultCache[V]) indexLocked(e *cacheEntry[V]) {
 	if len(e.ids) <= wideEntry && c.linkLocked(e) {
 		return
 	}
@@ -273,7 +284,7 @@ func (c *resultCache) indexLocked(e *cacheEntry) {
 // linkLocked threads a posting for each distinct member onto that
 // object's list. At a member pos does not know it undoes the postings
 // made so far and reports false.
-func (c *resultCache) linkLocked(e *cacheEntry) bool {
+func (c *ResultCache[V]) linkLocked(e *cacheEntry[V]) bool {
 	for i, id := range e.ids {
 		if i > 0 && id == e.ids[i-1] {
 			continue
@@ -291,10 +302,10 @@ func (c *resultCache) linkLocked(e *cacheEntry) bool {
 			c.free = c.arena[at].next
 		} else {
 			at = int32(len(c.arena))
-			c.arena = append(c.arena, posting{})
+			c.arena = append(c.arena, posting[V]{})
 		}
 		head := c.heads[p]
-		c.arena[at] = posting{e: e, pos: int32(p), next: head, sib: e.posts}
+		c.arena[at] = posting[V]{e: e, pos: int32(p), next: head, sib: e.posts}
 		if head != 0 {
 			c.arena[head].prev = at
 		}
@@ -305,7 +316,7 @@ func (c *resultCache) linkLocked(e *cacheEntry) bool {
 
 // unlinkLocked takes e's postings off their objects' lists and returns
 // them to the free chain.
-func (c *resultCache) unlinkLocked(e *cacheEntry) {
+func (c *ResultCache[V]) unlinkLocked(e *cacheEntry[V]) {
 	for at := e.posts; at != 0; {
 		po := c.arena[at]
 		if po.prev != 0 {
@@ -316,14 +327,14 @@ func (c *resultCache) unlinkLocked(e *cacheEntry) {
 		if po.next != 0 {
 			c.arena[po.next].prev = po.prev
 		}
-		c.arena[at] = posting{next: c.free}
+		c.arena[at] = posting[V]{next: c.free}
 		c.free = at
 		at = po.sib
 	}
 	e.posts = 0
 }
 
-func (c *resultCache) removeLocked(e *cacheEntry) {
+func (c *ResultCache[V]) removeLocked(e *cacheEntry[V]) {
 	c.lru.Remove(e.elt)
 	delete(c.entries, e.sig)
 	if e.wideAt < 0 {
@@ -337,14 +348,14 @@ func (c *resultCache) removeLocked(e *cacheEntry) {
 	c.wide = c.wide[:last]
 }
 
-// invalidate evicts every cached result containing the updated object
+// Invalidate evicts every cached result containing the updated object
 // and poisons matching in-flight scatters. The object's posting list
 // names exactly the indexed residents to evict, so a notice that
 // matches nothing — every notice, when updates fall on unqueried sky —
 // costs one slice load plus a binary search per wide entry and per
-// flight, both few; it runs under the mutex begin needs, beside every
+// flight, both few; it runs under the mutex Begin needs, beside every
 // read.
-func (c *resultCache) invalidate(id model.ObjectID) {
+func (c *ResultCache[V]) Invalidate(id model.ObjectID) {
 	if c == nil {
 		return
 	}
@@ -382,10 +393,10 @@ func contains(sorted []model.ObjectID, id model.ObjectID) bool {
 	return found
 }
 
-// clear wipes the cache wholesale and poisons every in-flight scatter
+// Clear wipes the cache wholesale and poisons every in-flight scatter
 // — the response to resize epoch flips, where routing itself changed
 // under any result in motion.
-func (c *resultCache) clear() {
+func (c *ResultCache[V]) Clear() {
 	if c == nil {
 		return
 	}
@@ -394,7 +405,7 @@ func (c *resultCache) clear() {
 	c.mu.Unlock()
 }
 
-func (c *resultCache) clearLocked() {
+func (c *ResultCache[V]) clearLocked() {
 	c.invalidations.Add(int64(len(c.entries)))
 	clear(c.entries)
 	c.lru.Init()
@@ -408,12 +419,12 @@ func (c *resultCache) clearLocked() {
 	}
 }
 
-// setOff is the response to a gap in the invalidation stream (off) and
+// SetOff is the response to a gap in the invalidation stream (off) and
 // to its resume (on). Either way the cache is wiped and every flight
 // poisoned: no entry heard the notices the gap hid, and a scatter that
 // read a shard before one of them must never be admitted. While off,
-// every begin passes through to a scatter.
-func (c *resultCache) setOff(off bool) {
+// every Begin passes through to a scatter.
+func (c *ResultCache[V]) SetOff(off bool) {
 	if c == nil {
 		return
 	}
@@ -424,7 +435,7 @@ func (c *resultCache) setOff(off bool) {
 }
 
 // Len reports the resident entry count (tests and debug).
-func (c *resultCache) Len() int {
+func (c *ResultCache[V]) Len() int {
 	if c == nil {
 		return 0
 	}
@@ -433,28 +444,28 @@ func (c *resultCache) Len() int {
 	return len(c.entries)
 }
 
-func (c *resultCache) Hits() int64 {
+func (c *ResultCache[V]) Hits() int64 {
 	if c == nil {
 		return 0
 	}
 	return c.hits.Load()
 }
 
-func (c *resultCache) Misses() int64 {
+func (c *ResultCache[V]) Misses() int64 {
 	if c == nil {
 		return 0
 	}
 	return c.misses.Load()
 }
 
-func (c *resultCache) Coalesced() int64 {
+func (c *ResultCache[V]) Coalesced() int64 {
 	if c == nil {
 		return 0
 	}
 	return c.coalesced.Load()
 }
 
-func (c *resultCache) Invalidations() int64 {
+func (c *ResultCache[V]) Invalidations() int64 {
 	if c == nil {
 		return 0
 	}

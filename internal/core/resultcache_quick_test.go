@@ -1,4 +1,4 @@
-package cluster
+package core
 
 import (
 	"fmt"
@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"github.com/deltacache/delta/internal/model"
-	"github.com/deltacache/delta/internal/netproto"
 )
 
 // scanCache is the oracle for the inverted index: the result cache as
@@ -73,7 +72,7 @@ func (o *scanCache) clear(open []*heldFlight) {
 // heldFlight is a led flight the schedule has not completed yet, with
 // the oracle's view of whether a notice or clear poisoned it.
 type heldFlight struct {
-	real     *flight
+	real     *Flight[testResult]
 	poisoned bool
 }
 
@@ -117,7 +116,7 @@ func drawQuery(op cacheOp) []model.ObjectID {
 // forward links, each indexed resident has exactly one posting per
 // distinct member, wide residents hold their slot, and live plus free
 // postings account for the whole arena.
-func checkIndex(c *resultCache) error {
+func checkIndex(c *ResultCache[testResult]) error {
 	live := 0
 	for p, head := range c.heads {
 		prev := int32(0)
@@ -182,7 +181,7 @@ func checkIndex(c *resultCache) error {
 // posting.
 func TestQuickResultCacheIndexMatchesScan(t *testing.T) {
 	prop := func(size uint8, ops []cacheOp) bool {
-		c := newResultCache(int(size)%12+1, func(id model.ObjectID) (int, bool) {
+		c := NewResultCache[testResult](int(size)%12+1, func(id model.ObjectID) (int, bool) {
 			return int(id) - 1, id >= 1 && id <= quickKnown
 		})
 		oracle := &scanCache{size: c.size}
@@ -192,7 +191,7 @@ func TestQuickResultCacheIndexMatchesScan(t *testing.T) {
 			case 0, 1, 2, 3: // query; kind 3 holds a led flight open
 				objs := drawQuery(op)
 				sig, ids := querySignature(objs)
-				cached, fl, leader := c.begin(objs)
+				cached, fl, leader := c.Begin(objs)
 				at := oracle.find(sig)
 				if (cached != nil) != (at >= 0) {
 					t.Logf("step %d: begin hit=%v, oracle resident=%v", step, cached != nil, at >= 0)
@@ -204,7 +203,7 @@ func TestQuickResultCacheIndexMatchesScan(t *testing.T) {
 				case leader && op.Kind%8 == 3:
 					open = append(open, &heldFlight{real: fl})
 				case leader:
-					c.complete(fl, netproto.QueryResultMsg{}, true)
+					c.Complete(fl, testResult{}, true)
 					oracle.insert(sig, ids)
 				}
 			case 4: // complete a held flight; one in four failed or degraded
@@ -215,7 +214,7 @@ func TestQuickResultCacheIndexMatchesScan(t *testing.T) {
 				fl := open[i]
 				open = slices.Delete(open, i, i+1)
 				ok := op.K%4 != 0
-				c.complete(fl.real, netproto.QueryResultMsg{}, ok)
+				c.Complete(fl.real, testResult{}, ok)
 				if ok && !fl.poisoned {
 					oracle.insert(fl.real.sig, fl.real.ids)
 				}
@@ -225,19 +224,19 @@ func TestQuickResultCacheIndexMatchesScan(t *testing.T) {
 					span = quickUniverse
 				}
 				id := model.ObjectID(int(op.Seed)%span + 1)
-				c.invalidate(id)
+				c.Invalidate(id)
 				oracle.invalidate(id, open)
 			case 7:
 				if op.K%4 != 0 { // keep clears rarer than everything else
 					continue
 				}
-				c.clear()
+				c.Clear()
 				oracle.clear(open)
 			}
 
 			var resident []uint64
 			for el := c.lru.Front(); el != nil; el = el.Next() {
-				resident = append(resident, el.Value.(*cacheEntry).sig)
+				resident = append(resident, el.Value.(*cacheEntry[testResult]).sig)
 			}
 			var want []uint64
 			for _, e := range oracle.lru {

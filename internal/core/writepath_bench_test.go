@@ -1,4 +1,4 @@
-package cluster
+package core
 
 import (
 	"math/rand"
@@ -6,7 +6,6 @@ import (
 
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
-	"github.com/deltacache/delta/internal/netproto"
 )
 
 // Micro-benchmarks of the router's write path, one function each: what
@@ -30,10 +29,10 @@ func randomQuery(rng *rand.Rand, k int, reserved model.ObjectID) []model.ObjectI
 	return ids
 }
 
-func insertResult(c *resultCache, objs []model.ObjectID) {
-	_, fl, leader := c.begin(objs)
+func insertResult(c *ResultCache[testResult], objs []model.ObjectID) {
+	_, fl, leader := c.Begin(objs)
 	if leader {
-		c.complete(fl, netproto.QueryResultMsg{}, true)
+		c.Complete(fl, testResult{}, true)
 	}
 }
 
@@ -43,9 +42,9 @@ func insertResult(c *resultCache, objs []model.ObjectID) {
 // evicts 8 residents.
 func BenchmarkResultCacheInvalidate(b *testing.B) {
 	const hot, unqueried = model.ObjectID(1), model.ObjectID(2)
-	fill := func() (*resultCache, [][]model.ObjectID) {
+	fill := func() (*ResultCache[testResult], [][]model.ObjectID) {
 		rng := rand.New(rand.NewSource(1))
-		c := newResultCache(DefaultResultCacheSize, denseIDs)
+		c := NewResultCache[testResult](DefaultResultCacheSize, denseIDs)
 		var matching [][]model.ObjectID
 		for i := 0; i < DefaultResultCacheSize; i++ {
 			objs := randomQuery(rng, 4, unqueried)
@@ -61,7 +60,7 @@ func BenchmarkResultCacheInvalidate(b *testing.B) {
 		c, _ := fill()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.invalidate(unqueried)
+			c.Invalidate(unqueried)
 		}
 		if c.Invalidations() != 0 {
 			b.Fatal("the unqueried object evicted something")
@@ -71,7 +70,7 @@ func BenchmarkResultCacheInvalidate(b *testing.B) {
 		c, matching := fill()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.invalidate(hot)
+			c.Invalidate(hot)
 			b.StopTimer()
 			for _, objs := range matching {
 				insertResult(c, objs)
@@ -99,7 +98,7 @@ func BenchmarkResultCacheMissInsert(b *testing.B) {
 		}
 		queries[i] = randomQuery(rng, k, 0)
 	}
-	c := newResultCache(DefaultResultCacheSize, denseIDs)
+	c := NewResultCache[testResult](DefaultResultCacheSize, denseIDs)
 	for _, objs := range queries {
 		insertResult(c, objs)
 	}

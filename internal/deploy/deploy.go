@@ -250,7 +250,7 @@ func Router(args []string, stop <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	own, err := cluster.NewOwnership(survey.Objects(), len(addrs), *replicas)
+	own, err := core.NewOwnership(survey.Objects(), len(addrs), *replicas)
 	if err != nil {
 		return err
 	}

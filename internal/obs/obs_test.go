@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -404,5 +405,45 @@ func TestDebugServer(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("debug server still answering after Close")
+	}
+}
+
+// TestHistogramExpositionConsistentUnderObserve renders and parses the
+// exposition while several goroutines observe: every rendering must
+// parse, so its +Inf bucket always equals its _count, whatever the
+// observers were doing between the two.
+func TestHistogramExpositionConsistentUnderObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.NewHistogram("busy_seconds", "")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d := time.Duration(g+1) * time.Millisecond
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(d)
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	var b strings.Builder
+	for i := range 1000 {
+		b.Reset()
+		if err := r.WriteExposition(&b); err != nil {
+			t.Fatalf("write exposition: %v", err)
+		}
+		if _, err := ParseExposition(strings.NewReader(b.String())); err != nil {
+			t.Fatalf("rendering %d: %v", i, err)
+		}
 	}
 }

@@ -207,11 +207,12 @@ func (f *funcMetric) samples() []Sample {
 
 // Histogram is a latency histogram over DefBuckets with cumulative
 // bucket counts, a sum, and quantile extraction. Observations are
-// durations; bounds are seconds.
+// durations; bounds are seconds. The observation count is the bucket
+// total, never a counter of its own, so a reading taken while Observe
+// runs still has a +Inf bucket equal to its count.
 type Histogram struct {
 	name, help string
 	counts     []atomic.Int64 // len(DefBuckets)+1; last bucket is +Inf
-	count      atomic.Int64
 	sumNanos   atomic.Int64
 }
 
@@ -239,7 +240,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	s := d.Seconds()
 	i := sort.SearchFloat64s(DefBuckets, s) // first bound >= s (le semantics)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	h.sumNanos.Add(int64(d))
 }
 
@@ -248,7 +248,11 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Quantile extracts an approximate quantile (0 < p < 1) in seconds by
@@ -260,16 +264,20 @@ func (h *Histogram) Quantile(p float64) float64 {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
+	// One load per bucket, so the rank and the walk read the same counts.
+	counts := make([]int64, len(h.counts))
+	var total int64
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
+	}
 	if total == 0 {
 		return 0
 	}
 	rank := p * float64(total)
 	var cum int64
-	for i := range h.counts {
-		n := h.counts[i].Load()
+	for i, n := range counts {
 		if n == 0 {
-			cum += n
 			continue
 		}
 		if float64(cum+n) >= rank {
@@ -281,12 +289,7 @@ func (h *Histogram) Quantile(p float64) float64 {
 				lo = DefBuckets[i-1]
 			}
 			hi := DefBuckets[i]
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
+			frac := min(max((rank-float64(cum))/float64(n), 0), 1)
 			return lo + (hi-lo)*frac
 		}
 		cum += n
@@ -312,7 +315,7 @@ func (h *Histogram) samples() []Sample {
 	}
 	out = append(out,
 		Sample{Name: h.name + "_sum", Value: time.Duration(h.sumNanos.Load()).Seconds()},
-		Sample{Name: h.name + "_count", Value: float64(h.count.Load())},
+		Sample{Name: h.name + "_count", Value: float64(cum)},
 	)
 	return out
 }

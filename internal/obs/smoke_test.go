@@ -144,7 +144,7 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 	)
 
 	shard := cacheNode(true, "")
-	own, err := cluster.NewOwnership(survey.Objects(), 1, 1)
+	own, err := core.NewOwnership(survey.Objects(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
