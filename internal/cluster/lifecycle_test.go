@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"net"
 	"runtime"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
+	"github.com/deltacache/delta/internal/obs"
 	"github.com/deltacache/delta/internal/persist"
 	"github.com/deltacache/delta/internal/server"
 )
@@ -129,6 +131,22 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// executedQueries is the count of a repository's
+// delta_repo_query_seconds, which it observes once a query's reply
+// payload is built: past that, a handler only encodes and writes.
+func executedQueries(t *testing.T, repo *server.Repository) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := repo.Reg.WriteExposition(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fams["delta_repo_query_seconds"].Samples["delta_repo_query_seconds_count"]
+}
+
 // closeWithin requires n.Close to return nil within a second. If it
 // does not, the peers are hung up on first, so that a node that only
 // stops once its peers have left still lets the test finish.
@@ -183,7 +201,11 @@ func TestNodeLifecycle(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			waitUntil(t, "every query reaches the repository", func() bool { return backend.Stats().Queries == inFlight })
+			// Wait until every reply is built, not just started: building
+			// one fills MaxFrame/2 bytes of payload, slow under -race,
+			// and a closed socket cannot cut a fill short, so a Close
+			// begun earlier would wait for the fills.
+			waitUntil(t, "every query's reply is built", func() bool { return executedQueries(t, backend) == inFlight })
 			return []*netproto.Conn{c}
 		}},
 		// The feeder is the in-process pipeline: ApplyUpdate.

@@ -60,17 +60,13 @@ type VCover struct {
 	// have not been shipped, in arrival order. An object is a key only
 	// while it has some, and owed marks the keys, so a query skips the
 	// objects with none on a bit test instead of a map lookup.
-	outstanding map[model.ObjectID][]pendingUpdate
+	outstanding map[model.ObjectID][]model.Update
 	owed        *idSet
 	// updObject maps update vertices present in the interaction graph to
 	// their object.
 	updObject map[model.UpdateID]model.ObjectID
 
 	stats VCoverStats
-}
-
-type pendingUpdate struct {
-	update model.Update
 }
 
 // VCoverStats counts internal decisions, exposed for experiments and
@@ -112,7 +108,7 @@ func (p *VCover) Init(objects []model.Object, capacity cost.Bytes) error {
 	p.bip = flow.NewBipartite()
 	p.loads = loadCache
 	p.rng = rand.New(rand.NewSource(p.cfg.Seed))
-	p.outstanding = make(map[model.ObjectID][]pendingUpdate)
+	p.outstanding = make(map[model.ObjectID][]model.Update)
 	p.owed = newIDSet(0)
 	p.updObject = make(map[model.UpdateID]model.ObjectID)
 	return nil
@@ -222,7 +218,7 @@ func (p *VCover) OnUpdate(u *model.Update) (Decision, error) {
 		return Decision{}, err
 	}
 	if p.idx.isCached(u.Object) {
-		p.outstanding[u.Object] = append(p.outstanding[u.Object], pendingUpdate{update: *u})
+		p.outstanding[u.Object] = append(p.outstanding[u.Object], *u)
 		p.owed.add(u.Object)
 	}
 	return Decision{}, nil
@@ -264,9 +260,9 @@ func (p *VCover) updateManager(q *model.Query) (Decision, error) {
 		if !p.owed.has(id) {
 			continue
 		}
-		for _, pu := range p.outstanding[id] {
-			if model.UpdateRequired(&pu.update, q) {
-				needed = append(needed, pu.update)
+		for _, u := range p.outstanding[id] {
+			if model.UpdateRequired(&u, q) {
+				needed = append(needed, u)
 			}
 		}
 	}
@@ -310,9 +306,7 @@ func (p *VCover) updateManager(q *model.Query) (Decision, error) {
 		if err := p.applyOutstanding(obj, uid); err != nil {
 			return Decision{}, err
 		}
-		if err := p.bip.RemoveRight(key); err != nil {
-			return Decision{}, fmt.Errorf("core: VCover: %w", err)
-		}
+		p.bip.RemoveRight(key)
 		delete(p.updObject, uid)
 		d.ApplyUpdates = append(d.ApplyUpdates, uid)
 		p.stats.UpdatesShipped++
@@ -330,9 +324,7 @@ func (p *VCover) updateManager(q *model.Query) (Decision, error) {
 	// query vertices that have become isolated.
 	for _, key := range p.bip.Lefts() {
 		if !cover.ContainsLeft(key) || p.bip.DegreeLeft(key) == 0 {
-			if err := p.bip.RemoveLeft(key); err != nil {
-				return Decision{}, fmt.Errorf("core: VCover: %w", err)
-			}
+			p.bip.RemoveLeft(key)
 		}
 	}
 	return d, nil
@@ -342,7 +334,7 @@ func (p *VCover) updateManager(q *model.Query) (Decision, error) {
 func (p *VCover) applyOutstanding(obj model.ObjectID, uid model.UpdateID) error {
 	lst := p.outstanding[obj]
 	for i := range lst {
-		if lst[i].update.ID == uid {
+		if lst[i].ID == uid {
 			if len(lst) == 1 {
 				delete(p.outstanding, obj)
 				p.owed.remove(obj)
@@ -438,14 +430,9 @@ func (p *VCover) evictObject(id model.ObjectID) error {
 	if err := p.idx.markEvicted(id); err != nil {
 		return err
 	}
-	for _, pu := range p.outstanding[id] {
-		uid := pu.update.ID
-		if p.bip.HasRight(int64(uid)) {
-			if err := p.bip.RemoveRight(int64(uid)); err != nil {
-				return fmt.Errorf("core: VCover: %w", err)
-			}
-			delete(p.updObject, uid)
-		}
+	for _, u := range p.outstanding[id] {
+		p.bip.RemoveRight(int64(u.ID))
+		delete(p.updObject, u.ID)
 	}
 	delete(p.outstanding, id)
 	p.owed.remove(id)

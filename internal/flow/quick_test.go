@@ -1,7 +1,10 @@
 package flow
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -61,7 +64,7 @@ func TestQuickCoverWeightEqualsFlow(t *testing.T) {
 		g := genGraph(rand.New(rand.NewSource(seed)))
 		b := buildBipartite(t, g)
 		cover := b.Solve()
-		return cover.Weight == b.FlowValue()
+		return cover.Weight == flowValue(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -75,7 +78,7 @@ func TestQuickCoverIsValid(t *testing.T) {
 		b := buildBipartite(t, g)
 		cover := b.Solve()
 		for _, e := range g.edges {
-			if !cover.ContainsLeft(int64(e[0])) && !cover.ContainsRight(int64(e[1])) {
+			if !cover.ContainsLeft(int64(e[0])) && !containsRight(cover, int64(e[1])) {
 				return false
 			}
 		}
@@ -104,7 +107,7 @@ func TestQuickCoverIsMinimal(t *testing.T) {
 		for _, e := range g.edges {
 			edges = append(edges, [2]int64{int64(e[0]), int64(e[1])})
 		}
-		return cover.Weight == bruteCover(leftW, rightW, edges)
+		return sameCover(cover, bruteCover(t, leftW, rightW, edges))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -152,17 +155,13 @@ func TestQuickRemovalKeepsValidity(t *testing.T) {
 		removedR := make(map[int]bool)
 		for i := range g.leftW {
 			if rng.Intn(3) == 0 {
-				if err := b.RemoveLeft(int64(i)); err != nil {
-					return false
-				}
+				b.RemoveLeft(int64(i))
 				removedL[i] = true
 			}
 		}
 		for i := range g.rightW {
 			if rng.Intn(3) == 0 {
-				if err := b.RemoveRight(int64(i)); err != nil {
-					return false
-				}
+				b.RemoveRight(int64(i))
 				removedR[i] = true
 			}
 		}
@@ -185,13 +184,131 @@ func TestQuickRemovalKeepsValidity(t *testing.T) {
 				continue
 			}
 			edges = append(edges, [2]int64{int64(e[0]), int64(e[1])})
-			if !cover.ContainsLeft(int64(e[0])) && !cover.ContainsRight(int64(e[1])) {
+			if !cover.ContainsLeft(int64(e[0])) && !containsRight(cover, int64(e[1])) {
 				return false
 			}
 		}
-		return cover.Weight == bruteCover(leftW, rightW, edges)
+		return sameCover(cover, bruteCover(t, leftW, rightW, edges))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The operations of a sequence run on both solvers. A byte triple
+// decodes to one operation: its kind, a key of 0–7 and a weight of 0–19
+// (the right key of a Connect is the weight mod 8), so duplicate keys,
+// unknown endpoints, zero weights and ties all occur.
+const (
+	opAddLeft = iota
+	opAddRight
+	opConnect
+	opRemoveLeft
+	opRemoveRight
+	opSolve
+)
+
+var opKinds = [...]int{opAddLeft, opAddRight, opConnect, opConnect, opConnect, opRemoveLeft, opRemoveRight, opSolve}
+
+// matchReference runs the operation sequence data encodes on the solver
+// and on the reference. After every Solve (and once at the end) the two
+// covers, their weight, the flow value, the live left keys and every
+// key's degree must be equal, the solver's state a valid flow, and the
+// cover the canonical one bruteCover finds.
+func matchReference(t testing.TB, data []byte) error {
+	b, ref := NewBipartite(), newRefBipartite()
+	leftW, rightW := make(map[int64]int64), make(map[int64]int64)
+	edges := make(map[[2]int64]bool)
+	for i := 0; i+3 <= len(data); i += 3 {
+		kind, key, w := opKinds[int(data[i])%len(opKinds)], int64(data[i+1]%8), int64(data[i+2]%20)
+		var err, refErr error
+		switch kind {
+		case opAddLeft:
+			err, refErr = b.AddLeft(key, w), ref.AddLeft(key, w)
+			if err == nil {
+				leftW[key] = w
+			}
+		case opAddRight:
+			err, refErr = b.AddRight(key, w), ref.AddRight(key, w)
+			if err == nil {
+				rightW[key] = w
+			}
+		case opConnect:
+			err, refErr = b.Connect(key, w%8), ref.Connect(key, w%8)
+			if err == nil {
+				edges[[2]int64{key, w % 8}] = true
+			}
+		case opRemoveLeft:
+			b.RemoveLeft(key)
+			refErr = ref.RemoveLeft(key)
+			delete(leftW, key)
+			for e := range edges {
+				if e[0] == key {
+					delete(edges, e)
+				}
+			}
+		case opRemoveRight:
+			b.RemoveRight(key)
+			refErr = ref.RemoveRight(key)
+			delete(rightW, key)
+			for e := range edges {
+				if e[1] == key {
+					delete(edges, e)
+				}
+			}
+		}
+		if (err == nil) != (refErr == nil) {
+			return fmt.Errorf("op %d (kind %d, key %d, %d): error %v, reference %v", i/3, kind, key, w, err, refErr)
+		}
+		if kind == opSolve || i+6 > len(data) {
+			got, want := b.Solve(), ref.Solve()
+			if !sameCover(got, want) || flowValue(b) != ref.FlowValue() {
+				return fmt.Errorf("op %d: cover %+v flow %d, reference %+v flow %d", i/3, got, flowValue(b), want, ref.FlowValue())
+			}
+			checkInvariants(t, b)
+			if !slices.Equal(b.Lefts(), ref.Lefts()) {
+				return fmt.Errorf("op %d: lefts %v, reference %v", i/3, b.Lefts(), ref.Lefts())
+			}
+			for k := int64(0); k < 8; k++ {
+				if b.DegreeLeft(k) != ref.DegreeLeft(k) || b.HasRight(k) != ref.HasRight(k) {
+					return fmt.Errorf("op %d: key %d: degree %d, reference %d; has right %v, reference %v",
+						i/3, k, b.DegreeLeft(k), ref.DegreeLeft(k), b.HasRight(k), ref.HasRight(k))
+				}
+			}
+			if brute := bruteCover(t, leftW, rightW, slices.Collect(maps.Keys(edges))); !sameCover(got, brute) {
+				return fmt.Errorf("op %d: cover %+v, brute force %+v", i/3, got, brute)
+			}
+		}
+	}
+	return nil
+}
+
+// TestQuickBipartiteMatchesReference: on random operation sequences the
+// solver returns the same covers and flow value as the general network
+// it replaced, and both return the canonical minimum cover.
+func TestQuickBipartiteMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 3*(1+rng.Intn(80)))
+		rng.Read(data)
+		if err := matchReference(t, data); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzBipartiteMatchesReference is the same property over
+// engine-mutated operation sequences; its seed corpus is in
+// testdata/fuzz.
+func FuzzBipartiteMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := matchReference(t, data); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -1,11 +1,15 @@
 package flow
 
+// Tests of the reference network in reference_test.go. The equality
+// property holds the solver to that oracle, so the oracle is checked on
+// its own: max flow, incremental growth, removal and the min cut.
+
 import (
 	"math/rand"
 	"testing"
 )
 
-func mustEdge(t *testing.T, n *Network, from, to int, capacity int64) int {
+func mustEdge(t *testing.T, n *refNetwork, from, to int, capacity int64) int {
 	t.Helper()
 	id, err := n.AddEdge(from, to, capacity)
 	if err != nil {
@@ -15,7 +19,7 @@ func mustEdge(t *testing.T, n *Network, from, to int, capacity int64) int {
 }
 
 func TestMaxFlowSimplePath(t *testing.T) {
-	n := NewNetwork()
+	n := newRefNetwork()
 	s, a, tk := n.AddNode(), n.AddNode(), n.AddNode()
 	mustEdge(t, n, s, a, 5)
 	mustEdge(t, n, a, tk, 3)
@@ -27,7 +31,7 @@ func TestMaxFlowSimplePath(t *testing.T) {
 func TestMaxFlowClassicDiamond(t *testing.T) {
 	// Two disjoint paths of capacity 2 and 3, plus a cross edge that
 	// lets one unit reroute.
-	n := NewNetwork()
+	n := newRefNetwork()
 	s, a, b, tk := n.AddNode(), n.AddNode(), n.AddNode(), n.AddNode()
 	mustEdge(t, n, s, a, 3)
 	mustEdge(t, n, s, b, 2)
@@ -40,7 +44,7 @@ func TestMaxFlowClassicDiamond(t *testing.T) {
 }
 
 func TestMaxFlowZeroWhenDisconnected(t *testing.T) {
-	n := NewNetwork()
+	n := newRefNetwork()
 	s, a, tk := n.AddNode(), n.AddNode(), n.AddNode()
 	mustEdge(t, n, s, a, 5)
 	if got := n.MaxFlow(s, tk); got != 0 {
@@ -51,7 +55,7 @@ func TestMaxFlowZeroWhenDisconnected(t *testing.T) {
 func TestMaxFlowIncrementalGrowth(t *testing.T) {
 	// Growing the network must not lose prior flow, and re-solving must
 	// give the same value as solving the final network from scratch.
-	n := NewNetwork()
+	n := newRefNetwork()
 	s, a, tk := n.AddNode(), n.AddNode(), n.AddNode()
 	mustEdge(t, n, s, a, 4)
 	mustEdge(t, n, a, tk, 4)
@@ -67,7 +71,7 @@ func TestMaxFlowIncrementalGrowth(t *testing.T) {
 }
 
 func TestRemoveNodeCancelsFlow(t *testing.T) {
-	n := NewNetwork()
+	n := newRefNetwork()
 	s, a, b, tk := n.AddNode(), n.AddNode(), n.AddNode(), n.AddNode()
 	mustEdge(t, n, s, a, 4)
 	mustEdge(t, n, a, tk, 4)
@@ -91,7 +95,7 @@ func TestRemoveNodeCancelsFlow(t *testing.T) {
 }
 
 func TestRemoveNodeThenRegrow(t *testing.T) {
-	n := NewNetwork()
+	n := newRefNetwork()
 	s, a, tk := n.AddNode(), n.AddNode(), n.AddNode()
 	mustEdge(t, n, s, a, 2)
 	mustEdge(t, n, a, tk, 2)
@@ -108,7 +112,7 @@ func TestRemoveNodeThenRegrow(t *testing.T) {
 }
 
 func TestRemoveEndpointRejected(t *testing.T) {
-	n := NewNetwork()
+	n := newRefNetwork()
 	s, tk := n.AddNode(), n.AddNode()
 	if err := n.RemoveNode(s, s, tk); err == nil {
 		t.Error("removing source should fail")
@@ -119,7 +123,7 @@ func TestRemoveEndpointRejected(t *testing.T) {
 }
 
 func TestRemoveNodeIdempotent(t *testing.T) {
-	n := NewNetwork()
+	n := newRefNetwork()
 	s, a, tk := n.AddNode(), n.AddNode(), n.AddNode()
 	mustEdge(t, n, s, a, 1)
 	mustEdge(t, n, a, tk, 1)
@@ -133,7 +137,7 @@ func TestRemoveNodeIdempotent(t *testing.T) {
 }
 
 func TestAddEdgeValidation(t *testing.T) {
-	n := NewNetwork()
+	n := newRefNetwork()
 	s := n.AddNode()
 	if _, err := n.AddEdge(s, 99, 1); err == nil {
 		t.Error("edge to unknown node should fail")
@@ -146,7 +150,7 @@ func TestAddEdgeValidation(t *testing.T) {
 func TestResidualReachableIdentifiesMinCut(t *testing.T) {
 	// s -> a (1) -> t (10): cut is the s->a edge, so only s is
 	// reachable.
-	n := NewNetwork()
+	n := newRefNetwork()
 	s, a, tk := n.AddNode(), n.AddNode(), n.AddNode()
 	mustEdge(t, n, s, a, 1)
 	mustEdge(t, n, a, tk, 10)
@@ -166,7 +170,7 @@ func TestResidualReachableIdentifiesMinCut(t *testing.T) {
 func TestRandomFlowsMatchRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
-		n := NewNetwork()
+		n := newRefNetwork()
 		s, tk := n.AddNode(), n.AddNode()
 		type edgeSpec struct {
 			from, to int
@@ -210,7 +214,7 @@ func TestRandomFlowsMatchRecompute(t *testing.T) {
 		got := n.MaxFlow(s, tk)
 
 		// Recompute from scratch over the surviving topology.
-		fresh := NewNetwork()
+		fresh := newRefNetwork()
 		fs, ft := fresh.AddNode(), fresh.AddNode()
 		remap := map[int]int{s: fs, tk: ft}
 		for _, v := range nodes {
@@ -235,7 +239,7 @@ func TestRandomFlowsMatchRecompute(t *testing.T) {
 // interior node after arbitrary operation sequences.
 func TestFlowConservationAfterRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	n := NewNetwork()
+	n := newRefNetwork()
 	s, tk := n.AddNode(), n.AddNode()
 	var nodes []int
 	for i := 0; i < 30; i++ {

@@ -1,45 +1,34 @@
-// Package flow implements the network-flow machinery behind VCover's
-// UpdateManager: an Edmonds–Karp max-flow solver that supports the two
-// operations the paper's incremental algorithm needs (Figure 5):
-//
-//   - growing the network (new nodes and edges) while keeping the
-//     previously computed flow valid, so each re-solve only searches for
-//     the *additional* augmenting paths; and
-//   - removing nodes from the network by cancelling the flow routed
-//     through them, which implements the "remainder subgraph" that
-//     excludes update nodes picked in a cover and query nodes not
-//     picked.
-//
-// On top of the raw network, Bipartite solves the minimum-weight vertex
-// cover problem on query–update interaction graphs via the classical
-// max-flow reduction (source → left with capacity w, right → sink with
-// capacity w, left → right with infinite capacity; the cover is read off
-// the minimum cut).
 package flow
+
+// The general Edmonds–Karp network and the refBipartite built on it that
+// served VCover before the dedicated solver in bipartite.go, kept
+// unchanged under ref… names as the oracle of the equality property
+// (TestQuickBipartiteMatchesReference, FuzzBipartiteMatchesReference).
 
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
-// Inf is the edge capacity used for "infinite" edges in reductions. It
+// refInf is the edge capacity used for "infinite" edges in reductions. It
 // is large enough that no min cut ever includes an infinite edge, yet
 // small enough that sums cannot overflow int64.
-const Inf int64 = math.MaxInt64 / 8
+const refInf int64 = math.MaxInt64 / 8
 
-type edge struct {
+type refEdge struct {
 	to   int32
 	cap  int64
 	flow int64
 }
 
-// Network is a flow network over integer node IDs. The zero value is not
-// usable; construct with NewNetwork.
+// refNetwork is a flow network over integer node IDs. The zero value is not
+// usable; construct with newRefNetwork.
 //
 // Edges are stored in pairs: edge i and edge i^1 are mutual reverses, so
 // pushing flow on one automatically adjusts the residual of the other.
-type Network struct {
-	edges []edge
+type refNetwork struct {
+	edges []refEdge
 	adj   [][]int32 // per-node indices into edges
 	alive []bool
 
@@ -55,13 +44,13 @@ type Network struct {
 	flowValue int64
 }
 
-// NewNetwork returns an empty network.
-func NewNetwork() *Network {
-	return &Network{}
+// newRefNetwork returns an empty network.
+func newRefNetwork() *refNetwork {
+	return &refNetwork{}
 }
 
 // AddNode allocates a new node and returns its ID.
-func (n *Network) AddNode() int {
+func (n *refNetwork) AddNode() int {
 	id := len(n.adj)
 	n.adj = append(n.adj, nil)
 	n.alive = append(n.alive, true)
@@ -71,11 +60,11 @@ func (n *Network) AddNode() int {
 }
 
 // Alive reports whether the node has not been removed.
-func (n *Network) Alive(v int) bool { return v >= 0 && v < len(n.alive) && n.alive[v] }
+func (n *refNetwork) Alive(v int) bool { return v >= 0 && v < len(n.alive) && n.alive[v] }
 
 // AddEdge adds a directed edge with the given capacity and returns its
 // edge ID. The implicit reverse edge has capacity zero.
-func (n *Network) AddEdge(from, to int, capacity int64) (int, error) {
+func (n *refNetwork) AddEdge(from, to int, capacity int64) (int, error) {
 	if !n.Alive(from) || !n.Alive(to) {
 		return 0, fmt.Errorf("flow: edge endpoints must be alive nodes (%d -> %d)", from, to)
 	}
@@ -84,8 +73,8 @@ func (n *Network) AddEdge(from, to int, capacity int64) (int, error) {
 	}
 	id := len(n.edges)
 	n.edges = append(n.edges,
-		edge{to: int32(to), cap: capacity},
-		edge{to: int32(from), cap: 0},
+		refEdge{to: int32(to), cap: capacity},
+		refEdge{to: int32(from), cap: 0},
 	)
 	n.adj[from] = append(n.adj[from], int32(id))
 	n.adj[to] = append(n.adj[to], int32(id+1))
@@ -94,9 +83,9 @@ func (n *Network) AddEdge(from, to int, capacity int64) (int, error) {
 
 // Value returns the current total flow from source to sink as maintained
 // across MaxFlow and RemoveNode calls.
-func (n *Network) Value() int64 { return n.flowValue }
+func (n *refNetwork) Value() int64 { return n.flowValue }
 
-func (n *Network) nextEpoch() {
+func (n *refNetwork) nextEpoch() {
 	n.epoch++
 	if n.epoch == 0 { // wrapped; reset all marks
 		for i := range n.visited {
@@ -110,7 +99,7 @@ func (n *Network) nextEpoch() {
 // BFS (Edmonds–Karp) and returns the total flow value. Calling it again
 // after adding nodes or edges performs only the incremental work: the
 // existing flow is kept and only new augmenting paths are searched.
-func (n *Network) MaxFlow(s, t int) int64 {
+func (n *refNetwork) MaxFlow(s, t int) int64 {
 	if !n.Alive(s) || !n.Alive(t) || s == t {
 		return n.flowValue
 	}
@@ -126,7 +115,7 @@ func (n *Network) MaxFlow(s, t int) int64 {
 
 // augmentOnce finds one shortest augmenting path and pushes the
 // bottleneck along it, returning the amount pushed (0 if no path).
-func (n *Network) augmentOnce(s, t int) int64 {
+func (n *refNetwork) augmentOnce(s, t int) int64 {
 	n.nextEpoch()
 	n.visited[s] = n.epoch
 	n.queue = n.queue[:0]
@@ -153,7 +142,7 @@ func (n *Network) augmentOnce(s, t int) int64 {
 		return 0
 	}
 	// Bottleneck.
-	bottleneck := Inf * 2
+	bottleneck := refInf * 2
 	for v := int32(t); int(v) != s; {
 		ei := n.parentEdge[v]
 		if r := n.edges[ei].cap - n.edges[ei].flow; r < bottleneck {
@@ -173,7 +162,7 @@ func (n *Network) augmentOnce(s, t int) int64 {
 // ResidualReachable returns the set of nodes reachable from s in the
 // residual graph, as a predicate. After MaxFlow has run, this identifies
 // the source side of a minimum cut.
-func (n *Network) ResidualReachable(s int) func(v int) bool {
+func (n *refNetwork) ResidualReachable(s int) func(v int) bool {
 	reach := make(map[int]struct{})
 	if !n.Alive(s) {
 		return func(int) bool { return false }
@@ -205,7 +194,7 @@ func (n *Network) ResidualReachable(s int) func(v int) bool {
 // RemoveNode cancels all flow routed through v and detaches it from the
 // network. s and t identify the flow endpoints so that cancelled s–t
 // paths decrement Value. Removing s or t is not supported.
-func (n *Network) RemoveNode(v, s, t int) error {
+func (n *refNetwork) RemoveNode(v, s, t int) error {
 	if v == s || v == t {
 		return fmt.Errorf("flow: cannot remove flow endpoint %d", v)
 	}
@@ -238,7 +227,7 @@ func (n *Network) RemoveNode(v, s, t int) error {
 
 // incomingFlowEdge returns an edge index carrying positive flow into v,
 // or -1. The returned index is the edge whose .to == v.
-func (n *Network) incomingFlowEdge(v int) int32 {
+func (n *refNetwork) incomingFlowEdge(v int) int32 {
 	for _, ei := range n.adj[v] {
 		// adj[v] holds edges leaving v; the paired edge ei^1 points into
 		// v. Positive flow on ei^1 means flow into v.
@@ -252,7 +241,7 @@ func (n *Network) incomingFlowEdge(v int) int32 {
 // cancelOneThrough removes one unit-path (or cycle) of flow passing
 // through v. Flow decomposition guarantees that any node with through
 // flow lies on an s→t path of flow edges or on a flow cycle.
-func (n *Network) cancelOneThrough(v, s, t int) error {
+func (n *refNetwork) cancelOneThrough(v, s, t int) error {
 	back, backCycle := n.traceFlowPath(v, s, true)
 	if back == nil {
 		return fmt.Errorf("flow: inconsistent flow at node %d (no upstream path)", v)
@@ -280,7 +269,7 @@ func (n *Network) cancelOneThrough(v, s, t int) error {
 // segment); otherwise forward (v→t). If it closes a cycle through v
 // before reaching the goal, it returns the cycle's edges with cycle ==
 // true. Returns nil if v has no adjacent flow in that direction.
-func (n *Network) traceFlowPath(v, goal int, backward bool) (path []int32, cycle bool) {
+func (n *refNetwork) traceFlowPath(v, goal int, backward bool) (path []int32, cycle bool) {
 	n.nextEpoch()
 	n.visited[v] = n.epoch
 	n.queue = n.queue[:0]
@@ -343,13 +332,13 @@ func (n *Network) traceFlowPath(v, goal int, backward bool) (path []int32, cycle
 	}
 	// Path currently goal→v; forward traces need v→goal order. For
 	// cancellation order does not matter, but keep deterministic.
-	reverse(path)
+	refReverse(path)
 	return path, false
 }
 
 // traceFlowCycle walks flow edges from v until it revisits a node,
 // returning the cycle's edges.
-func (n *Network) traceFlowCycle(v int, backward bool) ([]int32, bool) {
+func (n *refNetwork) traceFlowCycle(v int, backward bool) ([]int32, bool) {
 	// Walk along flow edges recording the path until a node repeats.
 	pos := make(map[int32]int)
 	var pathNodes []int32
@@ -388,7 +377,7 @@ func (n *Network) traceFlowCycle(v int, backward bool) ([]int32, bool) {
 
 // cancelAlong reduces flow along the given flow edges by their common
 // bottleneck and returns the amount cancelled.
-func (n *Network) cancelAlong(edges []int32) int64 {
+func (n *refNetwork) cancelAlong(edges []int32) int64 {
 	if len(edges) == 0 {
 		return 0
 	}
@@ -408,7 +397,7 @@ func (n *Network) cancelAlong(edges []int32) int64 {
 	return bottleneck
 }
 
-func (n *Network) removeAdj(node int, edgeIdx int32) {
+func (n *refNetwork) removeAdj(node int, edgeIdx int32) {
 	lst := n.adj[node]
 	for i, e := range lst {
 		if e == edgeIdx {
@@ -419,8 +408,224 @@ func (n *Network) removeAdj(node int, edgeIdx int32) {
 	}
 }
 
-func reverse(s []int32) {
+func refReverse(s []int32) {
 	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
 		s[i], s[j] = s[j], s[i]
 	}
+}
+
+// refBipartite maintains a weighted bipartite graph — left vertices are
+// queries, right vertices are updates in VCover's interaction graph —
+// and answers minimum-weight vertex cover queries incrementally.
+//
+// The reduction (Hochbaum 1997): source → left vertex with capacity
+// w(left); right vertex → sink with capacity w(right); left → right with
+// infinite capacity. After max flow, with R the residual-reachable set
+// from the source, the minimum-weight cover is
+//
+//	{ left l : l ∉ R } ∪ { right r : r ∈ R }
+//
+// and its weight equals the max-flow value. Because every left→right
+// edge has infinite capacity, no such edge can cross the min cut, so for
+// every edge at least one endpoint is in the cover.
+//
+// Vertices are identified by caller-chosen int64 keys (query IDs and
+// update IDs). Key spaces of the two sides are independent.
+type refBipartite struct {
+	net  *refNetwork
+	s, t int
+
+	left  map[int64]int // key → node
+	right map[int64]int
+
+	weight  map[int64]int64 // left keys
+	rweight map[int64]int64 // right keys
+
+	// ledges[l] is the set of right keys adjacent to left key l;
+	// redges[r] the mirror. They provide O(degree) removals and
+	// duplicate-edge detection.
+	ledges map[int64]map[int64]struct{}
+	redges map[int64]map[int64]struct{}
+}
+
+// newRefBipartite returns an empty bipartite cover solver.
+func newRefBipartite() *refBipartite {
+	net := newRefNetwork()
+	return &refBipartite{
+		net:     net,
+		s:       net.AddNode(),
+		t:       net.AddNode(),
+		left:    make(map[int64]int),
+		right:   make(map[int64]int),
+		weight:  make(map[int64]int64),
+		rweight: make(map[int64]int64),
+		ledges:  make(map[int64]map[int64]struct{}),
+		redges:  make(map[int64]map[int64]struct{}),
+	}
+}
+
+// AddLeft inserts a left vertex with the given weight. Re-adding an
+// existing key is an error: weights are immutable once attached.
+func (b *refBipartite) AddLeft(key, weight int64) error {
+	if _, ok := b.left[key]; ok {
+		return fmt.Errorf("flow: left vertex %d already present", key)
+	}
+	if weight < 0 {
+		return fmt.Errorf("flow: left vertex %d has negative weight %d", key, weight)
+	}
+	node := b.net.AddNode()
+	b.left[key] = node
+	b.weight[key] = weight
+	if _, err := b.net.AddEdge(b.s, node, weight); err != nil {
+		return err
+	}
+	return nil
+}
+
+// AddRight inserts a right vertex with the given weight.
+func (b *refBipartite) AddRight(key, weight int64) error {
+	if _, ok := b.right[key]; ok {
+		return fmt.Errorf("flow: right vertex %d already present", key)
+	}
+	if weight < 0 {
+		return fmt.Errorf("flow: right vertex %d has negative weight %d", key, weight)
+	}
+	node := b.net.AddNode()
+	b.right[key] = node
+	b.rweight[key] = weight
+	if _, err := b.net.AddEdge(node, b.t, weight); err != nil {
+		return err
+	}
+	return nil
+}
+
+// HasLeft reports whether the left key is present.
+func (b *refBipartite) HasLeft(key int64) bool { _, ok := b.left[key]; return ok }
+
+// HasRight reports whether the right key is present.
+func (b *refBipartite) HasRight(key int64) bool { _, ok := b.right[key]; return ok }
+
+// DegreeLeft returns the live edge count of a left vertex.
+func (b *refBipartite) DegreeLeft(key int64) int { return len(b.ledges[key]) }
+
+// DegreeRight returns the live edge count of a right vertex.
+func (b *refBipartite) DegreeRight(key int64) int { return len(b.redges[key]) }
+
+// Neighbors returns the right keys adjacent to a left vertex, sorted.
+func (b *refBipartite) Neighbors(leftKey int64) []int64 {
+	out := make([]int64, 0, len(b.ledges[leftKey]))
+	for r := range b.ledges[leftKey] {
+		out = append(out, r)
+	}
+	refSortInt64s(out)
+	return out
+}
+
+// Len returns the number of live left and right vertices.
+func (b *refBipartite) Len() (nLeft, nRight int) { return len(b.left), len(b.right) }
+
+// Lefts returns all live left keys, sorted.
+func (b *refBipartite) Lefts() []int64 {
+	out := make([]int64, 0, len(b.left))
+	for k := range b.left {
+		out = append(out, k)
+	}
+	refSortInt64s(out)
+	return out
+}
+
+// Connect adds an edge between a left and a right vertex. Duplicate
+// edges are ignored. Both endpoints must exist.
+func (b *refBipartite) Connect(leftKey, rightKey int64) error {
+	ln, ok := b.left[leftKey]
+	if !ok {
+		return fmt.Errorf("flow: unknown left vertex %d", leftKey)
+	}
+	rn, ok := b.right[rightKey]
+	if !ok {
+		return fmt.Errorf("flow: unknown right vertex %d", rightKey)
+	}
+	if _, dup := b.ledges[leftKey][rightKey]; dup {
+		return nil
+	}
+	if _, err := b.net.AddEdge(ln, rn, refInf); err != nil {
+		return err
+	}
+	if b.ledges[leftKey] == nil {
+		b.ledges[leftKey] = make(map[int64]struct{})
+	}
+	if b.redges[rightKey] == nil {
+		b.redges[rightKey] = make(map[int64]struct{})
+	}
+	b.ledges[leftKey][rightKey] = struct{}{}
+	b.redges[rightKey][leftKey] = struct{}{}
+	return nil
+}
+
+// RemoveLeft deletes a left vertex, cancelling any flow through it.
+func (b *refBipartite) RemoveLeft(key int64) error {
+	node, ok := b.left[key]
+	if !ok {
+		return nil
+	}
+	if err := b.net.RemoveNode(node, b.s, b.t); err != nil {
+		return err
+	}
+	delete(b.left, key)
+	delete(b.weight, key)
+	for r := range b.ledges[key] {
+		delete(b.redges[r], key)
+	}
+	delete(b.ledges, key)
+	return nil
+}
+
+// RemoveRight deletes a right vertex, cancelling any flow through it.
+func (b *refBipartite) RemoveRight(key int64) error {
+	node, ok := b.right[key]
+	if !ok {
+		return nil
+	}
+	if err := b.net.RemoveNode(node, b.s, b.t); err != nil {
+		return err
+	}
+	delete(b.right, key)
+	delete(b.rweight, key)
+	for l := range b.redges[key] {
+		delete(b.ledges[l], key)
+	}
+	delete(b.redges, key)
+	return nil
+}
+
+// Solve computes the current minimum-weight vertex cover. Work is
+// incremental: flow from previous calls is retained, so a call after k
+// new edges costs only the additional augmentations.
+func (b *refBipartite) Solve() Cover {
+	b.net.MaxFlow(b.s, b.t)
+	reach := b.net.ResidualReachable(b.s)
+	var cover Cover
+	for key, node := range b.left {
+		if !reach(node) {
+			cover.Left = append(cover.Left, key)
+			cover.Weight += b.weight[key]
+		}
+	}
+	for key, node := range b.right {
+		if reach(node) {
+			cover.Right = append(cover.Right, key)
+			cover.Weight += b.rweight[key]
+		}
+	}
+	refSortInt64s(cover.Left)
+	refSortInt64s(cover.Right)
+	return cover
+}
+
+// FlowValue returns the current max-flow value, which after Solve equals
+// the cover weight.
+func (b *refBipartite) FlowValue() int64 { return b.net.Value() }
+
+func refSortInt64s(s []int64) {
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
