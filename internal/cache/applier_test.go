@@ -98,6 +98,12 @@ func (p *decisionLog) Preload() ([]model.ObjectID, bool) {
 	return nil, false
 }
 
+// ScopedNotices forwards the policy's own answer, so a scoped policy's
+// node registers interest behind the log as it would bare.
+func (p *decisionLog) ScopedNotices() bool {
+	return core.OptionalOf(p.Policy).ScopedNotices
+}
+
 // last returns the newest entry, if any.
 func (p *decisionLog) last() (loggedDecision, bool) {
 	p.mu.Lock()
@@ -133,6 +139,15 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // settled. The node must make exactly the decisions sim.Run makes on
 // the same trace, move the same bytes per mechanism, and neither side
 // may report a violation.
+//
+// A scoped policy (VCover, NoCache) hears only the notices of objects it
+// registered, so the repository withholds some updates, which the test
+// reads off delta_repo_notices_filtered_total as each is applied. The
+// live log must then equal the simulator's minus those updates' OnUpdate
+// entries, and each of those entries must be the simulator's empty
+// decision on an object it did not hold: the premise of scoping, checked
+// against the full-stream simulator rather than assumed. Benefit and
+// Replica, which are not scoped, must have nothing withheld.
 func TestLiveDecisionsMatchSim(t *testing.T) {
 	scfg := catalog.DefaultConfig()
 	scfg.NumObjects = 24
@@ -167,6 +182,7 @@ func TestLiveDecisionsMatchSim(t *testing.T) {
 			return core.NewBenefit(core.BenefitConfig{Window: 40})
 		}},
 		{"Replica", func() core.Policy { return core.NewReplica() }},
+		{"NoCache", func() core.Policy { return core.NewNoCache() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			survey, err := catalog.NewSurvey(scfg) // pristine: births arrive through the trace
@@ -181,7 +197,7 @@ func TestLiveDecisionsMatchSim(t *testing.T) {
 			if len(res.Violations) != 0 {
 				t.Fatalf("sim violations: %v", res.Violations)
 			}
-			if res.Loads == 0 || res.UpdatesShipped == 0 || res.QueriesAtCache == 0 {
+			if tc.name != "NoCache" && (res.Loads == 0 || res.UpdatesShipped == 0 || res.QueriesAtCache == 0) {
 				t.Fatalf("the trace exercises too little: %+v", res)
 			}
 
@@ -213,6 +229,8 @@ func TestLiveDecisionsMatchSim(t *testing.T) {
 				s := m.Ledger()
 				return s.ObjectLoads == loads && s.UpdateShips == ships
 			}
+			filtered := func() float64 { return repo.Stats().Metric("delta_repo_notices_filtered_total") }
+			withheld := map[string]model.ObjectID{} // event → its object
 			for i := range events {
 				e := &events[i]
 				var event string
@@ -224,7 +242,12 @@ func TestLiveDecisionsMatchSim(t *testing.T) {
 					}
 				case model.EventUpdate:
 					event = fmt.Sprintf("update %d", e.Update.ID)
+					before := filtered()
 					repo.ApplyUpdate(*e.Update)
+					if filtered() > before {
+						withheld[event] = e.Update.Object
+						continue
+					}
 				case model.EventBirth:
 					event = fmt.Sprintf("birth %d", e.Birth.Object.ID)
 					if _, err := repo.AddObjects([]model.Birth{*e.Birth}); err != nil {
@@ -245,7 +268,29 @@ func TestLiveDecisionsMatchSim(t *testing.T) {
 				eventually(t, event+"'s I/O", settled)
 			}
 
-			if g, w := got.entries(), want.entries(); !reflect.DeepEqual(g, w) {
+			if scoped := core.OptionalOf(tc.policy()).ScopedNotices; scoped != (len(withheld) > 0) {
+				t.Errorf("scoped %v, yet %d updates were withheld", scoped, len(withheld))
+			}
+			// The simulator's log less the withheld updates, each of which
+			// it answered with nothing on an object it did not hold.
+			var w []loggedDecision
+			held := map[model.ObjectID]bool{}
+			for _, d := range want.entries() {
+				if obj, ok := withheld[d.Event]; ok {
+					if !d.Decision.IsNoop() || held[obj] {
+						t.Errorf("withheld %s on object %d: the simulator decided %+v, holding it: %v", d.Event, obj, d.Decision, held[obj])
+					}
+					continue
+				}
+				for _, id := range d.Decision.Evict {
+					delete(held, id)
+				}
+				for _, id := range d.Decision.Load {
+					held[id] = true
+				}
+				w = append(w, d)
+			}
+			if g := got.entries(); !reflect.DeepEqual(g, w) {
 				for i := range min(len(g), len(w)) {
 					if !reflect.DeepEqual(g[i], w[i]) {
 						t.Fatalf("decision %d: live %+v, sim %+v", i, g[i], w[i])

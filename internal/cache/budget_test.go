@@ -1,0 +1,83 @@
+package cache
+
+import (
+	"testing"
+
+	"github.com/deltacache/delta/internal/catalog"
+	"github.com/deltacache/delta/internal/core"
+	"github.com/deltacache/delta/internal/experiments"
+	"github.com/deltacache/delta/internal/model"
+	"github.com/deltacache/delta/internal/netproto"
+	"github.com/deltacache/delta/internal/server"
+)
+
+// TestNoticeBudget is the standalone half of the cluster's notice
+// budget: a seeded slice of paper-trace (the experiments' reference
+// trace, seed 2), replayed in lockstep through one VCover cache, with
+// every query answered and its objects confirmed before the next event.
+// Unscoped, every update costs the cache one notice. Scoped, the cache
+// registers each object the first time a query names it, so an update
+// costs a notice only once a query has touched its object — on a
+// 68-object universe, soon every object. The count is exact here, and
+// pinned as a ceiling at its value when scoping landed.
+func TestNoticeBudget(t *testing.T) {
+	const ceiling = 838.0 / 1000 // notices per update; 1.0 unscoped
+	setup, err := experiments.NewSetup(experiments.Options{Scale: 0.004, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	survey, err := catalog.NewSurvey(setup.Survey.Config()) // pristine: births arrive through the trace
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := server.New(server.Config{Survey: survey, Scale: netproto.DefaultScale()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	m, err := New(Config{
+		RepoAddr: repo.Addr(),
+		Policy:   core.NewVCover(core.VCoverConfig{Seed: setup.Seed, GDSF: true}),
+		Objects:  survey.Objects(),
+		Capacity: setup.Capacity(),
+		Scale:    netproto.DefaultScale(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	notices := func() float64 { return repo.Stats().Metric("delta_repo_notices_total") }
+	before := notices()
+	updates := 0
+	for i := range setup.Events {
+		switch e := &setup.Events[i]; e.Kind {
+		case model.EventQuery:
+			if _, err := query(m, *e.Query); err != nil {
+				t.Fatalf("query %d: %v", e.Query.ID, err)
+			}
+			m.inv.AwaitConfirmed(e.Query.Objects)
+		case model.EventUpdate:
+			repo.ApplyUpdate(*e.Update)
+			updates++
+		case model.EventBirth:
+			if _, err := repo.AddObjects([]model.Birth{*e.Birth}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if updates == 0 {
+		t.Fatal("the slice has no updates")
+	}
+	perUpdate := (notices() - before) / float64(updates)
+	t.Logf("%d updates, %.4f notices per update", updates, perUpdate)
+	if perUpdate > ceiling {
+		t.Errorf("%.4f notices per update, above the ceiling of %.4f", perUpdate, ceiling)
+	}
+	if n := repo.DroppedInvalidations(); n != 0 {
+		t.Errorf("%d notices dropped", n)
+	}
+}

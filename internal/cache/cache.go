@@ -5,7 +5,8 @@
 // ship the query to the repository — and, in the background, whether to
 // load objects. It subscribes to the repository's invalidation stream so
 // its policy sees every update the moment the repository ingests it (a
-// cluster shard: every update on what it owns, filter.go).
+// cluster shard: every update on what it owns, filter.go; a policy that
+// declares core.ScopedNotices: every update on what it registered).
 //
 // The node is the I/O shell around core.Shard, the state machine the
 // simulator drives too, whose doc states the order of a recovery, a
@@ -131,8 +132,14 @@ type Middleware struct {
 	queryLat, loadLat, fsyncLat                       *obs.Histogram
 
 	// inv is the invalidation subscription; a cluster shard also sends
-	// its owned set on it (filter.go).
+	// its owned set on it (filter.go), and a scoped node its
+	// registrations.
 	inv *node.Subscription
+	// scoped is set when the policy needs only the notices of what it
+	// holds (core.ScopedNotices): the node registers every object it may
+	// come to hold, and no object becomes resident before its
+	// registration is confirmed.
+	scoped bool
 }
 
 // plan is an applied decision's core.Plan plus its loads as registered
@@ -181,7 +188,8 @@ func New(cfg Config) (*Middleware, error) {
 		cfg.Policy = core.NewVCover(core.DefaultVCoverConfig())
 	}
 	m := &Middleware{
-		cfg: cfg,
+		cfg:    cfg,
+		scoped: core.OptionalOf(cfg.Policy).ScopedNotices,
 		shard: core.NewShard(core.ShardConfig{
 			Policy:   cfg.Policy,
 			Objects:  cfg.Objects,
@@ -312,6 +320,17 @@ func New(cfg Config) (*Middleware, error) {
 	// Closing the session fails every handler's pending repository
 	// round trip.
 	m.Unblock = func() { m.repo.Close() }
+	if m.scoped {
+		// Residents recovered from disk are served only once their
+		// notices arrive. Until this first registration is installed the
+		// stream carries every notice, so none on them is withheld.
+		m.mu.Lock()
+		held := m.shard.Residents()
+		m.mu.Unlock()
+		if len(held) > 0 {
+			m.inv.AwaitConfirmed(held)
+		}
+	}
 	if m.store != nil {
 		// The interval only bounds journal replay length: reshards
 		// snapshot on their own, and Close lands a final one, so a clean
@@ -606,9 +625,17 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 	m.mu.Lock()
 	step, err := m.shard.Query(q)
 	p := m.planLocked(step)
+	// First sight registers B(q): an object not yet registered is not
+	// resident, so only a query that ships can name one. A load the
+	// decision made waits for the echo (loadObjects). Unknown IDs are
+	// never registered.
+	register := m.scoped && err == nil && (p.ShipQuery || p.Stale) && m.shard.Knows(q.Objects)
 	m.mu.Unlock()
 	if err != nil {
 		return netproto.ErrorFrame("%v", err)
+	}
+	if register {
+		m.inv.Register(q.Objects)
 	}
 
 	// Repository I/O outside the lock. An at-cache answer the applier
@@ -765,6 +792,13 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 	// birth load (Replica) rolls residency back exactly like any
 	// failed load.
 	m.bornObjects.Add(int64(len(fresh)))
+	if m.scoped {
+		ids := make([]model.ObjectID, len(fresh))
+		for i, b := range fresh {
+			ids[i] = b.Object.ID
+		}
+		m.inv.Register(ids)
+	}
 	if err := m.covers.Grow(fresh); err != nil {
 		m.cfg.Logf("region growth: %v (region covers may miss newborns)", err)
 	}
@@ -884,13 +918,20 @@ func (m *Middleware) startLoads(ctx context.Context, loads []pendingLoad, charge
 	}()
 }
 
-// loadObjects is the one MsgLoadObject round trip a flight makes.
+// loadObjects is the one MsgLoadObject round trip a flight makes. On a
+// scoped node it leaves only once every object's registration is
+// confirmed: a notice the repository withholds until then is one the
+// loaded copy already reflects. A gap that resets the registrations lets
+// it go, since the resume evicts every resident.
 func (m *Middleware) loadObjects(ctx context.Context, loads []pendingLoad, charge bool) error {
 	start := time.Now()
 	defer func() { m.loadLat.Observe(time.Since(start)) }()
 	ids := make([]model.ObjectID, len(loads))
 	for i, l := range loads {
 		ids[i] = l.id
+	}
+	if m.scoped {
+		m.inv.AwaitConfirmed(ids)
 	}
 	reply, err := m.repo.RoundTrip(ctx, netproto.Frame{
 		Type: netproto.MsgLoadObject,

@@ -12,11 +12,14 @@ import (
 
 	"github.com/deltacache/delta/internal/cache"
 	"github.com/deltacache/delta/internal/catalog"
+	"github.com/deltacache/delta/internal/client"
+	"github.com/deltacache/delta/internal/cluster"
 	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
 	"github.com/deltacache/delta/internal/server"
+	"github.com/deltacache/delta/internal/sim"
 )
 
 // noticeLog records, in order, the updates that reach a shard's policy
@@ -38,6 +41,10 @@ type loggingVCover struct {
 	*core.VCover
 	log *noticeLog
 }
+
+// ScopedNotices keeps the log on the full owned stream: the oracles
+// decide which notices reach a shard by ownership alone.
+func (loggingVCover) ScopedNotices() bool { return false }
 
 func (p loggingVCover) OnUpdate(u *model.Update) (core.Decision, error) {
 	p.log.mu.Lock()
@@ -62,7 +69,8 @@ type filterModel struct {
 // shard's resume sends one once it hears again. A test may also watch
 // what the shard sends the repository and act the moment an owned-set
 // echo reaches the proxy, before the shard sees it (watch), and keep a
-// resubscribing node away from the repository until it lets go (hold).
+// resubscribing node away from the repository, and every interest echo
+// away from its node, until it lets go (hold).
 type cutProxy struct {
 	ln      net.Listener
 	target  string
@@ -76,8 +84,9 @@ type cutProxy struct {
 }
 
 // hold makes every invalidation stream opened from now on wait, after
-// its Hello, until release: the node is away from the stream for as
-// long as the test needs.
+// its Hello, and every interest echo (MsgInterest) wait before it is
+// forwarded, until release: the node is away from the stream, or its
+// registrations unconfirmed, for as long as the test needs.
 func (p *cutProxy) hold() {
 	p.mu.Lock()
 	p.gate = make(chan struct{})
@@ -166,6 +175,14 @@ func (p *cutProxy) relay(nc net.Conn) {
 			}
 			if stream && f.Type == netproto.MsgReshard && echoed != nil {
 				echoed()
+			}
+			if stream && f.Type == netproto.MsgInterest {
+				p.mu.Lock()
+				gate := p.gate
+				p.mu.Unlock()
+				if gate != nil {
+					<-gate
+				}
 			}
 			if down.Send(f) != nil {
 				return
@@ -409,5 +426,342 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 	}
 	if filtered == 0 {
 		t.Error("the filter spared the shard no notice in any trial")
+	}
+}
+
+// scopedScript is a scripted policy that declares scoped notices, so
+// its node registers interest as a VCover node does.
+type scopedScript struct{ *sim.Scripted }
+
+func (scopedScript) ScopedNotices() bool { return true }
+
+// orderingRepository starts a 16-object repository and a cutProxy in
+// front of it.
+func orderingRepository(t *testing.T) (*catalog.Survey, *server.Repository, *cutProxy) {
+	t.Helper()
+	cfg := catalog.DefaultConfig()
+	cfg.NumObjects = 16
+	survey, err := catalog.NewSurvey(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := server.New(server.Config{Survey: survey, Scale: netproto.PayloadScale{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { repo.Close() })
+	proxy := startCutProxy(t, repo.Addr())
+	t.Cleanup(func() { proxy.ln.Close() })
+	return survey, repo, proxy
+}
+
+// TestLoadWaitsForInterestEcho: a scoped cache registers an object the
+// first time a query names it, and a load the query's decision makes
+// does not reach the repository until that registration's echo is back.
+// With the echo held, the query is still waiting and no load has been
+// sent; once released, the load goes and the query answers.
+func TestLoadWaitsForInterestEcho(t *testing.T) {
+	survey, _, proxy := orderingRepository(t)
+	var registered, loaded atomic.Bool
+	proxy.watch(func(f netproto.Frame) {
+		switch f.Type {
+		case netproto.MsgInterest:
+			registered.Store(true)
+		case netproto.MsgLoadObject:
+			loaded.Store(true)
+		}
+	}, nil)
+	mw, err := cache.New(cache.Config{
+		RepoAddr: proxy.ln.Addr().String(),
+		Policy: scopedScript{&sim.Scripted{Decisions: []core.Decision{
+			{ShipQuery: true, Load: []model.ObjectID{3}},
+		}}},
+		Objects:  survey.Objects(),
+		Capacity: survey.TotalSize(),
+		Scale:    netproto.PayloadScale{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mw.Close()
+	if err := mw.Start(); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := client.Dial(mw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	proxy.hold()
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Query(ctx, model.Query{ID: 1, Objects: []model.ObjectID{3}, Cost: cost.MB, Tolerance: model.AnyStaleness})
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); !registered.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the cache never registered the object its query named")
+		}
+	}
+	time.Sleep(100 * time.Millisecond)
+	if loaded.Load() {
+		t.Fatal("the load reached the repository before its object's registration was echoed")
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("the query answered (%v) while its load waited for the echo", err)
+	default:
+	}
+	proxy.release()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the query never answered after the echo was released")
+	}
+	if !loaded.Load() {
+		t.Error("the load never reached the repository")
+	}
+}
+
+// gatedReplica is Replica whose query decisions wait, while armed, until
+// the test opens its gate; entered gets a token as each one starts.
+type gatedReplica struct {
+	*core.Replica
+	armed   *atomic.Bool
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (p gatedReplica) OnQuery(q *model.Query) (core.Decision, error) {
+	if p.armed.Load() {
+		p.entered <- struct{}{}
+		<-p.gate
+	}
+	return p.Replica.OnQuery(q)
+}
+
+// orderingCluster is one shard, dialing the repository directly, behind
+// a router whose repository traffic crosses the proxy.
+func orderingCluster(t *testing.T, survey *catalog.Survey, repo *server.Repository, proxy *cutProxy, policy core.Policy) (*cache.Middleware, *cluster.Router) {
+	t.Helper()
+	shard, err := cache.New(cache.Config{
+		RepoAddr: repo.Addr(), Policy: policy, Objects: survey.Objects(), Shard: true,
+		Capacity: survey.TotalSize(), ReshardCapacity: cache.ReplicatedCapacity, Scale: netproto.PayloadScale{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shard.Close() })
+	if err := shard.Start(); err != nil {
+		t.Fatal(err)
+	}
+	own, err := core.NewOwnership(survey.Objects(), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := cluster.NewRouter(cluster.Config{Shards: []string{shard.Addr()}, Ownership: own, RepoAddr: proxy.ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { router.Close() })
+	if err := router.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return shard, router
+}
+
+// awaitRouterHit repeats q until the router answers it from its result
+// cache: once q's objects are confirmed, one query leads a cached flight
+// and the next hits.
+func awaitRouterHit(t *testing.T, cl *client.Client, router *cluster.Router, q model.Query) {
+	t.Helper()
+	hits := router.ResultCacheHits()
+	for deadline := time.Now().Add(5 * time.Second); router.ResultCacheHits() == hits; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the router never answered the query from its result cache")
+		}
+		if _, err := cl.Query(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRouterCachesOnlyConfirmedFlights: with its registration's echo
+// held, a router query over objects it has never seen is answered, but
+// by a scatter of its own: it is not cached, and an identical query
+// arriving while it is in flight scatters too instead of joining it.
+// Once the echo is released, the same query is cached.
+func TestRouterCachesOnlyConfirmedFlights(t *testing.T) {
+	survey, repo, proxy := orderingRepository(t)
+	var armed atomic.Bool
+	policy := gatedReplica{Replica: core.NewReplica(), armed: &armed, entered: make(chan struct{}, 4), gate: make(chan struct{})}
+	_, router := orderingCluster(t, survey, repo, proxy, policy)
+	cl, err := client.Dial(router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	q := model.Query{Objects: []model.ObjectID{2, 5}, Cost: 2 * cost.MB, Tolerance: model.AnyStaleness}
+
+	proxy.hold()
+	armed.Store(true)
+	done := make(chan error, 2)
+	ask := func() {
+		c, err := client.Dial(router.Addr())
+		if err == nil {
+			defer c.Close()
+			_, err = c.Query(ctx, q)
+		}
+		done <- err
+	}
+	go ask()
+	<-policy.entered // the first query is in flight at the shard
+	go ask()
+	for deadline := time.Now().Add(5 * time.Second); router.Queries() != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second query never reached the router")
+		}
+	}
+	// Time for the second to join the first's flight, were it allowed:
+	// joining takes microseconds once the router has it.
+	time.Sleep(50 * time.Millisecond)
+	close(policy.gate)
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	armed.Store(false)
+	if n := len(policy.entered); n != 1 {
+		t.Errorf("the shard decided %d queries beside the first, want 1: the second joined the first's flight", n)
+	}
+	if _, err := cl.Query(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	if hits, joined := router.ResultCacheHits(), router.Coalesced(); hits != 0 || joined != 0 {
+		t.Errorf("over unconfirmed objects: %d result-cache hits and %d coalesced, want none", hits, joined)
+	}
+	proxy.release()
+	awaitRouterHit(t, cl, router, q)
+}
+
+// TestGapResetsInterest: once a router's registrations are confirmed,
+// its stream withholds the notices of every other object. A gap clears
+// the confirmations: after the resume, with the new registration's echo
+// held, the same query is not cached. And the resumed stream is
+// unfiltered until its first registration: an update on an object the
+// router never registered reaches it.
+func TestGapResetsInterest(t *testing.T) {
+	survey, repo, proxy := orderingRepository(t)
+	_, router := orderingCluster(t, survey, repo, proxy, core.NewReplica())
+	cl, err := client.Dial(router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	q := model.Query{Objects: []model.ObjectID{2, 5}, Cost: 2 * cost.MB, Tolerance: model.AnyStaleness}
+	awaitRouterHit(t, cl, router, q)
+
+	stats := func(name string) float64 { return repo.Stats().Metric(name) }
+	update := model.UpdateID(0)
+	apply := func(obj model.ObjectID) (notices, withheld float64) {
+		n, w := stats("delta_repo_notices_total"), stats("delta_repo_notices_filtered_total")
+		update++
+		repo.ApplyUpdate(model.Update{ID: update, Object: obj, Cost: cost.KB})
+		return stats("delta_repo_notices_total") - n, stats("delta_repo_notices_filtered_total") - w
+	}
+	// The shard (Replica) hears every notice it owns; the router only
+	// those it registered.
+	if notices, withheld := apply(9); notices != 1 || withheld != 1 {
+		t.Fatalf("before the gap, an update on an unregistered object: %v notices, %v withheld; want 1 and 1", notices, withheld)
+	}
+
+	proxy.hold()
+	proxy.cut()
+	gaps := func() float64 {
+		for _, s := range router.Reg.Values() {
+			if s.Name == "delta_invalidation_gaps_total" {
+				return s.Value
+			}
+		}
+		return 0
+	}
+	for deadline := time.Now().Add(5 * time.Second); gaps() == 0 || repo.Subscribers() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the router's stream was never cut")
+		}
+	}
+	proxy.release()
+	for deadline := time.Now().Add(5 * time.Second); repo.Subscribers() != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the router never resubscribed")
+		}
+	}
+	if notices, withheld := apply(9); notices != 2 || withheld != 0 {
+		t.Errorf("after the resume, an update on an unregistered object: %v notices, %v withheld; want 2 and 0", notices, withheld)
+	}
+
+	proxy.hold()
+	defer proxy.release()
+	hits := router.ResultCacheHits()
+	for range 3 {
+		if _, err := cl.Query(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := router.ResultCacheHits(); got != hits {
+		t.Errorf("after the gap, with the new registration unconfirmed, the query hit the result cache %d times", got-hits)
+	}
+}
+
+// TestWarmArrivalsWaitForInterestEcho: a scoped shard registers a
+// reshard's warm arrivals and adopts them only once the registration's
+// echo is back. The reshard gains nothing, so no widen is waited for:
+// with the interest echo held it does not return, and once released the
+// arrival is resident.
+func TestWarmArrivalsWaitForInterestEcho(t *testing.T) {
+	survey, _, proxy := orderingRepository(t)
+	mw, err := cache.New(cache.Config{
+		RepoAddr: proxy.ln.Addr().String(), Policy: core.NewVCover(core.DefaultVCoverConfig()),
+		Objects: survey.Objects(), Shard: true, Capacity: survey.TotalSize(),
+		ReshardCapacity: cache.ReplicatedCapacity, Scale: netproto.PayloadScale{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mw.Close()
+	owned := []model.ObjectID{1, 2, 3, 4}
+	if _, _, err := mw.Reshard(0, owned, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	proxy.hold()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := mw.Reshard(1, owned, nil, []model.ObjectID{3})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("the reshard returned (%v) before its warm arrival's registration was echoed", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	proxy.release()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reshard never returned after the echo was released")
+	}
+	if got := mw.Stats().Cached; !slices.Equal(got, []model.ObjectID{3}) {
+		t.Errorf("resident after the reshard: %v, want the warm arrival 3", got)
 	}
 }

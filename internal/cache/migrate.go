@@ -43,6 +43,11 @@ func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Obj
 	}
 	m.logStart(g.Start)
 	m.journalPlan(grown)
+	if m.scoped {
+		// Warm arrivals are adopted resident: register them now, to be
+		// confirmed beside the widen's echo.
+		m.inv.Register(warm)
+	}
 	if g.Gained > 0 {
 		// A notice the repository queued before its filter passes a
 		// gained object never arrives: widen the filter to old ∪ new and
@@ -50,6 +55,9 @@ func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Obj
 		// fragment on a gained object comes before this reshard replies:
 		// the router routes none here until its widen is done.)
 		m.inv.Send(m.filterFrame()).Wait()
+	}
+	if m.scoped {
+		m.inv.AwaitConfirmed(warm)
 	}
 
 	m.mu.Lock()

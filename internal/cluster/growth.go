@@ -43,7 +43,8 @@ import (
 // and catches up on the births announced during the gap. Called from
 // NewRouter.
 func (r *Router) subscribeInvalidations() error {
-	_, err := r.Subscribe(r.cfg.RepoAddr, netproto.SessionConfig{
+	var err error
+	r.inv, err = r.Subscribe(r.cfg.RepoAddr, netproto.SessionConfig{
 		DialRetry: netproto.StartupDialRetry,
 	}, node.StreamHandler{
 		Frame: func(f netproto.Frame) {
@@ -222,7 +223,14 @@ func (r *Router) adoptBirths(ctx context.Context, births []model.Birth) (int, er
 
 	// Same epoch, no existing object moved: cached results and scatters
 	// in motion stay correct for the object sets they name, so the
-	// result cache is left alone (regions re-resolve below).
+	// result cache is left alone (regions re-resolve below). Newborns
+	// are registered before they route, so their first queries find
+	// them confirmed more often than not.
+	ids := make([]model.ObjectID, len(fresh))
+	for i, o := range fresh {
+		ids[i] = o.ID
+	}
+	r.inv.Register(ids)
 	r.routing.Store(&routing{epoch: rt.epoch, own: ownNew, links: rt.links, alt: rt.alt})
 	r.births.Add(int64(len(fresh)))
 	if err := r.covers.Grow(freshBirths); err != nil {

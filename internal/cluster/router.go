@@ -142,6 +142,10 @@ type Router struct {
 	// coalescer; nil when disabled (all uses are nil-safe).
 	results *core.ResultCache[netproto.QueryResultMsg]
 
+	// inv is the invalidation subscription. The router registers every
+	// object it routes, so the stream carries only their notices.
+	inv *node.Subscription
+
 	// birthCh feeds the birth adoption worker, which drains whatever
 	// announcements and publications have queued and adopts them as one
 	// batch — one ownership extension, one grant frame per shard.
@@ -464,12 +468,25 @@ type answer struct {
 // follower, and only a genuinely novel query scatters to the shards.
 // Degraded or failed leader results are never shared — each follower
 // falls back to its own scatter — and with the result cache disabled
-// every query scatters.
+// every query scatters. So does a query over an object whose
+// registration on the invalidation stream is not yet confirmed: it
+// registers the object and is answered uncached, and the first query
+// after the echo leads a flight.
 func (r *Router) routeQuery(ctx context.Context, q *model.Query, traceID uint64, detail string) netproto.Frame {
 	r.queries.Inc()
 	start := time.Now()
 	if len(q.Objects) == 0 {
 		return netproto.ErrorFrame("query %d accesses no objects", q.ID)
+	}
+	gen, confirmed := r.inv.Confirmed(q.Objects)
+	if !confirmed {
+		// A notice on an unconfirmed object may be withheld, so a result
+		// over one is neither cached nor shared. Only objects the cluster
+		// has are registered: a client cannot grow the interest set.
+		if r.routing.Load().own.Knows(q.Objects) {
+			r.inv.Register(q.Objects)
+		}
+		return r.scatterQuery(ctx, q, traceID, detail, start)
 	}
 	cached, fl, leader := r.results.Begin(q.Objects)
 	switch {
@@ -485,9 +502,11 @@ func (r *Router) routeQuery(ctx context.Context, q *model.Query, traceID uint64,
 	case fl != nil:
 		// Leading: scatter, then publish to the followers (and, if the
 		// result is clean and no invalidation raced it, to the cache).
+		// A gap since the confirmation check forgot what it read, and
+		// the flight may have begun after the resume: not shareable.
 		frame := r.scatterQuery(ctx, q, traceID, detail, start)
 		res, ok := frame.Body.(netproto.QueryResultMsg)
-		r.results.Complete(fl, res, ok && !res.Degraded)
+		r.results.Complete(fl, res, ok && !res.Degraded && r.inv.Gen() == gen)
 		return frame
 	default:
 		// Signature collision, or the cache is off: pass through uncached.

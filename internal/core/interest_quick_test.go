@@ -1,0 +1,203 @@
+package core
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+	"testing/quick"
+
+	"github.com/deltacache/delta/internal/model"
+)
+
+// streamModel is one invalidation stream as the repository runs it:
+// registrations travel up and are installed in order, and the
+// repository's frames — notices that pass its interest set, and the
+// echo of each registration — travel down in FIFO order.
+type streamModel struct {
+	set  map[model.ObjectID]bool // nil until the first registration: unfiltered
+	up   [][]model.ObjectID      // registrations not yet installed
+	down []streamFrame
+}
+
+type streamFrame struct {
+	echo   bool
+	notice int // index into the trial's applied updates
+}
+
+// TestQuickInterestMatchesFIFOStream drives Interest against a model of
+// the stream over random interleavings of registrations, sends,
+// installs, updates, deliveries and gaps, with at most one batch in
+// flight as the node's pump keeps it. Two properties hold: no object is
+// reported confirmed before the echo of a batch naming it has been
+// delivered on the current stream, and every update applied while its
+// object is confirmed reaches the subscriber, unless a gap cuts the
+// stream first.
+func TestQuickInterestMatchesFIFOStream(t *testing.T) {
+	const objects = 12
+	var confirmedUpdates, withheld int
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		in := NewInterest()
+		var (
+			s        streamModel
+			echoed   = map[model.ObjectID]bool{} // echo delivered on this stream
+			inFlight bool
+			flightAt uint64
+			// mustArrive[i] is set when update i was applied while its
+			// object was confirmed; arrived[i] when it was delivered.
+			mustArrive, arrived []bool
+			applied             []model.ObjectID
+		)
+		deliver := func() {
+			f := s.down[0]
+			s.down = s.down[1:]
+			if !f.echo {
+				arrived[f.notice] = true
+				return
+			}
+			if !inFlight {
+				t.Fatalf("seed %d: an echo with no batch in flight", seed)
+			}
+			in.Echoed(flightAt)
+			inFlight = false
+		}
+		install := func() {
+			batch := s.up[0]
+			s.up = s.up[1:]
+			if s.set == nil {
+				s.set = map[model.ObjectID]bool{}
+			}
+			for _, id := range batch {
+				s.set[id] = true
+			}
+			s.down = append(s.down, streamFrame{echo: true})
+		}
+		var inTransit [][]model.ObjectID // batches sent, echo not delivered
+		for range 60 + rng.Intn(60) {
+			switch k := rng.Intn(12); {
+			case k < 3:
+				ids := make([]model.ObjectID, 1+rng.Intn(3))
+				for i := range ids {
+					ids[i] = model.ObjectID(1 + rng.Intn(objects))
+				}
+				in.Want(ids)
+			case k < 5:
+				if batch, gen, ok := in.Next(); ok {
+					if inFlight {
+						t.Logf("seed %d: Next handed out a second batch in flight", seed)
+						return false
+					}
+					inFlight, flightAt = true, gen
+					s.up = append(s.up, slices.Clone(batch))
+					inTransit = append(inTransit, slices.Clone(batch))
+				}
+			case k < 6 && len(s.up) > 0:
+				install()
+			case k < 9:
+				obj := model.ObjectID(1 + rng.Intn(objects))
+				applied = append(applied, obj)
+				mustArrive = append(mustArrive, in.Confirmed([]model.ObjectID{obj}))
+				arrived = append(arrived, false)
+				if s.set == nil || s.set[obj] {
+					s.down = append(s.down, streamFrame{notice: len(applied) - 1})
+				} else {
+					withheld++
+				}
+			case k < 11 && len(s.down) > 0:
+				if s.down[0].echo {
+					for _, id := range inTransit[0] {
+						echoed[id] = true
+					}
+					inTransit = inTransit[1:]
+				}
+				deliver()
+			case k == 11:
+				// A gap: the stream and everything on it are gone; the
+				// batch in flight will never be echoed.
+				for i := range mustArrive {
+					if !arrived[i] {
+						mustArrive[i] = false
+					}
+				}
+				if inFlight {
+					in.Lost(flightAt)
+					inFlight = false
+				}
+				in.Reset()
+				s, echoed, inTransit = streamModel{}, map[model.ObjectID]bool{}, nil
+			}
+			for id := model.ObjectID(1); id <= objects; id++ {
+				if in.Confirmed([]model.ObjectID{id}) && !echoed[id] {
+					t.Logf("seed %d: object %d confirmed before its echo", seed, id)
+					return false
+				}
+			}
+		}
+		// Drain the stream: every frame on it arrives.
+		for len(s.up) > 0 || len(s.down) > 0 {
+			for len(s.up) > 0 {
+				install()
+			}
+			for len(s.down) > 0 {
+				if s.down[0].echo {
+					inTransit = inTransit[1:]
+				}
+				deliver()
+			}
+		}
+		for i, must := range mustArrive {
+			if must {
+				confirmedUpdates++
+				if !arrived[i] {
+					t.Logf("seed %d: update %d on confirmed object %d never arrived", seed, i, applied[i])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+	if confirmedUpdates == 0 || withheld == 0 {
+		t.Errorf("the trials exercised too little: %d updates on confirmed objects, %d withheld", confirmedUpdates, withheld)
+	}
+}
+
+// TestInterestBatchesAndResets pins the bookkeeping around one batch:
+// registrations made while a batch is in flight wait for the next one,
+// a lost batch goes out again, and a batch that settles after a Reset
+// confirms nothing.
+func TestInterestBatchesAndResets(t *testing.T) {
+	in := NewInterest()
+	if in.Want([]model.ObjectID{1, 2}) {
+		t.Fatal("nothing was confirmed yet")
+	}
+	b1, g1, ok := in.Next()
+	if !ok || !slices.Equal(b1, []model.ObjectID{1, 2}) {
+		t.Fatalf("first batch %v %v", b1, ok)
+	}
+	in.Want([]model.ObjectID{2, 3})
+	if _, _, ok := in.Next(); ok {
+		t.Fatal("a second batch went out while one is in flight")
+	}
+	in.Lost(g1)
+	b2, g2, _ := in.Next()
+	if !slices.Equal(b2, []model.ObjectID{1, 2, 3}) {
+		t.Fatalf("after a lost batch: %v, want 1 2 3", b2)
+	}
+	in.Echoed(g2)
+	if !in.Want([]model.ObjectID{3, 1}) {
+		t.Fatal("echoed objects are not confirmed")
+	}
+	in.Want([]model.ObjectID{4})
+	_, g3, _ := in.Next()
+	in.Reset()
+	in.Echoed(g3)
+	if in.Confirmed([]model.ObjectID{1}) || in.Confirmed([]model.ObjectID{4}) {
+		t.Fatal("a Reset kept confirmations, or a stale echo confirmed")
+	}
+	if _, _, ok := in.Next(); ok {
+		t.Fatal("a Reset kept pending registrations")
+	}
+}

@@ -138,6 +138,16 @@ func (o *Ownership) Pos(id model.ObjectID) (int, bool) {
 	return p, ok
 }
 
+// Knows reports whether every id is in the universe.
+func (o *Ownership) Knows(ids []model.ObjectID) bool {
+	for _, id := range ids {
+		if _, ok := o.Pos(id); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // deriveReplicas rebuilds the ranked replica sets and the per-shard
 // held lists from the primary assignment. Ranks go to the K cuts
 // starting at the owning one and walking right along the spatial order

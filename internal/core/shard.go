@@ -93,12 +93,15 @@ type Step struct {
 }
 
 // Optional lists the optional interfaces a policy implements, each nil
-// when it does not. OptionalOf is the one place they are probed.
+// when it does not, and whether it needs only the notices of the
+// objects it holds (ScopedNotices). OptionalOf is the one place they are
+// probed.
 type Optional struct {
-	Preloader Preloader
-	Grower    Grower
-	Warmable  Warmable
-	Forgetter Forgetter
+	Preloader     Preloader
+	Grower        Grower
+	Warmable      Warmable
+	Forgetter     Forgetter
+	ScopedNotices bool
 }
 
 // OptionalOf probes p for its optional interfaces.
@@ -108,6 +111,8 @@ func OptionalOf(p Policy) Optional {
 	o.Grower, _ = p.(Grower)
 	o.Warmable, _ = p.(Warmable)
 	o.Forgetter, _ = p.(Forgetter)
+	scoped, ok := p.(ScopedNotices)
+	o.ScopedNotices = ok && scoped.ScopedNotices()
 	return o
 }
 
@@ -555,6 +560,16 @@ func (s *Shard) Filter() (epoch int, owned []model.ObjectID, horizon model.Objec
 		owned = append(owned, id)
 	}
 	return s.epoch, owned, s.table.knownPrefix()
+}
+
+// Knows reports whether every id is in the shard's universe.
+func (s *Shard) Knows(ids []model.ObjectID) bool {
+	for _, id := range ids {
+		if !s.table.has(id) {
+			return false
+		}
+	}
+	return true
 }
 
 // Object is the shard's metadata for id.

@@ -224,6 +224,10 @@ func (p *VCover) OnUpdate(u *model.Update) (Decision, error) {
 	return Decision{}, nil
 }
 
+// ScopedNotices implements ScopedNotices: an update on an object VCover
+// does not hold is recorded nowhere.
+func (p *VCover) ScopedNotices() bool { return true }
+
 // OnQuery implements Policy (Figure 3 of the paper).
 func (p *VCover) OnQuery(q *model.Query) (Decision, error) {
 	if p.idx == nil {

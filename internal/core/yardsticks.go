@@ -52,6 +52,10 @@ func (p *NoCache) OnUpdate(u *model.Update) (Decision, error) {
 	return Decision{}, nil
 }
 
+// ScopedNotices implements ScopedNotices: NoCache holds nothing, so it
+// needs no notice.
+func (p *NoCache) ScopedNotices() bool { return true }
+
 // Replica is the second yardstick: the cache is as large as the server
 // and holds all data; every update is shipped to the cache the moment it
 // arrives. Load costs and the capacity constraint are ignored (Figure 7

@@ -542,6 +542,10 @@ func walkBody(c *Cursor, t MsgType, body any) (any, bool) {
 		c.Bool(&s.Uniform)
 		Births(c, &b.Births)
 		return decoded(c, &b), ok
+	case MsgInterest:
+		b, ok := body.(InterestMsg)
+		IDs(c, &b.Objects)
+		return decoded(c, &b), ok
 	}
 	if c.dec {
 		c.fail(fmt.Errorf("netproto: v3 decode: unknown frame type %d", uint8(t)))

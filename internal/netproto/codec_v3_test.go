@@ -103,6 +103,7 @@ var quickBodies = []struct {
 	{MsgObjectBirth, ObjectBirthMsg{}},
 	{MsgBirthGrant, BirthGrantMsg{}},
 	{MsgUniverse, UniverseMsg{}},
+	{MsgInterest, InterestMsg{}},
 }
 
 // TestV3RoundTripProperty is the encode→decode identity property: for
@@ -267,9 +268,9 @@ func TestV3RejectsUnknownBody(t *testing.T) {
 // either type fails to decode.
 func TestV3ReservedTypeRejected(t *testing.T) {
 	if MsgQueryResult != 2 || MsgShipUpdates != 4 || MsgShardQuery != 13 ||
-		MsgAdminResize != 15 || MsgBirthGrant != 19 || MsgUniverse != 20 {
-		t.Errorf("frame types moved: query-result=%d ship-updates=%d shard-query=%d admin-resize=%d birth-grant=%d universe=%d, want 2, 4, 13, 15, 19, 20",
-			MsgQueryResult, MsgShipUpdates, MsgShardQuery, MsgAdminResize, MsgBirthGrant, MsgUniverse)
+		MsgAdminResize != 15 || MsgBirthGrant != 19 || MsgUniverse != 20 || MsgInterest != 21 {
+		t.Errorf("frame types moved: query-result=%d ship-updates=%d shard-query=%d admin-resize=%d birth-grant=%d universe=%d interest=%d, want 2, 4, 13, 15, 19, 20, 21",
+			MsgQueryResult, MsgShipUpdates, MsgShardQuery, MsgAdminResize, MsgBirthGrant, MsgUniverse, MsgInterest)
 	}
 	for _, typ := range []byte{3, 14} {
 		// Length 2: the type, request ID 0, no body.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -174,6 +175,15 @@ func universeFrames() []Frame {
 	}
 }
 
+// interestFrames are a subscriber's registration and the repository's
+// echo of it, kept out of seedFrames like universeFrames.
+func interestFrames() []Frame {
+	return []Frame{
+		{Type: MsgInterest, Body: InterestMsg{Objects: []model.ObjectID{3, 69, 1, 4096}}},
+		{Type: MsgInterest, Body: InterestMsg{}},
+	}
+}
+
 // oversizedRoleHello is a well-framed Hello whose Role length claims
 // 2^40 bytes, far more than the frame has: decoding must fail on the
 // length, before allocating for it.
@@ -246,7 +256,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, seed := range streamSeeds(f) {
 		f.Add(seed)
 	}
-	for _, fr := range append(seedFrames(), universeFrames()...) {
+	for _, fr := range slices.Concat(seedFrames(), universeFrames(), interestFrames()) {
 		one := encodeFrames(f, fr)
 		f.Add(one)
 		f.Add(one[:len(one)*2/3])                              // truncated inside the body
@@ -267,7 +277,7 @@ func FuzzDecodeFrame(f *testing.F) {
 // tier-1 CI too.
 func TestDecodeFrameSeedCorpus(t *testing.T) {
 	cases := streamSeeds(t)
-	for _, fr := range append(seedFrames(), universeFrames()...) {
+	for _, fr := range slices.Concat(seedFrames(), universeFrames(), interestFrames()) {
 		one := encodeFrames(t, fr)
 		cases = append(cases, one)
 		for cut := 1; cut < len(one); cut += 7 {
@@ -324,7 +334,10 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 	objectDataFlip[len(objectDataFlip)/2] ^= 0x55    // corrupt mid-batch
 	universe := encodeFrames(t, universeFrames()...) // request and reply
 	universeFlip := bytes.Clone(universe)
-	universeFlip[len(universeFlip)/4] ^= 0x55 // corrupt inside the reply's survey config
+	universeFlip[len(universeFlip)/4] ^= 0x55        // corrupt inside the reply's survey config
+	interest := encodeFrames(t, interestFrames()...) // registration and echo
+	interestFlip := bytes.Clone(interest)
+	interestFlip[len(interestFlip)/3] ^= 0x55 // corrupt inside the registered IDs
 	entries := map[string][]byte{
 		"valid-v3-stream":              valid,
 		"truncated-v3-birth":           oneBirth[:len(oneBirth)*2/3],
@@ -345,6 +358,9 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 		"valid-v3-universe":            universe,
 		"truncated-v3-universe":        universe[:len(universe)*2/3], // stream ends inside the reply's births
 		"bitflip-v3-universe":          universeFlip,
+		"valid-v3-interest":            interest,
+		"truncated-v3-interest":        interest[:len(interest)/2], // stream ends inside the registered IDs
+		"bitflip-v3-interest":          interestFlip,
 	}
 	for name, data := range entries {
 		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)

@@ -206,6 +206,11 @@ const (
 	// survey config and every birth (client, cache or router →
 	// repository, the middle two forwarding to theirs).
 	MsgUniverse
+	// MsgInterest registers object IDs on an invalidation stream
+	// (subscriber → repository): from its first one on, the stream
+	// carries only the notices of registered objects. The repository
+	// echoes each in-stream, with no IDs.
+	MsgInterest
 )
 
 // msgNames is indexed by MsgType.
@@ -218,7 +223,7 @@ var msgNames = [...]string{
 	MsgShardQuery: "shard-query", MsgAdminResize: "admin-resize",
 	MsgRebalanceStatus: "rebalance-status", MsgReshard: "reshard",
 	MsgObjectBirth: "object-birth", MsgBirthGrant: "birth-grant",
-	MsgUniverse: "universe",
+	MsgUniverse: "universe", MsgInterest: "interest",
 }
 
 // String implements fmt.Stringer.
@@ -543,6 +548,13 @@ type BirthGrantMsg struct {
 type UniverseMsg struct {
 	Survey catalog.Config
 	Births []model.Birth
+}
+
+// InterestMsg is what an invalidation subscriber registers: objects
+// whose notices it needs. Registrations only add; a stream that never
+// sends one carries every notice.
+type InterestMsg struct {
+	Objects []model.ObjectID
 }
 
 // FetchUniverse asks sess's peer for its universe.

@@ -151,8 +151,8 @@ func TestMsgTypeString(t *testing.T) {
 	if MsgReshard.String() != "reshard" || MsgBirthGrant.String() != "birth-grant" {
 		t.Error("rebalance message names wrong")
 	}
-	if MsgUniverse.String() != "universe" {
-		t.Error("universe message name wrong")
+	if MsgUniverse.String() != "universe" || MsgInterest.String() != "interest" {
+		t.Error("universe or interest message name wrong")
 	}
 	if MsgType(200).String() != "msg(200)" {
 		t.Error("unknown message rendering wrong")

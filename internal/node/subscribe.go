@@ -2,9 +2,10 @@ package node
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"github.com/deltacache/delta/internal/core"
+	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
 	"github.com/deltacache/delta/internal/obs"
 )
@@ -37,6 +38,15 @@ type StreamHandler struct {
 // set, MsgReshard); the repository echoes each one in-stream. Echoes
 // are counted per connection, so a wait for the echo of a frame sent
 // on a connection that has since died ends with that connection.
+//
+// A consumer may also scope the stream to the objects it registers
+// (Register, MsgInterest): from the first registration the repository
+// installs, it withholds every notice on an object not registered. The
+// bookkeeping is a core.Interest, which a pump goroutine drives: it
+// sends the pending registrations as one frame, at most one in flight,
+// and an object is confirmed only when that frame's echo comes back. A
+// gap resets it, because the new stream carries every notice until its
+// own first registration.
 type Subscription struct {
 	// Mutex serializes Sends with the connection swap of a resume, so
 	// a frame, the wait for its echo and whatever the consumer does
@@ -47,21 +57,53 @@ type Subscription struct {
 	cfg  netproto.SessionConfig
 	h    StreamHandler
 	gaps *obs.Counter
-	cur  *stream // swapped under the lock, by the receive goroutine only
+	// wmu orders every frame onto the current connection and guards
+	// cur: Sends hold it inside the lock above, the pump's registrations
+	// without it, and a resume swaps cur under both.
+	wmu sync.Mutex
+	cur *stream
+
+	// imu guards interest and changed, which is closed and replaced
+	// whenever a batch settles or a gap resets the interest. wake holds
+	// a token when the pump has work.
+	imu      sync.Mutex
+	interest *core.Interest
+	changed  chan struct{}
+	wake     chan struct{}
 }
 
 // stream is one connection's life: the frames sent on it and the
-// echoes that came back.
+// echoes that came back. A reshard and the pump may each wait for an
+// echo at once, so every echo wakes every waiter.
 type stream struct {
-	c      *netproto.Conn
-	sent   uint64        // under the subscription's lock
-	echoed atomic.Uint64 // in send order
-	wake   chan struct{} // holds a token once an echo has arrived
-	lost   chan struct{} // closed when the receive loop leaves c
+	c    *netproto.Conn
+	sent uint64 // under the subscription's wmu
+	mu   sync.Mutex
+	// echoed counts the echoes, in send order; arrived is closed and
+	// replaced at each one.
+	echoed  uint64
+	arrived chan struct{}
+	lost    chan struct{} // closed when the receive loop leaves c
 }
 
 func newStream(c *netproto.Conn) *stream {
-	return &stream{c: c, wake: make(chan struct{}, 1), lost: make(chan struct{})}
+	return &stream{c: c, arrived: make(chan struct{}), lost: make(chan struct{})}
+}
+
+// echoes reports how many echoes have arrived, and a channel closed at
+// the next one.
+func (st *stream) echoes() (uint64, <-chan struct{}) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.echoed, st.arrived
+}
+
+func (st *stream) echo() {
+	st.mu.Lock()
+	st.echoed++
+	close(st.arrived)
+	st.arrived = make(chan struct{})
+	st.mu.Unlock()
 }
 
 // Subscribe dials addr's invalidation stream and returns once the
@@ -69,7 +111,12 @@ func newStream(c *netproto.Conn) *stream {
 // before it acks, so every update applied after Subscribe returns is
 // delivered. It also declares the node's delta_invalidation_gaps_total.
 func (n *Node) Subscribe(addr string, cfg netproto.SessionConfig, h StreamHandler) (*Subscription, error) {
-	s := &Subscription{n: n, addr: addr, cfg: cfg, h: h}
+	s := &Subscription{
+		n: n, addr: addr, cfg: cfg, h: h,
+		interest: core.NewInterest(),
+		changed:  make(chan struct{}),
+		wake:     make(chan struct{}, 1),
+	}
 	c, err := s.dial()
 	if err != nil {
 		return nil, err
@@ -79,6 +126,7 @@ func (n *Node) Subscribe(addr string, cfg netproto.SessionConfig, h StreamHandle
 	s.gaps = n.Reg.NewCounter("delta_invalidation_gaps_total",
 		"Invalidation streams lost while not closing; each is followed by a resubscribe.")
 	n.Go(s.run)
+	n.Go(s.pump)
 	n.Go(func() {
 		<-n.stop
 		s.Lock()
@@ -95,10 +143,14 @@ type Echo struct {
 	seq uint64
 }
 
-// Send puts f on the current connection; the caller holds the lock. A
-// frame that cannot be sent closes the connection, and the gap path
-// takes over.
+// Send puts f on the current connection. A consumer holds the lock
+// around it, so that the frame, the wait for its echo and what it does
+// after all happen on one connection; the pump's registrations need no
+// such guarantee and do not take it. A frame that cannot be sent closes
+// the connection, and the gap path takes over.
 func (s *Subscription) Send(f netproto.Frame) Echo {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	st := s.cur
 	st.sent++
 	if err := st.c.Send(f); err != nil {
@@ -109,17 +161,135 @@ func (s *Subscription) Send(f netproto.Frame) Echo {
 }
 
 // Wait returns once the repository has echoed the frame, its
-// connection is lost, or the node is closing.
-func (e Echo) Wait() {
-	for e.st.echoed.Load() < e.seq {
+// connection is lost, or the node is closing, and reports whether the
+// echo came.
+func (e Echo) Wait() bool {
+	for {
+		n, arrived := e.st.echoes()
+		if n >= e.seq {
+			return true
+		}
 		select {
-		case <-e.st.wake:
+		case <-arrived:
 		case <-e.st.lost:
-			return
+			n, _ := e.st.echoes()
+			return n >= e.seq
 		case <-e.s.n.stop:
-			return
+			return false
 		}
 	}
+}
+
+// Register registers ids on the stream, unless they already are, and
+// reports whether every one is confirmed: its registration echoed on
+// the current connection. It does not wait; AwaitConfirmed does.
+func (s *Subscription) Register(ids []model.ObjectID) bool {
+	s.imu.Lock()
+	confirmed := s.interest.Want(ids)
+	s.imu.Unlock()
+	if !confirmed {
+		s.wakePump()
+	}
+	return confirmed
+}
+
+// Confirmed reports whether every id is confirmed, registering none,
+// and the generation the answer holds for: a gap moves it on (Gen).
+func (s *Subscription) Confirmed(ids []model.ObjectID) (gen uint64, ok bool) {
+	s.imu.Lock()
+	defer s.imu.Unlock()
+	return s.interest.Gen(), s.interest.Confirmed(ids)
+}
+
+// Gen is the generation of the registrations; each gap moves it on.
+func (s *Subscription) Gen() uint64 {
+	s.imu.Lock()
+	defer s.imu.Unlock()
+	return s.interest.Gen()
+}
+
+// AwaitConfirmed registers ids and waits until every one is confirmed.
+// It reports false when a gap resets the registrations first, or the
+// node closes: the consumer's gap path then owns whatever it was about
+// to do.
+func (s *Subscription) AwaitConfirmed(ids []model.ObjectID) bool {
+	s.imu.Lock()
+	gen := s.interest.Gen()
+	for !s.interest.Want(ids) {
+		ch := s.changed
+		s.imu.Unlock()
+		s.wakePump()
+		select {
+		case <-ch:
+		case <-s.n.stop:
+			return false
+		}
+		s.imu.Lock()
+		if s.interest.Gen() != gen {
+			s.imu.Unlock()
+			return false
+		}
+	}
+	s.imu.Unlock()
+	return true
+}
+
+func (s *Subscription) wakePump() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// pump sends the pending registrations, one batch at a time, until the
+// node closes.
+func (s *Subscription) pump() {
+	for {
+		select {
+		case <-s.wake:
+		case <-s.n.stop:
+			return
+		}
+		for s.flushInterest() {
+		}
+	}
+}
+
+// flushInterest sends the pending registrations as one frame and waits
+// for its echo. It reports false when nothing was sent or the echo did
+// not come; a dead connection waits for its resume, which wakes the
+// pump again.
+func (s *Subscription) flushInterest() bool {
+	s.wmu.Lock()
+	st := s.cur
+	s.wmu.Unlock()
+	select {
+	case <-st.lost:
+		return false
+	default:
+	}
+	s.imu.Lock()
+	batch, gen, ok := s.interest.Next()
+	s.imu.Unlock()
+	if !ok {
+		return false
+	}
+	echoed := s.Send(netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{Objects: batch}}).Wait()
+	s.imu.Lock()
+	if echoed {
+		s.interest.Echoed(gen)
+	} else {
+		s.interest.Lost(gen)
+	}
+	s.settledLocked()
+	s.imu.Unlock()
+	return echoed
+}
+
+// settledLocked wakes every AwaitConfirmed; imu is held.
+func (s *Subscription) settledLocked() {
+	close(s.changed)
+	s.changed = make(chan struct{})
 }
 
 // run receives until the node closes, taking the gap path each time the
@@ -137,6 +307,10 @@ func (s *Subscription) run() {
 		s.gaps.Inc()
 		s.n.logf("%s: invalidation stream lost: %v; resubscribing", s.n.name, err)
 		s.h.Gap()
+		s.imu.Lock()
+		s.interest.Reset()
+		s.settledLocked()
+		s.imu.Unlock()
 		c := s.redial()
 		if c == nil {
 			return
@@ -149,30 +323,29 @@ func (s *Subscription) run() {
 			return
 		default:
 		}
+		s.wmu.Lock()
 		s.cur = newStream(c)
+		s.wmu.Unlock()
 		s.h.Resume(s)
 		s.Unlock()
+		s.wakePump() // registrations made during the gap go out now
 		s.n.logf("%s: invalidation stream resumed", s.n.name)
 	}
 }
 
 // receive delivers st's frames until its connection fails, counting
-// echoes (MsgReshard) instead of delivering them.
+// echoes (MsgReshard, MsgInterest) instead of delivering them.
 func (s *Subscription) receive(st *stream) error {
 	for {
 		f, err := st.c.Recv()
 		if err != nil {
 			return err
 		}
-		if f.Type != netproto.MsgReshard {
+		if f.Type != netproto.MsgReshard && f.Type != netproto.MsgInterest {
 			s.h.Frame(f)
 			continue
 		}
-		st.echoed.Add(1)
-		select {
-		case st.wake <- struct{}{}:
-		default:
-		}
+		st.echo()
 	}
 }
 

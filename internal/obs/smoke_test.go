@@ -75,6 +75,7 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_repo_query_seconds",
 		"delta_repo_load_seconds",
 		"delta_repo_notices_total",
+		"delta_repo_notices_filtered_total",
 		"delta_journal_fsync_seconds",
 	)
 	absent(t, "repository", families,
@@ -116,7 +117,7 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		return mw
 	}
 	mw := cacheNode(false, "127.0.0.1:0")
-	scrapeAfterQuery(t, "cache", mw.Addr(), mw.DebugAddr(), survey.Objects()[0].ID, true,
+	families, _ = scrapeAfterQuery(t, "cache", mw.Addr(), mw.DebugAddr(), survey.Objects()[0].ID, true,
 		"delta_queries_total",
 		"delta_queries_at_cache_total",
 		"delta_queries_shipped_total",
@@ -142,6 +143,9 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_journal_fsync_seconds",
 		"delta_invalidation_gaps_total",
 	)
+	// Only the repository withholds notices; the nodes it spares count
+	// nothing of it.
+	absent(t, "cache", families, "delta_repo_notices_total", "delta_repo_notices_filtered_total")
 
 	shard := cacheNode(true, "")
 	own, err := core.NewOwnership(survey.Objects(), 1, 1)
@@ -193,6 +197,8 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_journal_records",
 		"delta_recovered_warm",
 		"delta_shard_up",
+		"delta_repo_notices_total",
+		"delta_repo_notices_filtered_total",
 	)
 	if got, want := families["delta_router_queries_total"].Samples["delta_router_queries_total"], float64(router.Queries()); got != want {
 		t.Errorf("delta_router_queries_total = %v, router counted %v", got, want)

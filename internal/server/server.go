@@ -71,21 +71,59 @@ type Repository struct {
 
 	// Counters and gauges, declared on Reg in New; their help strings
 	// there say what each counts. Stats reads them.
-	queries, notices, droppedInvalidations, objectsBorn *obs.Counter
-	recoveredBirths                                     *obs.Gauge
-	execLat, loadLat, fsyncLat                          *obs.Histogram
+	queries, notices, filtered, droppedInvalidations, objectsBorn *obs.Counter
+	recoveredBirths                                               *obs.Gauge
+	execLat, loadLat, fsyncLat                                    *obs.Histogram
 }
 
 // subscriber is one invalidation stream: the frames queued to it —
 // update notices (MsgInvalidate), new-object announcements
-// (MsgObjectBirth) and filter echoes (MsgReshard) — and the filter its
-// cluster shard installed.
+// (MsgObjectBirth) and echoes (MsgReshard, MsgInterest) — the filter
+// its cluster shard installed, and the objects it registered.
 type subscriber struct {
 	ch chan netproto.Frame
 	c  *netproto.Conn
 	// filter is nil until the subscriber sends its owned set; nil passes
 	// every notice and announcement.
 	filter *noticeFilter
+	// interest is nil until the subscriber's first registration; nil
+	// passes every notice. It only grows.
+	interest interestSet
+}
+
+// interestSet holds the objects a subscriber registered (MsgInterest),
+// bit id-1 per object.
+type interestSet []uint64
+
+// add registers ids, ignoring any outside the universe: a subscriber
+// learns an object only from the repository, so it cannot name one the
+// repository does not have, and the bitset stays bounded by the
+// universe whatever the peer sent.
+func (s interestSet) add(ids []model.ObjectID, universe int) interestSet {
+	if s == nil {
+		s = make(interestSet, 0, (universe+63)/64)
+	}
+	for _, id := range ids {
+		if id < 1 || int(id) > universe {
+			continue
+		}
+		i := int(id - 1)
+		if w := i/64 + 1; w > len(s) {
+			s = append(s, make(interestSet, w-len(s))...)
+		}
+		s[i/64] |= 1 << (i % 64)
+	}
+	return s
+}
+
+// passes reports whether an update on obj is sent to the subscriber.
+// A nil set passes everything.
+func (s interestSet) passes(obj model.ObjectID) bool {
+	if s == nil {
+		return true
+	}
+	i := int(obj - 1)
+	return i >= 0 && i/64 < len(s) && s[i/64]&(1<<(i%64)) != 0
 }
 
 // noticeFilter is a cluster shard's view of the update stream: the
@@ -151,7 +189,9 @@ func New(cfg Config) (*Repository, error) {
 	r.fsyncLat = r.Reg.NewHistogram("delta_journal_fsync_seconds",
 		"Durability journal fsync latency.")
 	r.notices = r.Reg.NewCounter("delta_repo_notices_total",
-		"Update notices queued to invalidation subscribers, after each subscriber's ownership filter.")
+		"Update notices queued to invalidation subscribers, after each subscriber's ownership filter and registered interest.")
+	r.filtered = r.Reg.NewCounter("delta_repo_notices_filtered_total",
+		"Update notices withheld from an invalidation subscriber because it had not registered the object; never a dropped notice.")
 	r.queries = r.Reg.NewCounter("delta_queries_total",
 		"Query requests this repository received, from caches and clients, refused ones included.")
 	r.droppedInvalidations = r.Reg.NewCounter("delta_dropped_invalidations_total",
@@ -255,14 +295,19 @@ func (r *Repository) closeSubscribers() {
 // enters the repository: the pipeline runs in process (delta-server
 // -pipeline-rate, the benchmark's trace replay, tests), and no frame
 // carries updates in. This is the stream's one broadcast point for
-// notices: each goes to the subscribers whose filter passes its object.
+// notices: each goes to the subscribers whose filter and interest pass
+// its object.
 func (r *Repository) ApplyUpdate(u model.Update) {
 	f := netproto.Frame{Type: netproto.MsgInvalidate, Body: netproto.InvalidateMsg{Update: u}}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.updates[u.ID] = u
 	for id, s := range r.subscribers {
-		if s.filter.passes(u.Object) && r.enqueueLocked(id, s, f) {
+		switch {
+		case !s.filter.passes(u.Object):
+		case !s.interest.passes(u.Object):
+			r.filtered.Inc()
+		case r.enqueueLocked(id, s, f):
 			r.notices.Inc()
 		}
 	}
@@ -338,8 +383,8 @@ func (r *Repository) AddObjects(births []model.Birth) (int, error) {
 // that subscriber. A writer goroutine then sends the queued frames while
 // this one watches the read side, so a subscriber that leaves gives up
 // its slot at once — not when the next notice, which may never come,
-// fails to send. The only frame a subscriber may send is its owned set
-// (installFilter).
+// fails to send. A subscriber may send its owned set (installFilter)
+// and its registrations (addInterest), nothing else.
 func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) error {
 	ch := make(chan netproto.Frame, 1024)
 	r.mu.Lock()
@@ -378,7 +423,7 @@ func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) 
 	for err == nil {
 		var f netproto.Frame
 		if f, err = c.Recv(); err == nil {
-			err = r.installFilter(id, f)
+			err = r.subscriberFrame(id, f)
 		}
 	}
 	unregister() // closes ch: the writer's range ends
@@ -390,18 +435,28 @@ func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) 
 	return netproto.IgnoreClosed(err)
 }
 
-// installFilter serves a frame subscriber id sent on its stream, which
-// must be a cluster shard's owned set (MsgReshard): the filter replaces
-// the subscriber's old one, and the frame's Epoch and effective Horizon
-// are echoed back in-stream. Every notice queued before the echo passed
-// the old filter and every notice after it passes the new one, so a
-// shard that waits for the echo knows when a widened set is in force.
-// An echo that finds the buffer full cuts the stream like any frame.
-func (r *Repository) installFilter(id int, f netproto.Frame) error {
-	body, ok := f.Body.(netproto.ReshardMsg)
-	if !ok {
+// subscriberFrame serves a frame subscriber id sent on its stream.
+func (r *Repository) subscriberFrame(id int, f netproto.Frame) error {
+	switch body := f.Body.(type) {
+	case netproto.ReshardMsg:
+		r.installFilter(id, body)
+	case netproto.InterestMsg:
+		r.addInterest(id, body.Objects)
+	default:
 		return fmt.Errorf("server: invalidation subscriber sent %s", f.Type)
 	}
+	return nil
+}
+
+// installFilter installs a cluster shard's owned set, sent on its
+// stream (MsgReshard): the filter replaces the subscriber's old one, and
+// the frame's Epoch and effective Horizon are echoed back in-stream.
+// Every notice queued before the echo passed the old filter and every
+// notice after it passes the new one, so a shard that waits for the
+// echo knows when a widened set is in force. An echo that finds the
+// buffer full cuts the stream like any frame, closing its connection,
+// so the next Recv fails.
+func (r *Repository) installFilter(id int, body netproto.ReshardMsg) {
 	filter := newNoticeFilter(body.Owned, body.Horizon, r.cfg.Survey.NumObjects())
 	echo := netproto.Frame{Type: netproto.MsgReshard, Body: netproto.ReshardMsg{
 		Epoch:   body.Epoch,
@@ -409,13 +464,26 @@ func (r *Repository) installFilter(id int, f netproto.Frame) error {
 	}}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.subscribers[id]
-	if !ok {
-		return nil // closing or cut: the next Recv fails
+	if s, ok := r.subscribers[id]; ok { // else closing or cut: the next Recv fails
+		s.filter = filter
+		r.enqueueLocked(id, s, echo)
 	}
-	s.filter = filter
-	r.enqueueLocked(id, s, echo) // a cut closes c: the next Recv fails
-	return nil
+}
+
+// addInterest adds a subscriber's registrations to its interest set and
+// echoes the frame in-stream, with no IDs. Like the filter's echo, it
+// is queued behind every notice the old set passed and ahead of every
+// notice the grown set passes. The first registration turns the
+// subscriber's unfiltered stream into a scoped one.
+func (r *Repository) addInterest(id int, ids []model.ObjectID) {
+	universe := r.cfg.Survey.NumObjects()
+	echo := netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{}}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s, ok := r.subscribers[id]; ok {
+		s.interest = s.interest.add(ids, universe)
+		r.enqueueLocked(id, s, echo)
+	}
 }
 
 // handleRequest executes one request frame and builds its reply (the

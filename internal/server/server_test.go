@@ -137,6 +137,104 @@ func TestNoticeFilterAndEcho(t *testing.T) {
 	}
 }
 
+// TestInterestScopesNotices: a subscriber's registrations (MsgInterest)
+// are echoed in-stream, and from the first one on it gets a notice only
+// on a registered object that its owned filter, if any, also passes.
+// Withheld notices count in delta_repo_notices_filtered_total; one the
+// owned filter stops does not. IDs outside the universe are ignored, and
+// a registered newborn is heard like any object.
+func TestInterestScopesNotices(t *testing.T) {
+	repo := testRepo(t)
+	if err := repo.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	subscribe := func() *netproto.Conn {
+		nc, err := net.Dial("tcp", repo.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		return handshake(t, nc, "invalidations")
+	}
+	recv := func(c *netproto.Conn) any {
+		t.Helper()
+		f, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.Body
+	}
+	send := func(c *netproto.Conn, f netproto.Frame) {
+		t.Helper()
+		if err := c.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register := func(c *netproto.Conn, ids ...model.ObjectID) {
+		t.Helper()
+		send(c, netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{Objects: ids}})
+		if echo, ok := recv(c).(netproto.InterestMsg); !ok || len(echo.Objects) != 0 {
+			t.Fatalf("echo = %+v, want an empty registration", echo)
+		}
+	}
+	update := model.UpdateID(0)
+	apply := func(objs ...model.ObjectID) {
+		for _, obj := range objs {
+			update++
+			repo.ApplyUpdate(model.Update{ID: update, Object: obj, Cost: 1, Time: time.Second})
+		}
+	}
+	wantNotices := func(c *netproto.Conn, objs ...model.ObjectID) {
+		t.Helper()
+		for _, obj := range objs {
+			if inv, ok := recv(c).(netproto.InvalidateMsg); !ok || inv.Update.Object != obj {
+				t.Fatalf("got %+v, want the notice on object %d", inv, obj)
+			}
+		}
+	}
+	filtered := func() float64 { return repo.Stats().Metric("delta_repo_notices_filtered_total") }
+
+	router, shard := subscribe(), subscribe()
+	send(shard, netproto.Frame{Type: netproto.MsgReshard, Body: netproto.ReshardMsg{Epoch: 1, Owned: []model.ObjectID{3, 4}, Horizon: 12}})
+	if _, ok := recv(shard).(netproto.ReshardMsg); !ok {
+		t.Fatal("no filter echo")
+	}
+	// Unregistered, both streams are whole (the shard's, after its filter).
+	apply(3, 5)
+	wantNotices(router, 3, 5)
+	wantNotices(shard, 3)
+	register(router, 3, 0, 200)
+	register(shard, 4, 5)
+	apply(3, 4, 5, 200)
+	wantNotices(router, 3)
+	wantNotices(shard, 4)
+	// Withheld: 4, 5 and 200 from the router, 3 and 200 from the shard.
+	// The shard's filter stops 5 before interest is asked; 200 lies
+	// above its horizon.
+	if got := filtered(); got != 5 {
+		t.Errorf("delta_repo_notices_filtered_total = %v, want 5", got)
+	}
+	if got := repo.Stats().Metric("delta_dropped_invalidations_total"); got != 0 {
+		t.Errorf("withheld notices counted as dropped: %v", got)
+	}
+
+	// A newborn is announced as before; once registered, it is heard.
+	if _, err := repo.AddObjects([]model.Birth{{Object: model.Object{ID: 13, Size: cost.MB}, RA: 1, Dec: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := recv(router).(netproto.ObjectBirthMsg); !ok {
+		t.Fatal("the router missed the announcement")
+	}
+	apply(13)
+	register(router, 13)
+	register(shard, 13)
+	apply(13, 3)
+	wantNotices(router, 13, 3)
+	wantNotices(shard, 13)
+}
+
 // handshake opens a raw connection the way every dialer must: Hello
 // announcing v3, then the ack. For "invalidations" the ack means the
 // repository has registered the subscriber.
