@@ -98,10 +98,19 @@ func (p *decisionLog) Preload() ([]model.ObjectID, bool) {
 	return nil, false
 }
 
-// ScopedNotices forwards the policy's own answer, so a scoped policy's
-// node registers interest behind the log as it would bare.
-func (p *decisionLog) ScopedNotices() bool {
-	return core.OptionalOf(p.Policy).ScopedNotices
+// scopedLog is a decisionLog that keeps its policy's ScopedNotices
+// marker, so a scoped policy's node registers interest behind the log
+// as it would bare.
+type scopedLog struct{ *decisionLog }
+
+func (scopedLog) ScopedNotices() {}
+
+// live is the log as a node's policy: scoped when its policy is.
+func (p *decisionLog) live() core.Policy {
+	if core.OptionalOf(p.Policy).ScopedNotices {
+		return scopedLog{p}
+	}
+	return p
 }
 
 // last returns the newest entry, if any.
@@ -212,7 +221,7 @@ func TestLiveDecisionsMatchSim(t *testing.T) {
 			got := &decisionLog{Policy: tc.policy()}
 			m, err := New(Config{
 				RepoAddr: repo.Addr(),
-				Policy:   got,
+				Policy:   got.live(),
 				Objects:  survey.Objects(),
 				Capacity: capacity,
 				Scale:    netproto.DefaultScale(),

@@ -36,22 +36,45 @@ func (l *noticeLog) snapshot() []model.UpdateID {
 }
 
 // loggingVCover is VCover (so the shard can grow and reshard) with its
-// notices logged.
+// notices logged. It forwards VCover's methods by hand, as a timing
+// decorator does, so it hides VCover's ScopedNotices marker: its shard
+// hears every owned notice, the stream the ownership oracle decides by.
+// scopedLoggingVCover keeps the marker.
 type loggingVCover struct {
-	*core.VCover
+	vc  *core.VCover
 	log *noticeLog
 }
 
-// ScopedNotices keeps the log on the full owned stream: the oracles
-// decide which notices reach a shard by ownership alone.
-func (loggingVCover) ScopedNotices() bool { return false }
+func newLoggingVCover(log *noticeLog) loggingVCover {
+	return loggingVCover{vc: core.NewVCover(core.DefaultVCoverConfig()), log: log}
+}
+
+func (p loggingVCover) Name() string { return p.vc.Name() }
+func (p loggingVCover) Init(objects []model.Object, capacity cost.Bytes) error {
+	return p.vc.Init(objects, capacity)
+}
+func (p loggingVCover) OnQuery(q *model.Query) (core.Decision, error) { return p.vc.OnQuery(q) }
+func (p loggingVCover) AddObjects(objs []model.Object) (core.Decision, error) {
+	return p.vc.AddObjects(objs)
+}
+func (p loggingVCover) Warm(ids []model.ObjectID) ([]model.ObjectID, error) { return p.vc.Warm(ids) }
+func (p loggingVCover) Forget(ids []model.ObjectID, capacity cost.Bytes) (core.Decision, error) {
+	return p.vc.Forget(ids, capacity)
+}
 
 func (p loggingVCover) OnUpdate(u *model.Update) (core.Decision, error) {
 	p.log.mu.Lock()
 	p.log.ids = append(p.log.ids, u.ID)
 	p.log.mu.Unlock()
-	return p.VCover.OnUpdate(u)
+	return p.vc.OnUpdate(u)
 }
+
+// scopedLoggingVCover is loggingVCover with VCover's ScopedNotices
+// marker kept: its shard registers the objects it sees and hears only
+// their notices, as a bare VCover shard does.
+type scopedLoggingVCover struct{ loggingVCover }
+
+func (scopedLoggingVCover) ScopedNotices() {}
 
 // filterModel is the oracle: today's shard behind a full stream, which
 // applies a notice iff the shard owns the object when it arrives. known
@@ -299,7 +322,7 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 		log := &noticeLog{}
 		mw, err := cache.New(cache.Config{
 			RepoAddr:        proxy.ln.Addr().String(),
-			Policy:          loggingVCover{VCover: core.NewVCover(core.DefaultVCoverConfig()), log: log},
+			Policy:          newLoggingVCover(log),
 			Objects:         base,
 			Shard:           true,
 			Capacity:        survey.TotalSize(),
@@ -433,7 +456,7 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 // its node registers interest as a VCover node does.
 type scopedScript struct{ *sim.Scripted }
 
-func (scopedScript) ScopedNotices() bool { return true }
+func (scopedScript) ScopedNotices() {}
 
 // orderingRepository starts a 16-object repository and a cutProxy in
 // front of it.
@@ -593,25 +616,23 @@ func awaitRouterHit(t *testing.T, cl *client.Client, router *cluster.Router, q m
 	}
 }
 
-// TestRouterCachesOnlyConfirmedFlights: with its registration's echo
-// held, a router query over objects it has never seen is answered, but
-// by a scatter of its own: it is not cached, and an identical query
-// arriving while it is in flight scatters too instead of joining it.
-// Once the echo is released, the same query is cached.
-func TestRouterCachesOnlyConfirmedFlights(t *testing.T) {
+// TestRouterWaitsForInterestEcho: a router query over objects it has
+// never seen registers them and waits for the registration's echo
+// before it may lead, join or hit a flight. With the echo held, neither
+// it nor an identical query that arrives beside it reaches the shard or
+// answers. Once released, the shard decides one of them, the other
+// joins that flight or hits its cached result, and the next hits.
+func TestRouterWaitsForInterestEcho(t *testing.T) {
 	survey, repo, proxy := orderingRepository(t)
 	var armed atomic.Bool
-	policy := gatedReplica{Replica: core.NewReplica(), armed: &armed, entered: make(chan struct{}, 4), gate: make(chan struct{})}
+	armed.Store(true)
+	open := make(chan struct{})
+	close(open)
+	policy := gatedReplica{Replica: core.NewReplica(), armed: &armed, entered: make(chan struct{}, 4), gate: open}
 	_, router := orderingCluster(t, survey, repo, proxy, policy)
-	cl, err := client.Dial(router.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 	q := model.Query{Objects: []model.ObjectID{2, 5}, Cost: 2 * cost.MB, Tolerance: model.AnyStaleness}
 
 	proxy.hold()
-	armed.Store(true)
 	done := make(chan error, 2)
 	ask := func() {
 		c, err := client.Dial(router.Addr())
@@ -622,42 +643,60 @@ func TestRouterCachesOnlyConfirmedFlights(t *testing.T) {
 		done <- err
 	}
 	go ask()
-	<-policy.entered // the first query is in flight at the shard
 	go ask()
 	for deadline := time.Now().Add(5 * time.Second); router.Queries() != 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the second query never reached the router")
+			t.Fatal("the queries never reached the router")
 		}
 	}
-	// Time for the second to join the first's flight, were it allowed:
-	// joining takes microseconds once the router has it.
+	// Time for either to reach the shard, were it allowed: a scatter
+	// takes well under a millisecond here.
 	time.Sleep(50 * time.Millisecond)
-	close(policy.gate)
+	if n := len(policy.entered); n != 0 {
+		t.Fatalf("the shard decided %d queries before their objects' registration was echoed", n)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("a query answered (%v) before its objects' registration was echoed", err)
+	default:
+	}
+	proxy.release()
 	for range 2 {
-		if err := <-done; err != nil {
-			t.Fatal(err)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a query never answered after the echo was released")
 		}
 	}
-	armed.Store(false)
 	if n := len(policy.entered); n != 1 {
-		t.Errorf("the shard decided %d queries beside the first, want 1: the second joined the first's flight", n)
+		t.Errorf("the shard decided %d of the two queries, want 1: the other joins or hits", n)
 	}
+	if shared := router.ResultCacheHits() + router.Coalesced(); shared != 1 {
+		t.Errorf("%d of the two queries were shared, want 1", shared)
+	}
+	cl, err := client.Dial(router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	hits := router.ResultCacheHits()
 	if _, err := cl.Query(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	if hits, joined := router.ResultCacheHits(), router.Coalesced(); hits != 0 || joined != 0 {
-		t.Errorf("over unconfirmed objects: %d result-cache hits and %d coalesced, want none", hits, joined)
+	if router.ResultCacheHits() != hits+1 {
+		t.Error("the query after the echo missed the result cache")
 	}
-	proxy.release()
-	awaitRouterHit(t, cl, router, q)
 }
 
 // TestGapResetsInterest: once a router's registrations are confirmed,
 // its stream withholds the notices of every other object. A gap clears
-// the confirmations: after the resume, with the new registration's echo
-// held, the same query is not cached. And the resumed stream is
-// unfiltered until its first registration: an update on an object the
-// router never registered reaches it.
+// the confirmations: the resumed stream is unfiltered until its first
+// registration, so an update on an object the router never registered
+// reaches it, and with the new registration's echo held the same query
+// waits. Released, it is answered by a scatter, not from the cache.
 func TestGapResetsInterest(t *testing.T) {
 	survey, repo, proxy := orderingRepository(t)
 	_, router := orderingCluster(t, survey, repo, proxy, core.NewReplica())
@@ -709,15 +748,28 @@ func TestGapResetsInterest(t *testing.T) {
 	}
 
 	proxy.hold()
-	defer proxy.release()
 	hits := router.ResultCacheHits()
-	for range 3 {
-		if _, err := cl.Query(ctx, q); err != nil {
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Query(ctx, q)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Errorf("after the gap, the query answered (%v) before its objects' new registration was echoed", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	proxy.release()
+	select {
+	case err := <-done:
+		if err != nil {
 			t.Fatal(err)
 		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the query never answered after the echo was released")
 	}
 	if got := router.ResultCacheHits(); got != hits {
-		t.Errorf("after the gap, with the new registration unconfirmed, the query hit the result cache %d times", got-hits)
+		t.Errorf("after the gap, the query hit the result cache %d times", got-hits)
 	}
 }
 
@@ -764,4 +816,53 @@ func TestWarmArrivalsWaitForInterestEcho(t *testing.T) {
 	if got := mw.Stats().Cached; !slices.Equal(got, []model.ObjectID{3}) {
 		t.Errorf("resident after the reshard: %v, want the warm arrival 3", got)
 	}
+}
+
+// TestScopedReshardSurvivesCut: a scoped shard's reshard holds its
+// stream's lock, under which it waits for its warm arrivals'
+// registration, while the stream's resume needs that lock to swap in a
+// new connection. A wait begun after a gap has reset the registrations
+// must therefore end with the dead connection. The stream is cut and
+// kept away from the repository until the reset is done; the reshard
+// that follows gains an object and adopts a warm arrival. It returns,
+// and once the repository is reachable again the stream resumes.
+func TestScopedReshardSurvivesCut(t *testing.T) {
+	survey, _, proxy := orderingRepository(t)
+	mw, err := cache.New(cache.Config{
+		RepoAddr: proxy.ln.Addr().String(), Policy: core.NewVCover(core.DefaultVCoverConfig()),
+		Objects: survey.Objects(), Shard: true, Capacity: survey.TotalSize(),
+		ReshardCapacity: cache.ReplicatedCapacity, Scale: netproto.PayloadScale{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mw.Close()
+	if _, _, err := mw.Reshard(0, []model.ObjectID{1, 2, 3, 4}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	proxy.awaitOpen(t)
+	gen := cache.InterestGen(mw)
+	proxy.hold()
+	proxy.cut()
+	for deadline := time.Now().Add(5 * time.Second); cache.InterestGen(mw) == gen; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the cut never reset the registrations")
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := mw.Reshard(1, []model.ObjectID{1, 2, 3, 4, 5}, nil, []model.ObjectID{3})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		proxy.release()
+		t.Fatal("the reshard never returned: it waited for a registration on the dead stream")
+	}
+	proxy.release()
+	proxy.awaitOpen(t)
 }

@@ -125,11 +125,17 @@ func randomOwned(rng *rand.Rand, n int, keep []model.ObjectID) []model.ObjectID 
 // before q.Time: shipped, or older than the object's latest load. The
 // updates are the test's own list of repository writes, not the notices
 // the shard heard, so a notice it missed or dropped counts too. Each
-// step ends with a notice on object 1, which the shard always owns, and
-// waits for it to reach the policy: the stream is FIFO, so every
-// earlier notice has been filtered or applied by then.
+// step ends with a notice on object 1, which the shard always owns and
+// registers once at the start, and waits for it to reach the policy:
+// the stream is FIFO, so every earlier notice has been filtered or
+// applied by then. The shard runs VCover scoped, as a product shard
+// does: the repository withholds the notices of objects it never
+// registered.
 func TestQuickReshardKeepsCurrency(t *testing.T) {
-	var atCache int // cache answers checked, over all trials
+	var (
+		atCache  int     // cache answers checked, over all trials
+		withheld float64 // notices the interest set withheld, over all trials
+	)
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		survey := reshardSurvey(t)
@@ -158,7 +164,7 @@ func TestQuickReshardKeepsCurrency(t *testing.T) {
 		log := &noticeLog{}
 		mw, err := cache.New(cache.Config{
 			RepoAddr:        proxy.ln.Addr().String(),
-			Policy:          loggingVCover{VCover: core.NewVCover(core.DefaultVCoverConfig()), log: log},
+			Policy:          scopedLoggingVCover{newLoggingVCover(log)},
 			Objects:         base,
 			Shard:           true,
 			Capacity:        survey.TotalSize(),
@@ -184,6 +190,10 @@ func TestQuickReshardKeepsCurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 		proxy.awaitOpen(t)
+		// The shard is scoped: the sentinel's object is registered once.
+		if !cache.AwaitRegistered(mw, keep) {
+			t.Fatal("object 1's registration was never echoed")
+		}
 		epoch := 0
 		nextQuery := model.QueryID(0)
 		for step := range 30 {
@@ -239,6 +249,7 @@ func TestQuickReshardKeepsCurrency(t *testing.T) {
 				time.Sleep(100 * time.Microsecond)
 			}
 		}
+		withheld += repo.Stats().Metric("delta_repo_notices_filtered_total")
 		if st := mw.Stats(); st.DroppedInvalidations != 0 || repo.DroppedInvalidations() != 0 {
 			t.Logf("seed %d: dropped %d at the shard, %d at the repository", seed, st.DroppedInvalidations, repo.DroppedInvalidations())
 			return false
@@ -250,6 +261,9 @@ func TestQuickReshardKeepsCurrency(t *testing.T) {
 	}
 	if atCache == 0 {
 		t.Error("no query was answered from the cache in any trial")
+	}
+	if withheld == 0 {
+		t.Error("the repository withheld no notice in any trial: the shard never ran scoped")
 	}
 }
 

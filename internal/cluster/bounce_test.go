@@ -114,7 +114,6 @@ func TestRepositoryBounceResubscribes(t *testing.T) {
 			t.Fatalf("warm-up on shard %d answered from %q, want cache", s, src)
 		}
 	}
-	cluster.AwaitRegistered(lc.Router, spanning.Objects)
 	for i := 0; i < 2; i++ {
 		if _, err := rc.Query(ctx, spanning); err != nil {
 			t.Fatal(err)

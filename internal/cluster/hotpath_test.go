@@ -38,7 +38,6 @@ func TestRouterResultCacheInvalidation(t *testing.T) {
 		Tolerance: model.AnyStaleness,
 		Time:      time.Second,
 	}
-	cluster.AwaitRegistered(lc.Router, objs)
 	if _, err := cl.Query(ctx, q); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +102,6 @@ func TestRouterResultCacheEpochFlipClears(t *testing.T) {
 		Tolerance: model.AnyStaleness,
 		Time:      time.Second,
 	}
-	cluster.AwaitRegistered(lc.Router, objs)
 	for i := 0; i < 2; i++ {
 		if _, err := cl.Query(ctx, q); err != nil {
 			t.Fatal(err)
@@ -187,7 +185,6 @@ func TestRouterResultCacheSurvivesBirth(t *testing.T) {
 		Tolerance: model.AnyStaleness,
 		Time:      time.Second,
 	}
-	cluster.AwaitRegistered(lc.Router, objs)
 	if _, err := cl.Query(ctx, q); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +219,6 @@ func TestRouterResultCacheSurvivesBirth(t *testing.T) {
 		Tolerance: model.AnyStaleness,
 		Time:      2 * time.Second,
 	}
-	cluster.AwaitRegistered(lc.Router, grown.Objects) // newborns register on adoption
 	res, err := cl.Query(ctx, grown)
 	if err != nil {
 		t.Fatalf("query naming newborn %d: %v", births[0].Object.ID, err)
@@ -271,7 +267,6 @@ func TestRouterResultCacheGapThenResume(t *testing.T) {
 		Tolerance: model.AnyStaleness,
 		Time:      time.Second,
 	}
-	cluster.AwaitRegistered(lc.Router, objs)
 	for i := 0; i < 2; i++ {
 		if _, err := cl.Query(ctx, q); err != nil {
 			t.Fatal(err)
@@ -372,7 +367,6 @@ func TestRouterCoalescesIdenticalQueries(t *testing.T) {
 		Tolerance: model.AnyStaleness,
 		Time:      time.Second,
 	}
-	cluster.AwaitRegistered(lc.Router, objs)
 	var wg sync.WaitGroup
 	errs := make([]error, crowd)
 	results := make([]*client.Result, crowd)

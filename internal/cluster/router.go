@@ -468,10 +468,11 @@ type answer struct {
 // follower, and only a genuinely novel query scatters to the shards.
 // Degraded or failed leader results are never shared — each follower
 // falls back to its own scatter — and with the result cache disabled
-// every query scatters. So does a query over an object whose
-// registration on the invalidation stream is not yet confirmed: it
-// registers the object and is answered uncached, and the first query
-// after the echo leads a flight.
+// every query scatters. A query over an object whose registration on
+// the invalidation stream is not yet confirmed first registers it and
+// waits for the echo, so a crowd over newly seen objects still
+// coalesces; only a gap during that wait, or an object outside the
+// cluster, leaves it unconfirmed, and it is answered uncached.
 func (r *Router) routeQuery(ctx context.Context, q *model.Query, traceID uint64, detail string) netproto.Frame {
 	r.queries.Inc()
 	start := time.Now()
@@ -479,13 +480,18 @@ func (r *Router) routeQuery(ctx context.Context, q *model.Query, traceID uint64,
 		return netproto.ErrorFrame("query %d accesses no objects", q.ID)
 	}
 	gen, confirmed := r.inv.Confirmed(q.Objects)
-	if !confirmed {
+	if !confirmed && r.routing.Load().own.Knows(q.Objects) {
 		// A notice on an unconfirmed object may be withheld, so a result
-		// over one is neither cached nor shared. Only objects the cluster
-		// has are registered: a client cannot grow the interest set.
-		if r.routing.Load().own.Knows(q.Objects) {
-			r.inv.Register(q.Objects)
-		}
+		// over one may be neither cached nor shared: first sight
+		// registers B(q) and waits for the echo, one repository hop.
+		// Only objects the cluster has are registered: a client cannot
+		// grow the interest set.
+		r.inv.AwaitConfirmed(q.Objects)
+		gen, confirmed = r.inv.Confirmed(q.Objects)
+	}
+	if !confirmed {
+		// Objects outside the cluster, or a gap that reset the
+		// registrations during the wait: answered uncached.
 		return r.scatterQuery(ctx, q, traceID, detail, start)
 	}
 	cached, fl, leader := r.results.Begin(q.Objects)

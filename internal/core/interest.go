@@ -2,17 +2,16 @@ package core
 
 import "github.com/deltacache/delta/internal/model"
 
-// ScopedNotices is implemented by a policy that needs the notices of
-// only the objects it holds: its OnUpdate on any other object is an
-// empty decision that changes no state (VCover, NoCache). Its node then
+// ScopedNotices marks a policy that needs the notices of only the
+// objects it holds: its OnUpdate on any other object is an empty
+// decision that changes no state (VCover, NoCache). Its node then
 // registers interest in the objects it may come to hold, and the
-// repository withholds every other notice. ScopedNotices reports
-// whether that holds, so a decorator that must see every notice, or
-// that changes what OnUpdate does, can say false. A policy that does not
-// implement it — Benefit and Replica learn from every owned notice —
-// keeps the unfiltered stream.
+// repository withholds every other notice. A policy without the marker
+// — Benefit and Replica learn from every owned notice, and a decorator
+// that forwards only the core contract hides it — keeps the unfiltered
+// stream.
 type ScopedNotices interface {
-	ScopedNotices() bool
+	ScopedNotices()
 }
 
 // Interest is one invalidation subscriber's registrations, with no I/O.

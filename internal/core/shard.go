@@ -111,8 +111,7 @@ func OptionalOf(p Policy) Optional {
 	o.Grower, _ = p.(Grower)
 	o.Warmable, _ = p.(Warmable)
 	o.Forgetter, _ = p.(Forgetter)
-	scoped, ok := p.(ScopedNotices)
-	o.ScopedNotices = ok && scoped.ScopedNotices()
+	_, o.ScopedNotices = p.(ScopedNotices)
 	return o
 }
 

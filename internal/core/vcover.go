@@ -224,9 +224,9 @@ func (p *VCover) OnUpdate(u *model.Update) (Decision, error) {
 	return Decision{}, nil
 }
 
-// ScopedNotices implements ScopedNotices: an update on an object VCover
-// does not hold is recorded nowhere.
-func (p *VCover) ScopedNotices() bool { return true }
+// ScopedNotices marks VCover scoped: an update on an object it does not
+// hold is recorded nowhere.
+func (p *VCover) ScopedNotices() {}
 
 // OnQuery implements Policy (Figure 3 of the paper).
 func (p *VCover) OnQuery(q *model.Query) (Decision, error) {

@@ -52,9 +52,9 @@ func (p *NoCache) OnUpdate(u *model.Update) (Decision, error) {
 	return Decision{}, nil
 }
 
-// ScopedNotices implements ScopedNotices: NoCache holds nothing, so it
-// needs no notice.
-func (p *NoCache) ScopedNotices() bool { return true }
+// ScopedNotices marks NoCache scoped: it holds nothing, so it needs no
+// notice.
+func (p *NoCache) ScopedNotices() {}
 
 // Replica is the second yardstick: the cache is as large as the server
 // and holds all data; every update is shipped to the cache the moment it

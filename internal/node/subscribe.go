@@ -209,10 +209,15 @@ func (s *Subscription) Gen() uint64 {
 }
 
 // AwaitConfirmed registers ids and waits until every one is confirmed.
-// It reports false when a gap resets the registrations first, or the
-// node closes: the consumer's gap path then owns whatever it was about
-// to do.
+// It reports false when the connection current at the call is lost, a
+// gap resets the registrations, or the node closes: the consumer's gap
+// path then owns whatever it was about to do. Like Echo.Wait it ends
+// with its connection, so a caller holding the lock a resume needs
+// cannot wait for a registration only the resume could send.
 func (s *Subscription) AwaitConfirmed(ids []model.ObjectID) bool {
+	s.wmu.Lock()
+	lost := s.cur.lost
+	s.wmu.Unlock()
 	s.imu.Lock()
 	gen := s.interest.Gen()
 	for !s.interest.Want(ids) {
@@ -221,6 +226,8 @@ func (s *Subscription) AwaitConfirmed(ids []model.ObjectID) bool {
 		s.wakePump()
 		select {
 		case <-ch:
+		case <-lost:
+			return false
 		case <-s.n.stop:
 			return false
 		}
