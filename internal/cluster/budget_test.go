@@ -139,3 +139,117 @@ func TestNoticeBudget(t *testing.T) {
 		})
 	}
 }
+
+// growingSkySlice is the seeded growing-sky slice both budget tests
+// replay: 500 queries, 500 updates and 20 births on budgetSurvey.
+func growingSkySlice(s *catalog.Survey) ([]model.Event, error) {
+	cfg := workload.DefaultConfig()
+	cfg.Seed = 2
+	cfg.NumQueries, cfg.NumUpdates = 500, 500
+	cfg.GrowthObjects, cfg.BirthBias = 20, 0.3
+	gen, err := workload.NewGenerator(s, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return gen.Generate()
+}
+
+// TestResizeNoticeBudget replays the growing-sky slice in lockstep
+// through a cluster that resizes live between thirds of it: 2 shards,
+// then 3, then 2 again. It reads the repository's notice counters after
+// each third, for a cluster of unscoped shards (Benefit, which hears
+// every notice on what it owns) and one of scoped shards (VCover), and
+// pins each reading as a ceiling at its value under the owned-set
+// filter. The readings repeated exactly over six runs and two under
+// -race.
+func TestResizeNoticeBudget(t *testing.T) {
+	const scale = 0.005
+	type reading struct{ notices, filtered float64 }
+	for _, tc := range []struct {
+		name     string
+		policy   func(int) core.Policy
+		ceilings [3]reading // cumulative, after each third
+	}{
+		{"Benefit", func(int) core.Policy { return core.NewBenefit(core.BenefitConfig{Window: 40}) },
+			[3]reading{{173, 161}, {399, 267}, {689, 311}}},
+		{"VCover", func(int) core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
+			[3]reading{{12, 322}, {116, 550}, {362, 638}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			scfg := budgetSurvey(scale)
+			scratch, err := catalog.NewSurvey(scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events, err := growingSkySlice(scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			survey, err := catalog.NewSurvey(scfg) // pristine: births arrive through the trace
+			if err != nil {
+				t.Fatal(err)
+			}
+			repo, err := server.New(server.Config{Survey: survey, Scale: netproto.DefaultScale()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := repo.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer repo.Close()
+			lc, err := cluster.SpawnLocal(cluster.LocalConfig{
+				RepoAddr:      repo.Addr(),
+				Objects:       survey.Objects(),
+				Shards:        2,
+				ShardCapacity: scfg.TotalSize * 15 / 100,
+				Policy:        tc.policy,
+				Scale:         netproto.DefaultScale(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lc.Close()
+			cl, err := client.Dial(lc.Router.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+
+			metric := func(name string) float64 { return repo.Stats().Metric(name) }
+			third := (len(events) + 2) / 3
+			for phase, shards := range []int{2, 3, 2} {
+				if phase > 0 {
+					if _, err := lc.Resize(ctx, shards, false); err != nil {
+						t.Fatalf("resize to %d shards: %v", shards, err)
+					}
+				}
+				for i := phase * third; i < min((phase+1)*third, len(events)); i++ {
+					switch e := &events[i]; e.Kind {
+					case model.EventQuery:
+						if _, err := cl.Query(ctx, *e.Query); err != nil {
+							t.Fatalf("query %d: %v", e.Query.ID, err)
+						}
+					case model.EventUpdate:
+						repo.ApplyUpdate(*e.Update)
+					case model.EventBirth:
+						if _, err := cl.AddObjects(ctx, []model.Birth{*e.Birth}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				got := reading{metric("delta_repo_notices_total"), metric("delta_repo_notices_filtered_total")}
+				ceil := tc.ceilings[phase]
+				t.Logf("after third %d on %d shards: %v notices, %v withheld", phase+1, shards, got.notices, got.filtered)
+				if got.notices > ceil.notices {
+					t.Errorf("after third %d: %v notices, above the ceiling of %v", phase+1, got.notices, ceil.notices)
+				}
+				if got.filtered > ceil.filtered {
+					t.Errorf("after third %d: %v notices withheld, above the ceiling of %v", phase+1, got.filtered, ceil.filtered)
+				}
+			}
+			if n := repo.DroppedInvalidations(); n != 0 {
+				t.Errorf("%d notices dropped", n)
+			}
+		})
+	}
+}
