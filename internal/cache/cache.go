@@ -5,14 +5,15 @@
 // ship the query to the repository — and, in the background, whether to
 // load objects. It subscribes to the repository's invalidation stream so
 // its policy sees every update the moment the repository ingests it (a
-// cluster shard: every update on what it owns, filter.go; a policy that
-// declares core.ScopedNotices: every update on what it registered).
+// policy that declares core.ScopedNotices: every update on what it
+// registered; an unscoped cluster shard: every update on what it owns,
+// which it registers, migrate.go).
 //
 // The node is the I/O shell around core.Shard, the state machine the
 // simulator drives too, whose doc states the order of a recovery, a
 // reshard and a resume: the node moves what each Plan owes, writes the
-// journal and snapshots, and runs the filter handshake between a
-// reshard's halves. An at-cache answer over an absent or stale object
+// journal and snapshots, and registers what a reshard's halves gain and
+// lose. An at-cache answer over an absent or stale object
 // fails closed — the query ships — and counts, with every other
 // violation, in delta_decision_violations_total.
 //
@@ -131,15 +132,18 @@ type Middleware struct {
 	recoveredWarm                                     *obs.Gauge
 	queryLat, loadLat, fsyncLat                       *obs.Histogram
 
-	// inv is the invalidation subscription; a cluster shard also sends
-	// its owned set on it (filter.go), and a scoped node its
-	// registrations.
+	// inv is the invalidation subscription, on which a scoped node and
+	// every cluster shard send their registrations.
 	inv *node.Subscription
 	// scoped is set when the policy needs only the notices of what it
 	// holds (core.ScopedNotices): the node registers every object it may
-	// come to hold, and no object becomes resident before its
-	// registration is confirmed.
+	// come to hold. An unscoped cluster shard registers what it owns. On
+	// either, no object becomes resident before its registration is
+	// confirmed.
 	scoped bool
+	// reshards serializes Reshard: a Gain's Settle comes before the next
+	// Gain.
+	reshards sync.Mutex
 }
 
 // plan is an applied decision's core.Plan plus its loads as registered
@@ -302,8 +306,13 @@ func New(cfg Config) (*Middleware, error) {
 	m.repo = sess
 
 	// Invalidation subscription: every update applied once New returns
-	// is delivered here.
-	m.inv, err = m.Subscribe(cfg.RepoAddr, dial, node.StreamHandler{
+	// is delivered here, as far as the registrations pass it. A shard's
+	// stream starts with nothing registered and carries no births.
+	role := "invalidations"
+	if cfg.Shard {
+		role = "shard-invalidations"
+	}
+	m.inv, err = m.Subscribe(cfg.RepoAddr, role, dial, node.StreamHandler{
 		Frame: m.streamFrame,
 		Gap: func() {
 			m.mu.Lock()
@@ -320,10 +329,10 @@ func New(cfg Config) (*Middleware, error) {
 	// Closing the session fails every handler's pending repository
 	// round trip.
 	m.Unblock = func() { m.repo.Close() }
-	if m.scoped {
+	if m.registers() {
 		// Residents recovered from disk are served only once their
-		// notices arrive. Until this first registration is installed the
-		// stream carries every notice, so none on them is withheld.
+		// notices arrive. On a standalone node the stream carries every
+		// notice until this first registration is installed.
 		m.mu.Lock()
 		held := m.shard.Residents()
 		m.mu.Unlock()
@@ -514,26 +523,26 @@ func (m *Middleware) streamFrame(f netproto.Frame) {
 
 // resume is the invalidation stream's Resume: the node resumes cold
 // (core.Shard.Resume), snapshots, so a restart cannot resurrect what it
-// dropped, and a shard re-sends its owned set without awaiting the
-// echo: until the repository installs it, the new stream is unfiltered,
-// a superset. A standalone cache then catches up on the births
-// announced during the gap.
-func (m *Middleware) resume(sub *node.Subscription) {
+// dropped, and an unscoped shard registers its owned set again without
+// awaiting the echo: nothing is resident, and a load waits for it. A
+// standalone cache then catches up on the births announced during the
+// gap.
+func (m *Middleware) resume() {
 	if err := m.repo.Redial(); err != nil {
 		m.cfg.Logf("redial repository: %v", err)
 	}
 	m.mu.Lock()
 	step, err := m.shard.Resume()
 	p := m.planLocked(step)
+	if err == nil && m.cfg.Shard && !m.scoped {
+		m.inv.Register(m.shard.Owned())
+	}
 	m.mu.Unlock()
 	if err != nil {
 		m.cfg.Logf("evict after the gap: %v; every query keeps shipping", err)
 		return
 	}
 	m.snapshotNow()
-	if m.cfg.Shard {
-		sub.Send(m.filterFrame())
-	}
 	if err := m.catchUp(); err != nil {
 		m.cfg.Logf("after the gap: %v", err)
 	}
@@ -792,12 +801,18 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 	// birth load (Replica) rolls residency back exactly like any
 	// failed load.
 	m.bornObjects.Add(int64(len(fresh)))
-	if m.scoped {
+	if m.registers() {
 		ids := make([]model.ObjectID, len(fresh))
 		for i, b := range fresh {
 			ids[i] = b.Object.ID
 		}
-		m.inv.Register(ids)
+		if m.scoped {
+			m.inv.Register(ids)
+		} else {
+			// An unscoped shard owns what it is granted: its notices pass
+			// before the grant is answered.
+			m.inv.AwaitConfirmed(ids)
+		}
 	}
 	if err := m.covers.Grow(fresh); err != nil {
 		m.cfg.Logf("region growth: %v (region covers may miss newborns)", err)
@@ -808,6 +823,12 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 	}
 	return len(fresh), nil
 }
+
+// registers reports whether the node's stream carries only what it
+// registers, so that nothing may become resident before its
+// registration is confirmed: a scoped node's, and every cluster
+// shard's.
+func (m *Middleware) registers() bool { return m.scoped || m.cfg.Shard }
 
 // planLocked counts and logs a step's violations and registers the
 // loads it owes. mu must be held. Residency is optimistic: an accepted
@@ -919,10 +940,10 @@ func (m *Middleware) startLoads(ctx context.Context, loads []pendingLoad, charge
 }
 
 // loadObjects is the one MsgLoadObject round trip a flight makes. On a
-// scoped node it leaves only once every object's registration is
-// confirmed: a notice the repository withholds until then is one the
-// loaded copy already reflects. A gap that resets the registrations lets
-// it go, since the resume evicts every resident.
+// scoped node or a shard it leaves only once every object's
+// registration is confirmed: a notice the repository withholds until
+// then is one the loaded copy already reflects. A gap that resets the
+// registrations lets it go, since the resume evicts every resident.
 func (m *Middleware) loadObjects(ctx context.Context, loads []pendingLoad, charge bool) error {
 	start := time.Now()
 	defer func() { m.loadLat.Observe(time.Since(start)) }()
@@ -930,7 +951,7 @@ func (m *Middleware) loadObjects(ctx context.Context, loads []pendingLoad, charg
 	for i, l := range loads {
 		ids[i] = l.id
 	}
-	if m.scoped {
+	if m.registers() {
 		m.inv.AwaitConfirmed(ids)
 	}
 	reply, err := m.repo.RoundTrip(ctx, netproto.Frame{

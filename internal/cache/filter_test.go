@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,8 +39,8 @@ func (l *noticeLog) snapshot() []model.UpdateID {
 // loggingVCover is VCover (so the shard can grow and reshard) with its
 // notices logged. It forwards VCover's methods by hand, as a timing
 // decorator does, so it hides VCover's ScopedNotices marker: its shard
-// hears every owned notice, the stream the ownership oracle decides by.
-// scopedLoggingVCover keeps the marker.
+// registers what it owns and hears every owned notice, the stream the
+// ownership oracle decides by. scopedLoggingVCover keeps the marker.
 type loggingVCover struct {
 	vc  *core.VCover
 	log *noticeLog
@@ -76,7 +77,7 @@ type scopedLoggingVCover struct{ loggingVCover }
 
 func (scopedLoggingVCover) ScopedNotices() {}
 
-// filterModel is the oracle: today's shard behind a full stream, which
+// filterModel is the oracle: a shard behind a full stream, which
 // applies a notice iff the shard owns the object when it arrives. known
 // is the shard's universe, which decides whether a grant adds anything.
 type filterModel struct {
@@ -84,16 +85,16 @@ type filterModel struct {
 	applied      []model.UpdateID
 }
 
-// cutProxy relays a shard's repository connections frame by frame so a
+// cutProxy relays a node's repository connections frame by frame so a
 // test can cut its invalidation streams: all of them at once (cut), or
-// the next one right after it forwards the shard's next owned-set frame,
-// before the repository's echo can come back (armed). opened gets a
-// token each time a stream forwards its first owned-set frame — a
-// shard's resume sends one once it hears again. A test may also watch
-// what the shard sends the repository and act the moment an owned-set
-// echo reaches the proxy, before the shard sees it (watch), and keep a
-// resubscribing node away from the repository, and every interest echo
-// away from its node, until it lets go (hold).
+// the next one right after it forwards the node's next registration
+// (MsgInterest), before the repository's echo can come back (armed).
+// opened gets a token each time a stream's Hello reaches the
+// repository: at the subscription, and at each resubscribe. A test may
+// also watch what the node sends the repository and act the moment an
+// interest echo reaches the proxy, before the node sees it (watch), and
+// keep a resubscribing node away from the repository, and every
+// interest echo away from its node, until it lets go (hold).
 type cutProxy struct {
 	ln      net.Listener
 	target  string
@@ -125,8 +126,8 @@ func (p *cutProxy) release() {
 }
 
 // watch sets the hooks connections dialed from now on run: sent sees
-// every frame the shard sends the repository, and echoed runs on each
-// owned-set echo before the proxy forwards it.
+// every frame the node sends the repository, and echoed runs on each
+// interest echo before the proxy forwards it.
 func (p *cutProxy) watch(sent func(netproto.Frame), echoed func()) {
 	p.mu.Lock()
 	p.sent, p.echoed = sent, echoed
@@ -160,7 +161,7 @@ func (p *cutProxy) relay(nc net.Conn) {
 	if err != nil {
 		return
 	}
-	stream := hello.Role == "invalidations"
+	stream := strings.HasSuffix(hello.Role, "invalidations")
 	p.mu.Lock()
 	gate := p.gate
 	p.mu.Unlock()
@@ -189,6 +190,9 @@ func (p *cutProxy) relay(nc net.Conn) {
 	if up.Send(netproto.Frame{Type: netproto.MsgHello, Body: hello}) != nil {
 		return
 	}
+	if stream {
+		p.opened <- struct{}{}
+	}
 	go func() {
 		defer nc.Close()
 		for {
@@ -196,10 +200,10 @@ func (p *cutProxy) relay(nc net.Conn) {
 			if err != nil {
 				return
 			}
-			if stream && f.Type == netproto.MsgReshard && echoed != nil {
-				echoed()
-			}
 			if stream && f.Type == netproto.MsgInterest {
+				if echoed != nil {
+					echoed()
+				}
 				p.mu.Lock()
 				gate := p.gate
 				p.mu.Unlock()
@@ -212,7 +216,7 @@ func (p *cutProxy) relay(nc net.Conn) {
 			}
 		}
 	}()
-	for first := true; ; first = false {
+	for {
 		f, err := down.Recv()
 		if err != nil {
 			return
@@ -223,13 +227,8 @@ func (p *cutProxy) relay(nc net.Conn) {
 		if up.Send(f) != nil {
 			return
 		}
-		if stream && f.Type == netproto.MsgReshard {
-			if first {
-				p.opened <- struct{}{}
-			}
-			if p.armed.CompareAndSwap(true, false) {
-				return
-			}
+		if stream && f.Type == netproto.MsgInterest && p.armed.CompareAndSwap(true, false) {
+			return
 		}
 	}
 }
@@ -244,7 +243,7 @@ func (p *cutProxy) cut() {
 	}
 }
 
-// awaitOpen waits for a stream to send its first owned set.
+// awaitOpen waits for a stream's Hello to reach the repository.
 func (p *cutProxy) awaitOpen(t *testing.T) {
 	t.Helper()
 	select {
@@ -258,13 +257,15 @@ func (p *cutProxy) awaitOpen(t *testing.T) {
 // random sequences of subscribe (after some births the shard never
 // heard of), births granted at once, late grants out of ID order,
 // widening and narrowing reshards, updates on any object the repository
-// knows, and stream cuts — between steps, and between a widen's send and
-// its echo — a shard behind the ownership-filtered stream applies
-// exactly the notices the oracle applies, in the same order. Every step
-// ends with a notice on object 1, which the shard always owns; the
-// stream is FIFO, so once that notice is logged, everything before it
-// has been filtered or applied. No update is applied during a gap: a
-// notice missed there is the cold resume's business, not the filter's.
+// knows, and stream cuts — between steps, and between the send of a
+// reshard's gained registration and its echo — an unscoped shard, whose
+// stream carries the owned set it registers, applies exactly the
+// notices the oracle applies, in the same order. Every step ends with a
+// notice on object 1, which the shard always owns; the stream is FIFO,
+// so once that notice is logged, everything before it has been filtered
+// or applied. No update is applied during a gap, which lasts until the
+// resumed stream's re-registration of the owned set is echoed: a notice
+// missed there is the cold resume's business, not the filter's.
 func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 	var filtered int64 // notices the filter spared the shard, over all trials
 	prop := func(seed int64) bool {
@@ -344,6 +345,22 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 		}
 		proxy.awaitOpen(t)
 
+		// resumed waits until the stream, resumed after a cut, carries the
+		// owned set again. The shard's resume registers it; a wait begun
+		// before the new connection is current ends unconfirmed, and is
+		// repeated.
+		resumed := func() {
+			t.Helper()
+			ids := make([]model.ObjectID, 0, len(oracle.owned))
+			for id := range oracle.owned {
+				ids = append(ids, id)
+			}
+			for deadline := time.Now().Add(10 * time.Second); !cache.AwaitRegistered(mw, ids); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the resumed stream never carried the owned set")
+				}
+			}
+		}
 		nextUpdate := model.UpdateID(0)
 		update := func(obj model.ObjectID) {
 			nextUpdate++
@@ -366,6 +383,7 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 			if rng.Intn(6) == 0 {
 				proxy.cut()
 				proxy.awaitOpen(t)
+				resumed()
 			}
 			universe := survey.NumObjects()
 			switch k := rng.Intn(10); {
@@ -411,8 +429,12 @@ func TestQuickFilteredShardMatchesFullStream(t *testing.T) {
 					oracle.owned[id] = true
 					oracle.known[id] = true
 				}
-				// The moment Reshard returns, a gained object is owned:
-				// its notice must already pass the repository's filter.
+				if cutWiden {
+					resumed()
+				}
+				// The moment Reshard returns (with its stream whole), a
+				// gained object is owned: its notice must already pass the
+				// repository's filter.
 				for _, id := range gained {
 					update(id)
 				}
@@ -571,8 +593,9 @@ func (p gatedReplica) OnQuery(q *model.Query) (core.Decision, error) {
 }
 
 // orderingCluster is one shard, dialing the repository directly, behind
-// a router whose repository traffic crosses the proxy.
-func orderingCluster(t *testing.T, survey *catalog.Survey, repo *server.Repository, proxy *cutProxy, policy core.Policy) (*cache.Middleware, *cluster.Router) {
+// a router whose repository traffic crosses the proxy and whose events
+// go to logf (nil silences them).
+func orderingCluster(t *testing.T, survey *catalog.Survey, repo *server.Repository, proxy *cutProxy, policy core.Policy, logf func(string, ...any)) (*cache.Middleware, *cluster.Router) {
 	t.Helper()
 	shard, err := cache.New(cache.Config{
 		RepoAddr: repo.Addr(), Policy: policy, Objects: survey.Objects(), Shard: true,
@@ -589,7 +612,7 @@ func orderingCluster(t *testing.T, survey *catalog.Survey, repo *server.Reposito
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := cluster.NewRouter(cluster.Config{Shards: []string{shard.Addr()}, Ownership: own, RepoAddr: proxy.ln.Addr().String()})
+	router, err := cluster.NewRouter(cluster.Config{Shards: []string{shard.Addr()}, Ownership: own, RepoAddr: proxy.ln.Addr().String(), Logf: logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +652,7 @@ func TestRouterWaitsForInterestEcho(t *testing.T) {
 	open := make(chan struct{})
 	close(open)
 	policy := gatedReplica{Replica: core.NewReplica(), armed: &armed, entered: make(chan struct{}, 4), gate: open}
-	_, router := orderingCluster(t, survey, repo, proxy, policy)
+	_, router := orderingCluster(t, survey, repo, proxy, policy, nil)
 	q := model.Query{Objects: []model.ObjectID{2, 5}, Cost: 2 * cost.MB, Tolerance: model.AnyStaleness}
 
 	proxy.hold()
@@ -695,11 +718,18 @@ func TestRouterWaitsForInterestEcho(t *testing.T) {
 // its stream withholds the notices of every other object. A gap clears
 // the confirmations: the resumed stream is unfiltered until its first
 // registration, so an update on an object the router never registered
-// reaches it, and with the new registration's echo held the same query
-// waits. Released, it is answered by a scatter, not from the cache.
+// reaches it, and once the router has resumed, with the new
+// registration's echo held the same query waits. Released, it is
+// answered by a scatter, not from the cache. (A query the router takes
+// before its resume is answered uncached at once.)
 func TestGapResetsInterest(t *testing.T) {
 	survey, repo, proxy := orderingRepository(t)
-	_, router := orderingCluster(t, survey, repo, proxy, core.NewReplica())
+	resumed := make(chan struct{}, 4)
+	_, router := orderingCluster(t, survey, repo, proxy, core.NewReplica(), func(format string, _ ...any) {
+		if strings.Contains(format, "invalidation stream resumed") {
+			resumed <- struct{}{}
+		}
+	})
 	cl, err := client.Dial(router.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -746,6 +776,11 @@ func TestGapResetsInterest(t *testing.T) {
 	if notices, withheld := apply(9); notices != 2 || withheld != 0 {
 		t.Errorf("after the resume, an update on an unregistered object: %v notices, %v withheld; want 2 and 0", notices, withheld)
 	}
+	select {
+	case <-resumed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the router never resumed")
+	}
 
 	proxy.hold()
 	hits := router.ResultCacheHits()
@@ -775,9 +810,9 @@ func TestGapResetsInterest(t *testing.T) {
 
 // TestWarmArrivalsWaitForInterestEcho: a scoped shard registers a
 // reshard's warm arrivals and adopts them only once the registration's
-// echo is back. The reshard gains nothing, so no widen is waited for:
-// with the interest echo held it does not return, and once released the
-// arrival is resident.
+// echo is back. The reshard gains nothing, so the warm arrival is all
+// it waits for: with the interest echo held it does not return, and
+// once released the arrival is resident.
 func TestWarmArrivalsWaitForInterestEcho(t *testing.T) {
 	survey, _, proxy := orderingRepository(t)
 	mw, err := cache.New(cache.Config{

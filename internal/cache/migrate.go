@@ -2,18 +2,24 @@
 // the router's first MsgReshard (at router startup, or in the resize
 // that brings the shard in) installs the owned set, and every resize
 // changes it. The order a reshard follows is core.Shard's; this file is
-// its I/O: the widen/echo handshake between its two halves, the
-// journal, the loads it owes and the snapshot after it.
+// its I/O: the registrations between its two halves, the journal, the
+// loads it owes and the snapshot after it.
 //
 // Nothing moves between shards and nothing is loaded from the
 // repository for an arrival: residency is bookkeeping, so a warm arrival
 // is a name on a list, and the repository ledger (the paper's objective
-// function) sees no reload for it. The repository hears only the new
-// owned set, on the invalidation stream (filter.go).
+// function) sees no reload for it. The repository hears only the
+// shard's registrations on the invalidation stream: a shard's stream
+// carries the notices of what it registered and nothing else. An
+// unscoped shard (Benefit, Replica) registers what it gains and drops
+// what it loses, so its stream follows what it owns; a scoped one
+// registers what it may come to hold, warm arrivals included, and drops
+// what it loses too.
 package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
@@ -28,10 +34,8 @@ import (
 // its policy at the capacity ReshardCapacity gives (Capacity when that
 // is nil) and loads what a Preloader starts with.
 func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Object, warm []model.ObjectID) (resident, dropped int, err error) {
-	// Reshards serialize on the subscription's lock, and the owned set
-	// grows or shrinks only while the repository's filter covers it.
-	m.inv.Lock()
-	defer m.inv.Unlock()
+	m.reshards.Lock()
+	defer m.reshards.Unlock()
 
 	m.mu.Lock()
 	g, err := m.shard.Gain(epoch, owned, meta)
@@ -43,35 +47,37 @@ func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Obj
 	}
 	m.logStart(g.Start)
 	m.journalPlan(grown)
-	if m.scoped {
-		// Warm arrivals are adopted resident: register them now, to be
-		// confirmed beside the widen's echo.
-		m.inv.Register(warm)
+	// A notice the repository withheld before a registration is
+	// installed never arrives: register the warm arrivals, which are
+	// adopted resident, and on an unscoped shard every gained object,
+	// and wait for the echo before anything adopts or loads one. (No
+	// fragment on a gained object comes before this reshard replies:
+	// the router routes none here until its widen is done.)
+	need := warm
+	if !m.scoped {
+		need = append(slices.Clip(g.Gained), warm...)
 	}
-	if g.Gained > 0 {
-		// A notice the repository queued before its filter passes a
-		// gained object never arrives: widen the filter to old ∪ new and
-		// wait for its echo before anything loads or adopts one. (No
-		// fragment on a gained object comes before this reshard replies:
-		// the router routes none here until its widen is done.)
-		m.inv.Send(m.filterFrame()).Wait()
-	}
-	if m.scoped {
-		m.inv.AwaitConfirmed(warm)
-	}
+	m.inv.AwaitConfirmed(need)
 
 	m.mu.Lock()
+	if _, ok := m.inv.Confirmed(warm); !ok {
+		// A gap reset the registrations: the arrivals stay cold. One
+		// that comes after this check finds them resident and evicts
+		// them on its resume, which needs mu.
+		warm = nil
+	}
 	s, err := m.shard.Settle(warm)
 	forgot := m.planLocked(s.Step)
 	resident = m.shard.Len()
+	// Drop what the shard lost under mu, so a resume's re-registration
+	// of the owned set sees it either before the loss or after.
+	m.inv.Unregister(s.Lost)
 	m.mu.Unlock()
 	if s.WarmErr != nil {
 		m.cfg.Logf("reshard warm: %v (arrivals stay cold)", s.WarmErr)
 	}
 	m.migratedIn.Add(int64(s.Migrated))
 	m.journalPlan(forgot)
-	// Narrow to exactly the new set; nothing waits on it.
-	m.inv.Send(m.filterFrame())
 	if ferr := m.fetch(grown.loads, false); err == nil && ferr != nil {
 		err = fmt.Errorf("cache: reshard: %w", ferr)
 	}
@@ -82,11 +88,11 @@ func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Obj
 		return 0, 0, err
 	}
 	dropped = g.Start.Held - g.Start.Adopted + len(s.Evict)
-	m.cfg.Logf("reshard epoch %d: %d objects gained, %d resident, %d dropped", epoch, g.Gained, resident, dropped)
+	m.cfg.Logf("reshard epoch %d: %d objects gained, %d resident, %d dropped", epoch, len(g.Gained), resident, dropped)
 	return resident, dropped, nil
 }
 
-// handleReshard serves MsgReshard: the router's filter-swap command. A
+// handleReshard serves MsgReshard: the router's owned-set command. A
 // successful reshard snapshots immediately: no journal record holds the
 // warm arrivals it adopted or the held residents its install dropped,
 // so a crash replaying the pre-reshard snapshot and journal would lose

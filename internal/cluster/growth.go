@@ -44,7 +44,7 @@ import (
 // NewRouter.
 func (r *Router) subscribeInvalidations() error {
 	var err error
-	r.inv, err = r.Subscribe(r.cfg.RepoAddr, netproto.SessionConfig{
+	r.inv, err = r.Subscribe(r.cfg.RepoAddr, "invalidations", netproto.SessionConfig{
 		DialRetry: netproto.StartupDialRetry,
 	}, node.StreamHandler{
 		Frame: func(f netproto.Frame) {
@@ -59,7 +59,7 @@ func (r *Router) subscribeInvalidations() error {
 			}
 		},
 		Gap: func() { r.results.SetOff(true) },
-		Resume: func(*node.Subscription) {
+		Resume: func() {
 			if err := r.repo.Redial(); err != nil {
 				r.cfg.Logf("redial repository: %v", err)
 			}

@@ -44,7 +44,7 @@ func TestHandshakeOnEveryNode(t *testing.T) {
 		roles      []string
 		unknown    []string // roles the node refuses
 	}{
-		{"repository", repo.Addr(), []string{"cache", "client", "invalidations"}, []string{"pipeline"}},
+		{"repository", repo.Addr(), []string{"cache", "client", "invalidations", "shard-invalidations"}, []string{"pipeline"}},
 		{"cache", lc.Shards[0].Addr(), []string{"client"}, nil},
 		{"router", lc.Router.Addr(), []string{"client"}, nil},
 	}
@@ -131,6 +131,22 @@ func TestHandshakeOnEveryNode(t *testing.T) {
 						}
 						if inv, ok := f.Body.(netproto.InvalidateMsg); !ok || inv.Update != u {
 							t.Fatalf("subscriber received %s %+v, want the notice for update %d", f.Type, f.Body, u.ID)
+						}
+					case "shard-invalidations":
+						// A shard's stream carries only what it registered.
+						if err := c.Send(netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{Objects: []model.ObjectID{u.Object}}}); err != nil {
+							t.Fatal(err)
+						}
+						if f, err := c.Recv(); err != nil || f.Type != netproto.MsgInterest {
+							t.Fatalf("registration echo: %v %v", f.Type, err)
+						}
+						repo.ApplyUpdate(u)
+						f, err := c.Recv()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if inv, ok := f.Body.(netproto.InvalidateMsg); !ok || inv.Update != u {
+							t.Fatalf("shard subscriber received %s %+v, want the notice for update %d", f.Type, f.Body, u.ID)
 						}
 					default:
 						if err := c.Send(stats); err != nil {

@@ -13,24 +13,26 @@ import (
 	"github.com/deltacache/delta/internal/netproto"
 )
 
-// countingVCover is VCover with the notices that reach it counted.
-type countingVCover struct {
-	*core.VCover
+// countingBenefit is Benefit with the notices that reach it counted.
+// Like Benefit it is unscoped: its shard registers what it owns.
+type countingBenefit struct {
+	*core.Benefit
 	notices *atomic.Int64
 }
 
-func (p countingVCover) OnUpdate(u *model.Update) (core.Decision, error) {
+func (p countingBenefit) OnUpdate(u *model.Update) (core.Decision, error) {
 	p.notices.Add(1)
-	return p.VCover.OnUpdate(u)
+	return p.Benefit.OnUpdate(u)
 }
 
 // TestNoticeFanOutFollowsOwnership counts what the repository queues for
-// N updates on shard 0's objects in a 2-shard cluster: N to each shard
-// that holds them and N to the router, which filters nothing. At K=1
-// that is 2 notices per update where an unfiltered stream costs 3; at
-// K=2 both shards hold every object, so it stays 3. The filter passes a
-// superset of what a shard owns, so shard 0's N and the router's N
-// leave exactly 0 (K=1) or N (K=2) for shard 1.
+// N updates on shard 0's objects in a 2-shard cluster of unscoped
+// shards: N to each shard that holds them, which registered them as its
+// owned set, and N to the router, which registered nothing and hears
+// everything. At K=1 that is 2 notices per update where an unfiltered
+// stream costs 3; at K=2 both shards hold every object, so it stays 3.
+// Shard 0's N and the router's N leave exactly 0 (K=1) or N (K=2) for
+// shard 1.
 func TestNoticeFanOutFollowsOwnership(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
@@ -42,7 +44,7 @@ func TestNoticeFanOutFollowsOwnership(t *testing.T) {
 				Shards:   2,
 				Replicas: k,
 				Policy: func(s int) core.Policy {
-					return countingVCover{VCover: core.NewVCover(core.DefaultVCoverConfig()), notices: &applied[s]}
+					return countingBenefit{Benefit: core.NewBenefit(core.BenefitConfig{Window: 40}), notices: &applied[s]}
 				},
 				Scale: netproto.DefaultScale(),
 			})

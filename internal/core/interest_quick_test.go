@@ -88,8 +88,8 @@ func TestQuickInterestMatchesFIFOStream(t *testing.T) {
 						return false
 					}
 					inFlight, flightAt = true, gen
-					s.up = append(s.up, slices.Clone(batch))
-					inTransit = append(inTransit, slices.Clone(batch))
+					s.up = append(s.up, slices.Clone(batch.Want))
+					inTransit = append(inTransit, slices.Clone(batch.Want))
 				}
 			case k < 6 && len(s.up) > 0:
 				install()
@@ -174,7 +174,7 @@ func TestInterestBatchesAndResets(t *testing.T) {
 		t.Fatal("nothing was confirmed yet")
 	}
 	b1, g1, ok := in.Next()
-	if !ok || !slices.Equal(b1, []model.ObjectID{1, 2}) {
+	if !ok || !slices.Equal(b1.Want, []model.ObjectID{1, 2}) {
 		t.Fatalf("first batch %v %v", b1, ok)
 	}
 	in.Want([]model.ObjectID{2, 3})
@@ -183,7 +183,7 @@ func TestInterestBatchesAndResets(t *testing.T) {
 	}
 	in.Lost(g1)
 	b2, g2, _ := in.Next()
-	if !slices.Equal(b2, []model.ObjectID{1, 2, 3}) {
+	if !slices.Equal(b2.Want, []model.ObjectID{1, 2, 3}) {
 		t.Fatalf("after a lost batch: %v, want 1 2 3", b2)
 	}
 	in.Echoed(g2)
@@ -199,5 +199,163 @@ func TestInterestBatchesAndResets(t *testing.T) {
 	}
 	if _, _, ok := in.Next(); ok {
 		t.Fatal("a Reset kept pending registrations")
+	}
+}
+
+// TestQuickInterestDrops drives Interest through random sequences of
+// Want, Drop, Next, Echoed, Lost and Reset against a model of the
+// repository's interest set, which installs each batch handed out in
+// order: its registrations join the set and its drops leave it. A lost
+// batch may or may not have been installed. Three properties hold after
+// every step: every confirmed object is in the set; once a batch
+// carrying an object's drop is echoed, the object is not in the set
+// unless it was wanted again since that drop; and no batch both
+// registers and drops an object, so a drop that meets a registration in
+// flight goes out in a later batch.
+func TestQuickInterestDrops(t *testing.T) {
+	const objects = 10
+	var drops, narrowedChecks int
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		in := NewInterest()
+		var (
+			set      = map[model.ObjectID]bool{}
+			flight   Batch
+			busy     bool
+			flightAt uint64
+			// again[id] is set by a Want of id and cleared by a Drop of
+			// it; narrowed[id] once a drop of id is echoed with no Want
+			// since.
+			again    = map[model.ObjectID]bool{}
+			narrowed = map[model.ObjectID]bool{}
+		)
+		ids := func() []model.ObjectID {
+			out := make([]model.ObjectID, 1+rng.Intn(3))
+			for i := range out {
+				out[i] = model.ObjectID(1 + rng.Intn(objects))
+			}
+			return out
+		}
+		install := func(b Batch) {
+			for _, id := range b.Want {
+				set[id] = true
+			}
+			for _, id := range b.Drop {
+				delete(set, id)
+			}
+		}
+		for step := range 80 + rng.Intn(80) {
+			switch k := rng.Intn(12); {
+			case k < 3:
+				w := ids()
+				in.Want(w)
+				for _, id := range w {
+					again[id], narrowed[id] = true, false
+				}
+			case k < 5:
+				d := ids()
+				in.Drop(d)
+				for _, id := range d {
+					again[id] = false
+				}
+				drops++
+			case k < 8:
+				b, gen, ok := in.Next()
+				if !ok {
+					break
+				}
+				if busy {
+					t.Logf("seed %d step %d: Next handed out a second batch in flight", seed, step)
+					return false
+				}
+				for _, id := range b.Want {
+					if slices.Contains(b.Drop, id) {
+						t.Logf("seed %d step %d: batch %+v registers and drops %d", seed, step, b, id)
+						return false
+					}
+				}
+				flight = Batch{Want: slices.Clone(b.Want), Drop: slices.Clone(b.Drop)}
+				busy, flightAt = true, gen
+			case k < 10 && busy:
+				install(flight)
+				in.Echoed(flightAt)
+				for _, id := range flight.Drop {
+					if !again[id] {
+						narrowed[id] = true
+					}
+				}
+				busy = false
+			case k < 11 && busy:
+				if rng.Intn(2) == 0 {
+					install(flight)
+				}
+				in.Lost(flightAt)
+				busy = false
+			case k == 11:
+				// A gap: a new stream starts with nothing registered, and
+				// a batch in flight is never echoed.
+				in.Reset()
+				set, narrowed, busy = map[model.ObjectID]bool{}, map[model.ObjectID]bool{}, false
+			}
+			for id := model.ObjectID(1); id <= objects; id++ {
+				if in.Confirmed([]model.ObjectID{id}) && !set[id] {
+					t.Logf("seed %d step %d: object %d confirmed but not in the repository's set", seed, step, id)
+					return false
+				}
+				if narrowed[id] {
+					narrowedChecks++
+					if set[id] {
+						t.Logf("seed %d step %d: object %d still in the set after its drop was echoed", seed, step, id)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+	if drops == 0 || narrowedChecks == 0 {
+		t.Errorf("the trials exercised too little: %d drops, %d checks after an echoed drop", drops, narrowedChecks)
+	}
+}
+
+// TestInterestDropOrdersAfterFlight pins the ordering of a drop against
+// a registration: one still pending is withdrawn, one in flight is
+// followed by the drop in the next batch, and a drop pending when its
+// object is wanted again is withdrawn.
+func TestInterestDropOrdersAfterFlight(t *testing.T) {
+	in := NewInterest()
+	in.Want([]model.ObjectID{1, 2})
+	in.Drop([]model.ObjectID{2})
+	b1, g1, _ := in.Next()
+	if !slices.Equal(b1.Want, []model.ObjectID{1}) {
+		t.Fatalf("first batch registers %v, want 1: the pending registration of 2 was dropped", b1.Want)
+	}
+	in.Drop([]model.ObjectID{1})
+	if _, _, ok := in.Next(); ok {
+		t.Fatal("a drop went out beside the registration it follows")
+	}
+	in.Echoed(g1)
+	if in.Confirmed([]model.ObjectID{1}) {
+		t.Fatal("an object dropped while its registration was in flight was confirmed")
+	}
+	b2, g2, _ := in.Next()
+	if !slices.Contains(b2.Drop, 1) || len(b2.Want) != 0 {
+		t.Fatalf("second batch %+v, want the drop of 1", b2)
+	}
+	in.Echoed(g2)
+	in.Want([]model.ObjectID{3})
+	b3, g3, _ := in.Next()
+	in.Echoed(g3)
+	if !slices.Equal(b3.Want, []model.ObjectID{3}) || !in.Confirmed([]model.ObjectID{3}) {
+		t.Fatalf("third batch %+v", b3)
+	}
+	in.Drop([]model.ObjectID{3})
+	in.Want([]model.ObjectID{3})
+	b4, _, _ := in.Next()
+	if len(b4.Drop) != 0 || !slices.Equal(b4.Want, []model.ObjectID{3}) {
+		t.Fatalf("a drop and a later registration of 3 sent %+v, want the registration alone", b4)
 	}
 }

@@ -30,18 +30,20 @@ import (
 //
 // Reshard. A shard's first reshard installs it: it initializes the
 // policy over the owned set. Every later one is a delta on the live
-// policy, in two halves around the caller's filter handshake:
+// policy, in two halves around the caller's registrations:
 //  1. Gain validates the reshard — its epoch, its metadata, its owned
 //     set — and the gained objects join the policy's universe (Grower)
-//     and the owned set;
-//  2. the caller widens the repository's notice filter to old ∪ new and
-//     waits for its echo, so every notice on a gained object arrives;
+//     and the owned set; it returns them;
+//  2. the caller registers what the shard needs the notices of among
+//     the gained objects and warm arrivals, and waits for the
+//     registration's echo, so every notice on them arrives;
 //  3. Settle drops the lost objects from the policy's universe — a lost
 //     resident with its outstanding updates — and sets the capacity
 //     (Forgetter), makes the owned set exactly the new one, and offers
 //     the warm arrivals it owns and does not hold, sorted (Warmable), so
-//     under capacity pressure carried residents win over arrivals;
-//  4. the caller narrows the filter to the new set.
+//     under capacity pressure carried residents win over arrivals; it
+//     returns the lost objects;
+//  4. the caller unregisters the lost objects.
 //
 // A resident the shard keeps keeps its outstanding updates and what the
 // policy learned about it. Gained objects a policy loads at once
@@ -281,7 +283,7 @@ func (s *Shard) query(e *model.Event) (Step, error) {
 }
 
 // Notice hands the policy a notice of u. One on an object the shard
-// does not own — a repository's filter passes a superset — only drops a
+// does not own — its registrations may pass a superset — only drops a
 // held resident.
 func (s *Shard) Notice(u *model.Update) (Step, error) {
 	e := s.event(model.EventUpdate)
@@ -388,11 +390,11 @@ type reshardDelta struct {
 
 // ReshardGain is what a reshard's first half did: the gained objects'
 // joining, whose loads (Replica's) are owed uncharged; an install's
-// Start; and how many objects the shard did not own before.
+// Start; and the objects the shard did not own before.
 type ReshardGain struct {
 	Step
 	Start  Start
-	Gained int
+	Gained []model.ObjectID
 }
 
 // Gain is a reshard's first half, to owned. meta supplies metadata for
@@ -448,7 +450,6 @@ func (s *Shard) Gain(epoch int, owned []model.ObjectID, meta []model.Object) (Re
 	if s.resize != nil {
 		d.capacity = s.resize(objs)
 	}
-	g := ReshardGain{Gained: len(gained)}
 	install := s.awaitingInstall()
 	if !install {
 		if s.opt.Grower == nil && len(gained) > 0 {
@@ -459,7 +460,10 @@ func (s *Shard) Gain(epoch int, owned []model.ObjectID, meta []model.Object) (Re
 			return ReshardGain{}, fmt.Errorf("core: policy %s cannot forget objects or change its capacity, as this reshard needs", s.policy.Name())
 		}
 	}
-	var err error
+	var (
+		g   ReshardGain
+		err error
+	)
 	if install {
 		g.Start, err = s.init(objs, d.capacity, d.want.has)
 	} else if len(gained) > 0 {
@@ -470,23 +474,28 @@ func (s *Shard) Gain(epoch int, owned []model.ObjectID, meta []model.Object) (Re
 		return ReshardGain{}, err
 	}
 	s.epoch = epoch
-	for _, o := range gained {
+	g.Gained = make([]model.ObjectID, len(gained))
+	for i, o := range gained {
 		s.owned.add(o.ID)
+		g.Gained[i] = o.ID
 	}
 	s.pending = d
 	return g, nil
 }
 
 // ReshardSettle is what a reshard's second half did: the evictions of
-// the lost residents and of the capacity change, and how many warm
-// arrivals it adopted (WarmErr: the offer failed, and they stay cold).
+// the lost residents and of the capacity change, the objects the shard
+// no longer owns, in ascending order, and how many warm arrivals it
+// adopted (WarmErr: the offer failed, and they stay cold).
 type ReshardSettle struct {
 	Step
+	Lost     []model.ObjectID
 	Migrated int
 	WarmErr  error
 }
 
-// Settle is a reshard's second half, once the widened filter has echoed.
+// Settle is a reshard's second half, once the registrations the caller
+// waits for have echoed.
 // The warm IDs are hints: the router read them from the old primary's
 // resident list, which may have moved on since. When the forget fails
 // the owned set stays old ∪ gained.
@@ -503,7 +512,7 @@ func (s *Shard) Settle(warm []model.ObjectID) (ReshardSettle, error) {
 		}
 	}
 	slices.Sort(lost)
-	var r ReshardSettle
+	r := ReshardSettle{Lost: lost}
 	if len(lost) > 0 || d.capacity != s.applier.Capacity() {
 		var err error
 		if r.Step, err = s.forget(lost, d.capacity); err != nil {
@@ -550,15 +559,13 @@ func (s *Shard) Resume() (Step, error) {
 // Unload rolls back a load that failed to materialize.
 func (s *Shard) Unload(id model.ObjectID) { s.applier.Unload(id) }
 
-// Filter is the notice filter a cluster shard sends its repository: its
-// epoch, what it owns, and the horizon, the largest ID below which it
-// knows every object.
-func (s *Shard) Filter() (epoch int, owned []model.ObjectID, horizon model.ObjectID) {
-	owned = make([]model.ObjectID, 0, s.owned.len())
+// Owned lists what a cluster shard owns.
+func (s *Shard) Owned() []model.ObjectID {
+	owned := make([]model.ObjectID, 0, s.owned.len())
 	for id := range s.owned.all() {
 		owned = append(owned, id)
 	}
-	return s.epoch, owned, s.table.knownPrefix()
+	return owned
 }
 
 // Knows reports whether every id is in the shard's universe.

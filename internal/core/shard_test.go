@@ -15,7 +15,7 @@ import (
 
 // shardTrial is one run of TestQuickShardCore: a cluster shard's core
 // driven alone, with no sockets, beside the repository the test keeps
-// for it — every write applied, in order, the notice filter in force,
+// for it — every write applied, in order, the registrations in force,
 // and what the shard fetched since: the updates it shipped, and for each
 // object how many writes had been applied when its latest load left (a
 // load carries every write applied before it).
@@ -26,12 +26,12 @@ type shardTrial struct {
 	applied  []model.Update
 	shipped  map[model.UpdateID]bool
 	loadedAt map[model.ObjectID]int
-	// filter passes the notices of what the shard last sent and of every
-	// object above horizon; nil passes every notice, as a stream does
-	// until the shard's first filter.
-	filter  map[model.ObjectID]bool
-	horizon model.ObjectID
-	cut     bool // the stream is cut: a write reaches no one
+	// registered passes the notices of what the shard registered: its
+	// held residents from the start, then what it owns, as an unscoped
+	// shard registers it. A scoped shard registers less, never an
+	// object it holds.
+	registered map[model.ObjectID]bool
+	cut        bool // the stream is cut: a write reaches no one
 	// warm gives every reshard a random warm list. A warm arrival is a
 	// name only — the updates outstanding on it at its old holder do not
 	// travel — so currency is checked only when warm is false.
@@ -58,29 +58,23 @@ func (tr *shardTrial) owe(what string, step core.Step, err error) error {
 	return nil
 }
 
-// send installs the filter the shard would send now.
-func (tr *shardTrial) send() {
-	_, owned, horizon := tr.shard.Filter()
-	tr.filter = make(map[model.ObjectID]bool, len(owned))
-	for _, id := range owned {
-		tr.filter[id] = true
+// register installs registrations of ids, or drops them.
+func (tr *shardTrial) register(ids []model.ObjectID, on bool) {
+	for _, id := range ids {
+		tr.registered[id] = on
 	}
-	tr.horizon = horizon
 }
 
-func (tr *shardTrial) owned() []model.ObjectID {
-	_, owned, _ := tr.shard.Filter()
-	return owned
-}
+func (tr *shardTrial) owned() []model.ObjectID { return tr.shard.Owned() }
 
 // write applies the next write, on any object, at the repository, and
-// delivers its notice if the stream is up and the filter passes it.
+// delivers its notice if the stream is up and registers the object.
 func (tr *shardTrial) write() error {
 	obj := tr.objects[tr.rng.Intn(len(tr.objects))].ID
 	n := len(tr.applied) + 1
 	u := model.Update{ID: model.UpdateID(n), Object: obj, Cost: cost.Bytes(1+tr.rng.Intn(1000)) * cost.KB, Time: time.Duration(n) * time.Second}
 	tr.applied = append(tr.applied, u)
-	if tr.cut || (tr.filter != nil && !tr.filter[obj] && obj <= tr.horizon) {
+	if tr.cut || !tr.registered[obj] {
 		return nil
 	}
 	step, err := tr.shard.Notice(&u)
@@ -132,12 +126,14 @@ func (tr *shardTrial) birth() error {
 		return fmt.Errorf("birth of %d adopted %d births", o.ID, len(fresh))
 	}
 	tr.objects = append(tr.objects, o)
+	tr.register([]model.ObjectID{o.ID}, true)
 	return nil
 }
 
 // reshard moves the shard to a random owned set: Gain (an install's
-// preload included), the widen and its echo, up to three writes and
-// queries between the halves, Settle and the narrow.
+// preload included), the registration of what it gained and its echo,
+// up to three writes and queries between the halves, Settle and the
+// drop of what it lost.
 func (tr *shardTrial) reshard(next func() model.QueryID) error {
 	var owned, warm []model.ObjectID
 	for _, o := range tr.objects {
@@ -158,7 +154,7 @@ func (tr *shardTrial) reshard(next func() model.QueryID) error {
 	for _, o := range g.Start.Preload {
 		tr.loadedAt[o.ID] = len(tr.applied)
 	}
-	tr.send()
+	tr.register(g.Gained, true)
 	for range tr.rng.Intn(4) {
 		tr.between++
 		if tr.rng.Intn(2) == 0 {
@@ -174,12 +170,13 @@ func (tr *shardTrial) reshard(next func() model.QueryID) error {
 	if err := tr.owe(fmt.Sprintf("reshard %d settle", tr.epoch), s.Step, err); err != nil {
 		return err
 	}
-	tr.send()
+	tr.register(s.Lost, false)
 	tr.epoch++
 	return nil
 }
 
-// resume ends a gap; the shard then re-sends its filter.
+// resume ends a gap; the new stream carries what the shard registers
+// again, its owned set.
 func (tr *shardTrial) resume() error {
 	tr.cut = false
 	tr.resumes++
@@ -187,7 +184,8 @@ func (tr *shardTrial) resume() error {
 	if err := tr.owe("resume", step, err); err != nil {
 		return err
 	}
-	tr.send()
+	tr.registered = map[model.ObjectID]bool{}
+	tr.register(tr.owned(), true)
 	return nil
 }
 
@@ -222,10 +220,11 @@ func newShardTrial(seed int64, warm bool) (*shardTrial, string) {
 		shard: core.NewShard(core.ShardConfig{
 			Policy: policy, Objects: objects, Capacity: resize(objects), Resize: resize,
 		}),
-		objects:  objects,
-		shipped:  map[model.UpdateID]bool{},
-		loadedAt: map[model.ObjectID]int{},
-		warm:     warm,
+		objects:    objects,
+		shipped:    map[model.UpdateID]bool{},
+		loadedAt:   map[model.ObjectID]int{},
+		registered: map[model.ObjectID]bool{},
+		warm:       warm,
 	}
 	if rng.Intn(2) == 0 {
 		var held []model.ObjectID
@@ -235,6 +234,7 @@ func newShardTrial(seed int64, warm bool) (*shardTrial, string) {
 			}
 		}
 		tr.shard.Recover(nil, held)
+		tr.register(held, true)
 	}
 	return tr, policy.Name()
 }

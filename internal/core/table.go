@@ -118,16 +118,6 @@ func (t *objectTable) all() iter.Seq[model.Object] {
 	}
 }
 
-// knownPrefix returns the largest h such that every ID in 1..h is known.
-func (t *objectTable) knownPrefix() model.ObjectID {
-	for i := range t.dense {
-		if t.dense[i].ID == 0 {
-			return model.ObjectID(i)
-		}
-	}
-	return model.ObjectID(len(t.dense))
-}
-
 // idSet is a set of object IDs with the same dense/sparse split as
 // objectTable: a bitset indexed by id−1 (one bit per object — 128 KiB
 // for a million-object shard, where the set it replaced cost tens of

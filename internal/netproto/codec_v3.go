@@ -513,9 +513,6 @@ func walkBody(c *Cursor, t MsgType, body any) (any, bool) {
 		IDs(c, &b.Warm)
 		Varint(c, &b.Resident)
 		Varint(c, &b.Dropped)
-		if c.tail(b.Horizon != 0) {
-			Varint(c, &b.Horizon)
-		}
 		return decoded(c, &b), ok
 	case MsgObjectBirth:
 		b, ok := body.(ObjectBirthMsg)
@@ -545,6 +542,9 @@ func walkBody(c *Cursor, t MsgType, body any) (any, bool) {
 	case MsgInterest:
 		b, ok := body.(InterestMsg)
 		IDs(c, &b.Objects)
+		if c.tail(len(b.Drop) != 0) {
+			IDs(c, &b.Drop)
+		}
 		return decoded(c, &b), ok
 	}
 	if c.dec {

@@ -89,12 +89,11 @@ func seedFrames() []Frame {
 					Objects: 1, Source: "cache", Elapsed: 300 * time.Microsecond},
 			},
 		}},
-		// A shard's owned set on its invalidation stream, its Horizon
-		// riding the frame tail (like the trace tails above), and a
-		// cache's stats answer with residents and gauge samples, so the
-		// fuzzer mutates a tail and a sample list.
+		// A reshard that names its owned set alone, and a cache's stats
+		// answer with residents and gauge samples, so the fuzzer mutates
+		// an ID list and a sample list.
 		{Type: MsgReshard, Body: ReshardMsg{
-			Epoch: 3, Owned: []model.ObjectID{1, 2, 69}, Horizon: 69,
+			Epoch: 3, Owned: []model.ObjectID{1, 2, 69},
 		}},
 		{Type: MsgStats, Body: StatsMsg{
 			Cached: []model.ObjectID{1, 69}, Policy: "VCover", Queries: 12, AtCache: 4,
@@ -148,10 +147,9 @@ func seedFrames() []Frame {
 			},
 			Payload: []byte{8, 9},
 		}},
-		// A shard's owned set on its invalidation stream, with no
-		// Universe.
+		// A narrowing reshard, with no Universe.
 		{Type: MsgReshard, Body: ReshardMsg{
-			Epoch: 1, Owned: []model.ObjectID{2, 3, 5}, Horizon: 16,
+			Epoch: 1, Owned: []model.ObjectID{2, 3, 5},
 		}},
 	}
 }
@@ -181,6 +179,16 @@ func interestFrames() []Frame {
 	return []Frame{
 		{Type: MsgInterest, Body: InterestMsg{Objects: []model.ObjectID{3, 69, 1, 4096}}},
 		{Type: MsgInterest, Body: InterestMsg{}},
+	}
+}
+
+// interestDropFrames are a registration that also drops objects, its
+// Drop list riding the frame tail, and one that only drops, kept out of
+// seedFrames like universeFrames.
+func interestDropFrames() []Frame {
+	return []Frame{
+		{Type: MsgInterest, Body: InterestMsg{Objects: []model.ObjectID{5, 70}, Drop: []model.ObjectID{3, 69, 4096}}},
+		{Type: MsgInterest, Body: InterestMsg{Drop: []model.ObjectID{1}}},
 	}
 }
 
@@ -256,7 +264,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, seed := range streamSeeds(f) {
 		f.Add(seed)
 	}
-	for _, fr := range slices.Concat(seedFrames(), universeFrames(), interestFrames()) {
+	for _, fr := range slices.Concat(seedFrames(), universeFrames(), interestFrames(), interestDropFrames()) {
 		one := encodeFrames(f, fr)
 		f.Add(one)
 		f.Add(one[:len(one)*2/3])                              // truncated inside the body
@@ -277,7 +285,7 @@ func FuzzDecodeFrame(f *testing.F) {
 // tier-1 CI too.
 func TestDecodeFrameSeedCorpus(t *testing.T) {
 	cases := streamSeeds(t)
-	for _, fr := range slices.Concat(seedFrames(), universeFrames(), interestFrames()) {
+	for _, fr := range slices.Concat(seedFrames(), universeFrames(), interestFrames(), interestDropFrames()) {
 		one := encodeFrames(t, fr)
 		cases = append(cases, one)
 		for cut := 1; cut < len(one); cut += 7 {
@@ -323,9 +331,9 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 	traced := encodeFrames(t, seedFrames()[12]) // QueryResultMsg with TraceID+Spans tail
 	tracedFlip := bytes.Clone(traced)
 	tracedFlip[len(tracedFlip)-2] ^= 0x55        // corrupt inside the trace tail
-	horizon := encodeFrames(t, seedFrames()[13]) // ReshardMsg with the Horizon tail
+	horizon := encodeFrames(t, seedFrames()[13]) // ReshardMsg with an Owned list alone
 	horizonFlip := bytes.Clone(horizon)
-	horizonFlip[len(horizonFlip)-1] ^= 0x55    // corrupt the Horizon tail byte
+	horizonFlip[len(horizonFlip)-1] ^= 0x55    // corrupt the last byte
 	grant := encodeFrames(t, seedFrames()[15]) // BirthGrantMsg with the Epoch tail
 	grantFlip := bytes.Clone(grant)
 	grantFlip[len(grantFlip)/2] ^= 0x55             // corrupt mid-batch
@@ -337,7 +345,10 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 	universeFlip[len(universeFlip)/4] ^= 0x55        // corrupt inside the reply's survey config
 	interest := encodeFrames(t, interestFrames()...) // registration and echo
 	interestFlip := bytes.Clone(interest)
-	interestFlip[len(interestFlip)/3] ^= 0x55 // corrupt inside the registered IDs
+	interestFlip[len(interestFlip)/3] ^= 0x55                // corrupt inside the registered IDs
+	interestDrop := encodeFrames(t, interestDropFrames()[0]) // registration with the Drop tail
+	interestDropFlip := bytes.Clone(interestDrop)
+	interestDropFlip[len(interestDropFlip)-2] ^= 0x55 // corrupt inside the Drop tail
 	entries := map[string][]byte{
 		"valid-v3-stream":              valid,
 		"truncated-v3-birth":           oneBirth[:len(oneBirth)*2/3],
@@ -347,7 +358,7 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 		"truncated-v3-traced":          traced[:len(traced)*3/4],
 		"bitflip-v3-traced":            tracedFlip,
 		"valid-v3-reshard-horizon":     horizon,
-		"truncated-v3-reshard-horizon": horizon[:len(horizon)-1], // stream ends inside the Horizon tail
+		"truncated-v3-reshard-horizon": horizon[:len(horizon)-1], // stream ends inside the Owned list
 		"bitflip-v3-reshard-horizon":   horizonFlip,
 		"valid-v3-grant":               grant,
 		"truncated-v3-grant":           grant[:len(grant)*2/3], // stream ends inside the birth batch
@@ -361,6 +372,9 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 		"valid-v3-interest":            interest,
 		"truncated-v3-interest":        interest[:len(interest)/2], // stream ends inside the registered IDs
 		"bitflip-v3-interest":          interestFlip,
+		"valid-v3-interest-drop":       interestDrop,
+		"truncated-v3-interest-drop":   interestDrop[:len(interestDrop)-1], // stream ends inside the Drop tail
+		"bitflip-v3-interest-drop":     interestDropFlip,
 	}
 	for name, data := range entries {
 		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)

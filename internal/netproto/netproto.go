@@ -206,10 +206,11 @@ const (
 	// survey config and every birth (client, cache or router →
 	// repository, the middle two forwarding to theirs).
 	MsgUniverse
-	// MsgInterest registers object IDs on an invalidation stream
-	// (subscriber → repository): from its first one on, the stream
-	// carries only the notices of registered objects. The repository
-	// echoes each in-stream, with no IDs.
+	// MsgInterest registers and drops object IDs on an invalidation
+	// stream (subscriber → repository): from its first one on (a
+	// shard's stream: from the start), the stream carries only the
+	// notices of registered objects. The repository echoes each
+	// in-stream, with no IDs.
 	MsgInterest
 )
 
@@ -237,7 +238,7 @@ func (t MsgType) String() string {
 // Hello opens every connection: the dialer announces its role and
 // protocol version, then waits for a HelloAck.
 type Hello struct {
-	Role string // "cache", "client", "invalidations"
+	Role string // "cache", "client", "invalidations", "shard-invalidations"
 	// Version is the protocol version the peer speaks (ProtoV3).
 	// Anything lower is refused.
 	Version int
@@ -474,12 +475,6 @@ type RebalanceStatusMsg struct {
 // and object filter change to exactly Owned — still-owned residents stay
 // as they are, Warm arrivals are adopted, and the rest are dropped. The
 // reply echoes the message with Resident/Dropped filled in.
-//
-// A cluster shard also sends it on its invalidation stream (shard →
-// repository) to name the objects whose update notices it wants: Owned
-// and every ID above Horizon. The repository installs that filter and
-// echoes Epoch and the Horizon it applied back in-stream, after the
-// last notice filtered the old way.
 type ReshardMsg struct {
 	Epoch int
 	Owned []model.ObjectID
@@ -501,11 +496,6 @@ type ReshardMsg struct {
 	// owned.
 	Resident int
 	Dropped  int
-	// Horizon is an invalidation-stream field: the shard knew every
-	// object up to it when it sent the set, so any object it is granted
-	// later lies above it, and the repository passes every notice above
-	// it. Rides the frame tail; 0 passes every notice.
-	Horizon model.ObjectID
 }
 
 // ObjectBirthMsg carries newly published objects: full metadata plus
@@ -551,10 +541,15 @@ type UniverseMsg struct {
 }
 
 // InterestMsg is what an invalidation subscriber registers: objects
-// whose notices it needs. Registrations only add; a stream that never
-// sends one carries every notice.
+// whose notices it needs, and objects whose notices it no longer needs
+// (Drop). A subscriber keeps the two lists disjoint. An
+// "invalidations" stream that never sends one carries every notice; a
+// "shard-invalidations" stream starts with nothing registered.
 type InterestMsg struct {
 	Objects []model.ObjectID
+	// Drop rides the frame tail, so a frame without drops encodes as
+	// it did before the field existed.
+	Drop []model.ObjectID
 }
 
 // FetchUniverse asks sess's peer for its universe.

@@ -173,8 +173,8 @@ func TestRebalanceFramesRoundTrip(t *testing.T) {
 		{Type: MsgReshard, Body: ReshardMsg{
 			Epoch: 3, Owned: []model.ObjectID{1, 2, 9}, Warm: []model.ObjectID{2, 9},
 		}},
-		// A shard's owned set on its invalidation stream.
-		{Type: MsgReshard, Body: ReshardMsg{Epoch: 4, Owned: []model.ObjectID{1, 9}, Horizon: 12}},
+		// A narrowing reshard, with no warm list.
+		{Type: MsgReshard, Body: ReshardMsg{Epoch: 4, Owned: []model.ObjectID{1, 9}}},
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -205,8 +205,8 @@ func TestRebalanceFramesRoundTrip(t *testing.T) {
 			}
 		case ReshardMsg:
 			if body.Epoch == 4 {
-				if len(body.Owned) != 2 || body.Horizon != 12 {
-					t.Errorf("owned-set body = %+v", body)
+				if len(body.Owned) != 2 || len(body.Warm) != 0 {
+					t.Errorf("narrowing reshard body = %+v", body)
 				}
 			} else if body.Epoch != 3 || len(body.Owned) != 3 || len(body.Warm) != 2 || body.Warm[1] != 9 {
 				t.Errorf("reshard body = %+v", body)

@@ -14,7 +14,7 @@ import (
 // Frame and Gap run on the subscription's one receive goroutine.
 type StreamHandler struct {
 	// Frame receives every frame of the stream but the echoes of the
-	// consumer's own frames, in stream order.
+	// consumer's registrations, in stream order.
 	Frame func(netproto.Frame)
 	// Gap runs when the stream is lost while the node is not closing.
 	// Nothing is delivered until Resume, and the repository keeps
@@ -22,9 +22,9 @@ type StreamHandler struct {
 	// answers from must fail closed here.
 	Gap func()
 	// Resume runs on each fresh connection after a gap, before any of
-	// its frames is delivered, with s locked and the new connection
-	// current: s.Send puts frames on it.
-	Resume func(s *Subscription)
+	// its frames is delivered, with the registrations already reset:
+	// what it registers goes out on the new connection.
+	Resume func()
 }
 
 // Subscription is a consumer's end of the repository's invalidation
@@ -34,33 +34,25 @@ type StreamHandler struct {
 // capped, jittered backoff on every error, and resumes. It ends when
 // the node closes.
 //
-// A consumer may send frames on the stream (a cluster shard's owned
-// set, MsgReshard); the repository echoes each one in-stream. Echoes
-// are counted per connection, so a wait for the echo of a frame sent
-// on a connection that has since died ends with that connection.
-//
-// A consumer may also scope the stream to the objects it registers
-// (Register, MsgInterest): from the first registration the repository
-// installs, it withholds every notice on an object not registered. The
-// bookkeeping is a core.Interest, which a pump goroutine drives: it
-// sends the pending registrations as one frame, at most one in flight,
-// and an object is confirmed only when that frame's echo comes back. A
-// gap resets it, because the new stream carries every notice until its
-// own first registration.
+// A consumer scopes its stream to the objects it registers (Register,
+// Unregister, MsgInterest): an "invalidations" stream carries every
+// notice until the first registration the repository installs, a
+// "shard-invalidations" stream only what is registered from the start.
+// The bookkeeping is a core.Interest, which a pump goroutine drives: it
+// sends the pending registrations and drops as one frame, at most one
+// in flight, and an object is confirmed only when that frame's echo
+// comes back on the connection it was sent on. A gap resets it, because
+// the new stream starts over.
 type Subscription struct {
-	// Mutex serializes Sends with the connection swap of a resume, so
-	// a frame, the wait for its echo and whatever the consumer does
-	// after it all happen on one connection. Lock it around Send.
-	sync.Mutex
 	n    *Node
 	addr string
+	role string
 	cfg  netproto.SessionConfig
 	h    StreamHandler
 	gaps *obs.Counter
-	// wmu orders every frame onto the current connection and guards
-	// cur: Sends hold it inside the lock above, the pump's registrations
-	// without it, and a resume swaps cur under both.
-	wmu sync.Mutex
+	// mu orders frames onto the current connection and guards cur,
+	// which a resume swaps.
+	mu  sync.Mutex
 	cur *stream
 
 	// imu guards interest and changed, which is closed and replaced
@@ -73,11 +65,10 @@ type Subscription struct {
 }
 
 // stream is one connection's life: the frames sent on it and the
-// echoes that came back. A reshard and the pump may each wait for an
-// echo at once, so every echo wakes every waiter.
+// echoes that came back.
 type stream struct {
 	c    *netproto.Conn
-	sent uint64 // under the subscription's wmu
+	sent uint64 // under the subscription's mu
 	mu   sync.Mutex
 	// echoed counts the echoes, in send order; arrived is closed and
 	// replaced at each one.
@@ -106,13 +97,15 @@ func (st *stream) echo() {
 	st.mu.Unlock()
 }
 
-// Subscribe dials addr's invalidation stream and returns once the
-// repository has acked the Hello. The repository registers a subscriber
-// before it acks, so every update applied after Subscribe returns is
-// delivered. It also declares the node's delta_invalidation_gaps_total.
-func (n *Node) Subscribe(addr string, cfg netproto.SessionConfig, h StreamHandler) (*Subscription, error) {
+// Subscribe dials addr's invalidation stream under role
+// ("invalidations", or a cluster shard's "shard-invalidations") and
+// returns once the repository has acked the Hello. The repository
+// registers a subscriber before it acks, so every update applied after
+// Subscribe returns is delivered, as far as the stream's registrations
+// pass it. It also declares the node's delta_invalidation_gaps_total.
+func (n *Node) Subscribe(addr, role string, cfg netproto.SessionConfig, h StreamHandler) (*Subscription, error) {
 	s := &Subscription{
-		n: n, addr: addr, cfg: cfg, h: h,
+		n: n, addr: addr, role: role, cfg: cfg, h: h,
 		interest: core.NewInterest(),
 		changed:  make(chan struct{}),
 		wake:     make(chan struct{}, 1),
@@ -129,41 +122,38 @@ func (n *Node) Subscribe(addr string, cfg netproto.SessionConfig, h StreamHandle
 	n.Go(s.pump)
 	n.Go(func() {
 		<-n.stop
-		s.Lock()
+		s.mu.Lock()
 		s.cur.c.Close()
-		s.Unlock()
+		s.mu.Unlock()
 	})
 	return s, nil
 }
 
-// Echo is a sent frame's place in its connection's echo order.
-type Echo struct {
+// echoWait is a sent frame's place in its connection's echo order.
+type echoWait struct {
 	s   *Subscription
 	st  *stream
 	seq uint64
 }
 
-// Send puts f on the current connection. A consumer holds the lock
-// around it, so that the frame, the wait for its echo and what it does
-// after all happen on one connection; the pump's registrations need no
-// such guarantee and do not take it. A frame that cannot be sent closes
-// the connection, and the gap path takes over.
-func (s *Subscription) Send(f netproto.Frame) Echo {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+// send puts f on the current connection. A frame that cannot be sent
+// closes the connection, and the gap path takes over.
+func (s *Subscription) send(f netproto.Frame) echoWait {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := s.cur
 	st.sent++
 	if err := st.c.Send(f); err != nil {
 		s.n.logf("%s: send on the invalidation stream: %v", s.n.name, err)
 		st.c.Close()
 	}
-	return Echo{s, st, st.sent}
+	return echoWait{s, st, st.sent}
 }
 
-// Wait returns once the repository has echoed the frame, its
+// wait returns once the repository has echoed the frame, its
 // connection is lost, or the node is closing, and reports whether the
 // echo came.
-func (e Echo) Wait() bool {
+func (e echoWait) wait() bool {
 	for {
 		n, arrived := e.st.echoes()
 		if n >= e.seq {
@@ -193,6 +183,19 @@ func (s *Subscription) Register(ids []model.ObjectID) bool {
 	return confirmed
 }
 
+// Unregister drops ids' registrations on the stream: they are no
+// longer confirmed, and the repository stops passing their notices once
+// the pump's next frame is installed. Nothing waits for that.
+func (s *Subscription) Unregister(ids []model.ObjectID) {
+	if len(ids) == 0 {
+		return
+	}
+	s.imu.Lock()
+	s.interest.Drop(ids)
+	s.imu.Unlock()
+	s.wakePump()
+}
+
 // Confirmed reports whether every id is confirmed, registering none,
 // and the generation the answer holds for: a gap moves it on (Gen).
 func (s *Subscription) Confirmed(ids []model.ObjectID) (gen uint64, ok bool) {
@@ -211,13 +214,13 @@ func (s *Subscription) Gen() uint64 {
 // AwaitConfirmed registers ids and waits until every one is confirmed.
 // It reports false when the connection current at the call is lost, a
 // gap resets the registrations, or the node closes: the consumer's gap
-// path then owns whatever it was about to do. Like Echo.Wait it ends
-// with its connection, so a caller holding the lock a resume needs
-// cannot wait for a registration only the resume could send.
+// path then owns whatever it was about to do. It ends with its
+// connection, so a caller that the gap path waits on cannot wait for a
+// registration only the resume could send.
 func (s *Subscription) AwaitConfirmed(ids []model.ObjectID) bool {
-	s.wmu.Lock()
+	s.mu.Lock()
 	lost := s.cur.lost
-	s.wmu.Unlock()
+	s.mu.Unlock()
 	s.imu.Lock()
 	gen := s.interest.Gen()
 	for !s.interest.Want(ids) {
@@ -248,8 +251,8 @@ func (s *Subscription) wakePump() {
 	}
 }
 
-// pump sends the pending registrations, one batch at a time, until the
-// node closes.
+// pump sends the pending registrations and drops, one batch at a time,
+// until the node closes.
 func (s *Subscription) pump() {
 	for {
 		select {
@@ -262,14 +265,14 @@ func (s *Subscription) pump() {
 	}
 }
 
-// flushInterest sends the pending registrations as one frame and waits
-// for its echo. It reports false when nothing was sent or the echo did
-// not come; a dead connection waits for its resume, which wakes the
-// pump again.
+// flushInterest sends the pending registrations and drops as one frame
+// and waits for its echo. It reports false when nothing was sent or the
+// echo did not come; a dead connection waits for its resume, which
+// wakes the pump again.
 func (s *Subscription) flushInterest() bool {
-	s.wmu.Lock()
+	s.mu.Lock()
 	st := s.cur
-	s.wmu.Unlock()
+	s.mu.Unlock()
 	select {
 	case <-st.lost:
 		return false
@@ -281,7 +284,9 @@ func (s *Subscription) flushInterest() bool {
 	if !ok {
 		return false
 	}
-	echoed := s.Send(netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{Objects: batch}}).Wait()
+	echoed := s.send(netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{
+		Objects: batch.Want, Drop: batch.Drop,
+	}}).wait()
 	s.imu.Lock()
 	if echoed {
 		s.interest.Echoed(gen)
@@ -322,33 +327,31 @@ func (s *Subscription) run() {
 		if c == nil {
 			return
 		}
-		s.Lock()
+		s.mu.Lock()
 		select {
 		case <-s.n.stop:
 			c.Close()
-			s.Unlock()
+			s.mu.Unlock()
 			return
 		default:
 		}
-		s.wmu.Lock()
 		s.cur = newStream(c)
-		s.wmu.Unlock()
-		s.h.Resume(s)
-		s.Unlock()
+		s.mu.Unlock()
+		s.h.Resume()
 		s.wakePump() // registrations made during the gap go out now
 		s.n.logf("%s: invalidation stream resumed", s.n.name)
 	}
 }
 
 // receive delivers st's frames until its connection fails, counting
-// echoes (MsgReshard, MsgInterest) instead of delivering them.
+// echoes (MsgInterest) instead of delivering them.
 func (s *Subscription) receive(st *stream) error {
 	for {
 		f, err := st.c.Recv()
 		if err != nil {
 			return err
 		}
-		if f.Type != netproto.MsgReshard && f.Type != netproto.MsgInterest {
+		if f.Type != netproto.MsgInterest {
 			s.h.Frame(f)
 			continue
 		}
@@ -372,5 +375,5 @@ func (s *Subscription) redial() *netproto.Conn {
 }
 
 func (s *Subscription) dial() (*netproto.Conn, error) {
-	return netproto.DialConn(s.addr, "invalidations", s.cfg)
+	return netproto.DialConn(s.addr, s.role, s.cfg)
 }

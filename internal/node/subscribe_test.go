@@ -1,18 +1,20 @@
 package node
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
 )
 
 // TestSubscriptionResumesWithPerConnectionEchoes drives one subscription
-// against a scripted repository: a frame sent on a connection that dies
-// before its echo stops being waited for; the loss is one gap, followed
-// by a resubscribe whose Resume runs — and sends — before any frame of
-// the new connection is delivered; and echo counting starts over on the
-// new connection.
+// against a scripted repository: a wait for a registration sent on a
+// connection that dies before its echo ends with that connection; the
+// loss is one gap, followed by a resubscribe whose Resume runs — and
+// registers — before any frame of the new connection is delivered; and
+// echo counting starts over on the new connection.
 func TestSubscriptionResumesWithPerConnectionEchoes(t *testing.T) {
 	conns := make(chan *netproto.Conn, 4)
 	sent := make(chan netproto.Frame, 16) // frames the subscriber sent
@@ -37,22 +39,25 @@ func TestSubscriptionResumesWithPerConnectionEchoes(t *testing.T) {
 
 	frames := make(chan netproto.Frame, 16)
 	gaps := make(chan struct{}, 4)
-	owned := netproto.Frame{Type: netproto.MsgReshard, Body: netproto.ReshardMsg{Epoch: 7}}
 	n := New("cache", "", "", t.Logf, nil)
 	defer n.Close()
-	sub, err := n.Subscribe(repo.Addr(), netproto.SessionConfig{}, StreamHandler{
+	var sub *Subscription
+	resumed := make(chan struct{})
+	sub, err := n.Subscribe(repo.Addr(), "invalidations", netproto.SessionConfig{}, StreamHandler{
 		Frame: func(f netproto.Frame) { frames <- f },
 		Gap:   func() { gaps <- struct{}{} },
-		Resume: func(s *Subscription) {
+		Resume: func() {
+			<-resumed // sub is set
 			if len(frames) != 0 {
 				t.Error("a frame was delivered before the resume")
 			}
-			s.Send(owned)
+			sub.Register([]model.ObjectID{7})
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(resumed)
 	recv := func(ch <-chan netproto.Frame) netproto.Frame {
 		t.Helper()
 		select {
@@ -63,34 +68,41 @@ func TestSubscriptionResumesWithPerConnectionEchoes(t *testing.T) {
 			return netproto.Frame{}
 		}
 	}
-	echo := netproto.Frame{Type: netproto.MsgReshard, Body: netproto.ReshardMsg{}}
+	echo := netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{}}
 	notice := netproto.Frame{Type: netproto.MsgInvalidate, Body: netproto.InvalidateMsg{}}
 
-	// Cut between a send and its echo: the wait ends with the connection.
+	// Cut between a registration and its echo: the wait ends with the
+	// connection, unconfirmed.
 	first := <-conns
-	sub.Lock()
-	pending := sub.Send(owned)
+	confirmed := make(chan bool)
+	go func() { confirmed <- sub.AwaitConfirmed([]model.ObjectID{1}) }()
 	recv(sent)
 	first.Close()
-	pending.Wait()
-	sub.Unlock()
+	select {
+	case ok := <-confirmed:
+		if ok {
+			t.Fatal("a registration was confirmed without its echo")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the wait outlived its connection")
+	}
 	select {
 	case <-gaps:
 	case <-time.After(10 * time.Second):
 		t.Fatal("no gap reported")
 	}
 
-	// The resume re-sent the owned set first on the new connection.
+	// The resume's registration went first on the new connection; the
+	// one of the dead connection was reset with it.
 	second := <-conns
-	if f := recv(sent); f.Type != netproto.MsgReshard {
-		t.Fatalf("resume sent %s first, want %s", f.Type, netproto.MsgReshard)
+	f := recv(sent)
+	if body, ok := f.Body.(netproto.InterestMsg); !ok || !slices.Equal(body.Objects, []model.ObjectID{7}) {
+		t.Fatalf("resume sent %s %+v first, want the registration of 7", f.Type, f.Body)
 	}
 	// That frame is seq 1 here: its echo does not satisfy seq 2.
-	sub.Lock()
-	widen := sub.Send(owned)
-	sub.Unlock()
+	w := sub.send(echo)
 	done := make(chan struct{})
-	go func() { widen.Wait(); close(done) }()
+	go func() { w.wait(); close(done) }()
 	for _, f := range []netproto.Frame{echo, notice} {
 		if err := second.Send(f); err != nil {
 			t.Fatal(err)
@@ -98,6 +110,14 @@ func TestSubscriptionResumesWithPerConnectionEchoes(t *testing.T) {
 	}
 	if f := recv(frames); f.Type != netproto.MsgInvalidate {
 		t.Fatalf("delivered %s, want %s (echoes are counted, not delivered)", f.Type, netproto.MsgInvalidate)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := sub.Confirmed([]model.ObjectID{7}); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the echo of seq 1 never confirmed its registration")
+		}
 	}
 	select {
 	case <-done:

@@ -78,16 +78,17 @@ type Repository struct {
 
 // subscriber is one invalidation stream: the frames queued to it —
 // update notices (MsgInvalidate), new-object announcements
-// (MsgObjectBirth) and echoes (MsgReshard, MsgInterest) — the filter
-// its cluster shard installed, and the objects it registered.
+// (MsgObjectBirth, on a cache's or router's stream only) and echoes
+// (MsgInterest) — and the objects it registered.
 type subscriber struct {
 	ch chan netproto.Frame
 	c  *netproto.Conn
-	// filter is nil until the subscriber sends its owned set; nil passes
-	// every notice and announcement.
-	filter *noticeFilter
-	// interest is nil until the subscriber's first registration; nil
-	// passes every notice. It only grows.
+	// shard marks a cluster shard's stream ("shard-invalidations"): it
+	// starts with an empty interest set and gets no announcements, since
+	// a shard adopts a newborn only when its router grants it.
+	shard bool
+	// interest is nil until the subscriber's first registration on an
+	// "invalidations" stream; nil passes every notice.
 	interest interestSet
 }
 
@@ -95,11 +96,12 @@ type subscriber struct {
 // bit id-1 per object.
 type interestSet []uint64
 
-// add registers ids, ignoring any outside the universe: a subscriber
-// learns an object only from the repository, so it cannot name one the
-// repository does not have, and the bitset stays bounded by the
-// universe whatever the peer sent.
-func (s interestSet) add(ids []model.ObjectID, universe int) interestSet {
+// update registers ids and unregisters drop, ignoring IDs outside the
+// universe: a subscriber learns an object only from the repository, so
+// it cannot name one the repository does not have, and the bitset stays
+// bounded by the universe whatever the peer sent. A nil set becomes an
+// empty one first, so every registration frame scopes the stream.
+func (s interestSet) update(ids, drop []model.ObjectID, universe int) interestSet {
 	if s == nil {
 		s = make(interestSet, 0, (universe+63)/64)
 	}
@@ -113,6 +115,11 @@ func (s interestSet) add(ids []model.ObjectID, universe int) interestSet {
 		}
 		s[i/64] |= 1 << (i % 64)
 	}
+	for _, id := range drop {
+		if i := int(id - 1); id >= 1 && i/64 < len(s) {
+			s[i/64] &^= 1 << (i % 64)
+		}
+	}
 	return s
 }
 
@@ -124,41 +131,6 @@ func (s interestSet) passes(obj model.ObjectID) bool {
 	}
 	i := int(obj - 1)
 	return i >= 0 && i/64 < len(s) && s[i/64]&(1<<(i%64)) != 0
-}
-
-// noticeFilter is a cluster shard's view of the update stream: the
-// notices of the objects it owned when it sent the set, and of every
-// object above horizon. The shard knew every object up to horizon, and
-// a shard is granted only objects it did not know, so everything it
-// may own before its next set lies in the filter.
-type noticeFilter struct {
-	owned   []uint64 // bit id-1 is set for every owned id ≤ horizon
-	horizon model.ObjectID
-}
-
-// newNoticeFilter builds the filter for an owned set. No object above
-// the repository's universe can be owned yet, so a horizon past it is
-// lowered to it: that passes more notices, never fewer, and bounds the
-// bitset by the universe whatever the peer sent.
-func newNoticeFilter(owned []model.ObjectID, horizon model.ObjectID, universe int) *noticeFilter {
-	horizon = max(0, min(horizon, model.ObjectID(universe)))
-	f := &noticeFilter{owned: make([]uint64, (int(horizon)+63)/64), horizon: horizon}
-	for _, id := range owned {
-		if id >= 1 && id <= horizon {
-			f.owned[(id-1)/64] |= 1 << ((id - 1) % 64)
-		}
-	}
-	return f
-}
-
-// passes reports whether an update on obj is sent to the filter's
-// subscriber. A nil filter passes everything.
-func (f *noticeFilter) passes(obj model.ObjectID) bool {
-	if f == nil || obj > f.horizon {
-		return true
-	}
-	i := obj - 1
-	return i >= 0 && f.owned[i/64]&(1<<(i%64)) != 0
 }
 
 // New validates the config and creates a repository (not yet listening).
@@ -177,9 +149,10 @@ func New(cfg Config) (*Repository, error) {
 	}
 	r.Node = node.New("repository", cfg.Addr, cfg.MetricsAddr, cfg.Logf, r.handleRequest)
 	r.Roles = map[string]node.Serve{
-		"invalidations": r.serveInvalidations,
-		"cache":         nil, // request/reply over handleRequest
-		"client":        nil,
+		"invalidations":       r.serveInvalidations,
+		"shard-invalidations": r.serveInvalidations,
+		"cache":               nil, // request/reply over handleRequest
+		"client":              nil,
 	}
 	r.Unblock = r.closeSubscribers
 	r.execLat = r.Reg.NewHistogram("delta_repo_query_seconds",
@@ -189,9 +162,9 @@ func New(cfg Config) (*Repository, error) {
 	r.fsyncLat = r.Reg.NewHistogram("delta_journal_fsync_seconds",
 		"Durability journal fsync latency.")
 	r.notices = r.Reg.NewCounter("delta_repo_notices_total",
-		"Update notices queued to invalidation subscribers, after each subscriber's ownership filter and registered interest.")
+		"Update notices queued to invalidation subscribers, after each subscriber's registered interest.")
 	r.filtered = r.Reg.NewCounter("delta_repo_notices_filtered_total",
-		"Update notices withheld from an invalidation subscriber because it had not registered the object; never a dropped notice.")
+		"Update notices withheld from an invalidation subscriber because it had not registered the object (a cluster shard registers what it owns); never a dropped notice.")
 	r.queries = r.Reg.NewCounter("delta_queries_total",
 		"Query requests this repository received, from caches and clients, refused ones included.")
 	r.droppedInvalidations = r.Reg.NewCounter("delta_dropped_invalidations_total",
@@ -295,8 +268,8 @@ func (r *Repository) closeSubscribers() {
 // enters the repository: the pipeline runs in process (delta-server
 // -pipeline-rate, the benchmark's trace replay, tests), and no frame
 // carries updates in. This is the stream's one broadcast point for
-// notices: each goes to the subscribers whose filter and interest pass
-// its object.
+// notices: each goes to the subscribers whose interest passes its
+// object.
 func (r *Repository) ApplyUpdate(u model.Update) {
 	f := netproto.Frame{Type: netproto.MsgInvalidate, Body: netproto.InvalidateMsg{Update: u}}
 	r.mu.Lock()
@@ -304,7 +277,6 @@ func (r *Repository) ApplyUpdate(u model.Update) {
 	r.updates[u.ID] = u
 	for id, s := range r.subscribers {
 		switch {
-		case !s.filter.passes(u.Object):
 		case !s.interest.passes(u.Object):
 			r.filtered.Inc()
 		case r.enqueueLocked(id, s, f):
@@ -368,9 +340,7 @@ func (r *Repository) AddObjects(births []model.Birth) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for id, s := range r.subscribers {
-		// A filtered subscriber is a cluster shard, which adopts a
-		// newborn only when its router grants it.
-		if s.filter == nil {
+		if !s.shard {
 			r.enqueueLocked(id, s, f)
 		}
 	}
@@ -383,8 +353,8 @@ func (r *Repository) AddObjects(births []model.Birth) (int, error) {
 // that subscriber. A writer goroutine then sends the queued frames while
 // this one watches the read side, so a subscriber that leaves gives up
 // its slot at once — not when the next notice, which may never come,
-// fails to send. A subscriber may send its owned set (installFilter)
-// and its registrations (addInterest), nothing else.
+// fails to send. A subscriber may send its registrations
+// (updateInterest), nothing else.
 func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) error {
 	ch := make(chan netproto.Frame, 1024)
 	r.mu.Lock()
@@ -394,7 +364,11 @@ func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) 
 	}
 	id := r.nextSub
 	r.nextSub++
-	r.subscribers[id] = &subscriber{ch: ch, c: c}
+	sub := &subscriber{ch: ch, c: c, shard: hello.Role == "shard-invalidations"}
+	if sub.shard {
+		sub.interest = interestSet{}
+	}
+	r.subscribers[id] = sub
 	r.mu.Unlock()
 	unregister := func() {
 		r.mu.Lock()
@@ -435,55 +409,29 @@ func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) 
 	return netproto.IgnoreClosed(err)
 }
 
-// subscriberFrame serves a frame subscriber id sent on its stream.
+// subscriberFrame serves a frame subscriber id sent on its stream: a
+// registration (MsgInterest), whose IDs join the subscriber's interest
+// set and whose drops leave it. The frame is echoed in-stream, with no
+// IDs, under the lock the broadcast holds: every notice queued before
+// the echo passed the old set and every notice after it passes the new
+// one, so a subscriber that waits for the echo knows when a
+// registration is in force. An echo that finds the buffer full cuts the
+// stream like any frame, closing its connection, so the next Recv
+// fails.
 func (r *Repository) subscriberFrame(id int, f netproto.Frame) error {
-	switch body := f.Body.(type) {
-	case netproto.ReshardMsg:
-		r.installFilter(id, body)
-	case netproto.InterestMsg:
-		r.addInterest(id, body.Objects)
-	default:
+	body, ok := f.Body.(netproto.InterestMsg)
+	if !ok {
 		return fmt.Errorf("server: invalidation subscriber sent %s", f.Type)
 	}
-	return nil
-}
-
-// installFilter installs a cluster shard's owned set, sent on its
-// stream (MsgReshard): the filter replaces the subscriber's old one, and
-// the frame's Epoch and effective Horizon are echoed back in-stream.
-// Every notice queued before the echo passed the old filter and every
-// notice after it passes the new one, so a shard that waits for the
-// echo knows when a widened set is in force. An echo that finds the
-// buffer full cuts the stream like any frame, closing its connection,
-// so the next Recv fails.
-func (r *Repository) installFilter(id int, body netproto.ReshardMsg) {
-	filter := newNoticeFilter(body.Owned, body.Horizon, r.cfg.Survey.NumObjects())
-	echo := netproto.Frame{Type: netproto.MsgReshard, Body: netproto.ReshardMsg{
-		Epoch:   body.Epoch,
-		Horizon: filter.horizon,
-	}}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.subscribers[id]; ok { // else closing or cut: the next Recv fails
-		s.filter = filter
-		r.enqueueLocked(id, s, echo)
-	}
-}
-
-// addInterest adds a subscriber's registrations to its interest set and
-// echoes the frame in-stream, with no IDs. Like the filter's echo, it
-// is queued behind every notice the old set passed and ahead of every
-// notice the grown set passes. The first registration turns the
-// subscriber's unfiltered stream into a scoped one.
-func (r *Repository) addInterest(id int, ids []model.ObjectID) {
 	universe := r.cfg.Survey.NumObjects()
 	echo := netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{}}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s, ok := r.subscribers[id]; ok {
-		s.interest = s.interest.add(ids, universe)
+	if s, ok := r.subscribers[id]; ok { // else closing or cut: the next Recv fails
+		s.interest = s.interest.update(body.Objects, body.Drop, universe)
 		r.enqueueLocked(id, s, echo)
 	}
+	return nil
 }
 
 // handleRequest executes one request frame and builds its reply (the

@@ -45,26 +45,28 @@ func TestAddrBeforeStart(t *testing.T) {
 	}
 }
 
-// TestNoticeFilterAndEcho drives the subscriber side of the owned-set
-// filter over raw streams: a subscriber that sends nothing gets every
-// notice and announcement; one that sends its owned set gets the echo
-// (with the horizon it was given, lowered to the universe), then only
-// the notices of its objects and of objects above the horizon, and no
-// announcements. The counter counts what was queued, after the filter.
+// TestNoticeFilterAndEcho drives the repository's one notice filter,
+// the interest set, over raw streams: an "invalidations" subscriber that
+// sends nothing gets every notice and announcement; a
+// "shard-invalidations" subscriber starts with nothing registered and
+// gets no announcement. Each registration frame is echoed in-stream,
+// empty, and from then on the subscriber gets the notices of what it
+// registered and not of what it dropped, a drop outside the universe
+// ignored. The counters count what was queued and what was withheld.
 func TestNoticeFilterAndEcho(t *testing.T) {
 	repo := testRepo(t)
 	if err := repo.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer repo.Close()
-	subscribe := func() *netproto.Conn {
+	subscribe := func(role string) *netproto.Conn {
 		nc, err := net.Dial("tcp", repo.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { nc.Close() })
 		nc.SetDeadline(time.Now().Add(10 * time.Second))
-		return handshake(t, nc, "invalidations")
+		return handshake(t, nc, role)
 	}
 	recv := func(c *netproto.Conn) any {
 		t.Helper()
@@ -74,16 +76,15 @@ func TestNoticeFilterAndEcho(t *testing.T) {
 		}
 		return f.Body
 	}
-	setFilter := func(c *netproto.Conn, owned []model.ObjectID, horizon, wantHorizon model.ObjectID) {
+	interest := func(c *netproto.Conn, register, drop []model.ObjectID) {
 		t.Helper()
-		if err := c.Send(netproto.Frame{Type: netproto.MsgReshard, Body: netproto.ReshardMsg{
-			Epoch: 7, Owned: owned, Horizon: horizon,
+		if err := c.Send(netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{
+			Objects: register, Drop: drop,
 		}}); err != nil {
 			t.Fatal(err)
 		}
-		echo, ok := recv(c).(netproto.ReshardMsg)
-		if !ok || echo.Epoch != 7 || echo.Horizon != wantHorizon || len(echo.Owned) != 0 {
-			t.Fatalf("echo = %+v, want epoch 7, horizon %d, no owned list", echo, wantHorizon)
+		if echo, ok := recv(c).(netproto.InterestMsg); !ok || len(echo.Objects)+len(echo.Drop) != 0 {
+			t.Fatalf("echo = %+v, want an empty registration", echo)
 		}
 	}
 	wantNotice := func(c *netproto.Conn, obj model.ObjectID) {
@@ -92,44 +93,48 @@ func TestNoticeFilterAndEcho(t *testing.T) {
 			t.Fatalf("got %+v, want the notice on object %d", inv, obj)
 		}
 	}
-
-	all, shard := subscribe(), subscribe()
-	setFilter(shard, []model.ObjectID{3, 4}, 8, 8)
-	objects := []model.ObjectID{3, 5, 9, 4}
-	for i, obj := range objects {
-		repo.ApplyUpdate(model.Update{ID: model.UpdateID(i + 1), Object: obj, Cost: 1, Time: time.Second})
+	update := model.UpdateID(0)
+	apply := func(objs ...model.ObjectID) {
+		for _, obj := range objs {
+			update++
+			repo.ApplyUpdate(model.Update{ID: update, Object: obj, Cost: 1, Time: time.Second})
+		}
 	}
-	for _, obj := range objects {
+	metric := func(name string) float64 { return repo.Stats().Metric(name) }
+
+	all, shard := subscribe("invalidations"), subscribe("shard-invalidations")
+	apply(3) // the shard has registered nothing yet
+	interest(shard, []model.ObjectID{3, 4}, nil)
+	objects := []model.ObjectID{3, 5, 9, 4}
+	apply(objects...)
+	for _, obj := range append([]model.ObjectID{3}, objects...) {
 		wantNotice(all, obj)
 	}
-	for _, obj := range []model.ObjectID{3, 9, 4} {
+	for _, obj := range []model.ObjectID{3, 4} {
 		wantNotice(shard, obj)
 	}
-	if got := repo.Stats().Metric("delta_repo_notices_total"); got != 7 {
-		t.Errorf("notices = %v, want 4 unfiltered + 3 filtered", got)
+	if n, w := metric("delta_repo_notices_total"), metric("delta_repo_notices_filtered_total"); n != 7 || w != 3 {
+		t.Errorf("%v notices queued and %v withheld, want 5 + 2 and 3", n, w)
 	}
 
-	// A birth is announced to the unfiltered subscriber only.
+	// A birth is announced to the "invalidations" subscriber only: the
+	// shard's next frame is its echo.
 	if _, err := repo.AddObjects([]model.Birth{{Object: model.Object{ID: 13, Size: cost.MB}, RA: 1, Dec: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := recv(all).(netproto.ObjectBirthMsg); !ok {
-		t.Fatal("unfiltered subscriber missed the announcement")
+		t.Fatal("the unscoped subscriber missed the announcement")
 	}
-	repo.ApplyUpdate(model.Update{ID: 10, Object: 4, Cost: 1, Time: time.Second})
-	wantNotice(shard, 4)
 
-	// A horizon past the universe (13 objects now) is lowered to it, and
-	// a new set replaces the old one.
-	setFilter(shard, []model.ObjectID{5}, 1<<30, 13)
-	for i, obj := range []model.ObjectID{4, 5, 14} {
-		repo.ApplyUpdate(model.Update{ID: model.UpdateID(20 + i), Object: obj, Cost: 1, Time: time.Second})
-	}
-	wantNotice(shard, 5)
-	wantNotice(shard, 14)
+	// One frame registers the newborn and drops 3 and an ID past the
+	// universe.
+	interest(shard, []model.ObjectID{13}, []model.ObjectID{3, 1 << 30})
+	apply(3, 4, 13)
+	wantNotice(shard, 4)
+	wantNotice(shard, 13)
 
 	// Any other frame ends the stream.
-	if err := shard.Send(netproto.Frame{Type: netproto.MsgStats, Body: netproto.StatsMsg{}}); err != nil {
+	if err := shard.Send(netproto.Frame{Type: netproto.MsgReshard, Body: netproto.ReshardMsg{Epoch: 1, Owned: []model.ObjectID{3}}}); err != nil {
 		t.Fatal(err)
 	}
 	if f, err := shard.Recv(); err == nil {
@@ -138,25 +143,25 @@ func TestNoticeFilterAndEcho(t *testing.T) {
 }
 
 // TestInterestScopesNotices: a subscriber's registrations (MsgInterest)
-// are echoed in-stream, and from the first one on it gets a notice only
-// on a registered object that its owned filter, if any, also passes.
-// Withheld notices count in delta_repo_notices_filtered_total; one the
-// owned filter stops does not. IDs outside the universe are ignored, and
-// a registered newborn is heard like any object.
+// are echoed in-stream, and from the first one on (on a shard's stream,
+// from the start) it gets a notice only on a registered object.
+// Withheld notices count in delta_repo_notices_filtered_total. IDs
+// outside the universe are ignored, and a registered newborn is heard
+// like any object.
 func TestInterestScopesNotices(t *testing.T) {
 	repo := testRepo(t)
 	if err := repo.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer repo.Close()
-	subscribe := func() *netproto.Conn {
+	subscribe := func(role string) *netproto.Conn {
 		nc, err := net.Dial("tcp", repo.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { nc.Close() })
 		nc.SetDeadline(time.Now().Add(10 * time.Second))
-		return handshake(t, nc, "invalidations")
+		return handshake(t, nc, role)
 	}
 	recv := func(c *netproto.Conn) any {
 		t.Helper()
@@ -166,15 +171,11 @@ func TestInterestScopesNotices(t *testing.T) {
 		}
 		return f.Body
 	}
-	send := func(c *netproto.Conn, f netproto.Frame) {
-		t.Helper()
-		if err := c.Send(f); err != nil {
-			t.Fatal(err)
-		}
-	}
 	register := func(c *netproto.Conn, ids ...model.ObjectID) {
 		t.Helper()
-		send(c, netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{Objects: ids}})
+		if err := c.Send(netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{Objects: ids}}); err != nil {
+			t.Fatal(err)
+		}
 		if echo, ok := recv(c).(netproto.InterestMsg); !ok || len(echo.Objects) != 0 {
 			t.Fatalf("echo = %+v, want an empty registration", echo)
 		}
@@ -196,31 +197,28 @@ func TestInterestScopesNotices(t *testing.T) {
 	}
 	filtered := func() float64 { return repo.Stats().Metric("delta_repo_notices_filtered_total") }
 
-	router, shard := subscribe(), subscribe()
-	send(shard, netproto.Frame{Type: netproto.MsgReshard, Body: netproto.ReshardMsg{Epoch: 1, Owned: []model.ObjectID{3, 4}, Horizon: 12}})
-	if _, ok := recv(shard).(netproto.ReshardMsg); !ok {
-		t.Fatal("no filter echo")
-	}
-	// Unregistered, both streams are whole (the shard's, after its filter).
+	router, shard := subscribe("invalidations"), subscribe("shard-invalidations")
+	register(shard, 3, 4) // what the shard owns
+	// The router is unregistered, its stream whole; the shard hears what
+	// it registered.
 	apply(3, 5)
 	wantNotices(router, 3, 5)
 	wantNotices(shard, 3)
 	register(router, 3, 0, 200)
-	register(shard, 4, 5)
 	apply(3, 4, 5, 200)
 	wantNotices(router, 3)
-	wantNotices(shard, 4)
-	// Withheld: 4, 5 and 200 from the router, 3 and 200 from the shard.
-	// The shard's filter stops 5 before interest is asked; 200 lies
-	// above its horizon.
-	if got := filtered(); got != 5 {
-		t.Errorf("delta_repo_notices_filtered_total = %v, want 5", got)
+	wantNotices(shard, 3, 4)
+	// Withheld: 5 from the shard, then 4, 5 and 200 from the router and
+	// 5 and 200 from the shard.
+	if got := filtered(); got != 6 {
+		t.Errorf("delta_repo_notices_filtered_total = %v, want 6", got)
 	}
 	if got := repo.Stats().Metric("delta_dropped_invalidations_total"); got != 0 {
 		t.Errorf("withheld notices counted as dropped: %v", got)
 	}
 
-	// A newborn is announced as before; once registered, it is heard.
+	// A newborn is announced to the router; once registered, it is
+	// heard.
 	if _, err := repo.AddObjects([]model.Birth{{Object: model.Object{ID: 13, Size: cost.MB}, RA: 1, Dec: 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +230,7 @@ func TestInterestScopesNotices(t *testing.T) {
 	register(shard, 13)
 	apply(13, 3)
 	wantNotices(router, 13, 3)
-	wantNotices(shard, 13)
+	wantNotices(shard, 13, 3)
 }
 
 // handshake opens a raw connection the way every dialer must: Hello
