@@ -724,10 +724,13 @@ func TestRouterWaitsForInterestEcho(t *testing.T) {
 // before its resume is answered uncached at once.)
 func TestGapResetsInterest(t *testing.T) {
 	survey, repo, proxy := orderingRepository(t)
-	resumed := make(chan struct{}, 4)
+	resumed := make(chan struct{}, 1)
 	_, router := orderingCluster(t, survey, repo, proxy, core.NewReplica(), func(format string, _ ...any) {
 		if strings.Contains(format, "invalidation stream resumed") {
-			resumed <- struct{}{}
+			select {
+			case resumed <- struct{}{}:
+			default:
+			}
 		}
 	})
 	cl, err := client.Dial(router.Addr())

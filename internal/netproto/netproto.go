@@ -547,8 +547,7 @@ type UniverseMsg struct {
 // "shard-invalidations" stream starts with nothing registered.
 type InterestMsg struct {
 	Objects []model.ObjectID
-	// Drop rides the frame tail, so a frame without drops encodes as
-	// it did before the field existed.
+	// Drop rides the frame tail: a frame without drops has no tail.
 	Drop []model.ObjectID
 }
 

@@ -50,8 +50,7 @@ type Subscription struct {
 	cfg  netproto.SessionConfig
 	h    StreamHandler
 	gaps *obs.Counter
-	// mu orders frames onto the current connection and guards cur,
-	// which a resume swaps.
+	// mu guards cur, which a resume swaps.
 	mu  sync.Mutex
 	cur *stream
 
@@ -64,37 +63,16 @@ type Subscription struct {
 	wake     chan struct{}
 }
 
-// stream is one connection's life: the frames sent on it and the
-// echoes that came back.
+// stream is one connection's life. The pump keeps at most one
+// registration frame in flight on it, so every echo is that frame's.
 type stream struct {
 	c    *netproto.Conn
-	sent uint64 // under the subscription's mu
-	mu   sync.Mutex
-	// echoed counts the echoes, in send order; arrived is closed and
-	// replaced at each one.
-	echoed  uint64
-	arrived chan struct{}
-	lost    chan struct{} // closed when the receive loop leaves c
+	echo chan struct{} // a token per echo
+	lost chan struct{} // closed when the receive loop leaves c
 }
 
 func newStream(c *netproto.Conn) *stream {
-	return &stream{c: c, arrived: make(chan struct{}), lost: make(chan struct{})}
-}
-
-// echoes reports how many echoes have arrived, and a channel closed at
-// the next one.
-func (st *stream) echoes() (uint64, <-chan struct{}) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.echoed, st.arrived
-}
-
-func (st *stream) echo() {
-	st.mu.Lock()
-	st.echoed++
-	close(st.arrived)
-	st.arrived = make(chan struct{})
-	st.mu.Unlock()
+	return &stream{c: c, echo: make(chan struct{}, 1), lost: make(chan struct{})}
 }
 
 // Subscribe dials addr's invalidation stream under role
@@ -127,47 +105,6 @@ func (n *Node) Subscribe(addr, role string, cfg netproto.SessionConfig, h Stream
 		s.mu.Unlock()
 	})
 	return s, nil
-}
-
-// echoWait is a sent frame's place in its connection's echo order.
-type echoWait struct {
-	s   *Subscription
-	st  *stream
-	seq uint64
-}
-
-// send puts f on the current connection. A frame that cannot be sent
-// closes the connection, and the gap path takes over.
-func (s *Subscription) send(f netproto.Frame) echoWait {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.cur
-	st.sent++
-	if err := st.c.Send(f); err != nil {
-		s.n.logf("%s: send on the invalidation stream: %v", s.n.name, err)
-		st.c.Close()
-	}
-	return echoWait{s, st, st.sent}
-}
-
-// wait returns once the repository has echoed the frame, its
-// connection is lost, or the node is closing, and reports whether the
-// echo came.
-func (e echoWait) wait() bool {
-	for {
-		n, arrived := e.st.echoes()
-		if n >= e.seq {
-			return true
-		}
-		select {
-		case <-arrived:
-		case <-e.st.lost:
-			n, _ := e.st.echoes()
-			return n >= e.seq
-		case <-e.s.n.stop:
-			return false
-		}
-	}
 }
 
 // Register registers ids on the stream, unless they already are, and
@@ -284,9 +221,9 @@ func (s *Subscription) flushInterest() bool {
 	if !ok {
 		return false
 	}
-	echoed := s.send(netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{
+	echoed := s.sendAndWait(st, netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{
 		Objects: batch.Want, Drop: batch.Drop,
-	}}).wait()
+	}})
 	s.imu.Lock()
 	if echoed {
 		s.interest.Echoed(gen)
@@ -296,6 +233,32 @@ func (s *Subscription) flushInterest() bool {
 	s.settledLocked()
 	s.imu.Unlock()
 	return echoed
+}
+
+// sendAndWait puts f on st and waits for its echo. It reports false
+// when the frame cannot be sent, which closes the connection and leaves
+// the rest to the gap path, when the connection is lost before the echo
+// comes, and when the node closes.
+func (s *Subscription) sendAndWait(st *stream, f netproto.Frame) bool {
+	if err := st.c.Send(f); err != nil {
+		s.n.logf("%s: send on the invalidation stream: %v", s.n.name, err)
+		st.c.Close()
+		return false
+	}
+	select {
+	case <-st.echo:
+		return true
+	case <-st.lost:
+		// The receive loop counts an echo before it leaves.
+		select {
+		case <-st.echo:
+			return true
+		default:
+			return false
+		}
+	case <-s.n.stop:
+		return false
+	}
 }
 
 // settledLocked wakes every AwaitConfirmed; imu is held.
@@ -355,7 +318,10 @@ func (s *Subscription) receive(st *stream) error {
 			s.h.Frame(f)
 			continue
 		}
-		st.echo()
+		select {
+		case st.echo <- struct{}{}:
+		default: // more echoes than frames sent: none is waited for
+		}
 	}
 }
 

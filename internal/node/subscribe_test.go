@@ -11,10 +11,12 @@ import (
 
 // TestSubscriptionResumesWithPerConnectionEchoes drives one subscription
 // against a scripted repository: a wait for a registration sent on a
-// connection that dies before its echo ends with that connection; the
-// loss is one gap, followed by a resubscribe whose Resume runs — and
-// registers — before any frame of the new connection is delivered; and
-// echo counting starts over on the new connection.
+// connection that dies before its echo ends with that connection,
+// unconfirmed; the loss is one gap, followed by a resubscribe whose
+// Resume runs — and registers — before any frame of the new connection
+// is delivered; the dead connection's registration is forgotten, and
+// only an echo on the new connection confirms the new one. Echoes are
+// counted, not delivered.
 func TestSubscriptionResumesWithPerConnectionEchoes(t *testing.T) {
 	conns := make(chan *netproto.Conn, 4)
 	sent := make(chan netproto.Frame, 16) // frames the subscriber sent
@@ -42,12 +44,12 @@ func TestSubscriptionResumesWithPerConnectionEchoes(t *testing.T) {
 	n := New("cache", "", "", t.Logf, nil)
 	defer n.Close()
 	var sub *Subscription
-	resumed := make(chan struct{})
+	subscribed := make(chan struct{})
 	sub, err := n.Subscribe(repo.Addr(), "invalidations", netproto.SessionConfig{}, StreamHandler{
 		Frame: func(f netproto.Frame) { frames <- f },
 		Gap:   func() { gaps <- struct{}{} },
 		Resume: func() {
-			<-resumed // sub is set
+			<-subscribed
 			if len(frames) != 0 {
 				t.Error("a frame was delivered before the resume")
 			}
@@ -57,7 +59,7 @@ func TestSubscriptionResumesWithPerConnectionEchoes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	close(resumed)
+	close(subscribed)
 	recv := func(ch <-chan netproto.Frame) netproto.Frame {
 		t.Helper()
 		select {
@@ -68,18 +70,22 @@ func TestSubscriptionResumesWithPerConnectionEchoes(t *testing.T) {
 			return netproto.Frame{}
 		}
 	}
+	confirmed := func(id model.ObjectID) bool {
+		_, ok := sub.Confirmed([]model.ObjectID{id})
+		return ok
+	}
 	echo := netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{}}
 	notice := netproto.Frame{Type: netproto.MsgInvalidate, Body: netproto.InvalidateMsg{}}
 
 	// Cut between a registration and its echo: the wait ends with the
 	// connection, unconfirmed.
 	first := <-conns
-	confirmed := make(chan bool)
-	go func() { confirmed <- sub.AwaitConfirmed([]model.ObjectID{1}) }()
+	done := make(chan bool)
+	go func() { done <- sub.AwaitConfirmed([]model.ObjectID{1}) }()
 	recv(sent)
 	first.Close()
 	select {
-	case ok := <-confirmed:
+	case ok := <-done:
 		if ok {
 			t.Fatal("a registration was confirmed without its echo")
 		}
@@ -92,17 +98,22 @@ func TestSubscriptionResumesWithPerConnectionEchoes(t *testing.T) {
 		t.Fatal("no gap reported")
 	}
 
-	// The resume's registration went first on the new connection; the
-	// one of the dead connection was reset with it.
+	// The resume's registration goes first on the new connection; the
+	// dead connection's was reset with it.
 	second := <-conns
 	f := recv(sent)
 	if body, ok := f.Body.(netproto.InterestMsg); !ok || !slices.Equal(body.Objects, []model.ObjectID{7}) {
 		t.Fatalf("resume sent %s %+v first, want the registration of 7", f.Type, f.Body)
 	}
-	// That frame is seq 1 here: its echo does not satisfy seq 2.
-	w := sub.send(echo)
-	done := make(chan struct{})
-	go func() { w.wait(); close(done) }()
+	if err := second.Send(notice); err != nil {
+		t.Fatal(err)
+	}
+	if f := recv(frames); f.Type != netproto.MsgInvalidate {
+		t.Fatalf("delivered %s, want %s", f.Type, netproto.MsgInvalidate)
+	}
+	if confirmed(7) {
+		t.Fatal("a registration was confirmed before its echo")
+	}
 	for _, f := range []netproto.Frame{echo, notice} {
 		if err := second.Send(f); err != nil {
 			t.Fatal(err)
@@ -111,26 +122,13 @@ func TestSubscriptionResumesWithPerConnectionEchoes(t *testing.T) {
 	if f := recv(frames); f.Type != netproto.MsgInvalidate {
 		t.Fatalf("delivered %s, want %s (echoes are counted, not delivered)", f.Type, netproto.MsgInvalidate)
 	}
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if _, ok := sub.Confirmed([]model.ObjectID{7}); ok {
-			break
-		}
+	for deadline := time.Now().Add(10 * time.Second); !confirmed(7); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the echo of seq 1 never confirmed its registration")
+			t.Fatal("the echo on the new connection never confirmed its registration")
 		}
 	}
-	select {
-	case <-done:
-		t.Fatal("the wait for seq 2 ended on the echo of seq 1")
-	default:
-	}
-	if err := second.Send(echo); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the wait never saw its echo")
+	if confirmed(1) {
+		t.Error("the dead connection's registration was confirmed")
 	}
 	if got := sub.gaps.Value(); got != 1 {
 		t.Errorf("%d gaps, want 1", got)
