@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"github.com/deltacache/delta/internal/catalog"
@@ -13,15 +15,17 @@ import (
 
 // TestNoticeBudget is the standalone half of the cluster's notice
 // budget: a seeded slice of paper-trace (the experiments' reference
-// trace, seed 2), replayed in lockstep through one VCover cache, with
-// every query answered and its objects confirmed before the next event.
-// Unscoped, every update costs the cache one notice. Scoped, the cache
-// registers each object the first time a query names it, so an update
-// costs a notice only once a query has touched its object — on a
-// 68-object universe, soon every object. The count is exact here, and
-// pinned as a ceiling at its value when scoping landed.
+// trace, seed 2), replayed in lockstep through one VCover cache. Every
+// query is answered, every notice handled, and every registration and
+// drop they caused installed before the next event. Unscoped, every
+// update costs the cache one notice. Scoped, the cache registers an
+// object when it loads it and drops it when it evicts it, so an update
+// costs a notice only while its object is resident. The count is exact
+// here, and pinned as a ceiling: 1000 when the stream was unfiltered,
+// 838 when a node registered every object a query named, 212 since a
+// load registers what it loads.
 func TestNoticeBudget(t *testing.T) {
-	const ceiling = 838.0 / 1000 // notices per update; 1.0 unscoped
+	const ceiling = 212.0 / 1000 // notices per update
 	setup, err := experiments.NewSetup(experiments.Options{Scale: 0.004, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -51,6 +55,7 @@ func TestNoticeBudget(t *testing.T) {
 	defer m.Close()
 
 	notices := func() float64 { return repo.Stats().Metric("delta_repo_notices_total") }
+	heard := func() float64 { return m.Stats().Metric("delta_invalidation_notices_total") }
 	before := notices()
 	updates := 0
 	for i := range setup.Events {
@@ -59,10 +64,12 @@ func TestNoticeBudget(t *testing.T) {
 			if _, err := query(m, *e.Query); err != nil {
 				t.Fatalf("query %d: %v", e.Query.ID, err)
 			}
-			m.inv.AwaitConfirmed(e.Query.Objects)
+			settleInterest(t, m)
 		case model.EventUpdate:
 			repo.ApplyUpdate(*e.Update)
 			updates++
+			eventually(t, fmt.Sprintf("update %d's notice", e.Update.ID), func() bool { return heard() == notices() })
+			settleInterest(t, m)
 		case model.EventBirth:
 			if _, err := repo.AddObjects([]model.Birth{*e.Birth}); err != nil {
 				t.Fatal(err)
@@ -80,4 +87,17 @@ func TestNoticeBudget(t *testing.T) {
 	if n := repo.DroppedInvalidations(); n != 0 {
 		t.Errorf("%d notices dropped", n)
 	}
+}
+
+// settleInterest waits until every registration and drop m has queued
+// is installed at the repository. It registers an object beyond any
+// universe, which the repository ignores but echoes behind them, and
+// drops it again, so the next call registers it anew.
+func settleInterest(t *testing.T, m *Middleware) {
+	t.Helper()
+	beyond := []model.ObjectID{math.MaxInt32}
+	if !m.inv.AwaitConfirmed(beyond) {
+		t.Fatal("the stream was lost")
+	}
+	m.inv.Unregister(beyond)
 }

@@ -6,8 +6,9 @@
 // load objects. It subscribes to the repository's invalidation stream so
 // its policy sees every update the moment the repository ingests it (a
 // policy that declares core.ScopedNotices: every update on what it
-// registered; an unscoped cluster shard: every update on what it owns,
-// which it registers, migrate.go).
+// holds, which each load registers and each eviction unregisters; an
+// unscoped cluster shard: every update on what it owns, which it
+// registers, migrate.go).
 //
 // The node is the I/O shell around core.Shard, the state machine the
 // simulator drives too, whose doc states the order of a recovery, a
@@ -136,9 +137,10 @@ type Middleware struct {
 	// every cluster shard send their registrations.
 	inv *node.Subscription
 	// scoped is set when the policy needs only the notices of what it
-	// holds (core.ScopedNotices): the node registers every object it may
-	// come to hold. An unscoped cluster shard registers what it owns. On
-	// either, no object becomes resident before its registration is
+	// holds (core.ScopedNotices): its stream starts empty, each load
+	// registers what it loads, and each eviction unregisters what it
+	// evicts. An unscoped cluster shard registers what it owns, and
+	// nothing becomes resident there before its registration is
 	// confirmed.
 	scoped bool
 	// reshards serializes Reshard: a Gain's Settle comes before the next
@@ -326,13 +328,16 @@ func New(cfg Config) (*Middleware, error) {
 		m.closeStore()
 		return nil, fmt.Errorf("cache: subscribe invalidations: %w", err)
 	}
+	if m.scoped {
+		// A scoped node hears nothing until it holds something.
+		m.inv.Scope()
+	}
 	// Closing the session fails every handler's pending repository
 	// round trip.
 	m.Unblock = func() { m.repo.Close() }
-	if m.registers() {
+	if m.scoped || cfg.Shard {
 		// Residents recovered from disk are served only once their
-		// notices arrive. On a standalone node the stream carries every
-		// notice until this first registration is installed.
+		// notices arrive.
 		m.mu.Lock()
 		held := m.shard.Residents()
 		m.mu.Unlock()
@@ -634,17 +639,9 @@ func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta query
 	m.mu.Lock()
 	step, err := m.shard.Query(q)
 	p := m.planLocked(step)
-	// First sight registers B(q): an object not yet registered is not
-	// resident, so only a query that ships can name one. A load the
-	// decision made waits for the echo (loadObjects). Unknown IDs are
-	// never registered.
-	register := m.scoped && err == nil && (p.ShipQuery || p.Stale) && m.shard.Knows(q.Objects)
 	m.mu.Unlock()
 	if err != nil {
 		return netproto.ErrorFrame("%v", err)
-	}
-	if register {
-		m.inv.Register(q.Objects)
 	}
 
 	// Repository I/O outside the lock. An at-cache answer the applier
@@ -801,18 +798,14 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 	// birth load (Replica) rolls residency back exactly like any
 	// failed load.
 	m.bornObjects.Add(int64(len(fresh)))
-	if m.registers() {
+	if m.cfg.Shard && !m.scoped {
+		// An unscoped shard owns what it is granted: its notices pass
+		// before the grant is answered.
 		ids := make([]model.ObjectID, len(fresh))
 		for i, b := range fresh {
 			ids[i] = b.Object.ID
 		}
-		if m.scoped {
-			m.inv.Register(ids)
-		} else {
-			// An unscoped shard owns what it is granted: its notices pass
-			// before the grant is answered.
-			m.inv.AwaitConfirmed(ids)
-		}
+		m.inv.AwaitConfirmed(ids)
 	}
 	if err := m.covers.Grow(fresh); err != nil {
 		m.cfg.Logf("region growth: %v (region covers may miss newborns)", err)
@@ -824,20 +817,18 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 	return len(fresh), nil
 }
 
-// registers reports whether the node's stream carries only what it
-// registers, so that nothing may become resident before its
-// registration is confirmed: a scoped node's, and every cluster
-// shard's.
-func (m *Middleware) registers() bool { return m.scoped || m.cfg.Shard }
-
-// planLocked counts and logs a step's violations and registers the
-// loads it owes. mu must be held. Residency is optimistic: an accepted
-// load is resident at once (local answers join its flight through
-// loadGroup), and a flight that fails unloads its objects again.
+// planLocked counts and logs a step's violations, registers the loads
+// it owes and, on a scoped node, unregisters what it evicts. mu must be
+// held. Residency is optimistic: an accepted load is resident at once
+// (local answers join its flight through loadGroup), and a flight that
+// fails unloads its objects again.
 func (m *Middleware) planLocked(s core.Step) plan {
 	for _, v := range s.Violations {
 		m.violations.Inc()
 		m.cfg.Logf("decision violation: %s", v)
+	}
+	if m.scoped {
+		m.inv.Unregister(s.Evict)
 	}
 	return plan{Plan: s.Plan, loads: m.registerLoads(s.Load)}
 }
@@ -939,24 +930,33 @@ func (m *Middleware) startLoads(ctx context.Context, loads []pendingLoad, charge
 	}()
 }
 
-// loadObjects is the one MsgLoadObject round trip a flight makes. On a
-// scoped node or a shard it leaves only once every object's
-// registration is confirmed: a notice the repository withholds until
-// then is one the loaded copy already reflects. A gap that resets the
-// registrations lets it go, since the resume evicts every resident.
-func (m *Middleware) loadObjects(ctx context.Context, loads []pendingLoad, charge bool) error {
+// loadObjects is the one MsgLoadObject round trip a flight makes. A
+// notice the repository withholds until an object's registration is in
+// force is one the loaded copy already reflects. On a scoped node the
+// load registers its objects on the stream it names, and its reply is
+// the echo (node.Subscription.Load). An unscoped shard's load leaves
+// only once every object's registration is confirmed. On either, a gap
+// that resets the registrations lets it go, since the resume evicts
+// every resident.
+func (m *Middleware) loadObjects(ctx context.Context, loads []pendingLoad, charge bool) (err error) {
 	start := time.Now()
 	defer func() { m.loadLat.Observe(time.Since(start)) }()
 	ids := make([]model.ObjectID, len(loads))
 	for i, l := range loads {
 		ids[i] = l.id
 	}
-	if m.registers() {
+	var stream int64
+	switch {
+	case m.scoped:
+		var gen uint64
+		stream, gen = m.inv.Load(ids)
+		defer func() { m.inv.Loaded(gen, ids, err == nil) }()
+	case m.cfg.Shard:
 		m.inv.AwaitConfirmed(ids)
 	}
 	reply, err := m.repo.RoundTrip(ctx, netproto.Frame{
 		Type: netproto.MsgLoadObject,
-		Body: netproto.LoadObjectMsg{Objects: ids},
+		Body: netproto.LoadObjectMsg{Objects: ids, Stream: stream},
 	})
 	if err != nil {
 		return fmt.Errorf("load %d objects (first %d): %w", len(ids), ids[0], err)

@@ -126,8 +126,9 @@ func (p *cutProxy) release() {
 }
 
 // watch sets the hooks connections dialed from now on run: sent sees
-// every frame the node sends the repository, and echoed runs on each
-// interest echo before the proxy forwards it.
+// every frame the node sends the repository, Hellos included, before
+// the proxy forwards it, and echoed runs on each interest echo before
+// the proxy forwards it.
 func (p *cutProxy) watch(sent func(netproto.Frame), echoed func()) {
 	p.mu.Lock()
 	p.sent, p.echoed = sent, echoed
@@ -163,7 +164,7 @@ func (p *cutProxy) relay(nc net.Conn) {
 	}
 	stream := strings.HasSuffix(hello.Role, "invalidations")
 	p.mu.Lock()
-	gate := p.gate
+	gate, sent, echoed := p.gate, p.sent, p.echoed
 	p.mu.Unlock()
 	if stream && gate != nil {
 		<-gate
@@ -174,9 +175,6 @@ func (p *cutProxy) relay(nc net.Conn) {
 	}
 	defer uc.Close()
 	up := netproto.NewConn(uc)
-	p.mu.Lock()
-	sent, echoed := p.sent, p.echoed
-	p.mu.Unlock()
 	if stream {
 		p.mu.Lock()
 		p.streams[nc] = uc
@@ -186,6 +184,9 @@ func (p *cutProxy) relay(nc net.Conn) {
 			delete(p.streams, nc)
 			p.mu.Unlock()
 		}()
+	}
+	if sent != nil {
+		sent(netproto.Frame{Type: netproto.MsgHello, Body: hello})
 	}
 	if up.Send(netproto.Frame{Type: netproto.MsgHello, Body: hello}) != nil {
 		return
@@ -503,35 +504,22 @@ func orderingRepository(t *testing.T) (*catalog.Survey, *server.Repository, *cut
 	return survey, repo, proxy
 }
 
-// TestLoadWaitsForInterestEcho: a scoped cache registers an object the
-// first time a query names it, and a load the query's decision makes
-// does not reach the repository until that registration's echo is back.
-// With the echo held, the query is still waiting and no load has been
-// sent; once released, the load goes and the query answers.
-func TestLoadWaitsForInterestEcho(t *testing.T) {
-	survey, _, proxy := orderingRepository(t)
-	var registered, loaded atomic.Bool
-	proxy.watch(func(f netproto.Frame) {
-		switch f.Type {
-		case netproto.MsgInterest:
-			registered.Store(true)
-		case netproto.MsgLoadObject:
-			loaded.Store(true)
-		}
-	}, nil)
+// scopedNode starts a standalone cache over the proxy with a scoped
+// policy; logf (nil silences) gets its events.
+func scopedNode(t *testing.T, survey *catalog.Survey, proxy *cutProxy, policy core.Policy, logf func(string, ...any)) (*cache.Middleware, *client.Client) {
+	t.Helper()
 	mw, err := cache.New(cache.Config{
 		RepoAddr: proxy.ln.Addr().String(),
-		Policy: scopedScript{&sim.Scripted{Decisions: []core.Decision{
-			{ShipQuery: true, Load: []model.ObjectID{3}},
-		}}},
+		Policy:   policy,
 		Objects:  survey.Objects(),
 		Capacity: survey.TotalSize(),
 		Scale:    netproto.PayloadScale{},
+		Logf:     logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mw.Close()
+	t.Cleanup(func() { mw.Close() })
 	if err := mw.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -539,39 +527,227 @@ func TestLoadWaitsForInterestEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	t.Cleanup(func() { cl.Close() })
+	return mw, cl
+}
 
-	proxy.hold()
-	done := make(chan error, 1)
-	go func() {
-		_, err := cl.Query(ctx, model.Query{ID: 1, Objects: []model.ObjectID{3}, Cost: cost.MB, Tolerance: model.AnyStaleness})
-		done <- err
-	}()
-	for deadline := time.Now().Add(5 * time.Second); !registered.Load(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the cache never registered the object its query named")
+// TestLoadNamesItsStream: a scoped cache's load registers its objects
+// itself. The load frame names the stream the cache's Hello named, and
+// no registration frame names the object before it.
+func TestLoadNamesItsStream(t *testing.T) {
+	survey, _, proxy := orderingRepository(t)
+	var (
+		mu         sync.Mutex
+		stream     int64 // the stream's Hello.Stream
+		registered bool  // a MsgInterest named object 3
+		load       *netproto.LoadObjectMsg
+		early      bool // registered when the load went
+	)
+	proxy.watch(func(f netproto.Frame) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch body := f.Body.(type) {
+		case netproto.Hello:
+			if strings.HasSuffix(body.Role, "invalidations") {
+				stream = body.Stream
+			}
+		case netproto.InterestMsg:
+			registered = registered || slices.Contains(body.Objects, 3)
+		case netproto.LoadObjectMsg:
+			if load == nil {
+				load, early = &body, registered
+			}
 		}
+	}, nil)
+	_, cl := scopedNode(t, survey, proxy, scopedScript{&sim.Scripted{Decisions: []core.Decision{
+		{ShipQuery: true, Load: []model.ObjectID{3}},
+	}}}, nil)
+	if _, err := cl.Query(ctx, model.Query{ID: 1, Objects: []model.ObjectID{3}, Cost: cost.MB, Tolerance: model.AnyStaleness}); err != nil {
+		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
-	if loaded.Load() {
-		t.Fatal("the load reached the repository before its object's registration was echoed")
+	mu.Lock()
+	defer mu.Unlock()
+	switch {
+	case stream == 0:
+		t.Fatal("the stream's Hello named no stream")
+	case load == nil:
+		t.Fatal("the load never reached the repository")
+	case early:
+		t.Error("a registration of the object preceded its load")
+	case load.Stream != stream:
+		t.Errorf("the load names stream %d, the cache's stream is %d", load.Stream, stream)
+	case !slices.Equal(load.Objects, []model.ObjectID{3}):
+		t.Errorf("the load names %v, want 3", load.Objects)
+	}
+}
+
+// TestReloadWaitsOutDrop: an eviction's drop of an object and a later
+// load of it travel on different connections, so the load must not
+// reach the repository while the drop could still be installed after
+// it. The drop is held on its way to the repository; the reload waits.
+// Released, the drop is installed, then the load's registration, and an
+// update on the object applied once the drop's echo is back reaches the
+// node.
+func TestReloadWaitsOutDrop(t *testing.T) {
+	survey, repo, proxy := orderingRepository(t)
+	var (
+		holdDrop atomic.Bool
+		dropSent = make(chan struct{}, 1)
+		gate     = make(chan struct{})
+		loads    atomic.Int32
+		echoes   atomic.Int32
+	)
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	proxy.watch(func(f netproto.Frame) {
+		switch body := f.Body.(type) {
+		case netproto.InterestMsg:
+			if slices.Contains(body.Drop, 3) && holdDrop.CompareAndSwap(true, false) {
+				dropSent <- struct{}{}
+				<-gate
+			}
+		case netproto.LoadObjectMsg:
+			loads.Add(1)
+		}
+	}, func() { echoes.Add(1) })
+	mw, cl := scopedNode(t, survey, proxy, scopedScript{&sim.Scripted{Decisions: []core.Decision{
+		{ShipQuery: true, Load: []model.ObjectID{3}},
+		{ShipQuery: true, Evict: []model.ObjectID{3}},
+		{ShipQuery: true, Load: []model.ObjectID{3}},
+	}}}, nil)
+	q := model.Query{Objects: []model.ObjectID{3}, Cost: cost.MB, Tolerance: model.AnyStaleness}
+	ask := func(id model.QueryID) error {
+		q.ID = id
+		_, err := cl.Query(ctx, q)
+		return err
+	}
+	if err := ask(1); err != nil {
+		t.Fatal(err)
+	}
+	holdDrop.Store(true)
+	if err := ask(2); err != nil {
+		t.Fatal(err)
 	}
 	select {
-	case err := <-done:
-		t.Fatalf("the query answered (%v) while its load waited for the echo", err)
-	default:
+	case <-dropSent:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the eviction never sent the object's drop")
 	}
-	proxy.release()
+	done := make(chan error, 1)
+	go func() { done <- ask(3) }()
+	time.Sleep(100 * time.Millisecond)
+	if n := loads.Load(); n != 1 {
+		t.Errorf("%d loads reached the repository while the drop was held, want only the first", n)
+	}
+	held := echoes.Load()
+	release()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("the query never answered after the echo was released")
+		t.Fatal("the reload never answered after the drop was released")
 	}
-	if !loaded.Load() {
-		t.Error("the load never reached the repository")
+	for deadline := time.Now().Add(5 * time.Second); echoes.Load() == held; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the drop was never echoed")
+		}
+	}
+	repo.ApplyUpdate(model.Update{ID: 1, Object: 3, Cost: cost.KB})
+	heard := func() float64 { return mw.Stats().Metric("delta_invalidation_notices_total") }
+	for deadline := time.Now().Add(2 * time.Second); heard() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the update on the reloaded object never reached the cache: the drop undid the load's registration")
+		}
+	}
+}
+
+// forgettingScript is a scoped script that can forget what it holds,
+// so its node can resume after a gap.
+type forgettingScript struct{ scopedScript }
+
+func (forgettingScript) Forget(ids []model.ObjectID, _ cost.Bytes) (core.Decision, error) {
+	return core.Decision{Evict: ids}, nil
+}
+
+// TestLoadOnLostStreamRegistersNothing: a load decided before the
+// cache's stream is cut reaches the repository once the stream is gone
+// and the cache is held away from it. The load is served and registers
+// nothing, and an update applied while the cache is away reaches no
+// one. After the resume, a tolerance-0 query on the object, which the
+// script answers from the cache, is not answered from the cache: the
+// resume evicted the object, whose update the cache never heard of.
+func TestLoadOnLostStreamRegistersNothing(t *testing.T) {
+	survey, repo, proxy := orderingRepository(t)
+	var (
+		holdLoad atomic.Bool
+		loadSent = make(chan struct{}, 1)
+		gate     = make(chan struct{})
+		resumed  = make(chan struct{}, 1)
+	)
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	holdLoad.Store(true)
+	proxy.watch(func(f netproto.Frame) {
+		if body, ok := f.Body.(netproto.LoadObjectMsg); ok && slices.Contains(body.Objects, 3) && holdLoad.CompareAndSwap(true, false) {
+			loadSent <- struct{}{}
+			<-gate
+		}
+	}, nil)
+	_, cl := scopedNode(t, survey, proxy, forgettingScript{scopedScript{&sim.Scripted{Decisions: []core.Decision{
+		{ShipQuery: true, Load: []model.ObjectID{3}},
+		{}, // the resume's rejoin of what it forgot
+		{}, // answer from the cache
+	}}}}, func(format string, _ ...any) {
+		if strings.Contains(format, "invalidation stream resumed") {
+			select {
+			case resumed <- struct{}{}:
+			default:
+			}
+		}
+	})
+	q := model.Query{ID: 1, Objects: []model.ObjectID{3}, Cost: cost.MB, Tolerance: model.NoTolerance, Time: time.Second}
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Query(ctx, q)
+		done <- err
+	}()
+	select {
+	case <-loadSent:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the query's load never left the cache")
+	}
+	proxy.hold()
+	proxy.cut()
+	for deadline := time.Now().Add(5 * time.Second); repo.Subscribers() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the repository kept the cut stream")
+		}
+	}
+	release()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("the load on the lost stream was not served: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the query never answered")
+	}
+	repo.ApplyUpdate(model.Update{ID: 1, Object: 3, Cost: cost.KB, Time: 2 * time.Second})
+	proxy.release()
+	select {
+	case <-resumed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the cache never resumed")
+	}
+	q.ID, q.Time = 2, 3*time.Second
+	res, err := cl.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Source == "cache" {
+		t.Error("after the resume, a tolerance-0 query on the object was answered from the cache without its update")
 	}
 }
 

@@ -307,7 +307,7 @@ func TestUpdateRightAfterNewIsDelivered(t *testing.T) {
 
 func TestServerRejectsUnknownRole(t *testing.T) {
 	d := startDeployment(t, core.NewVCover(core.DefaultVCoverConfig()))
-	_, err := netproto.DialConn(d.repo.Addr(), "intruder", netproto.SessionConfig{DialTimeout: 2 * time.Second})
+	_, err := netproto.DialConn(d.repo.Addr(), netproto.Hello{Role: "intruder"}, netproto.SessionConfig{DialTimeout: 2 * time.Second})
 	// The server names the problem and closes the connection.
 	var remote *netproto.RemoteError
 	if !errors.As(err, &remote) || !strings.Contains(remote.Message, "intruder") {

@@ -13,8 +13,8 @@
 // carries the notices of what it registered and nothing else. An
 // unscoped shard (Benefit, Replica) registers what it gains and drops
 // what it loses, so its stream follows what it owns; a scoped one
-// registers what it may come to hold, warm arrivals included, and drops
-// what it loses too.
+// registers what it holds — its loads register themselves, and a
+// reshard registers its warm arrivals — and drops what it loses too.
 package cache
 
 import (

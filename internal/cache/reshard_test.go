@@ -125,12 +125,13 @@ func randomOwned(rng *rand.Rand, n int, keep []model.ObjectID) []model.ObjectID 
 // before q.Time: shipped, or older than the object's latest load. The
 // updates are the test's own list of repository writes, not the notices
 // the shard heard, so a notice it missed or dropped counts too. Each
-// step ends with a notice on object 1, which the shard always owns and
-// registers once at the start, and waits for it to reach the policy:
-// the stream is FIFO, so every earlier notice has been filtered or
-// applied by then. The shard runs VCover scoped, as a product shard
-// does: the repository withholds the notices of objects it never
-// registered.
+// step ends with a notice on object 1, which the shard always owns,
+// registers once at the start and never queries (a load and an eviction
+// of it would drop that registration), and waits for it to reach the
+// policy: the stream is FIFO, so every earlier notice has been filtered
+// or applied by then. The shard runs VCover scoped, as a product shard
+// does: the repository withholds the notices of objects it does not
+// hold.
 func TestQuickReshardKeepsCurrency(t *testing.T) {
 	var (
 		atCache  int     // cache answers checked, over all trials
@@ -200,11 +201,12 @@ func TestQuickReshardKeepsCurrency(t *testing.T) {
 			switch k := rng.Intn(10); {
 			case k < 4:
 				oracle.update(repo, model.ObjectID(1+rng.Intn(len(base))))
-			case k < 8:
+			case k < 8 && len(owned) > len(keep):
 				nextQuery++
 				q := model.Query{ID: nextQuery, Tolerance: model.NoTolerance, Time: oracle.now()}
+				queried := owned[len(keep):] // randomOwned puts keep first
 				for range 1 + rng.Intn(2) {
-					q.Objects = append(q.Objects, owned[rng.Intn(len(owned))])
+					q.Objects = append(q.Objects, queried[rng.Intn(len(queried))])
 				}
 				slices.Sort(q.Objects)
 				q.Objects = slices.Compact(q.Objects)

@@ -11,6 +11,7 @@ import (
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
+	"github.com/deltacache/delta/internal/obs"
 	"github.com/deltacache/delta/internal/server"
 	"github.com/deltacache/delta/internal/workload"
 )
@@ -32,31 +33,35 @@ func budgetSurvey(scale float64) catalog.Config {
 // a 2-shard VCover cluster: every query answered, so its objects
 // confirmed at the router, before the next event. Without interest
 // scoping every update costs 2 notices, one to the router and one to the
-// owning shard; scoped, a node hears only the objects it registered. On
-// flash-crowd no update lands on a queried object. On growing-sky most
-// do, but a shard hears only the objects its fragments named.
+// owning shard; scoped, the router hears only the objects its queries
+// named, and a shard only those it holds: a load registers what it
+// loads, and an eviction drops it. On flash-crowd no update lands on a
+// queried object. On growing-sky most do: the router hears every one
+// on an object a query named, the shards only those on what they hold.
 //
-// Each count is a ceiling at the value measured when scoping landed
-// (both read 2.0 before it). A shard's registration may still be on the
-// wire when the next update is applied, which could only withhold more:
-// the counts repeated exactly over ten shuffled runs and three under
-// -race, and one run beside another package's tests read growing-sky
-// at 376/500.
+// Each count is a ceiling, pinned per node kind from the nodes' own
+// delta_invalidation_notices_total once every queued notice is handled.
+// growing-sky read 2.0 unscoped, 378/500 when a shard registered what
+// its fragments named, and 328/500 since a load registers what it
+// loads: 189/500 at the router and 139/500 at the shards. A drop may
+// still be on the wire when the next update is applied, which could
+// only pass more; the counts repeated exactly over eight runs under
+// -race.
 func TestNoticeBudget(t *testing.T) {
 	const scale = 0.005
 	for _, tc := range []struct {
-		name    string
-		ceiling float64 // notices per update
-		events  func(*catalog.Survey) ([]model.Event, error)
+		name           string
+		router, shards float64 // ceilings, notices per update
+		events         func(*catalog.Survey) ([]model.Event, error)
 	}{
-		{"flash-crowd", 1.0 / 600, func(s *catalog.Survey) ([]model.Event, error) {
+		{"flash-crowd", 0, 0, func(s *catalog.Survey) ([]model.Event, error) {
 			sc, err := workload.Lookup("flash-crowd")
 			if err != nil {
 				return nil, err
 			}
 			return sc.Events(s, workload.Options{Seed: 2, Queries: 1500, Updates: 600})
 		}},
-		{"growing-sky", 378.0 / 500, func(s *catalog.Survey) ([]model.Event, error) {
+		{"growing-sky", 189.0 / 500, 139.0 / 500, func(s *catalog.Survey) ([]model.Event, error) {
 			cfg := workload.DefaultConfig()
 			cfg.Seed = 2
 			cfg.NumQueries, cfg.NumUpdates = 500, 500
@@ -129,16 +134,40 @@ func TestNoticeBudget(t *testing.T) {
 			if updates == 0 {
 				t.Fatal("the slice has no updates")
 			}
-			perUpdate := (notices() - before) / float64(updates)
-			t.Logf("%d updates, %.4f notices per update", updates, perUpdate)
-			if perUpdate > tc.ceiling {
-				t.Errorf("%s: %.4f notices per update, above the ceiling of %.4f", tc.name, perUpdate, tc.ceiling)
+			var router, shards float64
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				router, shards = heard(lc.Router.Reg), 0
+				for _, s := range lc.Shards {
+					shards += heard(s.Reg)
+				}
+				if router+shards == notices()-before {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%v notices queued, %v handled", notices()-before, router+shards)
+				}
+			}
+			router, shards = router/float64(updates), shards/float64(updates)
+			t.Logf("%d updates, %.4f notices per update at the router, %.4f at the shards", updates, router, shards)
+			if router > tc.router || shards > tc.shards {
+				t.Errorf("%s: %.4f notices per update at the router and %.4f at the shards, above the ceilings of %.4f and %.4f",
+					tc.name, router, shards, tc.router, tc.shards)
 			}
 			if n := repo.DroppedInvalidations(); n != 0 {
 				t.Errorf("%d notices dropped", n)
 			}
 		})
 	}
+}
+
+// heard reads a node's delta_invalidation_notices_total.
+func heard(reg *obs.Registry) float64 {
+	for _, s := range reg.Values() {
+		if s.Name == "delta_invalidation_notices_total" {
+			return s.Value
+		}
+	}
+	return 0
 }
 
 // growingSkySlice is the seeded growing-sky slice both budget tests
@@ -165,19 +194,18 @@ func growingSkySlice(s *catalog.Survey) ([]model.Event, error) {
 // counted withheld once per subscriber: the two counts sum to the
 // updates times the subscribers.
 //
-// The notice ceilings are the values measured under the owned-set
-// filter the registrations replaced, but for one fall: a scoped shard
-// now drops the registrations of what a resize takes from it, so when
-// the 3 → 2 resize gives them back it hears nothing on them until it
-// registers them again (VCover, 362 → 354). The withheld ceilings rose
-// when that filter went: it withheld the notices of other shards'
-// objects without counting them. The readings repeated exactly over six
-// runs and ten under -race. Only the Benefit cluster's withheld readings
-// are pinned: a scoped shard registers a query's objects on first sight
-// without waiting for the echo, and under load one run in a few dozen
-// applied an update while such a registration was on the wire, which
-// moves a notice from queued to withheld. The notice ceilings and the
-// sum hold either way.
+// The Benefit ceilings are the values measured under the owned-set
+// filter the registrations replaced. The VCover ones fell twice: when a
+// scoped shard began to drop the registrations of what a resize takes
+// from it (362 → 354 after the last third), and when registration moved
+// from first sight to the load (12, 116, 354 → 11, 104, 328): a scoped
+// shard now hears only what it holds. The withheld ceilings rose when
+// the owned-set filter went: it withheld the notices of other shards'
+// objects without counting them. The VCover readings repeated exactly
+// over eight runs under -race. Only the Benefit cluster's withheld
+// readings are pinned: a scoped shard's drops go out without waiting
+// for their echo, and an update applied while one is on the wire moves
+// a notice from withheld to queued. The sum holds either way.
 func TestResizeNoticeBudget(t *testing.T) {
 	const scale = 0.005
 	type reading struct{ notices, filtered float64 }
@@ -190,7 +218,7 @@ func TestResizeNoticeBudget(t *testing.T) {
 		{"Benefit", func(int) core.Policy { return core.NewBenefit(core.BenefitConfig{Window: 40}) },
 			[3]reading{{173, 328}, {399, 766}, {689, 977}}, true},
 		{"VCover", func(int) core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
-			[3]reading{{12, 489}, {116, 1049}, {354, 1312}}, false},
+			[3]reading{{11, 490}, {104, 1061}, {328, 1338}}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			scfg := budgetSurvey(scale)

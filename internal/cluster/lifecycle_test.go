@@ -113,7 +113,7 @@ func startedRepository(t *testing.T) *server.Repository {
 // dialPeer opens one handshaken connection to a node.
 func dialPeer(t *testing.T, addr, role string) *netproto.Conn {
 	t.Helper()
-	c, err := netproto.DialConn(addr, role, netproto.SessionConfig{DialTimeout: 5 * time.Second})
+	c, err := netproto.DialConn(addr, netproto.Hello{Role: role}, netproto.SessionConfig{DialTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

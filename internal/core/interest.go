@@ -8,13 +8,13 @@ import (
 
 // ScopedNotices marks a policy that needs the notices of only the
 // objects it holds: its OnUpdate on any other object is an empty
-// decision that changes no state (VCover, NoCache). Its node then
-// registers interest in the objects it may come to hold, and the
-// repository withholds every other notice. A policy without the marker
-// — Benefit and Replica learn from every owned notice, and a decorator
-// that forwards only the core contract hides it — keeps the unfiltered
-// stream on a standalone node, and on a cluster shard registers its
-// whole owned set.
+// decision that changes no state (VCover, NoCache). Its node registers
+// each object as it loads it and unregisters it as it evicts it, so the
+// repository withholds the notices of every object that is not
+// resident. A policy without the marker — Benefit and Replica learn from
+// every owned notice, and a decorator that forwards only the core
+// contract hides it — keeps the unfiltered stream on a standalone node,
+// and on a cluster shard registers its whole owned set.
 type ScopedNotices interface {
 	ScopedNotices()
 }
@@ -36,14 +36,25 @@ type ScopedNotices interface {
 // batch. Reset forgets everything: the registrations were the stream's,
 // and a new stream starts over. Batches carry the generation they were
 // handed out in, so one that settles after a Reset confirms nothing.
+//
+// A load registers its objects too: the repository installs them before
+// it serves the load, so the reply is the echo (Load, Loaded). A load
+// and a drop of one object travel on different connections, so neither
+// may be on the wire while the other could still overtake it: a load
+// waits out a drop in flight and withdraws a pending one, and a drop
+// of an object whose load is in flight is queued when the load settles.
 // The caller serializes calls.
 type Interest struct {
-	wanted    *idSet // pending, in flight or confirmed
+	wanted    *idSet // pending, in flight (a batch or a load) or confirmed
 	confirmed *idSet
-	next      Batch // pending
+	loading   *idSet // named by a load in flight
+	next      Batch  // pending
 	flight    Batch
 	busy      bool // a batch is in flight
-	gen       uint64
+	// scoped makes every generation open with a batch, empty or not,
+	// and opened records that this generation's first went out.
+	scoped, opened bool
+	gen            uint64
 }
 
 // Batch is one registration frame: the objects it registers and the
@@ -54,8 +65,13 @@ type Batch struct {
 
 // NewInterest returns an interest with nothing registered.
 func NewInterest() *Interest {
-	return &Interest{wanted: newIDSet(0), confirmed: newIDSet(0)}
+	return &Interest{wanted: newIDSet(0), confirmed: newIDSet(0), loading: newIDSet(0)}
 }
+
+// Scope makes every generation open with a batch even when nothing is
+// pending: the repository installs an empty set from it, and withholds
+// every notice on an object nothing has registered.
+func (in *Interest) Scope() { in.scoped = true }
 
 // Want registers every id not yet registered and reports whether every
 // one is confirmed. A pending drop of a re-registered id is withdrawn.
@@ -79,16 +95,71 @@ func (in *Interest) Want(ids []model.ObjectID) bool {
 }
 
 // Drop unregisters every registered id: it is no longer confirmed, and
-// its drop goes out with the next batch. A pending registration of the
-// same id is withdrawn with it.
+// its drop goes out with the next batch, or once its load settles. A
+// pending registration of the same id is withdrawn with it.
 func (in *Interest) Drop(ids []model.ObjectID) {
 	for _, id := range ids {
-		if !in.wanted.has(id) {
+		if in.wanted.has(id) {
+			in.unwant(id)
+		}
+	}
+	in.next.Want = slices.DeleteFunc(in.next.Want, func(id model.ObjectID) bool { return !in.wanted.has(id) })
+}
+
+// unwant unregisters a wanted id, queueing its drop unless a load of it
+// is in flight.
+func (in *Interest) unwant(id model.ObjectID) {
+	in.wanted.remove(id)
+	in.confirmed.remove(id)
+	if !in.loading.has(id) {
+		in.next.Drop = append(in.next.Drop, id)
+	}
+}
+
+// Load readies a load that registers ids as the repository serves it,
+// and reports false, changing nothing, while a drop of any of them is
+// in flight: the caller waits for that batch to settle, or the drop
+// could be installed after the load's registration and undo it.
+// Otherwise a pending drop of each id is withdrawn, and each stays
+// wanted, unconfirmed unless it already was, until Loaded. The caller
+// loads an id at most once at a time.
+func (in *Interest) Load(ids []model.ObjectID) bool {
+	if in.busy && slices.ContainsFunc(in.flight.Drop, func(id model.ObjectID) bool { return slices.Contains(ids, id) }) {
+		return false
+	}
+	for _, id := range ids {
+		in.wanted.add(id)
+		in.loading.add(id)
+	}
+	if len(in.next.Drop) > 0 {
+		in.next.Drop = slices.DeleteFunc(in.next.Drop, in.loading.has)
+	}
+	return true
+}
+
+// Loaded settles a load readied in generation gen. When ok, the
+// repository served it, so its registration is in force, and every id
+// still wanted is confirmed. An id dropped while the load was in flight
+// has its drop queued now, behind the registration; so has every id of
+// a load that failed, which may or may not have registered it. A load
+// of an earlier generation settles nothing: its stream is gone.
+func (in *Interest) Loaded(gen uint64, ids []model.ObjectID, ok bool) {
+	if gen != in.gen {
+		return
+	}
+	for _, id := range ids {
+		if !in.loading.has(id) {
 			continue
 		}
-		in.wanted.remove(id)
-		in.confirmed.remove(id)
-		in.next.Drop = append(in.next.Drop, id)
+		in.loading.remove(id)
+		switch {
+		case !in.wanted.has(id):
+			in.next.Drop = append(in.next.Drop, id)
+		case ok:
+			in.confirmed.add(id)
+		default:
+			in.unwant(id)
+		}
 	}
 	in.next.Want = slices.DeleteFunc(in.next.Want, func(id model.ObjectID) bool { return !in.wanted.has(id) })
 }
@@ -105,12 +176,13 @@ func (in *Interest) Confirmed(ids []model.ObjectID) bool {
 
 // Next hands out every pending registration and drop as the batch to
 // send, and the generation to settle it with, unless a batch is in
-// flight or nothing is pending.
+// flight or nothing is pending (on a scoped interest, the generation's
+// first batch is never empty-handed).
 func (in *Interest) Next() (Batch, uint64, bool) {
-	if in.busy || len(in.next.Want)+len(in.next.Drop) == 0 {
+	if in.busy || len(in.next.Want)+len(in.next.Drop) == 0 && (!in.scoped || in.opened) {
 		return Batch{}, 0, false
 	}
-	in.flight, in.next, in.busy = in.next, Batch{}, true
+	in.flight, in.next, in.busy, in.opened = in.next, Batch{}, true, true
 	return in.flight, in.gen, true
 }
 
@@ -138,12 +210,13 @@ func (in *Interest) Lost(gen uint64) {
 	want := slices.DeleteFunc(in.flight.Want, func(id model.ObjectID) bool { return !in.wanted.has(id) })
 	drop := slices.DeleteFunc(in.flight.Drop, in.wanted.has)
 	in.next = Batch{Want: append(want, in.next.Want...), Drop: append(drop, in.next.Drop...)}
-	in.flight, in.busy = Batch{}, false
+	in.flight, in.busy, in.opened = Batch{}, false, false
 }
 
-// Reset forgets every registration and starts a new generation.
+// Reset forgets every registration and load and starts a new
+// generation; Scope holds across it.
 func (in *Interest) Reset() {
-	*in = Interest{wanted: newIDSet(0), confirmed: newIDSet(0), gen: in.gen + 1}
+	*in = Interest{wanted: newIDSet(0), confirmed: newIDSet(0), loading: newIDSet(0), scoped: in.scoped, gen: in.gen + 1}
 }
 
 // Gen is the generation registrations are made in; Reset moves it on.

@@ -203,18 +203,29 @@ func TestInterestBatchesAndResets(t *testing.T) {
 }
 
 // TestQuickInterestDrops drives Interest through random sequences of
-// Want, Drop, Next, Echoed, Lost and Reset against a model of the
-// repository's interest set, which installs each batch handed out in
-// order: its registrations join the set and its drops leave it. A lost
-// batch may or may not have been installed. Three properties hold after
-// every step: every confirmed object is in the set; once a batch
-// carrying an object's drop is echoed, the object is not in the set
-// unless it was wanted again since that drop; and no batch both
-// registers and drops an object, so a drop that meets a registration in
-// flight goes out in a later batch.
+// Want, Drop, Next, Echoed, Lost, Reset and loads (Load, Loaded)
+// against a model of the repository's interest set, which installs each
+// batch handed out in order: its registrations join the set and its
+// drops leave it. A load's registration joins the set when the
+// repository serves it, before its reply, in any order against the
+// batches; a load of an earlier generation names a stream that is gone
+// and changes nothing. A lost batch may or may not have been installed,
+// and so may a failed load. Four properties hold after every step:
+// every confirmed object is in the set; once a batch carrying an
+// object's drop is echoed, the object is not in the set unless it was
+// wanted or loaded again since that drop; no batch both registers and
+// drops an object, so a drop that meets a registration in flight goes
+// out in a later batch; and a drop of an object is never on the wire
+// beside a load of it, so no drop can remove the registration of a
+// later load.
 func TestQuickInterestDrops(t *testing.T) {
 	const objects = 10
-	var drops, narrowedChecks int
+	var drops, narrowedChecks, loaded, refused int
+	type load struct {
+		ids             []model.ObjectID
+		gen             uint64
+		installed, dead bool
+	}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := NewInterest()
@@ -223,11 +234,12 @@ func TestQuickInterestDrops(t *testing.T) {
 			flight   Batch
 			busy     bool
 			flightAt uint64
-			// again[id] is set by a Want of id and cleared by a Drop of
-			// it; narrowed[id] once a drop of id is echoed with no Want
-			// since.
+			// again[id] is set by a Want or a Load of id and cleared by a
+			// Drop of it or a failed load; narrowed[id] once a drop of id
+			// is echoed with no Want or Load since.
 			again    = map[model.ObjectID]bool{}
 			narrowed = map[model.ObjectID]bool{}
+			transit  []*load // loads sent, not yet settled
 		)
 		ids := func() []model.ObjectID {
 			out := make([]model.ObjectID, 1+rng.Intn(3))
@@ -236,6 +248,10 @@ func TestQuickInterestDrops(t *testing.T) {
 			}
 			return out
 		}
+		loading := func(id model.ObjectID) bool {
+			return slices.ContainsFunc(transit, func(l *load) bool { return !l.dead && slices.Contains(l.ids, id) })
+		}
+		dropInFlight := func(id model.ObjectID) bool { return busy && slices.Contains(flight.Drop, id) }
 		install := func(b Batch) {
 			for _, id := range b.Want {
 				set[id] = true
@@ -244,8 +260,16 @@ func TestQuickInterestDrops(t *testing.T) {
 				delete(set, id)
 			}
 		}
+		installLoad := func(l *load) {
+			if !l.dead {
+				for _, id := range l.ids {
+					set[id] = true
+				}
+			}
+			l.installed = true
+		}
 		for step := range 80 + rng.Intn(80) {
-			switch k := rng.Intn(12); {
+			switch k := rng.Intn(15); {
 			case k < 3:
 				w := ids()
 				in.Want(w)
@@ -274,6 +298,12 @@ func TestQuickInterestDrops(t *testing.T) {
 						return false
 					}
 				}
+				for _, id := range b.Drop {
+					if loading(id) {
+						t.Logf("seed %d step %d: batch %+v drops %d while a load of it is on the wire", seed, step, b, id)
+						return false
+					}
+				}
 				flight = Batch{Want: slices.Clone(b.Want), Drop: slices.Clone(b.Drop)}
 				busy, flightAt = true, gen
 			case k < 10 && busy:
@@ -292,10 +322,61 @@ func TestQuickInterestDrops(t *testing.T) {
 				in.Lost(flightAt)
 				busy = false
 			case k == 11:
-				// A gap: a new stream starts with nothing registered, and
-				// a batch in flight is never echoed.
+				// A gap: a new stream starts with nothing registered, a
+				// batch in flight is never echoed, and a load in flight
+				// names the stream that is gone.
 				in.Reset()
 				set, narrowed, busy = map[model.ObjectID]bool{}, map[model.ObjectID]bool{}, false
+				for _, l := range transit {
+					l.dead = true
+				}
+			case k == 12:
+				// A load of objects none of which is being loaded: the
+				// node's singleflight keeps one load per object.
+				l := ids()
+				slices.Sort(l)
+				l = slices.Compact(l)
+				if slices.ContainsFunc(transit, func(t *load) bool {
+					return slices.ContainsFunc(t.ids, func(id model.ObjectID) bool { return slices.Contains(l, id) })
+				}) {
+					break
+				}
+				blocked := slices.ContainsFunc(l, dropInFlight)
+				if !in.Load(l) {
+					if !blocked {
+						t.Logf("seed %d step %d: a load of %v refused with no drop of it in flight", seed, step, l)
+						return false
+					}
+					refused++
+					break
+				}
+				if blocked {
+					t.Logf("seed %d step %d: a load of %v went out beside a drop of it in flight", seed, step, l)
+					return false
+				}
+				for _, id := range l {
+					again[id], narrowed[id] = true, false
+				}
+				transit = append(transit, &load{ids: l, gen: in.Gen()})
+			case k == 13 && len(transit) > 0:
+				if l := transit[rng.Intn(len(transit))]; !l.installed {
+					installLoad(l)
+				}
+			case k == 14 && len(transit) > 0:
+				i := rng.Intn(len(transit))
+				l := transit[i]
+				transit = slices.Delete(transit, i, i+1)
+				ok := l.installed && rng.Intn(4) > 0
+				if !ok && !l.installed && rng.Intn(2) == 0 {
+					installLoad(l) // served, but the reply was lost
+				}
+				in.Loaded(l.gen, l.ids, ok)
+				if !ok {
+					for _, id := range l.ids {
+						again[id] = false
+					}
+				}
+				loaded++
 			}
 			for id := model.ObjectID(1); id <= objects; id++ {
 				if in.Confirmed([]model.ObjectID{id}) && !set[id] {
@@ -316,8 +397,9 @@ func TestQuickInterestDrops(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
-	if drops == 0 || narrowedChecks == 0 {
-		t.Errorf("the trials exercised too little: %d drops, %d checks after an echoed drop", drops, narrowedChecks)
+	if drops == 0 || narrowedChecks == 0 || loaded == 0 || refused == 0 {
+		t.Errorf("the trials exercised too little: %d drops, %d checks after an echoed drop, %d loads settled, %d refused",
+			drops, narrowedChecks, loaded, refused)
 	}
 }
 
@@ -357,5 +439,27 @@ func TestInterestDropOrdersAfterFlight(t *testing.T) {
 	b4, _, _ := in.Next()
 	if len(b4.Drop) != 0 || !slices.Equal(b4.Want, []model.ObjectID{3}) {
 		t.Fatalf("a drop and a later registration of 3 sent %+v, want the registration alone", b4)
+	}
+}
+
+// TestInterestScopeOpensEachGeneration: a scoped interest hands out one
+// batch at the start of each generation even when nothing is pending,
+// so every stream starts scoped; an unscoped one sends nothing.
+func TestInterestScopeOpensEachGeneration(t *testing.T) {
+	in := NewInterest()
+	if _, _, ok := in.Next(); ok {
+		t.Fatal("an unscoped interest sent a batch with nothing pending")
+	}
+	in.Scope()
+	for range 2 {
+		b, gen, ok := in.Next()
+		if !ok || len(b.Want)+len(b.Drop) != 0 {
+			t.Fatalf("a scoped generation opened with %+v %v, want one empty batch", b, ok)
+		}
+		in.Echoed(gen)
+		if _, _, ok := in.Next(); ok {
+			t.Fatal("a scoped generation sent a second empty batch")
+		}
+		in.Reset()
 	}
 }

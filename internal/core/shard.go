@@ -568,16 +568,6 @@ func (s *Shard) Owned() []model.ObjectID {
 	return owned
 }
 
-// Knows reports whether every id is in the shard's universe.
-func (s *Shard) Knows(ids []model.ObjectID) bool {
-	for _, id := range ids {
-		if !s.table.has(id) {
-			return false
-		}
-	}
-	return true
-}
-
 // Object is the shard's metadata for id.
 func (s *Shard) Object(id model.ObjectID) (model.Object, bool) { return s.table.get(id) }
 

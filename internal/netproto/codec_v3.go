@@ -407,6 +407,9 @@ func walkBody(c *Cursor, t MsgType, body any) (any, bool) {
 		b, ok := body.(Hello)
 		c.Str(&b.Role)
 		Varint(c, &b.Version)
+		if c.tail(b.Stream != 0) {
+			Varint(c, &b.Stream)
+		}
 		return decoded(c, &b), ok
 	case MsgHelloAck:
 		b, ok := body.(HelloAck)
@@ -456,6 +459,9 @@ func walkBody(c *Cursor, t MsgType, body any) (any, bool) {
 	case MsgLoadObject:
 		b, ok := body.(LoadObjectMsg)
 		IDs(c, &b.Objects)
+		if c.tail(b.Stream != 0) {
+			Varint(c, &b.Stream)
+		}
 		return decoded(c, &b), ok
 	case MsgObjectData:
 		b, ok := body.(ObjectDataMsg)

@@ -192,6 +192,16 @@ func interestDropFrames() []Frame {
 	}
 }
 
+// streamNameFrames are a Hello that names its invalidation stream and a
+// load that registers on it, each name riding its frame's tail, kept
+// out of seedFrames like universeFrames.
+func streamNameFrames() []Frame {
+	return []Frame{
+		{Type: MsgHello, Body: Hello{Role: "invalidations", Version: ProtoV3, Stream: 0x5eed_cafe_f00d}},
+		{Type: MsgLoadObject, RequestID: 12, Body: LoadObjectMsg{Objects: []model.ObjectID{3, 69, 4096}, Stream: 0x5eed_cafe_f00d}},
+	}
+}
+
 // oversizedRoleHello is a well-framed Hello whose Role length claims
 // 2^40 bytes, far more than the frame has: decoding must fail on the
 // length, before allocating for it.
@@ -264,7 +274,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, seed := range streamSeeds(f) {
 		f.Add(seed)
 	}
-	for _, fr := range slices.Concat(seedFrames(), universeFrames(), interestFrames(), interestDropFrames()) {
+	for _, fr := range slices.Concat(seedFrames(), universeFrames(), interestFrames(), interestDropFrames(), streamNameFrames()) {
 		one := encodeFrames(f, fr)
 		f.Add(one)
 		f.Add(one[:len(one)*2/3])                              // truncated inside the body
@@ -285,7 +295,7 @@ func FuzzDecodeFrame(f *testing.F) {
 // tier-1 CI too.
 func TestDecodeFrameSeedCorpus(t *testing.T) {
 	cases := streamSeeds(t)
-	for _, fr := range slices.Concat(seedFrames(), universeFrames(), interestFrames(), interestDropFrames()) {
+	for _, fr := range slices.Concat(seedFrames(), universeFrames(), interestFrames(), interestDropFrames(), streamNameFrames()) {
 		one := encodeFrames(t, fr)
 		cases = append(cases, one)
 		for cut := 1; cut < len(one); cut += 7 {
@@ -348,7 +358,13 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 	interestFlip[len(interestFlip)/3] ^= 0x55                // corrupt inside the registered IDs
 	interestDrop := encodeFrames(t, interestDropFrames()[0]) // registration with the Drop tail
 	interestDropFlip := bytes.Clone(interestDrop)
-	interestDropFlip[len(interestDropFlip)-2] ^= 0x55 // corrupt inside the Drop tail
+	interestDropFlip[len(interestDropFlip)-2] ^= 0x55     // corrupt inside the Drop tail
+	helloStream := encodeFrames(t, streamNameFrames()[0]) // Hello with the Stream tail
+	helloStreamFlip := bytes.Clone(helloStream)
+	helloStreamFlip[len(helloStreamFlip)-2] ^= 0x55      // corrupt inside the Stream tail
+	loadStream := encodeFrames(t, streamNameFrames()[1]) // load with the Stream tail
+	loadStreamFlip := bytes.Clone(loadStream)
+	loadStreamFlip[len(loadStreamFlip)-2] ^= 0x55 // corrupt inside the Stream tail
 	entries := map[string][]byte{
 		"valid-v3-stream":              valid,
 		"truncated-v3-birth":           oneBirth[:len(oneBirth)*2/3],
@@ -375,6 +391,12 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 		"valid-v3-interest-drop":       interestDrop,
 		"truncated-v3-interest-drop":   interestDrop[:len(interestDrop)-1], // stream ends inside the Drop tail
 		"bitflip-v3-interest-drop":     interestDropFlip,
+		"valid-v3-hello-stream":        helloStream,
+		"truncated-v3-hello-stream":    helloStream[:len(helloStream)-1], // stream ends inside the Stream tail
+		"bitflip-v3-hello-stream":      helloStreamFlip,
+		"valid-v3-load-stream":         loadStream,
+		"truncated-v3-load-stream":     loadStream[:len(loadStream)-1], // stream ends inside the Stream tail
+		"bitflip-v3-load-stream":       loadStreamFlip,
 	}
 	for name, data := range entries {
 		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)

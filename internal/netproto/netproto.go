@@ -242,6 +242,10 @@ type Hello struct {
 	// Version is the protocol version the peer speaks (ProtoV3).
 	// Anything lower is refused.
 	Version int
+	// Stream names an invalidation stream, so that a load can register
+	// its objects on it (LoadObjectMsg.Stream); zero names none. It
+	// rides the frame tail: a Hello without it keeps its bytes.
+	Stream int64
 }
 
 // HelloAck completes the handshake; Version is always ProtoV3.
@@ -367,9 +371,14 @@ type UpdatesMsg struct {
 }
 
 // LoadObjectMsg requests full copies of a batch of objects: every load
-// one decision owes rides one round trip.
+// one decision owes rides one round trip. Stream, when non-zero, names
+// the requester's invalidation stream (Hello.Stream): the repository
+// registers the objects on it before it serves the load, so the reply
+// is the registration's echo. It rides the frame tail: a load without
+// it keeps its bytes.
 type LoadObjectMsg struct {
 	Objects []model.ObjectID
+	Stream  int64
 }
 
 // ObjectDataMsg carries the objects a LoadObjectMsg asked for, in

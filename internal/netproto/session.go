@@ -86,7 +86,7 @@ func DialSession(addr, role string, cfg SessionConfig) (*Session, error) {
 	}
 	s := &Session{addr: addr, role: role, cfg: cfg}
 	for i := 0; i < cfg.PoolSize; i++ {
-		c, err := DialConn(addr, role, cfg)
+		c, err := DialConn(addr, Hello{Role: role}, cfg)
 		if err != nil {
 			s.Close()
 			return nil, err
@@ -113,7 +113,7 @@ func (s *Session) Redial() error {
 		if alive || s.closed.Load() {
 			continue
 		}
-		c, err := DialConn(s.addr, s.role, cfg)
+		c, err := DialConn(s.addr, Hello{Role: s.role}, cfg)
 		if err != nil {
 			errs = append(errs, err)
 			continue
@@ -162,13 +162,13 @@ func (b *Backoff) Next() time.Duration {
 
 // DialConn dials addr (honoring cfg.DialTimeout and cfg.DialRetry) and
 // completes the dial half of the handshake every role shares: send
-// Hello{role, ProtoV3}, then wait up to DialTimeout for the HelloAck.
+// hello at ProtoV3, then wait up to DialTimeout for the HelloAck.
 // A node acks only once it is ready to serve the role — the repository
 // acks an "invalidations" Hello after registering the subscriber — so
 // when DialConn returns, the connection is live on the far side. A
 // MsgError reply (the peer refused the role or the version) comes back
 // as a *RemoteError.
-func DialConn(addr, role string, cfg SessionConfig) (*Conn, error) {
+func DialConn(addr string, hello Hello, cfg SessionConfig) (*Conn, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
@@ -177,15 +177,16 @@ func DialConn(addr, role string, cfg SessionConfig) (*Conn, error) {
 		return nil, fmt.Errorf("netproto: dial %s: %w", addr, err)
 	}
 	c := NewConn(nc)
-	if err := handshake(nc, c, role, cfg.DialTimeout); err != nil {
+	if err := handshake(nc, c, hello, cfg.DialTimeout); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("netproto: handshake with %s: %w", addr, err)
 	}
 	return c, nil
 }
 
-func handshake(nc net.Conn, c *Conn, role string, timeout time.Duration) error {
-	if err := c.Send(Frame{Type: MsgHello, Body: Hello{Role: role, Version: ProtoV3}}); err != nil {
+func handshake(nc net.Conn, c *Conn, hello Hello, timeout time.Duration) error {
+	hello.Version = ProtoV3
+	if err := c.Send(Frame{Type: MsgHello, Body: hello}); err != nil {
 		return err
 	}
 	if err := nc.SetReadDeadline(time.Now().Add(timeout)); err != nil {

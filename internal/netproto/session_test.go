@@ -194,7 +194,7 @@ func TestDialConnHandshake(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			addr := listen(t, tc.serve)
 			start := time.Now()
-			c, err := DialConn(addr, "invalidations", SessionConfig{DialTimeout: 200 * time.Millisecond})
+			c, err := DialConn(addr, Hello{Role: "invalidations"}, SessionConfig{DialTimeout: 200 * time.Millisecond})
 			if elapsed := time.Since(start); elapsed > 2*time.Second {
 				t.Errorf("dial took %v, want it bounded by DialTimeout", elapsed)
 			}

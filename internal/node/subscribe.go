@@ -1,6 +1,8 @@
 package node
 
 import (
+	"math"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -36,30 +38,37 @@ type StreamHandler struct {
 //
 // A consumer scopes its stream to the objects it registers (Register,
 // Unregister, MsgInterest): an "invalidations" stream carries every
-// notice until the first registration the repository installs, a
-// "shard-invalidations" stream only what is registered from the start.
-// The bookkeeping is a core.Interest, which a pump goroutine drives: it
-// sends the pending registrations and drops as one frame, at most one
-// in flight, and an object is confirmed only when that frame's echo
-// comes back on the connection it was sent on. A gap resets it, because
-// the new stream starts over.
+// notice until the first registration the repository installs (Scope
+// sends one at the start of each stream), a "shard-invalidations"
+// stream only what is registered from the start. The bookkeeping is a
+// core.Interest, which a pump goroutine drives: it sends the pending
+// registrations and drops as one frame, at most one in flight, and an
+// object is confirmed only when that frame's echo comes back on the
+// connection it was sent on. Each connection's Hello names its stream,
+// so a load can register its objects on it (Load, Loaded): the load's
+// reply is then the echo. A gap resets the registrations, because the
+// new stream starts over.
 type Subscription struct {
 	n    *Node
 	addr string
 	role string
 	cfg  netproto.SessionConfig
 	h    StreamHandler
-	gaps *obs.Counter
+	// gaps and notices count lost streams and the update notices handled.
+	gaps, notices *obs.Counter
 	// mu guards cur, which a resume swaps.
 	mu  sync.Mutex
 	cur *stream
 
-	// imu guards interest and changed, which is closed and replaced
-	// whenever a batch settles or a gap resets the interest. wake holds
-	// a token when the pump has work.
+	// imu guards interest, changed, which is closed and replaced
+	// whenever a batch or a load settles or a gap resets the interest,
+	// and name, the current stream's name, which is 0 from a gap until
+	// the resumed stream is in place. wake holds a token when the pump
+	// has work.
 	imu      sync.Mutex
 	interest *core.Interest
 	changed  chan struct{}
+	name     int64
 	wake     chan struct{}
 }
 
@@ -67,12 +76,9 @@ type Subscription struct {
 // registration frame in flight on it, so every echo is that frame's.
 type stream struct {
 	c    *netproto.Conn
+	name int64         // Hello.Stream
 	echo chan struct{} // a token per echo
 	lost chan struct{} // closed when the receive loop leaves c
-}
-
-func newStream(c *netproto.Conn) *stream {
-	return &stream{c: c, echo: make(chan struct{}, 1), lost: make(chan struct{})}
 }
 
 // Subscribe dials addr's invalidation stream under role
@@ -80,7 +86,8 @@ func newStream(c *netproto.Conn) *stream {
 // returns once the repository has acked the Hello. The repository
 // registers a subscriber before it acks, so every update applied after
 // Subscribe returns is delivered, as far as the stream's registrations
-// pass it. It also declares the node's delta_invalidation_gaps_total.
+// pass it. It also declares the node's delta_invalidation_gaps_total
+// and delta_invalidation_notices_total.
 func (n *Node) Subscribe(addr, role string, cfg netproto.SessionConfig, h StreamHandler) (*Subscription, error) {
 	s := &Subscription{
 		n: n, addr: addr, role: role, cfg: cfg, h: h,
@@ -88,14 +95,16 @@ func (n *Node) Subscribe(addr, role string, cfg netproto.SessionConfig, h Stream
 		changed:  make(chan struct{}),
 		wake:     make(chan struct{}, 1),
 	}
-	c, err := s.dial()
+	st, err := s.dial()
 	if err != nil {
 		return nil, err
 	}
-	s.cur = newStream(c)
+	s.cur, s.name = st, st.name
 	s.cfg.DialRetry = 0 // a redial paces itself
 	s.gaps = n.Reg.NewCounter("delta_invalidation_gaps_total",
 		"Invalidation streams lost while not closing; each is followed by a resubscribe.")
+	s.notices = n.Reg.NewCounter("delta_invalidation_notices_total",
+		"Update notices received on the invalidation stream and handled.")
 	n.Go(s.run)
 	n.Go(s.pump)
 	n.Go(func() {
@@ -146,6 +155,52 @@ func (s *Subscription) Gen() uint64 {
 	s.imu.Lock()
 	defer s.imu.Unlock()
 	return s.interest.Gen()
+}
+
+// Scope makes every stream of the subscription, this one and each
+// resumed one, start with a registration, empty if nothing is pending:
+// the repository then withholds every notice on an object the consumer
+// has not registered, as it does on a "shard-invalidations" stream. A
+// consumer that registers only through its loads calls it once.
+func (s *Subscription) Scope() {
+	s.imu.Lock()
+	s.interest.Scope()
+	s.imu.Unlock()
+	s.wakePump()
+}
+
+// Load readies a load of ids that registers them on the stream, and
+// returns the stream for the load to name (LoadObjectMsg.Stream) and
+// the generation to settle it with (Loaded). It first waits out a drop
+// of any of them that is in flight (core.Interest.Load). From a gap
+// until the resumed stream is in place, and once the node closes, it
+// names no stream: such a load registers nothing, and the resume
+// evicts what it loaded.
+func (s *Subscription) Load(ids []model.ObjectID) (stream int64, gen uint64) {
+	s.imu.Lock()
+	defer s.imu.Unlock()
+	for s.name != 0 && !s.interest.Load(ids) {
+		ch := s.changed
+		s.imu.Unlock()
+		select {
+		case <-ch:
+		case <-s.n.stop:
+			s.imu.Lock()
+			return 0, s.interest.Gen()
+		}
+		s.imu.Lock()
+	}
+	return s.name, s.interest.Gen()
+}
+
+// Loaded settles a load readied by Load in generation gen; ok reports
+// that the repository served it.
+func (s *Subscription) Loaded(gen uint64, ids []model.ObjectID, ok bool) {
+	s.imu.Lock()
+	s.interest.Loaded(gen, ids, ok)
+	s.settledLocked()
+	s.imu.Unlock()
+	s.wakePump()
 }
 
 // AwaitConfirmed registers ids and waits until every one is confirmed.
@@ -284,22 +339,26 @@ func (s *Subscription) run() {
 		s.h.Gap()
 		s.imu.Lock()
 		s.interest.Reset()
+		s.name = 0
 		s.settledLocked()
 		s.imu.Unlock()
-		c := s.redial()
-		if c == nil {
+		st = s.redial()
+		if st == nil {
 			return
 		}
 		s.mu.Lock()
 		select {
 		case <-s.n.stop:
-			c.Close()
+			st.c.Close()
 			s.mu.Unlock()
 			return
 		default:
 		}
-		s.cur = newStream(c)
+		s.cur = st
 		s.mu.Unlock()
+		s.imu.Lock()
+		s.name = st.name
+		s.imu.Unlock()
 		s.h.Resume()
 		s.wakePump() // registrations made during the gap go out now
 		s.n.logf("%s: invalidation stream resumed", s.n.name)
@@ -307,7 +366,8 @@ func (s *Subscription) run() {
 }
 
 // receive delivers st's frames until its connection fails, counting
-// echoes (MsgInterest) instead of delivering them.
+// echoes (MsgInterest) instead of delivering them, and notices once
+// handled.
 func (s *Subscription) receive(st *stream) error {
 	for {
 		f, err := st.c.Recv()
@@ -316,6 +376,9 @@ func (s *Subscription) receive(st *stream) error {
 		}
 		if f.Type != netproto.MsgInterest {
 			s.h.Frame(f)
+			if f.Type == netproto.MsgInvalidate {
+				s.notices.Inc()
+			}
 			continue
 		}
 		select {
@@ -326,7 +389,7 @@ func (s *Subscription) receive(st *stream) error {
 }
 
 // redial dials until it connects, or returns nil once the node closes.
-func (s *Subscription) redial() *netproto.Conn {
+func (s *Subscription) redial() *stream {
 	var b netproto.Backoff
 	for {
 		select {
@@ -334,12 +397,18 @@ func (s *Subscription) redial() *netproto.Conn {
 			return nil
 		case <-time.After(b.Next()):
 		}
-		if c, err := s.dial(); err == nil {
-			return c
+		if st, err := s.dial(); err == nil {
+			return st
 		}
 	}
 }
 
-func (s *Subscription) dial() (*netproto.Conn, error) {
-	return netproto.DialConn(s.addr, s.role, s.cfg)
+// dial opens a stream under a fresh random non-zero name.
+func (s *Subscription) dial() (*stream, error) {
+	name := rand.Int64N(math.MaxInt64) + 1
+	c, err := netproto.DialConn(s.addr, netproto.Hello{Role: s.role, Stream: name}, s.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &stream{c: c, name: name, echo: make(chan struct{}, 1), lost: make(chan struct{})}, nil
 }

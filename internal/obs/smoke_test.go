@@ -86,6 +86,8 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_cover_cache_hits_total",
 		"delta_cover_cache_misses_total",
 		"delta_cached_objects",
+		"delta_invalidation_gaps_total",
+		"delta_invalidation_notices_total",
 	)
 	if f := families["delta_queries_total"]; f.Samples["delta_queries_total"] < 1 {
 		t.Errorf("delta_queries_total = %v after a served query, want >= 1",
@@ -142,6 +144,7 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_load_seconds",
 		"delta_journal_fsync_seconds",
 		"delta_invalidation_gaps_total",
+		"delta_invalidation_notices_total",
 	)
 	// Only the repository withholds notices; the nodes it spares count
 	// nothing of it.
@@ -177,6 +180,7 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_cover_cache_hits_total",
 		"delta_cover_cache_misses_total",
 		"delta_invalidation_gaps_total",
+		"delta_invalidation_notices_total",
 	)
 	absent(t, "router", families,
 		"delta_queries_total",

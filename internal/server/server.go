@@ -83,6 +83,9 @@ type Repository struct {
 type subscriber struct {
 	ch chan netproto.Frame
 	c  *netproto.Conn
+	// stream is the name its Hello gave it (Hello.Stream), which a load
+	// names to register its objects here; 0 names none.
+	stream int64
 	// shard marks a cluster shard's stream ("shard-invalidations"): it
 	// starts with an empty interest set and gets no announcements, since
 	// a shard adopts a newborn only when its router grants it.
@@ -364,7 +367,7 @@ func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) 
 	}
 	id := r.nextSub
 	r.nextSub++
-	sub := &subscriber{ch: ch, c: c, shard: hello.Role == "shard-invalidations"}
+	sub := &subscriber{ch: ch, c: c, stream: hello.Stream, shard: hello.Role == "shard-invalidations"}
 	if sub.shard {
 		sub.interest = interestSet{}
 	}
@@ -434,6 +437,24 @@ func (r *Repository) subscriberFrame(id int, f netproto.Frame) error {
 	return nil
 }
 
+// registerLoad registers a load's objects on the stream it names, under
+// the lock the broadcast holds and before the load is served: every
+// update applied earlier is in the loaded copy, and every later one
+// passes the subscriber's set, so the load's reply is the
+// registration's echo. A stream no subscriber has is gone, and its
+// consumer's gap path evicts what it loaded: the load registers nothing.
+func (r *Repository) registerLoad(stream int64, ids []model.ObjectID) {
+	universe := r.cfg.Survey.NumObjects()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range r.subscribers {
+		if s.stream == stream {
+			s.interest = s.interest.update(ids, nil, universe)
+			return
+		}
+	}
+}
+
 // handleRequest executes one request frame and builds its reply (the
 // reply's RequestID is the caller's business).
 func (r *Repository) handleRequest(f netproto.Frame) netproto.Frame {
@@ -443,6 +464,9 @@ func (r *Repository) handleRequest(f netproto.Frame) netproto.Frame {
 	case netproto.ShipUpdatesMsg:
 		return r.shipUpdates(body.IDs)
 	case netproto.LoadObjectMsg:
+		if body.Stream != 0 {
+			r.registerLoad(body.Stream, body.Objects)
+		}
 		return r.loadObjects(body.Objects)
 	case netproto.ObjectBirthMsg:
 		accepted, err := r.AddObjects(body.Births)
