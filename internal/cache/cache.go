@@ -60,7 +60,8 @@ type Config struct {
 	// Policy decides; nil defaults to VCover. The node keeps this one
 	// instance for its whole life (core.Shard).
 	Policy core.Policy
-	// Objects is the object universe (must match the repository's).
+	// Objects is the repository's survey; its births come from the
+	// repository (a standalone's at startup) or the router (a shard's).
 	Objects []model.Object
 	// Shard makes the node a cluster shard: it starts owning nothing,
 	// rejects every fragment and notice until its router's first
@@ -88,12 +89,12 @@ type Config struct {
 	// router.
 	Regions *catalog.Survey
 	// DataDir, when set, enables the durability layer (internal/persist):
-	// the node journals births and admission/eviction decisions, writes
-	// a snapshot of its births and residents every node.DefaultInterval
-	// (and after every reshard and on Close, so the interval only bounds
-	// how much journal a crash replays), and on startup replays
-	// snapshot+journal to rejoin warm, in core.Shard's recovery order.
-	// Empty disables persistence.
+	// the node journals admission/eviction decisions, writes a snapshot
+	// of its residents every node.DefaultInterval (and after every
+	// reshard and on Close, so the interval only bounds how much journal
+	// a crash replays), and on startup replays snapshot+journal to rejoin
+	// warm, in core.Shard's recovery order. No birth is persisted: the
+	// universe is the repository's. Empty disables persistence.
 	DataDir string
 	// MetricsAddr, when set, binds the node's debug HTTP endpoint
 	// (/metrics, /healthz, /debug/traces, /debug/pprof) on Start — the
@@ -245,47 +246,64 @@ func New(cfg Config) (*Middleware, error) {
 			return float64(m.shard.Len())
 		})
 
-	// Recover the previous incarnation's births and residents before the
-	// policy sees any universe (core.Shard.Recover).
+	// Multiplexed request/response session to the repository.
+	dial := netproto.SessionConfig{PoolSize: repoPool, DialRetry: netproto.StartupDialRetry}
+	var err error
+	m.repo, err = netproto.DialSession(cfg.RepoAddr, "cache", dial)
+	if err != nil {
+		return nil, fmt.Errorf("cache: dial repository: %w", err)
+	}
+	// fail releases what New opened before its subscription.
+	fail := func(err error) (*Middleware, error) {
+		m.repo.Close()
+		if m.store != nil {
+			m.store.Close()
+		}
+		return nil, err
+	}
+	// Recover the previous incarnation's residents before the policy sees
+	// any universe (core.Shard.Recover). Births in a data directory an
+	// older build wrote are ignored: the repository serves them.
 	if cfg.DataDir != "" {
-		store, err := persist.Open(persist.Options{
+		m.store, err = persist.Open(persist.Options{
 			Dir:         cfg.DataDir,
 			Logf:        cfg.Logf,
 			SyncObserve: m.fsyncLat.Observe,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("cache: %w", err)
+			return fail(fmt.Errorf("cache: %w", err))
 		}
-		m.store = store
-		st, err := store.Recover()
+		st, err := m.store.Recover()
 		if err != nil {
-			store.Close()
-			return nil, fmt.Errorf("cache: %w", err)
+			return fail(fmt.Errorf("cache: %w", err))
 		}
 		if st != nil {
-			m.shard.Recover(st.Births, st.Resident)
-			m.cfg.Logf("recovered %d births and %d residents", len(st.Births), m.shard.Len())
-			// Regions is the startup survey; recovered births must
-			// rejoin it or region covers would exclude them.
-			if err := m.covers.Grow(st.Births); err != nil {
-				m.cfg.Logf("recovery region growth: %v (region covers may miss recovered newborns)", err)
-			}
+			m.shard.Recover(st.Resident)
+			m.cfg.Logf("recovered %d residents", m.shard.Len())
 		}
 	}
 	m.ExposeAccounting(&m.ledger, m.store)
+
 	var start core.Start
 	var preload []pendingLoad
 	if !cfg.Shard {
-		// A standalone cache owns the whole universe; a shard owns
-		// nothing until its router's first reshard.
+		// A standalone cache owns the whole universe, the births its
+		// repository serves included; a shard owns nothing until its
+		// router's first reshard.
+		u, err := netproto.FetchUniverse(context.Background(), m.repo)
+		if err != nil {
+			return fail(fmt.Errorf("cache: fetch the universe: %w", err))
+		}
 		m.mu.Lock()
-		var err error
-		start, err = m.shard.Init()
+		start, err = m.shard.Init(u.Births)
 		preload = m.registerLoads(start.Preload)
 		m.mu.Unlock()
 		if err != nil {
-			m.closeStore()
-			return nil, err
+			return fail(err)
+		}
+		// Grow the startup survey, or region covers would miss the births.
+		if err := m.covers.Grow(u.Births); err != nil {
+			m.cfg.Logf("region growth: %v (region covers may miss newborns)", err)
 		}
 		m.logStart(start)
 	}
@@ -293,19 +311,9 @@ func New(cfg Config) (*Middleware, error) {
 		// Land the post-recovery truth as the new baseline snapshot (and
 		// rotate the journal) before serving anything.
 		if err := m.store.WriteSnapshot(m.persistState()); err != nil {
-			m.closeStore()
-			return nil, fmt.Errorf("cache: %w", err)
+			return fail(fmt.Errorf("cache: %w", err))
 		}
 	}
-
-	// Multiplexed request/response session to the repository.
-	dial := netproto.SessionConfig{PoolSize: repoPool, DialRetry: netproto.StartupDialRetry}
-	sess, err := netproto.DialSession(cfg.RepoAddr, "cache", dial)
-	if err != nil {
-		m.closeStore()
-		return nil, fmt.Errorf("cache: dial repository: %w", err)
-	}
-	m.repo = sess
 
 	// Invalidation subscription: every update applied once New returns
 	// is delivered here, as far as the registrations pass it. A shard's
@@ -324,9 +332,7 @@ func New(cfg Config) (*Middleware, error) {
 		Resume: m.resume,
 	})
 	if err != nil {
-		sess.Close()
-		m.closeStore()
-		return nil, fmt.Errorf("cache: subscribe invalidations: %w", err)
+		return fail(fmt.Errorf("cache: subscribe invalidations: %w", err))
 	}
 	if m.scoped {
 		// A scoped node hears nothing until it holds something.
@@ -341,9 +347,7 @@ func New(cfg Config) (*Middleware, error) {
 		m.mu.Lock()
 		held := m.shard.Residents()
 		m.mu.Unlock()
-		if len(held) > 0 {
-			m.inv.AwaitConfirmed(held)
-		}
+		m.inv.AwaitConfirmed(held)
 	}
 	if m.store != nil {
 		// The interval only bounds journal replay length: reshards
@@ -369,10 +373,11 @@ func New(cfg Config) (*Middleware, error) {
 }
 
 // catchUp adopts, on a standalone cache, every birth the repository
-// holds that the node lacks: once the stream is subscribed at New, so
-// a birth is either fetched here or announced on the stream, and at
-// every resume, so none announced during a gap is missed. A cluster
-// shard adopts only what its router grants.
+// holds that the node lacks: once the stream is subscribed at New, so a
+// birth published after the universe New initialized over is either
+// fetched here or announced on the stream, and at every resume, so none
+// announced during a gap is missed. A cluster shard adopts only what
+// its router grants.
 func (m *Middleware) catchUp() error {
 	if m.cfg.Shard {
 		return nil
@@ -402,14 +407,6 @@ func (m *Middleware) fetch(loads []pendingLoad, charge bool) error {
 	return nil
 }
 
-// closeStore releases the persist store on constructor error paths.
-func (m *Middleware) closeStore() {
-	if m.store != nil {
-		m.store.Close()
-		m.store = nil
-	}
-}
-
 // logStart reports what the policy's initialization did with the held
 // recovered residents.
 func (m *Middleware) logStart(r core.Start) {
@@ -423,12 +420,12 @@ func (m *Middleware) logStart(r core.Start) {
 	m.cfg.Logf("recovered warm: %d of %d residents re-adopted", r.Adopted, r.Held)
 }
 
-// persistState captures what only this node knows — its births and its
-// residents, held ones included — under mu.
+// persistState captures what only this node knows — its residents, held
+// ones included — under mu.
 func (m *Middleware) persistState() *persist.State {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return &persist.State{Births: m.shard.Born(), Resident: m.shard.Residents()}
+	return &persist.State{Resident: m.shard.Residents()}
 }
 
 // snapshotNow lands a snapshot of the current state; errors are logged,
@@ -492,14 +489,13 @@ func (m *Middleware) Stats() netproto.StatsMsg {
 
 // streamFrame is the invalidation stream's handler: a notice reaches
 // the policy (a cluster shard's only on an object it owns), and a
-// standalone cache adopts announced births.
+// standalone cache adopts announced births. A cluster shard adopts
+// births only when its router grants them (MsgBirthGrant): ownership of
+// a newborn is the router's assignment, not a broadcast.
 func (m *Middleware) streamFrame(f netproto.Frame) {
 	ctx := context.Background()
 	if birth, ok := f.Body.(netproto.ObjectBirthMsg); ok {
 		if m.cfg.Shard {
-			// A cluster shard adopts births only when its router grants
-			// them (MsgBirthGrant): ownership of a newborn is the
-			// router's assignment, not a broadcast.
 			return
 		}
 		if _, err := m.AddObjects(ctx, birth.Births); err != nil {
@@ -745,10 +741,7 @@ func (m *Middleware) handleBirths(ctx context.Context, body netproto.ObjectBirth
 	if _, err := m.AddObjects(ctx, ack.Births); err != nil {
 		return netproto.Frame{}, err
 	}
-	return netproto.Frame{Type: netproto.MsgObjectBirth, Body: netproto.ObjectBirthMsg{
-		Births:   ack.Births,
-		Accepted: ack.Accepted,
-	}}, nil
+	return netproto.Frame{Type: netproto.MsgObjectBirth, Body: ack}, nil
 }
 
 // handleBirthGrant serves MsgBirthGrant, the router's batched
@@ -771,8 +764,9 @@ func (m *Middleware) handleBirthGrant(ctx context.Context, body netproto.BirthGr
 }
 
 // AddObjects admits newly published objects into the node's universe,
-// live (core.Shard.Births), journals them, and executes any immediate
-// decision the policy returns (Replica loads newborns). Births already
+// live (core.Shard.Births), and executes any immediate decision the
+// policy returns (Replica loads newborns). Nothing is journaled: the
+// repository is the one durable copy of the universe. Births already
 // known are skipped, so adoption is idempotent across the announcement
 // stream and the router's grants. Returns how many births were new.
 func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int, error) {
@@ -782,14 +776,6 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 	m.mu.Unlock()
 	if err != nil || len(fresh) == 0 {
 		return 0, err
-	}
-	if m.store != nil {
-		for _, b := range fresh {
-			if jerr := m.store.AppendBirth(b); jerr != nil {
-				m.cfg.Logf("journal birth %d: %v", b.Object.ID, jerr)
-				break
-			}
-		}
 	}
 	// The adoption itself is done — the universe extended and the
 	// policy knows the newborns — so it counts even if the immediate
@@ -833,24 +819,19 @@ func (m *Middleware) planLocked(s core.Step) plan {
 	return plan{Plan: s.Plan, loads: m.registerLoads(s.Load)}
 }
 
-// registerLoads registers objs' loads with the node's singleflight. mu
-// must be held.
+// registerLoads registers objs' loads with the node's singleflight: each
+// joins its object's in-flight load or is a new one this caller leads.
+// mu must be held.
 func (m *Middleware) registerLoads(objs []model.Object) []pendingLoad {
 	var loads []pendingLoad
 	for _, o := range objs {
-		loads = append(loads, m.registerLoad(o.ID))
+		c, leader := m.loads.register(o.ID)
+		if !leader {
+			m.dedupLoads.Inc()
+		}
+		loads = append(loads, pendingLoad{id: o.ID, call: c, leader: leader})
 	}
 	return loads
-}
-
-// registerLoad joins id's in-flight load or registers a new one this
-// caller leads.
-func (m *Middleware) registerLoad(id model.ObjectID) pendingLoad {
-	c, leader := m.loads.register(id)
-	if !leader {
-		m.dedupLoads.Inc()
-	}
-	return pendingLoad{id: id, call: c, leader: leader}
 }
 
 // executePlan performs the network I/O a committed decision owes before

@@ -1080,3 +1080,50 @@ func TestScopedReshardSurvivesCut(t *testing.T) {
 	proxy.release()
 	proxy.awaitOpen(t)
 }
+
+// TestReshardWaitsForItsDrop: a reshard answers only once the drop of
+// what it lost is echoed, as it waits for its gains'. With the echo held
+// at the proxy, an unscoped shard's narrowing reshard must not return;
+// released, it returns, and an update on a lost object is withheld from
+// the shard.
+func TestReshardWaitsForItsDrop(t *testing.T) {
+	survey, repo, proxy := orderingRepository(t)
+	mw, err := cache.New(cache.Config{
+		RepoAddr: proxy.ln.Addr().String(), Policy: core.NewBenefit(core.BenefitConfig{Window: 40}),
+		Objects: survey.Objects(), Shard: true, Capacity: survey.TotalSize(),
+		ReshardCapacity: cache.ReplicatedCapacity, Scale: netproto.PayloadScale{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mw.Close()
+	if _, _, err := mw.Reshard(0, []model.ObjectID{1, 2, 3, 4}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	proxy.hold()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := mw.Reshard(1, []model.ObjectID{1, 2}, nil, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		proxy.release()
+		t.Fatalf("the reshard returned (%v) while the echo of its drop was held", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	proxy.release()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reshard never returned after the echo was released")
+	}
+	withheld := repo.Stats().Metric("delta_repo_notices_filtered_total")
+	repo.ApplyUpdate(model.Update{ID: 1, Object: 3, Cost: cost.KB})
+	if got := repo.Stats().Metric("delta_repo_notices_filtered_total"); got != withheld+1 {
+		t.Errorf("an update on a lost object after the reshard: %v notices withheld, want %v", got, withheld+1)
+	}
+}

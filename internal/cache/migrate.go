@@ -15,6 +15,7 @@
 // what it loses, so its stream follows what it owns; a scoped one
 // registers what it holds — its loads register themselves, and a
 // reshard registers its warm arrivals — and drops what it loses too.
+// Either answers a reshard only once its drop is echoed.
 package cache
 
 import (
@@ -73,6 +74,9 @@ func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Obj
 	// of the owned set sees it either before the loss or after.
 	m.inv.Unregister(s.Lost)
 	m.mu.Unlock()
+	// Wait for the drop's echo, as for the gains': an update applied once
+	// the reshard has replied must not reach this node.
+	m.inv.AwaitDropped(s.Lost)
 	if s.WarmErr != nil {
 		m.cfg.Logf("reshard warm: %v (arrivals stay cold)", s.WarmErr)
 	}

@@ -1,10 +1,12 @@
 package cache_test
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,6 +17,7 @@ import (
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
+	"github.com/deltacache/delta/internal/persist"
 	"github.com/deltacache/delta/internal/server"
 )
 
@@ -310,9 +313,10 @@ func TestRestartFromTornJournal(t *testing.T) {
 	}
 }
 
-// TestSnapshotSizeIndependentOfSurvey: a snapshot holds only what the
-// node alone knows, its births and its residents, so two nodes with
-// neither write the same snapshot over surveys sixteen times apart.
+// TestSnapshotSizeIndependentOfSurvey: a cache's snapshot holds only
+// what the node alone knows, its residents (the births are the
+// repository's), so two nodes with none write the same snapshot over
+// surveys sixteen times apart.
 func TestSnapshotSizeIndependentOfSurvey(t *testing.T) {
 	var sizes []int64
 	for _, n := range []int{8192, 131072} {
@@ -413,5 +417,302 @@ func TestRestartedShardKeepsNewbornFromReshardMeta(t *testing.T) {
 	st := mw2.Stats()
 	if warm := st.Metric("delta_recovered_warm"); !slices.Equal(st.Cached, []model.ObjectID{newborn.ID}) || warm != 1 {
 		t.Errorf("after the install: cached %v, recovered warm %v; want [%d] and 1", st.Cached, warm, newborn.ID)
+	}
+}
+
+// persistNode starts a VCover cache over base and dir against the
+// repository at repoAddr: a standalone, or a shard awaiting its first
+// reshard.
+func persistNode(t *testing.T, repoAddr, dir string, base []model.Object, shard bool) *cache.Middleware {
+	t.Helper()
+	mw, err := cache.New(cache.Config{
+		RepoAddr: repoAddr,
+		Policy:   core.NewVCover(core.DefaultVCoverConfig()),
+		Objects:  base,
+		Shard:    shard,
+		Capacity: 20 * cost.GB,
+		Scale:    netproto.PayloadScale{},
+		DataDir:  dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mw.Start(); err != nil {
+		mw.Close()
+		t.Fatal(err)
+	}
+	return mw
+}
+
+// recoverDir reads back what a data directory holds.
+func recoverDir(t *testing.T, dir string) *persist.State {
+	t.Helper()
+	store, err := persist.Open(persist.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	st, err := store.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st == nil {
+		t.Fatalf("%s holds nothing to recover", dir)
+	}
+	return st
+}
+
+// TestRestartFollowsTheRepositoryUniverse: the repository is the one
+// durable copy of the universe. A standalone cache adopts a birth and
+// loads it, and is restarted from its data directory against a fresh
+// repository that never heard of that birth: the newborn must not come
+// back resident or answer from the cache, while the base residents
+// still rejoin warm.
+func TestRestartFollowsTheRepositoryUniverse(t *testing.T) {
+	survey, repo := startPersistRepo(t, 16)
+	base := slices.Clone(survey.Objects())
+	mirror, err := catalog.NewSurvey(persistSurveyConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	mw1 := persistNode(t, repo.Addr(), dir, base, false)
+	cl, err := client.Dial(mw1.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	births, err := mirror.GrowObjects(rand.New(rand.NewSource(9)), 1, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.AddObjects(ctx, births); err != nil {
+		t.Fatal(err)
+	}
+	newborn := births[0].Object
+	for _, o := range []model.Object{base[0], newborn} {
+		if _, err := cl.Query(ctx, model.Query{
+			Objects: []model.ObjectID{o.ID}, Cost: o.Size,
+			Tolerance: model.AnyStaleness, Time: 3 * time.Second,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []model.ObjectID{base[0].ID, newborn.ID}
+	if got := mw1.Stats().Cached; !slices.Equal(got, want) {
+		t.Fatalf("cached before the restart = %v, want %v", got, want)
+	}
+	cl.Close()
+	if err := mw1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, fresh := startPersistRepo(t, 16) // the same survey, without the birth
+	mw2 := persistNode(t, fresh.Addr(), dir, base, false)
+	defer mw2.Close()
+	if got := mw2.Stats().Cached; !slices.Equal(got, want[:1]) {
+		t.Errorf("restarted against a repository without object %d: cached %v, want %v", newborn.ID, got, want[:1])
+	}
+	cl2, err := client.Dial(mw2.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl2.Close()
+	res, err := cl2.Query(ctx, model.Query{
+		Objects: []model.ObjectID{newborn.ID}, Cost: cost.MB,
+		Tolerance: model.AnyStaleness, Time: time.Minute,
+	})
+	if err == nil {
+		t.Fatalf("object %d, which the repository does not hold, answered from %q", newborn.ID, res.Source)
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("unknown object %d", newborn.ID)) {
+		t.Errorf("query on object %d refused with %v, want unknown object", newborn.ID, err)
+	}
+	if res, err := cl2.Query(ctx, model.Query{
+		Objects: []model.ObjectID{base[0].ID}, Cost: cost.MB,
+		Tolerance: model.AnyStaleness, Time: time.Minute,
+	}); err != nil || res.Source != "cache" {
+		t.Errorf("warm base object answered from %q, %v; want cache", res.Source, err)
+	}
+}
+
+// TestCachePersistsNoBirths: a cache's data directory holds residents
+// only. A standalone adopts births by publish and by stream
+// announcement, and a shard by grant; neither node's recovered state
+// holds a birth.
+func TestCachePersistsNoBirths(t *testing.T) {
+	survey, repo := startPersistRepo(t, 16)
+	base := slices.Clone(survey.Objects())
+	mirror, err := catalog.NewSurvey(persistSurveyConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	births, err := mirror.GrowObjects(rand.New(rand.NewSource(3)), 3, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(addr string, o model.Object) {
+		t.Helper()
+		cl, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if _, err := cl.Query(ctx, model.Query{
+			Objects: []model.ObjectID{o.ID}, Cost: o.Size,
+			Tolerance: model.AnyStaleness, Time: 3 * time.Second,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	standaloneDir, shardDir := t.TempDir(), t.TempDir()
+	standalone := persistNode(t, repo.Addr(), standaloneDir, base, false)
+	cl, err := client.Dial(standalone.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cl.AddObjects(ctx, births[:1]); err != nil || n != 1 {
+		t.Fatalf("publish through the cache = %d, %v", n, err)
+	}
+	cl.Close()
+	if _, err := repo.AddObjects(births[1:2]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return standalone.Stats().Metric("delta_objects_born_total") == 2 })
+	load(standalone.Addr(), births[1].Object)
+
+	shard := persistNode(t, repo.Addr(), shardDir, base, true)
+	all := make([]model.ObjectID, len(base))
+	for i, o := range base {
+		all[i] = o.ID
+	}
+	if _, _, err := shard.Reshard(0, all, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.AddObjects(births[2:]); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := netproto.DialSession(shard.Addr(), "client", netproto.SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := sess.RoundTrip(ctx, netproto.Frame{
+		Type: netproto.MsgBirthGrant,
+		Body: netproto.BirthGrantMsg{Births: births[2:]},
+	})
+	sess.Close()
+	if grant, ok := reply.Body.(netproto.BirthGrantMsg); err != nil || !ok || grant.Accepted != 1 {
+		t.Fatalf("grant replied %+v, %v; want one birth accepted", reply.Body, err)
+	}
+	load(shard.Addr(), births[2].Object)
+
+	for _, n := range []struct {
+		name    string
+		mw      *cache.Middleware
+		dir     string
+		newborn model.ObjectID
+	}{
+		{"standalone", standalone, standaloneDir, births[1].Object.ID},
+		{"shard", shard, shardDir, births[2].Object.ID},
+	} {
+		// The journal as the node left it while serving, which holds the
+		// newborn's admission, then the snapshot Close lands.
+		if records := n.mw.Stats().Metric("delta_journal_records"); records == 0 {
+			t.Fatalf("%s journaled nothing; the check would be vacuous", n.name)
+		}
+		if st := recoverDir(t, n.dir); len(st.Births) != 0 || !slices.Contains(st.Resident, n.newborn) {
+			t.Errorf("%s journaled births %v and residents %v; want no birth and %d resident", n.name, st.Births, st.Resident, n.newborn)
+		}
+		if err := n.mw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := recoverDir(t, n.dir)
+		if len(st.Births) != 0 {
+			t.Errorf("%s persisted births %v", n.name, st.Births)
+		}
+		if !slices.Equal(st.Resident, []model.ObjectID{n.newborn}) {
+			t.Errorf("%s persisted residents %v, want [%d]", n.name, st.Resident, n.newborn)
+		}
+	}
+}
+
+// TestRestartIgnoresPersistedBirths: a data directory whose snapshot
+// and journal carry births, as builds that persisted them wrote it,
+// still recovers its residents, while the universe is the repository's:
+// a birth only the directory holds stays unknown, and one only the
+// repository holds is adopted with the repository's metadata.
+func TestRestartIgnoresPersistedBirths(t *testing.T) {
+	survey, repo := startPersistRepo(t, 16)
+	base := slices.Clone(survey.Objects())
+	mirror, err := catalog.NewSurvey(persistSurveyConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	births, err := mirror.GrowObjects(rand.New(rand.NewSource(4)), 2, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := births[0]
+	if _, err := repo.AddObjects([]model.Birth{served}); err != nil {
+		t.Fatal(err)
+	}
+	// The directory's copy of the served birth is another object under
+	// the same ID, and its second birth the repository never had.
+	stale := served
+	stale.Object.Size *= 3
+	dir := t.TempDir()
+	store, err := persist.Open(persist.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WriteSnapshot(&persist.State{
+		Births:   []model.Birth{stale},
+		Resident: []model.ObjectID{base[0].ID, births[1].Object.ID},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AppendBirth(births[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AppendAdmit(base[1].ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mw := persistNode(t, repo.Addr(), dir, base, false)
+	st := mw.Stats()
+	want := []model.ObjectID{base[0].ID, base[1].ID}
+	if warm := st.Metric("delta_recovered_warm"); !slices.Equal(st.Cached, want) || warm != 2 {
+		t.Errorf("recovered cached %v, warm %v; want %v and 2", st.Cached, warm, want)
+	}
+	cl, err := client.Dial(mw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Query(ctx, model.Query{
+		Objects: []model.ObjectID{births[1].Object.ID}, Cost: cost.MB,
+		Tolerance: model.AnyStaleness, Time: time.Minute,
+	}); err == nil {
+		t.Errorf("object %d, known only to the data directory, answered", births[1].Object.ID)
+	}
+	// A load checks the node's metadata against the repository's: it
+	// succeeds only if the node adopted the repository's copy.
+	if _, err := cl.Query(ctx, model.Query{
+		Objects: []model.ObjectID{served.Object.ID}, Cost: served.Object.Size,
+		Tolerance: model.AnyStaleness, Time: time.Minute,
+	}); err != nil {
+		t.Fatalf("load of the served birth %d: %v", served.Object.ID, err)
+	}
+	if got := mw.Ledger().ObjectLoad; got != served.Object.Size {
+		t.Errorf("loaded %v, want the served birth's %v", got, served.Object.Size)
+	}
+	if err := mw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := recoverDir(t, dir); len(st.Births) != 0 {
+		t.Errorf("the restarted node persisted births %v", st.Births)
 	}
 }

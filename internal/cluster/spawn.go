@@ -220,7 +220,7 @@ func (lc *LocalCluster) Resize(ctx context.Context, m int, skipMigration bool) (
 // RestartShard stops shard s and brings it back from its persistence
 // directory — the durable-warm-restart path. The old process closes
 // (flushing a final snapshot), a fresh Middleware recovers the shard's
-// grown universe and resident set from disk, and the router is resized
+// resident set from disk, and the router is resized
 // in place over the same shard count so the replacement address joins
 // the routing table: the accompanying reshard at the next epoch grants
 // ownership, and the recovered residents it still owns carry over warm

@@ -196,8 +196,8 @@ func adoptAll(tb testing.TB, objects []model.Object) *core.Shard {
 		Objects:  objects,
 		Capacity: total,
 	})
-	shard.Recover(nil, ids)
-	if start, err := shard.Init(); err != nil || start.Adopted != len(ids) {
+	shard.Recover(ids)
+	if start, err := shard.Init(nil); err != nil || start.Adopted != len(ids) {
 		tb.Fatalf("init: %v; adopted %d of %d", err, start.Adopted, len(ids))
 	}
 	return shard

@@ -164,6 +164,18 @@ func (in *Interest) Loaded(gen uint64, ids []model.ObjectID, ok bool) {
 	in.next.Want = slices.DeleteFunc(in.next.Want, func(id model.ObjectID) bool { return !in.wanted.has(id) })
 }
 
+// Dropped reports whether every drop of ids queued so far has been
+// echoed: none is pending, in flight or waiting for its load to settle.
+func (in *Interest) Dropped(ids []model.ObjectID) bool {
+	named := newIDSet(len(ids))
+	for _, id := range ids {
+		named.add(id)
+	}
+	awaitsLoad := func(id model.ObjectID) bool { return in.loading.has(id) && !in.wanted.has(id) }
+	return !slices.ContainsFunc(ids, awaitsLoad) && !slices.ContainsFunc(in.next.Drop, named.has) &&
+		!(in.busy && slices.ContainsFunc(in.flight.Drop, named.has))
+}
+
 // Confirmed reports whether every id's registration has been echoed.
 func (in *Interest) Confirmed(ids []model.ObjectID) bool {
 	for _, id := range ids {

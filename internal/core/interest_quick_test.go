@@ -210,17 +210,18 @@ func TestInterestBatchesAndResets(t *testing.T) {
 // repository serves it, before its reply, in any order against the
 // batches; a load of an earlier generation names a stream that is gone
 // and changes nothing. A lost batch may or may not have been installed,
-// and so may a failed load. Four properties hold after every step:
+// and so may a failed load. Five properties hold after every step:
 // every confirmed object is in the set; once a batch carrying an
 // object's drop is echoed, the object is not in the set unless it was
-// wanted or loaded again since that drop; no batch both registers and
-// drops an object, so a drop that meets a registration in flight goes
-// out in a later batch; and a drop of an object is never on the wire
-// beside a load of it, so no drop can remove the registration of a
-// later load.
+// wanted or loaded again since that drop; an object that Dropped
+// reports settled and that was not wanted or loaded again since its
+// last drop is not in the set; no batch both registers and drops an
+// object, so a drop that meets a registration in flight goes out in a
+// later batch; and a drop of an object is never on the wire beside a
+// load of it, so no drop can remove the registration of a later load.
 func TestQuickInterestDrops(t *testing.T) {
 	const objects = 10
-	var drops, narrowedChecks, loaded, refused int
+	var drops, narrowedChecks, droppedChecks, loaded, refused int
 	type load struct {
 		ids             []model.ObjectID
 		gen             uint64
@@ -235,11 +236,12 @@ func TestQuickInterestDrops(t *testing.T) {
 			busy     bool
 			flightAt uint64
 			// again[id] is set by a Want or a Load of id and cleared by a
-			// Drop of it or a failed load; narrowed[id] once a drop of id
-			// is echoed with no Want or Load since.
+			// Drop of it or a failed load of this generation; narrowed[id]
+			// once a drop of id is echoed with no Want or Load since.
 			again    = map[model.ObjectID]bool{}
 			narrowed = map[model.ObjectID]bool{}
-			transit  []*load // loads sent, not yet settled
+			dropped  = map[model.ObjectID]bool{} // unregistered at least once
+			transit  []*load                     // loads sent, not yet settled
 		)
 		ids := func() []model.ObjectID {
 			out := make([]model.ObjectID, 1+rng.Intn(3))
@@ -280,7 +282,7 @@ func TestQuickInterestDrops(t *testing.T) {
 				d := ids()
 				in.Drop(d)
 				for _, id := range d {
-					again[id] = false
+					again[id], dropped[id] = false, true
 				}
 				drops++
 			case k < 8:
@@ -371,9 +373,9 @@ func TestQuickInterestDrops(t *testing.T) {
 					installLoad(l) // served, but the reply was lost
 				}
 				in.Loaded(l.gen, l.ids, ok)
-				if !ok {
+				if !ok && !l.dead {
 					for _, id := range l.ids {
-						again[id] = false
+						again[id], dropped[id] = false, true
 					}
 				}
 				loaded++
@@ -390,6 +392,13 @@ func TestQuickInterestDrops(t *testing.T) {
 						return false
 					}
 				}
+				if dropped[id] && !again[id] && in.Dropped([]model.ObjectID{id}) {
+					droppedChecks++
+					if set[id] {
+						t.Logf("seed %d step %d: object %d reported dropped but still in the set", seed, step, id)
+						return false
+					}
+				}
 			}
 		}
 		return true
@@ -397,9 +406,9 @@ func TestQuickInterestDrops(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
-	if drops == 0 || narrowedChecks == 0 || loaded == 0 || refused == 0 {
-		t.Errorf("the trials exercised too little: %d drops, %d checks after an echoed drop, %d loads settled, %d refused",
-			drops, narrowedChecks, loaded, refused)
+	if drops == 0 || narrowedChecks == 0 || droppedChecks == 0 || loaded == 0 || refused == 0 {
+		t.Errorf("the trials exercised too little: %d drops, %d checks after an echoed drop, %d after Dropped, %d loads settled, %d refused",
+			drops, narrowedChecks, droppedChecks, loaded, refused)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -13,20 +12,21 @@ import (
 // (cache.Middleware) and the simulator (sim.Run) both drive: the node's
 // one policy and its Applier, the known universe, what a cluster shard
 // owns, the recovered residents held until the policy is initialized,
-// the adopted births, the reshard epoch, the event count and whether the
-// node is deaf. Each method takes one event and returns what it owes, a
-// Step. Like the Applier it does no I/O, starts no goroutine and takes
-// no lock: the caller serializes calls, moves the bytes each Plan names
-// and hands back failed loads (Unload). Its orders are stated here, once.
+// the reshard epoch, the event count and whether the node is deaf. Each
+// method takes one event and returns what it owes, a Step. Like the
+// Applier it does no I/O, starts no goroutine and takes no lock: the
+// caller serializes calls, moves the bytes each Plan names and hands
+// back failed loads (Unload). Its orders are stated here, once.
 //
-// Recovery. A restarted node's universe is its configured objects plus
-// its recovered births, and its recovered residents are held (Recover).
-// The policy is initialized — a standalone node's at once (Init), a
-// shard's at its router's first reshard (Gain), once that reshard's
-// metadata has landed — and offered the held residents it owns, sorted
-// (Warmable); the rest are dropped. A Preloader's starting set (Replica,
-// SOptimal) then joins them, owed as loads. A notice on a held resident
-// drops it, so it is never offered stale.
+// Recovery. A restarted node's recovered residents are held (Recover);
+// the universe is its repository's. The policy is initialized — a
+// standalone node's at once (Init), over the births its repository
+// serves too, a shard's at its router's first reshard (Gain), once that
+// reshard's metadata, which names every birth it owns, has landed — and
+// offered the held residents it owns, sorted (Warmable); the rest are
+// dropped. A Preloader's starting set (Replica, SOptimal) then joins
+// them, owed as loads. A notice on a held resident drops it, so it is
+// never offered stale.
 //
 // Reshard. A shard's first reshard installs it: it initializes the
 // policy over the owned set. Every later one is a delta on the live
@@ -43,7 +43,8 @@ import (
 //     the warm arrivals it owns and does not hold, sorted (Warmable), so
 //     under capacity pressure carried residents win over arrivals; it
 //     returns the lost objects;
-//  4. the caller unregisters the lost objects.
+//  4. the caller unregisters the lost objects and waits for the drop's
+//     echo, so no notice on them arrives once the reshard is answered.
 //
 // A resident the shard keeps keeps its outstanding updates and what the
 // policy learned about it. Gained objects a policy loads at once
@@ -59,22 +60,19 @@ import (
 // shard stays deaf and every query keeps shipping. A policy without
 // Warmable takes every arrival and recovered resident cold.
 type Shard struct {
-	policy  Policy
-	opt     Optional
-	applier *Applier
-	table   *objectTable // the known universe
-	// configured and recovered (the births outside it) are what Init
-	// initializes over.
-	configured, recovered []model.Object
-	capacity              cost.Bytes
-	resize                func(owned []model.Object) cost.Bytes
-	owned                 *idSet // nil on a standalone node, which owns everything
-	held                  []model.ObjectID
-	births                []model.Birth
-	epoch                 int
-	events                int64
-	deaf                  bool
-	pending               *reshardDelta // a Gain awaiting its Settle
+	policy     Policy
+	opt        Optional
+	applier    *Applier
+	table      *objectTable   // the known universe
+	configured []model.Object // what Init initializes over, with births
+	capacity   cost.Bytes
+	resize     func(owned []model.Object) cost.Bytes
+	owned      *idSet // nil on a standalone node, which owns everything
+	held       []model.ObjectID
+	epoch      int
+	events     int64
+	deaf       bool
+	pending    *reshardDelta // a Gain awaiting its Settle
 }
 
 // ShardConfig parameterizes a Shard.
@@ -82,8 +80,8 @@ type ShardConfig struct {
 	Policy   Policy // kept for the shard's whole life
 	Objects  []model.Object
 	Capacity cost.Bytes
-	// Resize recomputes the capacity for a new owned universe, and for a
-	// universe recovered births grew; nil keeps Capacity.
+	// Resize recomputes the capacity for a new owned universe, and for
+	// the universe births grew at Init; nil keeps Capacity.
 	Resize func(owned []model.Object) cost.Bytes
 }
 
@@ -140,17 +138,9 @@ func NewShard(cfg ShardConfig) *Shard {
 	return s
 }
 
-// Recover restores a previous incarnation's births into the universe
-// and holds its residents, before Init or the first reshard.
-func (s *Shard) Recover(births []model.Birth, residents []model.ObjectID) {
-	s.births = births
-	for _, b := range births {
-		if !s.table.has(b.Object.ID) {
-			s.table.put(b.Object)
-			s.recovered = append(s.recovered, b.Object)
-		}
-	}
-	slices.SortFunc(s.recovered, func(a, b model.Object) int { return cmp.Compare(a.ID, b.ID) })
+// Recover holds a previous incarnation's residents, before Init or the
+// first reshard.
+func (s *Shard) Recover(residents []model.ObjectID) {
 	slices.Sort(residents)
 	s.held = slices.Compact(residents)
 }
@@ -166,15 +156,21 @@ type Start struct {
 }
 
 // Init initializes a standalone node's policy over the configured
-// objects plus the recovered births, at the capacity Resize gives that
-// universe when the births grew it.
-func (s *Shard) Init() (Start, error) {
-	universe := append(slices.Clip(s.configured), s.recovered...)
+// objects plus births, the ones its repository serves, at the capacity
+// Resize gives that universe when the births grew it.
+func (s *Shard) Init(births []model.Birth) (Start, error) {
+	universe := slices.Clip(s.configured)
+	for _, b := range births {
+		if !s.table.has(b.Object.ID) {
+			s.table.put(b.Object)
+			universe = append(universe, b.Object)
+		}
+	}
 	capacity := s.capacity
-	if len(s.recovered) > 0 && s.resize != nil {
+	if len(universe) > len(s.configured) && s.resize != nil {
 		capacity = s.resize(universe)
 	}
-	s.configured, s.recovered, s.owned = nil, nil, nil
+	s.configured, s.owned = nil, nil
 	return s.init(universe, capacity, s.table.has)
 }
 
@@ -307,9 +303,9 @@ func (s *Shard) notice(e *model.Event) (Step, error) {
 }
 
 // Births adopts newly published objects as one event: the ones the shard
-// does not know join the policy's universe (Grower), a cluster shard's
-// owned set (its router grants a birth only to its owners) and the
-// births list. It returns them; known ones are skipped (idempotence).
+// does not know join the policy's universe (Grower) and a cluster
+// shard's owned set (its router grants a birth only to its owners). It
+// returns them; known ones are skipped (idempotence).
 func (s *Shard) Births(births []model.Birth) (Step, []model.Birth, error) {
 	e := s.event(model.EventBirth)
 	return s.adopt(&e, births)
@@ -341,7 +337,6 @@ func (s *Shard) adopt(e *model.Event, births []model.Birth) (Step, []model.Birth
 			s.owned.add(o.ID)
 		}
 	}
-	s.births = append(s.births, fresh...)
 	return step, fresh, nil
 }
 
@@ -585,10 +580,6 @@ func (s *Shard) Len() int { return len(s.held) + s.applier.Len() }
 
 // Used is the resident objects' total size.
 func (s *Shard) Used() cost.Bytes { return s.applier.Used() }
-
-// Born lists every birth the shard adopted, recovered ones first, in
-// publication order.
-func (s *Shard) Born() []model.Birth { return slices.Clone(s.births) }
 
 // Deaf reports whether the shard is between a Gap and its Resume.
 func (s *Shard) Deaf() bool { return s.deaf }

@@ -233,7 +233,7 @@ func newShardTrial(seed int64, warm bool) (*shardTrial, string) {
 				held = append(held, o.ID)
 			}
 		}
-		tr.shard.Recover(nil, held)
+		tr.shard.Recover(held)
 		tr.register(held, true)
 	}
 	return tr, policy.Name()
@@ -311,6 +311,59 @@ func TestShardHitAllocs(t *testing.T) {
 		t.Logf("allocations per %d-object hit: %.0f", n, allocs)
 		if allocs > 0 {
 			t.Errorf("%.0f allocations per %d-object hit, budget 0", allocs, n)
+		}
+	}
+}
+
+// initRecorder is a policy that records what Init gave it.
+type initRecorder struct {
+	*core.NoCache
+	universe []model.Object
+	capacity cost.Bytes
+}
+
+func (p *initRecorder) Init(objects []model.Object, capacity cost.Bytes) error {
+	p.universe, p.capacity = objects, capacity
+	return p.NoCache.Init(objects, capacity)
+}
+
+// TestInitTakesTheRepositoryBirths: a standalone shard initializes over
+// its configured objects plus the births its repository serves, skipping
+// any it already knows, at the capacity Resize gives that universe, so a
+// fresh start and a restart size the node alike; with no birth the
+// configured capacity stands.
+func TestInitTakesTheRepositoryBirths(t *testing.T) {
+	objects := []model.Object{{ID: 1, Size: 10}, {ID: 2, Size: 10}}
+	births := []model.Birth{{Object: objects[1]}, {Object: model.Object{ID: 3, Size: 20}}}
+	half := func(owned []model.Object) cost.Bytes {
+		var total cost.Bytes
+		for _, o := range owned {
+			total += o.Size
+		}
+		return total / 2
+	}
+	for _, tc := range []struct {
+		births   []model.Birth
+		universe []model.ObjectID
+		capacity cost.Bytes
+	}{
+		{nil, []model.ObjectID{1, 2}, 7},
+		{births, []model.ObjectID{1, 2, 3}, 20},
+	} {
+		p := &initRecorder{NoCache: core.NewNoCache()}
+		shard := core.NewShard(core.ShardConfig{Policy: p, Objects: objects, Capacity: 7, Resize: half})
+		if _, err := shard.Init(tc.births); err != nil {
+			t.Fatal(err)
+		}
+		var got []model.ObjectID
+		for _, o := range p.universe {
+			got = append(got, o.ID)
+		}
+		if !slices.Equal(got, tc.universe) || p.capacity != tc.capacity {
+			t.Errorf("Init(%d births) gave the policy %v at capacity %v, want %v at %v", len(tc.births), got, p.capacity, tc.universe, tc.capacity)
+		}
+		if _, ok := shard.Object(3); ok != (len(tc.births) > 0) {
+			t.Errorf("Init(%d births): object 3 known = %v", len(tc.births), ok)
 		}
 	}
 }

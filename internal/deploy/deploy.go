@@ -283,7 +283,7 @@ func Router(args []string, stop <-chan struct{}) error {
 }
 
 // baseSurvey builds the survey the repository at addr was built from,
-// without its births: the node adopts those through its own catch-up.
+// without its births: the node fetches those itself.
 func baseSurvey(addr string) (*catalog.Survey, error) {
 	sess, err := netproto.DialSession(addr, "client", netproto.SessionConfig{DialRetry: netproto.StartupDialRetry})
 	if err != nil {

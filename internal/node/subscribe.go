@@ -173,24 +173,18 @@ func (s *Subscription) Scope() {
 // returns the stream for the load to name (LoadObjectMsg.Stream) and
 // the generation to settle it with (Loaded). It first waits out a drop
 // of any of them that is in flight (core.Interest.Load). From a gap
-// until the resumed stream is in place, and once the node closes, it
-// names no stream: such a load registers nothing, and the resume
-// evicts what it loaded.
+// until the resumed stream is in place, and once the connection or the
+// node closes while it waits, it names no stream: such a load registers
+// nothing, and the resume evicts what it loaded.
 func (s *Subscription) Load(ids []model.ObjectID) (stream int64, gen uint64) {
-	s.imu.Lock()
-	defer s.imu.Unlock()
-	for s.name != 0 && !s.interest.Load(ids) {
-		ch := s.changed
-		s.imu.Unlock()
-		select {
-		case <-ch:
-		case <-s.n.stop:
-			s.imu.Lock()
-			return 0, s.interest.Gen()
+	s.await(func(in *core.Interest) bool {
+		stream, gen = 0, in.Gen()
+		if s.name != 0 && in.Load(ids) {
+			stream = s.name
 		}
-		s.imu.Lock()
-	}
-	return s.name, s.interest.Gen()
+		return stream != 0 || s.name == 0
+	})
+	return stream, gen
 }
 
 // Loaded settles a load readied by Load in generation gen; ok reports
@@ -210,12 +204,26 @@ func (s *Subscription) Loaded(gen uint64, ids []model.ObjectID, ok bool) {
 // connection, so a caller that the gap path waits on cannot wait for a
 // registration only the resume could send.
 func (s *Subscription) AwaitConfirmed(ids []model.ObjectID) bool {
+	return s.await(func(in *core.Interest) bool { return in.Want(ids) })
+}
+
+// AwaitDropped waits until every drop of ids that Unregister queued has
+// been echoed (core.Interest.Dropped), so the repository passes none of
+// their notices. It ends as AwaitConfirmed does.
+func (s *Subscription) AwaitDropped(ids []model.ObjectID) bool {
+	return s.await(func(in *core.Interest) bool { return in.Dropped(ids) })
+}
+
+// await is the subscription's one wait: until done, which runs with imu
+// held, holds for the interest, waking the pump while it does not. It
+// reports false as AwaitConfirmed does.
+func (s *Subscription) await(done func(*core.Interest) bool) bool {
 	s.mu.Lock()
 	lost := s.cur.lost
 	s.mu.Unlock()
 	s.imu.Lock()
 	gen := s.interest.Gen()
-	for !s.interest.Want(ids) {
+	for !done(s.interest) {
 		ch := s.changed
 		s.imu.Unlock()
 		s.wakePump()

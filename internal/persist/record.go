@@ -1,13 +1,12 @@
 // Package persist is the durability layer under a Delta node: a
-// snapshot file holding what only the node knows (the births it adopted
-// and its resident set) plus an append-only journal recording the
-// births and admission/eviction decisions made since that snapshot.
-// Together they let a restarted node rejoin the deployment warm — the
-// policy is initialized over the configured universe plus the recovered
-// births and offered the recovered residents it owns through
-// core.Warmable, the boundary a live reshard's warm arrivals also
-// cross — instead of paying the full warmup the caching policies exist
-// to avoid.
+// snapshot file holding what only the node knows (the repository's
+// births, a cache's resident set) plus an append-only journal recording
+// the births or admission/eviction decisions made since that snapshot.
+// Together they let a restarted repository recover its grown universe
+// and a restarted cache rejoin warm — its policy is offered the
+// recovered residents it owns through core.Warmable, the boundary a live
+// reshard's warm arrivals also cross — instead of paying the full
+// warmup the caching policies exist to avoid.
 //
 // Each record payload's layout is one walk over a netproto.Cursor,
 // which both writes and reads it, so objects, births and ID lists have
@@ -42,7 +41,7 @@ const (
 	recHeader byte = iota + 1
 	// recSnapshot is a snapshot file's single state record.
 	recSnapshot
-	// recBirth journals one adopted object birth (full fidelity:
+	// recBirth journals one birth the repository ingested (full fidelity:
 	// metadata plus sky position and publication time).
 	recBirth
 	// recAdmit journals one object admitted to the resident set.

@@ -8,13 +8,13 @@ import (
 	"github.com/deltacache/delta/internal/netproto"
 )
 
-// State is what only the node itself knows, and so what it persists to
-// rejoin warm: the births it adopted and the objects it held resident.
-// Everything else is rebuilt or resent: the base universe from the
-// survey configuration, and a shard's owned set, epoch and the metadata
-// of births it never adopted from its router's first reshard. A
-// snapshot therefore grows with the node's births and warm state, not
-// with the survey.
+// State is what only the node itself knows, and so what it persists:
+// the repository's births, the one durable copy of the universe, and a
+// cache's residents, which let it rejoin warm. Everything else is
+// rebuilt or resent: the base universe from the survey configuration,
+// and a cache's births, owned set and epoch from its repository and its
+// router. A snapshot grows with the births or the warm state, not the
+// survey.
 //
 // Residency is a warmth hint, not a durability contract: recovery
 // offers every resident the node still owns to its policy through
@@ -23,11 +23,11 @@ import (
 // what lets journal replay treat admissions and evictions as idempotent
 // set operations.
 type State struct {
-	// Births are the adopted object births in publication order, full
-	// fidelity (sky position and publication time), so a resolver or a
-	// repository catalog can replay them through AddObject.
+	// Births are the repository's object births in publication order,
+	// full fidelity (sky position and publication time), so its catalog
+	// can replay them through AddObject. A cache ignores them.
 	Births []model.Birth
-	// Resident is the resident set at snapshot time.
+	// Resident is a cache's resident set at snapshot time.
 	Resident []model.ObjectID
 
 	// generation is the snapshot generation this state was decoded

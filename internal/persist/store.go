@@ -362,7 +362,7 @@ func (s *Store) flushLoop() {
 	}
 }
 
-// AppendBirth journals one adopted object birth.
+// AppendBirth journals one object birth the repository ingested.
 func (s *Store) AppendBirth(b model.Birth) error {
 	return s.appendEntry(entry{typ: recBirth, birth: b})
 }

@@ -167,7 +167,7 @@ func New(cfg Config) (*Repository, error) {
 	r.notices = r.Reg.NewCounter("delta_repo_notices_total",
 		"Update notices queued to invalidation subscribers, after each subscriber's registered interest.")
 	r.filtered = r.Reg.NewCounter("delta_repo_notices_filtered_total",
-		"Update notices withheld from an invalidation subscriber because it had not registered the object (a cluster shard registers what it owns); never a dropped notice.")
+		"Update notices withheld from an invalidation subscriber because it had not registered the object (PROTOCOL.md, \"Registrations\"); never a dropped notice.")
 	r.queries = r.Reg.NewCounter("delta_queries_total",
 		"Query requests this repository received, from caches and clients, refused ones included.")
 	r.droppedInvalidations = r.Reg.NewCounter("delta_dropped_invalidations_total",

@@ -83,7 +83,7 @@ func Run(policy core.Policy, objects []model.Object, events []model.Event, cfg C
 		cfg.SampleEvery = 5000
 	}
 	shard := core.NewShard(core.ShardConfig{Policy: policy, Objects: objects, Capacity: cfg.CacheCapacity})
-	start, err := shard.Init()
+	start, err := shard.Init(nil)
 	if err != nil {
 		return nil, fmt.Errorf("sim: init %s: %w", policy.Name(), err)
 	}
