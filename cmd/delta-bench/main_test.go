@@ -224,6 +224,25 @@ func TestWarmupRuns(t *testing.T) {
 	}
 }
 
+// TestSeedsShape: one row per cache fraction, trace seed and policy,
+// and one win count per fraction and comparison, none above the seeds.
+func TestSeedsShape(t *testing.T) {
+	dir := runExp(t, "seeds", "0.008")
+	_, runs := readCSV(t, dir, "seeds.csv")
+	if want := 2 * 10 * len(experiments.PolicyNames); len(runs) != want {
+		t.Errorf("seeds.csv has %d rows, want %d", len(runs), want)
+	}
+	_, wins := readCSV(t, dir, "seeds_wins.csv")
+	if want := 2 * (len(experiments.Fig7bChecks) + 1); len(wins) != want {
+		t.Errorf("seeds_wins.csv has %d rows, want %d", len(wins), want)
+	}
+	for _, row := range wins {
+		if num(t, row[2]) > num(t, row[3]) {
+			t.Errorf("%s at %s holds on %s of %s seeds", row[1], row[0], row[2], row[3])
+		}
+	}
+}
+
 // TestPaperFiguresGolden pins every CSV of -exp all at scale 0.01 to its
 // checked-in sha256: a refactor of the simulator, the policies, the
 // trace generators or the figure drivers must leave the paper's figures
@@ -238,6 +257,8 @@ func TestPaperFiguresGolden(t *testing.T) {
 		"fig8a_updates.csv":     "cb07715e4d9d7bd0f17e0de97e76c7c11ecb5171d00a589332d042aaff21ad1b",
 		"fig8b_granularity.csv": "e4f80f57daf895c1c2bdc3ca48dcff7df38289ac293fc9c924f33686b4241150",
 		"fig8b_series.csv":      "1bf6a756e6807cb2c80666f77c67eda32a87e76265feefd2c5ef4996e2aa45a6",
+		"seeds.csv":             "a187909046f91f18452e544df30e71e94608ca46bd7eb8a499e0d4a69c7fa30a",
+		"seeds_wins.csv":        "5f43e9a869017618bebc959ba683f9f5aedb24ba001725c77685a07fe3956e8f",
 		"warmup.csv":            "99b0fe24bb12d576e745c1b31c7ae2facd82c5759894683a9f4f904463bca8ef",
 	}
 	entries, err := os.ReadDir(dir)

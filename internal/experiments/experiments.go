@@ -204,6 +204,72 @@ func (s *Setup) RunOne(p core.Policy) (*sim.Result, error) {
 // PolicyNames is the canonical ordering for tables.
 var PolicyNames = []string{"NoCache", "Replica", "Benefit", "VCover", "SOptimal"}
 
+// Trial is one trace seed replayed through the five policies: each
+// policy's result, and its traffic after the warm-up boundary of
+// Figure 7(b).
+type Trial struct {
+	Seed    int64
+	Results map[string]*sim.Result
+	Post    map[string]cost.Bytes
+}
+
+// AcrossSeeds builds the trace of every seed in seeds from opts (its
+// Seed is ignored) and replays each through the five policies. One
+// trace is one sample of the workload, so a claim about the paper's
+// figures is scored over many.
+func AcrossSeeds(opts Options, seeds []int64) ([]Trial, error) {
+	trials := make([]Trial, 0, len(seeds))
+	for _, seed := range seeds {
+		o := opts
+		o.Seed = seed
+		s, err := NewSetup(o)
+		if err != nil {
+			return nil, err
+		}
+		results, err := s.RunAll()
+		if err != nil {
+			return nil, fmt.Errorf("seed %d: %w", seed, err)
+		}
+		trials = append(trials, Trial{Seed: seed, Results: results, Post: PostWarmup(results, 0.5)})
+	}
+	return trials, nil
+}
+
+// Check is one comparison Figure 7(b) makes between post-warmup totals.
+type Check struct {
+	Name  string
+	Holds func(post map[string]cost.Bytes) bool
+}
+
+// Fig7bChecks are the paper's ordering, post-warmup:
+// SOptimal <= VCover < NoCache, Benefit, Replica.
+var Fig7bChecks = []Check{
+	{"VCover<NoCache", func(p map[string]cost.Bytes) bool { return p["VCover"] < p["NoCache"] }},
+	{"VCover<Benefit", func(p map[string]cost.Bytes) bool { return p["VCover"] < p["Benefit"] }},
+	{"VCover<Replica", func(p map[string]cost.Bytes) bool { return p["VCover"] < p["Replica"] }},
+	{"SOptimal<=VCover", func(p map[string]cost.Bytes) bool { return p["SOptimal"] <= p["VCover"] }},
+}
+
+// Wins counts the trials each of Fig7bChecks holds on, in order, then
+// the trials on which all of them hold.
+func Wins(trials []Trial) []int {
+	wins := make([]int, len(Fig7bChecks)+1)
+	for _, t := range trials {
+		all := true
+		for i, c := range Fig7bChecks {
+			if c.Holds(t.Post) {
+				wins[i]++
+			} else {
+				all = false
+			}
+		}
+		if all {
+			wins[len(Fig7bChecks)]++
+		}
+	}
+	return wins
+}
+
 // ScatterCSV writes the Figure 7(a) scatter: one row per (event,
 // object) incidence with the event kind. Sampling every k-th event
 // keeps files small; k <= 1 writes every event.
