@@ -256,7 +256,7 @@ func runVCover(opts experiments.Options) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.RunOne(core.NewVCover(core.VCoverConfig{Seed: s.Seed, GDSF: true}))
+	return s.RunOne(core.NewVCover(core.DefaultVCoverConfig()))
 }
 
 // fig8b runs VCover at each object-set granularity (Figure 8b): its

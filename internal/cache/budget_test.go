@@ -22,10 +22,11 @@ import (
 // object when it loads it and drops it when it evicts it, so an update
 // costs a notice only while its object is resident. The count is exact
 // here, and pinned as a ceiling: 1000 when the stream was unfiltered,
-// 838 when a node registered every object a query named, 212 since a
-// load registers what it loads.
+// 838 when a node registered every object a query named, 212 when a
+// load registered what it loads, and 64 since VCover buys loads with a
+// per-object credit: it holds different residents.
 func TestNoticeBudget(t *testing.T) {
-	const ceiling = 212.0 / 1000 // notices per update
+	const ceiling = 64.0 / 1000 // notices per update
 	setup, err := experiments.NewSetup(experiments.Options{Scale: 0.004, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +45,7 @@ func TestNoticeBudget(t *testing.T) {
 	defer repo.Close()
 	m, err := New(Config{
 		RepoAddr: repo.Addr(),
-		Policy:   core.NewVCover(core.VCoverConfig{Seed: setup.Seed, GDSF: true}),
+		Policy:   core.NewVCover(core.DefaultVCoverConfig()),
 		Objects:  survey.Objects(),
 		Capacity: setup.Capacity(),
 		Scale:    netproto.DefaultScale(),

@@ -211,3 +211,45 @@ func (s *idSet) all() iter.Seq[model.ObjectID] {
 		}
 	}
 }
+
+// creditTable holds a counter per object with the same dense/sparse
+// split as objectTable: an int64 indexed by id−1, grown as IDs arrive
+// (survey IDs, then births continuing the sequence), plus a map for
+// out-of-range IDs. An absent ID reads zero.
+type creditTable struct {
+	dense  []int64
+	sparse map[model.ObjectID]int64
+}
+
+func (t *creditTable) get(id model.ObjectID) int64 {
+	if idx := int(id) - 1; idx >= 0 && idx < len(t.dense) {
+		return t.dense[idx]
+	}
+	return t.sparse[id]
+}
+
+// set stores c for id; a zero clears it.
+func (t *creditTable) set(id model.ObjectID, c int64) {
+	idx := int(id) - 1
+	if c != 0 && idx >= len(t.dense) && idx < len(t.dense)+denseSlack {
+		t.dense = append(t.dense, make([]int64, idx+1-len(t.dense))...)
+		for id, c := range t.sparse {
+			if idx := int(id) - 1; idx >= 0 && idx < len(t.dense) {
+				t.dense[idx] = c
+				delete(t.sparse, id)
+			}
+		}
+	}
+	if idx >= 0 && idx < len(t.dense) {
+		t.dense[idx] = c
+		return
+	}
+	if c == 0 {
+		delete(t.sparse, id)
+		return
+	}
+	if t.sparse == nil {
+		t.sparse = make(map[model.ObjectID]int64)
+	}
+	t.sparse[id] = c
+}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
 
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/flow"
@@ -11,11 +11,14 @@ import (
 )
 
 // VCoverConfig parameterizes VCover. The algorithm itself has no knobs:
-// loads use the paper's randomized cost attribution (no per-object
-// counters), and updates are only ever shipped on demand, when a vertex
-// cover picks them.
+// loads are bought with a per-object credit, and updates are only ever
+// shipped on demand, when a vertex cover picks them.
 type VCoverConfig struct {
-	// Seed drives the LoadManager's randomized cost attribution.
+	// Seed does nothing: it drove the paper's randomized cost
+	// attribution, which the per-object credit replaced.
+	//
+	// Deprecated: kept only because the frozen bench/ module sets it
+	// (bench/workloads.go). Delete it with that use.
 	Seed int64
 	// GDSF selects the frequency-aware Greedy-Dual-Size variant for the
 	// LoadManager's object-usage tracking (the paper measures usage
@@ -25,7 +28,7 @@ type VCoverConfig struct {
 
 // DefaultVCoverConfig returns the configuration used in the experiments.
 func DefaultVCoverConfig() VCoverConfig {
-	return VCoverConfig{Seed: 1, GDSF: true}
+	return VCoverConfig{GDSF: true}
 }
 
 // VCover is the paper's online algorithm for the data decoupling
@@ -40,21 +43,30 @@ func DefaultVCoverConfig() VCoverConfig {
 //     excluded from the remainder graph, keeping it small and making the
 //     cover computation robust to workload changes.
 //   - LoadManager: for queries that miss, the query is shipped, and in
-//     the background the query's cost is attributed to its missing
-//     objects in random order; an object whose attributed cost covers
-//     its load cost becomes a load candidate deterministically,
-//     otherwise with probability c/l(o) — in expectation an object is
-//     loaded only after shipping costs equal to its load cost have been
-//     paid, the bound shown optimal in the bypass-caching work the paper
-//     builds on. Candidates pass through a lazy Greedy-Dual-Size cache
-//     that decides actual loads and evictions.
+//     the background the query's cost is paid out to its missing objects
+//     in ascending ID order, each taking only what its credit still
+//     lacks of its load cost l(o). An object whose credit reaches l(o)
+//     becomes a load candidate and its credit returns to zero, so an
+//     object is loaded only after shipping costs equal to its load cost
+//     have been paid — the rent-or-buy bound of the bypass-caching work
+//     the paper builds on. Candidates pass through a lazy
+//     Greedy-Dual-Size cache that decides actual loads and evictions.
+//
+// The paper's LoadManager (Fig 6) pays the cost out in random order and
+// makes the first object it cannot pay in full a candidate with
+// probability c/l(o), so that it needs no per-object counter. Here the
+// per-object state is dense and a counter costs 8 bytes, and the
+// deterministic credit ships fewer bytes on every trace seed measured
+// (docs/EXPERIMENTS.md, "VCover's load rule").
 type VCover struct {
 	cfg VCoverConfig
 
 	idx   *objectIndex
 	bip   *flow.Bipartite
 	loads *gds.Cache
-	rng   *rand.Rand
+	// credit[o] is the miss cost paid out to missing object o since it
+	// last became a load candidate; it stays below o's load cost.
+	credit creditTable
 
 	// outstanding[o] holds updates received for cached object o that
 	// have not been shipped, in arrival order. An object is a key only
@@ -107,7 +119,6 @@ func (p *VCover) Init(objects []model.Object, capacity cost.Bytes) error {
 	p.idx = idx
 	p.bip = flow.NewBipartite()
 	p.loads = loadCache
-	p.rng = rand.New(rand.NewSource(p.cfg.Seed))
 	p.outstanding = make(map[model.ObjectID][]model.Update)
 	p.owed = newIDSet(0)
 	p.updObject = make(map[model.UpdateID]model.ObjectID)
@@ -153,10 +164,10 @@ func (p *VCover) Warm(ids []model.ObjectID) ([]model.ObjectID, error) {
 	return adopted, nil
 }
 
-// AddObjects implements Grower: newborns join the universe cold. The
-// LoadManager's randomized cost attribution needs no per-object state,
-// so a born object becomes a load candidate the same way any uncached
-// object does — once queries attribute enough cost to it.
+// AddObjects implements Grower: newborns join the universe cold, with
+// no credit, and become load candidates the same way any uncached
+// object does — once missed queries have paid their load cost. The
+// credit table grows to a newborn's ID when it is first paid.
 func (p *VCover) AddObjects(objs []model.Object) (Decision, error) {
 	if p.idx == nil {
 		return Decision{}, fmt.Errorf("core: VCover not initialized")
@@ -170,8 +181,8 @@ func (p *VCover) AddObjects(objs []model.Object) (Decision, error) {
 }
 
 // Forget implements Forgetter: a forgotten resident leaves with its
-// outstanding updates and their interaction-graph vertices, and a
-// smaller capacity evicts in the LoadManager's Greedy-Dual-Size order
+// outstanding updates and their interaction-graph vertices, a forgotten
+// object with its credit, and a smaller capacity evicts in the LoadManager's Greedy-Dual-Size order
 // until the residents fit.
 func (p *VCover) Forget(ids []model.ObjectID, capacity cost.Bytes) (Decision, error) {
 	if p.idx == nil {
@@ -190,6 +201,7 @@ func (p *VCover) Forget(ids []model.ObjectID, capacity cost.Bytes) (Decision, er
 			d.Evict = append(d.Evict, id)
 		}
 		p.idx.objects.remove(id)
+		p.credit.set(id, 0)
 	}
 	evicted, err := p.loads.Resize(int64(capacity))
 	if err != nil {
@@ -352,24 +364,23 @@ func (p *VCover) applyOutstanding(obj model.ObjectID, uid model.UpdateID) error 
 }
 
 // loadManager ships the query and decides, in the background, whether to
-// load the missing objects (Figure 6 of the paper).
+// load the missing objects (Figure 6 of the paper, with a per-object
+// credit in place of its randomized attribution).
 func (p *VCover) loadManager(q *model.Query) (Decision, error) {
 	d := Decision{ShipQuery: true}
 	p.stats.QueriesShipped++
 
-	// Missing objects in random order: the random sequence plus the
-	// probabilistic admission below implement the randomized cost
-	// attribution that avoids per-object counters.
 	var missing []model.ObjectID
 	for _, id := range q.Objects {
 		if !p.idx.isCached(id) {
 			missing = append(missing, id)
 		}
 	}
-	p.rng.Shuffle(len(missing), func(i, j int) {
-		missing[i], missing[j] = missing[j], missing[i]
-	})
+	slices.Sort(missing)
 
+	// Pay ν(q) out in ascending ID order: each object takes what its
+	// credit still lacks of its load cost, and one whose credit reaches
+	// the load cost becomes a candidate and starts over from zero.
 	c := int64(q.Cost)
 	var candidates []gds.Entry
 	for _, id := range missing {
@@ -380,23 +391,15 @@ func (p *VCover) loadManager(q *model.Query) (Decision, error) {
 		if err != nil {
 			return Decision{}, err
 		}
-		l := int64(size)
-		entry := gds.Entry{Key: int64(id), Size: l, Cost: l}
-		if c >= l {
-			// The query's cost alone covers the load cost: the object is
-			// made a candidate immediately.
-			candidates = append(candidates, entry)
-			c -= l
-			continue
+		l, have := int64(size), p.credit.get(id)
+		need := l - have
+		if c < need {
+			p.credit.set(id, have+c)
+			break
 		}
-		// Randomized loading: candidate with probability c/l(o), so in
-		// expectation the object becomes a candidate once total
-		// attributed cost reaches its load cost — without maintaining a
-		// counter.
-		if l > 0 && p.rng.Float64() < float64(c)/float64(l) {
-			candidates = append(candidates, entry)
-		}
-		c = 0
+		candidates = append(candidates, gds.Entry{Key: int64(id), Size: l, Cost: l})
+		p.credit.set(id, 0)
+		c -= need
 	}
 	if len(candidates) == 0 {
 		return d, nil

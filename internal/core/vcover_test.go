@@ -359,6 +359,93 @@ func TestVCoverDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestVCoverRentOrBuy: an object is loaded once missed queries have
+// paid its load cost l, on exactly the miss that completes l and never
+// before, however the cost is split across the misses.
+func TestVCoverRentOrBuy(t *testing.T) {
+	const l = 10 * cost.GB // object 1
+	for _, split := range [][]cost.Bytes{
+		{l},
+		{5 * cost.GB, 5 * cost.GB},
+		{9 * cost.GB, cost.GB},
+		{cost.GB, 2 * cost.GB, 3 * cost.GB, 4 * cost.GB},
+		{cost.GB, cost.GB, cost.GB, cost.GB, cost.GB, cost.GB, cost.GB, cost.GB, cost.GB, cost.GB},
+		{l - 1, 1},
+	} {
+		p := newTestVCover(t, 30*cost.GB)
+		for k, c := range split {
+			d, err := p.OnQuery(&model.Query{
+				ID: model.QueryID(k + 1), Objects: []model.ObjectID{1}, Cost: c,
+				Tolerance: model.NoTolerance, Time: time.Duration(k) * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !d.ShipQuery {
+				t.Fatalf("split %v: miss %d was not shipped", split, k+1)
+			}
+			last := k == len(split)-1
+			if loaded := slices.Equal(d.Load, []model.ObjectID{1}); loaded != last {
+				t.Fatalf("split %v: miss %d of %d loaded %v", split, k+1, len(split), d.Load)
+			}
+			if want := int64(0); !last {
+				for _, paid := range split[:k+1] {
+					want += int64(paid)
+				}
+				if got := p.credit.get(1); got != want {
+					t.Fatalf("split %v: credit %d after miss %d, want %d", split, got, k+1, want)
+				}
+			} else if got := p.credit.get(1); got != 0 {
+				t.Fatalf("split %v: credit %d after the load, want 0", split, got)
+			}
+		}
+	}
+}
+
+// TestVCoverCreditPaysInIDOrder: a missed query pays its missing objects
+// in ascending ID order, whatever order it names them in, each taking
+// only what it still lacks; what is left over credits the next object.
+func TestVCoverCreditPaysInIDOrder(t *testing.T) {
+	p := newTestVCover(t, 30*cost.GB)
+	// Object 1 lacks 10GB, so 12GB loads it and leaves 2GB for object 3.
+	d, err := p.OnQuery(&model.Query{ID: 1, Objects: []model.ObjectID{3, 1}, Cost: 12 * cost.GB, Time: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(d.Load, []model.ObjectID{1}) || p.credit.get(3) != int64(2*cost.GB) {
+		t.Fatalf("decision %+v, credit of 3 = %d; want 1 loaded and 2GB on 3", d, p.credit.get(3))
+	}
+	// Object 3 lacks 3GB of its 5GB: a 3GB miss on it buys it.
+	if d, err = p.OnQuery(&model.Query{ID: 2, Objects: []model.ObjectID{3}, Cost: 3 * cost.GB, Time: 2 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(d.Load, []model.ObjectID{3}) {
+		t.Fatalf("decision %+v, want 3 loaded", d)
+	}
+}
+
+// TestVCoverForgetClearsCredit: a forgotten object's credit leaves with
+// it, so it rejoins owing its whole load cost.
+func TestVCoverForgetClearsCredit(t *testing.T) {
+	p := newTestVCover(t, 30*cost.GB)
+	if _, err := p.OnQuery(&model.Query{ID: 1, Objects: []model.ObjectID{3}, Cost: 4 * cost.GB}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Forget([]model.ObjectID{3}, 30*cost.GB); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.AddObjects([]model.Object{{ID: 3, Size: 5 * cost.GB}}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := p.OnQuery(&model.Query{ID: 2, Objects: []model.ObjectID{3}, Cost: 4 * cost.GB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Load) != 0 || p.credit.get(3) != int64(4*cost.GB) {
+		t.Errorf("decision %+v, credit %d; a rejoined object must start from no credit", d, p.credit.get(3))
+	}
+}
+
 func TestVCoverMultiObjectQueryNeedsAll(t *testing.T) {
 	p := newTestVCover(t, 35*cost.GB)
 	warmLoad(t, p, 1, 1, time.Second)

@@ -164,7 +164,7 @@ func (s *Setup) Policies() []core.Policy {
 		core.NewNoCache(),
 		core.NewReplica(),
 		core.NewBenefit(core.BenefitConfig{Window: s.BenefitWindow}),
-		core.NewVCover(core.VCoverConfig{Seed: s.Seed, GDSF: true}),
+		core.NewVCover(core.DefaultVCoverConfig()),
 		core.NewSOptimal(s.Events),
 	}
 }

@@ -112,6 +112,9 @@ func TestPaperOrdering(t *testing.T) {
 // is asserted on each. The other comparisons do not hold on every
 // trace: their win counts are floors, which a change to a policy may
 // raise but not lower. delta-bench -exp seeds prints the same counts.
+// Under the paper's randomized load attribution (drawn with the trace
+// seed) they were 10, 9, 8 and 7 of 10; the per-object credit raised
+// them to 10, 10, 9 and 9.
 func TestPaperClaimsAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the claims replay ten traces")
@@ -129,7 +132,7 @@ func TestPaperClaimsAcrossSeeds(t *testing.T) {
 			t.Errorf("seed %d: SOptimal (%v) exceeds VCover (%v) post-warmup", tr.Seed, opt, vc)
 		}
 	}
-	floors := []int{10, 9, 8, 10, 7} // Fig7bChecks in order, then all four
+	floors := []int{10, 10, 9, 10, 9} // Fig7bChecks in order, then all four
 	for i, got := range Wins(trials) {
 		name := "all four"
 		if i < len(Fig7bChecks) {
