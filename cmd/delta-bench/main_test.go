@@ -251,15 +251,15 @@ func TestPaperFiguresGolden(t *testing.T) {
 	dir := runExp(t, "all", "0.01")
 	golden := map[string]string{
 		"benefit_window.csv":    "ac7f582f1b4eaff373aaa565d60e94fd393644186a8ac291cfd4c06200909021",
-		"cachesize.csv":         "ead6874a8ad95163e42b1d4ac69eee513591a926e7ee6063d8a2901e071f55be",
+		"cachesize.csv":         "4e5cb55b1e71c6649223f95742e68023f2795c8f714c516f5cff6f916d1c0b8d",
 		"fig7a_scatter.csv":     "9501f6643fd8d6e856fd5f9fa2320736f0b7e1aea0f54d9663d0fb519457a53c",
-		"fig7b_cumulative.csv":  "f1b066d27573b1c9f5d092ba82e29050eebd7f190e75dc1fd31a36d860975ce5",
-		"fig8a_updates.csv":     "cb07715e4d9d7bd0f17e0de97e76c7c11ecb5171d00a589332d042aaff21ad1b",
-		"fig8b_granularity.csv": "e4f80f57daf895c1c2bdc3ca48dcff7df38289ac293fc9c924f33686b4241150",
-		"fig8b_series.csv":      "1bf6a756e6807cb2c80666f77c67eda32a87e76265feefd2c5ef4996e2aa45a6",
-		"seeds.csv":             "a187909046f91f18452e544df30e71e94608ca46bd7eb8a499e0d4a69c7fa30a",
-		"seeds_wins.csv":        "5f43e9a869017618bebc959ba683f9f5aedb24ba001725c77685a07fe3956e8f",
-		"warmup.csv":            "99b0fe24bb12d576e745c1b31c7ae2facd82c5759894683a9f4f904463bca8ef",
+		"fig7b_cumulative.csv":  "2c16ca79c7683268dd6b25a0d9648b4e3beb7cc825c3c04a9574a517b09d2b65",
+		"fig8a_updates.csv":     "15b604dfddb49f1f127429d38bbacc39381b0176b0f484bf03552a6d8aadc05b",
+		"fig8b_granularity.csv": "ab339289c23b572fed7f02e60bf90a8ff636a14ec5a0ae54e06f1c80d56a4762",
+		"fig8b_series.csv":      "f76083a33ca61885b0b64af5f62073474a7ac88d6ff4ac25fd5cdbd1d3bd72e0",
+		"seeds.csv":             "e860b9479d58a916082417985a624101ac6f398892bf72128981fd4912755915",
+		"seeds_wins.csv":        "bee10d5690884e0572dc53cabb1ab549746c6ef4a0c9097d3a8b57529ceb7f36",
+		"warmup.csv":            "452b14b1849a8a7f7ba159f41893de4a99322e5c33982087851b4316bbd1b497",
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
