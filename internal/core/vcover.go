@@ -181,9 +181,10 @@ func (p *VCover) AddObjects(objs []model.Object) (Decision, error) {
 }
 
 // Forget implements Forgetter: a forgotten resident leaves with its
-// outstanding updates and their interaction-graph vertices, a forgotten
-// object with its credit, and a smaller capacity evicts in the LoadManager's Greedy-Dual-Size order
-// until the residents fit.
+// outstanding updates and their interaction-graph vertices, any
+// forgotten object leaves with its credit, and a smaller capacity
+// evicts in the LoadManager's Greedy-Dual-Size order until the
+// residents fit.
 func (p *VCover) Forget(ids []model.ObjectID, capacity cost.Bytes) (Decision, error) {
 	if p.idx == nil {
 		return Decision{}, fmt.Errorf("core: VCover not initialized")
