@@ -4,11 +4,12 @@
 // answer from its local object store, ship outstanding updates first, or
 // ship the query to the repository — and, in the background, whether to
 // load objects. It subscribes to the repository's invalidation stream so
-// its policy sees every update the moment the repository ingests it (a
-// policy that declares core.ScopedNotices: every update on what it
-// holds, which each load registers and each eviction unregisters; an
-// unscoped cluster shard: every update on what it owns, which it
-// registers, migrate.go).
+// its policy sees every update the moment the repository ingests it, as
+// far as its registrations pass it: the stream starts with nothing
+// registered, every load registers what it loads, a policy that
+// declares core.ScopedNotices hears what it holds (each eviction
+// unregisters), and any other hears what it owns (a standalone node its
+// universe, a cluster shard its share, migrate.go).
 //
 // The node is the I/O shell around core.Shard, the state machine the
 // simulator drives too, whose doc states the order of a recovery, a
@@ -134,15 +135,12 @@ type Middleware struct {
 	recoveredWarm                                     *obs.Gauge
 	queryLat, loadLat, fsyncLat                       *obs.Histogram
 
-	// inv is the invalidation subscription, on which a scoped node and
-	// every cluster shard send their registrations.
+	// inv is the invalidation subscription, which starts with nothing
+	// registered: each load registers what it loads.
 	inv *node.Subscription
 	// scoped is set when the policy needs only the notices of what it
-	// holds (core.ScopedNotices): its stream starts empty, each load
-	// registers what it loads, and each eviction unregisters what it
-	// evicts. An unscoped cluster shard registers what it owns, and
-	// nothing becomes resident there before its registration is
-	// confirmed.
+	// holds (core.ScopedNotices): each eviction unregisters what it
+	// evicts. An unscoped node registers what it owns as well.
 	scoped bool
 	// reshards serializes Reshard: a Gain's Settle comes before the next
 	// Gain.
@@ -316,8 +314,8 @@ func New(cfg Config) (*Middleware, error) {
 	}
 
 	// Invalidation subscription: every update applied once New returns
-	// is delivered here, as far as the registrations pass it. A shard's
-	// stream starts with nothing registered and carries no births.
+	// is delivered here, as far as the registrations pass it. Every
+	// stream starts with nothing registered; a shard's carries no births.
 	role := "invalidations"
 	if cfg.Shard {
 		role = "shard-invalidations"
@@ -334,21 +332,18 @@ func New(cfg Config) (*Middleware, error) {
 	if err != nil {
 		return fail(fmt.Errorf("cache: subscribe invalidations: %w", err))
 	}
-	if m.scoped {
-		// A scoped node hears nothing until it holds something.
-		m.inv.Scope()
-	}
 	// Closing the session fails every handler's pending repository
 	// round trip.
 	m.Unblock = func() { m.repo.Close() }
-	if m.scoped || cfg.Shard {
-		// Residents recovered from disk are served only once their
-		// notices arrive.
-		m.mu.Lock()
-		held := m.shard.Residents()
-		m.mu.Unlock()
-		m.inv.AwaitConfirmed(held)
+	// Residents recovered from disk are served only once their notices
+	// arrive, and an unscoped node hears what it owns from the start.
+	m.mu.Lock()
+	need := m.shard.Residents()
+	if !m.scoped {
+		need = append(need, m.shard.Owned()...)
 	}
+	m.mu.Unlock()
+	m.inv.AwaitConfirmed(need)
 	if m.store != nil {
 		// The interval only bounds journal replay length: reshards
 		// snapshot on their own, and Close lands a final one, so a clean
@@ -524,10 +519,10 @@ func (m *Middleware) streamFrame(f netproto.Frame) {
 
 // resume is the invalidation stream's Resume: the node resumes cold
 // (core.Shard.Resume), snapshots, so a restart cannot resurrect what it
-// dropped, and an unscoped shard registers its owned set again without
-// awaiting the echo: nothing is resident, and a load waits for it. A
-// standalone cache then catches up on the births announced during the
-// gap.
+// dropped, and an unscoped node registers its owned set again without
+// awaiting the echo: nothing is resident, and a load registers what it
+// loads. A standalone cache then catches up on the births announced
+// during the gap.
 func (m *Middleware) resume() {
 	if err := m.repo.Redial(); err != nil {
 		m.cfg.Logf("redial repository: %v", err)
@@ -535,7 +530,7 @@ func (m *Middleware) resume() {
 	m.mu.Lock()
 	step, err := m.shard.Resume()
 	p := m.planLocked(step)
-	if err == nil && m.cfg.Shard && !m.scoped {
+	if err == nil && !m.scoped {
 		m.inv.Register(m.shard.Owned())
 	}
 	m.mu.Unlock()
@@ -784,14 +779,20 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 	// birth load (Replica) rolls residency back exactly like any
 	// failed load.
 	m.bornObjects.Add(int64(len(fresh)))
-	if m.cfg.Shard && !m.scoped {
-		// An unscoped shard owns what it is granted: its notices pass
-		// before the grant is answered.
+	if !m.scoped {
+		// An unscoped node owns what it adopts. A shard's notices pass
+		// before its grant is answered; a standalone node adopts
+		// announced births on the stream's receive goroutine, which
+		// delivers the echo, so it does not wait.
 		ids := make([]model.ObjectID, len(fresh))
 		for i, b := range fresh {
 			ids[i] = b.Object.ID
 		}
-		m.inv.AwaitConfirmed(ids)
+		if m.cfg.Shard {
+			m.inv.AwaitConfirmed(ids)
+		} else {
+			m.inv.Register(ids)
+		}
 	}
 	if err := m.covers.Grow(fresh); err != nil {
 		m.cfg.Logf("region growth: %v (region covers may miss newborns)", err)
@@ -911,14 +912,11 @@ func (m *Middleware) startLoads(ctx context.Context, loads []pendingLoad, charge
 	}()
 }
 
-// loadObjects is the one MsgLoadObject round trip a flight makes. A
-// notice the repository withholds until an object's registration is in
-// force is one the loaded copy already reflects. On a scoped node the
-// load registers its objects on the stream it names, and its reply is
-// the echo (node.Subscription.Load). An unscoped shard's load leaves
-// only once every object's registration is confirmed. On either, a gap
-// that resets the registrations lets it go, since the resume evicts
-// every resident.
+// loadObjects is the one MsgLoadObject round trip a flight makes. It
+// registers its objects on the stream it names, and its reply is the
+// echo (node.Subscription.Load): a notice the repository withheld until
+// then is one the loaded copy already reflects. A gap lets it go
+// unregistered, since the resume evicts every resident.
 func (m *Middleware) loadObjects(ctx context.Context, loads []pendingLoad, charge bool) (err error) {
 	start := time.Now()
 	defer func() { m.loadLat.Observe(time.Since(start)) }()
@@ -926,15 +924,8 @@ func (m *Middleware) loadObjects(ctx context.Context, loads []pendingLoad, charg
 	for i, l := range loads {
 		ids[i] = l.id
 	}
-	var stream int64
-	switch {
-	case m.scoped:
-		var gen uint64
-		stream, gen = m.inv.Load(ids)
-		defer func() { m.inv.Loaded(gen, ids, err == nil) }()
-	case m.cfg.Shard:
-		m.inv.AwaitConfirmed(ids)
-	}
+	stream, gen := m.inv.Load(ids)
+	defer func() { m.inv.Loaded(gen, ids, err == nil) }()
 	reply, err := m.repo.RoundTrip(ctx, netproto.Frame{
 		Type: netproto.MsgLoadObject,
 		Body: netproto.LoadObjectMsg{Objects: ids, Stream: stream},

@@ -211,6 +211,13 @@ func TestNodeLifecycle(t *testing.T) {
 		// The feeder is the in-process pipeline: ApplyUpdate.
 		{name: "subscriber-and-feeder", only: "repository", peers: func(t *testing.T, addr string, repo *server.Repository) []*netproto.Conn {
 			sub := dialPeer(t, addr, "invalidations")
+			// Every stream starts with nothing registered.
+			if err := sub.Send(netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{Objects: []model.ObjectID{1}}}); err != nil {
+				t.Fatal(err)
+			}
+			if f, err := sub.Recv(); err != nil || f.Type != netproto.MsgInterest {
+				t.Fatalf("registration echo: %s, %v", f.Type, err)
+			}
 			repo.ApplyUpdate(model.Update{ID: 1, Object: 1, Cost: cost.KB, Time: time.Second})
 			if f, err := sub.Recv(); err != nil || f.Type != netproto.MsgInvalidate {
 				t.Fatalf("subscriber received %s, %v; want the fed update's notice", f.Type, err)

@@ -28,11 +28,10 @@ func (p countingBenefit) OnUpdate(u *model.Update) (core.Decision, error) {
 // TestNoticeFanOutFollowsOwnership counts what the repository queues for
 // N updates on shard 0's objects in a 2-shard cluster of unscoped
 // shards: N to each shard that holds them, which registered them as its
-// owned set, and N to the router, which registered nothing and hears
-// everything. At K=1 that is 2 notices per update where an unfiltered
-// stream costs 3; at K=2 both shards hold every object, so it stays 3.
-// Shard 0's N and the router's N leave exactly 0 (K=1) or N (K=2) for
-// shard 1.
+// owned set, and none to the router, which registered nothing and hears
+// nothing. At K=1 that is 1 notice per update where an unfiltered
+// stream would cost 3; at K=2 both shards hold every object, so it is 2.
+// Shard 0's N leaves exactly 0 (K=1) or N (K=2) for shard 1.
 func TestNoticeFanOutFollowsOwnership(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
@@ -61,8 +60,8 @@ func TestNoticeFanOutFollowsOwnership(t *testing.T) {
 					ID: model.UpdateID(i + 1), Object: objs[i%len(objs)], Cost: cost.KB, Time: time.Duration(i+1) * time.Second,
 				})
 			}
-			if got, want := notices()-before, int64(n*(1+k)); got != want {
-				t.Errorf("%d updates queued %d notices, want %d (%d per update)", n, got, want, 1+k)
+			if got, want := notices()-before, int64(n*k); got != want {
+				t.Errorf("%d updates queued %d notices, want %d (%d per update)", n, got, want, k)
 			}
 			want := []int64{n, 0}
 			if k == 2 {

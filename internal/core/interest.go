@@ -13,8 +13,8 @@ import (
 // repository withholds the notices of every object that is not
 // resident. A policy without the marker — Benefit and Replica learn from
 // every owned notice, and a decorator that forwards only the core
-// contract hides it — keeps the unfiltered stream on a standalone node,
-// and on a cluster shard registers its whole owned set.
+// contract hides it — registers its whole owned set: a standalone
+// node's universe, a cluster shard's share of it.
 type ScopedNotices interface {
 	ScopedNotices()
 }
@@ -39,6 +39,8 @@ type ScopedNotices interface {
 //
 // A load registers its objects too: the repository installs them before
 // it serves the load, so the reply is the echo (Load, Loaded). A load
+// that fails unregisters only what it made wanted: an object registered
+// before it, or again while it was in flight, stays registered. A load
 // and a drop of one object travel on different connections, so neither
 // may be on the wire while the other could still overtake it: a load
 // waits out a drop in flight and withdraws a pending one, and a drop
@@ -48,13 +50,11 @@ type Interest struct {
 	wanted    *idSet // pending, in flight (a batch or a load) or confirmed
 	confirmed *idSet
 	loading   *idSet // named by a load in flight
+	claimed   *idSet // wanted only because a load in flight named it
 	next      Batch  // pending
 	flight    Batch
 	busy      bool // a batch is in flight
-	// scoped makes every generation open with a batch, empty or not,
-	// and opened records that this generation's first went out.
-	scoped, opened bool
-	gen            uint64
+	gen       uint64
 }
 
 // Batch is one registration frame: the objects it registers and the
@@ -64,20 +64,25 @@ type Batch struct {
 }
 
 // NewInterest returns an interest with nothing registered.
-func NewInterest() *Interest {
-	return &Interest{wanted: newIDSet(0), confirmed: newIDSet(0), loading: newIDSet(0)}
+func NewInterest() *Interest { return newInterest(0) }
+
+func newInterest(gen uint64) *Interest {
+	return &Interest{wanted: newIDSet(0), confirmed: newIDSet(0), loading: newIDSet(0), claimed: newIDSet(0), gen: gen}
 }
 
-// Scope makes every generation open with a batch even when nothing is
-// pending: the repository installs an empty set from it, and withholds
-// every notice on an object nothing has registered.
-func (in *Interest) Scope() { in.scoped = true }
-
-// Want registers every id not yet registered and reports whether every
-// one is confirmed. A pending drop of a re-registered id is withdrawn.
+// Want registers every id not yet registered, or registered only by a
+// load in flight, and reports whether every one is confirmed. A pending
+// drop of a re-registered id is withdrawn.
 func (in *Interest) Want(ids []model.ObjectID) bool {
 	all := true
 	for _, id := range ids {
+		if in.claimed.has(id) {
+			// It now stays registered whatever the load's outcome.
+			in.claimed.remove(id)
+			if !in.confirmed.has(id) {
+				in.next.Want = append(in.next.Want, id)
+			}
+		}
 		if in.confirmed.has(id) {
 			continue
 		}
@@ -111,6 +116,7 @@ func (in *Interest) Drop(ids []model.ObjectID) {
 func (in *Interest) unwant(id model.ObjectID) {
 	in.wanted.remove(id)
 	in.confirmed.remove(id)
+	in.claimed.remove(id)
 	if !in.loading.has(id) {
 		in.next.Drop = append(in.next.Drop, id)
 	}
@@ -121,14 +127,18 @@ func (in *Interest) unwant(id model.ObjectID) {
 // in flight: the caller waits for that batch to settle, or the drop
 // could be installed after the load's registration and undo it.
 // Otherwise a pending drop of each id is withdrawn, and each stays
-// wanted, unconfirmed unless it already was, until Loaded. The caller
-// loads an id at most once at a time.
+// wanted, unconfirmed unless it already was, until Loaded; the load
+// claims those it made wanted. The caller loads an id at most once at
+// a time.
 func (in *Interest) Load(ids []model.ObjectID) bool {
 	if in.busy && slices.ContainsFunc(in.flight.Drop, func(id model.ObjectID) bool { return slices.Contains(ids, id) }) {
 		return false
 	}
 	for _, id := range ids {
-		in.wanted.add(id)
+		if !in.wanted.has(id) {
+			in.wanted.add(id)
+			in.claimed.add(id)
+		}
 		in.loading.add(id)
 	}
 	if len(in.next.Drop) > 0 {
@@ -140,9 +150,10 @@ func (in *Interest) Load(ids []model.ObjectID) bool {
 // Loaded settles a load readied in generation gen. When ok, the
 // repository served it, so its registration is in force, and every id
 // still wanted is confirmed. An id dropped while the load was in flight
-// has its drop queued now, behind the registration; so has every id of
-// a load that failed, which may or may not have registered it. A load
-// of an earlier generation settles nothing: its stream is gone.
+// has its drop queued now, behind the registration; so has every id a
+// failed load claimed, since it may or may not have registered it. An
+// id the failed load found wanted stays as it was. A load of an earlier
+// generation settles nothing: its stream is gone.
 func (in *Interest) Loaded(gen uint64, ids []model.ObjectID, ok bool) {
 	if gen != in.gen {
 		return
@@ -157,9 +168,10 @@ func (in *Interest) Loaded(gen uint64, ids []model.ObjectID, ok bool) {
 			in.next.Drop = append(in.next.Drop, id)
 		case ok:
 			in.confirmed.add(id)
-		default:
+		case in.claimed.has(id):
 			in.unwant(id)
 		}
+		in.claimed.remove(id)
 	}
 	in.next.Want = slices.DeleteFunc(in.next.Want, func(id model.ObjectID) bool { return !in.wanted.has(id) })
 }
@@ -188,13 +200,12 @@ func (in *Interest) Confirmed(ids []model.ObjectID) bool {
 
 // Next hands out every pending registration and drop as the batch to
 // send, and the generation to settle it with, unless a batch is in
-// flight or nothing is pending (on a scoped interest, the generation's
-// first batch is never empty-handed).
+// flight or nothing is pending.
 func (in *Interest) Next() (Batch, uint64, bool) {
-	if in.busy || len(in.next.Want)+len(in.next.Drop) == 0 && (!in.scoped || in.opened) {
+	if in.busy || len(in.next.Want)+len(in.next.Drop) == 0 {
 		return Batch{}, 0, false
 	}
-	in.flight, in.next, in.busy, in.opened = in.next, Batch{}, true, true
+	in.flight, in.next, in.busy = in.next, Batch{}, true
 	return in.flight, in.gen, true
 }
 
@@ -222,14 +233,12 @@ func (in *Interest) Lost(gen uint64) {
 	want := slices.DeleteFunc(in.flight.Want, func(id model.ObjectID) bool { return !in.wanted.has(id) })
 	drop := slices.DeleteFunc(in.flight.Drop, in.wanted.has)
 	in.next = Batch{Want: append(want, in.next.Want...), Drop: append(drop, in.next.Drop...)}
-	in.flight, in.busy, in.opened = Batch{}, false, false
+	in.flight, in.busy = Batch{}, false
 }
 
 // Reset forgets every registration and load and starts a new
-// generation; Scope holds across it.
-func (in *Interest) Reset() {
-	*in = Interest{wanted: newIDSet(0), confirmed: newIDSet(0), loading: newIDSet(0), scoped: in.scoped, gen: in.gen + 1}
-}
+// generation.
+func (in *Interest) Reset() { *in = *newInterest(in.gen + 1) }
 
 // Gen is the generation registrations are made in; Reset moves it on.
 func (in *Interest) Gen() uint64 { return in.gen }

@@ -14,10 +14,12 @@ import (
 // repository's frames — notices that pass its interest set, and the
 // echo of each registration — travel down in FIFO order.
 type streamModel struct {
-	set  map[model.ObjectID]bool // nil until the first registration: unfiltered
+	set  map[model.ObjectID]bool // starts empty
 	up   [][]model.ObjectID      // registrations not yet installed
 	down []streamFrame
 }
+
+func newStreamModel() streamModel { return streamModel{set: map[model.ObjectID]bool{}} }
 
 type streamFrame struct {
 	echo   bool
@@ -39,7 +41,7 @@ func TestQuickInterestMatchesFIFOStream(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := NewInterest()
 		var (
-			s        streamModel
+			s        = newStreamModel()
 			echoed   = map[model.ObjectID]bool{} // echo delivered on this stream
 			inFlight bool
 			flightAt uint64
@@ -64,9 +66,6 @@ func TestQuickInterestMatchesFIFOStream(t *testing.T) {
 		install := func() {
 			batch := s.up[0]
 			s.up = s.up[1:]
-			if s.set == nil {
-				s.set = map[model.ObjectID]bool{}
-			}
 			for _, id := range batch {
 				s.set[id] = true
 			}
@@ -98,7 +97,7 @@ func TestQuickInterestMatchesFIFOStream(t *testing.T) {
 				applied = append(applied, obj)
 				mustArrive = append(mustArrive, in.Confirmed([]model.ObjectID{obj}))
 				arrived = append(arrived, false)
-				if s.set == nil || s.set[obj] {
+				if s.set[obj] {
 					s.down = append(s.down, streamFrame{notice: len(applied) - 1})
 				} else {
 					withheld++
@@ -124,7 +123,7 @@ func TestQuickInterestMatchesFIFOStream(t *testing.T) {
 					inFlight = false
 				}
 				in.Reset()
-				s, echoed, inTransit = streamModel{}, map[model.ObjectID]bool{}, nil
+				s, echoed, inTransit = newStreamModel(), map[model.ObjectID]bool{}, nil
 			}
 			for id := model.ObjectID(1); id <= objects; id++ {
 				if in.Confirmed([]model.ObjectID{id}) && !echoed[id] {
@@ -210,20 +209,24 @@ func TestInterestBatchesAndResets(t *testing.T) {
 // repository serves it, before its reply, in any order against the
 // batches; a load of an earlier generation names a stream that is gone
 // and changes nothing. A lost batch may or may not have been installed,
-// and so may a failed load. Five properties hold after every step:
-// every confirmed object is in the set; once a batch carrying an
-// object's drop is echoed, the object is not in the set unless it was
-// wanted or loaded again since that drop; an object that Dropped
-// reports settled and that was not wanted or loaded again since its
-// last drop is not in the set; no batch both registers and drops an
-// object, so a drop that meets a registration in flight goes out in a
-// later batch; and a drop of an object is never on the wire beside a
-// load of it, so no drop can remove the registration of a later load.
+// and so may a failed load, which unregisters only the objects it made
+// wanted: one wanted before it, or again while it was in flight, keeps
+// its registration. Six properties hold after every step: every
+// confirmed object is in the set; once a batch carrying an object's
+// drop is echoed, the object is not in the set unless it was wanted or
+// loaded again since that drop; an object that Dropped reports settled
+// and that was not wanted or loaded again since its last drop is not in
+// the set; no batch both registers and drops an object, so a drop that
+// meets a registration in flight goes out in a later batch; no batch
+// drops an object the caller still wants; and a drop of an object is
+// never on the wire beside a load of it, so no drop can remove the
+// registration of a later load.
 func TestQuickInterestDrops(t *testing.T) {
 	const objects = 10
-	var drops, narrowedChecks, droppedChecks, loaded, refused int
+	var drops, narrowedChecks, droppedChecks, loaded, refused, kept int
 	type load struct {
 		ids             []model.ObjectID
+		made            map[model.ObjectID]bool // not wanted before the load
 		gen             uint64
 		installed, dead bool
 	}
@@ -235,9 +238,12 @@ func TestQuickInterestDrops(t *testing.T) {
 			flight   Batch
 			busy     bool
 			flightAt uint64
-			// again[id] is set by a Want or a Load of id and cleared by a
-			// Drop of it or a failed load of this generation; narrowed[id]
-			// once a drop of id is echoed with no Want or Load since.
+			// wanted[id] is set by a Want or a Load of id and cleared by a
+			// Drop of it, a gap, or a failed load of this generation that
+			// made it wanted; again[id] likewise, but a gap keeps it;
+			// narrowed[id] once a drop of id is echoed with no Want or
+			// Load since.
+			wanted   = map[model.ObjectID]bool{}
 			again    = map[model.ObjectID]bool{}
 			narrowed = map[model.ObjectID]bool{}
 			dropped  = map[model.ObjectID]bool{} // unregistered at least once
@@ -254,6 +260,63 @@ func TestQuickInterestDrops(t *testing.T) {
 			return slices.ContainsFunc(transit, func(l *load) bool { return !l.dead && slices.Contains(l.ids, id) })
 		}
 		dropInFlight := func(id model.ObjectID) bool { return busy && slices.Contains(flight.Drop, id) }
+		// want and drop are the model's Want and Drop: either takes id
+		// from the loads that made it wanted.
+		want := func(id model.ObjectID) {
+			wanted[id], again[id], narrowed[id] = true, true, false
+			for _, l := range transit {
+				delete(l.made, id)
+			}
+		}
+		drop := func(id model.ObjectID) {
+			wanted[id], again[id], dropped[id] = false, false, true
+			for _, l := range transit {
+				delete(l.made, id)
+			}
+		}
+		// startLoad readies a load of l, as far as in.Load takes it; it
+		// reports false when Load refused it.
+		startLoad := func(step int, l []model.ObjectID) (*load, bool) {
+			blocked := slices.ContainsFunc(l, dropInFlight)
+			if !in.Load(l) {
+				if !blocked {
+					t.Fatalf("seed %d step %d: a load of %v refused with no drop of it in flight", seed, step, l)
+				}
+				refused++
+				return nil, false
+			}
+			if blocked {
+				t.Fatalf("seed %d step %d: a load of %v went out beside a drop of it in flight", seed, step, l)
+			}
+			ld := &load{ids: l, made: map[model.ObjectID]bool{}, gen: in.Gen()}
+			for _, id := range l {
+				if !wanted[id] {
+					ld.made[id] = true
+				}
+				wanted[id], again[id], narrowed[id] = true, true, false
+			}
+			return ld, true
+		}
+		// settle settles l, which has left transit.
+		settle := func(l *load, ok bool) {
+			in.Loaded(l.gen, l.ids, ok)
+			if !ok && !l.dead {
+				for id := range l.made {
+					drop(id)
+				}
+			}
+			loaded++
+		}
+		// fresh draws objects none of which is being loaded: the node's
+		// singleflight keeps one load per object.
+		fresh := func() ([]model.ObjectID, bool) {
+			l := ids()
+			slices.Sort(l)
+			l = slices.Compact(l)
+			return l, !slices.ContainsFunc(transit, func(t *load) bool {
+				return slices.ContainsFunc(t.ids, func(id model.ObjectID) bool { return slices.Contains(l, id) })
+			})
+		}
 		install := func(b Batch) {
 			for _, id := range b.Want {
 				set[id] = true
@@ -271,18 +334,18 @@ func TestQuickInterestDrops(t *testing.T) {
 			l.installed = true
 		}
 		for step := range 80 + rng.Intn(80) {
-			switch k := rng.Intn(15); {
+			switch k := rng.Intn(16); {
 			case k < 3:
 				w := ids()
 				in.Want(w)
 				for _, id := range w {
-					again[id], narrowed[id] = true, false
+					want(id)
 				}
 			case k < 5:
 				d := ids()
 				in.Drop(d)
 				for _, id := range d {
-					again[id], dropped[id] = false, true
+					drop(id)
 				}
 				drops++
 			case k < 8:
@@ -303,6 +366,10 @@ func TestQuickInterestDrops(t *testing.T) {
 				for _, id := range b.Drop {
 					if loading(id) {
 						t.Logf("seed %d step %d: batch %+v drops %d while a load of it is on the wire", seed, step, b, id)
+						return false
+					}
+					if wanted[id] {
+						t.Logf("seed %d step %d: batch %+v drops %d, which is still wanted", seed, step, b, id)
 						return false
 					}
 				}
@@ -329,37 +396,16 @@ func TestQuickInterestDrops(t *testing.T) {
 				// names the stream that is gone.
 				in.Reset()
 				set, narrowed, busy = map[model.ObjectID]bool{}, map[model.ObjectID]bool{}, false
+				wanted = map[model.ObjectID]bool{}
 				for _, l := range transit {
 					l.dead = true
 				}
 			case k == 12:
-				// A load of objects none of which is being loaded: the
-				// node's singleflight keeps one load per object.
-				l := ids()
-				slices.Sort(l)
-				l = slices.Compact(l)
-				if slices.ContainsFunc(transit, func(t *load) bool {
-					return slices.ContainsFunc(t.ids, func(id model.ObjectID) bool { return slices.Contains(l, id) })
-				}) {
-					break
-				}
-				blocked := slices.ContainsFunc(l, dropInFlight)
-				if !in.Load(l) {
-					if !blocked {
-						t.Logf("seed %d step %d: a load of %v refused with no drop of it in flight", seed, step, l)
-						return false
+				if l, ok := fresh(); ok {
+					if ld, ok := startLoad(step, l); ok {
+						transit = append(transit, ld)
 					}
-					refused++
-					break
 				}
-				if blocked {
-					t.Logf("seed %d step %d: a load of %v went out beside a drop of it in flight", seed, step, l)
-					return false
-				}
-				for _, id := range l {
-					again[id], narrowed[id] = true, false
-				}
-				transit = append(transit, &load{ids: l, gen: in.Gen()})
 			case k == 13 && len(transit) > 0:
 				if l := transit[rng.Intn(len(transit))]; !l.installed {
 					installLoad(l)
@@ -372,13 +418,25 @@ func TestQuickInterestDrops(t *testing.T) {
 				if !ok && !l.installed && rng.Intn(2) == 0 {
 					installLoad(l) // served, but the reply was lost
 				}
-				in.Loaded(l.gen, l.ids, ok)
-				if !ok && !l.dead {
-					for _, id := range l.ids {
-						again[id], dropped[id] = false, true
-					}
+				settle(l, ok)
+			case k == 15:
+				// A load of objects already wanted — an unscoped node's
+				// owned ones — that fails: they stay registered.
+				l, ok := fresh()
+				if !ok {
+					break
 				}
-				loaded++
+				in.Want(l)
+				for _, id := range l {
+					want(id)
+				}
+				if ld, ok := startLoad(step, l); ok {
+					if rng.Intn(2) == 0 {
+						installLoad(ld)
+					}
+					settle(ld, false)
+					kept++
+				}
 			}
 			for id := model.ObjectID(1); id <= objects; id++ {
 				if in.Confirmed([]model.ObjectID{id}) && !set[id] {
@@ -406,9 +464,9 @@ func TestQuickInterestDrops(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
-	if drops == 0 || narrowedChecks == 0 || droppedChecks == 0 || loaded == 0 || refused == 0 {
-		t.Errorf("the trials exercised too little: %d drops, %d checks after an echoed drop, %d after Dropped, %d loads settled, %d refused",
-			drops, narrowedChecks, droppedChecks, loaded, refused)
+	if drops == 0 || narrowedChecks == 0 || droppedChecks == 0 || loaded == 0 || refused == 0 || kept == 0 {
+		t.Errorf("the trials exercised too little: %d drops, %d checks after an echoed drop, %d after Dropped, %d loads settled, %d refused, %d failed over wanted objects",
+			drops, narrowedChecks, droppedChecks, loaded, refused, kept)
 	}
 }
 
@@ -448,27 +506,5 @@ func TestInterestDropOrdersAfterFlight(t *testing.T) {
 	b4, _, _ := in.Next()
 	if len(b4.Drop) != 0 || !slices.Equal(b4.Want, []model.ObjectID{3}) {
 		t.Fatalf("a drop and a later registration of 3 sent %+v, want the registration alone", b4)
-	}
-}
-
-// TestInterestScopeOpensEachGeneration: a scoped interest hands out one
-// batch at the start of each generation even when nothing is pending,
-// so every stream starts scoped; an unscoped one sends nothing.
-func TestInterestScopeOpensEachGeneration(t *testing.T) {
-	in := NewInterest()
-	if _, _, ok := in.Next(); ok {
-		t.Fatal("an unscoped interest sent a batch with nothing pending")
-	}
-	in.Scope()
-	for range 2 {
-		b, gen, ok := in.Next()
-		if !ok || len(b.Want)+len(b.Drop) != 0 {
-			t.Fatalf("a scoped generation opened with %+v %v, want one empty batch", b, ok)
-		}
-		in.Echoed(gen)
-		if _, _, ok := in.Next(); ok {
-			t.Fatal("a scoped generation sent a second empty batch")
-		}
-		in.Reset()
 	}
 }

@@ -554,11 +554,15 @@ func (s *Shard) Resume() (Step, error) {
 // Unload rolls back a load that failed to materialize.
 func (s *Shard) Unload(id model.ObjectID) { s.applier.Unload(id) }
 
-// Owned lists what a cluster shard owns.
+// Owned lists what the shard owns: a cluster shard's owned set, a
+// standalone node's whole universe.
 func (s *Shard) Owned() []model.ObjectID {
-	owned := make([]model.ObjectID, 0, s.owned.len())
-	for id := range s.owned.all() {
-		owned = append(owned, id)
+	if s.owned != nil {
+		return slices.Collect(s.owned.all())
+	}
+	var owned []model.ObjectID
+	for o := range s.table.all() {
+		owned = append(owned, o.ID)
 	}
 	return owned
 }

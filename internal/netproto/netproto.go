@@ -551,9 +551,9 @@ type UniverseMsg struct {
 
 // InterestMsg is what an invalidation subscriber registers: objects
 // whose notices it needs, and objects whose notices it no longer needs
-// (Drop). A subscriber keeps the two lists disjoint. An
-// "invalidations" stream that never sends one carries every notice; a
-// "shard-invalidations" stream starts with nothing registered.
+// (Drop). A subscriber keeps the two lists disjoint. Every stream, of
+// either role, starts with nothing registered: one that never sends a
+// registration carries no notice.
 type InterestMsg struct {
 	Objects []model.ObjectID
 	// Drop rides the frame tail: a frame without drops has no tail.

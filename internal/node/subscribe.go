@@ -36,11 +36,9 @@ type StreamHandler struct {
 // capped, jittered backoff on every error, and resumes. It ends when
 // the node closes.
 //
-// A consumer scopes its stream to the objects it registers (Register,
-// Unregister, MsgInterest): an "invalidations" stream carries every
-// notice until the first registration the repository installs (Scope
-// sends one at the start of each stream), a "shard-invalidations"
-// stream only what is registered from the start. The bookkeeping is a
+// A stream carries the notices of what its consumer registers (Register,
+// Unregister, MsgInterest) and nothing else: every stream, of either
+// role, starts with nothing registered. The bookkeeping is a
 // core.Interest, which a pump goroutine drives: it sends the pending
 // registrations and drops as one frame, at most one in flight, and an
 // object is confirmed only when that frame's echo comes back on the
@@ -155,18 +153,6 @@ func (s *Subscription) Gen() uint64 {
 	s.imu.Lock()
 	defer s.imu.Unlock()
 	return s.interest.Gen()
-}
-
-// Scope makes every stream of the subscription, this one and each
-// resumed one, start with a registration, empty if nothing is pending:
-// the repository then withholds every notice on an object the consumer
-// has not registered, as it does on a "shard-invalidations" stream. A
-// consumer that registers only through its loads calls it once.
-func (s *Subscription) Scope() {
-	s.imu.Lock()
-	s.interest.Scope()
-	s.imu.Unlock()
-	s.wakePump()
 }
 
 // Load readies a load of ids that registers them on the stream, and

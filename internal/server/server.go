@@ -87,11 +87,11 @@ type subscriber struct {
 	// names to register its objects here; 0 names none.
 	stream int64
 	// shard marks a cluster shard's stream ("shard-invalidations"): it
-	// starts with an empty interest set and gets no announcements, since
-	// a shard adopts a newborn only when its router grants it.
+	// gets no announcements, since a shard adopts a newborn only when its
+	// router grants it.
 	shard bool
-	// interest is nil until the subscriber's first registration on an
-	// "invalidations" stream; nil passes every notice.
+	// interest starts empty on every stream: it passes the notices of
+	// what the subscriber registered and nothing else.
 	interest interestSet
 }
 
@@ -102,12 +102,8 @@ type interestSet []uint64
 // update registers ids and unregisters drop, ignoring IDs outside the
 // universe: a subscriber learns an object only from the repository, so
 // it cannot name one the repository does not have, and the bitset stays
-// bounded by the universe whatever the peer sent. A nil set becomes an
-// empty one first, so every registration frame scopes the stream.
+// bounded by the universe whatever the peer sent.
 func (s interestSet) update(ids, drop []model.ObjectID, universe int) interestSet {
-	if s == nil {
-		s = make(interestSet, 0, (universe+63)/64)
-	}
 	for _, id := range ids {
 		if id < 1 || int(id) > universe {
 			continue
@@ -127,11 +123,7 @@ func (s interestSet) update(ids, drop []model.ObjectID, universe int) interestSe
 }
 
 // passes reports whether an update on obj is sent to the subscriber.
-// A nil set passes everything.
 func (s interestSet) passes(obj model.ObjectID) bool {
-	if s == nil {
-		return true
-	}
 	i := int(obj - 1)
 	return i >= 0 && i/64 < len(s) && s[i/64]&(1<<(i%64)) != 0
 }
@@ -367,11 +359,7 @@ func (r *Repository) serveInvalidations(c *netproto.Conn, hello netproto.Hello) 
 	}
 	id := r.nextSub
 	r.nextSub++
-	sub := &subscriber{ch: ch, c: c, stream: hello.Stream, shard: hello.Role == "shard-invalidations"}
-	if sub.shard {
-		sub.interest = interestSet{}
-	}
-	r.subscribers[id] = sub
+	r.subscribers[id] = &subscriber{ch: ch, c: c, stream: hello.Stream, shard: hello.Role == "shard-invalidations"}
 	r.mu.Unlock()
 	unregister := func() {
 		r.mu.Lock()

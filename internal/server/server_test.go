@@ -46,13 +46,13 @@ func TestAddrBeforeStart(t *testing.T) {
 }
 
 // TestNoticeFilterAndEcho drives the repository's one notice filter,
-// the interest set, over raw streams: an "invalidations" subscriber that
-// sends nothing gets every notice and announcement; a
-// "shard-invalidations" subscriber starts with nothing registered and
-// gets no announcement. Each registration frame is echoed in-stream,
-// empty, and from then on the subscriber gets the notices of what it
-// registered and not of what it dropped, a drop outside the universe
-// ignored. The counters count what was queued and what was withheld.
+// the interest set, over raw streams: a subscriber of either role starts
+// with nothing registered; an "invalidations" subscriber gets every
+// announcement, a "shard-invalidations" one none. Each registration
+// frame is echoed in-stream, empty, and from then on the subscriber gets
+// the notices of what it registered and not of what it dropped, a drop
+// outside the universe ignored. The counters count what was queued and
+// what was withheld.
 func TestNoticeFilterAndEcho(t *testing.T) {
 	repo := testRepo(t)
 	if err := repo.Start(); err != nil {
@@ -103,18 +103,19 @@ func TestNoticeFilterAndEcho(t *testing.T) {
 	metric := func(name string) float64 { return repo.Stats().Metric(name) }
 
 	all, shard := subscribe("invalidations"), subscribe("shard-invalidations")
-	apply(3) // the shard has registered nothing yet
-	interest(shard, []model.ObjectID{3, 4}, nil)
+	apply(3) // neither has registered anything yet
 	objects := []model.ObjectID{3, 5, 9, 4}
+	interest(all, objects, nil)
+	interest(shard, []model.ObjectID{3, 4}, nil)
 	apply(objects...)
-	for _, obj := range append([]model.ObjectID{3}, objects...) {
+	for _, obj := range objects {
 		wantNotice(all, obj)
 	}
 	for _, obj := range []model.ObjectID{3, 4} {
 		wantNotice(shard, obj)
 	}
-	if n, w := metric("delta_repo_notices_total"), metric("delta_repo_notices_filtered_total"); n != 7 || w != 3 {
-		t.Errorf("%v notices queued and %v withheld, want 5 + 2 and 3", n, w)
+	if n, w := metric("delta_repo_notices_total"), metric("delta_repo_notices_filtered_total"); n != 6 || w != 4 {
+		t.Errorf("%v notices queued and %v withheld, want 4 + 2 and 2 + 2", n, w)
 	}
 
 	// A birth is announced to the "invalidations" subscriber only: the
@@ -123,7 +124,7 @@ func TestNoticeFilterAndEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := recv(all).(netproto.ObjectBirthMsg); !ok {
-		t.Fatal("the unscoped subscriber missed the announcement")
+		t.Fatal("the \"invalidations\" subscriber missed the announcement")
 	}
 
 	// One frame registers the newborn and drops 3 and an ID past the
@@ -143,8 +144,8 @@ func TestNoticeFilterAndEcho(t *testing.T) {
 }
 
 // TestInterestScopesNotices: a subscriber's registrations (MsgInterest)
-// are echoed in-stream, and from the first one on (on a shard's stream,
-// from the start) it gets a notice only on a registered object.
+// are echoed in-stream, and on either role's stream it gets a notice
+// only on a registered object, before its first registration too.
 // Withheld notices count in delta_repo_notices_filtered_total. IDs
 // outside the universe are ignored, and a registered newborn is heard
 // like any object.
@@ -199,19 +200,18 @@ func TestInterestScopesNotices(t *testing.T) {
 
 	router, shard := subscribe("invalidations"), subscribe("shard-invalidations")
 	register(shard, 3, 4) // what the shard owns
-	// The router is unregistered, its stream whole; the shard hears what
-	// it registered.
+	// The router has registered nothing and hears nothing; the shard
+	// hears what it registered.
 	apply(3, 5)
-	wantNotices(router, 3, 5)
 	wantNotices(shard, 3)
 	register(router, 3, 0, 200)
 	apply(3, 4, 5, 200)
 	wantNotices(router, 3)
 	wantNotices(shard, 3, 4)
-	// Withheld: 5 from the shard, then 4, 5 and 200 from the router and
-	// 5 and 200 from the shard.
-	if got := filtered(); got != 6 {
-		t.Errorf("delta_repo_notices_filtered_total = %v, want 6", got)
+	// Withheld: 3 and 5 from the router and 5 from the shard, then 4, 5
+	// and 200 from the router and 5 and 200 from the shard.
+	if got := filtered(); got != 8 {
+		t.Errorf("delta_repo_notices_filtered_total = %v, want 8", got)
 	}
 	if got := repo.Stats().Metric("delta_dropped_invalidations_total"); got != 0 {
 		t.Errorf("withheld notices counted as dropped: %v", got)
@@ -412,7 +412,15 @@ func TestInvalidationBroadcastNonBlocking(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sub := handshake(t, nc, "invalidations") // and then never read: a stalled subscriber
+	// The subscriber registers the updated object, reads the echo and
+	// then never reads again: a stalled subscriber.
+	sub := handshake(t, nc, "invalidations")
+	if err := sub.Send(netproto.Frame{Type: netproto.MsgInterest, Body: netproto.InterestMsg{Objects: []model.ObjectID{1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := sub.Recv(); err != nil || f.Type != netproto.MsgInterest {
+		t.Fatalf("registration echo: %v %v", f.Type, err)
+	}
 	// Push enough notices to overwhelm the subscriber buffer plus
 	// whatever the kernel's socket buffers absorb: the stalled reader
 	// guarantees a cut at this volume.
