@@ -505,8 +505,8 @@ func orderingRepository(t *testing.T) (*catalog.Survey, *server.Repository, *cut
 }
 
 // scopedNode starts a standalone cache over the proxy with policy,
-// scoped unless a test says otherwise; logf (nil silences) gets its
-// events.
+// which is scoped but in one row of TestLoadNamesItsStream; logf (nil
+// silences) gets its events.
 func scopedNode(t *testing.T, survey *catalog.Survey, proxy *cutProxy, policy core.Policy, logf func(string, ...any)) (*cache.Middleware, *client.Client) {
 	t.Helper()
 	mw, err := cache.New(cache.Config{

@@ -12,8 +12,11 @@
 //
 //   - VCover — the paper's contribution: an online algorithm whose
 //     UpdateManager solves incremental minimum-weight vertex covers on
-//     the query–update interaction graph, and whose LoadManager does
-//     randomized, lazily-batched Greedy-Dual-Size object loading.
+//     the query–update interaction graph, and whose LoadManager pays
+//     each missed query's cost out to its missing objects as per-object
+//     credit: an object whose credit reaches its load cost becomes a
+//     candidate, and a lazy Greedy-Dual-Size cache decides the actual
+//     loads and evictions.
 //   - Benefit — the exponential-smoothing greedy heuristic
 //     representative of commercial dynamic-data caches.
 //   - NoCache, Replica, SOptimal — the three yardsticks of Section 6.
