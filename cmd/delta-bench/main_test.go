@@ -224,16 +224,16 @@ func TestWarmupRuns(t *testing.T) {
 	}
 }
 
-// TestSeedsShape: one row per cache fraction, trace seed and policy,
+// TestSeedsShape: one row per cache fraction (four), trace seed and policy,
 // and one win count per fraction and comparison, none above the seeds.
 func TestSeedsShape(t *testing.T) {
 	dir := runExp(t, "seeds", "0.008")
 	_, runs := readCSV(t, dir, "seeds.csv")
-	if want := 2 * 10 * len(experiments.PolicyNames); len(runs) != want {
+	if want := 4 * 10 * len(experiments.PolicyNames); len(runs) != want {
 		t.Errorf("seeds.csv has %d rows, want %d", len(runs), want)
 	}
 	_, wins := readCSV(t, dir, "seeds_wins.csv")
-	if want := 2 * (len(experiments.Fig7bChecks) + 1); len(wins) != want {
+	if want := 4 * (len(experiments.Fig7bChecks) + 1); len(wins) != want {
 		t.Errorf("seeds_wins.csv has %d rows, want %d", len(wins), want)
 	}
 	for _, row := range wins {
@@ -257,8 +257,8 @@ func TestPaperFiguresGolden(t *testing.T) {
 		"fig8a_updates.csv":     "15b604dfddb49f1f127429d38bbacc39381b0176b0f484bf03552a6d8aadc05b",
 		"fig8b_granularity.csv": "ab339289c23b572fed7f02e60bf90a8ff636a14ec5a0ae54e06f1c80d56a4762",
 		"fig8b_series.csv":      "f76083a33ca61885b0b64af5f62073474a7ac88d6ff4ac25fd5cdbd1d3bd72e0",
-		"seeds.csv":             "e860b9479d58a916082417985a624101ac6f398892bf72128981fd4912755915",
-		"seeds_wins.csv":        "bee10d5690884e0572dc53cabb1ab549746c6ef4a0c9097d3a8b57529ceb7f36",
+		"seeds.csv":             "3345b045ec0cbae162578b79d62a3bf040c16daaf257c602b770fe789fb6ed76",
+		"seeds_wins.csv":        "79cb1503a44ee1965a74100a3b760144db1be5d4e3891067d9364161604f4cf8",
 		"warmup.csv":            "452b14b1849a8a7f7ba159f41893de4a99322e5c33982087851b4316bbd1b497",
 	}
 	entries, err := os.ReadDir(dir)
