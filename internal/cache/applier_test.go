@@ -186,7 +186,7 @@ func TestLiveDecisionsMatchSim(t *testing.T) {
 		name   string
 		policy func() core.Policy
 	}{
-		{"VCover", func() core.Policy { return core.NewVCover(core.VCoverConfig{Seed: 7, GDSF: true}) }},
+		{"VCover", func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) }},
 		{"Benefit", func() core.Policy {
 			return core.NewBenefit(core.BenefitConfig{Window: 40})
 		}},

@@ -89,11 +89,12 @@ func paperSlice(t *testing.T) (*experiments.Setup, *catalog.Survey, *server.Repo
 }
 
 // TestUnscopedNodesHearEveryNotice pins the safe default: a node whose
-// policy does not declare scoped notices never registers interest, so
-// the repository withholds nothing from it. A standalone Replica cache
-// and a policy behind a decorator that hides the declaration each hear
-// one notice per update; a Benefit shard hears every update on what it
-// owns. The Replica and Benefit ledgers, on lockstep replays of seeded
+// policy does not declare scoped notices registers everything it owns
+// (a standalone node its whole universe, a shard its owned set), so the
+// repository withholds nothing it owns from it; the registration is
+// what makes these nodes hear. A standalone Replica cache and a policy
+// behind a decorator that hides the declaration each hear one notice per
+// update; a Benefit shard hears every update on what it owns. The Replica and Benefit ledgers, on lockstep replays of seeded
 // traces, are the ones measured before scoping existed.
 func TestUnscopedNodesHearEveryNotice(t *testing.T) {
 	metric := func(repo *server.Repository, name string) float64 { return repo.Stats().Metric(name) }
@@ -104,8 +105,8 @@ func TestUnscopedNodesHearEveryNotice(t *testing.T) {
 	}{
 		{"Replica", func(*experiments.Setup) core.Policy { return core.NewReplica() },
 			"query 0 B in 0, update 1226478192 B in 1000, load 0 B in 0"},
-		{"hidden VCover", func(s *experiments.Setup) core.Policy {
-			return hiddenPolicy{core.NewVCover(core.VCoverConfig{Seed: s.Seed, GDSF: true})}
+		{"hidden VCover", func(*experiments.Setup) core.Policy {
+			return hiddenPolicy{core.NewVCover(core.DefaultVCoverConfig())}
 		}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

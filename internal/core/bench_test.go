@@ -24,31 +24,11 @@ func benchSetup(b *testing.B) *experiments.Setup {
 	return s
 }
 
-// BenchmarkAblationGDSvsGDSF compares plain Greedy-Dual-Size against the
-// frequency-aware variant in the LoadManager.
-func BenchmarkAblationGDSvsGDSF(b *testing.B) {
-	s := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		gdsRes, err := s.RunOne(core.NewVCover(core.VCoverConfig{Seed: s.Seed, GDSF: false}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		gdsfRes, err := s.RunOne(core.NewVCover(core.VCoverConfig{Seed: s.Seed, GDSF: true}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(gdsRes.Total().GBf(), "gdsGB")
-			b.ReportMetric(gdsfRes.Total().GBf(), "gdsfGB")
-		}
-	}
-}
-
 // BenchmarkVCoverDecisions measures per-event decision latency of the
 // core algorithm (both managers, steady state).
 func BenchmarkVCoverDecisions(b *testing.B) {
 	s := benchSetup(b)
-	p := core.NewVCover(core.VCoverConfig{Seed: 1, GDSF: true})
+	p := core.NewVCover(core.DefaultVCoverConfig())
 	if err := p.Init(s.Survey.Objects(), s.Capacity()); err != nil {
 		b.Fatal(err)
 	}

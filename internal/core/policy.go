@@ -15,8 +15,11 @@
 //     the query–update interaction graph, and whose LoadManager pays
 //     each missed query's cost out to its missing objects as per-object
 //     credit: an object whose credit reaches its load cost becomes a
-//     candidate, and a lazy Greedy-Dual-Size cache decides the actual
-//     loads and evictions.
+//     candidate and is loaded, evicting residents in Greedy-Dual-Size
+//     order with hit counts. A resident's priority is the integer
+//     L + hits since load, where L is the last victim's priority;
+//     cost/size is absent, because an object's fetch cost is its size,
+//     so the ratio was always 1.
 //   - Benefit — the exponential-smoothing greedy heuristic
 //     representative of commercial dynamic-data caches.
 //   - NoCache, Replica, SOptimal — the three yardsticks of Section 6.

@@ -201,7 +201,7 @@ func newShardTrial(seed int64, warm bool) (*shardTrial, string) {
 	var policy core.Policy
 	switch rng.Intn(3) {
 	case 0:
-		policy = core.NewVCover(core.VCoverConfig{Seed: rng.Int63(), GDSF: rng.Intn(2) == 0})
+		policy = core.NewVCover(core.DefaultVCoverConfig())
 	case 1:
 		policy = core.NewBenefit(core.BenefitConfig{Window: 2 + rng.Intn(20)})
 	default:

@@ -212,9 +212,10 @@ func (s *idSet) all() iter.Seq[model.ObjectID] {
 	}
 }
 
-// creditTable holds a counter per object with the same dense/sparse
-// split as objectTable: an int64 indexed by id−1, grown as IDs arrive
-// (survey IDs, then births continuing the sequence), plus a map for
+// creditTable holds an int64 per object (VCover's credit, eviction
+// priority and hit count) with the same dense/sparse split as
+// objectTable: an int64 indexed by id−1, grown as IDs arrive (survey
+// IDs, then births continuing the sequence), plus a map for
 // out-of-range IDs. An absent ID reads zero.
 type creditTable struct {
 	dense  []int64

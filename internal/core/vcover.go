@@ -1,18 +1,19 @@
 package core
 
 import (
+	"container/heap"
 	"fmt"
 	"slices"
 
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/flow"
-	"github.com/deltacache/delta/internal/gds"
 	"github.com/deltacache/delta/internal/model"
 )
 
 // VCoverConfig parameterizes VCover. The algorithm itself has no knobs:
-// loads are bought with a per-object credit, and updates are only ever
-// shipped on demand, when a vertex cover picks them.
+// loads are bought with a per-object credit, evictions follow hits, and
+// updates are only ever shipped on demand, when a vertex cover picks
+// them.
 type VCoverConfig struct {
 	// Seed does nothing: it drove the paper's randomized cost
 	// attribution, which the per-object credit replaced.
@@ -20,16 +21,17 @@ type VCoverConfig struct {
 	// Deprecated: kept only because the frozen bench/ module sets it
 	// (bench/workloads.go). Delete it with that use.
 	Seed int64
-	// GDSF selects the frequency-aware Greedy-Dual-Size variant for the
-	// LoadManager's object-usage tracking (the paper measures usage
-	// "from frequency and recency of use").
+	// GDSF does nothing: it chose between counting a resident's hits in
+	// its eviction priority and plain recency, and the priority always
+	// counts them.
+	//
+	// Deprecated: kept only because the frozen bench/ module sets it
+	// (bench/workloads.go). Delete it with that use.
 	GDSF bool
 }
 
 // DefaultVCoverConfig returns the configuration used in the experiments.
-func DefaultVCoverConfig() VCoverConfig {
-	return VCoverConfig{GDSF: true}
-}
+func DefaultVCoverConfig() VCoverConfig { return VCoverConfig{} }
 
 // VCover is the paper's online algorithm for the data decoupling
 // problem (Section 4). It is composed of two managers:
@@ -49,8 +51,8 @@ func DefaultVCoverConfig() VCoverConfig {
 //     becomes a load candidate and its credit returns to zero, so an
 //     object is loaded only after shipping costs equal to its load cost
 //     have been paid — the rent-or-buy bound of the bypass-caching work
-//     the paper builds on. Candidates pass through a lazy
-//     Greedy-Dual-Size cache that decides actual loads and evictions.
+//     the paper builds on. A candidate is loaded, evicting residents
+//     until it fits, unless it is larger than the whole cache.
 //
 // The paper's LoadManager (Fig 6) pays the cost out in random order and
 // makes the first object it cannot pay in full a candidate with
@@ -58,15 +60,32 @@ func DefaultVCoverConfig() VCoverConfig {
 // per-object state is dense and a counter costs 8 bytes, and the
 // deterministic credit ships fewer bytes on every trace seed measured
 // (docs/EXPERIMENTS.md, "VCover's load rule").
+//
+// Evictions follow the paper's usage "from frequency and recency of
+// use": Greedy-Dual-Size with hit counts (GDSF). Each resident o has the
+// integer priority H(o) = L + n(o), where n(o) counts its load and its
+// hits since (a zero-size object counts none, so its H is L), and L is
+// the H of the last victim as of the load or latest hit. The victim is the
+// resident of least H, ties to the smaller ID. Greedy-Dual-Size weighs
+// n by cost/size, but an object's fetch cost is its size, so the ratio
+// is always 1 and is left out. Like the paper's lazy LoadManager, a
+// candidate that a later candidate of the same query displaces is never
+// loaded.
 type VCover struct {
-	cfg VCoverConfig
-
-	idx   *objectIndex
-	bip   *flow.Bipartite
-	loads *gds.Cache
+	idx *objectIndex
+	bip *flow.Bipartite
 	// credit[o] is the miss cost paid out to missing object o since it
 	// last became a load candidate; it stays below o's load cost.
 	credit creditTable
+
+	// The eviction order: prio[o] is resident o's H and hits[o] its
+	// n(o), floor is L, and order is a min-heap of the residents on
+	// (H, ID). A resident's H only rises (L never falls and n only
+	// grows), so a hit leaves the heap alone and an entry's h may lag
+	// below prio; shrink brings the root current until it is the least.
+	prio, hits creditTable
+	floor      int64
+	order      rankHeap
 
 	// outstanding[o] holds updates received for cached object o that
 	// have not been shipped, in arrival order. An object is a key only
@@ -92,10 +111,8 @@ type VCoverStats struct {
 	CoverComputations int64
 }
 
-// NewVCover returns a VCover policy with the given configuration.
-func NewVCover(cfg VCoverConfig) *VCover {
-	return &VCover{cfg: cfg}
-}
+// NewVCover returns a VCover policy. Its configuration decides nothing.
+func NewVCover(VCoverConfig) *VCover { return &VCover{} }
 
 // Name implements Policy.
 func (p *VCover) Name() string { return "VCover" }
@@ -112,13 +129,8 @@ func (p *VCover) Init(objects []model.Object, capacity cost.Bytes) error {
 	if err != nil {
 		return err
 	}
-	loadCache, err := gds.New(int64(capacity), p.cfg.GDSF)
-	if err != nil {
-		return err
-	}
 	p.idx = idx
 	p.bip = flow.NewBipartite()
-	p.loads = loadCache
 	p.outstanding = make(map[model.ObjectID][]model.Update)
 	p.owed = newIDSet(0)
 	p.updObject = make(map[model.UpdateID]model.ObjectID)
@@ -127,10 +139,11 @@ func (p *VCover) Init(objects []model.Object, capacity cost.Bytes) error {
 
 // Warm implements Warmable: adopt already-resident objects without a
 // load (warm arrivals of a live reshard, and recovered residents). Each
-// object is admitted to the GDS load cache only when it fits the
-// remaining free capacity — warming never evicts, so the adopted set is
-// order-independent up to capacity exhaustion; declined objects simply
-// stay cold and reload on demand.
+// object is admitted only when it fits the remaining free capacity, with
+// the priority of a fresh load, L + 1 (L for a zero-size object) —
+// warming never evicts, so the adopted set is order-independent up to
+// capacity exhaustion; declined objects simply stay cold and reload on
+// demand.
 func (p *VCover) Warm(ids []model.ObjectID) ([]model.ObjectID, error) {
 	if p.idx == nil {
 		return nil, fmt.Errorf("core: VCover not initialized")
@@ -148,15 +161,11 @@ func (p *VCover) Warm(ids []model.ObjectID) ([]model.ObjectID, error) {
 		if p.idx.used+size > p.idx.capacity {
 			continue
 		}
-		l := int64(size)
-		if _, ok := p.loads.Admit(gds.Entry{Key: int64(id), Size: l, Cost: l}); !ok {
-			continue
-		}
 		// A warm arrival is as fresh as its old holder's copy: any
 		// updates it missed are that holder's outstanding set, which the
 		// warm list does not carry — treat the copy as fresh (nothing
 		// outstanding), the same optimism a repository load has.
-		if err := p.idx.markCached(id); err != nil {
+		if err := p.admit(id, size); err != nil {
 			return nil, err
 		}
 		adopted = append(adopted, id)
@@ -181,10 +190,10 @@ func (p *VCover) AddObjects(objs []model.Object) (Decision, error) {
 }
 
 // Forget implements Forgetter: a forgotten resident leaves with its
-// outstanding updates and their interaction-graph vertices, any
-// forgotten object leaves with its credit, and a smaller capacity
-// evicts in the LoadManager's Greedy-Dual-Size order until the
-// residents fit.
+// outstanding updates and their interaction-graph vertices, leaving L
+// where it is; any forgotten object leaves with its credit; and a
+// smaller capacity evicts in eviction order (least L + hits since load
+// first, L rising to each victim's priority) until the residents fit.
 func (p *VCover) Forget(ids []model.ObjectID, capacity cost.Bytes) (Decision, error) {
 	if p.idx == nil {
 		return Decision{}, fmt.Errorf("core: VCover not initialized")
@@ -198,23 +207,25 @@ func (p *VCover) Forget(ids []model.ObjectID, capacity cost.Bytes) (Decision, er
 			if err := p.evictObject(id); err != nil {
 				return Decision{}, err
 			}
-			p.loads.Remove(int64(id))
+			p.dropOutstanding(id)
 			d.Evict = append(d.Evict, id)
 		}
 		p.idx.objects.remove(id)
 		p.credit.set(id, 0)
 	}
-	evicted, err := p.loads.Resize(int64(capacity))
+	if len(d.Evict) > 0 {
+		p.order = slices.DeleteFunc(p.order, func(r rank) bool { return !p.idx.isCached(r.id) })
+		heap.Init(&p.order)
+	}
+	p.idx.capacity = capacity
+	victims, err := p.shrink(capacity)
 	if err != nil {
 		return Decision{}, err
 	}
-	p.idx.capacity = capacity
-	for _, key := range evicted {
-		if err := p.evictObject(model.ObjectID(key)); err != nil {
-			return Decision{}, err
-		}
-		d.Evict = append(d.Evict, model.ObjectID(key))
+	for _, id := range victims {
+		p.dropOutstanding(id)
 	}
+	d.Evict = append(d.Evict, victims...)
 	p.stats.ObjectsEvicted += int64(len(d.Evict))
 	return d, nil
 }
@@ -251,12 +262,12 @@ func (p *VCover) OnQuery(q *model.Query) (Decision, error) {
 			return Decision{}, err
 		}
 	}
-	// Track usage of cached objects for the LoadManager's eviction
-	// decisions regardless of which manager handles the query.
+	// Count a hit on every resident for the eviction order, whichever
+	// manager handles the query.
 	allCached := true
 	for _, id := range q.Objects {
 		if p.idx.isCached(id) {
-			p.loads.Touch(int64(id))
+			p.touch(id)
 		} else {
 			allCached = false
 		}
@@ -383,7 +394,7 @@ func (p *VCover) loadManager(q *model.Query) (Decision, error) {
 	// credit still lacks of its load cost, and one whose credit reaches
 	// the load cost becomes a candidate and starts over from zero.
 	c := int64(q.Cost)
-	var candidates []gds.Entry
+	var candidates []model.ObjectID
 	for _, id := range missing {
 		if c <= 0 {
 			break
@@ -398,53 +409,169 @@ func (p *VCover) loadManager(q *model.Query) (Decision, error) {
 			p.credit.set(id, have+c)
 			break
 		}
-		candidates = append(candidates, gds.Entry{Key: int64(id), Size: l, Cost: l})
+		candidates = append(candidates, id)
 		p.credit.set(id, 0)
 		c -= need
 	}
 	if len(candidates) == 0 {
 		return d, nil
 	}
-
-	// Lazy Greedy-Dual-Size decides the actual loads and evictions.
-	res := p.loads.AdmitBatch(candidates)
-	for _, key := range res.Evict {
-		id := model.ObjectID(key)
-		if err := p.evictObject(id); err != nil {
-			return Decision{}, err
-		}
-		d.Evict = append(d.Evict, id)
-		p.stats.ObjectsEvicted++
+	// A load bulk-copies the object including all updates received
+	// while it was away: the object arrives fresh on both sides ("Both
+	// server and cache mark o fresh"), with nothing outstanding.
+	var err error
+	if d.Load, d.Evict, err = p.admitBatch(candidates); err != nil {
+		return Decision{}, err
 	}
-	for _, key := range res.Load {
-		id := model.ObjectID(key)
-		// A load bulk-copies the object including all updates received
-		// while it was away: the object arrives fresh on both sides
-		// ("Both server and cache mark o fresh"), with nothing
-		// outstanding.
-		if err := p.idx.markCached(id); err != nil {
-			return Decision{}, err
-		}
-		d.Load = append(d.Load, id)
-		p.stats.ObjectsLoaded++
-	}
+	p.stats.ObjectsLoaded += int64(len(d.Load))
+	p.stats.ObjectsEvicted += int64(len(d.Evict))
 	return d, nil
 }
 
-// evictObject drops an object from the mirror along with every piece of
-// decision state attached to it: outstanding updates and their
-// interaction-graph vertices.
+// admitBatch admits one query's load candidates in order, each evicting
+// residents in eviction order until it fits, and returns what to load
+// and what to evict, each ascending. It is the paper's lazy
+// LoadManager: a candidate that a later one of the batch displaces is
+// in neither list, so it is never loaded ("loading oi is not useful").
+// A candidate larger than the whole cache is declined, and one already
+// resident counts a hit.
+func (p *VCover) admitBatch(candidates []model.ObjectID) (load, evict []model.ObjectID, err error) {
+	for _, id := range candidates {
+		if p.idx.isCached(id) {
+			p.touch(id)
+			continue
+		}
+		size, err := p.idx.size(id)
+		if err != nil {
+			return nil, nil, err
+		}
+		if size > p.idx.capacity {
+			continue
+		}
+		victims, err := p.shrink(p.idx.capacity - size)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, v := range victims {
+			if i := slices.Index(load, v); i >= 0 {
+				load = slices.Delete(load, i, i+1)
+			} else {
+				evict = append(evict, v)
+			}
+		}
+		if err := p.admit(id, size); err != nil {
+			return nil, nil, err
+		}
+		load = append(load, id)
+	}
+	if len(load) == 0 {
+		load = nil // every candidate was displaced within the batch
+	}
+	slices.Sort(load)
+	slices.Sort(evict)
+	for _, id := range evict {
+		p.dropOutstanding(id)
+	}
+	return load, evict, nil
+}
+
+// admit makes id resident at the priority of a fresh load: L + 1, or L
+// for a zero-size object.
+func (p *VCover) admit(id model.ObjectID, size cost.Bytes) error {
+	if err := p.idx.markCached(id); err != nil {
+		return err
+	}
+	var n int64
+	if size > 0 {
+		n = 1
+	}
+	p.hits.set(id, n)
+	p.prio.set(id, p.floor+n)
+	heap.Push(&p.order, rank{h: p.floor + n, id: id})
+	return nil
+}
+
+// touch counts a hit on resident id: H = L + n with today's L.
+func (p *VCover) touch(id model.ObjectID) {
+	n := p.hits.get(id)
+	if n > 0 {
+		n++
+		p.hits.set(id, n)
+	}
+	p.prio.set(id, p.floor+n)
+}
+
+// shrink evicts residents in eviction order until at most limit is used,
+// raising L to each victim's priority, and returns the victims in
+// order. The victims keep their outstanding updates for the caller to
+// drop (dropOutstanding).
+func (p *VCover) shrink(limit cost.Bytes) ([]model.ObjectID, error) {
+	var victims []model.ObjectID
+	for p.idx.used > limit && len(p.order) > 0 {
+		top := p.order[0]
+		if h := p.prio.get(top.id); top.h != h {
+			// A hit raised it since the heap last looked: every other
+			// entry's H is at least its h, so once the root is current
+			// it is the least.
+			p.order[0].h = h
+			heap.Fix(&p.order, 0)
+			continue
+		}
+		heap.Pop(&p.order)
+		p.floor = top.h
+		if err := p.evictObject(top.id); err != nil {
+			return nil, err
+		}
+		victims = append(victims, top.id)
+	}
+	return victims, nil
+}
+
+// evictObject drops a resident from the mirror and the eviction order's
+// columns; the caller drops its outstanding updates (dropOutstanding)
+// and its heap entry.
 func (p *VCover) evictObject(id model.ObjectID) error {
 	if err := p.idx.markEvicted(id); err != nil {
 		return err
 	}
+	p.prio.set(id, 0)
+	p.hits.set(id, 0)
+	return nil
+}
+
+// dropOutstanding drops an evicted object's outstanding updates and
+// their interaction-graph vertices. Evictions drop them in decision
+// order (ascending within a query), since the graph's free lists make
+// later covers depend on the order of removals.
+func (p *VCover) dropOutstanding(id model.ObjectID) {
 	for _, u := range p.outstanding[id] {
 		p.bip.RemoveRight(int64(u.ID))
 		delete(p.updObject, u.ID)
 	}
 	delete(p.outstanding, id)
 	p.owed.remove(id)
-	return nil
+}
+
+// rank is a resident's entry in the eviction heap: h is its priority as
+// the heap last saw it, never above prio[id].
+type rank struct {
+	h  int64
+	id model.ObjectID
+}
+
+// rankHeap implements heap.Interface over ranks, least (h, id) first.
+type rankHeap []rank
+
+func (o rankHeap) Len() int { return len(o) }
+func (o rankHeap) Less(i, j int) bool {
+	return o[i].h < o[j].h || (o[i].h == o[j].h && o[i].id < o[j].id)
+}
+func (o rankHeap) Swap(i, j int) { o[i], o[j] = o[j], o[i] }
+func (o *rankHeap) Push(x any)   { *o = append(*o, x.(rank)) }
+func (o *rankHeap) Pop() any {
+	r := (*o)[len(*o)-1]
+	*o = (*o)[:len(*o)-1]
+	return r
 }
 
 // CachedObjects returns the mirror's resident set, for tests and the

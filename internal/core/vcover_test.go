@@ -297,7 +297,7 @@ func TestVCoverLoadClearsOutstanding(t *testing.T) {
 	}
 	// Evict 1 by loading 2 and 3 (capacity 30 GB: 10+20+5 > 30).
 	warmLoad(t, p, 2, 2, 3*time.Second)
-	// Whether 1 survived depends on GDS credits; force the point by
+	// Whether 1 survived depends on its priority; force the point by
 	// checking graph consistency instead: no vertices for evicted
 	// objects' updates.
 	for uid, obj := range p.updObject {
@@ -313,25 +313,9 @@ func TestVCoverLoadClearsOutstanding(t *testing.T) {
 	checkOwed(t, p)
 }
 
-func TestVCoverMirrorMatchesGDS(t *testing.T) {
-	p := newTestVCover(t, 30*cost.GB)
-	warmLoad(t, p, 1, 1, time.Second)
-	warmLoad(t, p, 3, 2, 2*time.Second)
-	cached := p.CachedObjects()
-	gdsKeys := p.loads.Keys()
-	if len(cached) != len(gdsKeys) {
-		t.Fatalf("mirror %v vs gds %v", cached, gdsKeys)
-	}
-	for i := range cached {
-		if int64(cached[i]) != gdsKeys[i] {
-			t.Fatalf("mirror %v vs gds %v", cached, gdsKeys)
-		}
-	}
-}
-
 func TestVCoverDeterministicAcrossRuns(t *testing.T) {
 	run := func() []model.ObjectID {
-		p := NewVCover(VCoverConfig{Seed: 7, GDSF: true})
+		p := NewVCover(VCoverConfig{})
 		if err := p.Init(vcObjects(), 30*cost.GB); err != nil {
 			t.Fatal(err)
 		}
@@ -512,8 +496,8 @@ func TestVCoverStatsProgress(t *testing.T) {
 
 // TestVCoverForget: a forgotten resident is evicted with its outstanding
 // updates and interaction-graph vertices and leaves the universe, an
-// unknown ID is ignored, a smaller capacity evicts in GDS order, and a
-// forgotten object can rejoin cold.
+// unknown ID is ignored, a smaller capacity evicts in eviction order,
+// and a forgotten object can rejoin cold.
 func TestVCoverForget(t *testing.T) {
 	p := newTestVCover(t, 35*cost.GB)
 	warmLoad(t, p, 1, 1, time.Second)
@@ -534,19 +518,19 @@ func TestVCoverForget(t *testing.T) {
 	if !slices.Equal(d.Evict, []model.ObjectID{1}) || len(d.Load) != 0 || d.ShipQuery {
 		t.Errorf("Forget(1, 99) = %+v, want only object 1 evicted", d)
 	}
-	if p.bip.HasRight(1) || len(p.outstanding[1]) != 0 || p.owed.has(1) || p.loads.Contains(1) {
+	if p.bip.HasRight(1) || len(p.outstanding[1]) != 0 || p.owed.has(1) || p.prio.get(1) != 0 || len(p.order) != 2 {
 		t.Error("the forgotten resident left decision state behind")
 	}
 	if _, err := p.OnQuery(&model.Query{ID: 5, Objects: []model.ObjectID{1}, Cost: cost.KB}); err == nil {
 		t.Error("a query on a forgotten object was accepted")
 	}
 
-	// Objects 2 and 3 hold 25GB; at 20GB one must go, in GDS order.
+	// Objects 2 and 3 hold 25GB; at 20GB one must go, in eviction order.
 	d, err = p.Forget(nil, 20*cost.GB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Evict) != 1 || p.idx.used > 20*cost.GB || p.loads.Used() != int64(p.idx.used) {
+	if len(d.Evict) != 1 || p.idx.used > 20*cost.GB || len(p.order) != 1 {
 		t.Errorf("shrink to 20GB = %+v, leaving %v resident", d, p.idx.used)
 	}
 	if _, err := p.Forget(nil, -1); err == nil {

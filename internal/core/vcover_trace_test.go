@@ -9,10 +9,11 @@ import (
 	"github.com/deltacache/delta/internal/model"
 )
 
-// TestVCoverIgnoresSeed: VCover's load manager draws nothing, so two
-// VCovers configured with different seeds make the same decision on
-// every event of a seeded trace, at the paper's cache and at one small
-// enough to evict.
+// TestVCoverIgnoresSeed: VCover's configuration decides nothing — its
+// load manager draws nothing, and its eviction priority always counts
+// hits — so two VCovers configured with different seeds and GDSF
+// settings make the same decision on every event of a seeded trace, at
+// the paper's cache and at one small enough to evict.
 func TestVCoverIgnoresSeed(t *testing.T) {
 	for _, frac := range []float64{0.3, 0.05} {
 		s, err := experiments.NewSetup(experiments.Options{Scale: 0.05, Seed: 3, CacheFrac: frac})
@@ -20,7 +21,7 @@ func TestVCoverIgnoresSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := core.NewVCover(core.VCoverConfig{Seed: 1, GDSF: true})
-		b := core.NewVCover(core.VCoverConfig{Seed: 2, GDSF: true})
+		b := core.NewVCover(core.VCoverConfig{Seed: 2, GDSF: false})
 		for _, p := range []*core.VCover{a, b} {
 			if err := p.Init(s.Survey.Objects(), s.Capacity()); err != nil {
 				t.Fatal(err)
@@ -46,7 +47,7 @@ func TestVCoverIgnoresSeed(t *testing.T) {
 		for i := range s.Events {
 			e := &s.Events[i]
 			if da, db := decide(a, e), decide(b, e); !reflect.DeepEqual(da, db) {
-				t.Fatalf("cache %.0f%%, event %d: seed 1 decided %+v, seed 2 %+v", frac*100, e.Seq, da, db)
+				t.Fatalf("cache %.0f%%, event %d: seed 1 with GDSF decided %+v, seed 2 without %+v", frac*100, e.Seq, da, db)
 			}
 		}
 		if st := a.Stats(); st.ObjectsLoaded == 0 || frac < 0.3 && st.ObjectsEvicted == 0 {

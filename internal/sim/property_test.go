@@ -94,7 +94,7 @@ func TestPoliciesNeverViolateOnRandomWorkloads(t *testing.T) {
 			core.NewNoCache(),
 			core.NewReplica(),
 			core.NewBenefit(core.BenefitConfig{Window: rng.Intn(400) + 10}),
-			core.NewVCover(core.VCoverConfig{Seed: rng.Int63(), GDSF: rng.Intn(2) == 0}),
+			core.NewVCover(core.DefaultVCoverConfig()),
 			core.NewSOptimal(events),
 		}
 		for _, p := range policies {
@@ -129,7 +129,7 @@ func TestVCoverBoundedByWorstCase(t *testing.T) {
 			sizes += o.Size
 		}
 		res, err := Run(
-			core.NewVCover(core.VCoverConfig{Seed: int64(trial), GDSF: true}),
+			core.NewVCover(core.DefaultVCoverConfig()),
 			objects, events, Config{CacheCapacity: sizes / 3},
 		)
 		if err != nil {

@@ -363,13 +363,12 @@ func TestQuickRunMatchesReference(t *testing.T) {
 		capacity := cost.Bytes(float64(total) * rng.Float64())
 		cfg := Config{CacheCapacity: capacity, SampleEvery: rng.Intn(10) + 1}
 		benefit := core.BenefitConfig{Window: rng.Intn(20) + 2}
-		vcover := core.VCoverConfig{Seed: rng.Int63(), GDSF: rng.Intn(2) == 0}
 		script := randomScript(rng, events, len(objects), model.ObjectID(len(objects)+len(events)))
 		policies := []func() core.Policy{
 			func() core.Policy { return core.NewNoCache() },
 			func() core.Policy { return core.NewReplica() },
 			func() core.Policy { return core.NewBenefit(benefit) },
-			func() core.Policy { return core.NewVCover(vcover) },
+			func() core.Policy { return core.NewVCover(core.DefaultVCoverConfig()) },
 			func() core.Policy { return core.NewSOptimal(events) },
 			func() core.Policy {
 				s := *script
