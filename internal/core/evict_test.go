@@ -116,7 +116,7 @@ func TestAdmitBatchLazyElision(t *testing.T) {
 	// Through the load manager: one query pays both load costs.
 	q := newEvictVCover(t, 100, 90, 90)
 	d, err := q.OnQuery(&model.Query{ID: 1, Objects: []model.ObjectID{2, 1}, Cost: 180, Tolerance: model.NoTolerance})
-	if err != nil || !slices.Equal(d.Load, []model.ObjectID{2}) || d.Evict != nil {
+	if err != nil || !slices.Equal(d.Load, []model.ObjectID{2}) || len(d.Evict) != 0 {
 		t.Errorf("decision = %+v, %v; want only 2 loaded", d, err)
 	}
 	if st := q.Stats(); st.ObjectsLoaded != 1 || st.ObjectsEvicted != 0 {

@@ -464,9 +464,6 @@ func (p *VCover) admitBatch(candidates []model.ObjectID) (load, evict []model.Ob
 		}
 		load = append(load, id)
 	}
-	if len(load) == 0 {
-		load = nil // every candidate was displaced within the batch
-	}
 	slices.Sort(load)
 	slices.Sort(evict)
 	for _, id := range evict {
@@ -491,7 +488,7 @@ func (p *VCover) admit(id model.ObjectID, size cost.Bytes) error {
 	return nil
 }
 
-// touch counts a hit on resident id: H = L + n with today's L.
+// touch counts a hit on resident id: H = L + n with the current L.
 func (p *VCover) touch(id model.ObjectID) {
 	n := p.hits.get(id)
 	if n > 0 {

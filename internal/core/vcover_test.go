@@ -295,20 +295,26 @@ func TestVCoverLoadClearsOutstanding(t *testing.T) {
 	if _, err := p.OnUpdate(&model.Update{ID: 1, Object: 1, Cost: cost.GB, Time: 2 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	// Evict 1 by loading 2 and 3 (capacity 30 GB: 10+20+5 > 30).
-	warmLoad(t, p, 2, 2, 3*time.Second)
-	// Whether 1 survived depends on its priority; force the point by
-	// checking graph consistency instead: no vertices for evicted
-	// objects' updates.
-	for uid, obj := range p.updObject {
-		if !p.idx.isCached(obj) {
-			t.Errorf("graph retains update %d for evicted object %d", uid, obj)
+	// A cheap query over the update ships itself and puts the update's
+	// vertex in the graph; it also counts a hit on 1 (H = 2).
+	if d, err := p.OnQuery(&model.Query{ID: 2, Objects: []model.ObjectID{1}, Cost: cost.KB, Time: 3 * time.Second}); err != nil || !d.ShipQuery || !p.bip.HasRight(1) {
+		t.Fatalf("query over the update = %+v, %v; want it shipped and the update in the graph", d, err)
+	}
+	// 2 fills the cache and two hits raise it to H = 3, so loading 3
+	// must evict 1, the least.
+	warmLoad(t, p, 2, 3, 4*time.Second)
+	for i := range 2 {
+		if _, err := p.OnQuery(&model.Query{ID: model.QueryID(4 + i), Objects: []model.ObjectID{2}, Cost: cost.KB, Time: 5 * time.Second}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for obj := range p.outstanding {
-		if len(p.outstanding[obj]) > 0 && !p.idx.isCached(obj) {
-			t.Errorf("outstanding updates retained for evicted object %d", obj)
-		}
+	size, _ := p.idx.size(3)
+	d, err := p.OnQuery(&model.Query{ID: 6, Objects: []model.ObjectID{3}, Cost: size, Time: 6 * time.Second})
+	if err != nil || !slices.Equal(d.Load, []model.ObjectID{3}) || !slices.Equal(d.Evict, []model.ObjectID{1}) {
+		t.Fatalf("loading 3 = %+v, %v; want 3 loaded and 1 evicted", d, err)
+	}
+	if p.bip.HasRight(1) || len(p.updObject) != 0 || len(p.outstanding) != 0 {
+		t.Error("the evicted object's update stayed outstanding or in the graph")
 	}
 	checkOwed(t, p)
 }
