@@ -39,6 +39,93 @@ func mustAdmit(t *testing.T, p *VCover, cands []model.ObjectID, wantLoad, wantEv
 	}
 }
 
+func TestNewNegativeCapacity(t *testing.T) {
+	p := NewVCover(DefaultVCoverConfig())
+	if err := p.Init([]model.Object{{ID: 1, Size: 10}}, -1); err == nil {
+		t.Error("Init with a negative capacity should fail")
+	}
+}
+
+func TestAdmitAndContains(t *testing.T) {
+	p := newEvictVCover(t, 100, 40)
+	mustAdmit(t, p, []model.ObjectID{1}, []model.ObjectID{1}, nil)
+	if !p.idx.isCached(1) || p.idx.used != 40 || len(p.CachedObjects()) != 1 || len(p.order) != 1 {
+		t.Errorf("after admitting 1: used %d, residents %v, heap %v", p.idx.used, p.CachedObjects(), p.order)
+	}
+	if p.prio.get(1) != 1 || p.floor != 0 {
+		t.Errorf("H = %d, L = %d; want 1 and 0", p.prio.get(1), p.floor)
+	}
+}
+
+func TestAdmitNegativeSizeRejected(t *testing.T) {
+	p := NewVCover(DefaultVCoverConfig())
+	if err := p.Init([]model.Object{{ID: 1, Size: -5}}, 100); err == nil {
+		t.Error("Init with a negative object size should fail")
+	}
+	q := newEvictVCover(t, 100, 10)
+	if _, err := q.AddObjects([]model.Object{{ID: 2, Size: -5}}); err == nil {
+		t.Error("a newborn with a negative size should be rejected")
+	}
+	mustAdmit(t, q, []model.ObjectID{1}, []model.ObjectID{1}, nil)
+	if q.idx.used != 10 {
+		t.Errorf("used %d, want 10", q.idx.used)
+	}
+}
+
+func TestAdmitExistingRefreshes(t *testing.T) {
+	p := newEvictVCover(t, 100, 30, 70, 70)
+	mustAdmit(t, p, []model.ObjectID{1}, []model.ObjectID{1}, nil)
+	mustAdmit(t, p, []model.ObjectID{2}, []model.ObjectID{2}, nil)
+	mustAdmit(t, p, []model.ObjectID{1}, nil, nil) // a hit: H = 0 + 2
+	h0 := p.prio.get(1)
+	// 2 goes at H = 1, raising L to 1.
+	mustAdmit(t, p, []model.ObjectID{3}, []model.ObjectID{3}, []model.ObjectID{2})
+	mustAdmit(t, p, []model.ObjectID{1}, nil, nil)
+	if h1 := p.prio.get(1); h1 != 4 || h1 < h0 {
+		t.Errorf("re-offered H = %d after %d; want L + 3 hits = 4", h1, h0)
+	}
+	if p.idx.used != 100 || len(p.order) != 2 {
+		t.Errorf("used %d, heap %v; want 100 and two entries (no double count)", p.idx.used, p.order)
+	}
+}
+
+func TestRemove(t *testing.T) {
+	p := newEvictVCover(t, 100, 30)
+	mustAdmit(t, p, []model.ObjectID{1}, []model.ObjectID{1}, nil)
+	d, err := p.Forget([]model.ObjectID{1}, 100)
+	if err != nil || !slices.Equal(d.Evict, []model.ObjectID{1}) {
+		t.Fatalf("Forget(1) = %+v, %v; want 1 evicted", d, err)
+	}
+	if p.idx.isCached(1) || p.idx.used != 0 || len(p.order) != 0 || p.prio.get(1) != 0 {
+		t.Error("Forget left the resident behind")
+	}
+	// Absent: a no-op.
+	if d, err := p.Forget([]model.ObjectID{99}, 100); err != nil || len(d.Evict) != 0 {
+		t.Errorf("Forget(99) = %+v, %v; want nothing evicted", d, err)
+	}
+}
+
+func TestKeysSorted(t *testing.T) {
+	p := newEvictVCover(t, 100, 10, 10, 10, 10, 10)
+	for _, id := range []model.ObjectID{5, 1, 3} {
+		mustAdmit(t, p, []model.ObjectID{id}, []model.ObjectID{id}, nil)
+	}
+	if got := p.CachedObjects(); !slices.Equal(got, []model.ObjectID{1, 3, 5}) {
+		t.Errorf("CachedObjects = %v, want [1 3 5]", got)
+	}
+}
+
+func TestResizeNegativeCapacity(t *testing.T) {
+	p := newEvictVCover(t, 100, 30)
+	mustAdmit(t, p, []model.ObjectID{1}, []model.ObjectID{1}, nil)
+	if _, err := p.Forget(nil, -1); err == nil {
+		t.Error("a negative capacity should fail")
+	}
+	if p.idx.capacity != 100 || !p.idx.isCached(1) {
+		t.Errorf("a refused resize changed the cache: capacity %d, residents %v", p.idx.capacity, p.CachedObjects())
+	}
+}
+
 func TestEvictionMakesRoom(t *testing.T) {
 	p := newEvictVCover(t, 100, 60, 40, 50)
 	mustAdmit(t, p, []model.ObjectID{1, 2}, []model.ObjectID{1, 2}, nil)
