@@ -277,8 +277,8 @@ func runGrow(ctx context.Context, cl *client.Client, survey *catalog.Survey, n i
 }
 
 // runRegion submits one sky-region query resolved server-side: the
-// cache or router maps the cap to B(q) through its memoized HTM cover
-// cache, so this path needs no local survey mirror at all.
+// cache or router maps the cap to B(q) from its survey's HTM cover, so
+// this path needs no local survey mirror at all.
 func runRegion(ctx context.Context, cl *client.Client, spec string, start time.Time) error {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 3 {

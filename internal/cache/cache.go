@@ -44,7 +44,6 @@ import (
 	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/core"
 	"github.com/deltacache/delta/internal/cost"
-	"github.com/deltacache/delta/internal/htm"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
 	"github.com/deltacache/delta/internal/node"
@@ -81,13 +80,12 @@ type Config struct {
 	Scale netproto.PayloadScale
 	// Regions, when set, is the survey sky-region queries resolve
 	// against: a query arriving with a SkyRegion instead of an object
-	// list is resolved here, memoized through a bounded cover cache
-	// whose hit/miss counters are /metrics samples, and every adopted
-	// birth grows the survey, so covers include newborns. Nil rejects
-	// region queries. Cluster shards must leave it nil: a shard
-	// resolves against the whole sky but owns a subset, so every region
-	// query would die on the ownership check — regions resolve at the
-	// router.
+	// list is resolved here, straight from the survey's CoverCap, and
+	// every adopted birth grows the survey, so covers include newborns.
+	// Nil rejects region queries. Cluster shards must leave it nil: a
+	// shard resolves against the whole sky but owns a subset, so every
+	// region query would die on the ownership check — regions resolve
+	// at the router.
 	Regions *catalog.Survey
 	// DataDir, when set, enables the durability layer (internal/persist):
 	// the node journals admission/eviction decisions, writes a snapshot
@@ -121,9 +119,9 @@ type Middleware struct {
 
 	loads loadGroup
 
-	// covers resolves sky regions against Regions; nil (every method
+	// regions resolves sky regions against Regions; nil (every method
 	// still callable) when Regions is.
-	covers *htm.CoverCache
+	regions *catalog.RegionResolver
 
 	// store is the durability layer (nil when Config.DataDir is empty).
 	store *persist.Store
@@ -193,8 +191,9 @@ func New(cfg Config) (*Middleware, error) {
 		cfg.Policy = core.NewVCover(core.DefaultVCoverConfig())
 	}
 	m := &Middleware{
-		cfg:    cfg,
-		scoped: core.OptionalOf(cfg.Policy).ScopedNotices,
+		cfg:     cfg,
+		scoped:  core.OptionalOf(cfg.Policy).ScopedNotices,
+		regions: catalog.NewRegionResolver(cfg.Regions),
 		shard: core.NewShard(core.ShardConfig{
 			Policy:   cfg.Policy,
 			Objects:  cfg.Objects,
@@ -203,9 +202,6 @@ func New(cfg Config) (*Middleware, error) {
 		}),
 	}
 	m.Node = node.New("cache", cfg.Addr, cfg.MetricsAddr, cfg.Logf, m.handleClientFrame)
-	if cfg.Regions != nil {
-		m.covers = htm.NewCoverCache(cfg.Regions)
-	}
 	m.queryLat = m.Reg.NewHistogram("delta_query_seconds",
 		"End-to-end query handling latency at this cache node (fragment or whole query).")
 	m.loadLat = m.Reg.NewHistogram("delta_load_seconds",
@@ -230,12 +226,6 @@ func New(cfg Config) (*Middleware, error) {
 		"Newly published objects admitted into this cache's universe.")
 	m.recoveredWarm = m.Reg.NewGauge("delta_recovered_warm",
 		"Residents re-adopted from disk at the last startup.")
-	m.Reg.NewCounterFunc("delta_cover_cache_hits_total",
-		"Sky-region resolutions answered from the HTM cover cache.",
-		func() float64 { hits, _ := m.covers.Stats(); return float64(hits) })
-	m.Reg.NewCounterFunc("delta_cover_cache_misses_total",
-		"Sky-region resolutions recomputed via partition cover.",
-		func() float64 { _, misses := m.covers.Stats(); return float64(misses) })
 	m.Reg.NewGaugeFunc("delta_cached_objects",
 		"Objects resident in this cache, recovered ones held for a shard's first reshard included.",
 		func() float64 {
@@ -300,7 +290,7 @@ func New(cfg Config) (*Middleware, error) {
 			return fail(err)
 		}
 		// Grow the startup survey, or region covers would miss the births.
-		if err := m.covers.Grow(u.Births); err != nil {
+		if err := m.regions.Grow(u.Births); err != nil {
 			m.cfg.Logf("region growth: %v (region covers may miss newborns)", err)
 		}
 		m.logStart(start)
@@ -564,11 +554,11 @@ func (m *Middleware) handleClientFrame(f netproto.Frame) netproto.Frame {
 	case netproto.QueryMsg:
 		meta := queryMeta{traceID: body.TraceID, shard: -1}
 		if len(body.Query.Objects) == 0 && !body.Region.Empty() {
-			objs, detail, err := m.covers.Region(body.Region.RA, body.Region.Dec, body.Region.RadiusDeg)
+			objs, err := m.regions.Region(body.Region.RA, body.Region.Dec, body.Region.RadiusDeg)
 			if err != nil {
 				return netproto.ErrorFrame("cache: %v", err)
 			}
-			body.Query.Objects, meta.detail = objs, detail
+			body.Query.Objects = objs
 		}
 		return m.handleQuery(ctx, &body.Query, meta)
 	case netproto.ShardQueryMsg:
@@ -593,13 +583,11 @@ func (m *Middleware) handleClientFrame(f netproto.Frame) netproto.Frame {
 
 // queryMeta carries a query's routing and tracing context into
 // handleQuery: who we are in the scatter (shard index and width, or a
-// direct client query), the trace ID riding the request, and any hop
-// detail accumulated before execution (cover-cache resolution).
+// direct client query) and the trace ID riding the request.
 type queryMeta struct {
 	traceID   uint64
 	shard     int // receiving shard index; -1 for a direct client query
 	fragments int // scatter width the fragment arrived with; 0 direct
-	detail    string
 }
 
 // span builds this hop's trace span: "fragment" when the query arrived
@@ -617,7 +605,6 @@ func (meta *queryMeta) span(node string, objects int, source string, elapsed tim
 		Fragments: meta.fragments,
 		Objects:   objects,
 		Source:    source,
-		Detail:    meta.detail,
 		Elapsed:   elapsed,
 	}
 }
@@ -794,7 +781,7 @@ func (m *Middleware) AddObjects(ctx context.Context, births []model.Birth) (int,
 			m.inv.Register(ids)
 		}
 	}
-	if err := m.covers.Grow(fresh); err != nil {
+	if err := m.regions.Grow(fresh); err != nil {
 		m.cfg.Logf("region growth: %v (region covers may miss newborns)", err)
 	}
 	m.cfg.Logf("admitted %d born objects", len(fresh))

@@ -2,8 +2,11 @@ package cache_test
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,10 +22,24 @@ import (
 	"github.com/deltacache/delta/internal/model"
 )
 
+// queryLog is NoCache recording the object list of every query it is
+// asked to decide.
+type queryLog struct {
+	*core.NoCache
+	mu      sync.Mutex
+	queries [][]model.ObjectID
+}
+
+func (p *queryLog) OnQuery(q *model.Query) (core.Decision, error) {
+	p.mu.Lock()
+	p.queries = append(p.queries, slices.Sorted(slices.Values(q.Objects)))
+	p.mu.Unlock()
+	return p.NoCache.OnQuery(q)
+}
+
 // TestCacheResolvesRegionQueries covers the standalone-cache sky-region
-// path: the middleware resolves a client's cap to B(q) through its
-// memoized cover cache and serves the query normally; hit/miss
-// counters surface in StatsMsg.
+// path: the middleware resolves a client's cap to B(q), exactly the
+// survey's CoverCap, and serves the query normally.
 func TestCacheResolvesRegionQueries(t *testing.T) {
 	scfg := catalog.DefaultConfig()
 	scfg.NumObjects = 16
@@ -38,9 +55,10 @@ func TestCacheResolvesRegionQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer repo.Close()
+	policy := &queryLog{NoCache: core.NewNoCache()}
 	mw, err := cache.New(cache.Config{
 		RepoAddr: repo.Addr(),
-		Policy:   core.NewNoCache(),
+		Policy:   policy,
 		Objects:  survey.Objects(),
 		Capacity: 8 * cost.GB,
 		Scale:    netproto.PayloadScale{},
@@ -80,15 +98,16 @@ func TestCacheResolvesRegionQueries(t *testing.T) {
 			t.Fatalf("region query %d logical = %d, want %d", i, res.Logical, cost.MB)
 		}
 	}
-	stats, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	policy.mu.Lock()
+	if len(policy.queries) != repeats {
+		t.Errorf("the policy decided %d queries, want %d", len(policy.queries), repeats)
 	}
-	hits, misses := stats.Metric("delta_cover_cache_hits_total"), stats.Metric("delta_cover_cache_misses_total")
-	if misses < 1 || hits < repeats-1 {
-		t.Errorf("cover cache = %v hits / %v misses, want ≥%d / ≥1",
-			hits, misses, repeats-1)
+	for i, got := range policy.queries {
+		if !slices.Equal(got, want) {
+			t.Errorf("region query %d resolved to %v, CoverCap gives %v", i, got, want)
+		}
 	}
+	policy.mu.Unlock()
 
 	// A client mixing an object list with a region is a usage error.
 	if _, err := cl.QueryRegion(ctx, ra, dec, radius, model.Query{
@@ -165,10 +184,42 @@ func TestCacheAddObjectsOutOfOrderGrowsRegions(t *testing.T) {
 	}
 }
 
+// TestCacheRefusesMalformedRegions sends regions that are not caps on
+// the sphere: each is answered with a MsgError, and the session still
+// serves a well-formed region afterwards.
+func TestCacheRefusesMalformedRegions(t *testing.T) {
+	mw, _, _ := regionCache(t)
+	cl, err := client.Dial(mw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	query := model.Query{Cost: cost.KB, Tolerance: model.AnyStaleness, Time: time.Second}
+	for _, tc := range []struct {
+		name       string
+		ra, dec, r float64
+	}{
+		{"NaN radius", 90, 10, math.NaN()},
+		{"+Inf radius", 90, 10, math.Inf(1)},
+		{"NaN RA", math.NaN(), 10, 2},
+		{"+Inf Dec", 90, math.Inf(1), 2},
+		{"Dec 200", 90, 200, 2},
+		{"radius 400°", 90, 10, 400},
+	} {
+		var remote *netproto.RemoteError
+		if _, err := cl.QueryRegion(ctx, tc.ra, tc.dec, tc.r, query); !errors.As(err, &remote) {
+			t.Errorf("%s: QueryRegion = %v, want a MsgError", tc.name, err)
+		}
+	}
+	if _, err := cl.QueryRegion(ctx, 90, 10, 180, query); err != nil {
+		t.Errorf("a 180° region after the refusals: %v", err)
+	}
+}
+
 // TestCacheRegionCoversPublishedBirth drives a standalone cache's region
 // growth end to end: a birth published through the cache joins the
-// cover a region query at its position resolves to, memoized cover
-// and all.
+// cover a region query at its position resolves to.
 func TestCacheRegionCoversPublishedBirth(t *testing.T) {
 	mw, regions, mirror := regionCache(t)
 	births, err := mirror.GrowObjects(rand.New(rand.NewSource(9)), 1, time.Second)

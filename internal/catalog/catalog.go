@@ -367,7 +367,7 @@ func (s *Survey) TotalSize() cost.Bytes {
 
 // AddObject ingests one newly published object. The birth's ID must be
 // exactly NextID (dense sequential growth; a node that hears of births
-// out of order sequences them through htm.CoverCache.Grow) and its
+// out of order sequences them through RegionResolver.Grow) and its
 // size positive. The object attaches to the partition cell containing
 // its position, so CoverCap and the HTM ownership cuts place it next
 // to its spatial neighbors.

@@ -3,14 +3,12 @@ package catalog
 import (
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"github.com/deltacache/delta/internal/cost"
 	"github.com/deltacache/delta/internal/geom"
-	"github.com/deltacache/delta/internal/htm"
 	"github.com/deltacache/delta/internal/model"
 )
 
@@ -21,52 +19,6 @@ func testSurvey(t *testing.T) *Survey {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// TestCoverCapConcurrentThroughCoverCache resolves regions the way a
-// router does — a Survey behind an htm.CoverCache — from 8 goroutines
-// on freshly built surveys of both partition kinds (run under -race).
-// There are more caps than the cache holds, so covers keep being
-// computed concurrently; every answer must equal a twin survey's
-// sequential cover.
-func TestCoverCapConcurrentThroughCoverCache(t *testing.T) {
-	uniform := DefaultConfig()
-	uniform.NumObjects, uniform.Uniform = 8192, true
-	rng := rand.New(rand.NewSource(28))
-	caps := make([]geom.Cap, 320)
-	for i := range caps {
-		caps[i] = geom.CapFromRADec(rng.Float64()*360, rng.Float64()*180-90, 0.3+rng.Float64()*1.7)
-	}
-	for _, cfg := range []Config{DefaultConfig(), uniform} {
-		twin, err := NewSurvey(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewSurvey(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([][]model.ObjectID, len(caps))
-		for i, c := range caps {
-			want[i] = twin.CoverCap(c)
-		}
-		cc := htm.NewCoverCache(s)
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for k := 0; k < 4*len(caps); k++ {
-					i := (k*7 + g) % len(caps)
-					if got, _ := cc.Resolve(caps[i]); !slices.Equal(got, want[i]) {
-						t.Errorf("goroutine %d, cap %d: cover %v, sequential %v", g, i, got, want[i])
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-	}
 }
 
 func TestNewSurveyDefault(t *testing.T) {

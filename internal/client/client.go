@@ -165,8 +165,8 @@ func (c *Client) query(ctx context.Context, msg netproto.QueryMsg) (*Result, err
 
 // QueryRegion submits a query restricted to a sky cap (center RA/Dec
 // and radius, in degrees) instead of an explicit object list: the
-// serving cache or router resolves the region to B(q) through its
-// memoized HTM cover cache, so the client needs no local copy of the
+// serving cache or router resolves the region to B(q) from its
+// survey's HTM cover, so the client needs no local copy of the
 // object universe. q.Objects must be empty; q.Cost still names ν(q).
 func (c *Client) QueryRegion(ctx context.Context, ra, dec, radiusDeg float64, q model.Query) (*Result, error) {
 	if len(q.Objects) != 0 {

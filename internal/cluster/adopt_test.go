@@ -57,7 +57,7 @@ func TestAdoptBirthsOutOfOrderGrowsRegions(t *testing.T) {
 		t.Errorf("Regions survey holds %d objects, want 19", n)
 	}
 	for _, b := range births {
-		ids, _, err := lc.Router.covers.Region(b.RA, b.Dec, 2)
+		ids, err := lc.Router.regions.Region(b.RA, b.Dec, 2)
 		if err != nil || !slices.Contains(ids, b.Object.ID) {
 			t.Errorf("region at (%v,%v) = %v, %v; want newborn %d in it", b.RA, b.Dec, ids, err, b.Object.ID)
 		}

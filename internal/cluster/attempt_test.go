@@ -237,7 +237,7 @@ func TestAttemptLoop(t *testing.T) {
 			nu := cost.Bytes(1000*len(objs) + 1)
 			q := model.Query{ID: 7, Objects: objs, Cost: nu, Tolerance: model.AnyStaleness, Time: time.Second}
 			start := time.Now()
-			reply := r.routeQuery(context.Background(), &q, 0, "")
+			reply := r.routeQuery(context.Background(), &q, 0)
 			elapsed := time.Since(start)
 
 			res, ok := reply.Body.(netproto.QueryResultMsg)

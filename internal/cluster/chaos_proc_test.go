@@ -44,12 +44,8 @@ func TestChaosProcessKill(t *testing.T) {
 		objects  = 16
 		seed     = 2
 	)
-	repoAddr := freeAddr(t)
-	shardAddrs := make([]string, shards)
-	for i := range shardAddrs {
-		shardAddrs[i] = freeAddr(t)
-	}
-	routerAddr := freeAddr(t)
+	addrs := freeAddrs(t, shards+2)
+	repoAddr, shardAddrs, routerAddr := addrs[0], addrs[1:1+shards], addrs[1+shards]
 
 	logDir := t.TempDir()
 	spawn := func(name string, args ...string) *exec.Cmd {
@@ -181,17 +177,22 @@ func TestChaosProcessKill(t *testing.T) {
 	}
 }
 
-// freeAddr reserves a loopback port by listening and closing; the
-// spawned process re-binds it (a benign race on a quiet test host).
-func freeAddr(t *testing.T) string {
+// freeAddrs reserves n distinct loopback ports by listening on each
+// and closing them all once every port is picked (so no two can be the
+// same); the spawned processes re-bind them (a benign race on a quiet
+// test host).
+func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+	return addrs
 }
 
 // waitListening polls until the address accepts connections (the

@@ -233,7 +233,7 @@ func (r *Router) adoptBirths(ctx context.Context, births []model.Birth) (int, er
 	r.inv.Register(ids)
 	r.routing.Store(&routing{epoch: rt.epoch, own: ownNew, links: rt.links, alt: rt.alt})
 	r.births.Add(int64(len(fresh)))
-	if err := r.covers.Grow(freshBirths); err != nil {
+	if err := r.regions.Grow(freshBirths); err != nil {
 		r.cfg.Logf("region growth: %v (region covers may miss newborns)", err)
 	}
 	r.cfg.Logf("adopted %d born objects (universe now %d objects, epoch %d)",

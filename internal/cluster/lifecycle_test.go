@@ -280,7 +280,7 @@ func TestNodeLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer occupied.Close()
-			wire := freeAddr(t)
+			wire := freeAddrs(t, 1)[0]
 			n, _ := kind.build(t, wire, occupied.Addr().String())
 			if err := n.Start(); err == nil {
 				t.Fatal("Start succeeded with the metrics port occupied")

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,11 +18,32 @@ import (
 	"github.com/deltacache/delta/internal/server"
 )
 
+// fragmentLog records, per query ID, the objects of every fragment its
+// shards were asked to decide.
+type fragmentLog struct {
+	mu      sync.Mutex
+	objects map[model.QueryID][]model.ObjectID
+}
+
+// loggedReplica is Replica logging each fragment it decides. It embeds
+// *core.Replica, not core.Policy, so that Preload, Warm and AddObjects
+// stay promoted.
+type loggedReplica struct {
+	*core.Replica
+	log *fragmentLog
+}
+
+func (p loggedReplica) OnQuery(q *model.Query) (core.Decision, error) {
+	p.log.mu.Lock()
+	p.log.objects[q.ID] = append(p.log.objects[q.ID], q.Objects...)
+	p.log.mu.Unlock()
+	return p.Replica.OnQuery(q)
+}
+
 // TestRouterResolvesRegionQueries covers the router-side sky-region
 // path: a client that knows only a sky cap (no object universe) sends
-// region queries, the router resolves them to B(q) through its
-// memoized cover cache, scatters as usual, and the repeated-region
-// traffic shows up as cover-cache hits in the aggregate stats.
+// region queries, the router resolves them to B(q), exactly the
+// survey's CoverCap, and scatters as usual.
 func TestRouterResolvesRegionQueries(t *testing.T) {
 	survey, err := catalog.NewSurvey(growthSurveyConfig(32))
 	if err != nil {
@@ -35,11 +57,12 @@ func TestRouterResolvesRegionQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer repo.Close()
+	fragments := &fragmentLog{objects: make(map[model.QueryID][]model.ObjectID)}
 	lc, err := cluster.SpawnLocal(cluster.LocalConfig{
 		RepoAddr: repo.Addr(),
 		Objects:  survey.Objects(),
 		Shards:   4,
-		Policy:   func(int) core.Policy { return core.NewReplica() },
+		Policy:   func(int) core.Policy { return loggedReplica{core.NewReplica(), fragments} },
 		Scale:    netproto.PayloadScale{},
 		Regions:  survey,
 	})
@@ -94,18 +117,18 @@ func TestRouterResolvesRegionQueries(t *testing.T) {
 		}
 	}
 
-	// Repeated identical regions hit the router's memoized cover cache;
-	// the counters ride the stats aggregate.
-	cs, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// Every scatter's fragments together name exactly the cover (the
+	// router's result cache answers some repeats without one).
+	fragments.mu.Lock()
+	if len(fragments.objects) == 0 {
+		t.Error("no region query reached a shard")
 	}
-	if misses := cs.Metric("delta_cover_cache_misses_total"); misses < 1 {
-		t.Errorf("cover-cache misses = %v, want ≥1", misses)
+	for id, objs := range fragments.objects {
+		if got := slices.Sorted(slices.Values(objs)); !slices.Equal(got, want) {
+			t.Errorf("query %d scattered %v, CoverCap gives %v", id, got, want)
+		}
 	}
-	if hits := cs.Metric("delta_cover_cache_hits_total"); hits < repeats {
-		t.Errorf("cover-cache hits = %v, want ≥%d (region repeated)", hits, repeats)
-	}
+	fragments.mu.Unlock()
 
 	// A region query against a router with no Regions fails cleanly.
 	// (Growth is covered by TestRegionResolverLearnsBirths.)
@@ -134,9 +157,8 @@ func TestRouterResolvesRegionQueries(t *testing.T) {
 
 // TestRegionResolverLearnsBirths pins the region-growth contract:
 // objects published after startup must join sky-region covers — the
-// router grows its Regions survey with each adopted birth before the
-// memoized covers are invalidated, so a region query over a newborn's
-// position routes to it.
+// router grows its Regions survey with each adopted birth, so a region
+// query over a newborn's position routes to it.
 func TestRegionResolverLearnsBirths(t *testing.T) {
 	const nBase = 16
 	repoSurvey, err := catalog.NewSurvey(growthSurveyConfig(nBase))
@@ -183,9 +205,8 @@ func TestRegionResolverLearnsBirths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Prime the cover cache on each newborn's position BEFORE the
-	// births, so the test also proves the post-growth invalidation (a
-	// stale memoized cover would otherwise keep excluding the newborn).
+	// Query each newborn's position BEFORE the births too, so the test
+	// also proves that nothing resolved earlier keeps excluding it.
 	for _, b := range births {
 		if _, err := cl.QueryRegion(ctx, b.RA, b.Dec, 2, model.Query{
 			Cost: cost.KB, Tolerance: model.AnyStaleness, Time: time.Second,

@@ -28,7 +28,6 @@ import (
 
 	"github.com/deltacache/delta/internal/catalog"
 	"github.com/deltacache/delta/internal/core"
-	"github.com/deltacache/delta/internal/htm"
 	"github.com/deltacache/delta/internal/model"
 	"github.com/deltacache/delta/internal/netproto"
 	"github.com/deltacache/delta/internal/node"
@@ -53,10 +52,9 @@ type Config struct {
 	RepoAddr string
 	// Regions, when set, is the survey client sky-region queries
 	// resolve against: a query arriving with a SkyRegion instead of an
-	// object list is resolved at the router, memoized through a bounded
-	// cover cache whose hit/miss counters are /metrics samples, and
-	// every adopted birth grows the survey, so covers include newborns.
-	// Nil rejects region queries.
+	// object list is resolved at the router, straight from the survey's
+	// CoverCap, and every adopted birth grows the survey, so covers
+	// include newborns. Nil rejects region queries.
 	Regions *catalog.Survey
 	// Hedge enables hedged reads: when a fragment's primary shard has
 	// not answered within the hedge delay, the fragment is re-scattered
@@ -134,9 +132,9 @@ type Router struct {
 	// repo is the repository session backing live growth.
 	repo *netproto.Session
 
-	// covers resolves region queries against Regions; nil (every
+	// regions resolves region queries against Regions; nil (every
 	// method still callable) when Regions is.
-	covers *htm.CoverCache
+	regions *catalog.RegionResolver
 
 	// results is the invalidation-aware result cache + in-flight query
 	// coalescer; nil when disabled (all uses are nil-safe).
@@ -211,12 +209,10 @@ func NewRouter(cfg Config) (*Router, error) {
 		cfg:      cfg,
 		surveyed: len(cfg.Ownership.Universe()),
 		links:    make(map[string]*shardLink),
+		regions:  catalog.NewRegionResolver(cfg.Regions),
 	}
 	r.Node = node.New("cluster router", cfg.Addr, cfg.MetricsAddr, cfg.Logf, r.handleClientFrame)
 	r.Unblock = r.release
-	if cfg.Regions != nil {
-		r.covers = htm.NewCoverCache(cfg.Regions)
-	}
 	r.routerLat = r.Reg.NewHistogram("delta_router_query_seconds",
 		"End-to-end scatter/gather latency of routed queries.")
 	r.fragLat = r.Reg.NewHistogram("delta_router_fragment_seconds",
@@ -258,14 +254,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	r.Reg.NewGaugeFunc("delta_router_replicas",
 		"Replication factor K: how many shards hold each object.",
 		func() float64 { return float64(r.routing.Load().own.Replicas()) })
-	// Region resolution happens here, not on the shards. What the
-	// shards count they expose themselves.
-	r.Reg.NewCounterFunc("delta_cover_cache_hits_total",
-		"Sky-region resolutions answered from the router's HTM cover cache.",
-		func() float64 { hits, _ := r.covers.Stats(); return float64(hits) })
-	r.Reg.NewCounterFunc("delta_cover_cache_misses_total",
-		"Sky-region resolutions the router recomputed via partition cover.",
-		func() float64 { _, misses := r.covers.Stats(); return float64(misses) })
 	rt := &routing{own: cfg.Ownership}
 	for i, addr := range cfg.Shards {
 		link, err := r.dialLink(addr)
@@ -413,15 +401,14 @@ func (r *Router) handleClientFrame(f netproto.Frame) netproto.Frame {
 	ctx := context.Background()
 	switch body := f.Body.(type) {
 	case netproto.QueryMsg:
-		var detail string
 		if len(body.Query.Objects) == 0 && !body.Region.Empty() {
-			objs, d, err := r.covers.Region(body.Region.RA, body.Region.Dec, body.Region.RadiusDeg)
+			objs, err := r.regions.Region(body.Region.RA, body.Region.Dec, body.Region.RadiusDeg)
 			if err != nil {
 				return netproto.ErrorFrame("cluster: %v", err)
 			}
-			body.Query.Objects, detail = objs, d
+			body.Query.Objects = objs
 		}
-		return r.routeQuery(ctx, &body.Query, body.TraceID, detail)
+		return r.routeQuery(ctx, &body.Query, body.TraceID)
 	case netproto.StatsMsg:
 		return netproto.Frame{Type: netproto.MsgStats, Body: r.clusterStats(ctx)}
 	case netproto.AdminResizeMsg:
@@ -473,7 +460,7 @@ type answer struct {
 // waits for the echo, so a crowd over newly seen objects still
 // coalesces; only a gap during that wait, or an object outside the
 // cluster, leaves it unconfirmed, and it is answered uncached.
-func (r *Router) routeQuery(ctx context.Context, q *model.Query, traceID uint64, detail string) netproto.Frame {
+func (r *Router) routeQuery(ctx context.Context, q *model.Query, traceID uint64) netproto.Frame {
 	r.queries.Inc()
 	start := time.Now()
 	if len(q.Objects) == 0 {
@@ -492,41 +479,32 @@ func (r *Router) routeQuery(ctx context.Context, q *model.Query, traceID uint64,
 	if !confirmed {
 		// Objects outside the cluster, or a gap that reset the
 		// registrations during the wait: answered uncached.
-		return r.scatterQuery(ctx, q, traceID, detail, start)
+		return r.scatterQuery(ctx, q, traceID, start)
 	}
 	cached, fl, leader := r.results.Begin(q.Objects)
 	switch {
 	case cached != nil:
-		return r.serveShared(q, cached, traceID, joinDetail(detail, "result-cache=hit"), start)
+		return r.serveShared(q, cached, traceID, "result-cache=hit", start)
 	case fl != nil && !leader:
 		if res, ok := r.results.Wait(fl); ok {
-			return r.serveShared(q, &res, traceID, joinDetail(detail, "coalesced=follower"), start)
+			return r.serveShared(q, &res, traceID, "coalesced=follower", start)
 		}
 		// The leader's scatter failed or degraded: not shareable, so
 		// answer with a scatter of our own.
-		return r.scatterQuery(ctx, q, traceID, detail, start)
+		return r.scatterQuery(ctx, q, traceID, start)
 	case fl != nil:
 		// Leading: scatter, then publish to the followers (and, if the
 		// result is clean and no invalidation raced it, to the cache).
 		// A gap since the confirmation check forgot what it read, and
 		// the flight may have begun after the resume: not shareable.
-		frame := r.scatterQuery(ctx, q, traceID, detail, start)
+		frame := r.scatterQuery(ctx, q, traceID, start)
 		res, ok := frame.Body.(netproto.QueryResultMsg)
 		r.results.Complete(fl, res, ok && !res.Degraded && r.inv.Gen() == gen)
 		return frame
 	default:
 		// Signature collision, or the cache is off: pass through uncached.
-		return r.scatterQuery(ctx, q, traceID, detail, start)
+		return r.scatterQuery(ctx, q, traceID, start)
 	}
-}
-
-// joinDetail merges the cover-cache detail of region resolution with a
-// result-cache detail into one trace-span annotation.
-func joinDetail(a, b string) string {
-	if a == "" {
-		return b
-	}
-	return a + " " + b
 }
 
 // serveShared answers a query from a cached or coalesced merged
@@ -575,7 +553,7 @@ func (r *Router) serveShared(q *model.Query, res *netproto.QueryResultMsg, trace
 // some — but not all — objects are lost, the merged result is returned
 // with Degraded set and the failed shards listed, so a dead shard
 // degrades answers instead of failing them.
-func (r *Router) scatterQuery(ctx context.Context, q *model.Query, traceID uint64, detail string, start time.Time) netproto.Frame {
+func (r *Router) scatterQuery(ctx context.Context, q *model.Query, traceID uint64, start time.Time) netproto.Frame {
 	rt := r.routing.Load()
 	frags, stranded, _ := rt.own.Split(rt.alt, core.Fragment{Holder: -1, Query: *q}, nil, false)
 	if len(stranded) > 0 {
@@ -654,7 +632,6 @@ func (r *Router) scatterQuery(ctx context.Context, q *model.Query, traceID uint6
 			Fragments: len(frags),
 			Objects:   len(q.Objects),
 			Source:    merged.Source,
-			Detail:    detail,
 			Elapsed:   elapsed,
 		}}, merged.Spans...)
 		r.Traces.Add(traceID, merged.Spans)

@@ -58,8 +58,8 @@ type LocalConfig struct {
 	// (see cluster.Config.ResultCacheSize: 0 = default, negative
 	// disables).
 	ResultCacheSize int
-	// Regions, when set, lets the router answer sky-region queries
-	// (see cluster.Config.Regions).
+	// Regions, when set, lets the router answer sky-region queries,
+	// resolved straight from this survey (see cluster.Config.Regions).
 	Regions *catalog.Survey
 	// ShardDataDir, when non-nil, gives each shard a persistence
 	// directory (cache.Config.DataDir), enabling durable warm restarts:

@@ -9,7 +9,7 @@
 // staleness around the same hot region, and the answer the router
 // assembles — which shards hold which fragments, the merged payload —
 // depends only on which objects the query touches. Region queries
-// resolve to object lists through the cover cache before they get
+// resolve to object lists against the node's survey before they get
 // here, so one keying covers both query forms; a birth that changes a
 // region's cover changes the resolved list and therefore the
 // signature, and the stale entry simply stops being addressed.

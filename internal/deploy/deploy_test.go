@@ -13,15 +13,21 @@ import (
 	"github.com/deltacache/delta/internal/model"
 )
 
-// freeAddr returns a loopback address nothing listens on.
-func freeAddr(t *testing.T) string {
+// freeAddrs returns n distinct loopback addresses nothing listens on.
+// Every listener stays open until all n are picked, so no two calls to
+// the kernel can hand out the same port.
+func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
 	}
-	defer ln.Close()
-	return ln.Addr().String()
+	return addrs
 }
 
 // TestDeploymentFromFlags starts a repository, two -shard caches and a
@@ -49,7 +55,8 @@ func TestDeploymentFromFlags(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
-	repoAddr := freeAddr(t)
+	addrs := freeAddrs(t, 4)
+	repoAddr, shards, routerAddr := addrs[0], addrs[1:3], addrs[3]
 	start(Server, "-addr", repoAddr, "-objects", "16", "-seed", "2")
 	repo, err := client.Dial(repoAddr)
 	if err != nil {
@@ -71,11 +78,9 @@ func TestDeploymentFromFlags(t *testing.T) {
 		t.Fatalf("publish at the repository: %d, %v", n, err)
 	}
 
-	shards := []string{freeAddr(t), freeAddr(t)}
 	for _, addr := range shards {
 		start(Cache, "-addr", addr, "-repo", repoAddr, "-shard")
 	}
-	routerAddr := freeAddr(t)
 	start(Router, "-addr", routerAddr, "-repo", repoAddr, "-shards", strings.Join(shards, ","))
 	cl, err := client.Dial(routerAddr)
 	if err != nil {

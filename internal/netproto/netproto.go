@@ -256,8 +256,8 @@ type HelloAck struct {
 // SkyRegion is an optional spherical-cap restriction riding a query:
 // clients that know the sky region but not the object universe leave
 // Query.Objects empty and set the region instead, and the serving node
-// (cache or cluster router) resolves it to B(q) through its memoized
-// HTM cover cache. The zero value means "no region".
+// (cache or cluster router) resolves it to B(q) straight from its
+// survey's HTM cover. The zero value means "no region".
 type SkyRegion struct {
 	// RA and Dec are the cap center in degrees.
 	RA  float64
@@ -344,7 +344,7 @@ type TraceSpan struct {
 	// "mixed"); empty when the hop is not an answer (e.g. "load").
 	Source string
 	// Detail carries hop-specific notes, comma-joined key=value pairs
-	// (e.g. "cover-cache=hit", "rerouted=1").
+	// (e.g. "result-cache=hit", "rerouted=1").
 	Detail string
 	// Elapsed is the hop's processing time.
 	Elapsed time.Duration

@@ -291,7 +291,7 @@ func TestTraceRing(t *testing.T) {
 func TestFormatSpans(t *testing.T) {
 	spans := []netproto.TraceSpan{
 		{Name: "router", Node: "r:1", Shard: -1, Epoch: 0, Fragments: 2, Objects: 3,
-			Source: "mixed", Detail: "cover-cache=hit", Elapsed: 2 * time.Millisecond},
+			Source: "mixed", Detail: "result-cache=hit", Elapsed: 2 * time.Millisecond},
 		{Name: "fragment", Node: "s:1", Shard: 0, Objects: 2, Source: "cache",
 			Elapsed: time.Millisecond},
 		{Name: "fragment", Node: "s:2", Shard: 1, Objects: 1, Source: "repository",
@@ -308,7 +308,7 @@ func TestFormatSpans(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "router ") || !strings.Contains(lines[0], "epoch=0") {
 		t.Errorf("router line = %q", lines[0])
 	}
-	if !strings.Contains(lines[0], "fragments=2") || !strings.Contains(lines[0], "cover-cache=hit") {
+	if !strings.Contains(lines[0], "fragments=2") || !strings.Contains(lines[0], "result-cache=hit") {
 		t.Errorf("router line missing scatter facts: %q", lines[0])
 	}
 	// Fragments indented one level, repository two.

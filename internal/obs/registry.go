@@ -177,7 +177,7 @@ func (g *Gauge) samples() []Sample {
 
 // funcMetric exposes a value computed at scrape time. typ is "gauge"
 // or "counter" (a counter-typed func reads a count its owner keeps
-// under its own lock, e.g. a traffic ledger or a cover cache).
+// under its own lock, e.g. a traffic ledger or a result cache).
 type funcMetric struct {
 	name, help, typ string
 	fn              func() float64

@@ -58,7 +58,7 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 	defer repo.Close()
 
 	// The repository exposes what it counts; what only a cache counts
-	// (hits, loads, residents, region covers) is absent, not zero.
+	// (hits, loads, residents) is absent, not zero.
 	families, _ := scrapeAfterQuery(t, "repository", repo.Addr(), repo.DebugAddr(), survey.Objects()[0].ID, true,
 		"delta_queries_total",
 		"delta_dropped_invalidations_total",
@@ -127,8 +127,6 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_deduped_loads_total",
 		"delta_migrated_in_total",
 		"delta_objects_born_total",
-		"delta_cover_cache_hits_total",
-		"delta_cover_cache_misses_total",
 		"delta_ledger_query_ship_bytes_total",
 		"delta_ledger_update_ship_bytes_total",
 		"delta_ledger_object_load_bytes_total",
@@ -147,8 +145,9 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_invalidation_notices_total",
 	)
 	// Only the repository withholds notices; the nodes it spares count
-	// nothing of it.
-	absent(t, "cache", families, "delta_repo_notices_total", "delta_repo_notices_filtered_total")
+	// nothing of it. Region resolution keeps no counters.
+	absent(t, "cache", families, "delta_repo_notices_total", "delta_repo_notices_filtered_total",
+		"delta_cover_cache_hits_total", "delta_cover_cache_misses_total")
 
 	shard := cacheNode(true, "")
 	own, err := core.NewOwnership(survey.Objects(), 1, 1)
@@ -168,8 +167,8 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 	if err := router.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// The router exposes what it counts, region resolution included;
-	// the shards' totals are theirs to expose (or delta-client -stats).
+	// The router exposes what it counts; the shards' totals are theirs
+	// to expose (or delta-client -stats).
 	families, agg := scrapeAfterQuery(t, "router", router.Addr(), router.DebugAddr(), survey.Objects()[0].ID, false,
 		"delta_router_queries_total",
 		"delta_router_query_seconds",
@@ -177,8 +176,6 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_router_shards",
 		"delta_router_epoch",
 		"delta_router_replicas",
-		"delta_cover_cache_hits_total",
-		"delta_cover_cache_misses_total",
 		"delta_invalidation_gaps_total",
 		"delta_invalidation_notices_total",
 	)
@@ -203,6 +200,8 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 		"delta_shard_up",
 		"delta_repo_notices_total",
 		"delta_repo_notices_filtered_total",
+		"delta_cover_cache_hits_total",
+		"delta_cover_cache_misses_total",
 	)
 	if got, want := families["delta_router_queries_total"].Samples["delta_router_queries_total"], float64(router.Queries()); got != want {
 		t.Errorf("delta_router_queries_total = %v, router counted %v", got, want)
