@@ -85,7 +85,7 @@ func (p *decisionLog) OnUpdate(u *model.Update) (core.Decision, error) {
 }
 
 func (p *decisionLog) AddObjects(objs []model.Object) (core.Decision, error) {
-	d, err := core.OptionalOf(p.Policy).Grower.AddObjects(objs)
+	d, err := p.Policy.AddObjects(objs)
 	return p.record(fmt.Sprintf("birth %d", objs[0].ID), d, err)
 }
 

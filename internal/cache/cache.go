@@ -473,16 +473,13 @@ func (m *Middleware) Stats() netproto.StatsMsg {
 }
 
 // streamFrame is the invalidation stream's handler: a notice reaches
-// the policy (a cluster shard's only on an object it owns), and a
-// standalone cache adopts announced births. A cluster shard adopts
-// births only when its router grants them (MsgBirthGrant): ownership of
-// a newborn is the router's assignment, not a broadcast.
+// the policy (only on an object the node owns), and an announced birth
+// is adopted. Only a standalone cache hears births: a cluster shard's
+// stream carries none, because ownership of a newborn is the router's
+// assignment (MsgBirthGrant), not a broadcast.
 func (m *Middleware) streamFrame(f netproto.Frame) {
 	ctx := context.Background()
 	if birth, ok := f.Body.(netproto.ObjectBirthMsg); ok {
-		if m.cfg.Shard {
-			return
-		}
 		if _, err := m.AddObjects(ctx, birth.Births); err != nil {
 			m.droppedInv.Inc()
 			m.cfg.Logf("adopt births: %v", err)
@@ -612,6 +609,9 @@ func (meta *queryMeta) span(node string, objects int, source string, elapsed tim
 func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta queryMeta) netproto.Frame {
 	start := time.Now()
 	m.queries.Inc()
+	if err := q.Validate(); err != nil {
+		return netproto.ErrorFrame("%v", err)
+	}
 
 	// Decision + bookkeeping under the lock; no I/O here.
 	m.mu.Lock()

@@ -88,6 +88,10 @@ func (p *shipAndLoad) Init([]model.Object, cost.Bytes) error {
 	return nil
 }
 func (p *shipAndLoad) OnUpdate(*model.Update) (core.Decision, error) { return core.Decision{}, nil }
+func (p *shipAndLoad) AddObjects([]model.Object) (core.Decision, error) {
+	return core.Decision{}, nil
+}
+func (p *shipAndLoad) Warm([]model.ObjectID) ([]model.ObjectID, error) { return nil, nil }
 func (p *shipAndLoad) OnQuery(q *model.Query) (core.Decision, error) {
 	d := core.Decision{ShipQuery: true}
 	for _, id := range q.Objects {

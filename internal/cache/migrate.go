@@ -33,8 +33,12 @@ import (
 // afterwards and how many residents the reshard dropped; warm adoptions
 // count into delta_migrated_in_total. A shard's first reshard initializes
 // its policy at the capacity ReshardCapacity gives (Capacity when that
-// is nil) and loads what a Preloader starts with.
+// is nil) and loads what a Preloader starts with. A standalone cache
+// owns its whole universe and refuses every reshard.
 func (m *Middleware) Reshard(epoch int, owned []model.ObjectID, meta []model.Object, warm []model.ObjectID) (resident, dropped int, err error) {
+	if !m.cfg.Shard {
+		return 0, 0, fmt.Errorf("cache: a standalone cache owns its whole universe; only a cluster shard reshards")
+	}
 	m.reshards.Lock()
 	defer m.reshards.Unlock()
 

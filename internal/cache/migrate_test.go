@@ -309,6 +309,7 @@ func (p growOnly) OnUpdate(u *model.Update) (core.Decision, error) { return p.v.
 func (p growOnly) AddObjects(objs []model.Object) (core.Decision, error) {
 	return p.v.AddObjects(objs)
 }
+func (p growOnly) Warm(ids []model.ObjectID) ([]model.ObjectID, error) { return p.v.Warm(ids) }
 
 // TestReshardWithoutForget: a shard whose policy cannot forget takes
 // reshards that only gain objects at an unchanged capacity, and refuses

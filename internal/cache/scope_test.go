@@ -32,7 +32,7 @@ func (p countedBenefit) OnUpdate(u *model.Update) (core.Decision, error) {
 }
 
 // hiddenPolicy forwards a policy's methods the way bench/trace.go's
-// timing decorator does: the core contract plus Grower and Warmable,
+// timing decorator does: the core contract, growth and warmth included,
 // and nothing else, so ScopedNotices is hidden.
 type hiddenPolicy struct{ inner core.Policy }
 
@@ -43,10 +43,10 @@ func (p hiddenPolicy) Init(objects []model.Object, capacity cost.Bytes) error {
 func (p hiddenPolicy) OnQuery(q *model.Query) (core.Decision, error)   { return p.inner.OnQuery(q) }
 func (p hiddenPolicy) OnUpdate(u *model.Update) (core.Decision, error) { return p.inner.OnUpdate(u) }
 func (p hiddenPolicy) AddObjects(objs []model.Object) (core.Decision, error) {
-	return p.inner.(core.Grower).AddObjects(objs)
+	return p.inner.AddObjects(objs)
 }
 func (p hiddenPolicy) Warm(ids []model.ObjectID) ([]model.ObjectID, error) {
-	return p.inner.(core.Warmable).Warm(ids)
+	return p.inner.Warm(ids)
 }
 
 // ledgerBytes renders a ledger exactly, bytes and counts.

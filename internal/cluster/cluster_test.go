@@ -269,11 +269,6 @@ func TestClusterShardFailureDegrades(t *testing.T) {
 	if float64(st.Queries) != survivorQueries || survivorQueries == 0 {
 		t.Errorf("aggregate queries = %d, survivors' sum = %v", st.Queries, survivorQueries)
 	}
-	// Topology snapshot agrees.
-	topo := lc.Router.Topology()
-	if topo.Shards[dead].Alive {
-		t.Error("topology reports dead shard alive")
-	}
 }
 
 // TestRouterStatsAggregation pushes traffic through the router and

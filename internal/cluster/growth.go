@@ -38,9 +38,10 @@ import (
 // invalidation stream: it adopts the births announced there, and an
 // update notice evicts every cached result containing the object
 // before the next query can be served stale. Shard freshness is the
-// shards' own business. A gap turns the result cache off and wipes it;
-// the resume wipes it again, poisoning every flight, turns it back on
-// and catches up on the births announced during the gap. Called from
+// shards' own business. A gap clears the result cache, poisoning every
+// flight; the registrations were reset before it, so no result that
+// read the old stream is admitted after it (routeQuery). The resume
+// catches up on the births announced during the gap. Called from
 // NewRouter.
 func (r *Router) subscribeInvalidations() error {
 	var err error
@@ -58,12 +59,11 @@ func (r *Router) subscribeInvalidations() error {
 				r.results.Invalidate(body.Update.Object)
 			}
 		},
-		Gap: func() { r.results.SetOff(true) },
+		Gap: r.results.Clear,
 		Resume: func() {
 			if err := r.repo.Redial(); err != nil {
 				r.cfg.Logf("redial repository: %v", err)
 			}
-			r.results.SetOff(false)
 			// Catch up on the births announced during the gap, through
 			// the adoption worker, ahead of what the new stream brings.
 			u, err := netproto.FetchUniverse(context.Background(), r.repo)

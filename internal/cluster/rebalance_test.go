@@ -182,8 +182,8 @@ func TestResizeLiveTraffic(t *testing.T) {
 	if st.MovedObjects == 0 {
 		t.Error("grow 4→8 migrated nothing; expected warm arrivals")
 	}
-	if got := len(lc.Router.Topology().Shards); got != 8 {
-		t.Errorf("topology has %d shards after grow, want 8", got)
+	if got := lc.Router.Ownership().Shards(); got != 8 {
+		t.Errorf("ownership has %d shards after grow, want 8", got)
 	}
 	settle()
 
@@ -407,13 +407,13 @@ func TestResizeAdminFrames(t *testing.T) {
 func TestResizeRejectsBadAddresses(t *testing.T) {
 	survey, lc, repoAddr := startResizableCluster(t, 2)
 	a := lc.Shards[0].Addr()
-	epoch := lc.Router.Topology().Epoch
+	own := lc.Router.Ownership()
 	for _, addrs := range [][]string{{a, a}, {a, ""}} {
 		if _, err := lc.Router.Resize(ctx, cluster.ResizeSpec{Shards: addrs}); err == nil {
 			t.Errorf("Resize(%q) succeeded", addrs)
 		}
-		if got := lc.Router.Topology().Epoch; got != epoch {
-			t.Errorf("Resize(%q) moved the epoch %d → %d", addrs, epoch, got)
+		if lc.Router.Ownership() != own {
+			t.Errorf("Resize(%q) replaced the routing table", addrs)
 		}
 		if st := lc.Router.RebalanceStatus(); st.Phase != "idle" {
 			t.Errorf("Resize(%q) changed the rebalance status: %+v", addrs, st)

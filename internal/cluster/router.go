@@ -463,8 +463,8 @@ type answer struct {
 func (r *Router) routeQuery(ctx context.Context, q *model.Query, traceID uint64) netproto.Frame {
 	r.queries.Inc()
 	start := time.Now()
-	if len(q.Objects) == 0 {
-		return netproto.ErrorFrame("query %d accesses no objects", q.ID)
+	if err := q.Validate(); err != nil {
+		return netproto.ErrorFrame("%v", err)
 	}
 	gen, confirmed := r.inv.Confirmed(q.Objects)
 	if !confirmed && r.routing.Load().own.Knows(q.Objects) {
@@ -496,13 +496,15 @@ func (r *Router) routeQuery(ctx context.Context, q *model.Query, traceID uint64)
 		// Leading: scatter, then publish to the followers (and, if the
 		// result is clean and no invalidation raced it, to the cache).
 		// A gap since the confirmation check forgot what it read, and
-		// the flight may have begun after the resume: not shareable.
+		// the flight may have begun after the gap's clear, which poisons
+		// only the flights before it: not shareable.
 		frame := r.scatterQuery(ctx, q, traceID, start)
 		res, ok := frame.Body.(netproto.QueryResultMsg)
 		r.results.Complete(fl, res, ok && !res.Degraded && r.inv.Gen() == gen)
 		return frame
 	default:
-		// Signature collision, or the cache is off: pass through uncached.
+		// Signature collision, or the cache is disabled: pass through
+		// uncached.
 		return r.scatterQuery(ctx, q, traceID, start)
 	}
 }
@@ -926,40 +928,6 @@ func mergeSamples(merged, samples []netproto.Sample) []netproto.Sample {
 		}
 	}
 	return merged
-}
-
-// ShardInfo describes one shard in a topology snapshot.
-type ShardInfo struct {
-	Index int
-	Addr  string
-	// Alive reports whether the router still has a usable session to
-	// the shard.
-	Alive bool
-	// Objects is the shard's owned object set.
-	Objects []model.ObjectID
-}
-
-// Topology is a point-in-time snapshot of the cluster's shape.
-type Topology struct {
-	// Epoch counts completed resizes; it increments when a live
-	// resize flips the routing table.
-	Epoch  int
-	Shards []ShardInfo
-}
-
-// Topology snapshots the live shard topology.
-func (r *Router) Topology() Topology {
-	rt := r.routing.Load()
-	t := Topology{Epoch: rt.epoch}
-	for i, s := range rt.links[:rt.own.Shards()] {
-		t.Shards = append(t.Shards, ShardInfo{
-			Index:   i,
-			Addr:    s.addr,
-			Alive:   s.sess.Live(),
-			Objects: rt.own.ShardObjects(i),
-		})
-	}
-	return t
 }
 
 // Ownership returns the current routing epoch's ownership map.

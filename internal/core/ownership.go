@@ -452,10 +452,13 @@ func (o *Ownership) cutOwner(obj *model.Object) int32 {
 	return o.owner[o.cutOrder[max(after-1, 0)]]
 }
 
-// Moving returns the objects whose owning shard index differs between
-// two ownerships of the same universe, sorted by ID — exactly the set
-// a live resize must migrate. An object known to only one side is an
-// error: the ownerships describe different universes.
+// Moving returns the objects whose primary owner (shard index)
+// differs between two ownerships of the same universe, sorted by ID:
+// the diff of primaries that the placement tests count to bound how
+// much a resize reshuffles. A live resize does not read it; it builds
+// its warm lists from each object's old and new holder address sets
+// (Router.Resize). An object known to only one side is an error: the
+// ownerships describe different universes.
 func Moving(from, to *Ownership) ([]model.ObjectID, error) {
 	if len(from.universe) != len(to.universe) {
 		return nil, fmt.Errorf("core: ownerships span %d vs %d objects",

@@ -68,8 +68,13 @@ func (d Decision) IsNoop() bool {
 }
 
 // Policy is a decoupling algorithm. Implementations are single-threaded:
-// the caller serializes OnQuery/OnUpdate.
+// the caller serializes every call. A repository grows while it serves,
+// so every policy takes newborns (Grower) and is offered residents that
+// are already warm (Warmable), which it may decline.
 type Policy interface {
+	Grower
+	Warmable
+
 	// Name identifies the policy in experiment output.
 	Name() string
 	// Init provides the object universe and cache capacity. It must be
@@ -91,33 +96,33 @@ type Preloader interface {
 	Preload() (objs []model.ObjectID, charge bool)
 }
 
-// Grower is implemented by policies whose object universe can extend
-// while running — the rapidly-growing repository the paper is built
-// for, where newly published objects join the universe live instead of
-// requiring a restart. AddObjects registers the newborns so later
-// decisions (benefit bookkeeping, cover computations, load candidacy)
-// reason about them exactly like start-time objects; it may return a
-// Decision for immediate action (Replica loads every newborn so its
-// mirror stays complete). Objects already known are an error — the
-// caller deduplicates.
+// Grower is a policy's object universe extending while it runs — the
+// rapidly-growing repository the paper is built for, where newly
+// published objects join the universe live instead of requiring a
+// restart. AddObjects registers the newborns so later decisions
+// (benefit bookkeeping, cover computations, load candidacy) reason
+// about them exactly like start-time objects; it may return a Decision
+// for immediate action (Replica loads every newborn so its mirror stays
+// complete). Objects already known are an error — the caller
+// deduplicates.
 type Grower interface {
 	AddObjects(objs []model.Object) (Decision, error)
 }
 
-// Warmable is implemented by policies that can adopt already-resident
-// objects without a load, at any point in their life. It has two
-// consumers. A live cluster reshard (cache.Middleware.Reshard) adopts
-// the warm arrivals the router listed (objects resident at their old
-// primary) instead of re-fetching them from the repository, and a
-// shard's first reshard adopts the residents it recovered from disk.
-// Durable restart (internal/persist + cache.Middleware recovery, see
+// Warmable is a policy adopting already-resident objects without a
+// load, at any point in its life. It has two consumers. A live cluster
+// reshard (cache.Middleware.Reshard) adopts the warm arrivals the
+// router listed (objects resident at their old primary) instead of
+// re-fetching them from the repository, and a shard's first reshard
+// adopts the residents it recovered from disk. Durable restart
+// (internal/persist + cache.Middleware recovery, see
 // docs/PERSISTENCE.md) re-adopts a standalone node's recovered
 // residents right after Init, so a restarted node rejoins warm. Warm
 // returns the subset of ids the policy actually adopted, in order: an
 // object already resident is kept, and one may be declined when it no
 // longer fits the capacity, so residents win over arrivals and earlier
-// ids over later ones. A policy that does not implement Warmable takes
-// every arrival cold — and restarts cold from disk.
+// ids over later ones. A policy that declines every offer (NoCache,
+// SOptimal) takes every arrival cold — and restarts cold from disk.
 type Warmable interface {
 	Warm(ids []model.ObjectID) ([]model.ObjectID, error)
 }

@@ -15,7 +15,7 @@
 // signature, and the stale entry simply stops being addressed.
 //
 // Correctness edges (the reason this lives behind the repository's
-// invalidation stream, which feeds Invalidate and SetOff):
+// invalidation stream, which feeds Invalidate and Clear):
 //
 //   - An update to any member object evicts every cached result whose
 //     ID set contains it, eagerly, and poisons any in-flight scatter
@@ -25,17 +25,19 @@
 //     back to its own scatter. An inverted index object → resident
 //     entries finds the matches, so a notice costs what it evicts, not
 //     the cache size (see index below).
-//   - Resize epoch flips clear the cache wholesale and poison every
-//     flight — routing changed under them. Birth adoption does neither:
+//   - Resize epoch flips and gaps in the invalidation stream clear the
+//     cache wholesale and poison every flight — routing changed under
+//     them, or a notice may have been lost. Birth adoption does neither:
 //     the epoch is the same, no existing object moves, an entry's ID
 //     set still names exactly the objects its payload was merged from,
 //     and a region whose cover gained the newborn resolves to a new ID
 //     set and so to a new signature.
 //   - Degraded or failed leader results are never shared with
 //     followers and never cached; each follower falls back to its own
-//     scatter.
-//   - Between a gap in the invalidation stream and its resume the cache
-//     fails closed (SetOff): wiped, neither serving nor admitting.
+//     scatter. The caller reports a result that read a stream
+//     generation a gap has since ended as failed, so the clear at the
+//     gap covers every flight: one begun before it is poisoned, and one
+//     begun after it completes unshared.
 //
 // The cached value V is the caller's merged answer. The cache only
 // stores and copies it and calls no method through it; a caller that
@@ -142,9 +144,6 @@ type ResultCache[V any] struct {
 	entries map[uint64]*cacheEntry[V]
 	lru     *list.List // front = most recent; values are *cacheEntry[V]
 	flights map[uint64]*Flight[V]
-	// off is set between a stream gap and its resume (SetOff): the cache
-	// neither serves nor admits.
-	off bool
 
 	// The inverted index object → resident entries. pos maps an object
 	// to its universe position (Ownership.Pos: stable for the router's
@@ -195,9 +194,6 @@ func (c *ResultCache[V]) Begin(objects []model.ObjectID) (cached *V, f *Flight[V
 	sig, ids := querySignature(objects)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.off {
-		return nil, nil, false
-	}
 	if e, ok := c.entries[sig]; ok {
 		if slices.Equal(e.ids, ids) {
 			c.lru.MoveToFront(e.elt)
@@ -395,17 +391,14 @@ func contains(sorted []model.ObjectID, id model.ObjectID) bool {
 
 // Clear wipes the cache wholesale and poisons every in-flight scatter
 // — the response to resize epoch flips, where routing itself changed
-// under any result in motion.
+// under any result in motion, and to a gap in the invalidation stream,
+// where no entry heard the notices the gap hid.
 func (c *ResultCache[V]) Clear() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.clearLocked()
-	c.mu.Unlock()
-}
-
-func (c *ResultCache[V]) clearLocked() {
+	defer c.mu.Unlock()
 	c.invalidations.Add(int64(len(c.entries)))
 	clear(c.entries)
 	c.lru.Init()
@@ -417,21 +410,6 @@ func (c *ResultCache[V]) clearLocked() {
 	for _, fl := range c.flights {
 		fl.poisoned = true
 	}
-}
-
-// SetOff is the response to a gap in the invalidation stream (off) and
-// to its resume (on). Either way the cache is wiped and every flight
-// poisoned: no entry heard the notices the gap hid, and a scatter that
-// read a shard before one of them must never be admitted. While off,
-// every Begin passes through to a scatter.
-func (c *ResultCache[V]) SetOff(off bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.off = off
-	c.clearLocked()
-	c.mu.Unlock()
 }
 
 // Len reports the resident entry count (tests and debug).

@@ -109,41 +109,10 @@ func TestResultCacheClearPoisonsAndWipes(t *testing.T) {
 	}
 	c.Complete(fl, testResult{}, true)
 	if fl.shared {
-		t.Error("flight spanning a clear (epoch flip) shared its result")
+		t.Error("flight spanning a clear (epoch flip or stream gap) shared its result")
 	}
 	if n := c.Len(); n != 0 {
 		t.Errorf("flight spanning a clear entered the cache (%d entries)", n)
-	}
-}
-
-// TestResultCacheDisableFailsClosed pins the response to a gap in the
-// stream and to its resume: at the gap the cache is wiped, a flight in
-// motion is poisoned, and begin neither serves nor opens a flight; at
-// the resume a flight that spans it is poisoned too, and begin leads
-// flights again.
-func TestResultCacheDisableFailsClosed(t *testing.T) {
-	c := NewResultCache[testResult](8, denseIDs)
-	lead(t, c, []model.ObjectID{1}, testResult{})
-	_, fl, _ := c.Begin([]model.ObjectID{2})
-	c.SetOff(true)
-	c.Complete(fl, testResult{}, true)
-	if fl.shared || c.Len() != 0 {
-		t.Errorf("after disable: flight shared=%v, %d residents; want neither", fl.shared, c.Len())
-	}
-	for _, objs := range [][]model.ObjectID{{1}, {2}, {3}} {
-		if cached, fl, leader := c.Begin(objs); cached != nil || fl != nil || leader {
-			t.Errorf("begin(%v) on a disabled cache = (%v, %v, %v), want a plain pass-through", objs, cached, fl, leader)
-		}
-	}
-	c.SetOff(false)
-	_, fl, leader := c.Begin([]model.ObjectID{2})
-	if fl == nil || !leader {
-		t.Fatal("begin after the resume opened no flight")
-	}
-	c.SetOff(false) // a second resume: the flight spans it
-	c.Complete(fl, testResult{}, true)
-	if fl.shared || c.Len() != 0 {
-		t.Errorf("a flight spanning a resume: shared=%v, %d residents; want neither", fl.shared, c.Len())
 	}
 }
 
@@ -182,7 +151,6 @@ func TestResultCacheNilReceiver(t *testing.T) {
 	c.Complete(nil, testResult{}, true)
 	c.Invalidate(1)
 	c.Clear()
-	c.SetOff(true)
 	if c.Len() != 0 || c.Hits() != 0 || c.Misses() != 0 || c.Coalesced() != 0 || c.Invalidations() != 0 {
 		t.Error("nil cache accessors must all report zero")
 	}

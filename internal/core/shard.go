@@ -10,20 +10,22 @@ import (
 
 // Shard is one cache node's decision state machine, which the live node
 // (cache.Middleware) and the simulator (sim.Run) both drive: the node's
-// one policy and its Applier, the known universe, what a cluster shard
-// owns, the recovered residents held until the policy is initialized,
-// the reshard epoch, the event count and whether the node is deaf. Each
-// method takes one event and returns what it owes, a Step. Like the
-// Applier it does no I/O, starts no goroutine and takes no lock: the
-// caller serializes calls, moves the bytes each Plan names and hands
-// back failed loads (Unload). Its orders are stated here, once.
+// one policy and its Applier, the known universe, what the node owns
+// (a standalone node its universe, a cluster shard what its router
+// assigned), the recovered residents held until the policy is
+// initialized, the reshard epoch, the event count and whether the node
+// is deaf. Each method takes one event and returns what it owes, a
+// Step. Like the Applier it does no I/O, starts no goroutine and takes
+// no lock: the caller serializes calls, moves the bytes each Plan names
+// and hands back failed loads (Unload). Its orders are stated here,
+// once.
 //
 // Recovery. A restarted node's recovered residents are held (Recover);
 // the universe is its repository's. The policy is initialized — a
 // standalone node's at once (Init), over the births its repository
 // serves too, a shard's at its router's first reshard (Gain), once that
 // reshard's metadata, which names every birth it owns, has landed — and
-// offered the held residents it owns, sorted (Warmable); the rest are
+// offered the held residents it owns, sorted (Warm); the rest are
 // dropped. A Preloader's starting set (Replica, SOptimal) then joins
 // them, owed as loads. A notice on a held resident drops it, so it is
 // never offered stale.
@@ -32,15 +34,15 @@ import (
 // policy over the owned set. Every later one is a delta on the live
 // policy, in two halves around the caller's registrations:
 //  1. Gain validates the reshard — its epoch, its metadata, its owned
-//     set — and the gained objects join the policy's universe (Grower)
-//     and the owned set; it returns them;
+//     set — and the gained objects join the policy's universe
+//     (AddObjects) and the owned set; it returns them;
 //  2. the caller registers what the shard needs the notices of among
 //     the gained objects and warm arrivals, and waits for the
 //     registration's echo, so every notice on them arrives;
 //  3. Settle drops the lost objects from the policy's universe — a lost
 //     resident with its outstanding updates — and sets the capacity
 //     (Forgetter), makes the owned set exactly the new one, and offers
-//     the warm arrivals it owns and does not hold, sorted (Warmable), so
+//     the warm arrivals it owns and does not hold, sorted (Warm), so
 //     under capacity pressure carried residents win over arrivals; it
 //     returns the lost objects;
 //  4. the caller unregisters the lost objects and waits for the drop's
@@ -53,12 +55,12 @@ import (
 // Gap and resume. From Gap until Resume the shard is deaf, and every
 // query ships without consulting the policy. Resume evicts every
 // resident with its outstanding updates — each leaves the policy's
-// universe (Forgetter) and rejoins it cold (Grower) — and the held ones.
+// universe (Forgetter) and rejoins it cold (AddObjects) — and the held
+// ones.
 //
-// Degraded modes. A policy without Forgetter takes only reshards that
+// Degraded mode. A policy without Forgetter takes only reshards that
 // gain objects at an unchanged capacity, and its Resume fails, so the
-// shard stays deaf and every query keeps shipping. A policy without
-// Warmable takes every arrival and recovered resident cold.
+// shard stays deaf and every query keeps shipping.
 type Shard struct {
 	policy     Policy
 	opt        Optional
@@ -67,7 +69,7 @@ type Shard struct {
 	configured []model.Object // what Init initializes over, with births
 	capacity   cost.Bytes
 	resize     func(owned []model.Object) cost.Bytes
-	owned      *idSet // nil on a standalone node, which owns everything
+	owned      *idSet // empty until Init or a cluster shard's install
 	held       []model.ObjectID
 	epoch      int
 	events     int64
@@ -95,11 +97,9 @@ type Step struct {
 // Optional lists the optional interfaces a policy implements, each nil
 // when it does not, and whether it needs only the notices of the
 // objects it holds (ScopedNotices). OptionalOf is the one place they are
-// probed.
+// probed; growth and warmth are part of Policy itself.
 type Optional struct {
 	Preloader     Preloader
-	Grower        Grower
-	Warmable      Warmable
 	Forgetter     Forgetter
 	ScopedNotices bool
 }
@@ -108,8 +108,6 @@ type Optional struct {
 func OptionalOf(p Policy) Optional {
 	var o Optional
 	o.Preloader, _ = p.(Preloader)
-	o.Grower, _ = p.(Grower)
-	o.Warmable, _ = p.(Warmable)
 	o.Forgetter, _ = p.(Forgetter)
 	_, o.ScopedNotices = p.(ScopedNotices)
 	return o
@@ -157,7 +155,8 @@ type Start struct {
 
 // Init initializes a standalone node's policy over the configured
 // objects plus births, the ones its repository serves, at the capacity
-// Resize gives that universe when the births grew it.
+// Resize gives that universe when the births grew it. The node owns
+// that universe, and every birth it adopts later.
 func (s *Shard) Init(births []model.Birth) (Start, error) {
 	universe := slices.Clip(s.configured)
 	for _, b := range births {
@@ -170,8 +169,11 @@ func (s *Shard) Init(births []model.Birth) (Start, error) {
 	if len(universe) > len(s.configured) && s.resize != nil {
 		capacity = s.resize(universe)
 	}
-	s.configured, s.owned = nil, nil
-	return s.init(universe, capacity, s.table.has)
+	s.configured = nil
+	for _, o := range universe {
+		s.owned.add(o.ID)
+	}
+	return s.init(universe, capacity, s.owned.has)
 }
 
 // init initializes the policy over universe at capacity and adopts the
@@ -206,11 +208,11 @@ func (s *Shard) offer(ids []model.ObjectID, owns func(model.ObjectID) bool) (int
 	ids = slices.DeleteFunc(slices.Clone(ids), func(id model.ObjectID) bool {
 		return !owns(id) || s.applier.Resident(id)
 	})
-	if s.opt.Warmable == nil || len(ids) == 0 {
+	if len(ids) == 0 {
 		return 0, nil
 	}
 	slices.Sort(ids)
-	adopted, err := s.opt.Warmable.Warm(slices.Compact(ids))
+	adopted, err := s.policy.Warm(slices.Compact(ids))
 	if err == nil {
 		err = s.applier.Adopt(adopted)
 	}
@@ -252,7 +254,8 @@ func (s *Shard) Replay(e *model.Event) (Step, error) {
 }
 
 // Query decides how to answer q: an error when q touches an object the
-// shard does not own, a ship while it is deaf, else the policy's call.
+// node does not own (or does not know), a ship while it is deaf, else
+// the policy's call.
 func (s *Shard) Query(q *model.Query) (Step, error) {
 	e := s.event(model.EventQuery)
 	e.Query = q
@@ -261,11 +264,12 @@ func (s *Shard) Query(q *model.Query) (Step, error) {
 
 func (s *Shard) query(e *model.Event) (Step, error) {
 	q := e.Query
-	if s.owned != nil {
-		for _, id := range q.Objects {
-			if !s.owned.has(id) {
-				return Step{}, fmt.Errorf("query %d touches object %d not owned by this shard", q.ID, id)
+	for _, id := range q.Objects {
+		if !s.owned.has(id) {
+			if !s.table.has(id) {
+				return Step{}, fmt.Errorf("query %d touches unknown object %d", q.ID, id)
 			}
+			return Step{}, fmt.Errorf("query %d touches object %d not owned by this shard", q.ID, id)
 		}
 	}
 	if s.deaf { // the policy's view of currency is blind
@@ -278,9 +282,9 @@ func (s *Shard) query(e *model.Event) (Step, error) {
 	return s.apply(e, d), nil
 }
 
-// Notice hands the policy a notice of u. One on an object the shard
-// does not own — its registrations may pass a superset — only drops a
-// held resident.
+// Notice hands the policy a notice of u. One on an object the node
+// does not own — a cluster shard's registrations may pass a superset —
+// only drops a held resident.
 func (s *Shard) Notice(u *model.Update) (Step, error) {
 	e := s.event(model.EventUpdate)
 	e.Update = u
@@ -289,7 +293,7 @@ func (s *Shard) Notice(u *model.Update) (Step, error) {
 
 func (s *Shard) notice(e *model.Event) (Step, error) {
 	u := e.Update
-	if s.owned != nil && !s.owned.has(u.Object) {
+	if !s.owned.has(u.Object) {
 		if i, ok := slices.BinarySearch(s.held, u.Object); ok {
 			s.held = slices.Delete(s.held, i, i+1)
 		}
@@ -303,9 +307,9 @@ func (s *Shard) notice(e *model.Event) (Step, error) {
 }
 
 // Births adopts newly published objects as one event: the ones the shard
-// does not know join the policy's universe (Grower) and a cluster
-// shard's owned set (its router grants a birth only to its owners). It
-// returns them; known ones are skipped (idempotence).
+// does not know join the policy's universe and the owned set (a
+// standalone node owns every birth, and a router grants one only to its
+// owners). It returns them; known ones are skipped (idempotence).
 func (s *Shard) Births(births []model.Birth) (Step, []model.Birth, error) {
 	e := s.event(model.EventBirth)
 	return s.adopt(&e, births)
@@ -332,27 +336,20 @@ func (s *Shard) adopt(e *model.Event, births []model.Birth) (Step, []model.Birth
 	if err != nil {
 		return Step{}, nil, err
 	}
-	if s.owned != nil {
-		for _, o := range objs {
-			s.owned.add(o.ID)
-		}
+	for _, o := range objs {
+		s.owned.add(o.ID)
 	}
 	return step, fresh, nil
 }
 
-// awaitingInstall reports whether the shard is a cluster shard before
-// its install, the only time it owns nothing.
-func (s *Shard) awaitingInstall() bool {
-	return s.owned != nil && s.owned.len() == 0
-}
+// awaitingInstall reports whether the policy is not yet initialized,
+// the only time the node owns nothing.
+func (s *Shard) awaitingInstall() bool { return s.owned.len() == 0 }
 
 // grow extends the policy's universe and the shard's with objs, and
 // applies the policy's decision on e.
 func (s *Shard) grow(e *model.Event, objs []model.Object) (Step, error) {
-	if s.opt.Grower == nil {
-		return Step{}, fmt.Errorf("core: policy %s cannot grow its universe", s.policy.Name())
-	}
-	d, err := s.opt.Grower.AddObjects(objs)
+	d, err := s.policy.AddObjects(objs)
 	if err != nil {
 		return Step{}, fmt.Errorf("core: policy admit objects: %w", err)
 	}
@@ -398,9 +395,6 @@ type ReshardGain struct {
 // from different surveys. Nothing changes but the learned metadata when
 // it fails; Settle follows a Gain that succeeds.
 func (s *Shard) Gain(epoch int, owned []model.ObjectID, meta []model.Object) (ReshardGain, error) {
-	if s.owned == nil {
-		return ReshardGain{}, fmt.Errorf("core: a standalone cache owns its whole universe; only a cluster shard reshards")
-	}
 	// Reject frames from a superseded resize: a reshard that timed out
 	// router-side can still arrive late, and applying it would clobber
 	// the owned set a newer epoch installed. Widen and narrow share an
@@ -446,14 +440,9 @@ func (s *Shard) Gain(epoch int, owned []model.ObjectID, meta []model.Object) (Re
 		d.capacity = s.resize(objs)
 	}
 	install := s.awaitingInstall()
-	if !install {
-		if s.opt.Grower == nil && len(gained) > 0 {
-			return ReshardGain{}, fmt.Errorf("core: policy %s cannot grow its universe; this reshard gains %d objects", s.policy.Name(), len(gained))
-		}
-		loses := len(objs)-len(gained) < s.owned.len()
-		if s.opt.Forgetter == nil && (loses || d.capacity != s.applier.Capacity()) {
-			return ReshardGain{}, fmt.Errorf("core: policy %s cannot forget objects or change its capacity, as this reshard needs", s.policy.Name())
-		}
+	loses := len(objs)-len(gained) < s.owned.len()
+	if !install && s.opt.Forgetter == nil && (loses || d.capacity != s.applier.Capacity()) {
+		return ReshardGain{}, fmt.Errorf("core: policy %s cannot forget objects or change its capacity, as this reshard needs", s.policy.Name())
 	}
 	var (
 		g   ReshardGain
@@ -530,9 +519,6 @@ func (s *Shard) Resume() (Step, error) {
 	s.held = nil
 	var step Step
 	if residents := s.applier.Residents(); len(residents) > 0 {
-		if s.opt.Grower == nil {
-			return Step{}, fmt.Errorf("core: policy %s cannot grow its universe", s.policy.Name())
-		}
 		objs := make([]model.Object, len(residents))
 		for i, id := range residents {
 			objs[i], _ = s.table.get(id)
@@ -554,18 +540,9 @@ func (s *Shard) Resume() (Step, error) {
 // Unload rolls back a load that failed to materialize.
 func (s *Shard) Unload(id model.ObjectID) { s.applier.Unload(id) }
 
-// Owned lists what the shard owns: a cluster shard's owned set, a
-// standalone node's whole universe.
-func (s *Shard) Owned() []model.ObjectID {
-	if s.owned != nil {
-		return slices.Collect(s.owned.all())
-	}
-	var owned []model.ObjectID
-	for o := range s.table.all() {
-		owned = append(owned, o.ID)
-	}
-	return owned
-}
+// Owned lists what the node owns: a standalone node's whole universe,
+// a cluster shard's owned set.
+func (s *Shard) Owned() []model.ObjectID { return slices.Collect(s.owned.all()) }
 
 // Object is the shard's metadata for id.
 func (s *Shard) Object(id model.ObjectID) (model.Object, bool) { return s.table.get(id) }

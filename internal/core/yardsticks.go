@@ -36,6 +36,10 @@ func (p *NoCache) AddObjects(objs []model.Object) (Decision, error) {
 	return Decision{}, nil
 }
 
+// Warm implements Warmable: NoCache holds nothing, so it declines
+// every offer.
+func (p *NoCache) Warm(ids []model.ObjectID) ([]model.ObjectID, error) { return nil, nil }
+
 // Forget implements Forgetter: NoCache holds nothing, so there is
 // nothing to evict.
 func (p *NoCache) Forget(ids []model.ObjectID, capacity cost.Bytes) (Decision, error) {
@@ -323,6 +327,10 @@ func (p *SOptimal) AddObjects(objs []model.Object) (Decision, error) {
 	}
 	return d, nil
 }
+
+// Warm implements Warmable: the static set is the offline scan's
+// choice, so SOptimal declines every offer.
+func (p *SOptimal) Warm(ids []model.ObjectID) ([]model.ObjectID, error) { return nil, nil }
 
 // Chosen reports whether an object is in the static set (for tests).
 func (p *SOptimal) Chosen(id model.ObjectID) bool {

@@ -273,8 +273,8 @@ func Router(args []string, stop <-chan struct{}) error {
 		router.Close()
 		return err
 	}
-	for _, si := range router.Topology().Shards {
-		log.Printf("shard %d at %s owns %d objects", si.Index, si.Addr, len(si.Objects))
+	for i, a := range addrs {
+		log.Printf("shard %d at %s owns %d objects", i, a, len(router.Ownership().ShardObjects(i)))
 	}
 	<-stop
 	log.Printf("shutting down; routed %d queries (%d scattered, %d degraded, %d failed over, %d hedged)",

@@ -64,6 +64,20 @@ type Query struct {
 	Time time.Duration `json:"timeNs"`
 }
 
+// Validate reports whether q can be answered at all: it accesses at
+// least one object, and its result size ν(q) is not negative, since
+// that size is what shipping q charges and what a cache pays out as
+// load credit.
+func (q *Query) Validate() error {
+	if len(q.Objects) == 0 {
+		return fmt.Errorf("query %d accesses no objects", q.ID)
+	}
+	if q.Cost < 0 {
+		return fmt.Errorf("query %d has negative cost %d", q.ID, q.Cost)
+	}
+	return nil
+}
+
 // Update is a data modification (predominantly an insert) produced by
 // the survey's data pipeline.
 type Update struct {
@@ -148,11 +162,8 @@ func (e *Event) Validate() error {
 		if e.Query == nil || e.Update != nil || e.Birth != nil {
 			return fmt.Errorf("event %d: query event must carry exactly a query", e.Seq)
 		}
-		if len(e.Query.Objects) == 0 {
-			return fmt.Errorf("event %d: query %d accesses no objects", e.Seq, e.Query.ID)
-		}
-		if e.Query.Cost < 0 {
-			return fmt.Errorf("event %d: query %d has negative cost", e.Seq, e.Query.ID)
+		if err := e.Query.Validate(); err != nil {
+			return fmt.Errorf("event %d: %w", e.Seq, err)
 		}
 	case EventUpdate:
 		if e.Update == nil || e.Query != nil || e.Birth != nil {

@@ -127,13 +127,14 @@ type PayloadScale struct {
 // DefaultScale ships 4 KiB per logical gigabyte.
 func DefaultScale() PayloadScale { return PayloadScale{BytesPerGB: 4 << 10} }
 
-// PayloadLen returns the physical payload length for a logical size.
+// PayloadLen returns the physical payload length for a logical size:
+// none for a size that is not positive.
 func (s PayloadScale) PayloadLen(logical cost.Bytes) int {
-	if s.BytesPerGB <= 0 {
+	if s.BytesPerGB <= 0 || logical <= 0 {
 		return 0
 	}
 	n := int64(float64(logical) / float64(cost.GB) * float64(s.BytesPerGB))
-	if n < 1 && logical > 0 {
+	if n < 1 {
 		n = 1
 	}
 	if n > MaxFrame/2 {

@@ -95,6 +95,9 @@ func TestPayloadScale(t *testing.T) {
 	if got := s.PayloadLen(0); got != 0 {
 		t.Errorf("PayloadLen(0) = %d", got)
 	}
+	if got := s.PayloadLen(-cost.GB); got != 0 {
+		t.Errorf("PayloadLen(-1GB) = %d, want 0", got)
+	}
 	none := PayloadScale{}
 	if got := none.PayloadLen(cost.GB); got != 0 {
 		t.Errorf("zero scale must carry no payload, got %d", got)

@@ -356,24 +356,6 @@ func (s *Session) pick() *sessionConn {
 	return nil
 }
 
-// Live reports whether the session still has at least one usable
-// connection (routers use it to snapshot shard liveness without
-// issuing a probe request).
-func (s *Session) Live() bool {
-	if s.closed.Load() {
-		return false
-	}
-	for _, sc := range s.conns {
-		sc.mu.Lock()
-		dead := sc.dead
-		sc.mu.Unlock()
-		if !dead {
-			return true
-		}
-	}
-	return false
-}
-
 // Close tears the session down; in-flight round trips fail.
 func (s *Session) Close() error {
 	var err error

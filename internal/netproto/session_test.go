@@ -379,8 +379,8 @@ func TestSessionPoolExhaustedUnderCancellation(t *testing.T) {
 		case <-time.After(2 * time.Second):
 			t.Fatal("round trip on an exhausted pool hung")
 		}
-		if !s.Live() {
-			break // both readers noticed; Live and RoundTrip agree
+		if !live(s) {
+			break // both readers noticed; the pool and RoundTrip agree
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("session never noticed both connections died")
@@ -422,7 +422,7 @@ func TestSessionRedialRevivesDeadConnections(t *testing.T) {
 		(<-conns).Close()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Live() {
+	for live(s) {
 		if time.Now().After(deadline) {
 			t.Fatal("session never noticed its connections died")
 		}
@@ -514,3 +514,16 @@ type wrapped struct{ err error }
 
 func (w *wrapped) Error() string { return "wrapped: " + w.err.Error() }
 func (w *wrapped) Unwrap() error { return w.err }
+
+// live reports whether any of s's pooled connections is usable.
+func live(s *Session) bool {
+	for _, sc := range s.conns {
+		sc.mu.Lock()
+		dead := sc.dead
+		sc.mu.Unlock()
+		if !dead {
+			return true
+		}
+	}
+	return false
+}

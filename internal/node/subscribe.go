@@ -18,10 +18,11 @@ type StreamHandler struct {
 	// Frame receives every frame of the stream but the echoes of the
 	// consumer's registrations, in stream order.
 	Frame func(netproto.Frame)
-	// Gap runs when the stream is lost while the node is not closing.
-	// Nothing is delivered until Resume, and the repository keeps
-	// nothing for a subscriber that is away: whatever the consumer
-	// answers from must fail closed here.
+	// Gap runs when the stream is lost while the node is not closing,
+	// with the registrations already reset: a new generation has begun
+	// (Gen), and nothing is confirmed. Nothing is delivered until
+	// Resume, and the repository keeps nothing for a subscriber that is
+	// away: whatever the consumer answers from must fail closed here.
 	Gap func()
 	// Resume runs on each fresh connection after a gap, before any of
 	// its frames is delivered, with the registrations already reset:
@@ -330,12 +331,12 @@ func (s *Subscription) run() {
 		}
 		s.gaps.Inc()
 		s.n.logf("%s: invalidation stream lost: %v; resubscribing", s.n.name, err)
-		s.h.Gap()
 		s.imu.Lock()
 		s.interest.Reset()
 		s.name = 0
 		s.settledLocked()
 		s.imu.Unlock()
+		s.h.Gap()
 		st = s.redial()
 		if st == nil {
 			return

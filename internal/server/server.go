@@ -505,8 +505,8 @@ func (r *Repository) Stats() netproto.StatsMsg {
 func (r *Repository) execQuery(q *model.Query, traceID uint64) netproto.Frame {
 	start := time.Now()
 	r.queries.Inc()
-	if len(q.Objects) == 0 {
-		return netproto.ErrorFrame("query %d accesses no objects", q.ID)
+	if err := q.Validate(); err != nil {
+		return netproto.ErrorFrame("%v", err)
 	}
 	for _, id := range q.Objects {
 		if _, err := r.cfg.Survey.Object(id); err != nil {

@@ -119,11 +119,7 @@ func runReference(policy core.Policy, objects []model.Object, events []model.Eve
 				return nil, fmt.Errorf("sim: birth of existing object %d at event %d", b.Object.ID, e.Seq)
 			}
 			st.sizes[b.Object.ID] = b.Object.Size
-			g := core.OptionalOf(policy).Grower
-			if g == nil {
-				return nil, fmt.Errorf("sim: policy %s cannot grow its universe", policy.Name())
-			}
-			d, err = g.AddObjects([]model.Object{b.Object})
+			d, err = policy.AddObjects([]model.Object{b.Object})
 		}
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s at event %d: %w", policy.Name(), e.Seq, err)

@@ -67,6 +67,10 @@ func (p *Scripted) AddObjects(objs []model.Object) (core.Decision, error) {
 	return p.take(false), nil
 }
 
+// Warm implements core.Warmable: a script names every residency
+// change, so it declines every offer.
+func (p *Scripted) Warm(ids []model.ObjectID) ([]model.ObjectID, error) { return nil, nil }
+
 func (p *Scripted) take(isQuery bool) core.Decision {
 	if p.next < len(p.Decisions) {
 		d := p.Decisions[p.next]
